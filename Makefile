@@ -21,7 +21,8 @@ bench:
 # bench-compare runs the audit-engine performance gate: serial vs
 # parallel FullAudit plus the Table 2 context benchmark, summarised
 # into BENCH_audit.json, failing on a >10% allocs/op regression in
-# BenchmarkTable2Context. See scripts/bench_compare.sh.
+# BenchmarkTable2Context or on either FullAudit benchmark exceeding
+# 10,000 allocs/op. See scripts/bench_compare.sh.
 bench-compare:
 	sh scripts/bench_compare.sh
 

@@ -1,6 +1,8 @@
 package adnet
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -202,5 +204,37 @@ func TestAdversaryInflate(t *testing.T) {
 		if !d.Device.ResidentialProxy && (!d.VisibilityMeasured || d.MaxVisibleFraction != inflatedVisibleFrac) {
 			t.Fatalf("stacked placement fraction %v, want pinned %v", d.MaxVisibleFraction, inflatedVisibleFrac)
 		}
+	}
+}
+
+// TestOwnerGroupOfLabels pins the allocation-free OwnerGroupOf to the
+// hash/fnv + fmt.Sprintf form it replaced: all 512 table labels, and
+// the label of a sample of domains (empty and non-ASCII included).
+func TestOwnerGroupOfLabels(t *testing.T) {
+	for i, label := range ownerLabels {
+		if want := fmt.Sprintf("owner-%03d", i); label != want {
+			t.Fatalf("label %d = %q, want %q", i, label, want)
+		}
+	}
+	domains := []string{"", "a", "news-site.example", "xn--mnchen-3ya.de", "münchen.example", "UPPER.example"}
+	for i := 0; i < 2000; i++ {
+		domains = append(domains, fmt.Sprintf("site-%d.example", i*7919))
+	}
+	groups := map[string]bool{}
+	for _, d := range domains {
+		h := fnv.New32a()
+		h.Write([]byte(d))
+		h.Write([]byte("/owner"))
+		want := fmt.Sprintf("owner-%03d", h.Sum32()%ownerGroups)
+		if got := OwnerGroupOf(d); got != want {
+			t.Fatalf("OwnerGroupOf(%q) = %q, want %q", d, got, want)
+		}
+		groups[want] = true
+	}
+	if len(groups) < ownerGroups/2 {
+		t.Fatalf("sample reaches only %d of %d groups", len(groups), ownerGroups)
+	}
+	if n := testing.AllocsPerRun(100, func() { OwnerGroupOf("news-site.example") }); n != 0 {
+		t.Fatalf("OwnerGroupOf allocates %.0f times per call", n)
 	}
 }

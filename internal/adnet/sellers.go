@@ -2,7 +2,6 @@ package adnet
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -30,6 +29,14 @@ const ExchangeSellerID = "exchange.adnetwork.example"
 // occasionally share a group — media houses own multiple sites.
 const ownerGroups = 512
 
+// ownerLabels holds every group label: OwnerGroupOf runs per report row.
+var ownerLabels = func() (labels [ownerGroups]string) {
+	for i := range labels {
+		labels[i] = fmt.Sprintf("owner-%03d", i)
+	}
+	return labels
+}()
+
 // DirectSellerID returns the publisher's own seller account ID. It
 // embeds the domain, so distinct domains never collide.
 func DirectSellerID(domain string) string {
@@ -41,10 +48,14 @@ func DirectSellerID(domain string) string {
 // hash into a bounded group space; two domains in the same group are
 // considered commonly owned.
 func OwnerGroupOf(domain string) string {
-	h := fnv.New32a()
-	h.Write([]byte(domain))
-	h.Write([]byte("/owner"))
-	return fmt.Sprintf("owner-%03d", h.Sum32()%ownerGroups)
+	// FNV-1a (32-bit) over domain + "/owner", inline so nothing allocates.
+	h := uint32(2166136261)
+	for _, s := range [2]string{domain, "/owner"} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint32(s[i])) * 16777619
+		}
+	}
+	return ownerLabels[h%ownerGroups]
 }
 
 // OwnerSellerID returns the seller account of a domain's owner group —

@@ -166,8 +166,9 @@ func TestPoolingFromReport(t *testing.T) {
 // organic user's impressions.
 func behaviorFixture() BehaviorState {
 	base := time.Unix(1700000000, 0)
+	times := map[string][]time.Time{}
 	s := BehaviorState{
-		Times:     map[string][]time.Time{},
+		Times:     func(user string) []time.Time { return times[user] },
 		UserSlots: map[string][]int{},
 		PubSlots:  map[string][]int{},
 		UserConvs: map[string]int{},
@@ -175,7 +176,7 @@ func behaviorFixture() BehaviorState {
 	}
 	add := func(user, pub string, at time.Time, exposure float64, measured bool, frac float64) {
 		slot := len(s.Exposures)
-		s.Times[user] = append(s.Times[user], at)
+		times[user] = append(times[user], at)
 		s.UserSlots[user] = append(s.UserSlots[user], slot)
 		s.PubSlots[pub] = append(s.PubSlots[pub], slot)
 		s.Exposures = append(s.Exposures, exposure)

@@ -1,8 +1,10 @@
 package audit
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"adaudit/internal/store"
@@ -123,7 +125,7 @@ func CadenceCV(ts []time.Time) float64 {
 	if len(ts) < 3 {
 		return math.Inf(1)
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Before(ts[j]) })
+	slices.SortFunc(ts, time.Time.Compare)
 	n := float64(len(ts) - 1)
 	var sum float64
 	for i := 1; i < len(ts); i++ {
@@ -142,16 +144,15 @@ func CadenceCV(ts []time.Time) float64 {
 }
 
 // BehaviorState is the per-campaign raw material of the behavioral
-// dimension, built identically by the batch auditor (one store visit
-// in insertion order) and the streaming engine (slot-indexed state
-// maintained across inserts and merges). Slices indexed by slot hold
-// the mutable per-impression fields — merges overwrite a slot in
-// place, so order-dependent float folds stay bit-identical between
-// the two paths.
+// dimension as the streaming engine maintains it across inserts and
+// merges. Slices indexed by slot hold the mutable per-impression fields
+// — merges overwrite a slot in place, so order-dependent float folds
+// stay bit-identical to the batch path, which groups the same slots
+// through a pooled flat layout instead (Auditor.Behavior).
 type BehaviorState struct {
-	// Times maps user key -> impression timestamps (any order; the
-	// fold sorts, so only the multiset matters).
-	Times map[string][]time.Time
+	// Times returns a user's impression timestamps (any order; the fold
+	// sorts in place). Only asked about users that reach cadence scoring.
+	Times func(user string) []time.Time
 	// UserSlots and PubSlots map user key / publisher -> slot indexes
 	// in insertion order.
 	UserSlots map[string][]int
@@ -167,86 +168,141 @@ type BehaviorState struct {
 }
 
 // Behavior runs the behavioral fraud analysis for one campaign (""
-// for all campaigns together).
+// for all campaigns together). One store visit in insertion order
+// fills a pooled flat scratch; a counting sort regroups the slots by
+// user, then by publisher, and each group goes through behaviorFold.
 func (a *Auditor) Behavior(campaignID string) BehaviorResult {
-	n := a.impressionCount(campaignID)
-	s := BehaviorState{
-		Times:       map[string][]time.Time{},
-		UserSlots:   map[string][]int{},
-		PubSlots:    map[string][]int{},
-		Exposures:   make([]float64, 0, n),
-		VisMeasured: make([]bool, 0, n),
-		VisFrac:     make([]float64, 0, n),
-		UserConvs:   map[string]int{},
-		UserDC:      map[string]bool{},
-	}
-	slot := 0
+	sc := getBehaviorScratch(a.impressionCount(campaignID))
+	defer behaviorPool.Put(sc)
 	a.visitImpressions(campaignID, func(im *store.Impression) bool {
-		s.Times[im.UserKey] = append(s.Times[im.UserKey], im.Timestamp)
-		s.UserSlots[im.UserKey] = append(s.UserSlots[im.UserKey], slot)
-		s.PubSlots[im.Publisher] = append(s.PubSlots[im.Publisher], slot)
-		s.Exposures = append(s.Exposures, im.Exposure.Seconds())
-		s.VisMeasured = append(s.VisMeasured, im.VisibilityMeasured)
-		s.VisFrac = append(s.VisFrac, im.MaxVisibleFraction)
-		if IsDataCenterVerdict(im.DataCenter) {
-			s.UserDC[im.UserKey] = true
-		}
-		slot++
+		sc.userOf = append(sc.userOf, intern(sc.userIDs, &sc.users, im.UserKey))
+		sc.pubOf = append(sc.pubOf, intern(sc.pubIDs, &sc.pubs, im.Publisher))
+		sc.times = append(sc.times, im.Timestamp)
+		sc.exposures = append(sc.exposures, im.Exposure.Seconds())
+		sc.visMeasured = append(sc.visMeasured, im.VisibilityMeasured)
+		sc.visFrac = append(sc.visFrac, im.MaxVisibleFraction)
+		sc.dataCenter = append(sc.dataCenter, IsDataCenterVerdict(im.DataCenter))
 		return true
 	})
+	sc.userConvs = sized(sc.userConvs, len(sc.users))[:len(sc.users)]
+	clear(sc.userConvs)
+	campaigns := []string{campaignID}
 	if campaignID == "" {
-		for _, cid := range a.Store.ConvertingCampaigns() {
-			for _, c := range a.Store.Conversions(cid) {
-				s.UserConvs[c.UserKey]++
+		campaigns = a.Store.ConvertingCampaigns()
+	}
+	for _, cid := range campaigns {
+		for _, c := range a.Store.Conversions(cid) {
+			if uid, ok := sc.userIDs[c.UserKey]; ok {
+				sc.userConvs[uid]++
 			}
 		}
-	} else {
-		for _, c := range a.Store.Conversions(campaignID) {
-			s.UserConvs[c.UserKey]++
-		}
 	}
-	return BehaviorFromState(campaignID, s)
+
+	f := behaviorFold{exposures: sc.exposures, visMeasured: sc.visMeasured, visFrac: sc.visFrac}
+	sc.eachGroup(sc.userOf, sc.users, func(uid int, user string, slots []int) {
+		if !f.scorable(len(slots), int(sc.userConvs[uid])) {
+			return
+		}
+		sc.cadence = sc.cadence[:0]
+		for _, sl := range slots {
+			sc.cadence = append(sc.cadence, sc.times[sl])
+		}
+		dc := slices.ContainsFunc(slots, func(sl int) bool { return sc.dataCenter[sl] })
+		f.user(user, slots, sc.cadence, dc)
+	})
+	sc.eachGroup(sc.pubOf, sc.pubs, func(_ int, pub string, slots []int) { f.publisher(pub, slots) })
+	return f.result(campaignID, len(sc.users), len(sc.pubs))
 }
 
-// BehaviorFromState materializes the behavioral result — the shared
-// fold behind the batch analysis and the streaming engine's view.
-// Timestamp slices are sorted in place; slot slices are only read.
+// BehaviorFromState materializes the behavioral result from the
+// streaming engine's map-grouped state through the same behaviorFold
+// the batch analysis drives. Timestamp slices are sorted in place; slot
+// slices are only read.
 func BehaviorFromState(campaignID string, s BehaviorState) BehaviorResult {
-	res := BehaviorResult{
-		CampaignID: campaignID,
-		Users:      len(s.UserSlots),
-		Publishers: len(s.PubSlots),
-	}
-	res.Impressions = len(s.Exposures)
-
+	f := behaviorFold{exposures: s.Exposures, visMeasured: s.VisMeasured, visFrac: s.VisFrac}
 	for user, slots := range s.UserSlots {
-		if len(slots) < BehaviorMinImpressions {
-			continue
+		if f.scorable(len(slots), s.UserConvs[user]) {
+			f.user(user, slots, s.Times(user), s.UserDC[user])
 		}
-		res.UsersScored++
-		if s.UserConvs[user] > 0 {
-			continue // converting users are humans whatever their cadence
+	}
+	for pub, slots := range s.PubSlots {
+		f.publisher(pub, slots)
+	}
+	return f.result(campaignID, len(s.UserSlots), len(s.PubSlots))
+}
+
+// behaviorFold holds the scoring rules of the behavioral dimension, fed
+// one user or publisher group at a time over the slot-indexed signals.
+// Groups may arrive in any order (both result lists are sorted on a
+// unique key); a group's slots must be in insertion order.
+type behaviorFold struct {
+	exposures   []float64
+	visMeasured []bool
+	visFrac     []float64
+	res         BehaviorResult
+}
+
+// scorable counts a user with enough impressions to score; false also
+// for converting users, who are humans whatever their cadence.
+func (f *behaviorFold) scorable(impressions, conversions int) bool {
+	if impressions < BehaviorMinImpressions {
+		return false
+	}
+	f.res.UsersScored++
+	return conversions == 0
+}
+
+// user flags a scorable user whose whole signature is degenerate.
+func (f *behaviorFold) user(user string, slots []int, times []time.Time, dataCenter bool) {
+	cv := CadenceCV(times)
+	if !(cv <= BehaviorMaxCadenceCV) || !f.degenerateSlots(slots) {
+		return
+	}
+	f.res.BotUsers = append(f.res.BotUsers, BotUser{
+		UserKey:     user,
+		Impressions: len(slots),
+		CadenceCV:   cv,
+		DataCenter:  dataCenter,
+	})
+}
+
+// publisher scores one publisher's placements for inflation.
+func (f *behaviorFold) publisher(pub string, slots []int) {
+	threshold := ViewabilityThreshold.Seconds()
+	measured, viewable := 0, 0
+	var fracSum float64
+	for _, sl := range slots {
+		if f.exposures[sl] >= threshold {
+			viewable++
 		}
-		cv := CadenceCV(s.Times[user])
-		if !(cv <= BehaviorMaxCadenceCV) {
-			continue
+		if f.visMeasured[sl] {
+			measured++
+			fracSum += f.visFrac[sl]
 		}
-		if !degenerateSlots(s, slots) {
-			continue
-		}
-		res.BotUsers = append(res.BotUsers, BotUser{
-			UserKey:     user,
-			Impressions: len(slots),
-			CadenceCV:   cv,
-			DataCenter:  s.UserDC[user],
+	}
+	if measured < InflationMinMeasured {
+		return
+	}
+	f.res.PublishersScored++
+	mean := fracSum / float64(measured)
+	vshare := float64(viewable) / float64(len(slots))
+	if mean <= InflationMaxMeanFraction && vshare >= InflationMinViewableShare {
+		f.res.InflatedPublishers = append(f.res.InflatedPublishers, InflatedPublisher{
+			Publisher:           pub,
+			Impressions:         len(slots),
+			Measured:            measured,
+			MeanVisibleFraction: mean,
+			ViewableShare:       vshare,
 		})
 	}
-	sort.Slice(res.BotUsers, func(i, j int) bool {
-		a, b := res.BotUsers[i], res.BotUsers[j]
-		if a.Impressions != b.Impressions {
-			return a.Impressions > b.Impressions
-		}
-		return a.UserKey < b.UserKey
+}
+
+// result sorts the flagged lists and totals them.
+func (f *behaviorFold) result(campaignID string, users, publishers int) BehaviorResult {
+	res := f.res
+	res.CampaignID, res.Users, res.Publishers, res.Impressions = campaignID, users, publishers, len(f.exposures)
+	slices.SortFunc(res.BotUsers, func(a, b BotUser) int {
+		return cmp.Or(cmp.Compare(b.Impressions, a.Impressions), strings.Compare(a.UserKey, b.UserKey))
 	})
 	for _, u := range res.BotUsers {
 		res.BotImpressions += u.Impressions
@@ -254,42 +310,8 @@ func BehaviorFromState(campaignID string, s BehaviorState) BehaviorResult {
 			res.ResidentialBotUsers++
 		}
 	}
-
-	threshold := ViewabilityThreshold.Seconds()
-	for pub, slots := range s.PubSlots {
-		measured, viewable := 0, 0
-		var fracSum float64
-		for _, sl := range slots {
-			if s.Exposures[sl] >= threshold {
-				viewable++
-			}
-			if s.VisMeasured[sl] {
-				measured++
-				fracSum += s.VisFrac[sl]
-			}
-		}
-		if measured < InflationMinMeasured {
-			continue
-		}
-		res.PublishersScored++
-		mean := fracSum / float64(measured)
-		vshare := float64(viewable) / float64(len(slots))
-		if mean <= InflationMaxMeanFraction && vshare >= InflationMinViewableShare {
-			res.InflatedPublishers = append(res.InflatedPublishers, InflatedPublisher{
-				Publisher:           pub,
-				Impressions:         len(slots),
-				Measured:            measured,
-				MeanVisibleFraction: mean,
-				ViewableShare:       vshare,
-			})
-		}
-	}
-	sort.Slice(res.InflatedPublishers, func(i, j int) bool {
-		a, b := res.InflatedPublishers[i], res.InflatedPublishers[j]
-		if a.Impressions != b.Impressions {
-			return a.Impressions > b.Impressions
-		}
-		return a.Publisher < b.Publisher
+	slices.SortFunc(res.InflatedPublishers, func(a, b InflatedPublisher) int {
+		return cmp.Or(cmp.Compare(b.Impressions, a.Impressions), strings.Compare(a.Publisher, b.Publisher))
 	})
 	for _, p := range res.InflatedPublishers {
 		res.InflatedImpressions += p.Impressions
@@ -301,26 +323,26 @@ func BehaviorFromState(campaignID string, s BehaviorState) BehaviorResult {
 // signals show no variance at all: exposure range within epsilon, and
 // — among visibility-measured impressions, if any — visible-fraction
 // range within epsilon.
-func degenerateSlots(s BehaviorState, slots []int) bool {
+func (f *behaviorFold) degenerateSlots(slots []int) bool {
 	minE, maxE := math.Inf(1), math.Inf(-1)
 	minF, maxF := math.Inf(1), math.Inf(-1)
 	measured := false
 	for _, sl := range slots {
-		e := s.Exposures[sl]
+		e := f.exposures[sl]
 		if e < minE {
 			minE = e
 		}
 		if e > maxE {
 			maxE = e
 		}
-		if s.VisMeasured[sl] {
+		if f.visMeasured[sl] {
 			measured = true
-			f := s.VisFrac[sl]
-			if f < minF {
-				minF = f
+			v := f.visFrac[sl]
+			if v < minF {
+				minF = v
 			}
-			if f > maxF {
-				maxF = f
+			if v > maxF {
+				maxF = v
 			}
 		}
 	}

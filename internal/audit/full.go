@@ -59,8 +59,9 @@ func (a *Auditor) FullAudit(inputs []CampaignInput) (*FullReport, error) {
 
 // FullAuditSerial runs the same audit on one goroutine in the fixed
 // legacy order (per campaign: brand safety, context, popularity,
-// viewability, fraud; then the aggregates) — the baseline the
-// serial-vs-parallel benchmarks and determinism tests compare against.
+// viewability, fraud, sellers, pooling, behavior; then the two
+// aggregates) — the baseline the serial-vs-parallel benchmarks and
+// determinism tests compare against.
 func (a *Auditor) FullAuditSerial(inputs []CampaignInput) (*FullReport, error) {
 	return a.fullAudit(inputs, 1)
 }

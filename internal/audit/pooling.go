@@ -1,7 +1,9 @@
 package audit
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"adaudit/internal/adnet"
 )
@@ -49,56 +51,63 @@ func (a *Auditor) Pooling(campaignID string, rep *adnet.VendorReport) PoolingRes
 	return PoolingFromReport(campaignID, rep, a.sellers(), DefaultMaxGroupSpan)
 }
 
+// poolRow is one attributed, non-exchange report row with its
+// publisher's owner group resolved — the unit the detector sorts.
+type poolRow struct {
+	seller, group, publisher string
+	imps                     int64
+}
+
 // PoolingFromReport materializes the pooling detector from a vendor
 // report and a directory — pure, shared verbatim by the batch auditor
 // and the streaming engine. A nil report yields the empty result.
+//
+// The rows are flattened into a pooled scratch and sorted by (seller,
+// group, publisher), so nothing is allocated per seller: a seller's
+// rows are adjacent, and as a publisher has one owner group so are its
+// duplicates, which makes both distinct counts a count of value changes.
 func PoolingFromReport(campaignID string, rep *adnet.VendorReport, dir SellerDirectory, maxGroups int) PoolingResult {
 	res := PoolingResult{CampaignID: campaignID, GroupLimit: maxGroups}
 	if rep == nil {
 		return res
 	}
-	type footprint struct {
-		pubs   map[string]bool
-		groups map[string]bool
-		imps   int64
-	}
-	sellers := map[string]*footprint{}
+	rows := poolRowPool.get(len(rep.Rows))
+	defer poolRowPool.put(rows) // by header: rows never outgrows len(rep.Rows)
 	for _, row := range rep.Rows {
 		if row.SellerID == "" || dir.KnownExchange(row.SellerID) {
 			continue
 		}
-		f := sellers[row.SellerID]
-		if f == nil {
-			f = &footprint{pubs: map[string]bool{}, groups: map[string]bool{}}
-			sellers[row.SellerID] = f
-		}
-		f.pubs[row.Publisher] = true
-		f.groups[dir.OwnerGroup(row.Publisher)] = true
-		f.imps += row.Impressions
+		rows = append(rows, poolRow{row.SellerID, dir.OwnerGroup(row.Publisher), row.Publisher, row.Impressions})
 	}
-	res.SellersChecked = len(sellers)
-	for id, f := range sellers {
-		if len(f.groups) > res.MaxGroupSpan {
-			res.MaxGroupSpan = len(f.groups)
+	slices.SortFunc(rows, func(a, b poolRow) int {
+		if c := strings.Compare(a.seller, b.seller); c != 0 {
+			return c
 		}
-		if len(f.groups) > maxGroups {
-			res.PooledSellers = append(res.PooledSellers, PooledSeller{
-				SellerID:    id,
-				Publishers:  len(f.pubs),
-				OwnerGroups: len(f.groups),
-				Impressions: f.imps,
-			})
+		if c := strings.Compare(a.group, b.group); c != 0 {
+			return c
+		}
+		return strings.Compare(a.publisher, b.publisher)
+	})
+	for i := 0; i < len(rows); {
+		ps := PooledSeller{SellerID: rows[i].seller, Publishers: 1, OwnerGroups: 1, Impressions: rows[i].imps}
+		for i++; i < len(rows) && rows[i].seller == ps.SellerID; i++ {
+			if rows[i].group != rows[i-1].group {
+				ps.OwnerGroups++
+			}
+			if rows[i].publisher != rows[i-1].publisher {
+				ps.Publishers++
+			}
+			ps.Impressions += rows[i].imps
+		}
+		res.SellersChecked++
+		res.MaxGroupSpan = max(res.MaxGroupSpan, ps.OwnerGroups)
+		if ps.OwnerGroups > maxGroups {
+			res.PooledSellers = append(res.PooledSellers, ps)
 		}
 	}
-	sort.Slice(res.PooledSellers, func(i, j int) bool {
-		a, b := res.PooledSellers[i], res.PooledSellers[j]
-		if a.OwnerGroups != b.OwnerGroups {
-			return a.OwnerGroups > b.OwnerGroups
-		}
-		if a.Impressions != b.Impressions {
-			return a.Impressions > b.Impressions
-		}
-		return a.SellerID < b.SellerID
+	slices.SortFunc(res.PooledSellers, func(a, b PooledSeller) int {
+		return cmp.Or(cmp.Compare(b.OwnerGroups, a.OwnerGroups),
+			cmp.Compare(b.Impressions, a.Impressions), strings.Compare(a.SellerID, b.SellerID))
 	})
 	return res
 }

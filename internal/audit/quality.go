@@ -54,8 +54,8 @@ const ViewabilityThreshold = time.Second
 // Viewability runs the Table 3 analysis for one campaign ("" for all).
 func (a *Auditor) Viewability(campaignID string) ViewabilityResult {
 	res := ViewabilityResult{CampaignID: campaignID}
-	exposures := floatScratch(a.impressionCount(campaignID))
-	defer putFloatScratch(exposures)
+	exposures := floatPool.get(a.impressionCount(campaignID))
+	defer floatPool.put(exposures)
 	a.visitImpressions(campaignID, func(im *store.Impression) bool {
 		res.Impressions++
 		if im.Exposure >= ViewabilityThreshold {

@@ -19,8 +19,8 @@ type SellerDirectory interface {
 	// KnownExchange reports whether seller is a disclosed exchange
 	// account (legitimately spans every publisher).
 	KnownExchange(seller string) bool
-	// OwnerGroup returns the publisher's owner-group label — the
-	// "unrelated publisher groups" unit of the pooling detector.
+	// OwnerGroup returns the publisher's owner-group label, a function of
+	// the publisher alone — the pooling detector's "unrelated groups" unit.
 	OwnerGroup(publisher string) string
 }
 

@@ -130,20 +130,15 @@ func (e *Engine) campaignAuditLocked(in audit.CampaignInput) (audit.CampaignAudi
 
 	// Adversarial dimensions. Sellers and pooling are pure functions of
 	// the vendor report and the directory, shared verbatim with the
-	// batch path. Behavior folds the slot-indexed state; per-user
-	// timestamps come from the frequency groups (the fold only sorts
-	// the slices in place, exactly as FrequencyFromTimes does, so
-	// aliasing the live slices is safe).
+	// batch path. Behavior folds the slot-indexed state; timestamps come
+	// from the frequency groups, looked up only for the users the fold
+	// scores (it sorts them in place, exactly as FrequencyFromTimes does).
 	ca.Sellers = audit.SellerAuditFromReport(in.ID, in.Report, e.sellers)
 	ca.Pooling = audit.PoolingFromReport(in.ID, in.Report, e.sellers, audit.DefaultMaxGroupSpan)
-	times := make(map[string][]time.Time, len(cs.userSlots))
-	for k, ts := range e.st.freq {
-		if k.CampaignID == in.ID {
-			times[k.UserKey] = ts
-		}
-	}
 	ca.Behavior = audit.BehaviorFromState(in.ID, audit.BehaviorState{
-		Times:       times,
+		Times: func(user string) []time.Time {
+			return e.st.freq[audit.FrequencyKey{CampaignID: in.ID, UserKey: user}]
+		},
 		UserSlots:   cs.userSlots,
 		PubSlots:    cs.pubSlots,
 		Exposures:   cs.exposures,

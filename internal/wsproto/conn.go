@@ -191,7 +191,9 @@ const closeWriteTimeout = time.Second
 // peer cannot stall the close), then closes the transport. It does not
 // wait for the peer's close reply; callers that want a clean handshake
 // should keep reading until ReadMessage returns a *CloseError before
-// calling Close. Close is idempotent at the transport level.
+// calling Close. Close is idempotent: once the close frame has gone out,
+// a transport that is already closed — by an earlier Close, such as the
+// one ReadMessage issues to echo the peer's close frame — is success.
 func (c *Conn) Close(code CloseCode, reason string) error {
 	c.writeMu.Lock()
 	var writeErr error
@@ -208,6 +210,9 @@ func (c *Conn) Close(code CloseCode, reason string) error {
 	closeErr := c.nc.Close()
 	if writeErr != nil {
 		return writeErr
+	}
+	if errors.Is(closeErr, net.ErrClosed) {
+		return nil
 	}
 	return closeErr
 }

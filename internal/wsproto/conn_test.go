@@ -188,6 +188,36 @@ func TestConnCloseErrorSurfaced(t *testing.T) {
 	}
 }
 
+// ReadMessage completes the closing handshake itself — it echoes the
+// peer's close frame and closes the socket — so the caller's own Close
+// afterwards finds the transport closed. That is a clean shutdown, not
+// "use of closed network connection". Over real TCP: net.Pipe's Close
+// never reports a double close.
+func TestConnCloseAfterPeerCloseEcho(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := (&Upgrader{}).Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		conn.Close(CloseGoingAway, "bye") // server-initiated close
+	}))
+	defer srv.Close()
+
+	conn, _, err := (&Dialer{}).Dial(context.Background(), "ws"+strings.TrimPrefix(srv.URL, "http"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *CloseError
+	if _, _, err := conn.ReadMessage(); !errors.As(err, &ce) || ce.Code != CloseGoingAway {
+		t.Fatalf("ReadMessage err = %v, want the peer's close", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := conn.Close(CloseNormal, ""); err != nil {
+			t.Fatalf("Close #%d after the close echo = %v, want nil", i+1, err)
+		}
+	}
+}
+
 func TestConnWriteAfterClose(t *testing.T) {
 	client, server := pipePair(0)
 	defer server.NetConn().Close()

@@ -4,7 +4,8 @@
 # Table 2 context benchmark, summarises them benchstat-style (mean over
 # -count runs) into BENCH_audit.json, and fails if allocs/op of
 # BenchmarkTable2Context regressed more than 10% against the committed
-# baseline. Plain POSIX sh + awk — no benchstat dependency.
+# baseline, or if either FullAudit benchmark costs more than 10,000
+# allocs/op. Plain POSIX sh + awk — no benchstat dependency.
 #
 # Also runs the streaming-audit apply benchmark
 # (internal/streamaudit.BenchmarkStreamApply) and summarises it into
@@ -139,6 +140,23 @@ if [ -n "$baseline_allocs" ]; then
 else
     echo "==> no committed baseline; $JSON is the new baseline"
 fi
+
+# FullAudit allocation budget: an absolute <= 10,000 allocs/op on both
+# engines (ROADMAP item 1), not a relative baseline — the adversarial
+# dimensions once took it from 3,753 to 361,180 unnoticed, which a
+# baseline that is rewritten on every run cannot catch.
+for bench in BenchmarkFullAuditSerial BenchmarkFullAuditParallel; do
+    full_allocs=$(sed -n 's/.*"name": "'"$bench"'".*"allocs_per_op": \([0-9][0-9]*\).*/\1/p' "$JSON")
+    if [ -z "$full_allocs" ]; then
+        echo "bench_compare: $bench missing from results" >&2
+        exit 1
+    fi
+    echo "==> $bench: $full_allocs allocs/op (budget <= 10000)"
+    if [ "$full_allocs" -gt 10000 ]; then
+        echo "bench_compare: $bench costs $full_allocs allocs/op, budget is 10000" >&2
+        exit 1
+    fi
+done
 
 # Streaming-audit apply throughput: mean per-delta cost of the
 # incremental engine, and the deltas/sec it implies.

@@ -15,6 +15,8 @@
 #   scripts/check.sh -sharded       # also run the sharded-collector suite under -race
 #                                   # (shard-merge equality, router chaos, sharded sim oracle)
 #   scripts/check.sh -fuzz-smoke    # also fuzz every target 30s from the committed corpora
+#   scripts/check.sh -benchmark     # also run the end-to-end benchmark's smoke test
+#                                   # (nested module benchmark/, outside ./...)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -100,7 +102,7 @@ if [ "${1:-}" = "-adversarial" ]; then
     go test -race -count 1 -run 'TestAdversarialDimensionsParity' ./internal/streamaudit/
     go test -race -count 1 -run 'TestAdversary|TestHonestReportSellers' ./internal/adnet/
     go test -race -count 1 \
-        -run 'TestCadenceCV|TestSellerAudit|TestPoolingFromReport|TestBehaviorFromState' \
+        -run 'TestCadenceCV|TestSellerAudit|TestPoolingFromReport|TestBehaviorFromState|TestBehaviorFold|TestPoolingFold|TestFoldsMatchOraclesOnAdversaryPresets' \
         ./internal/audit/
     go test -race -count 1 -run 'TestRunAdversarialScenario' ./cmd/adsim/
 fi
@@ -119,6 +121,17 @@ if [ "${1:-}" = "-sharded" ]; then
     go test -race -count 1 -run 'TestSimSharded|TestShardsDigestDeterminism' \
         ./internal/simtest/ -v
     go test -race -count 1 -run 'TestRunShardedReplay' ./cmd/adsim/ -v
+fi
+
+if [ "${1:-}" = "-benchmark" ]; then
+    # The end-to-end benchmark (BENCHMARK.json, benchmark/) is a module
+    # of its own, so `go test ./...` above never builds it. Its smoke
+    # test runs every workload for 1 s on a small universe with every
+    # correctness check on (exactly-once by nonce, live/merged/batch
+    # reports DeepEqual), so a change that breaks the harness fails
+    # here rather than when the numbers are wanted.
+    echo "==> benchmark smoke test (go test -C benchmark .)"
+    go test -C benchmark -count 1 .
 fi
 
 if [ "${1:-}" = "-fuzz-smoke" ]; then

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	mathrand "math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"adaudit/internal/simclock"
@@ -76,6 +78,29 @@ type Client struct {
 	// encoding Go beacons negotiate by sending their first message as a
 	// WebSocket binary frame). Both wires store identical records.
 	Wire string
+
+	// collector caches CollectorURL parsed: a client dials the one
+	// endpoint once per impression.
+	collector atomic.Pointer[parsedURL]
+}
+
+type parsedURL struct {
+	raw string
+	url *url.URL
+}
+
+// collectorURL returns CollectorURL parsed, reparsing only when the
+// field has changed since the last dial.
+func (c *Client) collectorURL() (*url.URL, error) {
+	if p := c.collector.Load(); p != nil && p.raw == c.CollectorURL {
+		return p.url, nil
+	}
+	u, err := url.Parse(c.CollectorURL)
+	if err != nil {
+		return nil, err
+	}
+	c.collector.Store(&parsedURL{raw: c.CollectorURL, url: u})
+	return u, nil
 }
 
 // Wire encodings for Client.Wire.
@@ -283,7 +308,11 @@ func (c *Client) openOnce(ctx context.Context, p Payload) (*Session, time.Durati
 			d.Header.Set("User-Agent", p.UserAgent)
 		}
 	}
-	conn, resp, err := d.Dial(ctx, c.CollectorURL)
+	u, err := c.collectorURL()
+	if err != nil {
+		return nil, 0, fmt.Errorf("beacon: parsing collector url: %w", err)
+	}
+	conn, resp, err := d.DialURL(ctx, u)
 	if err != nil {
 		var hint time.Duration
 		if resp != nil {
@@ -301,6 +330,9 @@ func (c *Client) openOnce(ctx context.Context, p Payload) (*Session, time.Durati
 		conn.Close(wsproto.CloseInternalError, "write failed")
 		return nil, 0, fmt.Errorf("beacon: sending impression: %w", err)
 	}
+	// The session's reader only services control frames and discards
+	// whatever else arrives, so it can recycle one read buffer.
+	conn.ReuseReadBuffer()
 	sess := &Session{conn: conn, binary: binary, dead: make(chan struct{})}
 	go sess.serviceControlFrames()
 	return sess, 0, nil

@@ -220,3 +220,39 @@ func TestAdTag(t *testing.T) {
 		t.Fatalf("ad tag malformed:\n%s", tag)
 	}
 }
+
+// TestClientFollowsCollectorURL: the parsed collector URL is a cache of
+// the field, not a copy — retargeting the client takes effect on the
+// next dial, an unparseable URL is reported, and concurrent sessions
+// share the cache safely (run under -race).
+func TestClientFollowsCollectorURL(t *testing.T) {
+	a, b := newCollectStub(t), newCollectStub(t)
+	c := &Client{CollectorURL: a.wsURL()}
+	p := samplePayload()
+	p.Events = nil
+	report := func(want *collectStub, n int) {
+		t.Helper()
+		done := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func() { done <- c.Report(context.Background(), p, 0) }()
+		}
+		for i := 0; i < n; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-want.payloads:
+			case <-time.After(2 * time.Second):
+				t.Fatal("payload never reached the collector the client points at")
+			}
+		}
+	}
+	report(a, 4)
+	c.CollectorURL = b.wsURL()
+	report(b, 4)
+
+	c.CollectorURL = "ws://bad host/"
+	if _, err := c.Open(context.Background(), p); err == nil || !strings.Contains(err.Error(), "parsing collector url") {
+		t.Fatalf("unparseable collector URL: err = %v", err)
+	}
+}

@@ -115,39 +115,74 @@ func (p Payload) Publisher() (string, error) {
 
 // Encode serialises the payload to the string the beacon sends as a
 // WebSocket text message: URL-encoded key/value pairs, the format a
-// five-line JavaScript encoder can emit.
+// five-line JavaScript encoder can emit. The bytes are those of
+// url.Values.Encode — keys in sorted order, values query-escaped —
+// appended directly, since every impression pays for this once.
 func (p Payload) Encode() string {
-	v := url.Values{}
-	v.Set("v", strconv.Itoa(PayloadVersion))
-	v.Set("cid", p.CampaignID)
-	v.Set("crid", p.CreativeID)
-	v.Set("url", p.PageURL)
-	v.Set("ua", p.UserAgent)
-	if p.Nonce != "" {
-		v.Set("n", p.Nonce)
-	}
+	var buf [512]byte
+	b := appendPair(buf[:0], "cid", p.CampaignID)
+	b = appendPair(b, "crid", p.CreativeID)
 	if len(p.Events) > 0 {
-		evs := make([]string, len(p.Events))
+		var evs [128]byte
+		ev := evs[:0]
 		for i, e := range p.Events {
-			evs[i] = encodeEvent(e)
+			if i > 0 {
+				ev = append(ev, ',')
+			}
+			ev = appendEvent(ev, e)
 		}
-		v.Set("ev", strings.Join(evs, ","))
+		b = appendPair(b, "ev", ev)
+	}
+	if p.Nonce != "" {
+		b = appendPair(b, "n", p.Nonce)
 	}
 	if p.TraceID != "" {
-		v.Set("tr", p.TraceID)
+		b = appendPair(b, "tr", p.TraceID)
 		if p.TraceSent > 0 {
-			v.Set("trts", strconv.FormatInt(p.TraceSent, 10))
+			var ts [20]byte
+			b = appendPair(b, "trts", strconv.AppendInt(ts[:0], p.TraceSent, 10))
 		}
 	}
-	return v.Encode()
+	b = appendPair(b, "ua", p.UserAgent)
+	b = appendPair(b, "url", p.PageURL)
+	b = appendPair(b, "v", strconv.Itoa(PayloadVersion))
+	return string(b)
 }
 
-// encodeEvent renders one event: "kind@ms" or "vis@ms:frac".
-func encodeEvent(e Event) string {
-	if e.Kind == EventVisibility {
-		return fmt.Sprintf("%s@%d:%.3f", e.Kind, e.At.Milliseconds(), e.Fraction)
+// appendPair appends "key=value" with the value escaped as
+// url.QueryEscape does, preceded by '&' unless it is the first pair.
+// Keys are this package's own and need no escaping.
+func appendPair[S string | []byte](dst []byte, key string, value S) []byte {
+	if len(dst) > 0 {
+		dst = append(dst, '&')
 	}
-	return fmt.Sprintf("%s@%d", e.Kind, e.At.Milliseconds())
+	dst = append(dst, key...)
+	dst = append(dst, '=')
+	for i := 0; i < len(value); i++ {
+		switch c := value[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~':
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, '+')
+		default:
+			const upperhex = "0123456789ABCDEF"
+			dst = append(dst, '%', upperhex[c>>4], upperhex[c&15])
+		}
+	}
+	return dst
+}
+
+// appendEvent renders one event: "kind@ms" or "vis@ms:frac".
+func appendEvent(dst []byte, e Event) []byte {
+	dst = append(dst, e.Kind...)
+	dst = append(dst, '@')
+	dst = strconv.AppendInt(dst, e.At.Milliseconds(), 10)
+	if e.Kind == EventVisibility {
+		dst = append(dst, ':')
+		dst = strconv.AppendFloat(dst, e.Fraction, 'f', 3, 64)
+	}
+	return dst
 }
 
 // decodeEvent parses one event token.
@@ -234,7 +269,8 @@ const eventMessagePrefix = "ev:"
 // EncodeEventUpdate serialises a single interaction event sent after the
 // initial impression message.
 func EncodeEventUpdate(e Event) string {
-	return eventMessagePrefix + encodeEvent(e)
+	var buf [64]byte
+	return string(appendEvent(append(buf[:0], eventMessagePrefix...), e))
 }
 
 // DecodeEventUpdate parses an incremental interaction message. ok is

@@ -964,6 +964,13 @@ func (c *Collector) classifyClose(err error, hardStop time.Time) string {
 }
 
 func remoteAddr(a net.Addr) (netip.Addr, error) {
+	// A TCP peer already holds its address in binary; only wrapped
+	// transports (faultnet, in-memory pipes) need the string parsed.
+	if tcp, ok := a.(*net.TCPAddr); ok {
+		if ap := tcp.AddrPort(); ap.IsValid() {
+			return ap.Addr().Unmap(), nil
+		}
+	}
 	ap, err := netip.ParseAddrPort(a.String())
 	if err != nil {
 		return netip.Addr{}, fmt.Errorf("collector: parsing remote addr %q: %w", a.String(), err)

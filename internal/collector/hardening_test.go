@@ -3,6 +3,7 @@ package collector
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -274,5 +275,39 @@ func samplePayload() beacon.Payload {
 		CreativeID: "cr1",
 		PageURL:    "http://www.ciencia123.es/articulo",
 		UserAgent:  "Mozilla/5.0 Chrome/49.0",
+	}
+}
+
+// stringAddr is a peer address known only by its text, as wrapped
+// transports (faultnet, in-memory pipes) present theirs.
+type stringAddr string
+
+func (a stringAddr) Network() string { return "tcp" }
+func (a stringAddr) String() string  { return string(a) }
+
+// TestRemoteAddrFastPathMatchesStringParse: taking a *net.TCPAddr's
+// binary address yields exactly what parsing its String() does —
+// unmapped, zone kept — and anything else still goes through the parse.
+func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
+	for _, tcp := range []*net.TCPAddr{
+		{IP: net.IPv4(203, 0, 113, 9), Port: 4242},          // 16-byte form of a v4 address
+		{IP: net.IPv4(203, 0, 113, 9).To4(), Port: 4242},    // 4-byte form
+		{IP: net.ParseIP("::ffff:198.51.100.7"), Port: 80},  // v4-mapped
+		{IP: net.ParseIP("2001:db8::1"), Port: 443},         // v6
+		{IP: net.ParseIP("fe80::1"), Zone: "eth0", Port: 1}, // zoned
+		{IP: net.IPv4(127, 0, 0, 1), Port: 0},
+		{Port: 9}, // no IP at all
+	} {
+		got, gotErr := remoteAddr(tcp)
+		want, wantErr := remoteAddr(stringAddr(tcp.String()))
+		if got != want || (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("%v: fast path (%v, %v), string parse (%v, %v)", tcp, got, gotErr, want, wantErr)
+		}
+		if gotErr == nil && got.Is4In6() {
+			t.Errorf("%v: %v left mapped", tcp, got)
+		}
+	}
+	if _, err := remoteAddr(stringAddr("pipe")); err == nil {
+		t.Error("an unparseable wrapped address was accepted")
 	}
 }

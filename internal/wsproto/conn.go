@@ -73,6 +73,10 @@ type Conn struct {
 	// frame; the returned message then aliases the buffer.
 	reuseReadBuf bool
 	readBuf      []byte
+
+	// readHdr is readFrame's header scratch, here so that reading a
+	// frame allocates nothing.
+	readHdr frameHeader
 }
 
 // ReuseReadBuffer opts this connection into read-buffer recycling: the
@@ -170,15 +174,17 @@ func (c *Conn) writeFrame(f Frame) error {
 }
 
 func (c *Conn) writeFrameLocked(f Frame) error {
-	if c.role == RoleClient {
-		f.Masked = true
-		if _, err := rand.Read(f.MaskKey[:]); err != nil {
+	s := getScratch()
+	defer s.release()
+	// Masking direction (§5.1) is the connection's, never the caller's.
+	f.Masked = c.role == RoleClient
+	if f.Masked {
+		if _, err := rand.Read(s.rnd[:4]); err != nil {
 			return fmt.Errorf("wsproto: generating mask key: %w", err)
 		}
-	} else {
-		f.Masked = false
+		copy(f.MaskKey[:], s.rnd[:4])
 	}
-	return WriteFrame(c.nc, f)
+	return s.writeFrame(c.nc, f)
 }
 
 // closeWriteTimeout bounds how long Close waits to flush the close frame
@@ -195,16 +201,30 @@ const closeWriteTimeout = time.Second
 // a transport that is already closed — by an earlier Close, such as the
 // one ReadMessage issues to echo the peer's close frame — is success.
 func (c *Conn) Close(code CloseCode, reason string) error {
+	return c.close(code, reason, nil)
+}
+
+// close is Close with the reason optionally given as an error whose
+// text is wanted only if a close frame actually goes out: when this
+// side has already sent one, or cause says the transport is already
+// closed, nothing is formatted and nothing is written.
+func (c *Conn) close(code CloseCode, reason string, cause error) error {
 	c.writeMu.Lock()
 	var writeErr error
 	if !c.wroteClose {
 		c.wroteClose = true
-		_ = c.nc.SetWriteDeadline(time.Now().Add(closeWriteTimeout))
-		writeErr = c.writeFrameLocked(Frame{
-			Fin:     true,
-			Opcode:  OpClose,
-			Payload: EncodeClosePayload(code, reason),
-		})
+		if !errors.Is(cause, net.ErrClosed) {
+			if cause != nil {
+				reason = cause.Error()
+			}
+			var payload [maxControlPayload]byte
+			_ = c.nc.SetWriteDeadline(time.Now().Add(closeWriteTimeout))
+			writeErr = c.writeFrameLocked(Frame{
+				Fin:     true,
+				Opcode:  OpClose,
+				Payload: appendClosePayload(payload[:0], code, reason),
+			})
+		}
 	}
 	c.writeMu.Unlock()
 	closeErr := c.nc.Close()
@@ -230,13 +250,13 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 	if err != nil {
 		c.readErr = err
 		// On protocol errors, tell the peer why before dropping.
-		var ce *CloseError
-		if !errors.As(err, &ce) && !errors.Is(err, io.EOF) {
+		// (readMessage returns a *CloseError bare, never wrapped.)
+		if _, closed := err.(*CloseError); !closed && !errors.Is(err, io.EOF) {
 			code := CloseProtocolError
 			if errors.Is(err, ErrFrameTooLarge) {
 				code = CloseMessageTooBig
 			}
-			_ = c.Close(code, err.Error())
+			_ = c.close(code, "", err)
 		}
 	}
 	return op, payload, err
@@ -254,7 +274,7 @@ func (c *Conn) readMessage() (Opcode, []byte, error) {
 		if c.reuseReadBuf {
 			frameBuf = c.readBuf
 		}
-		f, err := ReadFrameBuf(c.br, c.frameLimit(), frameBuf)
+		f, err := readFrame(c.br, c.frameLimit(), frameBuf, &c.readHdr)
 		if err != nil {
 			return 0, nil, err
 		}

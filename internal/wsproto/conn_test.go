@@ -356,8 +356,8 @@ func TestEndToEndOverHTTPServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close(CloseNormal, "")
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		t.Fatalf("status = %d", resp.StatusCode)
+	if resp != nil {
+		t.Fatalf("successful dial returned a response (status %d); only a non-101 answer does", resp.StatusCode)
 	}
 	if err := conn.WriteText("payload-1"); err != nil {
 		t.Fatal(err)

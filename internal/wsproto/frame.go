@@ -8,9 +8,16 @@
 // The subset implemented is complete for data exchange: text and binary
 // messages, fragmentation and reassembly, ping/pong, close with status
 // codes, payload-size limits and strict masking rules (client-to-server
-// frames MUST be masked, server-to-client MUST NOT be). Extensions
-// (permessage-deflate) and subprotocol negotiation are intentionally not
-// implemented; the beacon payload is a short text frame.
+// frames MUST be masked, server-to-client MUST NOT be), plus the
+// permessage-deflate extension in its no-context-takeover profile
+// (compress.go). Subprotocol negotiation is intentionally not
+// implemented; the beacon payload is one short frame.
+//
+// One connection is one ad impression, so the per-connection path is
+// kept allocation-light: handshake messages and frames are assembled in
+// pooled scratch and leave in a single Write each, a 101 answer is
+// checked where it lies in the read buffer, and transport errors are
+// formatted only if someone reads them (DESIGN.md §16).
 package wsproto
 
 import (
@@ -85,19 +92,19 @@ var (
 // maxControlPayload is the RFC 6455 §5.5 limit for control frames.
 const maxControlPayload = 125
 
-// WriteFrame encodes f to w. If f.Masked, the payload is masked with
-// f.MaskKey during writing; f.Payload is not modified.
-func WriteFrame(w io.Writer, f Frame) error {
+// AppendFrame appends the wire encoding of f — header, mask key and
+// payload, masked with f.MaskKey when f.Masked — to dst and returns the
+// extended slice. f.Payload is not modified. It is the one frame
+// encoder: WriteFrame and Conn both write what it produces.
+func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if f.Opcode.IsControl() {
 		if !f.Fin {
-			return ErrFragmentedControl
+			return dst, ErrFragmentedControl
 		}
 		if len(f.Payload) > maxControlPayload {
-			return ErrControlTooLong
+			return dst, ErrControlTooLong
 		}
 	}
-	var hdr [14]byte
-	n := 2
 	b0 := byte(f.Opcode) & 0x0F
 	if f.Fin {
 		b0 |= 0x80
@@ -105,47 +112,38 @@ func WriteFrame(w io.Writer, f Frame) error {
 	if f.Rsv1 {
 		b0 |= 0x40
 	}
-	hdr[0] = b0
-
 	var b1 byte
+	if f.Masked {
+		b1 = 0x80
+	}
 	plen := len(f.Payload)
 	switch {
 	case plen <= 125:
-		b1 = byte(plen)
+		dst = append(dst, b0, b1|byte(plen))
 	case plen <= 0xFFFF:
-		b1 = 126
-		binary.BigEndian.PutUint16(hdr[2:4], uint16(plen))
-		n += 2
+		dst = append(dst, b0, b1|126)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(plen))
 	default:
-		b1 = 127
-		binary.BigEndian.PutUint64(hdr[2:10], uint64(plen))
-		n += 8
+		dst = append(dst, b0, b1|127)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(plen))
 	}
-	if f.Masked {
-		b1 |= 0x80
+	if !f.Masked {
+		return append(dst, f.Payload...), nil
 	}
-	hdr[1] = b1
-	if f.Masked {
-		copy(hdr[n:n+4], f.MaskKey[:])
-		n += 4
-	}
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("wsproto: writing frame header: %w", err)
-	}
-	if plen == 0 {
-		return nil
-	}
-	payload := f.Payload
-	if f.Masked {
-		masked := make([]byte, plen)
-		copy(masked, payload)
-		MaskBytes(f.MaskKey, 0, masked)
-		payload = masked
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wsproto: writing frame payload: %w", err)
-	}
-	return nil
+	dst = append(dst, f.MaskKey[:]...)
+	start := len(dst)
+	dst = append(dst, f.Payload...)
+	MaskBytes(f.MaskKey, 0, dst[start:])
+	return dst, nil
+}
+
+// WriteFrame encodes f and hands it to w in a single Write, so a frame
+// is never torn between header and payload. If f.Masked, the payload is
+// masked with f.MaskKey; f.Payload is not modified.
+func WriteFrame(w io.Writer, f Frame) error {
+	s := getScratch()
+	defer s.release()
+	return s.writeFrame(w, f)
 }
 
 // ReadFrame decodes one frame from r, enforcing maxPayload (0 means no
@@ -160,8 +158,16 @@ func ReadFrame(r io.Reader, maxPayload int64) (Frame, error) {
 // across frames must be done with the previous frame's payload before
 // reading the next.
 func ReadFrameBuf(r io.Reader, maxPayload int64, buf []byte) (Frame, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrame(r, maxPayload, buf, new(frameHeader))
+}
+
+// frameHeader holds the longest frame header: 2 fixed bytes, 8 of
+// extended length, 4 of mask key. Everything read through the io.Reader
+// interface escapes, so the caller provides it: a Conn keeps one.
+type frameHeader [14]byte
+
+func readFrame(r io.Reader, maxPayload int64, buf []byte, hdr *frameHeader) (Frame, error) {
+	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 		return Frame{}, err
 	}
 	var f Frame
@@ -179,20 +185,20 @@ func ReadFrameBuf(r io.Reader, maxPayload int64, buf []byte) (Frame, error) {
 
 	switch plen {
 	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return Frame{}, fmt.Errorf("wsproto: reading extended length: %w", err)
+		ext := hdr[2:4]
+		if _, err := io.ReadFull(r, ext); err != nil {
+			return Frame{}, &transportError{op: "reading extended length", err: err}
 		}
-		plen = int64(binary.BigEndian.Uint16(ext[:]))
+		plen = int64(binary.BigEndian.Uint16(ext))
 		if plen <= 125 {
 			return Frame{}, ErrBadPayloadLength
 		}
 	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return Frame{}, fmt.Errorf("wsproto: reading extended length: %w", err)
+		ext := hdr[2:10]
+		if _, err := io.ReadFull(r, ext); err != nil {
+			return Frame{}, &transportError{op: "reading extended length", err: err}
 		}
-		v := binary.BigEndian.Uint64(ext[:])
+		v := binary.BigEndian.Uint64(ext)
 		if v > 1<<62 {
 			return Frame{}, ErrBadPayloadLength
 		}
@@ -214,9 +220,10 @@ func ReadFrameBuf(r io.Reader, maxPayload int64, buf []byte) (Frame, error) {
 		return Frame{}, ErrFrameTooLarge
 	}
 	if f.Masked {
-		if _, err := io.ReadFull(r, f.MaskKey[:]); err != nil {
-			return Frame{}, fmt.Errorf("wsproto: reading mask key: %w", err)
+		if _, err := io.ReadFull(r, hdr[10:14]); err != nil {
+			return Frame{}, &transportError{op: "reading mask key", err: err}
 		}
+		copy(f.MaskKey[:], hdr[10:14])
 	}
 	if plen > 0 {
 		if int64(cap(buf)) >= plen {
@@ -225,7 +232,7 @@ func ReadFrameBuf(r io.Reader, maxPayload int64, buf []byte) (Frame, error) {
 			f.Payload = make([]byte, plen)
 		}
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("wsproto: reading payload: %w", err)
+			return Frame{}, &transportError{op: "reading payload", err: err}
 		}
 		if f.Masked {
 			MaskBytes(f.MaskKey, 0, f.Payload)
@@ -280,13 +287,15 @@ const (
 // EncodeClosePayload builds a close-frame payload from a status code and
 // an optional UTF-8 reason, truncated to fit the 125-byte control limit.
 func EncodeClosePayload(code CloseCode, reason string) []byte {
+	return appendClosePayload(nil, code, reason)
+}
+
+func appendClosePayload(dst []byte, code CloseCode, reason string) []byte {
 	if len(reason) > maxControlPayload-2 {
 		reason = reason[:maxControlPayload-2]
 	}
-	p := make([]byte, 2+len(reason))
-	binary.BigEndian.PutUint16(p, uint16(code))
-	copy(p[2:], reason)
-	return p
+	dst = binary.BigEndian.AppendUint16(dst, uint16(code))
+	return append(dst, reason...)
 }
 
 // DecodeClosePayload parses a close-frame payload. An empty payload

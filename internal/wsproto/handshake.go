@@ -2,12 +2,14 @@ package wsproto
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha1"
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -21,17 +23,17 @@ const websocketGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 // AcceptKey computes the Sec-WebSocket-Accept value for a client key.
 func AcceptKey(clientKey string) string {
-	h := sha1.Sum([]byte(clientKey + websocketGUID))
-	return base64.StdEncoding.EncodeToString(h[:])
+	var buf [28]byte
+	return string(appendAcceptKey(buf[:0], clientKey))
 }
 
-// generateKey produces a random 16-byte base64 Sec-WebSocket-Key.
-func generateKey() (string, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("wsproto: generating handshake key: %w", err)
-	}
-	return base64.StdEncoding.EncodeToString(b[:]), nil
+// appendAcceptKey appends AcceptKey(clientKey) to dst. For a
+// well-formed 24-character key everything stays on the stack.
+func appendAcceptKey(dst []byte, clientKey string) []byte {
+	var buf [64]byte
+	in := append(append(buf[:0], clientKey...), websocketGUID...)
+	sum := sha1.Sum(in)
+	return base64.StdEncoding.AppendEncode(dst, sum[:])
 }
 
 // Upgrader upgrades HTTP requests to WebSocket connections on the server
@@ -75,7 +77,7 @@ func (u *Upgrader) Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error
 		http.Error(w, "websocket: missing Sec-WebSocket-Key", http.StatusBadRequest)
 		return nil, errors.New("wsproto: missing Sec-WebSocket-Key")
 	}
-	if raw, err := base64.StdEncoding.DecodeString(key); err != nil || len(raw) != 16 {
+	if !validClientKey(key) {
 		http.Error(w, "websocket: bad Sec-WebSocket-Key", http.StatusBadRequest)
 		return nil, errors.New("wsproto: malformed Sec-WebSocket-Key")
 	}
@@ -93,39 +95,73 @@ func (u *Upgrader) Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error
 	if err != nil {
 		return nil, fmt.Errorf("wsproto: hijacking connection: %w", err)
 	}
-	compress := false
-	extHeader := ""
+	extension, compress := "", false
 	if u.EnableCompression {
-		if response, ok := acceptExtension(r.Header.Values("Sec-Websocket-Extensions")); ok {
-			compress = true
-			extHeader = "Sec-WebSocket-Extensions: " + response + "\r\n"
-		}
+		extension, compress = acceptExtension(r.Header.Values("Sec-Websocket-Extensions"))
 	}
 
+	s := getScratch()
+	s.buf = appendUpgradeResponse(s.buf[:0], key, extension)
+	_, err = nc.Write(s.buf)
+	s.release()
+	if err != nil {
+		nc.Close()
+		return nil, &transportError{op: "writing handshake response", err: err}
+	}
 	// Any buffered bytes the server read beyond the request belong to
 	// the WebSocket stream.
-	resp := "HTTP/1.1 101 Switching Protocols\r\n" +
-		"Upgrade: websocket\r\n" +
-		"Connection: Upgrade\r\n" +
-		extHeader +
-		"Sec-WebSocket-Accept: " + AcceptKey(key) + "\r\n\r\n"
-	if _, err := nc.Write([]byte(resp)); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("wsproto: writing handshake response: %w", err)
-	}
 	conn := newConn(nc, brw.Reader, RoleServer, u.MaxMessageSize)
 	conn.compress = compress
 	return conn, nil
+}
+
+// appendUpgradeResponse appends the 101 answer to a handshake that sent
+// key; extension, when not empty, is the agreed Sec-WebSocket-Extensions
+// value.
+func appendUpgradeResponse(dst []byte, key, extension string) []byte {
+	dst = append(dst, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"...)
+	if extension != "" {
+		dst = append(dst, "Sec-WebSocket-Extensions: "...)
+		dst = append(dst, extension...)
+		dst = append(dst, "\r\n"...)
+	}
+	dst = append(dst, "Sec-WebSocket-Accept: "...)
+	dst = appendAcceptKey(dst, key)
+	return append(dst, "\r\n\r\n"...)
+}
+
+// validClientKey reports whether key is the base64 encoding of exactly
+// 16 bytes (§4.1), which is always 24 characters.
+func validClientKey(key string) bool {
+	if len(key) != 24 {
+		return false
+	}
+	var enc [24]byte
+	var raw [18]byte
+	copy(enc[:], key)
+	n, err := base64.StdEncoding.Decode(raw[:], enc[:])
+	return err == nil && n == 16
 }
 
 // headerContainsToken reports whether any comma-separated value of the
 // named header equals token case-insensitively.
 func headerContainsToken(h http.Header, name, token string) bool {
 	for _, v := range h.Values(name) {
-		for _, part := range strings.Split(v, ",") {
-			if strings.EqualFold(strings.TrimSpace(part), token) {
-				return true
-			}
+		if valueContainsToken(v, token) {
+			return true
+		}
+	}
+	return false
+}
+
+// valueContainsToken reports whether one element of the comma-separated
+// list v equals token case-insensitively.
+func valueContainsToken(v, token string) bool {
+	for more := true; more; {
+		var part string
+		part, v, more = strings.Cut(v, ",")
+		if strings.EqualFold(strings.TrimSpace(part), token) {
+			return true
 		}
 	}
 	return false
@@ -152,14 +188,28 @@ type Dialer struct {
 	Header http.Header
 }
 
+// defaultNetDialer is the transport dialer when NetDial is nil.
+var defaultNetDialer net.Dialer
+
 // Dial connects to a ws:// URL and performs the opening handshake.
 // (wss:// is not supported: the collector terminates TLS upstream in
 // deployment, and the simulator runs loopback.)
+//
+// The *http.Response is non-nil only when the server answered with
+// something other than 101 Switching Protocols: the rejection, complete
+// with its headers (Retry-After among them), accompanies the error. A
+// successful dial, and a 101 that fails a handshake check, return nil.
 func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, *http.Response, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wsproto: parsing url: %w", err)
 	}
+	return d.DialURL(ctx, u)
+}
+
+// DialURL is Dial for a URL the caller has already parsed; a client
+// that dials one endpoint per impression parses it once.
+func (d *Dialer) DialURL(ctx context.Context, u *url.URL) (*Conn, *http.Response, error) {
 	if u.Scheme != "ws" {
 		return nil, nil, fmt.Errorf("wsproto: unsupported scheme %q", u.Scheme)
 	}
@@ -169,8 +219,7 @@ func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, *http.Response
 	}
 	dial := d.NetDial
 	if dial == nil {
-		var nd net.Dialer
-		dial = nd.DialContext
+		dial = defaultNetDialer.DialContext
 	}
 	nc, err := dial(ctx, "tcp", host)
 	if err != nil {
@@ -184,78 +233,218 @@ func (d *Dialer) Dial(ctx context.Context, rawURL string) (*Conn, *http.Response
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = nc.SetDeadline(deadline)
 	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			nc.Close()
-		case <-stop:
-		}
-	}()
-	defer close(stop)
-
-	key, err := generateKey()
-	if err != nil {
-		nc.Close()
-		return nil, nil, err
-	}
-	path := u.RequestURI()
-	if path == "" {
-		path = "/"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "GET %s HTTP/1.1\r\n", path)
-	fmt.Fprintf(&sb, "Host: %s\r\n", u.Host)
-	sb.WriteString("Upgrade: websocket\r\nConnection: Upgrade\r\n")
-	fmt.Fprintf(&sb, "Sec-WebSocket-Key: %s\r\nSec-WebSocket-Version: 13\r\n", key)
-	if d.EnableCompression {
-		fmt.Fprintf(&sb, "Sec-WebSocket-Extensions: %s\r\n", offerExtension)
-	}
-	for name, vals := range d.Header {
-		for _, v := range vals {
-			fmt.Fprintf(&sb, "%s: %s\r\n", name, v)
-		}
-	}
-	sb.WriteString("\r\n")
-	if _, err := nc.Write([]byte(sb.String())); err != nil {
-		nc.Close()
-		return nil, nil, fmt.Errorf("wsproto: writing handshake request: %w", err)
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { nc.Close() })
+		defer stop()
 	}
 
-	br := bufio.NewReader(nc)
-	resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodGet})
+	var key [24]byte
+	s := getScratch()
+	if _, err := rand.Read(s.rnd[:]); err != nil {
+		s.release()
+		nc.Close()
+		return nil, nil, fmt.Errorf("wsproto: generating handshake key: %w", err)
+	}
+	base64.StdEncoding.Encode(key[:], s.rnd[:])
+	s.buf = d.appendRequest(s.buf[:0], u, key[:])
+	_, err = nc.Write(s.buf)
+	s.release()
 	if err != nil {
 		nc.Close()
-		return nil, nil, fmt.Errorf("wsproto: reading handshake response: %w", err)
+		return nil, nil, &transportError{op: "writing handshake request", err: err}
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
+
+	br := bufio.NewReaderSize(nc, maxResponseHeader)
+	compress, resp, err := readUpgradeResponse(br, key[:], d.EnableCompression)
+	if err != nil {
 		nc.Close()
-		return nil, resp, fmt.Errorf("wsproto: handshake rejected with status %d", resp.StatusCode)
-	}
-	if !headerContainsToken(resp.Header, "Upgrade", "websocket") ||
-		!headerContainsToken(resp.Header, "Connection", "upgrade") {
-		nc.Close()
-		return nil, resp, errors.New("wsproto: handshake response missing upgrade headers")
-	}
-	if got := resp.Header.Get("Sec-Websocket-Accept"); got != AcceptKey(key) {
-		nc.Close()
-		return nil, resp, fmt.Errorf("wsproto: bad Sec-WebSocket-Accept %q", got)
-	}
-	compress := false
-	if ext := resp.Header.Get("Sec-Websocket-Extensions"); ext != "" {
-		if !d.EnableCompression {
-			nc.Close()
-			return nil, resp, fmt.Errorf("wsproto: server accepted extension we never offered: %q", ext)
-		}
-		agreed, err := extensionAgreed(ext)
-		if err != nil {
-			nc.Close()
-			return nil, resp, err
-		}
-		compress = agreed
+		return nil, resp, err
 	}
 	_ = nc.SetDeadline(time.Time{})
 	conn := newConn(nc, br, RoleClient, d.MaxMessageSize)
 	conn.compress = compress
-	return conn, resp, nil
+	return conn, nil, nil
+}
+
+// appendRequest appends the opening handshake request for u carrying
+// the given base64 key.
+func (d *Dialer) appendRequest(dst []byte, u *url.URL, key []byte) []byte {
+	dst = append(dst, "GET "...)
+	dst = append(dst, u.RequestURI()...)
+	dst = append(dst, " HTTP/1.1\r\nHost: "...)
+	dst = append(dst, u.Host...)
+	dst = append(dst, "\r\nUpgrade: websocket\r\nConnection: Upgrade\r\nSec-WebSocket-Key: "...)
+	dst = append(dst, key...)
+	dst = append(dst, "\r\nSec-WebSocket-Version: 13\r\n"...)
+	if d.EnableCompression {
+		dst = append(dst, "Sec-WebSocket-Extensions: "+offerExtension+"\r\n"...)
+	}
+	for name, vals := range d.Header {
+		for _, v := range vals {
+			dst = append(dst, name...)
+			dst = append(dst, ": "...)
+			dst = append(dst, v...)
+			dst = append(dst, "\r\n"...)
+		}
+	}
+	return append(dst, "\r\n"...)
+}
+
+// maxResponseHeader caps the header of a 101 answer: status line through
+// blank line must fit the connection's read buffer, where it is checked
+// in place. (A rejection is net/http's to read and is not capped here.)
+const maxResponseHeader = 4096
+
+// readUpgradeResponse reads the server's answer to the opening
+// handshake that sent key. A 101 is validated where it lies in br's
+// buffer, then consumed, leaving br at the first frame. Anything else
+// goes to http.ReadResponse and comes back whole with the error.
+func readUpgradeResponse(br *bufio.Reader, key []byte, offered bool) (compress bool, _ *http.Response, _ error) {
+	const switching = "HTTP/1.1 101"
+	if head, _ := br.Peek(len(switching)); string(head) != switching {
+		resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodGet})
+		if err != nil {
+			return false, nil, fmt.Errorf("wsproto: reading handshake response: %w", err)
+		}
+		// A 101 spelled any other way (HTTP/1.0, padded) is not one.
+		return false, resp, fmt.Errorf("wsproto: handshake rejected with status %d", resp.StatusCode)
+	}
+	hdr, err := peekHeader(br)
+	if err != nil {
+		if errors.Is(err, bufio.ErrBufferFull) {
+			return false, nil, fmt.Errorf("wsproto: handshake response header exceeds %d bytes", maxResponseHeader)
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return false, nil, &transportError{op: "reading handshake response", err: err}
+	}
+	if compress, err = checkUpgradeResponse(hdr, key, offered); err != nil {
+		return false, nil, err
+	}
+	_, _ = br.Discard(len(hdr)) // buffered: cannot fail
+	return compress, nil, nil
+}
+
+// peekHeader returns br's buffered bytes from the status line through
+// the blank line that ends the header, reading more as needed but never
+// past the buffer's size (bufio.ErrBufferFull then), and consumes
+// nothing.
+func peekHeader(br *bufio.Reader) ([]byte, error) {
+	line := 0 // offset of the first line not yet seen whole
+	for {
+		buf, _ := br.Peek(br.Buffered())
+		for {
+			nl := bytes.IndexByte(buf[line:], '\n')
+			if nl < 0 {
+				break
+			}
+			blank := nl == 0 || nl == 1 && buf[line] == '\r'
+			line += nl + 1
+			if blank {
+				return buf[:line], nil
+			}
+		}
+		if _, err := br.Peek(len(buf) + 1); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// checkUpgradeResponse applies the client's handshake checks to the
+// header of a 101 answer — everything Dial used to ask of the
+// http.Response it no longer builds: both upgrade tokens, the accept
+// value for key, and extension agreement. Field syntax is held to
+// net/textproto's rules; three leniencies of http.ReadResponse are not
+// kept, none of which a WebSocket server has cause to need: a status
+// line other than "HTTP/1.1 101[ reason]", obsolete line folding, and a
+// Content-Length or Transfer-Encoding on a 1xx (RFC 9110 §6.4.1 forbids
+// both).
+func checkUpgradeResponse(hdr, key []byte, offered bool) (compress bool, err error) {
+	status, rest := cutLine(hdr)
+	if s := string(status); s != "HTTP/1.1 101" && !strings.HasPrefix(s, "HTTP/1.1 101 ") {
+		return false, fmt.Errorf("wsproto: malformed handshake status line %q", status)
+	}
+	var (
+		upgrade, connection bool
+		sawAccept, acceptOK bool
+		sawExtension        bool
+		extension           string
+		accept              [28]byte
+		line                []byte
+	)
+	for {
+		line, rest = cutLine(rest)
+		if len(line) == 0 {
+			break
+		}
+		colon := bytes.IndexByte(line, ':')
+		if colon < 0 || !validFieldLine(line[:colon], line[colon+1:]) {
+			return false, fmt.Errorf("wsproto: malformed handshake response header line %q", line)
+		}
+		value := bytes.Trim(line[colon+1:], " \t")
+		// Only the first instance of a single-valued field counts, as
+		// with http.Header.Get.
+		switch field := string(line[:colon]); {
+		case strings.EqualFold(field, "Upgrade"):
+			upgrade = upgrade || valueContainsToken(string(value), "websocket")
+		case strings.EqualFold(field, "Connection"):
+			connection = connection || valueContainsToken(string(value), "upgrade")
+		case strings.EqualFold(field, "Sec-WebSocket-Accept"):
+			if !sawAccept {
+				sawAccept = true
+				acceptOK = bytes.Equal(value, appendAcceptKey(accept[:0], string(key)))
+			}
+		case strings.EqualFold(field, "Sec-WebSocket-Extensions"):
+			if !sawExtension {
+				sawExtension = true
+				extension = string(value)
+			}
+		case strings.EqualFold(field, "Content-Length"), strings.EqualFold(field, "Transfer-Encoding"):
+			return false, fmt.Errorf("wsproto: handshake response carries %s", line[:colon])
+		}
+	}
+	if !upgrade || !connection {
+		return false, errors.New("wsproto: handshake response missing upgrade headers")
+	}
+	if !acceptOK {
+		return false, errors.New("wsproto: bad Sec-WebSocket-Accept")
+	}
+	if extension != "" {
+		if !offered {
+			return false, fmt.Errorf("wsproto: server accepted extension we never offered: %q", extension)
+		}
+		return extensionAgreed(extension)
+	}
+	return false, nil
+}
+
+// cutLine splits b after its first line, returned without its "\n" or
+// "\r\n".
+func cutLine(b []byte) (line, rest []byte) {
+	line, rest, _ = bytes.Cut(b, []byte{'\n'})
+	return bytes.TrimSuffix(line, []byte{'\r'}), rest
+}
+
+// validFieldLine holds a header line to net/textproto's syntax: a
+// non-empty name of token characters (a space before the colon is
+// tolerated there, and makes the name match nothing), a value without
+// control characters, and no leading whitespace (a tab is no token
+// character either), which would be a folded continuation.
+func validFieldLine(name, value []byte) bool {
+	if len(name) == 0 || name[0] == ' ' {
+		return false
+	}
+	for _, c := range name {
+		alnum := '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+		if !alnum && c != ' ' && strings.IndexByte("!#$%&'*+-.^_`|~", c) < 0 {
+			return false
+		}
+	}
+	for _, c := range value {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
 }

@@ -140,6 +140,7 @@ if [ "${1:-}" = "-fuzz-smoke" ]; then
     echo "==> fuzz smoke (30s per target)"
     for target in \
         "FuzzReadFrame ./internal/wsproto/" \
+        "FuzzDialResponse ./internal/wsproto/" \
         "FuzzDecode ./internal/beacon/" \
         "FuzzDecodeBinary ./internal/beacon/" \
         "FuzzWireEquivalence ./internal/beacon/" \

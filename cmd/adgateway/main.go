@@ -32,67 +32,89 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"adaudit/internal/gateway"
 	"adaudit/internal/logutil"
 )
 
 func main() {
-	var (
-		listen      = flag.String("listen", "127.0.0.1:8081", "host:port for the beacon endpoint")
-		collectorWS = flag.String("collector", "", "collector trunk endpoint (ws://host:port/trunk); required")
-		trunkToken  = flag.String("trunk-token", "", "shared secret presented on trunk handshakes (must match auditd -trunk-token)")
-		trunks      = flag.Int("trunks", 2, "persistent trunk connections to the collector")
-		origins     = flag.String("origins", "", "comma-separated page origins admitted to /beacon (subdomains included; empty admits all)")
-		maxSessions = flag.Int("max-sessions", 0, "concurrent beacon session cap (0 disables)")
-		gatewayID   = flag.String("gateway-id", "", "stable gateway identity on the trunk wire (default: random per run)")
-		spillLimit  = flag.Int("spill-limit", 0, "unacked commits held across a collector outage before shedding (0 = default 65536)")
-		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "shutdown budget for flushing acked commits to the collector")
-		logFlags    = logutil.Register(flag.CommandLine)
-	)
-	flag.Parse()
-	logger, err := logFlags.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adgateway:", err)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err == errUsage {
 		os.Exit(2)
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, "adgateway:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage is a failure of the command line, not of the run: what is
+// wrong and the usage are on stderr by the time run returns it.
+var errUsage = errors.New("bad command line")
+
+// run is the whole command: parse args, serve until ctx is cancelled,
+// drain.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("adgateway", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		listen      = fs.String("listen", "127.0.0.1:8081", "host:port for the beacon endpoint")
+		collectorWS = fs.String("collector", "", "collector trunk endpoint (ws://host:port/trunk); required")
+		trunkToken  = fs.String("trunk-token", "", "shared secret presented on trunk handshakes (must match auditd -trunk-token)")
+		trunks      = fs.Int("trunks", 2, "persistent trunk connections to the collector")
+		origins     = fs.String("origins", "", "comma-separated page origins admitted to /beacon (subdomains included; empty admits all)")
+		maxSessions = fs.Int("max-sessions", 0, "concurrent beacon session cap (0 disables)")
+		gatewayID   = fs.String("gateway-id", "", "stable gateway identity on the trunk wire (default: random per run)")
+		spillLimit  = fs.Int("spill-limit", 0, "unacked commits held across a collector outage before shedding (0 = default 65536)")
+		drainGrace  = fs.Duration("drain-grace", 5*time.Second, "shutdown budget for flushing acked commits to the collector")
+		logFlags    = logutil.Register(fs)
+	)
+	usage := func(err error) error {
+		fmt.Fprintln(stderr, "adgateway:", err)
+		fs.Usage()
+		return errUsage
+	}
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
+	logger, err := logFlags.Logger(stderr)
+	if err != nil {
+		return usage(err)
 	}
 	if *collectorWS == "" {
-		fmt.Fprintln(os.Stderr, "adgateway: -collector is required (ws://host:port/trunk)")
-		os.Exit(2)
-	}
-
-	var allowed []string
-	for _, o := range strings.Split(*origins, ",") {
-		if o = strings.TrimSpace(o); o != "" {
-			allowed = append(allowed, o)
-		}
+		return usage(errors.New("-collector is required (ws://host:port/trunk)"))
 	}
 
 	g, err := gateway.New(gateway.Config{
-		CollectorURL:   *collectorWS,
-		TrunkToken:     *trunkToken,
-		GatewayID:      *gatewayID,
-		Trunks:         *trunks,
-		AllowedOrigins: allowed,
+		CollectorURL: *collectorWS,
+		TrunkToken:   *trunkToken,
+		GatewayID:    *gatewayID,
+		Trunks:       *trunks,
+		// Comma-separated, tolerating spaces around the commas.
+		AllowedOrigins: strings.FieldsFunc(*origins, func(r rune) bool { return r == ',' || unicode.IsSpace(r) }),
 		MaxSessions:    *maxSessions,
 		SpillLimit:     *spillLimit,
 		Logger:         logger,
 	})
 	if err != nil {
-		logger.Error("gateway init failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("gateway init: %w", err)
 	}
 	srv, err := gateway.NewServer(g, *listen, gateway.WithDrainGrace(*drainGrace))
 	if err != nil {
-		logger.Error("gateway listen failed", "err", err)
-		os.Exit(1)
+		g.Close()
+		return err
 	}
 	logger.Info("gateway listening",
 		"beacon", srv.BeaconURL(),
@@ -100,12 +122,9 @@ func main() {
 		"trunks", *trunks,
 		"healthz", fmt.Sprintf("http://%s/healthz", srv.Addr()))
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	if err := srv.Serve(ctx); err != nil {
-		logger.Error("gateway failed", "err", err)
-		os.Exit(1)
+		return err
 	}
-	st := g.Health()
-	logger.Info("gateway stopped", "spill_pending", st.SpillPending)
+	logger.Info("gateway stopped", "spill_pending", g.Health().SpillPending)
+	return nil
 }

@@ -43,13 +43,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
@@ -61,71 +64,75 @@ import (
 )
 
 func main() {
-	var (
-		listen      = flag.String("listen", "127.0.0.1:8082", "host:port for the beacon and trunk endpoints")
-		shards      = flag.String("shards", "", "comma-separated shard trunk endpoints in shard order (ws://host:port/trunk); required")
-		trunkToken  = flag.String("trunk-token", "", "shared secret presented on shard trunk handshakes and required of gateway trunks")
-		perShard    = flag.Int("trunks-per-shard", 2, "persistent trunk connections per shard")
-		origins     = flag.String("origins", "", "comma-separated page origins admitted to /beacon (subdomains included; empty admits all)")
-		maxSessions = flag.Int("max-sessions", 0, "concurrent beacon session cap (0 disables)")
-		routerID    = flag.String("router-id", "", "stable router identity on the shard trunk wire (default: random per run)")
-		spillLimit  = flag.Int("spill-limit", 0, "unacked commits held across shard outages, summed over shards, before shedding (0 = default 65536)")
-		drainGrace  = flag.Duration("drain-grace", 5*time.Second, "shutdown budget for flushing acked commits to the shards")
-		shardAPI    = flag.String("shard-api", "", "comma-separated shard HTTP bases in shard order; enables the merged /api/live endpoints")
-		liveSeed    = flag.Int64("live-seed", 1, "seed of the synthetic metadata universe for the merged live audit (must match the shards')")
-		livePubs    = flag.Int("live-publishers", 150000, "size of the synthetic metadata universe for the merged live audit")
-		logFlags    = logutil.Register(flag.CommandLine)
-	)
-	flag.Parse()
-	logger, err := logFlags.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adrouter:", err)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err == errUsage {
 		os.Exit(2)
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, "adrouter:", err)
+		os.Exit(1)
 	}
+}
+
+// errUsage is a failure of the command line, not of the run: what is
+// wrong and the usage are on stderr by the time run returns it.
+var errUsage = errors.New("bad command line")
+
+// run is the whole command: parse args, serve until ctx is cancelled,
+// drain.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("adrouter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		listen      = fs.String("listen", "127.0.0.1:8082", "host:port for the beacon and trunk endpoints")
+		shards      = fs.String("shards", "", "comma-separated shard trunk endpoints in shard order (ws://host:port/trunk); required")
+		trunkToken  = fs.String("trunk-token", "", "shared secret presented on shard trunk handshakes and required of gateway trunks")
+		perShard    = fs.Int("trunks-per-shard", 2, "persistent trunk connections per shard")
+		origins     = fs.String("origins", "", "comma-separated page origins admitted to /beacon (subdomains included; empty admits all)")
+		maxSessions = fs.Int("max-sessions", 0, "concurrent beacon session cap (0 disables)")
+		routerID    = fs.String("router-id", "", "stable router identity on the shard trunk wire (default: random per run)")
+		spillLimit  = fs.Int("spill-limit", 0, "unacked commits held across shard outages, summed over shards, before shedding (0 = default 65536)")
+		drainGrace  = fs.Duration("drain-grace", 5*time.Second, "shutdown budget for flushing acked commits to the shards")
+		shardAPI    = fs.String("shard-api", "", "comma-separated shard HTTP bases in shard order; enables the merged /api/live endpoints")
+		liveSeed    = fs.Int64("live-seed", 1, "seed of the synthetic metadata universe for the merged live audit (must match the shards')")
+		livePubs    = fs.Int("live-publishers", 150000, "size of the synthetic metadata universe for the merged live audit")
+		logFlags    = logutil.Register(fs)
+	)
+	usage := func(err error) error {
+		fmt.Fprintln(stderr, "adrouter:", err)
+		fs.Usage()
+		return errUsage
+	}
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
+	logger, err := logFlags.Logger(stderr)
+	if err != nil {
+		return usage(err)
+	}
+	// Comma-separated flag values, tolerating spaces around the commas.
 	splitList := func(s string) []string {
-		var out []string
-		for _, v := range strings.Split(s, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				out = append(out, v)
-			}
-		}
-		return out
+		return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	}
 	shardURLs := splitList(*shards)
 	if len(shardURLs) == 0 {
-		fmt.Fprintln(os.Stderr, "adrouter: -shards is required (comma-separated ws://host:port/trunk)")
-		os.Exit(2)
-	}
-
-	r, err := router.New(router.Config{
-		Shards:         shardURLs,
-		TrunkToken:     *trunkToken,
-		RouterID:       *routerID,
-		TrunksPerShard: *perShard,
-		AllowedOrigins: splitList(*origins),
-		MaxSessions:    *maxSessions,
-		SpillLimit:     *spillLimit,
-		Logger:         logger,
-	})
-	if err != nil {
-		logger.Error("router init failed", "err", err)
-		os.Exit(1)
+		return usage(errors.New("-shards is required (comma-separated ws://host:port/trunk)"))
 	}
 	srvOpts := []router.ServerOption{router.WithDrainGrace(*drainGrace)}
 	if *shardAPI != "" {
 		apiBases := splitList(*shardAPI)
 		if len(apiBases) != len(shardURLs) {
-			fmt.Fprintf(os.Stderr, "adrouter: -shard-api lists %d bases for %d shards; they must align in shard order\n",
-				len(apiBases), len(shardURLs))
-			os.Exit(2)
+			return usage(fmt.Errorf("-shard-api lists %d bases for %d shards; they must align in shard order",
+				len(apiBases), len(shardURLs)))
 		}
 		uni, err := publisher.NewUniverse(publisher.Config{
 			Seed:          *liveSeed,
 			NumPublishers: *livePubs,
 		})
 		if err != nil {
-			logger.Error("building metadata universe for merged live audit", "err", err)
-			os.Exit(1)
+			return fmt.Errorf("building metadata universe for merged live audit: %w", err)
 		}
 		keywords := map[string][]string{}
 		for _, c := range adnet.PaperCampaigns() {
@@ -141,10 +148,24 @@ func main() {
 		logger.Info("merged live audit enabled", "shards", len(apiBases),
 			"publishers", *livePubs, "seed", *liveSeed)
 	}
+
+	r, err := router.New(router.Config{
+		Shards:         shardURLs,
+		TrunkToken:     *trunkToken,
+		RouterID:       *routerID,
+		TrunksPerShard: *perShard,
+		AllowedOrigins: splitList(*origins),
+		MaxSessions:    *maxSessions,
+		SpillLimit:     *spillLimit,
+		Logger:         logger,
+	})
+	if err != nil {
+		return fmt.Errorf("router init: %w", err)
+	}
 	srv, err := router.NewServer(r, *listen, srvOpts...)
 	if err != nil {
-		logger.Error("router listen failed", "err", err)
-		os.Exit(1)
+		r.Close()
+		return err
 	}
 	logger.Info("router listening",
 		"beacon", srv.BeaconURL(),
@@ -153,12 +174,9 @@ func main() {
 		"trunks_per_shard", *perShard,
 		"healthz", fmt.Sprintf("http://%s/healthz", srv.Addr()))
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	if err := srv.Serve(ctx); err != nil {
-		logger.Error("router failed", "err", err)
-		os.Exit(1)
+		return err
 	}
-	st := r.Health()
-	logger.Info("router stopped", "spill_pending", st.SpillPending)
+	logger.Info("router stopped", "spill_pending", r.Health().SpillPending)
+	return nil
 }

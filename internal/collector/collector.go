@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/gen2"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/simclock"
 	"adaudit/internal/store"
@@ -228,17 +229,15 @@ type Collector struct {
 	// icache holds the bounded ingest caches (interned wire strings,
 	// URL → publisher, address → enrichment, user keys) that make
 	// steady-state ingest allocation-free.
-	icache ingestCache
+	icache *ingestCache
 
 	// Nonce dedup: impression nonce → store record ID, so a beacon that
 	// reconnects mid-exposure merges into its original record instead of
-	// double-counting. Two generations bound the memory: when the
-	// current map fills, it becomes the previous one and lookups consult
-	// both — a nonce is forgotten only after a full generation of other
-	// traffic, far longer than any retry window.
-	nonceMu   sync.Mutex
-	nonceCur  map[string]int64
-	noncePrev map[string]int64
+	// double-counting. Two generations bound the memory: a nonce is
+	// forgotten only after a full generation of other traffic, far longer
+	// than any retry window.
+	nonceMu sync.Mutex
+	nonces  *gen2.Map[string, int64]
 	// nonceInflight marks nonces whose first insert has been claimed
 	// but has not yet committed — the claim/wait handshake that makes
 	// lookup-miss → insert → record atomic against a concurrent replay
@@ -254,9 +253,8 @@ type Collector struct {
 	// two-generation bound as the nonce cache. Across a collector
 	// restart this cache starts empty and the nonce path catches the
 	// replay instead.
-	streamMu   sync.Mutex
-	streamCur  map[string]struct{}
-	streamPrev map[string]struct{}
+	streamMu sync.Mutex
+	streams  *gen2.Map[string, struct{}]
 }
 
 // nonceCacheLimit is the per-generation nonce map size; two generations
@@ -298,9 +296,10 @@ func New(cfg Config) (*Collector, error) {
 	c := &Collector{
 		cfg:           cfg,
 		clock:         simclock.Or(cfg.Clock),
-		nonceCur:      map[string]int64{},
+		icache:        newIngestCache(),
+		nonces:        gen2.New[string, int64](nonceCacheLimit),
 		nonceInflight: map[string]chan struct{}{},
-		streamCur:     map[string]struct{}{},
+		streams:       gen2.New[string, struct{}](streamCacheLimit),
 		upgrader: wsproto.Upgrader{
 			MaxMessageSize: cfg.MaxMessageSize,
 			// Ad beacons are cross-origin by design: the iframe origin
@@ -387,24 +386,15 @@ func New(cfg Config) (*Collector, error) {
 func (c *Collector) nonceLookup(nonce string) (int64, bool) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
-	if id, ok := c.nonceCur[nonce]; ok {
-		return id, true
-	}
-	id, ok := c.noncePrev[nonce]
-	return id, ok
+	return c.nonces.Get(nonce)
 }
 
-// nonceRecord remembers nonce → id, rotating generations at the cap,
-// and releases any in-flight claim so racing replays of the same nonce
-// re-check and take the merge path.
+// nonceRecord remembers nonce → id and releases any in-flight claim so
+// racing replays of the same nonce re-check and take the merge path.
 func (c *Collector) nonceRecord(nonce string, id int64) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
-	if len(c.nonceCur) >= nonceCacheLimit {
-		c.noncePrev = c.nonceCur
-		c.nonceCur = make(map[string]int64, nonceCacheLimit/4)
-	}
-	c.nonceCur[nonce] = id
+	c.nonces.Put(nonce, id)
 	if ch, ok := c.nonceInflight[nonce]; ok {
 		delete(c.nonceInflight, nonce)
 		close(ch)
@@ -419,10 +409,7 @@ func (c *Collector) nonceRecord(nonce string, id int64) {
 func (c *Collector) nonceClaim(nonce string) (id int64, ok bool, wait <-chan struct{}) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
-	if id, ok := c.nonceCur[nonce]; ok {
-		return id, true, nil
-	}
-	if id, ok := c.noncePrev[nonce]; ok {
+	if id, ok := c.nonces.Get(nonce); ok {
 		return id, true, nil
 	}
 	if ch, inflight := c.nonceInflight[nonce]; inflight {

@@ -211,13 +211,8 @@ func TestNonceCacheRotatesGenerations(t *testing.T) {
 	for i := 0; i < nonceCacheLimit+10; i++ {
 		c.nonceRecord(fmt.Sprintf("n-%d", i), int64(i+1))
 	}
-	c.nonceMu.Lock()
-	cur, prev := len(c.nonceCur), len(c.noncePrev)
-	c.nonceMu.Unlock()
-	if prev != nonceCacheLimit || cur != 10 {
-		t.Fatalf("generations cur=%d prev=%d, want 10/%d", cur, prev, nonceCacheLimit)
-	}
-	// Entries in BOTH generations resolve.
+	// Entries in BOTH generations resolve (internal/gen2's own test pins
+	// the rotation point).
 	if _, ok := c.nonceLookup("n-0"); !ok {
 		t.Fatal("previous-generation nonce forgotten")
 	}

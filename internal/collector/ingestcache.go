@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/gen2"
 	"adaudit/internal/ipmeta"
 )
 
@@ -12,35 +13,6 @@ import (
 // cache map. Two generations are live, so at most 2x this many entries
 // are remembered per cache.
 const ingestCacheLimit = 1 << 15
-
-// gen2 is a bounded two-generation map: when the current generation
-// fills it becomes the previous one, so an entry survives at least one
-// and at most two generations of distinct keys — the same rotation
-// discipline as the nonce and trunk-stream dedup caches.
-type gen2[K comparable, V any] struct {
-	cur, prev map[K]V
-}
-
-// get looks k up in both generations, promoting a previous-generation
-// hit into the current one so hot entries survive rotation.
-func (g *gen2[K, V]) get(k K) (V, bool) {
-	if v, ok := g.cur[k]; ok {
-		return v, true
-	}
-	v, ok := g.prev[k]
-	if ok {
-		g.put(k, v)
-	}
-	return v, ok
-}
-
-func (g *gen2[K, V]) put(k K, v V) {
-	if g.cur == nil || len(g.cur) >= ingestCacheLimit {
-		g.prev = g.cur
-		g.cur = make(map[K]V, ingestCacheLimit/4)
-	}
-	g.cur[k] = v
-}
 
 // enrichment is the cached per-address result of the IP pipeline: LPM
 // metadata lookup, fraud-cascade verdict (pre-rendered to its store
@@ -68,30 +40,25 @@ type userKeyPair struct {
 // single acquisition.
 type ingestCache struct {
 	mu  sync.Mutex
-	str gen2[string, string]
-	pub gen2[string, string]
-	enr gen2[netip.Addr, enrichment]
-	uk  gen2[userKeyPair, string]
+	str *gen2.Map[string, string]
+	pub *gen2.Map[string, string]
+	enr *gen2.Map[netip.Addr, enrichment]
+	uk  *gen2.Map[userKeyPair, string]
+}
+
+func newIngestCache() *ingestCache {
+	return &ingestCache{
+		str: gen2.New[string, string](ingestCacheLimit),
+		pub: gen2.New[string, string](ingestCacheLimit),
+		enr: gen2.New[netip.Addr, enrichment](ingestCacheLimit),
+		uk:  gen2.New[userKeyPair, string](ingestCacheLimit),
+	}
 }
 
 // internLocked returns the canonical copy of b, copying at most once
-// per two generations. The caller holds mu. The map index expressions
-// use the string(b) conversion directly so the compiler elides the
-// conversion's allocation on the lookup path.
+// per two generations. The caller holds mu.
 func (ic *ingestCache) internLocked(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := ic.str.cur[string(b)]; ok {
-		return s
-	}
-	if s, ok := ic.str.prev[string(b)]; ok {
-		ic.str.put(s, s)
-		return s
-	}
-	s := string(b)
-	ic.str.put(s, s)
-	return s
+	return gen2.Intern(ic.str, b)
 }
 
 // decodeBinary parses a binary impression message into p through the
@@ -107,9 +74,9 @@ func (ic *ingestCache) decodeBinary(p *beacon.Payload, raw []byte) error {
 // cache before paying for url.Parse. Failures are not cached: a
 // malformed URL is a rejected impression, not a hot path.
 func (c *Collector) publisherFor(p beacon.Payload) (string, error) {
-	ic := &c.icache
+	ic := c.icache
 	ic.mu.Lock()
-	pub, ok := ic.pub.get(p.PageURL)
+	pub, ok := ic.pub.Get(p.PageURL)
 	ic.mu.Unlock()
 	if ok {
 		return pub, nil
@@ -119,7 +86,7 @@ func (c *Collector) publisherFor(p beacon.Payload) (string, error) {
 		return "", err
 	}
 	ic.mu.Lock()
-	ic.pub.put(p.PageURL, pub)
+	ic.pub.Put(p.PageURL, pub)
 	ic.mu.Unlock()
 	return pub, nil
 }
@@ -128,9 +95,9 @@ func (c *Collector) publisherFor(p beacon.Payload) (string, error) {
 // cache before paying for the LPM lookup, the fraud cascade and the
 // HMAC pseudonym.
 func (c *Collector) enrichFor(addr netip.Addr) enrichment {
-	ic := &c.icache
+	ic := c.icache
 	ic.mu.Lock()
-	enr, ok := ic.enr.get(addr)
+	enr, ok := ic.enr.Get(addr)
 	ic.mu.Unlock()
 	if ok {
 		return enr
@@ -147,7 +114,7 @@ func (c *Collector) enrichFor(addr netip.Addr) enrichment {
 	enr.dataCenter = verdict.String()
 	enr.pseud = c.cfg.Anonymizer.Pseudonym(addr)
 	ic.mu.Lock()
-	ic.enr.put(addr, enr)
+	ic.enr.Put(addr, enr)
 	ic.mu.Unlock()
 	return enr
 }
@@ -156,14 +123,14 @@ func (c *Collector) enrichFor(addr netip.Addr) enrichment {
 // pseudonym/user-agent pair, skipping the concatenation allocation on
 // repeat visitors.
 func (c *Collector) userKeyFor(pseud, ua string) string {
-	ic := &c.icache
+	ic := c.icache
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	k := userKeyPair{pseud: pseud, ua: ua}
-	if uk, ok := ic.uk.get(k); ok {
+	if uk, ok := ic.uk.Get(k); ok {
 		return uk
 	}
 	uk := UserKey(pseud, ua)
-	ic.uk.put(k, uk)
+	ic.uk.Put(k, uk)
 	return uk
 }

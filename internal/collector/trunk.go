@@ -27,17 +27,10 @@ const streamCacheLimit = 1 << 16
 func (c *Collector) streamSeen(key string) bool {
 	c.streamMu.Lock()
 	defer c.streamMu.Unlock()
-	if _, ok := c.streamCur[key]; ok {
+	if _, ok := c.streams.Get(key); ok {
 		return true
 	}
-	if _, ok := c.streamPrev[key]; ok {
-		return true
-	}
-	if len(c.streamCur) >= streamCacheLimit {
-		c.streamPrev = c.streamCur
-		c.streamCur = make(map[string]struct{}, streamCacheLimit/4)
-	}
-	c.streamCur[key] = struct{}{}
+	c.streams.Put(key, struct{}{})
 	return false
 }
 
@@ -46,8 +39,7 @@ func (c *Collector) streamSeen(key string) bool {
 // deduplicated against an impression that never reached the store.
 func (c *Collector) streamForget(key string) {
 	c.streamMu.Lock()
-	delete(c.streamCur, key)
-	delete(c.streamPrev, key)
+	c.streams.Delete(key)
 	c.streamMu.Unlock()
 }
 

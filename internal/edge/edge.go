@@ -1,0 +1,460 @@
+// Package edge is the one forwarding tier that sits between beacons
+// and collectors: it terminates beacon WebSockets, and forwards every
+// session to a collector over a small pool of persistent trunk
+// connections (internal/trunk). The paper's audit only holds if the
+// collector receives every beacon a panelist emits, so the tier's whole
+// job is robustness: admission control (origin allowlist, session cap,
+// overload shedding with Retry-After hints the beacon client honors),
+// per-trunk circuit breakers, bounded per-session forward queues with
+// watermark backpressure, and a spill buffer that holds every
+// client-acknowledged commit until its collector durably acks it —
+// across trunk failures and full collector restarts, replayed through
+// the collector's stream/nonce dedup so nothing is double-counted.
+//
+// An Edge holds one pool per upstream collector and places a session
+// on shardmerge.ShardFor(nonce, pools). That is the only thing the
+// number of upstreams changes: internal/gateway is an Edge with one
+// pool, internal/router an Edge with N pools that additionally mounts
+// a trunk relay driven through Pool's exported methods. Both packages
+// own what differs between the tiers — their Config, their metric
+// names, their /healthz JSON — and nothing else.
+//
+// The tier is trusted infrastructure, unlike the clients it fronts: it
+// measures exposure as connection lifetime on its own clock and ships
+// the connection-derived facts (peer IP, connect time, exposure) in a
+// self-contained Commit frame, exactly the facts the collector would
+// have derived had the beacon connected directly.
+package edge
+
+import (
+	"cmp"
+	"crypto/rand"
+	"encoding/hex"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"adaudit/internal/shardmerge"
+	"adaudit/internal/telemetry"
+	"adaudit/internal/wsproto"
+)
+
+// Shed reasons, the values of the tiers' sheds_total{reason=...}.
+const (
+	ShedDraining = "draining" // draining for shutdown
+	ShedCapacity = "capacity" // MaxSessions cap reached
+	ShedSpill    = "spill"    // spill buffer full: an upstream outage outlasting memory
+	ShedOrigin   = "origin"   // page origin not in the allowlist
+)
+
+// Upstream is one collector an Edge forwards to and the instruments
+// its pool counts on.
+type Upstream struct {
+	URL string // the collector's trunk endpoint (ws://host:port/trunk)
+	Tel PoolInstruments
+}
+
+// Config assembles an Edge. Every tunable is one the tier packages
+// export under the same name, documented on gateway.Config; zero
+// values take the defaults listed there.
+type Config struct {
+	// Name is the tier's word for itself ("gateway", "router"): the tier
+	// attribute on log records, the shed response body and the uptime
+	// series. IDPrefix starts a generated ID.
+	Name, IDPrefix string
+	// Upstreams lists the collectors in shard order: the order is the
+	// identity of the topology, because sessions are placed by index.
+	Upstreams []Upstream
+	// ID names this edge in the trunk Hello; collectors dedup commits per
+	// (ID, stream). Empty generates IDPrefix plus a random token.
+	ID string
+	// TrunksPerPool is the size of each upstream's trunk pool.
+	TrunksPerPool int
+	TrunkToken    string
+	Dialer        wsproto.Dialer
+
+	AllowedOrigins    []string
+	MaxSessions       int
+	MaxMessageSize    int64
+	HandshakeTimeout  time.Duration
+	KeepAliveInterval time.Duration
+	MaxExposure       time.Duration
+
+	BatchBytes int
+	BatchAge   time.Duration
+	QueueHigh  int
+	QueueLow   int
+
+	// SpillLimit bounds unacknowledged commits summed over every pool.
+	SpillLimit     int
+	AckTimeout     time.Duration
+	ReplayInterval time.Duration
+
+	BreakerThreshold int
+	BreakerCooldown  time.Duration
+	RetryAfterHint   time.Duration
+
+	Logger *slog.Logger
+	// Telemetry is the registry the tier built Tel and every Upstream's
+	// instruments on; the Server exposes it.
+	Telemetry *telemetry.Registry
+	Tel       Instruments
+
+	// OnResolve, when set, hears every upstream verdict on a stream —
+	// acked, or rejected with a reason — after the spill entry is gone.
+	// The router's trunk relay uses it to answer the origin gateway.
+	OnResolve func(stream uint64, acked bool, reason string)
+}
+
+// Instruments are the edge-wide series. The core counts; the tier owns
+// the registry and the names. Every field is nil-safe, so a tier leaves
+// out what it does not expose.
+type Instruments struct {
+	Connections    *telemetry.Counter
+	SessionsActive *telemetry.Gauge
+	Sheds          *telemetry.CounterVec
+	Events         *telemetry.Counter
+	Commits        *telemetry.Counter
+}
+
+// PoolInstruments are one pool's series, nil-safe like Instruments.
+type PoolInstruments struct {
+	Commits       *telemetry.Counter
+	Acks          *telemetry.Counter
+	Rejects       *telemetry.Counter
+	Replays       *telemetry.Counter
+	QueueDrops    *telemetry.Counter
+	BreakerOpens  *telemetry.Counter
+	TrunkBatches  *telemetry.Counter
+	TrunksHealthy *telemetry.Gauge
+	Forward       *telemetry.Histogram
+	BatchBytes    *telemetry.Histogram
+}
+
+// BatchByteBuckets are the bounds of the tiers' batch-size histograms.
+func BatchByteBuckets() []float64 {
+	return []float64{256, 1024, 4096, 16384, 65536, 262144}
+}
+
+// withDefaults fills every zero tunable: the one defaulting block for
+// both tiers.
+func (cfg Config) withDefaults() (Config, error) {
+	if cfg.ID == "" {
+		var b [6]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			return cfg, fmt.Errorf("%s: generating id: %w", cfg.Name, err)
+		}
+		cfg.ID = cfg.IDPrefix + hex.EncodeToString(b[:])
+	}
+	if cfg.TrunksPerPool <= 0 {
+		cfg.TrunksPerPool = 2
+	}
+	switch {
+	case cfg.KeepAliveInterval == 0:
+		cfg.KeepAliveInterval = 30 * time.Second
+	case cfg.KeepAliveInterval < 0:
+		cfg.KeepAliveInterval = 0
+	}
+	cfg.MaxMessageSize = cmp.Or(cfg.MaxMessageSize, 16<<10)
+	cfg.HandshakeTimeout = cmp.Or(cfg.HandshakeTimeout, 10*time.Second)
+	cfg.MaxExposure = cmp.Or(cfg.MaxExposure, 30*time.Minute)
+	cfg.BatchBytes = cmp.Or(cfg.BatchBytes, 32<<10)
+	cfg.BatchAge = cmp.Or(cfg.BatchAge, 50*time.Millisecond)
+	cfg.QueueHigh = cmp.Or(cfg.QueueHigh, 64)
+	if cfg.QueueLow == 0 || cfg.QueueLow >= cfg.QueueHigh {
+		cfg.QueueLow = cfg.QueueHigh / 4
+	}
+	cfg.SpillLimit = cmp.Or(cfg.SpillLimit, 1<<16)
+	cfg.AckTimeout = cmp.Or(cfg.AckTimeout, 5*time.Second)
+	cfg.ReplayInterval = cmp.Or(cfg.ReplayInterval, time.Second)
+	cfg.BreakerThreshold = cmp.Or(cfg.BreakerThreshold, 3)
+	cfg.BreakerCooldown = cmp.Or(cfg.BreakerCooldown, time.Second)
+	cfg.RetryAfterHint = cmp.Or(cfg.RetryAfterHint, 2*time.Second)
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
+	return cfg, nil
+}
+
+// Edge terminates beacon sessions and forwards them over per-upstream
+// trunk pools.
+type Edge struct {
+	cfg      Config
+	log      *slog.Logger
+	upgrader wsproto.Upgrader
+
+	pools []*Pool
+
+	draining  atomic.Bool
+	sessMu    sync.Mutex
+	sessConns map[*wsproto.Conn]struct{}
+
+	// streamID numbers every stream this edge originates (beacon
+	// sessions and relayed commits alike); stream 0 is never used.
+	streamID atomic.Uint64
+
+	stopCh    chan struct{}
+	stopOnce  sync.Once
+	runnersWG sync.WaitGroup
+}
+
+// New returns a started Edge: every pool's trunk runners and replay
+// loop are live. Callers own serving HTTP (see Server) and must Close
+// the edge when done.
+func New(cfg Config) (*Edge, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	e := &Edge{
+		cfg: cfg,
+		log: cfg.Logger.With("tier", cfg.Name),
+		upgrader: wsproto.Upgrader{
+			MaxMessageSize:    cfg.MaxMessageSize,
+			EnableCompression: true,
+		},
+		sessConns: map[*wsproto.Conn]struct{}{},
+		stopCh:    make(chan struct{}),
+	}
+	for _, up := range cfg.Upstreams {
+		e.pools = append(e.pools, newPool(e, up))
+	}
+	// Every pool exists before any of their goroutines runs; Close stops
+	// and waits for them.
+	for _, p := range e.pools {
+		e.runnersWG.Add(len(p.trunks) + 1)
+		for _, t := range p.trunks {
+			go t.run()
+		}
+		go p.replayLoop()
+	}
+	return e, nil
+}
+
+// Config returns the configuration in effect, defaults filled in.
+func (e *Edge) Config() Config { return e.cfg }
+
+// Telemetry returns the tier's metrics registry.
+func (e *Edge) Telemetry() *telemetry.Registry { return e.cfg.Telemetry }
+
+// Draining reports whether Drain has begun.
+func (e *Edge) Draining() bool { return e.draining.Load() }
+
+// SessionCount returns the number of live tracked connections.
+func (e *Edge) SessionCount() int {
+	e.sessMu.Lock()
+	defer e.sessMu.Unlock()
+	return len(e.sessConns)
+}
+
+// spillPending sums unacknowledged commits across every pool.
+func (e *Edge) spillPending() int {
+	n := 0
+	for _, p := range e.pools {
+		n += p.spillPending()
+	}
+	return n
+}
+
+// shed refuses the request with 503 and the Retry-After hint.
+func (e *Edge) shed(w http.ResponseWriter, reason string) {
+	e.cfg.Tel.Sheds.With(reason).Inc()
+	w.Header().Set("Retry-After",
+		strconv.Itoa(int((e.cfg.RetryAfterHint+time.Second-1)/time.Second)))
+	http.Error(w, e.cfg.Name+" "+reason, http.StatusServiceUnavailable)
+}
+
+// originAllowed applies the admission allowlist to an Origin header: a
+// host that neither equals an entry nor is a subdomain of one is
+// refused. An empty list admits all (ad iframes are cross-origin by
+// design).
+func (e *Edge) originAllowed(origin string) bool {
+	if len(e.cfg.AllowedOrigins) == 0 {
+		return true
+	}
+	if origin == "" {
+		return false
+	}
+	host := origin
+	if u, err := url.Parse(origin); err == nil && u.Hostname() != "" {
+		host = u.Hostname()
+	}
+	for _, allowed := range e.cfg.AllowedOrigins {
+		if strings.EqualFold(host, allowed) ||
+			strings.HasSuffix(strings.ToLower(host), "."+strings.ToLower(allowed)) {
+			return true
+		}
+	}
+	return false
+}
+
+// ServeHTTP is the beacon endpoint: admission control, WebSocket
+// upgrade, then the session protocol (first message is the impression
+// payload, "ev:" messages are interaction updates, the connection
+// lifetime measures exposure).
+func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case e.draining.Load():
+		e.shed(w, ShedDraining)
+		return
+	case e.cfg.MaxSessions > 0 && e.SessionCount() >= e.cfg.MaxSessions:
+		e.shed(w, ShedCapacity)
+		return
+	case e.spillPending() >= e.cfg.SpillLimit:
+		// An upstream has been unreachable long enough to fill the spill
+		// buffer; admitting more sessions would promise acks the edge may
+		// not be able to keep.
+		e.shed(w, ShedSpill)
+		return
+	case !e.originAllowed(r.Header.Get("Origin")):
+		e.cfg.Tel.Sheds.With(ShedOrigin).Inc()
+		http.Error(w, "origin not allowed", http.StatusForbidden)
+		return
+	}
+	conn, err := e.upgrader.Upgrade(w, r)
+	if err != nil {
+		e.log.Debug("edge: handshake rejected", "err", err, "remote", r.RemoteAddr)
+		return
+	}
+	e.cfg.Tel.Connections.Add(1)
+	if e.draining.Load() {
+		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
+		return
+	}
+	// Session messages are decoded or copied before the next read, so
+	// the frame buffer can recycle.
+	conn.ReuseReadBuffer()
+	e.TrackSession(conn)
+	go func() {
+		defer e.UntrackSession(conn)
+		e.runSession(conn)
+	}()
+}
+
+// TrackSession registers a live connection so Drain closes it and
+// waits for UntrackSession. The router's trunk relay rides the same
+// tracking as beacon sessions.
+func (e *Edge) TrackSession(conn *wsproto.Conn) {
+	e.sessMu.Lock()
+	e.sessConns[conn] = struct{}{}
+	e.sessMu.Unlock()
+	e.cfg.Tel.SessionsActive.Add(1)
+}
+
+// UntrackSession undoes TrackSession when the connection's handler
+// returns.
+func (e *Edge) UntrackSession(conn *wsproto.Conn) {
+	e.sessMu.Lock()
+	delete(e.sessConns, conn)
+	e.sessMu.Unlock()
+	e.cfg.Tel.SessionsActive.Add(-1)
+}
+
+// drainCloseReason is the close-frame reason drained clients receive:
+// the resumable 1012 code plus the backoff floor the beacon client
+// parses.
+func (e *Edge) drainCloseReason() string {
+	return "draining retry-after=" + e.cfg.RetryAfterHint.String()
+}
+
+// PoolFor returns the pool owning a session key: the hash of the
+// nonce over the upstreams, in their configured order.
+func (e *Edge) PoolFor(nonce string) *Pool {
+	return e.pools[shardmerge.ShardFor(nonce, len(e.pools))]
+}
+
+// NextStream allocates a stream ID on this edge's trunk wire.
+func (e *Edge) NextStream() uint64 { return e.streamID.Add(1) }
+
+// PoolHealth is one pool's slice of a Health snapshot.
+type PoolHealth struct {
+	ShardID       int // the pool's index among the upstreams
+	TrunksTotal   int
+	TrunksHealthy int
+	SpillPending  int
+}
+
+// Health is the snapshot both tiers shape their /healthz body from.
+type Health struct {
+	// Status is "ok" (every trunk of every pool up), "degraded" (every
+	// upstream reachable but some trunks down), or "unhealthy" (some pool
+	// has no healthy trunk: its commits are spilling, and nothing can
+	// re-home them, because placement is the hash, not the topology).
+	Status       string
+	ID           string
+	Pools        []PoolHealth
+	Sessions     int
+	SpillPending int
+	Draining     bool
+}
+
+// Health reports the edge's degradation level.
+func (e *Edge) Health() Health {
+	h := Health{
+		Status:   "ok",
+		ID:       e.cfg.ID,
+		Sessions: e.SessionCount(),
+		Draining: e.draining.Load(),
+	}
+	for i, p := range e.pools {
+		ph := PoolHealth{
+			ShardID:       i,
+			TrunksTotal:   len(p.trunks),
+			TrunksHealthy: p.healthyTrunks(),
+			SpillPending:  p.spillPending(),
+		}
+		switch {
+		case ph.TrunksHealthy == 0:
+			h.Status = "unhealthy"
+		case ph.TrunksHealthy < ph.TrunksTotal && h.Status == "ok":
+			h.Status = "degraded"
+		}
+		h.SpillPending += ph.SpillPending
+		h.Pools = append(h.Pools, ph)
+	}
+	return h
+}
+
+// Drain sheds new sessions, forces live ones to commit and hands them
+// back with a resumable close (1012 + retry-after), then waits up to
+// grace for every spill buffer to empty. It returns the number of
+// commits still unacknowledged when the grace expired — 0 means every
+// impression this edge acked to a client reached its collector.
+func (e *Edge) Drain(grace time.Duration) int {
+	e.draining.Store(true)
+	// Send the resumable close ourselves: unblocking the session's read
+	// with a bare deadline would make wsproto auto-close with a protocol
+	// error before runSession could speak. Closing the transport is what
+	// breaks the read loop; the commit still happens after it.
+	e.sessMu.Lock()
+	for conn := range e.sessConns {
+		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
+	}
+	e.sessMu.Unlock()
+
+	// A session untracks itself only after its commit is spilled, so no
+	// sessions and an empty spill means nothing acked is undelivered.
+	deadline := time.Now().Add(grace)
+	for (e.SessionCount() > 0 || e.spillPending() > 0) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := e.SessionCount(); n > 0 {
+		e.log.Warn("edge: drain grace expired with sessions still open", "sessions", n)
+	}
+	return e.spillPending()
+}
+
+// Close stops every pool's trunk runners and replay loop, which close
+// their trunk connections on the way out, and waits for them. Pending
+// spill entries are abandoned; call Drain first for a zero-loss
+// shutdown.
+func (e *Edge) Close() {
+	e.stopOnce.Do(func() { close(e.stopCh) })
+	e.runnersWG.Wait()
+}

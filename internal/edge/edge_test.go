@@ -1,0 +1,841 @@
+package edge
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/netip"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"adaudit/internal/beacon"
+	"adaudit/internal/collector"
+	"adaudit/internal/ipmeta"
+	"adaudit/internal/shardmerge"
+	"adaudit/internal/store"
+	"adaudit/internal/telemetry"
+	"adaudit/internal/trace"
+	"adaudit/internal/wsproto"
+)
+
+const testTrunkToken = "trunk-secret"
+
+var testAnonymizer = ipmeta.NewAnonymizer([]byte("edge-test"))
+
+// tiers are the two configurations the core ships in: everything in
+// this file runs once as a one-pool edge named like the gateway and
+// once as a two-pool edge named like the router, because the number of
+// upstreams is the only thing that differs between them.
+var tiers = []struct {
+	name  string
+	pools int
+}{
+	{"gateway", 1},
+	{"router", 2},
+}
+
+// fixture is one edge in front of its collectors.
+type fixture struct {
+	t      *testing.T
+	e      *Edge
+	srv    *Server
+	tel    Instruments
+	pools  []PoolInstruments
+	stores []*store.Store
+	colls  []*collector.Collector
+	addrs  []string
+	stops  []func()
+}
+
+// startCollector serves a fresh collector over st on addr; the returned
+// stop is idempotent and also runs at cleanup.
+func startCollector(t *testing.T, st *store.Store, addr string, mut func(*collector.Config)) (*collector.Collector, string, func()) {
+	t.Helper()
+	cfg := collector.Config{
+		Store:             st,
+		Anonymizer:        testAnonymizer,
+		TrunkToken:        testTrunkToken,
+		KeepAliveInterval: 50 * time.Millisecond,
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	c, err := collector.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := collector.NewServer(c, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ctx)
+	}()
+	stopped := false
+	stop := func() {
+		if stopped {
+			return
+		}
+		stopped = true
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Error("collector server did not stop")
+		}
+	}
+	t.Cleanup(stop)
+	return c, srv.Addr().String(), stop
+}
+
+type fixtureOptions struct {
+	collector func(*collector.Config)
+	edge      func(*Config)
+	server    []ServerOption
+	// deadUpstreams points every pool at an address nothing listens on.
+	deadUpstreams bool
+}
+
+// startTier boots pools collectors and an edge named name in front of
+// them, tuned for test time scales, with instruments registered the way
+// a tier package would.
+func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture {
+	t.Helper()
+	f := &fixture{t: t}
+	reg := telemetry.NewRegistry()
+	f.tel = Instruments{
+		Connections:    reg.Counter("adaudit_"+name+"_connections_total", "", nil),
+		SessionsActive: reg.Gauge("adaudit_"+name+"_sessions_active", "", nil),
+		Sheds:          reg.CounterVec("adaudit_"+name+"_sheds_total", "", "reason"),
+		Events:         reg.Counter("adaudit_"+name+"_events_total", "", nil),
+		Commits:        reg.Counter("adaudit_"+name+"_commits_total", "", nil),
+	}
+	cfg := Config{
+		Name: name, IDPrefix: name[:2] + "-",
+		TrunkToken:        testTrunkToken,
+		KeepAliveInterval: 50 * time.Millisecond,
+		BatchAge:          10 * time.Millisecond,
+		AckTimeout:        300 * time.Millisecond,
+		ReplayInterval:    50 * time.Millisecond,
+		BreakerThreshold:  3,
+		BreakerCooldown:   50 * time.Millisecond,
+		RetryAfterHint:    2 * time.Second,
+		Telemetry:         reg,
+		Tel:               f.tel,
+	}
+	for i := 0; i < pools; i++ {
+		lbl := map[string]string{"shard_id": fmt.Sprint(i)}
+		tel := PoolInstruments{
+			Commits:       reg.Counter("adaudit_"+name+"_pool_commits_total", "", lbl),
+			Acks:          reg.Counter("adaudit_"+name+"_pool_acks_total", "", lbl),
+			Rejects:       reg.Counter("adaudit_"+name+"_pool_rejected_total", "", lbl),
+			Replays:       reg.Counter("adaudit_"+name+"_pool_replays_total", "", lbl),
+			QueueDrops:    reg.Counter("adaudit_"+name+"_pool_queue_drops_total", "", lbl),
+			BreakerOpens:  reg.Counter("adaudit_"+name+"_pool_breaker_opens_total", "", lbl),
+			TrunkBatches:  reg.Counter("adaudit_"+name+"_pool_trunk_batches_total", "", lbl),
+			TrunksHealthy: reg.Gauge("adaudit_"+name+"_pool_trunks_healthy", "", lbl),
+			Forward:       reg.Histogram("adaudit_"+name+"_pool_forward_seconds", "", telemetry.LatencyBuckets(), lbl),
+			BatchBytes:    reg.Histogram("adaudit_"+name+"_pool_batch_bytes", "", BatchByteBuckets(), lbl),
+		}
+		f.pools = append(f.pools, tel)
+		addr := ""
+		if o.deadUpstreams {
+			addr = deadAddr(t)
+		} else {
+			st := store.New()
+			c, a, stop := startCollector(t, st, "127.0.0.1:0", o.collector)
+			f.stores, f.colls, f.stops = append(f.stores, st), append(f.colls, c), append(f.stops, stop)
+			addr = a
+		}
+		f.addrs = append(f.addrs, addr)
+		cfg.Upstreams = append(cfg.Upstreams, Upstream{URL: "ws://" + addr + "/trunk", Tel: tel})
+	}
+	if o.edge != nil {
+		o.edge(&cfg)
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := append([]ServerOption{WithDrainGrace(time.Second)}, o.server...)
+	srv, err := NewServer(e, "127.0.0.1:0", func(h Health) any { return h }, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Error("edge server did not stop")
+		}
+	})
+	f.e, f.srv = e, srv
+	return f
+}
+
+// restartCollector brings pool i's collector back on its old address
+// over its surviving store (the nonce cache reseeds from it in New).
+func (f *fixture) restartCollector(i int) {
+	f.t.Helper()
+	f.colls[i], _, f.stops[i] = startCollector(f.t, f.stores[i], f.addrs[i], nil)
+}
+
+// stored sums the collectors' stores.
+func (f *fixture) stored() int {
+	n := 0
+	for _, st := range f.stores {
+		n += st.Len()
+	}
+	return n
+}
+
+// impressions returns every stored impression with the shard it is on.
+func (f *fixture) impressions() map[int][]store.Impression {
+	out := map[int][]store.Impression{}
+	for i, st := range f.stores {
+		st.ForEach(func(im store.Impression) bool {
+			out[i] = append(out[i], im)
+			return true
+		})
+	}
+	return out
+}
+
+func (f *fixture) waitTrunksUp() {
+	f.t.Helper()
+	waitFor(f.t, 5*time.Second, "every trunk to establish", func() bool { return f.e.Health().Status == "ok" })
+}
+
+func (f *fixture) waitTrunksDown() {
+	f.t.Helper()
+	waitFor(f.t, 5*time.Second, "every trunk to drop", func() bool {
+		for _, p := range f.e.Health().Pools {
+			if p.TrunksHealthy != 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// deadAddr pins a free port without serving, for a guaranteed-dead
+// upstream.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+func waitFor(t *testing.T, timeout time.Duration, msg string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", msg)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func testPayload(i int) beacon.Payload {
+	return beacon.Payload{
+		CampaignID: "Edge-001",
+		CreativeID: fmt.Sprintf("cr-%d", i),
+		PageURL:    fmt.Sprintf("http://pub%d.es/page", i%3),
+		UserAgent:  "Mozilla/5.0 Chrome/49.0",
+		Nonce:      beacon.NewNonce(),
+	}
+}
+
+// forEachTier runs fn as one subtest per tier configuration.
+func forEachTier(t *testing.T, fn func(t *testing.T, name string, pools int)) {
+	for _, tc := range tiers {
+		t.Run(tc.name, func(t *testing.T) { fn(t, tc.name, tc.pools) })
+	}
+}
+
+// TestSynthesizesNonce: the nonce is both the replay key and the shard
+// key, so a nonce-less payload gets one minted before placement — and
+// lands on the pool that nonce hashes to.
+func TestSynthesizesNonce(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		f := startTier(t, name, pools, fixtureOptions{})
+		f.waitTrunksUp()
+		p := testPayload(0)
+		p.Nonce = ""
+		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
+		if err := client.Report(context.Background(), p, 30*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, "impression to land", func() bool { return f.stored() == 1 })
+		for shard, ims := range f.impressions() {
+			for _, im := range ims {
+				if im.Nonce == "" {
+					t.Fatal("impression stored without a nonce")
+				}
+				if want := shardmerge.ShardFor(im.Nonce, pools); want != shard {
+					t.Fatalf("nonce %q on shard %d, hash owns shard %d", im.Nonce, shard, want)
+				}
+			}
+		}
+	})
+}
+
+// TestOriginAdmission covers the allowlist: bare host and subdomain
+// origins are admitted, others are refused with 403 before the upgrade.
+func TestOriginAdmission(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		f := startTier(t, name, pools, fixtureOptions{edge: func(cfg *Config) {
+			cfg.AllowedOrigins = []string{"ads.example.com"}
+		}})
+		dialWithOrigin := func(origin string) (*wsproto.Conn, *http.Response, error) {
+			d := &wsproto.Dialer{Header: http.Header{}}
+			if origin != "" {
+				d.Header.Set("Origin", origin)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			return d.Dial(ctx, f.srv.BeaconURL())
+		}
+		for _, origin := range []string{"https://ads.example.com", "https://sub.ads.example.com:8443"} {
+			conn, _, err := dialWithOrigin(origin)
+			if err != nil {
+				t.Fatalf("allowed origin %q refused: %v", origin, err)
+			}
+			conn.Close(wsproto.CloseNormal, "")
+		}
+		for _, origin := range []string{"https://evil.example.net", "https://notads.example.com.evil.io", ""} {
+			_, resp, err := dialWithOrigin(origin)
+			if err == nil {
+				t.Fatalf("origin %q admitted, want 403", origin)
+			}
+			if resp == nil || resp.StatusCode != http.StatusForbidden {
+				t.Fatalf("origin %q: response %+v, want 403", origin, resp)
+			}
+		}
+		if got := f.tel.Sheds.With(ShedOrigin).Load(); got != 3 {
+			t.Fatalf("origin sheds = %v, want 3", got)
+		}
+	})
+}
+
+// expectShed requests the beacon endpoint and checks the refusal:
+// admission runs before the upgrade, so a plain GET sees it too.
+func expectShed(t *testing.T, f *fixture, reason string) {
+	t.Helper()
+	resp, err := http.Get("http://" + f.srv.Addr().String() + "/beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("%s shed status = %d, want 503", reason, resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "2" {
+		t.Fatalf("%s shed Retry-After = %q, want %q (RetryAfterHint rounded up to seconds)", reason, got, "2")
+	}
+	if got, want := strings.TrimSpace(string(body)), f.e.cfg.Name+" "+reason; got != want {
+		t.Fatalf("shed body = %q, want %q", got, want)
+	}
+}
+
+// TestShedsAtCapacity: with MaxSessions reached, admission returns 503
+// with the Retry-After hint the beacon client honors as a backoff floor
+// and the tier's name in the body.
+func TestShedsAtCapacity(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		f := startTier(t, name, pools, fixtureOptions{edge: func(cfg *Config) { cfg.MaxSessions = 1 }})
+		d := &wsproto.Dialer{}
+		first, _, err := d.Dial(context.Background(), f.srv.BeaconURL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer first.Close(wsproto.CloseNormal, "")
+		waitFor(t, 2*time.Second, "first session tracked", func() bool { return f.e.SessionCount() == 1 })
+
+		if _, resp, err := d.Dial(context.Background(), f.srv.BeaconURL()); err == nil {
+			t.Fatal("second session admitted past MaxSessions")
+		} else if resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("shed response = %+v, want 503", resp)
+		}
+		expectShed(t, f, ShedCapacity)
+		if got := f.tel.Sheds.With(ShedCapacity).Load(); got != 2 {
+			t.Fatalf("capacity sheds = %v, want 2", got)
+		}
+	})
+}
+
+// TestShedsWhenSpillFull: SpillLimit counts across every pool's spill;
+// at the cap (an upstream gone for too long) admission flips to
+// shedding rather than promising acks the edge cannot keep.
+func TestShedsWhenSpillFull(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		f := startTier(t, name, pools, fixtureOptions{
+			deadUpstreams: true,
+			edge:          func(cfg *Config) { cfg.SpillLimit = 1 },
+		})
+		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
+		if err := client.Report(context.Background(), testPayload(5), 10*time.Millisecond); err != nil {
+			t.Fatalf("first session should be acked into the spill: %v", err)
+		}
+		waitFor(t, 2*time.Second, "commit to spill", func() bool { return f.e.Health().SpillPending == 1 })
+		expectShed(t, f, ShedSpill)
+		if got := f.tel.Sheds.With(ShedSpill).Load(); got != 1 {
+			t.Fatalf("spill sheds = %v, want 1", got)
+		}
+	})
+}
+
+// TestDrainHandsSessionsBack: Drain sheds new work, closes live
+// sessions with the resumable 1012 code and a parseable retry-after
+// reason, and flushes every spill buffer before returning.
+func TestDrainHandsSessionsBack(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		f := startTier(t, name, pools, fixtureOptions{})
+		f.waitTrunksUp()
+		d := &wsproto.Dialer{}
+		conn, _, err := d.Dial(context.Background(), f.srv.BeaconURL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.WriteText(testPayload(2).Encode()); err != nil {
+			t.Fatal(err)
+		}
+		// An acknowledged event proves the edge finished the payload
+		// handshake — draining before that would correctly close 1002.
+		if err := conn.WriteText(beacon.EncodeEventUpdate(beacon.Event{Kind: beacon.EventClick, At: 5 * time.Millisecond})); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 2*time.Second, "payload handshake to finish", func() bool { return f.tel.Events.Load() == 1 })
+
+		drained := make(chan int, 1)
+		go func() { drained <- f.e.Drain(5 * time.Second) }()
+
+		// The client's next read surfaces the drain close frame.
+		var ce *wsproto.CloseError
+		for {
+			_, _, err := conn.ReadMessage()
+			if err != nil {
+				if !errors.As(err, &ce) {
+					t.Fatalf("drain surfaced %v, want a close frame", err)
+				}
+				break
+			}
+		}
+		if ce.Code != wsproto.CloseServiceRestart {
+			t.Fatalf("drain close code = %d, want %d", ce.Code, wsproto.CloseServiceRestart)
+		}
+		if ce.Reason != "draining retry-after=2s" {
+			t.Fatalf("drain close reason = %q, want the retry-after hint", ce.Reason)
+		}
+		if left := <-drained; left != 0 {
+			t.Fatalf("drain left %d commits unflushed", left)
+		}
+		// The mid-flight session's impression still landed: acked-to-client
+		// is never a lie, even for a drain-truncated exposure.
+		waitFor(t, 5*time.Second, "drained commit to land", func() bool { return f.stored() == 1 })
+		// New admissions during/after drain are shed with 503.
+		expectShed(t, f, ShedDraining)
+	})
+}
+
+// TestBackpressureDropsAdvisoryNotCommits: with no healthy trunk the
+// advisory stream is dropped but the commit still lands once the
+// collector returns — the queue never blocks a session forever.
+func TestBackpressureDropsAdvisoryNotCommits(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		f := startTier(t, name, pools, fixtureOptions{edge: func(cfg *Config) {
+			cfg.QueueHigh, cfg.QueueLow = 4, 1
+		}})
+		f.waitTrunksUp()
+		for _, stop := range f.stops {
+			stop()
+		}
+		f.waitTrunksDown()
+
+		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
+		sess, err := client.Open(context.Background(), testPayload(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 32; i++ {
+			if err := sess.SendEvent(beacon.Event{Kind: beacon.EventMouseMove, At: time.Duration(i) * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 2*time.Second, "advisory frames to be dropped", func() bool {
+			var drops int64
+			for _, p := range f.pools {
+				drops += p.QueueDrops.Load()
+			}
+			return drops > 0
+		})
+		for i := range f.stops {
+			f.restartCollector(i)
+		}
+		waitFor(t, 10*time.Second, "commit to replay", func() bool { return f.stored() == 1 })
+		for _, ims := range f.impressions() {
+			for _, im := range ims {
+				if im.MouseMoves != 32 {
+					t.Fatalf("mouse moves = %d, want all 32 carried by the commit", im.MouseMoves)
+				}
+			}
+		}
+	})
+}
+
+// TestSessionQueueWatermarks pins the hysteresis contract: pushes stall
+// at the high watermark and resume only once drained to low.
+func TestSessionQueueWatermarks(t *testing.T) {
+	q := newSessionQueue(4, 1)
+	for i := 0; i < 4; i++ {
+		if !q.push([]byte{byte(i)}) {
+			t.Fatal("push refused below watermark")
+		}
+	}
+	blocked := make(chan bool, 1)
+	go func() { blocked <- q.push([]byte{99}) }()
+	select {
+	case <-blocked:
+		t.Fatal("push past high watermark did not stall")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// Draining one frame (len 3 > low) must not wake the pusher.
+	if f, ok := q.pop(); !ok || f[0] != 0 {
+		t.Fatalf("pop = %v %v", f, ok)
+	}
+	select {
+	case <-blocked:
+		t.Fatal("pusher woke before the low watermark")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// Draining to the low watermark releases it.
+	q.pop()
+	q.pop()
+	if ok := <-blocked; !ok {
+		t.Fatal("released push reported closed")
+	}
+	q.close()
+	// A closed queue still drains its backlog, then reports done.
+	got := 0
+	for {
+		if _, ok := q.pop(); !ok {
+			break
+		}
+		got++
+	}
+	if got != 2 { // frames 3 and 99 remained
+		t.Fatalf("drained %d frames after close, want 2", got)
+	}
+	if q.push([]byte{1}) {
+		t.Fatal("push succeeded on closed queue")
+	}
+}
+
+// TestTraceSpans: a sampled impression traced through the edge carries
+// the two edge spans, spliced into the collector's pipeline stages.
+func TestTraceSpans(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		rec := trace.NewRecorder(16)
+		tracer := trace.NewTracer(rec, 1)
+		f := startTier(t, name, pools, fixtureOptions{
+			collector: func(cfg *collector.Config) { cfg.Tracer = tracer },
+		})
+		f.waitTrunksUp()
+		client := &beacon.Client{CollectorURL: f.srv.BeaconURL(), Tracer: tracer}
+		if err := client.Report(context.Background(), testPayload(3), 30*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, "impression to land", func() bool { return f.stored() == 1 })
+
+		var snap trace.Snapshot
+		waitFor(t, 5*time.Second, "trace to appear", func() bool {
+			recent := rec.Recent(1)
+			if len(recent) == 0 {
+				return false
+			}
+			snap = recent[0]
+			return len(snap.Stages) >= 5
+		})
+		names := make([]string, len(snap.Stages))
+		for i, s := range snap.Stages {
+			names[i] = s.Name
+		}
+		wantPrefix := []string{
+			trace.StageBeaconSend, trace.StageWireRecv,
+			trace.StageGatewayRecv, trace.StageTrunkForward, trace.StageDecode,
+		}
+		for i, want := range wantPrefix {
+			if i >= len(names) || names[i] != want {
+				t.Fatalf("stage sequence = %v, want prefix %v", names, wantPrefix)
+			}
+		}
+		// The two edge spans bracket the session in causal order.
+		if snap.StageOffset(trace.StageTrunkForward) < snap.StageOffset(trace.StageGatewayRecv) {
+			t.Fatalf("trunk_forward (%v) precedes gateway_recv (%v)",
+				snap.StageOffset(trace.StageTrunkForward), snap.StageOffset(trace.StageGatewayRecv))
+		}
+	})
+}
+
+// TestHealthLadder walks /healthz through the three levels by breaking
+// trunks: every trunk of every pool up → ok (200); one trunk of pool 0
+// down → degraded (200, its upstream is still reachable); pool 0's
+// upstream gone → unhealthy (503), even while the other pools are fine,
+// because that slice of the keyspace has nowhere else to go. Faults go
+// in through Config.Dialer: the test holds every trunk's transport and
+// can refuse redials, so a severed slot stays down behind its breaker
+// instead of coming back a millisecond later.
+func TestHealthLadder(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		var (
+			mu     sync.Mutex
+			dialed = map[string][]net.Conn{} // upstream addr → trunk transports
+			refuse atomic.Bool
+		)
+		f := startTier(t, name, pools, fixtureOptions{edge: func(cfg *Config) {
+			cfg.TrunksPerPool = 2
+			cfg.BreakerThreshold = 1
+			cfg.BreakerCooldown = 30 * time.Second
+			cfg.Dialer.NetDial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+				if refuse.Load() {
+					return nil, errors.New("redial refused by test")
+				}
+				c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+				if err == nil {
+					mu.Lock()
+					dialed[addr] = append(dialed[addr], c)
+					mu.Unlock()
+				}
+				return c, err
+			}
+		}})
+		getHealth := func() (int, Health) {
+			resp, err := http.Get(fmt.Sprintf("http://%s/healthz", f.srv.Addr()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var h Health
+			if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, h
+		}
+
+		f.waitTrunksUp()
+		if code, h := getHealth(); code != http.StatusOK || h.Status != "ok" || len(h.Pools) != pools {
+			t.Fatalf("healthz with all trunks = %d %+v, want 200 ok with %d pools", code, h, pools)
+		}
+
+		// Sever one of pool 0's trunks; its breaker opens on the refused
+		// redial and keeps the slot down.
+		refuse.Store(true)
+		mu.Lock()
+		_ = dialed[f.addrs[0]][0].Close()
+		mu.Unlock()
+		waitFor(t, 5*time.Second, "one trunk down", func() bool { return f.pools[0].BreakerOpens.Load() == 1 })
+		if code, h := getHealth(); code != http.StatusOK || h.Status != "degraded" || h.Pools[0].TrunksHealthy != 1 {
+			t.Fatalf("healthz with one trunk down = %d %+v, want 200 degraded", code, h)
+		}
+
+		// Take pool 0's collector away entirely: the survivor drops too.
+		f.stops[0]()
+		waitFor(t, 5*time.Second, "pool 0 trunks down", func() bool { return f.e.Health().Pools[0].TrunksHealthy == 0 })
+		code, h := getHealth()
+		if code != http.StatusServiceUnavailable || h.Status != "unhealthy" {
+			t.Fatalf("healthz with a dead upstream = %d %+v, want 503 unhealthy", code, h)
+		}
+		for i, p := range h.Pools[1:] {
+			if p.TrunksHealthy != p.TrunksTotal {
+				t.Fatalf("pool %d = %+v, want untouched by pool 0's outage", i+1, p)
+			}
+		}
+	})
+}
+
+// stringAddr is a net.Addr that is only its string, like the addresses
+// wrapped transports (faultnet, pipes) report.
+type stringAddr string
+
+func (a stringAddr) Network() string { return "tcp" }
+func (a stringAddr) String() string  { return string(a) }
+
+// TestPeerAddr: the address sent to the collector must be one its
+// netip.ParseAddr accepts, for every shape of peer. Cutting the
+// host:port string at the first colon, as both tiers used to, turned
+// "[2001:db8::7]:443" into "2001" and "[::1]:54321" into "".
+func TestPeerAddr(t *testing.T) {
+	for _, tc := range []struct {
+		remote string
+		want   string // "" = must fail
+	}{
+		{"10.0.0.1:80", "10.0.0.1"},
+		{"[::1]:54321", "::1"},
+		{"[2001:db8::7]:443", "2001:db8::7"},
+		{"[::ffff:10.0.0.1]:80", "10.0.0.1"},
+		{"[fe80::1%eth0]:80", "fe80::1%eth0"},
+		{"garbage", ""},
+		{"", ""},
+		{"pipe", ""},
+	} {
+		for _, a := range []net.Addr{stringAddr(tc.remote), tcpAddr(tc.remote)} {
+			if a == nil {
+				continue
+			}
+			got, err := peerAddr(a)
+			if tc.want == "" {
+				if err == nil {
+					t.Errorf("peerAddr(%q) = %v, want an error", tc.remote, got)
+				}
+				continue
+			}
+			if err != nil || got.String() != tc.want {
+				t.Errorf("peerAddr(%T %q) = %v, %v; want %s", a, tc.remote, got, err, tc.want)
+				continue
+			}
+			if _, err := netip.ParseAddr(got.String()); err != nil {
+				t.Errorf("peerAddr(%q) = %q, which the collector cannot parse: %v", tc.remote, got, err)
+			}
+		}
+	}
+}
+
+// tcpAddr is the *net.TCPAddr form of a host:port, or nil when it is
+// not one.
+func tcpAddr(s string) net.Addr {
+	ap, err := netip.ParseAddrPort(s)
+	if err != nil {
+		return nil
+	}
+	return net.TCPAddrFromAddrPort(ap)
+}
+
+// TestIPv6SessionEndToEnd: a client on an IPv6 socket is acked and its
+// impression is stored under its IPv6 address, with nothing rejected.
+// At the parent commit the peer was sent as "" and the collector
+// answered the commit with a permanent peer-addr Reject, after the
+// client had been told the impression was safe.
+func TestIPv6SessionEndToEnd(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		ln, err := net.Listen("tcp", "[::1]:0")
+		if err != nil {
+			t.Skipf("no IPv6 loopback on this host: %v", err)
+		}
+		f := startTier(t, name, pools, fixtureOptions{server: []ServerOption{WithListener(ln)}})
+		f.waitTrunksUp()
+		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
+		if err := client.Report(context.Background(), testPayload(6), 20*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		var acks, rejects int64
+		waitFor(t, 5*time.Second, "the collector's verdict on the commit", func() bool {
+			acks, rejects = 0, 0
+			for _, p := range f.pools {
+				acks += p.Acks.Load()
+				rejects += p.Rejects.Load()
+			}
+			return acks+rejects == 1
+		})
+		if rejects != 0 {
+			t.Fatalf("rejected_total = %d, want 0: the client was acked for a commit the collector refused", rejects)
+		}
+		if f.stored() != 1 {
+			t.Fatalf("stored %d impressions, want 1", f.stored())
+		}
+		want := testAnonymizer.Pseudonym(netip.MustParseAddr("::1"))
+		for _, ims := range f.impressions() {
+			for _, im := range ims {
+				if im.IPPseudonym != want {
+					t.Fatalf("stored pseudonym %q, want that of ::1 (%q)", im.IPPseudonym, want)
+				}
+			}
+		}
+	})
+}
+
+// addrlessListener hands out connections whose RemoteAddr is not a
+// host:port at all.
+type addrlessListener struct{ net.Listener }
+
+type addrlessConn struct{ net.Conn }
+
+func (c addrlessConn) RemoteAddr() net.Addr { return stringAddr("pipe") }
+
+func (l addrlessListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return addrlessConn{c}, nil
+}
+
+// TestUnparseablePeerIsNeverAcked: a commit without a usable peer
+// address is one the collector rejects for good, so the session is
+// closed with a policy violation before anything is acked or spilled.
+func TestUnparseablePeerIsNeverAcked(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := startTier(t, name, pools, fixtureOptions{server: []ServerOption{WithListener(addrlessListener{ln})}})
+		f.waitTrunksUp()
+		d := &wsproto.Dialer{}
+		conn, _, err := d.Dial(context.Background(), f.srv.BeaconURL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.WriteText(testPayload(7).Encode())
+		var ce *wsproto.CloseError
+		for {
+			if _, _, err := conn.ReadMessage(); err != nil {
+				if !errors.As(err, &ce) {
+					t.Fatalf("session ended with %v, want a close frame", err)
+				}
+				break
+			}
+		}
+		if ce.Code != wsproto.ClosePolicyViolation {
+			t.Fatalf("close code = %d, want %d (policy violation), not an ack", ce.Code, wsproto.ClosePolicyViolation)
+		}
+		waitFor(t, 2*time.Second, "session to end", func() bool { return f.e.SessionCount() == 0 })
+		if h := f.e.Health(); h.SpillPending != 0 {
+			t.Fatalf("spill_pending = %d, want 0", h.SpillPending)
+		}
+		if got := f.tel.Commits.Load(); got != 0 {
+			t.Fatalf("commits = %d, want 0", got)
+		}
+		if f.stored() != 0 {
+			t.Fatalf("stored %d impressions, want 0", f.stored())
+		}
+	})
+}

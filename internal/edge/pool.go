@@ -1,0 +1,555 @@
+package edge
+
+import (
+	"context"
+	"log/slog"
+	"net/http"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"adaudit/internal/trunk"
+	"adaudit/internal/wsproto"
+)
+
+// TrunkMaxMessage mirrors the collector's trunk batch bound.
+const TrunkMaxMessage = 1 << 20
+
+// trunkDialTimeout bounds one trunk connection attempt.
+const trunkDialTimeout = 5 * time.Second
+
+// Pool is one upstream's side of the edge: a small pool of persistent
+// trunk connections to that collector, plus the spill buffer holding
+// every commit placed on it until the collector durably acks. Pools
+// are independent — one upstream's outage spills only its own slice of
+// the keyspace while the others keep flowing — and spill entries never
+// migrate between pools, because ownership is the hash of the session
+// key, not trunk availability.
+//
+// Its exported methods are the relay surface: what a tier that
+// terminates other edges' trunks (the router's /trunk endpoint) drives,
+// together with Edge.NextStream and Config.OnResolve.
+type Pool struct {
+	e   *Edge
+	url string
+	tel PoolInstruments
+	log *slog.Logger
+
+	trunks []*trunkConn
+	// gen counts trunk topology changes (any trunk of this pool coming
+	// up or going down). A spill entry sent under an older generation may
+	// have died with its trunk, so the replay loop re-sends it.
+	gen atomic.Uint64
+	// rr round-robins forwarders across the pool's healthy trunks.
+	rr atomic.Uint64
+
+	// spill holds every commit not yet acked by the upstream, keyed by
+	// stream. Entries survive trunk failures and collector restarts; the
+	// replay loop is the only sender, so a commit cannot race its own
+	// retransmission.
+	spillMu    sync.Mutex
+	spill      map[uint64]*spillEntry
+	replayWake chan struct{}
+}
+
+// spillEntry is one unacknowledged commit.
+type spillEntry struct {
+	frame []byte // encoded Commit frame, length-prefixed
+	// sentGen is the pool generation at the last send (0 = never sent);
+	// sentAt the send time. Both are owned by the replay loop.
+	sentGen  uint64
+	sentAt   time.Time
+	enqueued time.Time // first spill time, for the forward histogram
+}
+
+func newPool(e *Edge, up Upstream) *Pool {
+	p := &Pool{
+		e:          e,
+		url:        up.URL,
+		tel:        up.Tel,
+		log:        e.log.With("upstream", up.URL),
+		spill:      map[uint64]*spillEntry{},
+		replayWake: make(chan struct{}, 1),
+	}
+	for i := 0; i < e.cfg.TrunksPerPool; i++ {
+		p.trunks = append(p.trunks, &trunkConn{p: p, idx: i})
+	}
+	return p
+}
+
+func (p *Pool) spillPending() int {
+	p.spillMu.Lock()
+	defer p.spillMu.Unlock()
+	return len(p.spill)
+}
+
+func (p *Pool) wakeReplay() {
+	select {
+	case p.replayWake <- struct{}{}:
+	default:
+	}
+}
+
+// Spill registers an encoded Commit frame for guaranteed delivery to
+// this upstream and nudges the replay loop to send it now.
+func (p *Pool) Spill(stream uint64, frame []byte) {
+	p.e.cfg.Tel.Commits.Add(1)
+	p.tel.Commits.Add(1)
+	p.spillMu.Lock()
+	p.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
+	p.spillMu.Unlock()
+	p.wakeReplay()
+}
+
+// Respill re-registers a relayed commit only if its stream is not
+// already spilled — the fold for a gateway replay of a commit the
+// router still holds. No counter moves: the commit was counted when
+// first spilled, and if the stream just resolved in the race window the
+// re-spilled frame is absorbed by the collector's dedup.
+func (p *Pool) Respill(stream uint64, frame []byte) {
+	p.spillMu.Lock()
+	_, held := p.spill[stream]
+	if !held {
+		p.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
+	}
+	p.spillMu.Unlock()
+	if !held {
+		p.wakeReplay()
+	}
+}
+
+// resolve removes a stream the upstream acked or permanently rejected
+// from the spill buffer and tells the OnResolve hook.
+func (p *Pool) resolve(stream uint64, acked bool, reason string) {
+	p.spillMu.Lock()
+	e, ok := p.spill[stream]
+	delete(p.spill, stream)
+	p.spillMu.Unlock()
+	switch {
+	case ok && acked:
+		p.tel.Acks.Add(1)
+		p.tel.Forward.ObserveDuration(time.Since(e.enqueued))
+	case ok:
+		p.tel.Rejects.Add(1)
+		p.log.Warn("edge: upstream rejected commit", "stream", stream, "reason", reason)
+	}
+	if hook := p.e.cfg.OnResolve; hook != nil {
+		hook(stream, acked, reason)
+	}
+}
+
+// forwardLoop drains one session's queue onto the pool's healthy
+// trunks. Advisory frames are droppable: with no healthy trunk they are
+// discarded, since the accounting state travels self-contained in the
+// commit. The session pins itself to one trunk while it stays healthy,
+// so a session's Open and Events arrive at the collector in order on
+// one connection — load still spreads across trunks because each
+// session picks its own.
+func (p *Pool) forwardLoop(q *sessionQueue) {
+	var t *trunkConn
+	for {
+		frame, ok := q.pop()
+		if !ok {
+			return
+		}
+		if t == nil || !t.isHealthy() {
+			t = p.pickTrunk()
+		}
+		if t == nil || !t.enqueue(frame) {
+			p.tel.QueueDrops.Add(1)
+		}
+	}
+}
+
+// ForwardAdvisory best-effort enqueues one advisory frame that did not
+// come through a session queue (a relayed Open or Event) onto a healthy
+// trunk; with none it is dropped and counted.
+func (p *Pool) ForwardAdvisory(f trunk.Frame) {
+	t := p.pickTrunk()
+	if t == nil || !t.enqueue(trunk.AppendFrame(nil, f)) {
+		p.tel.QueueDrops.Add(1)
+	}
+}
+
+// pickTrunk returns a healthy trunk of this pool, round-robin, or nil.
+func (p *Pool) pickTrunk() *trunkConn {
+	n := len(p.trunks)
+	start := int(p.rr.Add(1)) % n
+	for i := 0; i < n; i++ {
+		t := p.trunks[(start+i)%n]
+		if t.isHealthy() {
+			return t
+		}
+	}
+	return nil
+}
+
+// healthyTrunks counts established trunk connections to this upstream.
+func (p *Pool) healthyTrunks() int {
+	n := 0
+	for _, t := range p.trunks {
+		if t.isHealthy() {
+			n++
+		}
+	}
+	return n
+}
+
+// replayLoop is the pool's single commit sender: it pushes fresh spill
+// entries immediately (woken by spillCommit and trunk attach) and
+// re-sends entries whose trunk died or whose ack timed out. One sender
+// per pool means a commit can never race its own retransmission onto
+// two trunks; the collector's stream dedup and nonce dedup absorb the
+// replays a lost ack still forces.
+func (p *Pool) replayLoop() {
+	defer p.e.runnersWG.Done()
+	tick := time.NewTicker(p.e.cfg.ReplayInterval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-p.e.stopCh:
+			return
+		case <-p.replayWake:
+		case <-tick.C:
+		}
+		p.replayPending()
+	}
+}
+
+// replayPending sends every due spill entry over a healthy trunk of
+// this pool: never sent, sent under an older pool generation (its trunk
+// may have died with the ack in flight), or unacked past AckTimeout.
+func (p *Pool) replayPending() {
+	t := p.pickTrunk()
+	if t == nil {
+		return
+	}
+	gen := p.gen.Load()
+	now := time.Now()
+	type item struct {
+		stream uint64
+		e      *spillEntry
+	}
+	var due []item
+	p.spillMu.Lock()
+	for s, e := range p.spill {
+		if e.sentGen != gen || now.Sub(e.sentAt) > p.e.cfg.AckTimeout {
+			due = append(due, item{s, e})
+		}
+	}
+	p.spillMu.Unlock()
+	if len(due) == 0 {
+		return
+	}
+	sent := 0
+	for _, it := range due {
+		if !t.enqueue(it.e.frame) {
+			break // trunk died mid-replay; the next wake retries
+		}
+		resend := it.e.sentGen != 0
+		p.spillMu.Lock()
+		if _, ok := p.spill[it.stream]; ok {
+			it.e.sentGen = gen
+			it.e.sentAt = now
+		}
+		p.spillMu.Unlock()
+		if resend {
+			p.tel.Replays.Add(1)
+		}
+		sent++
+	}
+	if sent > 0 {
+		t.flush(0)
+	}
+}
+
+// trunkConn is one slot in a pool: a WebSocket to the upstream
+// collector's /trunk endpoint carrying batched frames for every session
+// placed on that upstream. Each slot runs its own dial/read lifecycle
+// with a circuit breaker, so a dead collector costs bounded probing,
+// not a dial storm.
+type trunkConn struct {
+	p   *Pool
+	idx int
+
+	mu sync.Mutex
+	// conn is the live connection (nil while down: the slot is healthy
+	// exactly when it has one); buf the pending batch, firstAppend when
+	// its oldest frame was buffered.
+	conn        *wsproto.Conn
+	buf         []byte
+	firstAppend time.Time
+	// fails counts consecutive dial failures for the breaker; reset on
+	// a successful dial.
+	fails int
+}
+
+func (t *trunkConn) isHealthy() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.conn != nil
+}
+
+// run is the trunk slot's lifecycle loop: breaker-gated dial, hello,
+// then reading acks until the connection dies.
+func (t *trunkConn) run() {
+	e := t.p.e
+	defer e.runnersWG.Done()
+	for {
+		select {
+		case <-e.stopCh:
+			return
+		default:
+		}
+		if t.fails > 0 {
+			// Below the breaker threshold, space retries briefly so a
+			// transient blip does not burn the whole failure budget at
+			// once. At it, the breaker is open: wait out the cooldown,
+			// then the next dial is the half-open probe. Success closes the
+			// breaker (fails resets); failure re-opens it for another
+			// cooldown.
+			wait := e.cfg.BreakerCooldown / 4
+			if t.fails >= e.cfg.BreakerThreshold {
+				wait = e.cfg.BreakerCooldown
+			}
+			if !sleepOrStop(e.stopCh, wait) {
+				return
+			}
+		}
+		conn, err := t.dial()
+		if err != nil {
+			t.fails++
+			if t.fails == e.cfg.BreakerThreshold {
+				t.p.tel.BreakerOpens.Add(1)
+				t.p.log.Warn("edge: trunk breaker opened",
+					"trunk", t.idx, "fails", t.fails, "err", err)
+			}
+			continue
+		}
+		t.fails = 0
+		t.attach(conn)
+		t.reader(conn)
+		t.detach(conn)
+	}
+}
+
+// pingEvery pings conn every interval until stop closes (true) or a
+// ping cannot be written within 5 s (false).
+func pingEvery(conn *wsproto.Conn, interval time.Duration, stop <-chan struct{}) bool {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return true
+		case <-tick.C:
+			_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			err := conn.Ping(nil)
+			_ = conn.SetWriteDeadline(time.Time{})
+			if err != nil {
+				return false
+			}
+		}
+	}
+}
+
+// sleepOrStop waits d unless stop closes first; reports whether the
+// full wait elapsed.
+func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-stop:
+		return false
+	}
+}
+
+// dial opens the trunk connection and performs the Hello exchange. A
+// router speaks the same trunk protocol a gateway does: to its shards,
+// the router is just a very large gateway.
+func (t *trunkConn) dial() (*wsproto.Conn, error) {
+	cfg := &t.p.e.cfg
+	d := cfg.Dialer
+	d.MaxMessageSize = TrunkMaxMessage
+	hdr := http.Header{}
+	for k, vs := range cfg.Dialer.Header {
+		hdr[k] = vs
+	}
+	if cfg.TrunkToken != "" {
+		hdr.Set(trunk.TokenHeader, cfg.TrunkToken)
+	}
+	d.Header = hdr
+	ctx, cancel := context.WithTimeout(context.Background(), trunkDialTimeout)
+	defer cancel()
+	conn, _, err := d.Dial(ctx, t.p.url)
+	if err != nil {
+		return nil, err
+	}
+	// Ack/reject batches are fully decoded before the next read.
+	conn.ReuseReadBuffer()
+	hello := trunk.AppendFrame(nil, trunk.Frame{
+		Type: trunk.Hello, Version: trunk.Version, GatewayID: cfg.ID,
+	})
+	if err := conn.WriteMessage(wsproto.OpBinary, hello); err != nil {
+		_ = conn.NetConn().Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
+// attach publishes the fresh connection: the trunk becomes eligible for
+// session traffic and the pool's replay loop is nudged to push spilled
+// commits through it.
+func (t *trunkConn) attach(conn *wsproto.Conn) {
+	p := t.p
+	t.mu.Lock()
+	t.conn = conn
+	t.buf = nil
+	t.mu.Unlock()
+	p.tel.TrunksHealthy.Add(1)
+	p.gen.Add(1)
+	p.wakeReplay()
+	p.log.Info("edge: trunk established", "trunk", t.idx)
+}
+
+// detach withdraws a dead connection. The generation bump makes the
+// pool's replay loop re-send every commit whose ack may have died with
+// this trunk, onto whichever of the pool's trunks is healthy — session
+// re-homing needs no per-session state because commits are
+// self-contained.
+func (t *trunkConn) detach(conn *wsproto.Conn) {
+	p := t.p
+	t.mu.Lock()
+	t.conn = nil
+	t.buf = nil
+	t.mu.Unlock()
+	_ = conn.NetConn().Close()
+	p.tel.TrunksHealthy.Add(-1)
+	p.gen.Add(1)
+	p.log.Warn("edge: trunk lost", "trunk", t.idx)
+}
+
+// reader consumes upstream replies (acks and rejects) and runs the
+// trunk's keepalive until the connection dies. It also hosts the
+// age-based batch flusher, so a trickle of frames below the size
+// threshold still leaves within BatchAge, and the watch on the edge's
+// stop channel that tears the connection down at Close — so there is no
+// moment a live connection can miss the shutdown.
+func (t *trunkConn) reader(conn *wsproto.Conn) {
+	cfg := &t.p.e.cfg
+	stop := make(chan struct{})
+	defer close(stop)
+
+	renewDeadline := func() {
+		if ka := cfg.KeepAliveInterval; ka > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(2 * ka))
+		}
+	}
+	conn.SetPongHandler(func([]byte) { renewDeadline() })
+	renewDeadline()
+	if ka := cfg.KeepAliveInterval; ka > 0 {
+		go func() {
+			if !pingEvery(conn, ka, stop) {
+				_ = conn.NetConn().Close() // the reader below notices
+			}
+		}()
+	}
+	go func() {
+		period := cfg.BatchAge / 2
+		if period < 5*time.Millisecond {
+			period = 5 * time.Millisecond
+		}
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.p.e.stopCh:
+				_ = conn.NetConn().Close()
+				return
+			case <-tick.C:
+				t.flush(cfg.BatchAge)
+			}
+		}
+	}()
+
+	for {
+		op, msg, err := conn.ReadMessage()
+		if err != nil {
+			return
+		}
+		renewDeadline()
+		if op != wsproto.OpBinary {
+			continue
+		}
+		frames, err := trunk.DecodeBatch(msg)
+		if err != nil {
+			t.p.log.Warn("edge: malformed trunk reply", "trunk", t.idx, "err", err)
+			return
+		}
+		for _, f := range frames {
+			switch f.Type {
+			case trunk.Ack:
+				t.p.resolve(f.Stream, true, "")
+			case trunk.Reject:
+				t.p.resolve(f.Stream, false, f.Reason)
+			}
+		}
+	}
+}
+
+// enqueue buffers one encoded frame onto the trunk's pending batch,
+// flushing when the size threshold is reached. Reports false when the
+// trunk is down (the caller re-homes within the pool or drops).
+func (t *trunkConn) enqueue(frame []byte) bool {
+	t.mu.Lock()
+	if t.conn == nil {
+		t.mu.Unlock()
+		return false
+	}
+	if len(t.buf) == 0 {
+		t.firstAppend = time.Now()
+	}
+	t.buf = append(t.buf, frame...)
+	var out []byte
+	var conn *wsproto.Conn
+	if len(t.buf) >= t.p.e.cfg.BatchBytes {
+		out, t.buf = t.buf, nil
+		conn = t.conn
+	}
+	t.mu.Unlock()
+	if out != nil {
+		t.write(conn, out)
+	}
+	return true
+}
+
+// flush writes the pending batch out if its oldest frame has waited at
+// least minAge: BatchAge from the reader's ticker, zero to force it.
+func (t *trunkConn) flush(minAge time.Duration) {
+	t.mu.Lock()
+	var out []byte
+	conn := t.conn
+	if len(t.buf) > 0 && time.Since(t.firstAppend) >= minAge {
+		out, t.buf = t.buf, nil
+	}
+	t.mu.Unlock()
+	if out != nil && conn != nil {
+		t.write(conn, out)
+	}
+}
+
+// write sends one batch message. On failure the transport is closed so
+// the reader notices and the slot recycles; the frames in the batch are
+// either advisory (droppable) or commits the pool's replay loop will
+// re-send.
+func (t *trunkConn) write(conn *wsproto.Conn, batch []byte) {
+	t.p.tel.TrunkBatches.Add(1)
+	t.p.tel.BatchBytes.Observe(float64(len(batch)))
+	if err := conn.WriteMessage(wsproto.OpBinary, batch); err != nil {
+		_ = conn.NetConn().Close()
+	}
+}

@@ -160,7 +160,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	spilledDuringOutage := g.spillPending()
+	spilledDuringOutage := g.Health().SpillPending
 	if spilledDuringOutage == 0 {
 		t.Error("no commit spilled during the collector outage; the zero-loss path went unexercised")
 	}
@@ -199,9 +199,9 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 	if left := g.Drain(15 * time.Second); left != 0 {
 		t.Fatalf("gateway drain left %d acked commits undelivered (loss)", left)
 	}
-	t.Logf("chaos: %d/%d acked, clientKills=%d trunkKills=%d slowTrunks=%d replays=%d breakerOpens=%d",
+	t.Logf("chaos: %d/%d acked, clientKills=%d trunkKills=%d slowTrunks=%d replays=%v breakerOpens=%v",
 		acked, fleet, clientKills, trunkKills,
-		trunkPlan.SlowLinks.Load(), g.tel.replays.Load(), g.tel.breakerOpens.Load())
+		trunkPlan.SlowLinks.Load(), series(g, "adaudit_gateway_replays_total"), series(g, "adaudit_gateway_breaker_opens_total"))
 
 	// Zero loss, exactly once, on the surviving store.
 	byNonce := map[string]int{}

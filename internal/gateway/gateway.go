@@ -1,57 +1,34 @@
-// Package gateway implements the edge ingest tier: a lightweight
-// trusted bridge that terminates beacon WebSockets close to the users
-// emitting them and forwards the measurements to the central collector
-// over a small pool of persistent trunk connections (internal/trunk).
-// The paper's audit only holds if the collector receives every beacon a
-// panelist emits, so this tier's whole job is robustness: admission
-// control at the edge (origin allowlist, session caps, overload
-// shedding with Retry-After hints the beacon client honors), per-trunk
-// circuit breakers with session re-homing, bounded per-session forward
-// queues with watermark backpressure, and an in-gateway spill buffer
-// that holds every client-acknowledged impression until the collector
-// durably acks it — across trunk failures and full collector restarts,
-// replayed through the collector's nonce-dedup path so nothing is ever
-// double-counted.
-//
-// The gateway is trusted infrastructure, unlike the clients it fronts:
-// it measures exposure as connection lifetime on its own clock and
-// ships the connection-derived facts (peer IP, connect time, exposure)
-// to the collector in a self-contained Commit frame, exactly the facts
-// the collector would have derived had the beacon connected directly.
+// Package gateway is the one-upstream configuration of internal/edge:
+// the edge ingest tier, a lightweight trusted bridge that terminates
+// beacon WebSockets close to the users emitting them and forwards the
+// measurements to the central collector over a small pool of
+// persistent trunk connections (internal/trunk). All of the machinery —
+// admission control, the session protocol, per-trunk circuit breakers,
+// watermark backpressure, and the spill buffer that holds every
+// client-acknowledged impression until the collector durably acks it —
+// is the edge core's; this package owns what makes the tier a gateway:
+// its Config, its metric names (adaudit_gateway_*, unlabelled) and its
+// /healthz body.
 package gateway
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"net"
 	"time"
 
-	"adaudit/internal/beacon"
+	"adaudit/internal/edge"
 	"adaudit/internal/telemetry"
-	"adaudit/internal/trace"
-	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
 // Shed reasons used for adaudit_gateway_sheds_total{reason=...}.
 const (
-	ShedDraining = "draining" // gateway is draining for shutdown
-	ShedCapacity = "capacity" // MaxSessions cap reached
-	ShedSpill    = "spill"    // spill buffer full: collector outage outlasting memory
-	ShedOrigin   = "origin"   // page origin not in the allowlist
+	ShedDraining = edge.ShedDraining // gateway is draining for shutdown
+	ShedCapacity = edge.ShedCapacity // MaxSessions cap reached
+	ShedSpill    = edge.ShedSpill    // spill buffer full: collector outage outlasting memory
+	ShedOrigin   = edge.ShedOrigin   // page origin not in the allowlist
 )
-
-// maxStageSkew clamps gateway-measured trace offsets against clients
-// whose clocks disagree wildly with ours — the same bound the
-// collector's trace adoption applies.
-const maxStageSkew = 5 * time.Minute
 
 // Config assembles a Gateway.
 type Config struct {
@@ -133,71 +110,10 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// gatewayTelemetry bundles the registry-backed instruments. All fields
-// are nil-safe.
-type gatewayTelemetry struct {
-	connections    *telemetry.Counter
-	sessionsActive *telemetry.Gauge
-	sheds          *telemetry.CounterVec
-	events         *telemetry.Counter
-	commits        *telemetry.Counter
-	acks           *telemetry.Counter
-	rejects        *telemetry.Counter
-	replays        *telemetry.Counter
-	queueDrops     *telemetry.Counter
-	breakerOpens   *telemetry.Counter
-	trunkBatches   *telemetry.Counter
-	trunksHealthy  *telemetry.Gauge
-	forward        *telemetry.Histogram
-	batchBytes     *telemetry.Histogram
-}
-
-// Gateway terminates beacon sessions and forwards them over trunks.
-type Gateway struct {
-	cfg      Config
-	log      *slog.Logger
-	reg      *telemetry.Registry
-	tel      gatewayTelemetry
-	upgrader wsproto.Upgrader
-
-	trunks []*trunkConn
-	// gen counts trunk topology changes (any trunk coming up or going
-	// down). A spill entry sent under an older generation may have died
-	// with its trunk, so the replay loop re-sends it.
-	gen atomic.Uint64
-	// rr round-robins session forwarders across healthy trunks.
-	rr atomic.Uint64
-
-	draining  atomic.Bool
-	sessMu    sync.Mutex
-	sessConns map[*wsproto.Conn]struct{}
-	sessWG    sync.WaitGroup
-
-	// streamID numbers beacon sessions; stream 0 is never used.
-	streamID atomic.Uint64
-
-	// spill holds every commit not yet acked by the collector, keyed by
-	// stream. Entries survive trunk failures and collector restarts;
-	// the replay loop is the only sender, so a commit cannot race its
-	// own retransmission.
-	spillMu    sync.Mutex
-	spill      map[uint64]*spillEntry
-	replayWake chan struct{}
-
-	stopCh    chan struct{}
-	stopOnce  sync.Once
-	runnersWG sync.WaitGroup
-}
-
-// spillEntry is one unacknowledged commit.
-type spillEntry struct {
-	frame []byte // encoded Commit frame, length-prefixed
-	// sentGen is the trunk generation at the last send (0 = never
-	// sent); sentAt the send time. Both are owned by the replay loop.
-	sentGen  uint64
-	sentAt   time.Time
-	enqueued time.Time // first spill time, for the forward histogram
-}
+// Gateway terminates beacon sessions and forwards them over trunks: an
+// edge.Edge with one pool. ServeHTTP, SessionCount, Telemetry, Drain
+// and Close are the core's.
+type Gateway struct{ *edge.Edge }
 
 // New validates cfg and returns a started Gateway: trunk runners and
 // the replay loop are live. Callers own serving HTTP (see Server) and
@@ -206,518 +122,85 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.CollectorURL == "" {
 		return nil, fmt.Errorf("gateway: config requires a collector trunk URL")
 	}
-	if cfg.GatewayID == "" {
-		var b [6]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return nil, fmt.Errorf("gateway: generating id: %w", err)
-		}
-		cfg.GatewayID = "gw-" + hex.EncodeToString(b[:])
-	}
-	if cfg.Trunks <= 0 {
-		cfg.Trunks = 2
-	}
-	if cfg.MaxMessageSize == 0 {
-		cfg.MaxMessageSize = 16 << 10
-	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
-	}
-	switch {
-	case cfg.KeepAliveInterval == 0:
-		cfg.KeepAliveInterval = 30 * time.Second
-	case cfg.KeepAliveInterval < 0:
-		cfg.KeepAliveInterval = 0
-	}
-	if cfg.MaxExposure == 0 {
-		cfg.MaxExposure = 30 * time.Minute
-	}
-	if cfg.BatchBytes == 0 {
-		cfg.BatchBytes = 32 << 10
-	}
-	if cfg.BatchAge == 0 {
-		cfg.BatchAge = 50 * time.Millisecond
-	}
-	if cfg.QueueHigh == 0 {
-		cfg.QueueHigh = 64
-	}
-	if cfg.QueueLow == 0 || cfg.QueueLow >= cfg.QueueHigh {
-		cfg.QueueLow = cfg.QueueHigh / 4
-	}
-	if cfg.SpillLimit == 0 {
-		cfg.SpillLimit = 1 << 16
-	}
-	if cfg.AckTimeout == 0 {
-		cfg.AckTimeout = 5 * time.Second
-	}
-	if cfg.ReplayInterval == 0 {
-		cfg.ReplayInterval = time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = time.Second
-	}
-	if cfg.RetryAfterHint == 0 {
-		cfg.RetryAfterHint = 2 * time.Second
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.Default()
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	g := &Gateway{
-		cfg: cfg,
-		log: cfg.Logger,
-		reg: reg,
-		upgrader: wsproto.Upgrader{
-			MaxMessageSize:    cfg.MaxMessageSize,
-			EnableCompression: true,
+	e, err := edge.New(edge.Config{
+		Name: "gateway", IDPrefix: "gw-",
+		Upstreams:         []edge.Upstream{{URL: cfg.CollectorURL, Tel: poolInstruments(reg)}},
+		ID:                cfg.GatewayID,
+		TrunksPerPool:     cfg.Trunks,
+		TrunkToken:        cfg.TrunkToken,
+		Dialer:            cfg.Dialer,
+		AllowedOrigins:    cfg.AllowedOrigins,
+		MaxSessions:       cfg.MaxSessions,
+		MaxMessageSize:    cfg.MaxMessageSize,
+		HandshakeTimeout:  cfg.HandshakeTimeout,
+		KeepAliveInterval: cfg.KeepAliveInterval,
+		MaxExposure:       cfg.MaxExposure,
+		BatchBytes:        cfg.BatchBytes,
+		BatchAge:          cfg.BatchAge,
+		QueueHigh:         cfg.QueueHigh,
+		QueueLow:          cfg.QueueLow,
+		SpillLimit:        cfg.SpillLimit,
+		AckTimeout:        cfg.AckTimeout,
+		ReplayInterval:    cfg.ReplayInterval,
+		BreakerThreshold:  cfg.BreakerThreshold,
+		BreakerCooldown:   cfg.BreakerCooldown,
+		RetryAfterHint:    cfg.RetryAfterHint,
+		Logger:            cfg.Logger,
+		Telemetry:         reg,
+		Tel: edge.Instruments{
+			Connections: reg.Counter("adaudit_gateway_connections_total",
+				"Beacon WebSocket connections accepted at the edge.", nil),
+			SessionsActive: reg.Gauge("adaudit_gateway_sessions_active",
+				"Beacon sessions currently open on this gateway.", nil),
+			Sheds: reg.CounterVec("adaudit_gateway_sheds_total",
+				"Beacon requests refused at admission, by reason.", "reason"),
+			Events: reg.Counter("adaudit_gateway_events_total",
+				"Interaction updates received from beacon sessions.", nil),
+			// Commits is the pool's: with one pool the two counts are one.
 		},
-		sessConns:  map[*wsproto.Conn]struct{}{},
-		spill:      map[uint64]*spillEntry{},
-		replayWake: make(chan struct{}, 1),
-		stopCh:     make(chan struct{}),
+	})
+	if err != nil {
+		return nil, err
 	}
-	g.tel = gatewayTelemetry{
-		connections: reg.Counter("adaudit_gateway_connections_total",
-			"Beacon WebSocket connections accepted at the edge.", nil),
-		sessionsActive: reg.Gauge("adaudit_gateway_sessions_active",
-			"Beacon sessions currently open on this gateway.", nil),
-		sheds: reg.CounterVec("adaudit_gateway_sheds_total",
-			"Beacon requests refused at admission, by reason.", "reason"),
-		events: reg.Counter("adaudit_gateway_events_total",
-			"Interaction updates received from beacon sessions.", nil),
-		commits: reg.Counter("adaudit_gateway_commits_total",
-			"Session commits handed to the spill/forward pipeline.", nil),
-		acks: reg.Counter("adaudit_gateway_acks_total",
-			"Commits acknowledged by the collector.", nil),
-		rejects: reg.Counter("adaudit_gateway_rejected_total",
-			"Commits the collector rejected permanently.", nil),
-		replays: reg.Counter("adaudit_gateway_replays_total",
-			"Commit retransmissions after a trunk change or ack timeout.", nil),
-		queueDrops: reg.Counter("adaudit_gateway_queue_drops_total",
-			"Advisory frames dropped with no healthy trunk available.", nil),
-		breakerOpens: reg.Counter("adaudit_gateway_breaker_opens_total",
-			"Trunk circuit-breaker openings.", nil),
-		trunkBatches: reg.Counter("adaudit_gateway_trunk_batches_total",
-			"Batch messages written to trunks.", nil),
-		trunksHealthy: reg.Gauge("adaudit_gateway_trunks_healthy",
-			"Trunk connections currently established.", nil),
-		forward: reg.Histogram("adaudit_gateway_forward_seconds",
-			"Commit-to-collector-ack latency, spill time included.",
-			telemetry.LatencyBuckets(), nil),
-		batchBytes: reg.Histogram("adaudit_gateway_batch_bytes",
-			"Trunk batch sizes at flush.",
-			[]float64{256, 1024, 4096, 16384, 65536, 262144}, nil),
-	}
+	trunks := float64(e.Config().TrunksPerPool)
 	reg.GaugeFunc("adaudit_gateway_trunks_total",
-		"Configured trunk pool size.", nil,
-		func() float64 { return float64(cfg.Trunks) })
+		"Configured trunk pool size.", nil, func() float64 { return trunks })
 	reg.GaugeFunc("adaudit_gateway_spill_pending",
 		"Commits awaiting collector acknowledgement.", nil,
-		func() float64 { return float64(g.spillPending()) })
-
-	for i := 0; i < cfg.Trunks; i++ {
-		t := &trunkConn{gw: g, idx: i}
-		g.trunks = append(g.trunks, t)
-		g.runnersWG.Add(1)
-		go t.run()
-	}
-	g.runnersWG.Add(1)
-	go g.replayLoop()
-	return g, nil
+		func() float64 { return float64(e.Health().SpillPending) })
+	return &Gateway{e}, nil
 }
 
-// Telemetry returns the gateway's metrics registry.
-func (g *Gateway) Telemetry() *telemetry.Registry { return g.reg }
-
-// SessionCount returns the number of live beacon sessions.
-func (g *Gateway) SessionCount() int {
-	g.sessMu.Lock()
-	defer g.sessMu.Unlock()
-	return len(g.sessConns)
-}
-
-func (g *Gateway) spillPending() int {
-	g.spillMu.Lock()
-	defer g.spillMu.Unlock()
-	return len(g.spill)
-}
-
-// shed refuses the request with 503 and the gateway's Retry-After hint.
-func (g *Gateway) shed(w http.ResponseWriter, reason string) {
-	g.tel.sheds.With(reason).Inc()
-	w.Header().Set("Retry-After",
-		strconv.Itoa(int((g.cfg.RetryAfterHint+time.Second-1)/time.Second)))
-	http.Error(w, "gateway "+reason, http.StatusServiceUnavailable)
-}
-
-// originAllowed applies the admission allowlist to an Origin header.
-func (g *Gateway) originAllowed(origin string) bool {
-	if len(g.cfg.AllowedOrigins) == 0 {
-		return true
+// poolInstruments names the single pool's series: a gateway has one
+// upstream, so they carry no label.
+func poolInstruments(reg *telemetry.Registry) edge.PoolInstruments {
+	return edge.PoolInstruments{
+		Commits: reg.Counter("adaudit_gateway_commits_total",
+			"Session commits handed to the spill/forward pipeline.", nil),
+		Acks: reg.Counter("adaudit_gateway_acks_total",
+			"Commits acknowledged by the collector.", nil),
+		Rejects: reg.Counter("adaudit_gateway_rejected_total",
+			"Commits the collector rejected permanently.", nil),
+		Replays: reg.Counter("adaudit_gateway_replays_total",
+			"Commit retransmissions after a trunk change or ack timeout.", nil),
+		QueueDrops: reg.Counter("adaudit_gateway_queue_drops_total",
+			"Advisory frames dropped with no healthy trunk available.", nil),
+		BreakerOpens: reg.Counter("adaudit_gateway_breaker_opens_total",
+			"Trunk circuit-breaker openings.", nil),
+		TrunkBatches: reg.Counter("adaudit_gateway_trunk_batches_total",
+			"Batch messages written to trunks.", nil),
+		TrunksHealthy: reg.Gauge("adaudit_gateway_trunks_healthy",
+			"Trunk connections currently established.", nil),
+		Forward: reg.Histogram("adaudit_gateway_forward_seconds",
+			"Commit-to-collector-ack latency, spill time included.",
+			telemetry.LatencyBuckets(), nil),
+		BatchBytes: reg.Histogram("adaudit_gateway_batch_bytes",
+			"Trunk batch sizes at flush.", edge.BatchByteBuckets(), nil),
 	}
-	if origin == "" {
-		return false
-	}
-	host := origin
-	if u, err := url.Parse(origin); err == nil && u.Hostname() != "" {
-		host = u.Hostname()
-	}
-	for _, allowed := range g.cfg.AllowedOrigins {
-		if strings.EqualFold(host, allowed) ||
-			strings.HasSuffix(strings.ToLower(host), "."+strings.ToLower(allowed)) {
-			return true
-		}
-	}
-	return false
-}
-
-// ServeHTTP is the beacon endpoint: admission control, WebSocket
-// upgrade, then the session protocol (first text message is the
-// impression payload, "ev:" messages are interaction updates, the
-// connection lifetime measures exposure).
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case g.draining.Load():
-		g.shed(w, ShedDraining)
-		return
-	case g.cfg.MaxSessions > 0 && g.SessionCount() >= g.cfg.MaxSessions:
-		g.shed(w, ShedCapacity)
-		return
-	case g.spillPending() >= g.cfg.SpillLimit:
-		// The collector has been unreachable long enough to fill the
-		// spill buffer; admitting more sessions would promise acks the
-		// gateway may not be able to keep.
-		g.shed(w, ShedSpill)
-		return
-	case !g.originAllowed(r.Header.Get("Origin")):
-		g.tel.sheds.With(ShedOrigin).Inc()
-		http.Error(w, "origin not allowed", http.StatusForbidden)
-		return
-	}
-	conn, err := g.upgrader.Upgrade(w, r)
-	if err != nil {
-		g.log.Debug("gateway: handshake rejected", "err", err, "remote", r.RemoteAddr)
-		return
-	}
-	g.tel.connections.Add(1)
-	if g.draining.Load() {
-		_ = conn.Close(wsproto.CloseServiceRestart, g.drainCloseReason())
-		return
-	}
-	// Session messages are decoded or copied before the next read, so
-	// the frame buffer can recycle.
-	conn.ReuseReadBuffer()
-	g.trackSession(conn)
-	go func() {
-		defer g.untrackSession(conn)
-		g.runSession(conn)
-	}()
-}
-
-func (g *Gateway) trackSession(conn *wsproto.Conn) {
-	g.sessWG.Add(1)
-	g.sessMu.Lock()
-	g.sessConns[conn] = struct{}{}
-	g.sessMu.Unlock()
-	g.tel.sessionsActive.Add(1)
-}
-
-func (g *Gateway) untrackSession(conn *wsproto.Conn) {
-	g.sessMu.Lock()
-	delete(g.sessConns, conn)
-	g.sessMu.Unlock()
-	g.tel.sessionsActive.Add(-1)
-	g.sessWG.Done()
-}
-
-// drainCloseReason is the close-frame reason drained clients receive:
-// the resumable 1012 code plus the backoff floor the beacon client
-// parses.
-func (g *Gateway) drainCloseReason() string {
-	return "draining retry-after=" + g.cfg.RetryAfterHint.String()
-}
-
-// stageOffset computes a trace stage offset relative to the beacon's
-// stamped send time, clamped like the collector's trace adoption.
-func stageOffset(sentUnixNanos int64, at time.Time) time.Duration {
-	off := at.Sub(time.Unix(0, sentUnixNanos))
-	if off < 0 {
-		return 0
-	}
-	if off > maxStageSkew {
-		return maxStageSkew
-	}
-	return off
-}
-
-// runSession drives one beacon connection end to end: payload
-// handshake, keepalive, event collection, and the commit handoff into
-// the spill/forward pipeline when the connection ends.
-func (g *Gateway) runSession(conn *wsproto.Conn) {
-	remote := conn.RemoteAddr().String()
-	if host, _, ok := strings.Cut(remote, ":"); ok {
-		remote = host
-	}
-	if strings.HasPrefix(remote, "[") { // IPv6 [addr]:port
-		remote = strings.Trim(remote, "[]")
-	}
-	connectedAt := time.Now()
-
-	_ = conn.SetReadDeadline(connectedAt.Add(g.cfg.HandshakeTimeout))
-	op, msg, err := conn.ReadMessage()
-	if err != nil || !op.IsData() {
-		_ = conn.Close(wsproto.ClosePolicyViolation, "no payload")
-		return
-	}
-	recvAt := time.Now()
-	// The first message's opcode selects the session wire, mirroring
-	// the collector's negotiation. Trunk frames re-encode as text
-	// either way: the trunk protocol predates the binary wire and the
-	// collector ingests both identically.
-	var payload beacon.Payload
-	if op == wsproto.OpBinary {
-		payload, err = beacon.DecodeBinary(msg)
-	} else {
-		payload, err = beacon.Decode(string(msg))
-	}
-	if err != nil {
-		g.log.Debug("gateway: bad payload", "err", err, "remote", remote)
-		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
-		return
-	}
-	// Every gatewayed impression carries a nonce: the commit may be
-	// replayed against a restarted collector whose stream-dedup cache
-	// is gone, and the nonce is what lets that replay merge instead of
-	// double-counting.
-	if payload.Nonce == "" {
-		payload.Nonce = beacon.NewNonce()
-	}
-	stream := g.streamID.Add(1)
-
-	// Gateway-leg trace stages, measured against the beacon's stamped
-	// send time (only meaningful for sampled payloads).
-	traced := payload.TraceID != "" && payload.TraceSent > 0
-	var gatewayRecv time.Duration
-	if traced {
-		gatewayRecv = stageOffset(payload.TraceSent, recvAt)
-	}
-
-	// The forward queue decouples this session's reads from trunk
-	// health: the forwarder goroutine drains it onto whichever trunk is
-	// healthy, and when the queue hits its high watermark the session's
-	// read loop stalls — backpressure into the client's TCP window.
-	q := newSessionQueue(g.cfg.QueueHigh, g.cfg.QueueLow)
-	defer q.close()
-	var fwdWG sync.WaitGroup
-	fwdWG.Add(1)
-	go func() {
-		defer fwdWG.Done()
-		g.forwardLoop(q)
-	}()
-	q.push(trunk.AppendFrame(nil, trunk.Frame{
-		Type: trunk.Open, Stream: stream,
-		RemoteIP:    remote,
-		ConnectedAt: connectedAt.UnixNano(),
-		Payload:     payload.Encode(),
-	}))
-
-	// Keepalive and exposure-cap deadlines, the collector's discipline
-	// applied at the edge.
-	hardStop := connectedAt.Add(g.cfg.MaxExposure)
-	renewDeadline := func() {
-		if g.draining.Load() {
-			return
-		}
-		d := hardStop
-		if ka := g.cfg.KeepAliveInterval; ka > 0 {
-			if soft := time.Now().Add(2 * ka); soft.Before(d) {
-				d = soft
-			}
-		}
-		_ = conn.SetReadDeadline(d)
-	}
-	conn.SetPongHandler(func([]byte) { renewDeadline() })
-	renewDeadline()
-	if ka := g.cfg.KeepAliveInterval; ka > 0 {
-		stopPings := make(chan struct{})
-		defer close(stopPings)
-		go func() {
-			t := time.NewTicker(ka)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopPings:
-					return
-				case <-t.C:
-					_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-					err := conn.Ping(nil)
-					_ = conn.SetWriteDeadline(time.Time{})
-					if err != nil {
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	for {
-		op, msg, err := conn.ReadMessage()
-		if err != nil {
-			break
-		}
-		renewDeadline()
-		var e beacon.Event
-		var isEvent bool
-		if op == wsproto.OpBinary {
-			e, isEvent, err = beacon.DecodeBinaryEventUpdate(msg)
-		} else {
-			e, isEvent, err = beacon.DecodeEventUpdate(string(msg))
-		}
-		if err != nil {
-			g.log.Debug("gateway: bad event update", "err", err, "remote", remote)
-			continue
-		}
-		if isEvent {
-			g.tel.events.Add(1)
-			payload.Events = append(payload.Events, e)
-			var evText string
-			if op == wsproto.OpBinary {
-				evText = beacon.EncodeEventUpdate(e)
-			} else {
-				evText = string(msg)
-			}
-			q.push(trunk.AppendFrame(nil, trunk.Frame{
-				Type: trunk.Event, Stream: stream, Payload: evText,
-			}))
-		}
-	}
-	// Stop forwarding advisory frames before building the commit, so
-	// the commit is the last word on this stream.
-	q.close()
-	fwdWG.Wait()
-
-	exposure := time.Since(connectedAt)
-	if exposure > g.cfg.MaxExposure {
-		exposure = g.cfg.MaxExposure
-	}
-	var stages []trunk.Stage
-	if traced {
-		stages = []trunk.Stage{
-			{Name: trace.StageGatewayRecv, Offset: gatewayRecv},
-			{Name: trace.StageTrunkForward, Offset: stageOffset(payload.TraceSent, time.Now())},
-		}
-	}
-	commit := trunk.AppendFrame(nil, trunk.Frame{
-		Type: trunk.Commit, Stream: stream,
-		RemoteIP:    remote,
-		ConnectedAt: connectedAt.UnixNano(),
-		Exposure:    exposure,
-		Payload:     payload.Encode(),
-		Stages:      stages,
-	})
-	// Spill before closing the client: once the commit is in the spill
-	// buffer the replay loop guarantees delivery, so the close
-	// handshake the client treats as its ack is never a lie.
-	g.spillCommit(stream, commit)
-
-	if g.draining.Load() {
-		_ = conn.Close(wsproto.CloseServiceRestart, g.drainCloseReason())
-	} else {
-		_ = conn.Close(wsproto.CloseNormal, "")
-	}
-}
-
-// spillCommit registers a commit for guaranteed delivery and nudges the
-// replay loop to send it now.
-func (g *Gateway) spillCommit(stream uint64, frame []byte) {
-	g.tel.commits.Add(1)
-	g.spillMu.Lock()
-	g.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
-	g.spillMu.Unlock()
-	select {
-	case g.replayWake <- struct{}{}:
-	default:
-	}
-}
-
-// ackStream removes an acked commit from the spill buffer.
-func (g *Gateway) ackStream(stream uint64) {
-	g.spillMu.Lock()
-	e, ok := g.spill[stream]
-	if ok {
-		delete(g.spill, stream)
-	}
-	g.spillMu.Unlock()
-	if ok {
-		g.tel.acks.Add(1)
-		g.tel.forward.ObserveDuration(time.Since(e.enqueued))
-	}
-}
-
-// rejectStream drops a commit the collector refused permanently.
-func (g *Gateway) rejectStream(stream uint64, reason string) {
-	g.spillMu.Lock()
-	_, ok := g.spill[stream]
-	if ok {
-		delete(g.spill, stream)
-	}
-	g.spillMu.Unlock()
-	if ok {
-		g.tel.rejects.Add(1)
-		g.log.Warn("gateway: collector rejected commit", "stream", stream, "reason", reason)
-	}
-}
-
-// forwardLoop drains one session's queue onto healthy trunks. Advisory
-// frames are droppable: with no healthy trunk they are discarded, since
-// the accounting state travels self-contained in the commit. The
-// session pins itself to one trunk while it stays healthy, so a
-// session's Open and Events arrive at the collector in order on one
-// connection — load still spreads across trunks because each session
-// picks its own.
-func (g *Gateway) forwardLoop(q *sessionQueue) {
-	var t *trunkConn
-	for {
-		frame, ok := q.pop()
-		if !ok {
-			return
-		}
-		if t == nil || !t.isHealthy() {
-			t = g.pickTrunk()
-		}
-		if t == nil || !t.enqueue(frame) {
-			g.tel.queueDrops.Add(1)
-		}
-	}
-}
-
-// pickTrunk returns a healthy trunk, round-robin, or nil.
-func (g *Gateway) pickTrunk() *trunkConn {
-	n := len(g.trunks)
-	start := int(g.rr.Add(1)) % n
-	for i := 0; i < n; i++ {
-		t := g.trunks[(start+i)%n]
-		if t.isHealthy() {
-			return t
-		}
-	}
-	return nil
-}
-
-// healthyTrunks counts established trunk connections.
-func (g *Gateway) healthyTrunks() int {
-	n := 0
-	for _, t := range g.trunks {
-		if t.isHealthy() {
-			n++
-		}
-	}
-	return n
 }
 
 // HealthStatus is the gateway's /healthz body.
@@ -734,69 +217,44 @@ type HealthStatus struct {
 	Draining      bool   `json:"draining"`
 }
 
+func healthStatus(h edge.Health) HealthStatus {
+	return HealthStatus{
+		Status:        h.Status,
+		GatewayID:     h.ID,
+		TrunksTotal:   h.Pools[0].TrunksTotal,
+		TrunksHealthy: h.Pools[0].TrunksHealthy,
+		Sessions:      h.Sessions,
+		SpillPending:  h.SpillPending,
+		Draining:      h.Draining,
+	}
+}
+
 // Health reports the gateway's degradation level.
-func (g *Gateway) Health() HealthStatus {
-	h := HealthStatus{
-		GatewayID:     g.cfg.GatewayID,
-		TrunksTotal:   len(g.trunks),
-		TrunksHealthy: g.healthyTrunks(),
-		Sessions:      g.SessionCount(),
-		SpillPending:  g.spillPending(),
-		Draining:      g.draining.Load(),
-	}
-	switch {
-	case h.TrunksHealthy == h.TrunksTotal:
-		h.Status = "ok"
-	case h.TrunksHealthy > 0:
-		h.Status = "degraded"
-	default:
-		h.Status = "unhealthy"
-	}
-	return h
-}
+func (g *Gateway) Health() HealthStatus { return healthStatus(g.Edge.Health()) }
 
-// Drain sheds new sessions, forces live ones to commit and hands them
-// back with a resumable close (1012 + retry-after), then waits up to
-// grace for the spill buffer to empty. It returns the number of commits
-// still unacknowledged when the grace expired — 0 means every
-// impression this gateway acked to a client reached the collector.
-func (g *Gateway) Drain(grace time.Duration) int {
-	g.draining.Store(true)
-	// Send the resumable close ourselves: unblocking the session's read
-	// with a bare deadline would make wsproto auto-close with a protocol
-	// error before runSession could speak. Closing the transport is what
-	// breaks the read loop; the commit still happens after it.
-	g.sessMu.Lock()
-	for conn := range g.sessConns {
-		_ = conn.Close(wsproto.CloseServiceRestart, g.drainCloseReason())
-	}
-	g.sessMu.Unlock()
+// ServerOption customises a Server.
+type ServerOption = edge.ServerOption
 
-	deadline := time.Now().Add(grace)
-	done := make(chan struct{})
-	go func() {
-		g.sessWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		g.log.Warn("gateway: drain grace expired with sessions still open",
-			"sessions", g.SessionCount())
-	}
-	for g.spillPending() > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return g.spillPending()
-}
+// WithDrainGrace bounds how long Serve waits on shutdown for in-flight
+// beacon sessions to commit and for the spill buffer to empty into the
+// collector (default 5 s).
+func WithDrainGrace(d time.Duration) ServerOption { return edge.WithDrainGrace(d) }
 
-// Close stops the trunk runners and replay loop and closes every trunk
-// connection. Pending spill entries are abandoned; call Drain first for
-// a zero-loss shutdown.
-func (g *Gateway) Close() {
-	g.stopOnce.Do(func() { close(g.stopCh) })
-	for _, t := range g.trunks {
-		t.closeConn()
-	}
-	g.runnersWG.Wait()
+// WithListener serves on ln instead of opening a fresh TCP listener
+// (addr is then ignored) — the hook the chaos tests use to put a
+// fault-injected accept path under the gateway's client leg.
+func WithListener(ln net.Listener) ServerOption { return edge.WithListener(ln) }
+
+// Server runs a Gateway behind an HTTP listener with the standard
+// operational sidecar: the beacon endpoint, GET /healthz (trunk pool
+// health, ok → degraded → unhealthy), GET /metrics (Prometheus text)
+// and GET /api/metrics (JSON). It owns listener lifecycle and graceful
+// drain, so cmd/adgateway and the tests share one serving path.
+type Server = edge.Server
+
+// NewServer wraps g in a Server listening on addr (host:port; port 0
+// picks a free port).
+func NewServer(g *Gateway, addr string, opts ...ServerOption) (*Server, error) {
+	return edge.NewServer(g.Edge, addr,
+		func(h edge.Health) any { return healthStatus(h) }, opts...)
 }

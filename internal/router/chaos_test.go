@@ -170,7 +170,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	spilledDuringOutage := r.pools[0].spillPending()
+	spilledDuringOutage := r.Health().Shards[0].SpillPending
 	t.Logf("chaos: shard 0 restarted with %d WAL entries recovered, %d commits spilled toward it during the outage",
 		applied, spilledDuringOutage)
 	wal2, err := store.OpenWAL(walPath, store.WALOptions{Policy: store.SyncGroup})
@@ -201,12 +201,9 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	if left := r.Drain(15 * time.Second); left != 0 {
 		t.Fatalf("router drain left %d acked commits undelivered (loss)", left)
 	}
-	var breakerOpens, replays int64
-	for _, p := range r.pools {
-		breakerOpens += p.tel.breakerOpens.Load()
-		replays += p.tel.replays.Load()
-	}
-	t.Logf("chaos: %d/%d acked, clientKills=%d replays=%d breakerOpens=%d",
+	breakerOpens := seriesSum(r, "adaudit_router_shard_breaker_opens_total")
+	replays := seriesSum(r, "adaudit_router_shard_replays_total")
+	t.Logf("chaos: %d/%d acked, clientKills=%d replays=%v breakerOpens=%v",
 		acked, fleet, clientKills, replays, breakerOpens)
 	if breakerOpens == 0 {
 		t.Error("shard 0's trunk breakers never opened; the outage went unnoticed")

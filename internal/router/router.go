@@ -1,62 +1,46 @@
-// Package router implements the multiplexing front tier of the
-// horizontally sharded collector topology: one process that terminates
-// beacon WebSockets (and whole gateway trunks) and consistent-hashes
-// every session onto one of N collector shards by its session key — the
-// beacon nonce — so each shard's store + WAL + streaming audit engine
-// owns a stable, disjoint slice of the dataset. The shard-merge layer
-// (internal/shardmerge) reunions those slices into the single-store
-// audit the paper's methodology needs.
+// Package router is the N-upstream configuration of internal/edge: the
+// multiplexing front tier of the horizontally sharded collector
+// topology, one process that terminates beacon WebSockets (and whole
+// gateway trunks) and consistent-hashes every session onto one of N
+// collector shards by its session key — the beacon nonce — so each
+// shard's store + WAL + streaming audit engine owns a stable, disjoint
+// slice of the dataset. The shard-merge layer (internal/shardmerge)
+// reunions those slices into the single-store audit the paper's
+// methodology needs.
 //
-// Per shard the router keeps a small pool of persistent trunk
-// connections (the internal/trunk frame protocol, unchanged from the
-// gateway tier) with circuit breakers and batched writes; sessions
-// multiplex over whichever trunk of their shard's pool is healthy.
-// Commits are held in a per-shard spill buffer until the owning shard
-// durably acks them — a shard restart re-homes nothing across shards
-// (ownership is the hash, not the topology) but replays every
-// outstanding commit to the restarted shard through its nonce/stream
-// dedup, so acked-to-client never becomes loss and replays never
-// double-count.
-//
-// The router also terminates gateway trunks on /trunk: an edge gateway
-// (internal/gateway) can point its collector URL at the router, which
-// re-streams each commit onto the owning shard and relays the shard's
-// ack back to the gateway — the gateway's own spill discipline then
-// covers the full path end to end.
+// Session termination, the per-shard trunk pools, their spill buffers
+// and replay are the edge core's: a shard restart re-homes nothing
+// across shards (ownership is the hash, not the topology) but replays
+// every outstanding commit to the restarted shard through its
+// nonce/stream dedup. This package owns what a router adds: its Config,
+// its metric names (adaudit_router_*, per-shard series under shard_id),
+// its /healthz body, the merged live API, and the /trunk relay — an
+// edge gateway (internal/gateway) can point its collector URL at the
+// router, which re-streams each commit onto the owning shard and relays
+// the shard's ack back, so the gateway's own spill discipline covers
+// the full path end to end.
 package router
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"adaudit/internal/beacon"
-	"adaudit/internal/shardmerge"
+	"adaudit/internal/edge"
+	"adaudit/internal/gen2"
 	"adaudit/internal/telemetry"
-	"adaudit/internal/trace"
-	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
 // Shed reasons used for adaudit_router_sheds_total{reason=...}.
 const (
-	ShedDraining = "draining" // router is draining for shutdown
-	ShedCapacity = "capacity" // MaxSessions cap reached
-	ShedSpill    = "spill"    // spill buffer full: a shard outage outlasting memory
-	ShedOrigin   = "origin"   // page origin not in the allowlist
+	ShedDraining = edge.ShedDraining // router is draining for shutdown
+	ShedCapacity = edge.ShedCapacity // MaxSessions cap reached
+	ShedSpill    = edge.ShedSpill    // spill buffer full: a shard outage outlasting memory
+	ShedOrigin   = edge.ShedOrigin   // page origin not in the allowlist
 )
-
-// maxStageSkew clamps router-measured trace offsets against clients
-// whose clocks disagree wildly with ours.
-const maxStageSkew = 5 * time.Minute
 
 // Config assembles a Router.
 type Config struct {
@@ -132,24 +116,16 @@ type Config struct {
 }
 
 // Router terminates beacon sessions and gateway trunks and multiplexes
-// them onto per-shard trunk pools.
+// them onto per-shard trunk pools: an edge.Edge with one pool per shard
+// plus the relay state. ServeHTTP, SessionCount (beacon sessions and
+// relayed gateway trunks), Telemetry, Drain and Close are the core's.
 type Router struct {
-	cfg      Config
-	log      *slog.Logger
-	reg      *telemetry.Registry
-	tel      routerTelemetry
-	upgrader wsproto.Upgrader
+	*edge.Edge
 
-	pools []*shardPool
-
-	draining  atomic.Bool
-	sessMu    sync.Mutex
-	sessConns map[*wsproto.Conn]struct{}
-	sessWG    sync.WaitGroup
-
-	// streamID numbers router-originated streams (beacon sessions and
-	// relayed gateway commits alike); stream 0 is never used.
-	streamID atomic.Uint64
+	// The relay's own instruments (nil-safe); the core counts the rest.
+	relayTrunks *telemetry.Gauge
+	relayFrames *telemetry.CounterVec
+	relayDrops  *telemetry.Counter
 
 	// relays maps router streams of trunk-relayed sessions back to
 	// their origin gateway connection and stream, so shard acks can be
@@ -164,21 +140,8 @@ type Router struct {
 	// follow their Open even when the gateway round-robins the two
 	// frames onto different trunk connections. Two generations bound the
 	// memory when gateways die without committing.
-	opensMu   sync.Mutex
-	opensCur  map[string]relayOpen
-	opensPrev map[string]relayOpen
-
-	stopCh    chan struct{}
-	stopOnce  sync.Once
-	runnersWG sync.WaitGroup
-}
-
-// relayEntry is the return path for one trunk-relayed stream.
-type relayEntry struct {
-	origin       *wsproto.Conn
-	originStream uint64
-	originKey    string
-	shard        int
+	opensMu sync.Mutex
+	opens   *gen2.Map[string, relayOpen]
 }
 
 // New validates cfg and returns a started Router: every shard pool's
@@ -188,407 +151,114 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("router: config requires at least one shard trunk URL")
 	}
-	if cfg.RouterID == "" {
-		var b [6]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return nil, fmt.Errorf("router: generating id: %w", err)
-		}
-		cfg.RouterID = "rt-" + hex.EncodeToString(b[:])
-	}
-	if cfg.TrunksPerShard <= 0 {
-		cfg.TrunksPerShard = 2
-	}
-	if cfg.MaxMessageSize == 0 {
-		cfg.MaxMessageSize = 16 << 10
-	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
-	}
-	switch {
-	case cfg.KeepAliveInterval == 0:
-		cfg.KeepAliveInterval = 30 * time.Second
-	case cfg.KeepAliveInterval < 0:
-		cfg.KeepAliveInterval = 0
-	}
-	if cfg.MaxExposure == 0 {
-		cfg.MaxExposure = 30 * time.Minute
-	}
-	if cfg.BatchBytes == 0 {
-		cfg.BatchBytes = 32 << 10
-	}
-	if cfg.BatchAge == 0 {
-		cfg.BatchAge = 50 * time.Millisecond
-	}
-	if cfg.QueueHigh == 0 {
-		cfg.QueueHigh = 64
-	}
-	if cfg.QueueLow == 0 || cfg.QueueLow >= cfg.QueueHigh {
-		cfg.QueueLow = cfg.QueueHigh / 4
-	}
-	if cfg.SpillLimit == 0 {
-		cfg.SpillLimit = 1 << 16
-	}
-	if cfg.AckTimeout == 0 {
-		cfg.AckTimeout = 5 * time.Second
-	}
-	if cfg.ReplayInterval == 0 {
-		cfg.ReplayInterval = time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = time.Second
-	}
-	if cfg.RetryAfterHint == 0 {
-		cfg.RetryAfterHint = 2 * time.Second
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.Default()
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	r := &Router{
-		cfg: cfg,
-		log: cfg.Logger,
-		reg: reg,
-		upgrader: wsproto.Upgrader{
-			MaxMessageSize:    cfg.MaxMessageSize,
-			EnableCompression: true,
-		},
-		sessConns:     map[*wsproto.Conn]struct{}{},
 		relays:        map[uint64]*relayEntry{},
 		relayByOrigin: map[string]uint64{},
-		opensCur:      map[string]relayOpen{},
-		stopCh:        make(chan struct{}),
+		opens:         gen2.New[string, relayOpen](relayOpenLimit),
+		relayTrunks: reg.Gauge("adaudit_router_relay_trunks_active",
+			"Gateway trunk connections currently terminated on this router.", nil),
+		relayFrames: reg.CounterVec("adaudit_router_relay_frames_total",
+			"Trunk frames relayed from gateways onto shards, by frame type.", "type"),
+		relayDrops: reg.Counter("adaudit_router_relay_drops_total",
+			"Relayed advisory frames dropped for an unknown or shardless stream.", nil),
 	}
-	r.tel = newRouterTelemetry(reg, r)
+	upstreams := make([]edge.Upstream, len(cfg.Shards))
 	for i, u := range cfg.Shards {
-		p := newShardPool(r, i, u)
-		r.pools = append(r.pools, p)
-		for _, t := range p.trunks {
-			r.runnersWG.Add(1)
-			go t.run()
-		}
-		r.runnersWG.Add(1)
-		go p.replayLoop()
+		upstreams[i] = edge.Upstream{URL: u, Tel: shardInstruments(reg, i)}
+	}
+	e, err := edge.New(edge.Config{
+		Name: "router", IDPrefix: "rt-",
+		Upstreams:         upstreams,
+		ID:                cfg.RouterID,
+		TrunksPerPool:     cfg.TrunksPerShard,
+		TrunkToken:        cfg.TrunkToken,
+		Dialer:            cfg.Dialer,
+		AllowedOrigins:    cfg.AllowedOrigins,
+		MaxSessions:       cfg.MaxSessions,
+		MaxMessageSize:    cfg.MaxMessageSize,
+		HandshakeTimeout:  cfg.HandshakeTimeout,
+		KeepAliveInterval: cfg.KeepAliveInterval,
+		MaxExposure:       cfg.MaxExposure,
+		BatchBytes:        cfg.BatchBytes,
+		BatchAge:          cfg.BatchAge,
+		QueueHigh:         cfg.QueueHigh,
+		QueueLow:          cfg.QueueLow,
+		SpillLimit:        cfg.SpillLimit,
+		AckTimeout:        cfg.AckTimeout,
+		ReplayInterval:    cfg.ReplayInterval,
+		BreakerThreshold:  cfg.BreakerThreshold,
+		BreakerCooldown:   cfg.BreakerCooldown,
+		RetryAfterHint:    cfg.RetryAfterHint,
+		Logger:            cfg.Logger,
+		Telemetry:         reg,
+		Tel: edge.Instruments{
+			Connections: reg.Counter("adaudit_router_connections_total",
+				"Beacon WebSocket connections accepted at the router.", nil),
+			SessionsActive: reg.Gauge("adaudit_router_sessions_active",
+				"Beacon sessions and gateway trunks currently open on this router.", nil),
+			Sheds: reg.CounterVec("adaudit_router_sheds_total",
+				"Beacon requests refused at admission, by reason.", "reason"),
+			Events: reg.Counter("adaudit_router_events_total",
+				"Interaction updates received from beacon sessions.", nil),
+			Commits: reg.Counter("adaudit_router_commits_total",
+				"Session commits handed to a shard's spill/forward pipeline.", nil),
+		},
+		OnResolve: r.relayResolve,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.Edge = e
+	shards := float64(len(cfg.Shards))
+	reg.GaugeFunc("adaudit_router_shards_total",
+		"Configured collector shard count.", nil, func() float64 { return shards })
+	reg.GaugeFunc("adaudit_router_spill_pending",
+		"Commits awaiting shard acknowledgement, summed over all shards.", nil,
+		func() float64 { return float64(e.Health().SpillPending) })
+	for i := range cfg.Shards {
+		reg.GaugeFunc("adaudit_router_shard_spill_pending",
+			"Commits awaiting this shard's acknowledgement.", shardLabel(i),
+			func() float64 { return float64(e.Health().Pools[i].SpillPending) })
 	}
 	return r, nil
 }
 
-// Telemetry returns the router's metrics registry.
-func (r *Router) Telemetry() *telemetry.Registry { return r.reg }
-
-// SessionCount returns the number of live beacon sessions and gateway
-// trunks terminated here.
-func (r *Router) SessionCount() int {
-	r.sessMu.Lock()
-	defer r.sessMu.Unlock()
-	return len(r.sessConns)
+func shardLabel(i int) map[string]string {
+	return map[string]string{"shard_id": strconv.Itoa(i)}
 }
 
-// poolFor returns the shard pool owning a session key.
-func (r *Router) poolFor(key string) *shardPool {
-	return r.pools[shardmerge.ShardFor(key, len(r.pools))]
-}
-
-// spillPending sums unacknowledged commits across every shard pool.
-func (r *Router) spillPending() int {
-	n := 0
-	for _, p := range r.pools {
-		n += p.spillPending()
-	}
-	return n
-}
-
-// shed refuses the request with 503 and the router's Retry-After hint.
-func (r *Router) shed(w http.ResponseWriter, reason string) {
-	r.tel.sheds.With(reason).Inc()
-	w.Header().Set("Retry-After",
-		strconv.Itoa(int((r.cfg.RetryAfterHint+time.Second-1)/time.Second)))
-	http.Error(w, "router "+reason, http.StatusServiceUnavailable)
-}
-
-// originAllowed applies the admission allowlist to an Origin header.
-func (r *Router) originAllowed(origin string) bool {
-	if len(r.cfg.AllowedOrigins) == 0 {
-		return true
-	}
-	if origin == "" {
-		return false
-	}
-	host := origin
-	if u, err := url.Parse(origin); err == nil && u.Hostname() != "" {
-		host = u.Hostname()
-	}
-	for _, allowed := range r.cfg.AllowedOrigins {
-		if strings.EqualFold(host, allowed) ||
-			strings.HasSuffix(strings.ToLower(host), "."+strings.ToLower(allowed)) {
-			return true
-		}
-	}
-	return false
-}
-
-// ServeHTTP is the beacon endpoint: admission control, WebSocket
-// upgrade, then the session protocol. The session's shard is decided
-// the moment its payload (and thus nonce) is known.
-func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	switch {
-	case r.draining.Load():
-		r.shed(w, ShedDraining)
-		return
-	case r.cfg.MaxSessions > 0 && r.SessionCount() >= r.cfg.MaxSessions:
-		r.shed(w, ShedCapacity)
-		return
-	case r.spillPending() >= r.cfg.SpillLimit:
-		r.shed(w, ShedSpill)
-		return
-	case !r.originAllowed(req.Header.Get("Origin")):
-		r.tel.sheds.With(ShedOrigin).Inc()
-		http.Error(w, "origin not allowed", http.StatusForbidden)
-		return
-	}
-	conn, err := r.upgrader.Upgrade(w, req)
-	if err != nil {
-		r.log.Debug("router: handshake rejected", "err", err, "remote", req.RemoteAddr)
-		return
-	}
-	r.tel.connections.Add(1)
-	if r.draining.Load() {
-		_ = conn.Close(wsproto.CloseServiceRestart, r.drainCloseReason())
-		return
-	}
-	conn.ReuseReadBuffer()
-	r.trackSession(conn)
-	go func() {
-		defer r.untrackSession(conn)
-		r.runSession(conn)
-	}()
-}
-
-func (r *Router) trackSession(conn *wsproto.Conn) {
-	r.sessWG.Add(1)
-	r.sessMu.Lock()
-	r.sessConns[conn] = struct{}{}
-	r.sessMu.Unlock()
-	r.tel.sessionsActive.Add(1)
-}
-
-func (r *Router) untrackSession(conn *wsproto.Conn) {
-	r.sessMu.Lock()
-	delete(r.sessConns, conn)
-	r.sessMu.Unlock()
-	r.tel.sessionsActive.Add(-1)
-	r.sessWG.Done()
-}
-
-// drainCloseReason is the close-frame reason drained clients receive.
-func (r *Router) drainCloseReason() string {
-	return "draining retry-after=" + r.cfg.RetryAfterHint.String()
-}
-
-// stageOffset computes a trace stage offset relative to the beacon's
-// stamped send time, clamped like the collector's trace adoption.
-func stageOffset(sentUnixNanos int64, at time.Time) time.Duration {
-	off := at.Sub(time.Unix(0, sentUnixNanos))
-	if off < 0 {
-		return 0
-	}
-	if off > maxStageSkew {
-		return maxStageSkew
-	}
-	return off
-}
-
-// runSession drives one beacon connection end to end: payload
-// handshake, shard selection by nonce, keepalive, event collection, and
-// the commit handoff into the owning shard's spill/forward pipeline.
-func (r *Router) runSession(conn *wsproto.Conn) {
-	remote := conn.RemoteAddr().String()
-	if host, _, ok := strings.Cut(remote, ":"); ok {
-		remote = host
-	}
-	if strings.HasPrefix(remote, "[") { // IPv6 [addr]:port
-		remote = strings.Trim(remote, "[]")
-	}
-	connectedAt := time.Now()
-
-	_ = conn.SetReadDeadline(connectedAt.Add(r.cfg.HandshakeTimeout))
-	op, msg, err := conn.ReadMessage()
-	if err != nil || !op.IsData() {
-		_ = conn.Close(wsproto.ClosePolicyViolation, "no payload")
-		return
-	}
-	recvAt := time.Now()
-	var payload beacon.Payload
-	if op == wsproto.OpBinary {
-		payload, err = beacon.DecodeBinary(msg)
-	} else {
-		payload, err = beacon.Decode(string(msg))
-	}
-	if err != nil {
-		r.log.Debug("router: bad payload", "err", err, "remote", remote)
-		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
-		return
-	}
-	// The nonce is both the replay-dedup key and the shard key, so a
-	// nonce-less payload gets one minted before the shard is chosen —
-	// client retries that carry the nonce then land on the same shard.
-	if payload.Nonce == "" {
-		payload.Nonce = beacon.NewNonce()
-	}
-	pool := r.poolFor(payload.Nonce)
-	stream := r.streamID.Add(1)
-
-	traced := payload.TraceID != "" && payload.TraceSent > 0
-	var routerRecv time.Duration
-	if traced {
-		routerRecv = stageOffset(payload.TraceSent, recvAt)
-	}
-
-	// The forward queue decouples this session's reads from its shard's
-	// trunk health; the high watermark stalls reads into the client's
-	// TCP window rather than growing router memory.
-	q := newSessionQueue(r.cfg.QueueHigh, r.cfg.QueueLow)
-	defer q.close()
-	var fwdWG sync.WaitGroup
-	fwdWG.Add(1)
-	go func() {
-		defer fwdWG.Done()
-		r.forwardLoop(pool, q)
-	}()
-	q.push(trunk.AppendFrame(nil, trunk.Frame{
-		Type: trunk.Open, Stream: stream,
-		RemoteIP:    remote,
-		ConnectedAt: connectedAt.UnixNano(),
-		Payload:     payload.Encode(),
-	}))
-
-	hardStop := connectedAt.Add(r.cfg.MaxExposure)
-	renewDeadline := func() {
-		if r.draining.Load() {
-			return
-		}
-		d := hardStop
-		if ka := r.cfg.KeepAliveInterval; ka > 0 {
-			if soft := time.Now().Add(2 * ka); soft.Before(d) {
-				d = soft
-			}
-		}
-		_ = conn.SetReadDeadline(d)
-	}
-	conn.SetPongHandler(func([]byte) { renewDeadline() })
-	renewDeadline()
-	if ka := r.cfg.KeepAliveInterval; ka > 0 {
-		stopPings := make(chan struct{})
-		defer close(stopPings)
-		go func() {
-			t := time.NewTicker(ka)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopPings:
-					return
-				case <-t.C:
-					_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-					err := conn.Ping(nil)
-					_ = conn.SetWriteDeadline(time.Time{})
-					if err != nil {
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	for {
-		op, msg, err := conn.ReadMessage()
-		if err != nil {
-			break
-		}
-		renewDeadline()
-		var e beacon.Event
-		var isEvent bool
-		if op == wsproto.OpBinary {
-			e, isEvent, err = beacon.DecodeBinaryEventUpdate(msg)
-		} else {
-			e, isEvent, err = beacon.DecodeEventUpdate(string(msg))
-		}
-		if err != nil {
-			r.log.Debug("router: bad event update", "err", err, "remote", remote)
-			continue
-		}
-		if isEvent {
-			r.tel.events.Add(1)
-			payload.Events = append(payload.Events, e)
-			var evText string
-			if op == wsproto.OpBinary {
-				evText = beacon.EncodeEventUpdate(e)
-			} else {
-				evText = string(msg)
-			}
-			q.push(trunk.AppendFrame(nil, trunk.Frame{
-				Type: trunk.Event, Stream: stream, Payload: evText,
-			}))
-		}
-	}
-	// Stop forwarding advisory frames before building the commit, so
-	// the commit is the last word on this stream.
-	q.close()
-	fwdWG.Wait()
-
-	exposure := time.Since(connectedAt)
-	if exposure > r.cfg.MaxExposure {
-		exposure = r.cfg.MaxExposure
-	}
-	var stages []trunk.Stage
-	if traced {
-		stages = []trunk.Stage{
-			{Name: trace.StageGatewayRecv, Offset: routerRecv},
-			{Name: trace.StageTrunkForward, Offset: stageOffset(payload.TraceSent, time.Now())},
-		}
-	}
-	commit := trunk.AppendFrame(nil, trunk.Frame{
-		Type: trunk.Commit, Stream: stream,
-		RemoteIP:    remote,
-		ConnectedAt: connectedAt.UnixNano(),
-		Exposure:    exposure,
-		Payload:     payload.Encode(),
-		Stages:      stages,
-	})
-	// Spill before closing the client: once the commit is in the shard
-	// pool's spill buffer the replay loop guarantees delivery, so the
-	// close handshake the client treats as its ack is never a lie.
-	r.tel.commits.Add(1)
-	pool.spillCommit(stream, commit)
-
-	if r.draining.Load() {
-		_ = conn.Close(wsproto.CloseServiceRestart, r.drainCloseReason())
-	} else {
-		_ = conn.Close(wsproto.CloseNormal, "")
-	}
-}
-
-// forwardLoop drains one session's queue onto its shard pool's healthy
-// trunks. Advisory frames are droppable: with no healthy trunk in the
-// pool they are discarded, since the accounting state travels
-// self-contained in the commit.
-func (r *Router) forwardLoop(p *shardPool, q *sessionQueue) {
-	var t *trunkConn
-	for {
-		frame, ok := q.pop()
-		if !ok {
-			return
-		}
-		if t == nil || !t.isHealthy() {
-			t = p.pickTrunk()
-		}
-		if t == nil || !t.enqueue(frame) {
-			p.tel.queueDrops.Add(1)
-		}
+// shardInstruments names one shard pool's series. Every one carries a
+// shard_id label, so the same metric name fans out into one series per
+// shard — a dashboard can spot a hot or dead shard without per-shard
+// scrape targets.
+func shardInstruments(reg *telemetry.Registry, shard int) edge.PoolInstruments {
+	lbl := shardLabel(shard)
+	return edge.PoolInstruments{
+		Commits: reg.Counter("adaudit_router_shard_commits_total",
+			"Commits routed onto this shard.", lbl),
+		Acks: reg.Counter("adaudit_router_shard_acks_total",
+			"Commits acknowledged by this shard.", lbl),
+		Rejects: reg.Counter("adaudit_router_shard_rejected_total",
+			"Commits this shard rejected permanently.", lbl),
+		Replays: reg.Counter("adaudit_router_shard_replays_total",
+			"Commit retransmissions after a trunk change or ack timeout.", lbl),
+		QueueDrops: reg.Counter("adaudit_router_shard_queue_drops_total",
+			"Advisory frames dropped with no healthy trunk to this shard.", lbl),
+		BreakerOpens: reg.Counter("adaudit_router_shard_breaker_opens_total",
+			"Trunk circuit-breaker openings toward this shard.", lbl),
+		TrunkBatches: reg.Counter("adaudit_router_shard_trunk_batches_total",
+			"Batch messages written to this shard's trunks.", lbl),
+		TrunksHealthy: reg.Gauge("adaudit_router_shard_trunks_healthy",
+			"Trunk connections currently established to this shard.", lbl),
+		Forward: reg.Histogram("adaudit_router_shard_forward_seconds",
+			"Commit-to-shard-ack latency, spill time included.",
+			telemetry.LatencyBuckets(), lbl),
+		BatchBytes: reg.Histogram("adaudit_router_shard_batch_bytes",
+			"Trunk batch sizes at flush.", edge.BatchByteBuckets(), lbl),
 	}
 }
 
@@ -615,81 +285,19 @@ type HealthStatus struct {
 	Draining     bool          `json:"draining"`
 }
 
+func healthStatus(h edge.Health) HealthStatus {
+	st := HealthStatus{
+		Status:       h.Status,
+		RouterID:     h.ID,
+		Sessions:     h.Sessions,
+		SpillPending: h.SpillPending,
+		Draining:     h.Draining,
+	}
+	for _, p := range h.Pools {
+		st.Shards = append(st.Shards, ShardHealth(p)) // same fields, this package's JSON names
+	}
+	return st
+}
+
 // Health reports the router's degradation level.
-func (r *Router) Health() HealthStatus {
-	h := HealthStatus{
-		RouterID: r.cfg.RouterID,
-		Sessions: r.SessionCount(),
-		Draining: r.draining.Load(),
-	}
-	allUp, anyDead := true, false
-	for _, p := range r.pools {
-		sh := ShardHealth{
-			ShardID:       p.id,
-			TrunksTotal:   len(p.trunks),
-			TrunksHealthy: p.healthyTrunks(),
-			SpillPending:  p.spillPending(),
-		}
-		if sh.TrunksHealthy < sh.TrunksTotal {
-			allUp = false
-		}
-		if sh.TrunksHealthy == 0 {
-			anyDead = true
-		}
-		h.SpillPending += sh.SpillPending
-		h.Shards = append(h.Shards, sh)
-	}
-	switch {
-	case anyDead:
-		h.Status = "unhealthy"
-	case allUp:
-		h.Status = "ok"
-	default:
-		h.Status = "degraded"
-	}
-	return h
-}
-
-// Drain sheds new sessions, forces live ones to commit and hands them
-// back with a resumable close (1012 + retry-after), then waits up to
-// grace for every shard's spill buffer to empty. It returns the number
-// of commits still unacknowledged when the grace expired — 0 means
-// every impression this router acked reached its shard.
-func (r *Router) Drain(grace time.Duration) int {
-	r.draining.Store(true)
-	r.sessMu.Lock()
-	for conn := range r.sessConns {
-		_ = conn.Close(wsproto.CloseServiceRestart, r.drainCloseReason())
-	}
-	r.sessMu.Unlock()
-
-	deadline := time.Now().Add(grace)
-	done := make(chan struct{})
-	go func() {
-		r.sessWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		r.log.Warn("router: drain grace expired with sessions still open",
-			"sessions", r.SessionCount())
-	}
-	for r.spillPending() > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return r.spillPending()
-}
-
-// Close stops every pool's trunk runners and replay loop and closes
-// every trunk connection. Pending spill entries are abandoned; call
-// Drain first for a zero-loss shutdown.
-func (r *Router) Close() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	for _, p := range r.pools {
-		for _, t := range p.trunks {
-			t.closeConn()
-		}
-	}
-	r.runnersWG.Wait()
-}
+func (r *Router) Health() HealthStatus { return healthStatus(r.Edge.Health()) }

@@ -3,41 +3,29 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"strings"
 	"time"
 
+	"adaudit/internal/edge"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/streamaudit"
 )
 
-// serverOptions collects the tunables NewServer accepts as options.
-type serverOptions struct {
-	drainGrace time.Duration
-	listener   net.Listener
-	merge      *shardmerge.Client
-	staticCfg  streamaudit.StaticConfig
-}
-
 // ServerOption customises a Server.
-type ServerOption func(*serverOptions)
+type ServerOption = edge.ServerOption
 
 // WithDrainGrace bounds how long Serve waits on shutdown for in-flight
 // sessions to commit and for every shard's spill buffer to empty
 // (default 5 s).
-func WithDrainGrace(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.drainGrace = d }
-}
+func WithDrainGrace(d time.Duration) ServerOption { return edge.WithDrainGrace(d) }
 
 // WithListener serves on ln instead of opening a fresh TCP listener
 // (addr is then ignored) — the hook the chaos tests use to put a
 // fault-injected accept path under the router's client leg.
-func WithListener(ln net.Listener) ServerOption {
-	return func(o *serverOptions) { o.listener = ln }
-}
+func WithListener(ln net.Listener) ServerOption { return edge.WithListener(ln) }
 
 // WithLiveMerge adds the merged live-audit API: GET /api/live/export
 // serves the shard-merged streamaudit export, and /api/live/summary +
@@ -48,95 +36,50 @@ func WithListener(ln net.Listener) ServerOption {
 // in shard order); cfg supplies the metadata the static engine folds
 // against, which must agree with the shards' own.
 func WithLiveMerge(client *shardmerge.Client, cfg streamaudit.StaticConfig) ServerOption {
-	return func(o *serverOptions) {
-		o.merge = client
-		o.staticCfg = cfg
+	m := &liveMerge{client: client, cfg: cfg}
+	return func(o *edge.ServerOptions) {
+		o.Handle("GET /api/live/export", http.HandlerFunc(m.serveExport))
+		o.Handle("GET /api/live/summary", http.HandlerFunc(m.serveSummary))
+		o.Handle("GET /api/live/audit/", http.HandlerFunc(m.serveAudit))
 	}
 }
 
-// Server runs a Router behind an HTTP listener with the standard
-// operational sidecar: the beacon endpoint, the gateway trunk relay
-// endpoint, GET /healthz (per-shard trunk health, ok → degraded →
-// unhealthy), GET /metrics (Prometheus text), GET /api/metrics (JSON),
-// and optionally the merged /api/live/* views. It owns listener
-// lifecycle and graceful drain, so cmd/adrouter and the tests share one
-// serving path.
-type Server struct {
-	rt      *Router
-	httpSrv *http.Server
-	ln      net.Listener
-	opts    serverOptions
-	start   time.Time
-}
+// Server runs a Router behind the edge core's HTTP scaffold — the
+// beacon endpoint, GET /healthz (per-shard trunk health, ok → degraded →
+// unhealthy: a shard with no healthy trunk is fatal, because no amount
+// of re-homing can move its slice of the keyspace), GET /metrics and
+// GET /api/metrics — plus what a router mounts on it: the gateway trunk
+// relay on /trunk and optionally the merged /api/live/* views.
+type Server struct{ *edge.Server }
 
 // NewServer wraps r in a Server listening on addr (host:port; port 0
 // picks a free port).
 func NewServer(r *Router, addr string, opts ...ServerOption) (*Server, error) {
-	o := serverOptions{drainGrace: 5 * time.Second}
-	for _, opt := range opts {
-		opt(&o)
+	relay := func(o *edge.ServerOptions) { o.Handle("/trunk", http.HandlerFunc(r.ServeTrunk)) }
+	s, err := edge.NewServer(r.Edge, addr,
+		func(h edge.Health) any { return healthStatus(h) },
+		append([]ServerOption{relay}, opts...)...)
+	if err != nil {
+		return nil, err
 	}
-	ln := o.listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("router: listening on %s: %w", addr, err)
-		}
-	}
-	s := &Server{rt: r, ln: ln, opts: o, start: time.Now()}
-	mux := http.NewServeMux()
-	mux.Handle("/beacon", r)
-	mux.HandleFunc("/trunk", r.ServeTrunk)
-	mux.HandleFunc("/healthz", s.serveHealthz)
-	if reg := r.Telemetry(); reg != nil {
-		reg.GaugeFunc("adaudit_router_uptime_seconds",
-			"Time since the router server started.", nil,
-			func() float64 { return time.Since(s.start).Seconds() })
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/api/metrics", reg.JSONHandler())
-	}
-	if o.merge != nil {
-		mux.HandleFunc("/api/live/export", s.serveMergedExport)
-		mux.HandleFunc("/api/live/summary", s.serveMergedSummary)
-		mux.HandleFunc("/api/live/audit/", s.serveMergedAudit)
-	}
-	s.httpSrv = &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	return s, nil
+	return &Server{s}, nil
 }
 
-// serveHealthz reports the sharded topology's degradation ladder: "ok"
-// with every trunk of every shard up, "degraded" while every shard is
-// still reachable on at least one trunk, "unhealthy" (503) when some
-// shard has no healthy trunk — that shard's slice of the keyspace is
-// spilling, and unlike a gateway's collector outage, no amount of
-// re-homing can move it, because ownership is the hash.
-func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	st := s.rt.Health()
-	w.Header().Set("Content-Type", "application/json")
-	if st.Status == "unhealthy" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(st)
+// TrunkURL returns the ws:// URL gateways should trunk into.
+func (s *Server) TrunkURL() string {
+	return fmt.Sprintf("ws://%s/trunk", s.Addr().String())
 }
 
-// serveMergedExport serves the union of every shard's streamaudit
+// liveMerge answers the merged live-audit endpoints.
+type liveMerge struct {
+	client *shardmerge.Client
+	cfg    streamaudit.StaticConfig
+}
+
+// serveExport serves the union of every shard's streamaudit
 // export, merged in shard order.
-func (s *Server) serveMergedExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	exp, err := s.opts.merge.FetchMerged(r.Context())
+func (m *liveMerge) serveExport(w http.ResponseWriter, r *http.Request) {
+	exp, err := m.client.FetchMerged(r.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -144,22 +87,18 @@ func (s *Server) serveMergedExport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, exp)
 }
 
-// mergedEngine fetches every shard and builds a query engine over the
+// engine fetches every shard and builds a query engine over the
 // merged state.
-func (s *Server) mergedEngine(ctx context.Context) (*streamaudit.Engine, error) {
-	exp, err := s.opts.merge.FetchMerged(ctx)
+func (m *liveMerge) engine(ctx context.Context) (*streamaudit.Engine, error) {
+	exp, err := m.client.FetchMerged(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return streamaudit.NewStatic(s.opts.staticCfg, exp)
+	return streamaudit.NewStatic(m.cfg, exp)
 }
 
-func (s *Server) serveMergedSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	eng, err := s.mergedEngine(r.Context())
+func (m *liveMerge) serveSummary(w http.ResponseWriter, r *http.Request) {
+	eng, err := m.engine(r.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -167,17 +106,13 @@ func (s *Server) serveMergedSummary(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, eng.Summaries())
 }
 
-func (s *Server) serveMergedAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (m *liveMerge) serveAudit(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/api/live/audit/")
 	if id == "" || strings.Contains(id, "/") {
 		http.Error(w, "missing campaign id", http.StatusBadRequest)
 		return
 	}
-	eng, err := s.mergedEngine(r.Context())
+	eng, err := m.engine(r.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -199,56 +134,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
-// BeaconURL returns the ws:// URL beacon clients should dial.
-func (s *Server) BeaconURL() string {
-	return fmt.Sprintf("ws://%s/beacon", s.ln.Addr().String())
-}
-
-// TrunkURL returns the ws:// URL gateways should trunk into.
-func (s *Server) TrunkURL() string {
-	return fmt.Sprintf("ws://%s/trunk", s.ln.Addr().String())
-}
-
-// Serve blocks serving requests until ctx is cancelled, then drains:
-// admission flips to shedding, open sessions are closed with the
-// resumable 1012 close code and a Retry-After hint, and every shard's
-// spill buffer is given until the drain grace to flush acked commits
-// into its shard before the trunk pools are torn down.
-func (s *Server) Serve(ctx context.Context) error {
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- s.httpSrv.Serve(s.ln)
-	}()
-	select {
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = s.httpSrv.Shutdown(shutdownCtx)
-		left := s.rt.Drain(s.opts.drainGrace)
-		if left > 0 {
-			s.rt.log.Warn("router: drain deadline hit with unflushed commits", "pending", left)
-		}
-		_ = s.httpSrv.Close()
-		<-errCh
-		s.rt.Close()
-		return nil
-	case err := <-errCh:
-		s.rt.Close()
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return fmt.Errorf("router: serving: %w", err)
-	}
-}
-
-// Close tears the server down immediately.
-func (s *Server) Close() error {
-	err := s.httpSrv.Close()
-	s.rt.Close()
-	return err
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/shardmerge"
+	"adaudit/internal/edge"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
@@ -21,49 +21,25 @@ import (
 // gateways that die without committing.
 type relayOpen struct {
 	stream uint64
-	shard  int
+	pool   *edge.Pool
 }
 
 // relayOpenLimit is the per-generation size of the Open continuity
 // cache.
 const relayOpenLimit = 1 << 16
 
-// relayRecordOpen remembers the route fixed for one origin stream.
-func (r *Router) relayRecordOpen(key string, ro relayOpen) {
-	r.opensMu.Lock()
-	if len(r.opensCur) >= relayOpenLimit {
-		r.opensPrev = r.opensCur
-		r.opensCur = make(map[string]relayOpen, relayOpenLimit/4)
-	}
-	r.opensCur[key] = ro
-	r.opensMu.Unlock()
+// relayEntry is the return path for one trunk-relayed stream.
+type relayEntry struct {
+	origin       *wsproto.Conn
+	originStream uint64
+	originKey    string
+	pool         *edge.Pool
 }
 
-// relayLookupOpen returns the recorded route for an origin stream.
-func (r *Router) relayLookupOpen(key string) (relayOpen, bool) {
-	r.opensMu.Lock()
-	defer r.opensMu.Unlock()
-	if ro, ok := r.opensCur[key]; ok {
-		return ro, true
-	}
-	ro, ok := r.opensPrev[key]
-	return ro, ok
-}
-
-// relayTakeOpen removes and returns the recorded route — called by the
-// Commit that finishes the stream.
-func (r *Router) relayTakeOpen(key string) (relayOpen, bool) {
-	r.opensMu.Lock()
-	defer r.opensMu.Unlock()
-	if ro, ok := r.opensCur[key]; ok {
-		delete(r.opensCur, key)
-		return ro, true
-	}
-	if ro, ok := r.opensPrev[key]; ok {
-		delete(r.opensPrev, key)
-		return ro, true
-	}
-	return relayOpen{}, false
+// originKey names a gateway's stream across all of its trunk
+// connections.
+func originKey(gatewayID string, stream uint64) string {
+	return gatewayID + "/" + strconv.FormatUint(stream, 10)
 }
 
 // ServeTrunk terminates one gateway trunk connection on the router: the
@@ -82,17 +58,18 @@ func (r *Router) relayTakeOpen(key string) (relayOpen, bool) {
 // collector's nonce dedup — the same backstop a collector restart
 // relies on in the single-collector topology.
 func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
-	if tok := r.cfg.TrunkToken; tok != "" && req.Header.Get(trunk.TokenHeader) != tok {
+	cfg := r.Config()
+	if tok := cfg.TrunkToken; tok != "" && req.Header.Get(trunk.TokenHeader) != tok {
 		http.Error(w, "bad trunk token", http.StatusForbidden)
 		return
 	}
-	up := wsproto.Upgrader{MaxMessageSize: trunkMaxMessage}
+	up := wsproto.Upgrader{MaxMessageSize: edge.TrunkMaxMessage}
 	conn, err := up.Upgrade(w, req)
 	if err != nil {
-		r.log.Debug("router: trunk handshake rejected", "err", err, "remote", req.RemoteAddr)
+		cfg.Logger.Debug("router: trunk handshake rejected", "err", err, "remote", req.RemoteAddr)
 		return
 	}
-	if r.draining.Load() {
+	if r.Draining() {
 		_ = conn.Close(wsproto.CloseGoingAway, "router shutting down")
 		return
 	}
@@ -100,19 +77,19 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 	// Relayed trunks ride the same session tracking as beacon
 	// connections, so Drain tears them down too: the gateway spills
 	// unacked commits and replays them against another router.
-	r.trackSession(conn)
-	defer r.untrackSession(conn)
-	r.tel.relayTrunks.Add(1)
-	defer r.tel.relayTrunks.Add(-1)
+	r.TrackSession(conn)
+	defer r.UntrackSession(conn)
+	r.relayTrunks.Add(1)
+	defer r.relayTrunks.Add(-1)
 	defer conn.Close(wsproto.CloseNormal, "")
 
-	_ = conn.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(cfg.HandshakeTimeout))
 	gatewayID := ""
 	for {
 		op, msg, err := conn.ReadMessage()
 		if err != nil {
 			if gatewayID != "" {
-				r.log.Debug("router: relay trunk closed", "gateway", gatewayID, "err", err)
+				cfg.Logger.Debug("router: relay trunk closed", "gateway", gatewayID, "err", err)
 			}
 			return
 		}
@@ -122,19 +99,19 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 		}
 		frames, err := trunk.DecodeBatch(msg)
 		if err != nil {
-			r.log.Warn("router: malformed relay trunk batch", "gateway", gatewayID, "err", err)
+			cfg.Logger.Warn("router: malformed relay trunk batch", "gateway", gatewayID, "err", err)
 			_ = conn.Close(wsproto.ClosePolicyViolation, "malformed trunk batch")
 			return
 		}
 		var reply []byte
 		for _, f := range frames {
-			r.tel.relayFrames.With(f.Type.String()).Inc()
+			r.relayFrames.With(f.Type.String()).Inc()
 			switch f.Type {
 			case trunk.Hello:
 				if gatewayID == "" {
 					gatewayID = f.GatewayID
 					_ = conn.SetReadDeadline(time.Time{})
-					r.log.Info("router: relay trunk established",
+					cfg.Logger.Info("router: relay trunk established",
 						"gateway", gatewayID, "version", f.Version, "remote", req.RemoteAddr)
 				}
 			case trunk.Open:
@@ -165,41 +142,29 @@ func (r *Router) relayOpenFrame(gatewayID string, f trunk.Frame) {
 	if gatewayID == "" || err != nil || payload.Nonce == "" {
 		// Not shardable without a nonce; the commit will mint one and
 		// choose for itself.
-		r.tel.relayDrops.Add(1)
+		r.relayDrops.Add(1)
 		return
 	}
-	ro := relayOpen{
-		stream: r.streamID.Add(1),
-		shard:  shardmerge.ShardFor(payload.Nonce, len(r.pools)),
-	}
-	r.relayRecordOpen(gatewayID+"/"+strconv.FormatUint(f.Stream, 10), ro)
+	ro := relayOpen{stream: r.NextStream(), pool: r.PoolFor(payload.Nonce)}
+	r.opensMu.Lock()
+	r.opens.Put(originKey(gatewayID, f.Stream), ro)
+	r.opensMu.Unlock()
 	f.Stream = ro.stream
-	r.forwardAdvisory(ro.shard, f)
+	ro.pool.ForwardAdvisory(f)
 }
 
 // relayEventFrame forwards an advisory Event along its Open's route;
 // with no Open on record (router restarted mid-session) it is dropped.
 func (r *Router) relayEventFrame(gatewayID string, f trunk.Frame) {
-	ro, ok := relayOpen{}, false
-	if gatewayID != "" {
-		ro, ok = r.relayLookupOpen(gatewayID + "/" + strconv.FormatUint(f.Stream, 10))
-	}
-	if !ok {
-		r.tel.relayDrops.Add(1)
+	r.opensMu.Lock()
+	ro, ok := r.opens.Get(originKey(gatewayID, f.Stream))
+	r.opensMu.Unlock()
+	if gatewayID == "" || !ok {
+		r.relayDrops.Add(1)
 		return
 	}
 	f.Stream = ro.stream
-	r.forwardAdvisory(ro.shard, f)
-}
-
-// forwardAdvisory best-effort enqueues one re-streamed advisory frame
-// onto a shard's healthy trunk.
-func (r *Router) forwardAdvisory(shard int, f trunk.Frame) {
-	p := r.pools[shard]
-	t := p.pickTrunk()
-	if t == nil || !t.enqueue(trunk.AppendFrame(nil, f)) {
-		p.tel.queueDrops.Add(1)
-	}
+	ro.pool.ForwardAdvisory(f)
 }
 
 // relayCommitFrame re-streams one gateway commit onto its owning shard
@@ -218,39 +183,41 @@ func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
 		payload.Nonce = beacon.NewNonce()
 		f.Payload = payload.Encode()
 	}
-	shard := shardmerge.ShardFor(payload.Nonce, len(r.pools))
-	originKey := gatewayID + "/" + strconv.FormatUint(f.Stream, 10)
-	ro, hadOpen := r.relayTakeOpen(originKey)
+	pool := r.PoolFor(payload.Nonce)
+	key := originKey(gatewayID, f.Stream)
+	r.opensMu.Lock()
+	ro, hadOpen := r.opens.Get(key)
+	r.opens.Delete(key)
+	r.opensMu.Unlock()
 
 	r.relayMu.Lock()
-	rs, replayed := r.relayByOrigin[originKey]
+	rs, replayed := r.relayByOrigin[key]
 	if replayed {
 		// The gateway re-sent a commit the router still holds: fold it
 		// onto the existing router stream and re-point the return path
 		// at the connection the replay arrived on.
 		e := r.relays[rs]
 		e.origin = conn
-		shard = e.shard
+		pool = e.pool
 	} else {
 		if hadOpen {
 			rs = ro.stream // shard sees Open and Commit on one stream
 		} else {
-			rs = r.streamID.Add(1)
+			rs = r.NextStream()
 		}
 		r.relays[rs] = &relayEntry{
-			origin: conn, originStream: f.Stream, originKey: originKey, shard: shard,
+			origin: conn, originStream: f.Stream, originKey: key, pool: pool,
 		}
-		r.relayByOrigin[originKey] = rs
+		r.relayByOrigin[key] = rs
 	}
 	r.relayMu.Unlock()
 
 	f.Stream = rs
 	frame := trunk.AppendFrame(nil, f)
 	if replayed {
-		r.pools[shard].respillCommit(rs, frame)
+		pool.Respill(rs, frame)
 	} else {
-		r.tel.commits.Add(1)
-		r.pools[shard].spillCommit(rs, frame)
+		pool.Spill(rs, frame)
 	}
 	return reply
 }

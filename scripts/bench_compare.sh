@@ -364,10 +364,11 @@ ceiling BenchmarkIngestBinary "$GW_JSON" 1
 # One beacon session, direct and through a forwarding tier: what
 # wsproto, the beacon client and the collector add on top of net and
 # net/http (DESIGN §16). 203 and 289 before the wire-session diet, 104
-# and 146 after; the ceilings leave room for the runtime to move, not
-# for a formatted error or a second write per frame to come back.
+# and 146 after, 145 through the one internal/edge core; the ceilings
+# leave room for the runtime to move, not for a formatted error or a
+# second write per frame to come back.
 ceiling BenchmarkWebSocketSession "$GW_JSON" 150
-ceiling BenchmarkGatewayForward "$GW_JSON" 235
+ceiling BenchmarkGatewayForward "$GW_JSON" 165
 
 if [ -n "$baseline_direct" ]; then
     echo "==> direct ingest allocs/op: baseline $baseline_direct, now $new_direct (budget 5%)"
@@ -440,7 +441,7 @@ END {
 
 echo "==> wrote $RT_JSON"
 
-ceiling BenchmarkRouterForward "$RT_JSON" 235
+ceiling BenchmarkRouterForward "$RT_JSON" 165
 new_router=$(allocs_of BenchmarkRouterForward "$RT_JSON")
 if ! grep -q '"name": "BenchmarkWebSocketSession"' "$RT_JSON"; then
     echo "bench_compare: BenchmarkWebSocketSession missing from router comparison results" >&2

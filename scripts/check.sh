@@ -20,7 +20,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RACE_PKGS="./internal/collector/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
+RACE_PKGS="./internal/collector/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
 
 echo "==> go build ./..."
 go build ./...
@@ -56,9 +56,11 @@ if [ "${1:-}" = "-chaos" ]; then
     # Edge-tier chaos: both legs fault-injected around the gateway with
     # a full collector restart mid-run, plus the simtest gateway wire
     # schedules (collector restart behind the gateway, oracle
-    # invariants on the survivor).
+    # invariants on the survivor). The forwarding core's own outage
+    # tests (backpressure, spill shed, ladder) live in internal/edge.
     echo "==> gateway chaos (both legs + collector restart, -race)"
     go test -race -count 1 -run 'TestChaosGatewayZeroLoss' ./internal/gateway/ -v
+    go test -race -count 1 ./internal/edge/
     go test -race -count 1 -run 'TestSimGatewayWire' ./internal/simtest/ -v
 fi
 
@@ -117,7 +119,7 @@ if [ "${1:-}" = "-sharded" ]; then
     # must pass its in-process placement + merge verdicts.
     echo "==> sharded collector suite (-race)"
     go test -race -count 1 ./internal/shardmerge/ -v
-    go test -race -count 1 ./internal/router/ -v
+    go test -race -count 1 ./internal/router/ ./internal/edge/ -v
     go test -race -count 1 -run 'TestSimSharded|TestShardsDigestDeterminism' \
         ./internal/simtest/ -v
     go test -race -count 1 -run 'TestRunShardedReplay' ./cmd/adsim/ -v
@@ -144,6 +146,7 @@ if [ "${1:-}" = "-fuzz-smoke" ]; then
         "FuzzDecode ./internal/beacon/" \
         "FuzzDecodeBinary ./internal/beacon/" \
         "FuzzWireEquivalence ./internal/beacon/" \
+        "FuzzDecodeBatch ./internal/trunk/" \
         "FuzzRecoverWAL ./internal/store/" \
         "FuzzReadSnapshot ./internal/store/" \
         "FuzzQueryAPI ./internal/collector/"; do

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -144,6 +145,36 @@ func TestRunAdversarialScenario(t *testing.T) {
 	}
 	if st.Len() == 0 {
 		t.Fatal("snapshot empty")
+	}
+}
+
+// TestReportMatchesCommittedSeed1 pins the rendered audit: `adsim
+// -report` at its defaults (seed 1, 150,000 publishers) must print
+// docs/paper_report_seed1.txt byte for byte. run prints to os.Stdout,
+// so the test lends it a file for the call.
+func TestReportMatchesCommittedSeed1(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "paper_report_seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.Create(filepath.Join(t.TempDir(), "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(1, 150000, "", "", "", "", "", true, "", "", 0, "text", 0, testLogger())
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("adsim -report no longer prints docs/paper_report_seed1.txt (%d bytes, want %d)", len(got), len(want))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"adaudit/internal/adnet"
+	"adaudit/internal/store"
 )
 
 // Unit tests for the three adversarial dimensions, against both a
@@ -34,10 +35,10 @@ func (d fakeDirectory) OwnerGroup(pub string) string {
 
 func TestCadenceCV(t *testing.T) {
 	base := time.Unix(1700000000, 0)
-	at := func(secs ...float64) []time.Time {
-		ts := make([]time.Time, len(secs))
+	at := func(secs ...float64) []int64 {
+		ts := make([]int64, len(secs))
 		for i, s := range secs {
-			ts[i] = base.Add(time.Duration(s * float64(time.Second)))
+			ts[i] = base.Add(time.Duration(s * float64(time.Second))).UnixNano()
 		}
 		return ts
 	}
@@ -161,41 +162,39 @@ func TestPoolingFromReport(t *testing.T) {
 	}
 }
 
-// behaviorFixture builds a BehaviorState with one perfect timer bot,
-// one organic heavy user, and one stacked publisher hosting the
-// organic user's impressions.
-func behaviorFixture() BehaviorState {
+// behaviorFixture builds a State with one perfect timer bot, one
+// organic heavy user, and one stacked publisher hosting the organic
+// user's impressions. The bot's rows are slots 0-5, the human's 6-11;
+// mut, if non-nil, edits a row before it is inserted.
+func behaviorFixture(mut func(slot int, im *store.Impression)) *State {
 	base := time.Unix(1700000000, 0)
-	times := map[string][]time.Time{}
-	s := BehaviorState{
-		Times:     func(user string) []time.Time { return times[user] },
-		UserSlots: map[string][]int{},
-		PubSlots:  map[string][]int{},
-		UserConvs: map[string]int{},
-		UserDC:    map[string]bool{},
-	}
-	add := func(user, pub string, at time.Time, exposure float64, measured bool, frac float64) {
-		slot := len(s.Exposures)
-		times[user] = append(times[user], at)
-		s.UserSlots[user] = append(s.UserSlots[user], slot)
-		s.PubSlots[pub] = append(s.PubSlots[pub], slot)
-		s.Exposures = append(s.Exposures, exposure)
-		s.VisMeasured = append(s.VisMeasured, measured)
-		s.VisFrac = append(s.VisFrac, frac)
+	s := NewState()
+	add := func(user, pub string, at time.Time, exposure time.Duration, frac float64) {
+		im := store.Impression{
+			UserKey: user, Publisher: pub, IPPseudonym: "ip-" + user, Timestamp: at, Exposure: exposure,
+			VisibilityMeasured: true, MaxVisibleFraction: frac, DataCenter: "not-data-center",
+		}
+		if mut != nil {
+			mut(s.Len(), &im)
+		}
+		s.Insert(&im)
 	}
 	for i := 0; i < 6; i++ { // the timer
-		add("bot", "botfarm.example", base.Add(time.Duration(i)*45*time.Second), 2.0, true, 0.35)
+		add("bot", "botfarm.example", base.Add(time.Duration(i)*45*time.Second), 2*time.Second, 0.35)
 	}
 	organic := []float64{0, 11, 55, 300, 1800, 1900} // bursty human gaps
 	for i, g := range organic {                      // the human, on the stacked placement
 		add("human", "stacked.example", base.Add(time.Duration(g*float64(time.Second))),
-			3.0+float64(i), true, 0.04)
+			time.Duration(3+i)*time.Second, 0.04)
 	}
 	return s
 }
 
-func TestBehaviorFromStateBotScoring(t *testing.T) {
-	res := BehaviorFromState("c", behaviorFixture())
+// The two tests below pinned BehaviorFromState, the map-fed driver of
+// behaviorFold; they now drive the same fold through State.Behavior
+// with the same expectations.
+func TestBehaviorFoldBotScoring(t *testing.T) {
+	res := behaviorFixture(nil).Behavior("c")
 	if res.Users != 2 || res.UsersScored != 2 || res.Impressions != 12 {
 		t.Fatalf("users/scored/imps = %d/%d/%d", res.Users, res.UsersScored, res.Impressions)
 	}
@@ -211,30 +210,32 @@ func TestBehaviorFromStateBotScoring(t *testing.T) {
 	}
 
 	// A single conversion acquits the same signature.
-	s := behaviorFixture()
-	s.UserConvs["bot"] = 1
-	if got := BehaviorFromState("c", s); len(got.BotUsers) != 0 {
+	s := behaviorFixture(nil)
+	s.Convert("bot")
+	if got := s.Behavior("c"); len(got.BotUsers) != 0 {
 		t.Fatalf("converting timer still flagged: %+v", got.BotUsers)
 	}
 
-	// Exposure variance acquits too.
-	s = behaviorFixture()
-	s.Exposures[s.UserSlots["bot"][0]] = 2.5
-	if got := BehaviorFromState("c", s); len(got.BotUsers) != 0 {
+	// Exposure variance acquits too — here arriving as an exposure merge.
+	s = behaviorFixture(nil)
+	s.Update(0, &store.Impression{Exposure: 2500 * time.Millisecond, VisibilityMeasured: true, MaxVisibleFraction: 0.35}, store.MergePrev{})
+	if got := s.Behavior("c"); len(got.BotUsers) != 0 {
 		t.Fatalf("varying-exposure timer still flagged: %+v", got.BotUsers)
 	}
 
 	// A DC-caught bot keeps the flag but is not counted residential.
-	s = behaviorFixture()
-	s.UserDC["bot"] = true
-	got := BehaviorFromState("c", s)
+	got := behaviorFixture(func(slot int, im *store.Impression) {
+		if slot == 3 {
+			im.DataCenter = "deny-list"
+		}
+	}).Behavior("c")
 	if len(got.BotUsers) != 1 || !got.BotUsers[0].DataCenter || got.ResidentialBotUsers != 0 {
 		t.Fatalf("dc bot = %+v residential = %d", got.BotUsers, got.ResidentialBotUsers)
 	}
 }
 
-func TestBehaviorFromStateInflation(t *testing.T) {
-	res := BehaviorFromState("c", behaviorFixture())
+func TestBehaviorFoldInflation(t *testing.T) {
+	res := behaviorFixture(nil).Behavior("c")
 	// Both publishers have 6 measured impressions and full viewable
 	// share; only the stacked one sits at 1-px fractions.
 	if res.Publishers != 2 || res.PublishersScored != 2 {
@@ -253,22 +254,24 @@ func TestBehaviorFromStateInflation(t *testing.T) {
 	}
 
 	// Raising the fractions above the 1-px band clears the flag.
-	s := behaviorFixture()
-	for _, sl := range s.PubSlots["stacked.example"] {
-		s.VisFrac[sl] = 0.5
-	}
 	// (the "human" user's signature is still non-degenerate: exposures vary)
-	if got := BehaviorFromState("c", s); len(got.InflatedPublishers) != 0 {
+	got := behaviorFixture(func(slot int, im *store.Impression) {
+		if im.Publisher == "stacked.example" {
+			im.MaxVisibleFraction = 0.5
+		}
+	}).Behavior("c")
+	if len(got.InflatedPublishers) != 0 {
 		t.Fatalf("visible placement still flagged: %+v", got.InflatedPublishers)
 	}
 
 	// Short exposures (below the viewability threshold) clear it too:
 	// inflation requires looking viewable by time.
-	s = behaviorFixture()
-	for _, sl := range s.PubSlots["stacked.example"] {
-		s.Exposures[sl] = 0.2
-	}
-	if got := BehaviorFromState("c", s); len(got.InflatedPublishers) != 0 {
+	got = behaviorFixture(func(slot int, im *store.Impression) {
+		if im.Publisher == "stacked.example" {
+			im.Exposure = 200 * time.Millisecond
+		}
+	}).Behavior("c")
+	if len(got.InflatedPublishers) != 0 {
 		t.Fatalf("short-exposure placement still flagged: %+v", got.InflatedPublishers)
 	}
 }

@@ -100,11 +100,7 @@ func New(st *store.Store, meta MetadataSource) (*Auditor, error) {
 }
 
 // visitImpressions streams the impressions of one campaign — or every
-// impression when campaignID is empty — through fn without
-// materializing a copy of the dataset. It replaces the old
-// campaignImpressions helper, which built a full []store.Impression
-// per analysis call (and, for the all-campaigns case, re-walked the
-// whole store copying record by record): every analysis now reads
+// impression when campaignID is empty — through fn in insertion order,
 // straight off the store's index via the zero-copy visit path.
 func (a *Auditor) visitImpressions(campaignID string, fn func(*store.Impression) bool) {
 	if campaignID == "" {
@@ -112,13 +108,4 @@ func (a *Auditor) visitImpressions(campaignID string, fn func(*store.Impression)
 		return
 	}
 	a.Store.VisitCampaign(campaignID, fn)
-}
-
-// impressionCount returns how many impressions visitImpressions will
-// stream — known up front from the index, for exact preallocation.
-func (a *Auditor) impressionCount(campaignID string) int {
-	if campaignID == "" {
-		return a.Store.Len()
-	}
-	return a.Store.CampaignCursor(campaignID).Len()
 }

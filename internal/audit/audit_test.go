@@ -356,9 +356,7 @@ func TestPopularityCPMCorrelation(t *testing.T) {
 	mk := func(ranks []int, imps []int) PopularityResult {
 		var r PopularityResult
 		for i, rank := range ranks {
-			for j := 0; j < imps[i]; j++ {
-				r.impRanks = append(r.impRanks, rank)
-			}
+			r.ranked = append(r.ranked, rankedPublisher{rank, imps[i]})
 		}
 		return r
 	}

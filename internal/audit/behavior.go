@@ -5,9 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"time"
-
-	"adaudit/internal/store"
 )
 
 // Behavioral bot scoring — fraud detection beyond IP metadata. The
@@ -118,18 +115,18 @@ func (r BehaviorResult) PctInflatedImpressions() float64 {
 }
 
 // CadenceCV returns the coefficient of variation (stddev/mean) of the
-// inter-arrival times of ts, sorting ts in place. A single repeated
-// timestamp (mean gap 0) returns 0 — maximally regular. Fewer than
-// three timestamps return +Inf: no cadence is measurable.
-func CadenceCV(ts []time.Time) float64 {
+// inter-arrival times of ts (unix nanoseconds), sorting ts in place. A
+// single repeated timestamp (mean gap 0) returns 0 — maximally regular.
+// Fewer than three timestamps return +Inf: no cadence is measurable.
+func CadenceCV(ts []int64) float64 {
 	if len(ts) < 3 {
 		return math.Inf(1)
 	}
-	slices.SortFunc(ts, time.Time.Compare)
+	slices.Sort(ts)
 	n := float64(len(ts) - 1)
 	var sum float64
 	for i := 1; i < len(ts); i++ {
-		sum += float64(ts[i].Sub(ts[i-1]))
+		sum += float64(ts[i] - ts[i-1])
 	}
 	mean := sum / n
 	if mean == 0 {
@@ -137,98 +134,38 @@ func CadenceCV(ts []time.Time) float64 {
 	}
 	var sq float64
 	for i := 1; i < len(ts); i++ {
-		d := float64(ts[i].Sub(ts[i-1])) - mean
+		d := float64(ts[i]-ts[i-1]) - mean
 		sq += d * d
 	}
 	return math.Sqrt(sq/n) / mean
 }
 
-// BehaviorState is the per-campaign raw material of the behavioral
-// dimension as the streaming engine maintains it across inserts and
-// merges. Slices indexed by slot hold the mutable per-impression fields
-// — merges overwrite a slot in place, so order-dependent float folds
-// stay bit-identical to the batch path, which groups the same slots
-// through a pooled flat layout instead (Auditor.Behavior).
-type BehaviorState struct {
-	// Times returns a user's impression timestamps (any order; the fold
-	// sorts in place). Only asked about users that reach cadence scoring.
-	Times func(user string) []time.Time
-	// UserSlots and PubSlots map user key / publisher -> slot indexes
-	// in insertion order.
-	UserSlots map[string][]int
-	PubSlots  map[string][]int
-	// Exposures (seconds), VisMeasured and VisFrac are slot-indexed.
-	Exposures   []float64
-	VisMeasured []bool
-	VisFrac     []float64
-	// UserConvs counts conversions per user key; UserDC marks users
-	// with at least one DC-verdict impression.
-	UserConvs map[string]int
-	UserDC    map[string]bool
-}
-
 // Behavior runs the behavioral fraud analysis for one campaign (""
-// for all campaigns together). One store visit in insertion order
-// fills a pooled flat scratch; a counting sort regroups the slots by
-// user, then by publisher, and each group goes through behaviorFold.
+// for all campaigns together).
 func (a *Auditor) Behavior(campaignID string) BehaviorResult {
-	sc := getBehaviorScratch(a.impressionCount(campaignID))
-	defer behaviorPool.Put(sc)
-	a.visitImpressions(campaignID, func(im *store.Impression) bool {
-		sc.userOf = append(sc.userOf, intern(sc.userIDs, &sc.users, im.UserKey))
-		sc.pubOf = append(sc.pubOf, intern(sc.pubIDs, &sc.pubs, im.Publisher))
-		sc.times = append(sc.times, im.Timestamp)
-		sc.exposures = append(sc.exposures, im.Exposure.Seconds())
-		sc.visMeasured = append(sc.visMeasured, im.VisibilityMeasured)
-		sc.visFrac = append(sc.visFrac, im.MaxVisibleFraction)
-		sc.dataCenter = append(sc.dataCenter, IsDataCenterVerdict(im.DataCenter))
-		return true
-	})
-	sc.userConvs = sized(sc.userConvs, len(sc.users))[:len(sc.users)]
-	clear(sc.userConvs)
-	campaigns := []string{campaignID}
-	if campaignID == "" {
-		campaigns = a.Store.ConvertingCampaigns()
-	}
-	for _, cid := range campaigns {
-		for _, c := range a.Store.Conversions(cid) {
-			if uid, ok := sc.userIDs[c.UserKey]; ok {
-				sc.userConvs[uid]++
-			}
-		}
-	}
-
-	f := behaviorFold{exposures: sc.exposures, visMeasured: sc.visMeasured, visFrac: sc.visFrac}
-	sc.eachGroup(sc.userOf, sc.users, func(uid int, user string, slots []int) {
-		if !f.scorable(len(slots), int(sc.userConvs[uid])) {
-			return
-		}
-		sc.cadence = sc.cadence[:0]
-		for _, sl := range slots {
-			sc.cadence = append(sc.cadence, sc.times[sl])
-		}
-		dc := slices.ContainsFunc(slots, func(sl int) bool { return sc.dataCenter[sl] })
-		f.user(user, slots, sc.cadence, dc)
-	})
-	sc.eachGroup(sc.pubOf, sc.pubs, func(_ int, pub string, slots []int) { f.publisher(pub, slots) })
-	return f.result(campaignID, len(sc.users), len(sc.pubs))
+	s := a.fill(campaignID)
+	defer release(s)
+	return s.Behavior(campaignID)
 }
 
-// BehaviorFromState materializes the behavioral result from the
-// streaming engine's map-grouped state through the same behaviorFold
-// the batch analysis drives. Timestamp slices are sorted in place; slot
-// slices are only read.
-func BehaviorFromState(campaignID string, s BehaviorState) BehaviorResult {
-	f := behaviorFold{exposures: s.Exposures, visMeasured: s.VisMeasured, visFrac: s.VisFrac}
-	for user, slots := range s.UserSlots {
-		if f.scorable(len(slots), s.UserConvs[user]) {
-			f.user(user, slots, s.Times(user), s.UserDC[user])
+// Behavior is the behavioral fold: a counting sort regroups the slots
+// by user, then by publisher, and each group goes through behaviorFold.
+// A user's timestamps are gathered into scratch only when it reaches
+// cadence scoring.
+func (s *State) Behavior(campaignID string) BehaviorResult {
+	c := &s.cols
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	f := behaviorFold{exposures: c.Exposures, visMeasured: c.VisMeasured, visFrac: c.VisFrac}
+	sc.eachGroup(c.UserOf, len(c.Users.keys), func(uid int, slots []int32) {
+		user := c.Users.keys[uid]
+		if f.scorable(len(slots), c.Convs[user]) {
+			dc := slices.ContainsFunc(slots, func(sl int32) bool { return s.isDC(int(sl)) })
+			f.user(user, slots, sc.gather(c.Times, slots), dc)
 		}
-	}
-	for pub, slots := range s.PubSlots {
-		f.publisher(pub, slots)
-	}
-	return f.result(campaignID, len(s.UserSlots), len(s.PubSlots))
+	})
+	sc.eachGroup(c.PubOf, len(c.Pubs.keys), func(pid int, slots []int32) { f.publisher(c.Pubs.keys[pid], slots) })
+	return f.result(campaignID, len(c.Users.keys), len(c.Pubs.keys))
 }
 
 // behaviorFold holds the scoring rules of the behavioral dimension, fed
@@ -252,8 +189,9 @@ func (f *behaviorFold) scorable(impressions, conversions int) bool {
 	return conversions == 0
 }
 
-// user flags a scorable user whose whole signature is degenerate.
-func (f *behaviorFold) user(user string, slots []int, times []time.Time, dataCenter bool) {
+// user flags a scorable user whose whole signature is degenerate;
+// times (the user's timestamps, a scratch copy) are sorted in place.
+func (f *behaviorFold) user(user string, slots []int32, times []int64, dataCenter bool) {
 	cv := CadenceCV(times)
 	if !(cv <= BehaviorMaxCadenceCV) || !f.degenerateSlots(slots) {
 		return
@@ -267,7 +205,7 @@ func (f *behaviorFold) user(user string, slots []int, times []time.Time, dataCen
 }
 
 // publisher scores one publisher's placements for inflation.
-func (f *behaviorFold) publisher(pub string, slots []int) {
+func (f *behaviorFold) publisher(pub string, slots []int32) {
 	threshold := ViewabilityThreshold.Seconds()
 	measured, viewable := 0, 0
 	var fracSum float64
@@ -323,7 +261,7 @@ func (f *behaviorFold) result(campaignID string, users, publishers int) Behavior
 // signals show no variance at all: exposure range within epsilon, and
 // — among visibility-measured impressions, if any — visible-fraction
 // range within epsilon.
-func (f *behaviorFold) degenerateSlots(slots []int) bool {
+func (f *behaviorFold) degenerateSlots(slots []int32) bool {
 	minE, maxE := math.Inf(1), math.Inf(-1)
 	minF, maxF := math.Inf(1), math.Inf(-1)
 	measured := false

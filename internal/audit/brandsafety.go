@@ -50,15 +50,39 @@ func (r BrandSafetyResult) FractionAuditMissed() float64 {
 // BrandSafety compares one campaign's audit-observed publishers with
 // its vendor report.
 func (a *Auditor) BrandSafety(campaignID string, report *adnet.VendorReport) BrandSafetyResult {
-	audited := stats.SetOf(a.Store.Publishers(campaignID))
-	reported := stats.SetOf(report.ReportedPublishers())
-	return a.brandSafety(campaignID, audited, reported, report.AnonymousImpressions())
+	s := a.fill(campaignID)
+	defer release(s)
+	return s.BrandSafety(campaignID, a.Meta, report)
 }
 
 // BrandSafetyAggregate pools every campaign's publishers and reports,
 // reproducing Figure 1's all-campaigns diagram.
 func (a *Auditor) BrandSafetyAggregate(reports map[string]*adnet.VendorReport) BrandSafetyResult {
-	audited := stats.SetOf(a.Store.Publishers(""))
+	s := a.fill("")
+	defer release(s)
+	return AggregateBrandSafety(map[string]*State{"": s}, a.Meta, reports)
+}
+
+// BrandSafety is the Figure 1 fold for one campaign: the audited set is
+// the state's publisher dictionary. meta may be nil, disabling the
+// UnsafeUnreported breakdown.
+func (s *State) BrandSafety(campaignID string, meta MetadataSource, report *adnet.VendorReport) BrandSafetyResult {
+	return brandSafety(meta, campaignID, s.cols.Pubs.ids, stats.SetOf(report.ReportedPublishers()), report.AnonymousImpressions())
+}
+
+// AggregateBrandSafety is Figure 1's all-campaigns diagram: the union
+// of the states' publishers against the union of the reports.
+func AggregateBrandSafety(states map[string]*State, meta MetadataSource, reports map[string]*adnet.VendorReport) BrandSafetyResult {
+	n := 0
+	for _, s := range states {
+		n += len(s.cols.Pubs.keys)
+	}
+	audited := make(map[string]struct{}, n) // an upper bound: one allocation, no growth
+	for _, s := range states {
+		for _, p := range s.cols.Pubs.keys {
+			audited[p] = struct{}{}
+		}
+	}
 	reported := map[string]struct{}{}
 	var anon int64
 	for _, rep := range reports {
@@ -67,36 +91,29 @@ func (a *Auditor) BrandSafetyAggregate(reports map[string]*adnet.VendorReport) B
 		}
 		anon += rep.AnonymousImpressions()
 	}
-	return a.brandSafety("", audited, reported, anon)
+	return brandSafety(meta, "", audited, reported, anon)
 }
 
-func (a *Auditor) brandSafety(campaignID string, audited, reported map[string]struct{}, anon int64) BrandSafetyResult {
-	return BrandSafetyFromSets(a.Meta, campaignID, audited, reported, anon)
-}
-
-// BrandSafetyFromSets materializes the Figure 1 result from the two
-// publisher sets — the shared fold behind both the batch analysis and
-// the streaming engine's incremental view, so the two paths cannot
-// drift. meta may be nil, disabling the UnsafeUnreported breakdown.
-// Neither input set is retained or mutated.
-func BrandSafetyFromSets(meta MetadataSource, campaignID string, audited, reported map[string]struct{}, anon int64) BrandSafetyResult {
-	res := BrandSafetyResult{
-		CampaignID:           campaignID,
-		Venn:                 stats.VennOf(audited, reported),
-		AnonymousImpressions: anon,
-	}
+// brandSafety partitions the audited and reported publisher sets.
+// Neither set is retained or mutated.
+func brandSafety[V any](meta MetadataSource, campaignID string, audited map[string]V, reported map[string]struct{}, anon int64) BrandSafetyResult {
+	res := BrandSafetyResult{CampaignID: campaignID, AnonymousImpressions: anon}
 	for p := range audited {
-		if _, ok := reported[p]; !ok {
-			res.AuditOnly = append(res.AuditOnly, p)
-			if meta != nil {
-				if m, ok := meta.PublisherMeta(p); ok && m.Unsafe {
-					res.UnsafeUnreported = append(res.UnsafeUnreported, p)
-				}
+		if _, ok := reported[p]; ok {
+			res.Venn.Both++
+			continue
+		}
+		res.Venn.OnlyA++
+		res.AuditOnly = append(res.AuditOnly, p)
+		if meta != nil {
+			if m, ok := meta.PublisherMeta(p); ok && m.Unsafe {
+				res.UnsafeUnreported = append(res.UnsafeUnreported, p)
 			}
 		}
 	}
 	for p := range reported {
 		if _, ok := audited[p]; !ok {
+			res.Venn.OnlyB++
 			res.VendorOnly = append(res.VendorOnly, p)
 		}
 	}

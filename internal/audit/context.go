@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adaudit/internal/adnet"
-	"adaudit/internal/store"
 )
 
 // ContextResult is the Table 2 analysis: the fraction of impressions
@@ -48,34 +47,29 @@ func (r ContextResult) VendorFraction() float64 {
 // campaign's targeting keywords; report may be nil when only the audit
 // side is wanted.
 func (a *Auditor) Context(campaignID string, keywords []string, report *adnet.VendorReport) (ContextResult, error) {
+	s := a.fill(campaignID)
+	defer release(s)
+	return a.ContextOf(s, campaignID, keywords, report)
+}
+
+// ContextOf is the Table 2 fold over one campaign's state. Relevance is
+// a property of the publisher, not the impression, so each distinct
+// publisher is resolved once against the compiled campaign keywords and
+// weighed by its impression count.
+func (a *Auditor) ContextOf(s *State, campaignID string, keywords []string, report *adnet.VendorReport) (ContextResult, error) {
 	if a.Meta == nil || a.Matcher == nil {
 		return ContextResult{}, fmt.Errorf("audit: context analysis requires metadata and a matcher")
 	}
-	res := ContextResult{CampaignID: campaignID}
-
-	// Publisher relevance is a property of the publisher, not the
-	// impression: resolve each distinct publisher once, against the
-	// campaign keywords compiled once (not re-normalized per publisher).
 	query := a.Matcher.Compile(keywords)
-	relevant := map[string]bool{}
-	for _, pub := range a.Store.Publishers(campaignID) {
-		meta, ok := a.Meta.PublisherMeta(pub)
-		if !ok {
-			continue
+	res := ContextResult{CampaignID: campaignID, AuditImpressions: s.Len()}
+	for pid, pub := range s.cols.Pubs.keys {
+		n := int(s.pubImps[pid])
+		if m, ok := a.Meta.PublisherMeta(pub); !ok {
+			res.UnknownMeta += n
+		} else if query.Relevant(m.Keywords, m.Topics) {
+			res.MeaningfulImpressions += n
 		}
-		relevant[pub] = query.Relevant(meta.Keywords, meta.Topics)
 	}
-
-	a.visitImpressions(campaignID, func(im *store.Impression) bool {
-		res.AuditImpressions++
-		rel, known := relevant[im.Publisher]
-		if !known {
-			res.UnknownMeta++
-		} else if rel {
-			res.MeaningfulImpressions++
-		}
-		return true
-	})
 	if report != nil {
 		res.VendorClaimed = report.ContextualImpressions
 		res.VendorTotal = report.TotalImpressionsCharged + report.RefundedImpressions

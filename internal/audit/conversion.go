@@ -99,7 +99,7 @@ func (a *Auditor) Conversions(campaignID string) ConversionResult {
 	a.visitImpressions(campaignID, func(im *store.Impression) bool {
 		res.Impressions++
 		res.Clicks += im.Clicks
-		isDC := im.DataCenter != "" && im.DataCenter != "not-data-center" && im.DataCenter != "vpn-exception"
+		isDC := IsDataCenterVerdict(im.DataCenter)
 		k := key(im.CampaignID, im.UserKey)
 		if isDC {
 			res.DataCenterImpressions++

@@ -1,9 +1,9 @@
 package audit
 
 import (
-	"sort"
-
-	"adaudit/internal/store"
+	"cmp"
+	"slices"
+	"strings"
 )
 
 // FraudResult is the Table 4 analysis: how much of a campaign's traffic
@@ -63,75 +63,57 @@ func IsDataCenterVerdict(verdict string) bool {
 	return verdict != "" && verdict != "not-data-center" && verdict != "vpn-exception"
 }
 
-// Fraud runs the Table 4 analysis for one campaign ("" for all). The
-// per-impression data-center verdicts were computed at ingest time —
-// before IP anonymisation, as the paper's methodology requires — so the
-// analysis only aggregates them.
+// Fraud runs the Table 4 analysis for one campaign ("" for all).
 func (a *Auditor) Fraud(campaignID string) FraudResult {
-	var impressions, dcImpressions int
-	byVerdict := map[string]int{}
-	ipSeen := map[string]bool{}  // pseudonym -> isDC
-	pubSeen := map[string]bool{} // publisher -> servedDC
-	dcPerPub := map[string]int{}
-
-	a.visitImpressions(campaignID, func(im *store.Impression) bool {
-		impressions++
-		isDC := IsDataCenterVerdict(im.DataCenter)
-		if isDC {
-			dcImpressions++
-			byVerdict[im.DataCenter]++
-			dcPerPub[im.Publisher]++
-		}
-		ipSeen[im.IPPseudonym] = ipSeen[im.IPPseudonym] || isDC
-		pubSeen[im.Publisher] = pubSeen[im.Publisher] || isDC
-		return true
-	})
-	return FraudFromState(campaignID, impressions, dcImpressions, byVerdict, ipSeen, pubSeen, dcPerPub)
+	s := a.fill(campaignID)
+	defer release(s)
+	return s.Fraud(campaignID)
 }
 
-// FraudFromState materializes the Table 4 result from the fraud
-// counters: total and DC impression counts, DC impressions by cascade
-// verdict, per-pseudonym and per-publisher served-DC flags, and DC
-// impressions per publisher. Shared by the batch analysis and the
-// streaming engine (which maintains exactly these maps incrementally).
-// The inputs are read, never retained: ByVerdict is copied into a
-// fresh map and the top-publishers list is built here.
-func FraudFromState(campaignID string, impressions, dcImpressions int, byVerdict map[string]int, ipSeen, pubSeen map[string]bool, dcPerPub map[string]int) FraudResult {
+// Fraud is the Table 4 fold. The per-impression data-center verdicts
+// were computed at ingest time — before IP anonymisation, as the
+// paper's methodology requires — so the fold only aggregates them: per
+// verdict, per IP pseudonym and per publisher. ByVerdict and the
+// top-publishers list are built fresh for the result.
+func (s *State) Fraud(campaignID string) FraudResult {
+	c := &s.cols
 	res := FraudResult{
 		CampaignID:            campaignID,
-		Impressions:           impressions,
-		DataCenterImpressions: dcImpressions,
-		DistinctIPs:           len(ipSeen),
-		Publishers:            len(pubSeen),
-		ByVerdict:             make(map[string]int, len(byVerdict)),
+		Impressions:           s.Len(),
+		DataCenterImpressions: s.tally.dataCenter,
+		DistinctIPs:           len(c.IPs),
+		Publishers:            len(c.Pubs.keys),
+		ByVerdict:             map[string]int{},
 	}
-	for v, n := range byVerdict {
-		res.ByVerdict[v] = n
-	}
-	for _, dc := range ipSeen {
+	for _, dc := range c.IPs {
 		if dc {
 			res.DataCenterIPs++
 		}
 	}
-	for _, dc := range pubSeen {
-		if dc {
-			res.PublishersServingDC++
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	// counts holds each publisher's data-center impressions.
+	sc.counts = slices.Grow(sc.counts[:0], len(c.Pubs.keys))[:len(c.Pubs.keys)]
+	clear(sc.counts)
+	for slot, pid := range c.PubOf {
+		if s.isDC(slot) {
+			sc.counts[pid]++
+			res.ByVerdict[c.Verdicts.keys[c.VerdictOf[slot]]]++
 		}
 	}
-
-	pubs := make([]string, 0, len(dcPerPub))
-	for p := range dcPerPub {
-		pubs = append(pubs, p)
-	}
-	sort.Slice(pubs, func(i, j int) bool {
-		if dcPerPub[pubs[i]] != dcPerPub[pubs[j]] {
-			return dcPerPub[pubs[i]] > dcPerPub[pubs[j]]
+	sc.order = sc.order[:0]
+	for pid, n := range sc.counts {
+		if n > 0 {
+			sc.order = append(sc.order, int32(pid))
 		}
-		return pubs[i] < pubs[j]
+	}
+	res.PublishersServingDC = len(sc.order)
+	slices.SortFunc(sc.order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(sc.counts[b], sc.counts[a]), strings.Compare(c.Pubs.keys[a], c.Pubs.keys[b]))
 	})
-	if len(pubs) > 20 {
-		pubs = pubs[:20]
+	res.TopDCPublishers = make([]string, 0, min(len(sc.order), 20))
+	for _, pid := range sc.order[:cap(res.TopDCPublishers)] {
+		res.TopDCPublishers = append(res.TopDCPublishers, c.Pubs.keys[pid])
 	}
-	res.TopDCPublishers = pubs
 	return res
 }

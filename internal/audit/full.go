@@ -45,23 +45,25 @@ type FullReport struct {
 // FullAudit runs every analysis over the dataset. Popularity uses
 // base-10 rank buckets up to 10M, matching Figure 2.
 //
-// The work fans out across a bounded pool (Auditor.Parallelism
-// workers; GOMAXPROCS when 0): every (campaign, dimension) pair plus
-// the two cross-campaign aggregates is an independent task writing a
-// distinct field of the report, so no result ever crosses a lock. The
-// first task error cancels the remaining tasks. Output is
-// deterministic — identical to FullAuditSerial bit for bit — because
-// task identity, not completion order, decides where a result lands,
-// and each analysis reads the store's indexes in insertion order.
+// One visit per campaign fills that campaign's pooled State; every
+// result is then a fold over a state. Both phases fan out across a
+// bounded pool (Auditor.Parallelism workers; GOMAXPROCS when 0): each
+// fill, each (campaign, dimension) fold and the two cross-campaign
+// aggregates is an independent task writing a distinct place, so no
+// result ever crosses a lock. Output is deterministic — identical to
+// FullAuditSerial bit for bit — because task identity, not completion
+// order, decides where a result lands, and each state holds its
+// campaign's impressions in insertion order. So is failure: the error
+// returned is that of the failing task lowest in task order.
 func (a *Auditor) FullAudit(inputs []CampaignInput) (*FullReport, error) {
 	return a.fullAudit(inputs, a.workers())
 }
 
-// FullAuditSerial runs the same audit on one goroutine in the fixed
-// legacy order (per campaign: brand safety, context, popularity,
-// viewability, fraud, sellers, pooling, behavior; then the two
-// aggregates) — the baseline the serial-vs-parallel benchmarks and
-// determinism tests compare against.
+// FullAuditSerial is FullAudit on one goroutine, tasks in order (the
+// fills; per campaign brand safety, context, popularity, viewability,
+// fraud, sellers, pooling, behavior; then the two aggregates) — the
+// baseline the serial-vs-parallel benchmarks and determinism tests
+// compare against.
 func (a *Auditor) FullAuditSerial(inputs []CampaignInput) (*FullReport, error) {
 	return a.fullAudit(inputs, 1)
 }
@@ -74,8 +76,8 @@ func (a *Auditor) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// task is one unit of audit work: a closure that computes a single
-// dimension and stores it into its preassigned slot in the report.
+// task is one unit of audit work: a closure that fills one state or
+// computes a single dimension into its preassigned slot in the report.
 type task struct {
 	stage string
 	run   func() error
@@ -84,139 +86,178 @@ type task struct {
 func (a *Auditor) fullAudit(inputs []CampaignInput, workers int) (rep *FullReport, err error) {
 	start := a.tel.stageStart()
 	defer func() { a.tel.observeFull(start, workers, err) }()
+	states := a.fillAll(workers)
+	defer releaseAll(states)
+	return a.report(states, inputs, workers)
+}
 
+// fillAll fills the state of every campaign in the store: the inputs'
+// campaigns need theirs, the two aggregates need all of them.
+func (a *Auditor) fillAll(workers int) map[string]*State {
+	ids := a.Store.Campaigns()
+	states := make(map[string]*State, len(ids))
+	tasks := make([]task, 0, len(ids))
+	for _, id := range ids {
+		s := statePool.Get().(*State)
+		states[id] = s
+		tasks = append(tasks, task{stageState, func() error {
+			a.fillInto(s, id)
+			return nil
+		}})
+	}
+	a.runTasks(tasks, workers) // a fill cannot fail
+	return states
+}
+
+func releaseAll(states map[string]*State) {
+	for _, s := range states {
+		release(s)
+	}
+}
+
+// ReportStates materialises the full report from per-campaign states —
+// what FullAudit does once its states are filled, and all the streaming
+// engine and the shard-merge tier do, theirs being kept or merged
+// rather than filled. A campaign without a state is an empty one.
+func (a *Auditor) ReportStates(states map[string]*State, inputs []CampaignInput) (*FullReport, error) {
+	return a.report(states, inputs, a.workers())
+}
+
+func (a *Auditor) report(states map[string]*State, inputs []CampaignInput, workers int) (*FullReport, error) {
+	rep := &FullReport{PerCampaign: make([]CampaignAudit, len(inputs))}
+	tasks := make([]task, 0, 8*len(inputs)+2)
 	reports := make(map[string]*adnet.VendorReport, len(inputs))
-	for _, in := range inputs {
+	for i, in := range inputs {
 		if in.Report == nil {
 			return nil, fmt.Errorf("audit: campaign %s has no vendor report", in.ID)
 		}
 		reports[in.ID] = in.Report
-	}
-
-	rep = &FullReport{PerCampaign: make([]CampaignAudit, len(inputs))}
-	tasks := make([]task, 0, 8*len(inputs)+2)
-	for i := range inputs {
-		in := inputs[i]
-		ca := &rep.PerCampaign[i]
-		ca.ID = in.ID
-		tasks = append(tasks,
-			task{stageBrandSafety, func() error {
-				ca.BrandSafety = a.BrandSafety(in.ID, in.Report)
-				return nil
-			}},
-			task{stageContext, func() error {
-				ctx, err := a.Context(in.ID, in.Keywords, in.Report)
-				if err != nil {
-					return fmt.Errorf("audit: context for %s: %w", in.ID, err)
-				}
-				ca.Context = ctx
-				return nil
-			}},
-			task{stagePopularity, func() error {
-				pop, err := a.Popularity(in.ID, 10, 10_000_000)
-				if err != nil {
-					return fmt.Errorf("audit: popularity for %s: %w", in.ID, err)
-				}
-				ca.Popularity = pop
-				return nil
-			}},
-			task{stageViewability, func() error {
-				ca.Viewability = a.Viewability(in.ID)
-				return nil
-			}},
-			task{stageFraud, func() error {
-				ca.Fraud = a.Fraud(in.ID)
-				return nil
-			}},
-			task{stageSellers, func() error {
-				ca.Sellers = a.SellerAudit(in.ID, in.Report)
-				return nil
-			}},
-			task{stagePooling, func() error {
-				ca.Pooling = a.Pooling(in.ID, in.Report)
-				return nil
-			}},
-			task{stageBehavior, func() error {
-				ca.Behavior = a.Behavior(in.ID)
-				return nil
-			}},
-		)
+		s := states[in.ID]
+		if s == nil {
+			s = noState
+		}
+		tasks = a.campaignTasks(tasks, s, in, &rep.PerCampaign[i])
 	}
 	tasks = append(tasks,
 		task{stageAggregate, func() error {
-			rep.Aggregate = a.BrandSafetyAggregate(reports)
+			rep.Aggregate = AggregateBrandSafety(states, a.Meta, reports)
 			return nil
 		}},
 		task{stageFrequency, func() error {
-			rep.Frequency = a.Frequency()
+			rep.Frequency = FrequencyOf(states)
 			return nil
 		}},
 	)
-
 	if err := a.runTasks(tasks, workers); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// runTask executes one task with stage timing.
-func (a *Auditor) runTask(t task) error {
-	start := a.tel.stageStart()
-	err := t.run()
-	if err == nil {
-		a.tel.observeStage(t.stage, start)
-	}
-	return err
+// noState stands in for a campaign nothing was ever recorded for; folds
+// only read, so one empty state serves them all.
+var noState = NewState()
+
+// AuditState materialises one campaign's eight dimensions from its state.
+func (a *Auditor) AuditState(s *State, in CampaignInput) (CampaignAudit, error) {
+	var ca CampaignAudit
+	err := a.runTasks(a.campaignTasks(nil, s, in, &ca), 1)
+	return ca, err
+}
+
+// campaignTasks appends one campaign's eight folds, each writing its
+// own field of ca.
+func (a *Auditor) campaignTasks(tasks []task, s *State, in CampaignInput, ca *CampaignAudit) []task {
+	ca.ID = in.ID
+	return append(tasks,
+		task{stageBrandSafety, func() error {
+			ca.BrandSafety = s.BrandSafety(in.ID, a.Meta, in.Report)
+			return nil
+		}},
+		task{stageContext, func() error {
+			ctx, err := a.ContextOf(s, in.ID, in.Keywords, in.Report)
+			if err != nil {
+				return fmt.Errorf("audit: context for %s: %w", in.ID, err)
+			}
+			ca.Context = ctx
+			return nil
+		}},
+		task{stagePopularity, func() error {
+			pop, err := a.popularityOf(s, in.ID, 10, 10_000_000)
+			if err != nil {
+				return fmt.Errorf("audit: popularity for %s: %w", in.ID, err)
+			}
+			ca.Popularity = pop
+			return nil
+		}},
+		task{stageViewability, func() error {
+			ca.Viewability = s.Viewability(in.ID)
+			return nil
+		}},
+		task{stageFraud, func() error {
+			ca.Fraud = s.Fraud(in.ID)
+			return nil
+		}},
+		task{stageSellers, func() error {
+			ca.Sellers = a.SellerAudit(in.ID, in.Report)
+			return nil
+		}},
+		task{stagePooling, func() error {
+			ca.Pooling = a.Pooling(in.ID, in.Report)
+			return nil
+		}},
+		task{stageBehavior, func() error {
+			ca.Behavior = s.Behavior(in.ID)
+			return nil
+		}},
+	)
 }
 
 // runTasks drains the task list with a bounded worker pool. Workers
 // claim tasks off a shared atomic counter (no channel churn, cache-
-// friendly in-order claiming); the first error parks the pool —
-// every worker re-checks the cancel flag before claiming — and is the
-// one returned. workers <= 1 degenerates to an inline loop with no
-// goroutines, the serial path.
+// friendly in-order claiming). A failure parks the pool — no task after
+// the failed one is started — while tasks before it, all claimed
+// already, run to completion, so the error returned is always that of
+// the lowest failing task, at every pool size. workers <= 1 runs the
+// one worker inline, no goroutines: the serial path. A task that
+// succeeds is timed under its stage.
 func (a *Auditor) runTasks(tasks []task, workers int) error {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			if err := a.runTask(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	var (
-		next      atomic.Int64
-		cancelled atomic.Bool
-		errOnce   sync.Once
-		firstErr  error
-		wg        sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Int64 // lowest failing task so far
+		errs   = make([]error, len(tasks))
+		wg     sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if cancelled.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				if err := a.runTask(tasks[i]); err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancelled.Store(true)
-					})
-					return
-				}
+	failed.Store(int64(len(tasks)))
+	work := func() {
+		for {
+			i := next.Add(1) - 1
+			if i >= failed.Load() {
+				return
 			}
-		}()
+			start := a.tel.stageStart()
+			if errs[i] = tasks[i].run(); errs[i] != nil {
+				for f := failed.Load(); i < f && !failed.CompareAndSwap(f, i); f = failed.Load() {
+				}
+				return
+			}
+			a.tel.observeStage(tasks[i].stage, start)
+		}
 	}
-	wg.Wait()
-	return firstErr
+	if workers = min(workers, len(tasks)); workers <= 1 {
+		work()
+	} else {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	if f := failed.Load(); f < int64(len(tasks)) {
+		return errs[f]
+	}
+	return nil
 }

@@ -100,10 +100,11 @@ func TestFullAuditParallelismInvariant(t *testing.T) {
 }
 
 // A failing task must surface its error from both engines and yield a
-// nil report.
+// nil report — and always the same error: of all the failing tasks (here
+// every campaign's context and popularity), the first in task order.
 func TestFullAuditErrorPropagates(t *testing.T) {
 	a, inputs := fullFixture(t)
-	a.Meta = nil // every context task now fails
+	a.Meta = nil // every context and popularity task now fails
 
 	for _, p := range []int{1, 8} {
 		a.Parallelism = p
@@ -111,8 +112,8 @@ func TestFullAuditErrorPropagates(t *testing.T) {
 		if err == nil {
 			t.Fatalf("parallelism %d: failing context task returned no error", p)
 		}
-		if !strings.Contains(err.Error(), "context for camp") {
-			t.Fatalf("parallelism %d: error %q does not identify the failing stage", p, err)
+		if !strings.HasPrefix(err.Error(), "audit: context for camp0:") {
+			t.Fatalf("parallelism %d: error %q is not that of the first failing task", p, err)
 		}
 		if rep != nil {
 			t.Fatalf("parallelism %d: got a partial report alongside the error", p)
@@ -215,7 +216,7 @@ func TestInstrumentRecordsAudits(t *testing.T) {
 	}
 	// Per-stage histograms exist for every dimension and the hot ones
 	// saw one observation per campaign on the successful run.
-	for _, stage := range []string{"brandsafety", "context", "popularity", "viewability", "fraud", "aggregate", "frequency"} {
+	for _, stage := range []string{"state", "brandsafety", "context", "popularity", "viewability", "fraud", "aggregate", "frequency"} {
 		ss := find("adaudit_audit_stage_seconds", map[string]string{"stage": stage})
 		if ss.Hist == nil || ss.Hist.Count == 0 {
 			t.Fatalf("stage %s histogram empty: %+v", stage, ss.Hist)

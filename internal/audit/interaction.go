@@ -75,7 +75,7 @@ func (a *Auditor) Interactions(campaignID string) InteractionResult {
 		res.Impressions++
 		agent := useragent.Parse(im.UserAgent)
 		uaBot := agent.IsBot()
-		dc := im.DataCenter != "" && im.DataCenter != "not-data-center" && im.DataCenter != "vpn-exception"
+		dc := IsDataCenterVerdict(im.DataCenter)
 		if uaBot {
 			res.UAFlagged++
 		}

@@ -69,22 +69,6 @@ func refBehaviorStateOf(a *Auditor, campaignID string) refBehaviorState {
 	return s
 }
 
-// state adapts the reference state to the streaming-shaped
-// BehaviorState the new BehaviorFromState takes. Timestamps are copied:
-// both folds sort them in place.
-func (s refBehaviorState) state() BehaviorState {
-	return BehaviorState{
-		Times:       func(user string) []time.Time { return append([]time.Time(nil), s.Times[user]...) },
-		UserSlots:   s.UserSlots,
-		PubSlots:    s.PubSlots,
-		Exposures:   s.Exposures,
-		VisMeasured: s.VisMeasured,
-		VisFrac:     s.VisFrac,
-		UserConvs:   s.UserConvs,
-		UserDC:      s.UserDC,
-	}
-}
-
 // refCadenceCV is the old CadenceCV (sort.Slice).
 func refCadenceCV(ts []time.Time) float64 {
 	if len(ts) < 3 {
@@ -280,18 +264,15 @@ func refPoolingFromReport(campaignID string, rep *adnet.VendorReport, dir Seller
 	return res
 }
 
-// checkBehaviorOracle asserts that both drivers of the flat fold — the
-// batch Auditor.Behavior and the map-fed BehaviorFromState — agree with
-// the reference oracle on one campaign of a's store.
+// checkBehaviorOracle asserts that the behavioral fold (a state filled
+// from a's store, folded by State.Behavior) agrees with the reference
+// oracle on one campaign.
 func checkBehaviorOracle(t testing.TB, a *Auditor, campaignID string) BehaviorResult {
 	t.Helper()
 	s := refBehaviorStateOf(a, campaignID)
 	want := refBehaviorFromState(campaignID, s)
 	if got := a.Behavior(campaignID); !reflect.DeepEqual(got, want) {
 		t.Fatalf("campaign %q: Behavior diverges from the oracle\n got %+v\nwant %+v", campaignID, got, want)
-	}
-	if got := BehaviorFromState(campaignID, s.state()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("campaign %q: BehaviorFromState diverges from the oracle\n got %+v\nwant %+v", campaignID, got, want)
 	}
 	return want
 }

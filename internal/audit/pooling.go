@@ -59,8 +59,8 @@ type poolRow struct {
 }
 
 // PoolingFromReport materializes the pooling detector from a vendor
-// report and a directory — pure, shared verbatim by the batch auditor
-// and the streaming engine. A nil report yields the empty result.
+// report and a directory — a pure function of the two; the state has
+// no part in it. A nil report yields the empty result.
 //
 // The rows are flattened into a pooled scratch and sorted by (seller,
 // group, publisher), so nothing is allocated per seller: a seller's
@@ -71,14 +71,16 @@ func PoolingFromReport(campaignID string, rep *adnet.VendorReport, dir SellerDir
 	if rep == nil {
 		return res
 	}
-	rows := poolRowPool.get(len(rep.Rows))
-	defer poolRowPool.put(rows) // by header: rows never outgrows len(rep.Rows)
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	rows := sc.rows[:0]
 	for _, row := range rep.Rows {
 		if row.SellerID == "" || dir.KnownExchange(row.SellerID) {
 			continue
 		}
 		rows = append(rows, poolRow{row.SellerID, dir.OwnerGroup(row.Publisher), row.Publisher, row.Impressions})
 	}
+	sc.rows = rows
 	slices.SortFunc(rows, func(a, b poolRow) int {
 		if c := strings.Compare(a.seller, b.seller); c != 0 {
 			return c

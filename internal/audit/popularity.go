@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adaudit/internal/stats"
-	"adaudit/internal/store"
 )
 
 // PopularityResult is the Figure 2 analysis: how a campaign's
@@ -19,36 +18,39 @@ type PopularityResult struct {
 	// metadata (excluded from the histograms).
 	UnknownMeta int
 
-	// Raw ranks backing exact threshold queries (the histograms bucket
-	// by decades, which cannot answer mid-bucket cut-offs like the
-	// paper's Top-50K exactly).
-	pubRanks []int
-	impRanks []int
+	// ranked holds each distinct known-metadata publisher's rank and
+	// impressions, backing exact threshold queries (the histograms
+	// bucket by decades, which cannot answer mid-bucket cut-offs like
+	// the paper's Top-50K exactly).
+	ranked []rankedPublisher
 }
+
+type rankedPublisher struct{ rank, impressions int }
 
 // TopKPublisherFraction returns the share of distinct publishers inside
 // the top-limit ranks, Figure 2's headline summary (e.g. limit=50000).
 func (r PopularityResult) TopKPublisherFraction(limit int) float64 {
-	return fractionAtOrBelow(r.pubRanks, limit)
+	return r.fractionAtOrBelow(limit, func(rankedPublisher) int { return 1 })
 }
 
 // TopKImpressionFraction returns the share of impressions delivered on
 // publishers inside the top-limit ranks.
 func (r PopularityResult) TopKImpressionFraction(limit int) float64 {
-	return fractionAtOrBelow(r.impRanks, limit)
+	return r.fractionAtOrBelow(limit, func(p rankedPublisher) int { return p.impressions })
 }
 
-func fractionAtOrBelow(ranks []int, limit int) float64 {
-	if len(ranks) == 0 {
-		return 0
-	}
-	n := 0
-	for _, r := range ranks {
-		if r <= limit {
-			n++
+func (r PopularityResult) fractionAtOrBelow(limit int, weight func(rankedPublisher) int) float64 {
+	in, all := 0, 0
+	for _, p := range r.ranked {
+		all += weight(p)
+		if p.rank <= limit {
+			in += weight(p)
 		}
 	}
-	return float64(n) / float64(len(ranks))
+	if all == 0 {
+		return 0
+	}
+	return float64(in) / float64(all)
 }
 
 // Popularity runs the Figure 2 analysis for one campaign (or the whole
@@ -56,51 +58,20 @@ func fractionAtOrBelow(ranks []int, limit int) float64 {
 // the given base up to maxRank. The paper uses base 10 over the Alexa
 // ranking's 10M span.
 func (a *Auditor) Popularity(campaignID string, base float64, maxRank float64) (PopularityResult, error) {
+	s := a.fill(campaignID)
+	defer release(s)
+	return a.popularityOf(s, campaignID, base, maxRank)
+}
+
+// popularityOf is the Figure 2 fold over one campaign's state: every
+// distinct known-metadata publisher is observed once by its rank, and
+// its impressions all at once; impressions on publishers without
+// metadata are counted and left out. ranked is built fresh for the
+// result, in the dictionary's first-seen order.
+func (a *Auditor) popularityOf(s *State, campaignID string, base, maxRank float64) (PopularityResult, error) {
 	if a.Meta == nil {
 		return PopularityResult{}, fmt.Errorf("audit: popularity analysis requires metadata")
 	}
-	pubs := a.Store.Publishers(campaignID)
-	pubRanks := make([]int, 0, len(pubs))
-	impRanks := make([]int, 0, a.impressionCount(campaignID))
-	unknown := 0
-	ranks := make(map[string]int, len(pubs))
-	for _, pub := range pubs {
-		meta, ok := a.Meta.PublisherMeta(pub)
-		if !ok {
-			continue
-		}
-		ranks[pub] = meta.Rank
-		pubRanks = append(pubRanks, meta.Rank)
-	}
-	a.visitImpressions(campaignID, func(im *store.Impression) bool {
-		rank, ok := ranks[im.Publisher]
-		if !ok {
-			unknown++
-			return true
-		}
-		impRanks = append(impRanks, rank)
-		return true
-	})
-	// Empty rank lists stay nil so the result is deep-equal to the
-	// streaming engine's view, which never allocates them.
-	if len(pubRanks) == 0 {
-		pubRanks = nil
-	}
-	if len(impRanks) == 0 {
-		impRanks = nil
-	}
-	return PopularityFromRanks(campaignID, base, maxRank, pubRanks, impRanks, unknown)
-}
-
-// PopularityFromRanks materializes the Figure 2 result from raw rank
-// observations: pubRanks holds one rank per distinct known-metadata
-// publisher (in sorted-publisher order), impRanks one rank per
-// known-metadata impression (in insertion order), unknownMeta the
-// impressions excluded for missing metadata. Both the batch analysis
-// and the streaming engine build their results through this function,
-// which is what keeps them deep-equal — including the unexported raw
-// rank slices backing the TopK queries, which are retained as passed.
-func PopularityFromRanks(campaignID string, base, maxRank float64, pubRanks, impRanks []int, unknownMeta int) (PopularityResult, error) {
 	lb, err := stats.NewLogBuckets(base, maxRank)
 	if err != nil {
 		return PopularityResult{}, fmt.Errorf("audit: building rank buckets: %w", err)
@@ -109,15 +80,19 @@ func PopularityFromRanks(campaignID string, base, maxRank float64, pubRanks, imp
 		CampaignID:  campaignID,
 		Publishers:  stats.NewHistogram(lb),
 		Impressions: stats.NewHistogram(lb),
-		UnknownMeta: unknownMeta,
-		pubRanks:    pubRanks,
-		impRanks:    impRanks,
+		UnknownMeta: s.Len(),
 	}
-	for _, r := range pubRanks {
-		res.Publishers.Observe(float64(r))
+	if n := len(s.cols.Pubs.keys); n > 0 {
+		res.ranked = make([]rankedPublisher, 0, n)
 	}
-	for _, r := range impRanks {
-		res.Impressions.Observe(float64(r))
+	for pid, pub := range s.cols.Pubs.keys {
+		if m, ok := a.Meta.PublisherMeta(pub); ok {
+			n := int(s.pubImps[pid])
+			res.ranked = append(res.ranked, rankedPublisher{m.Rank, n})
+			res.Publishers.Observe(float64(m.Rank))
+			res.Impressions.ObserveN(float64(m.Rank), int64(n))
+			res.UnknownMeta -= n
+		}
 	}
 	return res, nil
 }

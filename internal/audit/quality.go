@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"adaudit/internal/stats"
-	"adaudit/internal/store"
 )
 
 // ViewabilityResult is the Table 3 analysis: the fraction of logged
@@ -53,25 +52,26 @@ const ViewabilityThreshold = time.Second
 
 // Viewability runs the Table 3 analysis for one campaign ("" for all).
 func (a *Auditor) Viewability(campaignID string) ViewabilityResult {
-	res := ViewabilityResult{CampaignID: campaignID}
-	exposures := floatPool.get(a.impressionCount(campaignID))
-	defer floatPool.put(exposures)
-	a.visitImpressions(campaignID, func(im *store.Impression) bool {
-		res.Impressions++
-		if im.Exposure >= ViewabilityThreshold {
-			res.ViewableUB++
-		}
-		if im.VisibilityMeasured {
-			res.MeasuredImpressions++
-			if im.Exposure >= ViewabilityThreshold && im.MaxVisibleFraction >= 0.5 {
-				res.MRCViewable++
-			}
-		}
-		exposures = append(exposures, im.Exposure.Seconds())
-		return true
-	})
-	res.ExposureSummary = stats.SummarizeInPlace(exposures)
-	return res
+	s := a.fill(campaignID)
+	defer release(s)
+	return s.Viewability(campaignID)
+}
+
+// Viewability is the Table 3 fold: the tallies the state keeps, plus
+// the exposure summary over a scratch copy of the column (the summary
+// sorts; its mean is summed first, in slot order).
+func (s *State) Viewability(campaignID string) ViewabilityResult {
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	sc.floats = append(sc.floats[:0], s.cols.Exposures...)
+	return ViewabilityResult{
+		CampaignID:          campaignID,
+		Impressions:         s.Len(),
+		ViewableUB:          s.tally.viewableUB,
+		MeasuredImpressions: s.tally.measured,
+		MRCViewable:         s.tally.mrcViewable,
+		ExposureSummary:     stats.SummarizeInPlace(sc.floats),
+	}
 }
 
 // UserFrequency is one point of Figure 3's scatter: a (campaign, user)
@@ -119,94 +119,52 @@ func (r FrequencyResult) MedianIATBelow(minImps int, d time.Duration) int {
 	return n
 }
 
-// FrequencyKey identifies one (campaign, user) pair of the Figure 3
-// scatter — the grouping key for per-user impression timestamps.
-type FrequencyKey struct {
-	CampaignID string
-	UserKey    string
-}
-
 // Frequency runs the Figure 3 analysis across all campaigns: a user is
 // an (IP pseudonym, User-Agent) pair, and each campaign's ad is counted
 // separately for the same user.
-//
-// Grouping is done in two passes over the store: the first counts
-// impressions per (campaign, user) key, the second fills exact-capacity
-// sub-slices carved out of one shared timestamp arena. Compared with
-// the obvious one-pass append-per-impression build, this replaces the
-// per-key slice growth chains (tens of thousands of reallocations at
-// paper scale) with two map builds and a single arena allocation.
 func (a *Auditor) Frequency() FrequencyResult {
-	counts := map[FrequencyKey]int{}
-	total := 0
-	a.Store.Visit(func(im *store.Impression) bool {
-		counts[FrequencyKey{im.CampaignID, im.UserKey}]++
-		total++
-		return true
-	})
-	arena := make([]time.Time, total)
-	times := make(map[FrequencyKey][]time.Time, len(counts))
-	next := 0
-	for k, n := range counts {
-		// Full slices (len 0, cap n) so the fill pass cannot spill past
-		// its key's region even on a miscount.
-		times[k] = arena[next : next : next+n]
-		next += n
-	}
-	a.Store.Visit(func(im *store.Impression) bool {
-		k := FrequencyKey{im.CampaignID, im.UserKey}
-		times[k] = append(times[k], im.Timestamp)
-		return true
-	})
-	return FrequencyFromTimes(times)
+	states := a.fillAll(a.workers())
+	defer releaseAll(states)
+	return FrequencyOf(states)
 }
 
-// FrequencyFromTimes materializes the Figure 3 result from per-(campaign,
-// user) impression timestamps — the shared fold behind the batch
-// analysis and the streaming engine's incremental view. The timestamp
-// slices are sorted in place (the result depends only on the multiset);
-// the map itself is not retained. One inter-arrival scratch buffer is
-// reused across all keys, so the fold allocates only the Points slice.
-func FrequencyFromTimes(times map[FrequencyKey][]time.Time) FrequencyResult {
-	res := FrequencyResult{Points: make([]UserFrequency, 0, len(times))}
-	var gaps []float64
-	for k, ts := range times {
-		p := UserFrequency{
-			CampaignID:  k.CampaignID,
-			UserKey:     k.UserKey,
-			Impressions: len(ts),
-		}
-		if len(ts) >= 2 {
-			slices.SortFunc(ts, func(a, b time.Time) int { return a.Compare(b) })
-			if cap(gaps) < len(ts)-1 {
-				gaps = make([]float64, 0, len(ts)-1)
+// FrequencyOf is the Figure 3 fold over every campaign's state: one
+// point per (campaign, user), that user's slots regrouped by a counting
+// sort and its timestamps sorted in scratch.
+func FrequencyOf(states map[string]*State) FrequencyResult {
+	users := 0
+	for _, s := range states {
+		users += len(s.cols.Users.keys)
+	}
+	res := FrequencyResult{Points: make([]UserFrequency, 0, users)}
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	for id, s := range states {
+		c := &s.cols
+		sc.eachGroup(c.UserOf, len(c.Users.keys), func(uid int, slots []int32) {
+			p := UserFrequency{CampaignID: id, UserKey: c.Users.keys[uid], Impressions: len(slots)}
+			if len(slots) >= 2 {
+				ts := sc.gather(c.Times, slots)
+				slices.Sort(ts)
+				sc.floats = sc.floats[:0]
+				for i := 1; i < len(ts); i++ {
+					sc.floats = append(sc.floats, float64(ts[i]-ts[i-1]))
+				}
+				slices.Sort(sc.floats)
+				p.MedianInterArrival = time.Duration(stats.QuantileSorted(sc.floats, 0.5))
 			}
-			gaps = gaps[:0]
-			for i := 1; i < len(ts); i++ {
-				// float64 nanoseconds, the representation
-				// stats.MedianDurations reduces to — kept bit-identical so
-				// the streaming engine's view cannot drift.
-				gaps = append(gaps, float64(ts[i].Sub(ts[i-1])))
+			if p.Impressions > 10 {
+				res.UsersOver10++
 			}
-			slices.Sort(gaps)
-			p.MedianInterArrival = time.Duration(stats.QuantileSorted(gaps, 0.5))
-		}
-		if p.Impressions > 10 {
-			res.UsersOver10++
-		}
-		if p.Impressions > 100 {
-			res.UsersOver100++
-		}
-		res.Points = append(res.Points, p)
+			if p.Impressions > 100 {
+				res.UsersOver100++
+			}
+			res.Points = append(res.Points, p)
+		})
 	}
 	slices.SortFunc(res.Points, func(a, b UserFrequency) int {
-		if a.Impressions != b.Impressions {
-			return cmp.Compare(b.Impressions, a.Impressions)
-		}
-		if c := strings.Compare(a.UserKey, b.UserKey); c != 0 {
-			return c
-		}
-		return strings.Compare(a.CampaignID, b.CampaignID)
+		return cmp.Or(cmp.Compare(b.Impressions, a.Impressions),
+			strings.Compare(a.UserKey, b.UserKey), strings.Compare(a.CampaignID, b.CampaignID))
 	})
 	return res
 }

@@ -78,10 +78,8 @@ func (a *Auditor) SellerAudit(campaignID string, rep *adnet.VendorReport) Seller
 }
 
 // SellerAuditFromReport materializes the cross-check from a vendor
-// report and a declared-seller directory. It is a pure function of its
-// inputs — the batch auditor and the streaming engine call exactly
-// this, so the two paths cannot drift. A nil report yields the empty
-// result.
+// report and a declared-seller directory — a pure function of the two;
+// the state has no part in it. A nil report yields the empty result.
 func SellerAuditFromReport(campaignID string, rep *adnet.VendorReport, dir SellerDirectory) SellerAuditResult {
 	res := SellerAuditResult{CampaignID: campaignID}
 	if rep == nil {

@@ -6,10 +6,11 @@ import (
 	"adaudit/internal/telemetry"
 )
 
-// auditStages are the analysis dimensions FullAudit times, in the
-// order the serial engine runs them per campaign, plus the two
-// cross-campaign aggregates.
+// auditStages are what FullAudit times: filling a campaign's state,
+// the analysis dimensions in the order the serial engine folds them per
+// campaign, and the two cross-campaign aggregates.
 const (
+	stageState       = "state"
 	stageBrandSafety = "brandsafety"
 	stageContext     = "context"
 	stagePopularity  = "popularity"
@@ -45,7 +46,7 @@ func (a *Auditor) Instrument(reg *telemetry.Registry) {
 	}
 	stages := map[string]*telemetry.Histogram{}
 	for _, stage := range []string{
-		stageBrandSafety, stageContext, stagePopularity,
+		stageState, stageBrandSafety, stageContext, stagePopularity,
 		stageViewability, stageFraud, stageSellers, stagePooling,
 		stageBehavior, stageAggregate, stageFrequency,
 	} {

@@ -1,174 +1,51 @@
 // Package shardmerge reconstructs a single-store audit view from N
 // collector shards. Each shard runs its own store + WAL + change feed +
-// streamaudit engine and serves its incremental state as a
-// streamaudit.Export (/api/live/export); Merge unions those exports —
-// in shard order — into one combined Export whose materialised report
+// streamaudit engine and serves its per-campaign states as a
+// streamaudit.Export (/api/live/export); Merge merges those exports —
+// in shard order — into one Export whose materialised report
 // (streamaudit.NewStatic + Engine.Report) is reflect.DeepEqual to a
 // single-store FullAudit over the concatenation of the shards' data.
 //
-// Shard order is load-bearing for bit-stability, not correctness of
-// counts: per-campaign slot-indexed slices (exposure samples,
-// visibility signals) concatenate in shard order, so the one
-// order-sensitive statistic in the report — stats.Summarize's float
-// mean, summed in element order — sees the samples in exactly the
-// insertion order of a reference store built by concatenating the
-// shards' datasets in the same order. Everything else merges by sum,
-// union, OR, min/max, or slot-offset relabelling, all order-insensitive.
+// All the merging is audit.State.Merge: a shard's rows are appended
+// after those of the shards before it, its ids remapped through the
+// merged dictionaries. Shard order is load-bearing for bit-stability,
+// not correctness of counts: the one order-sensitive statistic in the
+// report — the float mean of the exposure summary, summed in slot order
+// — then sees the samples in exactly the insertion order of a reference
+// store built by concatenating the shards' datasets in the same order.
 //
 // The merged Seq is the sum of shard Seqs: a monotone progress
 // indicator for staleness displays, not a feed position.
 package shardmerge
 
 import (
-	"sort"
-	"time"
-
 	"adaudit/internal/audit"
 	"adaudit/internal/streamaudit"
 )
 
-// Merge unions per-shard exports in shard order into one combined
+// Merge merges per-shard exports in shard order into one combined
 // export. Nil shards (a shard that failed to export) are skipped;
 // callers that need all-or-nothing semantics check before calling.
+// The shards are only read.
 func Merge(shards []*streamaudit.Export) *streamaudit.Export {
 	out := &streamaudit.Export{
-		Campaigns: map[string]*streamaudit.CampaignExport{},
+		Version:   streamaudit.ExportVersion,
+		Campaigns: map[string]*audit.State{},
 	}
-	allPubs := map[string]struct{}{}
-	users := map[string]map[string]struct{}{}
-	freq := map[audit.FrequencyKey][]time.Time{}
-
 	for _, sh := range shards {
 		if sh == nil {
 			continue
 		}
 		out.Seq += sh.Seq
-		for _, p := range sh.AllPubs {
-			allPubs[p] = struct{}{}
-		}
-		for _, g := range sh.Freq {
-			k := audit.FrequencyKey{CampaignID: g.CampaignID, UserKey: g.UserKey}
-			freq[k] = append(freq[k], g.Times...)
-		}
-		for id, ce := range sh.Campaigns {
-			mergeCampaign(out, users, id, ce)
-		}
-	}
-
-	for id, set := range users {
-		out.Campaigns[id].Users = sortedSet(set)
-	}
-	out.AllPubs = sortedSet(allPubs)
-	out.Freq = make([]streamaudit.FreqGroup, 0, len(freq))
-	for k, ts := range freq {
-		out.Freq = append(out.Freq, streamaudit.FreqGroup{
-			CampaignID: k.CampaignID, UserKey: k.UserKey, Times: ts,
-		})
-	}
-	sort.Slice(out.Freq, func(a, b int) bool {
-		if out.Freq[a].CampaignID != out.Freq[b].CampaignID {
-			return out.Freq[a].CampaignID < out.Freq[b].CampaignID
-		}
-		return out.Freq[a].UserKey < out.Freq[b].UserKey
-	})
-	return out
-}
-
-// mergeCampaign folds one shard's view of one campaign into the
-// accumulating merged export. The slot offset — how many exposure
-// samples the merged campaign already holds — relabels the shard's
-// slot-indexed identity lists so they keep pointing at their samples
-// after concatenation.
-func mergeCampaign(out *streamaudit.Export, users map[string]map[string]struct{}, id string, ce *streamaudit.CampaignExport) {
-	mc := out.Campaigns[id]
-	if mc == nil {
-		mc = &streamaudit.CampaignExport{}
-		out.Campaigns[id] = mc
-		users[id] = map[string]struct{}{}
-	}
-	offset := len(mc.Exposures)
-
-	mc.PubImps = addMap(mc.PubImps, ce.PubImps)
-	for _, u := range ce.Users {
-		users[id][u] = struct{}{}
-	}
-	mc.Clicks += ce.Clicks
-	mc.Conversions += ce.Conversions
-	if !ce.FirstSeen.IsZero() && (mc.FirstSeen.IsZero() || ce.FirstSeen.Before(mc.FirstSeen)) {
-		mc.FirstSeen = ce.FirstSeen
-	}
-	if ce.LastSeen.After(mc.LastSeen) {
-		mc.LastSeen = ce.LastSeen
-	}
-
-	mc.ImpRanks = append(mc.ImpRanks, ce.ImpRanks...)
-	mc.UnknownMeta += ce.UnknownMeta
-
-	mc.Exposures = append(mc.Exposures, ce.Exposures...)
-	mc.ViewableUB += ce.ViewableUB
-	mc.Measured += ce.Measured
-	mc.MRCViewable += ce.MRCViewable
-
-	mc.DCImps += ce.DCImps
-	mc.ByVerdict = addMap(mc.ByVerdict, ce.ByVerdict)
-	mc.IPSeen = orMap(mc.IPSeen, ce.IPSeen)
-	mc.PubSeen = orMap(mc.PubSeen, ce.PubSeen)
-	mc.DCPerPub = addMap(mc.DCPerPub, ce.DCPerPub)
-
-	mc.VisMeasured = append(mc.VisMeasured, ce.VisMeasured...)
-	mc.VisFrac = append(mc.VisFrac, ce.VisFrac...)
-	mc.UserSlots = appendSlots(mc.UserSlots, ce.UserSlots, offset)
-	mc.PubSlots = appendSlots(mc.PubSlots, ce.PubSlots, offset)
-	mc.UserConvs = addMap(mc.UserConvs, ce.UserConvs)
-	mc.UserDC = orMap(mc.UserDC, ce.UserDC)
-}
-
-func addMap(dst, src map[string]int) map[string]int {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]int, len(src))
-	}
-	for k, v := range src {
-		dst[k] += v
-	}
-	return dst
-}
-
-func orMap(dst, src map[string]bool) map[string]bool {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string]bool, len(src))
-	}
-	for k, v := range src {
-		dst[k] = dst[k] || v
-	}
-	return dst
-}
-
-func appendSlots(dst, src map[string][]int, offset int) map[string][]int {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[string][]int, len(src))
-	}
-	for k, slots := range src {
-		for _, s := range slots {
-			dst[k] = append(dst[k], s+offset)
+		for id, st := range sh.Campaigns {
+			if st == nil {
+				continue
+			}
+			if out.Campaigns[id] == nil {
+				out.Campaigns[id] = audit.NewState()
+			}
+			out.Campaigns[id].Merge(st)
 		}
 	}
-	return dst
-}
-
-func sortedSet(set map[string]struct{}) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

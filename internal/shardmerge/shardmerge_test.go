@@ -511,4 +511,15 @@ func TestClientFetchMerged(t *testing.T) {
 	if _, err := cl.FetchMerged(context.Background()); err == nil {
 		t.Fatalf("FetchMerged with an unreachable shard: want error, got nil")
 	}
+
+	// So must a shard whose export does not validate: the router never
+	// merges a document it could not check.
+	bad := httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(wr, `{"version":%d,"campaigns":{"c":{"publishers":["p"],"pub_of":[9]}}}`, streamaudit.ExportVersion)
+	}))
+	defer bad.Close()
+	cl = &Client{Shards: append(append([]string(nil), urls...), bad.URL)}
+	if _, err := cl.FetchMerged(context.Background()); err == nil {
+		t.Fatalf("FetchMerged with a shard serving an invalid export: want error, got nil")
+	}
 }

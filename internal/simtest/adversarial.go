@@ -346,9 +346,9 @@ func (o *oracle) checkAdversarialCampaign(ca *audit.CampaignAudit) {
 		if !modelDegenerate(recs) {
 			continue
 		}
-		ts := make([]time.Time, len(recs))
+		ts := make([]int64, len(recs))
 		for i, r := range recs {
-			ts[i] = r.timestamp
+			ts[i] = r.timestamp.UnixNano()
 		}
 		if cv := audit.CadenceCV(ts); !(cv <= audit.BehaviorMaxCadenceCV) {
 			continue

@@ -2,6 +2,7 @@ package streamaudit
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -500,4 +501,115 @@ func BenchmarkStreamApply(b *testing.B) {
 		}
 		applied += n
 	}
+}
+
+// TestResultsDoNotAliasLiveState: what Report and Audit return is the
+// caller's. An independent copy of the engine's state at the time of
+// the report (its export through JSON, served statically) gives the
+// reference; 1,000 further events — inserts, exposure merges on records
+// the report covered, conversions — must leave the report equal to it.
+func TestResultsDoNotAliasLiveState(t *testing.T) {
+	w := newTestWorld(t, 5)
+	rng := rand.New(rand.NewSource(5))
+	ids := w.populate(t, rng, 300)
+	w.buildInputs(rng)
+	e, err := New(Config{Store: w.st, Meta: w.meta})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	got, err := e.Report(w.inputs)
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	gotLive, _, err := e.Audit(testCampaigns[0])
+	if err != nil {
+		t.Fatalf("Audit: %v", err)
+	}
+	b, err := json.Marshal(e.Export())
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	var exp Export
+	if err := json.Unmarshal(b, &exp); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	frozen, err := NewStatic(StaticConfig{Meta: w.meta}, &exp)
+	if err != nil {
+		t.Fatalf("NewStatic: %v", err)
+	}
+
+	for applied := 0; applied < 1000; {
+		for _, id := range ids[:50] {
+			if err := w.st.Merge(id, store.Continuation{Exposure: time.Second, VisibilityMeasured: true, MaxVisibleFraction: 0.9, Clicks: 1}); err != nil {
+				t.Fatalf("Merge: %v", err)
+			}
+		}
+		w.populate(t, rng, 100)
+		n, resynced := e.Drain()
+		if resynced {
+			t.Fatalf("engine resynced; the events were meant to be applied to the state the report came from")
+		}
+		applied += n
+	}
+
+	want, err := frozen.Report(w.inputs)
+	if err != nil {
+		t.Fatalf("frozen Report: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("a report changed after it was returned")
+	}
+	wantLive, _, _ := frozen.Audit(testCampaigns[0])
+	if !reflect.DeepEqual(gotLive.Audit, wantLive.Audit) {
+		t.Fatalf("a live audit changed after it was returned")
+	}
+	if now, _ := e.Report(w.inputs); reflect.DeepEqual(now, want) {
+		t.Fatalf("the 1,000 events changed nothing; the test proves nothing")
+	}
+}
+
+// TestExportValidation: an export is checked where it is decoded and
+// where it is handed over, with the same errors.
+func TestExportValidation(t *testing.T) {
+	// The document that used to reach behaviorFold.publisher and panic
+	// there (version-less, from the previous format).
+	old := `{"campaigns":{"c":{"pub_slots":{"p":[9]}}}}`
+	if err := json.Unmarshal([]byte(old), new(Export)); err == nil {
+		t.Fatalf("version-less export accepted")
+	}
+	for name, doc := range map[string]string{
+		"foreign version": `{"version":1,"campaigns":{}}`,
+		"null state":      fmt.Sprintf(`{"version":%d,"campaigns":{"c":null}}`, ExportVersion),
+		"bad state":       fmt.Sprintf(`{"version":%d,"campaigns":{"c":{"publishers":["p"],"pub_of":[9]}}}`, ExportVersion),
+	} {
+		if err := json.Unmarshal([]byte(doc), new(Export)); err == nil {
+			t.Errorf("%s: decoded %s", name, doc)
+		}
+	}
+	cfg := StaticConfig{Meta: audit.UniverseMetadata{}}
+	for name, exp := range map[string]*Export{
+		"zero export": {},
+		"null state":  {Version: ExportVersion, Campaigns: map[string]*audit.State{"c": nil}},
+	} {
+		decodeErr := json.Unmarshal(mustJSON(t, exp), new(Export))
+		if _, err := NewStatic(cfg, exp); err == nil || decodeErr == nil || err.Error() != decodeErr.Error() {
+			t.Errorf("%s: NewStatic says %v, decoding says %v; want one error from both", name, err, decodeErr)
+		}
+	}
+	var zero Export
+	if err := json.Unmarshal(mustJSON(t, &Export{Version: ExportVersion}), &zero); err != nil {
+		t.Fatalf("empty export of this version rejected: %v", err)
+	}
+	if _, err := NewStatic(cfg, &zero); err != nil {
+		t.Fatalf("NewStatic on an empty export: %v", err)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	return b
 }

@@ -1,153 +1,98 @@
 package streamaudit
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
-	"time"
 
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
 	"adaudit/internal/semsim"
 )
 
-// Export is a self-contained, JSON-serialisable snapshot of an engine's
-// incremental state — everything a merge layer needs to reconstruct the
-// engine's report without the store it was folded from. The shard-merge
-// tier ships one Export per collector shard over /api/live/export and
-// unions them (internal/shardmerge) into a combined state whose report
-// is deep-equal to a single-store FullAudit over the union of the
-// shards' data.
+// ExportVersion is the format version an Export document carries. It
+// names the layout of audit.State's JSON form (version 1 was the
+// per-dimension map mirror this replaced); a decoder accepts its own
+// version only.
+const ExportVersion = 2
+
+// Export is an engine's states in their JSON form — everything a merge
+// layer needs to reconstruct the engine's report without the store it
+// was fed from. The shard-merge tier ships one Export per collector
+// shard over /api/live/export and merges them (internal/shardmerge)
+// into states whose report is deep-equal to a single-store FullAudit
+// over the union of the shards' data.
 //
-// Slot-indexed slices (Exposures, VisMeasured, VisFrac, and the slot
-// lists in UserSlots/PubSlots) are in store insertion order, exactly as
-// the engine maintains them; merging concatenates them in shard order
-// so even order-sensitive float summation (stats.Summarize's mean) is
-// bit-stable. Every float in the export round-trips JSON exactly
-// (encoding/json emits the shortest representation that parses back to
-// the same float64), so a report materialised from a decoded Export is
-// byte-identical to one materialised in-process.
+// A state's slots are in store insertion order, and every float
+// round-trips JSON exactly (encoding/json emits the shortest
+// representation that parses back to the same float64), so a report
+// materialised from a decoded Export is byte-identical to one
+// materialised in-process.
+//
+// An Export is outside input wherever it is decoded: decoding checks
+// the version and every state (see audit.State's UnmarshalJSON) and
+// rejects the document whole.
 type Export struct {
+	Version int `json:"version"`
 	// Seq is the feed sequence the exporting engine had applied. A
 	// merged export sums shard Seqs — a monotone progress indicator,
 	// not a feed position.
 	Seq int64 `json:"seq"`
-	// Campaigns holds one entry per campaign the engine observed
+	// Campaigns holds one state per campaign the engine observed
 	// (impressions or conversions).
-	Campaigns map[string]*CampaignExport `json:"campaigns"`
-	// AllPubs is the cross-campaign publisher set (sorted) backing the
-	// aggregate Figure 1 Venn.
-	AllPubs []string `json:"all_pubs"`
-	// Freq is the per-(campaign, user) impression-timestamp groups for
-	// the Figure 3 frequency analysis, sorted by (campaign, user);
-	// times within a group are in insertion order.
-	Freq []FreqGroup `json:"freq"`
+	Campaigns map[string]*audit.State `json:"campaigns"`
 }
 
-// FreqGroup is one (campaign, user) timestamp group.
-type FreqGroup struct {
-	CampaignID string      `json:"campaign_id"`
-	UserKey    string      `json:"user_key"`
-	Times      []time.Time `json:"times"`
+// Validate reports what decoding would have rejected in an export
+// assembled by hand: a foreign version, a campaign without a state.
+// (A non-nil state is valid by construction.)
+func (x *Export) Validate() error {
+	if x.Version != ExportVersion {
+		return fmt.Errorf("streamaudit: export format version %d, this build reads %d", x.Version, ExportVersion)
+	}
+	for id, st := range x.Campaigns {
+		if st == nil {
+			return fmt.Errorf("streamaudit: export has no state for campaign %q", id)
+		}
+	}
+	return nil
 }
 
-// CampaignExport mirrors the engine's per-campaign aggregate state
-// field for field (see state.go's campaignState for the semantics of
-// each).
-type CampaignExport struct {
-	PubImps     map[string]int `json:"pub_imps,omitempty"`
-	Users       []string       `json:"users,omitempty"`
-	Clicks      int            `json:"clicks,omitempty"`
-	Conversions int            `json:"conversions,omitempty"`
-	FirstSeen   time.Time      `json:"first_seen"`
-	LastSeen    time.Time      `json:"last_seen"`
-
-	ImpRanks    []int `json:"imp_ranks,omitempty"`
-	UnknownMeta int   `json:"unknown_meta,omitempty"`
-
-	Exposures   []float64 `json:"exposures,omitempty"`
-	ViewableUB  int       `json:"viewable_ub,omitempty"`
-	Measured    int       `json:"measured,omitempty"`
-	MRCViewable int       `json:"mrc_viewable,omitempty"`
-
-	DCImps    int             `json:"dc_imps,omitempty"`
-	ByVerdict map[string]int  `json:"by_verdict,omitempty"`
-	IPSeen    map[string]bool `json:"ip_seen,omitempty"`
-	PubSeen   map[string]bool `json:"pub_seen,omitempty"`
-	DCPerPub  map[string]int  `json:"dc_per_pub,omitempty"`
-
-	VisMeasured []bool           `json:"vis_measured,omitempty"`
-	VisFrac     []float64        `json:"vis_frac,omitempty"`
-	UserSlots   map[string][]int `json:"user_slots,omitempty"`
-	PubSlots    map[string][]int `json:"pub_slots,omitempty"`
-	UserConvs   map[string]int   `json:"user_convs,omitempty"`
-	UserDC      map[string]bool  `json:"user_dc,omitempty"`
+// UnmarshalJSON decodes and validates an export.
+func (x *Export) UnmarshalJSON(b []byte) error {
+	type plain Export // without this method
+	var p plain
+	if err := json.Unmarshal(b, &p); err != nil {
+		return err
+	}
+	if err := (*Export)(&p).Validate(); err != nil {
+		return err
+	}
+	*x = Export(p)
+	return nil
 }
 
-// Export deep-copies the engine's state into a Export. Safe for
-// concurrent use; the engine keeps folding deltas afterwards.
+// Export copies the engine's states into an Export. Safe for
+// concurrent use; the engine keeps applying deltas afterwards.
 func (e *Engine) Export() *Export {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-
 	out := &Export{
+		Version:   ExportVersion,
 		Seq:       e.appliedSeq.Load(),
-		Campaigns: make(map[string]*CampaignExport, len(e.st.campaigns)),
-		AllPubs:   sortedKeys(e.st.allPubs),
+		Campaigns: make(map[string]*audit.State, len(e.states)),
 	}
-	for id, cs := range e.st.campaigns {
-		out.Campaigns[id] = exportCampaign(cs)
+	for id, st := range e.states {
+		cp := audit.NewState()
+		cp.Merge(st)
+		out.Campaigns[id] = cp
 	}
-	out.Freq = make([]FreqGroup, 0, len(e.st.freq))
-	for k, ts := range e.st.freq {
-		out.Freq = append(out.Freq, FreqGroup{
-			CampaignID: k.CampaignID,
-			UserKey:    k.UserKey,
-			Times:      append([]time.Time(nil), ts...),
-		})
-	}
-	sort.Slice(out.Freq, func(a, b int) bool {
-		if out.Freq[a].CampaignID != out.Freq[b].CampaignID {
-			return out.Freq[a].CampaignID < out.Freq[b].CampaignID
-		}
-		return out.Freq[a].UserKey < out.Freq[b].UserKey
-	})
 	return out
-}
-
-func exportCampaign(cs *campaignState) *CampaignExport {
-	return &CampaignExport{
-		PubImps:     copyMap(cs.pubImps),
-		Users:       sortedKeys(cs.users),
-		Clicks:      cs.clicks,
-		Conversions: cs.conversions,
-		FirstSeen:   cs.firstSeen,
-		LastSeen:    cs.lastSeen,
-		ImpRanks:    append([]int(nil), cs.impRanks...),
-		UnknownMeta: cs.unknownMeta,
-		Exposures:   append([]float64(nil), cs.exposures...),
-		ViewableUB:  cs.viewableUB,
-		Measured:    cs.measured,
-		MRCViewable: cs.mrcViewable,
-		DCImps:      cs.dcImps,
-		ByVerdict:   copyMap(cs.byVerdict),
-		IPSeen:      copyMap(cs.ipSeen),
-		PubSeen:     copyMap(cs.pubSeen),
-		DCPerPub:    copyMap(cs.dcPerPub),
-		VisMeasured: append([]bool(nil), cs.visMeasured...),
-		VisFrac:     append([]float64(nil), cs.visFrac...),
-		UserSlots:   copySlotMap(cs.userSlots),
-		PubSlots:    copySlotMap(cs.pubSlots),
-		UserConvs:   copyMap(cs.userConvs),
-		UserDC:      copyMap(cs.userDC),
-	}
 }
 
 // StaticConfig configures NewStatic — Config minus the store and feed
 // machinery a static engine has no use for.
 type StaticConfig struct {
-	// Meta resolves publisher metadata. Required, and it must agree
-	// with the shards' metadata source: the export carries rank/context
-	// observations already folded against it.
+	// Meta resolves publisher metadata. Required.
 	Meta audit.MetadataSource
 	// Matcher, Keywords, Reports, Sellers: as in Config.
 	Matcher  *semsim.Matcher
@@ -159,123 +104,21 @@ type StaticConfig struct {
 // NewStatic builds a query-only engine over a decoded (typically
 // merged) Export: Report, Summaries, LiveSummary and Audit work exactly
 // as on a live engine, but there is no store and no change feed — the
-// state is frozen at the export's cut. Drain, Run, CaughtUp and
-// Staleness report the engine as permanently caught up.
+// engine serves the export's own states, which must not change under
+// it. Drain, Run, CaughtUp and Staleness report the engine as
+// permanently caught up.
 func NewStatic(cfg StaticConfig, exp *Export) (*Engine, error) {
 	if exp == nil {
 		return nil, fmt.Errorf("streamaudit: static engine requires an export")
 	}
-	if cfg.Meta == nil {
-		return nil, fmt.Errorf("streamaudit: static engine requires a metadata source")
+	if err := exp.Validate(); err != nil {
+		return nil, err
 	}
-	m := cfg.Matcher
-	if m == nil {
-		m = semsim.NewMatcher(semsim.DefaultTaxonomy())
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	sellers := cfg.Sellers
-	if sellers == nil {
-		sellers = adnet.SellerRegistry{}
-	}
-	e := &Engine{
-		meta:      cfg.Meta,
-		matcher:   m,
-		keywords:  cfg.Keywords,
-		reports:   cfg.Reports,
-		sellers:   sellers,
-		metaMemo:  map[string]metaEntry{},
-		listeners: map[*Updates]struct{}{},
-		st:        importState(exp),
-	}
-	e.tel.init(nil, e)
+	e.states = exp.Campaigns
 	e.appliedSeq.Store(exp.Seq)
 	return e, nil
-}
-
-// importState reconstructs the engine's internal state from an export.
-// recs stays empty: a static engine never applies merges.
-func importState(exp *Export) *state {
-	st := newState()
-	for _, p := range exp.AllPubs {
-		st.allPubs[p] = struct{}{}
-	}
-	for _, g := range exp.Freq {
-		k := audit.FrequencyKey{CampaignID: g.CampaignID, UserKey: g.UserKey}
-		st.freq[k] = append([]time.Time(nil), g.Times...)
-	}
-	for id, ce := range exp.Campaigns {
-		cs := st.campaign(id)
-		for p, n := range ce.PubImps {
-			cs.pubImps[p] = n
-		}
-		for _, u := range ce.Users {
-			cs.users[u] = struct{}{}
-		}
-		cs.clicks = ce.Clicks
-		cs.conversions = ce.Conversions
-		cs.firstSeen = ce.FirstSeen
-		cs.lastSeen = ce.LastSeen
-		cs.impRanks = append([]int(nil), ce.ImpRanks...)
-		cs.unknownMeta = ce.UnknownMeta
-		cs.exposures = append([]float64(nil), ce.Exposures...)
-		cs.viewableUB = ce.ViewableUB
-		cs.measured = ce.Measured
-		cs.mrcViewable = ce.MRCViewable
-		cs.dcImps = ce.DCImps
-		fillMap(cs.byVerdict, ce.ByVerdict)
-		fillMap(cs.ipSeen, ce.IPSeen)
-		fillMap(cs.pubSeen, ce.PubSeen)
-		fillMap(cs.dcPerPub, ce.DCPerPub)
-		cs.visMeasured = append([]bool(nil), ce.VisMeasured...)
-		cs.visFrac = append([]float64(nil), ce.VisFrac...)
-		for u, slots := range ce.UserSlots {
-			cs.userSlots[u] = append([]int(nil), slots...)
-		}
-		for p, slots := range ce.PubSlots {
-			cs.pubSlots[p] = append([]int(nil), slots...)
-		}
-		fillMap(cs.userConvs, ce.UserConvs)
-		fillMap(cs.userDC, ce.UserDC)
-	}
-	return st
-}
-
-// Static reports whether the engine was built by NewStatic (no store,
-// no feed).
-func (e *Engine) Static() bool { return e.store == nil }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func copyMap[V int | bool | string](m map[string]V) map[string]V {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copySlotMap(m map[string][]int) map[string][]int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string][]int, len(m))
-	for k, v := range m {
-		out[k] = append([]int(nil), v...)
-	}
-	return out
-}
-
-func fillMap[V any](dst, src map[string]V) {
-	for k, v := range src {
-		dst[k] = v
-	}
 }

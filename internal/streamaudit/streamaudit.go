@@ -1,25 +1,25 @@
-// Package streamaudit is the streaming counterpart of internal/audit:
-// an engine that subscribes to the store's change feed and maintains
-// every per-campaign audit dimension incrementally — brand-safety
-// publisher sets, contextual per-publisher impression counts,
-// popularity rank observations, viewability counters and exposure
-// samples, frequency-cap timestamp groups, and data-center fraud
-// counters — in O(delta) work per mutation instead of a full-store
-// rescan per query.
+// Package streamaudit keeps the audit current: an engine that
+// subscribes to the store's change feed and feeds every mutation into
+// the per-campaign audit.State — the same columnar state batch
+// FullAudit fills in one visit — in O(1) work per mutation instead of a
+// full-store rescan per query. An insert appends a slot, an exposure
+// merge overwrites one, a conversion bumps a counter; the engine's only
+// state of its own is the record-id -> slot map that lets a merge find
+// its slot.
 //
 // The headline contract, enforced by the unit tests and the simtest
 // oracle: at quiescence (every published feed event applied),
 // Engine.Report is deep-equal to Auditor.FullAudit over the same store
-// and the same campaign inputs. The engine achieves that not by
-// approximating the batch path but by sharing its materialization code
-// (audit.BrandSafetyFromSets, audit.PopularityFromRanks,
-// audit.FraudFromState, audit.FrequencyFromTimes) over incrementally
-// maintained state, and by keeping per-campaign exposure samples in
-// store insertion order so even float summation order matches.
+// and the same campaign inputs. That holds by construction: Report runs
+// the folds FullAudit runs (audit.Auditor.ReportStates) over states
+// holding the same rows in the same order.
+//
+// Export is those states' JSON form, which the shard-merge tier unions
+// (internal/shardmerge) and NewStatic serves reports from.
 //
 // Recovery follows the feed's drop-then-resync policy: a consumer the
 // bus evicted (or an out-of-order delta, which cannot happen unless
-// state was lost) discards its aggregates and re-subscribes, rebuilding
+// state was lost) discards its states and re-subscribes, rebuilding
 // from the consistent snapshot prime. Resyncs are counted, never
 // wrong — only slower.
 package streamaudit
@@ -76,19 +76,23 @@ type Config struct {
 // views. All exported methods are safe for concurrent use.
 type Engine struct {
 	store    *store.Store
-	meta     audit.MetadataSource
-	matcher  *semsim.Matcher
 	buffer   int
 	keywords map[string][]string
 	reports  map[string]*adnet.VendorReport
-	sellers  audit.SellerDirectory
+	// aud runs the folds: the metadata source, matcher and seller
+	// directory, with no store behind it.
+	aud *audit.Auditor
 
-	// mu guards st, sub and metaMemo. appliedSeq/resyncs are atomics
-	// so monitoring reads never contend with apply.
-	mu       sync.Mutex
-	st       *state
-	sub      *store.FeedSub
-	metaMemo map[string]metaEntry
+	// mu guards states, recs and sub. states holds one audit.State
+	// per campaign; recs is the one thing only a feed consumer needs,
+	// where each store record landed, so an exposure merge can overwrite
+	// its slot. A resync rebuilds both from the snapshot prime.
+	// appliedSeq/resyncs are atomics so monitoring reads never contend
+	// with apply.
+	mu     sync.Mutex
+	states map[string]*audit.State
+	recs   map[int64]recRef
+	sub    *store.FeedSub
 
 	appliedSeq atomic.Int64
 	resyncs    atomic.Int64
@@ -106,11 +110,6 @@ type Engine struct {
 	tel engineTelemetry
 }
 
-type metaEntry struct {
-	meta audit.PublisherMeta
-	ok   bool
-}
-
 // New builds an engine and attaches it to the store's change feed,
 // priming its state from a consistent snapshot of the current
 // contents. The engine is queryable immediately; call Drain or Run to
@@ -119,28 +118,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("streamaudit: engine requires a store")
 	}
-	if cfg.Meta == nil {
-		return nil, fmt.Errorf("streamaudit: engine requires a metadata source")
+	e, err := newEngine(StaticConfig{cfg.Meta, cfg.Matcher, cfg.Keywords, cfg.Reports, cfg.Sellers})
+	if err != nil {
+		return nil, err
 	}
-	m := cfg.Matcher
-	if m == nil {
-		m = semsim.NewMatcher(semsim.DefaultTaxonomy())
-	}
-	sellers := cfg.Sellers
-	if sellers == nil {
-		sellers = adnet.SellerRegistry{}
-	}
-	e := &Engine{
-		store:     cfg.Store,
-		meta:      cfg.Meta,
-		matcher:   m,
-		buffer:    cfg.Buffer,
-		keywords:  cfg.Keywords,
-		reports:   cfg.Reports,
-		sellers:   sellers,
-		metaMemo:  map[string]metaEntry{},
-		listeners: map[*Updates]struct{}{},
-	}
+	e.store, e.buffer = cfg.Store, cfg.Buffer
 	e.tel.init(cfg.Telemetry, e)
 	e.mu.Lock()
 	e.attachLocked()
@@ -148,28 +130,32 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// lookupMeta memoizes publisher-metadata lookups; the memo survives
-// resyncs (metadata is immutable for the life of the engine).
-// Callers hold e.mu.
-func (e *Engine) lookupMeta(pub string) (audit.PublisherMeta, bool) {
-	if ent, ok := e.metaMemo[pub]; ok {
-		return ent.meta, ent.ok
+// newEngine builds what a live and a static engine share. The auditor
+// that folds the states is serial (Report holds the engine lock) and
+// gets audit.New's default for a nil matcher.
+func newEngine(cfg StaticConfig) (*Engine, error) {
+	if cfg.Meta == nil {
+		return nil, fmt.Errorf("streamaudit: engine requires a metadata source")
 	}
-	meta, ok := e.meta.PublisherMeta(pub)
-	e.metaMemo[pub] = metaEntry{meta, ok}
-	return meta, ok
+	m := cfg.Matcher
+	if m == nil {
+		m = semsim.NewMatcher(semsim.DefaultTaxonomy())
+	}
+	return &Engine{
+		keywords:  cfg.Keywords,
+		reports:   cfg.Reports,
+		aud:       &audit.Auditor{Meta: cfg.Meta, Matcher: m, Sellers: cfg.Sellers, Parallelism: 1},
+		listeners: map[*Updates]struct{}{},
+	}, nil
 }
 
-// attachLocked (re)subscribes to the feed and rebuilds state from the
-// snapshot prime. Caller holds e.mu.
+// attachLocked (re)subscribes to the feed and rebuilds the states from
+// the snapshot prime. Caller holds e.mu.
 func (e *Engine) attachLocked() {
-	st := newState()
-	e.st = st
+	e.states, e.recs = map[string]*audit.State{}, map[int64]recRef{}
 	// The prime callbacks run under the store's read locks; they only
 	// touch engine state (also safe: e.mu is held).
-	e.sub = e.store.Subscribe(e.buffer,
-		func(im *store.Impression) { st.applyInsert(e, im) },
-		func(c *store.Conversion) { st.applyConversion(c) })
+	e.sub = e.store.Subscribe(e.buffer, e.applyInsert, e.applyConversion)
 	e.appliedSeq.Store(e.sub.StartSeq())
 	e.attachedAt.Store(time.Now().UnixNano())
 }
@@ -183,9 +169,9 @@ func (e *Engine) resyncLocked(dirty map[string]struct{}) {
 	}
 	e.attachLocked()
 	e.resyncs.Add(1)
-	e.tel.observeResync()
+	e.tel.resyncs.Inc()
 	// Every campaign may have changed from the listeners' perspective.
-	for id := range e.st.campaigns {
+	for id := range e.states {
 		dirty[id] = struct{}{}
 	}
 }
@@ -197,26 +183,28 @@ func (e *Engine) applyLocked(ev *store.FeedEvent, dirty map[string]struct{}) err
 	if want := e.appliedSeq.Load() + 1; ev.Seq != want {
 		return fmt.Errorf("streamaudit: feed gap: got seq %d, want %d", ev.Seq, want)
 	}
+	start := e.tel.applyStart()
 	switch ev.Kind {
 	case store.FeedInsert:
-		e.st.applyInsert(e, &ev.Im)
+		e.applyInsert(&ev.Im)
 		dirty[ev.Im.CampaignID] = struct{}{}
 	case store.FeedMerge:
-		if err := e.st.applyMerge(e, ev); err != nil {
+		if err := e.applyMerge(ev); err != nil {
 			return err
 		}
 		dirty[ev.Im.CampaignID] = struct{}{}
 	case store.FeedConversion:
-		e.st.applyConversion(&ev.Conv)
+		e.applyConversion(&ev.Conv)
 		dirty[ev.Conv.CampaignID] = struct{}{}
 	default:
 		return fmt.Errorf("streamaudit: unknown feed event kind %v", ev.Kind)
 	}
+	e.tel.observeApply(start)
 	e.appliedSeq.Store(ev.Seq)
 	if ev.PublishedAt > 0 {
 		e.lastPub.Store(ev.PublishedAt)
 	}
-	e.tel.observeEvent()
+	e.tel.events.Inc()
 	// Apply is the trace's terminal stage: stamp it, record the
 	// commit→apply freshness observation (with the trace as the
 	// histogram exemplar), then finish — idempotent, so a second
@@ -225,6 +213,33 @@ func (e *Engine) applyLocked(ev *store.FeedEvent, dirty map[string]struct{}) err
 	e.tel.observeFreshness(ev)
 	ev.Trace.Finish()
 	return nil
+}
+
+// handleLocked applies one received event; if the bus closed the
+// channel instead (ok false) or the event does not follow the state,
+// it resyncs and reports so. Caller holds e.mu.
+func (e *Engine) handleLocked(ev *store.FeedEvent, ok bool, dirty map[string]struct{}) (resynced bool) {
+	if ok && e.applyLocked(ev, dirty) == nil {
+		return false
+	}
+	e.resyncLocked(dirty)
+	return true
+}
+
+// drainLocked handles every event already buffered. Caller holds e.mu.
+func (e *Engine) drainLocked(dirty map[string]struct{}) (applied int, resynced bool) {
+	for {
+		select {
+		case ev, ok := <-e.sub.Events():
+			if e.handleLocked(&ev, ok, dirty) {
+				resynced = true
+			} else {
+				applied++
+			}
+		default:
+			return applied, resynced
+		}
+	}
 }
 
 // Drain synchronously applies every buffered feed event, resyncing if
@@ -238,26 +253,10 @@ func (e *Engine) Drain() (applied int, resynced bool) {
 	}
 	dirty := map[string]struct{}{}
 	e.mu.Lock()
-	for {
-		select {
-		case ev, ok := <-e.sub.Events():
-			if !ok {
-				e.resyncLocked(dirty)
-				resynced = true
-				continue
-			}
-			if err := e.applyLocked(&ev, dirty); err != nil {
-				e.resyncLocked(dirty)
-				resynced = true
-				continue
-			}
-			applied++
-		default:
-			e.mu.Unlock()
-			e.notify(dirty)
-			return applied, resynced
-		}
-	}
+	applied, resynced = e.drainLocked(dirty)
+	e.mu.Unlock()
+	e.notify(dirty)
+	return applied, resynced
 }
 
 // Run consumes the feed until ctx is cancelled, resyncing from
@@ -280,30 +279,10 @@ func (e *Engine) Run(ctx context.Context) {
 		case ev, ok := <-sub.Events():
 			dirty := map[string]struct{}{}
 			e.mu.Lock()
-			if !ok {
-				e.resyncLocked(dirty)
-			} else if err := e.applyLocked(&ev, dirty); err != nil {
-				e.resyncLocked(dirty)
-			} else {
-				// Batch whatever else is already buffered under one
-				// lock hold, then notify once.
-			batch:
-				for {
-					select {
-					case ev2, ok2 := <-e.sub.Events():
-						if !ok2 {
-							e.resyncLocked(dirty)
-							break batch
-						}
-						if err := e.applyLocked(&ev2, dirty); err != nil {
-							e.resyncLocked(dirty)
-							break batch
-						}
-					default:
-						break batch
-					}
-				}
-			}
+			e.handleLocked(&ev, ok, dirty)
+			// Batch whatever else is already buffered under one lock
+			// hold, then notify once.
+			e.drainLocked(dirty)
 			e.mu.Unlock()
 			e.notify(dirty)
 		}

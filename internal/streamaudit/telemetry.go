@@ -8,23 +8,11 @@ import (
 	"adaudit/internal/telemetry"
 )
 
-// Apply-latency sections: the engine's per-dimension state updates.
-// "publisher" covers the shared publisher/user/summary fold that feeds
-// brand safety, context and the live summaries.
-const (
-	dimPublisher   = "publisher"
-	dimPopularity  = "popularity"
-	dimViewability = "viewability"
-	dimFraud       = "fraud"
-	dimFrequency   = "frequency"
-	dimBehavior    = "behavior"
-)
-
 // engineTelemetry instruments the engine: applied events, resyncs, a
-// caught-up lag gauge, and per-dimension apply-latency histograms.
-// Like the store's instruments, dimension timing is sampled (1 in
-// sampleInterval events) so the apply path is not dominated by clock
-// reads; the counters stay exact. The zero value is fully disabled.
+// caught-up lag gauge, and the apply-latency histogram. Like the
+// store's instruments, apply timing is sampled (1 in sampleInterval
+// events) so the apply path is not dominated by clock reads; the
+// counters stay exact. The zero value is fully disabled.
 type engineTelemetry struct {
 	enabled   bool
 	tick      atomic.Uint64
@@ -32,7 +20,7 @@ type engineTelemetry struct {
 	events    *telemetry.Counter
 	resyncs   *telemetry.Counter
 	freshness *telemetry.Histogram
-	sections  map[string]*telemetry.Histogram
+	apply     *telemetry.Histogram
 }
 
 const sampleInterval = 8
@@ -49,13 +37,9 @@ func (t *engineTelemetry) init(reg *telemetry.Registry, e *Engine) {
 	t.freshness = reg.Histogram("adaudit_pipeline_commit_to_apply_seconds",
 		"Store-commit to streamaudit-apply pipeline latency — the freshness SLO (sampled; traced events always observed).",
 		telemetry.LatencyBuckets(), nil)
-	t.sections = map[string]*telemetry.Histogram{}
-	for _, dim := range []string{dimPublisher, dimPopularity, dimViewability, dimFraud, dimFrequency, dimBehavior} {
-		t.sections[dim] = reg.Histogram("adaudit_streamaudit_apply_seconds",
-			"Per-dimension incremental apply latency (sampled).",
-			telemetry.LatencyBuckets(),
-			map[string]string{"dimension": dim})
-	}
+	t.apply = reg.Histogram("adaudit_streamaudit_apply_seconds",
+		"Latency of applying one feed event to its campaign's state (sampled).",
+		telemetry.LatencyBuckets(), nil)
 	reg.GaugeFunc("adaudit_streamaudit_lag",
 		"Feed events published but not yet applied by the engine.", nil,
 		func() float64 {
@@ -95,31 +79,18 @@ func (t *engineTelemetry) observeFreshness(ev *store.FeedEvent) {
 	}
 }
 
-func (t *engineTelemetry) observeEvent() {
-	if t.enabled {
-		t.events.Inc()
-	}
-}
-
-func (t *engineTelemetry) observeResync() {
-	if t.enabled {
-		t.resyncs.Inc()
-	}
-}
-
-// sectionTimer returns a closure the apply path calls after each
-// dimension section; on sampled events it observes the section's
-// duration into that dimension's histogram, otherwise it is a no-op.
-func (t *engineTelemetry) sectionTimer() func(dim string) {
+// applyStart returns the timing anchor of a sampled apply, or the zero
+// time for the rest (and when telemetry is off).
+func (t *engineTelemetry) applyStart() time.Time {
 	if !t.enabled || t.tick.Add(1)&(sampleInterval-1) != 1 {
-		return func(string) {}
+		return time.Time{}
 	}
-	last := time.Now()
-	return func(dim string) {
-		now := time.Now()
-		if h := t.sections[dim]; h != nil {
-			h.ObserveDuration(now.Sub(last))
-		}
-		last = now
+	return time.Now()
+}
+
+// observeApply records a sampled apply's duration.
+func (t *engineTelemetry) observeApply(start time.Time) {
+	if !start.IsZero() {
+		t.apply.ObserveDuration(time.Since(start))
 	}
 }

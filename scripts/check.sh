@@ -40,6 +40,12 @@ go test -race $RACE_PKGS
 echo "==> go test -race -run TestFullAuditParallelMatchesSerial -short ."
 go test -race -run TestFullAuditParallelMatchesSerial -short .
 
+# FullAudit's error is as deterministic as its report: with two failing
+# tasks the one lowest in task order wins at every pool size. This used
+# to be a scheduling race (3 failures in 15 runs under -race).
+echo "==> go test -race -count=50 -run TestFullAuditErrorPropagates ./internal/audit/"
+go test -race -count=50 -run TestFullAuditErrorPropagates ./internal/audit/
+
 if [ "${1:-}" = "-bench" ]; then
     echo "==> telemetry overhead: BenchmarkCollectorIngest vs Uninstrumented"
     go test -run '^$' -bench 'BenchmarkCollectorIngest' -benchmem -count 3 \
@@ -104,7 +110,7 @@ if [ "${1:-}" = "-adversarial" ]; then
     go test -race -count 1 -run 'TestAdversarialDimensionsParity' ./internal/streamaudit/
     go test -race -count 1 -run 'TestAdversary|TestHonestReportSellers' ./internal/adnet/
     go test -race -count 1 \
-        -run 'TestCadenceCV|TestSellerAudit|TestPoolingFromReport|TestBehaviorFromState|TestBehaviorFold|TestPoolingFold|TestFoldsMatchOraclesOnAdversaryPresets' \
+        -run 'TestCadenceCV|TestSellerAudit|TestPoolingFromReport|TestBehaviorFold|TestPoolingFold|TestFoldsMatchOraclesOnAdversaryPresets' \
         ./internal/audit/
     go test -race -count 1 -run 'TestRunAdversarialScenario' ./cmd/adsim/
 fi
@@ -147,6 +153,7 @@ if [ "${1:-}" = "-fuzz-smoke" ]; then
         "FuzzDecodeBinary ./internal/beacon/" \
         "FuzzWireEquivalence ./internal/beacon/" \
         "FuzzDecodeBatch ./internal/trunk/" \
+        "FuzzExportRoundTrip ./internal/shardmerge/" \
         "FuzzRecoverWAL ./internal/store/" \
         "FuzzReadSnapshot ./internal/store/" \
         "FuzzQueryAPI ./internal/collector/"; do

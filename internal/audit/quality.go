@@ -58,19 +58,16 @@ func (a *Auditor) Viewability(campaignID string) ViewabilityResult {
 }
 
 // Viewability is the Table 3 fold: the tallies the state keeps, plus
-// the exposure summary over a scratch copy of the column (the summary
-// sorts; its mean is summed first, in slot order).
+// the exposure summary (Summarize sorts a copy of the column; its mean
+// is summed first, in slot order).
 func (s *State) Viewability(campaignID string) ViewabilityResult {
-	sc := scratchPool.Get().(*foldScratch)
-	defer scratchPool.Put(sc)
-	sc.floats = append(sc.floats[:0], s.cols.Exposures...)
 	return ViewabilityResult{
 		CampaignID:          campaignID,
 		Impressions:         s.Len(),
 		ViewableUB:          s.tally.viewableUB,
 		MeasuredImpressions: s.tally.measured,
 		MRCViewable:         s.tally.mrcViewable,
-		ExposureSummary:     stats.SummarizeInPlace(sc.floats),
+		ExposureSummary:     stats.Summarize(s.cols.Exposures),
 	}
 }
 

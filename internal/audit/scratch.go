@@ -18,7 +18,7 @@ type foldScratch struct {
 	counts  []int     // one counter per dictionary entry
 	order   []int32   // dictionary ids in some sorted order
 	times   []int64   // one user's timestamps
-	floats  []float64 // gaps between them, or a copy of the exposures
+	floats  []float64 // the gaps between them
 	rows    []poolRow // a vendor report's rows, for the pooling detector
 }
 

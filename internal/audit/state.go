@@ -77,10 +77,9 @@ type columns struct {
 // FrequencyOf) that reads the columns and never reorders them.
 //
 // A State is not safe for concurrent mutation; folds only read, so any
-// number may run at once. Its JSON form (the columns) is validated
-// when decoded, and nothing outside this package can build one except
-// through Insert, Update, Convert, Merge and decoding: a *State in hand
-// is a consistent one.
+// number may run at once. Its JSON form (the columns) is validated when
+// decoded, and nothing outside this package can build one except by
+// Insert, Update, Convert, Merge and decoding: a *State in hand is valid.
 type State struct {
 	cols columns
 	// What the O(1) live summary reads, kept current by count: DC and
@@ -162,7 +161,9 @@ func (s *State) Insert(im *store.Impression) int {
 	c.VisMeasured = append(c.VisMeasured, im.VisibilityMeasured)
 	c.VisFrac = append(c.VisFrac, im.MaxVisibleFraction)
 	s.count(slot, 1)
-	c.IPs[im.IPPseudonym] = c.IPs[im.IPPseudonym] || s.isDC(slot)
+	if dc, seen := c.IPs[im.IPPseudonym]; !seen || !dc && s.isDC(slot) {
+		c.IPs[im.IPPseudonym] = s.isDC(slot)
+	}
 	c.Clicks += im.Clicks
 	s.seen(im.Timestamp, im.Timestamp)
 	return slot
@@ -180,10 +181,9 @@ func (s *State) seen(first, last time.Time) {
 }
 
 // Update overwrites a slot with its record's post-merge values (an
-// exposure merge changes exposure, visibility and clicks; everything
-// else about an impression is immutable). prev is what the store
-// published as the pre-merge values; only its click count is needed,
-// the rest is still in the slot.
+// exposure merge changes exposure, visibility and clicks; the rest of
+// an impression is immutable). Of prev, the pre-merge values the store
+// published, only the click count is needed: the rest is in the slot.
 func (s *State) Update(slot int, im *store.Impression, prev store.MergePrev) {
 	c := &s.cols
 	s.count(slot, -1)

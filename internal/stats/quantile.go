@@ -107,39 +107,23 @@ type Summary struct {
 	Mean             float64
 }
 
-// Summarize computes a Summary of xs. Zero value for empty input.
+// Summarize computes a Summary of xs (Zero value for empty input),
+// leaving xs as it is. The mean is taken over xs in element order —
+// float addition is order-sensitive — the rest over a sorted copy.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
-	return summarizeMean(sorted, Mean(xs))
-}
-
-// SummarizeInPlace is Summarize without the defensive copy: xs is
-// sorted in place. The mean is taken over the original element order
-// before sorting, so the result is bit-identical to Summarize on the
-// same sample (float addition is order-sensitive). For callers that
-// own the buffer — hot paths recycling sample scratch.
-func SummarizeInPlace(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return summarizeMean(xs, Mean(xs))
-}
-
-// summarizeMean sorts xs in place and assembles the Summary around the
-// pre-computed mean.
-func summarizeMean(xs []float64, mean float64) Summary {
-	sort.Float64s(xs)
+	sort.Float64s(sorted)
 	return Summary{
-		N:      len(xs),
-		Min:    xs[0],
-		P25:    quantileSorted(xs, 0.25),
-		Median: quantileSorted(xs, 0.5),
-		P75:    quantileSorted(xs, 0.75),
-		Max:    xs[len(xs)-1],
-		Mean:   mean,
+		N:      len(sorted),
+		Min:    sorted[0],
+		P25:    quantileSorted(sorted, 0.25),
+		Median: quantileSorted(sorted, 0.5),
+		P75:    quantileSorted(sorted, 0.75),
+		Max:    sorted[len(sorted)-1],
+		Mean:   Mean(xs),
 	}
 }

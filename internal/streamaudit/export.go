@@ -114,7 +114,7 @@ func NewStatic(cfg StaticConfig, exp *Export) (*Engine, error) {
 	if err := exp.Validate(); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(cfg)
+	e, err := newEngine(cfg.Meta, cfg.Matcher, cfg.Sellers, cfg.Keywords, cfg.Reports)
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("streamaudit: engine requires a store")
 	}
-	e, err := newEngine(StaticConfig{cfg.Meta, cfg.Matcher, cfg.Keywords, cfg.Reports, cfg.Sellers})
+	e, err := newEngine(cfg.Meta, cfg.Matcher, cfg.Sellers, cfg.Keywords, cfg.Reports)
 	if err != nil {
 		return nil, err
 	}
@@ -133,18 +133,18 @@ func New(cfg Config) (*Engine, error) {
 // newEngine builds what a live and a static engine share. The auditor
 // that folds the states is serial (Report holds the engine lock) and
 // gets audit.New's default for a nil matcher.
-func newEngine(cfg StaticConfig) (*Engine, error) {
-	if cfg.Meta == nil {
+func newEngine(meta audit.MetadataSource, m *semsim.Matcher, sellers audit.SellerDirectory,
+	keywords map[string][]string, reports map[string]*adnet.VendorReport) (*Engine, error) {
+	if meta == nil {
 		return nil, fmt.Errorf("streamaudit: engine requires a metadata source")
 	}
-	m := cfg.Matcher
 	if m == nil {
 		m = semsim.NewMatcher(semsim.DefaultTaxonomy())
 	}
 	return &Engine{
-		keywords:  cfg.Keywords,
-		reports:   cfg.Reports,
-		aud:       &audit.Auditor{Meta: cfg.Meta, Matcher: m, Sellers: cfg.Sellers, Parallelism: 1},
+		keywords:  keywords,
+		reports:   reports,
+		aud:       &audit.Auditor{Meta: meta, Matcher: m, Sellers: sellers, Parallelism: 1},
 		listeners: map[*Updates]struct{}{},
 	}, nil
 }

@@ -1,8 +1,6 @@
 package audit
 
 import (
-	"encoding/json"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -10,9 +8,7 @@ import (
 	"adaudit/internal/store"
 )
 
-// dict interns strings to dense ids in first-seen order. Its JSON form
-// is the key list; decoding rebuilds the index and rejects a repeated
-// key, which would give one string two ids.
+// dict interns strings to dense ids in first-seen order.
 type dict struct {
 	keys []string         // id -> key
 	ids  map[string]int32 // key -> id
@@ -28,43 +24,25 @@ func (d *dict) intern(key string) int32 {
 	return id
 }
 
-func (d dict) MarshalJSON() ([]byte, error) { return json.Marshal(d.keys) }
-
-func (d *dict) UnmarshalJSON(b []byte) error {
-	if err := json.Unmarshal(b, &d.keys); err != nil {
-		return err
-	}
-	d.ids = make(map[string]int32, len(d.keys))
-	for id, key := range d.keys {
-		d.ids[key] = int32(id)
-	}
-	if len(d.ids) != len(d.keys) {
-		return fmt.Errorf("audit: dictionary of %d keys repeats one", len(d.keys))
-	}
-	return nil
-}
-
-// columns is the state proper and, field for field, its JSON form: one
-// slot per impression in store insertion order, over three interned
-// dictionaries, plus the facts that are not per-impression.
+// columns is the state proper, and what its packed form (codec.go)
+// carries: one slot per impression in store insertion order, over three
+// interned dictionaries, plus the facts that are not per-impression.
 type columns struct {
-	Users    dict `json:"users"`
-	Pubs     dict `json:"publishers"`
-	Verdicts dict `json:"verdicts"`
+	Users, Pubs, Verdicts dict
 
-	UserOf      []int32   `json:"user_of"`      // slot -> user id
-	PubOf       []int32   `json:"pub_of"`       // slot -> publisher id
-	VerdictOf   []int32   `json:"verdict_of"`   // slot -> data-center verdict id
-	Times       []int64   `json:"times"`        // slot -> timestamp, unix nanoseconds
-	Exposures   []float64 `json:"exposures"`    // slot -> exposure seconds
-	VisMeasured []bool    `json:"vis_measured"` // slot -> visibility measured
-	VisFrac     []float64 `json:"vis_frac"`     // slot -> max visible fraction
+	UserOf      []int32   // slot -> user id
+	PubOf       []int32   // slot -> publisher id
+	VerdictOf   []int32   // slot -> data-center verdict id
+	Times       []int64   // slot -> timestamp, unix nanoseconds
+	Exposures   []float64 // slot -> exposure seconds
+	VisMeasured []bool    // slot -> visibility measured
+	VisFrac     []float64 // slot -> max visible fraction
 
-	IPs       map[string]bool `json:"ips"`   // IP pseudonym -> sent a data-center impression
-	Convs     map[string]int  `json:"convs"` // user key -> conversions (users never exposed included)
-	Clicks    int             `json:"clicks"`
-	FirstSeen time.Time       `json:"first_seen"`
-	LastSeen  time.Time       `json:"last_seen"`
+	IPs       map[string]bool // IP pseudonym -> sent a data-center impression
+	Convs     map[string]int  // user key -> conversions (users never exposed included)
+	Clicks    int
+	FirstSeen time.Time
+	LastSeen  time.Time
 }
 
 // State is everything the audit keeps about one campaign, in the one
@@ -77,9 +55,10 @@ type columns struct {
 // FrequencyOf) that reads the columns and never reorders them.
 //
 // A State is not safe for concurrent mutation; folds only read, so any
-// number may run at once. Its JSON form (the columns) is validated when
-// decoded, and nothing outside this package can build one except by
-// Insert, Update, Convert, Merge and decoding: a *State in hand is valid.
+// number may run at once. Its packed form is validated when decoded
+// (UnmarshalBinary), and nothing outside this package can build one
+// except by Insert, Update, Convert, Merge and decoding: a *State in
+// hand is valid.
 type State struct {
 	cols columns
 	// What the O(1) live summary reads, kept current by count: DC and
@@ -204,21 +183,29 @@ func (s *State) Convert(userKey string) {
 // dictionaries, and unions the rest. Merging shards in shard order
 // therefore yields the state a single store holding the shards' records
 // concatenated in that order would have produced. o is only read.
+// Every column grows once, by o's length, and an empty receiver's maps
+// are made at o's size: a copy (Engine.Export) and a first shard are
+// merges into an empty state.
 func (s *State) Merge(o *State) {
 	c, oc := &s.cols, &o.cols
-	remap := func(d *dict, od *dict, dst *[]int32, src []int32) {
+	remap := func(d, od *dict, dst, src []int32) []int32 {
+		if len(d.ids) == 0 {
+			d.keys, d.ids = slices.Grow(d.keys, len(od.keys)), make(map[string]int32, len(od.keys))
+		}
 		ids := make([]int32, len(od.keys))
 		for oid, key := range od.keys {
 			ids[oid] = d.intern(key)
 		}
+		dst = slices.Grow(dst, len(src))
 		for _, oid := range src {
-			*dst = append(*dst, ids[oid])
+			dst = append(dst, ids[oid])
 		}
+		return dst
 	}
 	base := len(c.UserOf)
-	remap(&c.Users, &oc.Users, &c.UserOf, oc.UserOf)
-	remap(&c.Pubs, &oc.Pubs, &c.PubOf, oc.PubOf)
-	remap(&c.Verdicts, &oc.Verdicts, &c.VerdictOf, oc.VerdictOf)
+	c.UserOf = remap(&c.Users, &oc.Users, c.UserOf, oc.UserOf)
+	c.PubOf = remap(&c.Pubs, &oc.Pubs, c.PubOf, oc.PubOf)
+	c.VerdictOf = remap(&c.Verdicts, &oc.Verdicts, c.VerdictOf, oc.VerdictOf)
 	c.Times = append(c.Times, oc.Times...)
 	c.Exposures = append(c.Exposures, oc.Exposures...)
 	c.VisMeasured = append(c.VisMeasured, oc.VisMeasured...)
@@ -226,8 +213,14 @@ func (s *State) Merge(o *State) {
 	for slot := base; slot < len(c.UserOf); slot++ {
 		s.count(slot, 1)
 	}
+	if len(c.IPs) == 0 {
+		c.IPs = make(map[string]bool, len(oc.IPs))
+	}
 	for ip, dc := range oc.IPs {
 		c.IPs[ip] = c.IPs[ip] || dc
+	}
+	if len(c.Convs) == 0 {
+		c.Convs = make(map[string]int, len(oc.Convs))
 	}
 	for user, n := range oc.Convs {
 		c.Convs[user] += n
@@ -267,49 +260,6 @@ func (s *State) Summary() Summary {
 		sum.MRCViewableShare = float64(s.tally.mrcViewable) / float64(s.tally.measured)
 	}
 	return sum
-}
-
-// MarshalJSON encodes the columns; the tallies are derived and stay home.
-func (s *State) MarshalJSON() ([]byte, error) { return json.Marshal(&s.cols) }
-
-// UnmarshalJSON decodes and validates a state from outside the
-// process: every column one length, every id inside its dictionary and
-// every dictionary entry used, no dictionary key twice. A document that
-// fails is rejected whole; one that passes cannot make a fold index out
-// of range. The accepted columns are merged into an empty state, which
-// is what derives the tallies.
-func (s *State) UnmarshalJSON(b []byte) error {
-	var c columns
-	if err := json.Unmarshal(b, &c); err != nil {
-		return err
-	}
-	n := len(c.UserOf)
-	for _, l := range []int{len(c.PubOf), len(c.VerdictOf), len(c.Times), len(c.Exposures), len(c.VisMeasured), len(c.VisFrac)} {
-		if l != n {
-			return fmt.Errorf("audit: state columns disagree on length (%d and %d slots)", n, l)
-		}
-	}
-	for _, col := range []struct {
-		name string
-		idOf []int32
-		d    *dict
-	}{{"user", c.UserOf, &c.Users}, {"publisher", c.PubOf, &c.Pubs}, {"verdict", c.VerdictOf, &c.Verdicts}} {
-		used := make([]bool, len(col.d.keys))
-		for slot, id := range col.idOf {
-			if id < 0 || int(id) >= len(used) {
-				return fmt.Errorf("audit: slot %d has %s id %d, dictionary holds %d", slot, col.name, id, len(used))
-			}
-			used[id] = true
-		}
-		for id, ok := range used {
-			if !ok {
-				return fmt.Errorf("audit: %s %q is in the dictionary but in no slot", col.name, col.d.keys[id])
-			}
-		}
-	}
-	*s = *NewState()
-	s.Merge(&State{cols: c})
-	return nil
 }
 
 // statePool recycles the states batch audits fill and fold. A warm

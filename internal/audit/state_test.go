@@ -2,10 +2,16 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,25 +231,260 @@ func TestStatePathsAgree(t *testing.T) {
 	}
 }
 
-// A state from outside is checked before it is used: the documents
-// below are each rejected, the first being the one that used to reach a
-// fold and index out of range.
-func TestStateDecodeRejects(t *testing.T) {
-	good := `{"users":["u"],"publishers":["p"],"verdicts":[""],"user_of":[0],"pub_of":[0],"verdict_of":[0],"times":[1],"exposures":[1],"vis_measured":[false],"vis_frac":[0]}`
-	if err := json.Unmarshal([]byte(good), new(State)); err != nil {
-		t.Fatalf("well-formed state rejected: %v", err)
+// tinyState is a state small enough to read in hex: two impressions by
+// two users (one key with a tail, one without) on one publisher, and
+// two conversions, one by a user never exposed.
+func tinyState() *State {
+	s := NewState()
+	s.Insert(&store.Impression{UserKey: "ip1|UA", Publisher: "p.example", IPPseudonym: "ip1", DataCenter: "deny-list",
+		Timestamp: base, Exposure: 1500 * time.Millisecond, VisibilityMeasured: true, MaxVisibleFraction: 0.75, Clicks: 1})
+	s.Insert(&store.Impression{UserKey: "plain", Publisher: "p.example", IPPseudonym: "ip2",
+		Timestamp: base.Add(time.Second), Exposure: 250 * time.Millisecond})
+	s.Convert("ip1|UA")
+	s.Convert("ghost|UA2")
+	return s
+}
+
+// encoding is the packed form spelled out part by part, so a test can
+// get one part wrong; tinyParts is tinyState's.
+type encoding struct {
+	slots                    uint64
+	clicks                   int64
+	first, last              time.Time
+	heads                    []string // the IPs first
+	ips                      uint64
+	dc                       []byte
+	tails                    []string
+	users                    uint64
+	userRefs                 []int32 // head, tail+1 per user
+	pubs, verdicts           []string
+	convs                    uint64
+	convRefs                 []int32
+	convCounts               []int64
+	userOf, pubOf, verdictOf []int32
+	times                    []int64
+	exposures                []float64
+	measured                 []byte
+	frac                     []float64
+}
+
+func tinyParts() encoding {
+	return encoding{
+		slots: 2, clicks: 1, first: base, last: base.Add(time.Second),
+		heads: []string{"ip1", "ip2", "plain", "ghost"}, ips: 2, dc: []byte{1, 0}, tails: []string{"UA", "UA2"},
+		users: 2, userRefs: []int32{0, 1, 2, 0}, pubs: []string{"p.example"}, verdicts: []string{"deny-list", ""},
+		convs: 2, convRefs: []int32{3, 2, 0, 1}, convCounts: []int64{1, 1},
+		userOf: []int32{0, 1}, pubOf: []int32{0, 0}, verdictOf: []int32{0, 1},
+		times:     []int64{base.UnixNano(), base.Add(time.Second).UnixNano()},
+		exposures: []float64{1.5, 0.25}, measured: []byte{1, 0}, frac: []float64{0.75, 0},
 	}
-	for name, edit := range map[string][2]string{
-		"publisher id past the dictionary": {`"pub_of":[0]`, `"pub_of":[9]`},
-		"negative user id":                 {`"user_of":[0]`, `"user_of":[-1]`},
-		"short column":                     {`"times":[1]`, `"times":[]`},
-		"repeated dictionary key":          {`"users":["u"]`, `"users":["u","u"]`},
-		"unused dictionary entry":          {`"verdicts":[""]`, `"verdicts":["","manual"]`},
-		"wrong type":                       {`"exposures":[1]`, `"exposures":["1"]`},
-	} {
-		doc := strings.Replace(good, edit[0], edit[1], 1)
-		if err := json.Unmarshal([]byte(doc), new(State)); err == nil {
-			t.Errorf("%s: accepted %s", name, doc)
+}
+
+func (e encoding) bytes() []byte {
+	b := binary.AppendUvarint(nil, e.slots)
+	b = binary.AppendVarint(b, e.clicks)
+	b = appendTime(appendTime(b, e.first), e.last)
+	b = append(binary.AppendUvarint(appendStrings(b, e.heads), e.ips), e.dc...)
+	b = appendStrings(b, e.tails)
+	b = appendUvarints(binary.AppendUvarint(b, e.users), e.userRefs)
+	b = appendStrings(appendStrings(b, e.pubs), e.verdicts)
+	b = appendUvarints(binary.AppendUvarint(b, e.convs), e.convRefs)
+	for _, k := range e.convCounts {
+		b = binary.AppendVarint(b, k)
+	}
+	b = appendUvarints(appendUvarints(appendUvarints(b, e.userOf), e.pubOf), e.verdictOf)
+	for _, t := range e.times {
+		b = binary.LittleEndian.AppendUint64(b, uint64(t))
+	}
+	b = append(appendFloats(b, e.exposures), e.measured...)
+	return appendFloats(b, e.frac)
+}
+
+// The layout is a wire contract between a shard and a router that may
+// not be the same build: if these bytes change, ExportVersion must.
+func TestStateEncodingGolden(t *testing.T) {
+	got, err := tinyState().AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spelled := tinyParts().bytes(); !bytes.Equal(got, spelled) {
+		t.Fatalf("AppendBinary and the test's part-by-part encoding disagree\n got %x\nwant %x", got, spelled)
+	}
+	golden, err := os.ReadFile("testdata/state_v3.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.Join(strings.Fields(string(golden)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the packed form of a state changed; a mixed-version fleet would split. Bump streamaudit.ExportVersion with it.\n got %x\nwant %x", got, want)
+	}
+	back := new(State)
+	if err := back.UnmarshalBinary(want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, tinyState()) {
+		t.Fatalf("the golden encoding decodes to %+v", back)
+	}
+}
+
+// Keys are bytes, not text: whatever a User-Agent held, a user is the
+// same user on the far side of the wire. (Format 2 sent keys through
+// encoding/json, which rewrites invalid UTF-8 to U+FFFD: "ip|\xff" and
+// "ip|\xfe" became one key and the router refused the shard.)
+func TestStateKeysRoundTripBytes(t *testing.T) {
+	keys := []string{"plain", "|leading", "trailing|", "a|b|c", "", "|", "ip|\xff", "ip|\xfe", "\xc3|\x28", "ip|Mozilla/5.0"}
+	s := NewState()
+	for i, k := range keys {
+		s.Insert(&store.Impression{UserKey: k, Publisher: k, IPPseudonym: k, DataCenter: k,
+			Timestamp: base.Add(time.Duration(i) * time.Second), Exposure: time.Duration(i) * time.Second})
+		s.Convert(k)
+		s.Convert("never-exposed-" + k)
+	}
+	c := &s.cols
+	if len(c.Users.keys) != len(keys) || len(c.Pubs.keys) != len(keys) || len(c.IPs) != len(keys) || len(c.Convs) != 2*len(keys) {
+		t.Fatalf("the test's keys are not distinct")
+	}
+	bin, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, fromJSON := new(State), new(State)
+	if err := fromBinary.UnmarshalBinary(bin); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc, fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	for path, got := range map[string]*State{"binary": fromBinary, "JSON": fromJSON} {
+		if !reflect.DeepEqual(got, s) {
+			t.Errorf("through %s the state became\n%+v\nfrom\n%+v", path, got, s)
 		}
 	}
+}
+
+// A state from outside is checked before it is used. Every encoding
+// below is rejected, for the reason named.
+func TestStateDecodeRejects(t *testing.T) {
+	good := tinyParts().bytes()
+	if err := new(State).UnmarshalBinary(good); err != nil {
+		t.Fatalf("well-formed state rejected: %v", err)
+	}
+	for cut := range good {
+		if err := new(State).UnmarshalBinary(good[:cut]); err == nil {
+			t.Errorf("accepted the first %d of %d bytes", cut, len(good))
+		}
+	}
+	nan := math.NaN()
+	for name, c := range map[string]struct {
+		edit func(*encoding)
+		want string
+	}{
+		"a trailing byte":                  {func(e *encoding) { e.frac = append(e.frac, 0) }, "follow the last column"},
+		"publisher id past the dictionary": {func(e *encoding) { e.pubOf[1] = 9 }, "publisher id 9"},
+		"unused dictionary entry":          {func(e *encoding) { e.verdicts = append(e.verdicts, "manual") }, "in no slot"},
+		"repeated dictionary key":          {func(e *encoding) { e.userRefs[2], e.userRefs[3] = 0, 1 }, "repeats one"},
+		"repeated IP":                      {func(e *encoding) { e.heads[1] = "ip1" }, "listed twice"},
+		"repeated converting user":         {func(e *encoding) { e.convRefs[2], e.convRefs[3] = 3, 2 }, "listed twice"},
+		"more IPs than heads":              {func(e *encoding) { e.ips = 5 }, "5 IPs among 4"},
+		"visibility flag 2":                {func(e *encoding) { e.measured[0] = 2 }, "neither 0 nor 1"},
+		"data-center flag 2":               {func(e *encoding) { e.dc[1] = 2 }, "neither 0 nor 1"},
+		"tail past the table":              {func(e *encoding) { e.userRefs[1] = 3 }, "tail 3 of 2"},
+		"head past the table":              {func(e *encoding) { e.convRefs[0] = 4 }, "head 4 of 4"},
+		"NaN exposure":                     {func(e *encoding) { e.exposures[1] = nan }, "NaN"},
+		"infinite visible fraction":        {func(e *encoding) { e.frac[0] = math.Inf(1) }, "+Inf"},
+		"short column":                     {func(e *encoding) { e.times = e.times[:1] }, ""},
+		"more slots than columns":          {func(e *encoding) { e.slots = 3 }, ""},
+		"key bomb": {func(e *encoding) {
+			e.tails = append(e.tails, strings.Repeat("A", 4000))
+			for i := 0; i < 5000; i++ { // so many users of IP 2 with the one long tail; what repeats is never reached
+				e.convs, e.convRefs, e.convCounts = e.convs+1, append(e.convRefs, 1, 3), append(e.convCounts, 1)
+			}
+		}, "expand to"},
+	} {
+		e := tinyParts()
+		c.edit(&e)
+		err := new(State).UnmarshalBinary(e.bytes())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error about %q", name, err, c.want)
+		}
+	}
+
+	// A time RFC 3339 has no way to write (the JSON views could not show
+	// it): a second of 2e9 ns, a zone a day off, the year 10000.
+	for _, tm := range [][3]int64{{0, 2e9, 0}, {0, 0, 86400}, {0, 0, -86400}, {253402300800, 0, 0}, {-62167219201, 0, 0}} {
+		r := &reader{b: binary.AppendVarint(binary.AppendUvarint(binary.AppendVarint(nil, tm[0]), uint64(tm[1])), tm[2])}
+		if got := r.time(); r.err == nil {
+			t.Errorf("time %v accepted as %v", tm, got)
+		}
+	}
+
+	// No count is believed before it is held against the bytes that are
+	// there: 2^40 written over any byte of a good encoding — slots,
+	// table sizes, string lengths, whatever that byte was — allocates
+	// nothing of the kind, starting with the 12-byte document that is
+	// nothing but the claim.
+	huge := binary.AppendUvarint(nil, 1<<40)
+	docs := [][]byte{append(huge, make([]byte, 12-len(huge))...)}
+	for i := range good {
+		docs = append(docs, slices.Concat(good[:i], huge, good[i+1:]))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, doc := range docs {
+		_ = new(State).UnmarshalBinary(doc) // some land in a float and decode; none may believe the count
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(docs))<<12 {
+		t.Errorf("decoding %d small documents that claim 2^40 of something allocated %d bytes", len(docs), got)
+	}
+	if err := new(State).UnmarshalBinary(docs[0]); err == nil || !strings.Contains(err.Error(), "1099511627776") {
+		t.Errorf("the 12-byte claim of 2^40 slots: %v", err)
+	}
+}
+
+// FuzzStateBinary feeds arbitrary bytes to the state decoder directly
+// (FuzzExportRoundTrip in internal/shardmerge reaches it only through
+// base64, which a mutator rarely gets past). Nothing may panic; what
+// decodes must re-encode to something that decodes to the same state,
+// and that encoding is the state's one encoding.
+func FuzzStateBinary(f *testing.F) {
+	f.Add(tinyParts().bytes())
+	for _, edit := range []func(*encoding){
+		func(e *encoding) { e.heads[2], e.heads[1], e.first = "\xff|", "", time.Time{} },
+		func(e *encoding) { e.convCounts[0], e.clicks, e.times[0], e.exposures[1] = -3, -1, -5, 1e308 },
+		func(e *encoding) { e.pubOf[1] = 9 },
+		func(e *encoding) { e.slots = 1 << 40 },
+	} {
+		e := tinyParts()
+		edit(&e)
+		f.Add(e.bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := new(State)
+		if err := s.UnmarshalBinary(b); err != nil {
+			return
+		}
+		again, err := s.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("accepted state does not re-encode: %v", err)
+		}
+		back := new(State)
+		if err := back.UnmarshalBinary(again); err != nil {
+			t.Fatalf("re-encoded state rejected: %v\n%x", err, again)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("state changed across its own encoding\n%x\n%x", b, again)
+		}
+		if third, _ := back.AppendBinary(nil); !bytes.Equal(third, again) {
+			t.Fatalf("one state, two encodings\n%x\n%x", again, third)
+		}
+		s.Summary()
+	})
 }

@@ -99,7 +99,10 @@ func (l *liveAPI) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	l.engine.Drain()
-	writeJSON(w, l.engine.Export())
+	// Compact: a router reads this, and indenting would scan the
+	// megabytes of base64 once more.
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(l.engine.Export())
 }
 
 // sseHeartbeat keeps idle streams alive through proxies.

@@ -1,9 +1,11 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"reflect"
 	"testing"
@@ -428,9 +430,29 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("merged export status = %d, want 200", resp.StatusCode)
 	}
-	var exp streamaudit.Export
-	if err := json.NewDecoder(resp.Body).Decode(&exp); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var exp streamaudit.Export
+	if err := json.Unmarshal(body, &exp); err != nil {
+		t.Fatal(err)
+	}
+	// Exports are read by routers, not people: served compact, by the
+	// router and by each shard (the other endpoints stay indented).
+	shardResp, err := http.Get(f.baseURLs()[0] + shardmerge.ExportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shardResp.Body.Close()
+	shardBody, err := io.ReadAll(shardResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for who, doc := range map[string][]byte{"router": body, "shard": shardBody} {
+		if !bytes.HasPrefix(doc, []byte(`{"version":3,"seq":`)) || bytes.IndexByte(doc, '\n') != len(doc)-1 {
+			t.Fatalf("%s serves its export indented: %.80s", who, doc)
+		}
 	}
 	eng, err := streamaudit.NewStatic(streamaudit.StaticConfig{Meta: meta, Keywords: keywords}, &exp)
 	if err != nil {

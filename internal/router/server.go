@@ -84,7 +84,10 @@ func (m *liveMerge) serveExport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, exp)
+	// Compact: a router or a tool reads this, and indenting would scan
+	// the megabytes of base64 once more.
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(exp)
 }
 
 // engine fetches every shard and builds a query engine over the

@@ -424,6 +424,56 @@ func TestShardMergeMatchesFullAudit(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsKeyBytes: nothing on ingest validates a User-Agent, so
+// a user key can hold any bytes, and a user is the same user on every
+// shard only if those bytes cross the wire as they are. Two users of one
+// IP whose agents are not UTF-8 — seen on both shards — must merge to the
+// batch report. (Through format 2's JSON strings both keys became
+// "ip-odd|\ufffd": the router refused the shard's export as repeating a
+// dictionary key, and a lone such user changed identity.)
+func TestMergeKeepsKeyBytes(t *testing.T) {
+	w := newShardWorld(t, 13, 2)
+	rng := rand.New(rand.NewSource(13))
+	w.populate(t, rng, 100)
+	for i, ua := range []string{"\xff", "\xfe", "\xff", "", "a|b\x80|"} {
+		for sh, st := range w.shards {
+			if _, err := st.Insert(store.Impression{
+				CampaignID: mergeCampaigns[0], CreativeID: "cr-1", Publisher: "offgrid0.example", UserAgent: ua,
+				UserKey: "ip-odd|" + ua, IPPseudonym: "ip-odd", Nonce: fmt.Sprintf("odd-%d-%d", sh, i),
+				Timestamp: time.Unix(1700000000, 0).UTC().Add(time.Duration(i) * time.Minute), Exposure: time.Second,
+			}); err != nil {
+				t.Fatalf("Insert: %v", err)
+			}
+		}
+	}
+	if _, err := w.shards[1].InsertConversion(store.Conversion{
+		CampaignID: mergeCampaigns[0], UserKey: "ip-odd|\xfe", Action: "purchase", Timestamp: time.Unix(1700000000, 0).UTC(),
+	}); err != nil {
+		t.Fatalf("InsertConversion: %v", err)
+	}
+	combined := w.combined(t)
+	w.buildInputs(t, rng, combined)
+	aud, err := audit.New(combined, w.meta)
+	if err != nil {
+		t.Fatalf("audit.New: %v", err)
+	}
+	want, err := aud.FullAuditSerial(w.inputs)
+	if err != nil {
+		t.Fatalf("FullAuditSerial: %v", err)
+	}
+	eng, err := streamaudit.NewStatic(streamaudit.StaticConfig{Meta: w.meta}, Merge(roundTrip(t, w.exports(t))))
+	if err != nil {
+		t.Fatalf("NewStatic: %v", err)
+	}
+	got, err := eng.Report(w.inputs)
+	if err != nil {
+		t.Fatalf("merged Report: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged shard report != single-store FullAudit when user keys are not UTF-8")
+	}
+}
+
 // TestMergeSingleShardIdentity pins the degenerate case: merging one
 // shard's export must reproduce that shard's own report exactly.
 func TestMergeSingleShardIdentity(t *testing.T) {

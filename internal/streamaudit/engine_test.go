@@ -1,12 +1,15 @@
 package streamaudit
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -503,6 +506,41 @@ func BenchmarkStreamApply(b *testing.B) {
 	}
 }
 
+// BenchmarkExportRoundTrip measures the wire between a shard and the
+// router: one engine's export marshalled and unmarshalled again. The
+// world has 8,000 users over 20 user agents in 20,000 impressions, and
+// allocs/op is gated (scripts/bench_compare.sh): the codec allocates per
+// table, column and thousand map entries, never per key or slot.
+func BenchmarkExportRoundTrip(b *testing.B) {
+	w := newTestWorld(b, 42)
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 20000; i++ {
+		im := w.impression(rng, testCampaigns[i%len(testCampaigns)])
+		im.IPPseudonym = fmt.Sprintf("ip-%d", rng.Intn(8000))
+		im.UserKey = fmt.Sprintf("%s|Mozilla/5.0 (test agent %d)", im.IPPseudonym, rng.Intn(20))
+		if _, err := w.st.Insert(im); err != nil {
+			b.Fatalf("Insert: %v", err)
+		}
+	}
+	e, err := New(Config{Store: w.st, Meta: w.meta})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	exp := e.Export()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, err := json.Marshal(exp)
+		if err != nil {
+			b.Fatalf("Marshal: %v", err)
+		}
+		b.SetBytes(int64(len(doc)))
+		if err := json.Unmarshal(doc, new(Export)); err != nil {
+			b.Fatalf("Unmarshal: %v", err)
+		}
+	}
+}
+
 // TestResultsDoNotAliasLiveState: what Report and Audit return is the
 // caller's. An independent copy of the engine's state at the time of
 // the report (its export through JSON, served statically) gives the
@@ -572,15 +610,30 @@ func TestResultsDoNotAliasLiveState(t *testing.T) {
 // where it is handed over, with the same errors.
 func TestExportValidation(t *testing.T) {
 	// The document that used to reach behaviorFold.publisher and panic
-	// there (version-less, from the previous format).
+	// there (version-less, from the first format).
 	old := `{"campaigns":{"c":{"pub_slots":{"p":[9]}}}}`
 	if err := json.Unmarshal([]byte(old), new(Export)); err == nil {
 		t.Fatalf("version-less export accepted")
 	}
+	// A shard one format behind is told so — the version is checked
+	// before anything under "campaigns" is looked at, so the error is
+	// not about a state that fails to decode.
+	v2, err := os.ReadFile("testdata/export_v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(v2, new(Export)); err == nil || err.Error() != "streamaudit: export format version 2, this build reads 3" {
+		t.Fatalf("a version-2 export: %v", err)
+	}
 	for name, doc := range map[string]string{
-		"foreign version": `{"version":1,"campaigns":{}}`,
-		"null state":      fmt.Sprintf(`{"version":%d,"campaigns":{"c":null}}`, ExportVersion),
-		"bad state":       fmt.Sprintf(`{"version":%d,"campaigns":{"c":{"publishers":["p"],"pub_of":[9]}}}`, ExportVersion),
+		"foreign version":    `{"version":1,"campaigns":{}}`,
+		"version after":      `{"campaigns":{"c":"not looked at"},"version":4}`,
+		"null state":         fmt.Sprintf(`{"version":%d,"campaigns":{"c":null}}`, ExportVersion),
+		"state not a string": fmt.Sprintf(`{"version":%d,"campaigns":{"c":{"publishers":["p"],"pub_of":[9]}}}`, ExportVersion),
+		"state not base64":   fmt.Sprintf(`{"version":%d,"campaigns":{"c":"@@@@"}}`, ExportVersion),
+		"state cut short":    fmt.Sprintf(`{"version":%d,"campaigns":{"c":"AgI="}}`, ExportVersion),
+		"campaign twice":     fmt.Sprintf(`{"version":%d,"campaigns":{"c":"AAAAAAAAAAAAAAAAAAAA","\u0063":"AAAAAAAAAAAAAAAAAAAA"}}`, ExportVersion),
+		"campaigns an array": fmt.Sprintf(`{"version":%d,"campaigns":["AAAAAAAAAAAAAAAAAAAA"]}`, ExportVersion),
 	} {
 		if err := json.Unmarshal([]byte(doc), new(Export)); err == nil {
 			t.Errorf("%s: decoded %s", name, doc)
@@ -602,6 +655,61 @@ func TestExportValidation(t *testing.T) {
 	}
 	if _, err := NewStatic(cfg, &zero); err != nil {
 		t.Fatalf("NewStatic on an empty export: %v", err)
+	}
+}
+
+// TestExportEnvelope: Export.UnmarshalJSON walks the envelope by hand,
+// and must read any JSON spelling of it the way encoding/json would:
+// indented, members in any order, unknown members skipped whatever
+// they hold, escapes in campaign ids and in the state's string.
+func TestExportEnvelope(t *testing.T) {
+	w := newTestWorld(t, 9)
+	w.populate(t, rand.New(rand.NewSource(9)), 50)
+	e, err := New(Config{Store: w.st, Meta: w.meta})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	exp := e.Export()
+	exp.Campaigns["quote\" \\ é \u2028"] = exp.Campaigns[testCampaigns[0]]
+	compact := mustJSON(t, exp)
+	want := new(Export) // the compact form decoded: what every other spelling must decode to
+	if err := json.Unmarshal(compact, want); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	if len(want.Campaigns) != len(exp.Campaigns) || want.Campaigns[testCampaigns[0]].Len() == 0 || want.Seq != exp.Seq {
+		t.Fatalf("the compact form decoded to %d campaigns at seq %d", len(want.Campaigns), want.Seq)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, " ", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.TrimSuffix(strings.TrimPrefix(string(compact), "{"), "}")
+	docs := map[string]string{
+		"indented":        indented.String(),
+		"unknown members": `{"x":{"a":[1,"}]\\\"",{"b":null}],"c":"\\"},"y":-1.5e3,"z":[],` + body + `,"w":"}"}`,
+		"escaped slashes": strings.ReplaceAll(string(compact), "/", `\/`),
+		"version last":    `{"version":1,` + strings.Replace(body, fmt.Sprintf(`"version":%d,`, ExportVersion), "", 1) + fmt.Sprintf(`,"version":%d}`, ExportVersion),
+	}
+	if !strings.Contains(docs["escaped slashes"], `\/`) {
+		t.Fatalf("no state's base64 holds a '/'; enlarge the world")
+	}
+	for name, doc := range docs {
+		var got Export
+		if err := json.Unmarshal([]byte(doc), &got); err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if !reflect.DeepEqual(&got, want) {
+			t.Errorf("%s: decoded to a different export", name)
+		}
+	}
+	for name, doc := range map[string]string{
+		"cut short":     string(compact[:len(compact)-1]),
+		"not an object": `[` + string(compact) + `]`,
+		"no colon":      `{"version" 3}`,
+	} {
+		// Called directly: encoding/json would not let these through.
+		if err := new(Export).UnmarshalJSON([]byte(doc)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

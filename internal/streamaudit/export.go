@@ -1,7 +1,9 @@
 package streamaudit
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"adaudit/internal/adnet"
@@ -10,26 +12,27 @@ import (
 )
 
 // ExportVersion is the format version an Export document carries. It
-// names the layout of audit.State's JSON form (version 1 was the
-// per-dimension map mirror this replaced); a decoder accepts its own
-// version only.
-const ExportVersion = 2
+// names the layout of audit.State's packed form (version 1 was a
+// per-dimension map mirror, version 2 the state's columns as JSON
+// arrays); a decoder accepts its own version only.
+const ExportVersion = 3
 
-// Export is an engine's states in their JSON form — everything a merge
+// Export is an engine's states in their wire form — everything a merge
 // layer needs to reconstruct the engine's report without the store it
 // was fed from. The shard-merge tier ships one Export per collector
 // shard over /api/live/export and merges them (internal/shardmerge)
 // into states whose report is deep-equal to a single-store FullAudit
 // over the union of the shards' data.
 //
-// A state's slots are in store insertion order, and every float
-// round-trips JSON exactly (encoding/json emits the shortest
-// representation that parses back to the same float64), so a report
-// materialised from a decoded Export is byte-identical to one
-// materialised in-process.
+// The document is JSON — {"version":3,"seq":N,"campaigns":{id:"…"}} —
+// and each campaign's value is its state's packed binary form
+// (audit.State.AppendBinary) in base64. A state's slots are in store
+// insertion order, every float crosses as its eight bytes and every key
+// as its bytes, so a report materialised from a decoded Export is
+// byte-identical to one materialised in-process.
 //
 // An Export is outside input wherever it is decoded: decoding checks
-// the version and every state (see audit.State's UnmarshalJSON) and
+// the version, then every state (see audit.State.UnmarshalBinary), and
 // rejects the document whole.
 type Export struct {
 	Version int `json:"version"`
@@ -42,33 +45,186 @@ type Export struct {
 	Campaigns map[string]*audit.State `json:"campaigns"`
 }
 
+func errVersion(v int) error {
+	return fmt.Errorf("streamaudit: export format version %d, this build reads %d", v, ExportVersion)
+}
+
+func errNoState(id string) error {
+	return fmt.Errorf("streamaudit: export has no state for campaign %q", id)
+}
+
 // Validate reports what decoding would have rejected in an export
 // assembled by hand: a foreign version, a campaign without a state.
 // (A non-nil state is valid by construction.)
 func (x *Export) Validate() error {
 	if x.Version != ExportVersion {
-		return fmt.Errorf("streamaudit: export format version %d, this build reads %d", x.Version, ExportVersion)
+		return errVersion(x.Version)
 	}
 	for id, st := range x.Campaigns {
 		if st == nil {
-			return fmt.Errorf("streamaudit: export has no state for campaign %q", id)
+			return errNoState(id)
 		}
 	}
 	return nil
 }
 
-// UnmarshalJSON decodes and validates an export.
+// UnmarshalJSON decodes and validates an export: the version before
+// anything else, so that a shard of another format is named as such and
+// not as a state that fails to decode. The three-member envelope is
+// walked by hand (members): encoding/json has scanned the document
+// twice by the time it calls this, and decoding the envelope through it
+// would scan the megabytes of base64 a third and a fourth time.
 func (x *Export) UnmarshalJSON(b []byte) error {
-	type plain Export // without this method
-	var p plain
-	if err := json.Unmarshal(b, &p); err != nil {
+	var p Export
+	var campaigns []byte
+	err := members(b, func(key, val []byte) error {
+		switch string(key) {
+		case `"version"`:
+			return json.Unmarshal(val, &p.Version)
+		case `"seq"`:
+			return json.Unmarshal(val, &p.Seq)
+		case `"campaigns"`:
+			campaigns = val
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	if err := (*Export)(&p).Validate(); err != nil {
-		return err
+	if p.Version != ExportVersion {
+		return errVersion(p.Version)
 	}
-	*x = Export(p)
+	if campaigns != nil && string(campaigns) != "null" {
+		p.Campaigns = map[string]*audit.State{}
+		err = members(campaigns, func(key, val []byte) error {
+			var id string
+			if err := json.Unmarshal(key, &id); err != nil {
+				return err
+			}
+			if _, dup := p.Campaigns[id]; dup {
+				return fmt.Errorf("streamaudit: export has campaign %q twice", id)
+			}
+			if string(val) == "null" {
+				return errNoState(id)
+			}
+			// A state is base64 text, which no JSON encoder need escape;
+			// one that does (`\/`), or sent no string, goes the long way.
+			st := new(audit.State)
+			var err error
+			if len(val) >= 2 && val[0] == '"' && bytes.IndexByte(val, '\\') < 0 {
+				err = st.UnmarshalText(val[1 : len(val)-1])
+			} else {
+				err = json.Unmarshal(val, st)
+			}
+			if err != nil {
+				return fmt.Errorf("streamaudit: campaign %q: %w", id, err)
+			}
+			p.Campaigns[id] = st
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	*x = p
 	return nil
+}
+
+// members calls fn with the raw key and value of each member of the
+// JSON object b ("null" has none). b is a valid JSON value — that is
+// json.Unmarshaler's contract — so this only finds where keys and values
+// end; on anything else it fails or passes fn nonsense, but never reads
+// out of bounds.
+func members(b []byte, fn func(key, val []byte) error) error {
+	syntax := errors.New("streamaudit: export is not the JSON object it should be")
+	i := skipSpace(b, 0)
+	if string(b[i:]) == "null" {
+		return nil
+	}
+	if i == len(b) || b[i] != '{' {
+		return syntax
+	}
+	for i = skipSpace(b, i+1); i < len(b) && b[i] != '}'; {
+		if b[i] != '"' {
+			return syntax
+		}
+		keyEnd := valueEnd(b, i)
+		colon := skipSpace(b, keyEnd)
+		if colon == len(b) || b[colon] != ':' {
+			return syntax
+		}
+		val := skipSpace(b, colon+1)
+		end := valueEnd(b, val)
+		if end == val {
+			return syntax
+		}
+		if err := fn(b[i:keyEnd], b[val:end]); err != nil {
+			return err
+		}
+		if i = skipSpace(b, end); i < len(b) && b[i] == ',' {
+			i = skipSpace(b, i+1)
+		}
+	}
+	if i == len(b) || skipSpace(b, i+1) != len(b) {
+		return syntax
+	}
+	return nil
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// valueEnd returns the index just past the JSON value that starts at
+// b[i]: a string ends at its closing quote, an object or array where
+// its brackets balance, a number or literal before the next delimiter.
+func valueEnd(b []byte, i int) int {
+	for depth := 0; i < len(b); {
+		switch b[i] {
+		case '"':
+			for i++; ; i++ {
+				q := bytes.IndexByte(b[i:], '"')
+				if q < 0 {
+					return len(b)
+				}
+				i += q
+				esc := i
+				for b[esc-1] == '\\' { // stops at the opening quote at the latest
+					esc--
+				}
+				if (i-esc)%2 == 0 {
+					break // a quote after an even number of backslashes closes the string
+				}
+			}
+			i++
+		case '{', '[':
+			depth++
+			i++
+			continue
+		case '}', ']':
+			if depth == 0 {
+				return i // the enclosing object's, after a number or literal
+			}
+			depth--
+			i++
+		case ',', ' ', '\t', '\r', '\n':
+			if depth == 0 {
+				return i // after a number or literal
+			}
+			i++
+			continue
+		default:
+			i++
+			continue
+		}
+		if depth == 0 {
+			return i
+		}
+	}
+	return len(b)
 }
 
 // Export copies the engine's states into an Export. Safe for

@@ -14,7 +14,7 @@
 // the folds FullAudit runs (audit.Auditor.ReportStates) over states
 // holding the same rows in the same order.
 //
-// Export is those states' JSON form, which the shard-merge tier unions
+// Export is those states' wire form, which the shard-merge tier unions
 // (internal/shardmerge) and NewStatic serves reports from.
 //
 // Recovery follows the feed's drop-then-resync policy: a consumer the

@@ -10,7 +10,8 @@
 # Also runs the streaming-audit apply benchmark
 # (internal/streamaudit.BenchmarkStreamApply) and summarises it into
 # BENCH_stream.json — per-delta apply cost and derived deltas/sec for
-# the incremental engine.
+# the incremental engine — beside BenchmarkExportRoundTrip, one shard's
+# export marshalled and unmarshalled, gated at 600 allocs/op.
 #
 # Also runs the impression-tracing overhead gate: the ingest funnel
 # with a tracer attached but no sampled payloads (BenchmarkIngestUntraced)
@@ -164,8 +165,8 @@ STREAM_JSON=BENCH_stream.json
 stream_tmp=$(mktemp)
 trap 'rm -f "$tmp" "$stream_tmp"' EXIT
 
-echo "==> go test -bench BenchmarkStreamApply ($COUNT runs) ./internal/streamaudit/"
-go test -run '^$' -bench 'BenchmarkStreamApply$' -benchmem -count "$COUNT" \
+echo "==> go test -bench BenchmarkStreamApply|ExportRoundTrip ($COUNT runs) ./internal/streamaudit/"
+go test -run '^$' -bench 'Benchmark(StreamApply|ExportRoundTrip)$' -benchmem -count "$COUNT" \
     ./internal/streamaudit/ | tee "$stream_tmp"
 
 {
@@ -369,6 +370,10 @@ ceiling BenchmarkIngestBinary "$GW_JSON" 1
 # second write per frame to come back.
 ceiling BenchmarkWebSocketSession "$GW_JSON" 150
 ceiling BenchmarkGatewayForward "$GW_JSON" 165
+# One shard's export there and back (3 campaigns, 8,000 users): 389,
+# per table, column and thousand map entries; one allocation per key
+# would be 8,000 more.
+ceiling BenchmarkExportRoundTrip "$STREAM_JSON" 600
 
 if [ -n "$baseline_direct" ]; then
     echo "==> direct ingest allocs/op: baseline $baseline_direct, now $new_direct (budget 5%)"

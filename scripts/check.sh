@@ -154,6 +154,7 @@ if [ "${1:-}" = "-fuzz-smoke" ]; then
         "FuzzWireEquivalence ./internal/beacon/" \
         "FuzzDecodeBatch ./internal/trunk/" \
         "FuzzExportRoundTrip ./internal/shardmerge/" \
+        "FuzzStateBinary ./internal/audit/" \
         "FuzzRecoverWAL ./internal/store/" \
         "FuzzReadSnapshot ./internal/store/" \
         "FuzzQueryAPI ./internal/collector/"; do

@@ -40,14 +40,23 @@ import (
 // time, exposure, measured, fraction.
 const minSlotBytes = 3 + 8 + 8 + 1 + 8
 
-// maxKeyExpansion bounds how many bytes of user key one byte of encoding
-// may decode to. Sharing heads and tails is compression, and a decoder
-// of compressed input has to refuse a bomb; real states expand less than
-// four-fold, because a slot's columns are not shared with anything.
-const maxKeyExpansion = 16
+// maxKeyBytes bounds the user keys of one state, users and converting
+// users together. Sharing heads and tails is compression — a few
+// kilobytes of encoding can spell out gigabytes of keys — and a decoder
+// of compressed input has to refuse a bomb. No ratio to the encoding's
+// size would do: nothing on ingest bounds a User-Agent, so a state whose
+// users share a long one is legitimate at any ratio. The bound is
+// therefore absolute (the size of the largest export document a router
+// reads, shardmerge's maxExportBytes) and the encoder keeps to it too:
+// what AppendBinary writes, UnmarshalBinary reads.
+const maxKeyBytes = 256 << 20
 
-// keySplitter cuts keys at their first '|' into an interned head and tail.
-type keySplitter struct{ heads, tails dict }
+// keySplitter cuts keys at their first '|' into an interned head and
+// tail, and adds up the keys' bytes.
+type keySplitter struct {
+	heads, tails dict
+	bytes        int
+}
 
 // split returns each key's head reference, then its tail reference plus
 // one (0: the key has no '|').
@@ -55,6 +64,7 @@ func (k *keySplitter) split(keys []string) []int32 {
 	refs := make([]int32, 0, 2*len(keys))
 	for _, key := range keys {
 		head, tail, found := strings.Cut(key, "|")
+		k.bytes += len(key)
 		refs = append(refs, k.heads.intern(head), 0)
 		if found {
 			refs[len(refs)-1] = k.tails.intern(tail) + 1
@@ -127,7 +137,8 @@ func sortedKeys[V any](m map[string]V, extra int) []string {
 
 // AppendBinary appends the state's packed form to b, growing b once: the
 // size of every part is known before it is written. The tallies are
-// derived and stay home.
+// derived and stay home. It fails only for a state that holds more than
+// maxKeyBytes of user keys, which UnmarshalBinary would refuse.
 func (s *State) AppendBinary(b []byte) ([]byte, error) {
 	c := &s.cols
 	n := len(c.UserOf)
@@ -138,6 +149,9 @@ func (s *State) AppendBinary(b []byte) ([]byte, error) {
 		k.heads.ids[ip] = int32(ref)
 	}
 	userRefs, convRefs := k.split(c.Users.keys), k.split(convs)
+	if k.bytes > maxKeyBytes {
+		return b, fmt.Errorf("audit: state encoding: %d bytes of user keys, the format carries %d", k.bytes, maxKeyBytes)
+	}
 	heads, tails := k.heads.keys, k.tails.keys
 
 	refWidth := uvarintLen(len(heads)) + uvarintLen(len(tails))
@@ -178,9 +192,9 @@ func (s *State) AppendBinary(b []byte) ([]byte, error) {
 // after it returns zero, so the decoder checks once per section, and no
 // count is believed before it is held against the bytes that remain.
 type reader struct {
-	b    []byte // what remains
-	size int    // of the whole encoding
-	err  error
+	b        []byte // what remains
+	keyBytes int    // of user keys joined so far
+	err      error
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -259,11 +273,12 @@ func (r *reader) keys(heads, tails []string) []string {
 		if total += len(heads[head]); tail > 0 {
 			total += 1 + len(tails[tail-1])
 		}
+		if r.keyBytes+total > maxKeyBytes {
+			r.fail("more than the %d bytes of user keys the format carries", maxKeyBytes)
+			return nil
+		}
 	}
-	if total > maxKeyExpansion*r.size {
-		r.fail("%d bytes of encoding expand to %d bytes of keys", r.size, total)
-		return nil
-	}
+	r.keyBytes += total
 	var sb strings.Builder
 	sb.Grow(total)
 	keys := make([]string, n)
@@ -370,12 +385,13 @@ func (r *reader) time() time.Time {
 // process: every count fits the bytes that remain before anything is
 // allocated for it, every id is inside its dictionary and every
 // dictionary entry used, no key twice in any dictionary or map, bools 0
-// or 1, floats finite, not a byte missing or left over. An encoding that
-// fails is rejected whole and s is left alone; one that passes cannot
-// make a fold index out of range. Keys are substrings of a few backing
-// strings, so decoding costs a constant number of allocations.
+// or 1, floats finite, no more than maxKeyBytes of user keys, not a byte
+// missing or left over. An encoding that fails is rejected whole and s
+// is left alone; one that passes cannot make a fold index out of range.
+// Keys are substrings of a few backing strings, so decoding costs a
+// constant number of allocations.
 func (s *State) UnmarshalBinary(b []byte) error {
-	r := &reader{b: b, size: len(b)}
+	r := &reader{b: b}
 	var c columns
 	n := r.count(minSlotBytes)
 	c.Clicks = int(r.varint())

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -369,6 +370,47 @@ func TestStateKeysRoundTripBytes(t *testing.T) {
 	}
 }
 
+// Sharing tails is the format's compression, and nothing on ingest bounds
+// a User-Agent: thousands of users behind one very long one are a state
+// like any other, however few bytes of encoding spell out their keys.
+// What the format does refuse, more than maxKeyBytes of keys, the encoder
+// refuses too, so a shard never exports what its router would reject.
+func TestStateLongSharedTails(t *testing.T) {
+	s, agent := NewState(), strings.Repeat("Mozilla/5.0 (long) ", 400) // 7.6 KB
+	for i := 0; i < 3000; i++ {
+		ip := fmt.Sprintf("ip%d", i)
+		s.Insert(&store.Impression{UserKey: ip + "|" + agent, Publisher: "p.example", IPPseudonym: ip, Timestamp: base})
+		s.Convert(fmt.Sprintf("ghost%d|%s", i, agent))
+	}
+	bin, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := 2 * 3000 * len(agent); len(bin)*100 > keys {
+		t.Fatalf("%d bytes of encoding for %d of keys: the test shares no tail", len(bin), keys)
+	}
+	back := new(State)
+	if err := back.UnmarshalBinary(bin); err != nil {
+		t.Fatalf("own encoding rejected: %v", err)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Fatal("state changed across its own encoding")
+	}
+
+	// 65 keys of 4 MiB and more, all cut from one string.
+	s, long := NewState(), strings.Repeat("A", 4<<20+64)
+	for i := 0; i <= 64; i++ {
+		s.Convert(long[i:])
+	}
+	if bin, err := s.AppendBinary(nil); err == nil || !strings.Contains(err.Error(), "bytes of user keys") {
+		t.Fatalf("a state with %d MiB of keys encoded to %d bytes, error %v", 65*4, len(bin), err)
+	}
+	var unwritable *json.MarshalerError // what the export handlers answer 500 to
+	if _, err := json.Marshal(s); !errors.As(err, &unwritable) {
+		t.Fatalf("json.Marshal of the same state: %v", err)
+	}
+}
+
 // A state from outside is checked before it is used. Every encoding
 // below is rejected, for the reason named.
 func TestStateDecodeRejects(t *testing.T) {
@@ -401,12 +443,12 @@ func TestStateDecodeRejects(t *testing.T) {
 		"infinite visible fraction":        {func(e *encoding) { e.frac[0] = math.Inf(1) }, "+Inf"},
 		"short column":                     {func(e *encoding) { e.times = e.times[:1] }, ""},
 		"more slots than columns":          {func(e *encoding) { e.slots = 3 }, ""},
-		"key bomb": {func(e *encoding) {
-			e.tails = append(e.tails, strings.Repeat("A", 4000))
+		"key bomb": {func(e *encoding) { // 80 KB that spell out 320 MB
+			e.tails = append(e.tails, strings.Repeat("A", 1<<16))
 			for i := 0; i < 5000; i++ { // so many users of IP 2 with the one long tail; what repeats is never reached
 				e.convs, e.convRefs, e.convCounts = e.convs+1, append(e.convRefs, 1, 3), append(e.convCounts, 1)
 			}
-		}, "expand to"},
+		}, "bytes of user keys"},
 	} {
 		e := tinyParts()
 		c.edit(&e)

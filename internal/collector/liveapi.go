@@ -2,6 +2,7 @@ package collector
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -102,7 +103,10 @@ func (l *liveAPI) handleExport(w http.ResponseWriter, r *http.Request) {
 	// Compact: a router reads this, and indenting would scan the
 	// megabytes of base64 once more.
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(l.engine.Export())
+	var unwritable *json.MarshalerError // a state past the format's bounds; nothing was written
+	if err := json.NewEncoder(w).Encode(l.engine.Export()); errors.As(err, &unwritable) {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // sseHeartbeat keeps idle streams alive through proxies.

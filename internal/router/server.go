@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -87,7 +88,10 @@ func (m *liveMerge) serveExport(w http.ResponseWriter, r *http.Request) {
 	// Compact: a router or a tool reads this, and indenting would scan
 	// the megabytes of base64 once more.
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(exp)
+	var unwritable *json.MarshalerError // a merged state past the format's bounds; nothing was written
+	if err := json.NewEncoder(w).Encode(exp); errors.As(err, &unwritable) {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // engine fetches every shard and builds a query engine over the

@@ -661,7 +661,8 @@ func TestExportValidation(t *testing.T) {
 // TestExportEnvelope: Export.UnmarshalJSON walks the envelope by hand,
 // and must read any JSON spelling of it the way encoding/json would:
 // indented, members in any order, unknown members skipped whatever
-// they hold, escapes in campaign ids and in the state's string.
+// they hold, member names in another case or escaped, escapes in
+// campaign ids and in the state's string.
 func TestExportEnvelope(t *testing.T) {
 	w := newTestWorld(t, 9)
 	w.populate(t, rand.New(rand.NewSource(9)), 50)
@@ -685,10 +686,11 @@ func TestExportEnvelope(t *testing.T) {
 	}
 	body := strings.TrimSuffix(strings.TrimPrefix(string(compact), "{"), "}")
 	docs := map[string]string{
-		"indented":        indented.String(),
-		"unknown members": `{"x":{"a":[1,"}]\\\"",{"b":null}],"c":"\\"},"y":-1.5e3,"z":[],` + body + `,"w":"}"}`,
-		"escaped slashes": strings.ReplaceAll(string(compact), "/", `\/`),
-		"version last":    `{"version":1,` + strings.Replace(body, fmt.Sprintf(`"version":%d,`, ExportVersion), "", 1) + fmt.Sprintf(`,"version":%d}`, ExportVersion),
+		"indented":         indented.String(),
+		"unknown members":  `{"x":{"a":[1,"}]\\\"",{"b":null}],"c":"\\"},"y":-1.5e3,"z":[],` + body + `,"w":"}"}`,
+		"escaped slashes":  strings.ReplaceAll(string(compact), "/", `\/`),
+		"odd member names": strings.NewReplacer(`"version"`, `"Version"`, `"seq"`, `"\u0073eq"`, `"campaigns"`, `"CAMPAIGNS"`).Replace(string(compact)),
+		"version last":     `{"version":1,` + strings.Replace(body, fmt.Sprintf(`"version":%d,`, ExportVersion), "", 1) + fmt.Sprintf(`,"version":%d}`, ExportVersion),
 	}
 	if !strings.Contains(docs["escaped slashes"], `\/`) {
 		t.Fatalf("no state's base64 holds a '/'; enlarge the world")

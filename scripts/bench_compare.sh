@@ -370,7 +370,7 @@ ceiling BenchmarkIngestBinary "$GW_JSON" 1
 # second write per frame to come back.
 ceiling BenchmarkWebSocketSession "$GW_JSON" 150
 ceiling BenchmarkGatewayForward "$GW_JSON" 165
-# One shard's export there and back (3 campaigns, 8,000 users): 389,
+# One shard's export there and back (3 campaigns, 8,000 users): 398,
 # per table, column and thousand map entries; one allocation per key
 # would be 8,000 more.
 ceiling BenchmarkExportRoundTrip "$STREAM_JSON" 600

@@ -19,10 +19,11 @@ bench:
 	sh scripts/check.sh -bench
 
 # bench-compare runs the audit-engine performance gate: serial vs
-# parallel FullAudit plus the Table 2 context benchmark, summarised
-# into BENCH_audit.json, failing on a >10% allocs/op regression in
-# BenchmarkTable2Context or on either FullAudit benchmark exceeding
-# 10,000 allocs/op. See scripts/bench_compare.sh.
+# parallel FullAudit, the live report and the Table 2 context
+# benchmark, summarised into BENCH_audit.json, failing on absolute
+# allocs/op ceilings: BenchmarkTable2Context 70, either FullAudit
+# benchmark 10,000, BenchmarkLiveReport 1,000. See
+# scripts/bench_compare.sh.
 bench-compare:
 	sh scripts/bench_compare.sh
 

@@ -26,6 +26,7 @@ import (
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
 	"adaudit/internal/report"
+	"adaudit/internal/streamaudit"
 )
 
 // benchState is the shared 8-campaign run used by the per-artifact
@@ -219,6 +220,28 @@ func BenchmarkFullAuditParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := par.FullAudit(s.inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
+}
+
+// BenchmarkLiveReport measures the report the streaming engine serves
+// at quiescence: the same folds over states it already holds — no
+// fills — on the engine's default pool.
+func BenchmarkLiveReport(b *testing.B) {
+	s := benchSetup(b)
+	eng, err := streamaudit.New(streamaudit.Config{
+		Store: s.ws.Store,
+		Meta:  audit.UniverseMetadata{Universe: s.ws.Publishers},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Drain()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Report(s.inputs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,18 +69,21 @@ type Auditor struct {
 	Store *store.Store
 	// Meta resolves publisher metadata. Required for the context and
 	// popularity analyses. Implementations must be safe for concurrent
-	// lookups: FullAudit fans analyses out across a worker pool.
+	// lookups: FullAudit and ReportStates fan analyses out across a
+	// worker pool.
 	Meta MetadataSource
 	// Matcher decides contextual relevance. Required for the context
 	// analysis.
 	Matcher *semsim.Matcher
-	// Parallelism bounds the worker pool FullAudit fans per-campaign,
-	// per-dimension analysis tasks across. 0 uses GOMAXPROCS; 1 runs
-	// serially. The report is identical at every setting.
+	// Parallelism bounds the worker pool FullAudit and ReportStates fan
+	// per-campaign, per-dimension analysis tasks across. 0 uses
+	// GOMAXPROCS; 1 runs serially. The report is identical at every
+	// setting.
 	Parallelism int
 	// Sellers resolves the declared-seller state for the adversarial
 	// dimensions (seller cross-check, pooling detector). Nil uses the
-	// simulated ecosystem's registry (adnet.SellerRegistry).
+	// simulated ecosystem's registry (adnet.SellerRegistry). Like Meta,
+	// an implementation must be safe for concurrent lookups.
 	Sellers SellerDirectory
 
 	tel auditTelemetry

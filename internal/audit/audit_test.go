@@ -1,13 +1,19 @@
 package audit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"adaudit/internal/adnet"
 	"adaudit/internal/semsim"
+	"adaudit/internal/stats"
 	"adaudit/internal/store"
 )
 
@@ -90,6 +96,39 @@ func TestBrandSafetyVenn(t *testing.T) {
 	}
 	if len(res.UnsafeUnreported) != 1 || res.UnsafeUnreported[0] != "p1.es" {
 		t.Fatalf("UnsafeUnreported = %v", res.UnsafeUnreported)
+	}
+}
+
+// Vendor rows are keyed by (publisher, seller), so one domain can fill
+// several rows: it is still one publisher, on either side of the Venn,
+// for the per-campaign fold, the single-call aggregate and the report's.
+func TestBrandSafetyDuplicateVendorRows(t *testing.T) {
+	st := store.New()
+	addImp(t, st, "c", "seen.es", "u1", base, time.Second, "")
+	addImp(t, st, "c", "quiet.es", "u2", base, time.Second, "")
+	a := newAuditor(t, st, fakeMeta{})
+	rep := &adnet.VendorReport{CampaignID: "c", Rows: []adnet.ReportRow{
+		{Publisher: "seen.es", Impressions: 3, SellerID: "direct"},
+		{Publisher: "ghost.es", Impressions: 2, SellerID: "direct"},
+		{Publisher: "seen.es", Impressions: 1, SellerID: "reseller"},
+		{Publisher: "ghost.es", Impressions: 1, SellerID: "reseller"},
+	}}
+	full, err := a.FullAudit([]CampaignInput{{ID: "c", Report: rep}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]BrandSafetyResult{
+		"campaign":         a.BrandSafety("c", rep),
+		"aggregate":        a.BrandSafetyAggregate(map[string]*adnet.VendorReport{"c": rep}),
+		"report campaign":  full.PerCampaign[0].BrandSafety,
+		"report aggregate": full.Aggregate,
+	} {
+		if want := (stats.Venn{OnlyA: 1, OnlyB: 1, Both: 1}); res.Venn != want {
+			t.Errorf("%s: venn = %+v, want %+v", name, res.Venn, want)
+		}
+		if !reflect.DeepEqual(res.VendorOnly, []string{"ghost.es"}) || !reflect.DeepEqual(res.AuditOnly, []string{"quiet.es"}) {
+			t.Errorf("%s: VendorOnly = %v, AuditOnly = %v", name, res.VendorOnly, res.AuditOnly)
+		}
 	}
 }
 
@@ -376,5 +415,66 @@ func TestPopularityCPMCorrelation(t *testing.T) {
 	}
 	if _, err := PopularityCPMCorrelation([]float64{1}, nil, 50_000); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// Figure 3's points come out in the order of the three-key comparator —
+// impressions descending, user key, campaign — although the sort works
+// on 8-byte key prefixes: keys that share a prefix of 8 bytes or more,
+// keys shorter than that (one a prefix of another, differing only by a
+// trailing NUL), 0x00 and 0xFF bytes, and the same key in two campaigns
+// all fall back to the full comparison or order by zero-padded prefix
+// exactly as the strings do.
+func TestFrequencyOrderMatchesComparator(t *testing.T) {
+	heads := []string{"", "a", "ab", "ab\x00", "ab\x00\x00", "\xff", "\xff\xff\x00", "\x00", "1234567", "12345678", "12345678\x00",
+		"12345678\xff", "123456789", "10.0.0.1|Mozilla/5.0 ", "10.0.0.1|Mozilla/5.0 (X11)", "10.0.0.1|Mozilla/4.0"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		states := map[string]*State{}
+		for c := 0; c < 1+rng.Intn(4); c++ {
+			s := NewState()
+			for i, n := 0, rng.Intn(400); i < n; i++ {
+				key := heads[rng.Intn(len(heads))]
+				if rng.Intn(3) == 0 {
+					key += string([]byte{byte(rng.Intn(256)), byte(rng.Intn(3))})
+				}
+				s.Insert(&store.Impression{
+					UserKey: key, Publisher: "p.es", DataCenter: "not-data-center",
+					Timestamp: base.Add(time.Duration(rng.Intn(1e6)) * time.Millisecond),
+				})
+			}
+			states[fmt.Sprintf("c%d", c)] = s
+		}
+		got := FrequencyOf(states).Points
+		want := slices.Clone(got)
+		rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+		slices.SortFunc(want, func(a, b UserFrequency) int {
+			return cmp.Or(cmp.Compare(b.Impressions, a.Impressions),
+				strings.Compare(a.UserKey, b.UserKey), strings.Compare(a.CampaignID, b.CampaignID))
+		})
+		if !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d: point %d of %d is %+v, the comparator puts %+v there", seed, i, len(got), got[i], want[i])
+				}
+			}
+		}
+		// And the permutation lost no point: each pair once, with its count.
+		imps := map[[2]string]int{}
+		for id, s := range states {
+			for _, uid := range s.cols.UserOf {
+				imps[[2]string{id, s.cols.Users.keys[uid]}]++
+			}
+		}
+		for _, p := range got {
+			pair := [2]string{p.CampaignID, p.UserKey}
+			if imps[pair] != p.Impressions {
+				t.Fatalf("seed %d: point %+v, the state counts %d impressions", seed, p, imps[pair])
+			}
+			delete(imps, pair)
+		}
+		if len(imps) != 0 {
+			t.Fatalf("seed %d: %d (campaign, user) pairs have no point", seed, len(imps))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"slices"
 	"sort"
 
 	"adaudit/internal/adnet"
@@ -52,7 +53,9 @@ func (r BrandSafetyResult) FractionAuditMissed() float64 {
 func (a *Auditor) BrandSafety(campaignID string, report *adnet.VendorReport) BrandSafetyResult {
 	s := a.fill(campaignID)
 	defer release(s)
-	return s.BrandSafety(campaignID, a.Meta, report)
+	v := a.resolve(s, nil)
+	defer viewPool.Put(v)
+	return s.brandSafety(campaignID, v.facts, report)
 }
 
 // BrandSafetyAggregate pools every campaign's publishers and reports,
@@ -60,65 +63,131 @@ func (a *Auditor) BrandSafety(campaignID string, report *adnet.VendorReport) Bra
 func (a *Auditor) BrandSafetyAggregate(reports map[string]*adnet.VendorReport) BrandSafetyResult {
 	s := a.fill("")
 	defer release(s)
-	return AggregateBrandSafety(map[string]*State{"": s}, a.Meta, reports)
-}
-
-// BrandSafety is the Figure 1 fold for one campaign: the audited set is
-// the state's publisher dictionary. meta may be nil, disabling the
-// UnsafeUnreported breakdown.
-func (s *State) BrandSafety(campaignID string, meta MetadataSource, report *adnet.VendorReport) BrandSafetyResult {
-	return brandSafety(meta, campaignID, s.cols.Pubs.ids, stats.SetOf(report.ReportedPublishers()), report.AnonymousImpressions())
-}
-
-// AggregateBrandSafety is Figure 1's all-campaigns diagram: the union
-// of the states' publishers against the union of the reports.
-func AggregateBrandSafety(states map[string]*State, meta MetadataSource, reports map[string]*adnet.VendorReport) BrandSafetyResult {
-	n := 0
-	for _, s := range states {
-		n += len(s.cols.Pubs.keys)
-	}
-	audited := make(map[string]struct{}, n) // an upper bound: one allocation, no growth
-	for _, s := range states {
-		for _, p := range s.cols.Pubs.keys {
-			audited[p] = struct{}{}
-		}
-	}
-	reported := map[string]struct{}{}
-	var anon int64
+	v := a.resolve(s, nil)
+	defer viewPool.Put(v)
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	vn := sc.venn(&s.cols.Pubs)
 	for _, rep := range reports {
-		for _, p := range rep.ReportedPublishers() {
-			reported[p] = struct{}{}
-		}
-		anon += rep.AnonymousImpressions()
+		vn.mark(rep)
 	}
-	return brandSafety(meta, "", audited, reported, anon)
+	return vn.result("", v.facts)
 }
 
-// brandSafety partitions the audited and reported publisher sets.
-// Neither set is retained or mutated.
-func brandSafety[V any](meta MetadataSource, campaignID string, audited map[string]V, reported map[string]struct{}, anon int64) BrandSafetyResult {
-	res := BrandSafetyResult{CampaignID: campaignID, AnonymousImpressions: anon}
-	for p := range audited {
-		if _, ok := reported[p]; ok {
-			res.Venn.Both++
+// brandSafety is the Figure 1 fold for one campaign: the audited set is
+// the state's publisher dictionary, facts its resolved view (all zero
+// without a metadata source, which disables UnsafeUnreported).
+func (s *State) brandSafety(campaignID string, facts []pubFacts, report *adnet.VendorReport) BrandSafetyResult {
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	vn := sc.venn(&s.cols.Pubs)
+	vn.mark(report)
+	return vn.result(campaignID, facts)
+}
+
+// aggregateBrandSafety is Figure 1's all-campaigns diagram: the union
+// of the states' publishers against the union of the inputs' reports
+// (one per campaign ID, the last). The union dictionary and its view
+// are scratch. A publisher's facts are those of the first state seen
+// holding it; only a state no input names has no view (views[i] is
+// inputs[i]'s), and its publishers alone are looked up here.
+func aggregateBrandSafety(states map[string]*State, meta MetadataSource, inputs []CampaignInput, views []*pubView) BrandSafetyResult {
+	byID := make(map[string]int, len(inputs))
+	for i, in := range inputs {
+		byID[in.ID] = i
+	}
+	sc := scratchPool.Get().(*foldScratch)
+	defer scratchPool.Put(sc)
+	union := &sc.union
+	defer union.reset() // the keys are the states' strings: pin none of them
+	all := viewPool.Get().(*pubView)
+	defer viewPool.Put(all)
+	all.facts = all.facts[:0]
+	for id, s := range states {
+		var view *pubView
+		if i, ok := byID[id]; ok {
+			view = views[i]
+		}
+		for pid, p := range s.cols.Pubs.keys {
+			if union.intern(p) < int32(len(all.facts)) {
+				continue // met in an earlier state
+			}
+			var f pubFacts
+			if view != nil {
+				f = view.facts[pid]
+			} else if meta != nil {
+				m, ok := meta.PublisherMeta(p)
+				f.unsafe = ok && m.Unsafe
+			}
+			all.facts = append(all.facts, f)
+		}
+	}
+	vn := sc.venn(union)
+	for _, i := range byID {
+		vn.mark(inputs[i].Report)
+	}
+	return vn.result("", all.facts)
+}
+
+// venn partitions a publisher dictionary — A, the audited set — against
+// vendor report rows — B — by marking ids. Rows are keyed by (publisher,
+// seller), so one domain may come up many times: an audited one is
+// counted when first marked, the others are deduplicated once sorted.
+type venn struct {
+	pubs       *dict
+	marked     []bool   // publisher id -> some row names it
+	vendorOnly []string // rows naming no audited publisher, duplicates included
+	both       int
+	anon       int64
+}
+
+// venn starts a partition of pubs; the marks are sc's.
+func (sc *foldScratch) venn(pubs *dict) venn {
+	n := len(pubs.keys)
+	sc.marks = slices.Grow(sc.marks[:0], n)[:n]
+	clear(sc.marks)
+	return venn{pubs: pubs, marked: sc.marks}
+}
+
+func (v *venn) mark(report *adnet.VendorReport) {
+	for i := range report.Rows {
+		p := report.Rows[i].Publisher
+		if p == adnet.AnonymousPublisher {
 			continue
 		}
-		res.Venn.OnlyA++
-		res.AuditOnly = append(res.AuditOnly, p)
-		if meta != nil {
-			if m, ok := meta.PublisherMeta(p); ok && m.Unsafe {
-				res.UnsafeUnreported = append(res.UnsafeUnreported, p)
-			}
+		if id, audited := v.pubs.ids[p]; !audited {
+			v.vendorOnly = append(v.vendorOnly, p)
+		} else if !v.marked[id] {
+			v.marked[id] = true
+			v.both++
 		}
 	}
-	for p := range reported {
-		if _, ok := audited[p]; !ok {
-			res.Venn.OnlyB++
-			res.VendorOnly = append(res.VendorOnly, p)
+	v.anon += report.AnonymousImpressions()
+}
+
+// result emits the partition: one pass in dictionary order for the
+// audit-only side, facts[id].unsafe deciding UnsafeUnreported.
+func (v *venn) result(campaignID string, facts []pubFacts) BrandSafetyResult {
+	sort.Strings(v.vendorOnly)
+	res := BrandSafetyResult{
+		CampaignID:           campaignID,
+		VendorOnly:           slices.Compact(v.vendorOnly),
+		AnonymousImpressions: v.anon,
+	}
+	res.Venn = stats.Venn{OnlyA: len(v.pubs.keys) - v.both, OnlyB: len(res.VendorOnly), Both: v.both}
+	if res.Venn.OnlyA > 0 {
+		res.AuditOnly = make([]string, 0, res.Venn.OnlyA)
+	}
+	for id, p := range v.pubs.keys {
+		if v.marked[id] {
+			continue
+		}
+		res.AuditOnly = append(res.AuditOnly, p)
+		if facts[id].unsafe {
+			res.UnsafeUnreported = append(res.UnsafeUnreported, p)
 		}
 	}
 	sort.Strings(res.AuditOnly)
-	sort.Strings(res.VendorOnly)
 	sort.Strings(res.UnsafeUnreported)
 	return res
 }

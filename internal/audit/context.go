@@ -52,21 +52,27 @@ func (a *Auditor) Context(campaignID string, keywords []string, report *adnet.Ve
 	return a.ContextOf(s, campaignID, keywords, report)
 }
 
-// ContextOf is the Table 2 fold over one campaign's state. Relevance is
-// a property of the publisher, not the impression, so each distinct
-// publisher is resolved once against the compiled campaign keywords and
-// weighed by its impression count.
+// ContextOf is the Table 2 analysis of one campaign's state: its
+// publishers resolved against the keywords, then the fold.
 func (a *Auditor) ContextOf(s *State, campaignID string, keywords []string, report *adnet.VendorReport) (ContextResult, error) {
+	v := a.resolve(s, keywords)
+	defer viewPool.Put(v)
+	return a.contextOf(s, v.facts, campaignID, report)
+}
+
+// contextOf is the Table 2 fold. Relevance is a property of the
+// publisher, not the impression, so each publisher's resolved verdict
+// is weighed by its impression count.
+func (a *Auditor) contextOf(s *State, facts []pubFacts, campaignID string, report *adnet.VendorReport) (ContextResult, error) {
 	if a.Meta == nil || a.Matcher == nil {
 		return ContextResult{}, fmt.Errorf("audit: context analysis requires metadata and a matcher")
 	}
-	query := a.Matcher.Compile(keywords)
 	res := ContextResult{CampaignID: campaignID, AuditImpressions: s.Len()}
-	for pid, pub := range s.cols.Pubs.keys {
+	for pid, f := range facts {
 		n := int(s.pubImps[pid])
-		if m, ok := a.Meta.PublisherMeta(pub); !ok {
+		if !f.known {
 			res.UnknownMeta += n
-		} else if query.Relevant(m.Keywords, m.Topics) {
+		} else if f.relevant {
 			res.MeaningfulImpressions += n
 		}
 	}

@@ -45,25 +45,28 @@ type FullReport struct {
 // FullAudit runs every analysis over the dataset. Popularity uses
 // base-10 rank buckets up to 10M, matching Figure 2.
 //
-// One visit per campaign fills that campaign's pooled State; every
-// result is then a fold over a state. Both phases fan out across a
-// bounded pool (Auditor.Parallelism workers; GOMAXPROCS when 0): each
-// fill, each (campaign, dimension) fold and the two cross-campaign
-// aggregates is an independent task writing a distinct place, so no
-// result ever crosses a lock. Output is deterministic — identical to
-// FullAuditSerial bit for bit — because task identity, not completion
-// order, decides where a result lands, and each state holds its
-// campaign's impressions in insertion order. So is failure: the error
-// returned is that of the failing task lowest in task order.
+// One visit per campaign fills that campaign's pooled State, one walk
+// of its publisher dictionary resolves each input campaign's publishers
+// against the metadata source and the campaign's keywords (resolve),
+// and every result is then a fold over a state and its resolved view.
+// The three phases fan out across a bounded pool (Auditor.Parallelism
+// workers; GOMAXPROCS when 0): each fill, each resolve, each (campaign,
+// dimension) fold and the two cross-campaign aggregates is an
+// independent task writing a distinct place, so no result ever crosses
+// a lock. Output is deterministic — identical to FullAuditSerial bit
+// for bit — because task identity, not completion order, decides where
+// a result lands, and each state holds its campaign's impressions in
+// insertion order. So is failure: only folds can fail, and the error
+// returned is that of the failing fold lowest in task order.
 func (a *Auditor) FullAudit(inputs []CampaignInput) (*FullReport, error) {
 	return a.fullAudit(inputs, a.workers())
 }
 
 // FullAuditSerial is FullAudit on one goroutine, tasks in order (the
-// fills; per campaign brand safety, context, popularity, viewability,
-// fraud, sellers, pooling, behavior; then the two aggregates) — the
-// baseline the serial-vs-parallel benchmarks and determinism tests
-// compare against.
+// fills; the resolves; the two aggregates, then per campaign brand
+// safety, context, popularity, viewability, fraud, sellers, pooling,
+// behavior) — the baseline the serial-vs-parallel benchmarks and
+// determinism tests compare against.
 func (a *Auditor) FullAuditSerial(inputs []CampaignInput) (*FullReport, error) {
 	return a.fullAudit(inputs, 1)
 }
@@ -118,29 +121,40 @@ func releaseAll(states map[string]*State) {
 // ReportStates materialises the full report from per-campaign states —
 // what FullAudit does once its states are filled, and all the streaming
 // engine and the shard-merge tier do, theirs being kept or merged
-// rather than filled. A campaign without a state is an empty one.
+// rather than filled — on the same pool. A campaign without a state is
+// an empty one. The states are only read, and must not change meanwhile.
 func (a *Auditor) ReportStates(states map[string]*State, inputs []CampaignInput) (*FullReport, error) {
 	return a.report(states, inputs, a.workers())
 }
 
 func (a *Auditor) report(states map[string]*State, inputs []CampaignInput, workers int) (*FullReport, error) {
 	rep := &FullReport{PerCampaign: make([]CampaignAudit, len(inputs))}
-	tasks := make([]task, 0, 8*len(inputs)+2)
-	reports := make(map[string]*adnet.VendorReport, len(inputs))
+	sts := make([]*State, len(inputs)) // inputs[i]'s state, and its resolved view
+	views := make([]*pubView, len(inputs))
+	resolves := make([]task, len(inputs))
 	for i, in := range inputs {
 		if in.Report == nil {
 			return nil, fmt.Errorf("audit: campaign %s has no vendor report", in.ID)
 		}
-		reports[in.ID] = in.Report
-		s := states[in.ID]
-		if s == nil {
-			s = noState
+		if sts[i] = states[in.ID]; sts[i] == nil {
+			sts[i] = noState
 		}
-		tasks = a.campaignTasks(tasks, s, in, &rep.PerCampaign[i])
+		resolves[i] = task{stagePublishers, func() error {
+			views[i] = a.resolve(sts[i], in.Keywords)
+			return nil
+		}}
 	}
-	tasks = append(tasks,
+	a.runTasks(resolves, workers) // a resolve cannot fail
+	defer func() {
+		for _, v := range views {
+			viewPool.Put(v)
+		}
+	}()
+	// The two cross-campaign folds are the longest tasks by far and go
+	// first, so the pool ends on short ones.
+	tasks := append(make([]task, 0, 2+8*len(inputs)),
 		task{stageAggregate, func() error {
-			rep.Aggregate = AggregateBrandSafety(states, a.Meta, reports)
+			rep.Aggregate = aggregateBrandSafety(states, a.Meta, inputs, views)
 			return nil
 		}},
 		task{stageFrequency, func() error {
@@ -148,6 +162,9 @@ func (a *Auditor) report(states map[string]*State, inputs []CampaignInput, worke
 			return nil
 		}},
 	)
+	for i, in := range inputs {
+		tasks = a.campaignTasks(tasks, sts[i], views[i].facts, in, &rep.PerCampaign[i])
+	}
 	if err := a.runTasks(tasks, workers); err != nil {
 		return nil, err
 	}
@@ -161,21 +178,23 @@ var noState = NewState()
 // AuditState materialises one campaign's eight dimensions from its state.
 func (a *Auditor) AuditState(s *State, in CampaignInput) (CampaignAudit, error) {
 	var ca CampaignAudit
-	err := a.runTasks(a.campaignTasks(nil, s, in, &ca), 1)
+	v := a.resolve(s, in.Keywords)
+	defer viewPool.Put(v)
+	err := a.runTasks(a.campaignTasks(nil, s, v.facts, in, &ca), 1)
 	return ca, err
 }
 
 // campaignTasks appends one campaign's eight folds, each writing its
-// own field of ca.
-func (a *Auditor) campaignTasks(tasks []task, s *State, in CampaignInput, ca *CampaignAudit) []task {
+// own field of ca. facts is the campaign's resolved publisher view.
+func (a *Auditor) campaignTasks(tasks []task, s *State, facts []pubFacts, in CampaignInput, ca *CampaignAudit) []task {
 	ca.ID = in.ID
 	return append(tasks,
 		task{stageBrandSafety, func() error {
-			ca.BrandSafety = s.BrandSafety(in.ID, a.Meta, in.Report)
+			ca.BrandSafety = s.brandSafety(in.ID, facts, in.Report)
 			return nil
 		}},
 		task{stageContext, func() error {
-			ctx, err := a.ContextOf(s, in.ID, in.Keywords, in.Report)
+			ctx, err := a.contextOf(s, facts, in.ID, in.Report)
 			if err != nil {
 				return fmt.Errorf("audit: context for %s: %w", in.ID, err)
 			}
@@ -183,7 +202,7 @@ func (a *Auditor) campaignTasks(tasks []task, s *State, in CampaignInput, ca *Ca
 			return nil
 		}},
 		task{stagePopularity, func() error {
-			pop, err := a.popularityOf(s, in.ID, 10, 10_000_000)
+			pop, err := a.popularityOf(s, facts, in.ID, 10, 10_000_000)
 			if err != nil {
 				return fmt.Errorf("audit: popularity for %s: %w", in.ID, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,22 +100,28 @@ func TestFullAuditParallelismInvariant(t *testing.T) {
 
 // A failing task must surface its error from both engines and yield a
 // nil report — and always the same error: of all the failing tasks (here
-// every campaign's context and popularity), the first in task order.
+// every campaign's context and, without metadata, popularity), the first
+// in task order. What a resolve cannot do for want of a metadata source
+// or a matcher it leaves undone, and the fold that needed it says so.
 func TestFullAuditErrorPropagates(t *testing.T) {
-	a, inputs := fullFixture(t)
-	a.Meta = nil // every context and popularity task now fails
-
-	for _, p := range []int{1, 8} {
-		a.Parallelism = p
-		rep, err := a.FullAudit(inputs)
-		if err == nil {
-			t.Fatalf("parallelism %d: failing context task returned no error", p)
-		}
-		if !strings.HasPrefix(err.Error(), "audit: context for camp0:") {
-			t.Fatalf("parallelism %d: error %q is not that of the first failing task", p, err)
-		}
-		if rep != nil {
-			t.Fatalf("parallelism %d: got a partial report alongside the error", p)
+	for name, breakIt := range map[string]func(*Auditor){
+		"no metadata": func(a *Auditor) { a.Meta = nil },
+		"no matcher":  func(a *Auditor) { a.Matcher = nil },
+	} {
+		a, inputs := fullFixture(t)
+		breakIt(a)
+		for _, p := range []int{1, 2, 3, 8, 64} {
+			a.Parallelism = p
+			rep, err := a.FullAudit(inputs)
+			if err == nil {
+				t.Fatalf("%s, parallelism %d: failing context task returned no error", name, p)
+			}
+			if want := "audit: context for camp0: audit: context analysis requires metadata and a matcher"; err.Error() != want {
+				t.Fatalf("%s, parallelism %d: error %q is not that of the first failing task, %q", name, p, err, want)
+			}
+			if rep != nil {
+				t.Fatalf("%s, parallelism %d: got a partial report alongside the error", name, p)
+			}
 		}
 	}
 }
@@ -220,6 +225,23 @@ func TestInstrumentRecordsAudits(t *testing.T) {
 		ss := find("adaudit_audit_stage_seconds", map[string]string{"stage": stage})
 		if ss.Hist == nil || ss.Hist.Count == 0 {
 			t.Fatalf("stage %s histogram empty: %+v", stage, ss.Hist)
+		}
+	}
+}
+
+// The resolve phase is a stage like the others: one observation per
+// input campaign, however many campaigns the store holds.
+func TestInstrumentObservesResolvePerInput(t *testing.T) {
+	a, inputs := fullFixture(t)
+	reg := telemetry.NewRegistry()
+	a.Instrument(reg)
+	if _, err := a.FullAudit(inputs[:4]); err != nil {
+		t.Fatal(err)
+	}
+	for stage, want := range map[string]uint64{"state": 6, "publishers": 4, "context": 4, "aggregate": 1} {
+		ss, ok := reg.Find("adaudit_audit_stage_seconds", map[string]string{"stage": stage})
+		if !ok || ss.Hist == nil || ss.Hist.Count != want {
+			t.Errorf("stage %s: histogram %+v, want %d observations", stage, ss.Hist, want)
 		}
 	}
 }

@@ -60,7 +60,9 @@ func (r PopularityResult) fractionAtOrBelow(limit int, weight func(rankedPublish
 func (a *Auditor) Popularity(campaignID string, base float64, maxRank float64) (PopularityResult, error) {
 	s := a.fill(campaignID)
 	defer release(s)
-	return a.popularityOf(s, campaignID, base, maxRank)
+	v := a.resolve(s, nil)
+	defer viewPool.Put(v)
+	return a.popularityOf(s, v.facts, campaignID, base, maxRank)
 }
 
 // popularityOf is the Figure 2 fold over one campaign's state: every
@@ -68,7 +70,7 @@ func (a *Auditor) Popularity(campaignID string, base float64, maxRank float64) (
 // its impressions all at once; impressions on publishers without
 // metadata are counted and left out. ranked is built fresh for the
 // result, in the dictionary's first-seen order.
-func (a *Auditor) popularityOf(s *State, campaignID string, base, maxRank float64) (PopularityResult, error) {
+func (a *Auditor) popularityOf(s *State, facts []pubFacts, campaignID string, base, maxRank float64) (PopularityResult, error) {
 	if a.Meta == nil {
 		return PopularityResult{}, fmt.Errorf("audit: popularity analysis requires metadata")
 	}
@@ -82,15 +84,15 @@ func (a *Auditor) popularityOf(s *State, campaignID string, base, maxRank float6
 		Impressions: stats.NewHistogram(lb),
 		UnknownMeta: s.Len(),
 	}
-	if n := len(s.cols.Pubs.keys); n > 0 {
+	if n := len(facts); n > 0 {
 		res.ranked = make([]rankedPublisher, 0, n)
 	}
-	for pid, pub := range s.cols.Pubs.keys {
-		if m, ok := a.Meta.PublisherMeta(pub); ok {
+	for pid, f := range facts {
+		if f.known {
 			n := int(s.pubImps[pid])
-			res.ranked = append(res.ranked, rankedPublisher{m.Rank, n})
-			res.Publishers.Observe(float64(m.Rank))
-			res.Impressions.ObserveN(float64(m.Rank), int64(n))
+			res.ranked = append(res.ranked, rankedPublisher{f.rank, n})
+			res.Publishers.Observe(float64(f.rank))
+			res.Impressions.ObserveN(float64(f.rank), int64(n))
 			res.UnknownMeta -= n
 		}
 	}

@@ -159,9 +159,59 @@ func FrequencyOf(states map[string]*State) FrequencyResult {
 			res.Points = append(res.Points, p)
 		})
 	}
-	slices.SortFunc(res.Points, func(a, b UserFrequency) int {
-		return cmp.Or(cmp.Compare(b.Impressions, a.Impressions),
-			strings.Compare(a.UserKey, b.UserKey), strings.Compare(a.CampaignID, b.CampaignID))
-	})
+	sc.sortPoints(res.Points)
 	return res
+}
+
+// freqKey is a point's sort record: what decides nearly every
+// comparison, in 16 bytes, so the sort moves and compares records
+// instead of chasing two strings per point.
+type freqKey struct {
+	impressions int32
+	point       int32  // index into the points being sorted
+	prefix      uint64 // the user key's first 8 bytes, big-endian, zero-padded
+}
+
+// sortPoints orders points by impressions descending, then user key,
+// then campaign — a total order, (campaign, user) being unique. Zero-
+// padded big-endian prefixes order as their keys do wherever they
+// differ; where they tie the strings decide.
+func (sc *foldScratch) sortPoints(points []UserFrequency) {
+	sc.keys = slices.Grow(sc.keys[:0], len(points))
+	for i := range points {
+		var prefix uint64
+		for b, key := 0, points[i].UserKey; b < 8; b++ {
+			prefix <<= 8
+			if b < len(key) {
+				prefix |= uint64(key[b])
+			}
+		}
+		sc.keys = append(sc.keys, freqKey{int32(points[i].Impressions), int32(i), prefix})
+	}
+	slices.SortFunc(sc.keys, func(a, b freqKey) int {
+		if c := cmp.Or(cmp.Compare(b.impressions, a.impressions), cmp.Compare(a.prefix, b.prefix)); c != 0 {
+			return c
+		}
+		pa, pb := &points[a.point], &points[b.point]
+		return cmp.Or(strings.Compare(pa.UserKey, pb.UserKey), strings.Compare(pa.CampaignID, pb.CampaignID))
+	})
+	// Permute in place, cycle by cycle: position i takes the point its
+	// record names, and a record is marked placed by naming itself.
+	for i := range sc.keys {
+		if int(sc.keys[i].point) == i {
+			continue
+		}
+		first := points[i]
+		at := i
+		for {
+			from := int(sc.keys[at].point)
+			sc.keys[at].point = int32(at)
+			if from == i {
+				points[at] = first
+				break
+			}
+			points[at] = points[from]
+			at = from
+		}
+	}
 }

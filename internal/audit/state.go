@@ -24,6 +24,13 @@ func (d *dict) intern(key string) int32 {
 	return id
 }
 
+// reset empties the dictionary, keeping its buffers and none of its keys.
+func (d *dict) reset() {
+	clear(d.keys)
+	d.keys = d.keys[:0]
+	clear(d.ids)
+}
+
 // columns is the state proper, and what its packed form (codec.go)
 // carries: one slot per impression in store insertion order, over three
 // interned dictionaries, plus the facts that are not per-impression.
@@ -84,8 +91,7 @@ func NewState() *State {
 func (s *State) reset(n int) {
 	c := &s.cols
 	for _, d := range []*dict{&c.Users, &c.Pubs, &c.Verdicts} {
-		d.keys = d.keys[:0]
-		clear(d.ids)
+		d.reset()
 	}
 	c.UserOf, c.PubOf, c.VerdictOf = slices.Grow(c.UserOf[:0], n), slices.Grow(c.PubOf[:0], n), slices.Grow(c.VerdictOf[:0], n)
 	c.Times, c.Exposures = slices.Grow(c.Times[:0], n), slices.Grow(c.Exposures[:0], n)

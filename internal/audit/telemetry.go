@@ -11,6 +11,7 @@ import (
 // campaign, and the two cross-campaign aggregates.
 const (
 	stageState       = "state"
+	stagePublishers  = "publishers"
 	stageBrandSafety = "brandsafety"
 	stageContext     = "context"
 	stagePopularity  = "popularity"
@@ -46,7 +47,7 @@ func (a *Auditor) Instrument(reg *telemetry.Registry) {
 	}
 	stages := map[string]*telemetry.Histogram{}
 	for _, stage := range []string{
-		stageState, stageBrandSafety, stageContext, stagePopularity,
+		stageState, stagePublishers, stageBrandSafety, stageContext, stagePopularity,
 		stageViewability, stageFraud, stageSellers, stagePooling,
 		stageBehavior, stageAggregate, stageFrequency,
 	} {

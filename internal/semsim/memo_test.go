@@ -1,6 +1,7 @@
 package semsim
 
 import (
+	"sort"
 	"sync"
 	"testing"
 )
@@ -114,6 +115,36 @@ func TestQueryMatchesMatcher(t *testing.T) {
 		}
 		if got, want := q.Relevant(c.keywords, c.topics), m.Relevant(campaign, c.keywords, c.topics); got != want {
 			t.Errorf("Query.Relevant(%v, %v) = %v, Matcher says %v", c.keywords, c.topics, got, want)
+		}
+	}
+}
+
+// A Query remembers each topic's clause-2 verdict. Over every lemma of
+// the taxonomy as a topic (and unknown words, and other spellings of a
+// known one), alone and in lists, asked cold and asked again, the
+// remembered verdict is the Matcher's — also in a Query recompiled for
+// one campaign after another, which must forget the last one's.
+func TestQueryTopicMemoMatchesMatcher(t *testing.T) {
+	tx := DefaultTaxonomy()
+	m := NewMatcher(tx)
+	topics := []string{"no-such-topic", "", " Motor ", "MOTOR"}
+	for lemma := range tx.byLemma {
+		topics = append(topics, lemma)
+	}
+	sort.Strings(topics[4:]) // map order: keep the lists below the same from run to run
+	var q Query
+	for _, campaign := range [][]string{{"Cars", "insurance"}, {"football"}, {"universities", "research", "telematics"}, {"no-such-word"}, nil} {
+		m.CompileInto(&q, campaign)
+		for pass := 0; pass < 2; pass++ { // pass 0 fills the memo, pass 1 reads it
+			for i, topic := range topics {
+				if got, want := q.TopicMatch([]string{topic}), m.TopicMatch(campaign, []string{topic}); got != want {
+					t.Fatalf("campaign %v pass %d: Query.TopicMatch(%q) = %v, Matcher says %v", campaign, pass, topic, got, want)
+				}
+				list := []string{topics[(i*7)%len(topics)], topic, topics[(i*13+5)%len(topics)]}
+				if got, want := q.TopicMatch(list), m.TopicMatch(campaign, list); got != want {
+					t.Fatalf("campaign %v pass %d: Query.TopicMatch(%q) = %v, Matcher says %v", campaign, pass, list, got, want)
+				}
+			}
 		}
 	}
 }

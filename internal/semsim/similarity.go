@@ -150,26 +150,43 @@ func (m *Matcher) Relevant(campaignKeywords, publisherKeywords, publisherTopics 
 // Query is one campaign's keyword set compiled for repeated matching:
 // the normalized keyword set is built once instead of once per
 // publisher, which is where the per-call KeywordMatch allocations went
-// when scoring thousands of publishers against the same campaign.
+// when scoring thousands of publishers against the same campaign. It
+// also remembers each topic's clause-(2) verdict: publishers draw their
+// topics from one small taxonomy, so past the first few a publisher
+// costs one map hit per topic rather than a memo walk per (topic,
+// keyword) pair. That makes a Query single-goroutine; compile one per
+// goroutine.
 type Query struct {
 	m        *Matcher
 	keywords []string // normalized campaign keywords
 	set      map[string]struct{}
+	topics   map[string]bool // topic as given -> similar to some keyword
 }
 
 // Compile prepares campaignKeywords for repeated Relevant calls.
 func (m *Matcher) Compile(campaignKeywords []string) *Query {
-	q := &Query{
-		m:        m,
-		keywords: make([]string, 0, len(campaignKeywords)),
-		set:      make(map[string]struct{}, len(campaignKeywords)),
+	q := new(Query)
+	m.CompileInto(q, campaignKeywords)
+	return q
+}
+
+// CompileInto is Compile into a Query the caller keeps (the zero Query
+// will do): what q held is forgotten and its memory reused, so a caller
+// that compiles one campaign after another allocates nothing once warm.
+func (m *Matcher) CompileInto(q *Query, campaignKeywords []string) {
+	q.m = m
+	q.keywords = q.keywords[:0]
+	if q.set == nil {
+		q.set = make(map[string]struct{}, len(campaignKeywords))
+		q.topics = make(map[string]bool, m.Taxonomy.NumConcepts()) // topics are concepts: no growth
 	}
+	clear(q.set)
+	clear(q.topics)
 	for _, k := range campaignKeywords {
 		nk := normalize(k)
 		q.keywords = append(q.keywords, nk)
 		q.set[nk] = struct{}{}
 	}
-	return q
 }
 
 // KeywordMatch is clause (1) against the compiled keyword set.
@@ -184,11 +201,14 @@ func (q *Query) KeywordMatch(publisherKeywords []string) bool {
 
 // TopicMatch is clause (2) against the compiled keywords.
 func (q *Query) TopicMatch(publisherTopics []string) bool {
-	for _, topic := range publisherTopics {
-		for _, kw := range q.keywords {
-			if sim, ok := q.m.Taxonomy.WordSimilarity(topic, kw); ok && sim >= q.m.Threshold {
-				return true
-			}
+	for i, topic := range publisherTopics {
+		similar, seen := q.topics[topic]
+		if !seen {
+			similar = q.m.TopicMatch(q.keywords, publisherTopics[i:i+1])
+			q.topics[topic] = similar
+		}
+		if similar {
+			return true
 		}
 	}
 	return false

@@ -63,12 +63,3 @@ func (v Venn) Jaccard() float64 {
 	}
 	return float64(v.Both) / float64(v.Union())
 }
-
-// SetOf builds a string set from a slice, deduplicating elements.
-func SetOf(items []string) map[string]struct{} {
-	s := make(map[string]struct{}, len(items))
-	for _, it := range items {
-		s[it] = struct{}{}
-	}
-	return s
-}

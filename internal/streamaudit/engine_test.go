@@ -391,6 +391,104 @@ func TestRunConcurrentWithWriters(t *testing.T) {
 	requireReportsEqual(t, w, e)
 }
 
+// TestEngineReportParallelUnderApply: Report fans its folds out over the
+// auditor's pool while holding the engine lock, so readers — full
+// reports, single-campaign audits, summaries — may run against an
+// engine that is applying inserts, merges and conversions, each seeing
+// one consistent cut, and at quiescence the report is the serial batch
+// one. Under -race this is the parallel engine's data-race check.
+func TestEngineReportParallelUnderApply(t *testing.T) {
+	w := newTestWorld(t, 13)
+	rng := rand.New(rand.NewSource(13))
+	w.populate(t, rng, 300)
+	w.buildInputs(rng)
+	keywords, reports := map[string][]string{}, map[string]*adnet.VendorReport{}
+	for _, in := range w.inputs {
+		keywords[in.ID], reports[in.ID] = in.Keywords, in.Report
+	}
+	e, err := New(Config{Store: w.st, Meta: w.meta, Keywords: keywords, Reports: reports})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	e.aud.Parallelism = 4 // a real fan-out on a one-CPU machine too
+	ctx, cancel := context.WithCancel(context.Background())
+	var engDone sync.WaitGroup
+	engDone.Add(1)
+	go func() {
+		defer engDone.Done()
+		e.Run(ctx)
+	}()
+
+	feeding := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-feeding:
+					return
+				default:
+				}
+				rep, err := e.Report(w.inputs)
+				if err != nil || len(rep.PerCampaign) != len(w.inputs) {
+					t.Errorf("Report under apply: %v, %+v", err, rep)
+					return
+				}
+				// Within one report every fold saw the same cut.
+				for _, ca := range rep.PerCampaign {
+					if ca.Context.AuditImpressions != ca.Viewability.Impressions || ca.Fraud.Impressions != ca.Viewability.Impressions {
+						t.Errorf("campaign %s: folds of one report disagree on the impression count: %+v", ca.ID, ca)
+						return
+					}
+				}
+				if _, ok, err := e.Audit(testCampaigns[n%len(testCampaigns)]); !ok || err != nil {
+					t.Errorf("Audit under apply: ok=%v err=%v", ok, err)
+					return
+				}
+				if got := e.Summaries(); len(got) != len(testCampaigns) {
+					t.Errorf("Summaries under apply: %d campaigns", len(got))
+					return
+				}
+			}
+		}()
+	}
+	feed := rand.New(rand.NewSource(14))
+	ids := make([]int64, 0, 400)
+	for i := 0; i < 400; i++ {
+		campaign := testCampaigns[i%len(testCampaigns)]
+		id, err := w.st.Insert(w.impression(feed, campaign))
+		if err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		ids = append(ids, id)
+		if i%3 == 0 {
+			if err := w.st.Merge(ids[feed.Intn(len(ids))], store.Continuation{
+				Exposure: time.Duration(feed.Int63n(int64(time.Second))), Clicks: feed.Intn(2),
+			}); err != nil {
+				t.Fatalf("Merge: %v", err)
+			}
+		}
+		if i%7 == 0 {
+			if _, err := w.st.InsertConversion(store.Conversion{
+				CampaignID: campaign, UserKey: fmt.Sprintf("user-%d", feed.Intn(40)), Action: "purchase",
+				Timestamp: time.Unix(1700000000, 0),
+			}); err != nil {
+				t.Fatalf("InsertConversion: %v", err)
+			}
+		}
+	}
+	close(feeding)
+	readers.Wait()
+	if !e.WaitCaughtUp(5 * time.Second) {
+		t.Fatalf("engine did not catch up: applied %d, feed %d", e.Applied(), w.st.FeedSeq())
+	}
+	cancel()
+	engDone.Wait()
+	requireReportsEqual(t, w, e)
+}
+
 // TestLiveViews sanity-checks the query surface the collector serves:
 // summaries are sorted and internally consistent, and the per-campaign
 // live audit reuses the configured report/keywords.

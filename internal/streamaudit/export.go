@@ -252,7 +252,8 @@ func (e *Engine) Export() *Export {
 // StaticConfig configures NewStatic — Config minus the store and feed
 // machinery a static engine has no use for.
 type StaticConfig struct {
-	// Meta resolves publisher metadata. Required.
+	// Meta resolves publisher metadata. Required; safe for concurrent
+	// lookups, as in Config.
 	Meta audit.MetadataSource
 	// Matcher, Keywords, Reports, Sellers: as in Config.
 	Matcher  *semsim.Matcher

@@ -13,7 +13,9 @@ import (
 // campaign frequency scatter. At quiescence the result is deep-equal to
 // FullAudit over the same store and inputs — the package's headline
 // guarantee. Nothing in it aliases the states: later applies cannot
-// change a report already returned.
+// change a report already returned. The folds run on the auditor's
+// worker pool under the engine lock — they only read the states, and
+// applies wait for the shorter time the pool takes.
 func (e *Engine) Report(inputs []audit.CampaignInput) (*audit.FullReport, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -71,7 +73,8 @@ func (e *Engine) LiveSummary(id string) (CampaignLive, bool) {
 func (e *Engine) liveSummaryLocked(id string) CampaignLive {
 	st := e.states[id]
 	live := CampaignLive{CampaignID: id, Seq: e.appliedSeq.Load(), Summary: st.Summary()}
-	// One metadata lookup per publisher, none per impression.
+	// One metadata lookup per publisher, none per impression — but per
+	// call: the resolved view is not kept between summaries.
 	if kws := e.keywords[id]; len(kws) > 0 {
 		ctx, _ := e.aud.ContextOf(st, id, kws, nil) // fails only without metadata, which New requires
 		live.ContextShare = ctx.AuditFraction()

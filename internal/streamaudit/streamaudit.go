@@ -46,7 +46,9 @@ type Config struct {
 	Store *store.Store
 	// Meta resolves publisher metadata (rank, keywords, topics, brand
 	// safety). Required — the popularity and context dimensions need
-	// it, exactly as audit.Auditor does.
+	// it, exactly as audit.Auditor does, and on the same terms: it must
+	// be safe for concurrent lookups, Report fanning the audit out
+	// across a worker pool.
 	Meta audit.MetadataSource
 	// Matcher decides contextual relevance; nil selects the default
 	// Leacock–Chodorow matcher over the default taxonomy, matching
@@ -66,7 +68,8 @@ type Config struct {
 	Reports map[string]*adnet.VendorReport
 	// Sellers resolves the declared-seller state for the adversarial
 	// dimensions; nil uses the simulated ecosystem's registry, matching
-	// audit.Auditor's default.
+	// audit.Auditor's default. Like Meta it must be safe for concurrent
+	// lookups.
 	Sellers audit.SellerDirectory
 	// Telemetry registers the engine's instruments when non-nil.
 	Telemetry *telemetry.Registry
@@ -131,8 +134,10 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // newEngine builds what a live and a static engine share. The auditor
-// that folds the states is serial (Report holds the engine lock) and
-// gets audit.New's default for a nil matcher.
+// that folds the states gets audit.New's default for a nil matcher and
+// its default worker pool: folds only read, and Report holds the engine
+// lock for as long as they run, so fanning them out is what shortens
+// the time applies wait behind a report.
 func newEngine(meta audit.MetadataSource, m *semsim.Matcher, sellers audit.SellerDirectory,
 	keywords map[string][]string, reports map[string]*adnet.VendorReport) (*Engine, error) {
 	if meta == nil {
@@ -144,7 +149,7 @@ func newEngine(meta audit.MetadataSource, m *semsim.Matcher, sellers audit.Selle
 	return &Engine{
 		keywords:  keywords,
 		reports:   reports,
-		aud:       &audit.Auditor{Meta: meta, Matcher: m, Sellers: sellers, Parallelism: 1},
+		aud:       &audit.Auditor{Meta: meta, Matcher: m, Sellers: sellers},
 		listeners: map[*Updates]struct{}{},
 	}, nil
 }

@@ -1,11 +1,12 @@
 #!/bin/sh
 # bench_compare.sh — the audit-engine performance gate. Runs the
-# serial/parallel FullAudit benchmarks plus the allocation-sensitive
-# Table 2 context benchmark, summarises them benchstat-style (mean over
-# -count runs) into BENCH_audit.json, and fails if allocs/op of
-# BenchmarkTable2Context regressed more than 10% against the committed
-# baseline, or if either FullAudit benchmark costs more than 10,000
-# allocs/op. Plain POSIX sh + awk — no benchstat dependency.
+# serial/parallel FullAudit benchmarks and the streaming engine's
+# report (BenchmarkLiveReport) plus the allocation-sensitive Table 2
+# context benchmark, summarises them benchstat-style (mean over
+# -count runs) into BENCH_audit.json, and fails if BenchmarkTable2Context
+# costs more than 70 allocs/op, either FullAudit benchmark more than
+# 10,000, or the live report more than 1,000. Plain POSIX sh + awk — no
+# benchstat dependency.
 #
 # Also runs the streaming-audit apply benchmark
 # (internal/streamaudit.BenchmarkStreamApply) and summarises it into
@@ -39,23 +40,33 @@ COUNT="${COUNT:-3}"
 CPUS=$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)
 JSON=BENCH_audit.json
 RAW=bench_output.txt
-BENCHES='BenchmarkFullAuditSerial$|BenchmarkFullAuditParallel$|BenchmarkTable2Context$'
+BENCHES='BenchmarkFullAuditSerial$|BenchmarkFullAuditParallel$|BenchmarkLiveReport$|BenchmarkTable2Context$'
 
-table2_allocs() {
-    sed -n 's/.*"name": "BenchmarkTable2Context".*"allocs_per_op": \([0-9][0-9]*\).*/\1/p' "$1"
+# allocs_of NAME FILE prints NAME's allocs_per_op from a BENCH_*.json.
+allocs_of() {
+    sed -n 's/.*"name": "'"$1"'",.*"allocs_per_op": \([0-9][0-9]*\).*/\1/p' "$2"
 }
 
-# Remember the committed baseline before overwriting it (git holds the
-# pristine copy if this run fails the gate).
-baseline_allocs=""
-if [ -f "$JSON" ]; then
-    baseline_allocs=$(table2_allocs "$JSON")
-fi
+# ceiling NAME FILE LIMIT fails the gate when NAME is missing from FILE
+# or costs more than LIMIT allocs/op. Absolute, like the FullAudit
+# budget: a baseline rewritten on every run cannot hold a line.
+ceiling() {
+    got=$(allocs_of "$1" "$2")
+    if [ -z "$got" ]; then
+        echo "bench_compare: $1 missing from $2" >&2
+        exit 1
+    fi
+    echo "==> $1: $got allocs/op (ceiling <= $3)"
+    if [ "$got" -gt "$3" ]; then
+        echo "bench_compare: $1 costs $got allocs/op, ceiling is $3" >&2
+        exit 1
+    fi
+}
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-echo "==> go test -bench ($COUNT runs each: FullAuditSerial, FullAuditParallel, Table2Context)"
+echo "==> go test -bench ($COUNT runs each: FullAuditSerial, FullAuditParallel, LiveReport, Table2Context)"
 go test -run '^$' -bench "$BENCHES" -benchmem -count "$COUNT" . | tee "$tmp"
 
 {
@@ -123,41 +134,27 @@ fi
 
 echo "==> wrote $JSON"
 
-new_allocs=$(table2_allocs "$JSON")
-
-if [ -z "$new_allocs" ]; then
-    echo "bench_compare: BenchmarkTable2Context missing from results" >&2
-    exit 1
-fi
-
-if [ -n "$baseline_allocs" ]; then
-    echo "==> Table2Context allocs/op: baseline $baseline_allocs, now $new_allocs"
-    awk -v old="$baseline_allocs" -v cur="$new_allocs" 'BEGIN {
-        if (old > 0 && cur > old * 1.10) {
-            printf "bench_compare: allocation regression: %.0f -> %.0f allocs/op (> 10%%)\n", old, cur
-            exit 1
-        }
-    }' || exit 1
-else
-    echo "==> no committed baseline; $JSON is the new baseline"
-fi
+# Table 2's context audit, 8 campaigns: 7 allocs/op warm — the results;
+# states, views, compiled queries and scratch are pooled — and 20-30 when
+# a collection empties the pools mid-run, which a 10% line against
+# whichever of the two the last run happened to record cannot tell from
+# a regression. The ceiling is what that line allowed when the
+# benchmark cost 63; one allocation per campaign more is 8, per
+# publisher 36,000.
+ceiling BenchmarkTable2Context "$JSON" 70
 
 # FullAudit allocation budget: an absolute <= 10,000 allocs/op on both
 # engines (ROADMAP item 1), not a relative baseline — the adversarial
 # dimensions once took it from 3,753 to 361,180 unnoticed, which a
 # baseline that is rewritten on every run cannot catch.
 for bench in BenchmarkFullAuditSerial BenchmarkFullAuditParallel; do
-    full_allocs=$(sed -n 's/.*"name": "'"$bench"'".*"allocs_per_op": \([0-9][0-9]*\).*/\1/p' "$JSON")
-    if [ -z "$full_allocs" ]; then
-        echo "bench_compare: $bench missing from results" >&2
-        exit 1
-    fi
-    echo "==> $bench: $full_allocs allocs/op (budget <= 10000)"
-    if [ "$full_allocs" -gt 10000 ]; then
-        echo "bench_compare: $bench costs $full_allocs allocs/op, budget is 10000" >&2
-        exit 1
-    fi
+    ceiling "$bench" "$JSON" 10000
 done
+
+# The live report is the same folds over states the engine already
+# holds, on the same pool: 415 allocs/op, per result slice and per pool
+# worker; one allocation per publisher or user would be 36,000 more.
+ceiling BenchmarkLiveReport "$JSON" 1000
 
 # Streaming-audit apply throughput: mean per-delta cost of the
 # incremental engine, and the deltas/sec it implies.
@@ -281,27 +278,6 @@ GW_JSON=BENCH_gateway.json
 gw_tmp=$(mktemp)
 trap 'rm -f "$tmp" "$stream_tmp" "$trace_tmp" "$gw_tmp"' EXIT
 
-# allocs_of NAME FILE prints NAME's allocs_per_op from a BENCH_*.json.
-allocs_of() {
-    sed -n 's/.*"name": "'"$1"'",.*"allocs_per_op": \([0-9][0-9]*\).*/\1/p' "$2"
-}
-
-# ceiling NAME FILE LIMIT fails the gate when NAME is missing from FILE
-# or costs more than LIMIT allocs/op. Absolute, like the FullAudit
-# budget: a baseline rewritten on every run cannot hold a line.
-ceiling() {
-    got=$(allocs_of "$1" "$2")
-    if [ -z "$got" ]; then
-        echo "bench_compare: $1 missing from $2" >&2
-        exit 1
-    fi
-    echo "==> $1: $got allocs/op (ceiling <= $3)"
-    if [ "$got" -gt "$3" ]; then
-        echo "bench_compare: $1 costs $got allocs/op, ceiling is $3" >&2
-        exit 1
-    fi
-}
-
 baseline_direct=""
 if [ -f "$GW_JSON" ]; then
     baseline_direct=$(allocs_of BenchmarkIngest "$GW_JSON")
@@ -392,8 +368,8 @@ fi
 # the same session straight into a collector. The hop is expected to
 # cost a network leg; what is gated is the router's own allocation
 # footprint — allocs/op of BenchmarkRouterForward against the committed
-# BENCH_router.json baseline, 10% budget, same rationale as the
-# Table2Context gate. The direct-path divisor is reused from the
+# BENCH_router.json baseline, 10% budget: allocation counts are stable
+# across machines where ns/op is not. The direct-path divisor is reused from the
 # gateway section's run above rather than re-measured.
 RT_JSON=BENCH_router.json
 rt_tmp=$(mktemp)

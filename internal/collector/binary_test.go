@@ -2,11 +2,13 @@ package collector
 
 import (
 	"context"
+	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/store"
 )
 
 // TestIngestBinaryMatchesText pins the wire-equivalence contract at the
@@ -101,12 +103,24 @@ func TestEndToEndBinaryWebSocketSession(t *testing.T) {
 	if bin.Clicks != 1 || bin.CampaignID != "Football-010" || bin.Publisher != "futbolhoy999.es" {
 		t.Fatalf("binary record = %+v", bin)
 	}
-	// Session timing differs between the two runs; compare the
-	// wire-derived fields only.
-	if bin.CampaignID != txt.CampaignID || bin.CreativeID != txt.CreativeID ||
-		bin.Publisher != txt.Publisher || bin.Clicks != txt.Clicks ||
-		bin.MouseMoves != txt.MouseMoves || bin.MaxVisibleFraction != txt.MaxVisibleFraction ||
-		bin.IPPseudonym != txt.IPPseudonym || bin.UserKey != txt.UserKey {
-		t.Fatalf("binary/text sessions diverge:\n bin = %+v\n txt = %+v", bin, txt)
+	// Session timing differs between the runs; everything else a record
+	// holds must not. A binary session decodes its payload through the
+	// ingest cache, as IngestBinary does, so it is held to both the text
+	// session and the direct binary path.
+	withEvents := p
+	withEvents.Events = []beacon.Event{
+		{Kind: beacon.EventClick, At: 40 * time.Millisecond},
+		{Kind: beacon.EventVisibility, At: 60 * time.Millisecond, Fraction: 0.5},
+	}
+	cDirect, stDirect := testCollector(t)
+	if _, err := cDirect.IngestBinary(withEvents.EncodeBinary(), netip.MustParseAddr("127.0.0.1"), bin.Timestamp, bin.Exposure); err != nil {
+		t.Fatal(err)
+	}
+	direct, _ := stDirect.Get(1)
+	for name, other := range map[string]store.Impression{"text session": txt, "IngestBinary": direct} {
+		other.ID, other.Timestamp, other.Exposure = bin.ID, bin.Timestamp, bin.Exposure
+		if !reflect.DeepEqual(bin, other) {
+			t.Fatalf("binary session and %s diverge:\n bin = %+v\n got = %+v", name, bin, other)
+		}
 	}
 }

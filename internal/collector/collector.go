@@ -196,6 +196,8 @@ type collectorTelemetry struct {
 	trunkDuplicates *telemetry.Counter
 	exposure        *telemetry.Histogram
 	upgrade         *telemetry.Histogram
+	upgradesInPlace *telemetry.Counter
+	upgradesNetHTTP *telemetry.Counter
 	decode          *telemetry.Histogram
 	enrich          *telemetry.Histogram
 }
@@ -328,6 +330,8 @@ func New(cfg Config) (*Collector, error) {
 			"Conversion-pixel records committed.", nil),
 	}
 	if reg != nil {
+		upgrades := reg.CounterVec("adaudit_collector_upgrades_total",
+			"Beacon upgrades completed, by what answered them: the accepting front in place, or net/http.", "via")
 		c.tel = collectorTelemetry{
 			enabled: true,
 			rejects: reg.CounterVec("adaudit_collector_rejects_total",
@@ -360,6 +364,9 @@ func New(cfg Config) (*Collector, error) {
 			upgrade: reg.Histogram("adaudit_collector_upgrade_seconds",
 				"HTTP → WebSocket upgrade latency.",
 				telemetry.LatencyBuckets(), nil),
+			// Resolved here: With boxes its argument on every call.
+			upgradesInPlace: upgrades.With("in-place"),
+			upgradesNetHTTP: upgrades.With("net-http"),
 			decode: reg.Histogram("adaudit_collector_decode_seconds",
 				"Beacon payload decode latency.",
 				telemetry.LatencyBuckets(), nil),
@@ -669,7 +676,7 @@ func (c *Collector) IngestBinary(raw []byte, remoteIP netip.Addr, connectedAt ti
 // lifetime measures exposure. The impression is committed when the
 // connection ends (or the exposure cap fires).
 func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if max := c.cfg.MaxSessions; max > 0 && c.SessionCount() >= max {
+	if c.atCapacity() {
 		// Shed before the upgrade: a plain 503 costs a few hundred bytes
 		// and no goroutine, and a well-behaved beacon retries with
 		// backoff — bounded refusals instead of unbounded sockets.
@@ -688,36 +695,70 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.cfg.Logger.Debug("collector: handshake rejected", "err", err, "remote", r.RemoteAddr)
 		return
 	}
+	var upgrade time.Duration
 	if c.tel.enabled {
-		c.tel.upgrade.ObserveDuration(c.clock.Since(upgradeStart))
+		upgrade = c.clock.Since(upgradeStart)
 	}
+	// On its own goroutine, so that net/http's per-request state is
+	// released for the session's lifetime.
+	go c.serveConn(conn, upgrade, c.tel.upgradesNetHTTP)
+}
+
+// atCapacity reports whether the session cap is reached.
+func (c *Collector) atCapacity() bool {
+	max := c.cfg.MaxSessions
+	return max > 0 && c.SessionCount() >= max
+}
+
+// beaconRoute is the beacon endpoint as the server's accepting front
+// answers it: the admission check and the session of ServeHTTP around
+// an upgrade made in place. What the front does not answer — a shed
+// among it — reaches ServeHTTP through net/http.
+func (c *Collector) beaconRoute() wsproto.Route {
+	return wsproto.Route{
+		Upgrader: &c.upgrader,
+		Admit:    func(string) bool { return !c.atCapacity() },
+		Serve: func(conn *wsproto.Conn, upgrade time.Duration) {
+			c.serveConn(conn, upgrade, c.tel.upgradesInPlace)
+		},
+	}
+}
+
+// serveConn is a beacon connection's life from the completed upgrade
+// on, whichever path (counted on via) made it: it returns when the
+// session has ended.
+func (c *Collector) serveConn(conn *wsproto.Conn, upgrade time.Duration, via *telemetry.Counter) {
+	if c.tel.enabled {
+		c.tel.upgrade.ObserveDuration(upgrade)
+	}
+	via.Inc()
 	c.Metrics.Connections.Add(1)
+	// Tracked before the drain check: a connection that races shutdown
+	// is then either seen by Drain or sees the flag, never neither.
+	c.trackSession(conn)
+	defer c.untrackSession(conn)
 	if c.draining.Load() {
 		// The listener is gone; an upgrade that raced shutdown gets a
-		// clean going-away close instead of a half-tracked session.
+		// clean going-away close instead of a session.
 		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
 		return
 	}
 	// Session messages are decoded (text) or copied/interned (binary)
 	// before the next read, so the frame buffer can recycle.
 	conn.ReuseReadBuffer()
-	c.trackSession(conn)
-	go func() {
-		defer c.untrackSession(conn)
-		// A panic in one session — a malformed frame tripping a bug, a
-		// store failure mode — must cost exactly that session, not the
-		// collector. The impression is lost (the paper's loss model
-		// covers it); every other live session keeps measuring.
-		defer func() {
-			if r := recover(); r != nil {
-				c.tel.panics.Inc()
-				c.cfg.Logger.Error("collector: session panicked",
-					"panic", r, "stack", string(debug.Stack()))
-				_ = conn.Close(wsproto.CloseInternalError, "internal error")
-			}
-		}()
-		c.runSession(conn)
+	// A panic in one session — a malformed frame tripping a bug, a
+	// store failure mode — must cost exactly that session, not the
+	// collector. The impression is lost (the paper's loss model
+	// covers it); every other live session keeps measuring.
+	defer func() {
+		if r := recover(); r != nil {
+			c.tel.panics.Inc()
+			c.cfg.Logger.Error("collector: session panicked",
+				"panic", r, "stack", string(debug.Stack()))
+			_ = conn.Close(wsproto.CloseInternalError, "internal error")
+		}
 	}()
+	c.runSession(conn)
 }
 
 func (c *Collector) trackSession(conn *wsproto.Conn) {
@@ -804,7 +845,9 @@ func (c *Collector) runSession(conn *wsproto.Conn) {
 	}
 	var payload beacon.Payload
 	if op == wsproto.OpBinary {
-		payload, err = beacon.DecodeBinary(msg)
+		// Through the intern tables, as IngestBinary decodes: the hot
+		// strings are the canonical copies, nothing aliases the frame.
+		err = c.icache.decodeBinary(&payload, msg)
 	} else {
 		payload, err = beacon.Decode(string(msg))
 	}

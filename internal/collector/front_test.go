@@ -1,0 +1,309 @@
+package collector
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"adaudit/internal/beacon"
+	"adaudit/internal/faultnet"
+	"adaudit/internal/wsproto"
+	"adaudit/internal/wsproto/wstest"
+)
+
+// The tests here run a real Server, whose accepting front answers clean
+// beacon upgrades itself, and hold everything it passes to net/http to
+// what the handler alone (under httptest, as at every commit before the
+// front existed) does with the same bytes.
+
+// TestFrontRefusalsAreTheHandlers: every refusal comes back from the
+// real server as the bytes the handler alone produces, and counts where
+// it always counted.
+func TestFrontRefusalsAreTheHandlers(t *testing.T) {
+	srv, c := newHardenedServer(t, func(cfg *Config) { cfg.MaxSessions = 1 })
+	ref := wstest.HandlerAlone(t, c)
+	addr := srv.Addr().String()
+
+	upgradeHead, closing, exchange := wstest.UpgradeHead, wstest.Closing, wstest.Exchange
+	cases := []struct {
+		name, raw, status string
+		has               string
+	}{
+		{"post", closing(strings.Replace(upgradeHead(""), "GET", "POST", 1)), "405 Method Not Allowed", "websocket: method not GET"},
+		{"missing key", closing(strings.Replace(upgradeHead(""), "Sec-WebSocket-Key: "+wstest.Key+"\r\n", "", 1)), "400 Bad Request", "missing Sec-WebSocket-Key"},
+		{"short key", closing(strings.Replace(upgradeHead(""), wstest.Key, "AAAAAAAAAAAAAAAAAAAA", 1)), "400 Bad Request", "bad Sec-WebSocket-Key"},
+		{"version 8", closing(strings.Replace(upgradeHead(""), "Version: 13", "Version: 8", 1)), "426 Upgrade Required", "Sec-Websocket-Version: 13\r\n"},
+		{"no upgrade token", closing(strings.Replace(upgradeHead(""), "Upgrade: websocket\r\n", "", 1)), "400 Bad Request", "missing Upgrade: websocket"},
+		{"malformed head", "GET /beacon HTTP/1.1\r\nHost: a b\r\n\r\n", "400 Bad Request", "malformed Host header"},
+	}
+	rejects := c.tel.rejects.With(RejectUpgrade)
+	for _, tc := range cases {
+		before := rejects.Load()
+		got, want := exchange(t, addr, tc.raw), exchange(t, ref, tc.raw)
+		if got != want {
+			t.Errorf("%s: through the front\n%q\nfrom the handler alone\n%q", tc.name, got, want)
+		}
+		if !strings.HasPrefix(got, "HTTP/1.1 "+tc.status) || !strings.Contains(got, tc.has) {
+			t.Errorf("%s: answer %q, want a %s mentioning %q", tc.name, got, tc.status, tc.has)
+		}
+		if counted := rejects.Load() - before; tc.name != "malformed head" && counted != 2 {
+			t.Errorf("%s: rejects{upgrade} moved by %d over the two servers, want 2", tc.name, counted)
+		}
+	}
+	if n := c.tel.upgradesInPlace.Load() + c.tel.upgradesNetHTTP.Load(); n != 0 {
+		t.Fatalf("%d upgrades counted, none was made", n)
+	}
+
+	// At the session cap a clean upgrade is not answered in place: the
+	// handler sheds it, with its hint and on its counter.
+	sess, err := (&beacon.Client{CollectorURL: srv.BeaconURL()}).Open(context.Background(), samplePayload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	waitFor(t, func() bool { return c.SessionCount() == 1 })
+	if got := c.tel.upgradesInPlace.Load(); got != 1 {
+		t.Fatalf("upgrades{in-place} = %d after one clean session, want 1", got)
+	}
+	before := c.tel.sheds.Load()
+	got, want := exchange(t, addr, closing(upgradeHead(""))), exchange(t, ref, closing(upgradeHead("")))
+	if got != want {
+		t.Errorf("shed through the front\n%q\nfrom the handler alone\n%q", got, want)
+	}
+	if !strings.HasPrefix(got, "HTTP/1.1 503 Service Unavailable\r\n") || !strings.Contains(got, "\r\nRetry-After: 1\r\n") {
+		t.Errorf("shed answer %q, want a 503 with Retry-After", got)
+	}
+	if counted := c.tel.sheds.Load() - before; counted != 2 {
+		t.Errorf("sheds moved by %d over the two servers, want 2", counted)
+	}
+	if n := c.tel.upgradesInPlace.Load() + c.tel.upgradesNetHTTP.Load(); n != 1 {
+		t.Errorf("%d upgrades counted after a shed, want the 1 from before", n)
+	}
+}
+
+// TestFrontLeavesPlainHTTPAlone: the sidecar endpoints answer through
+// the front, keep-alive included.
+func TestFrontLeavesPlainHTTPAlone(t *testing.T) {
+	srv, _ := newHardenedServer(t, nil)
+	base := "http://" + srv.Addr().String()
+	for i := 0; i < 2; i++ { // the second request reuses the connection
+		for _, path := range []string{"/healthz", "/metrics", "/api/metrics", "/api/campaigns"} {
+			code, body, err := httpGetBody(context.Background(), base+path)
+			if err != nil || code != http.StatusOK || body == "" {
+				t.Fatalf("GET %s: %d, %d bytes, %v", path, code, len(body), err)
+			}
+		}
+	}
+	_, metrics, _ := httpGetBody(context.Background(), base+"/metrics")
+	for _, series := range []string{`adaudit_collector_upgrades_total{via="in-place"} 0`, `adaudit_collector_upgrades_total{via="net-http"} 0`} {
+		if !strings.Contains(metrics, series) {
+			t.Errorf("/metrics lacks %q", series)
+		}
+	}
+}
+
+// rawSession sends head, then the payload as a masked text frame in the
+// same write, then a close frame, and waits for the server's close.
+func rawSession(t *testing.T, addr, head string, p beacon.Payload) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	wire := wstest.Session(t, head, p.Encode())
+	if _, err := nc.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(nc)
+	status, err := br.ReadString('\n')
+	if err != nil || status != "HTTP/1.1 101 Switching Protocols\r\n" {
+		t.Fatalf("status line %q, %v", status, err)
+	}
+	for line := status; line != "\r\n"; {
+		if line, err = br.ReadString('\n'); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, err := wsproto.ReadFrame(br, 1<<10); err != nil || f.Opcode != wsproto.OpClose {
+		t.Fatalf("after the session: frame %+v, %v; want the close echo", f, err)
+	}
+}
+
+// TestFrontBothPathsCommit: a session whose first frame rides in the
+// handshake's segment commits whether the front answers it or — its
+// head too long for the pooled buffer — net/http does; each path is
+// counted and timed.
+func TestFrontBothPathsCommit(t *testing.T) {
+	srv, c := newHardenedServer(t, nil)
+	addr := srv.Addr().String()
+	upgradeCount := func() uint64 { return c.tel.upgrade.Snapshot().Count }
+
+	p := samplePayload()
+	p.Nonce = "front-in-place"
+	rawSession(t, addr, wstest.UpgradeHead("Origin: http://www.ciencia123.es\r\n"), p)
+	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 1 })
+	if in, via := c.tel.upgradesInPlace.Load(), c.tel.upgradesNetHTTP.Load(); in != 1 || via != 0 {
+		t.Fatalf("upgrades: %d in place, %d through net/http; want 1, 0", in, via)
+	}
+	if n := upgradeCount(); n != 1 {
+		t.Fatalf("upgrade_seconds observed %d times, want 1", n)
+	}
+
+	p.Nonce = "front-net-http"
+	rawSession(t, addr, wstest.UpgradeHead("Cookie: "+strings.Repeat("c", 8<<10)+"\r\n"), p)
+	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 2 })
+	if in, via := c.tel.upgradesInPlace.Load(), c.tel.upgradesNetHTTP.Load(); in != 1 || via != 1 {
+		t.Fatalf("upgrades: %d in place, %d through net/http; want 1, 1", in, via)
+	}
+	if n := upgradeCount(); n != 2 {
+		t.Fatalf("upgrade_seconds observed %d times, want 2", n)
+	}
+	if got := c.Metrics.Connections.Load(); got != 2 {
+		t.Fatalf("connections = %d, want 2", got)
+	}
+	waitFor(t, func() bool { return c.SessionCount() == 0 })
+
+	// The two records differ in what the sessions differed in, no more.
+	a, _ := c.cfg.Store.Get(1)
+	b, _ := c.cfg.Store.Get(2)
+	a.ID, a.Nonce, a.Timestamp, a.Exposure = b.ID, b.Nonce, b.Timestamp, b.Exposure
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("records diverge between the paths:\n in place = %+v\n net/http = %+v", a, b)
+	}
+}
+
+// TestFrontUpgradeDuringDrain: an upgrade that races shutdown is closed
+// going-away, on either path, and leaves no session behind.
+func TestFrontUpgradeDuringDrain(t *testing.T) {
+	srv, c := newHardenedServer(t, nil)
+	c.draining.Store(true) // Drain has begun; the listener is still up
+	for _, extra := range []string{"", "Cookie: " + strings.Repeat("c", 8<<10) + "\r\n"} {
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(nc, wstest.UpgradeHead(extra)); err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(nc)
+		for line := ""; line != "\r\n"; {
+			if line, err = br.ReadString('\n'); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := wsproto.ReadFrame(br, 1<<10)
+		if err != nil || f.Opcode != wsproto.OpClose {
+			t.Fatalf("frame %+v, %v; want a close", f, err)
+		}
+		if code, reason, _ := wsproto.DecodeClosePayload(f.Payload); code != wsproto.CloseGoingAway || reason != "collector shutting down" {
+			t.Fatalf("close %d %q, want going-away", code, reason)
+		}
+		nc.Close()
+	}
+	waitFor(t, func() bool { return c.SessionCount() == 0 })
+	if got := c.Metrics.Ingested.Load() + c.Metrics.Rejected.Load(); got != 0 {
+		t.Fatalf("%d sessions ran during drain", got)
+	}
+}
+
+// TestShutdownWithConnectionMidHead: a connection parked in its request
+// head (10 s of deadline left) does not hold shutdown up.
+func TestShutdownWithConnectionMidHead(t *testing.T) {
+	c, _ := testCollector(t)
+	srv, err := NewServer(c, "127.0.0.1:0", WithShutdownGrace(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx) }()
+
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := io.WriteString(nc, "GET /beacon HTTP/1.1\r\nHost: coll"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the front take it up
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve still running 5 s after shutdown began")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("shutdown took %v with one connection mid-head", took)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("read %d, %v from the parked connection; want it closed", n, err)
+	}
+	if _, err := net.DialTimeout("tcp", srv.Addr().String(), time.Second); err == nil {
+		t.Fatal("the listener is still accepting after shutdown")
+	}
+}
+
+// TestCloseWithoutServe: a server that never served gives its port
+// back.
+func TestCloseWithoutServe(t *testing.T) {
+	c, _ := testCollector(t)
+	srv, err := NewServer(c, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.DialTimeout("tcp", srv.Addr().String(), time.Second); err == nil {
+		t.Fatal("the listener is still accepting after Close")
+	}
+}
+
+// TestWithListenerStillInjectsFaults: connections of a listener handed
+// in through WithListener keep their wrapping on the in-place path —
+// a plan that resets every write kills the 101, and nothing is
+// committed or left tracked.
+func TestWithListenerStillInjectsFaults(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &faultnet.Plan{Seed: 7, ResetWriteProb: 1}
+	c, _ := testCollector(t)
+	srv, err := NewServer(c, "", WithListener(plan.Listen(ln)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.Serve(ctx)
+
+	dialCtx, cancelDial := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelDial()
+	if conn, _, err := (&wsproto.Dialer{}).Dial(dialCtx, srv.BeaconURL()); err == nil {
+		conn.Close(wsproto.CloseNormal, "")
+		t.Fatal("handshake completed over a listener that resets every write")
+	}
+	if resets, _, _, _ := plan.Stats(); resets == 0 {
+		t.Fatal("the plan injected nothing: the front lost the listener's wrapping")
+	}
+	if n := c.Metrics.Connections.Load(); n != 0 || c.SessionCount() != 0 {
+		t.Fatalf("connections = %d, sessions = %d; want none", n, c.SessionCount())
+	}
+}

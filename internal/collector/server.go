@@ -12,6 +12,7 @@ import (
 
 	"adaudit/internal/streamaudit"
 	"adaudit/internal/trace"
+	"adaudit/internal/wsproto"
 )
 
 // serverOptions collects the tunables NewServer accepts as options, so
@@ -84,10 +85,12 @@ func WithHealthCheck(name string, fn func() error) ServerOption {
 type Server struct {
 	collector *Collector
 	httpSrv   *http.Server
-	ln        net.Listener
-	opts      serverOptions
-	start     time.Time
-	live      *liveAPI
+	// front accepts on the listener ahead of httpSrv: it answers clean
+	// beacon upgrades itself and passes every other connection on.
+	front *wsproto.Front
+	opts  serverOptions
+	start time.Time
+	live  *liveAPI
 
 	// Ingest-age probe: the collector timestamps only sampled ingests
 	// (its hot path avoids clock reads), so between samples the server
@@ -170,7 +173,7 @@ func NewServer(c *Collector, addr string, opts ...ServerOption) (*Server, error)
 	}
 	s := &Server{
 		collector: c,
-		ln:        ln,
+		front:     wsproto.NewFront(ln, map[string]wsproto.Route{"/beacon": c.beaconRoute()}),
 		opts:      o,
 		start:     time.Now(),
 	}
@@ -210,7 +213,7 @@ func NewServer(c *Collector, addr string, opts ...ServerOption) (*Server, error)
 	})
 	s.httpSrv = &http.Server{
 		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: wsproto.HeadTimeout,
 	}
 	return s, nil
 }
@@ -342,11 +345,11 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.front.Addr() }
 
 // BeaconURL returns the ws:// URL beacons should dial.
 func (s *Server) BeaconURL() string {
-	return fmt.Sprintf("ws://%s/beacon", s.ln.Addr().String())
+	return fmt.Sprintf("ws://%s/beacon", s.front.Addr().String())
 }
 
 // Serve blocks serving requests until ctx is cancelled, then shuts down
@@ -401,7 +404,7 @@ func (s *Server) Serve(ctx context.Context) error {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- s.httpSrv.Serve(s.ln)
+		errCh <- s.httpSrv.Serve(s.front)
 	}()
 	select {
 	case <-ctx.Done():
@@ -429,4 +432,11 @@ func (s *Server) Serve(ctx context.Context) error {
 }
 
 // Close tears the server down immediately.
-func (s *Server) Close() error { return s.httpSrv.Close() }
+func (s *Server) Close() error {
+	err := s.httpSrv.Close()
+	// A server that never served has not shown httpSrv its listener.
+	if ferr := s.front.Close(); err == nil {
+		err = ferr
+	}
+	return err
+}

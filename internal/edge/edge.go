@@ -119,8 +119,11 @@ type Instruments struct {
 	Connections    *telemetry.Counter
 	SessionsActive *telemetry.Gauge
 	Sheds          *telemetry.CounterVec
-	Events         *telemetry.Counter
-	Commits        *telemetry.Counter
+	// Upgrades counts completed beacon upgrades by what answered them
+	// (via="in-place": the server's accepting front; "net-http").
+	Upgrades *telemetry.CounterVec
+	Events   *telemetry.Counter
+	Commits  *telemetry.Counter
 }
 
 // PoolInstruments are one pool's series, nil-safe like Instruments.
@@ -189,6 +192,9 @@ type Edge struct {
 	log      *slog.Logger
 	upgrader wsproto.Upgrader
 
+	// Tel.Upgrades' two series, resolved once.
+	upgradesInPlace, upgradesNetHTTP *telemetry.Counter
+
 	pools []*Pool
 
 	draining  atomic.Bool
@@ -219,8 +225,10 @@ func New(cfg Config) (*Edge, error) {
 			MaxMessageSize:    cfg.MaxMessageSize,
 			EnableCompression: true,
 		},
-		sessConns: map[*wsproto.Conn]struct{}{},
-		stopCh:    make(chan struct{}),
+		upgradesInPlace: cfg.Tel.Upgrades.With("in-place"),
+		upgradesNetHTTP: cfg.Tel.Upgrades.With("net-http"),
+		sessConns:       map[*wsproto.Conn]struct{}{},
+		stopCh:          make(chan struct{}),
 	}
 	for _, up := range cfg.Upstreams {
 		e.pools = append(e.pools, newPool(e, up))
@@ -294,27 +302,39 @@ func (e *Edge) originAllowed(origin string) bool {
 	return false
 }
 
+// refusal is the admission decision for a beacon request from origin:
+// the shed reason, or "" to admit. It counts nothing, so both accept
+// paths may ask.
+func (e *Edge) refusal(origin string) string {
+	switch {
+	case e.draining.Load():
+		return ShedDraining
+	case e.cfg.MaxSessions > 0 && e.SessionCount() >= e.cfg.MaxSessions:
+		return ShedCapacity
+	case e.spillPending() >= e.cfg.SpillLimit:
+		// An upstream has been unreachable long enough to fill the spill
+		// buffer; admitting more sessions would promise acks the edge may
+		// not be able to keep.
+		return ShedSpill
+	case !e.originAllowed(origin):
+		return ShedOrigin
+	}
+	return ""
+}
+
 // ServeHTTP is the beacon endpoint: admission control, WebSocket
 // upgrade, then the session protocol (first message is the impression
 // payload, "ev:" messages are interaction updates, the connection
 // lifetime measures exposure).
 func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case e.draining.Load():
-		e.shed(w, ShedDraining)
-		return
-	case e.cfg.MaxSessions > 0 && e.SessionCount() >= e.cfg.MaxSessions:
-		e.shed(w, ShedCapacity)
-		return
-	case e.spillPending() >= e.cfg.SpillLimit:
-		// An upstream has been unreachable long enough to fill the spill
-		// buffer; admitting more sessions would promise acks the edge may
-		// not be able to keep.
-		e.shed(w, ShedSpill)
-		return
-	case !e.originAllowed(r.Header.Get("Origin")):
+	switch reason := e.refusal(r.Header.Get("Origin")); reason {
+	case "":
+	case ShedOrigin:
 		e.cfg.Tel.Sheds.With(ShedOrigin).Inc()
 		http.Error(w, "origin not allowed", http.StatusForbidden)
+		return
+	default:
+		e.shed(w, reason)
 		return
 	}
 	conn, err := e.upgrader.Upgrade(w, r)
@@ -322,7 +342,33 @@ func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.log.Debug("edge: handshake rejected", "err", err, "remote", r.RemoteAddr)
 		return
 	}
+	// On its own goroutine, so that net/http's per-request state is
+	// released for the session's lifetime.
+	go e.serveConn(conn, e.upgradesNetHTTP)
+}
+
+// beaconRoute is the beacon endpoint as the server's accepting front
+// answers it: the admission check and the session of ServeHTTP around
+// an upgrade made in place. What the front does not answer — every
+// refusal among it — reaches ServeHTTP through net/http.
+func (e *Edge) beaconRoute() wsproto.Route {
+	return wsproto.Route{
+		Upgrader: &e.upgrader,
+		Admit:    func(origin string) bool { return e.refusal(origin) == "" },
+		Serve:    func(conn *wsproto.Conn, _ time.Duration) { e.serveConn(conn, e.upgradesInPlace) },
+	}
+}
+
+// serveConn is a beacon connection's life from the completed upgrade
+// on, whichever path (counted on via) made it: it returns when the
+// session has ended.
+func (e *Edge) serveConn(conn *wsproto.Conn, via *telemetry.Counter) {
+	via.Inc()
 	e.cfg.Tel.Connections.Add(1)
+	// Tracked before the drain check: a connection that races Drain is
+	// then either closed by it or sees the flag, never neither.
+	e.TrackSession(conn)
+	defer e.UntrackSession(conn)
 	if e.draining.Load() {
 		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
 		return
@@ -330,11 +376,7 @@ func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Session messages are decoded or copied before the next read, so
 	// the frame buffer can recycle.
 	conn.ReuseReadBuffer()
-	e.TrackSession(conn)
-	go func() {
-		defer e.UntrackSession(conn)
-		e.runSession(conn)
-	}()
+	e.runSession(conn)
 }
 
 // TrackSession registers a live connection so Drain closes it and

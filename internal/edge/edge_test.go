@@ -117,6 +117,7 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 		Connections:    reg.Counter("adaudit_"+name+"_connections_total", "", nil),
 		SessionsActive: reg.Gauge("adaudit_"+name+"_sessions_active", "", nil),
 		Sheds:          reg.CounterVec("adaudit_"+name+"_sheds_total", "", "reason"),
+		Upgrades:       reg.CounterVec("adaudit_"+name+"_upgrades_total", "", "via"),
 		Events:         reg.Counter("adaudit_"+name+"_events_total", "", nil),
 		Commits:        reg.Counter("adaudit_"+name+"_commits_total", "", nil),
 	}

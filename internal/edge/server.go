@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"time"
+
+	"adaudit/internal/wsproto"
 )
 
 // ServerOptions collects what NewServer's options adjust.
@@ -44,9 +46,11 @@ func (o *ServerOptions) Handle(pattern string, h http.Handler) { o.mux.Handle(pa
 // (JSON). It owns listener lifecycle and graceful drain, so the
 // commands and the tests of both tiers share one serving path.
 type Server struct {
-	e          *Edge
-	httpSrv    *http.Server
-	ln         net.Listener
+	e       *Edge
+	httpSrv *http.Server
+	// front accepts on the listener ahead of httpSrv: it answers clean
+	// beacon upgrades itself and passes every other connection on.
+	front      *wsproto.Front
 	drainGrace time.Duration
 	healthz    func(Health) any
 }
@@ -67,7 +71,12 @@ func NewServer(e *Edge, addr string, healthz func(Health) any, opts ...ServerOpt
 			return nil, fmt.Errorf("%s: listening on %s: %w", e.cfg.Name, addr, err)
 		}
 	}
-	s := &Server{e: e, ln: ln, drainGrace: o.drainGrace, healthz: healthz}
+	s := &Server{
+		e:          e,
+		front:      wsproto.NewFront(ln, map[string]wsproto.Route{"/beacon": e.beaconRoute()}),
+		drainGrace: o.drainGrace,
+		healthz:    healthz,
+	}
 	o.mux.Handle("/beacon", e)
 	o.mux.HandleFunc("GET /healthz", s.serveHealthz)
 	if reg := e.Telemetry(); reg != nil {
@@ -80,7 +89,7 @@ func NewServer(e *Edge, addr string, healthz func(Health) any, opts ...ServerOpt
 	}
 	s.httpSrv = &http.Server{
 		Handler:           o.mux,
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: wsproto.HeadTimeout,
 	}
 	return s, nil
 }
@@ -102,11 +111,11 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.front.Addr() }
 
 // BeaconURL returns the ws:// URL beacon clients should dial.
 func (s *Server) BeaconURL() string {
-	return fmt.Sprintf("ws://%s/beacon", s.ln.Addr().String())
+	return fmt.Sprintf("ws://%s/beacon", s.front.Addr().String())
 }
 
 // Serve blocks serving requests until ctx is cancelled, then drains:
@@ -117,7 +126,7 @@ func (s *Server) BeaconURL() string {
 func (s *Server) Serve(ctx context.Context) error {
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- s.httpSrv.Serve(s.ln)
+		errCh <- s.httpSrv.Serve(s.front)
 	}()
 	select {
 	case <-ctx.Done():
@@ -144,6 +153,10 @@ func (s *Server) Serve(ctx context.Context) error {
 // Close tears the server down immediately.
 func (s *Server) Close() error {
 	err := s.httpSrv.Close()
+	// A server that never served has not shown httpSrv its listener.
+	if ferr := s.front.Close(); err == nil {
+		err = ferr
+	}
 	s.e.Close()
 	return err
 }

@@ -158,6 +158,8 @@ func New(cfg Config) (*Gateway, error) {
 				"Beacon sessions currently open on this gateway.", nil),
 			Sheds: reg.CounterVec("adaudit_gateway_sheds_total",
 				"Beacon requests refused at admission, by reason.", "reason"),
+			Upgrades: reg.CounterVec("adaudit_gateway_upgrades_total",
+				"Beacon upgrades completed, by what answered them: the accepting front in place, or net/http.", "via"),
 			Events: reg.Counter("adaudit_gateway_events_total",
 				"Interaction updates received from beacon sessions.", nil),
 			// Commits is the pool's: with one pool the two counts are one.

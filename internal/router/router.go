@@ -202,6 +202,8 @@ func New(cfg Config) (*Router, error) {
 				"Beacon sessions and gateway trunks currently open on this router.", nil),
 			Sheds: reg.CounterVec("adaudit_router_sheds_total",
 				"Beacon requests refused at admission, by reason.", "reason"),
+			Upgrades: reg.CounterVec("adaudit_router_upgrades_total",
+				"Beacon upgrades completed, by what answered them: the accepting front in place, or net/http.", "via"),
 			Events: reg.Counter("adaudit_router_events_total",
 				"Interaction updates received from beacon sessions.", nil),
 			Commits: reg.Counter("adaudit_router_commits_total",

@@ -38,13 +38,13 @@ const (
 	// gatewayed impression's trace shows both hops.
 	StageGatewayRecv  = "gateway_recv"
 	StageTrunkForward = "trunk_forward"
-	StageWireRecv     = "wire_recv" // collector session read the frame
-	StageDecode       = "decode"    // payload parsed
-	StageEnrich     = "enrich"       // geo/UA enrichment done
-	StageCommit     = "commit"       // store accepted the impression
-	StageWAL        = "wal_append"   // write-ahead journal entry appended
-	StageFeed       = "feed_publish" // change-feed event fanned out
-	StageApply      = "stream_apply" // streaming audit engine applied it
+	StageWireRecv     = "wire_recv"    // collector session read the frame
+	StageDecode       = "decode"       // payload parsed
+	StageEnrich       = "enrich"       // geo/UA enrichment done
+	StageCommit       = "commit"       // store accepted the impression
+	StageWAL          = "wal_append"   // write-ahead journal entry appended
+	StageFeed         = "feed_publish" // change-feed event fanned out
+	StageApply        = "stream_apply" // streaming audit engine applied it
 )
 
 // ID is a 64-bit trace identifier, rendered as 16 lowercase hex digits.

@@ -93,9 +93,9 @@ func TestDecodeBatchRejectsHugeStageCount(t *testing.T) {
 	// Hand-build a Commit body claiming maxStages+1 stages.
 	body := []byte{byte(Commit), 1}
 	body = appendString(body, "ip")
-	body = append(body, 0, 0)           // ConnectedAt=0, Exposure=0 (varint zeros)
-	body = appendString(body, "p")      // payload
-	body = append(body, maxStages+1)    // stage count
+	body = append(body, 0, 0)        // ConnectedAt=0, Exposure=0 (varint zeros)
+	body = appendString(body, "p")   // payload
+	body = append(body, maxStages+1) // stage count
 	batch := append([]byte{byte(len(body))}, body...)
 	if _, err := DecodeBatch(batch); err == nil {
 		t.Fatal("oversized stage count decoded without error")

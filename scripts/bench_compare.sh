@@ -339,13 +339,14 @@ fi
 ceiling BenchmarkIngestBinary "$GW_JSON" 1
 
 # One beacon session, direct and through a forwarding tier: what
-# wsproto, the beacon client and the collector add on top of net and
-# net/http (DESIGN §16). 203 and 289 before the wire-session diet, 104
-# and 146 after, 145 through the one internal/edge core; the ceilings
-# leave room for the runtime to move, not for a formatted error or a
-# second write per frame to come back.
-ceiling BenchmarkWebSocketSession "$GW_JSON" 150
-ceiling BenchmarkGatewayForward "$GW_JSON" 165
+# wsproto, the beacon client and the collector add on top of net
+# (DESIGN §16). 203 and 289 before the wire-session diet, 104 and 145
+# after it, 62 and 102 since the accepting front answers the upgrade
+# in place of net/http; the ceilings leave room for the runtime to
+# move, not for a request object, a formatted error or a second write
+# per frame to come back.
+ceiling BenchmarkWebSocketSession "$GW_JSON" 70
+ceiling BenchmarkGatewayForward "$GW_JSON" 110
 # One shard's export there and back (3 campaigns, 8,000 users): 398,
 # per table, column and thousand map entries; one allocation per key
 # would be 8,000 more.
@@ -422,7 +423,7 @@ END {
 
 echo "==> wrote $RT_JSON"
 
-ceiling BenchmarkRouterForward "$RT_JSON" 165
+ceiling BenchmarkRouterForward "$RT_JSON" 110
 new_router=$(allocs_of BenchmarkRouterForward "$RT_JSON")
 if ! grep -q '"name": "BenchmarkWebSocketSession"' "$RT_JSON"; then
     echo "bench_compare: BenchmarkWebSocketSession missing from router comparison results" >&2

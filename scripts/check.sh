@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's CI gate. Builds everything, vets everything,
-# runs the full test suite, and re-runs the concurrency-sensitive
-# packages (collector, wsproto, store, telemetry) under the race
-# detector. Usage:
+# refuses unformatted files, runs the full test suite, and re-runs the
+# concurrency-sensitive packages (collector, wsproto, store, telemetry)
+# under the race detector. Usage:
 #
 #   scripts/check.sh                # vet + tests + race
 #   scripts/check.sh -bench         # also run the telemetry-overhead benchmarks
@@ -27,6 +27,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: gofmt -l . lists:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go test ./..."
 go test ./...
@@ -149,6 +157,7 @@ if [ "${1:-}" = "-fuzz-smoke" ]; then
     for target in \
         "FuzzReadFrame ./internal/wsproto/" \
         "FuzzDialResponse ./internal/wsproto/" \
+        "FuzzUpgradeRequest ./internal/wsproto/" \
         "FuzzDecode ./internal/beacon/" \
         "FuzzDecodeBinary ./internal/beacon/" \
         "FuzzWireEquivalence ./internal/beacon/" \

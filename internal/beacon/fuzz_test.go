@@ -1,6 +1,7 @@
 package beacon
 
 import (
+	"net/url"
 	"testing"
 )
 
@@ -71,6 +72,40 @@ func FuzzDecodeConversion(f *testing.F) {
 		got, err := DecodeConversion(c.EncodeQuery())
 		if err != nil || got != c {
 			t.Fatalf("round trip drift: %+v vs %+v (%v)", c, got, err)
+		}
+	})
+}
+
+// plainHostSeeds are page URLs on both sides of the fast path's line,
+// and the shapes a scanner that is not url.Parse gets wrong first.
+var plainHostSeeds = []string{
+	"http://pub.es/p", "https://www.pub.es", "http://Pub.ES:8080/a?b=c#d", "http://pub.es:/", "http://pub.es?q=/x#y",
+	"http://pub.es#frag?not-a-query", "http://pub.es/a b", "http://pub.es/%7Euser", "http://pub.es/%zz",
+	"http://[::1]:80/", "http://[fe80::1%25eth0]/", "http://user:pw@pub.es/", "http://pub.es:80a/", "http://pub.es:-1/",
+	"HTTP://pub.es/", "Https://pub.es/", "ftp://pub.es/", "//pub.es/p", "pub.es/p", "http:///nohost", "http://:80/",
+	"http://pub.es/\x00", "http://pub.es/\x7f", "http://pub.es/é", "http://pub_es/", "http://pub.es\\x", "http://a@b@c/",
+	"http://pub.es/<>\"{}|^`", "http://1.2.3.4:65536/", "http://-./", "",
+}
+
+// FuzzPlainHost holds the page-URL fast path to url.Parse, one way
+// only: what plainHost accepts, url.Parse accepts with the same
+// Hostname(). (The reverse is not required: a URL the scan declines
+// goes to url.Parse.)
+func FuzzPlainHost(f *testing.F) {
+	for _, s := range plainHostSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		host, ok := plainHost(raw)
+		if !ok {
+			return
+		}
+		u, err := url.Parse(raw)
+		if err != nil {
+			t.Fatalf("plainHost accepted %q (host %q), url.Parse: %v", raw, host, err)
+		}
+		if u.Hostname() != host {
+			t.Fatalf("plainHost(%q) = %q, url.Parse's Hostname() = %q", raw, host, u.Hostname())
 		}
 	})
 }

@@ -91,22 +91,70 @@ func (p Payload) Validate() error {
 	case p.PageURL == "":
 		return fmt.Errorf("beacon: payload missing page url")
 	}
+	if _, ok := plainHost(p.PageURL); ok {
+		return nil
+	}
 	if _, err := url.Parse(p.PageURL); err != nil {
 		return fmt.Errorf("beacon: invalid page url: %w", err)
 	}
 	return nil
 }
 
+// plainHost recognises the ordinary page URL without allocating and
+// returns its host, exactly url.Parse's Hostname(): lower-case
+// "http://" or "https://", a non-empty host of letters, digits, '.'
+// and '-', an optional ":" and decimal port, then the end or a '/',
+// '?' or '#' followed only by printable ASCII with no '%' (nothing to
+// unescape, nothing url.Parse rejects). Everything else — userinfo,
+// IPv6 literals, escapes, other schemes, control or non-ASCII bytes —
+// reports !ok and is url.Parse's to judge, so the fast path changes no
+// verdict (FuzzPlainHost holds it to that).
+func plainHost(pageURL string) (host string, ok bool) {
+	rest, found := strings.CutPrefix(pageURL, "http://")
+	if !found {
+		if rest, found = strings.CutPrefix(pageURL, "https://"); !found {
+			return "", false
+		}
+	}
+	i := 0
+	for ; i < len(rest); i++ {
+		c := rest[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			break
+		}
+	}
+	if i == 0 {
+		return "", false
+	}
+	host = rest[:i]
+	if i < len(rest) && rest[i] == ':' {
+		for i++; i < len(rest) && '0' <= rest[i] && rest[i] <= '9'; i++ {
+		}
+	}
+	if i < len(rest) && rest[i] != '/' && rest[i] != '?' && rest[i] != '#' {
+		return "", false
+	}
+	for ; i < len(rest); i++ {
+		if c := rest[i]; c <= ' ' || c >= 0x7f || c == '%' {
+			return "", false
+		}
+	}
+	return host, true
+}
+
 // Publisher returns the publisher domain: the hostname of PageURL,
 // lower-cased and stripped of a "www." prefix, matching how the paper
 // reduces impression URLs to publishers.
 func (p Payload) Publisher() (string, error) {
-	u, err := url.Parse(p.PageURL)
-	if err != nil {
-		return "", fmt.Errorf("beacon: parsing page url: %w", err)
+	host, ok := plainHost(p.PageURL)
+	if !ok {
+		u, err := url.Parse(p.PageURL)
+		if err != nil {
+			return "", fmt.Errorf("beacon: parsing page url: %w", err)
+		}
+		host = u.Hostname()
 	}
-	host := strings.ToLower(u.Hostname())
-	host = strings.TrimPrefix(host, "www.")
+	host = strings.TrimPrefix(strings.ToLower(host), "www.")
 	if host == "" {
 		return "", fmt.Errorf("beacon: page url %q has no host", p.PageURL)
 	}

@@ -1,6 +1,8 @@
 package beacon
 
 import (
+	"math/rand"
+	"net/url"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -109,6 +111,60 @@ func TestPublisherExtraction(t *testing.T) {
 	bad := Payload{CampaignID: "c", CreativeID: "r", PageURL: "not-a-url"}
 	if _, err := bad.Publisher(); err == nil {
 		t.Error("Publisher accepted URL without host")
+	}
+}
+
+// TestPlainHostChangesNoVerdict: with the page-URL fast path in front,
+// Validate and Publisher answer as the url.Parse-only expressions they
+// replaced did — on the seed table and on strings assembled at random
+// from the pieces URLs are made of.
+func TestPlainHostChangesNoVerdict(t *testing.T) {
+	check := func(raw string) (fast bool) {
+		t.Helper()
+		p := Payload{CampaignID: "c", CreativeID: "r", PageURL: raw}
+		u, perr := url.Parse(raw)
+		if verr := p.Validate(); raw != "" && (verr != nil) != (perr != nil) {
+			t.Fatalf("Validate(%q) = %v, url.Parse: %v", raw, verr, perr)
+		}
+		want := ""
+		if perr == nil {
+			want = strings.TrimPrefix(strings.ToLower(u.Hostname()), "www.")
+		}
+		got, err := p.Publisher()
+		if got != want || (err == nil) != (want != "") {
+			t.Fatalf("Publisher(%q) = %q, %v; the url.Parse expression gives %q (parse error %v)", raw, got, err, want, perr)
+		}
+		_, fast = plainHost(raw)
+		return fast
+	}
+	for _, raw := range plainHostSeeds {
+		check(raw)
+	}
+	pieces := []string{
+		"http://", "https://", "HTTP://", "ftp://", "//", "/", "?", "#", ":", "@", "%", "%41", "%zz", "[", "]", "::1",
+		"pub", "WWW.", "www.", ".es", "-", "_", "80", "65536", " ", "\x00", "\x7f", "\xff", "é", "a=b&c", "<", "\\",
+	}
+	rng := rand.New(rand.NewSource(20))
+	fast := 0
+	for i := 0; i < 200000; i++ {
+		var b strings.Builder
+		for n := 1 + rng.Intn(7); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		if check(b.String()) {
+			fast++
+		}
+	}
+	if fast < 1000 {
+		t.Fatalf("only %d of 200000 random strings took the fast path: the generator misses it", fast)
+	}
+	ordinary := samplePayload()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ordinary.Publisher(); err != nil || ordinary.Validate() != nil {
+			t.Fatal("ordinary page URL refused")
+		}
+	}); n != 0 {
+		t.Fatalf("Validate + Publisher of an ordinary page URL: %v allocs, want 0", n)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"net/netip"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,8 +230,8 @@ type Collector struct {
 	draining  atomic.Bool
 
 	// icache holds the bounded ingest caches (interned wire strings,
-	// URL → publisher, address → enrichment, user keys) that make
-	// steady-state ingest allocation-free.
+	// address → enrichment, user keys) that make steady-state ingest
+	// allocation-free.
 	icache *ingestCache
 
 	// Nonce dedup: impression nonce → store record ID, so a beacon that
@@ -245,8 +246,9 @@ type Collector struct {
 	// lookup-miss → insert → record atomic against a concurrent replay
 	// of the same nonce. The window was always there, but group-commit
 	// WAL stretches it from microseconds to a whole fsync, so a racing
-	// replay waits on the claimer's channel instead of inserting a
-	// duplicate record.
+	// replay waits on the claim's channel instead of inserting a
+	// duplicate record. The channel is nil until a replay does race:
+	// the first waiter makes it, so the ordinary claim allocates none.
 	nonceInflight map[string]chan struct{}
 
 	// Trunk stream dedup: "gatewayID/streamID" of commits already
@@ -402,9 +404,17 @@ func (c *Collector) nonceRecord(nonce string, id int64) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
 	c.nonces.Put(nonce, id)
+	c.nonceSettleLocked(nonce)
+}
+
+// nonceSettleLocked ends the in-flight claim on nonce, if any, waking
+// whoever waits on it. The caller holds nonceMu.
+func (c *Collector) nonceSettleLocked(nonce string) {
 	if ch, ok := c.nonceInflight[nonce]; ok {
 		delete(c.nonceInflight, nonce)
-		close(ch)
+		if ch != nil {
+			close(ch)
+		}
 	}
 }
 
@@ -420,9 +430,13 @@ func (c *Collector) nonceClaim(nonce string) (id int64, ok bool, wait <-chan str
 		return id, true, nil
 	}
 	if ch, inflight := c.nonceInflight[nonce]; inflight {
+		if ch == nil {
+			ch = make(chan struct{})
+			c.nonceInflight[nonce] = ch
+		}
 		return 0, false, ch
 	}
-	c.nonceInflight[nonce] = make(chan struct{})
+	c.nonceInflight[nonce] = nil
 	return 0, false, nil
 }
 
@@ -431,10 +445,7 @@ func (c *Collector) nonceClaim(nonce string) (id int64, ok bool, wait <-chan str
 func (c *Collector) nonceRelease(nonce string) {
 	c.nonceMu.Lock()
 	defer c.nonceMu.Unlock()
-	if ch, ok := c.nonceInflight[nonce]; ok {
-		delete(c.nonceInflight, nonce)
-		close(ch)
-	}
+	c.nonceSettleLocked(nonce)
 }
 
 // Telemetry returns the collector's metrics registry (nil when built
@@ -475,8 +486,7 @@ type Observation struct {
 	Payload beacon.Payload
 	// Publisher, when non-empty, is the pre-extracted publisher for
 	// Payload.PageURL — a fast path for callers that already resolved
-	// it. Empty means Ingest derives it (through the collector's URL
-	// cache) from the page URL.
+	// it. Empty means Ingest derives it from the page URL.
 	Publisher string
 	// RemoteIP is the peer address of the beacon connection.
 	RemoteIP netip.Addr
@@ -513,10 +523,22 @@ func (c *Collector) Ingest(obs Observation) (int64, error) {
 	if tr == nil {
 		tr = c.adoptTrace(obs.Payload)
 	}
+	// Both wires admit arbitrary bytes, and the journal and snapshot
+	// (JSON) write invalid UTF-8 as U+FFFD: left as received, a record
+	// would come back from recovery with another user key and nonce
+	// than the one acknowledged. Replace once, here, so memory, journal,
+	// snapshot and nonce table hold the same strings (a valid string —
+	// the ordinary case — is returned as is).
+	for _, s := range [...]*string{
+		&obs.Payload.CampaignID, &obs.Payload.CreativeID, &obs.Payload.PageURL,
+		&obs.Payload.UserAgent, &obs.Payload.Nonce, &obs.Publisher,
+	} {
+		*s = strings.ToValidUTF8(*s, "\ufffd")
+	}
 	pub := obs.Publisher
 	if pub == "" {
 		var err error
-		pub, err = c.publisherFor(obs.Payload)
+		pub, err = obs.Payload.Publisher()
 		if err != nil {
 			c.reject(RejectPayload)
 			tr.Truncate("reject:" + RejectPayload)

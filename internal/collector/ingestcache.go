@@ -33,15 +33,17 @@ type userKeyPair struct {
 }
 
 // ingestCache holds the bounded caches that make steady-state ingest
-// allocation-free: canonical copies of the hot wire strings, page URL →
-// publisher, address → enrichment, and (pseudonym, UA) → user key. One
-// mutex guards all four; every critical section is a map operation or
-// two, and the binary decode path batches its intern lookups under a
-// single acquisition.
+// allocation-free: canonical copies of the hot wire strings, address →
+// enrichment, and (pseudonym, UA) → user key. One mutex guards all
+// three; every critical section is a map operation or two, and the
+// binary decode path batches its intern lookups under a single
+// acquisition. There is deliberately no page URL → publisher cache:
+// page URLs barely repeat (1.3 % hits on the paper dataset), and
+// beacon.Payload.Publisher reads an ordinary URL's host for less than
+// hashing the URL costs.
 type ingestCache struct {
 	mu  sync.Mutex
 	str *gen2.Map[string, string]
-	pub *gen2.Map[string, string]
 	enr *gen2.Map[netip.Addr, enrichment]
 	uk  *gen2.Map[userKeyPair, string]
 }
@@ -49,7 +51,6 @@ type ingestCache struct {
 func newIngestCache() *ingestCache {
 	return &ingestCache{
 		str: gen2.New[string, string](ingestCacheLimit),
-		pub: gen2.New[string, string](ingestCacheLimit),
 		enr: gen2.New[netip.Addr, enrichment](ingestCacheLimit),
 		uk:  gen2.New[userKeyPair, string](ingestCacheLimit),
 	}
@@ -68,27 +69,6 @@ func (ic *ingestCache) decodeBinary(p *beacon.Payload, raw []byte) error {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	return beacon.DecodeBinaryInto(p, raw, ic.internLocked)
-}
-
-// publisherFor resolves the publisher for a page URL, consulting the
-// cache before paying for url.Parse. Failures are not cached: a
-// malformed URL is a rejected impression, not a hot path.
-func (c *Collector) publisherFor(p beacon.Payload) (string, error) {
-	ic := c.icache
-	ic.mu.Lock()
-	pub, ok := ic.pub.Get(p.PageURL)
-	ic.mu.Unlock()
-	if ok {
-		return pub, nil
-	}
-	pub, err := p.Publisher()
-	if err != nil {
-		return "", err
-	}
-	ic.mu.Lock()
-	ic.pub.Put(p.PageURL, pub)
-	ic.mu.Unlock()
-	return pub, nil
 }
 
 // enrichFor runs the per-address enrichment pipeline, consulting the

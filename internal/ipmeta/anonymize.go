@@ -21,11 +21,21 @@ import (
 // 2^32 IPv4 space without the key.
 type Anonymizer struct {
 	key []byte
-	// pool recycles keyed HMAC states across Pseudonym calls: hmac.New
-	// hashes the key into fresh inner/outer digests every time, which is
-	// the dominant cost of the call, while Reset restores exactly that
-	// keyed state for free.
+	// pool recycles pseudonymScratch values across Pseudonym calls.
 	pool sync.Pool
+}
+
+// pseudonymScratch is what one Pseudonym call works in. The keyed HMAC
+// state is the expensive part: hmac.New hashes the key into fresh
+// inner/outer digests every time, while Reset restores exactly that
+// keyed state for free. The buffers ride along because anything handed
+// to a hash.Hash escapes — on the stack they would each be a heap
+// allocation per call; here the returned string is the only one.
+type pseudonymScratch struct {
+	mac  hash.Hash
+	addr [16]byte
+	sum  [sha256.Size]byte
+	hex  [32]byte
 }
 
 // NewAnonymizer returns an anonymizer keyed with the given secret. The
@@ -43,14 +53,27 @@ func NewAnonymizer(secret []byte) *Anonymizer {
 // Pseudonym returns the hex-encoded pseudonym for addr. Invalid addresses
 // map to the pseudonym of the zero address.
 func (a *Anonymizer) Pseudonym(addr netip.Addr) string {
-	mac, _ := a.pool.Get().(hash.Hash)
-	if mac == nil {
-		mac = hmac.New(sha256.New, a.key)
+	sc, _ := a.pool.Get().(*pseudonymScratch)
+	if sc == nil {
+		sc = &pseudonymScratch{mac: hmac.New(sha256.New, a.key)}
 	}
-	b, _ := addr.MarshalBinary()
-	mac.Write(b)
-	out := hex.EncodeToString(mac.Sum(nil)[:16])
-	mac.Reset()
-	a.pool.Put(mac)
+	// The bytes hashed are addr.MarshalBinary()'s: 4, 16, 16 + zone, or
+	// none for the invalid address.
+	switch {
+	case addr.Is4():
+		a4 := addr.As4()
+		n := copy(sc.addr[:], a4[:])
+		sc.mac.Write(sc.addr[:n])
+	case addr.Zone() != "":
+		b, _ := addr.MarshalBinary()
+		sc.mac.Write(b)
+	case addr.Is6():
+		sc.addr = addr.As16()
+		sc.mac.Write(sc.addr[:])
+	}
+	hex.Encode(sc.hex[:], sc.mac.Sum(sc.sum[:0])[:16])
+	out := string(sc.hex[:])
+	sc.mac.Reset()
+	a.pool.Put(sc)
 	return out
 }

@@ -1,6 +1,9 @@
 package ipmeta
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -68,5 +71,47 @@ func TestAnonymizerDefensiveKeyCopy(t *testing.T) {
 	secret[0] = 'X'
 	if a.Pseudonym(addr) != before {
 		t.Fatal("anonymizer affected by caller mutating the secret slice")
+	}
+}
+
+// TestPseudonymMatchesReferenceExpression: the pooled-scratch
+// implementation returns, for every kind of address, what the plain
+// expression it replaced returns — HMAC-SHA-256 over MarshalBinary,
+// first 16 bytes, hex — and allocates only that string.
+func TestPseudonymMatchesReferenceExpression(t *testing.T) {
+	key := []byte("dataset-secret")
+	a := NewAnonymizer(key)
+	addrs := []netip.Addr{
+		netip.MustParseAddr("203.0.113.7"),
+		netip.MustParseAddr("0.0.0.0"),
+		netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("::"),
+		netip.MustParseAddr("::ffff:203.0.113.7"), // v4-in-6: 16 bytes, not 4
+		netip.MustParseAddr("fe80::1%eth0"),
+		netip.MustParseAddr("fe80::1%eth1"),
+		{}, // invalid: hashes no bytes
+	}
+	seen := map[string]netip.Addr{}
+	for round := 0; round < 2; round++ { // second round runs on pooled scratch
+		for _, addr := range addrs {
+			mac := hmac.New(sha256.New, key)
+			b, _ := addr.MarshalBinary()
+			mac.Write(b)
+			want := hex.EncodeToString(mac.Sum(nil)[:16])
+			if got := a.Pseudonym(addr); got != want {
+				t.Fatalf("Pseudonym(%v) = %s, reference expression gives %s", addr, got, want)
+			}
+			if prev, dup := seen[want]; dup && prev != addr {
+				t.Fatalf("%v and %v share pseudonym %s", prev, addr, want)
+			}
+			seen[want] = addr
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	addr := addrs[0]
+	if n := testing.AllocsPerRun(200, func() { a.Pseudonym(addr) }); n > 1 {
+		t.Fatalf("Pseudonym allocates %v times per call, want 1 (the string)", n)
 	}
 }

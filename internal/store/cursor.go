@@ -45,7 +45,7 @@ func (c *Cursor) Next() (Impression, bool) {
 	idx := c.idxs[c.pos]
 	c.pos++
 	c.s.mu.RLock()
-	im := c.s.recs[idx]
+	im := *c.s.recs.at(idx)
 	c.s.mu.RUnlock()
 	return im, true
 }
@@ -61,7 +61,7 @@ func (c *Cursor) Visit(fn func(*Impression) bool) {
 	for c.pos < len(c.idxs) {
 		idx := c.idxs[c.pos]
 		c.pos++
-		if !fn(&c.s.recs[idx]) {
+		if !fn(c.s.recs.at(idx)) {
 			return
 		}
 	}

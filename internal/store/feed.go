@@ -182,9 +182,7 @@ func (s *Store) Subscribe(buffer int, prime func(*Impression), primeConv func(*C
 	l := &s.conversions
 	l.mu.RLock()
 	if prime != nil {
-		for i := range s.recs {
-			prime(&s.recs[i])
-		}
+		s.recs.each(func(im *Impression) bool { prime(im); return true })
 	}
 	if primeConv != nil {
 		for i := range l.recs {

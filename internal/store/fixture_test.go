@@ -1,0 +1,138 @@
+package store
+
+import (
+	"bytes"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// hostileStrings are the inputs on which a hand-written JSON string
+// encoder goes wrong first: every escape class of encoding/json, and
+// the ways a byte sequence can fail to be UTF-8.
+var hostileStrings = []string{
+	"", "plain", "http://pub.es/p?a=1&b=<2>", `quote " and \ backslash`,
+	"\b\f\n\r\t", "\x00\x01\x1f\x7f", "line\u2028sep\u2029para", "é世界🙂",
+	"\xff\xfe", "trunc\xe2\x80", "surrogate\xed\xa0\x80", "range\xf4\x90\x80\x80",
+	"overlong\xc0\x80", "\ufffd already", "mix<\xff>&\u2028\"",
+}
+
+// hostileFloats and hostileTimes are the values whose JSON form is a
+// special case, or that have none.
+var (
+	hostileFloats = []float64{
+		0, math.Copysign(0, -1), 0.5, 1, 0.1, 1e-6, 9.99e-7, 1e-7, 1.5e-9, 1e21, 9.9e20,
+		1e100, -3.25e-12, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	hostileTimes = []time.Time{
+		{},
+		time.Date(2016, 3, 29, 12, 0, 0, 0, time.UTC),
+		time.Date(2016, 3, 29, 12, 0, 0, 123456789, time.UTC),
+		time.Date(2016, 3, 29, 12, 0, 0, 120000000, time.FixedZone("", 3600)),
+		time.Date(2016, 3, 29, 12, 0, 0, 0, time.FixedZone("", -(5*3600+30*60))),
+		time.Date(2016, 3, 29, 12, 0, 0, 0, time.FixedZone("", 90)),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2016, 1, 1, 0, 0, 0, 0, time.FixedZone("", 24*3600)),
+		time.Date(2016, 1, 1, 0, 0, 0, 0, time.FixedZone("", -100*3600)),
+	}
+)
+
+var updateFixture = flag.Bool("update", false, "rewrite testdata/journal_5e78ee8.wal with this build's journal writer")
+
+// journalFixture drives a fixed history of inserts and merges — every
+// hostile string, every finite hostile float, several zones — through
+// s, whose journal is then the format's reference document.
+func journalFixture(t *testing.T, s *Store) {
+	t.Helper()
+	for i, str := range hostileStrings {
+		im := fuzzImpression(i % 20)
+		im.CreativeID, im.UserAgent, im.PageURL, im.Nonce = str, str, "http://pub.es/"+str, str
+		im.ISP, im.Country, im.DataCenter = "ES-isp-"+str, "ES", "not-data-center"
+		im.MaxVisibleFraction = hostileFloats[i%15]
+		im.VisibilityMeasured = i%2 == 0
+		im.Timestamp = hostileTimes[1+i%6]
+		im.MouseMoves, im.Clicks = i, i%3
+		id, err := s.Insert(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			cont := Continuation{
+				Exposure: time.Duration(i) * 1500 * time.Millisecond, MouseMoves: i % 4, Clicks: i % 2,
+				VisibilityMeasured: i%3 == 0, MaxVisibleFraction: hostileFloats[(i+7)%15],
+			}
+			if err := s.Merge(id-int64(i%2), cont); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestJournalMatchesParentWrittenFixture: testdata/journal_5e78ee8.wal
+// was written by the build at commit 5e78ee8 — the last whose journal
+// writer was json.Marshal — running journalFixture. This build must
+// write the same bytes for the same history, and must recover that
+// file: old journals under the new binary, new ones under the old.
+func TestJournalMatchesParentWrittenFixture(t *testing.T) {
+	golden := filepath.Join("testdata", "journal_5e78ee8.wal")
+	path := filepath.Join(t.TempDir(), "j.wal")
+	w, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := New()
+	live.AttachWAL(w)
+	journalFixture(t, live)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateFixture {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := range wl {
+			if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("journal line %d differs from the parent-written fixture\n got %s\nwant %s", i+1, gl[min(i, len(gl)-1)], wl[i])
+			}
+		}
+		t.Fatalf("journal has %d lines, the parent-written fixture %d", len(gl), len(wl))
+	}
+
+	old := filepath.Join(t.TempDir(), "old.wal")
+	if err := os.WriteFile(old, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, applied, err := RecoverWAL(old, nil, fuzzLogger())
+	if err != nil {
+		t.Fatalf("recovering the parent-written journal: %v", err)
+	}
+	if lines := bytes.Count(want, []byte("\n")); applied != lines || rec.Len() != live.Len() {
+		t.Fatalf("recovered %d records from %d of %d entries, want %d records", rec.Len(), applied, lines, live.Len())
+	}
+	for id := int64(1); id <= int64(live.Len()); id++ {
+		a, _ := live.Get(id)
+		b, _ := rec.Get(id)
+		// (Timestamps by their text: RFC 3339 has no seconds in a zone.)
+		if a.Exposure != b.Exposure || a.Clicks != b.Clicks || a.MaxVisibleFraction != b.MaxVisibleFraction ||
+			a.Timestamp.Format(time.RFC3339Nano) != b.Timestamp.Format(time.RFC3339Nano) {
+			t.Fatalf("record %d recovered as %+v, journaled from %+v", id, b, a)
+		}
+	}
+}

@@ -20,15 +20,28 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	return s.writeSnapshotLocked(w)
 }
 
-// writeSnapshotLocked streams every record; callers hold at least a
-// read lock (WriteSnapshot, SnapshotCompact).
+// writeSnapshotLocked streams every record, encoded as the journal
+// encodes it (rowjson.go: json.Encoder's bytes, one reused line
+// buffer); callers hold at least a read lock (WriteSnapshot,
+// SnapshotCompact).
 func (s *Store) writeSnapshotLocked(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range s.recs {
-		if err := enc.Encode(&s.recs[i]); err != nil {
-			return fmt.Errorf("store: encoding snapshot record %d: %w", s.recs[i].ID, err)
+	var line []byte
+	var err error
+	s.recs.each(func(im *Impression) bool {
+		if line, err = appendImpression(line[:0], im); err != nil {
+			err = fmt.Errorf("store: encoding snapshot record %d: %w", im.ID, err)
+			return false
 		}
+		line = append(line, '\n')
+		if _, err = bw.Write(line); err != nil {
+			err = fmt.Errorf("store: writing snapshot record %d: %w", im.ID, err)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("store: flushing snapshot: %w", err)

@@ -87,13 +87,14 @@ func (im *Impression) Validate() error {
 }
 
 // Store is a concurrency-safe impression database with an adjacent
-// conversion log (see conversions.go). The record log is a single
-// append-only slice under mu; the secondary indexes are lock-striped
-// shards (see index.go) so concurrent analyses of different campaigns,
-// publishers or users never serialise on one mutex.
+// conversion log (see conversions.go). The record log is a chunked
+// append-only log under mu (see reclog.go); the secondary indexes are
+// lock-striped shards (see index.go) so concurrent analyses of
+// different campaigns, publishers or users never serialise on one
+// mutex.
 type Store struct {
 	mu   sync.RWMutex
-	recs []Impression
+	recs recLog
 
 	byCampaign  shardedIndex
 	byPublisher shardedIndex
@@ -143,15 +144,12 @@ func (s *Store) InsertTraced(im Impression, tr *trace.Trace) (int64, error) {
 		return 0, err
 	}
 	s.mu.Lock()
-	idx := len(s.recs)
+	idx := s.recs.len()
 	im.ID = int64(idx + 1)
 	wal := s.wal
 	var walSeq int64
 	if wal != nil {
-		// Journal a branch-local copy: taking &im directly would make the
-		// parameter escape and cost a heap allocation even with no WAL.
-		w := im
-		seq, err := wal.append(walEntry{Op: "ins", Im: &w})
+		seq, err := wal.append(&walEntry{Op: "ins", Im: &im})
 		if err != nil {
 			s.mu.Unlock()
 			s.tel.insertFailures.Inc()
@@ -161,7 +159,7 @@ func (s *Store) InsertTraced(im Impression, tr *trace.Trace) (int64, error) {
 		walSeq = seq
 		tr.Stage(trace.StageWAL)
 	}
-	s.recs = append(s.recs, im)
+	s.recs.append(&im)
 	// Index while still holding the write lock: that is what keeps
 	// posting lists in insertion order across concurrent inserts.
 	s.byCampaign.add(im.CampaignID, idx)
@@ -193,17 +191,17 @@ func (s *Store) InsertTraced(im Impression, tr *trace.Trace) (int64, error) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.recs)
+	return s.recs.len()
 }
 
 // Get returns the impression with the given 1-based ID.
 func (s *Store) Get(id int64) (Impression, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if id < 1 || id > int64(len(s.recs)) {
+	if id < 1 || id > int64(s.recs.len()) {
 		return Impression{}, false
 	}
-	return s.recs[id-1], true
+	return *s.recs.at(int(id - 1)), true
 }
 
 // ForEach calls fn for every impression in insertion order; fn returning
@@ -211,11 +209,7 @@ func (s *Store) Get(id int64) (Impression, bool) {
 func (s *Store) ForEach(fn func(Impression) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for i := range s.recs {
-		if !fn(s.recs[i]) {
-			return
-		}
-	}
+	s.recs.each(func(im *Impression) bool { return fn(*im) })
 }
 
 // Visit calls fn with a pointer to every impression in insertion
@@ -225,11 +219,7 @@ func (s *Store) ForEach(fn func(Impression) bool) {
 func (s *Store) Visit(fn func(*Impression) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for i := range s.recs {
-		if !fn(&s.recs[i]) {
-			return
-		}
-	}
+	s.recs.each(fn)
 }
 
 // VisitCampaign streams one campaign's impressions in insertion order
@@ -260,7 +250,7 @@ func (s *Store) visit(idxs []int, fn func(*Impression) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, idx := range idxs {
-		if !fn(&s.recs[idx]) {
+		if !fn(s.recs.at(idx)) {
 			return
 		}
 	}
@@ -296,7 +286,7 @@ func (s *Store) collect(idxs []int) []Impression {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i, idx := range idxs {
-		out[i] = s.recs[idx]
+		out[i] = *s.recs.at(idx)
 	}
 	return out
 }

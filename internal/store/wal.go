@@ -104,6 +104,7 @@ type WALOptions struct {
 type WAL struct {
 	mu     sync.Mutex
 	f      *os.File
+	line   []byte // the append encoder's buffer, reused under mu
 	path   string
 	policy SyncPolicy
 	clock  simclock.Clock
@@ -257,18 +258,20 @@ func (w *WAL) groupSync() {
 
 // append writes one entry as a single line in a single write call; the
 // fsync policy decides whether the entry is also forced to disk before
-// the append returns. Under SyncGroup the returned seq is the entry's
-// place in the group-commit order: the caller must not acknowledge the
-// mutation until waitDurable(seq) returns nil. Other policies return
-// seq 0 (waitDurable treats it as already durable).
-func (w *WAL) append(e walEntry) (int64, error) {
-	line, err := json.Marshal(e)
+// the append returns. The line is encoded (see rowjson.go) into a
+// buffer the WAL reuses across appends; an entry with no JSON form
+// fails before anything is written. Under SyncGroup the returned seq
+// is the entry's place in the group-commit order: the caller must not
+// acknowledge the mutation until waitDurable(seq) returns nil. Other
+// policies return seq 0 (waitDurable treats it as already durable).
+func (w *WAL) append(e *walEntry) (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	line, err := appendEntry(w.line[:0], e)
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding wal entry: %w", err)
 	}
-	line = append(line, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.line = line
 	if _, err := w.f.Write(line); err != nil {
 		return 0, fmt.Errorf("store: appending wal entry: %w", err)
 	}
@@ -494,7 +497,7 @@ func (s *Store) applyWALEntry(e walEntry) (ok bool, err error) {
 			return false, fmt.Errorf("insert entry missing record")
 		}
 		s.mu.Lock()
-		have := int64(len(s.recs))
+		have := int64(s.recs.len())
 		s.mu.Unlock()
 		if e.Im.ID <= have {
 			// Already covered by the snapshot the journal was replayed
@@ -511,10 +514,10 @@ func (s *Store) applyWALEntry(e walEntry) (ok bool, err error) {
 	case "mrg":
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if e.ID < 1 || e.ID > int64(len(s.recs)) {
-			return false, fmt.Errorf("merge id %d out of range (store length %d)", e.ID, len(s.recs))
+		if e.ID < 1 || e.ID > int64(s.recs.len()) {
+			return false, fmt.Errorf("merge id %d out of range (store length %d)", e.ID, s.recs.len())
 		}
-		im := &s.recs[e.ID-1]
+		im := s.recs.at(int(e.ID - 1))
 		prev := MergePrev{
 			Exposure:           im.Exposure,
 			MouseMoves:         im.MouseMoves,
@@ -584,12 +587,12 @@ func (s *Store) MergeTraced(id int64, cont Continuation, tr *trace.Trace) error 
 		return fmt.Errorf("store: negative continuation exposure %v", cont.Exposure)
 	}
 	s.mu.Lock()
-	if id < 1 || id > int64(len(s.recs)) {
+	if id < 1 || id > int64(s.recs.len()) {
 		s.mu.Unlock()
 		tr.Truncate("reject:merge-target")
-		return fmt.Errorf("store: merge target %d out of range (store length %d)", id, len(s.recs))
+		return fmt.Errorf("store: merge target %d out of range (store length %d)", id, s.recs.len())
 	}
-	im := &s.recs[id-1]
+	im := s.recs.at(int(id - 1))
 	prev := MergePrev{
 		Exposure:           im.Exposure,
 		MouseMoves:         im.MouseMoves,
@@ -608,7 +611,7 @@ func (s *Store) MergeTraced(id int64, cont Continuation, tr *trace.Trace) error 
 	wal := s.wal
 	var walSeq int64
 	if wal != nil {
-		seq, err := wal.append(walEntry{
+		seq, err := wal.append(&walEntry{
 			Op: "mrg", ID: id,
 			ExposureNS:  int64(exp),
 			MouseMoves:  moves,

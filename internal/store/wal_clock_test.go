@@ -28,7 +28,7 @@ func TestWALIntervalSyncOnVirtualClock(t *testing.T) {
 		CampaignID: "c", Publisher: "p", UserKey: "u",
 		Timestamp: time.Unix(1, 0),
 	}
-	if _, err := w.append(walEntry{Op: "ins", Im: &im}); err != nil {
+	if _, err := w.append(&walEntry{Op: "ins", Im: &im}); err != nil {
 		t.Fatal(err)
 	}
 	dirty := func() bool {

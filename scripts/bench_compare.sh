@@ -289,6 +289,12 @@ go test -run '^$' -bench 'BenchmarkGatewayForward$' -benchmem -count "$COUNT" \
 echo "==> go test -bench direct path ($COUNT runs: Ingest, IngestBinary, WebSocketSession) ./internal/collector/"
 go test -run '^$' -bench 'BenchmarkIngest$|BenchmarkIngestBinary$|BenchmarkWebSocketSession$' -benchmem -count "$COUNT" \
     ./internal/collector/ | tee -a "$gw_tmp"
+# The journaled path at a fixed iteration count — the paper dataset's
+# size: its allocs/op include first-touch misses (a new address, a new
+# user), whose share depends on how long the run is.
+echo "==> go test -bench BenchmarkIngestJournaled ($COUNT runs of 130000) ./internal/collector/"
+go test -run '^$' -bench 'BenchmarkIngestJournaled$' -benchmem -benchtime 130000x -count "$COUNT" \
+    ./internal/collector/ | tee -a "$gw_tmp"
 
 {
     echo "# bench_compare(gateway) $(go env GOOS)/$(go env GOARCH), count=$COUNT"
@@ -337,12 +343,20 @@ fi
 # (the amortised store append), not a relative baseline — the whole
 # point of the pooled decode + intern path.
 ceiling BenchmarkIngestBinary "$GW_JSON" 1
+# The same path as production pays for it — journal attached, a fresh
+# nonce and page URL, 36,000 addresses: 2.65 allocs per impression
+# (reported truncated, 2), every one of them a string or an index entry
+# the record keeps; 9 before the commit path diet (DESIGN §13). The
+# ceiling is the measurement: a journal line through encoding/json
+# again is +4, a url.Parse +1.5, a channel per claim +1.
+ceiling BenchmarkIngestJournaled "$GW_JSON" 2
 
 # One beacon session, direct and through a forwarding tier: what
 # wsproto, the beacon client and the collector add on top of net
 # (DESIGN §16). 203 and 289 before the wire-session diet, 104 and 145
 # after it, 62 and 102 since the accepting front answers the upgrade
-# in place of net/http; the ceilings leave room for the runtime to
+# in place of net/http, 60 and 98 since the commit behind the session
+# stopped allocating its journal line; the ceilings leave room for the runtime to
 # move, not for a request object, a formatted error or a second write
 # per frame to come back.
 ceiling BenchmarkWebSocketSession "$GW_JSON" 70

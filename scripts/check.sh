@@ -20,7 +20,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RACE_PKGS="./internal/collector/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
+RACE_PKGS="./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
 
 echo "==> go build ./..."
 go build ./...
@@ -161,11 +161,13 @@ if [ "${1:-}" = "-fuzz-smoke" ]; then
         "FuzzDecode ./internal/beacon/" \
         "FuzzDecodeBinary ./internal/beacon/" \
         "FuzzWireEquivalence ./internal/beacon/" \
+        "FuzzPlainHost ./internal/beacon/" \
         "FuzzDecodeBatch ./internal/trunk/" \
         "FuzzExportRoundTrip ./internal/shardmerge/" \
         "FuzzStateBinary ./internal/audit/" \
         "FuzzRecoverWAL ./internal/store/" \
         "FuzzReadSnapshot ./internal/store/" \
+        "FuzzWALEntry ./internal/store/" \
         "FuzzQueryAPI ./internal/collector/"; do
         set -- $target
         echo "==> go test -fuzz $1 -fuzztime 30s $2"

@@ -8,7 +8,7 @@ import (
 // Seller identity — the simulated ecosystem's sellers.json / ads.txt
 // layer. Every publisher has a direct seller account, belongs to an
 // owner group (a media house operating several domains), and may route
-// inventory through the network's exchange account. DeclaredSellers is
+// inventory through the network's exchange account. Those three are
 // what an ads.txt crawl of the domain would return: the set of seller
 // IDs the publisher has authorized to sell its inventory. The audit's
 // seller cross-check compares vendor-report attributions against this
@@ -62,17 +62,6 @@ func OwnerGroupOf(domain string) string {
 // the legitimate way one seller ID spans several domains.
 func OwnerSellerID(group string) string {
 	return "owner:" + group
-}
-
-// DeclaredSellers returns the seller IDs an ads.txt crawl of the
-// domain would list as authorized: the direct account, the owner
-// group's account, and the exchange.
-func DeclaredSellers(domain string) []string {
-	return []string{
-		DirectSellerID(domain),
-		OwnerSellerID(OwnerGroupOf(domain)),
-		ExchangeSellerID,
-	}
 }
 
 // SellerRegistry is the default directory of declared sellers — the

@@ -283,7 +283,7 @@ func (a *Auditor) fill(campaignID string) *State {
 func (a *Auditor) fillInto(s *State, campaignID string) {
 	n := a.Store.Len() // known up front from the index, for exact sizing
 	if campaignID != "" {
-		n = a.Store.CampaignCursor(campaignID).Len()
+		n = a.Store.CampaignLen(campaignID)
 	}
 	s.reset(n)
 	a.visitImpressions(campaignID, func(im *store.Impression) bool {

@@ -113,6 +113,17 @@ func TestZeroLossDriver(t *testing.T) {
 	}
 }
 
+// campaignRows copies one campaign's stored records out in insertion
+// order.
+func campaignRows(st *store.Store, campaignID string) []store.Impression {
+	var out []store.Impression
+	st.VisitCampaign(campaignID, func(im *store.Impression) bool {
+		out = append(out, *im)
+		return true
+	})
+	return out
+}
+
 func TestStoredRecordsMatchDeliveries(t *testing.T) {
 	f := newFixture(t)
 	f.driver.Loss = LossModel{}
@@ -120,7 +131,7 @@ func TestStoredRecordsMatchDeliveries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := f.store.ByCampaign("match")
+	recs := campaignRows(f.store, "match")
 	if len(recs) != out.Logged {
 		t.Fatalf("stored %d, logged %d", len(recs), out.Logged)
 	}
@@ -235,7 +246,7 @@ func TestWireReplayMatchesDirectPath(t *testing.T) {
 	if f.store.Len() != limit {
 		t.Fatalf("store has %d of %d wire records", f.store.Len(), limit)
 	}
-	recs := f.store.ByCampaign("wire")
+	recs := campaignRows(f.store, "wire")
 	for _, im := range recs {
 		if _, ok := f.network.Publishers().ByDomain(im.Publisher); !ok {
 			t.Fatalf("wire record publisher %q unknown", im.Publisher)
@@ -267,8 +278,12 @@ func TestConversionsFlowThroughDriver(t *testing.T) {
 	}
 	// Conversions join to exposures: every conversion's user key must
 	// have impressions in the same campaign.
+	exposed := map[string]bool{}
+	for _, im := range campaignRows(f.store, "convs") {
+		exposed[im.UserKey] = true
+	}
 	for _, conv := range f.store.Conversions("convs") {
-		if len(f.store.ByUser(conv.UserKey)) == 0 {
+		if !exposed[conv.UserKey] {
 			t.Fatalf("conversion user %q has no impressions", conv.UserKey)
 		}
 	}
@@ -301,8 +316,8 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	// Same records per campaign, independent of interleaving: compare
 	// the per-campaign publisher multisets via counts.
 	for _, c := range cs {
-		a := seq.store.ByCampaign(c.ID)
-		b := par.store.ByCampaign(c.ID)
+		a := campaignRows(seq.store, c.ID)
+		b := campaignRows(par.store, c.ID)
 		if len(a) != len(b) {
 			t.Fatalf("%s: seq %d vs par %d records", c.ID, len(a), len(b))
 		}
@@ -365,8 +380,8 @@ func TestRunAllParallelMatchesSequentialPaperRoster(t *testing.T) {
 		t.Fatal("parallel RunOutcome differs from sequential")
 	}
 	for _, c := range cs {
-		a := seq.store.ByCampaign(c.ID)
-		b := par.store.ByCampaign(c.ID)
+		a := campaignRows(seq.store, c.ID)
+		b := campaignRows(par.store, c.ID)
 		if len(a) != len(b) {
 			t.Fatalf("%s: seq stored %d records, par %d", c.ID, len(a), len(b))
 		}

@@ -221,9 +221,10 @@ func BenchmarkIngestBinary(b *testing.B) {
 // alternating, as the end-to-end benchmark's ingest_inproc drives it.
 // Inputs are built with the timer stopped, so allocs/op is the
 // collector's and the store's alone: the page URL and nonce copies of a
-// binary decode, pseudonym and user key for a new address, posting-list
-// and map growth, 1/1024 of a log chunk — and no journal line, URL
-// parse or claim channel (scripts/bench_compare.sh holds the ceiling).
+// binary decode, pseudonym and user key for a new address, the
+// campaign's posting list doubling, 1/1024 of a log chunk — and no
+// journal line, URL parse, claim channel or per-user index entry
+// (scripts/bench_compare.sh holds the ceiling).
 func BenchmarkIngestJournaled(b *testing.B) {
 	c := benchCollector(b, false)
 	wal, err := store.OpenWAL(filepath.Join(b.TempDir(), "bench.wal"), store.WALOptions{Policy: store.SyncOS})

@@ -84,7 +84,7 @@ func (q *queryAPI) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	for _, id := range q.st.Campaigns() {
 		out = append(out, CampaignListEntry{
 			CampaignID:  id,
-			Impressions: len(q.st.ByCampaign(id)),
+			Impressions: q.st.CampaignLen(id),
 		})
 	}
 	writeJSON(w, out)
@@ -100,17 +100,14 @@ func (q *queryAPI) handleSummary(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing campaign parameter", http.StatusBadRequest)
 		return
 	}
-	recs := q.st.ByCampaign(id)
-	if len(recs) == 0 {
-		http.Error(w, "unknown campaign", http.StatusNotFound)
-		return
-	}
-	sum := CampaignSummary{CampaignID: id, Impressions: len(recs)}
+	// One fold over the campaign's rows where they lie; the count comes
+	// from the same visit, so every ratio below is over one view.
+	sum := CampaignSummary{CampaignID: id}
 	pubs := map[string]struct{}{}
 	users := map[string]struct{}{}
 	viewable, dc := 0, 0
-	for i := range recs {
-		im := &recs[i]
+	q.st.VisitCampaign(id, func(im *store.Impression) bool {
+		sum.Impressions++
 		pubs[im.Publisher] = struct{}{}
 		users[im.UserKey] = struct{}{}
 		sum.Clicks += im.Clicks
@@ -128,12 +125,17 @@ func (q *queryAPI) handleSummary(w http.ResponseWriter, r *http.Request) {
 		if im.Timestamp.After(sum.LastSeen) {
 			sum.LastSeen = im.Timestamp
 		}
+		return true
+	})
+	if sum.Impressions == 0 {
+		http.Error(w, "unknown campaign", http.StatusNotFound)
+		return
 	}
 	sum.Publishers = len(pubs)
 	sum.Users = len(users)
 	sum.Conversions = len(q.st.Conversions(id))
-	sum.ViewableUpperBound = float64(viewable) / float64(len(recs))
-	sum.DataCenterShare = float64(dc) / float64(len(recs))
+	sum.ViewableUpperBound = float64(viewable) / float64(sum.Impressions)
+	sum.DataCenterShare = float64(dc) / float64(sum.Impressions)
 	writeJSON(w, sum)
 }
 
@@ -159,14 +161,8 @@ func (q *queryAPI) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		}
 		bucket = d
 	}
-	recs := q.st.ByCampaign(id)
-	if len(recs) == 0 {
-		http.Error(w, "unknown campaign", http.StatusNotFound)
-		return
-	}
 	byBucket := map[time.Time]*TimeseriesPoint{}
-	for i := range recs {
-		im := &recs[i]
+	q.st.VisitCampaign(id, func(im *store.Impression) bool {
 		start := im.Timestamp.Truncate(bucket)
 		p := byBucket[start]
 		if p == nil {
@@ -180,6 +176,11 @@ func (q *queryAPI) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		default:
 			p.DataCenter++
 		}
+		return true
+	})
+	if len(byBucket) == 0 {
+		http.Error(w, "unknown campaign", http.StatusNotFound)
+		return
 	}
 	out := make([]TimeseriesPoint, 0, len(byBucket))
 	for _, p := range byBucket {
@@ -208,14 +209,9 @@ func (q *queryAPI) handlePublishers(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	recs := q.st.ByCampaign(id)
-	if len(recs) == 0 {
-		http.Error(w, "unknown campaign", http.StatusNotFound)
-		return
-	}
 	type agg struct{ imps, clicks int }
 	counts := map[string]*agg{}
-	for _, im := range recs {
+	q.st.VisitCampaign(id, func(im *store.Impression) bool {
 		a := counts[im.Publisher]
 		if a == nil {
 			a = &agg{}
@@ -223,6 +219,11 @@ func (q *queryAPI) handlePublishers(w http.ResponseWriter, r *http.Request) {
 		}
 		a.imps++
 		a.clicks += im.Clicks
+		return true
+	})
+	if len(counts) == 0 {
+		http.Error(w, "unknown campaign", http.StatusNotFound)
+		return
 	}
 	rows := make([]PublisherRow, 0, len(counts))
 	for pub, a := range counts {

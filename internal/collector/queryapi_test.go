@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -205,5 +207,56 @@ func TestAPITimeseries(t *testing.T) {
 	}
 	if code := getJSON(t, base+"/api/timeseries", &points); code != 400 {
 		t.Fatalf("missing campaign status %d", code)
+	}
+}
+
+// The campaign listing reads each campaign's length off the index: what
+// one request allocates must not depend on how many rows the store
+// holds. Copying a campaign out to take its len is also one allocation
+// per campaign, whatever its size, so the bytes are what tell.
+func TestAPICampaignsCostIndependentOfStoreSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	cost := func(rows int) (allocs float64, bytes uint64) {
+		st := store.New()
+		for i := 0; i < rows; i++ {
+			if _, err := st.Insert(store.Impression{
+				CampaignID: fmt.Sprintf("camp-%d", i%3),
+				Publisher:  "pub.es",
+				UserKey:    "u",
+				Timestamp:  time.Unix(int64(i+1), 0),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := &queryAPI{st: st}
+		req := httptest.NewRequest(http.MethodGet, "/api/campaigns", nil)
+		call := func() {
+			rec := httptest.NewRecorder()
+			q.handleCampaigns(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d", rec.Code)
+			}
+		}
+		const runs = 20
+		allocs = testing.AllocsPerRun(runs, call)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := cost(1_000)
+	largeAllocs, largeBytes := cost(20_000)
+	if largeAllocs > smallAllocs {
+		t.Errorf("GET /api/campaigns: %.0f allocs at 20,000 rows, %.0f at 1,000", largeAllocs, smallAllocs)
+	}
+	// The same three-row response either way; 1 KiB of slack for the
+	// longer counts and the encoder's pooled buffers.
+	if largeBytes > smallBytes+1024 {
+		t.Errorf("GET /api/campaigns: %d B per request at 20,000 rows, %d B at 1,000", largeBytes, smallBytes)
 	}
 }

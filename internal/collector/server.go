@@ -20,8 +20,6 @@ import (
 type serverOptions struct {
 	shutdownGrace time.Duration
 	maxIngestAge  time.Duration
-	maxWALLag     time.Duration
-	maxStaleness  time.Duration
 	checks        map[string]func() error
 	listener      net.Listener
 	liveEngine    *streamaudit.Engine
@@ -29,6 +27,19 @@ type serverOptions struct {
 
 // ServerOption customises a Server.
 type ServerOption func(*serverOptions)
+
+// /healthz bounds no command has needed to tune.
+const (
+	// maxWALSyncLag is how long a journal entry may wait for its fsync
+	// (SyncInterval WALs only; the other policies never go dirty):
+	// generous against any sane sync interval, tight enough to catch a
+	// wedged disk. The measured lag is in the response either way.
+	maxWALSyncLag = 30 * time.Second
+	// maxAuditStaleness is how far of wall time the live streaming
+	// engine may fall behind the change feed — the pipeline-freshness
+	// SLO as a health check.
+	maxAuditStaleness = 30 * time.Second
+)
 
 // WithShutdownGrace bounds how long Serve waits for in-flight beacon
 // sessions to commit their impressions on shutdown (default 5 s).
@@ -41,25 +52,6 @@ func WithShutdownGrace(d time.Duration) ServerOption {
 // check — correct for a collector that legitimately idles.
 func WithMaxIngestAge(d time.Duration) ServerOption {
 	return func(o *serverOptions) { o.maxIngestAge = d }
-}
-
-// WithMaxWALSyncLag makes /healthz report unhealthy when a journal
-// entry has waited longer than d for its fsync (SyncInterval WALs
-// only; the other policies never go dirty). The default is 30 s —
-// generous against any sane sync interval, tight enough to catch a
-// wedged disk. d <= 0 disables the check; the measured lag is always
-// surfaced in the response either way.
-func WithMaxWALSyncLag(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.maxWALLag = d }
-}
-
-// WithAuditStaleness makes /healthz report unhealthy when the live
-// streaming-audit engine (WithLiveAudit) has fallen more than d of
-// wall time behind the change feed — the pipeline-freshness SLO as a
-// health check. The default is 30 s; d <= 0 disables the check. No-op
-// without a live engine.
-func WithAuditStaleness(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.maxStaleness = d }
 }
 
 // WithHealthCheck adds a named check to /healthz; a non-nil error marks
@@ -155,11 +147,7 @@ func WithListener(ln net.Listener) ServerOption {
 // NewServer wraps c in a Server listening on addr (host:port; port 0
 // picks a free port).
 func NewServer(c *Collector, addr string, opts ...ServerOption) (*Server, error) {
-	o := serverOptions{
-		shutdownGrace: 5 * time.Second,
-		maxWALLag:     30 * time.Second,
-		maxStaleness:  30 * time.Second,
-	}
+	o := serverOptions{shutdownGrace: 5 * time.Second}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -308,18 +296,18 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	walLag := s.collector.cfg.Store.WALDirtyDuration()
 	st.WALSyncLagSeconds = walLag.Seconds()
-	if s.opts.maxWALLag > 0 && walLag > s.opts.maxWALLag {
+	if walLag > maxWALSyncLag {
 		s.failCheck(&st, "wal_sync",
-			fmt.Sprintf("oldest unsynced journal entry is %.1fs old (max %v)", walLag.Seconds(), s.opts.maxWALLag))
+			fmt.Sprintf("oldest unsynced journal entry is %.1fs old (max %v)", walLag.Seconds(), maxWALSyncLag))
 	} else {
 		s.okCheck(&st, "wal_sync")
 	}
 	if s.opts.liveEngine != nil {
 		stale := s.opts.liveEngine.Staleness()
 		st.AuditStalenessSeconds = stale.Seconds()
-		if s.opts.maxStaleness > 0 && stale > s.opts.maxStaleness {
+		if stale > maxAuditStaleness {
 			s.failCheck(&st, "audit_freshness",
-				fmt.Sprintf("streaming audit is %.1fs behind the change feed (max %v)", stale.Seconds(), s.opts.maxStaleness))
+				fmt.Sprintf("streaming audit is %.1fs behind the change feed (max %v)", stale.Seconds(), maxAuditStaleness))
 		} else {
 			s.okCheck(&st, "audit_freshness")
 		}

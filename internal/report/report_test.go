@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"encoding/csv"
 	"strings"
 	"testing"
 	"time"
@@ -224,45 +223,6 @@ func TestTable4(t *testing.T) {
 	}
 	if !strings.Contains(out, "15.00%") { // 3/20 publishers
 		t.Fatalf("table 4 missing publisher pct:\n%s", out)
-	}
-}
-
-func TestFigure2CSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Figure2CSV(&buf, sampleAudits(t)); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// header + 2 rows per campaign.
-	if len(recs) != 1+2*2 {
-		t.Fatalf("csv rows = %d", len(recs))
-	}
-	if recs[0][0] != "campaign" || recs[1][1] != "publishers" || recs[2][1] != "impressions" {
-		t.Fatalf("csv layout unexpected: %v", recs[0:3])
-	}
-	if err := Figure2CSV(&buf, nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestFigure3CSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Figure3CSV(&buf, sampleFrequency()); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// header + 2 multi-impression users (the singleton is excluded).
-	if len(recs) != 3 {
-		t.Fatalf("csv rows = %d: %v", len(recs), recs)
-	}
-	if recs[1][1] != "150" || recs[1][2] != "15.000" {
-		t.Fatalf("csv content unexpected: %v", recs[1])
 	}
 }
 

@@ -43,8 +43,8 @@ func TestSimilaritySelfIsMax(t *testing.T) {
 	if !ok {
 		t.Fatal("self similarity not ok")
 	}
-	if math.Abs(sim-tx.MaxSimilarity()) > 1e-12 {
-		t.Fatalf("self sim = %v, want max %v", sim, tx.MaxSimilarity())
+	if math.Abs(sim-tx.PathSimilarity(1)) > 1e-12 {
+		t.Fatalf("self sim = %v, want max %v", sim, tx.PathSimilarity(1))
 	}
 }
 
@@ -96,10 +96,10 @@ func TestSimilarityProperties(t *testing.T) {
 		if math.Abs(sab-sba) > 1e-12 {
 			return false
 		}
-		if sab > tx.MaxSimilarity()+1e-12 {
+		if sab > tx.PathSimilarity(1)+1e-12 {
 			return false
 		}
-		if a == b && math.Abs(sab-tx.MaxSimilarity()) > 1e-12 {
+		if a == b && math.Abs(sab-tx.PathSimilarity(1)) > 1e-12 {
 			return false
 		}
 		return true
@@ -116,7 +116,7 @@ func TestWordSimilarityUsesLemmas(t *testing.T) {
 	if !ok {
 		t.Fatal("lemma lookup failed")
 	}
-	if math.Abs(simLemma-tx.MaxSimilarity()) > 1e-12 {
+	if math.Abs(simLemma-tx.PathSimilarity(1)) > 1e-12 {
 		t.Fatalf("soccer~football = %v, want max (same concept)", simLemma)
 	}
 	if _, ok := tx.WordSimilarity("soccer", "xyzzy"); ok {
@@ -150,7 +150,7 @@ func TestDomainOrdering(t *testing.T) {
 	}
 	// telematics ~ telecommunications is a lemma identity.
 	tele, ok := tx.WordSimilarity("telematics", "telecommunications")
-	if !ok || math.Abs(tele-tx.MaxSimilarity()) > 1e-12 {
+	if !ok || math.Abs(tele-tx.PathSimilarity(1)) > 1e-12 {
 		t.Fatalf("telematics~telecommunications = %v, %v", tele, ok)
 	}
 }
@@ -224,8 +224,8 @@ func TestMatcherRelevantCombines(t *testing.T) {
 
 func TestMatcherThresholdAblation(t *testing.T) {
 	tx := DefaultTaxonomy()
-	strict := &Matcher{Taxonomy: tx, Threshold: tx.MaxSimilarity()} // only identity passes
-	loose := &Matcher{Taxonomy: tx, Threshold: 0}                   // everything known passes
+	strict := &Matcher{Taxonomy: tx, Threshold: tx.PathSimilarity(1)} // only identity passes
+	loose := &Matcher{Taxonomy: tx, Threshold: 0}                     // everything known passes
 	if strict.TopicMatch([]string{"research"}, []string{"university"}) {
 		t.Fatal("strict matcher passed non-identical topic")
 	}
@@ -249,32 +249,5 @@ func TestDefaultTaxonomyShape(t *testing.T) {
 		if !tx.HasConcept(c) {
 			t.Errorf("default taxonomy missing concept %q", c)
 		}
-	}
-}
-
-func TestWuPalmer(t *testing.T) {
-	tx := smallTaxonomy(t)
-	// Identity: 2d/(d+d) = 1.
-	if wp, ok := tx.WuPalmer("a1", "a1"); !ok || math.Abs(wp-1) > 1e-12 {
-		t.Fatalf("self WuPalmer = %v, %v", wp, ok)
-	}
-	// Siblings a1, a2 (depth 3) share parent a (depth 2): 4/6.
-	if wp, ok := tx.WuPalmer("a1", "a2"); !ok || math.Abs(wp-4.0/6) > 1e-12 {
-		t.Fatalf("sibling WuPalmer = %v", wp)
-	}
-	// Cross-branch a1 (3), b (2): LCA root (1): 2/5.
-	if wp, ok := tx.WuPalmer("a1", "b"); !ok || math.Abs(wp-2.0/5) > 1e-12 {
-		t.Fatalf("cross-branch WuPalmer = %v", wp)
-	}
-	if _, ok := tx.WuPalmer("a1", "missing"); ok {
-		t.Fatal("unknown concept accepted")
-	}
-	// Ordering agreement with Leacock-Chodorow on the default taxonomy:
-	// in-vertical siblings beat cross-macro pairs under both measures.
-	dt := DefaultTaxonomy()
-	sibWP, _ := dt.WuPalmer("football", "basketball")
-	farWP, _ := dt.WuPalmer("football", "recipes")
-	if sibWP <= farWP {
-		t.Fatalf("WuPalmer ordering broken: %v <= %v", sibWP, farWP)
 	}
 }

@@ -32,12 +32,6 @@ func (t *Taxonomy) Similarity(a, b string) (sim float64, ok bool) {
 	return sim, true
 }
 
-// MaxSimilarity returns the taxonomy's maximum attainable similarity,
-// log(2D) — the score of a concept with itself.
-func (t *Taxonomy) MaxSimilarity() float64 {
-	return math.Log(float64(2 * t.maxDepth))
-}
-
 // PathSimilarity returns the LC score of a (possibly fractional) path
 // spanning l nodes: -log(l / 2D). Useful for expressing thresholds in
 // path-length terms, which stay meaningful if the taxonomy grows deeper.
@@ -217,37 +211,4 @@ func (q *Query) TopicMatch(publisherTopics []string) bool {
 // Relevant applies the full two-clause rule for one publisher.
 func (q *Query) Relevant(publisherKeywords, publisherTopics []string) bool {
 	return q.KeywordMatch(publisherKeywords) || q.TopicMatch(publisherTopics)
-}
-
-// WuPalmer computes the Wu-Palmer similarity between two concepts:
-// 2*depth(LCA) / (depth(a) + depth(b)), in (0, 1]. It is the other
-// standard WordNet path measure; exposing it alongside Leacock-Chodorow
-// lets the context analysis quantify how sensitive Table 2 is to the
-// paper's (undisclosed) choice of similarity function.
-func (t *Taxonomy) WuPalmer(a, b string) (float64, bool) {
-	ia, oka := t.byName[a]
-	ib, okb := t.byName[b]
-	if !oka || !okb {
-		return 0, false
-	}
-	lca := t.lowestCommonAncestor(ia, ib)
-	da := float64(t.nodes[ia].depth)
-	db := float64(t.nodes[ib].depth)
-	return 2 * float64(t.nodes[lca].depth) / (da + db), true
-}
-
-// lowestCommonAncestor returns the index of the deepest shared ancestor.
-func (t *Taxonomy) lowestCommonAncestor(a, b int) int {
-	x, y := a, b
-	for t.nodes[x].depth > t.nodes[y].depth {
-		x = t.nodes[x].parent
-	}
-	for t.nodes[y].depth > t.nodes[x].depth {
-		y = t.nodes[y].parent
-	}
-	for x != y {
-		x = t.nodes[x].parent
-		y = t.nodes[y].parent
-	}
-	return x
 }

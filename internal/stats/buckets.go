@@ -121,18 +121,3 @@ func (h *Histogram) Fraction(i int) float64 {
 	}
 	return float64(h.Counts[i]) / float64(h.Total)
 }
-
-// CumulativeFractionBelow returns the fraction of observations in buckets
-// whose entire range lies below limit (i.e. upper bound <= limit).
-func (h *Histogram) CumulativeFractionBelow(limit float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var n int64
-	for i, c := range h.Counts {
-		if h.Buckets.UpperBound(i) <= limit {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.Total)
-}

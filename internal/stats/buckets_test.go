@@ -112,22 +112,3 @@ func TestHistogramObserveN(t *testing.T) {
 		t.Fatalf("ObserveN miscounted: counts=%v total=%d", h.Counts, h.Total)
 	}
 }
-
-func TestCumulativeFractionBelow(t *testing.T) {
-	lb, _ := NewLogBuckets(10, 10_000_000)
-	h := NewHistogram(lb)
-	// 80 observations below 10K, 20 above.
-	h.ObserveN(5000, 80)
-	h.ObserveN(1_000_000, 20)
-	got := h.CumulativeFractionBelow(10_000)
-	if math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("CumulativeFractionBelow(10K) = %v, want 0.8", got)
-	}
-	if got := h.CumulativeFractionBelow(1); got != 0 {
-		t.Fatalf("CumulativeFractionBelow(1) = %v, want 0", got)
-	}
-	empty := NewHistogram(lb)
-	if got := empty.CumulativeFractionBelow(100); got != 0 {
-		t.Fatalf("empty histogram fraction = %v, want 0", got)
-	}
-}

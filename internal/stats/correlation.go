@@ -64,14 +64,3 @@ func pearson(xs, ys []float64) (float64, error) {
 	_ = n
 	return sxy / math.Sqrt(sxx*syy), nil
 }
-
-// Pearson computes the Pearson product-moment correlation coefficient.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: pearson inputs differ in length: %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: pearson needs at least 2 observations")
-	}
-	return pearson(xs, ys)
-}

@@ -50,18 +50,6 @@ func TestSpearmanErrors(t *testing.T) {
 	}
 }
 
-func TestPearsonLinear(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 2x + 1
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-1) > 1e-12 {
-		t.Fatalf("r = %v, want 1", r)
-	}
-}
-
 // Properties: rho is symmetric, bounded, and invariant under monotone
 // transforms of either input.
 func TestSpearmanProperties(t *testing.T) {

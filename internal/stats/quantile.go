@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"time"
 )
 
 // Median returns the median of xs, interpolating between the two middle
@@ -59,19 +58,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MedianDurations returns the median of ds. It returns 0 for an empty
-// slice. ds is not modified.
-func MedianDurations(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d)
-	}
-	return time.Duration(Median(xs))
-}
-
 // Mean returns the arithmetic mean of xs, or NaN if xs is empty.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -82,21 +68,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (denominator n-1).
-// It returns 0 for fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
 // Summary holds the five-number summary plus mean of a sample.

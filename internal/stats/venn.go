@@ -9,24 +9,6 @@ type Venn struct {
 	Both  int // in both
 }
 
-// VennOf computes the Venn partition of two string sets.
-func VennOf(a, b map[string]struct{}) Venn {
-	var v Venn
-	for k := range a {
-		if _, ok := b[k]; ok {
-			v.Both++
-		} else {
-			v.OnlyA++
-		}
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			v.OnlyB++
-		}
-	}
-	return v
-}
-
 // SizeA returns |A| = OnlyA + Both.
 func (v Venn) SizeA() int { return v.OnlyA + v.Both }
 
@@ -54,12 +36,4 @@ func (v Venn) FractionMissedByA() float64 {
 		return 0
 	}
 	return float64(v.OnlyB) / float64(v.SizeB())
-}
-
-// Jaccard returns |A ∩ B| / |A ∪ B|, or 0 for two empty sets.
-func (v Venn) Jaccard() float64 {
-	if v.Union() == 0 {
-		return 0
-	}
-	return float64(v.Both) / float64(v.Union())
 }

@@ -6,18 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestVennOf(t *testing.T) {
-	a := setOf([]string{"x", "y", "z"})
-	b := setOf([]string{"y", "z", "w", "v"})
-	v := VennOf(a, b)
-	if v.OnlyA != 1 || v.OnlyB != 2 || v.Both != 2 {
-		t.Fatalf("VennOf = %+v, want {1 2 2}", v)
-	}
-	if v.SizeA() != 3 || v.SizeB() != 4 || v.Union() != 5 {
-		t.Fatalf("sizes wrong: %+v", v)
-	}
-}
-
 func TestVennFractions(t *testing.T) {
 	v := Venn{OnlyA: 57, OnlyB: 10, Both: 43}
 	if got := v.FractionMissedByB(); math.Abs(got-0.57) > 1e-12 {
@@ -27,43 +15,35 @@ func TestVennFractions(t *testing.T) {
 	if got := v.FractionMissedByA(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("FractionMissedByA = %v, want %v", got, want)
 	}
-	if got := v.Jaccard(); math.Abs(got-43.0/110.0) > 1e-12 {
-		t.Fatalf("Jaccard = %v", got)
-	}
 }
 
 func TestVennEmptySets(t *testing.T) {
-	v := VennOf(nil, nil)
-	if v != (Venn{}) {
-		t.Fatalf("VennOf(nil,nil) = %+v", v)
+	var v Venn
+	if v.SizeA() != 0 || v.SizeB() != 0 || v.Union() != 0 {
+		t.Fatalf("empty Venn sizes: %+v", v)
 	}
-	if v.FractionMissedByB() != 0 || v.FractionMissedByA() != 0 || v.Jaccard() != 0 {
+	if v.FractionMissedByB() != 0 || v.FractionMissedByA() != 0 {
 		t.Fatal("empty Venn fractions must be 0")
 	}
 }
 
-// Property: the Venn partition is exact — sizes recombine to the input
-// set cardinalities, and the partition is symmetric under swapping.
+// Property: the partition is exact — the three regions recombine to
+// the two set sizes and their union — symmetric under swapping the
+// sets, and its fractions are fractions.
 func TestVennPartitionProperty(t *testing.T) {
-	err := quick.Check(func(as, bs []string) bool {
-		a, b := setOf(as), setOf(bs)
-		v := VennOf(a, b)
-		if v.SizeA() != len(a) || v.SizeB() != len(b) {
+	err := quick.Check(func(onlyA, onlyB, both uint16) bool {
+		v := Venn{OnlyA: int(onlyA), OnlyB: int(onlyB), Both: int(both)}
+		if v.SizeA()+v.SizeB()-v.Both != v.Union() || v.SizeA()-v.Both != v.OnlyA || v.SizeB()-v.Both != v.OnlyB {
 			return false
 		}
-		sw := VennOf(b, a)
-		return sw.OnlyA == v.OnlyB && sw.OnlyB == v.OnlyA && sw.Both == v.Both
+		sw := Venn{OnlyA: v.OnlyB, OnlyB: v.OnlyA, Both: v.Both}
+		if sw.SizeA() != v.SizeB() || sw.FractionMissedByB() != v.FractionMissedByA() {
+			return false
+		}
+		f := v.FractionMissedByB()
+		return f >= 0 && f <= 1
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// setOf builds the string set VennOf takes.
-func setOf(items []string) map[string]struct{} {
-	s := make(map[string]struct{}, len(items))
-	for _, it := range items {
-		s[it] = struct{}{}
-	}
-	return s
 }

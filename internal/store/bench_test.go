@@ -7,15 +7,17 @@ import (
 	"time"
 )
 
+// benchRecord is row i of a synthetic dataset: 8 campaigns, a cycle of
+// 5,000 publishers, and a user, address and page URL of its own.
 func benchRecord(i int) Impression {
 	return Impression{
 		CampaignID:  fmt.Sprintf("c%d", i%8),
 		CreativeID:  "cr",
 		Publisher:   fmt.Sprintf("pub%d.es", i%5000),
-		PageURL:     "http://pub.es/p",
+		PageURL:     fmt.Sprintf("http://pub%d.es/p/%d", i%5000, i),
 		UserAgent:   "Mozilla/5.0",
-		IPPseudonym: fmt.Sprintf("ip%d", i%30000),
-		UserKey:     fmt.Sprintf("u%d", i%30000),
+		IPPseudonym: fmt.Sprintf("ip%d", i),
+		UserKey:     fmt.Sprintf("u%d", i),
 		ISP:         "isp-a",
 		Country:     "ES",
 		DataCenter:  "not-data-center",
@@ -24,12 +26,28 @@ func benchRecord(i int) Impression {
 	}
 }
 
+// BenchmarkInsert times the store's share of a commit and nothing
+// else: the records are built with the timer stopped, a batch at a
+// time, each with a user key no earlier row had. What is left to
+// allocate is amortised — a log chunk per 1,024 rows, a posting list
+// doubling — and reads 0 allocs/op (gated, scripts/bench_compare.sh);
+// anything kept per user or per publisher reads at least 1.
 func BenchmarkInsert(b *testing.B) {
+	const batch = 1 << 13
 	s := New()
+	recs := make([]Impression, 0, batch)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Insert(benchRecord(i)); err != nil {
-			b.Fatal(err)
+	for done := 0; done < b.N; done += len(recs) {
+		b.StopTimer()
+		recs = recs[:0]
+		for i := done; i < b.N && len(recs) < batch; i++ {
+			recs = append(recs, benchRecord(i))
+		}
+		b.StartTimer()
+		for i := range recs {
+			if _, err := s.Insert(recs[i]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -45,21 +63,13 @@ func benchStore(b *testing.B, n int) *Store {
 	return s
 }
 
-func BenchmarkByCampaign(b *testing.B) {
-	s := benchStore(b, 100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.ByCampaign("c3"); len(got) == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-}
-
+// BenchmarkPublishersAggregate lists one campaign's distinct
+// publishers: a visit of its rows collecting a set.
 func BenchmarkPublishersAggregate(b *testing.B) {
 	s := benchStore(b, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.Publishers(""); len(got) == 0 {
+		if got := s.Publishers("c3"); len(got) == 0 {
 			b.Fatal("no publishers")
 		}
 	}

@@ -54,14 +54,6 @@ type conversionLog struct {
 	mu         sync.RWMutex
 	recs       []Conversion
 	byCampaign map[string][]int
-	byUser     map[string][]int
-}
-
-func (l *conversionLog) init() {
-	if l.byCampaign == nil {
-		l.byCampaign = map[string][]int{}
-		l.byUser = map[string][]int{}
-	}
 }
 
 // InsertConversion validates c, assigns it the next ID and appends it.
@@ -73,12 +65,10 @@ func (s *Store) InsertConversion(c Conversion) (int64, error) {
 	l := &s.conversions
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.init()
 	idx := len(l.recs)
 	c.ID = int64(idx + 1)
 	l.recs = append(l.recs, c)
 	l.byCampaign[c.CampaignID] = append(l.byCampaign[c.CampaignID], idx)
-	l.byUser[c.UserKey] = append(l.byUser[c.UserKey], idx)
 	// Published under l.mu (not s.mu): the feed's own mutex assigns
 	// the cross-log sequence number, and Subscribe holds both read
 	// locks while priming, so the snapshot/delta cut stays consistent.
@@ -110,20 +100,6 @@ func (s *Store) Conversions(campaignID string) []Conversion {
 	out := make([]Conversion, len(idxs))
 	for i, idx := range idxs {
 		out[i] = l.recs[idx]
-	}
-	return out
-}
-
-// ConversionsByUser returns one user's conversions for a campaign.
-func (s *Store) ConversionsByUser(campaignID, userKey string) []Conversion {
-	l := &s.conversions
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Conversion
-	for _, idx := range l.byUser[userKey] {
-		if l.recs[idx].CampaignID == campaignID {
-			out = append(out, l.recs[idx])
-		}
 	}
 	return out
 }

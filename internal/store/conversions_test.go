@@ -59,11 +59,8 @@ func TestConversionsQueries(t *testing.T) {
 	if got := s.Conversions(""); len(got) != 3 {
 		t.Fatalf("Conversions(all) = %d", len(got))
 	}
-	if got := s.ConversionsByUser("c1", "u1"); len(got) != 1 {
-		t.Fatalf("ConversionsByUser = %d", len(got))
-	}
-	if got := s.ConversionsByUser("c2", "u2"); len(got) != 0 {
-		t.Fatalf("ConversionsByUser(miss) = %d", len(got))
+	if got := s.Conversions("c3"); len(got) != 0 {
+		t.Fatalf("Conversions(miss) = %d", len(got))
 	}
 	cs := s.ConvertingCampaigns()
 	if len(cs) != 2 || cs[0] != "c1" || cs[1] != "c2" {

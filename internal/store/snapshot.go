@@ -50,7 +50,7 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 }
 
 // ReadSnapshot loads JSON-lines records into a fresh store. IDs are
-// reassigned in file order; indexes are rebuilt. A truncated final
+// reassigned in file order; the index is rebuilt. A truncated final
 // record — the signature of a writer that crashed mid-snapshot — is
 // dropped with a logged warning rather than failing the whole load,
 // matching the WAL's torn-tail replay semantics; corruption anywhere

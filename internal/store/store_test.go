@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +32,16 @@ func testImpression(campaign, publisher, user string, at time.Time) Impression {
 }
 
 var t0 = time.Date(2016, 3, 29, 12, 0, 0, 0, time.UTC)
+
+// campaignRows copies one campaign's records out in index order.
+func campaignRows(s *Store, campaignID string) []Impression {
+	var out []Impression
+	s.VisitCampaign(campaignID, func(im *Impression) bool {
+		out = append(out, *im)
+		return true
+	})
+	return out
+}
 
 func TestInsertAssignsSequentialIDs(t *testing.T) {
 	s := New()
@@ -92,17 +103,14 @@ func TestIndexes(t *testing.T) {
 	s.Insert(testImpression("A", "p2.es", "u1", t0.Add(time.Minute)))
 	s.Insert(testImpression("B", "p1.es", "u2", t0.Add(2*time.Minute)))
 
-	if got := s.ByCampaign("A"); len(got) != 2 {
-		t.Fatalf("ByCampaign(A) = %d records", len(got))
+	if got := campaignRows(s, "A"); len(got) != 2 || got[0].Publisher != "p1.es" || got[1].Publisher != "p2.es" {
+		t.Fatalf("campaign A = %+v", got)
 	}
-	if got := s.ByPublisher("p1.es"); len(got) != 2 {
-		t.Fatalf("ByPublisher(p1.es) = %d records", len(got))
+	if got := s.CampaignLen("A"); got != 2 {
+		t.Fatalf("CampaignLen(A) = %d", got)
 	}
-	if got := s.ByUser("u1"); len(got) != 2 {
-		t.Fatalf("ByUser(u1) = %d records", len(got))
-	}
-	if got := s.ByCampaign("missing"); len(got) != 0 {
-		t.Fatalf("ByCampaign(missing) = %d records", len(got))
+	if got := s.CampaignLen("missing"); got != 0 {
+		t.Fatalf("CampaignLen(missing) = %d", got)
 	}
 	cs := s.Campaigns()
 	if len(cs) != 2 || cs[0] != "A" || cs[1] != "B" {
@@ -116,17 +124,14 @@ func TestPublishersAndUsers(t *testing.T) {
 	s.Insert(testImpression("A", "p2.es", "u2", t0))
 	s.Insert(testImpression("B", "p3.es", "u1", t0))
 
-	if got := s.Publishers("A"); len(got) != 2 {
+	if got := s.Publishers("A"); !reflect.DeepEqual(got, []string{"p1.es", "p2.es"}) {
 		t.Fatalf("Publishers(A) = %v", got)
 	}
-	if got := s.Publishers(""); len(got) != 3 {
+	if got := s.Publishers(""); !reflect.DeepEqual(got, []string{"p1.es", "p2.es", "p3.es"}) {
 		t.Fatalf("Publishers(all) = %v", got)
 	}
-	if got := s.Users("B"); len(got) != 1 || got[0] != "u1" {
-		t.Fatalf("Users(B) = %v", got)
-	}
-	if got := s.Users(""); len(got) != 2 {
-		t.Fatalf("Users(all) = %v", got)
+	if got := s.Publishers("missing"); len(got) != 0 {
+		t.Fatalf("Publishers(missing) = %v", got)
 	}
 }
 
@@ -175,7 +180,7 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				s.Len()
 				s.Publishers("")
-				s.ByCampaign("c0")
+				s.CampaignLen("c0")
 			}
 		}()
 	}
@@ -227,9 +232,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("record %d mismatch:\n%+v\n%+v", id, a, b)
 		}
 	}
-	// Indexes must be rebuilt.
-	if len(got.Publishers("")) != len(s.Publishers("")) {
-		t.Fatal("publisher index not rebuilt")
+	// The index must be rebuilt.
+	for _, c := range s.Campaigns() {
+		if got.CampaignLen(c) != s.CampaignLen(c) {
+			t.Fatalf("campaign %s: restored index holds %d rows, want %d", c, got.CampaignLen(c), s.CampaignLen(c))
+		}
 	}
 }
 
@@ -266,7 +273,7 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-// Property: inserting any set of valid records keeps every index
+// Property: inserting any set of valid records keeps the index
 // consistent with a full scan.
 func TestIndexConsistencyProperty(t *testing.T) {
 	err := quick.Check(func(camps, pubs, users []uint8) bool {
@@ -285,20 +292,20 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				fmt.Sprintf("u%d", users[i]%9),
 				t0.Add(time.Duration(i)*time.Second)))
 		}
-		// Cross-check ByCampaign against a scan.
+		// Cross-check the index against a scan.
 		counts := map[string]int{}
 		s.ForEach(func(im Impression) bool {
 			counts[im.CampaignID]++
 			return true
 		})
 		for c, want := range counts {
-			if got := len(s.ByCampaign(c)); got != want {
+			if got := s.CampaignLen(c); got != want {
 				return false
 			}
 		}
 		total := 0
 		for _, c := range s.Campaigns() {
-			total += len(s.ByCampaign(c))
+			total += s.CampaignLen(c)
 		}
 		return total == s.Len()
 	}, &quick.Config{MaxCount: 100})

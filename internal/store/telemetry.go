@@ -84,27 +84,17 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 	reg.GaugeFunc("adaudit_store_conversions",
 		"Conversion records held.", nil,
 		func() float64 { return float64(s.NumConversions()) })
-	for _, idx := range []string{"campaign", "publisher", "user"} {
-		idx := idx
-		reg.GaugeFunc("adaudit_store_index_keys",
-			"Distinct keys per secondary index.",
-			map[string]string{"index": idx},
-			func() float64 {
-				c, p, u := s.indexKeys()
-				switch idx {
-				case "campaign":
-					return float64(c)
-				case "publisher":
-					return float64(p)
-				default:
-					return float64(u)
-				}
-			})
-	}
+	reg.GaugeFunc("adaudit_store_index_keys",
+		"Distinct keys in the store's one index, campaign.",
+		map[string]string{"index": "campaign"},
+		func() float64 { return float64(s.indexKeys()) })
 }
 
-func (s *Store) indexKeys() (campaigns, publishers, users int) {
-	return s.byCampaign.numKeys(), s.byPublisher.numKeys(), s.byUser.numKeys()
+// indexKeys returns the number of distinct campaigns indexed.
+func (s *Store) indexKeys() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.byCampaign)
 }
 
 // observeInsertTraced records one successful insert; start is the

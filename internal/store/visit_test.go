@@ -26,36 +26,23 @@ func visitFixture(t *testing.T) *Store {
 	return s
 }
 
-// The zero-copy visit path must see exactly what the copying accessors
-// return, in the same order.
+// The zero-copy visit path must see exactly what the copying scan
+// returns for the campaign, in the same order.
 func TestVisitMatchesCopyingAccessors(t *testing.T) {
 	s := visitFixture(t)
 
-	var visited []Impression
-	s.VisitCampaign("c2", func(im *Impression) bool {
-		visited = append(visited, *im)
+	var want []Impression
+	s.ForEach(func(im Impression) bool {
+		if im.CampaignID == "c2" {
+			want = append(want, im)
+		}
 		return true
 	})
-	if want := s.ByCampaign("c2"); !reflect.DeepEqual(visited, want) {
-		t.Fatalf("VisitCampaign diverges from ByCampaign:\n got %v\nwant %v", visited, want)
+	if got := campaignRows(s, "c2"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("VisitCampaign diverges from a filtered ForEach:\n got %v\nwant %v", got, want)
 	}
-
-	visited = nil
-	s.VisitPublisher("pub3.example", func(im *Impression) bool {
-		visited = append(visited, *im)
-		return true
-	})
-	if want := s.ByPublisher("pub3.example"); !reflect.DeepEqual(visited, want) {
-		t.Fatalf("VisitPublisher diverges from ByPublisher")
-	}
-
-	visited = nil
-	s.VisitUser("user1", func(im *Impression) bool {
-		visited = append(visited, *im)
-		return true
-	})
-	if want := s.ByUser("user1"); !reflect.DeepEqual(visited, want) {
-		t.Fatalf("VisitUser diverges from ByUser")
+	if got := s.CampaignLen("c2"); got != len(want) {
+		t.Fatalf("CampaignLen = %d, want %d", got, len(want))
 	}
 
 	n := 0
@@ -90,71 +77,21 @@ func TestVisitUnknownKey(t *testing.T) {
 	})
 }
 
-func TestCursorSemantics(t *testing.T) {
-	s := visitFixture(t)
-	want := s.ByCampaign("c1")
-
-	c := s.CampaignCursor("c1")
-	if c.Len() != len(want) {
-		t.Fatalf("cursor Len = %d, want %d", c.Len(), len(want))
-	}
-
-	// Mixed consumption: two Next calls, then Visit for the rest.
-	first, ok := c.Next()
-	if !ok || !reflect.DeepEqual(first, want[0]) {
-		t.Fatalf("Next #1 = (%v, %v), want %v", first, ok, want[0])
-	}
-	second, ok := c.Next()
-	if !ok || !reflect.DeepEqual(second, want[1]) {
-		t.Fatalf("Next #2 mismatch")
-	}
-	var rest []Impression
-	c.Visit(func(im *Impression) bool {
-		rest = append(rest, *im)
-		return true
-	})
-	if !reflect.DeepEqual(rest, want[2:]) {
-		t.Fatalf("cursor Visit remainder mismatch: got %d records, want %d", len(rest), len(want)-2)
-	}
-	if _, ok := c.Next(); ok {
-		t.Fatal("Next succeeded on an exhausted cursor")
-	}
-
-	// The cursor is a stable snapshot: records inserted after creation
-	// are not visited.
-	c2 := s.UserCursor("user0")
-	preLen := c2.Len()
-	if _, err := s.Insert(Impression{
-		CampaignID: "c9", Publisher: "late.example", UserKey: "user0",
-		Timestamp: time.Unix(99999, 0),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	c2.Visit(func(*Impression) bool { n++; return true })
-	if n != preLen {
-		t.Fatalf("cursor visited %d records, snapshot had %d", n, preLen)
-	}
-	if got := s.UserCursor("user0").Len(); got != preLen+1 {
-		t.Fatalf("fresh cursor Len = %d, want %d", got, preLen+1)
-	}
-}
-
-// Sorted listings must stay correct as new keys appear (the cache must
-// invalidate on key creation, not serve stale listings).
+// Sorted listings must stay correct as new keys appear — no call may
+// be served a stale listing — and each belongs to its caller.
 func TestListingCacheInvalidation(t *testing.T) {
 	s := visitFixture(t)
 	before := s.Campaigns()
 	if again := s.Campaigns(); !reflect.DeepEqual(before, again) {
 		t.Fatalf("repeated Campaigns() diverged: %v vs %v", before, again)
 	}
-	// A caller mutating its copy must not corrupt the cache.
+	// A caller mutating its copy must not reach the next caller's.
 	again := s.Campaigns()
 	for i := range again {
 		again[i] = "mutated"
 	}
 	if got := s.Campaigns(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("caller mutation leaked into the listing cache: %v", got)
+		t.Fatalf("caller mutation leaked into the next listing: %v", got)
 	}
 
 	if _, err := s.Insert(Impression{
@@ -167,12 +104,12 @@ func TestListingCacheInvalidation(t *testing.T) {
 	if len(got) != len(before)+1 || got[0] != "a-new-campaign" {
 		t.Fatalf("Campaigns() after new key = %v", got)
 	}
-	if pubs := s.Publishers(""); pubs[len(pubs)-1] != "pub4.example" && pubs[0] != "new.example" {
+	if pubs := s.Publishers(""); len(pubs) != 6 || pubs[0] != "new.example" {
 		t.Fatalf("Publishers(\"\") missing new key: %v", pubs)
 	}
 }
 
-// Concurrent visits, cursor reads, listings and inserts must be safe
+// Concurrent visits, length reads, listings and inserts must be safe
 // (run under -race in CI) and every visited index must point at a
 // fully published record.
 func TestConcurrentVisitsAndInserts(t *testing.T) {
@@ -218,8 +155,9 @@ func TestConcurrentVisitsAndInserts(t *testing.T) {
 					return true
 				})
 				s.Campaigns()
-				cur := s.CampaignCursor("c2")
-				cur.Visit(func(im *Impression) bool { return im.CampaignID == "c2" })
+				if n := s.CampaignLen("c2"); n > writers*perWriter {
+					t.Errorf("CampaignLen(c2) = %d, more than was ever inserted", n)
+				}
 			}
 		}()
 	}

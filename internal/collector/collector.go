@@ -838,7 +838,7 @@ func (c *Collector) Drain(grace time.Duration) int {
 func (c *Collector) runSession(conn *wsproto.Conn) {
 	defer conn.Close(wsproto.CloseNormal, "")
 
-	remote, err := remoteAddr(conn.RemoteAddr())
+	remote, err := wsproto.PeerAddr(conn.RemoteAddr())
 	if err != nil {
 		c.reject(RejectPeerAddr)
 		c.cfg.Logger.Warn("collector: unresolvable peer address", "err", err)
@@ -1013,21 +1013,6 @@ func (c *Collector) classifyClose(err error, hardStop time.Time) string {
 		return CloseDrain
 	}
 	return CloseError
-}
-
-func remoteAddr(a net.Addr) (netip.Addr, error) {
-	// A TCP peer already holds its address in binary; only wrapped
-	// transports (faultnet, in-memory pipes) need the string parsed.
-	if tcp, ok := a.(*net.TCPAddr); ok {
-		if ap := tcp.AddrPort(); ap.IsValid() {
-			return ap.Addr().Unmap(), nil
-		}
-	}
-	ap, err := netip.ParseAddrPort(a.String())
-	if err != nil {
-		return netip.Addr{}, fmt.Errorf("collector: parsing remote addr %q: %w", a.String(), err)
-	}
-	return ap.Addr().Unmap(), nil
 }
 
 // UserKey derives the paper's user identity — the combination of IP

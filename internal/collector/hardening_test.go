@@ -2,6 +2,7 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
@@ -293,8 +295,8 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 		{IP: net.IPv4(127, 0, 0, 1), Port: 0},
 		{Port: 9}, // no IP at all
 	} {
-		got, gotErr := remoteAddr(tcp)
-		want, wantErr := remoteAddr(stringAddr(tcp.String()))
+		got, gotErr := wsproto.PeerAddr(tcp)
+		want, wantErr := wsproto.PeerAddr(stringAddr(tcp.String()))
 		if got != want || (gotErr == nil) != (wantErr == nil) {
 			t.Errorf("%v: fast path (%v, %v), string parse (%v, %v)", tcp, got, gotErr, want, wantErr)
 		}
@@ -302,7 +304,34 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 			t.Errorf("%v: %v left mapped", tcp, got)
 		}
 	}
-	if _, err := remoteAddr(stringAddr("pipe")); err == nil {
+	if _, err := wsproto.PeerAddr(stringAddr("pipe")); err == nil {
 		t.Error("an unparseable wrapped address was accepted")
+	}
+}
+
+// TestTrunkRefusesOtherVersion: an edge built for another trunk
+// protocol version is turned away at its Hello, with a close reason
+// naming both versions, not later on a frame this build cannot decode.
+func TestTrunkRefusesOtherVersion(t *testing.T) {
+	srv, c := newHardenedServer(t, nil)
+	conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.NetConn().Close()
+	hello := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"})
+	if err := conn.WriteMessage(wsproto.OpBinary, hello); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = conn.ReadMessage()
+	var ce *wsproto.CloseError
+	if !errors.As(err, &ce) {
+		t.Fatalf("trunk ended with %v, want a close frame", err)
+	}
+	if want := "trunk protocol version 1, this build speaks 2"; ce.Code != wsproto.ClosePolicyViolation || ce.Reason != want {
+		t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, want)
+	}
+	if got := c.tel.rejects.With(RejectTrunkProto).Load(); got != 1 {
+		t.Fatalf("rejects{trunk-proto} = %d, want 1", got)
 	}
 }

@@ -108,18 +108,16 @@ func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 			c.tel.trunkFrames.With(f.Type.String()).Inc()
 			switch f.Type {
 			case trunk.Hello:
+				if f.Version != trunk.Version {
+					c.reject(RejectTrunkProto)
+					_ = conn.Close(wsproto.ClosePolicyViolation, trunk.VersionMismatch(f.Version))
+					return
+				}
 				if gatewayID == "" {
 					gatewayID = f.GatewayID
 					_ = conn.SetReadDeadline(time.Time{})
 					c.cfg.Logger.Info("collector: trunk established",
 						"gateway", gatewayID, "version", f.Version, "remote", r.RemoteAddr)
-				}
-			case trunk.Open, trunk.Event:
-				// Advisory liveness traffic; the accounting state arrives
-				// self-contained in the Commit. Events still count so the
-				// gatewayed path's event metric matches the direct path's.
-				if f.Type == trunk.Event {
-					c.Metrics.Events.Add(1)
 				}
 			case trunk.Commit:
 				reply = c.ingestTrunkCommit(gatewayID, f, reply)
@@ -193,5 +191,9 @@ func (c *Collector) ingestTrunkCommit(gatewayID string, f trunk.Frame, reply []b
 		return rejectFrame("ingest: " + err.Error())
 	}
 	c.tel.exposure.ObserveDuration(f.Exposure)
+	// The session's events arrive here, all at once: counting them on
+	// first ingest keeps the forwarded path's event metric equal to the
+	// direct path's.
+	c.Metrics.Events.Add(int64(len(payload.Events)))
 	return ack()
 }

@@ -5,11 +5,12 @@
 // collector receives every beacon a panelist emits, so the tier's whole
 // job is robustness: admission control (origin allowlist, session cap,
 // overload shedding with Retry-After hints the beacon client honors),
-// per-trunk circuit breakers, bounded per-session forward queues with
-// watermark backpressure, and a spill buffer that holds every
+// per-trunk circuit breakers, and a spill buffer that holds every
 // client-acknowledged commit until its collector durably acks it —
 // across trunk failures and full collector restarts, replayed through
-// the collector's stream/nonce dedup so nothing is double-counted.
+// the collector's stream/nonce dedup so nothing is double-counted. A
+// session sends nothing upstream until it ends; its one Commit frame
+// carries the whole record.
 //
 // An Edge holds one pool per upstream collector and places a session
 // on shardmerge.ShardFor(nonce, pools). That is the only thing the
@@ -86,11 +87,6 @@ type Config struct {
 	KeepAliveInterval time.Duration
 	MaxExposure       time.Duration
 
-	BatchBytes int
-	BatchAge   time.Duration
-	QueueHigh  int
-	QueueLow   int
-
 	// SpillLimit bounds unacknowledged commits summed over every pool.
 	SpillLimit     int
 	AckTimeout     time.Duration
@@ -132,7 +128,6 @@ type PoolInstruments struct {
 	Acks          *telemetry.Counter
 	Rejects       *telemetry.Counter
 	Replays       *telemetry.Counter
-	QueueDrops    *telemetry.Counter
 	BreakerOpens  *telemetry.Counter
 	TrunkBatches  *telemetry.Counter
 	TrunksHealthy *telemetry.Gauge
@@ -167,12 +162,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	cfg.MaxMessageSize = cmp.Or(cfg.MaxMessageSize, 16<<10)
 	cfg.HandshakeTimeout = cmp.Or(cfg.HandshakeTimeout, 10*time.Second)
 	cfg.MaxExposure = cmp.Or(cfg.MaxExposure, 30*time.Minute)
-	cfg.BatchBytes = cmp.Or(cfg.BatchBytes, 32<<10)
-	cfg.BatchAge = cmp.Or(cfg.BatchAge, 50*time.Millisecond)
-	cfg.QueueHigh = cmp.Or(cfg.QueueHigh, 64)
-	if cfg.QueueLow == 0 || cfg.QueueLow >= cfg.QueueHigh {
-		cfg.QueueLow = cfg.QueueHigh / 4
-	}
 	cfg.SpillLimit = cmp.Or(cfg.SpillLimit, 1<<16)
 	cfg.AckTimeout = cmp.Or(cfg.AckTimeout, 5*time.Second)
 	cfg.ReplayInterval = cmp.Or(cfg.ReplayInterval, time.Second)

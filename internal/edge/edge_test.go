@@ -125,7 +125,6 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 		Name: name, IDPrefix: name[:2] + "-",
 		TrunkToken:        testTrunkToken,
 		KeepAliveInterval: 50 * time.Millisecond,
-		BatchAge:          10 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
 		BreakerThreshold:  3,
@@ -141,7 +140,6 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 			Acks:          reg.Counter("adaudit_"+name+"_pool_acks_total", "", lbl),
 			Rejects:       reg.Counter("adaudit_"+name+"_pool_rejected_total", "", lbl),
 			Replays:       reg.Counter("adaudit_"+name+"_pool_replays_total", "", lbl),
-			QueueDrops:    reg.Counter("adaudit_"+name+"_pool_queue_drops_total", "", lbl),
 			BreakerOpens:  reg.Counter("adaudit_"+name+"_pool_breaker_opens_total", "", lbl),
 			TrunkBatches:  reg.Counter("adaudit_"+name+"_pool_trunk_batches_total", "", lbl),
 			TrunksHealthy: reg.Gauge("adaudit_"+name+"_pool_trunks_healthy", "", lbl),
@@ -465,14 +463,14 @@ func TestDrainHandsSessionsBack(t *testing.T) {
 	})
 }
 
-// TestBackpressureDropsAdvisoryNotCommits: with no healthy trunk the
-// advisory stream is dropped but the commit still lands once the
-// collector returns — the queue never blocks a session forever.
-func TestBackpressureDropsAdvisoryNotCommits(t *testing.T) {
+// TestOutageReplayCarriesEveryEvent: a session that runs while every
+// upstream is down is acked from the spill, and once the collectors
+// return its commit lands exactly once with every event the session
+// sent — the commit is the only thing a session sends upstream, so an
+// outage costs it nothing.
+func TestOutageReplayCarriesEveryEvent(t *testing.T) {
 	forEachTier(t, func(t *testing.T, name string, pools int) {
-		f := startTier(t, name, pools, fixtureOptions{edge: func(cfg *Config) {
-			cfg.QueueHigh, cfg.QueueLow = 4, 1
-		}})
+		f := startTier(t, name, pools, fixtureOptions{})
 		f.waitTrunksUp()
 		for _, stop := range f.stops {
 			stop()
@@ -492,17 +490,12 @@ func TestBackpressureDropsAdvisoryNotCommits(t *testing.T) {
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, 2*time.Second, "advisory frames to be dropped", func() bool {
-			var drops int64
-			for _, p := range f.pools {
-				drops += p.QueueDrops.Load()
-			}
-			return drops > 0
-		})
 		for i := range f.stops {
 			f.restartCollector(i)
 		}
-		waitFor(t, 10*time.Second, "commit to replay", func() bool { return f.stored() == 1 })
+		waitFor(t, 10*time.Second, "commit to replay", func() bool {
+			return f.stored() == 1 && f.e.Health().SpillPending == 0
+		})
 		for _, ims := range f.impressions() {
 			for _, im := range ims {
 				if im.MouseMoves != 32 {
@@ -511,54 +504,6 @@ func TestBackpressureDropsAdvisoryNotCommits(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSessionQueueWatermarks pins the hysteresis contract: pushes stall
-// at the high watermark and resume only once drained to low.
-func TestSessionQueueWatermarks(t *testing.T) {
-	q := newSessionQueue(4, 1)
-	for i := 0; i < 4; i++ {
-		if !q.push([]byte{byte(i)}) {
-			t.Fatal("push refused below watermark")
-		}
-	}
-	blocked := make(chan bool, 1)
-	go func() { blocked <- q.push([]byte{99}) }()
-	select {
-	case <-blocked:
-		t.Fatal("push past high watermark did not stall")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Draining one frame (len 3 > low) must not wake the pusher.
-	if f, ok := q.pop(); !ok || f[0] != 0 {
-		t.Fatalf("pop = %v %v", f, ok)
-	}
-	select {
-	case <-blocked:
-		t.Fatal("pusher woke before the low watermark")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Draining to the low watermark releases it.
-	q.pop()
-	q.pop()
-	if ok := <-blocked; !ok {
-		t.Fatal("released push reported closed")
-	}
-	q.close()
-	// A closed queue still drains its backlog, then reports done.
-	got := 0
-	for {
-		if _, ok := q.pop(); !ok {
-			break
-		}
-		got++
-	}
-	if got != 2 { // frames 3 and 99 remained
-		t.Fatalf("drained %d frames after close, want 2", got)
-	}
-	if q.push([]byte{1}) {
-		t.Fatal("push succeeded on closed queue")
-	}
 }
 
 // TestTraceSpans: a sampled impression traced through the edge carries
@@ -689,56 +634,6 @@ type stringAddr string
 
 func (a stringAddr) Network() string { return "tcp" }
 func (a stringAddr) String() string  { return string(a) }
-
-// TestPeerAddr: the address sent to the collector must be one its
-// netip.ParseAddr accepts, for every shape of peer. Cutting the
-// host:port string at the first colon, as both tiers used to, turned
-// "[2001:db8::7]:443" into "2001" and "[::1]:54321" into "".
-func TestPeerAddr(t *testing.T) {
-	for _, tc := range []struct {
-		remote string
-		want   string // "" = must fail
-	}{
-		{"10.0.0.1:80", "10.0.0.1"},
-		{"[::1]:54321", "::1"},
-		{"[2001:db8::7]:443", "2001:db8::7"},
-		{"[::ffff:10.0.0.1]:80", "10.0.0.1"},
-		{"[fe80::1%eth0]:80", "fe80::1%eth0"},
-		{"garbage", ""},
-		{"", ""},
-		{"pipe", ""},
-	} {
-		for _, a := range []net.Addr{stringAddr(tc.remote), tcpAddr(tc.remote)} {
-			if a == nil {
-				continue
-			}
-			got, err := peerAddr(a)
-			if tc.want == "" {
-				if err == nil {
-					t.Errorf("peerAddr(%q) = %v, want an error", tc.remote, got)
-				}
-				continue
-			}
-			if err != nil || got.String() != tc.want {
-				t.Errorf("peerAddr(%T %q) = %v, %v; want %s", a, tc.remote, got, err, tc.want)
-				continue
-			}
-			if _, err := netip.ParseAddr(got.String()); err != nil {
-				t.Errorf("peerAddr(%q) = %q, which the collector cannot parse: %v", tc.remote, got, err)
-			}
-		}
-	}
-}
-
-// tcpAddr is the *net.TCPAddr form of a host:port, or nil when it is
-// not one.
-func tcpAddr(s string) net.Addr {
-	ap, err := netip.ParseAddrPort(s)
-	if err != nil {
-		return nil
-	}
-	return net.TCPAddrFromAddrPort(ap)
-}
 
 // TestIPv6SessionEndToEnd: a client on an IPv6 socket is acked and its
 // impression is stored under its IPv6 address, with nothing rejected.

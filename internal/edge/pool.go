@@ -2,6 +2,7 @@ package edge
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -17,6 +18,11 @@ const TrunkMaxMessage = 1 << 20
 
 // trunkDialTimeout bounds one trunk connection attempt.
 const trunkDialTimeout = 5 * time.Second
+
+// batchBytes is where the replay loop cuts a batch message: commits are
+// appended until the batch reaches it, so a long spill drains in
+// messages far below TrunkMaxMessage.
+const batchBytes = 32 << 10
 
 // Pool is one upstream's side of the edge: a small pool of persistent
 // trunk connections to that collector, plus the spill buffer holding
@@ -40,7 +46,7 @@ type Pool struct {
 	// up or going down). A spill entry sent under an older generation may
 	// have died with its trunk, so the replay loop re-sends it.
 	gen atomic.Uint64
-	// rr round-robins forwarders across the pool's healthy trunks.
+	// rr round-robins the replay loop across the pool's healthy trunks.
 	rr atomic.Uint64
 
 	// spill holds every commit not yet acked by the upstream, keyed by
@@ -50,13 +56,15 @@ type Pool struct {
 	spillMu    sync.Mutex
 	spill      map[uint64]*spillEntry
 	replayWake chan struct{}
+	// batch is the replay loop's message buffer, reused across writes.
+	batch []byte
 }
 
 // spillEntry is one unacknowledged commit.
 type spillEntry struct {
 	frame []byte // encoded Commit frame, length-prefixed
 	// sentGen is the pool generation at the last send (0 = never sent);
-	// sentAt the send time. Both are owned by the replay loop.
+	// sentAt the send time. Only the replay loop touches either.
 	sentGen  uint64
 	sentAt   time.Time
 	enqueued time.Time // first spill time, for the forward histogram
@@ -138,47 +146,14 @@ func (p *Pool) resolve(stream uint64, acked bool, reason string) {
 	}
 }
 
-// forwardLoop drains one session's queue onto the pool's healthy
-// trunks. Advisory frames are droppable: with no healthy trunk they are
-// discarded, since the accounting state travels self-contained in the
-// commit. The session pins itself to one trunk while it stays healthy,
-// so a session's Open and Events arrive at the collector in order on
-// one connection — load still spreads across trunks because each
-// session picks its own.
-func (p *Pool) forwardLoop(q *sessionQueue) {
-	var t *trunkConn
-	for {
-		frame, ok := q.pop()
-		if !ok {
-			return
-		}
-		if t == nil || !t.isHealthy() {
-			t = p.pickTrunk()
-		}
-		if t == nil || !t.enqueue(frame) {
-			p.tel.QueueDrops.Add(1)
-		}
-	}
-}
-
-// ForwardAdvisory best-effort enqueues one advisory frame that did not
-// come through a session queue (a relayed Open or Event) onto a healthy
-// trunk; with none it is dropped and counted.
-func (p *Pool) ForwardAdvisory(f trunk.Frame) {
-	t := p.pickTrunk()
-	if t == nil || !t.enqueue(trunk.AppendFrame(nil, f)) {
-		p.tel.QueueDrops.Add(1)
-	}
-}
-
-// pickTrunk returns a healthy trunk of this pool, round-robin, or nil.
-func (p *Pool) pickTrunk() *trunkConn {
+// pickTrunk returns the connection of a healthy trunk of this pool,
+// round-robin, or nil.
+func (p *Pool) pickTrunk() *wsproto.Conn {
 	n := len(p.trunks)
 	start := int(p.rr.Add(1)) % n
 	for i := 0; i < n; i++ {
-		t := p.trunks[(start+i)%n]
-		if t.isHealthy() {
-			return t
+		if conn := p.trunks[(start+i)%n].conn.Load(); conn != nil {
+			return conn
 		}
 	}
 	return nil
@@ -188,19 +163,19 @@ func (p *Pool) pickTrunk() *trunkConn {
 func (p *Pool) healthyTrunks() int {
 	n := 0
 	for _, t := range p.trunks {
-		if t.isHealthy() {
+		if t.conn.Load() != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// replayLoop is the pool's single commit sender: it pushes fresh spill
-// entries immediately (woken by spillCommit and trunk attach) and
-// re-sends entries whose trunk died or whose ack timed out. One sender
-// per pool means a commit can never race its own retransmission onto
-// two trunks; the collector's stream dedup and nonce dedup absorb the
-// replays a lost ack still forces.
+// replayLoop is the pool's single sender, and the only writer of data
+// on its trunks: it pushes fresh spill entries immediately (woken by
+// Spill and trunk attach) and re-sends entries whose trunk died or whose
+// ack timed out. One sender per pool means a commit can never race its
+// own retransmission onto two trunks; the collector's stream dedup and
+// nonce dedup absorb the replays a lost ack still forces.
 func (p *Pool) replayLoop() {
 	defer p.e.runnersWG.Done()
 	tick := time.NewTicker(p.e.cfg.ReplayInterval)
@@ -217,54 +192,53 @@ func (p *Pool) replayLoop() {
 }
 
 // replayPending sends every due spill entry over a healthy trunk of
-// this pool: never sent, sent under an older pool generation (its trunk
-// may have died with the ack in flight), or unacked past AckTimeout.
+// this pool, as batch messages cut at batchBytes: never sent, sent under
+// an older pool generation (its trunk may have died with the ack in
+// flight), or unacked past AckTimeout.
 func (p *Pool) replayPending() {
-	t := p.pickTrunk()
-	if t == nil {
+	// The generation is read before the trunk is picked: a trunk lost
+	// from here on bumps it past what the entries are marked with, so
+	// they stay due.
+	gen := p.gen.Load()
+	conn := p.pickTrunk()
+	if conn == nil {
 		return
 	}
-	gen := p.gen.Load()
 	now := time.Now()
-	type item struct {
-		stream uint64
-		e      *spillEntry
-	}
-	var due []item
+	var due []*spillEntry
 	p.spillMu.Lock()
-	for s, e := range p.spill {
+	for _, e := range p.spill {
 		if e.sentGen != gen || now.Sub(e.sentAt) > p.e.cfg.AckTimeout {
-			due = append(due, item{s, e})
+			due = append(due, e)
 		}
 	}
 	p.spillMu.Unlock()
-	if len(due) == 0 {
-		return
-	}
-	sent := 0
-	for _, it := range due {
-		if !t.enqueue(it.e.frame) {
-			break // trunk died mid-replay; the next wake retries
-		}
-		resend := it.e.sentGen != 0
-		p.spillMu.Lock()
-		if _, ok := p.spill[it.stream]; ok {
-			it.e.sentGen = gen
-			it.e.sentAt = now
-		}
-		p.spillMu.Unlock()
-		if resend {
+
+	for i, e := range due {
+		p.batch = append(p.batch, e.frame...)
+		if e.sentGen != 0 {
 			p.tel.Replays.Add(1)
 		}
-		sent++
-	}
-	if sent > 0 {
-		t.flush(0)
+		e.sentGen, e.sentAt = gen, now
+		if len(p.batch) < batchBytes && i+1 < len(due) {
+			continue
+		}
+		p.tel.TrunkBatches.Add(1)
+		p.tel.BatchBytes.Observe(float64(len(p.batch)))
+		err := conn.WriteMessage(wsproto.OpBinary, p.batch)
+		p.batch = p.batch[:0]
+		if err != nil {
+			// Closing the transport makes the trunk's reader notice and the
+			// slot recycle; its detach bumps the generation, which makes
+			// what was marked sent on it due again.
+			_ = conn.NetConn().Close()
+			return
+		}
 	}
 }
 
 // trunkConn is one slot in a pool: a WebSocket to the upstream
-// collector's /trunk endpoint carrying batched frames for every session
+// collector's /trunk endpoint carrying batched commits for every session
 // placed on that upstream. Each slot runs its own dial/read lifecycle
 // with a circuit breaker, so a dead collector costs bounded probing,
 // not a dial storm.
@@ -272,22 +246,12 @@ type trunkConn struct {
 	p   *Pool
 	idx int
 
-	mu sync.Mutex
 	// conn is the live connection (nil while down: the slot is healthy
-	// exactly when it has one); buf the pending batch, firstAppend when
-	// its oldest frame was buffered.
-	conn        *wsproto.Conn
-	buf         []byte
-	firstAppend time.Time
+	// exactly when it has one).
+	conn atomic.Pointer[wsproto.Conn]
 	// fails counts consecutive dial failures for the breaker; reset on
 	// a successful dial.
 	fails int
-}
-
-func (t *trunkConn) isHealthy() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.conn != nil
 }
 
 // run is the trunk slot's lifecycle loop: breaker-gated dial, hello,
@@ -328,8 +292,7 @@ func (t *trunkConn) run() {
 		}
 		t.fails = 0
 		t.attach(conn)
-		t.reader(conn)
-		t.detach(conn)
+		t.detach(conn, t.reader(conn))
 	}
 }
 
@@ -400,14 +363,11 @@ func (t *trunkConn) dial() (*wsproto.Conn, error) {
 }
 
 // attach publishes the fresh connection: the trunk becomes eligible for
-// session traffic and the pool's replay loop is nudged to push spilled
-// commits through it.
+// commits and the pool's replay loop is nudged to push spilled ones
+// through it.
 func (t *trunkConn) attach(conn *wsproto.Conn) {
 	p := t.p
-	t.mu.Lock()
-	t.conn = conn
-	t.buf = nil
-	t.mu.Unlock()
+	t.conn.Store(conn)
 	p.tel.TrunksHealthy.Add(1)
 	p.gen.Add(1)
 	p.wakeReplay()
@@ -419,25 +379,21 @@ func (t *trunkConn) attach(conn *wsproto.Conn) {
 // this trunk, onto whichever of the pool's trunks is healthy — session
 // re-homing needs no per-session state because commits are
 // self-contained.
-func (t *trunkConn) detach(conn *wsproto.Conn) {
+func (t *trunkConn) detach(conn *wsproto.Conn, cause error) {
 	p := t.p
-	t.mu.Lock()
-	t.conn = nil
-	t.buf = nil
-	t.mu.Unlock()
+	t.conn.Store(nil)
 	_ = conn.NetConn().Close()
 	p.tel.TrunksHealthy.Add(-1)
 	p.gen.Add(1)
-	p.log.Warn("edge: trunk lost", "trunk", t.idx)
+	p.log.Warn("edge: trunk lost", "trunk", t.idx, "err", cause)
 }
 
 // reader consumes upstream replies (acks and rejects) and runs the
-// trunk's keepalive until the connection dies. It also hosts the
-// age-based batch flusher, so a trickle of frames below the size
-// threshold still leaves within BatchAge, and the watch on the edge's
-// stop channel that tears the connection down at Close — so there is no
-// moment a live connection can miss the shutdown.
-func (t *trunkConn) reader(conn *wsproto.Conn) {
+// trunk's keepalive until the connection dies, returning what ended it
+// (the upstream's close reason, for one). It also hosts the watch
+// on the edge's stop channel that tears the connection down at Close —
+// so there is no moment a live connection can miss the shutdown.
+func (t *trunkConn) reader(conn *wsproto.Conn) error {
 	cfg := &t.p.e.cfg
 	stop := make(chan struct{})
 	defer close(stop)
@@ -457,29 +413,17 @@ func (t *trunkConn) reader(conn *wsproto.Conn) {
 		}()
 	}
 	go func() {
-		period := cfg.BatchAge / 2
-		if period < 5*time.Millisecond {
-			period = 5 * time.Millisecond
-		}
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.p.e.stopCh:
-				_ = conn.NetConn().Close()
-				return
-			case <-tick.C:
-				t.flush(cfg.BatchAge)
-			}
+		select {
+		case <-stop:
+		case <-t.p.e.stopCh:
+			_ = conn.NetConn().Close()
 		}
 	}()
 
 	for {
 		op, msg, err := conn.ReadMessage()
 		if err != nil {
-			return
+			return err
 		}
 		renewDeadline()
 		if op != wsproto.OpBinary {
@@ -487,8 +431,7 @@ func (t *trunkConn) reader(conn *wsproto.Conn) {
 		}
 		frames, err := trunk.DecodeBatch(msg)
 		if err != nil {
-			t.p.log.Warn("edge: malformed trunk reply", "trunk", t.idx, "err", err)
-			return
+			return fmt.Errorf("malformed trunk reply: %w", err)
 		}
 		for _, f := range frames {
 			switch f.Type {
@@ -498,58 +441,5 @@ func (t *trunkConn) reader(conn *wsproto.Conn) {
 				t.p.resolve(f.Stream, false, f.Reason)
 			}
 		}
-	}
-}
-
-// enqueue buffers one encoded frame onto the trunk's pending batch,
-// flushing when the size threshold is reached. Reports false when the
-// trunk is down (the caller re-homes within the pool or drops).
-func (t *trunkConn) enqueue(frame []byte) bool {
-	t.mu.Lock()
-	if t.conn == nil {
-		t.mu.Unlock()
-		return false
-	}
-	if len(t.buf) == 0 {
-		t.firstAppend = time.Now()
-	}
-	t.buf = append(t.buf, frame...)
-	var out []byte
-	var conn *wsproto.Conn
-	if len(t.buf) >= t.p.e.cfg.BatchBytes {
-		out, t.buf = t.buf, nil
-		conn = t.conn
-	}
-	t.mu.Unlock()
-	if out != nil {
-		t.write(conn, out)
-	}
-	return true
-}
-
-// flush writes the pending batch out if its oldest frame has waited at
-// least minAge: BatchAge from the reader's ticker, zero to force it.
-func (t *trunkConn) flush(minAge time.Duration) {
-	t.mu.Lock()
-	var out []byte
-	conn := t.conn
-	if len(t.buf) > 0 && time.Since(t.firstAppend) >= minAge {
-		out, t.buf = t.buf, nil
-	}
-	t.mu.Unlock()
-	if out != nil && conn != nil {
-		t.write(conn, out)
-	}
-}
-
-// write sends one batch message. On failure the transport is closed so
-// the reader notices and the slot recycles; the frames in the batch are
-// either advisory (droppable) or commits the pool's replay loop will
-// re-send.
-func (t *trunkConn) write(conn *wsproto.Conn, batch []byte) {
-	t.p.tel.TrunkBatches.Add(1)
-	t.p.tel.BatchBytes.Observe(float64(len(batch)))
-	if err := conn.WriteMessage(wsproto.OpBinary, batch); err != nil {
-		_ = conn.NetConn().Close()
 	}
 }

@@ -1,10 +1,6 @@
 package edge
 
 import (
-	"fmt"
-	"net"
-	"net/netip"
-	"sync"
 	"time"
 
 	"adaudit/internal/beacon"
@@ -13,51 +9,22 @@ import (
 	"adaudit/internal/wsproto"
 )
 
-// maxStageSkew clamps edge-measured trace offsets against clients
-// whose clocks disagree wildly with ours — the same bound the
-// collector's trace adoption applies.
-const maxStageSkew = 5 * time.Minute
-
 // stageOffset computes a trace stage offset relative to the beacon's
 // stamped send time, clamped like the collector's trace adoption.
 func stageOffset(sentUnixNanos int64, at time.Time) time.Duration {
-	off := at.Sub(time.Unix(0, sentUnixNanos))
-	if off < 0 {
-		return 0
-	}
-	if off > maxStageSkew {
-		return maxStageSkew
-	}
-	return off
-}
-
-// peerAddr extracts the peer's IP the way the collector does for a
-// direct session, because the collector parses what is sent here with
-// netip.ParseAddr: a TCP peer already holds its address in binary; only
-// wrapped transports (faultnet, in-memory pipes) need the string
-// parsed. IPv4-mapped IPv6 unmaps, so one client is one address
-// whichever socket family accepted it.
-func peerAddr(a net.Addr) (netip.Addr, error) {
-	if tcp, ok := a.(*net.TCPAddr); ok {
-		if ap := tcp.AddrPort(); ap.IsValid() {
-			return ap.Addr().Unmap(), nil
-		}
-	}
-	ap, err := netip.ParseAddrPort(a.String())
-	if err != nil {
-		return netip.Addr{}, fmt.Errorf("edge: parsing remote addr %q: %w", a.String(), err)
-	}
-	return ap.Addr().Unmap(), nil
+	return trace.ClampSkew(at.Sub(time.Unix(0, sentUnixNanos)))
 }
 
 // runSession drives one beacon connection end to end: payload
 // handshake, pool selection by nonce, keepalive, event collection, and
-// the commit handoff into the owning pool's spill/forward pipeline when
-// the connection ends.
+// the commit handoff into the owning pool's spill when the connection
+// ends. Nothing goes upstream before that: the finished connection is
+// the unit of record, and its commit carries every event.
 func (e *Edge) runSession(conn *wsproto.Conn) {
 	// A commit whose peer address the collector cannot parse is rejected
-	// for good, so such a session must end before anything is acked.
-	peer, err := peerAddr(conn.RemoteAddr())
+	// for good, so such a session must end before anything is acked. The
+	// collector parses what is sent here with netip.ParseAddr.
+	peer, err := wsproto.PeerAddr(conn.RemoteAddr())
 	if err != nil {
 		e.log.Warn("edge: refusing session", "err", err)
 		_ = conn.Close(wsproto.ClosePolicyViolation, "bad peer address")
@@ -74,9 +41,9 @@ func (e *Edge) runSession(conn *wsproto.Conn) {
 	}
 	recvAt := time.Now()
 	// The first message's opcode selects the session wire, mirroring
-	// the collector's negotiation. Trunk frames re-encode as text
-	// either way: the trunk protocol predates the binary wire and the
-	// collector ingests both identically.
+	// the collector's negotiation. The commit re-encodes as text either
+	// way: the trunk protocol predates the binary wire and the collector
+	// ingests both identically.
 	var payload beacon.Payload
 	if op == wsproto.OpBinary {
 		payload, err = beacon.DecodeBinary(msg)
@@ -104,26 +71,6 @@ func (e *Edge) runSession(conn *wsproto.Conn) {
 	// time (only meaningful, and only sent, for sampled payloads).
 	traced := payload.TraceID != "" && payload.TraceSent > 0
 	edgeRecv := stageOffset(payload.TraceSent, recvAt)
-
-	// The forward queue decouples this session's reads from trunk
-	// health: the forwarder goroutine drains it onto whichever trunk of
-	// the pool is healthy, and when the queue hits its high watermark the
-	// session's read loop stalls — backpressure into the client's TCP
-	// window.
-	q := newSessionQueue(e.cfg.QueueHigh, e.cfg.QueueLow)
-	defer q.close()
-	var fwdWG sync.WaitGroup
-	fwdWG.Add(1)
-	go func() {
-		defer fwdWG.Done()
-		p.forwardLoop(q)
-	}()
-	q.push(trunk.AppendFrame(nil, trunk.Frame{
-		Type: trunk.Open, Stream: stream,
-		RemoteIP:    remote,
-		ConnectedAt: connectedAt.UnixNano(),
-		Payload:     payload.Encode(),
-	}))
 
 	// Keepalive and exposure-cap deadlines, the collector's discipline
 	// applied at the edge.
@@ -169,21 +116,8 @@ func (e *Edge) runSession(conn *wsproto.Conn) {
 		if isEvent {
 			e.cfg.Tel.Events.Add(1)
 			payload.Events = append(payload.Events, ev)
-			var evText string
-			if op == wsproto.OpBinary {
-				evText = beacon.EncodeEventUpdate(ev)
-			} else {
-				evText = string(msg)
-			}
-			q.push(trunk.AppendFrame(nil, trunk.Frame{
-				Type: trunk.Event, Stream: stream, Payload: evText,
-			}))
 		}
 	}
-	// Stop forwarding advisory frames before building the commit, so
-	// the commit is the last word on this stream.
-	q.close()
-	fwdWG.Wait()
 
 	exposure := time.Since(connectedAt)
 	if exposure > e.cfg.MaxExposure {
@@ -214,76 +148,4 @@ func (e *Edge) runSession(conn *wsproto.Conn) {
 	} else {
 		_ = conn.Close(wsproto.CloseNormal, "")
 	}
-}
-
-// sessionQueue is a bounded frame queue between one session's read loop
-// and its forwarder, with watermark hysteresis: pushes stall at the
-// high watermark and resume only once the forwarder has drained the
-// queue to the low watermark, so a slow upstream throttles the client's
-// TCP window instead of growing edge memory.
-type sessionQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	frames  [][]byte
-	high    int
-	low     int
-	stalled bool
-	closed  bool
-}
-
-func newSessionQueue(high, low int) *sessionQueue {
-	q := &sessionQueue{high: high, low: low}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push appends a frame, blocking while the queue is over its high
-// watermark. Reports false when the queue closed while waiting.
-func (q *sessionQueue) push(frame []byte) bool {
-	q.mu.Lock()
-	if len(q.frames) >= q.high {
-		q.stalled = true
-	}
-	for q.stalled && !q.closed {
-		q.cond.Wait()
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.frames = append(q.frames, frame)
-	q.mu.Unlock()
-	q.cond.Broadcast()
-	return true
-}
-
-// pop removes the oldest frame, blocking until one is available or the
-// queue is closed and empty (ok == false). A closed queue still drains:
-// the forwarder finishes in-flight advisory frames before the session
-// builds its commit.
-func (q *sessionQueue) pop() ([]byte, bool) {
-	q.mu.Lock()
-	for len(q.frames) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.frames) == 0 {
-		q.mu.Unlock()
-		return nil, false
-	}
-	f := q.frames[0]
-	q.frames = q.frames[1:]
-	if q.stalled && len(q.frames) <= q.low {
-		q.stalled = false
-	}
-	q.mu.Unlock()
-	q.cond.Broadcast()
-	return f, true
-}
-
-// close wakes every waiter; pending frames remain poppable.
-func (q *sessionQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
 }

@@ -46,7 +46,6 @@ func BenchmarkGatewayForward(b *testing.B) {
 	go csrv.Serve(ctx)
 
 	cfg := fastConfig(trunkURL(csrv))
-	cfg.BatchAge = time.Millisecond // latency-bound loop: flush eagerly
 	cfg.Logger = quiet
 	g, err := New(cfg)
 	if err != nil {

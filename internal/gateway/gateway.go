@@ -4,7 +4,7 @@
 // measurements to the central collector over a small pool of
 // persistent trunk connections (internal/trunk). All of the machinery —
 // admission control, the session protocol, per-trunk circuit breakers,
-// watermark backpressure, and the spill buffer that holds every
+// and the spill buffer that holds every
 // client-acknowledged impression until the collector durably acks it —
 // is the edge core's; this package owns what makes the tier a gateway:
 // its Config, its metric names (adaudit_gateway_*, unlabelled) and its
@@ -69,20 +69,6 @@ type Config struct {
 	// MaxExposure caps a session's lifetime (default 30 minutes).
 	MaxExposure time.Duration
 
-	// BatchBytes flushes a trunk's pending batch when it reaches this
-	// size (default 32 KiB); BatchAge flushes it when the oldest
-	// buffered frame has waited this long (default 50ms).
-	BatchBytes int
-	BatchAge   time.Duration
-
-	// QueueHigh/QueueLow are the per-session forward-queue watermarks:
-	// a session's reads stall once QueueHigh frames are queued and
-	// resume when the forwarder drains it to QueueLow — backpressure
-	// that propagates to the client's TCP window instead of growing
-	// memory. Defaults 64/16.
-	QueueHigh int
-	QueueLow  int
-
 	// SpillLimit bounds unacknowledged commits held across a collector
 	// outage (default 65536); at the cap new sessions are shed, since
 	// accepting them could only manufacture commitments the gateway
@@ -139,10 +125,6 @@ func New(cfg Config) (*Gateway, error) {
 		HandshakeTimeout:  cfg.HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
 		MaxExposure:       cfg.MaxExposure,
-		BatchBytes:        cfg.BatchBytes,
-		BatchAge:          cfg.BatchAge,
-		QueueHigh:         cfg.QueueHigh,
-		QueueLow:          cfg.QueueLow,
 		SpillLimit:        cfg.SpillLimit,
 		AckTimeout:        cfg.AckTimeout,
 		ReplayInterval:    cfg.ReplayInterval,
@@ -189,8 +171,6 @@ func poolInstruments(reg *telemetry.Registry) edge.PoolInstruments {
 			"Commits the collector rejected permanently.", nil),
 		Replays: reg.Counter("adaudit_gateway_replays_total",
 			"Commit retransmissions after a trunk change or ack timeout.", nil),
-		QueueDrops: reg.Counter("adaudit_gateway_queue_drops_total",
-			"Advisory frames dropped with no healthy trunk available.", nil),
 		BreakerOpens: reg.Counter("adaudit_gateway_breaker_opens_total",
 			"Trunk circuit-breaker openings.", nil),
 		TrunkBatches: reg.Counter("adaudit_gateway_trunk_batches_total",

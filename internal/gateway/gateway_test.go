@@ -76,7 +76,6 @@ func fastConfig(trunkURL string) Config {
 		TrunkToken:        testTrunkToken,
 		GatewayID:         "gw-test",
 		KeepAliveInterval: 50 * time.Millisecond,
-		BatchAge:          10 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
 		BreakerThreshold:  3,

@@ -47,7 +47,6 @@ func BenchmarkRouterForward(b *testing.B) {
 	go csrv.Serve(ctx)
 
 	cfg := fastRouterConfig([]string{fmt.Sprintf("ws://%s/trunk", csrv.Addr())})
-	cfg.BatchAge = time.Millisecond // latency-bound loop: flush eagerly
 	cfg.Logger = quiet
 	r, err := New(cfg)
 	if err != nil {

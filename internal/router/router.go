@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"adaudit/internal/edge"
-	"adaudit/internal/gen2"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
 )
@@ -78,19 +77,6 @@ type Config struct {
 	// MaxExposure caps a session's lifetime (default 30 minutes).
 	MaxExposure time.Duration
 
-	// BatchBytes flushes a trunk's pending batch at this size (default
-	// 32 KiB); BatchAge when its oldest frame has waited this long
-	// (default 50ms).
-	BatchBytes int
-	BatchAge   time.Duration
-
-	// QueueHigh/QueueLow are the per-session forward-queue watermarks
-	// (defaults 64/16): reads stall at high, resume at low — the same
-	// backpressure-into-TCP discipline as the gateway tier, now applied
-	// per shard pool.
-	QueueHigh int
-	QueueLow  int
-
 	// SpillLimit bounds unacknowledged commits held across shard
 	// outages, summed over every shard's spill (default 65536).
 	SpillLimit int
@@ -125,7 +111,6 @@ type Router struct {
 	// The relay's own instruments (nil-safe); the core counts the rest.
 	relayTrunks *telemetry.Gauge
 	relayFrames *telemetry.CounterVec
-	relayDrops  *telemetry.Counter
 
 	// relays maps router streams of trunk-relayed sessions back to
 	// their origin gateway connection and stream, so shard acks can be
@@ -134,14 +119,6 @@ type Router struct {
 	relayMu       sync.Mutex
 	relays        map[uint64]*relayEntry
 	relayByOrigin map[string]uint64
-
-	// opens maps a gateway's origin stream (gatewayID/stream) to the
-	// router stream and shard fixed at Open time, so advisory Events can
-	// follow their Open even when the gateway round-robins the two
-	// frames onto different trunk connections. Two generations bound the
-	// memory when gateways die without committing.
-	opensMu sync.Mutex
-	opens   *gen2.Map[string, relayOpen]
 }
 
 // New validates cfg and returns a started Router: every shard pool's
@@ -158,13 +135,10 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		relays:        map[uint64]*relayEntry{},
 		relayByOrigin: map[string]uint64{},
-		opens:         gen2.New[string, relayOpen](relayOpenLimit),
 		relayTrunks: reg.Gauge("adaudit_router_relay_trunks_active",
 			"Gateway trunk connections currently terminated on this router.", nil),
 		relayFrames: reg.CounterVec("adaudit_router_relay_frames_total",
 			"Trunk frames relayed from gateways onto shards, by frame type.", "type"),
-		relayDrops: reg.Counter("adaudit_router_relay_drops_total",
-			"Relayed advisory frames dropped for an unknown or shardless stream.", nil),
 	}
 	upstreams := make([]edge.Upstream, len(cfg.Shards))
 	for i, u := range cfg.Shards {
@@ -183,10 +157,6 @@ func New(cfg Config) (*Router, error) {
 		HandshakeTimeout:  cfg.HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
 		MaxExposure:       cfg.MaxExposure,
-		BatchBytes:        cfg.BatchBytes,
-		BatchAge:          cfg.BatchAge,
-		QueueHigh:         cfg.QueueHigh,
-		QueueLow:          cfg.QueueLow,
 		SpillLimit:        cfg.SpillLimit,
 		AckTimeout:        cfg.AckTimeout,
 		ReplayInterval:    cfg.ReplayInterval,
@@ -248,8 +218,6 @@ func shardInstruments(reg *telemetry.Registry, shard int) edge.PoolInstruments {
 			"Commits this shard rejected permanently.", lbl),
 		Replays: reg.Counter("adaudit_router_shard_replays_total",
 			"Commit retransmissions after a trunk change or ack timeout.", lbl),
-		QueueDrops: reg.Counter("adaudit_router_shard_queue_drops_total",
-			"Advisory frames dropped with no healthy trunk to this shard.", lbl),
 		BreakerOpens: reg.Counter("adaudit_router_shard_breaker_opens_total",
 			"Trunk circuit-breaker openings toward this shard.", lbl),
 		TrunkBatches: reg.Counter("adaudit_router_shard_trunk_batches_total",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,6 +22,8 @@ import (
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/trunk"
+	"adaudit/internal/wsproto"
 )
 
 const testTrunkToken = "trunk-secret"
@@ -107,6 +110,15 @@ func (f *shardFixture) baseURLs() []string {
 	return urls
 }
 
+// eventsCounted sums the shards' interaction-event metric.
+func (f *shardFixture) eventsCounted() int64 {
+	var n int64
+	for _, c := range f.colls {
+		n += c.Metrics.Events.Load()
+	}
+	return n
+}
+
 // totalLen sums the shard stores.
 func (f *shardFixture) totalLen() int {
 	n := 0
@@ -141,7 +153,6 @@ func fastRouterConfig(shardURLs []string) Config {
 		TrunkToken:        testTrunkToken,
 		RouterID:          "rt-test",
 		KeepAliveInterval: 50 * time.Millisecond,
-		BatchAge:          10 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
 		BreakerThreshold:  3,
@@ -177,6 +188,46 @@ func startRouter(t *testing.T, cfg Config, opts ...ServerOption) (*Router, *Serv
 		}
 	})
 	return r, srv
+}
+
+// startGateway builds and serves a gateway trunking into trunkURL and
+// waits for its trunks; the cleanup closes it.
+func startGateway(t *testing.T, trunkURL string) (*gateway.Gateway, *gateway.Server) {
+	t.Helper()
+	g, err := gateway.New(gateway.Config{
+		CollectorURL:      trunkURL,
+		TrunkToken:        testTrunkToken,
+		GatewayID:         "gw-relay-test",
+		KeepAliveInterval: 50 * time.Millisecond,
+		AckTimeout:        300 * time.Millisecond,
+		ReplayInterval:    50 * time.Millisecond,
+		BreakerCooldown:   50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsrv, err := gateway.NewServer(g, "127.0.0.1:0", gateway.WithDrainGrace(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gctx, gcancel := context.WithCancel(context.Background())
+	gdone := make(chan struct{})
+	go func() {
+		defer close(gdone)
+		_ = gsrv.Serve(gctx)
+	}()
+	t.Cleanup(func() {
+		gcancel()
+		select {
+		case <-gdone:
+		case <-time.After(10 * time.Second):
+			t.Fatal("gateway server did not stop")
+		}
+	})
+	waitFor(t, 5*time.Second, "gateway trunks to establish", func() bool {
+		return g.Health().TrunksHealthy == g.Health().TrunksTotal
+	})
+	return g, gsrv
 }
 
 // allTrunksUp reports whether every shard pool has its full trunk
@@ -276,15 +327,10 @@ func TestRouterEndToEnd(t *testing.T) {
 	if acks := seriesSum(r, "adaudit_router_shard_acks_total"); acks != sessions {
 		t.Fatalf("summed shard acks = %v, want %d", acks, sessions)
 	}
-	// Events are advisory and may flush a batch-age behind their commit,
-	// so parity is eventual.
-	waitFor(t, 5*time.Second, "advisory events to reach their shards", func() bool {
-		var events int64
-		for _, c := range f.colls {
-			events += c.Metrics.Events.Load()
-		}
-		return events == sessions
-	})
+	// Every event rode its session's commit, and every commit is acked.
+	if events := f.eventsCounted(); events != sessions {
+		t.Fatalf("summed shard events metric = %d, want %d (direct-path parity)", events, sessions)
+	}
 }
 
 // TestRouterTrunkRelay fronts the router with a real gateway: the
@@ -299,40 +345,7 @@ func TestRouterTrunkRelay(t *testing.T) {
 	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
 	waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 
-	g, err := gateway.New(gateway.Config{
-		CollectorURL:      rsrv.TrunkURL(),
-		TrunkToken:        testTrunkToken,
-		GatewayID:         "gw-relay-test",
-		KeepAliveInterval: 50 * time.Millisecond,
-		BatchAge:          10 * time.Millisecond,
-		AckTimeout:        300 * time.Millisecond,
-		ReplayInterval:    50 * time.Millisecond,
-		BreakerCooldown:   50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsrv, err := gateway.NewServer(g, "127.0.0.1:0", gateway.WithDrainGrace(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gctx, gcancel := context.WithCancel(context.Background())
-	gdone := make(chan struct{})
-	go func() {
-		defer close(gdone)
-		_ = gsrv.Serve(gctx)
-	}()
-	t.Cleanup(func() {
-		gcancel()
-		select {
-		case <-gdone:
-		case <-time.After(10 * time.Second):
-			t.Fatal("gateway server did not stop")
-		}
-	})
-	waitFor(t, 5*time.Second, "gateway trunks to reach the router", func() bool {
-		return g.Health().TrunksHealthy == g.Health().TrunksTotal
-	})
+	g, gsrv := startGateway(t, rsrv.TrunkURL())
 	if got := seriesSum(r, "adaudit_router_relay_trunks_active"); got < 1 {
 		t.Fatalf("relay trunks gauge = %v, want >= 1", got)
 	}
@@ -359,13 +372,102 @@ func TestRouterTrunkRelay(t *testing.T) {
 	// spill → gateway spill.
 	waitFor(t, 5*time.Second, "router spill to drain", func() bool { return r.Health().SpillPending == 0 })
 	waitFor(t, 5*time.Second, "gateway spill to drain", func() bool { return g.Health().SpillPending == 0 })
-	waitFor(t, 5*time.Second, "relayed advisory events to reach their shards", func() bool {
-		var events int64
-		for _, c := range f.colls {
-			events += c.Metrics.Events.Load()
-		}
-		return events == sessions
-	})
+	if events := f.eventsCounted(); events != sessions {
+		t.Fatalf("summed shard events metric = %d, want %d (direct-path parity)", events, sessions)
+	}
+}
+
+// TestTrunkCarriesOnlyHelloAndCommit: a session sends nothing upstream
+// until it ends, and then one Commit — so after N sessions through a
+// gateway, and through gateway → router → shards, the collectors have
+// seen N commit frames, their trunks' hellos, and no other frame type.
+func TestTrunkCarriesOnlyHelloAndCommit(t *testing.T) {
+	const sessions = 8
+	for _, tc := range []struct {
+		name   string
+		shards int
+		relay  bool
+	}{
+		{"gateway", 1, false},
+		{"gateway-router-shards", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := startShards(t, tc.shards, nil, nil)
+			upstream := f.trunkURLs()[0]
+			if tc.relay {
+				r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
+				waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
+				upstream = rsrv.TrunkURL()
+			}
+			g, gsrv := startGateway(t, upstream)
+
+			client := &beacon.Client{CollectorURL: gsrv.BeaconURL()}
+			for i := 0; i < sessions; i++ {
+				sess, err := client.Open(context.Background(), testPayload(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kind := range []beacon.EventKind{beacon.EventMouseMove, beacon.EventClick} {
+					if err := sess.SendEvent(beacon.Event{Kind: kind, At: 5 * time.Millisecond}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The gateway's ack is the last link: behind it the shard has
+			// ingested and, in the relay case, the router has resolved.
+			waitFor(t, 10*time.Second, "every commit to be acked", func() bool {
+				return f.totalLen() == sessions && g.Health().SpillPending == 0
+			})
+
+			commits := 0.0
+			for i, c := range f.colls {
+				for _, s := range c.Telemetry().Snapshot() {
+					if s.Name != "adaudit_collector_trunk_frames_total" {
+						continue
+					}
+					switch typ := s.Labels["type"]; typ {
+					case "hello":
+					case "commit":
+						commits += s.Value
+					default:
+						t.Errorf("shard %d saw %v %q frames on its trunks", i, s.Value, typ)
+					}
+				}
+			}
+			if commits != sessions {
+				t.Fatalf("collectors saw %v commit frames, want %d", commits, sessions)
+			}
+		})
+	}
+}
+
+// TestRouterTrunkRefusesOtherVersion: the router's /trunk turns away a
+// gateway built for another trunk protocol version at its Hello, like a
+// collector does.
+func TestRouterTrunkRefusesOtherVersion(t *testing.T) {
+	f := startShards(t, 1, nil, nil)
+	_, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
+	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
+	conn, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.NetConn().Close()
+	hello := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"})
+	if err := conn.WriteMessage(wsproto.OpBinary, hello); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = conn.ReadMessage()
+	var ce *wsproto.CloseError
+	if !errors.As(err, &ce) {
+		t.Fatalf("trunk ended with %v, want a close frame", err)
+	}
+	if want := "trunk protocol version 1, this build speaks 2"; ce.Code != wsproto.ClosePolicyViolation || ce.Reason != want {
+		t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, want)
+	}
 }
 
 // TestRouterMergedLiveAPI: shards run live streamaudit engines, the

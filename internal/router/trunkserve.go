@@ -11,23 +11,6 @@ import (
 	"adaudit/internal/wsproto"
 )
 
-// relayOpen is the continuity record for one gateway stream: the
-// router stream it was re-homed onto and the shard that owns it, fixed
-// at Open time by the payload nonce. The record is keyed by
-// gatewayID/stream at the router level — not per connection — because a
-// gateway round-robins frames over its trunk pool, so a stream's Open
-// and Event may arrive on different connections. Commit removes the
-// record; the two-generation cache in Router bounds leftovers from
-// gateways that die without committing.
-type relayOpen struct {
-	stream uint64
-	pool   *edge.Pool
-}
-
-// relayOpenLimit is the per-generation size of the Open continuity
-// cache.
-const relayOpenLimit = 1 << 16
-
 // relayEntry is the return path for one trunk-relayed stream.
 type relayEntry struct {
 	origin       *wsproto.Conn
@@ -108,16 +91,16 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 			r.relayFrames.With(f.Type.String()).Inc()
 			switch f.Type {
 			case trunk.Hello:
+				if f.Version != trunk.Version {
+					_ = conn.Close(wsproto.ClosePolicyViolation, trunk.VersionMismatch(f.Version))
+					return
+				}
 				if gatewayID == "" {
 					gatewayID = f.GatewayID
 					_ = conn.SetReadDeadline(time.Time{})
 					cfg.Logger.Info("router: relay trunk established",
 						"gateway", gatewayID, "version", f.Version, "remote", req.RemoteAddr)
 				}
-			case trunk.Open:
-				r.relayOpenFrame(gatewayID, f)
-			case trunk.Event:
-				r.relayEventFrame(gatewayID, f)
 			case trunk.Commit:
 				reply = r.relayCommitFrame(conn, gatewayID, f, reply)
 			}
@@ -132,39 +115,6 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
-}
-
-// relayOpenFrame fixes a relayed stream's shard from its payload nonce
-// and forwards the advisory Open. Droppable end to end: the accounting
-// state arrives self-contained in the Commit.
-func (r *Router) relayOpenFrame(gatewayID string, f trunk.Frame) {
-	payload, err := beacon.Decode(f.Payload)
-	if gatewayID == "" || err != nil || payload.Nonce == "" {
-		// Not shardable without a nonce; the commit will mint one and
-		// choose for itself.
-		r.relayDrops.Add(1)
-		return
-	}
-	ro := relayOpen{stream: r.NextStream(), pool: r.PoolFor(payload.Nonce)}
-	r.opensMu.Lock()
-	r.opens.Put(originKey(gatewayID, f.Stream), ro)
-	r.opensMu.Unlock()
-	f.Stream = ro.stream
-	ro.pool.ForwardAdvisory(f)
-}
-
-// relayEventFrame forwards an advisory Event along its Open's route;
-// with no Open on record (router restarted mid-session) it is dropped.
-func (r *Router) relayEventFrame(gatewayID string, f trunk.Frame) {
-	r.opensMu.Lock()
-	ro, ok := r.opens.Get(originKey(gatewayID, f.Stream))
-	r.opensMu.Unlock()
-	if gatewayID == "" || !ok {
-		r.relayDrops.Add(1)
-		return
-	}
-	f.Stream = ro.stream
-	ro.pool.ForwardAdvisory(f)
 }
 
 // relayCommitFrame re-streams one gateway commit onto its owning shard
@@ -185,10 +135,6 @@ func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
 	}
 	pool := r.PoolFor(payload.Nonce)
 	key := originKey(gatewayID, f.Stream)
-	r.opensMu.Lock()
-	ro, hadOpen := r.opens.Get(key)
-	r.opens.Delete(key)
-	r.opensMu.Unlock()
 
 	r.relayMu.Lock()
 	rs, replayed := r.relayByOrigin[key]
@@ -200,11 +146,7 @@ func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
 		e.origin = conn
 		pool = e.pool
 	} else {
-		if hadOpen {
-			rs = ro.stream // shard sees Open and Commit on one stream
-		} else {
-			rs = r.NextStream()
-		}
+		rs = r.NextStream()
 		r.relays[rs] = &relayEntry{
 			origin: conn, originStream: f.Stream, originKey: key, pool: pool,
 		}

@@ -106,7 +106,6 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 		GatewayID:         fmt.Sprintf("gw-sim-%d", seed),
 		Trunks:            2,
 		KeepAliveInterval: 50 * time.Millisecond,
-		BatchAge:          10 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
 		BreakerThreshold:  3,

@@ -131,6 +131,13 @@ type Trace struct {
 // clock cannot poison a trace with an hour-long first span.
 const maxAdoptSkew = 5 * time.Minute
 
+// ClampSkew bounds an offset measured from a client-stamped send time
+// to [0, maxAdoptSkew]: the one clamp for every stage placed against a
+// clock this process does not own, at adoption and on the edge's leg.
+func ClampSkew(off time.Duration) time.Duration {
+	return min(max(off, 0), maxAdoptSkew)
+}
+
 // ID returns the trace identifier (0 for nil).
 func (t *Trace) ID() ID {
 	if t == nil {
@@ -364,13 +371,7 @@ func (tr *Tracer) Adopt(id ID, sentUnixNanos int64) *Trace {
 	wall := now.UnixNano()
 	var transit time.Duration
 	if sentUnixNanos > 0 {
-		transit = time.Duration(wall - sentUnixNanos)
-		if transit < 0 {
-			transit = 0
-		}
-		if transit > maxAdoptSkew {
-			transit = maxAdoptSkew
-		}
+		transit = ClampSkew(time.Duration(wall - sentUnixNanos))
 		wall = wall - int64(transit)
 	}
 	t := tr.rec.newTrace(id, now, wall, transit)

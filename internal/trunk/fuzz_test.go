@@ -25,7 +25,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(all[:len(all)-3])
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
-	f.Add([]byte{4, byte(Event), 1, 200, 0})
+	f.Add([]byte{4, byte(Reject), 1, 200, 0})
+	f.Add(v1OpenFrame())
+	f.Add(append([]byte{11, 3, 7, 8}, "ev:click"...)) // a version-1 Event frame
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		frames, err := DecodeBatch(b)

@@ -1,21 +1,20 @@
-// Package trunk defines the wire protocol the edge gateway
-// (internal/gateway) speaks to the collector's /trunk endpoint: a small
-// pool of persistent WebSocket connections multiplexing every beacon
-// session a gateway terminates. Each WebSocket binary message is a
-// batch of length-prefixed frames; each frame names a logical stream
-// (one per beacon session) so a single trunk carries thousands of
-// sessions without per-session sockets.
+// Package trunk defines the wire protocol a forwarding tier
+// (internal/edge: the gateway and the router) speaks to a /trunk
+// endpoint: a small pool of persistent WebSocket connections carrying
+// every beacon session the tier terminates. Each WebSocket binary
+// message is a batch of length-prefixed frames; each frame names a
+// logical stream (one per beacon session) so a single trunk carries
+// thousands of sessions without per-session sockets.
 //
-// The protocol is deliberately asymmetric about reliability. Open and
-// Event frames are advisory — they let the collector watch stream
-// liveness but carry no accounting state, so losing them to a trunk
-// failure costs nothing. The Commit frame is the unit of record: it is
-// self-contained (full payload, connection facts, measured exposure,
-// gateway trace stages), so the gateway can replay an unacknowledged
-// commit on any trunk, to a freshly restarted collector, with no
-// per-stream state transfer. Delivery is at-least-once; the collector
-// deduplicates retransmissions by stream ID and, across its own
-// restarts, by the impression nonce every gatewayed payload carries.
+// The protocol has four frames. Hello opens a trunk and is refused
+// unless it names this build's Version. The Commit frame is the unit of
+// record, sent once a session has ended: it is self-contained (full
+// payload with every event, connection facts, measured exposure, edge
+// trace stages), so the edge can replay an unacknowledged commit on any
+// trunk, to a freshly restarted collector, with no per-stream state
+// transfer. Ack and Reject answer it. Delivery is at-least-once; the
+// collector deduplicates retransmissions by stream ID and, across its
+// own restarts, by the impression nonce every forwarded payload carries.
 //
 // Frames encode as [type byte][uvarint stream][fields], strings as
 // uvarint-length-prefixed bytes, and batches as a concatenation of
@@ -28,26 +27,29 @@ import (
 	"time"
 )
 
-// Version is the trunk protocol version carried in the Hello frame.
-const Version = 1
+// Version is the trunk protocol version carried in the Hello frame; a
+// receiver closes a trunk whose Hello names another.
+const Version = 2
+
+// VersionMismatch is the close reason a receiver gives a trunk whose
+// Hello named version got.
+func VersionMismatch(got int) string {
+	return fmt.Sprintf("trunk protocol version %d, this build speaks %d", got, Version)
+}
 
 // TokenHeader is the HTTP header a gateway presents during the trunk
 // handshake when the collector requires a shared admission token.
 const TokenHeader = "X-Adaudit-Trunk-Token"
 
-// Type discriminates trunk frames.
+// Type discriminates trunk frames. Values 2 and 3 were version 1's
+// advisory Open and Event frames; they stay unassigned, so a version-1
+// peer's batch fails to decode.
 type Type byte
 
 const (
 	// Hello is the first frame on a fresh trunk: protocol version and
 	// the gateway's identity (gateway → collector).
 	Hello Type = 1
-	// Open announces a new beacon stream: remote address, connection
-	// time and the initial payload. Advisory (gateway → collector).
-	Open Type = 2
-	// Event relays one in-session interaction update. Advisory
-	// (gateway → collector).
-	Event Type = 3
 	// Commit closes a stream's accounting: the full final payload plus
 	// the connection-derived facts the gateway measured. The only frame
 	// with delivery guarantees (gateway → collector, at-least-once).
@@ -64,10 +66,6 @@ func (t Type) String() string {
 	switch t {
 	case Hello:
 		return "hello"
-	case Open:
-		return "open"
-	case Event:
-		return "event"
 	case Commit:
 		return "commit"
 	case Ack:
@@ -96,17 +94,13 @@ type Frame struct {
 	Version   int
 	GatewayID string
 
-	// Open and Commit: the connection-derived facts.
+	// Commit: the connection-derived facts, the full final payload
+	// (events merged, nonce present) and the edge's trace stages.
 	RemoteIP    string
 	ConnectedAt int64 // unix nanoseconds
-
-	// Open: initial payload. Event: the "ev:" update text.
-	// Commit: the full final payload (events merged, nonce present).
-	Payload string
-
-	// Commit.
-	Exposure time.Duration
-	Stages   []Stage
+	Payload     string
+	Exposure    time.Duration
+	Stages      []Stage
 
 	// Reject.
 	Reason string
@@ -125,12 +119,6 @@ func appendBody(dst []byte, f Frame) []byte {
 	case Hello:
 		dst = binary.AppendUvarint(dst, uint64(f.Version))
 		dst = appendString(dst, f.GatewayID)
-	case Open:
-		dst = appendString(dst, f.RemoteIP)
-		dst = binary.AppendVarint(dst, f.ConnectedAt)
-		dst = appendString(dst, f.Payload)
-	case Event:
-		dst = appendString(dst, f.Payload)
 	case Commit:
 		dst = appendString(dst, f.RemoteIP)
 		dst = binary.AppendVarint(dst, f.ConnectedAt)
@@ -178,10 +166,6 @@ func bodySize(f Frame) int {
 	switch f.Type {
 	case Hello:
 		n += uvarintLen(uint64(f.Version)) + stringLen(f.GatewayID)
-	case Open:
-		n += stringLen(f.RemoteIP) + varintLen(f.ConnectedAt) + stringLen(f.Payload)
-	case Event:
-		n += stringLen(f.Payload)
 	case Commit:
 		n += stringLen(f.RemoteIP) + varintLen(f.ConnectedAt) +
 			varintLen(int64(f.Exposure)) + stringLen(f.Payload) +
@@ -274,12 +258,6 @@ func decodeBody(b []byte) (Frame, error) {
 	case Hello:
 		f.Version = int(d.uvarint())
 		f.GatewayID = d.string()
-	case Open:
-		f.RemoteIP = d.string()
-		f.ConnectedAt = d.varint()
-		f.Payload = d.string()
-	case Event:
-		f.Payload = d.string()
 	case Commit:
 		f.RemoteIP = d.string()
 		f.ConnectedAt = d.varint()

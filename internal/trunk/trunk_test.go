@@ -1,6 +1,7 @@
 package trunk
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -9,12 +10,6 @@ import (
 func sampleFrames() []Frame {
 	return []Frame{
 		{Type: Hello, Version: Version, GatewayID: "gw-test-1"},
-		{
-			Type: Open, Stream: 7, RemoteIP: "203.0.113.9",
-			ConnectedAt: 1459242000123456789,
-			Payload:     "v=1&cid=c1&crid=cr1&url=http%3A%2F%2Fnews.example%2Fa&ua=sim&n=abc",
-		},
-		{Type: Event, Stream: 7, Payload: "ev:click"},
 		{
 			Type: Commit, Stream: 7, RemoteIP: "203.0.113.9",
 			ConnectedAt: 1459242000123456789,
@@ -71,8 +66,18 @@ func TestDecodeBatchEmpty(t *testing.T) {
 	}
 }
 
+// v1OpenFrame is a version-1 Open frame (type 2: stream, peer, connect
+// time, payload) as an old edge would send it, length-prefixed.
+func v1OpenFrame() []byte {
+	body := []byte{2, 7}
+	body = appendString(body, "203.0.113.9")
+	body = binary.AppendVarint(body, 1459242000123456789)
+	body = appendString(body, "v=1&cid=c1&crid=cr1&url=http%3A%2F%2Fnews.example%2Fa&ua=sim&n=abc")
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
-	valid := AppendFrame(nil, sampleFrames()[3]) // a Commit with stages
+	valid := AppendFrame(nil, sampleFrames()[1]) // a Commit with stages
 	cases := map[string][]byte{
 		"zero-length frame":      {0},
 		"truncated batch length": {0x80}, // uvarint continuation with no next byte
@@ -80,7 +85,8 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		"unknown type":           AppendFrame(nil, Frame{Type: Type(99)}),
 		"truncated frame body":   valid[:len(valid)-3],
 		"trailing bytes in body": append(append([]byte{}, 3, byte(Ack), 0), 0xFF),
-		"string length overrun":  {4, byte(Event), 1, 200, 0},
+		"string length overrun":  {4, byte(Reject), 1, 200, 0},
+		"version-1 open frame":   v1OpenFrame(),
 	}
 	for name, b := range cases {
 		if _, err := DecodeBatch(b); err == nil {
@@ -105,7 +111,7 @@ func TestDecodeBatchRejectsHugeStageCount(t *testing.T) {
 func TestTruncatedPrefixesAllFail(t *testing.T) {
 	// Every strict prefix of a valid single-frame batch must error, not
 	// silently decode a partial frame.
-	full := AppendFrame(nil, sampleFrames()[3])
+	full := AppendFrame(nil, sampleFrames()[1])
 	for i := 1; i < len(full); i++ {
 		if frames, err := DecodeBatch(full[:i]); err == nil && len(frames) > 0 {
 			t.Fatalf("prefix of %d/%d bytes decoded %d frames", i, len(full), len(frames))

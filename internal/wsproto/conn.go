@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -108,6 +109,25 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
 // LocalAddr returns the local address.
 func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
+
+// PeerAddr extracts the IP of a connection's RemoteAddr, the one way
+// every tier derives the address an impression is accounted under. A
+// TCP peer already holds its address in binary; only wrapped transports
+// (faultnet, in-memory pipes) need the string parsed. IPv4-mapped IPv6
+// unmaps, so one client is one address whichever socket family accepted
+// it.
+func PeerAddr(a net.Addr) (netip.Addr, error) {
+	if tcp, ok := a.(*net.TCPAddr); ok {
+		if ap := tcp.AddrPort(); ap.IsValid() {
+			return ap.Addr().Unmap(), nil
+		}
+	}
+	ap, err := netip.ParseAddrPort(a.String())
+	if err != nil {
+		return netip.Addr{}, fmt.Errorf("wsproto: parsing remote addr %q: %w", a.String(), err)
+	}
+	return ap.Addr().Unmap(), nil
+}
 
 // Established returns when the opening handshake completed.
 func (c *Conn) Established() time.Time { return c.established }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -668,4 +669,61 @@ func TestConnReuseReadBufferFragmented(t *testing.T) {
 	if string(msg) != keep {
 		t.Fatal("fragmented payload corrupted by subsequent read")
 	}
+}
+
+// stringAddr is a net.Addr that is only its string, like the addresses
+// wrapped transports (faultnet, pipes) report.
+type stringAddr string
+
+func (a stringAddr) Network() string { return "tcp" }
+func (a stringAddr) String() string  { return string(a) }
+
+// TestPeerAddr: the address an edge sends to the collector must be one
+// its netip.ParseAddr accepts, for every shape of peer. Cutting the
+// host:port string at the first colon, as both tiers used to, turned
+// "[2001:db8::7]:443" into "2001" and "[::1]:54321" into "".
+func TestPeerAddr(t *testing.T) {
+	for _, tc := range []struct {
+		remote string
+		want   string // "" = must fail
+	}{
+		{"10.0.0.1:80", "10.0.0.1"},
+		{"[::1]:54321", "::1"},
+		{"[2001:db8::7]:443", "2001:db8::7"},
+		{"[::ffff:10.0.0.1]:80", "10.0.0.1"},
+		{"[fe80::1%eth0]:80", "fe80::1%eth0"},
+		{"garbage", ""},
+		{"", ""},
+		{"pipe", ""},
+	} {
+		for _, a := range []net.Addr{stringAddr(tc.remote), tcpAddr(tc.remote)} {
+			if a == nil {
+				continue
+			}
+			got, err := PeerAddr(a)
+			if tc.want == "" {
+				if err == nil {
+					t.Errorf("PeerAddr(%q) = %v, want an error", tc.remote, got)
+				}
+				continue
+			}
+			if err != nil || got.String() != tc.want {
+				t.Errorf("PeerAddr(%T %q) = %v, %v; want %s", a, tc.remote, got, err, tc.want)
+				continue
+			}
+			if _, err := netip.ParseAddr(got.String()); err != nil {
+				t.Errorf("PeerAddr(%q) = %q, which the collector cannot parse: %v", tc.remote, got, err)
+			}
+		}
+	}
+}
+
+// tcpAddr is the *net.TCPAddr form of a host:port, or nil when it is
+// not one.
+func tcpAddr(s string) net.Addr {
+	ap, err := netip.ParseAddrPort(s)
+	if err != nil {
+		return nil
+	}
+	return net.TCPAddrFromAddrPort(ap)
 }

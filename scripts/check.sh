@@ -28,6 +28,12 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# The end-to-end benchmark is a nested module outside ./... that
+# compiles against internal/: vetting it here makes deleting a name it
+# uses fail this gate, not only the -benchmark job.
+echo "==> go vet -C benchmark ."
+go vet -C benchmark .
+
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -71,7 +77,7 @@ if [ "${1:-}" = "-chaos" ]; then
     # a full collector restart mid-run, plus the simtest gateway wire
     # schedules (collector restart behind the gateway, oracle
     # invariants on the survivor). The forwarding core's own outage
-    # tests (backpressure, spill shed, ladder) live in internal/edge.
+    # tests (outage replay, spill shed, ladder) live in internal/edge.
     echo "==> gateway chaos (both legs + collector restart, -race)"
     go test -race -count 1 -run 'TestChaosGatewayZeroLoss' ./internal/gateway/ -v
     go test -race -count 1 ./internal/edge/

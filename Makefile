@@ -18,14 +18,12 @@ check:
 bench:
 	sh scripts/check.sh -bench
 
-# bench-compare runs the audit-engine performance gate: serial vs
-# parallel FullAudit, the live report and the Table 2 context
-# benchmark, summarised into BENCH_audit.json, failing on absolute
-# allocs/op ceilings: BenchmarkTable2Context 70, either FullAudit
-# benchmark 10,000, BenchmarkLiveReport 1,000. See
-# scripts/bench_compare.sh.
+# bench-compare runs the performance gate: the 16 micro-benchmarks in
+# cmd/benchgate's table, summarised into the five BENCH_*.json, failing
+# on each row's absolute allocs/op ceiling. The table is where a
+# ceiling lives. More repetitions: go run ./cmd/benchgate -count 5
 bench-compare:
-	sh scripts/bench_compare.sh
+	$(GO) run ./cmd/benchgate
 
 # chaos runs the fault-injection suite under the race detector: the
 # faultnet layer's own tests plus the end-to-end chaos campaign

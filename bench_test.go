@@ -13,7 +13,7 @@ package adaudit
 //
 // Each bench measures its analysis over the full logged dataset
 // (~130K impressions) and reports the paper's headline number as a
-// custom metric, so `bench_output.txt` doubles as the reproduction
+// custom metric, so the benchmark output doubles as the reproduction
 // record. Ablation benches at the bottom quantify the design choices
 // DESIGN.md calls out.
 

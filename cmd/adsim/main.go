@@ -173,8 +173,8 @@ func replayThroughGateway(url string, limit int, wire string, st *store.Store, l
 		return fmt.Errorf("unknown -wire %q (want text, binary or mixed)", wire)
 	}
 	var todo []store.Impression
-	st.ForEach(func(im store.Impression) bool {
-		todo = append(todo, im)
+	st.Visit(func(im *store.Impression) bool {
+		todo = append(todo, *im)
 		return limit == 0 || len(todo) < limit
 	})
 	logger.Info("replaying dataset through gateway", "endpoint", url, "wire", wire, "impressions", len(todo))

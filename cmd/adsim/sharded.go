@@ -141,7 +141,7 @@ func replayThroughShards(shards, limit int, wire string, seed int64, publishers 
 	// hashes to.
 	for i, s := range stores {
 		var perr error
-		s.ForEach(func(im store.Impression) bool {
+		s.Visit(func(im *store.Impression) bool {
 			if im.Nonce == "" {
 				perr = fmt.Errorf("shard %d: impression %d stored without nonce", i, im.ID)
 			} else if wantShard := shardmerge.ShardFor(im.Nonce, shards); wantShard != i {
@@ -161,8 +161,8 @@ func replayThroughShards(shards, limit int, wire string, seed int64, publishers 
 	combined := store.New()
 	for _, s := range stores {
 		var ierr error
-		s.ForEach(func(im store.Impression) bool {
-			_, ierr = combined.Insert(im)
+		s.Visit(func(im *store.Impression) bool {
+			_, ierr = combined.Insert(*im)
 			return ierr == nil
 		})
 		if ierr != nil {
@@ -208,7 +208,7 @@ func shardedAuditInputs(st *store.Store) []audit.CampaignInput {
 		clicks      int64
 	}
 	perCampaign := map[string]map[string]*pubCount{}
-	st.ForEach(func(im store.Impression) bool {
+	st.Visit(func(im *store.Impression) bool {
 		pubs := perCampaign[im.CampaignID]
 		if pubs == nil {
 			pubs = map[string]*pubCount{}

@@ -93,7 +93,7 @@ func run() error {
 	// Quantify the exposure: impressions that rendered on unsafe sites.
 	unsafeImps := 0
 	total := 0
-	ws.Store.ForEach(func(im store.Impression) bool {
+	ws.Store.Visit(func(im *store.Impression) bool {
 		total++
 		if meta, ok := ws.Publishers.ByDomain(im.Publisher); ok && meta.BrandUnsafe {
 			unsafeImps++

@@ -103,8 +103,9 @@ func benchTracedCollector(b *testing.B) *Collector {
 // BenchmarkIngestUntraced measures the ingest funnel with a tracer
 // attached but no trace context on any payload — the cost every
 // unsampled impression pays when tracing is enabled. The perf gate
-// (scripts/bench_compare.sh) holds this within 5% of
-// BenchmarkCollectorIngestUninstrumented, the tracer-less funnel.
+// (cmd/benchgate) holds this within 5% of
+// BenchmarkCollectorIngestUninstrumented, the tracer-less funnel, and
+// at the same 3 allocs/op.
 func BenchmarkIngestUntraced(b *testing.B) {
 	benchIngest(b, benchTracedCollector(b))
 }
@@ -179,7 +180,7 @@ func BenchmarkWebSocketSession(b *testing.B) {
 // pre-encoded wire frames decoded through the pooled payload + intern
 // cache into the store. Frames are encoded outside the timed loop so
 // the measurement isolates decode+ingest; the steady-state budget is
-// ≤1 alloc/op (scripts/bench_compare.sh gates it).
+// ≤1 alloc/op (cmd/benchgate's table gates it).
 func BenchmarkIngestBinary(b *testing.B) {
 	c := benchCollector(b, false)
 	base := time.Date(2016, 3, 29, 0, 0, 0, 0, time.UTC)
@@ -224,7 +225,8 @@ func BenchmarkIngestBinary(b *testing.B) {
 // binary decode, pseudonym and user key for a new address, the
 // campaign's posting list doubling, 1/1024 of a log chunk — and no
 // journal line, URL parse, claim channel or per-user index entry
-// (scripts/bench_compare.sh holds the ceiling).
+// (cmd/benchgate's table holds the ceiling, 1, at a fixed 130,000
+// iterations).
 func BenchmarkIngestJournaled(b *testing.B) {
 	c := benchCollector(b, false)
 	wal, err := store.OpenWAL(filepath.Join(b.TempDir(), "bench.wal"), store.WALOptions{Policy: store.SyncOS})

@@ -147,7 +147,7 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 	}
 
 	byNonce := map[string]int{}
-	rec.ForEach(func(im store.Impression) bool {
+	rec.Visit(func(im *store.Impression) bool {
 		if im.Nonce != "" {
 			byNonce[im.Nonce]++
 		}
@@ -163,7 +163,7 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 		}
 	}
 	// Recovered records carry real measurements.
-	rec.ForEach(func(im store.Impression) bool {
+	rec.Visit(func(im *store.Impression) bool {
 		if im.Exposure <= 0 {
 			t.Errorf("recovered record %d has no exposure", im.ID)
 		}

@@ -382,7 +382,7 @@ func New(cfg Config) (*Collector, error) {
 	// A store recovered from a snapshot + WAL may already hold nonced
 	// impressions whose beacons could still be retrying; remember them so
 	// a post-restart reconnect merges instead of duplicating.
-	cfg.Store.ForEach(func(im store.Impression) bool {
+	cfg.Store.Visit(func(im *store.Impression) bool {
 		if im.Nonce != "" {
 			c.nonceRecord(im.Nonce, im.ID)
 		}

@@ -298,7 +298,7 @@ func TestServerHealthAndMetrics(t *testing.T) {
 	defer cancel()
 	go srv.Serve(ctx)
 
-	for _, path := range []string{"/healthz", "/metricsz"} {
+	for _, path := range []string{"/healthz", "/metrics"} {
 		resp, err := httpGet(ctx, "http://"+srv.Addr().String()+path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)

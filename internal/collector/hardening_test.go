@@ -311,27 +311,46 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 
 // TestTrunkRefusesOtherVersion: an edge built for another trunk
 // protocol version is turned away at its Hello, with a close reason
-// naming both versions, not later on a frame this build cannot decode.
+// naming both versions, not later on a frame this build cannot decode —
+// and so is every other peer that does not speak the trunk protocol,
+// each counted once as a trunk-proto reject.
 func TestTrunkRefusesOtherVersion(t *testing.T) {
 	srv, c := newHardenedServer(t, nil)
-	conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.NetConn().Close()
-	hello := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"})
-	if err := conn.WriteMessage(wsproto.OpBinary, hello); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = conn.ReadMessage()
-	var ce *wsproto.CloseError
-	if !errors.As(err, &ce) {
-		t.Fatalf("trunk ended with %v, want a close frame", err)
-	}
-	if want := "trunk protocol version 1, this build speaks 2"; ce.Code != wsproto.ClosePolicyViolation || ce.Reason != want {
-		t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, want)
-	}
-	if got := c.tel.rejects.With(RejectTrunkProto).Load(); got != 1 {
-		t.Fatalf("rejects{trunk-proto} = %d, want 1", got)
+	for _, tc := range []struct {
+		name   string
+		op     wsproto.Opcode
+		msg    []byte
+		reason string
+	}{
+		{"hello of another version", wsproto.OpBinary,
+			trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"}),
+			"trunk protocol version 1, this build speaks 2"},
+		{"text message", wsproto.OpText, []byte("hello"), "trunk frames must be binary"},
+		{"malformed batch", wsproto.OpBinary, []byte{0xff}, "malformed trunk batch"},
+		{"commit before hello", wsproto.OpBinary,
+			trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Commit, Stream: 1}), "trunk batch before hello"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := c.tel.rejects.With(RejectTrunkProto).Load()
+			conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.NetConn().Close()
+			if err := conn.WriteMessage(tc.op, tc.msg); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = conn.ReadMessage()
+			var ce *wsproto.CloseError
+			if !errors.As(err, &ce) {
+				t.Fatalf("trunk ended with %v, want a close frame", err)
+			}
+			if ce.Code != wsproto.ClosePolicyViolation || ce.Reason != tc.reason {
+				t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, tc.reason)
+			}
+			if got := c.tel.rejects.With(RejectTrunkProto).Load() - before; got != 1 {
+				t.Fatalf("rejects{trunk-proto} moved by %d, want 1", got)
+			}
+		})
 	}
 }

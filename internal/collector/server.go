@@ -190,15 +190,6 @@ func NewServer(c *Collector, addr string, opts ...ServerOption) (*Server, error)
 		mux.Handle("/metrics", reg.Handler())
 		mux.Handle("/api/metrics", reg.JSONHandler())
 	}
-	// Legacy plain-counter view, kept for existing scrapers/scripts.
-	mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "connections %d\n", c.Metrics.Connections.Load())
-		fmt.Fprintf(w, "ingested %d\n", c.Metrics.Ingested.Load())
-		fmt.Fprintf(w, "rejected %d\n", c.Metrics.Rejected.Load())
-		fmt.Fprintf(w, "events %d\n", c.Metrics.Events.Load())
-		fmt.Fprintf(w, "conversions %d\n", c.Metrics.Conversions.Load())
-	})
 	s.httpSrv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: wsproto.HeadTimeout,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"strings"
 	"sync"
@@ -209,8 +210,8 @@ func (f *fixture) stored() int {
 func (f *fixture) impressions() map[int][]store.Impression {
 	out := map[int][]store.Impression{}
 	for i, st := range f.stores {
-		st.ForEach(func(im store.Impression) bool {
-			out[i] = append(out[i], im)
+		st.Visit(func(im *store.Impression) bool {
+			out[i] = append(out[i], *im)
 			return true
 		})
 	}
@@ -626,6 +627,37 @@ func TestHealthLadder(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBreakerCountsTrunksRefusedAtHello: an upstream that accepts the
+// trunk and closes it at the Hello (another protocol version, a
+// draining collector) is a dead upstream that happens to complete
+// handshakes. The breaker paces its redials like failed dials; counting
+// dial errors only, it was redialled thousands of times a second.
+func TestBreakerCountsTrunksRefusedAtHello(t *testing.T) {
+	var accepted atomic.Int64
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := (&wsproto.Upgrader{}).Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		accepted.Add(1)
+		_, _, _ = conn.ReadMessage() // the Hello
+		_ = conn.Close(wsproto.ClosePolicyViolation, "trunk protocol version 2, this build speaks 3")
+	}))
+	defer upstream.Close()
+
+	f := startTier(t, "gateway", 1, fixtureOptions{deadUpstreams: true, edge: func(cfg *Config) {
+		cfg.Upstreams[0].URL = "ws" + strings.TrimPrefix(upstream.URL, "http") + "/trunk"
+		cfg.TrunksPerPool = 1
+		cfg.BreakerThreshold = 3
+		cfg.BreakerCooldown = 200 * time.Millisecond
+	}})
+	time.Sleep(time.Second) // the property is a rate: there is no event to wait on
+	// 3 trunks 50 ms apart open the breaker, then one probe per cooldown: 7.
+	if n, opens := accepted.Load(), f.pools[0].BreakerOpens.Load(); n > 10 || opens < 1 {
+		t.Fatalf("one second against a refusing upstream: %d trunks accepted, %d breaker openings; want <= 10 and >= 1", n, opens)
+	}
 }
 
 // stringAddr is a net.Addr that is only its string, like the addresses

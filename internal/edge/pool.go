@@ -249,8 +249,11 @@ type trunkConn struct {
 	// conn is the live connection (nil while down: the slot is healthy
 	// exactly when it has one).
 	conn atomic.Pointer[wsproto.Conn]
-	// fails counts consecutive dial failures for the breaker; reset on
-	// a successful dial.
+	// fails counts, for the breaker, consecutive trunks that were never
+	// answered: a dial that failed, or a connection that ended before
+	// its first ack or reject. A dial alone proves nothing — an upstream
+	// that refuses the Hello (another protocol version, a draining
+	// collector) accepts the connection first.
 	fails int
 }
 
@@ -269,9 +272,9 @@ func (t *trunkConn) run() {
 			// Below the breaker threshold, space retries briefly so a
 			// transient blip does not burn the whole failure budget at
 			// once. At it, the breaker is open: wait out the cooldown,
-			// then the next dial is the half-open probe. Success closes the
-			// breaker (fails resets); failure re-opens it for another
-			// cooldown.
+			// then the next dial is the half-open probe. A trunk that is
+			// answered closes the breaker (fails resets); any other
+			// outcome re-opens it for another cooldown.
 			wait := e.cfg.BreakerCooldown / 4
 			if t.fails >= e.cfg.BreakerThreshold {
 				wait = e.cfg.BreakerCooldown
@@ -281,18 +284,22 @@ func (t *trunkConn) run() {
 			}
 		}
 		conn, err := t.dial()
-		if err != nil {
-			t.fails++
-			if t.fails == e.cfg.BreakerThreshold {
-				t.p.tel.BreakerOpens.Add(1)
-				t.p.log.Warn("edge: trunk breaker opened",
-					"trunk", t.idx, "fails", t.fails, "err", err)
+		if err == nil {
+			t.attach(conn)
+			var answered bool
+			answered, err = t.reader(conn)
+			t.detach(conn, err)
+			if answered {
+				t.fails = 0
+				continue
 			}
-			continue
 		}
-		t.fails = 0
-		t.attach(conn)
-		t.detach(conn, t.reader(conn))
+		t.fails++
+		if t.fails == e.cfg.BreakerThreshold {
+			t.p.tel.BreakerOpens.Add(1)
+			t.p.log.Warn("edge: trunk breaker opened",
+				"trunk", t.idx, "fails", t.fails, "err", err)
+		}
 	}
 }
 
@@ -389,11 +396,12 @@ func (t *trunkConn) detach(conn *wsproto.Conn, cause error) {
 }
 
 // reader consumes upstream replies (acks and rejects) and runs the
-// trunk's keepalive until the connection dies, returning what ended it
-// (the upstream's close reason, for one). It also hosts the watch
+// trunk's keepalive until the connection dies, returning whether the
+// upstream answered anything and what ended the connection (the
+// upstream's close reason, for one). It also hosts the watch
 // on the edge's stop channel that tears the connection down at Close —
 // so there is no moment a live connection can miss the shutdown.
-func (t *trunkConn) reader(conn *wsproto.Conn) error {
+func (t *trunkConn) reader(conn *wsproto.Conn) (answered bool, _ error) {
 	cfg := &t.p.e.cfg
 	stop := make(chan struct{})
 	defer close(stop)
@@ -423,7 +431,7 @@ func (t *trunkConn) reader(conn *wsproto.Conn) error {
 	for {
 		op, msg, err := conn.ReadMessage()
 		if err != nil {
-			return err
+			return answered, err
 		}
 		renewDeadline()
 		if op != wsproto.OpBinary {
@@ -431,14 +439,16 @@ func (t *trunkConn) reader(conn *wsproto.Conn) error {
 		}
 		frames, err := trunk.DecodeBatch(msg)
 		if err != nil {
-			return fmt.Errorf("malformed trunk reply: %w", err)
+			return answered, fmt.Errorf("malformed trunk reply: %w", err)
 		}
 		for _, f := range frames {
 			switch f.Type {
 			case trunk.Ack:
 				t.p.resolve(f.Stream, true, "")
+				answered = true
 			case trunk.Reject:
 				t.p.resolve(f.Stream, false, f.Reason)
+				answered = true
 			}
 		}
 	}

@@ -18,11 +18,11 @@ import (
 // beacon dial → gateway session → trunk batch → collector commit →
 // ack back through the gateway. Compare against the collector
 // package's BenchmarkWebSocketSession (the direct, no-gateway network
-// path) to see what the extra hop costs; scripts/bench_compare.sh
-// records both in BENCH_gateway.json and gates the direct path
-// against its committed baseline.
+// path) to see what the extra hop costs; cmd/benchgate records both in
+// BENCH_gateway.json and holds each under an absolute allocs/op
+// ceiling (92 forwarded, 66 direct).
 func BenchmarkGatewayForward(b *testing.B) {
-	// Silence both processes: bench_compare.sh parses the
+	// Silence both processes: cmd/benchgate parses the
 	// `BenchmarkGatewayForward ...` result line from stdout, and
 	// slog.Default() would interleave trunk-established lines with it.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))

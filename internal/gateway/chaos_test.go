@@ -205,7 +205,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 
 	// Zero loss, exactly once, on the surviving store.
 	byNonce := map[string]int{}
-	st2.ForEach(func(im store.Impression) bool {
+	st2.Visit(func(im *store.Impression) bool {
 		if im.Nonce != "" {
 			byNonce[im.Nonce]++
 		}
@@ -257,7 +257,7 @@ func auditInputsFromStore(st *store.Store) []audit.CampaignInput {
 		clicks      int64
 	}
 	perCampaign := map[string]map[string]*pubCount{}
-	st.ForEach(func(im store.Impression) bool {
+	st.Visit(func(im *store.Impression) bool {
 		pubs := perCampaign[im.CampaignID]
 		if pubs == nil {
 			pubs = map[string]*pubCount{}

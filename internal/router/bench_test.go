@@ -20,10 +20,11 @@ import (
 // comparison honest: against the collector package's
 // BenchmarkWebSocketSession (the direct network path) the delta is the
 // router hop itself — hash, spill bookkeeping and the extra trunk leg —
-// not a change in shard fan-out. scripts/bench_compare.sh records both
-// in BENCH_router.json and gates the hop's allocation overhead.
+// not a change in shard fan-out. cmd/benchgate records both in
+// BENCH_router.json and holds each under an absolute allocs/op ceiling
+// (92 forwarded, 66 direct).
 func BenchmarkRouterForward(b *testing.B) {
-	// Silence both processes: bench_compare.sh parses the
+	// Silence both processes: cmd/benchgate parses the
 	// `BenchmarkRouterForward ...` result line from stdout, and
 	// slog.Default() would interleave trunk-established lines with it.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))

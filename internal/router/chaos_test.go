@@ -214,7 +214,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	finals := []*store.Store{st0b, st1}
 	byNonce := map[string]int{}
 	for i, st := range finals {
-		st.ForEach(func(im store.Impression) bool {
+		st.Visit(func(im *store.Impression) bool {
 			if im.Nonce == "" {
 				t.Errorf("shard %d: impression %d has no nonce", i, im.ID)
 				return true
@@ -243,8 +243,8 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	combined := store.New()
 	for _, st := range finals {
 		var ierr error
-		st.ForEach(func(im store.Impression) bool {
-			_, ierr = combined.Insert(im)
+		st.Visit(func(im *store.Impression) bool {
+			_, ierr = combined.Insert(*im)
 			return ierr == nil
 		})
 		if ierr != nil {
@@ -294,7 +294,7 @@ func auditInputsFromStore(st *store.Store) []audit.CampaignInput {
 		clicks      int64
 	}
 	perCampaign := map[string]map[string]*pubCount{}
-	st.ForEach(func(im store.Impression) bool {
+	st.Visit(func(im *store.Impression) bool {
 		pubs := perCampaign[im.CampaignID]
 		if pubs == nil {
 			pubs = map[string]*pubCount{}

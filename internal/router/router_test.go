@@ -133,7 +133,7 @@ func (f *shardFixture) totalLen() int {
 func (f *shardFixture) assertPlacement(t *testing.T) {
 	t.Helper()
 	for i, st := range f.stores {
-		st.ForEach(func(im store.Impression) bool {
+		st.Visit(func(im *store.Impression) bool {
 			if im.Nonce == "" {
 				t.Errorf("shard %d: impression %d stored without nonce", i, im.ID)
 				return true
@@ -310,7 +310,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	// Per-impression integrity survived the extra hop.
 	seen := map[string]bool{}
 	for _, st := range f.stores {
-		st.ForEach(func(im store.Impression) bool {
+		st.Visit(func(im *store.Impression) bool {
 			seen[im.Nonce] = true
 			if im.Clicks != 1 {
 				t.Errorf("nonce %q: clicks = %d, want 1", im.Nonce, im.Clicks)
@@ -446,27 +446,44 @@ func TestTrunkCarriesOnlyHelloAndCommit(t *testing.T) {
 
 // TestRouterTrunkRefusesOtherVersion: the router's /trunk turns away a
 // gateway built for another trunk protocol version at its Hello, like a
-// collector does.
+// collector does, and every other peer that does not speak the trunk
+// protocol with the collector's reasons.
 func TestRouterTrunkRefusesOtherVersion(t *testing.T) {
 	f := startShards(t, 1, nil, nil)
 	_, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
-	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
-	conn, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.NetConn().Close()
-	hello := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"})
-	if err := conn.WriteMessage(wsproto.OpBinary, hello); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = conn.ReadMessage()
-	var ce *wsproto.CloseError
-	if !errors.As(err, &ce) {
-		t.Fatalf("trunk ended with %v, want a close frame", err)
-	}
-	if want := "trunk protocol version 1, this build speaks 2"; ce.Code != wsproto.ClosePolicyViolation || ce.Reason != want {
-		t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, want)
+	for _, tc := range []struct {
+		name   string
+		op     wsproto.Opcode
+		msg    []byte
+		reason string
+	}{
+		{"hello of another version", wsproto.OpBinary,
+			trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"}),
+			"trunk protocol version 1, this build speaks 2"},
+		{"text message", wsproto.OpText, []byte("hello"), "trunk frames must be binary"},
+		{"malformed batch", wsproto.OpBinary, []byte{0xff}, "malformed trunk batch"},
+		{"commit before hello", wsproto.OpBinary,
+			trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Commit, Stream: 1}), "trunk batch before hello"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
+			conn, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.NetConn().Close()
+			if err := conn.WriteMessage(tc.op, tc.msg); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = conn.ReadMessage()
+			var ce *wsproto.CloseError
+			if !errors.As(err, &ce) {
+				t.Fatalf("trunk ended with %v, want a close frame", err)
+			}
+			if ce.Code != wsproto.ClosePolicyViolation || ce.Reason != tc.reason {
+				t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, tc.reason)
+			}
+		})
 	}
 }
 

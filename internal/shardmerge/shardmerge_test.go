@@ -229,8 +229,8 @@ func (w *shardWorld) combined(t testing.TB) *store.Store {
 	st := store.New()
 	for _, sh := range w.shards {
 		var err error
-		sh.ForEach(func(im store.Impression) bool {
-			_, err = st.Insert(im)
+		sh.Visit(func(im *store.Impression) bool {
+			_, err = st.Insert(*im)
 			return err == nil
 		})
 		if err != nil {

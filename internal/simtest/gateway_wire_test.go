@@ -247,7 +247,7 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 	}
 
 	byNonce := map[string]int{}
-	rec.ForEach(func(im store.Impression) bool {
+	rec.Visit(func(im *store.Impression) bool {
 		if im.Nonce != "" {
 			byNonce[im.Nonce]++
 		}
@@ -309,7 +309,7 @@ func gatewayWireAuditInputs(st *store.Store) []audit.CampaignInput {
 		clicks      int64
 	}
 	perCampaign := map[string]map[string]*pubCount{}
-	st.ForEach(func(im store.Impression) bool {
+	st.Visit(func(im *store.Impression) bool {
 		pubs := perCampaign[im.CampaignID]
 		if pubs == nil {
 			pubs = map[string]*pubCount{}

@@ -549,8 +549,8 @@ func (o *oracle) checkShardMerge(stage string) {
 		shards[i] = store.New()
 	}
 	var err error
-	o.store.ForEach(func(im store.Impression) bool {
-		_, err = shards[shardmerge.ShardFor(im.Nonce, n)].Insert(im)
+	o.store.Visit(func(im *store.Impression) bool {
+		_, err = shards[shardmerge.ShardFor(im.Nonce, n)].Insert(*im)
 		return err == nil
 	})
 	if err == nil {
@@ -566,8 +566,8 @@ func (o *oracle) checkShardMerge(stage string) {
 	}
 	combined := store.New()
 	for _, sh := range shards {
-		sh.ForEach(func(im store.Impression) bool {
-			_, err = combined.Insert(im)
+		sh.Visit(func(im *store.Impression) bool {
+			_, err = combined.Insert(*im)
 			return err == nil
 		})
 		if err == nil {
@@ -677,8 +677,8 @@ func stageNames(stages []trace.StagePoint) []string {
 // dumpStore copies the store's records in insertion order.
 func dumpStore(s *store.Store) []store.Impression {
 	out := make([]store.Impression, 0, s.Len())
-	s.ForEach(func(im store.Impression) bool {
-		out = append(out, im)
+	s.Visit(func(im *store.Impression) bool {
+		out = append(out, *im)
 		return true
 	})
 	return out

@@ -710,7 +710,7 @@ func binaryWire(seg segment) bool {
 // digestStore folds the final store content into the trace digest in
 // insertion (ID) order.
 func digestStore(h io.Writer, st *store.Store) {
-	st.ForEach(func(im store.Impression) bool {
+	st.Visit(func(im *store.Impression) bool {
 		fmt.Fprintf(h, "rec %d %s %s %s %s %d %d %d %t %.4f %s %s\n",
 			im.ID, im.CampaignID, im.CreativeID, im.Publisher, im.Nonce,
 			im.Exposure, im.MouseMoves, im.Clicks,

@@ -147,7 +147,7 @@ func runWireSchedule(t *testing.T, seed int64) {
 	}
 
 	byNonce := map[string]int{}
-	rec.ForEach(func(im store.Impression) bool {
+	rec.Visit(func(im *store.Impression) bool {
 		if im.Nonce != "" {
 			byNonce[im.Nonce]++
 		}

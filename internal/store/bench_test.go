@@ -30,7 +30,7 @@ func benchRecord(i int) Impression {
 // else: the records are built with the timer stopped, a batch at a
 // time, each with a user key no earlier row had. What is left to
 // allocate is amortised — a log chunk per 1,024 rows, a posting list
-// doubling — and reads 0 allocs/op (gated, scripts/bench_compare.sh);
+// doubling — and reads 0 allocs/op (gated, cmd/benchgate's table);
 // anything kept per user or per publisher reads at least 1.
 func BenchmarkInsert(b *testing.B) {
 	const batch = 1 << 13
@@ -80,7 +80,7 @@ func BenchmarkFullScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		s.ForEach(func(Impression) bool { n++; return true })
+		s.Visit(func(*Impression) bool { n++; return true })
 		if n != 100_000 {
 			b.Fatal("short scan")
 		}

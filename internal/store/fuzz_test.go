@@ -84,7 +84,7 @@ func FuzzRecoverWAL(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rec.ForEach(func(im Impression) bool {
+		rec.Visit(func(im *Impression) bool {
 			if verr := im.Validate(); verr != nil {
 				t.Fatalf("recovered invalid record %d: %v", im.ID, verr)
 			}
@@ -148,8 +148,8 @@ func FuzzReadSnapshot(f *testing.F) {
 
 func dumpAll(s *Store) []Impression {
 	var out []Impression
-	s.ForEach(func(im Impression) bool {
-		out = append(out, im)
+	s.Visit(func(im *Impression) bool {
+		out = append(out, *im)
 		return true
 	})
 	return out

@@ -94,7 +94,7 @@ func (s *Store) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("store: writing csv header: %w", err)
 	}
 	var writeErr error
-	s.ForEach(func(im Impression) bool {
+	s.Visit(func(im *Impression) bool {
 		rec := []string{
 			strconv.FormatInt(im.ID, 10),
 			im.CampaignID,

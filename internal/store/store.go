@@ -219,14 +219,6 @@ func (s *Store) Get(id int64) (Impression, bool) {
 	return *s.recs.at(int(id - 1)), true
 }
 
-// ForEach calls fn for every impression in insertion order; fn returning
-// false stops the scan. The store must not be mutated from within fn.
-func (s *Store) ForEach(fn func(Impression) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.recs.each(func(im *Impression) bool { return fn(*im) })
-}
-
 // Visit calls fn with a pointer to every impression in insertion
 // order, without copying records; fn returning false stops the scan.
 // The pointer is only valid during the call, fn must treat the record

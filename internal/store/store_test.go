@@ -135,21 +135,6 @@ func TestPublishersAndUsers(t *testing.T) {
 	}
 }
 
-func TestForEachEarlyStop(t *testing.T) {
-	s := New()
-	for i := 0; i < 10; i++ {
-		s.Insert(testImpression("c", "p.es", "u", t0))
-	}
-	n := 0
-	s.ForEach(func(Impression) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Fatalf("ForEach visited %d records after early stop", n)
-	}
-}
-
 func TestConcurrentInsertAndRead(t *testing.T) {
 	s := New()
 	const writers, perWriter = 8, 200
@@ -190,7 +175,7 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 	}
 	// IDs must be a permutation-free 1..N sequence.
 	seen := map[int64]bool{}
-	s.ForEach(func(im Impression) bool {
+	s.Visit(func(im *Impression) bool {
 		if seen[im.ID] {
 			t.Errorf("duplicate id %d", im.ID)
 		}
@@ -294,7 +279,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 		}
 		// Cross-check the index against a scan.
 		counts := map[string]int{}
-		s.ForEach(func(im Impression) bool {
+		s.Visit(func(im *Impression) bool {
 			counts[im.CampaignID]++
 			return true
 		})

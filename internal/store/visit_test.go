@@ -32,14 +32,14 @@ func TestVisitMatchesCopyingAccessors(t *testing.T) {
 	s := visitFixture(t)
 
 	var want []Impression
-	s.ForEach(func(im Impression) bool {
+	s.Visit(func(im *Impression) bool {
 		if im.CampaignID == "c2" {
-			want = append(want, im)
+			want = append(want, *im)
 		}
 		return true
 	})
 	if got := campaignRows(s, "c2"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("VisitCampaign diverges from a filtered ForEach:\n got %v\nwant %v", got, want)
+		t.Fatalf("VisitCampaign diverges from a filtered Visit:\n got %v\nwant %v", got, want)
 	}
 	if got := s.CampaignLen("c2"); got != len(want) {
 		t.Fatalf("CampaignLen = %d, want %d", got, len(want))

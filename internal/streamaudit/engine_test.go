@@ -607,8 +607,8 @@ func BenchmarkStreamApply(b *testing.B) {
 // BenchmarkExportRoundTrip measures the wire between a shard and the
 // router: one engine's export marshalled and unmarshalled again. The
 // world has 8,000 users over 20 user agents in 20,000 impressions, and
-// allocs/op is gated (scripts/bench_compare.sh): the codec allocates per
-// table, column and thousand map entries, never per key or slot.
+// allocs/op is gated (cmd/benchgate's table, 600): the codec allocates
+// per table, column and thousand map entries, never per key or slot.
 func BenchmarkExportRoundTrip(b *testing.B) {
 	w := newTestWorld(b, 42)
 	rng := rand.New(rand.NewSource(42))

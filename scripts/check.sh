@@ -7,7 +7,7 @@
 #   scripts/check.sh                # vet + tests + race
 #   scripts/check.sh -bench         # also run the telemetry-overhead benchmarks
 #   scripts/check.sh -chaos         # also run the fault-injection suite under -race
-#   scripts/check.sh -bench-compare # also run the audit perf gate (scripts/bench_compare.sh)
+#   scripts/check.sh -bench-compare # also run the perf gate (cmd/benchgate: 16 benchmarks, 5 BENCH_*.json)
 #   scripts/check.sh -sim           # also run the simulation sweep (25 seeds, -race)
 #                                   # plus the trace-digest determinism gate
 #   scripts/check.sh -adversarial   # also run the adversarial scenario pack under -race
@@ -85,7 +85,7 @@ if [ "${1:-}" = "-chaos" ]; then
 fi
 
 if [ "${1:-}" = "-bench-compare" ]; then
-    sh scripts/bench_compare.sh
+    go run ./cmd/benchgate
 fi
 
 if [ "${1:-}" = "-sim" ]; then

@@ -2,7 +2,9 @@
 // HTML5 display ads (§3): the payload format the in-ad JavaScript sends
 // over a WebSocket to the central collector, a Go client speaking the
 // same wire protocol (indistinguishable from a browser at the collector),
-// and a generator for the embeddable JavaScript snippet itself.
+// the server half of that protocol — Server, the one session loop the
+// collector and the forwarding edge both run — and a generator for the
+// embeddable JavaScript snippet itself.
 package beacon
 
 import (

@@ -1,10 +1,12 @@
 // Package collector implements the paper's central measurement server
-// (§3): it terminates the beacons' WebSocket connections, parses the
-// impression payloads, derives the connection-side facts the client
-// cannot forge — peer IP address, impression timestamp (connection
-// establishment) and exposure time (connection duration) — enriches the
-// record with IP metadata (ISP, country, data-center verdict) and then
-// anonymises the address before the record reaches the store.
+// (§3): it terminates the beacons' WebSocket connections on the shared
+// session loop (beacon.Server) and edge trunks on the shared receiver
+// (trunk.Receiver), parses the impression payloads, derives the
+// connection-side facts the client cannot forge — peer IP address,
+// impression timestamp (connection establishment) and exposure time
+// (connection duration) — enriches the record with IP metadata (ISP,
+// country, data-center verdict) and then anonymises the address before
+// the record reaches the store.
 //
 // The same enrichment pipeline is reachable without a socket through
 // Ingest, which the campaign simulator uses to replay large synthetic
@@ -24,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/netip"
 	"runtime/debug"
@@ -40,6 +41,7 @@ import (
 	"adaudit/internal/store"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
+	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
@@ -66,10 +68,8 @@ type Config struct {
 	// sending its initial payload (default 10 s).
 	HandshakeTimeout time.Duration
 	// KeepAliveInterval pings idle beacon sessions and drops peers that
-	// stop answering within two intervals; without that a silently dead
-	// TCP peer (crashed browser, NAT timeout) holds its socket — and
-	// inflates its exposure measurement — until MaxExposure fires.
-	// Default 30 s; negative disables.
+	// stop answering within two intervals (beacon.Server). Default 30 s;
+	// negative disables.
 	KeepAliveInterval time.Duration
 	// TrunkToken, when set, is the shared secret an edge gateway must
 	// present (in the trunk.TokenHeader header) to open a trunk
@@ -150,25 +150,6 @@ const (
 	RejectTrunkProto   = "trunk-proto"    // malformed trunk frame or batch
 )
 
-// Session close reasons used for
-// adaudit_collector_sessions_closed_total{reason=...}.
-const (
-	ClosePeer        = "peer-close"        // clean WebSocket close from the beacon
-	CloseError       = "error"             // read error / TCP reset
-	CloseExposureCap = "exposure-cap"      // MaxExposure fired
-	CloseKeepAlive   = "keepalive-timeout" // peer stopped answering pings
-	CloseDrain       = "drain"             // collector shutdown drained the session
-)
-
-// pingWriteTimeout bounds a keepalive ping's write so a stalled peer
-// cannot park the ping goroutine on a full TCP window.
-const pingWriteTimeout = 5 * time.Second
-
-// testSessionHook, when non-nil, runs inside runSession right after the
-// payload decodes — the seam session-panic tests use to blow up a live
-// session deterministically.
-var testSessionHook func(p beacon.Payload)
-
 // sampleInterval is the stage-timing sampling rate on the direct ingest
 // path (power of two): a clock read costs tens of nanoseconds, so
 // timing every enrich stage would dominate the telemetry budget at the
@@ -209,6 +190,9 @@ type Collector struct {
 	cfg      Config
 	clock    simclock.Clock
 	upgrader wsproto.Upgrader
+	// sessions runs every beacon session, trunks every gateway trunk.
+	sessions beacon.Server
+	trunks   trunk.Receiver
 	// Metrics exposes ingest counters for health checks and tests.
 	Metrics Metrics
 
@@ -223,7 +207,7 @@ type Collector struct {
 	// sampleInterval.
 	sampleTick atomic.Uint64
 
-	// Session bookkeeping: every runSession goroutine is tracked so
+	// Session bookkeeping: every serveConn goroutine is tracked so
 	// shutdown can drain in-flight impressions instead of losing them.
 	sessMu    sync.Mutex
 	sessConns map[*wsproto.Conn]struct{}
@@ -379,6 +363,30 @@ func New(cfg Config) (*Collector, error) {
 		}
 		cfg.Store.Instrument(reg)
 		cfg.Tracer.Recorder().Instrument(reg)
+	}
+	c.sessions = beacon.Server{
+		Clock:             c.clock,
+		HandshakeTimeout:  cfg.HandshakeTimeout,
+		KeepAliveInterval: cfg.KeepAliveInterval,
+		MaxExposure:       cfg.MaxExposure,
+		Draining:          c.draining.Load,
+		// Interned, as IngestBinary decodes: nothing aliases the frame.
+		DecodeBinary: c.icache.decodeBinary,
+		Decode:       c.tel.decode,
+		Events:       c.Metrics.Events,
+		PingFailures: c.tel.pingFailures,
+	}
+	// Every trunk refusal is one trunk-proto reject. Replies are left
+	// unbounded: a stalled gateway parks only its own trunk's goroutine.
+	c.trunks = trunk.Receiver{
+		Clock:            c.clock,
+		HandshakeTimeout: cfg.HandshakeTimeout,
+		Refused: func(p *trunk.Peer, _ string, err error) {
+			c.reject(RejectTrunkProto)
+			if err != nil {
+				cfg.Logger.Warn("collector: malformed trunk batch", "gateway", p.ID, "err", err)
+			}
+		},
 	}
 	// A store recovered from a snapshot + WAL may already hold nonced
 	// impressions whose beacons could still be retrying; remember them so
@@ -705,13 +713,9 @@ func (c *Collector) IngestBinary(raw []byte, remoteIP netip.Addr, connectedAt ti
 	})
 }
 
-// ServeHTTP upgrades the request to a WebSocket and runs the beacon
-// session protocol: the first data message is the impression payload —
-// a text frame carries the JavaScript beacon's query-string encoding, a
-// binary frame the length-prefixed binary encoding — subsequent event
-// messages are interaction updates on the same wire, and the connection
-// lifetime measures exposure. The impression is committed when the
-// connection ends (or the exposure cap fires).
+// ServeHTTP upgrades the request to a WebSocket and runs a beacon
+// session on it (beacon.Server); the impression is committed when the
+// session ends.
 func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if c.atCapacity() {
 		// Shed before the upgrade: a plain 503 costs a few hundred bytes
@@ -762,8 +766,10 @@ func (c *Collector) beaconRoute() wsproto.Route {
 }
 
 // serveConn is a beacon connection's life from the completed upgrade
-// on, whichever path (counted on via) made it: it returns when the
-// session has ended.
+// on, whichever path (counted on via) made it: one session on the shared
+// loop (beacon.Server), then its commit. The impression timestamp and
+// every session deadline come from the collector's clock, so on a
+// virtual clock the whole session-timing path is deterministic.
 func (c *Collector) serveConn(conn *wsproto.Conn, upgrade time.Duration, via *telemetry.Counter) {
 	if c.tel.enabled {
 		c.tel.upgrade.ObserveDuration(upgrade)
@@ -780,9 +786,6 @@ func (c *Collector) serveConn(conn *wsproto.Conn, upgrade time.Duration, via *te
 		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
 		return
 	}
-	// Session messages are decoded (text) or copied/interned (binary)
-	// before the next read, so the frame buffer can recycle.
-	conn.ReuseReadBuffer()
 	// A panic in one session — a malformed frame tripping a bug, a
 	// store failure mode — must cost exactly that session, not the
 	// collector. The impression is lost (the paper's loss model
@@ -795,7 +798,59 @@ func (c *Collector) serveConn(conn *wsproto.Conn, upgrade time.Duration, via *te
 			_ = conn.Close(wsproto.CloseInternalError, "internal error")
 		}
 	}()
-	c.runSession(conn)
+	defer conn.Close(wsproto.CloseNormal, "")
+	remote, err := wsproto.PeerAddr(conn.RemoteAddr())
+	if err != nil {
+		c.reject(RejectPeerAddr)
+		c.cfg.Logger.Warn("collector: unresolvable peer address", "err", err)
+		return
+	}
+	sess, err := c.sessions.Open(conn)
+	if errors.Is(err, beacon.ErrNoPayload) {
+		c.reject(RejectHandshake)
+		return
+	}
+	if err != nil {
+		c.reject(RejectDecode)
+		c.cfg.Logger.Debug("collector: bad payload", "err", err, "remote", remote)
+		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
+		return
+	}
+	// Events the opening payload already carries count like updates, as
+	// they do when a trunk commit delivers them all at once.
+	c.Metrics.Events.Add(int64(len(sess.Payload.Events)))
+	// Adopt payload-borne trace context now, while the frame is fresh:
+	// the wire_recv offset then measures actual transit, not transit
+	// plus the session's whole exposure. The trace stays active for
+	// the session's lifetime; the server's janitor sweeps traces whose
+	// session leg died without committing.
+	tr := c.adoptTrace(sess.Payload)
+	tr.Stage(trace.StageDecode)
+	tr.Annotate(sess.Payload.Nonce, sess.Payload.CampaignID)
+	ctx := trace.ContextWithID(context.Background(), tr.ID())
+	if tr != nil && c.tel.enabled {
+		c.tel.decode.SetExemplar(uint64(tr.ID()))
+	}
+	end, exposure := sess.Run(func(err error) {
+		c.cfg.Logger.DebugContext(ctx, "collector: bad event update", "err", err, "remote", remote)
+	})
+	c.tel.sessionsClosed.With(end).Inc()
+	c.tel.exposure.ObserveDuration(exposure)
+	if _, err := c.Ingest(Observation{
+		Payload:     sess.Payload,
+		RemoteIP:    remote,
+		ConnectedAt: sess.ConnectedAt,
+		Exposure:    exposure,
+		Trace:       tr,
+	}); err != nil {
+		c.cfg.Logger.WarnContext(ctx, "collector: ingest failed", "err", err, "remote", remote)
+	} else if end != beacon.EndPeer {
+		// The session ended abnormally (reset, keepalive timeout,
+		// exposure cap, drain) but its exposure up to that moment still
+		// committed — the measurement the paper derives server-side
+		// precisely so a dying client cannot lose it.
+		c.tel.partialCommits.Inc()
+	}
 }
 
 func (c *Collector) trackSession(conn *wsproto.Conn) {
@@ -848,191 +903,6 @@ func (c *Collector) Drain(grace time.Duration) int {
 		}
 		return dropped
 	}
-}
-
-func (c *Collector) runSession(conn *wsproto.Conn) {
-	defer conn.Close(wsproto.CloseNormal, "")
-
-	remote, err := wsproto.PeerAddr(conn.RemoteAddr())
-	if err != nil {
-		c.reject(RejectPeerAddr)
-		c.cfg.Logger.Warn("collector: unresolvable peer address", "err", err)
-		return
-	}
-	// The impression timestamp and every session deadline come from the
-	// collector's clock, not conn.Established(): on the real clock the
-	// two agree to microseconds (runSession starts right after the
-	// upgrade), and on a virtual clock the whole session-timing path —
-	// exposure, keepalive, hard stop — becomes deterministic.
-	connectedAt := c.clock.Now()
-
-	// The beacon must identify itself promptly. The opcode of this
-	// first message negotiates the session's wire: text selects the
-	// JavaScript beacon's query-string encoding, binary the
-	// length-prefixed binary encoding.
-	_ = conn.SetReadDeadline(connectedAt.Add(c.cfg.HandshakeTimeout))
-	op, msg, err := conn.ReadMessage()
-	if err != nil || !op.IsData() {
-		c.reject(RejectHandshake)
-		return
-	}
-	var decodeStart time.Time
-	if c.tel.enabled {
-		decodeStart = c.clock.Now()
-	}
-	var payload beacon.Payload
-	if op == wsproto.OpBinary {
-		// Through the intern tables, as IngestBinary decodes: the hot
-		// strings are the canonical copies, nothing aliases the frame.
-		err = c.icache.decodeBinary(&payload, msg)
-	} else {
-		payload, err = beacon.Decode(string(msg))
-	}
-	if c.tel.enabled {
-		c.tel.decode.ObserveDuration(c.clock.Since(decodeStart))
-	}
-	if err != nil {
-		c.reject(RejectDecode)
-		c.cfg.Logger.Debug("collector: bad payload", "err", err, "remote", remote)
-		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
-		return
-	}
-	// Events the opening payload already carries count like updates, as
-	// they do when a trunk commit delivers them all at once.
-	c.Metrics.Events.Add(int64(len(payload.Events)))
-	// Adopt payload-borne trace context now, while the frame is fresh:
-	// the wire_recv offset then measures actual transit, not transit
-	// plus the session's whole exposure. The trace stays active for
-	// the session's lifetime; the server's janitor sweeps traces whose
-	// session leg died without committing.
-	tr := c.adoptTrace(payload)
-	tr.Stage(trace.StageDecode)
-	tr.Annotate(payload.Nonce, payload.CampaignID)
-	ctx := trace.ContextWithID(context.Background(), tr.ID())
-	if tr != nil && c.tel.enabled {
-		c.tel.decode.SetExemplar(uint64(tr.ID()))
-	}
-	if testSessionHook != nil {
-		testSessionHook(payload)
-	}
-
-	// Stream interaction updates until disconnect or exposure cap. With
-	// keep-alive enabled the read deadline renews on every pong, so a
-	// dead peer is detected within two intervals instead of holding the
-	// socket until the exposure cap.
-	hardStop := connectedAt.Add(c.cfg.MaxExposure)
-	renewDeadline := func() {
-		if c.draining.Load() {
-			// Drain forced the deadline to the past; a racing pong must
-			// not push it back out.
-			return
-		}
-		d := hardStop
-		if ka := c.cfg.KeepAliveInterval; ka > 0 {
-			if soft := c.clock.Now().Add(2 * ka); soft.Before(d) {
-				d = soft
-			}
-		}
-		_ = conn.SetReadDeadline(d)
-	}
-	conn.SetPongHandler(func([]byte) { renewDeadline() })
-	renewDeadline()
-	if ka := c.cfg.KeepAliveInterval; ka > 0 {
-		stopPings := make(chan struct{})
-		defer close(stopPings)
-		go func() {
-			t := c.clock.NewTicker(ka)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopPings:
-					return
-				case <-t.C():
-					// Bound the write so a peer with a full TCP window
-					// (dead radio, zero-window attack) cannot park this
-					// goroutine; the missed pong tears the session down.
-					_ = conn.SetWriteDeadline(c.clock.Now().Add(pingWriteTimeout))
-					err := conn.Ping(nil)
-					_ = conn.SetWriteDeadline(time.Time{})
-					if err != nil {
-						c.tel.pingFailures.Inc()
-						return
-					}
-				}
-			}
-		}()
-	}
-	closeReason := CloseError
-	for {
-		op, msg, err := conn.ReadMessage()
-		if err != nil {
-			closeReason = c.classifyClose(err, hardStop)
-			break
-		}
-		renewDeadline()
-		// Event updates are dispatched per message opcode, so a session
-		// may mix wires (the negotiation only fixes the payload's).
-		var e beacon.Event
-		var isEvent bool
-		if op == wsproto.OpBinary {
-			e, isEvent, err = beacon.DecodeBinaryEventUpdate(msg)
-		} else {
-			e, isEvent, err = beacon.DecodeEventUpdate(string(msg))
-		}
-		if err != nil {
-			c.cfg.Logger.DebugContext(ctx, "collector: bad event update", "err", err, "remote", remote)
-			continue
-		}
-		// Past beacon.MaxEvents the session keeps measuring exposure but
-		// drops updates, as a forwarding edge does.
-		if isEvent && len(payload.Events) < beacon.MaxEvents {
-			c.Metrics.Events.Add(1)
-			payload.Events = append(payload.Events, e)
-		}
-	}
-	c.tel.sessionsClosed.With(closeReason).Inc()
-
-	exposure := c.clock.Since(connectedAt)
-	c.tel.exposure.ObserveDuration(exposure)
-	if _, err := c.Ingest(Observation{
-		Payload:     payload,
-		RemoteIP:    remote,
-		ConnectedAt: connectedAt,
-		Exposure:    exposure,
-		Trace:       tr,
-	}); err != nil {
-		c.cfg.Logger.WarnContext(ctx, "collector: ingest failed", "err", err, "remote", remote)
-	} else if closeReason != ClosePeer {
-		// The session ended abnormally (reset, keepalive timeout,
-		// exposure cap, drain) but its exposure up to that moment still
-		// committed — the measurement the paper derives server-side
-		// precisely so a dying client cannot lose it.
-		c.tel.partialCommits.Inc()
-	}
-}
-
-// classifyClose maps a session-ending read error onto a close-reason
-// label.
-func (c *Collector) classifyClose(err error, hardStop time.Time) string {
-	var ce *wsproto.CloseError
-	if errors.As(err, &ce) {
-		return ClosePeer
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		switch {
-		case c.draining.Load():
-			return CloseDrain
-		case !c.clock.Now().Before(hardStop):
-			return CloseExposureCap
-		default:
-			return CloseKeepAlive
-		}
-	}
-	if c.draining.Load() {
-		return CloseDrain
-	}
-	return CloseError
 }
 
 // UserKey derives the paper's user identity — the combination of IP

@@ -27,7 +27,7 @@ import (
 // real server as the bytes the handler alone produces, and counts where
 // it always counted.
 func TestFrontRefusalsAreTheHandlers(t *testing.T) {
-	srv, c := newHardenedServer(t, func(cfg *Config) { cfg.MaxSessions = 1 })
+	srv, c := newHardenedServer(t, func(c *Collector) { c.cfg.MaxSessions = 1 })
 	ref := wstest.HandlerAlone(t, c)
 	addr := srv.Addr().String()
 
@@ -220,7 +220,7 @@ func TestFrontUpgradeDuringDrain(t *testing.T) {
 // head (10 s of deadline left) does not hold shutdown up.
 func TestShutdownWithConnectionMidHead(t *testing.T) {
 	c, _ := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0", WithShutdownGrace(time.Second))
+	srv, err := NewServer(c, "127.0.0.1:0", withShutdownGrace(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,19 +10,17 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/trunk"
+	"adaudit/internal/trunk/trunktest"
 	"adaudit/internal/wsproto"
 )
 
 // newHardenedServer boots a full Server around a testCollector with the
 // given config tweaks applied.
-func newHardenedServer(t *testing.T, tweak func(*Config)) (*Server, *Collector) {
+func newHardenedServer(t *testing.T, tweak func(*Collector)) (*Server, *Collector) {
 	t.Helper()
 	c, _ := testCollector(t)
 	if tweak != nil {
-		cfg := c.cfg
-		tweak(&cfg)
-		c.cfg = cfg
+		tweak(c)
 	}
 	srv, err := NewServer(c, "127.0.0.1:0")
 	if err != nil {
@@ -47,7 +44,7 @@ func newHardenedServer(t *testing.T, tweak func(*Config)) (*Server, *Collector) 
 }
 
 func TestSessionCapShedsWith503(t *testing.T) {
-	srv, c := newHardenedServer(t, func(cfg *Config) { cfg.MaxSessions = 2 })
+	srv, c := newHardenedServer(t, func(c *Collector) { c.cfg.MaxSessions = 2 })
 
 	// Fill the cap with two held-open sessions.
 	cl := &beacon.Client{CollectorURL: srv.BeaconURL()}
@@ -89,15 +86,19 @@ func TestSessionCapShedsWith503(t *testing.T) {
 }
 
 func TestSessionPanicIsRecoveredAndIsolated(t *testing.T) {
-	srv, c := newHardenedServer(t, nil)
-	testSessionHook = func(p beacon.Payload) {
-		if p.CreativeID == "boom" {
-			panic("injected session failure")
+	// The binary decode blows up on one creative: a bug a malformed
+	// frame trips, deterministically.
+	srv, c := newHardenedServer(t, func(c *Collector) {
+		decode := c.sessions.DecodeBinary
+		c.sessions.DecodeBinary = func(p *beacon.Payload, msg []byte) error {
+			err := decode(p, msg)
+			if p.CreativeID == "boom" {
+				panic("injected session failure")
+			}
+			return err
 		}
-	}
-	defer func() { testSessionHook = nil }()
-
-	cl := &beacon.Client{CollectorURL: srv.BeaconURL()}
+	})
+	cl := &beacon.Client{CollectorURL: srv.BeaconURL(), Wire: beacon.WireBinary}
 	ctx := context.Background()
 
 	// A healthy session opened before the panic...
@@ -309,58 +310,26 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 	}
 }
 
-// validCommit is a Commit frame a collector would ingest and ack after
-// a Hello.
-func validCommit() []byte {
-	p := samplePayload()
-	p.Nonce = "before-hello"
-	return trunk.AppendFrame(nil, trunk.Frame{
-		Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
-		ConnectedAt: time.Now().UnixNano(), Exposure: time.Second,
-		Payload: string(p.EncodeBinary()),
-	})
-}
-
-// TestTrunkRefusesOtherVersion: an edge built for another trunk
-// protocol version is turned away at its Hello, with a close reason
-// naming both versions, not later on a frame this build cannot decode —
-// and so is every other peer that does not speak the trunk protocol,
-// each counted once as a trunk-proto reject, with nothing ingested.
+// TestTrunkRefusesOtherVersion: every input the shared trunk receiver
+// refuses (internal/trunk tests the close and its reason) is one
+// trunk-proto reject at the collector, and nothing else — no other
+// reject class, nothing stored.
 func TestTrunkRefusesOtherVersion(t *testing.T) {
 	srv, c := newHardenedServer(t, nil)
-	for _, tc := range []struct {
-		name   string
-		op     wsproto.Opcode
-		msg    []byte
-		reason string
-	}{
-		{"hello of another version", wsproto.OpBinary,
-			trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"}),
-			trunk.VersionMismatch(trunk.Version - 1)},
-		{"text message", wsproto.OpText, []byte("hello"), "trunk frames must be binary"},
-		{"malformed batch", wsproto.OpBinary, []byte{0xff}, "malformed trunk batch"},
-		{"commit before hello", wsproto.OpBinary, validCommit(), "trunk batch before hello"},
-		{"commit then hello", wsproto.OpBinary,
-			trunk.AppendFrame(validCommit(), trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw-late"}),
-			"trunk batch before hello"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, tc := range trunktest.Refusals {
+		t.Run(tc.Name, func(t *testing.T) {
 			before, beforeAll := c.tel.rejects.With(RejectTrunkProto).Load(), c.Metrics.Rejected.Load()
 			conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.NetConn().Close()
-			if err := conn.WriteMessage(tc.op, tc.msg); err != nil {
+			if err := conn.WriteMessage(tc.Op, tc.Msg); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = conn.ReadMessage()
-			var ce *wsproto.CloseError
-			if !errors.As(err, &ce) {
-				t.Fatalf("trunk ended with %v, want a close frame", err)
-			}
-			if ce.Code != wsproto.ClosePolicyViolation || ce.Reason != tc.reason {
-				t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, tc.reason)
+			// The reject is counted before the close is written.
+			if _, _, err := conn.ReadMessage(); err == nil {
+				t.Fatal("refused trunk answered with a message")
 			}
 			if got := c.tel.rejects.With(RejectTrunkProto).Load() - before; got != 1 {
 				t.Fatalf("rejects{trunk-proto} moved by %d, want 1", got)

@@ -41,12 +41,6 @@ const (
 	maxAuditStaleness = 30 * time.Second
 )
 
-// WithShutdownGrace bounds how long Serve waits for in-flight beacon
-// sessions to commit their impressions on shutdown (default 5 s).
-func WithShutdownGrace(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.shutdownGrace = d }
-}
-
 // WithMaxIngestAge makes /healthz report unhealthy (503) when no record
 // has been committed for longer than d. Zero (the default) disables the
 // check — correct for a collector that legitimately idles.

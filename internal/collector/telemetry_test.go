@@ -280,7 +280,7 @@ func TestHealthzCustomCheck(t *testing.T) {
 // under the "drain" close reason.
 func TestShutdownDrainsOpenSessions(t *testing.T) {
 	c, st := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0", WithShutdownGrace(3*time.Second))
+	srv, err := NewServer(c, "127.0.0.1:0", withShutdownGrace(3*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestShutdownDrainsOpenSessions(t *testing.T) {
 		t.Fatalf("drained record = %+v", im)
 	}
 	reg := c.Telemetry()
-	if s, ok := reg.Find("adaudit_collector_sessions_closed_total", map[string]string{"reason": CloseDrain}); !ok || s.Value != 1 {
+	if s, ok := reg.Find("adaudit_collector_sessions_closed_total", map[string]string{"reason": beacon.EndDrain}); !ok || s.Value != 1 {
 		t.Fatalf("drain close reason = %+v ok=%v, want 1", s, ok)
 	}
 	if s, _ := reg.Find("adaudit_collector_sessions_dropped_shutdown_total", nil); s.Value != 0 {

@@ -41,13 +41,11 @@ func (c *Collector) streamForget(key streamKey) {
 	c.streamMu.Unlock()
 }
 
-// ServeTrunk terminates one gateway trunk connection: a long-lived
-// WebSocket multiplexing every beacon session the gateway holds, as
-// batches of trunk frames. Commits are ingested through the same
-// funnel as direct beacon sessions and acknowledged per stream;
-// replayed commits (a gateway re-homing after a trunk failure, or
-// retrying after a lost ack) are deduplicated by stream ID and acked
-// without a second ingest.
+// ServeTrunk terminates one gateway trunk on the shared receiver
+// (trunk.Receiver). Commits are ingested through the same funnel as
+// direct beacon sessions and acknowledged per stream; replayed commits
+// (a gateway re-homing after a trunk failure, or retrying after a lost
+// ack) are deduplicated by stream ID and acked without a second ingest.
 func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 	if tok := c.cfg.TrunkToken; tok != "" && r.Header.Get(trunk.TokenHeader) != tok {
 		c.reject(RejectTrunkAuth)
@@ -65,10 +63,6 @@ func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
 		return
 	}
-	// DecodeBatch copies every string out of the message, so the batch
-	// buffer can recycle across reads. (A commit's payload string is then
-	// copied once more, into the decode buffer below.)
-	conn.ReuseReadBuffer()
 	// Trunks ride the same session tracking as beacon connections, so
 	// Drain tears them down too: the gateway spills unacked commits and
 	// replays them against the restarted collector.
@@ -76,71 +70,24 @@ func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 	defer c.untrackSession(conn)
 	c.tel.trunksActive.Add(1)
 	defer c.tel.trunksActive.Add(-1)
-	defer conn.Close(wsproto.CloseNormal, "")
 
-	// The gateway must identify itself promptly; after the Hello the
-	// trunk may legitimately idle (the gateway pings keep it alive).
-	_ = conn.SetReadDeadline(c.clock.Now().Add(c.cfg.HandshakeTimeout))
-	gatewayID := ""
-	// Both buffers are reused across batches: a commit's payload is
-	// decoded (interned or copied) before the next is copied in, and
-	// WriteMessage has sent the reply when it returns.
-	var payload, reply []byte
-	for {
-		op, msg, err := conn.ReadMessage()
-		if err != nil {
-			if gatewayID != "" {
-				c.cfg.Logger.Debug("collector: trunk closed", "gateway", gatewayID, "err", err)
-			}
-			return
-		}
-		if op != wsproto.OpBinary {
+	var raw []byte // each commit's payload, decoded before the next
+	p, err := c.trunks.Serve(conn, func(p *trunk.Peer, f trunk.Frame, reply []byte) []byte {
+		c.tel.trunkFrames.With(f.Type.String()).Inc()
+		switch f.Type {
+		case trunk.Hello:
+			c.cfg.Logger.Info("collector: trunk established",
+				"gateway", p.ID, "version", f.Version, "remote", r.RemoteAddr)
+		case trunk.Commit:
+			raw = append(raw[:0], f.Payload...)
+			return c.ingestTrunkCommit(p.ID, f, raw, reply)
+		default:
 			c.reject(RejectTrunkProto)
-			_ = conn.Close(wsproto.ClosePolicyViolation, "trunk frames must be binary")
-			return
 		}
-		frames, err := trunk.DecodeBatch(msg)
-		if err != nil {
-			c.reject(RejectTrunkProto)
-			c.cfg.Logger.Warn("collector: malformed trunk batch", "gateway", gatewayID, "err", err)
-			_ = conn.Close(wsproto.ClosePolicyViolation, "malformed trunk batch")
-			return
-		}
-		if gatewayID == "" && (len(frames) == 0 || frames[0].Type != trunk.Hello) {
-			// A peer speaking the wrong protocol, not a gateway: refused
-			// before any of its frames is acted on.
-			c.reject(RejectTrunkProto)
-			_ = conn.Close(wsproto.ClosePolicyViolation, "trunk batch before hello")
-			return
-		}
-		reply = reply[:0]
-		for _, f := range frames {
-			c.tel.trunkFrames.With(f.Type.String()).Inc()
-			switch f.Type {
-			case trunk.Hello:
-				if f.Version != trunk.Version {
-					c.reject(RejectTrunkProto)
-					_ = conn.Close(wsproto.ClosePolicyViolation, trunk.VersionMismatch(f.Version))
-					return
-				}
-				if gatewayID == "" {
-					gatewayID = f.GatewayID
-					_ = conn.SetReadDeadline(time.Time{})
-					c.cfg.Logger.Info("collector: trunk established",
-						"gateway", gatewayID, "version", f.Version, "remote", r.RemoteAddr)
-				}
-			case trunk.Commit:
-				payload = append(payload[:0], f.Payload...)
-				reply = c.ingestTrunkCommit(gatewayID, f, payload, reply)
-			default:
-				c.reject(RejectTrunkProto)
-			}
-		}
-		if len(reply) > 0 {
-			if err := conn.WriteMessage(wsproto.OpBinary, reply); err != nil {
-				return
-			}
-		}
+		return reply
+	})
+	if err != nil && p.ID != "" {
+		c.cfg.Logger.Debug("collector: trunk closed", "gateway", p.ID, "err", err)
 	}
 }
 

@@ -21,10 +21,12 @@
 // names, their /healthz JSON — and nothing else.
 //
 // The tier is trusted infrastructure, unlike the clients it fronts: it
-// measures exposure as connection lifetime on its own clock and ships
+// measures exposure as connection lifetime on the real clock and ships
 // the connection-derived facts (peer IP, connect time, exposure) in a
 // self-contained Commit frame, exactly the facts the collector would
-// have derived had the beacon connected directly.
+// have derived had the beacon connected directly — because the session
+// loop that measures them is the collector's own, beacon.Server. Only
+// what is done with a finished session (the spill) is this package's.
 package edge
 
 import (
@@ -41,7 +43,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaudit/internal/beacon"
 	"adaudit/internal/shardmerge"
+	"adaudit/internal/simclock"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
 )
@@ -180,6 +184,8 @@ type Edge struct {
 	cfg      Config
 	log      *slog.Logger
 	upgrader wsproto.Upgrader
+	// sessions runs every beacon session, on the real clock.
+	sessions beacon.Server
 
 	// Tel.Upgrades' two series, resolved once.
 	upgradesInPlace, upgradesNetHTTP *telemetry.Counter
@@ -218,6 +224,14 @@ func New(cfg Config) (*Edge, error) {
 		upgradesNetHTTP: cfg.Tel.Upgrades.With("net-http"),
 		sessConns:       map[*wsproto.Conn]struct{}{},
 		stopCh:          make(chan struct{}),
+	}
+	e.sessions = beacon.Server{
+		Clock:             simclock.System(),
+		HandshakeTimeout:  cfg.HandshakeTimeout,
+		KeepAliveInterval: cfg.KeepAliveInterval,
+		MaxExposure:       cfg.MaxExposure,
+		Draining:          e.draining.Load,
+		Events:            cfg.Tel.Events,
 	}
 	for _, up := range cfg.Upstreams {
 		e.pools = append(e.pools, newPool(e, up))
@@ -312,9 +326,7 @@ func (e *Edge) refusal(origin string) string {
 }
 
 // ServeHTTP is the beacon endpoint: admission control, WebSocket
-// upgrade, then the session protocol (first message is the impression
-// payload, "ev:" messages are interaction updates, the connection
-// lifetime measures exposure).
+// upgrade, then a beacon session (beacon.Server).
 func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch reason := e.refusal(r.Header.Get("Origin")); reason {
 	case "":
@@ -346,26 +358,6 @@ func (e *Edge) beaconRoute() wsproto.Route {
 		Admit:    func(origin string) bool { return e.refusal(origin) == "" },
 		Serve:    func(conn *wsproto.Conn, _ time.Duration) { e.serveConn(conn, e.upgradesInPlace) },
 	}
-}
-
-// serveConn is a beacon connection's life from the completed upgrade
-// on, whichever path (counted on via) made it: it returns when the
-// session has ended.
-func (e *Edge) serveConn(conn *wsproto.Conn, via *telemetry.Counter) {
-	via.Inc()
-	e.cfg.Tel.Connections.Add(1)
-	// Tracked before the drain check: a connection that races Drain is
-	// then either closed by it or sees the flag, never neither.
-	e.TrackSession(conn)
-	defer e.UntrackSession(conn)
-	if e.draining.Load() {
-		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
-		return
-	}
-	// Session messages are decoded or copied before the next read, so
-	// the frame buffer can recycle.
-	conn.ReuseReadBuffer()
-	e.runSession(conn)
 }
 
 // TrackSession registers a live connection so Drain closes it and
@@ -461,7 +453,7 @@ func (e *Edge) Drain(grace time.Duration) int {
 	e.draining.Store(true)
 	// Send the resumable close ourselves: unblocking the session's read
 	// with a bare deadline would make wsproto auto-close with a protocol
-	// error before runSession could speak. Closing the transport is what
+	// error before serveConn could speak. Closing the transport is what
 	// breaks the read loop; the commit still happens after it.
 	e.sessMu.Lock()
 	for conn := range e.sessConns {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaudit/internal/beacon"
+	"adaudit/internal/simclock"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
@@ -300,26 +302,6 @@ func (t *trunkConn) run() {
 	}
 }
 
-// pingEvery pings conn every interval until stop closes (true) or a
-// ping cannot be written within 5 s (false).
-func pingEvery(conn *wsproto.Conn, interval time.Duration, stop <-chan struct{}) bool {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return true
-		case <-tick.C:
-			_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			err := conn.Ping(nil)
-			_ = conn.SetWriteDeadline(time.Time{})
-			if err != nil {
-				return false
-			}
-		}
-	}
-}
-
 // sleepOrStop waits d unless stop closes first; reports whether the
 // full wait elapsed.
 func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
@@ -411,8 +393,9 @@ func (t *trunkConn) reader(conn *wsproto.Conn) (answered bool, _ error) {
 	conn.SetPongHandler(func([]byte) { renewDeadline() })
 	renewDeadline()
 	if ka := cfg.KeepAliveInterval; ka > 0 {
+		tick := simclock.System().NewTicker(ka)
 		go func() {
-			if !pingEvery(conn, ka, stop) {
+			if beacon.KeepAlive(simclock.System(), conn, tick, stop) != nil {
 				_ = conn.NetConn().Close() // the reader below notices
 			}
 		}()

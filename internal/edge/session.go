@@ -1,26 +1,32 @@
 package edge
 
 import (
+	"errors"
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
-// stageOffset computes a trace stage offset relative to the beacon's
-// stamped send time, clamped like the collector's trace adoption.
-func stageOffset(sentUnixNanos int64, at time.Time) time.Duration {
-	return trace.ClampSkew(at.Sub(time.Unix(0, sentUnixNanos)))
-}
-
-// runSession drives one beacon connection end to end: payload
-// handshake, pool selection by nonce, keepalive, event collection, and
-// the commit handoff into the owning pool's spill when the connection
-// ends. Nothing goes upstream before that: the finished connection is
+// serveConn is a beacon connection's life from the completed upgrade
+// on, whichever path (counted on via) made it: one session on the shared
+// loop (beacon.Server), then the commit handoff into the owning pool's
+// spill. Nothing goes upstream before that: the finished connection is
 // the unit of record, and its commit carries every event.
-func (e *Edge) runSession(conn *wsproto.Conn) {
+func (e *Edge) serveConn(conn *wsproto.Conn, via *telemetry.Counter) {
+	via.Inc()
+	e.cfg.Tel.Connections.Add(1)
+	// Tracked before the drain check: a connection that races Drain is
+	// then either closed by it or sees the flag, never neither.
+	e.TrackSession(conn)
+	defer e.UntrackSession(conn)
+	if e.draining.Load() {
+		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
+		return
+	}
 	// A commit whose peer address the collector cannot parse is rejected
 	// for good, so such a session must end before anything is acked. The
 	// collector parses what is sent here with netip.ParseAddr.
@@ -31,101 +37,39 @@ func (e *Edge) runSession(conn *wsproto.Conn) {
 		return
 	}
 	remote := peer.String()
-	connectedAt := time.Now()
-
-	_ = conn.SetReadDeadline(connectedAt.Add(e.cfg.HandshakeTimeout))
-	op, msg, err := conn.ReadMessage()
-	if err != nil || !op.IsData() {
+	sess, err := e.sessions.Open(conn)
+	if errors.Is(err, beacon.ErrNoPayload) {
 		_ = conn.Close(wsproto.ClosePolicyViolation, "no payload")
 		return
-	}
-	recvAt := time.Now()
-	var payload beacon.Payload
-	if op == wsproto.OpBinary {
-		payload, err = beacon.DecodeBinary(msg)
-	} else {
-		payload, err = beacon.Decode(string(msg))
 	}
 	if err != nil {
 		e.log.Debug("edge: bad payload", "err", err, "remote", remote)
 		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
 		return
 	}
-	// The nonce is both the replay-dedup key and the shard key. The
-	// commit may be replayed against a restarted collector whose
-	// stream-dedup cache is gone, and the nonce is what lets that replay
-	// merge instead of double-counting; so a nonce-less payload gets one
-	// minted before the pool is chosen, and client retries that carry it
-	// then land on the same shard.
+	payload := &sess.Payload
+	// The nonce is both the shard key and what lets a commit replayed to
+	// a restarted collector (its stream dedup gone) merge instead of
+	// double-counting, so a nonce-less payload gets one minted before the
+	// pool is chosen; client retries that carry it land on the same shard.
 	if payload.Nonce == "" {
 		payload.Nonce = beacon.NewNonce()
 	}
 	p := e.PoolFor(payload.Nonce)
 	stream := e.NextStream()
 
+	_, exposure := sess.Run(func(err error) {
+		e.log.Debug("edge: bad event update", "err", err, "remote", remote)
+	})
 	// Edge-leg trace stages, measured against the beacon's stamped send
-	// time (only meaningful, and only sent, for sampled payloads).
-	traced := payload.TraceID != "" && payload.TraceSent > 0
-	edgeRecv := stageOffset(payload.TraceSent, recvAt)
-
-	// Keepalive and exposure-cap deadlines, the collector's discipline
-	// applied at the edge.
-	hardStop := connectedAt.Add(e.cfg.MaxExposure)
-	renewDeadline := func() {
-		if e.draining.Load() {
-			return
-		}
-		d := hardStop
-		if ka := e.cfg.KeepAliveInterval; ka > 0 {
-			if soft := time.Now().Add(2 * ka); soft.Before(d) {
-				d = soft
-			}
-		}
-		_ = conn.SetReadDeadline(d)
-	}
-	conn.SetPongHandler(func([]byte) { renewDeadline() })
-	renewDeadline()
-	if ka := e.cfg.KeepAliveInterval; ka > 0 {
-		stopPings := make(chan struct{})
-		defer close(stopPings)
-		// A failed ping is left to the read deadline above to act on.
-		go pingEvery(conn, ka, stopPings)
-	}
-
-	for {
-		op, msg, err := conn.ReadMessage()
-		if err != nil {
-			break
-		}
-		renewDeadline()
-		var ev beacon.Event
-		var isEvent bool
-		if op == wsproto.OpBinary {
-			ev, isEvent, err = beacon.DecodeBinaryEventUpdate(msg)
-		} else {
-			ev, isEvent, err = beacon.DecodeEventUpdate(string(msg))
-		}
-		if err != nil {
-			e.log.Debug("edge: bad event update", "err", err, "remote", remote)
-			continue
-		}
-		// Past beacon.MaxEvents the session keeps measuring exposure but
-		// drops updates, as a direct collector does.
-		if isEvent && len(payload.Events) < beacon.MaxEvents {
-			e.cfg.Tel.Events.Add(1)
-			payload.Events = append(payload.Events, ev)
-		}
-	}
-
-	exposure := time.Since(connectedAt)
-	if exposure > e.cfg.MaxExposure {
-		exposure = e.cfg.MaxExposure
-	}
+	// time (only meaningful, and only sent, for sampled payloads) and
+	// clamped like the collector's trace adoption.
 	var stages []trunk.Stage
-	if traced {
+	if payload.TraceID != "" && payload.TraceSent > 0 {
+		sent := time.Unix(0, payload.TraceSent)
 		stages = []trunk.Stage{
-			{Name: trace.StageGatewayRecv, Offset: edgeRecv},
-			{Name: trace.StageTrunkForward, Offset: stageOffset(payload.TraceSent, time.Now())},
+			{Name: trace.StageGatewayRecv, Offset: trace.ClampSkew(sess.Received.Sub(sent))},
+			{Name: trace.StageTrunkForward, Offset: trace.ClampSkew(time.Since(sent))},
 		}
 	}
 	// The commit carries the binary wire encoding whichever wire the
@@ -134,8 +78,8 @@ func (e *Edge) runSession(conn *wsproto.Conn) {
 	commit := trunk.AppendFrame(nil, trunk.Frame{
 		Type: trunk.Commit, Stream: stream,
 		RemoteIP:    remote,
-		ConnectedAt: connectedAt.UnixNano(),
-		Exposure:    exposure,
+		ConnectedAt: sess.ConnectedAt.UnixNano(),
+		Exposure:    min(exposure, e.cfg.MaxExposure),
 		Payload:     string(payload.AppendBinary(enc[:0])),
 		Stages:      stages,
 	})

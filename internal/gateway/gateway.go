@@ -3,10 +3,10 @@
 // beacon WebSockets close to the users emitting them and forwards the
 // measurements to the central collector over a small pool of
 // persistent trunk connections (internal/trunk). All of the machinery —
-// admission control, the session protocol, per-trunk circuit breakers,
-// and the spill buffer that holds every
-// client-acknowledged impression until the collector durably acks it —
-// is the edge core's; this package owns what makes the tier a gateway:
+// admission control, per-trunk circuit breakers, and the spill buffer
+// that holds every client-acknowledged impression until the collector
+// durably acks it — is the edge core's, and the session protocol is
+// beacon.Server's; this package owns what makes the tier a gateway:
 // its Config, its metric names (adaudit_gateway_*, unlabelled) and its
 // /healthz body.
 package gateway
@@ -14,20 +14,11 @@ package gateway
 import (
 	"fmt"
 	"log/slog"
-	"net"
 	"time"
 
 	"adaudit/internal/edge"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
-)
-
-// Shed reasons used for adaudit_gateway_sheds_total{reason=...}.
-const (
-	ShedDraining = edge.ShedDraining // gateway is draining for shutdown
-	ShedCapacity = edge.ShedCapacity // MaxSessions cap reached
-	ShedSpill    = edge.ShedSpill    // spill buffer full: collector outage outlasting memory
-	ShedOrigin   = edge.ShedOrigin   // page origin not in the allowlist
 )
 
 // Config assembles a Gateway.
@@ -187,9 +178,7 @@ func poolInstruments(reg *telemetry.Registry) edge.PoolInstruments {
 
 // HealthStatus is the gateway's /healthz body.
 type HealthStatus struct {
-	// Status is "ok" (all trunks up), "degraded" (some up), or
-	// "unhealthy" (none up: commits are spilling, nothing reaches the
-	// collector).
+	// Status is the edge core's ladder (edge.Health) over one pool.
 	Status        string `json:"status"`
 	GatewayID     string `json:"gateway_id"`
 	TrunksTotal   int    `json:"trunks_total"`
@@ -221,11 +210,6 @@ type ServerOption = edge.ServerOption
 // beacon sessions to commit and for the spill buffer to empty into the
 // collector (default 5 s).
 func WithDrainGrace(d time.Duration) ServerOption { return edge.WithDrainGrace(d) }
-
-// WithListener serves on ln instead of opening a fresh TCP listener
-// (addr is then ignored) — the hook the chaos tests use to put a
-// fault-injected accept path under the gateway's client leg.
-func WithListener(ln net.Listener) ServerOption { return edge.WithListener(ln) }
 
 // Server runs a Gateway behind an HTTP listener with the standard
 // operational sidecar: the beacon endpoint, GET /healthz (trunk pool

@@ -30,15 +30,8 @@ import (
 
 	"adaudit/internal/edge"
 	"adaudit/internal/telemetry"
+	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
-)
-
-// Shed reasons used for adaudit_router_sheds_total{reason=...}.
-const (
-	ShedDraining = edge.ShedDraining // router is draining for shutdown
-	ShedCapacity = edge.ShedCapacity // MaxSessions cap reached
-	ShedSpill    = edge.ShedSpill    // spill buffer full: a shard outage outlasting memory
-	ShedOrigin   = edge.ShedOrigin   // page origin not in the allowlist
 )
 
 // Config assembles a Router.
@@ -61,44 +54,24 @@ type Config struct {
 	// Dialer customises shard trunk dials (tests inject faults).
 	Dialer wsproto.Dialer
 
-	// AllowedOrigins restricts which page origins may open beacon
-	// sessions; empty admits all.
-	AllowedOrigins []string
-	// MaxSessions caps concurrent beacon sessions; 0 disables.
-	MaxSessions int
-	// MaxMessageSize bounds beacon messages (default 16 KiB).
-	MaxMessageSize int64
-	// HandshakeTimeout bounds the wait for a session's initial payload
-	// (default 10s).
-	HandshakeTimeout time.Duration
-	// KeepAliveInterval pings idle beacon sessions and trunks (default
-	// 30s; negative disables).
+	// The rest mean what gateway.Config's fields of the same names do,
+	// defaults included. Each shard's pool has its own trunks and spill;
+	// SpillLimit is summed over every shard's spill, and a commit its
+	// shard has not acked is re-sent after AckTimeout.
+	AllowedOrigins    []string
+	MaxSessions       int
+	MaxMessageSize    int64
+	HandshakeTimeout  time.Duration
 	KeepAliveInterval time.Duration
-	// MaxExposure caps a session's lifetime (default 30 minutes).
-	MaxExposure time.Duration
-
-	// SpillLimit bounds unacknowledged commits held across shard
-	// outages, summed over every shard's spill (default 65536).
-	SpillLimit int
-	// AckTimeout re-sends a commit its shard has not acked (default
-	// 5s); ReplayInterval is the spill scan period (default 1s).
-	AckTimeout     time.Duration
-	ReplayInterval time.Duration
-
-	// BreakerThreshold consecutive failed dials open a trunk's breaker
-	// (default 3); BreakerCooldown is the open period (default 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// RetryAfterHint is the reconnect delay handed to shed or drained
-	// clients (default 2s).
-	RetryAfterHint time.Duration
-
-	// Logger receives operational events; defaults to slog.Default().
-	Logger *slog.Logger
-	// Telemetry is the registry router instruments register on; nil
-	// creates a private one.
-	Telemetry *telemetry.Registry
+	MaxExposure       time.Duration
+	SpillLimit        int
+	AckTimeout        time.Duration
+	ReplayInterval    time.Duration
+	BreakerThreshold  int
+	BreakerCooldown   time.Duration
+	RetryAfterHint    time.Duration
+	Logger            *slog.Logger
+	Telemetry         *telemetry.Registry
 }
 
 // Router terminates beacon sessions and gateway trunks and multiplexes
@@ -108,6 +81,8 @@ type Config struct {
 type Router struct {
 	*edge.Edge
 
+	// trunks runs every relayed gateway trunk.
+	trunks trunk.Receiver
 	// The relay's own instruments (nil-safe); the core counts the rest.
 	relayTrunks *telemetry.Gauge
 	relayFrames *telemetry.CounterVec
@@ -185,6 +160,20 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r.Edge = e
+	// A relayed ack is written from a shard trunk's reader goroutine,
+	// which every other ack from that shard waits behind, so a write to
+	// a gateway is bounded: one that cannot take an ack within AckTimeout
+	// would have replayed the commit by then anyway.
+	ec := e.Config() // defaults filled in
+	r.trunks = trunk.Receiver{
+		HandshakeTimeout: ec.HandshakeTimeout,
+		WriteTimeout:     ec.AckTimeout,
+		Refused: func(p *trunk.Peer, _ string, err error) {
+			if err != nil {
+				ec.Logger.Warn("router: malformed relay trunk batch", "gateway", p.ID, "err", err)
+			}
+		},
+	}
 	shards := float64(len(cfg.Shards))
 	reg.GaugeFunc("adaudit_router_shards_total",
 		"Configured collector shard count.", nil, func() float64 { return shards })
@@ -242,11 +231,7 @@ type ShardHealth struct {
 
 // HealthStatus is the router's /healthz body.
 type HealthStatus struct {
-	// Status is "ok" (every trunk of every shard up), "degraded" (every
-	// shard reachable but some trunks down), or "unhealthy" (at least
-	// one shard has no healthy trunk: its slice of the keyspace is
-	// spilling and nothing can re-home it, because ownership is the
-	// hash, not the topology).
+	// Status is the edge core's ladder (edge.Health), a shard per pool.
 	Status       string        `json:"status"`
 	RouterID     string        `json:"router_id"`
 	Shards       []ShardHealth `json:"shards"`

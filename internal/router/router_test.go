@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +26,7 @@ import (
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
 	"adaudit/internal/trunk"
+	"adaudit/internal/trunk/trunktest"
 	"adaudit/internal/wsproto"
 )
 
@@ -377,6 +381,128 @@ func TestRouterTrunkRelay(t *testing.T) {
 	}
 }
 
+// stallListener hands out connections the test can stall, in accept
+// order.
+type stallListener struct {
+	net.Listener
+	accepted chan *stallConn
+}
+
+func (l *stallListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	c := &stallConn{Conn: nc, closed: make(chan struct{})}
+	select {
+	case l.accepted <- c:
+	default:
+	}
+	return c, nil
+}
+
+// stallConn is a transport whose peer can stop reading: once stalled, a
+// write parks until its deadline or the close, as one to a partitioned
+// peer does once the TCP window is full.
+type stallConn struct {
+	net.Conn
+	stalled   atomic.Bool
+	mu        sync.Mutex
+	deadline  time.Time
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *stallConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *stallConn) Write(b []byte) (int, error) {
+	if !c.stalled.Load() {
+		return c.Conn.Write(b)
+	}
+	c.mu.Lock()
+	d := c.deadline
+	c.mu.Unlock()
+	var expired <-chan time.Time
+	if !d.IsZero() {
+		timer := time.NewTimer(time.Until(d))
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case <-expired:
+		return 0, os.ErrDeadlineExceeded
+	case <-c.closed:
+		return 0, net.ErrClosed
+	}
+}
+
+func (c *stallConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestStalledGatewayDoesNotFreezeShardTrunk: a relayed ack is written on
+// the reader goroutine of the shard trunk that carried it, which every
+// other ack from that shard waits behind. A gateway that stops reading
+// must cost only its own relay trunk: the write gives up after
+// AckTimeout and closes that trunk, and a direct beacon session on the
+// same shard trunk is still acked. At the parent commit the write had no
+// deadline, and the shard trunk acked nothing more.
+func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
+	f := startShards(t, 1, nil, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalls := &stallListener{Listener: ln, accepted: make(chan *stallConn, 8)}
+	cfg := fastRouterConfig(f.trunkURLs())
+	cfg.TrunksPerShard = 1 // one reader carries every ack from the shard
+	r, rsrv := startRouter(t, cfg, WithListener(stalls))
+	waitFor(t, 5*time.Second, "shard trunk to establish", func() bool { return allTrunksUp(r) })
+
+	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
+	gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.NetConn().Close()
+	leg := <-stalls.accepted // the router's end of the gateway's trunk
+	t.Cleanup(func() { _ = leg.Close() })
+	leg.stalled.Store(true)
+
+	p := testPayload(0)
+	batch := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw-stalled"})
+	batch = trunk.AppendFrame(batch, trunk.Frame{
+		Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
+		ConnectedAt: time.Now().UnixNano(), Exposure: time.Second,
+		Payload: string(p.EncodeBinary()),
+	})
+	if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
+		t.Fatal(err)
+	}
+	// The shard acks the relayed commit; its relay back to the gateway
+	// now parks on the stalled transport.
+	waitFor(t, 5*time.Second, "the shard's ack of the relayed commit", func() bool {
+		return seriesSum(r, "adaudit_router_shard_acks_total") == 1
+	})
+
+	client := &beacon.Client{CollectorURL: rsrv.BeaconURL()}
+	if err := client.Report(context.Background(), testPayload(1), 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "the direct session's ack on the same shard trunk", func() bool {
+		return seriesSum(r, "adaudit_router_shard_acks_total") == 2 && r.Health().SpillPending == 0
+	})
+	waitFor(t, 2*time.Second, "the stalled gateway's trunk to close", func() bool {
+		return seriesSum(r, "adaudit_router_relay_trunks_active") == 0
+	})
+}
+
 // TestTrunkCarriesOnlyHelloAndCommit: a session sends nothing upstream
 // until it ends, and then one Commit — so after N sessions through a
 // gateway, and through gateway → router → shards, the collectors have
@@ -444,52 +570,25 @@ func TestTrunkCarriesOnlyHelloAndCommit(t *testing.T) {
 	}
 }
 
-// TestRouterTrunkRefusesOtherVersion: the router's /trunk turns away a
-// gateway built for another trunk protocol version at its Hello, like a
-// collector does, and every other peer that does not speak the trunk
-// protocol with the collector's reasons, relaying nothing.
+// TestRouterTrunkRefusesOtherVersion: every input the shared trunk
+// receiver refuses (internal/trunk tests the close and its reason)
+// relays nothing from the router's /trunk.
 func TestRouterTrunkRefusesOtherVersion(t *testing.T) {
 	f := startShards(t, 1, nil, nil)
 	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
-	p := testPayload(0)
-	commit := trunk.AppendFrame(nil, trunk.Frame{
-		Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
-		ConnectedAt: time.Now().UnixNano(), Exposure: time.Second,
-		Payload: string(p.EncodeBinary()),
-	})
-	for _, tc := range []struct {
-		name   string
-		op     wsproto.Opcode
-		msg    []byte
-		reason string
-	}{
-		{"hello of another version", wsproto.OpBinary,
-			trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version - 1, GatewayID: "gw-old"}),
-			trunk.VersionMismatch(trunk.Version - 1)},
-		{"text message", wsproto.OpText, []byte("hello"), "trunk frames must be binary"},
-		{"malformed batch", wsproto.OpBinary, []byte{0xff}, "malformed trunk batch"},
-		{"commit before hello", wsproto.OpBinary, commit, "trunk batch before hello"},
-		{"commit then hello", wsproto.OpBinary,
-			trunk.AppendFrame(commit, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw-late"}),
-			"trunk batch before hello"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, tc := range trunktest.Refusals {
+		t.Run(tc.Name, func(t *testing.T) {
 			d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
 			conn, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.NetConn().Close()
-			if err := conn.WriteMessage(tc.op, tc.msg); err != nil {
+			if err := conn.WriteMessage(tc.Op, tc.Msg); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = conn.ReadMessage()
-			var ce *wsproto.CloseError
-			if !errors.As(err, &ce) {
-				t.Fatalf("trunk ended with %v, want a close frame", err)
-			}
-			if ce.Code != wsproto.ClosePolicyViolation || ce.Reason != tc.reason {
-				t.Fatalf("close = %d %q, want %d %q", ce.Code, ce.Reason, wsproto.ClosePolicyViolation, tc.reason)
+			if _, _, err := conn.ReadMessage(); err == nil {
+				t.Fatal("refused trunk answered with a message")
 			}
 			// Frames are counted, and a relayed commit spilled, before the
 			// close is written.

@@ -2,7 +2,6 @@ package router
 
 import (
 	"net/http"
-	"time"
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/edge"
@@ -12,7 +11,7 @@ import (
 
 // relayEntry is the return path for one trunk-relayed stream.
 type relayEntry struct {
-	origin       *wsproto.Conn
+	origin       *trunk.Peer
 	originStream uint64
 	originKey    originKey
 	pool         *edge.Pool
@@ -56,7 +55,6 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 		_ = conn.Close(wsproto.CloseGoingAway, "router shutting down")
 		return
 	}
-	conn.ReuseReadBuffer()
 	// Relayed trunks ride the same session tracking as beacon
 	// connections, so Drain tears them down too: the gateway spills
 	// unacked commits and replays them against another router.
@@ -64,61 +62,20 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 	defer r.UntrackSession(conn)
 	r.relayTrunks.Add(1)
 	defer r.relayTrunks.Add(-1)
-	defer conn.Close(wsproto.CloseNormal, "")
 
-	_ = conn.SetReadDeadline(time.Now().Add(cfg.HandshakeTimeout))
-	gatewayID := ""
-	// Reused across batches: WriteMessage has sent the reply when it
-	// returns.
-	var reply []byte
-	for {
-		op, msg, err := conn.ReadMessage()
-		if err != nil {
-			if gatewayID != "" {
-				cfg.Logger.Debug("router: relay trunk closed", "gateway", gatewayID, "err", err)
-			}
-			return
+	p, err := r.trunks.Serve(conn, func(p *trunk.Peer, f trunk.Frame, reply []byte) []byte {
+		r.relayFrames.With(f.Type.String()).Inc()
+		switch f.Type {
+		case trunk.Hello:
+			cfg.Logger.Info("router: relay trunk established",
+				"gateway", p.ID, "version", f.Version, "remote", req.RemoteAddr)
+		case trunk.Commit:
+			return r.relayCommitFrame(p, f, reply)
 		}
-		if op != wsproto.OpBinary {
-			_ = conn.Close(wsproto.ClosePolicyViolation, "trunk frames must be binary")
-			return
-		}
-		frames, err := trunk.DecodeBatch(msg)
-		if err != nil {
-			cfg.Logger.Warn("router: malformed relay trunk batch", "gateway", gatewayID, "err", err)
-			_ = conn.Close(wsproto.ClosePolicyViolation, "malformed trunk batch")
-			return
-		}
-		if gatewayID == "" && (len(frames) == 0 || frames[0].Type != trunk.Hello) {
-			// Refused before any of its frames is relayed, as at a
-			// collector.
-			_ = conn.Close(wsproto.ClosePolicyViolation, "trunk batch before hello")
-			return
-		}
-		reply = reply[:0]
-		for _, f := range frames {
-			r.relayFrames.With(f.Type.String()).Inc()
-			switch f.Type {
-			case trunk.Hello:
-				if f.Version != trunk.Version {
-					_ = conn.Close(wsproto.ClosePolicyViolation, trunk.VersionMismatch(f.Version))
-					return
-				}
-				if gatewayID == "" {
-					gatewayID = f.GatewayID
-					_ = conn.SetReadDeadline(time.Time{})
-					cfg.Logger.Info("router: relay trunk established",
-						"gateway", gatewayID, "version", f.Version, "remote", req.RemoteAddr)
-				}
-			case trunk.Commit:
-				reply = r.relayCommitFrame(conn, gatewayID, f, reply)
-			}
-		}
-		if len(reply) > 0 {
-			if err := conn.WriteMessage(wsproto.OpBinary, reply); err != nil {
-				return
-			}
-		}
+		return reply
+	})
+	if err != nil && p.ID != "" {
+		cfg.Logger.Debug("router: relay trunk closed", "gateway", p.ID, "err", err)
 	}
 }
 
@@ -126,8 +83,7 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 // and registers the ack return path. Undecodable commits are rejected
 // back to the gateway immediately; everything else is answered
 // asynchronously when the shard acks.
-func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
-	f trunk.Frame, reply []byte) []byte {
+func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byte) []byte {
 	payload, err := beacon.DecodeBinary([]byte(f.Payload))
 	if err != nil {
 		return trunk.AppendFrame(reply, trunk.Frame{
@@ -139,7 +95,7 @@ func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
 		f.Payload = string(payload.EncodeBinary())
 	}
 	pool := r.PoolFor(payload.Nonce)
-	key := originKey{gatewayID, f.Stream}
+	key := originKey{origin.ID, f.Stream}
 
 	r.relayMu.Lock()
 	rs, replayed := r.relayByOrigin[key]
@@ -148,12 +104,12 @@ func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
 		// onto the existing router stream and re-point the return path
 		// at the connection the replay arrived on.
 		e := r.relays[rs]
-		e.origin = conn
+		e.origin = origin
 		pool = e.pool
 	} else {
 		rs = r.NextStream()
 		r.relays[rs] = &relayEntry{
-			origin: conn, originStream: f.Stream, originKey: key, pool: pool,
+			origin: origin, originStream: f.Stream, originKey: key, pool: pool,
 		}
 		r.relayByOrigin[key] = rs
 	}
@@ -173,9 +129,9 @@ func (r *Router) relayCommitFrame(conn *wsproto.Conn, gatewayID string,
 // rejected it, so the verdict is translated back to the origin
 // gateway's stream and the mappings are dropped. Streams with no relay
 // entry (router-terminated beacon sessions) are a no-op. A failed write
-// back to the gateway is not retried: the gateway's ack timeout replays
-// the commit, and the shard's nonce dedup turns that replay into a
-// fresh ack.
+// back to the gateway is not retried: it closes the relay trunk, the
+// gateway replays the commit, and the shard's nonce dedup turns that
+// replay into a fresh ack.
 func (r *Router) relayResolve(stream uint64, ok bool, reason string) {
 	r.relayMu.Lock()
 	e, found := r.relays[stream]
@@ -191,7 +147,8 @@ func (r *Router) relayResolve(stream uint64, ok bool, reason string) {
 	if !ok {
 		reply = trunk.Frame{Type: trunk.Reject, Stream: e.originStream, Reason: reason}
 	}
-	// wsproto serialises writers, so this ack can fan back from a shard
-	// pool's reader goroutine while ServeTrunk writes its own replies.
-	_ = e.origin.WriteMessage(wsproto.OpBinary, trunk.AppendFrame(nil, reply))
+	// Send serialises writers, so this ack can fan back from a shard
+	// pool's reader goroutine while ServeTrunk writes its own replies;
+	// its bound keeps a stalled gateway from parking that reader.
+	_ = e.origin.Send(trunk.AppendFrame(nil, reply))
 }

@@ -7,8 +7,9 @@
 // thousands of sessions without per-session sockets.
 //
 // The protocol has four frames. Hello opens a trunk and is refused
-// unless it names this build's Version; a receiver refuses a first batch
-// that does not open with one. The Commit frame is the unit of record,
+// unless it names this build's Version; Receiver, the one receiving end
+// every terminating tier runs, refuses a first batch that does not open
+// with one. The Commit frame is the unit of record,
 // sent once a session has ended: it is self-contained (full payload with
 // every event, connection facts, measured exposure, edge trace stages),
 // so the edge can replay an unacknowledged commit on any trunk, to a
@@ -44,12 +45,6 @@ const Version = 3
 // first message's strings. The batch it rides holds at most 32 KiB of
 // other commits ahead of it. 2 MiB holds both.
 const MaxMessage = 2 << 20
-
-// VersionMismatch is the close reason a receiver gives a trunk whose
-// Hello named version got.
-func VersionMismatch(got int) string {
-	return fmt.Sprintf("trunk protocol version %d, this build speaks %d", got, Version)
-}
 
 // TokenHeader is the HTTP header a gateway presents during the trunk
 // handshake when the collector requires a shared admission token.

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -11,7 +10,7 @@ import (
 	"time"
 )
 
-// The packed form of a state (export format 3; DESIGN §17 has the layout
+// The packed form of a state (export formats 3 and 4; DESIGN §17 has the layout
 // as a table). Integers are uvarints (zigzag varints where a value may be
 // negative), times and floats raw little-endian 8 bytes so every float
 // crosses bit-exact, bools one byte each. A string table is its count,
@@ -46,8 +45,8 @@ const minSlotBytes = 3 + 8 + 8 + 1 + 8
 // of compressed input has to refuse a bomb. No ratio to the encoding's
 // size would do: nothing on ingest bounds a User-Agent, so a state whose
 // users share a long one is legitimate at any ratio. The bound is
-// therefore absolute (the size of the largest export document a router
-// reads, shardmerge's maxExportBytes) and the encoder keeps to it too:
+// therefore absolute (the size of the largest export a router reads,
+// shardmerge's maxExportBytes) and the encoder keeps to it too:
 // what AppendBinary writes, UnmarshalBinary reads.
 const maxKeyBytes = 256 << 20
 
@@ -135,13 +134,14 @@ func sortedKeys[V any](m map[string]V, extra int) []string {
 	return keys
 }
 
-// AppendBinary appends the state's packed form to b, growing b once: the
-// size of every part is known before it is written. The tallies are
-// derived and stay home. It fails only for a state that holds more than
-// maxKeyBytes of user keys, which UnmarshalBinary would refuse.
-func (s *State) AppendBinary(b []byte) ([]byte, error) {
+// Pack lays out the state's packed form without writing it: size bounds
+// the form and write appends it. A caller that writes many states
+// (streamaudit's export container) sizes its buffer from their bounds and
+// grows it once. The state must not change until write has run. Pack
+// fails only for a state that holds more than maxKeyBytes of user keys,
+// which UnmarshalBinary would refuse.
+func (s *State) Pack() (size int, write func(b []byte) []byte, err error) {
 	c := &s.cols
-	n := len(c.UserOf)
 	ips, convs := sortedKeys(c.IPs, len(c.Users.keys)), sortedKeys(c.Convs, 0)
 	k := keySplitter{tails: dict{ids: map[string]int32{}}}
 	k.heads = dict{keys: ips, ids: make(map[string]int32, cap(ips))}
@@ -150,42 +150,55 @@ func (s *State) AppendBinary(b []byte) ([]byte, error) {
 	}
 	userRefs, convRefs := k.split(c.Users.keys), k.split(convs)
 	if k.bytes > maxKeyBytes {
-		return b, fmt.Errorf("audit: state encoding: %d bytes of user keys, the format carries %d", k.bytes, maxKeyBytes)
+		return 0, nil, fmt.Errorf("audit: state encoding: %d bytes of user keys, the format carries %d", k.bytes, maxKeyBytes)
 	}
 	heads, tails := k.heads.keys, k.tails.keys
 
 	refWidth := uvarintLen(len(heads)) + uvarintLen(len(tails))
 	idWidth := uvarintLen(len(c.Users.keys)) + uvarintLen(len(c.Pubs.keys)) + uvarintLen(len(c.Verdicts.keys))
-	b = slices.Grow(b, 10*binary.MaxVarintLen64+
-		stringsSize(heads)+len(ips)+stringsSize(tails)+len(c.Users.keys)*refWidth+
-		stringsSize(c.Pubs.keys)+stringsSize(c.Verdicts.keys)+len(convs)*(refWidth+binary.MaxVarintLen64)+
-		n*(idWidth+minSlotBytes-3))
+	size = 10*binary.MaxVarintLen64 +
+		stringsSize(heads) + len(ips) + stringsSize(tails) + len(c.Users.keys)*refWidth +
+		stringsSize(c.Pubs.keys) + stringsSize(c.Verdicts.keys) + len(convs)*(refWidth+binary.MaxVarintLen64) +
+		len(c.UserOf)*(idWidth+minSlotBytes-3)
 
-	b = binary.AppendUvarint(b, uint64(n))
-	b = binary.AppendVarint(b, int64(c.Clicks))
-	b = appendTime(appendTime(b, c.FirstSeen), c.LastSeen)
-	b = appendStrings(b, heads)
-	b = binary.AppendUvarint(b, uint64(len(ips)))
-	for _, ip := range ips {
-		b = appendBool(b, c.IPs[ip])
+	return size, func(b []byte) []byte {
+		b = binary.AppendUvarint(b, uint64(len(c.UserOf)))
+		b = binary.AppendVarint(b, int64(c.Clicks))
+		b = appendTime(appendTime(b, c.FirstSeen), c.LastSeen)
+		b = appendStrings(b, heads)
+		b = binary.AppendUvarint(b, uint64(len(ips)))
+		for _, ip := range ips {
+			b = appendBool(b, c.IPs[ip])
+		}
+		b = appendStrings(b, tails)
+		b = appendUvarints(binary.AppendUvarint(b, uint64(len(c.Users.keys))), userRefs)
+		b = appendStrings(b, c.Pubs.keys)
+		b = appendStrings(b, c.Verdicts.keys)
+		b = appendUvarints(binary.AppendUvarint(b, uint64(len(convs))), convRefs)
+		for _, user := range convs {
+			b = binary.AppendVarint(b, int64(c.Convs[user]))
+		}
+		b = appendUvarints(appendUvarints(appendUvarints(b, c.UserOf), c.PubOf), c.VerdictOf)
+		for _, t := range c.Times {
+			b = binary.LittleEndian.AppendUint64(b, uint64(t))
+		}
+		b = appendFloats(b, c.Exposures)
+		for _, m := range c.VisMeasured {
+			b = appendBool(b, m)
+		}
+		return appendFloats(b, c.VisFrac)
+	}, nil
+}
+
+// AppendBinary appends the state's packed form to b, growing b once: the
+// size of every part is known before it is written. The tallies are
+// derived and stay home. It fails as Pack does.
+func (s *State) AppendBinary(b []byte) ([]byte, error) {
+	size, write, err := s.Pack()
+	if err != nil {
+		return b, err
 	}
-	b = appendStrings(b, tails)
-	b = appendUvarints(binary.AppendUvarint(b, uint64(len(c.Users.keys))), userRefs)
-	b = appendStrings(b, c.Pubs.keys)
-	b = appendStrings(b, c.Verdicts.keys)
-	b = appendUvarints(binary.AppendUvarint(b, uint64(len(convs))), convRefs)
-	for _, user := range convs {
-		b = binary.AppendVarint(b, int64(c.Convs[user]))
-	}
-	b = appendUvarints(appendUvarints(appendUvarints(b, c.UserOf), c.PubOf), c.VerdictOf)
-	for _, t := range c.Times {
-		b = binary.LittleEndian.AppendUint64(b, uint64(t))
-	}
-	b = appendFloats(b, c.Exposures)
-	for _, m := range c.VisMeasured {
-		b = appendBool(b, m)
-	}
-	return appendFloats(b, c.VisFrac), nil
+	return write(slices.Grow(b, size)), nil
 }
 
 // reader consumes a packed state. The first failure sticks: every read
@@ -451,26 +464,4 @@ func (s *State) UnmarshalBinary(b []byte) error {
 		s.count(slot, 1)
 	}
 	return nil
-}
-
-// MarshalText is the packed form in base64, which is how a state
-// travels inside a JSON document (streamaudit.Export). Text, not JSON:
-// encoding/json quotes a TextMarshaler's output as it stands but runs a
-// MarshalJSON's through its validating scanner again, byte by byte.
-func (s *State) MarshalText() ([]byte, error) {
-	bin, err := s.AppendBinary(nil)
-	if err != nil {
-		return nil, err
-	}
-	return base64.StdEncoding.AppendEncode(make([]byte, 0, base64.StdEncoding.EncodedLen(len(bin))), bin), nil
-}
-
-// UnmarshalText decodes what MarshalText wrote; see UnmarshalBinary.
-func (s *State) UnmarshalText(text []byte) error {
-	bin := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
-	n, err := base64.StdEncoding.Decode(bin, text)
-	if err != nil {
-		return fmt.Errorf("audit: state encoding: %w", err)
-	}
-	return s.UnmarshalBinary(bin[:n])
 }

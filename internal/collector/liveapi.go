@@ -2,13 +2,13 @@ package collector
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
+	"adaudit/internal/shardmerge"
 	"adaudit/internal/streamaudit"
 )
 
@@ -20,8 +20,8 @@ import (
 //	GET /api/live/audit/{campaign}    — one campaign's five-dimension audit
 //	GET /api/live/stream              — SSE feed of dimension updates
 //	GET /api/live/export              — the engine's full incremental state
-//	                                    (streamaudit.Export), the document
-//	                                    the shard-merge tier unions
+//	                                    (a streamaudit.Export container),
+//	                                    what the shard-merge tier unions
 //
 // The SSE stream emits one "summary" event per batch of changed
 // campaigns (coalesced by the engine's Updates listener, so a slow
@@ -42,11 +42,12 @@ func newLiveAPI(e *streamaudit.Engine) *liveAPI {
 	return &liveAPI{engine: e, stop: make(chan struct{})}
 }
 
+// register mounts the endpoints for GET only; the mux answers 405 to the rest.
 func (l *liveAPI) register(mux *http.ServeMux) {
-	mux.HandleFunc("/api/live/summary", l.handleSummary)
-	mux.HandleFunc("/api/live/audit/", l.handleAudit)
-	mux.HandleFunc("/api/live/stream", l.handleStream)
-	mux.HandleFunc("/api/live/export", l.handleExport)
+	mux.HandleFunc("GET /api/live/summary", l.handleSummary)
+	mux.HandleFunc("GET /api/live/audit/", l.handleAudit)
+	mux.HandleFunc("GET /api/live/stream", l.handleStream)
+	mux.HandleFunc("GET /api/live/export", l.handleExport)
 }
 
 // shutdown ends every open SSE stream and waits for the handlers to
@@ -61,18 +62,10 @@ func (l *liveAPI) shutdown() {
 }
 
 func (l *liveAPI) handleSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, l.engine.Summaries())
 }
 
 func (l *liveAPI) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	id := strings.TrimPrefix(r.URL.Path, "/api/live/audit/")
 	if id == "" || strings.Contains(id, "/") {
 		http.Error(w, "missing campaign id", http.StatusBadRequest)
@@ -90,33 +83,19 @@ func (l *liveAPI) handleAudit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, la)
 }
 
-// handleExport serves the engine's deep-copied incremental state. The
-// engine drains whatever the feed already buffered first, so an export
-// taken at quiescence reflects every acknowledged mutation — the
-// property the shard-merge exactness contract needs.
+// handleExport serves the engine's incremental state as an export
+// container. The engine drains whatever the feed already buffered
+// first, so an export taken at quiescence reflects every acknowledged
+// mutation — the property the shard-merge exactness contract needs.
 func (l *liveAPI) handleExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	l.engine.Drain()
-	// Compact: a router reads this, and indenting would scan the
-	// megabytes of base64 once more.
-	w.Header().Set("Content-Type", "application/json")
-	var unwritable *json.MarshalerError // a state past the format's bounds; nothing was written
-	if err := json.NewEncoder(w).Encode(l.engine.Export()); errors.As(err, &unwritable) {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	shardmerge.WriteExport(w, l.engine.Export())
 }
 
 // sseHeartbeat keeps idle streams alive through proxies.
 const sseHeartbeat = 15 * time.Second
 
 func (l *liveAPI) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)

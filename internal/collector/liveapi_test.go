@@ -127,6 +127,35 @@ func TestLiveEndpoints(t *testing.T) {
 			t.Fatalf("%s status = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
+
+	// The export is the engine's container, raw.
+	resp, err = http.Get(base + "/api/live/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	bin, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exp streamaudit.Export
+	if err := exp.UnmarshalBinary(bin); err != nil || resp.Header.Get("Content-Type") != "application/octet-stream" {
+		t.Fatalf("/api/live/export served %q: %v", resp.Header.Get("Content-Type"), err)
+	}
+	if states, _ := exp.States(); len(states) != 2 || states["Football-010"].Len() != 2 {
+		t.Fatalf("/api/live/export holds %d campaigns", len(states))
+	}
+
+	for _, path := range []string{"/api/live/summary", "/api/live/audit/Football-010", "/api/live/stream", "/api/live/export"} {
+		resp, err := http.Post(base+path, "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("POST %s status = %d, want 405", path, resp.StatusCode)
+		}
+	}
 }
 
 // sseEvent is one parsed server-sent event.

@@ -672,11 +672,11 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var exp streamaudit.Export
-	if err := json.Unmarshal(body, &exp); err != nil {
+	if err := exp.UnmarshalBinary(body); err != nil {
 		t.Fatal(err)
 	}
-	// Exports are read by routers, not people: served compact, by the
-	// router and by each shard (the other endpoints stay indented).
+	// Exports are read by routers, not people: served as the raw
+	// container, by the router and by each shard.
 	shardResp, err := http.Get(f.baseURLs()[0] + shardmerge.ExportPath)
 	if err != nil {
 		t.Fatal(err)
@@ -686,9 +686,12 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for who, doc := range map[string][]byte{"router": body, "shard": shardBody} {
-		if !bytes.HasPrefix(doc, []byte(`{"version":3,"seq":`)) || bytes.IndexByte(doc, '\n') != len(doc)-1 {
-			t.Fatalf("%s serves its export indented: %.80s", who, doc)
+	for who, r := range map[string]struct {
+		resp *http.Response
+		body []byte
+	}{"router": {resp, body}, "shard": {shardResp, shardBody}} {
+		if ct := r.resp.Header.Get("Content-Type"); ct != "application/octet-stream" || !bytes.HasPrefix(r.body, []byte(streamaudit.ExportMagic)) {
+			t.Fatalf("%s serves its export as %q: %.16q", who, ct, r.body)
 		}
 	}
 	eng, err := streamaudit.NewStatic(streamaudit.StaticConfig{Meta: meta, Keywords: keywords}, &exp)

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -85,13 +84,7 @@ func (m *liveMerge) serveExport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	// Compact: a router or a tool reads this, and indenting would scan
-	// the megabytes of base64 once more.
-	w.Header().Set("Content-Type", "application/json")
-	var unwritable *json.MarshalerError // a merged state past the format's bounds; nothing was written
-	if err := json.NewEncoder(w).Encode(exp); errors.As(err, &unwritable) {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	shardmerge.WriteExport(w, exp)
 }
 
 // engine fetches every shard and builds a query engine over the

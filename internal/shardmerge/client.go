@@ -1,11 +1,12 @@
 package shardmerge
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -13,11 +14,11 @@ import (
 )
 
 // ExportPath is the collector endpoint serving a shard's
-// streamaudit.Export.
+// streamaudit.Export container (WriteExport).
 const ExportPath = "/api/live/export"
 
-// maxExportBytes bounds one shard's export document (a runaway shard
-// must not OOM the router).
+// maxExportBytes bounds one shard's export (a runaway shard must not OOM
+// the router).
 const maxExportBytes = 256 << 20
 
 // Client fetches per-shard exports over HTTP and merges them. Shard
@@ -96,9 +97,34 @@ func (c *Client) fetchOne(ctx context.Context, base string) (*streamaudit.Export
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("export fetch: %s: %s", resp.Status, body)
 	}
-	var exp streamaudit.Export
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxExportBytes)).Decode(&exp); err != nil {
+	tooLarge := fmt.Errorf("export larger than the %d bytes a router reads", maxExportBytes)
+	if resp.ContentLength > maxExportBytes {
+		return nil, tooLarge
+	}
+	// Sized from Content-Length, if any, to read the body in one allocation.
+	body := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
+	if _, err := body.ReadFrom(io.LimitReader(resp.Body, maxExportBytes+1)); err != nil {
+		return nil, fmt.Errorf("reading export: %w", err)
+	}
+	if body.Len() > maxExportBytes {
+		return nil, tooLarge
+	}
+	exp := new(streamaudit.Export)
+	if err := exp.UnmarshalBinary(body.Bytes()); err != nil {
 		return nil, fmt.Errorf("decoding export: %w", err)
 	}
-	return &exp, nil
+	return exp, nil
+}
+
+// WriteExport answers a GET of ExportPath with x's container, raw. An
+// export whose states could not be encoded is a 500 that says why.
+func WriteExport(w http.ResponseWriter, x *streamaudit.Export) {
+	bin, err := x.AppendBinary(nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(bin)))
+	_, _ = w.Write(bin) // a failed write means the reader went away: no one to tell
 }

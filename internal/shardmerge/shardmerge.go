@@ -1,7 +1,8 @@
 // Package shardmerge reconstructs a single-store audit view from N
 // collector shards. Each shard runs its own store + WAL + change feed +
 // streamaudit engine and serves its per-campaign states as a
-// streamaudit.Export (/api/live/export); Merge merges those exports —
+// streamaudit.Export container (/api/live/export, written by
+// WriteExport); Merge merges those exports —
 // in shard order — into one Export whose materialised report
 // (streamaudit.NewStatic + Engine.Report) is reflect.DeepEqual to a
 // single-store FullAudit over the concatenation of the shards' data.
@@ -26,26 +27,26 @@ import (
 // Merge merges per-shard exports in shard order into one combined
 // export. Nil shards (a shard that failed to export) are skipped;
 // callers that need all-or-nothing semantics check before calling.
-// The shards are only read.
+// The shards are only read. A shard whose states cannot be had is
+// returned itself, so every reader of the merge gets its error.
 func Merge(shards []*streamaudit.Export) *streamaudit.Export {
-	out := &streamaudit.Export{
-		Version:   streamaudit.ExportVersion,
-		Campaigns: map[string]*audit.State{},
-	}
+	var seq int64
+	merged := map[string]*audit.State{}
 	for _, sh := range shards {
 		if sh == nil {
 			continue
 		}
-		out.Seq += sh.Seq
-		for id, st := range sh.Campaigns {
-			if st == nil {
-				continue
+		states, err := sh.States()
+		if err != nil {
+			return sh
+		}
+		seq += sh.Seq()
+		for id, st := range states {
+			if merged[id] == nil {
+				merged[id] = audit.NewState()
 			}
-			if out.Campaigns[id] == nil {
-				out.Campaigns[id] = audit.NewState()
-			}
-			out.Campaigns[id].Merge(st)
+			merged[id].Merge(st)
 		}
 	}
-	return out
+	return streamaudit.NewExport(seq, merged)
 }

@@ -1,8 +1,8 @@
 package shardmerge
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,8 +24,8 @@ import (
 
 // The package's headline test: a workload partitioned onto N shard
 // stores by session-nonce hash, audited per shard by unmodified
-// streamaudit engines, exported, JSON round-tripped (the wire the
-// router really ships), and merged in shard order must produce a report
+// streamaudit engines, exported, round-tripped through the container
+// (the wire the router really reads), and merged in shard order must produce a report
 // reflect.DeepEqual to a batch FullAudit over a single store holding
 // the shards' data concatenated in the same shard order — including
 // the Table 5 adversarial dimensions, which the workload makes
@@ -338,20 +340,20 @@ func (w *shardWorld) exports(t testing.TB) []*streamaudit.Export {
 	return out
 }
 
-// roundTrip pushes each export through its JSON encoding — the wire the
+// roundTrip pushes each export through its container — the wire the
 // router fetches over — so the test proves the codec preserves report
 // equality, floats included.
 func roundTrip(t testing.TB, exports []*streamaudit.Export) []*streamaudit.Export {
 	t.Helper()
 	out := make([]*streamaudit.Export, len(exports))
 	for i, exp := range exports {
-		b, err := json.Marshal(exp)
+		b, err := exp.AppendBinary(nil)
 		if err != nil {
-			t.Fatalf("shard %d: marshal export: %v", i, err)
+			t.Fatalf("shard %d: encode export: %v", i, err)
 		}
 		out[i] = &streamaudit.Export{}
-		if err := json.Unmarshal(b, out[i]); err != nil {
-			t.Fatalf("shard %d: unmarshal export: %v", i, err)
+		if err := out[i].UnmarshalBinary(b); err != nil {
+			t.Fatalf("shard %d: decode export: %v", i, err)
 		}
 	}
 	return out
@@ -524,8 +526,7 @@ func TestClientFetchMerged(t *testing.T) {
 				http.NotFound(wr, r)
 				return
 			}
-			wr.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(wr).Encode(exp)
+			WriteExport(wr, exp)
 		}))
 		defer srv.Close()
 		urls = append(urls, srv.URL)
@@ -563,13 +564,64 @@ func TestClientFetchMerged(t *testing.T) {
 	}
 
 	// So must a shard whose export does not validate: the router never
-	// merges a document it could not check.
+	// merges an export it could not check.
+	good, err := exports[0].AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(wr, `{"version":%d,"campaigns":{"c":{"publishers":["p"],"pub_of":[9]}}}`, streamaudit.ExportVersion)
+		wr.Write(good[:len(good)-1])
 	}))
 	defer bad.Close()
 	cl = &Client{Shards: append(append([]string(nil), urls...), bad.URL)}
-	if _, err := cl.FetchMerged(context.Background()); err == nil {
-		t.Fatalf("FetchMerged with a shard serving an invalid export: want error, got nil")
+	if _, err := cl.FetchMerged(context.Background()); err == nil || !strings.Contains(err.Error(), "decoding export") {
+		t.Fatalf("FetchMerged with a shard serving an invalid export: %v", err)
+	}
+}
+
+// TestClientRefusesOversizeExport: a shard that declares more than the
+// bound is refused before its body is read, with an error that names
+// the bound — not cut off at the bound and then reported as a truncated
+// export ("unexpected EOF"). The server sends none of the body it
+// declares, so the test moves no 256 MiB.
+func TestClientRefusesOversizeExport(t *testing.T) {
+	huge := httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
+		wr.Header().Set("Content-Length", strconv.Itoa(maxExportBytes+1))
+	}))
+	defer huge.Close()
+	_, err := (&Client{Shards: []string{huge.URL}}).FetchExports(context.Background())
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxExportBytes)) {
+		t.Fatalf("a shard declaring %d bytes: %v", maxExportBytes+1, err)
+	}
+}
+
+// TestWriteExport: the collector and the router serve an export through
+// WriteExport — its container raw, or a 500 naming why there is none —
+// and a merge over a shard that failed fails the same way.
+func TestWriteExport(t *testing.T) {
+	w := newShardWorld(t, 5, 1)
+	w.populate(t, rand.New(rand.NewSource(5)), 40)
+	exp := w.exports(t)[0]
+	rec := httptest.NewRecorder()
+	WriteExport(rec, exp)
+	want, err := exp.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/octet-stream" ||
+		rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("served %d %q, %d bytes", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Len())
+	}
+	if !bytes.HasPrefix(want, []byte(streamaudit.ExportMagic)) {
+		t.Fatalf("the container does not open with the magic: %.8q", want)
+	}
+
+	failed := streamaudit.NewExport(1, map[string]*audit.State{"c": nil})
+	for name, x := range map[string]*streamaudit.Export{"failed export": failed, "merge over it": Merge([]*streamaudit.Export{exp, failed})} {
+		rec := httptest.NewRecorder()
+		WriteExport(rec, x)
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `no state for campaign "c"`) {
+			t.Errorf("%s: served %d %q", name, rec.Code, rec.Body.String())
+		}
 	}
 }

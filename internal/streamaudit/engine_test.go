@@ -3,11 +3,13 @@ package streamaudit
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -605,10 +607,11 @@ func BenchmarkStreamApply(b *testing.B) {
 }
 
 // BenchmarkExportRoundTrip measures the wire between a shard and the
-// router: one engine's export marshalled and unmarshalled again. The
+// router as it is served: one engine's export encoded (Engine.Export),
+// written out (AppendBinary) and decoded again (UnmarshalBinary). The
 // world has 8,000 users over 20 user agents in 20,000 impressions, and
-// allocs/op is gated (cmd/benchgate's table, 600): the codec allocates
-// per table, column and thousand map entries, never per key or slot.
+// allocs/op is gated (cmd/benchgate's table): the codec allocates per
+// table, column and thousand map entries, never per key or slot.
 func BenchmarkExportRoundTrip(b *testing.B) {
 	w := newTestWorld(b, 42)
 	rng := rand.New(rand.NewSource(42))
@@ -624,17 +627,16 @@ func BenchmarkExportRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
-	exp := e.Export()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doc, err := json.Marshal(exp)
+		bin, err := e.Export().AppendBinary(nil)
 		if err != nil {
-			b.Fatalf("Marshal: %v", err)
+			b.Fatalf("AppendBinary: %v", err)
 		}
-		b.SetBytes(int64(len(doc)))
-		if err := json.Unmarshal(doc, new(Export)); err != nil {
-			b.Fatalf("Unmarshal: %v", err)
+		b.SetBytes(int64(len(bin)))
+		if err := new(Export).UnmarshalBinary(bin); err != nil {
+			b.Fatalf("UnmarshalBinary: %v", err)
 		}
 	}
 }
@@ -704,120 +706,171 @@ func TestResultsDoNotAliasLiveState(t *testing.T) {
 	}
 }
 
-// TestExportValidation: an export is checked where it is decoded and
-// where it is handed over, with the same errors.
-func TestExportValidation(t *testing.T) {
-	// The document that used to reach behaviorFold.publisher and panic
-	// there (version-less, from the first format).
-	old := `{"campaigns":{"c":{"pub_slots":{"p":[9]}}}}`
-	if err := json.Unmarshal([]byte(old), new(Export)); err == nil {
-		t.Fatalf("version-less export accepted")
+// spellContainer writes an export container by hand, header and all,
+// from id and packed-state pairs, so a test can get any part wrong.
+func spellContainer(version uint64, count int, pairs ...string) []byte {
+	b := binary.AppendUvarint([]byte(ExportMagic), version)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, 7), uint64(count))
+	for i := 0; i+1 < len(pairs); i += 2 {
+		b = append(binary.AppendUvarint(b, uint64(len(pairs[i]))), pairs[i]...)
+		b = append(binary.LittleEndian.AppendUint64(b, uint64(len(pairs[i+1]))), pairs[i+1]...)
 	}
-	// A shard one format behind is told so — the version is checked
-	// before anything under "campaigns" is looked at, so the error is
-	// not about a state that fails to decode.
+	return b
+}
+
+// TestExportValidation: an export is checked where it is decoded, and a
+// container that fails anywhere is rejected whole, for the reason named.
+func TestExportValidation(t *testing.T) {
+	w := newTestWorld(t, 9)
+	w.populate(t, rand.New(rand.NewSource(9)), 30)
+	e, err := New(Config{Store: w.st, Meta: w.meta})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	live, err := e.Export().States()
+	if err != nil {
+		t.Fatalf("States: %v", err)
+	}
+	packed, err := live[testCampaigns[0]].AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := string(packed)
+
+	// The test's spelling is the encoder's, and it decodes.
+	one := NewExport(7, map[string]*audit.State{"c": live[testCampaigns[0]]})
+	good, err := one.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(good, spellContainer(ExportVersion, 1, "c", state)) {
+		t.Fatalf("the container is not laid out as the test spells it\n got %x", good)
+	}
+	var x Export
+	if err := x.UnmarshalBinary(good); err != nil {
+		t.Fatalf("well-formed container rejected: %v", err)
+	}
+	if got, _ := x.States(); x.Seq() != 7 || len(got) != 1 || got["c"].Len() != live[testCampaigns[0]].Len() {
+		t.Fatalf("decoded to seq %d and %d campaigns", x.Seq(), len(got))
+	}
+
 	v2, err := os.ReadFile("testdata/export_v2.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(v2, new(Export)); err == nil || err.Error() != "streamaudit: export format version 2, this build reads 3" {
-		t.Fatalf("a version-2 export: %v", err)
-	}
-	for name, doc := range map[string]string{
-		"foreign version":    `{"version":1,"campaigns":{}}`,
-		"version after":      `{"campaigns":{"c":"not looked at"},"version":4}`,
-		"null state":         fmt.Sprintf(`{"version":%d,"campaigns":{"c":null}}`, ExportVersion),
-		"state not a string": fmt.Sprintf(`{"version":%d,"campaigns":{"c":{"publishers":["p"],"pub_of":[9]}}}`, ExportVersion),
-		"state not base64":   fmt.Sprintf(`{"version":%d,"campaigns":{"c":"@@@@"}}`, ExportVersion),
-		"state cut short":    fmt.Sprintf(`{"version":%d,"campaigns":{"c":"AgI="}}`, ExportVersion),
-		"campaign twice":     fmt.Sprintf(`{"version":%d,"campaigns":{"c":"AAAAAAAAAAAAAAAAAAAA","\u0063":"AAAAAAAAAAAAAAAAAAAA"}}`, ExportVersion),
-		"campaigns an array": fmt.Sprintf(`{"version":%d,"campaigns":["AAAAAAAAAAAAAAAAAAAA"]}`, ExportVersion),
+	for name, c := range map[string]struct {
+		doc  []byte
+		want string
+	}{
+		// A shard of another format is told so, not that a state fails.
+		"wrong magic":       {append([]byte("ADEY"), good[len(ExportMagic):]...), "no container magic"},
+		"format 2 document": {v2, "export format version 2 (JSON), this build reads 4"},
+		"format 3 document": {[]byte(`{"version":3,"seq":3,"campaigns":{"c":"AgI="}}`), "export format version 3 (JSON), this build reads 4"},
+		"foreign version":   {spellContainer(5, 1, "c", state), "export format version 5, this build reads 4"},
+		"a trailing byte":   {append(slices.Clip(good), 0), "1 bytes follow the last campaign"},
+		"campaign twice":    {spellContainer(ExportVersion, 2, "c", state, "c", state), `campaign "c" twice`},
+		"count past bytes":  {spellContainer(ExportVersion, 1000, "c", state), "claims 1000 campaigns"},
+		"state cut short":   {spellContainer(ExportVersion, 1, "camp-x", state[:len(state)-1]), `campaign "camp-x": audit: state encoding`},
+		// The document that used to reach behaviorFold.publisher and
+		// panic there (version-less, from the first format).
+		"format 1 document": {[]byte(`{"campaigns":{"c":{"pub_slots":{"p":[9]}}}}`), "(JSON)"},
 	} {
-		if err := json.Unmarshal([]byte(doc), new(Export)); err == nil {
-			t.Errorf("%s: decoded %s", name, doc)
+		if err := x.UnmarshalBinary(c.doc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error about %q", name, err, c.want)
 		}
 	}
+	for cut := range good {
+		if err := x.UnmarshalBinary(good[:cut]); err == nil {
+			t.Errorf("accepted the first %d of %d bytes", cut, len(good))
+		}
+	}
+	if got, _ := x.States(); x.Seq() != 7 || len(got) != 1 {
+		t.Fatalf("a rejected container changed the export it was decoded into")
+	}
+
+	// Handed over rather than decoded: the same checks, the same errors.
 	cfg := StaticConfig{Meta: audit.UniverseMetadata{}}
-	for name, exp := range map[string]*Export{
-		"zero export": {},
-		"null state":  {Version: ExportVersion, Campaigns: map[string]*audit.State{"c": nil}},
-	} {
-		decodeErr := json.Unmarshal(mustJSON(t, exp), new(Export))
-		if _, err := NewStatic(cfg, exp); err == nil || decodeErr == nil || err.Error() != decodeErr.Error() {
-			t.Errorf("%s: NewStatic says %v, decoding says %v; want one error from both", name, err, decodeErr)
-		}
+	if _, err := NewStatic(cfg, NewExport(0, map[string]*audit.State{"c": nil})); err == nil || !strings.Contains(err.Error(), `no state for campaign "c"`) {
+		t.Errorf("NewStatic over a nil state: %v", err)
+	}
+	empty, err := new(Export).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var zero Export
-	if err := json.Unmarshal(mustJSON(t, &Export{Version: ExportVersion}), &zero); err != nil {
-		t.Fatalf("empty export of this version rejected: %v", err)
+	if err := zero.UnmarshalBinary(empty); err != nil {
+		t.Fatalf("empty export rejected: %v", err)
 	}
 	if _, err := NewStatic(cfg, &zero); err != nil {
 		t.Fatalf("NewStatic on an empty export: %v", err)
 	}
 }
 
-// TestExportEnvelope: Export.UnmarshalJSON walks the envelope by hand,
-// and must read any JSON spelling of it the way encoding/json would:
-// indented, members in any order, unknown members skipped whatever
-// they hold, member names in another case or escaped, escapes in
-// campaign ids and in the state's string.
-func TestExportEnvelope(t *testing.T) {
-	w := newTestWorld(t, 9)
-	w.populate(t, rand.New(rand.NewSource(9)), 50)
+// TestExportConcurrentReaders: an export from Engine.Export decodes its
+// states once, on whichever reader asks first, while others read its
+// container; every reader sees the same states and the same bytes.
+func TestExportConcurrentReaders(t *testing.T) {
+	w := newTestWorld(t, 4)
+	w.populate(t, rand.New(rand.NewSource(4)), 200)
 	e, err := New(Config{Store: w.st, Meta: w.meta})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	exp := e.Export()
-	exp.Campaigns["quote\" \\ é \u2028"] = exp.Campaigns[testCampaigns[0]]
-	compact := mustJSON(t, exp)
-	want := new(Export) // the compact form decoded: what every other spelling must decode to
-	if err := json.Unmarshal(compact, want); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if len(want.Campaigns) != len(exp.Campaigns) || want.Campaigns[testCampaigns[0]].Len() == 0 || want.Seq != exp.Seq {
-		t.Fatalf("the compact form decoded to %d campaigns at seq %d", len(want.Campaigns), want.Seq)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, compact, " ", "\t"); err != nil {
+	want, err := exp.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	body := strings.TrimSuffix(strings.TrimPrefix(string(compact), "{"), "}")
-	docs := map[string]string{
-		"indented":         indented.String(),
-		"unknown members":  `{"x":{"a":[1,"}]\\\"",{"b":null}],"c":"\\"},"y":-1.5e3,"z":[],` + body + `,"w":"}"}`,
-		"escaped slashes":  strings.ReplaceAll(string(compact), "/", `\/`),
-		"odd member names": strings.NewReplacer(`"version"`, `"Version"`, `"seq"`, `"\u0073eq"`, `"campaigns"`, `"CAMPAIGNS"`).Replace(string(compact)),
-		"version last":     `{"version":1,` + strings.Replace(body, fmt.Sprintf(`"version":%d,`, ExportVersion), "", 1) + fmt.Sprintf(`,"version":%d}`, ExportVersion),
+	states := make([]map[string]*audit.State, 8)
+	var wg sync.WaitGroup
+	for i := range states {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if states[i], err = exp.States(); err != nil {
+				t.Error(err)
+			}
+			if text, err := exp.MarshalText(); err != nil || len(text) == 0 {
+				t.Errorf("MarshalText: %v", err)
+			}
+			if bin, _ := exp.AppendBinary(nil); !bytes.Equal(bin, want) {
+				t.Error("the container changed under a concurrent decode")
+			}
+		}(i)
 	}
-	if !strings.Contains(docs["escaped slashes"], `\/`) {
-		t.Fatalf("no state's base64 holds a '/'; enlarge the world")
-	}
-	for name, doc := range docs {
-		var got Export
-		if err := json.Unmarshal([]byte(doc), &got); err != nil {
-			t.Errorf("%s: %v", name, err)
-		} else if !reflect.DeepEqual(&got, want) {
-			t.Errorf("%s: decoded to a different export", name)
-		}
-	}
-	for name, doc := range map[string]string{
-		"cut short":     string(compact[:len(compact)-1]),
-		"not an object": `[` + string(compact) + `]`,
-		"no colon":      `{"version" 3}`,
-	} {
-		// Called directly: encoding/json would not let these through.
-		if err := new(Export).UnmarshalJSON([]byte(doc)); err == nil {
-			t.Errorf("%s: accepted", name)
+	wg.Wait()
+	for _, s := range states[1:] {
+		if !reflect.DeepEqual(s, states[0]) || len(s) != len(testCampaigns) {
+			t.Fatalf("readers saw different states")
 		}
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+// TestExportCarriesEncodeError: a state the format cannot carry (more
+// than 256 MiB of user keys) fails the export, and every reader of it —
+// the container, its text form, its states, a static engine — says why.
+func TestExportCarriesEncodeError(t *testing.T) {
+	w := newTestWorld(t, 3)
+	w.populate(t, rand.New(rand.NewSource(3)), 20)
+	long := strings.Repeat("A", 4<<20+64) // 65 keys of 4 MiB and more, all cut from one string
+	for i := 0; i <= 64; i++ {
+		if _, err := w.st.InsertConversion(store.Conversion{CampaignID: testCampaigns[1], UserKey: long[i:], Action: "purchase", Timestamp: time.Unix(1700000000, 0)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return b
+	e, err := New(Config{Store: w.st, Meta: w.meta})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	exp := e.Export()
+	_, binErr := exp.AppendBinary(nil)
+	_, textErr := exp.MarshalText()
+	_, statesErr := exp.States()
+	_, staticErr := NewStatic(StaticConfig{Meta: w.meta}, exp)
+	for reader, err := range map[string]error{"AppendBinary": binErr, "MarshalText": textErr, "States": statesErr, "NewStatic": staticErr} {
+		if err == nil || !strings.Contains(err.Error(), `campaign "camp-beta": audit: state encoding`) || !strings.Contains(err.Error(), "bytes of user keys") {
+			t.Errorf("%s: %v", reader, err)
+		}
+	}
 }

@@ -2,21 +2,26 @@ package streamaudit
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
+	"sync"
 
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
 	"adaudit/internal/semsim"
 )
 
-// ExportVersion is the format version an Export document carries. It
-// names the layout of audit.State's packed form (version 1 was a
-// per-dimension map mirror, version 2 the state's columns as JSON
-// arrays); a decoder accepts its own version only.
-const ExportVersion = 3
+// ExportVersion is the format version an export carries: 4, the binary
+// container below. Formats 1 to 3 were JSON documents; a decoder accepts
+// its own version only.
+const ExportVersion = 4
+
+// ExportMagic opens every export container.
+const ExportMagic = "ADEX"
 
 // Export is an engine's states in their wire form — everything a merge
 // layer needs to reconstruct the engine's report without the store it
@@ -25,228 +30,224 @@ const ExportVersion = 3
 // into states whose report is deep-equal to a single-store FullAudit
 // over the union of the shards' data.
 //
-// The document is JSON — {"version":3,"seq":N,"campaigns":{id:"…"}} —
-// and each campaign's value is its state's packed binary form
-// (audit.State.AppendBinary) in base64. A state's slots are in store
-// insertion order, every float crosses as its eight bytes and every key
-// as its bytes, so a report materialised from a decoded Export is
-// byte-identical to one materialised in-process.
+// The wire form is one binary container (DESIGN §17): ExportMagic; the
+// version, the seq and the campaign count as uvarints; then per campaign
+// in id order its id (uvarint length, bytes), its state's length (8
+// bytes little-endian) and packed form (audit.State.AppendBinary). Every
+// float crosses as its eight bytes and every key as its bytes, so a
+// report from a decoded Export is byte-identical to one in-process.
 //
-// An Export is outside input wherever it is decoded: decoding checks
-// the version, then every state (see audit.State.UnmarshalBinary), and
-// rejects the document whole.
+// An Export from Engine.Export holds its container and decodes its
+// states when first asked (States); one from UnmarshalBinary or
+// NewExport holds states and is encoded when asked. One whose states
+// could not be encoded carries the error to every reader. Its text form
+// (and so its JSON form) is the container in base64.
 type Export struct {
-	Version int `json:"version"`
-	// Seq is the feed sequence the exporting engine had applied. A
-	// merged export sums shard Seqs — a monotone progress indicator,
-	// not a feed position.
-	Seq int64 `json:"seq"`
-	// Campaigns holds one state per campaign the engine observed
-	// (impressions or conversions).
-	Campaigns map[string]*audit.State `json:"campaigns"`
+	seq    int64
+	bin    []byte // the container, if the export holds one
+	err    error
+	decode sync.Once // of bin into states, at most once
+	states map[string]*audit.State
 }
 
-func errVersion(v int) error {
-	return fmt.Errorf("streamaudit: export format version %d, this build reads %d", v, ExportVersion)
-}
-
-func errNoState(id string) error {
-	return fmt.Errorf("streamaudit: export has no state for campaign %q", id)
-}
-
-// Validate reports what decoding would have rejected in an export
-// assembled by hand: a foreign version, a campaign without a state.
-// (A non-nil state is valid by construction.)
-func (x *Export) Validate() error {
-	if x.Version != ExportVersion {
-		return errVersion(x.Version)
-	}
-	for id, st := range x.Campaigns {
+// NewExport returns an export of the given states at seq. The export
+// owns the map and the states from then on.
+func NewExport(seq int64, campaigns map[string]*audit.State) *Export {
+	for id, st := range campaigns {
 		if st == nil {
-			return errNoState(id)
+			return &Export{err: fmt.Errorf("streamaudit: export has no state for campaign %q", id)}
 		}
 	}
-	return nil
+	return &Export{seq: seq, states: campaigns}
 }
 
-// UnmarshalJSON decodes and validates an export: the version before
-// anything else, so that a shard of another format is named as such and
-// not as a state that fails to decode. The three-member envelope is
-// walked by hand (members): encoding/json has scanned the document
-// twice by the time it calls this, and decoding the envelope through it
-// scans the megabytes of base64 twice more — 60 to 80 ms of a 290 ms
-// merged report of the paper dataset, whichever way it is asked to
-// (CHANGES, PR 16). Members are matched the way encoding/json matches
-// them: escapes resolved, case ignored, the last of a name wins.
-func (x *Export) UnmarshalJSON(b []byte) error {
-	var p Export
-	var campaigns []byte
-	err := members(b, func(name string, val []byte) error {
-		switch {
-		case strings.EqualFold(name, "version"):
-			return json.Unmarshal(val, &p.Version)
-		case strings.EqualFold(name, "seq"):
-			return json.Unmarshal(val, &p.Seq)
-		case strings.EqualFold(name, "campaigns"):
-			campaigns = val
-		}
-		return nil
-	})
+// Seq is the feed sequence the exporting engine had applied. A merged
+// export sums shard Seqs — a monotone progress indicator, not a feed
+// position.
+func (x *Export) Seq() int64 { return x.seq }
+
+// States returns one state per campaign the engine observed
+// (impressions or conversions), decoding them on the first call. The
+// states are the export's: a caller must not change them.
+func (x *Export) States() (map[string]*audit.State, error) {
+	if x.bin != nil {
+		x.decode.Do(func() { _, x.states, x.err = decodeContainer(x.bin) })
+	}
+	return x.states, x.err
+}
+
+// AppendBinary appends the export's container to b.
+func (x *Export) AppendBinary(b []byte) ([]byte, error) {
+	switch {
+	case x.bin != nil: // x.err may be a decode error, which the bytes do not have
+		return append(b, x.bin...), nil
+	case x.err != nil:
+		return b, x.err
+	}
+	return appendContainer(b, x.seq, x.states)
+}
+
+// UnmarshalBinary decodes and validates an export from outside the
+// process: the magic and the version before anything else, so that a
+// shard of another format is named as such and not as a state that fails
+// to decode; then every state (see audit.State.UnmarshalBinary). A
+// container that fails anywhere is rejected whole and x is left alone.
+func (x *Export) UnmarshalBinary(b []byte) error {
+	seq, states, err := decodeContainer(b)
 	if err != nil {
 		return err
 	}
-	if p.Version != ExportVersion {
-		return errVersion(p.Version)
-	}
-	if campaigns != nil && string(campaigns) != "null" {
-		p.Campaigns = map[string]*audit.State{}
-		err = members(campaigns, func(id string, val []byte) error {
-			if _, dup := p.Campaigns[id]; dup {
-				return fmt.Errorf("streamaudit: export has campaign %q twice", id)
-			}
-			if string(val) == "null" {
-				return errNoState(id)
-			}
-			// A state is base64 text, which no JSON encoder need escape;
-			// one that does (`\/`), or sent no string, goes the long way.
-			st := new(audit.State)
-			var err error
-			if len(val) >= 2 && val[0] == '"' && bytes.IndexByte(val, '\\') < 0 {
-				err = st.UnmarshalText(val[1 : len(val)-1])
-			} else {
-				err = json.Unmarshal(val, st)
-			}
-			if err != nil {
-				return fmt.Errorf("streamaudit: campaign %q: %w", id, err)
-			}
-			p.Campaigns[id] = st
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	*x = p
+	*x = Export{seq: seq, states: states}
 	return nil
 }
 
-// members calls fn with the name and raw value of each member of the
-// JSON object b ("null" has none). b is a valid JSON value — that is
-// json.Unmarshaler's contract — so this only finds where names and
-// values end; on anything else it fails or passes fn nonsense, but never
-// reads out of bounds.
-func members(b []byte, fn func(name string, val []byte) error) error {
-	syntax := errors.New("streamaudit: export is not the JSON object it should be")
-	i := skipSpace(b, 0)
-	if string(b[i:]) == "null" {
+// MarshalText is the container in base64, the form an Export takes
+// inside a JSON document.
+func (x *Export) MarshalText() ([]byte, error) {
+	bin := x.bin
+	if bin == nil {
+		var err error
+		if bin, err = x.AppendBinary(nil); err != nil {
+			return nil, err
+		}
+	}
+	return base64.StdEncoding.AppendEncode(nil, bin), nil
+}
+
+// UnmarshalText decodes what MarshalText wrote; see UnmarshalBinary.
+func (x *Export) UnmarshalText(text []byte) error {
+	bin, err := base64.StdEncoding.AppendDecode(nil, text)
+	if err != nil {
+		return fmt.Errorf("streamaudit: export text: %w", err)
+	}
+	return x.UnmarshalBinary(bin)
+}
+
+// appendContainer appends the container of states at seq to b, growing
+// b once: every state is laid out (audit.State.Pack) before any is
+// written.
+func appendContainer(b []byte, seq int64, states map[string]*audit.State) ([]byte, error) {
+	ids := make([]string, 0, len(states))
+	for id := range states {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	writes := make([]func([]byte) []byte, len(ids))
+	size := len(ExportMagic) + 3*binary.MaxVarintLen64
+	for i, id := range ids {
+		n, write, err := states[id].Pack()
+		if err != nil {
+			return b, fmt.Errorf("streamaudit: campaign %q: %w", id, err)
+		}
+		writes[i], size = write, size+binary.MaxVarintLen64+len(id)+8+n
+	}
+	b = append(slices.Grow(b, size), ExportMagic...)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, ExportVersion), uint64(seq))
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	for i, id := range ids {
+		b = append(binary.AppendUvarint(b, uint64(len(id))), id...)
+		at := len(b)
+		b = writes[i](binary.LittleEndian.AppendUint64(b, 0))
+		binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	}
+	return b, nil
+}
+
+// containerReader consumes a container; its first failure sticks.
+type containerReader struct {
+	b   []byte // what remains
+	err error
+}
+
+func (r *containerReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("streamaudit: export container: "+format, args...)
+	}
+	r.b = nil
+}
+
+func (r *containerReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("ends inside an integer, or the integer overflows")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *containerReader) take(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.fail("ends %d bytes early", n-uint64(len(r.b)))
 		return nil
 	}
-	if i == len(b) || b[i] != '{' {
-		return syntax
-	}
-	for i = skipSpace(b, i+1); i < len(b) && b[i] != '}'; {
-		if b[i] != '"' {
-			return syntax
-		}
-		nameEnd := valueEnd(b, i)
-		var name string
-		if err := json.Unmarshal(b[i:nameEnd], &name); err != nil {
-			return err
-		}
-		colon := skipSpace(b, nameEnd)
-		if colon == len(b) || b[colon] != ':' {
-			return syntax
-		}
-		val := skipSpace(b, colon+1)
-		end := valueEnd(b, val)
-		if end == val {
-			return syntax
-		}
-		if err := fn(name, b[val:end]); err != nil {
-			return err
-		}
-		if i = skipSpace(b, end); i < len(b) && b[i] == ',' {
-			i = skipSpace(b, i+1)
-		}
-	}
-	if i == len(b) || skipSpace(b, i+1) != len(b) {
-		return syntax
-	}
-	return nil
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
 }
 
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
+// decodeContainer decodes and validates a container; see UnmarshalBinary.
+func decodeContainer(b []byte) (int64, map[string]*audit.State, error) {
+	rest, ok := bytes.CutPrefix(b, []byte(ExportMagic))
+	if !ok {
+		return 0, nil, notContainer(b)
 	}
-	return i
+	r := &containerReader{b: rest}
+	if v := r.uvarint(); r.err == nil && v != ExportVersion {
+		return 0, nil, fmt.Errorf("streamaudit: export format version %d, this build reads %d", v, ExportVersion)
+	}
+	seq := int64(r.uvarint())
+	n := r.uvarint()
+	if n > uint64(len(r.b)/9) { // a campaign is at least an id length and a state length
+		r.fail("claims %d campaigns, %d bytes remain", n, len(r.b))
+	}
+	states := make(map[string]*audit.State, n)
+	for ; n > 0 && r.err == nil; n-- {
+		id := string(r.take(r.uvarint()))
+		var size uint64
+		if raw := r.take(8); raw != nil {
+			size = binary.LittleEndian.Uint64(raw)
+		}
+		body := r.take(size)
+		if r.err != nil {
+			break
+		}
+		if _, dup := states[id]; dup {
+			return 0, nil, fmt.Errorf("streamaudit: export has campaign %q twice", id)
+		}
+		st := new(audit.State)
+		if err := st.UnmarshalBinary(body); err != nil {
+			return 0, nil, fmt.Errorf("streamaudit: campaign %q: %w", id, err)
+		}
+		states[id] = st
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d bytes follow the last campaign", len(r.b))
+	}
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	return seq, states, nil
 }
 
-// valueEnd returns the index just past the JSON value that starts at
-// b[i]: a string ends at its closing quote, an object or array where
-// its brackets balance, a number or literal before the next delimiter.
-func valueEnd(b []byte, i int) int {
-	for depth := 0; i < len(b); {
-		switch b[i] {
-		case '"':
-			for i++; ; i++ {
-				q := bytes.IndexByte(b[i:], '"')
-				if q < 0 {
-					return len(b)
-				}
-				i += q
-				esc := i
-				for b[esc-1] == '\\' { // stops at the opening quote at the latest
-					esc--
-				}
-				if (i-esc)%2 == 0 {
-					break // a quote after an even number of backslashes closes the string
-				}
-			}
-			i++
-		case '{', '[':
-			depth++
-			i++
-			continue
-		case '}', ']':
-			if depth == 0 {
-				return i // the enclosing object's, after a number or literal
-			}
-			depth--
-			i++
-		case ',', ' ', '\t', '\r', '\n':
-			if depth == 0 {
-				return i // after a number or literal
-			}
-			i++
-			continue
-		default:
-			i++
-			continue
-		}
-		if depth == 0 {
-			return i
-		}
+// notContainer says what b, which lacks the magic, is instead: an export
+// of a JSON format this build no longer reads, or not an export at all.
+func notContainer(b []byte) error {
+	var doc struct{ Version int }
+	if json.Unmarshal(b, &doc) == nil {
+		return fmt.Errorf("streamaudit: export format version %d (JSON), this build reads %d", doc.Version, ExportVersion)
 	}
-	return len(b)
+	return errors.New("streamaudit: not an export: no container magic")
 }
 
-// Export copies the engine's states into an Export. Safe for
-// concurrent use; the engine keeps applying deltas afterwards.
+// Export encodes the engine's states, uncopied, under the lock that
+// guards them. Safe for concurrent use; the engine keeps applying.
 func (e *Engine) Export() *Export {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := &Export{
-		Version:   ExportVersion,
-		Seq:       e.appliedSeq.Load(),
-		Campaigns: make(map[string]*audit.State, len(e.states)),
-	}
-	for id, st := range e.states {
-		cp := audit.NewState()
-		cp.Merge(st)
-		out.Campaigns[id] = cp
-	}
-	return out
+	x := &Export{seq: e.appliedSeq.Load()}
+	x.bin, x.err = appendContainer(nil, x.seq, e.states)
+	return x
 }
 
 // StaticConfig configures NewStatic — Config minus the store and feed
@@ -272,14 +273,15 @@ func NewStatic(cfg StaticConfig, exp *Export) (*Engine, error) {
 	if exp == nil {
 		return nil, fmt.Errorf("streamaudit: static engine requires an export")
 	}
-	if err := exp.Validate(); err != nil {
+	states, err := exp.States()
+	if err != nil {
 		return nil, err
 	}
 	e, err := newEngine(cfg.Meta, cfg.Matcher, cfg.Sellers, cfg.Keywords, cfg.Reports)
 	if err != nil {
 		return nil, err
 	}
-	e.states = exp.Campaigns
-	e.appliedSeq.Store(exp.Seq)
+	e.states = states
+	e.appliedSeq.Store(exp.seq)
 	return e, nil
 }

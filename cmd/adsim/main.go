@@ -100,7 +100,7 @@ func run(seed int64, publishers int, snapshot, csvPath, reportsPath, conversions
 		"publishers", len(ws.Store.Publishers("")))
 
 	if snapshot != "" {
-		if err := writeTo(snapshot, ws.Store.WriteSnapshot); err != nil {
+		if err := ws.Store.SnapshotCompact(snapshot); err != nil {
 			return fmt.Errorf("writing snapshot: %w", err)
 		}
 	}

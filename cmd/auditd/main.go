@@ -10,8 +10,7 @@
 //	auditd [-listen 127.0.0.1:8080] [-snapshot imps.jsonl] [-secret KEY]
 //	       [-flush 30s] [-print-script CAMPAIGN:CREATIVE]
 //	       [-debug-addr 127.0.0.1:6060] [-selfreport 60s]
-//	       [-unhealthy-after 5m] [-wal journal.wal] [-wal-sync os]
-//	       [-wal-group-latency 0]
+//	       [-unhealthy-after 5m] [-wal journal.wal] [-wal-sync os|group]
 //	       [-live] [-live-seed 1] [-live-publishers 150000]
 //	       [-trace-sample N] [-trunk-token TOKEN]
 //	       [-log-level info] [-log-format text]
@@ -41,14 +40,13 @@
 // With -wal every acknowledged impression is journaled to a write-ahead
 // log before it enters the in-memory store: at boot the daemon loads the
 // last snapshot (if any), replays the journal over it, and resumes —
-// a crash loses nothing the collector acknowledged. Snapshots compact
-// the journal. -wal-sync picks the fsync policy: os (default; survives
-// process crashes), always (fsync per impression; survives power loss),
-// interval (fsync on a 100ms timer), or group (group commit: the
-// power-loss durability of always at a fraction of the fsync count —
-// concurrently-committing sessions share one flush, and each ack still
-// waits for the flush covering its entry; -wal-group-latency optionally
-// delays each flush to widen the batch).
+// a crash loses nothing the collector acknowledged. -wal-sync picks the
+// fsync policy: os (default; survives process crashes) or group (group
+// commit: each ack waits for an fsync covering its entry, so it
+// survives power loss, and concurrently-committing sessions share one
+// flush). Every snapshot — periodic and final — compacts the journal,
+// and is fsynced and renamed into place before the journal is
+// truncated.
 //
 // With -print-script the daemon prints the embeddable JavaScript tag
 // for the given campaign/creative pair and the running endpoint.
@@ -75,7 +73,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -103,8 +100,7 @@ func main() {
 		selfReport     = flag.Duration("selfreport", 60*time.Second, "self-report log interval (0 disables)")
 		unhealthyAfter = flag.Duration("unhealthy-after", 0, "/healthz flips unhealthy when no record committed for this long (0 disables)")
 		walPath        = flag.String("wal", "", "write-ahead log path (empty disables the journal)")
-		walSync        = flag.String("wal-sync", "os", "WAL fsync policy: os, always, interval or group")
-		walGroupLat    = flag.Duration("wal-group-latency", 0, "extra wait before each group-commit fsync to widen batches (0 flushes immediately; only with -wal-sync=group)")
+		walSync        = flag.String("wal-sync", "os", "WAL fsync policy: os or group")
 		live           = flag.Bool("live", false, "serve streaming audit views (/api/live/...) from the store change feed")
 		liveSeed       = flag.Int64("live-seed", 1, "seed of the synthetic metadata universe for -live (must match the dataset's)")
 		livePubs       = flag.Int("live-publishers", 150000, "size of the synthetic metadata universe for -live")
@@ -126,7 +122,6 @@ func main() {
 		unhealthyAfter: *unhealthyAfter,
 		walPath:        *walPath,
 		walSync:        *walSync,
-		walGroupLat:    *walGroupLat,
 		live:           *live,
 		liveSeed:       *liveSeed,
 		livePubs:       *livePubs,
@@ -157,7 +152,6 @@ type daemonOptions struct {
 	unhealthyAfter time.Duration
 	walPath        string
 	walSync        string
-	walGroupLat    time.Duration
 	live           bool
 	liveSeed       int64
 	livePubs       int
@@ -281,10 +275,8 @@ func run(ctx context.Context, opts daemonOptions, out io.Writer) error {
 		}()
 	}
 
-	// All snapshot writes — periodic flush and the final write — go
-	// through one snapshotter so two writers can never race the rename
-	// to the same path.
-	snap := &snapshotter{st: st, path: opts.snapshotPath, logger: logger}
+	// The periodic flush and the final write both publish through the
+	// store, which runs them one after another.
 	if opts.flush > 0 {
 		go func() {
 			t := time.NewTicker(opts.flush)
@@ -294,7 +286,7 @@ func run(ctx context.Context, opts daemonOptions, out io.Writer) error {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if err := snap.tryWrite(); err != nil {
+					if err := st.SnapshotCompact(opts.snapshotPath); err != nil {
 						logger.Error("periodic snapshot failed", "err", err)
 					}
 				}
@@ -309,7 +301,7 @@ func run(ctx context.Context, opts daemonOptions, out io.Writer) error {
 	err = srv.Serve(ctx)
 	logger.Info("shutting down", "ingested", coll.Metrics.Ingested.Load(),
 		"rejected", coll.Metrics.Rejected.Load())
-	if werr := snap.write(); werr != nil {
+	if werr := st.SnapshotCompact(opts.snapshotPath); werr != nil {
 		return fmt.Errorf("final snapshot: %w", werr)
 	}
 	return err
@@ -347,7 +339,7 @@ func openStore(opts daemonOptions, logger *slog.Logger) (*store.Store, *store.WA
 		logger.Info("replayed write-ahead log", "path", opts.walPath,
 			"entries", applied, "records", st.Len())
 	}
-	wal, err := store.OpenWAL(opts.walPath, store.WALOptions{Policy: policy, GroupLatency: opts.walGroupLat})
+	wal, err := store.OpenWAL(opts.walPath, store.WALOptions{Policy: policy})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -441,58 +433,4 @@ func rejectsByClass(reg *telemetry.Registry) string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
-}
-
-// snapshotter serializes snapshot writes: the periodic flusher and the
-// final shutdown write used to race each other renaming to the same
-// path, which could publish a stale snapshot over a fresher one.
-type snapshotter struct {
-	mu     sync.Mutex
-	st     *store.Store
-	path   string
-	logger *slog.Logger
-}
-
-// write blocks until the snapshot is written (the shutdown path: the
-// final dataset must land).
-func (s *snapshotter) write() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return writeSnapshot(s.st, s.path)
-}
-
-// tryWrite skips (and logs) when another write is already in flight —
-// a slow disk must not queue up overlapping periodic flushes.
-func (s *snapshotter) tryWrite() error {
-	if !s.mu.TryLock() {
-		s.logger.Info("snapshot write already in flight; skipping periodic flush", "path", s.path)
-		return nil
-	}
-	defer s.mu.Unlock()
-	return writeSnapshot(s.st, s.path)
-}
-
-// writeSnapshot publishes the dataset with the temp-file + rename
-// discipline and, when a WAL is attached, compacts the journal the
-// moment the snapshot is durably in place (SnapshotCompact holds the
-// store lock across both, so no acknowledged impression can fall
-// between snapshot and journal).
-func writeSnapshot(st *store.Store, path string) error {
-	return st.SnapshotCompact(func(write func(io.Writer) error) error {
-		tmp := path + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		return os.Rename(tmp, path)
-	})
 }

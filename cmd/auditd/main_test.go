@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,111 +19,96 @@ import (
 	"adaudit/internal/store"
 )
 
-func TestWriteSnapshotAtomic(t *testing.T) {
+// TestOpenStoreRecoversSnapshotAndGroupJournal boots the -wal path the
+// daemon takes after a crash: a published snapshot plus the journal
+// written since, under the group policy. The store must hold both, and
+// the journal it attaches must keep the group policy.
+func TestOpenStoreRecoversSnapshotAndGroupJournal(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "imps.jsonl")
-	st := store.New()
-	if _, err := st.Insert(store.Impression{
-		CampaignID: "c", Publisher: "p.es", PageURL: "http://p.es/",
-		UserKey: "u", Timestamp: time.Now(), Exposure: time.Second,
-	}); err != nil {
-		t.Fatal(err)
+	opts := daemonOptions{
+		snapshotPath: filepath.Join(dir, "imps.jsonl"),
+		walPath:      filepath.Join(dir, "journal.wal"),
+		walSync:      "group",
 	}
-	if err := writeSnapshot(st, path); err != nil {
-		t.Fatal(err)
-	}
-	// No temp file left behind.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
-	f, err := os.Open(path)
+	prev, err := store.OpenWAL(opts.walPath, store.WALOptions{Policy: store.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	restored, err := store.ReadSnapshot(f)
+	live := store.New()
+	live.AttachWAL(prev)
+	insert := func(st *store.Store, n int) {
+		t.Helper()
+		if _, err := st.Insert(store.Impression{
+			CampaignID: "c", Publisher: "p.es", PageURL: "http://p.es/",
+			UserKey: fmt.Sprintf("u%d", n), Timestamp: time.Unix(int64(n), 0).UTC(), Exposure: time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= 3; n++ {
+		insert(live, n)
+	}
+	if err := live.SnapshotCompact(opts.snapshotPath); err != nil {
+		t.Fatal(err)
+	}
+	for n := 4; n <= 5; n++ {
+		insert(live, n)
+	}
+	if fi, err := os.Stat(opts.walPath); err != nil || fi.Size() == 0 {
+		t.Fatalf("journal after the snapshot is empty: %v, %v", fi, err)
+	}
+	if err := prev.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, wal, err := openStore(opts, slog.New(slog.NewTextHandler(io.Discard, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != 1 {
-		t.Fatalf("restored %d records", restored.Len())
+	defer wal.Close()
+	if st.Len() != live.Len() {
+		t.Fatalf("booted with %d records, want %d", st.Len(), live.Len())
 	}
-	// Overwrites are atomic replacements of the previous snapshot.
-	if _, err := st.Insert(store.Impression{
-		CampaignID: "c", Publisher: "q.es", PageURL: "http://q.es/",
-		UserKey: "u2", Timestamp: time.Now(), Exposure: time.Second,
-	}); err != nil {
-		t.Fatal(err)
+	for id := int64(1); id <= int64(live.Len()); id++ {
+		want, _ := live.Get(id)
+		if got, _ := st.Get(id); got != want {
+			t.Fatalf("record %d: got %+v, want %+v", id, got, want)
+		}
 	}
-	if err := writeSnapshot(st, path); err != nil {
-		t.Fatal(err)
+	// WAL keeps its policy unexported; read it the way %+v would.
+	if p := reflect.ValueOf(wal).Elem().FieldByName("policy").Int(); p != int64(store.SyncGroup) {
+		t.Fatalf("journal attached under policy %d, want SyncGroup", p)
 	}
-	f2, err := os.Open(path)
+	// The journal is attached: a further insert survives the next boot.
+	insert(st, 6)
+	again, wal2, err := openStore(opts, slog.New(slog.NewTextHandler(io.Discard, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f2.Close()
-	restored, err = store.ReadSnapshot(f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 2 {
-		t.Fatalf("second snapshot has %d records", restored.Len())
+	defer wal2.Close()
+	if again.Len() != 6 {
+		t.Fatalf("second boot has %d records, want 6", again.Len())
 	}
 }
 
-func TestWriteSnapshotBadDir(t *testing.T) {
-	if err := writeSnapshot(store.New(), "/nonexistent-dir/x.jsonl"); err == nil {
-		t.Fatal("bad directory accepted")
-	}
-}
-
-func TestSnapshotterSerializesWrites(t *testing.T) {
-	dir := t.TempDir()
-	st := store.New()
-	if _, err := st.Insert(store.Impression{
-		CampaignID: "c", Publisher: "p.es", PageURL: "http://p.es/",
-		UserKey: "u", Timestamp: time.Now(), Exposure: time.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap := &snapshotter{
-		st:     st,
-		path:   filepath.Join(dir, "imps.jsonl"),
-		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	// Hold the lock as a slow in-flight write would: the periodic flush
-	// must skip without blocking or racing, while the shutdown write
-	// blocks until the writer is done.
-	snap.mu.Lock()
-	if err := snap.tryWrite(); err != nil {
-		t.Fatalf("tryWrite under contention: %v", err)
-	}
-	if _, err := os.Stat(snap.path); !os.IsNotExist(err) {
-		t.Fatal("skipped flush still produced a snapshot")
-	}
-	done := make(chan error, 1)
-	go func() { done <- snap.write() }()
-	select {
-	case <-done:
-		t.Fatal("final write completed while another write held the lock")
-	case <-time.After(20 * time.Millisecond):
-	}
-	snap.mu.Unlock()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(snap.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	restored, err := store.ReadSnapshot(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 1 {
-		t.Fatalf("final snapshot has %d records", restored.Len())
+// TestOpenStoreRefusesRemovedSyncPolicies: a deployment still passing
+// a removed -wal-sync value must fail at boot, told the two it may use,
+// before any journal is opened.
+func TestOpenStoreRefusesRemovedSyncPolicies(t *testing.T) {
+	for _, policy := range []string{"always", "interval"} {
+		dir := t.TempDir()
+		opts := daemonOptions{
+			snapshotPath: filepath.Join(dir, "imps.jsonl"),
+			walPath:      filepath.Join(dir, "journal.wal"),
+			walSync:      policy,
+		}
+		_, _, err := openStore(opts, slog.New(slog.NewTextHandler(io.Discard, nil)))
+		if err == nil || !strings.Contains(err.Error(), "os") || !strings.Contains(err.Error(), "group") {
+			t.Fatalf("-wal-sync=%s: err %v, want a refusal naming os and group", policy, err)
+		}
+		if _, err := os.Stat(opts.walPath); !os.IsNotExist(err) {
+			t.Fatalf("-wal-sync=%s: journal created despite the refusal", policy)
+		}
 	}
 }
 

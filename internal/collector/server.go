@@ -30,10 +30,10 @@ type ServerOption func(*serverOptions)
 
 // /healthz bounds no command has needed to tune.
 const (
-	// maxWALSyncLag is how long a journal entry may wait for its fsync
-	// (SyncInterval WALs only; the other policies never go dirty):
-	// generous against any sane sync interval, tight enough to catch a
-	// wedged disk. The measured lag is in the response either way.
+	// maxWALSyncLag is how long a journal entry may wait for its group
+	// fsync (SyncGroup WALs only; SyncOS never goes dirty): far above
+	// any healthy fsync, tight enough to catch a wedged disk or a dead
+	// flusher. The measured lag is in the response either way.
 	maxWALSyncLag = 30 * time.Second
 	// maxAuditStaleness is how far of wall time the live streaming
 	// engine may fall behind the change feed — the pipeline-freshness

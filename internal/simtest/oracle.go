@@ -2,7 +2,6 @@ package simtest
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -226,18 +225,7 @@ func (o *oracle) afterDeliveryConcurrent(seg segment, id int64, err error) {
 // recovery invariant is checked across the snapshot boundary too.
 func (o *oracle) snapshotCompact(di int) {
 	path := filepath.Join(o.snapDir, fmt.Sprintf("snap-%d.json", di))
-	err := o.store.SnapshotCompact(func(write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	})
-	if err != nil {
+	if err := o.store.SnapshotCompact(path); err != nil {
 		o.violate("snapshot-compact at delivery %d failed: %v", di, err)
 		return
 	}

@@ -96,13 +96,6 @@ type Config struct {
 	// byte-identical to the all-text run's: that equality IS the
 	// binary codec's end-to-end correctness invariant.
 	WireMix bool
-	// GroupWAL journals under the group-commit fsync policy
-	// (store.SyncGroup) instead of the default interval policy, so the
-	// WAL-replay-equals-live-store invariant and the mid-run recovery
-	// probes exercise the batched-fsync path. GroupLatency stays 0:
-	// the flusher must never wait on a timer the virtual clock would
-	// have to advance.
-	GroupWAL bool
 	// Attack injects the adversarial scenario pack into the schedule:
 	// "spoof" (domain-spoofed reporting), "pool" (one seller ID resold
 	// across unrelated owner groups), "bot" (a residential timer bot
@@ -505,15 +498,10 @@ func Run(cfg Config) (*Result, error) {
 	clk := simclock.NewVirtual(simBase)
 	st := store.New()
 	walPath := filepath.Join(dir, "sim.wal")
-	walOpts := store.WALOptions{
-		Policy:   store.SyncInterval,
-		Interval: 5 * time.Second,
-		Clock:    clk,
-	}
-	if cfg.GroupWAL {
-		walOpts = store.WALOptions{Policy: store.SyncGroup, Clock: clk}
-	}
-	wal, err := store.OpenWAL(walPath, walOpts)
+	// Every run journals under group commit, the durable policy: the
+	// mid-run recovery probes and the final replay-equals-live-store
+	// invariant hold against batched fsyncs and snapshot compactions.
+	wal, err := store.OpenWAL(walPath, store.WALOptions{Policy: store.SyncGroup})
 	if err != nil {
 		return nil, err
 	}

@@ -263,45 +263,3 @@ func TestSimWireMix(t *testing.T) {
 		}
 	}
 }
-
-// TestSimGroupWAL runs the schedule with the journal under the
-// group-commit fsync policy: the mid-run recovery probes and the final
-// WAL-replay-equals-live-store invariant then hold against batched
-// fsyncs, and the digest must match the interval-policy run — the
-// sync policy may never change what is journaled, only when it hits
-// the disk. Wire mixing rides along so group commit also sees the
-// binary ingest path.
-func TestSimGroupWAL(t *testing.T) {
-	for seed := int64(1); seed <= 2; seed++ {
-		base := Config{Seed: seed, Sessions: *flagSessions, Dir: t.TempDir()}
-		ref, err := Run(base)
-		if err != nil {
-			t.Fatalf("seed %d baseline: %v", seed, err)
-		}
-		grp := base
-		grp.GroupWAL = true
-		grp.WireMix = true
-		gres, err := Run(grp)
-		if err != nil {
-			t.Fatalf("seed %d group: %v", seed, err)
-		}
-		if gres.Failed() {
-			t.Errorf("seed %d: group-WAL run violated invariants:\n  %s",
-				seed, strings.Join(gres.Violations, "\n  "))
-		}
-		if gres.Digest != ref.Digest {
-			t.Errorf("seed %d: group-WAL digest %s != baseline %s (sync policy changed journal content)",
-				seed, gres.Digest, ref.Digest)
-		}
-		conc := grp
-		conc.Workers = 4
-		cres, err := Run(conc)
-		if err != nil {
-			t.Fatalf("seed %d group concurrent: %v", seed, err)
-		}
-		if cres.Failed() {
-			t.Errorf("seed %d: concurrent group-WAL violated invariants:\n  %s",
-				seed, strings.Join(cres.Violations, "\n  "))
-		}
-	}
-}

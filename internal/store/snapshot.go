@@ -8,16 +8,85 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"strconv"
 	"time"
 )
 
 // WriteSnapshot streams the store as JSON lines (one impression per
-// line), the dataset format cmd/adsim writes and cmd/auditctl reads.
+// line), the dataset format SnapshotCompact publishes and cmd/auditctl
+// reads.
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.writeSnapshotLocked(w)
+}
+
+// SnapshotCompact publishes a consistent snapshot of the store at path
+// and then resets the attached WAL (no WAL: the publish alone). The
+// order is fixed: write path+".tmp", fsync it, close it, rename it over
+// path, fsync the directory, and only then truncate the journal — so
+// after a power loss at any step the snapshot on disk plus the journal
+// still hold every acknowledged record. The read lock, which excludes
+// writers, is held throughout, so no insert can land between the
+// snapshot scan and the journal truncation. Concurrent callers run one
+// after another. A failed publish leaves the journal untouched and no
+// temp file behind.
+func (s *Store) SnapshotCompact(path string) error {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if err := s.publishSnapshotLocked(path); err != nil {
+		return err
+	}
+	if s.wal != nil {
+		return s.wal.reset()
+	}
+	return nil
+}
+
+// publishSnapshotLocked is SnapshotCompact's publish: the temp file is
+// durable before the rename makes it the snapshot, and the rename is
+// durable before the caller truncates the journal.
+func (s *Store) publishSnapshotLocked(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("store: publishing snapshot: %w", err)
+	}
+	err = s.writeSnapshotLocked(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("store: publishing snapshot: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("store: syncing snapshot directory: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeSnapshotLocked streams every record, encoded as the journal

@@ -119,6 +119,9 @@ type Store struct {
 	// wal, when attached, journals every insert and merge before the
 	// in-memory mutation (see wal.go).
 	wal *WAL
+	// snapMu serialises SnapshotCompact callers: the read lock they
+	// hold admits several at once, and they share the temp file.
+	snapMu sync.Mutex
 
 	// feed, when non-nil, broadcasts every mutation to change-feed
 	// subscribers (see feed.go). Created lazily on first Subscribe;

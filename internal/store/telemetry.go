@@ -76,7 +76,7 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		"Deepest per-subscriber change-feed buffer.", nil,
 		func() float64 { _, depth, _ := s.feedStats(); return float64(depth) })
 	reg.GaugeFunc("adaudit_store_wal_dirty_seconds",
-		"Age of the oldest journal entry not yet fsynced (SyncInterval policy; 0 when clean).", nil,
+		"Age of the oldest journal entry not yet fsynced (SyncGroup policy; 0 when clean).", nil,
 		func() float64 { return s.WALDirtyDuration().Seconds() })
 	reg.GaugeFunc("adaudit_store_records",
 		"Impression records held.", nil,

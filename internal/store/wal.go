@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"adaudit/internal/simclock"
 	"adaudit/internal/trace"
 )
 
@@ -32,12 +31,17 @@ import (
 //     so replaying a WAL over a snapshot that already contains any
 //     prefix of it is idempotent. That makes the compaction race
 //     windows (crash between snapshot rename and journal reset) safe.
-//   - Durability is a policy: SyncAlways fsyncs per append (every
-//     acknowledged impression survives power loss), SyncInterval
-//     fsyncs on a timer (bounded loss under power failure, none under
-//     process crash), SyncOS leaves flushing to the kernel (process
-//     crashes still lose nothing — entries reach the page cache in the
-//     append call itself).
+//   - Durability is one of two policies. SyncOS leaves flushing to the
+//     kernel: entries reach the page cache in the append call itself,
+//     so a process crash loses nothing and a power loss loses what the
+//     kernel had not yet written. SyncGroup makes every acknowledged
+//     impression survive power loss: each commit waits, outside the
+//     store lock, for a shared fsync that covers its entry.
+//   - Store.SnapshotCompact is the only way the journal shrinks. It
+//     publishes the snapshot durably (temp file, fsync, rename, fsync
+//     of the directory) before it truncates the journal, so at every
+//     instant the snapshot plus the journal hold every acknowledged
+//     record.
 
 // SyncPolicy says when the WAL calls fsync.
 type SyncPolicy int
@@ -47,19 +51,13 @@ const (
 	// kernel synchronously (surviving a process crash), and the OS
 	// flushes to disk on its own schedule. The default.
 	SyncOS SyncPolicy = iota
-	// SyncAlways fsyncs after every append.
-	SyncAlways
-	// SyncInterval fsyncs on a background timer (WALOptions.Interval).
-	SyncInterval
 	// SyncGroup batches fsyncs across concurrently-committing sessions:
 	// an append enqueues the entry and returns, and the commit then
 	// waits — outside the store lock — for a shared group fsync that
-	// covers it. Every acknowledged impression is durable (same
-	// guarantee as SyncAlways) at a fraction of the fsync count: all
-	// appends that land while one fsync is in flight are covered by the
-	// next, so the disk sees one flush per batch, not per impression.
-	// WALOptions.GroupLatency optionally delays each flush to widen the
-	// batch at the cost of commit latency.
+	// covers it. Every acknowledged impression is durable, at a fraction
+	// of the fsync count: all appends that land while one fsync is in
+	// flight are covered by the next, so the disk sees one flush per
+	// batch, not per impression.
 	SyncGroup
 )
 
@@ -68,34 +66,16 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "os", "":
 		return SyncOS, nil
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "group":
 		return SyncGroup, nil
 	}
-	return 0, fmt.Errorf("store: unknown wal sync policy %q (want os, always, interval or group)", s)
+	return 0, fmt.Errorf("store: unknown wal sync policy %q (want os or group)", s)
 }
 
 // WALOptions tune the journal.
 type WALOptions struct {
 	// Policy is the fsync policy (default SyncOS).
 	Policy SyncPolicy
-	// Interval is the SyncInterval flush period (default 100ms).
-	Interval time.Duration
-	// GroupLatency is how long the SyncGroup flusher waits after the
-	// first append of a batch before fsyncing, trading commit latency
-	// for wider batches. Zero (the default) flushes as soon as the
-	// flusher is free: batching still happens naturally because appends
-	// that arrive during an in-flight fsync pile into the next one.
-	// Keep it zero under a virtual clock unless the simulation advances
-	// time, or commits stall waiting for a timer that never fires.
-	GroupLatency time.Duration
-	// Clock schedules the SyncInterval flush ticker. Nil means the real
-	// clock; internal/simtest substitutes a virtual one so the flush
-	// cadence is driven by simulated time.
-	Clock simclock.Clock
 }
 
 // WAL is an append-only JSON-lines journal of store mutations. Attach
@@ -107,24 +87,21 @@ type WAL struct {
 	line   []byte // the append encoder's buffer, reused under mu
 	path   string
 	policy SyncPolicy
-	clock  simclock.Clock
-	dirty  bool // appended since last fsync (SyncInterval bookkeeping)
-	// firstDirty is when dirty last flipped on: the age of the oldest
-	// acknowledged entry that is not yet on disk — the WAL sync-lag
-	// health signal.
+	// firstDirty is when the oldest acknowledged entry not yet on disk
+	// was appended, zero when the journal is clean: the WAL sync-lag
+	// health signal. Only SyncGroup sets it.
 	firstDirty time.Time
 
 	// Group-commit state (SyncGroup only). seq numbers appends;
 	// syncedSeq is the highest seq a completed fsync covers. Committers
 	// block on synced until their seq is covered; the flusher fsyncs
 	// outside mu so appends keep landing while the disk works.
-	groupLatency time.Duration
-	seq          int64
-	syncedSeq    int64
-	syncErr      error // sticky: first group-fsync failure fails all later waits
-	closed       bool
-	synced       *sync.Cond    // on mu; broadcast when syncedSeq, syncErr or closed change
-	wake         chan struct{} // cap 1; nudges the group flusher
+	seq       int64
+	syncedSeq int64
+	syncErr   error // sticky: first group-fsync failure fails all later waits
+	closed    bool
+	synced    *sync.Cond    // on mu; broadcast when syncedSeq, syncErr or closed change
+	wake      chan struct{} // cap 1; nudges the group flusher
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -158,23 +135,14 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		f:      f,
 		path:   path,
 		policy: opts.Policy,
-		clock:  simclock.Or(opts.Clock),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	switch w.policy {
-	case SyncInterval:
-		interval := opts.Interval
-		if interval <= 0 {
-			interval = 100 * time.Millisecond
-		}
-		go w.flushLoop(interval)
-	case SyncGroup:
-		w.groupLatency = opts.GroupLatency
+	if w.policy == SyncGroup {
 		w.synced = sync.NewCond(&w.mu)
 		w.wake = make(chan struct{}, 1)
 		go w.groupLoop()
-	default:
+	} else {
 		close(w.done)
 	}
 	return w, nil
@@ -183,28 +151,9 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 // Path returns the journal's file path.
 func (w *WAL) Path() string { return w.path }
 
-func (w *WAL) flushLoop(interval time.Duration) {
-	defer close(w.done)
-	t := w.clock.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C():
-			w.mu.Lock()
-			if w.dirty {
-				_ = w.f.Sync()
-				w.dirty = false
-			}
-			w.mu.Unlock()
-		}
-	}
-}
-
 // groupLoop is the SyncGroup flusher: woken by the first append of a
-// batch, it (optionally, after GroupLatency) fsyncs once for every
-// entry appended so far and releases their waiting committers.
+// batch, it fsyncs once for every entry appended so far and releases
+// their waiting committers.
 func (w *WAL) groupLoop() {
 	defer close(w.done)
 	for {
@@ -215,18 +164,8 @@ func (w *WAL) groupLoop() {
 			w.groupSync()
 			return
 		case <-w.wake:
+			w.groupSync()
 		}
-		if w.groupLatency > 0 {
-			t := w.clock.NewTimer(w.groupLatency)
-			select {
-			case <-w.stop:
-				t.Stop()
-				w.groupSync()
-				return
-			case <-t.C():
-			}
-		}
-		w.groupSync()
 	}
 }
 
@@ -249,21 +188,20 @@ func (w *WAL) groupSync() {
 	if err == nil && pending > w.syncedSeq {
 		w.syncedSeq = pending
 		if w.syncedSeq == w.seq {
-			w.dirty = false
+			w.firstDirty = time.Time{}
 		}
 	}
 	w.synced.Broadcast()
 	w.mu.Unlock()
 }
 
-// append writes one entry as a single line in a single write call; the
-// fsync policy decides whether the entry is also forced to disk before
-// the append returns. The line is encoded (see rowjson.go) into a
-// buffer the WAL reuses across appends; an entry with no JSON form
-// fails before anything is written. Under SyncGroup the returned seq
-// is the entry's place in the group-commit order: the caller must not
-// acknowledge the mutation until waitDurable(seq) returns nil. Other
-// policies return seq 0 (waitDurable treats it as already durable).
+// append writes one entry as a single line in a single write call. The
+// line is encoded (see rowjson.go) into a buffer the WAL reuses across
+// appends; an entry with no JSON form fails before anything is written.
+// Under SyncGroup the returned seq is the entry's place in the
+// group-commit order: the caller must not acknowledge the mutation
+// until waitDurable(seq) returns nil. SyncOS returns seq 0 (waitDurable
+// treats it as already durable).
 func (w *WAL) append(e *walEntry) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -275,38 +213,27 @@ func (w *WAL) append(e *walEntry) (int64, error) {
 	if _, err := w.f.Write(line); err != nil {
 		return 0, fmt.Errorf("store: appending wal entry: %w", err)
 	}
-	switch w.policy {
-	case SyncAlways:
-		if err := w.f.Sync(); err != nil {
-			return 0, fmt.Errorf("store: syncing wal: %w", err)
-		}
-	case SyncInterval:
-		if !w.dirty {
-			w.dirty = true
-			w.firstDirty = w.clock.Now()
-		}
-	case SyncGroup:
-		w.seq++
-		if !w.dirty {
-			w.dirty = true
-			w.firstDirty = w.clock.Now()
-		}
-		select {
-		case w.wake <- struct{}{}:
-		default: // flusher already has a wakeup pending
-		}
-		return w.seq, nil
+	if w.policy != SyncGroup {
+		return 0, nil
 	}
-	return 0, nil
+	w.seq++
+	if w.firstDirty.IsZero() {
+		w.firstDirty = time.Now()
+	}
+	select {
+	case w.wake <- struct{}{}:
+	default: // flusher already has a wakeup pending
+	}
+	return w.seq, nil
 }
 
 // waitDurable blocks until the group fsync covers seq — the second
 // half of a SyncGroup commit, called after the store lock held across
 // append has been released (waiting under that lock would serialise
-// commits and defeat the batching). A nil WAL, a non-group policy or
-// seq 0 return immediately. An error means the entry may not be on
-// disk: the caller must not acknowledge upstream (the in-memory
-// mutation stands — a replay against it deduplicates).
+// commits and defeat the batching). A nil WAL, SyncOS or seq 0 return
+// immediately. An error means the entry may not be on disk: the caller
+// must not acknowledge upstream (the in-memory mutation stands — a
+// replay against it deduplicates).
 func (w *WAL) waitDurable(seq int64) error {
 	if w == nil || w.policy != SyncGroup || seq == 0 {
 		return nil
@@ -326,39 +253,28 @@ func (w *WAL) waitDurable(seq int64) error {
 }
 
 // DirtyDuration reports how long acknowledged journal entries have
-// been waiting for an fsync: the age of the oldest unsynced append,
-// or 0 when the journal is clean. Only the SyncInterval policy
-// accumulates dirtiness (SyncAlways syncs inline; SyncOS delegates
-// flushing to the kernel), so this is the health signal that the
-// interval flusher is alive and keeping up.
+// been waiting for an fsync: the wall-clock age of the oldest unsynced
+// append, or 0 when the journal is clean. Only SyncGroup accumulates
+// dirtiness, between an append and the group fsync that covers it
+// (SyncOS delegates flushing to the kernel), so this is the health
+// signal that the group flusher is alive and keeping up.
 func (w *WAL) DirtyDuration() time.Duration {
 	if w == nil {
 		return 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.dirty {
+	if w.firstDirty.IsZero() {
 		return 0
 	}
-	return w.clock.Since(w.firstDirty)
-}
-
-// Sync forces buffered journal bytes to disk regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := w.f.Sync()
-	if err == nil {
-		w.dirty = false
-		w.publishSyncedLocked()
-	}
-	return err
+	return time.Since(w.firstDirty)
 }
 
 // publishSyncedLocked marks every appended entry durable and releases
 // group-commit waiters; callers must hold mu and have fsynced (or
 // truncated) the file first.
 func (w *WAL) publishSyncedLocked() {
+	w.firstDirty = time.Time{}
 	if w.synced == nil {
 		return
 	}
@@ -366,11 +282,11 @@ func (w *WAL) publishSyncedLocked() {
 	w.synced.Broadcast()
 }
 
-// Reset truncates the journal to empty — called after a snapshot has
-// been durably published, which supersedes every journaled entry.
-// Callers must ensure no append can race the reset (Store holds its
-// write-excluding lock across SnapshotCompact for exactly this reason).
-func (w *WAL) Reset() error {
+// reset truncates the journal to empty — called by SnapshotCompact
+// once a snapshot has been durably published, which supersedes every
+// journaled entry. SnapshotCompact holds the store's writer-excluding
+// lock across the publish and the reset, so no append can race it.
+func (w *WAL) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
@@ -379,7 +295,6 @@ func (w *WAL) Reset() error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: rewinding wal: %w", err)
 	}
-	w.dirty = false
 	// Truncation supersedes every journaled entry, so any group-commit
 	// waiter's entry is moot: the snapshot that triggered the reset
 	// already covers it durably.
@@ -642,26 +557,6 @@ func (s *Store) MergeTraced(id int64, cont Continuation, tr *trace.Trace) error 
 	}
 	if delivered == 0 {
 		tr.Finish()
-	}
-	return nil
-}
-
-// SnapshotCompact writes a consistent snapshot through persist and,
-// when persist succeeds, resets the attached WAL (no-op without one).
-// persist receives a write function that streams the snapshot to any
-// writer; it should only return nil once the snapshot is durably
-// published (e.g. temp-file + rename). The store's writer-excluding
-// lock is held across both steps, so no insert can land between the
-// snapshot scan and the journal truncation — the invariant that makes
-// crash recovery (snapshot + journal replay) lossless.
-func (s *Store) SnapshotCompact(persist func(write func(io.Writer) error) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := persist(func(w io.Writer) error { return s.writeSnapshotLocked(w) }); err != nil {
-		return err
-	}
-	if s.wal != nil {
-		return s.wal.Reset()
 	}
 	return nil
 }

@@ -16,9 +16,12 @@
 //	          [-log-level info] [-log-format text]
 //
 // The listen address serves the beacon endpoint on /beacon plus the
-// operational surface: GET /healthz (ok → degraded → unhealthy as
-// trunks break), GET /metrics (Prometheus text) and GET /api/metrics
-// (JSON). On SIGINT/SIGTERM the gateway drains: admission flips to
+// operational surface every daemon shares (internal/daemon): GET
+// /healthz in the one schema of auditd, adgateway and adrouter — tier
+// "gateway", id the -gateway-id, an upstream_0 check (healthy of total
+// trunks: ok → degraded → unhealthy as trunks break) and spill_pending
+// — GET /metrics (Prometheus text) and GET /api/metrics (JSON). On
+// SIGINT/SIGTERM the gateway drains: admission flips to
 // shedding, open sessions are handed back with the resumable 1012
 // close code and a Retry-After hint (the beacon client reconnects
 // elsewhere and resumes with its nonce), and the spill buffer is given

@@ -19,11 +19,14 @@
 //	         [-log-level info] [-log-format text]
 //
 // The listen address serves the beacon endpoint on /beacon, the
-// gateway trunk relay on /trunk, plus the operational surface: GET
-// /healthz (ok → degraded → unhealthy as shard trunks break; a shard
-// with no healthy trunk is fatal because its slice of the keyspace has
-// nowhere else to go), GET /metrics (Prometheus text, per-shard series
-// under shard_id labels) and GET /api/metrics (JSON).
+// gateway trunk relay on /trunk, plus the operational surface every
+// daemon shares (internal/daemon): GET /healthz in the one schema of
+// auditd, adgateway and adrouter — tier "router", id the -router-id,
+// one upstream_<i> check per shard (ok → degraded → unhealthy as shard
+// trunks break; a shard with no healthy trunk is fatal because its
+// slice of the keyspace has nowhere else to go) and spill_pending — GET
+// /metrics (Prometheus text, per-shard series under shard_id labels)
+// and GET /api/metrics (JSON).
 //
 // With -shard-api the router also serves the merged live audit: GET
 // /api/live/export unions every shard's streaming-audit export in

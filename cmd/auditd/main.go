@@ -53,7 +53,12 @@
 //
 // Operational surface: the listen address serves GET /metrics
 // (Prometheus text), /api/metrics (JSON) and /healthz alongside the
-// beacon endpoint; -debug-addr additionally serves net/http/pprof on a
+// beacon endpoint, through the shell every daemon shares
+// (internal/daemon). /healthz is the one schema of auditd, adgateway and
+// adrouter — tier "collector", id the listen address, status the worst
+// check — with the checks ingest_age (bounded by -unhealthy-after),
+// feed_subscribers, wal_sync, audit_freshness (-live), store_records and
+// snapshot-dir; -debug-addr additionally serves net/http/pprof on a
 // separate (ideally loopback-only) listener; -selfreport logs a
 // periodic one-line ingest summary (rate, insert latency quantiles,
 // rejects by class).
@@ -358,8 +363,8 @@ func newDebugServer(addr string, reg *telemetry.Registry) (*http.Server, error) 
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if reg != nil {
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/api/metrics", reg.JSONHandler())
+		mux.Handle("GET /metrics", reg.Handler())
+		mux.Handle("GET /api/metrics", reg.JSONHandler())
 	}
 	return &http.Server{
 		Addr:              addr,

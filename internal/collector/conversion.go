@@ -57,7 +57,8 @@ var onePixelGIF = []byte{
 	0x00, 0x02, 0x02, 0x44, 0x01, 0x00, 0x3B,
 }
 
-// ServeConversionPixel handles GET /conv?...: it decodes the conversion
+// ServeConversionPixel handles GET /conv?... (mounted under a GET
+// pattern, so the mux refuses other methods): it decodes the conversion
 // payload from the query string, derives the user identity from the
 // connection, commits the record and answers with a 1x1 GIF so the
 // embedding <img> renders cleanly. Failures still return the pixel (a
@@ -67,10 +68,6 @@ func (c *Collector) ServeConversionPixel(w http.ResponseWriter, r *http.Request)
 		w.Header().Set("Content-Type", "image/gif")
 		w.Header().Set("Cache-Control", "no-store")
 		w.Write(onePixelGIF)
-	}
-	if r.Method != http.MethodGet {
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
 	}
 	conv, err := beacon.DecodeConversion(r.URL.RawQuery)
 	if err != nil {

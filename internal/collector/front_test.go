@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
 	"adaudit/internal/wsproto"
 	"adaudit/internal/wsproto/wstest"
@@ -220,7 +221,7 @@ func TestFrontUpgradeDuringDrain(t *testing.T) {
 // head (10 s of deadline left) does not hold shutdown up.
 func TestShutdownWithConnectionMidHead(t *testing.T) {
 	c, _ := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0", withShutdownGrace(time.Second))
+	srv, err := NewServer(c, "127.0.0.1:0", daemon.WithDrainGrace(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestWithListenerStillInjectsFaults(t *testing.T) {
 	}
 	plan := &faultnet.Plan{Seed: 7, ResetWriteProb: 1}
 	c, _ := testCollector(t)
-	srv, err := NewServer(c, "", WithListener(plan.Listen(ln)))
+	srv, err := NewServer(c, "", daemon.WithListener(plan.Listen(ln)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,9 @@ package collector
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"adaudit/internal/wsproto"
 )
-
-// withShutdownGrace bounds how long Serve waits for in-flight beacon
-// sessions to commit their impressions on shutdown (default 5 s).
-func withShutdownGrace(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.shutdownGrace = d }
-}
 
 // beaconDialer sends raw WebSocket text messages to the collector,
 // bypassing the beacon package's payload validation — for exercising the

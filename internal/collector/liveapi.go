@@ -1,11 +1,10 @@
 package collector
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"adaudit/internal/shardmerge"
@@ -33,9 +32,8 @@ type liveAPI struct {
 
 	// stop closes when the server begins shutdown, so SSE handlers end
 	// promptly instead of pinning http.Server.Shutdown until its
-	// timeout; wg tracks them so Serve can wait for their teardown.
+	// timeout.
 	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 func newLiveAPI(e *streamaudit.Engine) *liveAPI {
@@ -44,44 +42,16 @@ func newLiveAPI(e *streamaudit.Engine) *liveAPI {
 
 // register mounts the endpoints for GET only; the mux answers 405 to the rest.
 func (l *liveAPI) register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /api/live/summary", l.handleSummary)
-	mux.HandleFunc("GET /api/live/audit/", l.handleAudit)
+	engine := func(context.Context) (*streamaudit.Engine, error) { return l.engine, nil }
+	mux.Handle("GET /api/live/summary", shardmerge.SummaryHandler(engine))
+	mux.Handle("GET /api/live/audit/", shardmerge.AuditHandler(engine))
 	mux.HandleFunc("GET /api/live/stream", l.handleStream)
 	mux.HandleFunc("GET /api/live/export", l.handleExport)
 }
 
-// shutdown ends every open SSE stream and waits for the handlers to
-// return. Idempotent.
-func (l *liveAPI) shutdown() {
-	select {
-	case <-l.stop:
-	default:
-		close(l.stop)
-	}
-	l.wg.Wait()
-}
-
-func (l *liveAPI) handleSummary(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, l.engine.Summaries())
-}
-
-func (l *liveAPI) handleAudit(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/api/live/audit/")
-	if id == "" || strings.Contains(id, "/") {
-		http.Error(w, "missing campaign id", http.StatusBadRequest)
-		return
-	}
-	la, ok, err := l.engine.Audit(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if !ok {
-		http.Error(w, "unknown campaign", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, la)
-}
+// shutdown ends every open SSE stream; the server's shutdown, which
+// calls it once, waits for their handlers to return.
+func (l *liveAPI) shutdown() { close(l.stop) }
 
 // handleExport serves the engine's incremental state as an export
 // container. The engine drains whatever the feed already buffered
@@ -107,8 +77,6 @@ func (l *liveAPI) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
-	l.wg.Add(1)
-	defer l.wg.Done()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

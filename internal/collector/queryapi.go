@@ -61,11 +61,12 @@ type TimeseriesPoint struct {
 	DataCenter  int       `json:"data_center"`
 }
 
+// register mounts the endpoints for GET only; the mux answers 405 to the rest.
 func (q *queryAPI) register(mux *http.ServeMux) {
-	mux.HandleFunc("/api/campaigns", q.handleCampaigns)
-	mux.HandleFunc("/api/summary", q.handleSummary)
-	mux.HandleFunc("/api/publishers", q.handlePublishers)
-	mux.HandleFunc("/api/timeseries", q.handleTimeseries)
+	mux.HandleFunc("GET /api/campaigns", q.handleCampaigns)
+	mux.HandleFunc("GET /api/summary", q.handleSummary)
+	mux.HandleFunc("GET /api/publishers", q.handlePublishers)
+	mux.HandleFunc("GET /api/timeseries", q.handleTimeseries)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -76,10 +77,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (q *queryAPI) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	out := []CampaignListEntry{}
 	for _, id := range q.st.Campaigns() {
 		out = append(out, CampaignListEntry{
@@ -91,10 +88,6 @@ func (q *queryAPI) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 }
 
 func (q *queryAPI) handleSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	id := r.URL.Query().Get("campaign")
 	if id == "" {
 		http.Error(w, "missing campaign parameter", http.StatusBadRequest)
@@ -143,10 +136,6 @@ func (q *queryAPI) handleSummary(w http.ResponseWriter, r *http.Request) {
 // GET /api/timeseries?campaign=ID&bucket=1h — the delivery-pacing view
 // a dashboard plots.
 func (q *queryAPI) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	id := r.URL.Query().Get("campaign")
 	if id == "" {
 		http.Error(w, "missing campaign parameter", http.StatusBadRequest)
@@ -191,10 +180,6 @@ func (q *queryAPI) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 }
 
 func (q *queryAPI) handlePublishers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	id := r.URL.Query().Get("campaign")
 	if id == "" {
 		http.Error(w, "missing campaign parameter", http.StatusBadRequest)

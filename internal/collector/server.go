@@ -2,31 +2,27 @@ package collector
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
 
+	"adaudit/internal/daemon"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
-	"adaudit/internal/wsproto"
 )
 
-// serverOptions collects the tunables NewServer accepts as options, so
-// existing NewServer(c, addr) call sites keep working unchanged.
-type serverOptions struct {
-	shutdownGrace time.Duration
-	maxIngestAge  time.Duration
-	checks        map[string]func() error
-	listener      net.Listener
-	liveEngine    *streamaudit.Engine
-}
+// ServerOption customises a Server: the collector's own options below,
+// or the daemon shell's (daemon.WithListener, daemon.WithDrainGrace).
+type ServerOption = daemon.Option
 
-// ServerOption customises a Server.
-type ServerOption func(*serverOptions)
+// serverOptions is what the collector's own options set.
+type serverOptions struct {
+	maxIngestAge time.Duration
+	checks       map[string]func() error
+	liveEngine   *streamaudit.Engine
+}
 
 // /healthz bounds no command has needed to tune.
 const (
@@ -45,38 +41,43 @@ const (
 // has been committed for longer than d. Zero (the default) disables the
 // check — correct for a collector that legitimately idles.
 func WithMaxIngestAge(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.maxIngestAge = d }
+	return daemon.TierOption(func(o *serverOptions) { o.maxIngestAge = d })
 }
 
 // WithHealthCheck adds a named check to /healthz; a non-nil error marks
 // the server unhealthy and the message appears in the response. Used
 // e.g. by cmd/auditd to verify the snapshot directory stays writable.
 func WithHealthCheck(name string, fn func() error) ServerOption {
-	return func(o *serverOptions) {
+	return daemon.TierOption(func(o *serverOptions) {
 		if o.checks == nil {
 			o.checks = map[string]func() error{}
 		}
 		o.checks[name] = fn
-	}
+	})
 }
 
-// Server runs a Collector behind an HTTP listener with an operational
-// sidecar: the beacon endpoint, the advertiser query API, and the
-// telemetry surface — GET /metrics (Prometheus text), GET /api/metrics
-// (JSON), GET /healthz (uptime, last-ingest age, custom checks). It
-// owns listener lifecycle and graceful shutdown — in-flight beacon
-// sessions are drained (bounded by the shutdown grace) so their
-// impressions commit instead of dying with the process — so cmd/auditd
-// and the examples share one hardened serving path.
+// WithLiveAudit mounts the streaming-audit endpoints (/api/live/summary,
+// /api/live/audit/{campaign}, /api/live/stream, /api/live/export)
+// backed by e, and makes Serve own the engine's consumption loop: Run
+// starts with the server and is cancelled only after the beacon drain,
+// so the final report reflects every impression that committed before
+// shutdown.
+func WithLiveAudit(e *streamaudit.Engine) ServerOption {
+	return daemon.TierOption(func(o *serverOptions) { o.liveEngine = e })
+}
+
+// Server runs a Collector behind the daemon shell: the beacon endpoint,
+// the trunk endpoint, the conversion pixel, the advertiser query API,
+// and the telemetry surface — GET /metrics (Prometheus text), GET
+// /api/metrics (JSON), GET /healthz. On shutdown in-flight beacon
+// sessions are drained (bounded by the drain grace) so their
+// impressions commit instead of dying with the process.
 type Server struct {
+	*daemon.Server
 	collector *Collector
-	httpSrv   *http.Server
-	// front accepts on the listener ahead of httpSrv: it answers clean
-	// beacon upgrades itself and passes every other connection on.
-	front *wsproto.Front
-	opts  serverOptions
-	start time.Time
-	live  *liveAPI
+	opts      serverOptions
+	start     time.Time
+	live      *liveAPI
 
 	// Ingest-age probe: the collector timestamps only sampled ingests
 	// (its hot path avoids clock reads), so between samples the server
@@ -95,100 +96,50 @@ type Server struct {
 	probedOnce bool
 }
 
-// HealthStatus is the /healthz response body.
-type HealthStatus struct {
-	Status string `json:"status"` // "ok" or "unhealthy"
-	// UptimeSeconds is time since the server started.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// LastIngestAgeSeconds is time since the last committed record;
-	// counted from server start while nothing has been ingested yet.
-	// -1 when the collector runs without telemetry.
-	LastIngestAgeSeconds float64 `json:"last_ingest_age_seconds"`
-	// StoreRecords is the impression count, proving the store readable.
-	StoreRecords int `json:"store_records"`
-	// SessionsActive is the number of live beacon sessions.
-	SessionsActive int `json:"sessions_active"`
-	// FeedDrops is the cumulative count of change-feed subscribers
-	// evicted for falling behind.
-	FeedDrops int64 `json:"feed_drops"`
-	// WALSyncLagSeconds is how long the oldest unsynced journal entry
-	// has waited for its fsync (0 when clean or no WAL attached).
-	WALSyncLagSeconds float64 `json:"wal_sync_lag_seconds"`
-	// AuditStalenessSeconds is how far the live streaming-audit engine
-	// lags the change feed in wall time; -1 without a live engine.
-	AuditStalenessSeconds float64 `json:"audit_staleness_seconds"`
-	// Checks maps check name to "ok" or the failure message.
-	Checks map[string]string `json:"checks,omitempty"`
-}
-
-// WithLiveAudit mounts the streaming-audit endpoints (/api/live/summary,
-// /api/live/audit/{campaign}, /api/live/stream) backed by e, and makes
-// Serve own the engine's consumption loop: Run starts with the server
-// and is cancelled only after the beacon drain, so the final report
-// reflects every impression that committed before shutdown.
-func WithLiveAudit(e *streamaudit.Engine) ServerOption {
-	return func(o *serverOptions) { o.liveEngine = e }
-}
-
-// WithListener serves on ln instead of opening a fresh TCP listener
-// (addr is then ignored) — the hook fault-injection tests use to put an
-// impaired accept path (internal/faultnet.Plan.Listen) under the
-// collector.
-func WithListener(ln net.Listener) ServerOption {
-	return func(o *serverOptions) { o.listener = ln }
-}
-
 // NewServer wraps c in a Server listening on addr (host:port; port 0
 // picks a free port).
 func NewServer(c *Collector, addr string, opts ...ServerOption) (*Server, error) {
-	o := serverOptions{shutdownGrace: 5 * time.Second}
-	for _, opt := range opts {
-		opt(&o)
+	s := &Server{collector: c, start: time.Now()}
+	d, err := daemon.New(daemon.Tier{
+		Name:        "collector",
+		Beacon:      c,
+		BeaconRoute: c.beaconRoute(),
+		Telemetry:   c.Telemetry(),
+		Drain:       c.Drain,
+		Health:      s.health,
+		Routes:      s.routes,
+		Options:     &s.opts,
+	}, addr, opts...)
+	if err != nil {
+		return nil, err
 	}
-	ln := o.listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("collector: listening on %s: %w", addr, err)
-		}
+	s.Server = d
+	if s.live != nil {
+		d.RegisterOnShutdown(s.live.shutdown)
 	}
-	s := &Server{
-		collector: c,
-		front:     wsproto.NewFront(ln, map[string]wsproto.Route{"/beacon": c.beaconRoute()}),
-		opts:      o,
-		start:     time.Now(),
+	if reg := c.Telemetry(); reg != nil {
+		reg.GaugeFunc("adaudit_collector_last_ingest_age_seconds",
+			"Time since the last committed record (since start while idle).", nil,
+			func() float64 { return s.lastIngestAge().Seconds() })
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/beacon", c)
+	return s, nil
+}
+
+// routes mounts the collector's endpoints beside the shell's.
+func (s *Server) routes(mux *http.ServeMux) {
+	c := s.collector
 	mux.HandleFunc("/trunk", c.ServeTrunk)
-	mux.HandleFunc("/conv", c.ServeConversionPixel)
+	mux.HandleFunc("GET /conv", c.ServeConversionPixel)
 	(&queryAPI{st: c.cfg.Store}).register(mux)
-	if o.liveEngine != nil {
-		s.live = newLiveAPI(o.liveEngine)
+	if e := s.opts.liveEngine; e != nil {
+		s.live = newLiveAPI(e)
 		s.live.register(mux)
 	}
-	mux.HandleFunc("/healthz", s.serveHealthz)
 	if t := c.Tracer(); t != nil {
 		if rec := t.Recorder(); rec != nil {
 			trace.RegisterAPI(mux, rec)
 		}
 	}
-	if reg := c.Telemetry(); reg != nil {
-		reg.GaugeFunc("adaudit_collector_uptime_seconds",
-			"Time since the collector server started.", nil,
-			func() float64 { return time.Since(s.start).Seconds() })
-		reg.GaugeFunc("adaudit_collector_last_ingest_age_seconds",
-			"Time since the last committed record (since start while idle).", nil,
-			func() float64 { return s.lastIngestAge().Seconds() })
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/api/metrics", reg.JSONHandler())
-	}
-	s.httpSrv = &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: wsproto.HeadTimeout,
-	}
-	return s, nil
 }
 
 // lastIngestAge measures idle time: since the last committed record, or
@@ -234,105 +185,58 @@ func (s *Server) feedDropsSince(total int64) int64 {
 	return fresh
 }
 
-// failCheck records a failed built-in health check on st.
-func (s *Server) failCheck(st *HealthStatus, name, msg string) {
-	if st.Checks == nil {
-		st.Checks = map[string]string{}
+// ceiling is a check that fails unhealthy when value exceeds limit.
+func ceiling(value, limit float64, detail string) telemetry.Check {
+	c := telemetry.Check{Status: telemetry.HealthOK, Value: value, Limit: limit, Detail: detail}
+	if value > limit {
+		c.Status = telemetry.HealthUnhealthy
 	}
-	st.Checks[name] = msg
-	st.Status = "unhealthy"
+	return c
 }
 
-// okCheck records a passing built-in health check on st.
-func (s *Server) okCheck(st *HealthStatus, name string) {
-	if st.Checks == nil {
-		st.Checks = map[string]string{}
-	}
-	st.Checks[name] = "ok"
-}
-
-func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	st := HealthStatus{
-		Status:                "ok",
-		UptimeSeconds:         time.Since(s.start).Seconds(),
-		StoreRecords:          s.collector.cfg.Store.Len(),
-		SessionsActive:        s.collector.SessionCount(),
-		AuditStalenessSeconds: -1,
-	}
+// health is the collector's /healthz report: ingest_age (with
+// telemetry on), feed_subscribers, wal_sync, audit_freshness (with a
+// live engine), store_records, and every WithHealthCheck check.
+func (s *Server) health() telemetry.Health {
+	st := s.collector.cfg.Store
+	h := telemetry.Health{Sessions: s.collector.SessionCount()}
 	if s.collector.Telemetry() != nil {
-		age := s.lastIngestAge()
-		st.LastIngestAgeSeconds = age.Seconds()
-		if s.opts.maxIngestAge > 0 && age > s.opts.maxIngestAge {
-			st.Status = "unhealthy"
-		}
-	} else {
-		st.LastIngestAgeSeconds = -1
-	}
-	st.FeedDrops = s.collector.cfg.Store.FeedDrops()
-	if fresh := s.feedDropsSince(st.FeedDrops); fresh > 0 {
-		s.failCheck(&st, "feed_subscribers",
-			fmt.Sprintf("%d change-feed subscriber(s) dropped since last probe (consumers resyncing)", fresh))
-	} else {
-		s.okCheck(&st, "feed_subscribers")
-	}
-	walLag := s.collector.cfg.Store.WALDirtyDuration()
-	st.WALSyncLagSeconds = walLag.Seconds()
-	if walLag > maxWALSyncLag {
-		s.failCheck(&st, "wal_sync",
-			fmt.Sprintf("oldest unsynced journal entry is %.1fs old (max %v)", walLag.Seconds(), maxWALSyncLag))
-	} else {
-		s.okCheck(&st, "wal_sync")
-	}
-	if s.opts.liveEngine != nil {
-		stale := s.opts.liveEngine.Staleness()
-		st.AuditStalenessSeconds = stale.Seconds()
-		if stale > maxAuditStaleness {
-			s.failCheck(&st, "audit_freshness",
-				fmt.Sprintf("streaming audit is %.1fs behind the change feed (max %v)", stale.Seconds(), maxAuditStaleness))
+		age := s.lastIngestAge().Seconds()
+		if limit := s.opts.maxIngestAge; limit > 0 {
+			h.Add("ingest_age", ceiling(age, limit.Seconds(), "seconds since the last committed record"))
 		} else {
-			s.okCheck(&st, "audit_freshness")
+			h.Add("ingest_age", telemetry.Check{Status: telemetry.HealthOK, Value: age,
+				Detail: "seconds since the last committed record; no bound set"})
 		}
 	}
+	drops := st.FeedDrops()
+	h.Add("feed_subscribers", ceiling(float64(s.feedDropsSince(drops)), 0,
+		fmt.Sprintf("change-feed subscribers dropped since the last probe (consumers resyncing); %d in all", drops)))
+	h.Add("wal_sync", ceiling(st.WALDirtyDuration().Seconds(), maxWALSyncLag.Seconds(),
+		"seconds the oldest unsynced journal entry has waited for its fsync"))
+	if e := s.opts.liveEngine; e != nil {
+		h.Add("audit_freshness", ceiling(e.Staleness().Seconds(), maxAuditStaleness.Seconds(),
+			"seconds the streaming audit lags the change feed"))
+	}
+	h.Add("store_records", telemetry.Check{Status: telemetry.HealthOK, Value: float64(st.Len())})
 	for name, fn := range s.opts.checks {
-		if st.Checks == nil {
-			st.Checks = map[string]string{}
-		}
+		c := telemetry.Check{Status: telemetry.HealthOK}
 		if err := fn(); err != nil {
-			st.Checks[name] = err.Error()
-			st.Status = "unhealthy"
-		} else {
-			st.Checks[name] = "ok"
+			c.Status, c.Detail = telemetry.HealthUnhealthy, err.Error()
 		}
+		h.Add(name, c)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if st.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(st)
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() net.Addr { return s.front.Addr() }
-
-// BeaconURL returns the ws:// URL beacons should dial.
-func (s *Server) BeaconURL() string {
-	return fmt.Sprintf("ws://%s/beacon", s.front.Addr().String())
+	return h
 }
 
 // Serve blocks serving requests until ctx is cancelled, then shuts down
-// gracefully: live SSE subscribers are closed first (a long-lived
-// stream would otherwise pin http.Server.Shutdown until its timeout),
-// then the listener closes, in-flight beacon sessions are asked to
-// commit and drained for up to the shutdown grace (sessions still open
-// after that are counted as dropped — the paper's §3.1 loss model), and
-// finally the streaming-audit engine is stopped, after the drain, so it
-// applies every impression that committed before teardown.
+// through the daemon shell: live SSE streams are ended as shutdown
+// begins (a long-lived stream would otherwise pin it until its
+// timeout), in-flight beacon sessions are asked to commit and drained
+// for up to the drain grace (sessions still open after that are counted
+// as dropped — the paper's §3.1 loss model), and finally the
+// streaming-audit engine is stopped, after the drain, so it applies
+// every impression that committed before teardown.
 func (s *Server) Serve(ctx context.Context) error {
 	// Flight-recorder janitor: a trace is live for its whole beacon
 	// session, so only ages beyond MaxExposure (plus slack) indicate a
@@ -358,58 +262,17 @@ func (s *Server) Serve(ctx context.Context) error {
 			}()
 		}
 	}
-	var engineDone chan struct{}
-	var engineCancel context.CancelFunc
 	if s.live != nil {
-		var engineCtx context.Context
-		engineCtx, engineCancel = context.WithCancel(context.Background())
-		engineDone = make(chan struct{})
+		engineCtx, cancel := context.WithCancel(context.Background())
+		engineDone := make(chan struct{})
 		go func() {
 			defer close(engineDone)
 			s.live.engine.Run(engineCtx)
 		}()
-	}
-	stopEngine := func() {
-		if engineCancel != nil {
-			engineCancel()
+		defer func() {
+			cancel()
 			<-engineDone
-		}
+		}()
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- s.httpSrv.Serve(s.front)
-	}()
-	select {
-	case <-ctx.Done():
-		if s.live != nil {
-			s.live.shutdown()
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.httpSrv.Shutdown(shutdownCtx)
-		s.collector.Drain(s.opts.shutdownGrace)
-		_ = s.httpSrv.Close()
-		<-errCh
-		stopEngine()
-		return nil
-	case err := <-errCh:
-		if s.live != nil {
-			s.live.shutdown()
-		}
-		stopEngine()
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return fmt.Errorf("collector: serving: %w", err)
-	}
-}
-
-// Close tears the server down immediately.
-func (s *Server) Close() error {
-	err := s.httpSrv.Close()
-	// A server that never served has not shown httpSrv its listener.
-	if ferr := s.front.Close(); err == nil {
-		err = ferr
-	}
-	return err
+	return s.Server.Serve(ctx)
 }

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/daemon"
+	"adaudit/internal/telemetry"
 )
 
 func httpGetBody(ctx context.Context, url string) (int, string, error) {
@@ -225,11 +227,13 @@ func TestHealthzFlipsOnIngestAge(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("idle server still healthy: %d %s", status, body)
 	}
-	var hs HealthStatus
+	var hs telemetry.Health
 	if err := json.Unmarshal([]byte(body), &hs); err != nil {
 		t.Fatal(err)
 	}
-	if hs.Status != "unhealthy" || hs.LastIngestAgeSeconds <= 0.08 {
+	// A failing status names the check that failed it.
+	if age := hs.Checks["ingest_age"]; hs.Status != "unhealthy" || age.Status != "unhealthy" ||
+		age.Limit != 0.08 || age.Value <= age.Limit {
 		t.Fatalf("health body = %+v", hs)
 	}
 
@@ -270,7 +274,12 @@ func TestHealthzCustomCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusServiceUnavailable || !strings.Contains(body, "snapshot-dir") {
+	var hs telemetry.Health
+	if err := json.Unmarshal([]byte(body), &hs); err != nil {
+		t.Fatal(err)
+	}
+	if check := hs.Checks["snapshot-dir"]; status != http.StatusServiceUnavailable || hs.Status != "unhealthy" ||
+		check.Status != "unhealthy" || check.Detail != io.ErrClosedPipe.Error() {
 		t.Fatalf("failing check reported %d %s", status, body)
 	}
 }
@@ -280,7 +289,7 @@ func TestHealthzCustomCheck(t *testing.T) {
 // under the "drain" close reason.
 func TestShutdownDrainsOpenSessions(t *testing.T) {
 	c, st := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0", withShutdownGrace(3*time.Second))
+	srv, err := NewServer(c, "127.0.0.1:0", daemon.WithDrainGrace(3*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

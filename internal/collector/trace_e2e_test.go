@@ -17,6 +17,7 @@ import (
 	"adaudit/internal/publisher"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
 )
 
@@ -210,20 +211,23 @@ func TestHealthzPipelineChecks(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("healthz = %d: %s", resp.StatusCode, body)
 	}
-	var st HealthStatus
+	var st telemetry.Health
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.FeedDrops != 0 {
-		t.Fatalf("feed drops = %d, want 0", st.FeedDrops)
+	if drops := st.Checks["feed_subscribers"].Value; drops != 0 {
+		t.Fatalf("feed drops = %v, want 0", drops)
 	}
-	if st.AuditStalenessSeconds < 0 {
-		t.Fatalf("audit staleness = %v, want >= 0 with a live engine", st.AuditStalenessSeconds)
+	if stale := st.Checks["audit_freshness"]; stale.Value < 0 || stale.Limit != 30 {
+		t.Fatalf("audit_freshness = %+v, want a staleness >= 0 under the 30 s bound", stale)
 	}
 	for _, check := range []string{"feed_subscribers", "wal_sync", "audit_freshness"} {
-		if got := st.Checks[check]; got != "ok" {
-			t.Fatalf("check %q = %q, want ok (all: %v)", check, got, st.Checks)
+		if got := st.Checks[check]; got.Status != "ok" {
+			t.Fatalf("check %q = %+v, want ok (all: %v)", check, got, st.Checks)
 		}
+	}
+	if st.Status != "ok" || st.Tier != "collector" {
+		t.Fatalf("healthz = %+v, want an ok collector", st)
 	}
 }
 

@@ -18,7 +18,8 @@
 // pool, internal/router an Edge with N pools that additionally mounts
 // a trunk relay driven through Pool's exported methods. Both packages
 // own what differs between the tiers — their Config, their metric
-// names, their /healthz JSON — and nothing else.
+// names, their extra routes — and nothing else; both serve through the
+// daemon shell (Tier), whose /healthz schema is every daemon's.
 //
 // The tier is trusted infrastructure, unlike the clients it fronts: it
 // measures exposure as connection lifetime on the real clock and ships
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/daemon"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/simclock"
 	"adaudit/internal/telemetry"
@@ -102,7 +104,7 @@ type Config struct {
 
 	Logger *slog.Logger
 	// Telemetry is the registry the tier built Tel and every Upstream's
-	// instruments on; the Server exposes it.
+	// instruments on; the daemon shell exposes it.
 	Telemetry *telemetry.Registry
 	Tel       Instruments
 
@@ -206,7 +208,7 @@ type Edge struct {
 }
 
 // New returns a started Edge: every pool's trunk runners and replay
-// loop are live. Callers own serving HTTP (see Server) and must Close
+// loop are live. Callers own serving HTTP (see Tier) and must Close
 // the edge when done.
 func New(cfg Config) (*Edge, error) {
 	cfg, err := cfg.withDefaults()
@@ -403,28 +405,22 @@ type PoolHealth struct {
 	SpillPending  int
 }
 
-// Health is the snapshot both tiers shape their /healthz body from.
+// Health is the edge's /healthz report with the per-pool numbers it was
+// made from. Its checks are one upstream_<i> per pool (value: healthy
+// trunks, limit: trunks) and spill_pending, which decides nothing.
+// Status is "ok" with every trunk of every pool up, "degraded" with
+// some trunks down but every upstream reachable, and "unhealthy" when
+// some pool has no healthy trunk: its commits are spilling, and nothing
+// can re-home them, because placement is the hash, not the topology.
 type Health struct {
-	// Status is "ok" (every trunk of every pool up), "degraded" (every
-	// upstream reachable but some trunks down), or "unhealthy" (some pool
-	// has no healthy trunk: its commits are spilling, and nothing can
-	// re-home them, because placement is the hash, not the topology).
-	Status       string
-	ID           string
+	telemetry.Health
 	Pools        []PoolHealth
-	Sessions     int
 	SpillPending int
-	Draining     bool
 }
 
 // Health reports the edge's degradation level.
 func (e *Edge) Health() Health {
-	h := Health{
-		Status:   "ok",
-		ID:       e.cfg.ID,
-		Sessions: e.SessionCount(),
-		Draining: e.draining.Load(),
-	}
+	h := Health{Health: telemetry.Health{ID: e.cfg.ID, Sessions: e.SessionCount()}}
 	for i, p := range e.pools {
 		ph := PoolHealth{
 			ShardID:       i,
@@ -432,16 +428,36 @@ func (e *Edge) Health() Health {
 			TrunksHealthy: p.healthyTrunks(),
 			SpillPending:  p.spillPending(),
 		}
+		c := telemetry.Check{Status: telemetry.HealthOK, Value: float64(ph.TrunksHealthy), Limit: float64(ph.TrunksTotal),
+			Detail: "healthy trunks to " + p.url}
 		switch {
 		case ph.TrunksHealthy == 0:
-			h.Status = "unhealthy"
-		case ph.TrunksHealthy < ph.TrunksTotal && h.Status == "ok":
-			h.Status = "degraded"
+			c.Status = telemetry.HealthUnhealthy
+		case ph.TrunksHealthy < ph.TrunksTotal:
+			c.Status = telemetry.HealthDegraded
 		}
+		h.Add("upstream_"+strconv.Itoa(i), c)
 		h.SpillPending += ph.SpillPending
 		h.Pools = append(h.Pools, ph)
 	}
+	h.Add("spill_pending", telemetry.Check{Status: telemetry.HealthOK, Value: float64(h.SpillPending),
+		Detail: "commits awaiting an upstream ack"})
 	return h
+}
+
+// Tier is the edge as the daemon shell serves it: the beacon endpoint,
+// the metrics, the drain and the /healthz report. A tier package adds
+// its routes and serves it with daemon.New.
+func (e *Edge) Tier() daemon.Tier {
+	return daemon.Tier{
+		Name:        e.cfg.Name,
+		Beacon:      e,
+		BeaconRoute: e.beaconRoute(),
+		Telemetry:   e.cfg.Telemetry,
+		Drain:       e.Drain,
+		Health:      func() telemetry.Health { return e.Health().Health },
+		Close:       e.Close,
+	}
 }
 
 // Drain sheds new sessions, forces live ones to commit and hands them
@@ -470,7 +486,11 @@ func (e *Edge) Drain(grace time.Duration) int {
 	if n := e.SessionCount(); n > 0 {
 		e.log.Warn("edge: drain grace expired with sessions still open", "sessions", n)
 	}
-	return e.spillPending()
+	left := e.spillPending()
+	if left > 0 {
+		e.log.Warn("edge: drain deadline hit with unflushed commits", "pending", left)
+	}
+	return left
 }
 
 // Close stops every pool's trunk runners and replay loop, which close

@@ -18,6 +18,7 @@ import (
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/daemon"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/store"
@@ -46,7 +47,7 @@ var tiers = []struct {
 type fixture struct {
 	t      *testing.T
 	e      *Edge
-	srv    *Server
+	srv    *daemon.Server
 	tel    Instruments
 	pools  []PoolInstruments
 	stores []*store.Store
@@ -102,7 +103,7 @@ func startCollector(t *testing.T, st *store.Store, addr string, mut func(*collec
 type fixtureOptions struct {
 	collector func(*collector.Config)
 	edge      func(*Config)
-	server    []ServerOption
+	server    []daemon.Option
 	// deadUpstreams points every pool at an address nothing listens on.
 	deadUpstreams bool
 }
@@ -167,8 +168,8 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := append([]ServerOption{WithDrainGrace(time.Second)}, o.server...)
-	srv, err := NewServer(e, "127.0.0.1:0", func(h Health) any { return h }, opts...)
+	opts := append([]daemon.Option{daemon.WithDrainGrace(time.Second)}, o.server...)
+	srv, err := daemon.New(e.Tier(), "127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,13 +586,13 @@ func TestHealthLadder(t *testing.T) {
 				return c, err
 			}
 		}})
-		getHealth := func() (int, Health) {
+		getHealth := func() (int, telemetry.Health) {
 			resp, err := http.Get(fmt.Sprintf("http://%s/healthz", f.srv.Addr()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			var h Health
+			var h telemetry.Health
 			if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 				t.Fatal(err)
 			}
@@ -599,7 +600,8 @@ func TestHealthLadder(t *testing.T) {
 		}
 
 		f.waitTrunksUp()
-		if code, h := getHealth(); code != http.StatusOK || h.Status != "ok" || len(h.Pools) != pools {
+		// Each pool is one upstream_<i> check, plus spill_pending.
+		if code, h := getHealth(); code != http.StatusOK || h.Status != "ok" || len(h.Checks) != pools+1 {
 			t.Fatalf("healthz with all trunks = %d %+v, want 200 ok with %d pools", code, h, pools)
 		}
 
@@ -610,20 +612,22 @@ func TestHealthLadder(t *testing.T) {
 		_ = dialed[f.addrs[0]][0].Close()
 		mu.Unlock()
 		waitFor(t, 5*time.Second, "one trunk down", func() bool { return f.pools[0].BreakerOpens.Load() == 1 })
-		if code, h := getHealth(); code != http.StatusOK || h.Status != "degraded" || h.Pools[0].TrunksHealthy != 1 {
+		code, h := getHealth()
+		if up := h.Checks["upstream_0"]; code != http.StatusOK || h.Status != "degraded" ||
+			up.Status != "degraded" || up.Value != 1 || up.Limit != 2 {
 			t.Fatalf("healthz with one trunk down = %d %+v, want 200 degraded", code, h)
 		}
 
 		// Take pool 0's collector away entirely: the survivor drops too.
 		f.stops[0]()
 		waitFor(t, 5*time.Second, "pool 0 trunks down", func() bool { return f.e.Health().Pools[0].TrunksHealthy == 0 })
-		code, h := getHealth()
-		if code != http.StatusServiceUnavailable || h.Status != "unhealthy" {
+		code, h = getHealth()
+		if code != http.StatusServiceUnavailable || h.Status != "unhealthy" || h.Checks["upstream_0"].Status != "unhealthy" {
 			t.Fatalf("healthz with a dead upstream = %d %+v, want 503 unhealthy", code, h)
 		}
-		for i, p := range h.Pools[1:] {
-			if p.TrunksHealthy != p.TrunksTotal {
-				t.Fatalf("pool %d = %+v, want untouched by pool 0's outage", i+1, p)
+		for i := 1; i < pools; i++ {
+			if p := h.Checks[fmt.Sprint("upstream_", i)]; p.Status != "ok" || p.Value != p.Limit {
+				t.Fatalf("pool %d = %+v, want untouched by pool 0's outage", i, p)
 			}
 		}
 	})
@@ -678,7 +682,7 @@ func TestIPv6SessionEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Skipf("no IPv6 loopback on this host: %v", err)
 		}
-		f := startTier(t, name, pools, fixtureOptions{server: []ServerOption{WithListener(ln)}})
+		f := startTier(t, name, pools, fixtureOptions{server: []daemon.Option{daemon.WithListener(ln)}})
 		f.waitTrunksUp()
 		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
 		if err := client.Report(context.Background(), testPayload(6), 20*time.Millisecond); err != nil {
@@ -735,7 +739,7 @@ func TestUnparseablePeerIsNeverAcked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := startTier(t, name, pools, fixtureOptions{server: []ServerOption{WithListener(addrlessListener{ln})}})
+		f := startTier(t, name, pools, fixtureOptions{server: []daemon.Option{daemon.WithListener(addrlessListener{ln})}})
 		f.waitTrunksUp()
 		d := &wsproto.Dialer{}
 		conn, _, err := d.Dial(context.Background(), f.srv.BeaconURL())

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
 	"adaudit/internal/wsproto"
 	"adaudit/internal/wsproto/wstest"
@@ -214,7 +215,7 @@ func TestShutdownWithConnectionMidHead(t *testing.T) {
 }
 
 // TestWithListenerStillInjectsFaults: a fault-injecting listener handed
-// in through WithListener keeps its grip on the in-place path.
+// in through daemon.WithListener keeps its grip on the in-place path.
 func TestWithListenerStillInjectsFaults(t *testing.T) {
 	forEachTier(t, func(t *testing.T, name string, pools int) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -222,7 +223,7 @@ func TestWithListenerStillInjectsFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := &faultnet.Plan{Seed: 7, ResetWriteProb: 1}
-		f := startTier(t, name, pools, fixtureOptions{server: []ServerOption{WithListener(plan.Listen(ln))}})
+		f := startTier(t, name, pools, fixtureOptions{server: []daemon.Option{daemon.WithListener(plan.Listen(ln))}})
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if conn, _, err := (&wsproto.Dialer{}).Dial(ctx, f.srv.BeaconURL()); err == nil {

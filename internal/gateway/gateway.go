@@ -5,10 +5,10 @@
 // persistent trunk connections (internal/trunk). All of the machinery —
 // admission control, per-trunk circuit breakers, and the spill buffer
 // that holds every client-acknowledged impression until the collector
-// durably acks it — is the edge core's, and the session protocol is
-// beacon.Server's; this package owns what makes the tier a gateway:
-// its Config, its metric names (adaudit_gateway_*, unlabelled) and its
-// /healthz body.
+// durably acks it — is the edge core's, the session protocol
+// beacon.Server's and the HTTP shell internal/daemon's; this package
+// owns what makes the tier a gateway: its Config and its metric names
+// (adaudit_gateway_*, unlabelled).
 package gateway
 
 import (
@@ -16,6 +16,7 @@ import (
 	"log/slog"
 	"time"
 
+	"adaudit/internal/daemon"
 	"adaudit/internal/edge"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
@@ -88,8 +89,8 @@ type Config struct {
 }
 
 // Gateway terminates beacon sessions and forwards them over trunks: an
-// edge.Edge with one pool. ServeHTTP, SessionCount, Telemetry, Drain
-// and Close are the core's.
+// edge.Edge with one pool. ServeHTTP, SessionCount, Telemetry, Health,
+// Drain and Close are the core's.
 type Gateway struct{ *edge.Edge }
 
 // New validates cfg and returns a started Gateway: trunk runners and
@@ -176,51 +177,22 @@ func poolInstruments(reg *telemetry.Registry) edge.PoolInstruments {
 	}
 }
 
-// HealthStatus is the gateway's /healthz body.
-type HealthStatus struct {
-	// Status is the edge core's ladder (edge.Health) over one pool.
-	Status        string `json:"status"`
-	GatewayID     string `json:"gateway_id"`
-	TrunksTotal   int    `json:"trunks_total"`
-	TrunksHealthy int    `json:"trunks_healthy"`
-	Sessions      int    `json:"sessions"`
-	SpillPending  int    `json:"spill_pending"`
-	Draining      bool   `json:"draining"`
-}
-
-func healthStatus(h edge.Health) HealthStatus {
-	return HealthStatus{
-		Status:        h.Status,
-		GatewayID:     h.ID,
-		TrunksTotal:   h.Pools[0].TrunksTotal,
-		TrunksHealthy: h.Pools[0].TrunksHealthy,
-		Sessions:      h.Sessions,
-		SpillPending:  h.SpillPending,
-		Draining:      h.Draining,
-	}
-}
-
-// Health reports the gateway's degradation level.
-func (g *Gateway) Health() HealthStatus { return healthStatus(g.Edge.Health()) }
-
 // ServerOption customises a Server.
-type ServerOption = edge.ServerOption
+type ServerOption = daemon.Option
 
 // WithDrainGrace bounds how long Serve waits on shutdown for in-flight
 // beacon sessions to commit and for the spill buffer to empty into the
 // collector (default 5 s).
-func WithDrainGrace(d time.Duration) ServerOption { return edge.WithDrainGrace(d) }
+func WithDrainGrace(d time.Duration) ServerOption { return daemon.WithDrainGrace(d) }
 
-// Server runs a Gateway behind an HTTP listener with the standard
-// operational sidecar: the beacon endpoint, GET /healthz (trunk pool
-// health, ok → degraded → unhealthy), GET /metrics (Prometheus text)
-// and GET /api/metrics (JSON). It owns listener lifecycle and graceful
-// drain, so cmd/adgateway and the tests share one serving path.
-type Server = edge.Server
+// Server runs a Gateway behind the daemon shell: the beacon endpoint,
+// GET /healthz (one upstream_0 check over the trunk pool, ok → degraded
+// → unhealthy), GET /metrics (Prometheus text) and GET /api/metrics
+// (JSON).
+type Server = daemon.Server
 
 // NewServer wraps g in a Server listening on addr (host:port; port 0
 // picks a free port).
 func NewServer(g *Gateway, addr string, opts ...ServerOption) (*Server, error) {
-	return edge.NewServer(g.Edge, addr,
-		func(h edge.Health) any { return healthStatus(h) }, opts...)
+	return daemon.New(g.Tier(), addr, opts...)
 }

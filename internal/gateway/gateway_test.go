@@ -202,7 +202,7 @@ func TestGatewayRejectsWithoutTrunkToken(t *testing.T) {
 	g, _ := startGateway(t, cfg)
 
 	waitFor(t, 5*time.Second, "breaker to open", func() bool { return series(g, "adaudit_gateway_breaker_opens_total") >= 1 })
-	if h := g.Health(); h.Status != "unhealthy" || h.TrunksHealthy != 0 {
+	if h := g.Health(); h.Status != "unhealthy" || h.Pools[0].TrunksHealthy != 0 {
 		t.Fatalf("health = %+v, want unhealthy with zero trunks", h)
 	}
 }
@@ -216,10 +216,10 @@ func TestGatewaySpillReplaysAcrossCollectorOutage(t *testing.T) {
 	csrv, stopCollector := startCollectorServer(t, c, "127.0.0.1:0")
 	collectorAddr := csrv.Addr().String()
 	g, gsrv := startGateway(t, fastConfig(trunkURL(csrv)))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.Health().TrunksHealthy > 0 })
+	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.Health().Pools[0].TrunksHealthy > 0 })
 
 	stopCollector()
-	waitFor(t, 5*time.Second, "trunks to drop", func() bool { return g.Health().TrunksHealthy == 0 })
+	waitFor(t, 5*time.Second, "trunks to drop", func() bool { return g.Health().Pools[0].TrunksHealthy == 0 })
 
 	// The client's whole session happens during the outage; Report
 	// returning nil is the gateway's promise.
@@ -258,9 +258,9 @@ func TestGatewaySpillReplaysAcrossCollectorOutage(t *testing.T) {
 	}
 }
 
-// TestHealthzBody pins the field names of the gateway's /healthz JSON:
-// the ladder itself is the edge core's (and tested there), the shape a
-// load balancer or dashboard parses is this package's.
+// TestHealthzBody pins the gateway's /healthz JSON: the shared schema
+// with tier "gateway", its ID, and one upstream check beside the spill
+// check. The ladder itself is the edge core's (and tested there).
 func TestHealthzBody(t *testing.T) {
 	c, _ := testCollector(t, nil)
 	csrv, _ := startCollectorServer(t, c, "127.0.0.1:0")
@@ -279,10 +279,18 @@ func TestHealthzBody(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
+	if up, ok := body["uptime_seconds"].(float64); !ok || up < 0 {
+		t.Fatalf("healthz uptime_seconds = %v, want a non-negative number", body["uptime_seconds"])
+	}
+	delete(body, "uptime_seconds")
 	want := map[string]any{
-		"status": "ok", "gateway_id": "gw-test",
-		"trunks_total": 2.0, "trunks_healthy": 2.0,
-		"sessions": 0.0, "spill_pending": 0.0, "draining": false,
+		"status": "ok", "tier": "gateway", "id": "gw-test", "sessions": 0.0,
+		"checks": map[string]any{
+			"upstream_0": map[string]any{"status": "ok", "value": 2.0, "limit": 2.0,
+				"detail": "healthy trunks to " + trunkURL(csrv)},
+			"spill_pending": map[string]any{"status": "ok", "value": 0.0, "limit": 0.0,
+				"detail": "commits awaiting an upstream ack"},
+		},
 	}
 	if !reflect.DeepEqual(body, want) {
 		t.Fatalf("healthz body = %v, want %v", body, want)

@@ -170,7 +170,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	spilledDuringOutage := r.Health().Shards[0].SpillPending
+	spilledDuringOutage := r.Health().Pools[0].SpillPending
 	t.Logf("chaos: shard 0 restarted with %d WAL entries recovered, %d commits spilled toward it during the outage",
 		applied, spilledDuringOutage)
 	wal2, err := store.OpenWAL(walPath, store.WALOptions{Policy: store.SyncGroup})

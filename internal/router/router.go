@@ -14,7 +14,7 @@
 // every outstanding commit to the restarted shard through its
 // nonce/stream dedup. This package owns what a router adds: its Config,
 // its metric names (adaudit_router_*, per-shard series under shard_id),
-// its /healthz body, the merged live API, and the /trunk relay — an
+// the merged live API, and the /trunk relay — an
 // edge gateway (internal/gateway) can point its collector URL at the
 // router, which re-streams each commit onto the owning shard and relays
 // the shard's ack back, so the gateway's own spill discipline covers
@@ -77,7 +77,8 @@ type Config struct {
 // Router terminates beacon sessions and gateway trunks and multiplexes
 // them onto per-shard trunk pools: an edge.Edge with one pool per shard
 // plus the relay state. ServeHTTP, SessionCount (beacon sessions and
-// relayed gateway trunks), Telemetry, Drain and Close are the core's.
+// relayed gateway trunks), Telemetry, Health, Drain and Close are the
+// core's.
 type Router struct {
 	*edge.Edge
 
@@ -220,39 +221,3 @@ func shardInstruments(reg *telemetry.Registry, shard int) edge.PoolInstruments {
 			"Trunk batch sizes at flush.", edge.BatchByteBuckets(), lbl),
 	}
 }
-
-// ShardHealth is one shard's slice of the /healthz body.
-type ShardHealth struct {
-	ShardID       int `json:"shard_id"`
-	TrunksTotal   int `json:"trunks_total"`
-	TrunksHealthy int `json:"trunks_healthy"`
-	SpillPending  int `json:"spill_pending"`
-}
-
-// HealthStatus is the router's /healthz body.
-type HealthStatus struct {
-	// Status is the edge core's ladder (edge.Health), a shard per pool.
-	Status       string        `json:"status"`
-	RouterID     string        `json:"router_id"`
-	Shards       []ShardHealth `json:"shards"`
-	Sessions     int           `json:"sessions"`
-	SpillPending int           `json:"spill_pending"`
-	Draining     bool          `json:"draining"`
-}
-
-func healthStatus(h edge.Health) HealthStatus {
-	st := HealthStatus{
-		Status:       h.Status,
-		RouterID:     h.ID,
-		Sessions:     h.Sessions,
-		SpillPending: h.SpillPending,
-		Draining:     h.Draining,
-	}
-	for _, p := range h.Pools {
-		st.Shards = append(st.Shards, ShardHealth(p)) // same fields, this package's JSON names
-	}
-	return st
-}
-
-// Health reports the router's degradation level.
-func (r *Router) Health() HealthStatus { return healthStatus(r.Edge.Health()) }

@@ -19,6 +19,7 @@ import (
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/daemon"
 	"adaudit/internal/gateway"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
@@ -229,7 +230,7 @@ func startGateway(t *testing.T, trunkURL string) (*gateway.Gateway, *gateway.Ser
 		}
 	})
 	waitFor(t, 5*time.Second, "gateway trunks to establish", func() bool {
-		return g.Health().TrunksHealthy == g.Health().TrunksTotal
+		return g.Health().Status == "ok"
 	})
 	return g, gsrv
 }
@@ -462,7 +463,7 @@ func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
 	stalls := &stallListener{Listener: ln, accepted: make(chan *stallConn, 8)}
 	cfg := fastRouterConfig(f.trunkURLs())
 	cfg.TrunksPerShard = 1 // one reader carries every ack from the shard
-	r, rsrv := startRouter(t, cfg, WithListener(stalls))
+	r, rsrv := startRouter(t, cfg, daemon.WithListener(stalls))
 	waitFor(t, 5*time.Second, "shard trunk to establish", func() bool { return allTrunksUp(r) })
 
 	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
@@ -729,13 +730,14 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 	}
 }
 
-// TestHealthzBody pins the field names of the router's /healthz JSON,
-// per-shard slices included: the ladder itself is the edge core's (and
-// tested there), the shape a load balancer or dashboard parses is this
-// package's.
+// TestHealthzBody pins the router's /healthz JSON: the shared schema
+// with tier "router", its ID, and one upstream check per shard beside
+// the spill check. The ladder itself is the edge core's (and tested
+// there).
 func TestHealthzBody(t *testing.T) {
 	f := startShards(t, 2, nil, nil)
-	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
+	urls := f.trunkURLs()
+	r, rsrv := startRouter(t, fastRouterConfig(urls))
 	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return allTrunksUp(r) })
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", rsrv.Addr()))
@@ -750,13 +752,21 @@ func TestHealthzBody(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	shard := func(id float64) any {
-		return map[string]any{"shard_id": id, "trunks_total": 2.0, "trunks_healthy": 2.0, "spill_pending": 0.0}
+	if up, ok := body["uptime_seconds"].(float64); !ok || up < 0 {
+		t.Fatalf("healthz uptime_seconds = %v, want a non-negative number", body["uptime_seconds"])
+	}
+	delete(body, "uptime_seconds")
+	upstream := func(i int) any {
+		return map[string]any{"status": "ok", "value": 2.0, "limit": 2.0, "detail": "healthy trunks to " + urls[i]}
 	}
 	want := map[string]any{
-		"status": "ok", "router_id": "rt-test",
-		"shards":   []any{shard(0), shard(1)},
-		"sessions": 0.0, "spill_pending": 0.0, "draining": false,
+		"status": "ok", "tier": "router", "id": "rt-test", "sessions": 0.0,
+		"checks": map[string]any{
+			"upstream_0": upstream(0),
+			"upstream_1": upstream(1),
+			"spill_pending": map[string]any{"status": "ok", "value": 0.0, "limit": 0.0,
+				"detail": "commits awaiting an upstream ack"},
+		},
 	}
 	if !reflect.DeepEqual(body, want) {
 		t.Fatalf("healthz body = %v, want %v", body, want)

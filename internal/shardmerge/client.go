@@ -3,10 +3,12 @@ package shardmerge
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -127,4 +129,54 @@ func WriteExport(w http.ResponseWriter, x *streamaudit.Export) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(bin)))
 	_, _ = w.Write(bin) // a failed write means the reader went away: no one to tell
+}
+
+// SummaryHandler answers GET /api/live/summary with every campaign's
+// live summary from the engine engine returns. A collector hands it its
+// live engine, a router one built over the merged shard exports; an
+// error getting the engine (a shard fetch) is a 502.
+func SummaryHandler(engine func(context.Context) (*streamaudit.Engine, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		eng, err := engine(r.Context())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		writeJSON(w, eng.Summaries())
+	}
+}
+
+// AuditHandler answers GET /api/live/audit/{campaign} with one
+// campaign's audit: 400 without an id, 502 when engine fails, 500 when
+// the audit does, 404 for a campaign the engine has not seen.
+func AuditHandler(engine func(context.Context) (*streamaudit.Engine, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := strings.TrimPrefix(r.URL.Path, "/api/live/audit/")
+		if id == "" || strings.Contains(id, "/") {
+			http.Error(w, "missing campaign id", http.StatusBadRequest)
+			return
+		}
+		eng, err := engine(r.Context())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		la, ok, err := eng.Audit(id)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if !ok {
+			http.Error(w, "unknown campaign", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, la)
+	}
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }

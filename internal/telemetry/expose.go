@@ -153,26 +153,89 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Handler serves the Prometheus text format (GET only).
+// Handler serves the Prometheus text format. Mount it under a GET
+// pattern: it answers any method.
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
 }
 
-// JSONHandler serves the JSON view (GET only).
+// JSONHandler serves the JSON view. Mount it under a GET pattern.
 func (r *Registry) JSONHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
+	})
+}
+
+// The three levels of a /healthz check, best first.
+const (
+	HealthOK        = "ok"
+	HealthDegraded  = "degraded"
+	HealthUnhealthy = "unhealthy"
+)
+
+// Health is the /healthz body of every daemon: the collector, the
+// gateway and the router report in this one schema.
+type Health struct {
+	// Status is the worst of Checks' statuses (Add keeps it so).
+	Status        string  `json:"status"`
+	Tier          string  `json:"tier"`
+	ID            string  `json:"id"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	// Sessions counts the live connections the tier tracks.
+	Sessions int              `json:"sessions"`
+	Checks   map[string]Check `json:"checks"`
+}
+
+// Check is one named /healthz measurement. What Limit bounds is the
+// check's own: a ceiling on an age, the trunk count a pool should have
+// up; 0 with no bound to enforce. A check that decides nothing stays
+// "ok" and only carries its value.
+type Check struct {
+	Status string  `json:"status"`
+	Value  float64 `json:"value"`
+	Limit  float64 `json:"limit"`
+	Detail string  `json:"detail,omitempty"`
+}
+
+// Add records c under name and lowers Status to c's if c's is worse
+// (the first check sets it).
+func (h *Health) Add(name string, c Check) {
+	if h.Checks == nil {
+		h.Checks = map[string]Check{}
+	}
+	h.Checks[name] = c
+	if h.Status == "" || healthRank(c.Status) > healthRank(h.Status) {
+		h.Status = c.Status
+	}
+}
+
+func healthRank(status string) int {
+	switch status {
+	case HealthDegraded:
+		return 1
+	case HealthUnhealthy:
+		return 2
+	}
+	return 0
+}
+
+// HealthHandler serves report's Health as JSON. Degraded stays 200:
+// the daemon still does its job, and flapping a load balancer off a
+// working node would turn a partial outage into client loss. Unhealthy
+// is 503. Mount it under a GET pattern.
+func HealthHandler(report func() Health) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		h := report()
+		w.Header().Set("Content-Type", "application/json")
+		if h.Status == HealthUnhealthy {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(h)
 	})
 }

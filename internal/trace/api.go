@@ -7,44 +7,33 @@ import (
 	"strings"
 )
 
-// RegisterAPI mounts the flight-recorder endpoints on mux:
+// RegisterAPI mounts the flight-recorder endpoints on mux, for GET only
+// (the mux answers 405 to the rest):
 //
 //	GET /api/trace/recent?n=N   — newest finished traces (default 32)
 //	GET /api/trace/active       — in-flight traces
 //	GET /api/trace/export?n=N   — Chrome about:tracing / Perfetto JSON
 //	GET /api/trace/{id}         — one trace by 16-hex-digit ID
 func RegisterAPI(mux *http.ServeMux, rec *Recorder) {
-	mux.HandleFunc("/api/trace/recent", func(w http.ResponseWriter, r *http.Request) {
-		if !methodGet(w, r) {
-			return
-		}
+	mux.HandleFunc("GET /api/trace/recent", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{
 			"traces": recentOrEmpty(rec, queryN(r, 32)),
 			"active": rec.ActiveCount(),
 		})
 	})
-	mux.HandleFunc("/api/trace/active", func(w http.ResponseWriter, r *http.Request) {
-		if !methodGet(w, r) {
-			return
-		}
+	mux.HandleFunc("GET /api/trace/active", func(w http.ResponseWriter, r *http.Request) {
 		a := rec.Active()
 		if a == nil {
 			a = []Snapshot{}
 		}
 		writeJSON(w, map[string]any{"traces": a})
 	})
-	mux.HandleFunc("/api/trace/export", func(w http.ResponseWriter, r *http.Request) {
-		if !methodGet(w, r) {
-			return
-		}
+	mux.HandleFunc("GET /api/trace/export", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="adaudit-trace.json"`)
 		_ = WriteChrome(w, rec.Recent(queryN(r, 0)))
 	})
-	mux.HandleFunc("/api/trace/", func(w http.ResponseWriter, r *http.Request) {
-		if !methodGet(w, r) {
-			return
-		}
+	mux.HandleFunc("GET /api/trace/", func(w http.ResponseWriter, r *http.Request) {
 		raw := strings.TrimPrefix(r.URL.Path, "/api/trace/")
 		id, err := ParseID(raw)
 		if err != nil {
@@ -65,14 +54,6 @@ func recentOrEmpty(rec *Recorder, n int) []Snapshot {
 		return s
 	}
 	return []Snapshot{}
-}
-
-func methodGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return false
-	}
-	return true
 }
 
 func queryN(r *http.Request, def int) int {

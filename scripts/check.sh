@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's CI gate. Builds everything, vets everything,
 # refuses unformatted files, runs the full test suite, and re-runs the
-# concurrency-sensitive packages (collector, wsproto, store, telemetry)
-# under the race detector. Usage:
+# concurrency-sensitive packages (the three daemons and their shell,
+# collector, wsproto, store, telemetry, ...) under the race detector. Usage:
 #
 #   scripts/check.sh                # vet + tests + race
 #   scripts/check.sh -bench         # also run the telemetry-overhead benchmarks
@@ -20,7 +20,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RACE_PKGS="./cmd/auditd/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
+RACE_PKGS="./cmd/auditd/ ./cmd/adgateway/ ./cmd/adrouter/ ./internal/daemon/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
 
 echo "==> go build ./..."
 go build ./...

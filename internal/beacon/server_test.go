@@ -2,9 +2,11 @@ package beacon
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"adaudit/internal/simclock"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
+	"adaudit/internal/wsproto/wstest"
 )
 
 // virtualConn is a server transport whose read deadline runs on a
@@ -68,16 +71,15 @@ type served struct {
 // sessionRig is one beacon session between a raw client connection and
 // a Server whose clock the test advances.
 type sessionRig struct {
-	t        *testing.T
-	clk      *simclock.Virtual
-	start    time.Time
-	srv      *Server
-	draining atomic.Bool
-	conn     chan *virtualConn
-	server   *virtualConn
-	client   *wsproto.Conn
-	pings    atomic.Int64
-	done     chan served
+	t      *testing.T
+	clk    *simclock.Virtual
+	start  time.Time
+	srv    *Server
+	conn   chan *virtualConn
+	server *virtualConn
+	client *wsproto.Conn
+	pings  atomic.Int64
+	done   chan served
 }
 
 func newSessionRig(t *testing.T, keepAlive, maxExposure time.Duration) *sessionRig {
@@ -94,7 +96,6 @@ func newSessionRig(t *testing.T, keepAlive, maxExposure time.Duration) *sessionR
 		HandshakeTimeout:  10 * time.Second,
 		KeepAliveInterval: keepAlive,
 		MaxExposure:       maxExposure,
-		Draining:          r.draining.Load,
 		Events:            new(telemetry.Counter),
 	}
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -186,10 +187,16 @@ func (r *sessionRig) answer() {
 
 func (r *sessionRig) waitFor(what string, cond func() bool) {
 	r.t.Helper()
+	waitFor(r.t, what, cond)
+}
+
+// waitFor polls cond until it holds, for up to 5 s of real time.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {
 		if time.Now().After(deadline) {
-			r.t.Fatalf("timed out waiting for %s", what)
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -296,7 +303,7 @@ func TestServerSessionTiming(t *testing.T) {
 			drive: func(r *sessionRig) {
 				r.open()
 				r.answer()
-				r.draining.Store(true)
+				r.srv.draining.Store(true)
 				r.advance(time.Minute)
 				r.waitFor("the ping", func() bool { return r.pings.Load() == 1 })
 				// The update follows the pong on the wire: once it is
@@ -334,5 +341,232 @@ func TestServerSessionTiming(t *testing.T) {
 				t.Fatalf("connected at %v, want the virtual start %v", got.sess.ConnectedAt, r.start)
 			}
 		})
+	}
+}
+
+// serveEndpoint serves srv as a tier does: a wsproto.Front answering
+// clean upgrades in place ahead of an http.Server with srv behind it.
+// It returns the beacon URL.
+func serveEndpoint(t *testing.T, srv *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveOn(t, srv, ln)
+}
+
+// serveOn is serveEndpoint on ln.
+func serveOn(t *testing.T, srv *Server, ln net.Listener) string {
+	t.Helper()
+	front := wsproto.NewFront(ln, map[string]wsproto.Route{"/beacon": srv.Route()})
+	hs := &http.Server{Handler: srv}
+	go func() { _ = hs.Serve(front) }()
+	t.Cleanup(func() {
+		_ = hs.Close()
+		_ = front.Close()
+	})
+	return "ws://" + ln.Addr().String() + "/beacon"
+}
+
+// dialEndpoint opens a connection; with open set it also sends a
+// session's payload and one click.
+func dialEndpoint(t *testing.T, url string, header http.Header, open bool) *wsproto.Conn {
+	t.Helper()
+	conn, _, err := (&wsproto.Dialer{Header: header}).Dial(context.Background(), url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.NetConn().Close() })
+	if !open {
+		return conn
+	}
+	p := Payload{CampaignID: "srv", CreativeID: "cr", PageURL: "http://pub.example/", UserAgent: "UA"}
+	for _, msg := range []string{p.Encode(), EncodeEventUpdate(Event{Kind: EventClick, At: time.Second})} {
+		if err := conn.WriteText(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return conn
+}
+
+// expectClose reads conn until its close and checks the code and reason.
+func expectClose(t *testing.T, conn *wsproto.Conn, want wsproto.CloseError) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ce *wsproto.CloseError
+	if _, _, err := conn.ReadMessage(); !errors.As(err, &ce) || *ce != want {
+		t.Fatalf("session ended with %v, want close %d %q", err, want.Code, want.Reason)
+	}
+}
+
+// TestServerDrain: Drain closes every tracked connection with the
+// tier's drain close, which ends each session as drained; it waits for
+// them on the server's clock and returns how many were still tracked
+// when the grace ran out; and a connection that arrives during the
+// drain is closed the same way without a session.
+func TestServerDrain(t *testing.T) {
+	clk := simclock.NewVirtual(time.Now())
+	drainClose := wsproto.CloseError{Code: wsproto.CloseServiceRestart, Reason: "test drain"}
+	ends := make(chan string, 2)
+	release := make(chan struct{})
+	srv := &Server{
+		Clock:            clk,
+		HandshakeTimeout: 10 * time.Second,
+		MaxExposure:      time.Hour,
+		MaxMessageSize:   1 << 10,
+		DrainClose:       drainClose,
+		Admit:            func(string) string { return "" },
+		Events:           new(telemetry.Counter),
+		Serve: func(sess *ServerSession, _ netip.Addr) {
+			end, _ := sess.Run(nil)
+			ends <- end
+			<-release // the commit outlasts the grace
+		},
+	}
+	url := serveEndpoint(t, srv)
+	conns := []*wsproto.Conn{dialEndpoint(t, url, nil, true), dialEndpoint(t, url, nil, true)}
+	waitFor(t, "both sessions to run", func() bool { return srv.Events.Load() == 2 })
+
+	drained := make(chan int, 1)
+	go func() { drained <- srv.Drain(time.Minute) }()
+	for _, conn := range conns {
+		expectClose(t, conn, drainClose)
+	}
+	for range conns {
+		if end := <-ends; end != EndDrain {
+			t.Fatalf("a drained session ended %q, want %q", end, EndDrain)
+		}
+	}
+	waitFor(t, "Drain to wait on the clock", func() bool { return clk.Waiters() == 1 })
+	select {
+	case n := <-drained:
+		t.Fatalf("Drain returned %d before its grace ran out", n)
+	default:
+	}
+	clk.Advance(time.Minute)
+	if n := <-drained; n != 2 {
+		t.Fatalf("Drain returned %d, want the 2 connections still tracked", n)
+	}
+
+	late := dialEndpoint(t, url, nil, false)
+	expectClose(t, late, drainClose)
+	close(release)
+	waitFor(t, "every connection to be untracked", func() bool { return srv.Tracked() == 0 })
+}
+
+// TestServerDrainPastAStalledPeer: a tier's write stuck on a peer that
+// stopped reading — a trunk's reply — holds up neither the drain close of
+// another connection nor the grace. Drain returns when the grace runs out
+// on its clock, counting the stuck connection, and cuts its transport.
+func TestServerDrainPastAStalledPeer(t *testing.T) {
+	clk := simclock.NewVirtual(time.Now())
+	drainClose := wsproto.CloseError{Code: wsproto.CloseServiceRestart, Reason: "test drain"}
+	stuck, wrote, ends := make(chan struct{}), make(chan error, 1), make(chan string, 1)
+	srv := &Server{
+		Clock:            clk,
+		HandshakeTimeout: 10 * time.Second,
+		MaxExposure:      time.Hour,
+		MaxMessageSize:   1 << 10,
+		DrainClose:       drainClose,
+		Admit:            func(string) string { return "" },
+		Events:           new(telemetry.Counter),
+		Serve: func(sess *ServerSession, _ netip.Addr) {
+			if sess.Payload.CreativeID == "stall" {
+				close(stuck)
+				wrote <- sess.conn.WriteMessage(wsproto.OpBinary, []byte("reply"))
+				return
+			}
+			end, _ := sess.Run(nil)
+			ends <- end
+		},
+	}
+	// Over pipes a write blocks until the far end reads it.
+	ln := wstest.NewPipeListener()
+	url := serveOn(t, srv, ln)
+	dial := func(creative string, msgs ...string) *wsproto.Conn {
+		t.Helper()
+		conn, _, err := (&wsproto.Dialer{NetDial: ln.Dial}).Dial(context.Background(), url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.NetConn().Close() })
+		p := Payload{CampaignID: "srv", CreativeID: creative, PageURL: "http://pub.example/", UserAgent: "UA"}
+		for _, msg := range append([]string{p.Encode()}, msgs...) {
+			if err := conn.WriteText(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return conn
+	}
+	dial("stall") // and never read from again
+	<-stuck
+	live := dial("cr", EncodeEventUpdate(Event{Kind: EventClick, At: time.Second}))
+	waitFor(t, "the live session to run", func() bool { return srv.Events.Load() == 1 })
+
+	drained := make(chan int, 1)
+	go func() { drained <- srv.Drain(time.Minute) }()
+	expectClose(t, live, drainClose)
+	if end := <-ends; end != EndDrain {
+		t.Fatalf("the live session ended %q, want %q", end, EndDrain)
+	}
+	waitFor(t, "Drain to wait on the clock with only the stalled peer tracked", func() bool {
+		return clk.Waiters() == 1 && srv.Tracked() == 1
+	})
+	clk.Advance(time.Minute)
+	select {
+	case n := <-drained:
+		if n != 1 {
+			t.Fatalf("Drain returned %d, want the stalled connection", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not return when its grace ran out")
+	}
+	select {
+	case err := <-wrote:
+		if err == nil {
+			t.Fatal("the write to a peer that never read completed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stuck write outlived the drain")
+	}
+	waitFor(t, "every connection to be untracked", func() bool { return srv.Tracked() == 0 })
+}
+
+// TestServerUpgradePaths: a clean handshake is answered in place at the
+// front and one whose head is too long for it through net/http; each
+// upgrade is counted once, on its own via series, and serves a session.
+func TestServerUpgradePaths(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	served := make(chan string, 2)
+	srv := &Server{
+		Clock:            simclock.NewVirtual(time.Now()),
+		HandshakeTimeout: 10 * time.Second,
+		MaxExposure:      time.Hour,
+		MaxMessageSize:   1 << 10,
+		Admit:            func(string) string { return "" },
+		Connections:      reg.Counter("connections_total", "", nil),
+		Upgrades:         reg.CounterVec("upgrades_total", "", "via"),
+		Serve: func(sess *ServerSession, _ netip.Addr) {
+			end, _ := sess.Run(nil)
+			served <- end
+		},
+	}
+	url := serveEndpoint(t, srv)
+	inPlace, netHTTP := srv.Upgrades.With("in-place"), srv.Upgrades.With("net-http")
+	for i, header := range []http.Header{nil, {"Cookie": {strings.Repeat("c", 8<<10)}}} {
+		conn := dialEndpoint(t, url, header, true)
+		if err := conn.Close(wsproto.CloseNormal, "unload"); err != nil {
+			t.Fatal(err)
+		}
+		if end := <-served; end != EndPeer {
+			t.Fatalf("session %d ended %q, want %q", i, end, EndPeer)
+		}
+		if in, via := inPlace.Load(), netHTTP.Load(); in != 1 || via != int64(i) {
+			t.Fatalf("after session %d: %d in place, %d through net/http; want 1, %d", i, in, via, i)
+		}
+	}
+	if n := srv.Connections.Load(); n != 2 {
+		t.Fatalf("connections = %d, want 2", n)
 	}
 }

@@ -1,6 +1,7 @@
 // Package collector implements the paper's central measurement server
 // (§3): it terminates the beacons' WebSocket connections on the shared
-// session loop (beacon.Server) and edge trunks on the shared receiver
+// beacon endpoint (beacon.Server: admission, upgrade, tracking, the
+// session loop and drain) and edge trunks on the shared receiver
 // (trunk.Receiver), parses the impression payloads, derives the
 // connection-side facts the client cannot forge — peer IP address,
 // impression timestamp (connection establishment) and exposure time
@@ -23,12 +24,10 @@ package collector
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/netip"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,18 +135,18 @@ type Metrics struct {
 // operational signals: the former blames the peer (or the network), the
 // latter blames the collector's own pipeline.
 const (
-	RejectHandshake    = "handshake"      // first message missing, late, or not a data frame
-	RejectDecode       = "decode"         // payload failed to parse
-	RejectPayload      = "payload"        // payload parsed but unusable (bad page URL)
-	RejectInsert       = "insert"         // store refused the record
-	RejectPeerAddr     = "peer-addr"      // unresolvable remote address
-	RejectUpgrade      = "upgrade"        // HTTP → WebSocket upgrade failed
-	RejectConvDecode   = "conv-decode"    // conversion query string failed to parse
-	RejectConvValidate = "conv-validate"  // conversion payload incomplete
-	RejectConvInsert   = "conv-insert"    // store refused the conversion
-	RejectConvPeerAddr = "conv-peer-addr" // unresolvable pixel peer address
-	RejectTrunkAuth    = "trunk-auth"     // gateway presented a bad trunk token
-	RejectTrunkProto   = "trunk-proto"    // malformed trunk frame or batch
+	RejectHandshake    = beacon.FailHandshake // first message missing, late, or not a data frame
+	RejectDecode       = beacon.FailDecode    // payload failed to parse
+	RejectPayload      = "payload"            // payload parsed but unusable (bad page URL)
+	RejectInsert       = "insert"             // store refused the record
+	RejectPeerAddr     = beacon.FailPeerAddr  // unresolvable remote address
+	RejectUpgrade      = beacon.FailUpgrade   // HTTP → WebSocket upgrade failed
+	RejectConvDecode   = "conv-decode"        // conversion query string failed to parse
+	RejectConvValidate = "conv-validate"      // conversion payload incomplete
+	RejectConvInsert   = "conv-insert"        // store refused the conversion
+	RejectConvPeerAddr = "conv-peer-addr"     // unresolvable pixel peer address
+	RejectTrunkAuth    = "trunk-auth"         // gateway presented a bad trunk token
+	RejectTrunkProto   = "trunk-proto"        // malformed trunk frame or batch
 )
 
 // sampleInterval is the stage-timing sampling rate on the direct ingest
@@ -179,18 +178,17 @@ type collectorTelemetry struct {
 	trunkDuplicates *telemetry.Counter
 	exposure        *telemetry.Histogram
 	upgrade         *telemetry.Histogram
-	upgradesInPlace *telemetry.Counter
-	upgradesNetHTTP *telemetry.Counter
+	upgrades        *telemetry.CounterVec
 	decode          *telemetry.Histogram
 	enrich          *telemetry.Histogram
 }
 
 // Collector terminates beacon traffic and writes impression records.
 type Collector struct {
-	cfg      Config
-	clock    simclock.Clock
-	upgrader wsproto.Upgrader
-	// sessions runs every beacon session, trunks every gateway trunk.
+	cfg   Config
+	clock simclock.Clock
+	// sessions is the beacon endpoint and tracks every beacon session and
+	// gateway trunk; trunks runs every gateway trunk.
 	sessions beacon.Server
 	trunks   trunk.Receiver
 	// Metrics exposes ingest counters for health checks and tests.
@@ -206,13 +204,6 @@ type Collector struct {
 	// sampleTick selects which ingests get enrich-stage timing; see
 	// sampleInterval.
 	sampleTick atomic.Uint64
-
-	// Session bookkeeping: every serveConn goroutine is tracked so
-	// shutdown can drain in-flight impressions instead of losing them.
-	sessMu    sync.Mutex
-	sessConns map[*wsproto.Conn]struct{}
-	sessWG    sync.WaitGroup
-	draining  atomic.Bool
 
 	// icache holds the bounded ingest caches (interned wire strings,
 	// address → enrichment, user keys) that make steady-state ingest
@@ -289,18 +280,7 @@ func New(cfg Config) (*Collector, error) {
 		nonces:        gen2.New[string, int64](nonceCacheLimit),
 		nonceInflight: map[string]chan struct{}{},
 		streams:       gen2.New[streamKey, struct{}](streamCacheLimit),
-		upgrader: wsproto.Upgrader{
-			MaxMessageSize: cfg.MaxMessageSize,
-			// Ad beacons are cross-origin by design: the iframe origin
-			// is whatever publisher the network chose. All origins pass.
-			CheckOrigin: nil,
-			// Accept permessage-deflate offers: individual payloads are
-			// small, but browsers offer it and long-lived sessions with
-			// many interaction updates benefit.
-			EnableCompression: true,
-		},
-		reg:       reg,
-		sessConns: map[*wsproto.Conn]struct{}{},
+		reg:           reg,
 	}
 	// With a nil registry these come back unregistered but functional,
 	// so the Metrics field API never breaks.
@@ -317,8 +297,6 @@ func New(cfg Config) (*Collector, error) {
 			"Conversion-pixel records committed.", nil),
 	}
 	if reg != nil {
-		upgrades := reg.CounterVec("adaudit_collector_upgrades_total",
-			"Beacon upgrades completed, by what answered them: the accepting front in place, or net/http.", "via")
 		c.tel = collectorTelemetry{
 			enabled: true,
 			rejects: reg.CounterVec("adaudit_collector_rejects_total",
@@ -351,9 +329,8 @@ func New(cfg Config) (*Collector, error) {
 			upgrade: reg.Histogram("adaudit_collector_upgrade_seconds",
 				"HTTP → WebSocket upgrade latency.",
 				telemetry.LatencyBuckets(), nil),
-			// Resolved here: With boxes its argument on every call.
-			upgradesInPlace: upgrades.With("in-place"),
-			upgradesNetHTTP: upgrades.With("net-http"),
+			upgrades: reg.CounterVec("adaudit_collector_upgrades_total",
+				"Beacon upgrades completed, by what answered them: the accepting front in place, or net/http.", "via"),
 			decode: reg.Histogram("adaudit_collector_decode_seconds",
 				"Beacon payload decode latency.",
 				telemetry.LatencyBuckets(), nil),
@@ -369,15 +346,26 @@ func New(cfg Config) (*Collector, error) {
 		HandshakeTimeout:  cfg.HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
 		MaxExposure:       cfg.MaxExposure,
-		Draining:          c.draining.Load,
+		MaxMessageSize:    cfg.MaxMessageSize,
 		// Interned, as IngestBinary decodes: nothing aliases the frame.
 		DecodeBinary: c.icache.decodeBinary,
+		Admit:        c.admit,
+		Shed:         c.shed,
+		Serve:        c.serveSession,
+		Refused:      c.refused,
+		DrainClose:   wsproto.CloseError{Code: wsproto.CloseGoingAway, Reason: "collector shutting down"},
+		Logger:       cfg.Logger,
+		Connections:  c.Metrics.Connections,
+		Active:       c.tel.sessionsActive,
+		Upgrades:     c.tel.upgrades,
+		Upgrade:      c.tel.upgrade,
 		Decode:       c.tel.decode,
 		Events:       c.Metrics.Events,
 		PingFailures: c.tel.pingFailures,
+		Dropped:      c.tel.droppedShutdown,
 	}
 	// Every trunk refusal is one trunk-proto reject. Replies are left
-	// unbounded: a stalled gateway parks only its own trunk's goroutine.
+	// unbounded: a stalled gateway parks only its trunk, until a drain.
 	c.trunks = trunk.Receiver{
 		Clock:            c.clock,
 		HandshakeTimeout: cfg.HandshakeTimeout,
@@ -475,12 +463,8 @@ func (c *Collector) LastIngest() time.Time {
 	return time.Unix(0, n)
 }
 
-// SessionCount returns the number of live beacon sessions.
-func (c *Collector) SessionCount() int {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	return len(c.sessConns)
-}
+// SessionCount returns the number of live beacon sessions and trunks.
+func (c *Collector) SessionCount() int { return c.sessions.Tracked() }
 
 // reject records one reject of the given class on both the legacy
 // aggregate counter and the per-class series.
@@ -713,109 +697,40 @@ func (c *Collector) IngestBinary(raw []byte, remoteIP netip.Addr, connectedAt ti
 	})
 }
 
-// ServeHTTP upgrades the request to a WebSocket and runs a beacon
-// session on it (beacon.Server); the impression is committed when the
-// session ends.
-func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if c.atCapacity() {
-		// Shed before the upgrade: a plain 503 costs a few hundred bytes
-		// and no goroutine, and a well-behaved beacon retries with
-		// backoff — bounded refusals instead of unbounded sockets.
-		c.tel.sheds.Inc()
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "collector at session capacity", http.StatusServiceUnavailable)
-		return
+// admit is the beacon endpoint's admission: a request is shed at the
+// session cap, before the upgrade spends anything on it.
+func (c *Collector) admit(string) string {
+	if max := c.cfg.MaxSessions; max > 0 && c.sessions.Tracked() >= max {
+		return "capacity"
 	}
-	var upgradeStart time.Time
-	if c.tel.enabled {
-		upgradeStart = c.clock.Now()
-	}
-	conn, err := c.upgrader.Upgrade(w, r)
-	if err != nil {
-		c.tel.rejects.With(RejectUpgrade).Inc()
-		c.cfg.Logger.Debug("collector: handshake rejected", "err", err, "remote", r.RemoteAddr)
-		return
-	}
-	var upgrade time.Duration
-	if c.tel.enabled {
-		upgrade = c.clock.Since(upgradeStart)
-	}
-	// On its own goroutine, so that net/http's per-request state is
-	// released for the session's lifetime.
-	go c.serveConn(conn, upgrade, c.tel.upgradesNetHTTP)
+	return ""
 }
 
-// atCapacity reports whether the session cap is reached.
-func (c *Collector) atCapacity() bool {
-	max := c.cfg.MaxSessions
-	return max > 0 && c.SessionCount() >= max
+// shed refuses a request at the session cap: a plain 503 costs a few
+// hundred bytes and no goroutine, and a well-behaved beacon retries with
+// backoff — bounded refusals instead of unbounded sockets.
+func (c *Collector) shed(w http.ResponseWriter, _ string) {
+	c.tel.sheds.Inc()
+	w.Header().Set("Retry-After", "1")
+	http.Error(w, "collector at session capacity", http.StatusServiceUnavailable)
 }
 
-// beaconRoute is the beacon endpoint as the server's accepting front
-// answers it: the admission check and the session of ServeHTTP around
-// an upgrade made in place. What the front does not answer — a shed
-// among it — reaches ServeHTTP through net/http.
-func (c *Collector) beaconRoute() wsproto.Route {
-	return wsproto.Route{
-		Upgrader: &c.upgrader,
-		Admit:    func(string) bool { return !c.atCapacity() },
-		Serve: func(conn *wsproto.Conn, upgrade time.Duration) {
-			c.serveConn(conn, upgrade, c.tel.upgradesInPlace)
-		},
+// refused counts a beacon connection that failed: a panic on its own
+// series, anything else as a reject of its class.
+func (c *Collector) refused(class string, _ error) {
+	if class == beacon.FailPanic {
+		c.tel.panics.Inc()
+		return
 	}
+	c.reject(class)
 }
 
-// serveConn is a beacon connection's life from the completed upgrade
-// on, whichever path (counted on via) made it: one session on the shared
-// loop (beacon.Server), then its commit. The impression timestamp and
-// every session deadline come from the collector's clock, so on a
-// virtual clock the whole session-timing path is deterministic.
-func (c *Collector) serveConn(conn *wsproto.Conn, upgrade time.Duration, via *telemetry.Counter) {
-	if c.tel.enabled {
-		c.tel.upgrade.ObserveDuration(upgrade)
-	}
-	via.Inc()
-	c.Metrics.Connections.Add(1)
-	// Tracked before the drain check: a connection that races shutdown
-	// is then either seen by Drain or sees the flag, never neither.
-	c.trackSession(conn)
-	defer c.untrackSession(conn)
-	if c.draining.Load() {
-		// The listener is gone; an upgrade that raced shutdown gets a
-		// clean going-away close instead of a session.
-		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
-		return
-	}
-	// A panic in one session — a malformed frame tripping a bug, a
-	// store failure mode — must cost exactly that session, not the
-	// collector. The impression is lost (the paper's loss model
-	// covers it); every other live session keeps measuring.
-	defer func() {
-		if r := recover(); r != nil {
-			c.tel.panics.Inc()
-			c.cfg.Logger.Error("collector: session panicked",
-				"panic", r, "stack", string(debug.Stack()))
-			_ = conn.Close(wsproto.CloseInternalError, "internal error")
-		}
-	}()
-	defer conn.Close(wsproto.CloseNormal, "")
-	remote, err := wsproto.PeerAddr(conn.RemoteAddr())
-	if err != nil {
-		c.reject(RejectPeerAddr)
-		c.cfg.Logger.Warn("collector: unresolvable peer address", "err", err)
-		return
-	}
-	sess, err := c.sessions.Open(conn)
-	if errors.Is(err, beacon.ErrNoPayload) {
-		c.reject(RejectHandshake)
-		return
-	}
-	if err != nil {
-		c.reject(RejectDecode)
-		c.cfg.Logger.Debug("collector: bad payload", "err", err, "remote", remote)
-		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
-		return
-	}
+// serveSession is an opened beacon session at the collector: the shared
+// loop (beacon.Server) runs it, then its impression is committed. The
+// impression timestamp and every session deadline come from the
+// collector's clock, so on a virtual clock the whole session-timing path
+// is deterministic.
+func (c *Collector) serveSession(sess *beacon.ServerSession, remote netip.Addr) {
 	// Events the opening payload already carries count like updates, as
 	// they do when a trunk commit delivers them all at once.
 	c.Metrics.Events.Add(int64(len(sess.Payload.Events)))
@@ -850,58 +765,6 @@ func (c *Collector) serveConn(conn *wsproto.Conn, upgrade time.Duration, via *te
 		// committed — the measurement the paper derives server-side
 		// precisely so a dying client cannot lose it.
 		c.tel.partialCommits.Inc()
-	}
-}
-
-func (c *Collector) trackSession(conn *wsproto.Conn) {
-	c.sessWG.Add(1)
-	c.sessMu.Lock()
-	c.sessConns[conn] = struct{}{}
-	c.sessMu.Unlock()
-	c.tel.sessionsActive.Add(1)
-}
-
-func (c *Collector) untrackSession(conn *wsproto.Conn) {
-	c.sessMu.Lock()
-	delete(c.sessConns, conn)
-	c.sessMu.Unlock()
-	c.tel.sessionsActive.Add(-1)
-	c.sessWG.Done()
-}
-
-// Drain asks every live session to commit now — each connection's read
-// deadline is forced to the past, which makes its session loop fall
-// through to the normal commit path — and waits up to grace for them to
-// finish. It returns the number of sessions still running when the
-// grace period expired (also recorded on
-// adaudit_collector_sessions_dropped_shutdown_total); those
-// impressions die with the process, the paper's §3.1 loss model.
-func (c *Collector) Drain(grace time.Duration) int {
-	c.draining.Store(true)
-	c.sessMu.Lock()
-	for conn := range c.sessConns {
-		_ = conn.SetReadDeadline(c.clock.Now())
-	}
-	c.sessMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		c.sessWG.Wait()
-		close(done)
-	}()
-	timer := c.clock.NewTimer(grace)
-	defer timer.Stop()
-	select {
-	case <-done:
-		return 0
-	case <-timer.C():
-		dropped := c.SessionCount()
-		if dropped > 0 {
-			c.tel.droppedShutdown.Add(int64(dropped))
-			c.cfg.Logger.Warn("collector: shutdown grace expired with sessions still open",
-				"dropped", dropped, "grace", grace)
-		}
-		return dropped
 	}
 }
 

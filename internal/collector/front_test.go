@@ -15,6 +15,7 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
+	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 	"adaudit/internal/wsproto/wstest"
 )
@@ -29,7 +30,7 @@ import (
 // it always counted.
 func TestFrontRefusalsAreTheHandlers(t *testing.T) {
 	srv, c := newHardenedServer(t, func(c *Collector) { c.cfg.MaxSessions = 1 })
-	ref := wstest.HandlerAlone(t, c)
+	ref := wstest.HandlerAlone(t, &c.sessions)
 	addr := srv.Addr().String()
 
 	upgradeHead, closing, exchange := wstest.UpgradeHead, wstest.Closing, wstest.Exchange
@@ -45,6 +46,7 @@ func TestFrontRefusalsAreTheHandlers(t *testing.T) {
 		{"malformed head", "GET /beacon HTTP/1.1\r\nHost: a b\r\n\r\n", "400 Bad Request", "malformed Host header"},
 	}
 	rejects := c.tel.rejects.With(RejectUpgrade)
+	inPlace, netHTTP := c.tel.upgrades.With("in-place"), c.tel.upgrades.With("net-http")
 	for _, tc := range cases {
 		before := rejects.Load()
 		got, want := exchange(t, addr, tc.raw), exchange(t, ref, tc.raw)
@@ -58,7 +60,7 @@ func TestFrontRefusalsAreTheHandlers(t *testing.T) {
 			t.Errorf("%s: rejects{upgrade} moved by %d over the two servers, want 2", tc.name, counted)
 		}
 	}
-	if n := c.tel.upgradesInPlace.Load() + c.tel.upgradesNetHTTP.Load(); n != 0 {
+	if n := inPlace.Load() + netHTTP.Load(); n != 0 {
 		t.Fatalf("%d upgrades counted, none was made", n)
 	}
 
@@ -70,7 +72,7 @@ func TestFrontRefusalsAreTheHandlers(t *testing.T) {
 	}
 	defer sess.Close()
 	waitFor(t, func() bool { return c.SessionCount() == 1 })
-	if got := c.tel.upgradesInPlace.Load(); got != 1 {
+	if got := inPlace.Load(); got != 1 {
 		t.Fatalf("upgrades{in-place} = %d after one clean session, want 1", got)
 	}
 	before := c.tel.sheds.Load()
@@ -84,7 +86,7 @@ func TestFrontRefusalsAreTheHandlers(t *testing.T) {
 	if counted := c.tel.sheds.Load() - before; counted != 2 {
 		t.Errorf("sheds moved by %d over the two servers, want 2", counted)
 	}
-	if n := c.tel.upgradesInPlace.Load() + c.tel.upgradesNetHTTP.Load(); n != 1 {
+	if n := inPlace.Load() + netHTTP.Load(); n != 1 {
 		t.Errorf("%d upgrades counted after a shed, want the 1 from before", n)
 	}
 }
@@ -147,12 +149,13 @@ func TestFrontBothPathsCommit(t *testing.T) {
 	srv, c := newHardenedServer(t, nil)
 	addr := srv.Addr().String()
 	upgradeCount := func() uint64 { return c.tel.upgrade.Snapshot().Count }
+	inPlace, netHTTP := c.tel.upgrades.With("in-place"), c.tel.upgrades.With("net-http")
 
 	p := samplePayload()
 	p.Nonce = "front-in-place"
 	rawSession(t, addr, wstest.UpgradeHead("Origin: http://www.ciencia123.es\r\n"), p)
 	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 1 })
-	if in, via := c.tel.upgradesInPlace.Load(), c.tel.upgradesNetHTTP.Load(); in != 1 || via != 0 {
+	if in, via := inPlace.Load(), netHTTP.Load(); in != 1 || via != 0 {
 		t.Fatalf("upgrades: %d in place, %d through net/http; want 1, 0", in, via)
 	}
 	if n := upgradeCount(); n != 1 {
@@ -162,7 +165,7 @@ func TestFrontBothPathsCommit(t *testing.T) {
 	p.Nonce = "front-net-http"
 	rawSession(t, addr, wstest.UpgradeHead("Cookie: "+strings.Repeat("c", 8<<10)+"\r\n"), p)
 	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 2 })
-	if in, via := c.tel.upgradesInPlace.Load(), c.tel.upgradesNetHTTP.Load(); in != 1 || via != 1 {
+	if in, via := inPlace.Load(), netHTTP.Load(); in != 1 || via != 1 {
 		t.Fatalf("upgrades: %d in place, %d through net/http; want 1, 1", in, via)
 	}
 	if n := upgradeCount(); n != 2 {
@@ -186,7 +189,7 @@ func TestFrontBothPathsCommit(t *testing.T) {
 // going-away, on either path, and leaves no session behind.
 func TestFrontUpgradeDuringDrain(t *testing.T) {
 	srv, c := newHardenedServer(t, nil)
-	c.draining.Store(true) // Drain has begun; the listener is still up
+	c.sessions.Drain(0) // Drain has begun; the listener is still up
 	for _, extra := range []string{"", "Cookie: " + strings.Repeat("c", 8<<10) + "\r\n"} {
 		nc, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
@@ -214,6 +217,141 @@ func TestFrontUpgradeDuringDrain(t *testing.T) {
 	waitFor(t, func() bool { return c.SessionCount() == 0 })
 	if got := c.Metrics.Ingested.Load() + c.Metrics.Rejected.Load(); got != 0 {
 		t.Fatalf("%d sessions ran during drain", got)
+	}
+}
+
+// readClose reads conn until the server's close arrives and returns it.
+func readClose(t *testing.T, conn *wsproto.Conn) *wsproto.CloseError {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		_, _, err := conn.ReadMessage()
+		var ce *wsproto.CloseError
+		if errors.As(err, &ce) {
+			return ce
+		}
+		if err != nil {
+			t.Fatalf("session ended with %v, want a close frame", err)
+		}
+	}
+}
+
+// TestDrainedSessionClosesGoingAway: a session still open when the drain
+// begins is told the collector is going away — the close an upgrade that
+// races the drain gets — not a protocol error, and its impression still
+// commits, ended by the drain.
+func TestDrainedSessionClosesGoingAway(t *testing.T) {
+	srv, c := newHardenedServer(t, nil)
+	conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), srv.BeaconURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.NetConn().Close()
+	if err := conn.WriteText(samplePayload().Encode()); err != nil {
+		t.Fatal(err)
+	}
+	// A counted update proves the session is past its payload.
+	if err := conn.WriteText(beacon.EncodeEventUpdate(beacon.Event{Kind: beacon.EventClick, At: time.Millisecond})); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return c.Metrics.Events.Load() == 1 })
+
+	drained := make(chan int, 1)
+	go func() { drained <- c.sessions.Drain(5 * time.Second) }()
+	if ce := readClose(t, conn); ce.Code != wsproto.CloseGoingAway || ce.Reason != "collector shutting down" {
+		t.Fatalf("drained session closed %d %q, want going-away", ce.Code, ce.Reason)
+	}
+	if left := <-drained; left != 0 {
+		t.Fatalf("drain left %d sessions open", left)
+	}
+	if n := c.Metrics.Ingested.Load(); n != 1 {
+		t.Fatalf("ingested = %d, want the drained session's impression", n)
+	}
+	if n := c.tel.sessionsClosed.With(beacon.EndDrain).Load(); n != 1 {
+		t.Fatalf("sessions_closed{drain} = %d, want 1", n)
+	}
+}
+
+// TestDrainPastAStalledTrunk: a gateway that sends a commit and then
+// stops reading leaves the collector's ack stuck on its trunk. The drain
+// still closes a beacon session going-away and commits it, and returns
+// when its grace runs out, counting the trunk as still open.
+func TestDrainPastAStalledTrunk(t *testing.T) {
+	ln := wstest.NewPipeListener() // a write blocks until the far end reads it
+	srv, c := newHardenedServer(t, nil, daemon.WithListener(ln))
+	dialer := &wsproto.Dialer{NetDial: ln.Dial}
+	tr, _, err := dialer.Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.NetConn().Close()
+	p := samplePayload()
+	p.Nonce = "stalled-trunk"
+	batch := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw"})
+	batch = trunk.AppendFrame(batch, trunk.Frame{Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
+		Exposure: time.Second, Payload: string(p.EncodeBinary())})
+	if err := tr.WriteMessage(wsproto.OpBinary, batch); err != nil {
+		t.Fatal(err)
+	}
+	// Ingested, so its ack is being written to a peer that never reads.
+	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 1 })
+
+	conn, _, err := dialer.Dial(context.Background(), srv.BeaconURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.NetConn().Close()
+	for _, msg := range []string{samplePayload().Encode(), beacon.EncodeEventUpdate(beacon.Event{Kind: beacon.EventClick, At: time.Millisecond})} {
+		if err := conn.WriteText(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return c.Metrics.Events.Load() == 1 })
+
+	drained := make(chan int, 1)
+	go func() { drained <- c.sessions.Drain(time.Second) }()
+	if ce := readClose(t, conn); ce.Code != wsproto.CloseGoingAway || ce.Reason != "collector shutting down" {
+		t.Fatalf("drained session closed %d %q, want going-away", ce.Code, ce.Reason)
+	}
+	select {
+	case left := <-drained:
+		if left != 1 {
+			t.Fatalf("drain left %d connections open, want the stalled trunk", left)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain still running 5 s into a 1 s grace")
+	}
+	if n := c.Metrics.Ingested.Load(); n != 2 {
+		t.Fatalf("ingested = %d, want the trunk's commit and the drained session's", n)
+	}
+	waitFor(t, func() bool { return c.SessionCount() == 0 })
+}
+
+// TestUnparseablePeerIsNeverAcked: a session whose peer address does not
+// parse would commit a record without one, so it is closed with a policy
+// violation before anything is stored, and counted as a peer-addr
+// reject — as at the edge.
+func TestUnparseablePeerIsNeverAcked(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, c := newHardenedServer(t, nil, daemon.WithListener(wstest.AddrlessListener(ln)))
+	conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), srv.BeaconURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.NetConn().Close()
+	_ = conn.WriteText(samplePayload().Encode())
+	if ce := readClose(t, conn); ce.Code != wsproto.ClosePolicyViolation || ce.Reason != "bad peer address" {
+		t.Fatalf("close %d %q, want a policy violation, not an ack", ce.Code, ce.Reason)
+	}
+	waitFor(t, func() bool { return c.SessionCount() == 0 })
+	if n := c.tel.rejects.With(RejectPeerAddr).Load(); n != 1 {
+		t.Fatalf("rejects{peer-addr} = %d, want 1", n)
+	}
+	if n := c.cfg.Store.Len(); n != 0 {
+		t.Fatalf("stored %d impressions, want 0", n)
 	}
 }
 

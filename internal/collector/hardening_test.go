@@ -12,17 +12,18 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/trunk/trunktest"
 	"adaudit/internal/wsproto"
+	"adaudit/internal/wsproto/wstest"
 )
 
 // newHardenedServer boots a full Server around a testCollector with the
-// given config tweaks applied.
-func newHardenedServer(t *testing.T, tweak func(*Collector)) (*Server, *Collector) {
+// given config tweaks and server options applied.
+func newHardenedServer(t *testing.T, tweak func(*Collector), opts ...ServerOption) (*Server, *Collector) {
 	t.Helper()
 	c, _ := testCollector(t)
 	if tweak != nil {
 		tweak(c)
 	}
-	srv, err := NewServer(c, "127.0.0.1:0")
+	srv, err := NewServer(c, "127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +277,6 @@ func samplePayload() beacon.Payload {
 	}
 }
 
-// stringAddr is a peer address known only by its text, as wrapped
-// transports (faultnet, in-memory pipes) present theirs.
-type stringAddr string
-
-func (a stringAddr) Network() string { return "tcp" }
-func (a stringAddr) String() string  { return string(a) }
-
 // TestRemoteAddrFastPathMatchesStringParse: taking a *net.TCPAddr's
 // binary address yields exactly what parsing its String() does —
 // unmapped, zone kept — and anything else still goes through the parse.
@@ -297,7 +291,7 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 		{Port: 9}, // no IP at all
 	} {
 		got, gotErr := wsproto.PeerAddr(tcp)
-		want, wantErr := wsproto.PeerAddr(stringAddr(tcp.String()))
+		want, wantErr := wsproto.PeerAddr(wstest.StringAddr(tcp.String()))
 		if got != want || (gotErr == nil) != (wantErr == nil) {
 			t.Errorf("%v: fast path (%v, %v), string parse (%v, %v)", tcp, got, gotErr, want, wantErr)
 		}
@@ -305,7 +299,7 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 			t.Errorf("%v: %v left mapped", tcp, got)
 		}
 	}
-	if _, err := wsproto.PeerAddr(stringAddr("pipe")); err == nil {
+	if _, err := wsproto.PeerAddr(wstest.StringAddr("pipe")); err == nil {
 		t.Error("an unparseable wrapped address was accepted")
 	}
 }

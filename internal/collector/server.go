@@ -101,14 +101,13 @@ type Server struct {
 func NewServer(c *Collector, addr string, opts ...ServerOption) (*Server, error) {
 	s := &Server{collector: c, start: time.Now()}
 	d, err := daemon.New(daemon.Tier{
-		Name:        "collector",
-		Beacon:      c,
-		BeaconRoute: c.beaconRoute(),
-		Telemetry:   c.Telemetry(),
-		Drain:       c.Drain,
-		Health:      s.health,
-		Routes:      s.routes,
-		Options:     &s.opts,
+		Name:      "collector",
+		Beacon:    &c.sessions,
+		Telemetry: c.Telemetry(),
+		Drain:     c.sessions.Drain,
+		Health:    s.health,
+		Routes:    s.routes,
+		Options:   &s.opts,
 	}, addr, opts...)
 	if err != nil {
 		return nil, err
@@ -199,7 +198,7 @@ func ceiling(value, limit float64, detail string) telemetry.Check {
 // live engine), store_records, and every WithHealthCheck check.
 func (s *Server) health() telemetry.Health {
 	st := s.collector.cfg.Store
-	h := telemetry.Health{Sessions: s.collector.SessionCount()}
+	var h telemetry.Health
 	if s.collector.Telemetry() != nil {
 		age := s.lastIngestAge().Seconds()
 		if limit := s.opts.maxIngestAge; limit > 0 {

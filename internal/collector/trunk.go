@@ -55,19 +55,17 @@ func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 	up := wsproto.Upgrader{MaxMessageSize: trunk.MaxMessage}
 	conn, err := up.Upgrade(w, r)
 	if err != nil {
-		c.tel.rejects.With(RejectUpgrade).Inc()
+		c.reject(RejectUpgrade)
 		c.cfg.Logger.Debug("collector: trunk handshake rejected", "err", err, "remote", r.RemoteAddr)
 		return
 	}
-	if c.draining.Load() {
-		_ = conn.Close(wsproto.CloseGoingAway, "collector shutting down")
+	// Trunks ride the beacon endpoint's tracking, so Drain tears them
+	// down too: the gateway spills unacked commits and replays them
+	// against the restarted collector.
+	if !c.sessions.Track(conn) {
 		return
 	}
-	// Trunks ride the same session tracking as beacon connections, so
-	// Drain tears them down too: the gateway spills unacked commits and
-	// replays them against the restarted collector.
-	c.trackSession(conn)
-	defer c.untrackSession(conn)
+	defer c.sessions.Untrack(conn)
 	c.tel.trunksActive.Add(1)
 	defer c.tel.trunksActive.Add(-1)
 

@@ -4,9 +4,9 @@
 // one ServeMux, the operational routes every tier shares (GET /healthz,
 // GET /metrics, GET /api/metrics) with the adaudit_<tier>_uptime_seconds
 // series, and the shutdown order: stop accepting, Drain the tier's
-// sessions, close. A tier hands it a Tier — what it serves and how it
-// drains — and adds its own routes; nothing else about serving differs
-// between the three daemons.
+// sessions, close. A tier hands it a Tier — its beacon endpoint, what
+// else it serves and how it drains — and adds its own routes; nothing
+// else about serving differs between the three daemons.
 package daemon
 
 import (
@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"time"
 
+	"adaudit/internal/beacon"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
 )
@@ -27,19 +28,18 @@ type Tier struct {
 	// "router"): the tier of /healthz, the middle of the uptime series'
 	// name and the prefix of Serve's errors.
 	Name string
-	// Beacon answers /beacon through net/http; BeaconRoute answers it
-	// in place at the front.
-	Beacon      http.Handler
-	BeaconRoute wsproto.Route
+	// Beacon is the /beacon endpoint, answered in place at the front or
+	// through net/http; what it tracks are /healthz's sessions.
+	Beacon *beacon.Server
 	// Telemetry is served on /metrics and /api/metrics; nil serves
 	// neither.
 	Telemetry *telemetry.Registry
 	// Drain asks in-flight sessions to commit and waits up to grace for
 	// them; it returns what was still undelivered when grace expired.
 	Drain func(grace time.Duration) int
-	// Health reports the tier's sessions and checks (and its ID, if it
-	// has one: the bound address stands in otherwise). The shell fills
-	// in the tier and the uptime.
+	// Health reports the tier's checks (and its ID, if it has one: the
+	// bound address stands in otherwise). The shell fills in the tier,
+	// the uptime and the sessions.
 	Health func() telemetry.Health
 	// Routes, when set, mounts the tier's own endpoints. It runs after
 	// every option is applied, so it may read Options.
@@ -104,7 +104,7 @@ func New(t Tier, addr string, opts ...Option) (*Server, error) {
 	}
 	s := &Server{
 		tier:  t,
-		front: wsproto.NewFront(ln, map[string]wsproto.Route{"/beacon": t.BeaconRoute}),
+		front: wsproto.NewFront(ln, map[string]wsproto.Route{"/beacon": t.Beacon.Route()}),
 		grace: o.drainGrace,
 		start: time.Now(),
 	}
@@ -132,6 +132,7 @@ func (s *Server) health() telemetry.Health {
 		h.ID = s.Addr().String()
 	}
 	h.UptimeSeconds = time.Since(s.start).Seconds()
+	h.Sessions = s.tier.Beacon.Tracked()
 	return h
 }
 

@@ -25,9 +25,11 @@
 // measures exposure as connection lifetime on the real clock and ships
 // the connection-derived facts (peer IP, connect time, exposure) in a
 // self-contained Commit frame, exactly the facts the collector would
-// have derived had the beacon connected directly — because the session
-// loop that measures them is the collector's own, beacon.Server. Only
-// what is done with a finished session (the spill) is this package's.
+// have derived had the beacon connected directly — because the beacon
+// endpoint that accepts, tracks, measures and drains the connection is
+// the collector's own, beacon.Server. This package hands it admission,
+// the shed response, the drain close and what is done with a finished
+// session (the spill).
 package edge
 
 import (
@@ -183,20 +185,13 @@ func (cfg Config) withDefaults() (Config, error) {
 // Edge terminates beacon sessions and forwards them over per-upstream
 // trunk pools.
 type Edge struct {
-	cfg      Config
-	log      *slog.Logger
-	upgrader wsproto.Upgrader
-	// sessions runs every beacon session, on the real clock.
+	cfg Config
+	log *slog.Logger
+	// sessions is the beacon endpoint, on the real clock; it tracks every
+	// beacon session and relayed trunk.
 	sessions beacon.Server
 
-	// Tel.Upgrades' two series, resolved once.
-	upgradesInPlace, upgradesNetHTTP *telemetry.Counter
-
 	pools []*Pool
-
-	draining  atomic.Bool
-	sessMu    sync.Mutex
-	sessConns map[*wsproto.Conn]struct{}
 
 	// streamID numbers every stream this edge originates (beacon
 	// sessions and relayed commits alike); stream 0 is never used.
@@ -216,24 +211,28 @@ func New(cfg Config) (*Edge, error) {
 		return nil, err
 	}
 	e := &Edge{
-		cfg: cfg,
-		log: cfg.Logger.With("tier", cfg.Name),
-		upgrader: wsproto.Upgrader{
-			MaxMessageSize:    cfg.MaxMessageSize,
-			EnableCompression: true,
-		},
-		upgradesInPlace: cfg.Tel.Upgrades.With("in-place"),
-		upgradesNetHTTP: cfg.Tel.Upgrades.With("net-http"),
-		sessConns:       map[*wsproto.Conn]struct{}{},
-		stopCh:          make(chan struct{}),
+		cfg:    cfg,
+		log:    cfg.Logger.With("tier", cfg.Name),
+		stopCh: make(chan struct{}),
 	}
 	e.sessions = beacon.Server{
 		Clock:             simclock.System(),
 		HandshakeTimeout:  cfg.HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
 		MaxExposure:       cfg.MaxExposure,
-		Draining:          e.draining.Load,
-		Events:            cfg.Tel.Events,
+		MaxMessageSize:    cfg.MaxMessageSize,
+		Admit:             e.refusal,
+		Shed:              e.shed,
+		Serve:             e.serveSession,
+		// The resumable close, with the backoff floor the beacon client
+		// parses.
+		DrainClose: wsproto.CloseError{Code: wsproto.CloseServiceRestart,
+			Reason: "draining retry-after=" + cfg.RetryAfterHint.String()},
+		Logger:      e.log,
+		Connections: cfg.Tel.Connections,
+		Active:      cfg.Tel.SessionsActive,
+		Upgrades:    cfg.Tel.Upgrades,
+		Events:      cfg.Tel.Events,
 	}
 	for _, up := range cfg.Upstreams {
 		e.pools = append(e.pools, newPool(e, up))
@@ -256,15 +255,9 @@ func (e *Edge) Config() Config { return e.cfg }
 // Telemetry returns the tier's metrics registry.
 func (e *Edge) Telemetry() *telemetry.Registry { return e.cfg.Telemetry }
 
-// Draining reports whether Drain has begun.
-func (e *Edge) Draining() bool { return e.draining.Load() }
-
-// SessionCount returns the number of live tracked connections.
-func (e *Edge) SessionCount() int {
-	e.sessMu.Lock()
-	defer e.sessMu.Unlock()
-	return len(e.sessConns)
-}
+// Beacon returns the edge's beacon endpoint. The router's trunk relay
+// rides its tracking (Track, Untrack) like a beacon session.
+func (e *Edge) Beacon() *beacon.Server { return &e.sessions }
 
 // spillPending sums unacknowledged commits across every pool.
 func (e *Edge) spillPending() int {
@@ -275,9 +268,14 @@ func (e *Edge) spillPending() int {
 	return n
 }
 
-// shed refuses the request with 503 and the Retry-After hint.
+// shed refuses a request admission turned away: 403 for a foreign
+// origin, else 503 with the Retry-After hint.
 func (e *Edge) shed(w http.ResponseWriter, reason string) {
 	e.cfg.Tel.Sheds.With(reason).Inc()
+	if reason == ShedOrigin {
+		http.Error(w, "origin not allowed", http.StatusForbidden)
+		return
+	}
 	w.Header().Set("Retry-After",
 		strconv.Itoa(int((e.cfg.RetryAfterHint+time.Second-1)/time.Second)))
 	http.Error(w, e.cfg.Name+" "+reason, http.StatusServiceUnavailable)
@@ -312,9 +310,9 @@ func (e *Edge) originAllowed(origin string) bool {
 // paths may ask.
 func (e *Edge) refusal(origin string) string {
 	switch {
-	case e.draining.Load():
+	case e.sessions.Draining():
 		return ShedDraining
-	case e.cfg.MaxSessions > 0 && e.SessionCount() >= e.cfg.MaxSessions:
+	case e.cfg.MaxSessions > 0 && e.sessions.Tracked() >= e.cfg.MaxSessions:
 		return ShedCapacity
 	case e.spillPending() >= e.cfg.SpillLimit:
 		// An upstream has been unreachable long enough to fill the spill
@@ -325,67 +323,6 @@ func (e *Edge) refusal(origin string) string {
 		return ShedOrigin
 	}
 	return ""
-}
-
-// ServeHTTP is the beacon endpoint: admission control, WebSocket
-// upgrade, then a beacon session (beacon.Server).
-func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch reason := e.refusal(r.Header.Get("Origin")); reason {
-	case "":
-	case ShedOrigin:
-		e.cfg.Tel.Sheds.With(ShedOrigin).Inc()
-		http.Error(w, "origin not allowed", http.StatusForbidden)
-		return
-	default:
-		e.shed(w, reason)
-		return
-	}
-	conn, err := e.upgrader.Upgrade(w, r)
-	if err != nil {
-		e.log.Debug("edge: handshake rejected", "err", err, "remote", r.RemoteAddr)
-		return
-	}
-	// On its own goroutine, so that net/http's per-request state is
-	// released for the session's lifetime.
-	go e.serveConn(conn, e.upgradesNetHTTP)
-}
-
-// beaconRoute is the beacon endpoint as the server's accepting front
-// answers it: the admission check and the session of ServeHTTP around
-// an upgrade made in place. What the front does not answer — every
-// refusal among it — reaches ServeHTTP through net/http.
-func (e *Edge) beaconRoute() wsproto.Route {
-	return wsproto.Route{
-		Upgrader: &e.upgrader,
-		Admit:    func(origin string) bool { return e.refusal(origin) == "" },
-		Serve:    func(conn *wsproto.Conn, _ time.Duration) { e.serveConn(conn, e.upgradesInPlace) },
-	}
-}
-
-// TrackSession registers a live connection so Drain closes it and
-// waits for UntrackSession. The router's trunk relay rides the same
-// tracking as beacon sessions.
-func (e *Edge) TrackSession(conn *wsproto.Conn) {
-	e.sessMu.Lock()
-	e.sessConns[conn] = struct{}{}
-	e.sessMu.Unlock()
-	e.cfg.Tel.SessionsActive.Add(1)
-}
-
-// UntrackSession undoes TrackSession when the connection's handler
-// returns.
-func (e *Edge) UntrackSession(conn *wsproto.Conn) {
-	e.sessMu.Lock()
-	delete(e.sessConns, conn)
-	e.sessMu.Unlock()
-	e.cfg.Tel.SessionsActive.Add(-1)
-}
-
-// drainCloseReason is the close-frame reason drained clients receive:
-// the resumable 1012 code plus the backoff floor the beacon client
-// parses.
-func (e *Edge) drainCloseReason() string {
-	return "draining retry-after=" + e.cfg.RetryAfterHint.String()
 }
 
 // PoolFor returns the pool owning a session key: the hash of the
@@ -420,7 +357,7 @@ type Health struct {
 
 // Health reports the edge's degradation level.
 func (e *Edge) Health() Health {
-	h := Health{Health: telemetry.Health{ID: e.cfg.ID, Sessions: e.SessionCount()}}
+	h := Health{Health: telemetry.Health{ID: e.cfg.ID}}
 	for i, p := range e.pools {
 		ph := PoolHealth{
 			ShardID:       i,
@@ -450,41 +387,31 @@ func (e *Edge) Health() Health {
 // its routes and serves it with daemon.New.
 func (e *Edge) Tier() daemon.Tier {
 	return daemon.Tier{
-		Name:        e.cfg.Name,
-		Beacon:      e,
-		BeaconRoute: e.beaconRoute(),
-		Telemetry:   e.cfg.Telemetry,
-		Drain:       e.Drain,
-		Health:      func() telemetry.Health { return e.Health().Health },
-		Close:       e.Close,
+		Name:      e.cfg.Name,
+		Beacon:    &e.sessions,
+		Telemetry: e.cfg.Telemetry,
+		Drain:     e.Drain,
+		Health:    func() telemetry.Health { return e.Health().Health },
+		Close:     e.Close,
 	}
 }
 
-// Drain sheds new sessions, forces live ones to commit and hands them
-// back with a resumable close (1012 + retry-after), then waits up to
-// grace for every spill buffer to empty. It returns the number of
-// commits still unacknowledged when the grace expired — 0 means every
-// impression this edge acked to a client reached its collector.
+// Drain hands every live session back with the resumable close (1012 +
+// retry-after) — each still spills its commit — and sheds new ones, then
+// waits up to grace, on the endpoint's clock, for every spill buffer to
+// empty. It returns the number of commits still unacknowledged when the
+// grace expired: 0 means every impression this edge acked to a client
+// reached its collector.
 func (e *Edge) Drain(grace time.Duration) int {
-	e.draining.Store(true)
-	// Send the resumable close ourselves: unblocking the session's read
-	// with a bare deadline would make wsproto auto-close with a protocol
-	// error before serveConn could speak. Closing the transport is what
-	// breaks the read loop; the commit still happens after it.
-	e.sessMu.Lock()
-	for conn := range e.sessConns {
-		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
-	}
-	e.sessMu.Unlock()
-
-	// A session untracks itself only after its commit is spilled, so no
-	// sessions and an empty spill means nothing acked is undelivered.
-	deadline := time.Now().Add(grace)
-	for (e.SessionCount() > 0 || e.spillPending() > 0) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := e.SessionCount(); n > 0 {
-		e.log.Warn("edge: drain grace expired with sessions still open", "sessions", n)
+	clk := e.sessions.Clock
+	deadline := clk.Now().Add(grace)
+	e.sessions.Drain(grace)
+	// A session untracks itself only after its commit is spilled, so with
+	// the sessions gone an empty spill means nothing acked is undelivered.
+	tick := clk.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for e.spillPending() > 0 && clk.Now().Before(deadline) {
+		<-tick.C()
 	}
 	left := e.spillPending()
 	if left > 0 {

@@ -25,6 +25,7 @@ import (
 	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
 	"adaudit/internal/wsproto"
+	"adaudit/internal/wsproto/wstest"
 )
 
 const testTrunkToken = "trunk-secret"
@@ -103,7 +104,9 @@ func startCollector(t *testing.T, st *store.Store, addr string, mut func(*collec
 type fixtureOptions struct {
 	collector func(*collector.Config)
 	edge      func(*Config)
-	server    []daemon.Option
+	// beacon adjusts the edge's beacon endpoint before it serves.
+	beacon func(*beacon.Server)
+	server []daemon.Option
 	// deadUpstreams points every pool at an address nothing listens on.
 	deadUpstreams bool
 }
@@ -167,6 +170,9 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o.beacon != nil {
+		o.beacon(e.Beacon())
 	}
 	opts := append([]daemon.Option{daemon.WithDrainGrace(time.Second)}, o.server...)
 	srv, err := daemon.New(e.Tier(), "127.0.0.1:0", opts...)
@@ -377,7 +383,7 @@ func TestShedsAtCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer first.Close(wsproto.CloseNormal, "")
-		waitFor(t, 2*time.Second, "first session tracked", func() bool { return f.e.SessionCount() == 1 })
+		waitFor(t, 2*time.Second, "first session tracked", func() bool { return f.e.sessions.Tracked() == 1 })
 
 		if _, resp, err := d.Dial(context.Background(), f.srv.BeaconURL()); err == nil {
 			t.Fatal("second session admitted past MaxSessions")
@@ -428,7 +434,7 @@ func TestDrainHandsSessionsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		// An acknowledged event proves the edge finished the payload
-		// handshake — draining before that would correctly close 1002.
+		// handshake — drained before that, it would have nothing to commit.
 		if err := conn.WriteText(beacon.EncodeEventUpdate(beacon.Event{Kind: beacon.EventClick, At: 5 * time.Millisecond})); err != nil {
 			t.Fatal(err)
 		}
@@ -664,13 +670,6 @@ func TestBreakerCountsTrunksRefusedAtHello(t *testing.T) {
 	}
 }
 
-// stringAddr is a net.Addr that is only its string, like the addresses
-// wrapped transports (faultnet, pipes) report.
-type stringAddr string
-
-func (a stringAddr) Network() string { return "tcp" }
-func (a stringAddr) String() string  { return string(a) }
-
 // TestIPv6SessionEndToEnd: a client on an IPv6 socket is acked and its
 // impression is stored under its IPv6 address, with nothing rejected.
 // At the parent commit the peer was sent as "" and the collector
@@ -714,22 +713,6 @@ func TestIPv6SessionEndToEnd(t *testing.T) {
 	})
 }
 
-// addrlessListener hands out connections whose RemoteAddr is not a
-// host:port at all.
-type addrlessListener struct{ net.Listener }
-
-type addrlessConn struct{ net.Conn }
-
-func (c addrlessConn) RemoteAddr() net.Addr { return stringAddr("pipe") }
-
-func (l addrlessListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return addrlessConn{c}, nil
-}
-
 // TestUnparseablePeerIsNeverAcked: a commit without a usable peer
 // address is one the collector rejects for good, so the session is
 // closed with a policy violation before anything is acked or spilled.
@@ -739,7 +722,7 @@ func TestUnparseablePeerIsNeverAcked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := startTier(t, name, pools, fixtureOptions{server: []daemon.Option{daemon.WithListener(addrlessListener{ln})}})
+		f := startTier(t, name, pools, fixtureOptions{server: []daemon.Option{daemon.WithListener(wstest.AddrlessListener(ln))}})
 		f.waitTrunksUp()
 		d := &wsproto.Dialer{}
 		conn, _, err := d.Dial(context.Background(), f.srv.BeaconURL())
@@ -759,7 +742,7 @@ func TestUnparseablePeerIsNeverAcked(t *testing.T) {
 		if ce.Code != wsproto.ClosePolicyViolation {
 			t.Fatalf("close code = %d, want %d (policy violation), not an ack", ce.Code, wsproto.ClosePolicyViolation)
 		}
-		waitFor(t, 2*time.Second, "session to end", func() bool { return f.e.SessionCount() == 0 })
+		waitFor(t, 2*time.Second, "session to end", func() bool { return f.e.sessions.Tracked() == 0 })
 		if h := f.e.Health(); h.SpillPending != 0 {
 			t.Fatalf("spill_pending = %d, want 0", h.SpillPending)
 		}
@@ -769,5 +752,45 @@ func TestUnparseablePeerIsNeverAcked(t *testing.T) {
 		if f.stored() != 0 {
 			t.Fatalf("stored %d impressions, want 0", f.stored())
 		}
+	})
+}
+
+// TestSessionPanicIsRecovered: a session that panics costs that session
+// alone, told so with an internal-error close. The edge process — and
+// with it every commit it has acked and holds in its spill — survives,
+// and the next session is acked and stored.
+func TestSessionPanicIsRecovered(t *testing.T) {
+	forEachTier(t, func(t *testing.T, name string, pools int) {
+		var panicked atomic.Bool
+		f := startTier(t, name, pools, fixtureOptions{beacon: func(s *beacon.Server) {
+			s.DecodeBinary = func(p *beacon.Payload, msg []byte) (err error) {
+				if panicked.CompareAndSwap(false, true) {
+					panic("injected session failure")
+				}
+				*p, err = beacon.DecodeBinary(msg)
+				return err
+			}
+		}})
+		f.waitTrunksUp()
+		conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), f.srv.BeaconURL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.NetConn().Close()
+		if err := conn.WriteMessage(wsproto.OpBinary, testPayload(8).EncodeBinary()); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var ce *wsproto.CloseError
+		if _, _, err := conn.ReadMessage(); !errors.As(err, &ce) || ce.Code != wsproto.CloseInternalError {
+			t.Fatalf("panicked session ended with %v, want an internal-error close", err)
+		}
+
+		client := &beacon.Client{CollectorURL: f.srv.BeaconURL(), Wire: beacon.WireBinary}
+		if err := client.Report(context.Background(), testPayload(9), 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, "the next impression to land", func() bool { return f.stored() == 1 })
+		waitFor(t, 2*time.Second, "both sessions to be untracked", func() bool { return f.e.sessions.Tracked() == 0 })
 	})
 }

@@ -37,7 +37,7 @@ func TestFrontRefusalsAreTheHandlers(t *testing.T) {
 			cfg.AllowedOrigins = []string{"ads.example.com"}
 			cfg.MaxSessions = 1
 		}})
-		ref, addr := wstest.HandlerAlone(t, f.e), f.srv.Addr().String()
+		ref, addr := wstest.HandlerAlone(t, &f.e.sessions), f.srv.Addr().String()
 		allowed := "Origin: https://ads.example.com\r\n"
 
 		cases := []struct{ name, raw, status, has, shed string }{
@@ -78,7 +78,7 @@ func TestFrontRefusalsAreTheHandlers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close(wsproto.CloseNormal, "")
-		waitFor(t, 2*time.Second, "the session to be tracked", func() bool { return f.e.SessionCount() == 1 })
+		waitFor(t, 2*time.Second, "the session to be tracked", func() bool { return f.e.sessions.Tracked() == 1 })
 		if in, via := f.upgrades(); in != 1 || via != 0 {
 			t.Fatalf("upgrades: %d in place, %d through net/http; want 1, 0", in, via)
 		}
@@ -148,16 +148,10 @@ func TestFrontBothPathsCommit(t *testing.T) {
 func TestUpgradeRacingDrain(t *testing.T) {
 	forEachTier(t, func(t *testing.T, name string, pools int) {
 		f := startTier(t, name, pools, fixtureOptions{})
-		// The flag goes up between admission and the session: an http
-		// handler that upgrades, then drains, then runs the shared tail.
+		// The flag goes up between admission and the session: the drain
+		// begins as the upgrade takes the connection over.
 		raced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			conn, err := f.e.upgrader.Upgrade(w, r)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.e.draining.Store(true)
-			f.e.serveConn(conn, f.e.upgradesNetHTTP)
+			f.e.sessions.ServeHTTP(drainOnHijack{w, f.e}, r)
 		}))
 		defer raced.Close()
 		conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), "ws"+strings.TrimPrefix(raced.URL, "http"))
@@ -169,9 +163,9 @@ func TestUpgradeRacingDrain(t *testing.T) {
 		if _, _, err := conn.ReadMessage(); !errors.As(err, &ce) || ce.Code != wsproto.CloseServiceRestart || ce.Reason != "draining retry-after=2s" {
 			t.Fatalf("raced upgrade ended with %v, want the 1012 drain close", err)
 		}
-		waitFor(t, 2*time.Second, "the raced connection to be untracked", func() bool { return f.e.SessionCount() == 0 })
+		waitFor(t, 2*time.Second, "the raced connection to be untracked", func() bool { return f.e.sessions.Tracked() == 0 })
 
-		ref := wstest.HandlerAlone(t, f.e)
+		ref := wstest.HandlerAlone(t, &f.e.sessions)
 		got, want := wstest.Exchange(t, f.srv.Addr().String(), wstest.Closing(wstest.UpgradeHead(""))), wstest.Exchange(t, ref, wstest.Closing(wstest.UpgradeHead("")))
 		if got != want || !strings.HasSuffix(got, name+" "+ShedDraining+"\n") {
 			t.Errorf("draining shed through the front\n%q\nfrom the handler alone\n%q", got, want)
@@ -180,6 +174,18 @@ func TestUpgradeRacingDrain(t *testing.T) {
 			t.Errorf("%d upgrades answered in place while draining", in)
 		}
 	})
+}
+
+// drainOnHijack begins the edge's drain when the upgrade hijacks the
+// connection: after admission, before the session.
+type drainOnHijack struct {
+	http.ResponseWriter
+	e *Edge
+}
+
+func (w drainOnHijack) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	w.e.sessions.Drain(0)
+	return w.ResponseWriter.(http.Hijacker).Hijack()
 }
 
 // TestShutdownWithConnectionMidHead: a connection parked in its request
@@ -233,8 +239,8 @@ func TestWithListenerStillInjectsFaults(t *testing.T) {
 		if resets, _, _, _ := plan.Stats(); resets == 0 {
 			t.Fatal("the plan injected nothing: the front lost the listener's wrapping")
 		}
-		if n := f.tel.Connections.Load(); n != 0 || f.e.SessionCount() != 0 {
-			t.Fatalf("connections = %d, sessions = %d; want none", n, f.e.SessionCount())
+		if n := f.tel.Connections.Load(); n != 0 || f.e.sessions.Tracked() != 0 {
+			t.Fatalf("connections = %d, sessions = %d; want none", n, f.e.sessions.Tracked())
 		}
 	})
 }

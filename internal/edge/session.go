@@ -1,52 +1,21 @@
 package edge
 
 import (
-	"errors"
+	"net/netip"
 	"time"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
 	"adaudit/internal/trunk"
-	"adaudit/internal/wsproto"
 )
 
-// serveConn is a beacon connection's life from the completed upgrade
-// on, whichever path (counted on via) made it: one session on the shared
-// loop (beacon.Server), then the commit handoff into the owning pool's
-// spill. Nothing goes upstream before that: the finished connection is
-// the unit of record, and its commit carries every event.
-func (e *Edge) serveConn(conn *wsproto.Conn, via *telemetry.Counter) {
-	via.Inc()
-	e.cfg.Tel.Connections.Add(1)
-	// Tracked before the drain check: a connection that races Drain is
-	// then either closed by it or sees the flag, never neither.
-	e.TrackSession(conn)
-	defer e.UntrackSession(conn)
-	if e.draining.Load() {
-		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
-		return
-	}
-	// A commit whose peer address the collector cannot parse is rejected
-	// for good, so such a session must end before anything is acked. The
-	// collector parses what is sent here with netip.ParseAddr.
-	peer, err := wsproto.PeerAddr(conn.RemoteAddr())
-	if err != nil {
-		e.log.Warn("edge: refusing session", "err", err)
-		_ = conn.Close(wsproto.ClosePolicyViolation, "bad peer address")
-		return
-	}
+// serveSession is an opened beacon session at the edge: the shared loop
+// (beacon.Server) runs it, then its commit is handed into the owning
+// pool's spill. Nothing goes upstream before that: the finished
+// connection is the unit of record, and its commit carries every event.
+// The collector parses the peer address sent here with netip.ParseAddr.
+func (e *Edge) serveSession(sess *beacon.ServerSession, peer netip.Addr) {
 	remote := peer.String()
-	sess, err := e.sessions.Open(conn)
-	if errors.Is(err, beacon.ErrNoPayload) {
-		_ = conn.Close(wsproto.ClosePolicyViolation, "no payload")
-		return
-	}
-	if err != nil {
-		e.log.Debug("edge: bad payload", "err", err, "remote", remote)
-		_ = conn.Close(wsproto.ClosePolicyViolation, "bad payload")
-		return
-	}
 	payload := &sess.Payload
 	// The nonce is both the shard key and what lets a commit replayed to
 	// a restarted collector (its stream dedup gone) merge instead of
@@ -83,14 +52,8 @@ func (e *Edge) serveConn(conn *wsproto.Conn, via *telemetry.Counter) {
 		Payload:     string(payload.AppendBinary(enc[:0])),
 		Stages:      stages,
 	})
-	// Spill before closing the client: once the commit is in the pool's
-	// spill buffer the replay loop guarantees delivery, so the close
-	// handshake the client treats as its ack is never a lie.
+	// Spilled before the endpoint closes the client: once the commit is
+	// in the pool's spill buffer the replay loop guarantees delivery, so
+	// the close the client treats as its ack is never a lie.
 	p.Spill(stream, commit)
-
-	if e.draining.Load() {
-		_ = conn.Close(wsproto.CloseServiceRestart, e.drainCloseReason())
-	} else {
-		_ = conn.Close(wsproto.CloseNormal, "")
-	}
 }

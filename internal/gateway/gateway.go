@@ -89,8 +89,8 @@ type Config struct {
 }
 
 // Gateway terminates beacon sessions and forwards them over trunks: an
-// edge.Edge with one pool. ServeHTTP, SessionCount, Telemetry, Health,
-// Drain and Close are the core's.
+// edge.Edge with one pool. Beacon, Telemetry, Health, Drain and Close
+// are the core's.
 type Gateway struct{ *edge.Edge }
 
 // New validates cfg and returns a started Gateway: trunk runners and

@@ -76,9 +76,8 @@ type Config struct {
 
 // Router terminates beacon sessions and gateway trunks and multiplexes
 // them onto per-shard trunk pools: an edge.Edge with one pool per shard
-// plus the relay state. ServeHTTP, SessionCount (beacon sessions and
-// relayed gateway trunks), Telemetry, Health, Drain and Close are the
-// core's.
+// plus the relay state. Beacon (whose tracking covers relayed gateway
+// trunks too), Telemetry, Health, Drain and Close are the core's.
 type Router struct {
 	*edge.Edge
 

@@ -51,15 +51,13 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 		cfg.Logger.Debug("router: trunk handshake rejected", "err", err, "remote", req.RemoteAddr)
 		return
 	}
-	if r.Draining() {
-		_ = conn.Close(wsproto.CloseGoingAway, "router shutting down")
+	// Relayed trunks ride the beacon endpoint's tracking, so Drain tears
+	// them down too: the gateway spills unacked commits and replays them
+	// against another router.
+	if !r.Beacon().Track(conn) {
 		return
 	}
-	// Relayed trunks ride the same session tracking as beacon
-	// connections, so Drain tears them down too: the gateway spills
-	// unacked commits and replays them against another router.
-	r.TrackSession(conn)
-	defer r.UntrackSession(conn)
+	defer r.Beacon().Untrack(conn)
 	r.relayTrunks.Add(1)
 	defer r.relayTrunks.Add(-1)
 

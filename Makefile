@@ -27,14 +27,15 @@ bench-compare:
 
 # chaos runs the fault-injection suite under the race detector: the
 # faultnet layer's own tests plus the end-to-end chaos campaign
-# (proxy-injected kills/resets, beacon reconnects, WAL crash recovery).
+# (listener-injected kills/resets, beacon reconnects, WAL crash recovery).
 chaos:
 	sh scripts/check.sh -chaos
 
 # sim runs the deterministic simulation sweep: 25 seeded schedules
 # through the full beacon -> collector -> store -> audit pipeline under
 # -race with the invariant oracle watching, plus the trace-digest
-# determinism gate. Reproduce a failing seed with:
+# determinism gate and 20 race runs of the virtual-clock gateway wire
+# schedules. Reproduce a failing seed with:
 #   go test ./internal/simtest -run TestSim -seed=<n> [-only=<sessions>]
 sim:
 	sh scripts/check.sh -sim

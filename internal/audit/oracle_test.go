@@ -55,16 +55,8 @@ func refBehaviorStateOf(a *Auditor, campaignID string) refBehaviorState {
 		slot++
 		return true
 	})
-	if campaignID == "" {
-		for _, cid := range a.Store.ConvertingCampaigns() {
-			for _, c := range a.Store.Conversions(cid) {
-				s.UserConvs[c.UserKey]++
-			}
-		}
-	} else {
-		for _, c := range a.Store.Conversions(campaignID) {
-			s.UserConvs[c.UserKey]++
-		}
+	for _, c := range a.Store.Conversions(campaignID) { // "" is every campaign's
+		s.UserConvs[c.UserKey]++
 	}
 	return s
 }

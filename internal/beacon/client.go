@@ -47,7 +47,7 @@ type Client struct {
 	// CollectorURL is the ws:// endpoint of the collector.
 	CollectorURL string
 	// Dialer customises the underlying WebSocket dial (e.g. NetDial for
-	// tests, WrapConn for fault injection). The zero value works.
+	// tests on internal/memnet). The zero value works.
 	Dialer wsproto.Dialer
 	// MaxAttempts bounds connection attempts per impression — the
 	// initial dial plus retries after dial or mid-session failures.
@@ -63,10 +63,8 @@ type Client struct {
 	// Jitter overrides the jitter draw (a func returning [0,1)); nil
 	// uses math/rand. Tests pin it for determinism.
 	Jitter func() float64
-	// Clock schedules the backoff sleeps; nil uses the real clock.
-	// Exposure holds stay on real time regardless — only the retry
-	// discipline is virtualized, so tests can prove backoff timing
-	// without slowing the impression itself.
+	// Clock times the backoff sleeps, the exposure holds and the event
+	// offsets; nil uses the real clock.
 	Clock simclock.Clock
 	// Tracer, when set, samples impressions for end-to-end pipeline
 	// tracing: a sampled payload carries a trace ID and send timestamp
@@ -159,18 +157,8 @@ func (c *Client) backoff(retry int) time.Duration {
 // jittered schedule when it asks for more patience: the server knows
 // when it will have capacity again, the client's schedule is a guess.
 func (c *Client) sleepBackoff(ctx context.Context, retry int, floor time.Duration) error {
-	d := c.backoff(retry)
-	if floor > d {
-		d = floor
-	}
-	t := simclock.Or(c.Clock).NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C():
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	// A session with no connection never dies: its Hold is a plain wait.
+	return (&Session{clk: simclock.Or(c.Clock)}).Hold(ctx, max(c.backoff(retry), floor))
 }
 
 // parseRetryAfterValue parses a server retry hint: integer seconds (the
@@ -225,6 +213,7 @@ func (c *Client) stampTrace(p *Payload) {
 // Session is a live beacon connection for one ad impression.
 type Session struct {
 	conn *wsproto.Conn
+	clk  simclock.Clock // the client's, which times Hold
 	// binary is true when the session negotiated the binary wire; event
 	// updates then go out as binary frames too.
 	binary bool
@@ -333,7 +322,7 @@ func (c *Client) openOnce(ctx context.Context, p Payload) (*Session, time.Durati
 	// The session's reader only services control frames and discards
 	// whatever else arrives, so it can recycle one read buffer.
 	conn.ReuseReadBuffer()
-	sess := &Session{conn: conn, binary: binary, dead: make(chan struct{})}
+	sess := &Session{conn: conn, clk: simclock.Or(c.Clock), binary: binary, dead: make(chan struct{})}
 	go sess.serviceControlFrames()
 	return sess, 0, nil
 }
@@ -359,10 +348,10 @@ func (s *Session) SendEvent(e Event) error {
 // way — so callers can reconnect instead of sleeping through a dead
 // link.
 func (s *Session) Hold(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
+	t := s.clk.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-t.C():
 		return nil
 	case <-s.dead:
 		return ErrSessionDead
@@ -401,7 +390,7 @@ func (c *Client) Report(ctx context.Context, p Payload, exposure time.Duration) 
 	// path keeps a single causal trace for the impression.
 	c.stampTrace(&p)
 
-	start := time.Now()
+	start := simclock.Or(c.Clock).Now()
 	sent := 0 // events already delivered on a previous connection
 	reconnects := 0
 	for {
@@ -446,7 +435,7 @@ func (c *Client) Report(ctx context.Context, p Payload, exposure time.Duration) 
 func (c *Client) runExposure(ctx context.Context, sess *Session, events []Event, sent *int, start time.Time, exposure time.Duration) error {
 	for *sent < len(events) {
 		e := events[*sent]
-		if wait := e.At - time.Since(start); wait > 0 {
+		if wait := e.At - sess.clk.Since(start); wait > 0 {
 			if err := sess.Hold(ctx, wait); err != nil {
 				return err
 			}
@@ -456,7 +445,7 @@ func (c *Client) runExposure(ctx context.Context, sess *Session, events []Event,
 		}
 		*sent++
 	}
-	if remaining := exposure - time.Since(start); remaining > 0 {
+	if remaining := exposure - sess.clk.Since(start); remaining > 0 {
 		return sess.Hold(ctx, remaining)
 	}
 	return nil

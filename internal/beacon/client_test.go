@@ -2,12 +2,14 @@ package beacon
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"adaudit/internal/memnet"
 	"adaudit/internal/wsproto"
 )
 
@@ -20,35 +22,48 @@ type collectStub struct {
 
 func newCollectStub(t *testing.T) *collectStub {
 	t.Helper()
-	cs := &collectStub{
-		payloads: make(chan Payload, 16),
-		events:   make(chan Event, 16),
+	cs := &collectStub{payloads: make(chan Payload, 16), events: make(chan Event, 16)}
+	cs.srv = httptest.NewServer(cs)
+	t.Cleanup(cs.srv.Close)
+	return cs
+}
+
+func (cs *collectStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	conn, err := (&wsproto.Upgrader{MaxMessageSize: 1 << 16}).Upgrade(w, r)
+	if err != nil {
+		return
 	}
-	up := &wsproto.Upgrader{MaxMessageSize: 1 << 16}
-	cs.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		conn, err := up.Upgrade(w, r)
+	defer conn.Close(wsproto.CloseNormal, "")
+	for {
+		_, msg, err := conn.ReadMessage()
 		if err != nil {
 			return
 		}
-		defer conn.Close(wsproto.CloseNormal, "")
-		for {
-			_, msg, err := conn.ReadMessage()
-			if err != nil {
-				return
+		if e, isEvent, err := DecodeEventUpdate(string(msg)); isEvent {
+			if err == nil {
+				cs.events <- e
 			}
-			if e, isEvent, err := DecodeEventUpdate(string(msg)); isEvent {
-				if err == nil {
-					cs.events <- e
-				}
-				continue
-			}
-			if p, err := Decode(string(msg)); err == nil {
-				cs.payloads <- p
-			}
+			continue
 		}
-	}))
-	t.Cleanup(cs.srv.Close)
-	return cs
+		if p, err := Decode(string(msg)); err == nil {
+			cs.payloads <- p
+		}
+	}
+}
+
+// serveMem serves h on an in-memory network and returns the URL a
+// client dials it at and the dial that reaches it.
+func serveMem(t *testing.T, h http.Handler) (string, func(context.Context, string, string) (net.Conn, error)) {
+	t.Helper()
+	nw := &memnet.Network{Buffer: 64 << 10}
+	ln, err := nw.Listen("collector:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: h}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	return "ws://collector:80/beacon", nw.Dial
 }
 
 func (cs *collectStub) wsURL() string {

@@ -213,9 +213,14 @@ func TestReportReconnectsAndResumesExposureClock(t *testing.T) {
 }
 
 func TestReportSingleAttemptKeepsLegacyWireFormat(t *testing.T) {
-	cs := newCollectStub(t)
-	c := &Client{CollectorURL: cs.wsURL()}
-	if err := c.Report(context.Background(), samplePayload(), 10*time.Millisecond); err != nil {
+	cs := &collectStub{payloads: make(chan Payload, 1), events: make(chan Event, 2)}
+	url, dial := serveMem(t, cs)
+	c := &Client{CollectorURL: url, Dialer: wsproto.Dialer{NetDial: dial}}
+	// The payload's events sit 1.2 s and 3.4 s in: virtual time.
+	_, _, stop := virtualDialTimes(c)
+	err := c.Report(context.Background(), samplePayload(), 10*time.Millisecond)
+	stop()
+	if err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -250,7 +255,13 @@ func TestReportPropagatesCloseErrorOnSuccessPath(t *testing.T) {
 		Dialer: wsproto.Dialer{
 			// Handshake request + payload frame succeed; the close
 			// frame hits a dead link.
-			WrapConn: func(nc net.Conn) net.Conn { return &failAfterWrites{Conn: nc, n: 2} },
+			NetDial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				nc, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return &failAfterWrites{Conn: nc, n: 2}, nil
+			},
 		},
 	}
 	err := c.Report(context.Background(), samplePayload(), 0)

@@ -56,10 +56,11 @@ func TestRetryAfterFromReason(t *testing.T) {
 	}
 }
 
-// virtualDialTimes wraps a client with a virtual backoff clock and
-// records the virtual instant of every dial, with a background driver
-// advancing the clock in small steps so backoff timers eventually fire.
-// stop must be called before reading the recorded times.
+// virtualDialTimes puts a client on a virtual clock — its backoff,
+// exposure holds and event offsets — and records the virtual instant of
+// every dial, with a background driver advancing the clock in small
+// steps so those timers eventually fire. stop must be called before
+// reading the recorded times.
 func virtualDialTimes(c *Client) (v *simclock.Virtual, times *[]time.Time, stop func()) {
 	v = simclock.NewVirtual(time.Time{})
 	c.Clock = v
@@ -145,7 +146,7 @@ func TestOpenHonorsRetryAfterHeader(t *testing.T) {
 func TestReportHonorsCloseFrameRetryAfter(t *testing.T) {
 	var conns atomic.Int32
 	up := &wsproto.Upgrader{MaxMessageSize: 1 << 16}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	url, dial := serveMem(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		conn, err := up.Upgrade(w, r)
 		if err != nil {
 			return
@@ -163,9 +164,8 @@ func TestReportHonorsCloseFrameRetryAfter(t *testing.T) {
 			}
 		}
 	}))
-	defer srv.Close()
 
-	c := fastRetry(&Client{CollectorURL: "ws" + strings.TrimPrefix(srv.URL, "http")}, 4)
+	c := fastRetry(&Client{CollectorURL: url, Dialer: wsproto.Dialer{NetDial: dial}}, 4)
 	_, dials, stop := virtualDialTimes(c)
 	err := c.Report(context.Background(), samplePayload(), 100*time.Millisecond)
 	stop()

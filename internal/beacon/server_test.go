@@ -13,10 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"adaudit/internal/memnet"
 	"adaudit/internal/simclock"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
-	"adaudit/internal/wsproto/wstest"
 )
 
 // virtualConn is a server transport whose read deadline runs on a
@@ -481,12 +481,16 @@ func TestServerDrainPastAStalledPeer(t *testing.T) {
 			ends <- end
 		},
 	}
-	// Over pipes a write blocks until the far end reads it.
-	ln := wstest.NewPipeListener()
+	// Unbuffered, a write blocks until the far end reads it.
+	var nw memnet.Network
+	ln, err := nw.Listen("tier:80")
+	if err != nil {
+		t.Fatal(err)
+	}
 	url := serveOn(t, srv, ln)
 	dial := func(creative string, msgs ...string) *wsproto.Conn {
 		t.Helper()
-		conn, _, err := (&wsproto.Dialer{NetDial: ln.Dial}).Dial(context.Background(), url)
+		conn, _, err := (&wsproto.Dialer{NetDial: nw.Dial}).Dial(context.Background(), url)
 		if err != nil {
 			t.Fatal(err)
 		}

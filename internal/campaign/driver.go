@@ -4,16 +4,14 @@
 // the paper's §3.1 measurement-loss model on the way — and bundles the
 // resulting dataset with the vendor reports for the audit package.
 //
-// Two replay paths exist. The default direct path calls the collector's
-// ingest funnel with virtual timestamps, which scales to the paper's
-// 160K-impression workload in milliseconds. The wire path drives real
-// WebSocket connections through the full network stack for a subset of
-// impressions, proving the direct path measures the same thing the
-// sockets would.
+// The replay calls the collector's ingest funnel with virtual
+// timestamps, which scales to the paper's 160K-impression workload in
+// milliseconds. Its payloads (PayloadFor) are what the beacon sends over
+// the wire; the package's tests report a sample through a real beacon
+// session to prove both paths record the same thing.
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -257,44 +255,6 @@ func PayloadFor(c *adnet.Campaign, del *adnet.Delivery) beacon.Payload {
 		UserAgent:  del.Device.UserAgent,
 		Events:     events,
 	}
-}
-
-// ReplayOverWire drives up to limit impressions of a campaign result
-// through real WebSocket connections to collectorURL, holding each
-// connection for a compressed exposure (exposureScale maps simulated
-// seconds to wall time; e.g. 0.001 turns 5 s of exposure into 5 ms).
-// It returns the number of impressions successfully reported.
-//
-// Wire replay exists to validate the direct ingest path end to end; the
-// timestamps/exposures recorded by the collector come from real
-// connection lifetimes, so they reflect wall time, not the simulated
-// flight.
-func ReplayOverWire(ctx context.Context, collectorURL string, res *adnet.CampaignResult, limit int, exposureScale float64) (int, error) {
-	if exposureScale <= 0 {
-		return 0, fmt.Errorf("campaign: exposure scale must be positive")
-	}
-	client := &beacon.Client{CollectorURL: collectorURL}
-	sent := 0
-	for i := range res.Deliveries {
-		if sent >= limit {
-			break
-		}
-		del := &res.Deliveries[i]
-		if del.Device.BeaconBlocked {
-			continue
-		}
-		p := PayloadFor(&res.Campaign, del)
-		// Scale event offsets along with the exposure.
-		for j := range p.Events {
-			p.Events[j].At = time.Duration(float64(p.Events[j].At) * exposureScale)
-		}
-		exposure := time.Duration(float64(del.Exposure) * exposureScale)
-		if err := client.Report(ctx, p, exposure); err != nil {
-			return sent, fmt.Errorf("campaign: wire replay of delivery %d: %w", i, err)
-		}
-		sent++
-	}
-	return sent, nil
 }
 
 // RunAllParallel executes campaigns concurrently, as the paper's

@@ -7,10 +7,14 @@ import (
 	"time"
 
 	"adaudit/internal/adnet"
+	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/daemon"
 	"adaudit/internal/ipmeta"
+	"adaudit/internal/memnet"
 	"adaudit/internal/publisher"
 	"adaudit/internal/store"
+	"adaudit/internal/wsproto"
 )
 
 type fixture struct {
@@ -206,42 +210,59 @@ func TestDriverRequiresComponents(t *testing.T) {
 	}
 }
 
+// TestWireReplayMatchesDirectPath: the payloads PayloadFor builds reach
+// the store over a real beacon session as they do through the direct
+// path — enriched, with publishers the universe knows.
 func TestWireReplayMatchesDirectPath(t *testing.T) {
 	f := newFixture(t)
 	res, err := f.network.Run(smallCampaign("wire", 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eligible := 0
-	for i := range res.Deliveries {
-		if !res.Deliveries[i].Device.BeaconBlocked {
-			eligible++
-		}
+	var nw memnet.Network // unbuffered: a session is tracked once its payload is read
+	ln, err := nw.Listen("collector:80")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if eligible < 25 {
-		t.Fatalf("fixture too small: only %d unblocked deliveries", eligible)
-	}
-
-	srv, err := collector.NewServer(f.coll, "127.0.0.1:0")
+	srv, err := collector.NewServer(f.coll, "", daemon.WithListener(ln))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx) }()
 
 	const limit = 25
-	sent, err := ReplayOverWire(ctx, srv.BeaconURL(), res, limit, 0.001)
-	if err != nil {
-		t.Fatal(err)
+	client := &beacon.Client{CollectorURL: srv.BeaconURL(), Dialer: wsproto.Dialer{NetDial: nw.Dial}}
+	sent := 0
+	for i := 0; i < len(res.Deliveries) && sent < limit; i++ {
+		if res.Deliveries[i].Device.BeaconBlocked {
+			continue
+		}
+		p := PayloadFor(&res.Campaign, &res.Deliveries[i])
+		events := p.Events
+		p.Events = nil
+		sess, err := client.Open(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if err := sess.SendEvent(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sent++
 	}
 	if sent != limit {
-		t.Fatalf("sent %d, want %d", sent, limit)
+		t.Fatalf("fixture too small: only %d unblocked deliveries", sent)
 	}
-	// Records land asynchronously on disconnect.
-	deadline := time.Now().Add(5 * time.Second)
-	for f.store.Len() < limit && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// Shutdown drains: every session commits before Serve returns.
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 	if f.store.Len() != limit {
 		t.Fatalf("store has %d of %d wire records", f.store.Len(), limit)
@@ -254,12 +275,6 @@ func TestWireReplayMatchesDirectPath(t *testing.T) {
 		if im.IPPseudonym == "" || im.UserKey == "" {
 			t.Fatal("wire record not enriched")
 		}
-	}
-}
-
-func TestWireReplayValidatesScale(t *testing.T) {
-	if _, err := ReplayOverWire(context.Background(), "ws://x", &adnet.CampaignResult{}, 1, 0); err == nil {
-		t.Fatal("zero exposure scale accepted")
 	}
 }
 

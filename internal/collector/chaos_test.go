@@ -3,20 +3,22 @@ package collector
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/store"
 )
 
 // TestChaosCampaignSurvivesFaultsAndCrash is the end-to-end resilience
-// proof: a fleet of beacons reports a campaign through a chaos proxy
-// that kills and resets their connections mid-exposure, the collector
+// proof: a fleet of beacons reports a campaign to a collector whose
+// listener kills and resets their connections mid-exposure, the collector
 // journals every commit to a WAL, and after the run the WAL is replayed
 // into a fresh store as if the daemon had crashed. The invariant under
 // test: every impression a beacon got acknowledged (Report returned
@@ -38,14 +40,27 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 	c, err := New(Config{
 		Store:      st,
 		Anonymizer: ipmeta.NewAnonymizer([]byte("chaos")),
-		// Fast keepalive so sessions severed by the proxy are detected
-		// and committed promptly rather than lingering to the test end.
+		// Fast keepalive so severed sessions are detected and committed
+		// promptly rather than lingering to the test end.
 		KeepAliveInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(c, "127.0.0.1:0")
+	// The chaos layer, on every connection the collector accepts: each
+	// beacon connection dies 60–180 ms in, and a few writes are reset on
+	// top.
+	plan := &faultnet.Plan{
+		Seed:           20160329,
+		KillAfter:      60 * time.Millisecond,
+		KillJitter:     120 * time.Millisecond,
+		ResetWriteProb: 0.02,
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(c, "", daemon.WithListener(plan.Listen(ln)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,21 +70,6 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 		defer close(served)
 		_ = srv.Serve(ctx)
 	}()
-
-	// The chaos layer: every beacon connection dies 60–180 ms in, and
-	// a few writes are torn or reset on top.
-	plan := &faultnet.Plan{
-		Seed:           20160329,
-		KillAfter:      60 * time.Millisecond,
-		KillJitter:     120 * time.Millisecond,
-		ResetWriteProb: 0.02,
-	}
-	proxy, err := faultnet.NewProxy("127.0.0.1:0", srv.Addr().String(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	proxyURL := fmt.Sprintf("ws://%s/beacon", proxy.Addr())
 
 	const fleet = 24
 	type outcome struct {
@@ -83,7 +83,7 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cl := &beacon.Client{
-				CollectorURL:    proxyURL,
+				CollectorURL:    srv.BeaconURL(),
 				MaxAttempts:     10,
 				RetryBackoff:    5 * time.Millisecond,
 				RetryBackoffMax: 40 * time.Millisecond,

@@ -15,6 +15,7 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
+	"adaudit/internal/memnet"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 	"adaudit/internal/wsproto/wstest"
@@ -277,9 +278,13 @@ func TestDrainedSessionClosesGoingAway(t *testing.T) {
 // still closes a beacon session going-away and commits it, and returns
 // when its grace runs out, counting the trunk as still open.
 func TestDrainPastAStalledTrunk(t *testing.T) {
-	ln := wstest.NewPipeListener() // a write blocks until the far end reads it
+	var nw memnet.Network // unbuffered: a write blocks until the far end reads it
+	ln, err := nw.Listen("collector:80")
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, c := newHardenedServer(t, nil, daemon.WithListener(ln))
-	dialer := &wsproto.Dialer{NetDial: ln.Dial}
+	dialer := &wsproto.Dialer{NetDial: nw.Dial}
 	tr, _, err := dialer.Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/trunk/trunktest"
 	"adaudit/internal/wsproto"
-	"adaudit/internal/wsproto/wstest"
 )
 
 // newHardenedServer boots a full Server around a testCollector with the
@@ -291,7 +290,7 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 		{Port: 9}, // no IP at all
 	} {
 		got, gotErr := wsproto.PeerAddr(tcp)
-		want, wantErr := wsproto.PeerAddr(wstest.StringAddr(tcp.String()))
+		want, wantErr := wsproto.PeerAddr(&net.UnixAddr{Name: tcp.String(), Net: "tcp"})
 		if got != want || (gotErr == nil) != (wantErr == nil) {
 			t.Errorf("%v: fast path (%v, %v), string parse (%v, %v)", tcp, got, gotErr, want, wantErr)
 		}
@@ -299,7 +298,7 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 			t.Errorf("%v: %v left mapped", tcp, got)
 		}
 	}
-	if _, err := wsproto.PeerAddr(wstest.StringAddr("pipe")); err == nil {
+	if _, err := wsproto.PeerAddr(&net.UnixAddr{Name: "pipe", Net: "tcp"}); err == nil {
 		t.Error("an unparseable wrapped address was accepted")
 	}
 }

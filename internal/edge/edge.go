@@ -22,7 +22,7 @@
 // daemon shell (Tier), whose /healthz schema is every daemon's.
 //
 // The tier is trusted infrastructure, unlike the clients it fronts: it
-// measures exposure as connection lifetime on the real clock and ships
+// measures exposure as connection lifetime on its clock and ships
 // the connection-derived facts (peer IP, connect time, exposure) in a
 // self-contained Commit frame, exactly the facts the collector would
 // have derived had the beacon connected directly — because the beacon
@@ -103,6 +103,7 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	RetryAfterHint   time.Duration
+	Clock            simclock.Clock
 
 	Logger *slog.Logger
 	// Telemetry is the registry the tier built Tel and every Upstream's
@@ -179,6 +180,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
+	cfg.Clock = simclock.Or(cfg.Clock)
 	return cfg, nil
 }
 
@@ -187,8 +189,8 @@ func (cfg Config) withDefaults() (Config, error) {
 type Edge struct {
 	cfg Config
 	log *slog.Logger
-	// sessions is the beacon endpoint, on the real clock; it tracks every
-	// beacon session and relayed trunk.
+	// sessions is the beacon endpoint; it tracks every beacon session and
+	// relayed trunk.
 	sessions beacon.Server
 
 	pools []*Pool
@@ -216,7 +218,7 @@ func New(cfg Config) (*Edge, error) {
 		stopCh: make(chan struct{}),
 	}
 	e.sessions = beacon.Server{
-		Clock:             simclock.System(),
+		Clock:             cfg.Clock,
 		HandshakeTimeout:  cfg.HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
 		MaxExposure:       cfg.MaxExposure,

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/simclock"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
@@ -103,7 +102,7 @@ func (p *Pool) Spill(stream uint64, frame []byte) {
 	p.e.cfg.Tel.Commits.Add(1)
 	p.tel.Commits.Add(1)
 	p.spillMu.Lock()
-	p.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
+	p.spill[stream] = &spillEntry{frame: frame, enqueued: p.e.cfg.Clock.Now()}
 	p.spillMu.Unlock()
 	p.wakeReplay()
 }
@@ -117,7 +116,7 @@ func (p *Pool) Respill(stream uint64, frame []byte) {
 	p.spillMu.Lock()
 	_, held := p.spill[stream]
 	if !held {
-		p.spill[stream] = &spillEntry{frame: frame, enqueued: time.Now()}
+		p.spill[stream] = &spillEntry{frame: frame, enqueued: p.e.cfg.Clock.Now()}
 	}
 	p.spillMu.Unlock()
 	if !held {
@@ -135,7 +134,7 @@ func (p *Pool) resolve(stream uint64, acked bool, reason string) {
 	switch {
 	case ok && acked:
 		p.tel.Acks.Add(1)
-		p.tel.Forward.ObserveDuration(time.Since(e.enqueued))
+		p.tel.Forward.ObserveDuration(p.e.cfg.Clock.Since(e.enqueued))
 	case ok:
 		p.tel.Rejects.Add(1)
 		p.log.Warn("edge: upstream rejected commit", "stream", stream, "reason", reason)
@@ -177,14 +176,14 @@ func (p *Pool) healthyTrunks() int {
 // nonce dedup absorb the replays a lost ack still forces.
 func (p *Pool) replayLoop() {
 	defer p.e.runnersWG.Done()
-	tick := time.NewTicker(p.e.cfg.ReplayInterval)
+	tick := p.e.cfg.Clock.NewTicker(p.e.cfg.ReplayInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-p.e.stopCh:
 			return
 		case <-p.replayWake:
-		case <-tick.C:
+		case <-tick.C():
 		}
 		p.replayPending()
 	}
@@ -203,7 +202,7 @@ func (p *Pool) replayPending() {
 	if conn == nil {
 		return
 	}
-	now := time.Now()
+	now := p.e.cfg.Clock.Now()
 	var due []*spillEntry
 	p.spillMu.Lock()
 	for _, e := range p.spill {
@@ -278,7 +277,11 @@ func (t *trunkConn) run() {
 			if t.fails >= e.cfg.BreakerThreshold {
 				wait = e.cfg.BreakerCooldown
 			}
-			if !sleepOrStop(e.stopCh, wait) {
+			timer := e.cfg.Clock.NewTimer(wait)
+			select {
+			case <-timer.C():
+			case <-e.stopCh:
+				timer.Stop()
 				return
 			}
 		}
@@ -299,19 +302,6 @@ func (t *trunkConn) run() {
 			t.p.log.Warn("edge: trunk breaker opened",
 				"trunk", t.idx, "fails", t.fails, "err", err)
 		}
-	}
-}
-
-// sleepOrStop waits d unless stop closes first; reports whether the
-// full wait elapsed.
-func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-stop:
-		return false
 	}
 }
 
@@ -387,15 +377,15 @@ func (t *trunkConn) reader(conn *wsproto.Conn) (answered bool, _ error) {
 
 	renewDeadline := func() {
 		if ka := cfg.KeepAliveInterval; ka > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(2 * ka))
+			_ = conn.SetReadDeadline(cfg.Clock.Now().Add(2 * ka))
 		}
 	}
 	conn.SetPongHandler(func([]byte) { renewDeadline() })
 	renewDeadline()
 	if ka := cfg.KeepAliveInterval; ka > 0 {
-		tick := simclock.System().NewTicker(ka)
+		tick := cfg.Clock.NewTicker(ka)
 		go func() {
-			if beacon.KeepAlive(simclock.System(), conn, tick, stop) != nil {
+			if beacon.KeepAlive(cfg.Clock, conn, tick, stop) != nil {
 				_ = conn.NetConn().Close() // the reader below notices
 			}
 		}()

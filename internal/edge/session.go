@@ -38,7 +38,7 @@ func (e *Edge) serveSession(sess *beacon.ServerSession, peer netip.Addr) {
 		sent := time.Unix(0, payload.TraceSent)
 		stages = []trunk.Stage{
 			{Name: trace.StageGatewayRecv, Offset: trace.ClampSkew(sess.Received.Sub(sent))},
-			{Name: trace.StageTrunkForward, Offset: trace.ClampSkew(time.Since(sent))},
+			{Name: trace.StageTrunkForward, Offset: trace.ClampSkew(e.cfg.Clock.Since(sent))},
 		}
 	}
 	// The commit carries the binary wire encoding whichever wire the

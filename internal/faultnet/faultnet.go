@@ -1,4 +1,4 @@
-// Package faultnet is a deterministic fault-injection layer for TCP
+// Package faultnet is a deterministic fault-injection layer for network
 // connections: a net.Conn / net.Listener wrapper that adds latency,
 // throttles bandwidth, tears writes, truncates bytes, injects resets
 // and kills connections mid-session — the conditions live ad-beacon
@@ -12,14 +12,13 @@
 // resets, the same torn writes. Hot paths pay nothing when a fault
 // class is disabled (probability zero, duration zero).
 //
-// The package plugs in at three points without touching production
-// code: a Dialer-compatible NetDial for the beacon client, a Listener
-// wrapper for the collector, and a standalone TCP Proxy (proxy.go) that
-// chaos tests park between the two.
+// It plugs in without touching production code: Listen wraps the
+// listener a server is handed through daemon.WithListener, so faults
+// land on the connections it accepts — TCP sockets, or internal/memnet
+// connections whose deadlines share the Plan's Clock.
 package faultnet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -27,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaudit/internal/simclock"
 	"adaudit/internal/stats"
 )
 
@@ -43,6 +43,9 @@ type Plan struct {
 	// Seed drives every random decision. Two runs with equal seeds and
 	// equal traffic see identical faults.
 	Seed int64
+
+	// Clock runs the kill timers and the delays; nil is the real clock.
+	Clock simclock.Clock
 
 	// Latency is added to every Read and Write; LatencyJitter adds a
 	// uniform random extra on top.
@@ -82,7 +85,7 @@ type Plan struct {
 
 	// KillAfter schedules a hard mid-session kill: the transport is
 	// closed KillAfter (+ uniform KillJitter) after the connection is
-	// wrapped, whatever the endpoints are doing. Zero disables.
+	// wrapped, on Clock, whatever the endpoints are doing. Zero disables.
 	KillAfter  time.Duration
 	KillJitter time.Duration
 
@@ -112,9 +115,10 @@ func (p *Plan) Stats() (resets, kills, partialWrites, truncations uint64) {
 func (p *Plan) Wrap(nc net.Conn) net.Conn {
 	n := p.conns.Add(1)
 	c := &Conn{
-		Conn: nc,
-		plan: p,
-		rng:  stats.NewRNG(p.Seed).Fork(fmt.Sprintf("conn-%d", n)),
+		Conn:   nc,
+		plan:   p,
+		rng:    stats.NewRNG(p.Seed).Fork(fmt.Sprintf("conn-%d", n)),
+		closed: make(chan struct{}),
 	}
 	if p.SlowLinkProb > 0 && p.SlowLinkBytesPerSecond > 0 {
 		c.draw(func(r *stats.RNG) {
@@ -134,12 +138,18 @@ func (p *Plan) Wrap(nc net.Conn) net.Conn {
 			d += time.Duration(c.rng.Int63n(int64(p.KillJitter) + 1))
 			c.mu.Unlock()
 		}
-		c.killTimer = time.AfterFunc(d, func() {
-			if c.killed.CompareAndSwap(false, true) {
-				p.Kills.Add(1)
-				_ = nc.Close()
+		kill := simclock.Or(p.Clock).NewTimer(d)
+		go func() {
+			defer kill.Stop()
+			select {
+			case <-kill.C():
+				if c.killed.CompareAndSwap(false, true) {
+					p.Kills.Add(1)
+					_ = nc.Close()
+				}
+			case <-c.closed:
 			}
-		})
+		}()
 	}
 	return c
 }
@@ -148,17 +158,6 @@ func (p *Plan) Wrap(nc net.Conn) net.Conn {
 // faults.
 func (p *Plan) Listen(ln net.Listener) net.Listener {
 	return &listener{Listener: ln, plan: p}
-}
-
-// NetDial is a wsproto.Dialer.NetDial-compatible dial that applies the
-// plan to the outbound connection.
-func (p *Plan) NetDial(ctx context.Context, network, addr string) (net.Conn, error) {
-	var d net.Dialer
-	nc, err := d.DialContext(ctx, network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return p.Wrap(nc), nil
 }
 
 type listener struct {
@@ -197,8 +196,10 @@ type Conn struct {
 	mu  sync.Mutex
 	rng *stats.RNG
 
-	killed    atomic.Bool
-	killTimer *time.Timer
+	killed atomic.Bool
+	// closed ends a scheduled kill's wait at Close.
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	// byteRate is this connection's slow-link cap in bytes/second, drawn
 	// once at Wrap time; 0 means the connection did not draw a slow link.
@@ -229,7 +230,7 @@ func (c *Conn) delay(n int) {
 		d += time.Duration(float64(n) / float64(rate) * float64(time.Second))
 	}
 	if d > 0 {
-		time.Sleep(d)
+		<-simclock.Or(p.Clock).NewTimer(d).C()
 	}
 }
 
@@ -313,8 +314,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 
 // Close tears the connection down and cancels any scheduled kill.
 func (c *Conn) Close() error {
-	if c.killTimer != nil {
-		c.killTimer.Stop()
-	}
+	c.closeOnce.Do(func() { close(c.closed) })
 	return c.Conn.Close()
 }

@@ -2,17 +2,23 @@ package faultnet
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"adaudit/internal/memnet"
+	"adaudit/internal/simclock"
 )
 
-// tcpPair returns two ends of a loopback TCP connection.
-func tcpPair(t *testing.T) (client, server net.Conn) {
+// pair returns two ends of an in-memory connection whose writes buffer
+// up to 1 MiB unread, measuring deadlines on clk (nil: the real clock).
+func pair(t *testing.T, clk simclock.Clock) (client, server net.Conn) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	nw := &memnet.Network{Clock: clk, Buffer: 1 << 20}
+	ln, err := nw.Listen("faultnet:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +32,7 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 		c, err := ln.Accept()
 		ch <- res{c, err}
 	}()
-	client, err = net.Dial("tcp", ln.Addr().String())
+	client, err = nw.Dial(context.Background(), "tcp", "faultnet:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +44,19 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 	return client, r.c
 }
 
+// waitForWaiters polls until clk has n pending timers.
+func waitForWaiters(t *testing.T, clk *simclock.Virtual, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); clk.Waiters() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the clock has %d timers, want %d", clk.Waiters(), n)
+		}
+	}
+}
+
 func TestZeroPlanPassesTrafficThrough(t *testing.T) {
 	var plan Plan
-	c, s := tcpPair(t)
+	c, s := pair(t, nil)
 	fc := plan.Wrap(c)
 	msg := []byte("hello collector")
 	go func() {
@@ -60,24 +76,38 @@ func TestZeroPlanPassesTrafficThrough(t *testing.T) {
 	}
 }
 
+// TestAddedLatency: a read returns only once the plan's clock has moved
+// through its latency.
 func TestAddedLatency(t *testing.T) {
-	plan := Plan{Seed: 1, Latency: 30 * time.Millisecond}
-	c, s := tcpPair(t)
+	clk := simclock.NewVirtual(time.Time{})
+	plan := Plan{Seed: 1, Latency: 30 * time.Millisecond, Clock: clk}
+	c, s := pair(t, clk)
 	fc := plan.Wrap(c)
-	go s.Write([]byte("x"))
-	start := time.Now()
-	if _, err := fc.Read(make([]byte, 1)); err != nil {
+	if _, err := s.Write([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(start); d < 25*time.Millisecond {
-		t.Fatalf("read returned in %v, want >= ~30ms of injected latency", d)
+	read := make(chan error, 1)
+	go func() {
+		_, err := fc.Read(make([]byte, 1))
+		read <- err
+	}()
+	waitForWaiters(t, clk, 1)
+	clk.Advance(29 * time.Millisecond)
+	select {
+	case err := <-read:
+		t.Fatalf("read returned (%v) 29ms into 30ms of injected latency", err)
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	if err := <-read; err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestBandwidthThrottle(t *testing.T) {
 	// 64 KiB at 256 KiB/s should take ~250ms.
 	plan := Plan{Seed: 1, BytesPerSecond: 256 << 10}
-	c, s := tcpPair(t)
+	c, s := pair(t, nil)
 	fc := plan.Wrap(c)
 	payload := make([]byte, 64<<10)
 	go io.Copy(io.Discard, s)
@@ -92,7 +122,7 @@ func TestBandwidthThrottle(t *testing.T) {
 
 func TestPartialWriteTearsConnection(t *testing.T) {
 	plan := Plan{Seed: 42, PartialWriteProb: 1}
-	c, s := tcpPair(t)
+	c, s := pair(t, nil)
 	fc := plan.Wrap(c)
 	msg := make([]byte, 1024)
 	n, err := fc.Write(msg)
@@ -114,7 +144,7 @@ func TestPartialWriteTearsConnection(t *testing.T) {
 
 func TestTruncationLiesAboutSuccess(t *testing.T) {
 	plan := Plan{Seed: 7, TruncateProb: 1}
-	c, s := tcpPair(t)
+	c, s := pair(t, nil)
 	fc := plan.Wrap(c)
 	msg := make([]byte, 512)
 	n, err := fc.Write(msg)
@@ -130,7 +160,7 @@ func TestTruncationLiesAboutSuccess(t *testing.T) {
 
 func TestInjectedReset(t *testing.T) {
 	plan := Plan{Seed: 3, ResetReadProb: 1}
-	c, _ := tcpPair(t)
+	c, _ := pair(t, nil)
 	fc := plan.Wrap(c)
 	_, err := fc.Read(make([]byte, 1))
 	if !errors.Is(err, ErrInjectedReset) {
@@ -146,20 +176,38 @@ func TestInjectedReset(t *testing.T) {
 	}
 }
 
+// TestScheduledKill: the kill fires once the plan's clock reaches it,
+// and a connection closed first leaves no timer behind.
 func TestScheduledKill(t *testing.T) {
-	plan := Plan{Seed: 9, KillAfter: 20 * time.Millisecond}
-	c, _ := tcpPair(t)
+	clk := simclock.NewVirtual(time.Time{})
+	plan := Plan{Seed: 9, KillAfter: 20 * time.Millisecond, Clock: clk}
+	c, _ := pair(t, clk)
 	fc := plan.Wrap(c)
-	start := time.Now()
-	_, err := fc.Read(make([]byte, 1)) // blocks until the kill fires
-	if !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("want ErrInjectedReset after kill, got %v", err)
+	read := make(chan error, 1)
+	go func() {
+		_, err := fc.Read(make([]byte, 1)) // blocks until the kill fires
+		read <- err
+	}()
+	clk.Advance(19 * time.Millisecond)
+	select {
+	case err := <-read:
+		t.Fatalf("read ended (%v) 19ms into a 20ms kill", err)
+	case <-time.After(20 * time.Millisecond):
 	}
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("killed after %v, want >= ~20ms", d)
+	clk.Advance(time.Millisecond)
+	if err := <-read; !errors.Is(err, ErrInjectedReset) {
+		t.Fatalf("want ErrInjectedReset after kill, got %v", err)
 	}
 	if k := plan.Kills.Load(); k != 1 {
 		t.Fatalf("kill counter = %d, want 1", k)
+	}
+
+	c2, _ := pair(t, clk)
+	plan.Wrap(c2).Close()
+	waitForWaiters(t, clk, 0)
+	clk.Advance(time.Second)
+	if k := plan.Kills.Load(); k != 1 {
+		t.Fatalf("kill counter = %d after a closed connection's kill came due, want 1", k)
 	}
 }
 
@@ -168,7 +216,7 @@ func TestDeterministicFaultSchedule(t *testing.T) {
 	// fault decisions — the property chaos tests rely on.
 	run := func(seed int64) []int {
 		plan := Plan{Seed: seed, PartialWriteProb: 0.3, TruncateProb: 0.2}
-		c, s := tcpPair(t)
+		c, s := pair(t, nil)
 		go io.Copy(io.Discard, s)
 		fc := plan.Wrap(c)
 		// Record the delivered byte count per op: the tear position of a
@@ -205,101 +253,11 @@ func TestDeterministicFaultSchedule(t *testing.T) {
 	}
 }
 
-func TestProxyRelays(t *testing.T) {
-	// Echo upstream.
-	up, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close()
-	go func() {
-		for {
-			c, err := up.Accept()
-			if err != nil {
-				return
-			}
-			go func() { io.Copy(c, c); c.Close() }()
-		}
-	}()
-
-	var plan Plan
-	px, err := NewProxy("127.0.0.1:0", up.Addr().String(), &plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-
-	c, err := net.Dial("tcp", px.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	msg := []byte("through the proxy")
-	if _, err := c.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(msg))
-	if _, err := io.ReadFull(c, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, msg) {
-		t.Fatalf("echo mismatch: %q", buf)
-	}
-}
-
-func TestProxyKillSeversBothSides(t *testing.T) {
-	up, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close()
-	serverSaw := make(chan error, 1)
-	go func() {
-		c, err := up.Accept()
-		if err != nil {
-			return
-		}
-		_, err = io.ReadAll(c) // blocks until the relay severs it
-		serverSaw <- err
-		c.Close()
-	}()
-
-	plan := Plan{Seed: 5, KillAfter: 30 * time.Millisecond}
-	px, err := NewProxy("127.0.0.1:0", up.Addr().String(), &plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-
-	c, err := net.Dial("tcp", px.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Write([]byte("hold")); err != nil {
-		t.Fatal(err)
-	}
-	// The client's read fails once the kill fires...
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err == nil {
-		t.Fatal("client read survived the kill")
-	}
-	// ...and the upstream leg is severed too (ReadAll returns).
-	select {
-	case <-serverSaw:
-	case <-time.After(2 * time.Second):
-		t.Fatal("upstream leg not severed within 2s of the kill")
-	}
-	if plan.Kills.Load() == 0 {
-		t.Fatal("kill never fired")
-	}
-}
-
 func TestSlowLinkThrottlesDrawnConnections(t *testing.T) {
 	// With probability 1 every connection draws a cap in
 	// [ceil/2, ceil]; 32 KiB at <= 128 KiB/s takes >= 250ms.
 	plan := Plan{Seed: 7, SlowLinkProb: 1, SlowLinkBytesPerSecond: 128 << 10}
-	c, s := tcpPair(t)
+	c, s := pair(t, nil)
 	fc := plan.Wrap(c)
 	if got := fc.(*Conn).byteRate; got < 64<<10 || got > 128<<10 {
 		t.Fatalf("drawn byte rate %d outside [%d, %d]", got, 64<<10, 128<<10)
@@ -324,7 +282,7 @@ func TestSlowLinkDeterministicAcrossPlans(t *testing.T) {
 		plan := Plan{Seed: seed, SlowLinkProb: 0.5, SlowLinkBytesPerSecond: 100_000}
 		var out []int
 		for i := 0; i < 16; i++ {
-			c, s := tcpPair(t)
+			c, s := pair(t, nil)
 			fc := plan.Wrap(c)
 			out = append(out, fc.(*Conn).byteRate)
 			fc.Close()
@@ -367,7 +325,7 @@ func TestSlowLinkTighterCapWins(t *testing.T) {
 	// A plan-wide 512 KiB/s cap plus a guaranteed ~64-128 KiB/s slow
 	// link: the slow link dominates.
 	plan := Plan{Seed: 3, BytesPerSecond: 512 << 10, SlowLinkProb: 1, SlowLinkBytesPerSecond: 128 << 10}
-	c, s := tcpPair(t)
+	c, s := pair(t, nil)
 	fc := plan.Wrap(c)
 	go io.Copy(io.Discard, s)
 	start := time.Now()

@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
@@ -23,9 +25,9 @@ import (
 
 // TestChaosGatewayZeroLoss is the tentpole acceptance test: a beacon
 // fleet reports through the full edge path with fault injection on BOTH
-// legs — chaos proxies severing client connections and trunk
-// connections — while the collector is killed and restarted from its
-// WAL mid-run. The invariants: every impression a client was
+// legs — the gateway's and the collector's listeners severing client
+// and trunk connections — while the collector is killed and restarted
+// from its WAL mid-run. The invariants: every impression a client was
 // acknowledged for is present in the surviving store exactly once
 // (zero loss, no double-counting through gateway replay + nonce dedup),
 // and the streaming audit over the surviving store equals the batch
@@ -63,11 +65,9 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		}
 		return c
 	}
-	csrvA, stopA := startCollectorServer(t, newCollector(st), "127.0.0.1:0")
-	collectorAddr := csrvA.Addr().String()
-
-	// Trunk-leg chaos: the gateway's connections to the collector die
-	// repeatedly and crawl under a seeded bandwidth throttle.
+	// Trunk-leg chaos, on every connection the collector accepts: the
+	// gateway's trunks die repeatedly and crawl under a seeded bandwidth
+	// throttle.
 	trunkPlan := &faultnet.Plan{
 		Seed:                   7,
 		KillAfter:              150 * time.Millisecond,
@@ -75,30 +75,29 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		SlowLinkProb:           0.5,
 		SlowLinkBytesPerSecond: 512 << 10,
 	}
-	trunkProxy, err := faultnet.NewProxy("127.0.0.1:0", collectorAddr, trunkPlan)
-	if err != nil {
-		t.Fatal(err)
+	faulted := func(plan *faultnet.Plan, addr string) daemon.Option {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return daemon.WithListener(plan.Listen(ln))
 	}
-	defer trunkProxy.Close()
+	csrvA, stopA := startCollectorServer(t, newCollector(st), "", faulted(trunkPlan, "127.0.0.1:0"))
+	collectorAddr := csrvA.Addr().String()
 
-	cfg := fastConfig(fmt.Sprintf("ws://%s/trunk", trunkProxy.Addr()))
+	cfg := fastConfig(fmt.Sprintf("ws://%s/trunk", collectorAddr))
 	cfg.Trunks = 2
-	g, gsrv := startGateway(t, cfg)
-
-	// Client-leg chaos: beacon connections are killed mid-exposure and
-	// occasionally reset mid-write; the client retries with its nonce.
+	// Client-leg chaos, on every connection the gateway accepts: beacon
+	// connections are killed mid-exposure and occasionally reset
+	// mid-write; the client retries with its nonce.
 	clientPlan := &faultnet.Plan{
 		Seed:           20160329,
 		KillAfter:      60 * time.Millisecond,
 		KillJitter:     120 * time.Millisecond,
 		ResetWriteProb: 0.02,
 	}
-	clientProxy, err := faultnet.NewProxy("127.0.0.1:0", gsrv.Addr().String(), clientPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clientProxy.Close()
-	clientURL := fmt.Sprintf("ws://%s/beacon", clientProxy.Addr())
+	g, gsrv := startGateway(t, cfg, faulted(clientPlan, "127.0.0.1:0"))
+	clientURL := gsrv.BeaconURL()
 
 	pubs, err := publisher.NewUniverse(publisher.Config{Seed: 5, NumPublishers: 60})
 	if err != nil {
@@ -147,7 +146,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 	// Mid-run, the collector process "crashes": the server is torn down,
 	// the store recovered from the WAL alone, and a fresh collector —
 	// empty trunk stream-dedup cache, nonce cache reseeded from the
-	// recovered records — rebinds the same address behind the proxy.
+	// recovered records — rebinds the same address, faulted the same way.
 	// The outage lasts long enough that sessions commit INTO it: those
 	// clients are acked purely from the spill buffer.
 	time.Sleep(200 * time.Millisecond)
@@ -171,7 +170,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		t.Fatal(err)
 	}
 	st2.AttachWAL(wal2)
-	startCollectorServer(t, newCollector(st2), collectorAddr)
+	startCollectorServer(t, newCollector(st2), "", faulted(trunkPlan, collectorAddr))
 
 	wg.Wait()
 

@@ -18,6 +18,7 @@ import (
 
 	"adaudit/internal/daemon"
 	"adaudit/internal/edge"
+	"adaudit/internal/simclock"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/wsproto"
 )
@@ -36,8 +37,8 @@ type Config struct {
 	GatewayID string
 	// Trunks is the size of the persistent trunk pool (default 2).
 	Trunks int
-	// Dialer customises the trunk dial (tests inject faults through
-	// WrapConn/NetDial). MaxMessageSize and Header are managed by the
+	// Dialer customises the trunk dial (tests dial over internal/memnet
+	// through NetDial). MaxMessageSize and Header are managed by the
 	// gateway.
 	Dialer wsproto.Dialer
 
@@ -83,6 +84,9 @@ type Config struct {
 
 	// Logger receives operational events; defaults to slog.Default().
 	Logger *slog.Logger
+	// Clock runs every timer and timestamp of the gateway — sessions,
+	// keepalive, spill, replay and breakers; nil is the real clock.
+	Clock simclock.Clock
 	// Telemetry is the registry gateway instruments register on; nil
 	// creates a private one.
 	Telemetry *telemetry.Registry
@@ -123,6 +127,7 @@ func New(cfg Config) (*Gateway, error) {
 		BreakerThreshold:  cfg.BreakerThreshold,
 		BreakerCooldown:   cfg.BreakerCooldown,
 		RetryAfterHint:    cfg.RetryAfterHint,
+		Clock:             cfg.Clock,
 		Logger:            cfg.Logger,
 		Telemetry:         reg,
 		Tel: edge.Instruments{

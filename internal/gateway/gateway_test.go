@@ -40,9 +40,9 @@ func testCollector(t *testing.T, mut func(*collector.Config)) (*collector.Collec
 
 // startCollectorServer serves c on addr ("127.0.0.1:0" for a free
 // port); stop shuts it down gracefully and may be called once.
-func startCollectorServer(t *testing.T, c *collector.Collector, addr string) (*collector.Server, func()) {
+func startCollectorServer(t *testing.T, c *collector.Collector, addr string, opts ...collector.ServerOption) (*collector.Server, func()) {
 	t.Helper()
-	srv, err := collector.NewServer(c, addr)
+	srv, err := collector.NewServer(c, addr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func fastConfig(trunkURL string) Config {
 }
 
 // startGateway builds and serves a gateway; the cleanup closes it.
-func startGateway(t *testing.T, cfg Config) (*Gateway, *Server) {
+func startGateway(t *testing.T, cfg Config, opts ...ServerOption) (*Gateway, *Server) {
 	t.Helper()
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(g, "127.0.0.1:0", WithDrainGrace(time.Second))
+	srv, err := NewServer(g, "127.0.0.1:0", append([]ServerOption{WithDrainGrace(time.Second)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

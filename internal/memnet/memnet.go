@@ -1,0 +1,265 @@
+// Package memnet is the in-memory network the tests run whole
+// topologies on: Listen binds an address, Dial (a wsproto.Dialer's
+// NetDial) pairs a connection with that listener's next Accept, and the
+// bytes move between the two ends without a socket, so the real
+// handshakes and a faultnet.Plan wrapping the listener run over it
+// unchanged. Deadlines are measured on the network's clock: on a
+// virtual one a read times out only once the test advances past its
+// deadline, and Idle tells such a test when nothing is in flight.
+package memnet
+
+import (
+	"cmp"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"os"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"adaudit/internal/simclock"
+)
+
+// Network is one namespace of addresses. The zero value is ready: the
+// real clock, and writes that wait for their reader.
+type Network struct {
+	// Clock measures every deadline; nil is the real clock.
+	Clock simclock.Clock
+	// Buffer is how many bytes each direction of a connection holds
+	// unread before a write waits. At 0 a write returns only once the
+	// peer has read all of it, like net.Pipe: a peer that stops reading
+	// stalls the writer at once, with no socket buffer to fill first.
+	Buffer int
+
+	mu        sync.Mutex
+	listeners map[string]*Listener
+	dials     int          // numbers each dial's source port
+	pending   atomic.Int64 // dials not yet accepted
+	unread    atomic.Int64 // bytes written and neither read nor dropped
+}
+
+// Idle reports whether no dial awaits its accept and no byte its read.
+func (n *Network) Idle() bool { return n.pending.Load() == 0 && n.unread.Load() == 0 }
+
+// addr is an address known by its text alone.
+func addr(s string) net.Addr { return &net.UnixAddr{Name: s, Net: "memnet"} }
+
+// Listen binds address, which a dial must name exactly.
+func (n *Network) Listen(address string) (*Listener, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.listeners[address] != nil {
+		return nil, &net.OpError{Op: "listen", Net: "memnet", Addr: addr(address), Err: errors.New("address already in use")}
+	}
+	if n.listeners == nil {
+		n.listeners = map[string]*Listener{}
+	}
+	l := &Listener{n: n, addr: addr(address), accept: make(chan net.Conn), closed: make(chan struct{})}
+	n.listeners[address] = l
+	return l, nil
+}
+
+// Dial returns a connection to the listener bound at address once it
+// accepts; a dial to an address nothing is bound at is refused at once.
+// The listener sees each dial from a port of its own at 192.0.2.1.
+func (n *Network) Dial(ctx context.Context, _, address string) (net.Conn, error) {
+	n.mu.Lock()
+	l := n.listeners[address]
+	n.dials++
+	from := &net.TCPAddr{IP: net.IPv4(192, 0, 2, 1), Port: 1 + n.dials%65535}
+	n.mu.Unlock()
+	refused := &net.OpError{Op: "dial", Net: "memnet", Addr: addr(address), Err: errors.New("connection refused")}
+	if l == nil {
+		return nil, refused
+	}
+	up, down := n.stream(), n.stream()
+	n.pending.Add(1)
+	defer n.pending.Add(-1)
+	select {
+	case l.accept <- &Conn{in: up, out: down, local: l.addr, remote: from}:
+		return &Conn{in: down, out: up, local: from, remote: l.addr}, nil
+	case <-l.closed:
+		return nil, refused
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// Listener accepts the dials to its address.
+type Listener struct {
+	n      *Network
+	addr   net.Addr
+	accept chan net.Conn
+	closed chan struct{}
+}
+
+func (l *Listener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.accept:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+// Close refuses the dials still waiting and unbinds the address, which
+// can then be listened on again.
+func (l *Listener) Close() error {
+	l.n.mu.Lock()
+	defer l.n.mu.Unlock()
+	if l.n.listeners[l.addr.String()] == l {
+		delete(l.n.listeners, l.addr.String())
+		close(l.closed)
+	}
+	return nil
+}
+
+func (l *Listener) Addr() net.Addr { return l.addr }
+
+// stream is one direction of a connection: the bytes its writer left
+// unread, and whether either end has closed.
+type stream struct {
+	n                *Network
+	mu               sync.Mutex
+	wake             chan struct{} // closed, and replaced, on every change
+	buf              []byte
+	taken            int // bytes ever read
+	rclosed, wclosed bool
+}
+
+func (n *Network) stream() *stream { return &stream{n: n, wake: make(chan struct{})} }
+
+// update runs f under s.mu, then wakes every waiter.
+func (s *stream) update(f func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f()
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
+// drop discards the unread bytes; s.mu is held.
+func (s *stream) drop() {
+	s.n.unread.Add(int64(-len(s.buf)))
+	s.buf = nil
+}
+
+// wait releases s.mu until ready holds, or fails with
+// os.ErrDeadlineExceeded once *dl has passed; s.mu is held on entry and
+// on return.
+func (s *stream) wait(dl *time.Time, ready func() bool) error {
+	for !ready() {
+		expired, stop := (<-chan time.Time)(nil), func() bool { return false }
+		if !dl.IsZero() {
+			clk := simclock.Or(s.n.Clock)
+			left := dl.Sub(clk.Now())
+			if left <= 0 {
+				return os.ErrDeadlineExceeded
+			}
+			t := clk.NewTimer(left)
+			expired, stop = t.C(), t.Stop
+		}
+		wake := s.wake
+		s.mu.Unlock()
+		select {
+		case <-wake:
+		case <-expired:
+		}
+		stop()
+		s.mu.Lock()
+	}
+	return nil
+}
+
+// Conn is one end of a connection.
+type Conn struct {
+	in, out       *stream
+	rdl, wdl      time.Time  // guarded by in.mu and out.mu
+	wmu           sync.Mutex // one write at a time: unbuffered, a write waits out its own bytes
+	local, remote net.Addr
+}
+
+// Read returns buffered bytes; once the peer has closed and they are
+// read, io.EOF.
+func (c *Conn) Read(b []byte) (k int, err error) {
+	s := c.in
+	s.update(func() {
+		err = s.wait(&c.rdl, func() bool { return len(b) == 0 || len(s.buf) > 0 || s.rclosed || s.wclosed })
+		switch {
+		case s.rclosed:
+			err = net.ErrClosed
+		case err == nil && len(b) > 0 && len(s.buf) == 0:
+			err = io.EOF
+		case err == nil:
+			k = copy(b, s.buf)
+			s.buf, s.taken = s.buf[k:], s.taken+k
+			s.n.unread.Add(int64(-k))
+		}
+	})
+	return k, err
+}
+
+// Write returns once b is buffered (unbuffered: read). Once the peer
+// has closed it fails as a reset.
+func (c *Conn) Write(b []byte) (n int, err error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	s, room := c.out, c.out.n.Buffer
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	base, queued, capacity := s.taken, 0, cmp.Or(room, len(b))
+	for {
+		if n = queued; room == 0 { // only what the reader took is written
+			n = s.taken - base
+		}
+		switch {
+		case n == len(b):
+			return n, nil
+		case s.wclosed:
+			return n, net.ErrClosed
+		case s.rclosed:
+			return n, errors.New("memnet: connection reset by peer")
+		}
+		if k := min(capacity-len(s.buf), len(b)-queued); k > 0 {
+			s.buf = append(s.buf, b[queued:queued+k]...)
+			queued += k
+			s.n.unread.Add(int64(k))
+			close(s.wake)
+			s.wake = make(chan struct{})
+			continue
+		}
+		held := len(s.buf)
+		if err := s.wait(&c.wdl, func() bool { return len(s.buf) < held || s.rclosed || s.wclosed }); err != nil {
+			if room == 0 {
+				s.drop()
+				n = s.taken - base
+			}
+			return n, err
+		}
+	}
+}
+
+// Close ends both directions: the peer reads what is buffered toward it
+// and then io.EOF, and its writes fail; what is buffered toward this end
+// is dropped.
+func (c *Conn) Close() (err error) {
+	c.in.update(func() {
+		if c.in.rclosed {
+			err = net.ErrClosed
+		}
+		c.in.rclosed = true
+		c.in.drop()
+	})
+	c.out.update(func() { c.out.wclosed = true })
+	return err
+}
+
+func (c *Conn) LocalAddr() net.Addr  { return c.local }
+func (c *Conn) RemoteAddr() net.Addr { return c.remote }
+
+func (c *Conn) SetDeadline(t time.Time) error { _ = c.SetReadDeadline(t); return c.SetWriteDeadline(t) }
+
+func (c *Conn) SetReadDeadline(t time.Time) error  { c.in.update(func() { c.rdl = t }); return nil }
+func (c *Conn) SetWriteDeadline(t time.Time) error { c.out.update(func() { c.wdl = t }); return nil }

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
@@ -23,8 +25,8 @@ import (
 )
 
 // TestChaosRouterShardRestart is the sharded tier's acceptance test: a
-// beacon fleet reports through a chaos proxy into the router while one
-// of the two shards is killed mid-run, its store recovered from the WAL
+// beacon fleet reports into a router whose listener injects faults, while
+// one of the two shards is killed mid-run, its store recovered from the WAL
 // alone, and a fresh collector — empty stream-dedup cache, nonce cache
 // reseeded from the recovered records — rebinds the same address. The
 // router's circuit breakers must re-home its trunks onto the restarted
@@ -94,23 +96,22 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		fmt.Sprintf("ws://%s/trunk", srv1.Addr().String()),
 	})
 	cfg.TrunksPerShard = 2
-	r, rsrv := startRouter(t, cfg)
-	waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
-
-	// Client-leg chaos: beacon connections are killed mid-exposure and
-	// occasionally reset mid-write; the client retries with its nonce.
+	// Client-leg chaos, on every connection the router accepts: beacon
+	// connections are killed mid-exposure and occasionally reset
+	// mid-write; the client retries with its nonce.
 	clientPlan := &faultnet.Plan{
 		Seed:           20160329,
 		KillAfter:      60 * time.Millisecond,
 		KillJitter:     120 * time.Millisecond,
 		ResetWriteProb: 0.02,
 	}
-	clientProxy, err := faultnet.NewProxy("127.0.0.1:0", rsrv.Addr().String(), clientPlan)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clientProxy.Close()
-	clientURL := fmt.Sprintf("ws://%s/beacon", clientProxy.Addr())
+	r, rsrv := startRouter(t, cfg, daemon.WithListener(clientPlan.Listen(ln)))
+	waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
+	clientURL := rsrv.BeaconURL()
 
 	pubs, err := publisher.NewUniverse(publisher.Config{Seed: 5, NumPublishers: 60})
 	if err != nil {

@@ -47,11 +47,7 @@ type Timer interface {
 	Stop() bool
 }
 
-// System returns the real clock backed by package time. The same value
-// is returned on every call; comparing a Clock against System() tells
-// whether it is the real one.
-func System() Clock { return systemClock{} }
-
+// systemClock is the real clock, backed by package time.
 type systemClock struct{}
 
 func (systemClock) Now() time.Time                   { return time.Now() }
@@ -69,11 +65,11 @@ type systemTimer struct{ t *time.Timer }
 func (s systemTimer) C() <-chan time.Time { return s.t.C }
 func (s systemTimer) Stop() bool          { return s.t.Stop() }
 
-// Or returns c, or the system clock when c is nil — the idiom
-// components use to default an optional Clock configuration field.
+// Or returns c, or the real clock when c is nil — the idiom every
+// component uses to default its optional Clock field.
 func Or(c Clock) Clock {
 	if c == nil {
-		return System()
+		return systemClock{}
 	}
 	return c
 }

@@ -1,12 +1,16 @@
 package simtest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,141 +18,190 @@ import (
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
 	"adaudit/internal/gateway"
 	"adaudit/internal/ipmeta"
+	"adaudit/internal/memnet"
 	"adaudit/internal/publisher"
+	"adaudit/internal/simclock"
 	"adaudit/internal/stats"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/wsproto"
 )
 
 const gatewayWireTrunkToken = "simtest-trunk"
 
 // TestSimGatewayWire extends the wire phase with the edge gateway
-// tier: a beacon fleet reports through a fault-injected client leg
-// into a gateway, which forwards over trunks to a collector that is
-// killed and WAL-recovered mid-run on the same address. The gateway's
-// spill buffer must carry every acknowledged commit across the
-// restart, so the oracle's order-insensitive invariants extend to the
-// two-hop path: an acked report is present exactly once after
-// recovery (zero loss + nonce dedup through gateway replay), the
-// drained store round-trips through the journal unchanged, and the
-// streaming audit over the survivor equals the batch FullAudit.
+// tier, in one process on one in-memory network and one virtual clock:
+// a beacon fleet reports through a fault-injected client leg into a
+// gateway, which forwards over trunks to a collector that is killed and
+// WAL-recovered mid-run on the same address. The gateway's spill buffer
+// must carry every acknowledged commit across the restart, so the
+// oracle's order-insensitive invariants extend to the two-hop path: an
+// acked report is present exactly once after recovery (zero loss +
+// nonce dedup through gateway replay), the drained store round-trips
+// through the journal unchanged, and the streaming audit over the
+// survivor equals the batch FullAudit.
 func TestSimGatewayWire(t *testing.T) {
-	if testing.Short() {
-		t.Skip("gateway wire phase needs real time for the restart and replays")
-	}
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runGatewayWireSchedule(t, seed)
+			for _, v := range runGatewayWireSchedule(t, seed, false) {
+				t.Error(v)
+			}
 		})
 	}
 }
 
-func runGatewayWireSchedule(t *testing.T, seed int64) {
-	rng := stats.NewRNG(seed).Fork("gateway-wire")
+// TestSimGatewayWireCatchesLoss is the schedule's mutant: the restarted
+// collector recovers from an empty journal, so what the first one acked
+// is gone. The zero-loss check must say so.
+func TestSimGatewayWireCatchesLoss(t *testing.T) {
+	violations := runGatewayWireSchedule(t, 1, true)
+	for _, v := range violations {
+		if strings.Contains(v, "zero-loss violated") {
+			return
+		}
+	}
+	t.Fatalf("the oracle passed a collector that lost its journal; violations: %q", violations)
+}
 
-	walPath := filepath.Join(t.TempDir(), "gwwire.wal")
+// driveClock advances clk a millisecond at a time until stop is called,
+// each step only while nw is idle and every other goroutine is blocked:
+// virtual time never outruns bytes in flight, a dial not yet accepted,
+// or work a woken goroutine has still to do.
+func driveClock(clk *simclock.Virtual, nw *memnet.Network) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		stacks := make([]byte, 1<<20)
+		for ; ; runtime.Gosched() {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if nw.Idle() && othersBlocked(&stacks) && nw.Idle() {
+				clk.Advance(time.Millisecond)
+			}
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(done); wg.Wait() }) }
+}
+
+// othersBlocked reports whether every goroutine but the caller waits —
+// on a channel, a lock, a timer — rather than runs, is runnable or is in
+// a system call. stacks is the buffer the goroutine dump is read into.
+func othersBlocked(stacks *[]byte) bool {
+	n := runtime.Stack(*stacks, true)
+	for n == len(*stacks) {
+		*stacks = make([]byte, 2*len(*stacks))
+		n = runtime.Stack(*stacks, true)
+	}
+	busy := 0
+	for dump := (*stacks)[:n]; len(dump) > 0; {
+		var line []byte
+		line, dump, _ = bytes.Cut(dump, []byte("\n"))
+		if head, ok := bytes.CutPrefix(line, []byte("goroutine ")); ok {
+			_, state, _ := bytes.Cut(head, []byte("["))
+			state, _, _ = bytes.Cut(state, []byte("]"))
+			state, _, _ = bytes.Cut(state, []byte(","))
+			switch string(state) {
+			case "running", "runnable", "syscall":
+				busy++
+			}
+		}
+	}
+	return busy == 1
+}
+
+// runGatewayWireSchedule runs seed's schedule and returns what the
+// oracle found wrong with its outcome. With forgetJournal the restarted
+// collector recovers from an empty journal instead of the first one's.
+func runGatewayWireSchedule(t *testing.T, seed int64, forgetJournal bool) (violations []string) {
+	violate := func(format string, args ...any) { violations = append(violations, fmt.Sprintf(format, args...)) }
+	rng := stats.NewRNG(seed).Fork("gateway-wire")
+	clk := simclock.NewVirtual(time.Time{})
+	start := clk.Now()
+	nw := &memnet.Network{Clock: clk, Buffer: 64 << 10}
+	// Registered first, so it runs last: every shutdown below waits on
+	// the virtual clock.
+	t.Cleanup(driveClock(clk, nw))
+	after := func(d time.Duration) { <-clk.NewTimer(d).C() }
+
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "gwwire.wal")
 	wal, err := store.OpenWAL(walPath, store.WALOptions{Policy: store.SyncOS})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := store.New()
 	st.AttachWAL(wal)
-	newCollector := func(s *store.Store) *collector.Collector {
+	const collectorAddr = "collector:80"
+	startCollector := func(s *store.Store) (stop func()) {
 		c, err := collector.New(collector.Config{
 			Store:             s,
 			Anonymizer:        ipmeta.NewAnonymizer([]byte("simgw")),
 			TrunkToken:        gatewayWireTrunkToken,
 			KeepAliveInterval: 50 * time.Millisecond,
+			Clock:             clk,
 			Logger:            discardLogger(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
-	}
-	startCollector := func(c *collector.Collector, addr string) (*collector.Server, func()) {
-		srv, err := collector.NewServer(c, addr)
+		ln, err := nw.Listen(collectorAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = srv.Serve(ctx)
-		}()
-		stopped := false
-		stop := func() {
-			if stopped {
-				return
-			}
-			stopped = true
-			cancel()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("collector server did not stop")
-			}
+		srv, err := collector.NewServer(c, "", daemon.WithListener(ln))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Cleanup(stop)
-		return srv, stop
+		return serveUntilStopped(t, "collector", srv.Serve)
 	}
-
-	csrvA, stopA := startCollector(newCollector(st), "127.0.0.1:0")
-	collectorAddr := csrvA.Addr().String()
+	stopA := startCollector(st)
 
 	g, err := gateway.New(gateway.Config{
-		CollectorURL:      fmt.Sprintf("ws://%s/trunk", collectorAddr),
+		CollectorURL:      "ws://" + collectorAddr + "/trunk",
 		TrunkToken:        gatewayWireTrunkToken,
 		GatewayID:         fmt.Sprintf("gw-sim-%d", seed),
 		Trunks:            2,
+		Dialer:            wsproto.Dialer{NetDial: nw.Dial},
 		KeepAliveInterval: 50 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
 		BreakerThreshold:  3,
 		BreakerCooldown:   50 * time.Millisecond,
+		Clock:             clk,
 		Logger:            discardLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsrv, err := gateway.NewServer(g, "127.0.0.1:0", gateway.WithDrainGrace(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gctx, gcancel := context.WithCancel(context.Background())
-	gdone := make(chan struct{})
-	go func() {
-		defer close(gdone)
-		_ = gsrv.Serve(gctx)
-	}()
-	t.Cleanup(func() {
-		gcancel()
-		select {
-		case <-gdone:
-		case <-time.After(15 * time.Second):
-			t.Fatal("gateway server did not stop")
-		}
-	})
-
-	// Client-leg chaos between the fleet and the gateway; the trunk leg
-	// sees the collector restart instead of packet-level faults here
-	// (the gateway package's chaos test covers both at once).
+	// Client-leg chaos on every connection the gateway accepts; the
+	// trunk leg sees the collector restart instead of packet-level
+	// faults here (the gateway package's chaos test covers both at once).
 	plan := &faultnet.Plan{
 		Seed:           seed,
+		Clock:          clk,
 		KillAfter:      time.Duration(40+rng.Intn(60)) * time.Millisecond,
 		KillJitter:     time.Duration(60+rng.Intn(120)) * time.Millisecond,
 		ResetWriteProb: 0.01 * float64(rng.Intn(4)),
 	}
-	proxy, err := faultnet.NewProxy("127.0.0.1:0", gsrv.Addr().String(), plan)
+	gln, err := nw.Listen("gateway:80")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
-	proxyURL := fmt.Sprintf("ws://%s/beacon", proxy.Addr())
+	gsrv, err := gateway.NewServer(g, "", gateway.WithDrainGrace(time.Second), daemon.WithListener(plan.Listen(gln)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveUntilStopped(t, "gateway", gsrv.Serve)
 
 	pubs, err := publisher.NewUniverse(publisher.Config{Seed: seed, NumPublishers: 60})
 	if err != nil {
@@ -161,6 +214,7 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 		acked bool
 	}
 	outcomes := make([]outcome, fleet)
+	var acks atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < fleet; i++ {
 		exposure := time.Duration(120+rng.Intn(120)) * time.Millisecond
@@ -169,9 +223,11 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 			defer wg.Done()
 			// Stagger so sessions commit before, during and after the
 			// collector outage.
-			time.Sleep(time.Duration(i) * 25 * time.Millisecond)
+			after(time.Duration(i) * 25 * time.Millisecond)
 			cl := &beacon.Client{
-				CollectorURL:    proxyURL,
+				CollectorURL:    gsrv.BeaconURL(),
+				Dialer:          wsproto.Dialer{NetDial: nw.Dial},
+				Clock:           clk,
 				MaxAttempts:     10,
 				RetryBackoff:    5 * time.Millisecond,
 				RetryBackoffMax: 40 * time.Millisecond,
@@ -186,33 +242,46 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 					{Kind: beacon.EventMouseMove, At: 30 * time.Millisecond},
 				},
 			}
-			rctx, rcancel := context.WithTimeout(context.Background(), 15*time.Second)
-			defer rcancel()
-			err := cl.Report(rctx, p, exposure)
+			err := cl.Report(context.Background(), p, exposure)
 			outcomes[i] = outcome{nonce: p.Nonce, acked: err == nil}
+			if err == nil {
+				acks.Add(1)
+			}
 		}(i, exposure)
 	}
 
-	// Mid-run collector crash + WAL recovery on the same address. While
-	// it is down, sessions keep committing: the gateway acks them from
-	// its spill buffer and replays once the restarted collector's trunk
-	// endpoint is back.
-	time.Sleep(150 * time.Millisecond)
+	// Mid-run collector crash + WAL recovery on the same address, once
+	// some beacon has been acked and its commit with it (the clock steps
+	// only when nothing is left to do). While the collector is down,
+	// sessions keep committing: the gateway acks them from its spill
+	// buffer and replays once the restarted collector's trunk endpoint
+	// is back.
+	after(150 * time.Millisecond)
+	for ms := 0; acks.Load() == 0 && ms < 1000; ms++ {
+		after(time.Millisecond)
+	}
+	after(time.Millisecond)
+	crashed := clk.Now()
 	stopA()
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, applied, err := store.RecoverWAL(walPath, nil, discardLogger())
+	journal := walPath
+	if forgetJournal {
+		journal = filepath.Join(dir, "forgotten.wal")
+	}
+	st2, applied, err := store.RecoverWAL(journal, nil, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond)
-	wal2, err := store.OpenWAL(walPath, store.WALOptions{Policy: store.SyncOS})
+	after(200 * time.Millisecond)
+	spilled := g.Health().SpillPending
+	wal2, err := store.OpenWAL(journal, store.WALOptions{Policy: store.SyncOS})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st2.AttachWAL(wal2)
-	_, stopB := startCollector(newCollector(st2), collectorAddr)
+	stopB := startCollector(st2)
 
 	wg.Wait()
 
@@ -223,16 +292,19 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 		}
 	}
 	_, kills, _, _ := plan.Stats()
-	t.Logf("gateway wire seed %d: %d/%d acked, clientKills=%d, %d WAL entries at restart",
-		seed, acked, fleet, kills, applied)
-	if acked == 0 {
+	t.Logf("gateway wire seed %d: %d/%d acked, clientKills=%d; collector crashed at +%v, restarted on %d WAL entries with %d spilled commits to replay",
+		seed, acked, fleet, kills, crashed.Sub(start), applied, spilled)
+	switch {
+	case acked == 0:
 		t.Fatal("no beacon ever got through; schedule too violent to test the invariant")
+	case kills == 0 || spilled == 0:
+		t.Fatal("schedule too gentle: it must kill a client connection and spill commits across the restart")
 	}
 
 	// The drain must flush every acked commit into the restarted
 	// collector — anything left would be loss.
 	if left := g.Drain(15 * time.Second); left != 0 {
-		t.Fatalf("gateway drain left %d acked commits undelivered (loss)", left)
+		violate("gateway drain left %d acked commits undelivered (loss)", left)
 	}
 
 	// Crash the survivor too: the recovered-from-recovered store must
@@ -241,7 +313,7 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 	if err := wal2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err := store.RecoverWAL(walPath, nil, discardLogger())
+	rec, _, err := store.RecoverWAL(journal, nil, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,26 +324,26 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 			byNonce[im.Nonce]++
 		}
 		if im.Exposure < 0 {
-			t.Errorf("recovered record %d has negative exposure %v", im.ID, im.Exposure)
+			violate("recovered record %d has negative exposure %v", im.ID, im.Exposure)
 		}
 		return true
 	})
 	for i, o := range outcomes {
 		n := byNonce[o.nonce]
 		if o.acked && n == 0 {
-			t.Errorf("beacon %d acked but absent after recovery (zero-loss violated)", i)
+			violate("beacon %d acked but absent after recovery (zero-loss violated)", i)
 		}
 		if n > 1 {
-			t.Errorf("nonce of beacon %d appears %d times (no-duplication violated)", i, n)
+			violate("nonce of beacon %d appears %d times (no-duplication violated)", i, n)
 		}
 	}
 	liveRecs, recRecs := dumpStore(st2), dumpStore(rec)
 	if len(liveRecs) != len(recRecs) {
-		t.Fatalf("recovered %d records, live store held %d", len(recRecs), len(liveRecs))
+		return append(violations, fmt.Sprintf("recovered %d records, live store held %d", len(recRecs), len(liveRecs)))
 	}
 	for i := range liveRecs {
 		if !impressionEqual(liveRecs[i], recRecs[i]) {
-			t.Errorf("record %d diverges after recovery", liveRecs[i].ID)
+			violate("record %d diverges after recovery", liveRecs[i].ID)
 		}
 	}
 
@@ -295,8 +367,33 @@ func runGatewayWireSchedule(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("streaming audit diverges from batch FullAudit on the surviving store")
+		violate("streaming audit diverges from batch FullAudit on the surviving store")
 	}
+	return violations
+}
+
+// serveUntilStopped runs serve until the returned stop (also a cleanup)
+// cancels it and it has shut down.
+func serveUntilStopped(t *testing.T, name string, serve func(context.Context) error) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = serve(ctx)
+	}()
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(15 * time.Second):
+				t.Errorf("%s server did not stop", name)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	return stop
 }
 
 // gatewayWireAuditInputs synthesizes per-campaign vendor reports that

@@ -3,6 +3,7 @@ package simtest
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/stats"
@@ -20,8 +22,8 @@ import (
 // drives the ingest funnel directly on a virtual clock, this phase
 // explores seeded chaos schedules over real sockets — each seed
 // configures a different faultnet mix (mid-exposure kills, write
-// resets, truncated frames) and a beacon fleet that reports through the
-// proxy with retries. Real time makes byte-level determinism
+// resets, truncated frames) on the collector's listener and a beacon
+// fleet that reports with retries. Real time makes byte-level determinism
 // impossible, so the oracle relaxes to the order-insensitive
 // invariants: an acknowledged report is present exactly once after WAL
 // recovery (zero-loss + nonce no-duplication), and the recovered store
@@ -50,13 +52,27 @@ func runWireSchedule(t *testing.T, seed int64) {
 	c, err := collector.New(collector.Config{
 		Store:      st,
 		Anonymizer: ipmeta.NewAnonymizer([]byte("simwire")),
-		// Fast keepalive so proxy-severed sessions commit promptly.
+		// Fast keepalive so severed sessions commit promptly.
 		KeepAliveInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := collector.NewServer(c, "127.0.0.1:0")
+	// Each seed picks a different point in fault space, injected on every
+	// connection the collector accepts.
+	plan := &faultnet.Plan{
+		Seed:             seed,
+		KillAfter:        time.Duration(40+rng.Intn(60)) * time.Millisecond,
+		KillJitter:       time.Duration(60+rng.Intn(120)) * time.Millisecond,
+		ResetWriteProb:   0.01 * float64(rng.Intn(4)),
+		TruncateProb:     0.01 * float64(rng.Intn(3)),
+		PartialWriteProb: 0.05 * float64(rng.Intn(3)),
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := collector.NewServer(c, "", daemon.WithListener(plan.Listen(ln)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,22 +82,6 @@ func runWireSchedule(t *testing.T, seed int64) {
 		defer close(served)
 		_ = srv.Serve(ctx)
 	}()
-
-	// Each seed picks a different point in fault space.
-	plan := &faultnet.Plan{
-		Seed:             seed,
-		KillAfter:        time.Duration(40+rng.Intn(60)) * time.Millisecond,
-		KillJitter:       time.Duration(60+rng.Intn(120)) * time.Millisecond,
-		ResetWriteProb:   0.01 * float64(rng.Intn(4)),
-		TruncateProb:     0.01 * float64(rng.Intn(3)),
-		PartialWriteProb: 0.05 * float64(rng.Intn(3)),
-	}
-	proxy, err := faultnet.NewProxy("127.0.0.1:0", srv.Addr().String(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	proxyURL := fmt.Sprintf("ws://%s/beacon", proxy.Addr())
 
 	const fleet = 16
 	type outcome struct {
@@ -96,7 +96,7 @@ func runWireSchedule(t *testing.T, seed int64) {
 		go func(i int, exposure time.Duration) {
 			defer wg.Done()
 			cl := &beacon.Client{
-				CollectorURL:    proxyURL,
+				CollectorURL:    srv.BeaconURL(),
 				MaxAttempts:     10,
 				RetryBackoff:    5 * time.Millisecond,
 				RetryBackoffMax: 40 * time.Millisecond,

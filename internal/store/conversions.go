@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -101,20 +100,6 @@ func (s *Store) Conversions(campaignID string) []Conversion {
 	for i, idx := range idxs {
 		out[i] = l.recs[idx]
 	}
-	return out
-}
-
-// ConvertingCampaigns returns the campaigns with at least one
-// conversion, sorted.
-func (s *Store) ConvertingCampaigns() []string {
-	l := &s.conversions
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.byCampaign))
-	for c := range l.byCampaign {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }
 

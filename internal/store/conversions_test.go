@@ -62,10 +62,6 @@ func TestConversionsQueries(t *testing.T) {
 	if got := s.Conversions("c3"); len(got) != 0 {
 		t.Fatalf("Conversions(miss) = %d", len(got))
 	}
-	cs := s.ConvertingCampaigns()
-	if len(cs) != 2 || cs[0] != "c1" || cs[1] != "c2" {
-		t.Fatalf("ConvertingCampaigns = %v", cs)
-	}
 }
 
 func TestConversionSnapshotRoundTrip(t *testing.T) {

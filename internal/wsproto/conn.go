@@ -112,8 +112,8 @@ func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 
 // PeerAddr extracts the IP of a connection's RemoteAddr, the one way
 // every tier derives the address an impression is accounted under. A
-// TCP peer already holds its address in binary; only wrapped transports
-// (faultnet, in-memory pipes) need the string parsed. IPv4-mapped IPv6
+// TCP peer already holds its address in binary; only a transport that
+// knows its peer by text alone needs the string parsed. IPv4-mapped IPv6
 // unmaps, so one client is one address whichever socket family accepted
 // it.
 func PeerAddr(a net.Addr) (netip.Addr, error) {

@@ -671,8 +671,8 @@ func TestConnReuseReadBufferFragmented(t *testing.T) {
 	}
 }
 
-// stringAddr is a net.Addr that is only its string, like the addresses
-// wrapped transports (faultnet, pipes) report.
+// stringAddr is a net.Addr that is only its string, as a wrapped
+// transport might report.
 type stringAddr string
 
 func (a stringAddr) Network() string { return "tcp" }

@@ -178,11 +178,6 @@ type Dialer struct {
 	// NetDial overrides the transport dial, e.g. for tests or custom
 	// source addresses. Defaults to a net.Dialer respecting ctx.
 	NetDial func(ctx context.Context, network, addr string) (net.Conn, error)
-	// WrapConn, if set, wraps the freshly dialed transport connection
-	// before the handshake runs — the hook fault-injection layers
-	// (internal/faultnet) use to impair a beacon's link without
-	// replacing the dial itself.
-	WrapConn func(net.Conn) net.Conn
 	// Header is sent with the handshake request (e.g. Origin,
 	// User-Agent — the beacon forwards the embedding page's values).
 	Header http.Header
@@ -224,9 +219,6 @@ func (d *Dialer) DialURL(ctx context.Context, u *url.URL) (*Conn, *http.Response
 	nc, err := dial(ctx, "tcp", host)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wsproto: dialing %s: %w", host, err)
-	}
-	if d.WrapConn != nil {
-		nc = d.WrapConn(nc)
 	}
 
 	// Honour context cancellation during the handshake.

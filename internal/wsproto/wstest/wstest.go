@@ -1,18 +1,16 @@
 // Package wstest holds what the tiers' tests share when they speak to
 // a server over a raw socket: handshake heads written out byte by byte,
-// exchanges whose answers are compared byte by byte, a listener whose
-// peers have no usable address, and one whose peers are in-memory pipes.
+// exchanges whose answers are compared byte by byte, and a listener
+// whose peers have no usable address.
 package wstest
 
 import (
-	"context"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -88,13 +86,6 @@ func HandlerAlone(t *testing.T, beacon http.Handler) string {
 	return ref.Listener.Addr().String()
 }
 
-// StringAddr is a peer address known only by its text, as wrapped
-// transports (faultnet, in-memory pipes) present theirs.
-type StringAddr string
-
-func (a StringAddr) Network() string { return "tcp" }
-func (a StringAddr) String() string  { return string(a) }
-
 // AddrlessListener hands out ln's connections with the RemoteAddr
 // "pipe", which is not a host:port at all.
 func AddrlessListener(ln net.Listener) net.Listener { return addrlessListener{ln} }
@@ -111,56 +102,4 @@ func (l addrlessListener) Accept() (net.Conn, error) {
 
 type addrlessConn struct{ net.Conn }
 
-func (addrlessConn) RemoteAddr() net.Addr { return StringAddr("pipe") }
-
-// PipeListener accepts in-memory pipes (net.Pipe) that its Dial, a
-// wsproto.Dialer's NetDial, opens: a write blocks until the far end reads
-// it, so a peer that stops reading stalls the server's next write at
-// once, with no socket buffer to fill first. The server sees each peer
-// at 192.0.2.1.
-type PipeListener struct {
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
-}
-
-// NewPipeListener returns an open PipeListener.
-func NewPipeListener() *PipeListener {
-	return &PipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-}
-
-var pipePeer = &net.TCPAddr{IP: net.IPv4(192, 0, 2, 1), Port: 1}
-
-// Dial opens a pipe and returns its client end once Accept has taken the
-// server end.
-func (l *PipeListener) Dial(ctx context.Context, _, _ string) (net.Conn, error) {
-	client, server := net.Pipe()
-	select {
-	case l.conns <- pipeConn{server}:
-		return client, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (l *PipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *PipeListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *PipeListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1} }
-
-type pipeConn struct{ net.Conn }
-
-func (pipeConn) RemoteAddr() net.Addr { return pipePeer }
+func (addrlessConn) RemoteAddr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "tcp"} }

@@ -9,7 +9,8 @@
 #   scripts/check.sh -chaos         # also run the fault-injection suite under -race
 #   scripts/check.sh -bench-compare # also run the perf gate (cmd/benchgate: 16 benchmarks, 5 BENCH_*.json)
 #   scripts/check.sh -sim           # also run the simulation sweep (25 seeds, -race)
-#                                   # plus the trace-digest determinism gate
+#                                   # plus the trace-digest determinism gate and
+#                                   # 20 runs of the virtual-clock gateway wire schedules
 #   scripts/check.sh -adversarial   # also run the adversarial scenario pack under -race
 #                                   # (attack oracles, detector-disable gates, stream parity)
 #   scripts/check.sh -sharded       # also run the sharded-collector suite under -race
@@ -20,7 +21,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RACE_PKGS="./cmd/auditd/ ./cmd/adgateway/ ./cmd/adrouter/ ./internal/daemon/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
+RACE_PKGS="./cmd/auditd/ ./cmd/adgateway/ ./cmd/adrouter/ ./internal/daemon/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/memnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
 
 echo "==> go build ./..."
 go build ./...
@@ -74,14 +75,11 @@ if [ "${1:-}" = "-chaos" ]; then
     go test -race -count 1 -run 'TestChaos|TestReportReconnects|TestWAL' \
         ./internal/collector/ ./internal/beacon/ ./internal/store/ -v
     # Edge-tier chaos: both legs fault-injected around the gateway with
-    # a full collector restart mid-run, plus the simtest gateway wire
-    # schedules (collector restart behind the gateway, oracle
-    # invariants on the survivor). The forwarding core's own outage
+    # a full collector restart mid-run. The forwarding core's own outage
     # tests (outage replay, spill shed, ladder) live in internal/edge.
     echo "==> gateway chaos (both legs + collector restart, -race)"
     go test -race -count 1 -run 'TestChaosGatewayZeroLoss' ./internal/gateway/ -v
     go test -race -count 1 ./internal/edge/
-    go test -race -count 1 -run 'TestSimGatewayWire' ./internal/simtest/ -v
 fi
 
 if [ "${1:-}" = "-bench-compare" ]; then
@@ -110,6 +108,12 @@ if [ "${1:-}" = "-sim" ]; then
         diff "$DIGESTS/run1" "$DIGESTS/run2" >&2 || true
         exit 1
     fi
+
+    # The gateway wire schedules: fleet -> faulted in-memory network ->
+    # gateway -> trunk -> a collector killed and WAL-recovered mid-run,
+    # all on one virtual clock (and the mutant the oracle must catch).
+    echo "==> gateway wire schedules on the virtual clock (20 runs, -race)"
+    go test -race -count=20 -run TestSimGatewayWire ./internal/simtest/
 fi
 
 if [ "${1:-}" = "-adversarial" ]; then

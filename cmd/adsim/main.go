@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	adsim [-seed N] [-publishers N] [-snapshot imps.jsonl] [-csv imps.csv]
+//	adsim [-seed N] [-publishers N] [-snapshot imps.snap] [-csv imps.csv]
 //	      [-metrics metrics.json] [-report] [-adversarial spoof|pool|bots|inflate|all]
 //	      [-gateway ws://host:port/beacon] [-gateway-limit 1000] [-shards N]
 //	      [-log-level info|debug|warn|error] [-log-format text|json]
@@ -48,8 +48,8 @@ func main() {
 	var (
 		seed        = flag.Int64("seed", 1, "simulation seed (same seed, same dataset)")
 		publishers  = flag.Int("publishers", 150000, "synthetic inventory size")
-		snapshot    = flag.String("snapshot", "", "write the impression dataset (JSON lines) to this path")
-		csvPath     = flag.String("csv", "", "write the impression dataset as CSV to this path")
+		snapshot    = flag.String("snapshot", "", "write the impression dataset as a binary snapshot (what auditd and auditctl read) to this path")
+		csvPath     = flag.String("csv", "", "write the impression dataset as CSV to this path (the export for analysis)")
 		reports     = flag.String("reports", "", "write the vendor reports (JSON) to this path")
 		conversions = flag.String("conversions", "", "write the conversion dataset (JSON lines) to this path")
 		metricsPath = flag.String("metrics", "", "write the run's telemetry (JSON metrics view) to this path")

@@ -1,10 +1,11 @@
 // Command auditctl analyses a collected impression dataset: it loads a
-// JSON-lines snapshot (written by auditd or adsim), optionally joins the
+// snapshot (written by auditd or adsim; binary, or JSON lines from an
+// older build), optionally joins the
 // vendor reports, and prints the paper's audit analyses.
 //
 // Usage:
 //
-//	auditctl -snapshot imps.jsonl [-reports reports.json] [-analysis all]
+//	auditctl -snapshot imps.snap [-reports reports.json] [-analysis all]
 //	         [-log-level info|debug|warn|error] [-log-format text|json]
 //
 // Analyses: all, brandsafety, context, popularity, viewability,
@@ -40,7 +41,7 @@ import (
 
 func main() {
 	var (
-		snapshot    = flag.String("snapshot", "", "impression snapshot (JSON lines); required")
+		snapshot    = flag.String("snapshot", "", "impression snapshot (binary; JSON lines from an older build are read too); required")
 		conversions = flag.String("conversions", "", "conversion snapshot (JSON lines); optional")
 		reports     = flag.String("reports", "", "vendor reports JSON (map of campaign id to report)")
 		placements  = flag.String("placement-csv", "", "real vendor placement exports: CAMPAIGN=path.csv[,CAMPAIGN=path.csv...]")

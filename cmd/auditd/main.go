@@ -3,11 +3,12 @@
 // terminates beacon connections, derives impression timestamps and
 // exposure times from connection lifetimes, enriches records with IP
 // metadata, anonymises client addresses, and persists the dataset as a
-// JSON-lines snapshot on shutdown (SIGINT/SIGTERM) or periodically.
+// binary snapshot (internal/store's row format) on shutdown
+// (SIGINT/SIGTERM) or periodically.
 //
 // Usage:
 //
-//	auditd [-listen 127.0.0.1:8080] [-snapshot imps.jsonl] [-secret KEY]
+//	auditd [-listen 127.0.0.1:8080] [-snapshot imps.snap] [-secret KEY]
 //	       [-flush 30s] [-print-script CAMPAIGN:CREATIVE]
 //	       [-debug-addr 127.0.0.1:6060] [-selfreport 60s]
 //	       [-unhealthy-after 5m] [-wal journal.wal] [-wal-sync os|group]
@@ -46,7 +47,9 @@
 // survives power loss, and concurrently-committing sessions share one
 // flush). Every snapshot — periodic and final — compacts the journal,
 // and is fsynced and renamed into place before the journal is
-// truncated.
+// truncated. A journal an older build wrote (format v1, JSON lines) is
+// recovered at boot and upgraded: published as a snapshot, then started
+// over in the current format.
 //
 // With -print-script the daemon prints the embeddable JavaScript tag
 // for the given campaign/creative pair and the running endpoint.
@@ -67,6 +70,7 @@ package main
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -97,7 +101,7 @@ import (
 func main() {
 	var (
 		listen         = flag.String("listen", "127.0.0.1:8080", "host:port for the beacon endpoint")
-		snapshot       = flag.String("snapshot", "impressions.jsonl", "dataset snapshot path")
+		snapshot       = flag.String("snapshot", "impressions.jsonl", "dataset snapshot path (binary; a JSON-lines snapshot of an older build is still read)")
 		secret         = flag.String("secret", "", "IP anonymisation key (default: random per run)")
 		flush          = flag.Duration("flush", 30*time.Second, "snapshot flush interval (0 disables)")
 		printScript    = flag.String("print-script", "", "print the beacon JS for CAMPAIGN:CREATIVE and the endpoint")
@@ -345,6 +349,22 @@ func openStore(opts daemonOptions, logger *slog.Logger) (*store.Store, *store.WA
 			"entries", applied, "records", st.Len())
 	}
 	wal, err := store.OpenWAL(opts.walPath, store.WALOptions{Policy: policy})
+	if errors.Is(err, store.ErrJournalV1) {
+		// The journal just recovered was written by an older build.
+		// Publish everything as a v2 snapshot (no journal is attached, so
+		// this is the publish alone), and only then start the journal
+		// over: a crash in between replays the v1 journal over the v2
+		// snapshot, which is idempotent.
+		if err := st.SnapshotCompact(opts.snapshotPath); err != nil {
+			return nil, nil, fmt.Errorf("upgrading v1 journal %s: %w", opts.walPath, err)
+		}
+		if err := os.Truncate(opts.walPath, 0); err != nil {
+			return nil, nil, fmt.Errorf("upgrading v1 journal %s: %w", opts.walPath, err)
+		}
+		logger.Info("upgraded v1 journal", "path", opts.walPath,
+			"snapshot", opts.snapshotPath, "records", st.Len())
+		wal, err = store.OpenWAL(opts.walPath, store.WALOptions{Policy: policy})
+	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -88,6 +89,92 @@ func TestOpenStoreRecoversSnapshotAndGroupJournal(t *testing.T) {
 	defer wal2.Close()
 	if again.Len() != 6 {
 		t.Fatalf("second boot has %d records, want 6", again.Len())
+	}
+}
+
+// TestOpenStoreUpgradesV1Journal boots on the files an older build
+// left: a v1 (JSON lines) snapshot and a v1 journal — the committed
+// fixture internal/store/testdata/journal_5e78ee8.wal. Every record
+// must come back; the boot must leave both files in the current format
+// (the snapshot republished, the journal started over), so that no file
+// ever mixes the two; and a second boot must find the same store.
+func TestOpenStoreUpgradesV1Journal(t *testing.T) {
+	dir := t.TempDir()
+	opts := daemonOptions{
+		snapshotPath: filepath.Join(dir, "imps.jsonl"),
+		walPath:      filepath.Join(dir, "journal.wal"),
+		walSync:      "os",
+	}
+	journal, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "journal_5e78ee8.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(opts.walPath, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// What the journal alone recovers to, read from a copy.
+	scratch := filepath.Join(dir, "scratch.wal")
+	if err := os.WriteFile(scratch, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := store.RecoverWAL(scratch, nil, nil)
+	if err != nil || want.Len() < 10 {
+		t.Fatalf("the fixture recovers to %d records, err %v", want.Len(), err)
+	}
+	// The v1 snapshot an older build published part-way through the
+	// journal's history: its first five records.
+	var v1 bytes.Buffer
+	for id := int64(1); id <= 5; id++ {
+		im, _ := want.Get(id)
+		line, err := json.Marshal(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(opts.snapshotPath, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	st, wal, err := openStore(opts, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameStore(t, st, want)
+	insert := store.Impression{CampaignID: "c", Publisher: "p.es", UserKey: "u", Timestamp: time.Unix(7, 0).UTC()}
+	if _, err := st.Insert(insert); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{opts.snapshotPath, opts.walPath} {
+		data, err := os.ReadFile(path)
+		if err != nil || !bytes.HasPrefix(data, []byte(store.RowsHeader)) {
+			t.Fatalf("%s after the upgrade starts %q, want %q (err %v)", path, data[:min(len(data), 8)], store.RowsHeader, err)
+		}
+	}
+
+	again, wal2, err := openStore(opts, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	requireSameStore(t, again, st)
+}
+
+// requireSameStore fails unless got holds want's records, deep-equal.
+func requireSameStore(t *testing.T, got, want *store.Store) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%d records, want %d", got.Len(), want.Len())
+	}
+	for id := int64(1); id <= int64(want.Len()); id++ {
+		w, _ := want.Get(id)
+		if g, _ := got.Get(id); !reflect.DeepEqual(g, w) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", id, g, w)
+		}
 	}
 }
 

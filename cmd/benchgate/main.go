@@ -49,7 +49,7 @@ var table = []row{
 	{"gateway", "./internal/collector", "BenchmarkIngest", "1s", 3, "the direct text funnel, telemetry on: 3; adding a tier must not make the path without it dearer"},
 	{"gateway", "./internal/collector", "BenchmarkWebSocketSession", "1s", 66, "one session straight into a collector: 60 (+10 %; 203 before the wire diet); no room for a request object or a formatted error"},
 	{"gateway", "./internal/collector", "BenchmarkIngestBinary", "1s", 1, "the binary wire path warm: the amortised store append and nothing else"},
-	{"gateway", "./internal/collector", "BenchmarkIngestJournaled", "130000x", 1, "the production commit (journal, fresh nonce and URL, 36,000 addresses): 1.85, printed truncated; encoding/json again is +4, url.Parse +1.5"},
+	{"gateway", "./internal/collector", "BenchmarkIngestJournaled", "130000x", 1, "the production commit (journal, fresh nonce and URL, 36,000 addresses): 1.85, printed truncated; an error on the row encoder that formats the row moves it to the heap, +1; url.Parse +1.5"},
 	{"gateway", "./internal/store", "BenchmarkInsert", "130000x", 0, "only what amortises away (a log chunk per 1,024 rows, a posting list doubling); anything kept per user or per publisher reads 1"},
 
 	{"router", "./internal/router", "BenchmarkRouterForward", "1s", 80, "one session through the router to one shard: 71, the gateway's hop plus the nonce hash; 84 with a text commit"},

@@ -224,7 +224,7 @@ func BenchmarkIngestBinary(b *testing.B) {
 // collector's and the store's alone: the page URL and nonce copies of a
 // binary decode, pseudonym and user key for a new address, the
 // campaign's posting list doubling, 1/1024 of a log chunk — and no
-// journal line, URL parse, claim channel or per-user index entry
+// journal entry, URL parse, claim channel or per-user index entry
 // (cmd/benchgate's table holds the ceiling, 1, at a fixed 130,000
 // iterations).
 func BenchmarkIngestJournaled(b *testing.B) {

@@ -516,12 +516,13 @@ func (c *Collector) Ingest(obs Observation) (int64, error) {
 	if tr == nil {
 		tr = c.adoptTrace(obs.Payload)
 	}
-	// Both wires admit arbitrary bytes, and the journal and snapshot
-	// (JSON) write invalid UTF-8 as U+FFFD: left as received, a record
-	// would come back from recovery with another user key and nonce
-	// than the one acknowledged. Replace once, here, so memory, journal,
-	// snapshot and nonce table hold the same strings (a valid string —
-	// the ordinary case — is returned as is).
+	// Both wires admit arbitrary bytes, and every JSON surface (the
+	// query API, the reports, and the v1 journal and snapshot a
+	// recovery may still read) writes invalid UTF-8 as U+FFFD: left as
+	// received, a record would read back with another user key and
+	// nonce than the one acknowledged. Replace once, here, so memory,
+	// journal, snapshot, nonce table and every reader hold the same
+	// strings (a valid string — the ordinary case — is returned as is).
 	for _, s := range [...]*string{
 		&obs.Payload.CampaignID, &obs.Payload.CreativeID, &obs.Payload.PageURL,
 		&obs.Payload.UserAgent, &obs.Payload.Nonce, &obs.Publisher,

@@ -113,11 +113,11 @@ func TestNonceClaimMakesItsChannelForAWaiter(t *testing.T) {
 	c.nonceRelease("never-claimed")
 }
 
-// TestInvalidUTF8SurvivesRecovery: the journal is JSON and writes
-// invalid UTF-8 as U+FFFD, so a record ingested with such bytes must
-// hold the replaced strings from the start — else the record that
-// recovery rebuilds differs from the one acknowledged in its user key
-// and nonce, and a beacon retrying across the restart double-counts.
+// TestInvalidUTF8SurvivesRecovery: a record ingested with invalid UTF-8
+// must hold the strings every reader sees (the JSON surfaces write
+// U+FFFD) from the start, and recovery must rebuild exactly the record
+// acknowledged, user key and nonce included — else a beacon retrying
+// across the restart double-counts.
 func TestInvalidUTF8SurvivesRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	wal, err := store.OpenWAL(path, store.WALOptions{})

@@ -235,7 +235,7 @@ func (o *oracle) snapshotCompact(di int) {
 // checkRecovery replays the WAL over the latest snapshot and demands
 // the reconstruction equal the live store record for record — the
 // crash-safety invariant, checkable mid-run because appends write
-// whole lines and replay tolerates the open journal.
+// whole entries and replay tolerates the open journal.
 func (o *oracle) checkRecovery(stage string) {
 	var base *store.Store
 	if o.lastSnap != "" {

@@ -2,7 +2,7 @@ package store
 
 import (
 	"bytes"
-	"flag"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,13 +43,17 @@ var (
 	}
 )
 
-var updateFixture = flag.Bool("update", false, "rewrite testdata/journal_5e78ee8.wal with this build's journal writer")
-
 // journalFixture drives a fixed history of inserts and merges — every
 // hostile string, every finite hostile float, several zones — through
-// s, whose journal is then the format's reference document.
-func journalFixture(t *testing.T, s *Store) {
+// s, whose journal is then the format's reference document. It returns
+// the record each mutation left behind, in order: entry k of the
+// journal put states[k] in the store.
+func journalFixture(t *testing.T, s *Store) (states []Impression) {
 	t.Helper()
+	record := func(id int64) {
+		im, _ := s.Get(id)
+		states = append(states, im)
+	}
 	for i, str := range hostileStrings {
 		im := fuzzImpression(i % 20)
 		im.CreativeID, im.UserAgent, im.PageURL, im.Nonce = str, str, "http://pub.es/"+str, str
@@ -62,6 +66,7 @@ func journalFixture(t *testing.T, s *Store) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		record(id)
 		if i%2 == 1 {
 			cont := Continuation{
 				Exposure: time.Duration(i) * 1500 * time.Millisecond, MouseMoves: i % 4, Clicks: i % 2,
@@ -70,51 +75,96 @@ func journalFixture(t *testing.T, s *Store) {
 			if err := s.Merge(id-int64(i%2), cont); err != nil {
 				t.Fatal(err)
 			}
+			record(id - int64(i%2))
+		}
+	}
+	return states
+}
+
+// fixtureJournal returns the version 2 journal of journalFixture's
+// history and the states its entries leave.
+func fixtureJournal(t *testing.T) ([]byte, []Impression) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fixture.wal")
+	w, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	s.AttachWAL(w)
+	states := journalFixture(t, s)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, states
+}
+
+// entryEnds walks the frames of a version 2 file by their lengths and
+// returns the offset just past each entry.
+func entryEnds(t *testing.T, data []byte) []int {
+	t.Helper()
+	if !bytes.HasPrefix(data, []byte(RowsHeader)) {
+		t.Fatalf("no %q header: %q", RowsHeader, data[:min(len(data), 8)])
+	}
+	var ends []int
+	for at := len(RowsHeader); at < len(data); {
+		at += frameLen + int(binary.LittleEndian.Uint32(data[at:]))
+		ends = append(ends, at)
+	}
+	return ends
+}
+
+// statesAfter is the store the first k of a history's states leave, by
+// ID.
+func statesAfter(states []Impression, k int) map[int64]Impression {
+	out := map[int64]Impression{}
+	for _, im := range states[:k] {
+		out[im.ID] = im
+	}
+	return out
+}
+
+// sameRecord compares two records field for field, the timestamp by
+// its instant and its zone offset (a location is a pointer).
+func sameRecord(a, b Impression) bool {
+	_, ao := a.Timestamp.Zone()
+	_, bo := b.Timestamp.Zone()
+	if !a.Timestamp.Equal(b.Timestamp) || ao != bo {
+		return false
+	}
+	a.Timestamp, b.Timestamp = time.Time{}, time.Time{}
+	return a == b
+}
+
+// requireRecords fails unless s holds exactly want's records.
+func requireRecords(t *testing.T, s *Store, want map[int64]Impression) {
+	t.Helper()
+	if s.Len() != len(want) {
+		t.Fatalf("%d records, want %d", s.Len(), len(want))
+	}
+	for id, w := range want {
+		if got, _ := s.Get(id); !sameRecord(got, w) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", id, got, w)
 		}
 	}
 }
 
 // TestJournalMatchesParentWrittenFixture: testdata/journal_5e78ee8.wal
-// was written by the build at commit 5e78ee8 — the last whose journal
-// writer was json.Marshal — running journalFixture. This build must
-// write the same bytes for the same history, and must recover that
-// file: old journals under the new binary, new ones under the old.
+// was written by the build at commit 5e78ee8, whose journal was format
+// version 1 (JSON lines), running journalFixture. Nothing writes that
+// format any more; this build must still recover the file, record for
+// record, into what the same history leaves in a store today.
 func TestJournalMatchesParentWrittenFixture(t *testing.T) {
-	golden := filepath.Join("testdata", "journal_5e78ee8.wal")
-	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := OpenWAL(path, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	live := New()
-	live.AttachWAL(w)
 	journalFixture(t, live)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
+	want, err := os.ReadFile(filepath.Join("testdata", "journal_5e78ee8.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *updateFixture {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := range wl {
-			if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("journal line %d differs from the parent-written fixture\n got %s\nwant %s", i+1, gl[min(i, len(gl)-1)], wl[i])
-			}
-		}
-		t.Fatalf("journal has %d lines, the parent-written fixture %d", len(gl), len(wl))
-	}
-
 	old := filepath.Join(t.TempDir(), "old.wal")
 	if err := os.WriteFile(old, want, 0o644); err != nil {
 		t.Fatal(err)
@@ -125,6 +175,9 @@ func TestJournalMatchesParentWrittenFixture(t *testing.T) {
 	}
 	if lines := bytes.Count(want, []byte("\n")); applied != lines || rec.Len() != live.Len() {
 		t.Fatalf("recovered %d records from %d of %d entries, want %d records", rec.Len(), applied, lines, live.Len())
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("recovery rewrote an intact v1 journal (err %v)", err)
 	}
 	for id := int64(1); id <= int64(live.Len()); id++ {
 		a, _ := live.Get(id)

@@ -57,7 +57,9 @@ func fuzzImpression(i int) Impression {
 // FuzzRecoverWAL feeds arbitrary bytes to the journal replayer: it must
 // never panic, every record it recovers must be valid, and — because
 // replay repairs a torn tail by truncating it — a second replay of the
-// same file must succeed and produce the identical store.
+// same file must succeed and produce the identical store. The seeds
+// are journals of both formats: version 2 as this build writes them,
+// version 1 (JSON lines) in testdata and below.
 func FuzzRecoverWAL(f *testing.F) {
 	f.Add(walBytes(f, func(s *Store) {
 		id, _ := s.Insert(fuzzImpression(0))
@@ -69,6 +71,10 @@ func FuzzRecoverWAL(f *testing.F) {
 	f.Add([]byte("{\"op\":\"ins\"}\n"))
 	f.Add([]byte("not json\n"))
 	f.Add([]byte{})
+	f.Add(full[:len(RowsHeader)-2]) // torn header
+	badCRC := bytes.Clone(full)
+	badCRC[len(badCRC)-1] ^= 0x10
+	f.Add(badCRC)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64<<10 {
@@ -104,7 +110,8 @@ func FuzzRecoverWAL(f *testing.F) {
 
 // FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader: no
 // panics, recovered records valid, and an accepted snapshot must
-// round-trip through WriteSnapshot unchanged.
+// round-trip through WriteSnapshot unchanged. The seeds are snapshots
+// of both formats, as FuzzRecoverWAL's are journals.
 func FuzzReadSnapshot(f *testing.F) {
 	var buf bytes.Buffer
 	s := New()
@@ -118,6 +125,14 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte("{}"))
 	f.Add([]byte("null"))
 	f.Add([]byte{})
+	f.Add([]byte(RowsHeader))
+	var v1 bytes.Buffer
+	s.Visit(func(im *Impression) bool {
+		b, _ := json.Marshal(im)
+		v1.Write(append(b, '\n'))
+		return true
+	})
+	f.Add(v1.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := ReadSnapshot(bytes.NewReader(data))

@@ -11,12 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 )
 
-// WriteSnapshot streams the store as JSON lines (one impression per
-// line), the dataset format SnapshotCompact publishes and cmd/auditctl
-// reads.
+// WriteSnapshot streams the store as a binary snapshot: RowsHeader and
+// one insert entry per impression (rowcodec.go), the dataset format
+// SnapshotCompact publishes and cmd/auditctl reads. (WriteCSV is the
+// export for analysis outside this module.)
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -89,21 +91,20 @@ func syncDir(dir string) error {
 	return err
 }
 
-// writeSnapshotLocked streams every record, encoded as the journal
-// encodes it (rowjson.go: json.Encoder's bytes, one reused line
-// buffer); callers hold at least a read lock (WriteSnapshot,
-// SnapshotCompact).
+// writeSnapshotLocked streams every record as an insert entry, encoded
+// into one reused buffer; callers hold at least a read lock
+// (WriteSnapshot, SnapshotCompact).
 func (s *Store) writeSnapshotLocked(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString(RowsHeader) // a bufio.Writer's error sticks: it returns from the next Write or Flush
+	var entry []byte
 	var err error
 	s.recs.each(func(im *Impression) bool {
-		if line, err = appendImpression(line[:0], im); err != nil {
+		if entry, err = appendFramed(entry[:0], &walEntry{Op: opInsert, Im: im}); err != nil {
 			err = fmt.Errorf("store: encoding snapshot record %d: %w", im.ID, err)
 			return false
 		}
-		line = append(line, '\n')
-		if _, err = bw.Write(line); err != nil {
+		if _, err = bw.Write(entry); err != nil {
 			err = fmt.Errorf("store: writing snapshot record %d: %w", im.ID, err)
 			return false
 		}
@@ -118,15 +119,65 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 	return nil
 }
 
-// ReadSnapshot loads JSON-lines records into a fresh store. IDs are
-// reassigned in file order; the index is rebuilt. A truncated final
-// record — the signature of a writer that crashed mid-snapshot — is
-// dropped with a logged warning rather than failing the whole load,
-// matching the WAL's torn-tail replay semantics; corruption anywhere
-// else still fails.
+// ReadSnapshot loads a snapshot into a fresh store: format version 2,
+// or a version 1 snapshot (JSON lines) left by an older build. IDs are
+// reassigned in file order; the index is rebuilt. A torn final record —
+// the signature of a writer that crashed mid-snapshot — is dropped with
+// a logged warning rather than failing the whole load, matching the
+// WAL's torn-tail replay semantics; damage anywhere else still fails.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	s := New()
-	dec := json.NewDecoder(bufio.NewReader(r))
+	br := bufio.NewReaderSize(r, 64<<10)
+	head, _ := br.Peek(len(RowsHeader))
+	var err error
+	switch {
+	case string(head) == RowsHeader:
+		br.Discard(len(head))
+		err = s.readEntries(newEntryReader(br))
+	case len(head) > 0 && strings.HasPrefix(RowsHeader, string(head)):
+		slog.Warn("store: snapshot ends inside its header; loading it empty")
+	default:
+		err = s.readV1(br)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// readEntries loads the rows of a version 2 snapshot.
+func (s *Store) readEntries(r *entryReader) error {
+	var e walEntry
+	var row Impression
+	for {
+		body, err := r.next()
+		if err == io.EOF {
+			return nil
+		}
+		if err == errTorn {
+			slog.Warn("store: snapshot ends in a torn record; dropping it", "records_kept", r.n)
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("store: snapshot record %d: %w", r.n+1, err)
+		}
+		err = decodeEntry(body, &e, &row)
+		if err == nil && e.Op != opInsert {
+			err = fmt.Errorf("op %d is not a row", e.Op)
+		}
+		if err == nil {
+			_, err = s.Insert(row)
+		}
+		if err != nil {
+			return fmt.Errorf("store: snapshot record %d: %w", r.n, err)
+		}
+	}
+}
+
+// readV1 loads the records of a version 1 snapshot: one JSON object
+// per line.
+func (s *Store) readV1(r io.Reader) error {
+	dec := json.NewDecoder(r)
 	for line := 1; ; line++ {
 		var im Impression
 		err := dec.Decode(&im)
@@ -139,13 +190,13 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("store: decoding snapshot record %d: %w", line, err)
+			return fmt.Errorf("store: decoding snapshot record %d: %w", line, err)
 		}
 		if _, err := s.Insert(im); err != nil {
-			return nil, fmt.Errorf("store: snapshot record %d: %w", line, err)
+			return fmt.Errorf("store: snapshot record %d: %w", line, err)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // csvHeader is the column order of WriteCSV.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -64,29 +65,59 @@ func TestReadSnapshotToleratesTruncatedFinalRecord(t *testing.T) {
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.String()
-	// Chop mid-way through the last record — a writer that died between
-	// write(2) calls.
-	lines := strings.SplitAfter(strings.TrimSuffix(full, "\n"), "\n")
-	torn := strings.Join(lines[:2], "") + lines[2][:len(lines[2])/2]
-
-	got, err := ReadSnapshot(strings.NewReader(torn))
-	if err != nil {
-		t.Fatalf("truncated final record must not fail the load: %v", err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("kept %d records, want the 2 intact ones", got.Len())
-	}
-	for id := int64(1); id <= 2; id++ {
-		want, _ := s.Get(id)
-		if g, ok := got.Get(id); !ok || g != want {
-			t.Fatalf("record %d mismatch after truncated load", id)
+	full := buf.Bytes()
+	ends := entryEnds(t, full)
+	badCRC := bytes.Clone(full)
+	badCRC[len(badCRC)-1] ^= 0x01
+	// A version 1 snapshot of the same records, as an older build wrote
+	// it: one JSON object per line.
+	var v1 bytes.Buffer
+	enc := json.NewEncoder(&v1)
+	for id := int64(1); id <= 3; id++ {
+		im, _ := s.Get(id)
+		if err := enc.Encode(&im); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Corruption that is NOT a truncated tail still fails.
-	corrupt := lines[0] + "###garbage###\n" + lines[2]
-	if _, err := ReadSnapshot(strings.NewReader(corrupt)); err == nil {
-		t.Fatal("mid-file corruption silently accepted")
+	lines := strings.SplitAfter(strings.TrimSuffix(v1.String(), "\n"), "\n")
+
+	// Chopped mid-way through the last record — a writer that died
+	// between write(2) calls — or its last record damaged.
+	for name, torn := range map[string][]byte{
+		"v2 half a record":     full[:ends[1]+(ends[2]-ends[1])/2],
+		"v2 half a frame":      full[:ends[1]+frameLen-1],
+		"v2 bad last checksum": badCRC,
+		"v1 half a line":       []byte(lines[0] + lines[1] + lines[2][:len(lines[2])/2]),
+	} {
+		got, err := ReadSnapshot(bytes.NewReader(torn))
+		if err != nil {
+			t.Fatalf("%s: a torn final record must not fail the load: %v", name, err)
+		}
+		if got.Len() != 2 {
+			t.Fatalf("%s: kept %d records, want the 2 intact ones", name, got.Len())
+		}
+		for id := int64(1); id <= 2; id++ {
+			want, _ := s.Get(id)
+			if g, ok := got.Get(id); !ok || g != want {
+				t.Fatalf("%s: record %d mismatch after truncated load", name, id)
+			}
+		}
+	}
+	// Damage that is NOT a torn tail still fails.
+	flipped := bytes.Clone(full)
+	flipped[ends[0]+frameLen+3] ^= 0x01
+	merge, err := appendFramed(bytes.Clone(full[:ends[0]]), &walEntry{Op: opMerge, ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string][]byte{
+		"v2 flipped byte": flipped,
+		"v2 not a row":    append(merge, full[ends[0]:]...),
+		"v1 garbage line": []byte(lines[0] + "###garbage###\n" + lines[2]),
+	} {
+		if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "record 2") {
+			t.Fatalf("%s: mid-file damage: err %v, want a failure naming record 2", name, err)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@
 // positions: every analysis of the paper's §4 is one pass over one
 // campaign's rows, so that is the only access path a reader takes, and
 // anything else (the distinct publishers of the whole dataset, say) is
-// a scan of the log. It supports concurrent writers and readers, and
-// round-trips datasets through JSON-lines snapshots and CSV exports for
-// downstream analysis.
+// a scan of the log. It supports concurrent writers and readers. Its
+// journal (wal.go) and its snapshots (snapshot.go) share one binary row
+// format (rowcodec.go); CSV is the export for downstream analysis.
 package store
 
 import (
@@ -169,7 +169,7 @@ func (s *Store) InsertTraced(im Impression, tr *trace.Trace) (int64, error) {
 	wal := s.wal
 	var walSeq int64
 	if wal != nil {
-		seq, err := wal.append(&walEntry{Op: "ins", Im: &im})
+		seq, err := wal.append(&walEntry{Op: opInsert, Im: &im})
 		if err != nil {
 			s.mu.Unlock()
 			s.tel.insertFailures.Inc()

@@ -233,6 +233,18 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader(`{"campaign_id":""}`)); err == nil {
 		t.Fatal("invalid record accepted")
 	}
+	// The same in version 2: a frame that does not check out, and a row
+	// that does but is not a valid record.
+	if _, err := ReadSnapshot(strings.NewReader(RowsHeader + "not a frame, not a row")); err == nil {
+		t.Fatal("garbage v2 snapshot accepted")
+	}
+	row, err := appendFramed([]byte(RowsHeader), &walEntry{Op: opInsert, Im: &Impression{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(row)); err == nil {
+		t.Fatal("invalid v2 record accepted")
+	}
 }
 
 func TestWriteCSV(t *testing.T) {

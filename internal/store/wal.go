@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,18 +16,20 @@ import (
 )
 
 // The write-ahead log makes acknowledged impressions survive a
-// collector crash. Every Insert and Merge appends one JSON line to the
-// journal *before* the in-memory store mutates, so a daemon killed at
-// any instant recovers, at boot, every record it ever acknowledged —
-// closing the gap the periodic snapshot leaves (a crash used to lose
-// everything since the last flush).
+// collector crash. Every Insert and Merge appends one binary entry (the
+// row format of rowcodec.go) to the journal *before* the in-memory
+// store mutates, so a daemon killed at any instant recovers, at boot,
+// every record it ever acknowledged — closing the gap the periodic
+// snapshot leaves (a crash used to lose everything since the last
+// flush).
 //
 // Design points:
 //
-//   - One entry per line, written in a single write(2) call including
-//     the trailing newline. A torn final line therefore always means a
-//     crash mid-append, never a corrupt middle; replay tolerates it by
-//     truncating the tail and logging a warning.
+//   - Each entry is framed and checksummed, and written in a single
+//     write(2) call. A final entry the file ends inside, or whose body
+//     fails its checksum, therefore means a crash mid-append, never a
+//     corrupt middle; replay tolerates it by truncating the tail and
+//     logging a warning. Damage anywhere before it fails the replay.
 //   - Merge entries carry the absolute post-merge values (not deltas),
 //     so replaying a WAL over a snapshot that already contains any
 //     prefix of it is idempotent. That makes the compaction race
@@ -78,13 +81,13 @@ type WALOptions struct {
 	Policy SyncPolicy
 }
 
-// WAL is an append-only JSON-lines journal of store mutations. Attach
-// one with Store.AttachWAL; open an existing journal at boot with
+// WAL is an append-only binary journal of store mutations. Attach one
+// with Store.AttachWAL; open an existing journal at boot with
 // RecoverWAL first.
 type WAL struct {
 	mu     sync.Mutex
 	f      *os.File
-	line   []byte // the append encoder's buffer, reused under mu
+	buf    []byte // the append encoder's buffer, reused under mu
 	path   string
 	policy SyncPolicy
 	// firstDirty is when the oldest acknowledged entry not yet on disk
@@ -108,27 +111,39 @@ type WAL struct {
 	done     chan struct{}
 }
 
-// walEntry is one journal line. Insert entries carry the full record
+// walEntry is one journal entry. Insert entries carry the full record
 // (including its assigned ID); merge entries carry the absolute
 // post-merge values so replay is idempotent.
 type walEntry struct {
-	Op string      `json:"op"` // "ins" | "mrg"
-	Im *Impression `json:"im,omitempty"`
+	Op byte        // opInsert | opMerge
+	Im *Impression // opInsert
 
-	ID          int64   `json:"id,omitempty"`
-	ExposureNS  int64   `json:"exp,omitempty"`
-	MouseMoves  int     `json:"moves,omitempty"`
-	Clicks      int     `json:"clicks,omitempty"`
-	VisMeasured bool    `json:"vis,omitempty"`
-	MaxVis      float64 `json:"maxvis,omitempty"`
+	// opMerge
+	ID          int64
+	ExposureNS  int64
+	MouseMoves  int
+	Clicks      int
+	VisMeasured bool
+	MaxVis      float64
 }
 
+// ErrJournalV1 marks a journal in format version 1 (JSON lines), which
+// OpenWAL refuses to append to: RecoverWAL reads it, and a snapshot
+// published from the recovered store supersedes it.
+var ErrJournalV1 = errors.New("journal is format v1 (JSON lines); this build appends only to v2: recover it, publish a snapshot and truncate it")
+
 // OpenWAL opens (creating if missing) the journal at path for
-// appending. Call RecoverWAL first when the file may hold entries from
-// a previous run — OpenWAL does not replay.
+// appending, writing RowsHeader to an empty file. It refuses a
+// non-empty file that lacks the header — a version 1 journal among
+// them (ErrJournalV1). Call RecoverWAL first when the file may hold
+// entries from a previous run — OpenWAL does not replay.
 func OpenWAL(path string, opts WALOptions) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("store: opening wal %s: %w", path, err)
+	}
+	if err := startJournal(f); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("store: opening wal %s: %w", path, err)
 	}
 	w := &WAL{
@@ -146,6 +161,25 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		close(w.done)
 	}
 	return w, nil
+}
+
+// startJournal writes the header to an empty journal and checks that a
+// non-empty one opens with it.
+func startJournal(f *os.File) error {
+	head := make([]byte, len(RowsHeader))
+	n, err := f.ReadAt(head, 0)
+	switch {
+	case n == 0 && err == io.EOF:
+		_, err = f.WriteString(RowsHeader)
+		return err
+	case string(head[:n]) == RowsHeader:
+		return nil
+	case head[0] == '{':
+		return ErrJournalV1
+	case err != nil && err != io.EOF:
+		return err
+	}
+	return fmt.Errorf("not a journal: no %q header, and not a v1 (JSON lines) journal either", RowsHeader[:4])
 }
 
 // Path returns the journal's file path.
@@ -195,22 +229,22 @@ func (w *WAL) groupSync() {
 	w.mu.Unlock()
 }
 
-// append writes one entry as a single line in a single write call. The
-// line is encoded (see rowjson.go) into a buffer the WAL reuses across
-// appends; an entry with no JSON form fails before anything is written.
-// Under SyncGroup the returned seq is the entry's place in the
+// append writes one framed entry in a single write call. The entry is
+// encoded (see rowcodec.go) into a buffer the WAL reuses across
+// appends; an entry the format refuses fails before anything is
+// written. Under SyncGroup the returned seq is the entry's place in the
 // group-commit order: the caller must not acknowledge the mutation
 // until waitDurable(seq) returns nil. SyncOS returns seq 0 (waitDurable
 // treats it as already durable).
 func (w *WAL) append(e *walEntry) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	line, err := appendEntry(w.line[:0], e)
+	buf, err := appendFramed(w.buf[:0], e)
 	if err != nil {
 		return 0, fmt.Errorf("store: encoding wal entry: %w", err)
 	}
-	w.line = line
-	if _, err := w.f.Write(line); err != nil {
+	w.buf = buf
+	if _, err := w.f.Write(buf); err != nil {
 		return 0, fmt.Errorf("store: appending wal entry: %w", err)
 	}
 	if w.policy != SyncGroup {
@@ -282,18 +316,19 @@ func (w *WAL) publishSyncedLocked() {
 	w.synced.Broadcast()
 }
 
-// reset truncates the journal to empty — called by SnapshotCompact
-// once a snapshot has been durably published, which supersedes every
-// journaled entry. SnapshotCompact holds the store's writer-excluding
-// lock across the publish and the reset, so no append can race it.
+// reset truncates the journal to its header — called by
+// SnapshotCompact once a snapshot has been durably published, which
+// supersedes every journaled entry. SnapshotCompact holds the store's
+// writer-excluding lock across the publish and the reset, so no append
+// can race it.
 func (w *WAL) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncating wal: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: rewinding wal: %w", err)
+	if _, err := w.f.WriteString(RowsHeader); err != nil {
+		return fmt.Errorf("store: rewriting wal header: %w", err)
 	}
 	// Truncation supersedes every journaled entry, so any group-commit
 	// waiter's entry is moot: the snapshot that triggered the reset
@@ -345,9 +380,12 @@ func (s *Store) WALDirtyDuration() time.Duration {
 // applied. base is typically the last published snapshot; insert
 // entries the snapshot already contains are skipped and merge entries
 // re-apply idempotently, so any prefix overlap between snapshot and
-// journal is harmless. A torn final line — the signature of a crash
+// journal is harmless. A torn final entry — the signature of a crash
 // mid-append — is logged, dropped, and truncated away so the journal is
-// append-clean afterwards; corruption anywhere else fails the recovery.
+// append-clean afterwards; damage anywhere else fails the recovery. A
+// file cut inside its header is truncated to empty. The journal may be
+// in either format: version 2, or a version 1 journal (JSON lines) left
+// by an older build.
 func RecoverWAL(path string, base *Store, logger *slog.Logger) (*Store, int, error) {
 	if logger == nil {
 		logger = slog.Default()
@@ -365,7 +403,73 @@ func RecoverWAL(path string, base *Store, logger *slog.Logger) (*Store, int, err
 	}
 	defer f.Close()
 
-	br := bufio.NewReader(f)
+	br := bufio.NewReaderSize(f, 64<<10)
+	head, _ := br.Peek(len(RowsHeader))
+	var applied int
+	switch {
+	case string(head) == RowsHeader:
+		br.Discard(len(head))
+		applied, err = s.recoverEntries(newEntryReader(br), path, logger)
+	case strings.HasPrefix(RowsHeader, string(head)):
+		if len(head) > 0 {
+			logger.Warn("store: wal ends inside its header; emptying it", "path", path, "bytes", len(head))
+			err = truncateAt(path, 0)
+		}
+	default:
+		applied, err = s.recoverV1(br, path, logger)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, applied, nil
+}
+
+// recoverEntries replays a version 2 journal.
+func (s *Store) recoverEntries(r *entryReader, path string, logger *slog.Logger) (int, error) {
+	applied := 0
+	var e walEntry
+	var row Impression
+	for {
+		body, err := r.next()
+		if err == io.EOF {
+			return applied, nil
+		}
+		if err == errTorn {
+			logger.Warn("store: wal ends in a torn entry; dropping tail",
+				"path", path, "entry", r.n+1, "offset", r.end)
+			return applied, truncateAt(path, r.end)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("store: wal %s entry %d corrupt: %w", path, r.n+1, err)
+		}
+		if err := decodeEntry(body, &e, &row); err != nil {
+			return 0, fmt.Errorf("store: wal %s entry %d corrupt: %w", path, r.n, err)
+		}
+		ok, err := s.applyWALEntry(&e)
+		if err != nil {
+			return 0, fmt.Errorf("store: wal %s entry %d: %w", path, r.n, err)
+		}
+		if ok {
+			applied++
+		}
+	}
+}
+
+// walEntryV1 is one line of a version 1 journal.
+type walEntryV1 struct {
+	Op          string      `json:"op"` // "ins" | "mrg"
+	Im          *Impression `json:"im,omitempty"`
+	ID          int64       `json:"id,omitempty"`
+	ExposureNS  int64       `json:"exp,omitempty"`
+	MouseMoves  int         `json:"moves,omitempty"`
+	Clicks      int         `json:"clicks,omitempty"`
+	VisMeasured bool        `json:"vis,omitempty"`
+	MaxVis      float64     `json:"maxvis,omitempty"`
+}
+
+// recoverV1 replays a version 1 journal: one JSON object per line, a
+// torn final line being one without its newline.
+func (s *Store) recoverV1(br *bufio.Reader, path string, logger *slog.Logger) (int, error) {
 	applied := 0
 	var goodOffset int64 // end of the last intact, newline-terminated entry
 	for lineNo := 1; ; lineNo++ {
@@ -375,39 +479,47 @@ func RecoverWAL(path string, base *Store, logger *slog.Logger) (*Store, int, err
 				// Data after the last newline: a torn append. Drop it.
 				logger.Warn("store: wal ends in a torn entry; dropping tail",
 					"path", path, "line", lineNo, "bytes", len(line))
-				if err := truncateAt(path, goodOffset); err != nil {
-					return nil, 0, err
-				}
+				return applied, truncateAt(path, goodOffset)
 			}
-			break
+			return applied, nil
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: reading wal %s: %w", path, err)
+			return 0, fmt.Errorf("store: reading wal %s: %w", path, err)
 		}
-		var e walEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
+		var v1 walEntryV1
+		if err := json.Unmarshal([]byte(line), &v1); err != nil {
 			// A newline-terminated line that does not parse is real
-			// corruption, not a crash artifact: appends write the whole
+			// corruption, not a crash artifact: appends wrote the whole
 			// line atomically.
-			return nil, 0, fmt.Errorf("store: wal %s entry %d corrupt: %w", path, lineNo, err)
+			return 0, fmt.Errorf("store: wal %s entry %d corrupt: %w", path, lineNo, err)
 		}
-		ok, err := s.applyWALEntry(e)
+		e := walEntry{Im: v1.Im, ID: v1.ID, ExposureNS: v1.ExposureNS, MouseMoves: v1.MouseMoves,
+			Clicks: v1.Clicks, VisMeasured: v1.VisMeasured, MaxVis: v1.MaxVis}
+		switch v1.Op {
+		case "ins":
+			e.Op = opInsert
+		case "mrg":
+			e.Op = opMerge
+		default:
+			return 0, fmt.Errorf("store: wal %s entry %d: unknown op %q", path, lineNo, v1.Op)
+		}
+		ok, err := s.applyWALEntry(&e)
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: wal %s entry %d: %w", path, lineNo, err)
+			return 0, fmt.Errorf("store: wal %s entry %d: %w", path, lineNo, err)
 		}
 		if ok {
 			applied++
 		}
 		goodOffset += int64(len(line))
 	}
-	return s, applied, nil
 }
 
 // applyWALEntry replays one journal entry; ok reports whether it
-// changed the store (snapshot-covered inserts are skipped).
-func (s *Store) applyWALEntry(e walEntry) (ok bool, err error) {
+// changed the store: an insert the snapshot already holds is skipped,
+// and a merge to the values the record already has changes nothing.
+func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 	switch e.Op {
-	case "ins":
+	case opInsert:
 		if e.Im == nil {
 			return false, fmt.Errorf("insert entry missing record")
 		}
@@ -426,7 +538,7 @@ func (s *Store) applyWALEntry(e walEntry) (ok bool, err error) {
 			return false, err
 		}
 		return true, nil
-	case "mrg":
+	case opMerge:
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if e.ID < 1 || e.ID > int64(s.recs.len()) {
@@ -440,15 +552,25 @@ func (s *Store) applyWALEntry(e walEntry) (ok bool, err error) {
 			VisibilityMeasured: im.VisibilityMeasured,
 			MaxVisibleFraction: im.MaxVisibleFraction,
 		}
-		im.Exposure = time.Duration(e.ExposureNS)
-		im.MouseMoves = e.MouseMoves
-		im.Clicks = e.Clicks
-		im.VisibilityMeasured = e.VisMeasured
-		im.MaxVisibleFraction = e.MaxVis
+		next := MergePrev{
+			Exposure:           time.Duration(e.ExposureNS),
+			MouseMoves:         e.MouseMoves,
+			Clicks:             e.Clicks,
+			VisibilityMeasured: e.VisMeasured,
+			MaxVisibleFraction: e.MaxVis,
+		}
+		if next == prev {
+			return false, nil
+		}
+		im.Exposure = next.Exposure
+		im.MouseMoves = next.MouseMoves
+		im.Clicks = next.Clicks
+		im.VisibilityMeasured = next.VisibilityMeasured
+		im.MaxVisibleFraction = next.MaxVisibleFraction
 		s.publishFeed(FeedEvent{Kind: FeedMerge, Im: *im, Prev: prev})
 		return true, nil
 	}
-	return false, fmt.Errorf("unknown op %q", e.Op)
+	return false, fmt.Errorf("unknown op %d", e.Op)
 }
 
 // truncateAt chops the file to size off, removing a torn tail.
@@ -527,7 +649,7 @@ func (s *Store) MergeTraced(id int64, cont Continuation, tr *trace.Trace) error 
 	var walSeq int64
 	if wal != nil {
 		seq, err := wal.append(&walEntry{
-			Op: "mrg", ID: id,
+			Op: opMerge, ID: id,
 			ExposureNS:  int64(exp),
 			MouseMoves:  moves,
 			Clicks:      clicks,

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,59 +114,184 @@ func TestWALMergeReplayIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestWALTornTailToleratedAndTruncated: a journal that ends in part of
+// an entry, or in an entry whose body fails its checksum, lost that
+// entry to a crash mid-append. Recovery keeps everything before it and
+// truncates it away, in either format.
 func TestWALTornTailToleratedAndTruncated(t *testing.T) {
 	path, w := openTestWAL(t, WALOptions{Policy: SyncGroup})
 	s := New()
 	s.AttachWAL(w)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		if _, err := s.Insert(walImpression("c1", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
-	// Simulate a crash mid-append: half an entry, no newline.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"ins","im":{"id":6,"campaign`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	rec, applied, err := RecoverWAL(path, nil, nil)
-	if err != nil {
-		t.Fatalf("torn tail must not fail recovery: %v", err)
-	}
-	if applied != 5 || rec.Len() != 5 {
-		t.Fatalf("recovered %d/%d records, want 5/5", applied, rec.Len())
-	}
-	// The torn tail is physically gone: the journal is append-clean and
-	// a second recovery sees exactly the same state.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
-		t.Fatalf("journal not truncated to a newline boundary (len %d)", len(raw))
-	}
-	rec2, applied2, err := RecoverWAL(path, nil, nil)
-	if err != nil || applied2 != 5 || rec2.Len() != 5 {
-		t.Fatalf("second recovery diverged: applied=%d len=%d err=%v", applied2, rec2.Len(), err)
+	ends := entryEnds(t, full)
+	last := ends[len(ends)-2] // where the sixth entry starts
+	badCRC := bytes.Clone(full)
+	badCRC[len(badCRC)-1] ^= 0x01
+	for name, data := range map[string][]byte{
+		"half an entry":      full[:last+(len(full)-last)/2],
+		"half a frame":       full[:last+frameLen/2],
+		"bad final checksum": badCRC,
+		"v1 half a line": []byte(`{"op":"ins","im":{"id":1,"campaign_id":"c","publisher":"p","user_key":"u","timestamp":"2016-03-29T00:00:00Z"}}` +
+			"\n" + `{"op":"ins","im":{"id":2,"campaign`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := 5
+			if name == "v1 half a line" {
+				want = 1
+			}
+			rec, applied, err := RecoverWAL(path, nil, fuzzLogger())
+			if err != nil {
+				t.Fatalf("torn tail must not fail recovery: %v", err)
+			}
+			if applied != want || rec.Len() != want {
+				t.Fatalf("recovered %d/%d records, want %d/%d", applied, rec.Len(), want, want)
+			}
+			// The torn tail is physically gone: the journal is
+			// append-clean and a second recovery sees the same state.
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != "v1 half a line" && !bytes.Equal(raw, full[:last]) {
+				t.Fatalf("journal truncated to %d bytes, want the %d before the torn entry", len(raw), last)
+			}
+			rec2, applied2, err := RecoverWAL(path, nil, fuzzLogger())
+			if err != nil || applied2 != want || rec2.Len() != want {
+				t.Fatalf("second recovery diverged: applied=%d len=%d err=%v", applied2, rec2.Len(), err)
+			}
+		})
 	}
 }
 
+// TestWALCorruptMiddleFailsRecovery: damage that is not a torn final
+// entry — any byte flipped in any entry but the last, frame header or
+// body, or a line of a v1 journal that does not parse — fails recovery
+// naming the entry, and leaves the journal as it was.
 func TestWALCorruptMiddleFailsRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	content := `{"op":"ins","im":{"id":1,"campaign_id":"c","publisher":"p","user_key":"u","timestamp":"2016-03-29T00:00:00Z"}}
+	v1 := `{"op":"ins","im":{"id":1,"campaign_id":"c","publisher":"p","user_key":"u","timestamp":"2016-03-29T00:00:00Z"}}
 not json at all
 {"op":"ins","im":{"id":2,"campaign_id":"c","publisher":"p","user_key":"u","timestamp":"2016-03-29T00:00:01Z"}}
 `
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RecoverWAL(path, nil, nil); err == nil {
-		t.Fatal("corrupt middle entry must fail recovery, not be skipped")
+	if _, _, err := RecoverWAL(path, nil, nil); err == nil || !strings.Contains(err.Error(), "entry 2") {
+		t.Fatalf("corrupt middle v1 line: err %v, want a failure naming entry 2", err)
+	}
+
+	full, _ := fixtureJournal(t)
+	ends := entryEnds(t, full)
+	start := len(RowsHeader)
+	for k, end := range ends[:len(ends)-1] {
+		for at := start; at < end; at++ {
+			data := bytes.Clone(full)
+			data[at] ^= 0x5a
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := RecoverWAL(path, nil, fuzzLogger())
+			if name := fmt.Sprintf("entry %d ", k+1); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("byte %d of entry %d flipped: err %v, want a failure naming %q", at-start, k+1, err, name)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+				t.Fatalf("byte %d of entry %d flipped: a failed recovery changed the journal", at-start, k+1)
+			}
+		}
+		start = end
+	}
+}
+
+// TestWALCrashAtEveryByte cuts a journal of journalFixture's inserts
+// and merges at every byte offset, inside the header too: recovery
+// keeps exactly the entries wholly inside the cut, truncates the rest
+// (a cut header to nothing), and a second recovery over its result
+// applies nothing and changes nothing.
+func TestWALCrashAtEveryByte(t *testing.T) {
+	full, states := fixtureJournal(t)
+	ends := entryEnds(t, full)
+	if len(ends) != len(states) {
+		t.Fatalf("%d entries for %d mutations", len(ends), len(states))
+	}
+	path := filepath.Join(t.TempDir(), "cut.wal")
+	for cut := 0; cut <= len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole, keep := 0, 0
+		if cut >= len(RowsHeader) {
+			keep = len(RowsHeader)
+		}
+		for whole < len(ends) && ends[whole] <= cut {
+			keep = ends[whole]
+			whole++
+		}
+		rec, applied, err := RecoverWAL(path, nil, fuzzLogger())
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if applied != whole {
+			t.Fatalf("cut at %d: applied %d entries, %d are whole", cut, applied, whole)
+		}
+		requireRecords(t, rec, statesAfter(states, whole))
+		after, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(after, full[:keep]) {
+			t.Fatalf("cut at %d: journal left at %d bytes, want %d (err %v)", cut, len(after), keep, err)
+		}
+		again, applied, err := RecoverWAL(path, rec, fuzzLogger())
+		if err != nil || applied != 0 || again.Len() != rec.Len() {
+			t.Fatalf("cut at %d: second recovery applied %d (err %v)", cut, applied, err)
+		}
+		if twice, _ := os.ReadFile(path); !bytes.Equal(twice, after) {
+			t.Fatalf("cut at %d: second recovery changed the journal", cut)
+		}
+	}
+}
+
+// TestOpenWALRefusesAJournalWithoutHeader: OpenWAL appends only to a
+// version 2 journal. It writes the header to an empty file and refuses
+// a v1 journal by name — an upgrade recovers it and publishes a
+// snapshot first — and any other headerless file.
+func TestOpenWALRefusesAJournalWithoutHeader(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"v1":      `{"op":"ins","im":{"id":1}}` + "\n",
+		"garbage": "ADR\x01 not a journal",
+	} {
+		path := filepath.Join(dir, name+".wal")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenWAL(path, WALOptions{})
+		if err == nil || !strings.Contains(err.Error(), "v1") || errors.Is(err, ErrJournalV1) != (name == "v1") {
+			t.Fatalf("%s: OpenWAL err %v, want a refusal naming v1", name, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != content {
+			t.Fatalf("%s: the refused journal was changed", name)
+		}
+	}
+	path := filepath.Join(dir, "new.wal")
+	for i := 0; i < 2; i++ { // creating it, then reopening it
+		w, err := OpenWAL(path, WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if got, _ := os.ReadFile(path); string(got) != RowsHeader {
+			t.Fatalf("open %d: journal holds %q, want the header alone", i+1, got)
+		}
 	}
 }
 

@@ -135,18 +135,17 @@ type Metrics struct {
 // operational signals: the former blames the peer (or the network), the
 // latter blames the collector's own pipeline.
 const (
-	RejectHandshake    = beacon.FailHandshake // first message missing, late, or not a data frame
-	RejectDecode       = beacon.FailDecode    // payload failed to parse
-	RejectPayload      = "payload"            // payload parsed but unusable (bad page URL)
-	RejectInsert       = "insert"             // store refused the record
-	RejectPeerAddr     = beacon.FailPeerAddr  // unresolvable remote address
-	RejectUpgrade      = beacon.FailUpgrade   // HTTP → WebSocket upgrade failed
-	RejectConvDecode   = "conv-decode"        // conversion query string failed to parse
-	RejectConvValidate = "conv-validate"      // conversion payload incomplete
-	RejectConvInsert   = "conv-insert"        // store refused the conversion
-	RejectConvPeerAddr = "conv-peer-addr"     // unresolvable pixel peer address
-	RejectTrunkAuth    = "trunk-auth"         // gateway presented a bad trunk token
-	RejectTrunkProto   = "trunk-proto"        // malformed trunk frame or batch
+	RejectDecode       = beacon.FailDecode   // payload failed to parse
+	RejectPayload      = "payload"           // payload parsed but unusable (bad page URL)
+	RejectInsert       = "insert"            // store refused the record
+	RejectPeerAddr     = beacon.FailPeerAddr // unresolvable remote address
+	RejectUpgrade      = beacon.FailUpgrade  // HTTP → WebSocket upgrade failed
+	RejectConvDecode   = "conv-decode"       // conversion query string failed to parse
+	RejectConvValidate = "conv-validate"     // conversion payload incomplete
+	RejectConvInsert   = "conv-insert"       // store refused the conversion
+	RejectConvPeerAddr = "conv-peer-addr"    // unresolvable pixel peer address
+	RejectTrunkAuth    = "trunk-auth"        // gateway presented a bad trunk token
+	RejectTrunkProto   = "trunk-proto"       // malformed trunk frame or batch
 )
 
 // sampleInterval is the stage-timing sampling rate on the direct ingest

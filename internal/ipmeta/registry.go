@@ -104,9 +104,6 @@ func (db *DB) Lookup(addr netip.Addr) (Record, bool) {
 	return db.tree.Lookup(addr)
 }
 
-// NumRanges returns the number of ranges in the database.
-func (db *DB) NumRanges() int { return db.tree.Len() }
-
 // DenyList is a set of CIDR ranges considered deny-listed hosting space —
 // the stand-in for the Botlab deny-hosting-IP list (130M+ data-center IPs
 // across the top-100 providers) the paper uses as its second detection

@@ -61,9 +61,6 @@ type Conn struct {
 
 	readErr error // sticky read error
 
-	// established is when the connection finished its opening handshake.
-	established time.Time
-
 	// pingHandler, if set, observes incoming pings after the automatic
 	// pong reply. pongHandler observes incoming pongs.
 	pingHandler func(payload []byte)
@@ -93,11 +90,10 @@ func newConn(nc net.Conn, br *bufio.Reader, role Role, maxMessage int64) *Conn {
 		br = bufio.NewReader(nc)
 	}
 	return &Conn{
-		nc:          nc,
-		br:          br,
-		role:        role,
-		maxMessage:  maxMessage,
-		established: time.Now(),
+		nc:         nc,
+		br:         br,
+		role:       role,
+		maxMessage: maxMessage,
 	}
 }
 
@@ -128,9 +124,6 @@ func PeerAddr(a net.Addr) (netip.Addr, error) {
 	}
 	return ap.Addr().Unmap(), nil
 }
-
-// Established returns when the opening handshake completed.
-func (c *Conn) Established() time.Time { return c.established }
 
 // SetReadDeadline sets the transport read deadline.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }

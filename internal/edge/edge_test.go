@@ -8,8 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +20,9 @@ import (
 	"adaudit/internal/collector"
 	"adaudit/internal/daemon"
 	"adaudit/internal/ipmeta"
+	"adaudit/internal/memnet"
 	"adaudit/internal/shardmerge"
+	"adaudit/internal/simclock"
 	"adaudit/internal/store"
 	"adaudit/internal/telemetry"
 	"adaudit/internal/trace"
@@ -643,10 +645,18 @@ func TestHealthLadder(t *testing.T) {
 // trunk and closes it at the Hello (another protocol version, a
 // draining collector) is a dead upstream that happens to complete
 // handshakes. The breaker paces its redials like failed dials; counting
-// dial errors only, it was redialled thousands of times a second.
+// dial errors only, it was redialled thousands of times a second. The
+// edge and the network run on a virtual clock, stepped a millisecond at
+// a time while nothing is in flight, so the rate is exact.
 func TestBreakerCountsTrunksRefusedAtHello(t *testing.T) {
+	clk := simclock.NewVirtual(time.Time{})
+	nw := &memnet.Network{Clock: clk, Buffer: 64 << 10}
+	ln, err := nw.Listen("refusing:80")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var accepted atomic.Int64
-	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	upstream := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		conn, err := (&wsproto.Upgrader{}).Upgrade(w, r)
 		if err != nil {
 			return
@@ -654,19 +664,28 @@ func TestBreakerCountsTrunksRefusedAtHello(t *testing.T) {
 		accepted.Add(1)
 		_, _, _ = conn.ReadMessage() // the Hello
 		_ = conn.Close(wsproto.ClosePolicyViolation, "trunk protocol version 2, this build speaks 3")
-	}))
+	})}
+	go upstream.Serve(ln)
 	defer upstream.Close()
 
 	f := startTier(t, "gateway", 1, fixtureOptions{deadUpstreams: true, edge: func(cfg *Config) {
-		cfg.Upstreams[0].URL = "ws" + strings.TrimPrefix(upstream.URL, "http") + "/trunk"
-		cfg.TrunksPerPool = 1
-		cfg.BreakerThreshold = 3
-		cfg.BreakerCooldown = 200 * time.Millisecond
+		cfg.Upstreams[0].URL = "ws://refusing:80/trunk"
+		cfg.Dialer.NetDial = nw.Dial
+		cfg.TrunksPerPool, cfg.BreakerThreshold, cfg.BreakerCooldown = 1, 3, 200*time.Millisecond
+		cfg.Clock = clk
 	}})
-	time.Sleep(time.Second) // the property is a rate: there is no event to wait on
-	// 3 trunks 50 ms apart open the breaker, then one probe per cooldown: 7.
-	if n, opens := accepted.Load(), f.pools[0].BreakerOpens.Load(); n > 10 || opens < 1 {
-		t.Fatalf("one second against a refusing upstream: %d trunks accepted, %d breaker openings; want <= 10 and >= 1", n, opens)
+	// One virtual second. A redial storm ends the loop early: the clock
+	// cannot step while it runs.
+	stacks := make([]byte, 1<<20)
+	for start := clk.Now(); clk.Since(start) < time.Second && accepted.Load() <= 7; runtime.Gosched() {
+		if nw.Quiescent(&stacks) {
+			clk.Advance(time.Millisecond)
+		}
+	}
+	// 3 trunks 50 ms apart open the breaker, then one probe per 200 ms
+	// cooldown: at 0, 50, 100, 300, 500, 700 and 900 ms.
+	if n, opens := accepted.Load(), f.pools[0].BreakerOpens.Load(); n != 7 || opens != 1 {
+		t.Fatalf("one virtual second against a refusing upstream: %d trunks accepted, %d breaker openings; want 7 and 1", n, opens)
 	}
 }
 

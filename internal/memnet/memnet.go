@@ -9,12 +9,14 @@
 package memnet
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +44,39 @@ type Network struct {
 
 // Idle reports whether no dial awaits its accept and no byte its read.
 func (n *Network) Idle() bool { return n.pending.Load() == 0 && n.unread.Load() == 0 }
+
+// Quiescent reports whether n is idle and every goroutine but the
+// caller's is blocked — on a channel, a lock, a timer — rather than
+// running, runnable or in a system call: the moment a virtual clock may
+// step without outrunning bytes in flight, a dial not yet accepted, or
+// work a woken goroutine has still to do. stacks is the buffer the
+// goroutine dump is read into.
+func (n *Network) Quiescent(stacks *[]byte) bool {
+	return n.Idle() && othersBlocked(stacks) && n.Idle()
+}
+
+func othersBlocked(stacks *[]byte) bool {
+	k := runtime.Stack(*stacks, true)
+	for k == len(*stacks) {
+		*stacks = make([]byte, 2*len(*stacks))
+		k = runtime.Stack(*stacks, true)
+	}
+	busy := 0
+	for dump := (*stacks)[:k]; len(dump) > 0; {
+		var line []byte
+		line, dump, _ = bytes.Cut(dump, []byte("\n"))
+		if head, ok := bytes.CutPrefix(line, []byte("goroutine ")); ok {
+			_, state, _ := bytes.Cut(head, []byte("["))
+			state, _, _ = bytes.Cut(state, []byte("]"))
+			state, _, _ = bytes.Cut(state, []byte(","))
+			switch string(state) {
+			case "running", "runnable", "syscall":
+				busy++
+			}
+		}
+	}
+	return busy == 1
+}
 
 // addr is an address known by its text alone.
 func addr(s string) net.Addr { return &net.UnixAddr{Name: s, Net: "memnet"} }

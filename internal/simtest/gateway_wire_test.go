@@ -1,7 +1,6 @@
 package simtest
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -84,39 +83,13 @@ func driveClock(clk *simclock.Virtual, nw *memnet.Network) (stop func()) {
 				return
 			default:
 			}
-			if nw.Idle() && othersBlocked(&stacks) && nw.Idle() {
+			if nw.Quiescent(&stacks) {
 				clk.Advance(time.Millisecond)
 			}
 		}
 	}()
 	var once sync.Once
 	return func() { once.Do(func() { close(done); wg.Wait() }) }
-}
-
-// othersBlocked reports whether every goroutine but the caller waits —
-// on a channel, a lock, a timer — rather than runs, is runnable or is in
-// a system call. stacks is the buffer the goroutine dump is read into.
-func othersBlocked(stacks *[]byte) bool {
-	n := runtime.Stack(*stacks, true)
-	for n == len(*stacks) {
-		*stacks = make([]byte, 2*len(*stacks))
-		n = runtime.Stack(*stacks, true)
-	}
-	busy := 0
-	for dump := (*stacks)[:n]; len(dump) > 0; {
-		var line []byte
-		line, dump, _ = bytes.Cut(dump, []byte("\n"))
-		if head, ok := bytes.CutPrefix(line, []byte("goroutine ")); ok {
-			_, state, _ := bytes.Cut(head, []byte("["))
-			state, _, _ = bytes.Cut(state, []byte("]"))
-			state, _, _ = bytes.Cut(state, []byte(","))
-			switch string(state) {
-			case "running", "runnable", "syscall":
-				busy++
-			}
-		}
-	}
-	return busy == 1
 }
 
 // runGatewayWireSchedule runs seed's schedule and returns what the

@@ -190,7 +190,9 @@ func (r *sessionRig) waitFor(what string, cond func() bool) {
 	waitFor(r.t, what, cond)
 }
 
-// waitFor polls cond until it holds, for up to 5 s of real time.
+// waitFor polls cond until it holds, for up to 5 s of real time. It is
+// tiertest.WaitFor's twin: tiertest imports this package, so its tests
+// cannot import tiertest.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

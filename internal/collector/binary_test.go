@@ -60,13 +60,8 @@ func TestIngestBinaryRejectsGarbage(t *testing.T) {
 // stored record matches what an identical text session produces.
 func TestEndToEndBinaryWebSocketSession(t *testing.T) {
 	c, st := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	p := beacon.Payload{
 		CampaignID: "Football-010",

@@ -14,6 +14,7 @@ import (
 	"adaudit/internal/faultnet"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/store"
+	"adaudit/internal/tiertest"
 )
 
 // TestChaosCampaignSurvivesFaultsAndCrash is the end-to-end resilience
@@ -64,12 +65,7 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(ctx)
-	}()
+	stop := tiertest.Serve(t, srv)
 
 	const fleet = 24
 	type outcome struct {
@@ -132,11 +128,8 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 	// Drain the collector so every in-flight session commits, then
 	// "crash": discard the in-memory store and recover from the WAL
 	// alone.
-	cancel()
-	select {
-	case <-served:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not drain")
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/simclock"
 	"adaudit/internal/store"
+	"adaudit/internal/tiertest"
 	"adaudit/internal/wsproto"
 )
 
@@ -34,13 +35,8 @@ func TestVirtualClockDrivesSessionTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	d := &wsproto.Dialer{}
 	conn, _, err := d.Dial(ctx, srv.BeaconURL())
@@ -76,7 +72,7 @@ func TestVirtualClockDrivesSessionTiming(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return c.Metrics.Events.Load() == 1 })
+	tiertest.WaitFor(t, "the update to be counted", func() bool { return c.Metrics.Events.Load() == 1 })
 
 	// Advance one keepalive interval at a time, waiting for the ping to
 	// land before the next step: the virtual ticker channel coalesces
@@ -85,7 +81,7 @@ func TestVirtualClockDrivesSessionTiming(t *testing.T) {
 	for i := 1; i <= 7; i++ {
 		clk.Advance(time.Minute)
 		want := int64(i)
-		waitFor(t, func() bool { return pings.Load() >= want })
+		tiertest.WaitFor(t, "the ping", func() bool { return pings.Load() >= want })
 	}
 	if got := pings.Load(); got != 7 {
 		t.Fatalf("pings = %d, want 7 (one per virtual minute)", got)
@@ -95,7 +91,7 @@ func TestVirtualClockDrivesSessionTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-readerDone
-	waitFor(t, func() bool { return st.Len() == 1 })
+	tiertest.WaitFor(t, "the impression to land", func() bool { return st.Len() == 1 })
 	im, _ := st.Get(1)
 	if im.Exposure != 7*time.Minute {
 		t.Fatalf("exposure = %v, want exactly 7m of virtual time", im.Exposure)

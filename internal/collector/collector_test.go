@@ -11,19 +11,26 @@ import (
 	"adaudit/internal/store"
 )
 
-func testCollector(t *testing.T) (*Collector, *store.Store) {
+// testCollector is a collector over a fresh store, enriching against
+// the seed-1 IP universe, with cfgs applied. It stays here, not in
+// collectortest, which imports this package.
+func testCollector(t *testing.T, cfgs ...func(*Config)) (*Collector, *store.Store) {
 	t.Helper()
 	st := store.New()
 	uni, err := ipmeta.NewUniverse(ipmeta.UniverseConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{
+	cfg := Config{
 		Store:      st,
 		IPDB:       uni.DB,
 		Classifier: &ipmeta.Classifier{DB: uni.DB, DenyList: uni.DenyList, ManualVerify: uni.ManualVerify},
 		Anonymizer: ipmeta.NewAnonymizer([]byte("test-secret")),
-	})
+	}
+	for _, f := range cfgs {
+		f(&cfg)
+	}
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +270,8 @@ func TestEndToEndWebSocketSession(t *testing.T) {
 
 func TestServerRejectsGarbagePayload(t *testing.T) {
 	c, st := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	// Dial raw WebSocket and send a non-payload message.
 	d := &beaconDialer{url: srv.BeaconURL()}
@@ -290,13 +292,8 @@ func TestServerRejectsGarbagePayload(t *testing.T) {
 
 func TestServerHealthAndMetrics(t *testing.T) {
 	c, _ := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	for _, path := range []string{"/healthz", "/metrics"} {
 		resp, err := httpGet(ctx, "http://"+srv.Addr().String()+path)

@@ -61,13 +61,8 @@ func TestIngestConversionValidates(t *testing.T) {
 
 func TestConversionPixelEndToEnd(t *testing.T) {
 	c, st := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	conv := beacon.Conversion{CampaignID: "spring", Action: "purchase", ValueCents: 12999}
 	url := fmt.Sprintf("http://%s/conv?%s", srv.Addr(), conv.EncodeQuery())
@@ -96,13 +91,7 @@ func TestConversionPixelEndToEnd(t *testing.T) {
 
 func TestConversionPixelToleratesGarbage(t *testing.T) {
 	c, st := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
 
 	// Garbage query: still answers with the pixel (broken images on
 	// the advertiser's page would leak the measurement), stores nothing.

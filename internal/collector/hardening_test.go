@@ -4,13 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/trunk/trunktest"
+	"adaudit/internal/daemon"
+	"adaudit/internal/memnet"
+	"adaudit/internal/tiertest"
+	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
@@ -22,114 +23,18 @@ func newHardenedServer(t *testing.T, tweak func(*Collector), opts ...ServerOptio
 	if tweak != nil {
 		tweak(c)
 	}
+	return serve(t, c, opts...), c
+}
+
+// serve serves c until the test ends.
+func serve(t *testing.T, c *Collector, opts ...ServerOption) *Server {
+	t.Helper()
 	srv, err := NewServer(c, "127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Error("server did not shut down")
-		}
-	})
-	return srv, c
-}
-
-func TestSessionCapShedsWith503(t *testing.T) {
-	srv, c := newHardenedServer(t, func(c *Collector) { c.cfg.MaxSessions = 2 })
-
-	// Fill the cap with two held-open sessions.
-	cl := &beacon.Client{CollectorURL: srv.BeaconURL()}
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		p := samplePayload()
-		p.CreativeID = fmt.Sprintf("cr-%d", i)
-		sess, err := cl.Open(ctx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-	}
-	waitFor(t, func() bool { return c.SessionCount() == 2 })
-
-	// The third beacon is shed before the upgrade.
-	httpURL := "http" + strings.TrimPrefix(srv.BeaconURL(), "ws")
-	resp, err := http.Get(httpURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-cap request got %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After hint")
-	}
-	if got := c.tel.sheds.Load(); got != 1 {
-		t.Fatalf("sheds counter = %d, want 1", got)
-	}
-	// A WebSocket attempt is refused the same way and surfaces the 503
-	// to the dialer.
-	if _, err := cl.Open(ctx, samplePayload()); err == nil {
-		t.Fatal("over-cap Open succeeded")
-	} else if !strings.Contains(err.Error(), "503") {
-		t.Fatalf("over-cap Open failed with %v, want a 503 rejection", err)
-	}
-}
-
-func TestSessionPanicIsRecoveredAndIsolated(t *testing.T) {
-	// The binary decode blows up on one creative: a bug a malformed
-	// frame trips, deterministically.
-	srv, c := newHardenedServer(t, func(c *Collector) {
-		decode := c.sessions.DecodeBinary
-		c.sessions.DecodeBinary = func(p *beacon.Payload, msg []byte) error {
-			err := decode(p, msg)
-			if p.CreativeID == "boom" {
-				panic("injected session failure")
-			}
-			return err
-		}
-	})
-	cl := &beacon.Client{CollectorURL: srv.BeaconURL(), Wire: beacon.WireBinary}
-	ctx := context.Background()
-
-	// A healthy session opened before the panic...
-	healthy, err := cl.Open(ctx, samplePayload())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// ...survives a sibling session blowing up.
-	bad := samplePayload()
-	bad.CreativeID = "boom"
-	sess, err := cl.Open(ctx, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return c.tel.panics.Load() == 1 })
-	_ = sess.Close()
-
-	select {
-	case <-healthy.Done():
-		t.Fatal("healthy session died with the panicked one")
-	default:
-	}
-	// The panicked session was untracked; the healthy one still is.
-	waitFor(t, func() bool { return c.SessionCount() == 1 })
-
-	// The collector still ingests normally after the panic.
-	if err := healthy.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 1 })
+	tiertest.Serve(t, srv)
+	return srv
 }
 
 func TestIngestDedupsByNonce(t *testing.T) {
@@ -234,45 +139,24 @@ func TestAbnormalCloseStillCommitsPartialExposure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.WriteText(samplePayload().Encode()); err != nil {
+	if err := conn.WriteText(tiertest.Payload(0).Encode()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return c.SessionCount() == 1 })
+	tiertest.WaitFor(t, "the session to be tracked", func() bool { return c.SessionCount() == 1 })
 	_ = conn.NetConn().Close()
-	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 1 })
-	if got := c.tel.partialCommits.Load(); got != 1 {
-		t.Fatalf("partial commits = %d, want 1", got)
+	// The partial commit is counted after the ingest returns.
+	tiertest.WaitFor(t, "the partial commit", func() bool { return c.tel.partialCommits.Load() == 1 })
+	if got := c.Metrics.Ingested.Load(); got != 1 {
+		t.Fatalf("ingested = %d, want 1", got)
 	}
 	// A clean close is NOT a partial commit.
 	cl := &beacon.Client{CollectorURL: srv.BeaconURL()}
-	if err := cl.Report(context.Background(), samplePayload(), 10*time.Millisecond); err != nil {
+	if err := cl.Report(context.Background(), tiertest.Payload(0), 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return c.Metrics.Ingested.Load() == 2 })
+	tiertest.WaitFor(t, "the second impression", func() bool { return c.Metrics.Ingested.Load() == 2 })
 	if got := c.tel.partialCommits.Load(); got != 1 {
 		t.Fatalf("partial commits after clean close = %d, want still 1", got)
-	}
-}
-
-// waitFor polls cond for up to 5 s.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("condition never became true")
-}
-
-func samplePayload() beacon.Payload {
-	return beacon.Payload{
-		CampaignID: "Research-010",
-		CreativeID: "cr1",
-		PageURL:    "http://www.ciencia123.es/articulo",
-		UserAgent:  "Mozilla/5.0 Chrome/49.0",
 	}
 }
 
@@ -303,37 +187,65 @@ func TestRemoteAddrFastPathMatchesStringParse(t *testing.T) {
 	}
 }
 
-// TestTrunkRefusesOtherVersion: every input the shared trunk receiver
-// refuses (internal/trunk tests the close and its reason) is one
-// trunk-proto reject at the collector, and nothing else — no other
-// reject class, nothing stored.
-func TestTrunkRefusesOtherVersion(t *testing.T) {
-	srv, c := newHardenedServer(t, nil)
-	for _, tc := range trunktest.Refusals {
-		t.Run(tc.Name, func(t *testing.T) {
-			before, beforeAll := c.tel.rejects.With(RejectTrunkProto).Load(), c.Metrics.Rejected.Load()
-			conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.NetConn().Close()
-			if err := conn.WriteMessage(tc.Op, tc.Msg); err != nil {
-				t.Fatal(err)
-			}
-			// The reject is counted before the close is written.
-			if _, _, err := conn.ReadMessage(); err == nil {
-				t.Fatal("refused trunk answered with a message")
-			}
-			if got := c.tel.rejects.With(RejectTrunkProto).Load() - before; got != 1 {
-				t.Fatalf("rejects{trunk-proto} moved by %d, want 1", got)
-			}
-			// Nothing of the batch was acted on: no other class of reject.
-			if got := c.Metrics.Rejected.Load() - beforeAll; got != 1 {
-				t.Fatalf("rejects moved by %d, want 1", got)
-			}
-			if n := c.cfg.Store.Len(); n != 0 {
-				t.Fatalf("refused trunk stored %d records", n)
-			}
-		})
+// TestDrainPastAStalledTrunk: a gateway that sends a commit and then
+// stops reading leaves the collector's ack stuck on its trunk. The drain
+// still closes a beacon session going-away and commits it, and returns
+// when its grace runs out, counting the trunk as still open.
+func TestDrainPastAStalledTrunk(t *testing.T) {
+	var nw memnet.Network // unbuffered: a write blocks until the far end reads it
+	ln, err := nw.Listen("collector:80")
+	if err != nil {
+		t.Fatal(err)
 	}
+	srv, c := newHardenedServer(t, nil, daemon.WithListener(ln))
+	dialer := &wsproto.Dialer{NetDial: nw.Dial}
+	tr, _, err := dialer.Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.NetConn().Close()
+	p := tiertest.Payload(0)
+	p.Nonce = "stalled-trunk"
+	batch := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw"})
+	batch = trunk.AppendFrame(batch, trunk.Frame{Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
+		Exposure: time.Second, Payload: string(p.EncodeBinary())})
+	if err := tr.WriteMessage(wsproto.OpBinary, batch); err != nil {
+		t.Fatal(err)
+	}
+	// Ingested, and its ack's bytes sit unread: the reply is stuck on a
+	// peer that never reads, holding the trunk's write side.
+	tiertest.WaitFor(t, "the trunk's commit", func() bool { return c.Metrics.Ingested.Load() == 1 })
+	tiertest.WaitFor(t, "the ack to stall", func() bool { return !nw.Idle() })
+
+	conn, _, err := dialer.Dial(context.Background(), srv.BeaconURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.NetConn().Close()
+	for _, msg := range []string{tiertest.Payload(0).Encode(), beacon.EncodeEventUpdate(beacon.Event{Kind: beacon.EventClick, At: time.Millisecond})} {
+		if err := conn.WriteText(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tiertest.WaitFor(t, "the update to be counted", func() bool { return c.Metrics.Events.Load() == 1 })
+
+	drained := make(chan int, 1)
+	go func() { drained <- c.sessions.Drain(time.Second) }()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, _, err = conn.ReadMessage()
+	if ce, _ := err.(*wsproto.CloseError); ce == nil || *ce != (wsproto.CloseError{Code: wsproto.CloseGoingAway, Reason: "collector shutting down"}) {
+		t.Fatalf("drained session ended with %v, want going-away", err)
+	}
+	select {
+	case left := <-drained:
+		if left != 1 {
+			t.Fatalf("drain left %d connections open, want the stalled trunk", left)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain still running 5 s into a 1 s grace")
+	}
+	if n := c.Metrics.Ingested.Load(); n != 2 {
+		t.Fatalf("ingested = %d, want the trunk's commit and the drained session's", n)
+	}
+	tiertest.WaitFor(t, "no session", func() bool { return c.SessionCount() == 0 })
 }

@@ -31,13 +31,8 @@ func keepaliveCollector(t *testing.T, interval time.Duration) (*Collector, *stor
 // 30-minute exposure cap.
 func TestKeepAliveDropsDeadPeer(t *testing.T) {
 	c, st := keepaliveCollector(t, 50*time.Millisecond)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	// Dial raw (below the beacon.Client layer, which services control
 	// frames like a browser would): send the payload, then go silent —
@@ -78,17 +73,12 @@ func TestKeepAliveDropsDeadPeer(t *testing.T) {
 func TestKeepAliveSustainsLivePeer(t *testing.T) {
 	const interval = 100 * time.Millisecond
 	c, st := keepaliveCollector(t, interval)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	client := &beacon.Client{CollectorURL: srv.BeaconURL()}
 	hold := 4 * interval
-	err = client.Report(ctx, beacon.Payload{
+	err := client.Report(ctx, beacon.Payload{
 		CampaignID: "ka", CreativeID: "cr",
 		PageURL: "http://pub.es/", UserAgent: "UA",
 	}, hold)

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,12 +14,13 @@ import (
 	"adaudit/internal/publisher"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/tiertest"
 )
 
 // liveTestServer spins up a collector server with the streaming-audit
 // endpoints mounted over a fresh store and a synthetic publisher
 // universe.
-func liveTestServer(t *testing.T) (*Server, *store.Store, *streamaudit.Engine, context.CancelFunc, chan struct{}) {
+func liveTestServer(t *testing.T) (*Server, *store.Store, *streamaudit.Engine, func() error) {
 	t.Helper()
 	c, st := testCollector(t)
 	uni, err := publisher.NewUniverse(publisher.Config{Seed: 5, NumPublishers: 60})
@@ -38,17 +38,7 @@ func liveTestServer(t *testing.T) (*Server, *store.Store, *streamaudit.Engine, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
-	return srv, st, eng, cancel, done
+	return srv, st, eng, tiertest.Serve(t, srv)
 }
 
 func liveInsert(t *testing.T, st *store.Store, campaign, pub, user string) {
@@ -66,7 +56,7 @@ func liveInsert(t *testing.T, st *store.Store, campaign, pub, user string) {
 }
 
 func TestLiveEndpoints(t *testing.T) {
-	srv, st, eng, _, _ := liveTestServer(t)
+	srv, st, eng, _ := liveTestServer(t)
 	base := fmt.Sprintf("http://%s", srv.Addr())
 
 	liveInsert(t, st, "Football-010", "futbolhoy483.es", "u1")
@@ -209,7 +199,7 @@ func waitSSE(t *testing.T, ch <-chan sseEvent, want string) sseEvent {
 }
 
 func TestLiveStreamDeliversUpdates(t *testing.T) {
-	srv, st, eng, _, _ := liveTestServer(t)
+	srv, st, eng, _ := liveTestServer(t)
 	base := fmt.Sprintf("http://%s", srv.Addr())
 
 	liveInsert(t, st, "Football-010", "futbolhoy483.es", "u1")
@@ -248,7 +238,7 @@ func TestLiveStreamDeliversUpdates(t *testing.T) {
 // server's teardown (with a final shutdown event), not pin
 // http.Server.Shutdown until its 5 s timeout expires.
 func TestShutdownDrainsSSESubscribers(t *testing.T) {
-	srv, st, eng, cancel, done := liveTestServer(t)
+	srv, st, eng, stop := liveTestServer(t)
 	base := fmt.Sprintf("http://%s", srv.Addr())
 
 	liveInsert(t, st, "Football-010", "futbolhoy483.es", "u1")
@@ -265,11 +255,8 @@ func TestShutdownDrainsSSESubscribers(t *testing.T) {
 	waitSSE(t, events, "snapshot")
 
 	start := time.Now()
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(4 * time.Second):
-		t.Fatalf("Serve did not return; SSE stream pinned shutdown")
+	if err := stop(); err != nil {
+		t.Fatalf("Serve: %v; SSE stream pinned shutdown", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("shutdown took %v; SSE subscribers were not drained promptly", elapsed)

@@ -1,24 +1,12 @@
 package collector
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"net/http"
-	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
-	"time"
-
-	"adaudit/internal/beacon"
-	"adaudit/internal/ipmeta"
-	"adaudit/internal/store"
-	"adaudit/internal/telemetry"
 )
 
 // -update regenerates the golden files from the live fixture:
@@ -73,8 +61,7 @@ func getBody(t *testing.T, url string) []byte {
 // store fixture means any byte of drift in shapes, field names,
 // ordering or derived metrics fails here first.
 func TestQueryAPIGolden(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 
 	for _, tc := range []struct {
 		name string
@@ -89,58 +76,4 @@ func TestQueryAPIGolden(t *testing.T) {
 			golden(t, tc.name, getBody(t, base+tc.path))
 		})
 	}
-}
-
-// TestMetricsJSONShapeGolden pins the shape of /api/metrics — every
-// registered instrument's key and kind (scalar or histogram). Values
-// are timing-dependent, so the golden captures the schema a dashboard
-// binds to, not the numbers.
-func TestMetricsJSONShapeGolden(t *testing.T) {
-	st := store.New()
-	c, err := New(Config{
-		Store:      st,
-		Anonymizer: ipmeta.NewAnonymizer([]byte("golden")),
-		Telemetry:  telemetry.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
-
-	base := time.Date(2016, 3, 29, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 8; i++ {
-		if _, err := c.Ingest(Observation{
-			Payload: beacon.Payload{
-				CampaignID: "camp-m", CreativeID: "cr",
-				PageURL: fmt.Sprintf("http://pub%d.es/p", i%2), UserAgent: "UA",
-			},
-			RemoteIP:    netip.AddrFrom4([4]byte{10, 0, 2, byte(i + 1)}),
-			ConnectedAt: base.Add(time.Duration(i) * time.Minute),
-			Exposure:    time.Duration(i) * time.Second,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	body := getBody(t, "http://"+srv.Addr().String()+"/api/metrics")
-	var metrics map[string]json.RawMessage
-	if err := json.Unmarshal(body, &metrics); err != nil {
-		t.Fatalf("metrics JSON does not parse: %v", err)
-	}
-	var lines []string
-	for key, raw := range metrics {
-		kind := "scalar"
-		if strings.HasPrefix(strings.TrimSpace(string(raw)), "{") {
-			kind = "histogram"
-		}
-		lines = append(lines, key+" "+kind+"\n")
-	}
-	sort.Strings(lines)
-	golden(t, "metrics_shape.txt", []byte(strings.Join(lines, "")))
 }

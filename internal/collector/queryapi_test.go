@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,15 +14,10 @@ import (
 	"adaudit/internal/store"
 )
 
-func queryFixture(t *testing.T) (*Collector, *store.Store, string, context.CancelFunc) {
+func queryFixture(t *testing.T) (*Collector, *store.Store, string) {
 	t.Helper()
 	c, st := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go srv.Serve(ctx)
+	srv := serve(t, c)
 
 	base := time.Date(2016, 3, 29, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 30; i++ {
@@ -48,7 +42,7 @@ func queryFixture(t *testing.T) (*Collector, *store.Store, string, context.Cance
 		UserAgent:  "UA-0",
 		At:         base.Add(time.Hour),
 	})
-	return c, st, "http://" + srv.Addr().String(), cancel
+	return c, st, "http://" + srv.Addr().String()
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -67,8 +61,7 @@ func getJSON(t *testing.T, url string, v any) int {
 }
 
 func TestAPICampaigns(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	var list []CampaignListEntry
 	if code := getJSON(t, base+"/api/campaigns", &list); code != 200 {
 		t.Fatalf("status %d", code)
@@ -79,8 +72,7 @@ func TestAPICampaigns(t *testing.T) {
 }
 
 func TestAPISummary(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	var sum CampaignSummary
 	if code := getJSON(t, base+"/api/summary?campaign=camp-a", &sum); code != 200 {
 		t.Fatalf("status %d", code)
@@ -101,8 +93,7 @@ func TestAPISummary(t *testing.T) {
 }
 
 func TestAPISummaryErrors(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	var sum CampaignSummary
 	if code := getJSON(t, base+"/api/summary", &sum); code != http.StatusBadRequest {
 		t.Fatalf("missing param status %d", code)
@@ -113,8 +104,7 @@ func TestAPISummaryErrors(t *testing.T) {
 }
 
 func TestAPIPublishers(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	var rows []PublisherRow
 	if code := getJSON(t, base+"/api/publishers?campaign=camp-a&limit=3", &rows); code != 200 {
 		t.Fatalf("status %d", code)
@@ -136,8 +126,7 @@ func TestAPIPublishers(t *testing.T) {
 }
 
 func TestAPIPublishersErrors(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	var rows []PublisherRow
 	if code := getJSON(t, base+"/api/publishers?campaign=nope", &rows); code != http.StatusNotFound {
 		t.Fatalf("unknown campaign status %d", code)
@@ -150,8 +139,7 @@ func TestAPIPublishersErrors(t *testing.T) {
 }
 
 func TestAPITimeseriesBadBucketSyntax(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	var points []TimeseriesPoint
 	for _, bucket := range []string{"xyz", "-1h", "30d", "0"} {
 		if code := getJSON(t, base+"/api/timeseries?campaign=camp-a&bucket="+bucket, &points); code != http.StatusBadRequest {
@@ -161,8 +149,7 @@ func TestAPITimeseriesBadBucketSyntax(t *testing.T) {
 }
 
 func TestAPIRejectsNonGET(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	for _, path := range []string{"/api/campaigns", "/api/summary", "/api/publishers", "/api/timeseries"} {
 		resp, err := http.Post(base+path, "text/plain", nil)
 		if err != nil {
@@ -176,8 +163,7 @@ func TestAPIRejectsNonGET(t *testing.T) {
 }
 
 func TestAPITimeseries(t *testing.T) {
-	_, _, base, cancel := queryFixture(t)
-	defer cancel()
+	_, _, base := queryFixture(t)
 	var points []TimeseriesPoint
 	if code := getJSON(t, base+"/api/timeseries?campaign=camp-a&bucket=10m", &points); code != 200 {
 		t.Fatalf("status %d", code)

@@ -15,6 +15,7 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/daemon"
 	"adaudit/internal/telemetry"
+	"adaudit/internal/tiertest"
 )
 
 func httpGetBody(ctx context.Context, url string) (int, string, error) {
@@ -62,13 +63,8 @@ func parsePromText(t *testing.T, text string) map[string]float64 {
 // values and monotone histogram buckets.
 func TestMetricsEndpointAfterWebSocketTraffic(t *testing.T) {
 	c, _ := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	client := &beacon.Client{CollectorURL: srv.BeaconURL()}
 	p := beacon.Payload{
@@ -159,13 +155,8 @@ func checkBucketsMonotone(t *testing.T, text, family string) {
 
 func TestJSONMetricsEndpoint(t *testing.T) {
 	c, _ := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c)
+	ctx := context.Background()
 
 	if _, err := c.Ingest(testObservation(t, c)); err != nil {
 		t.Fatal(err)
@@ -202,13 +193,8 @@ func TestJSONMetricsEndpoint(t *testing.T) {
 // recovers as soon as a record commits.
 func TestHealthzFlipsOnIngestAge(t *testing.T) {
 	c, _ := testCollector(t)
-	srv, err := NewServer(c, "127.0.0.1:0", WithMaxIngestAge(80*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
+	srv := serve(t, c, WithMaxIngestAge(80*time.Millisecond))
+	ctx := context.Background()
 
 	url := "http://" + srv.Addr().String() + "/healthz"
 	status, body, err := httpGetBody(ctx, url)
@@ -293,12 +279,7 @@ func TestShutdownDrainsOpenSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ctx)
-	}()
+	stop := tiertest.Serve(t, srv)
 
 	client := &beacon.Client{CollectorURL: srv.BeaconURL()}
 	p := beacon.Payload{
@@ -307,28 +288,17 @@ func TestShutdownDrainsOpenSessions(t *testing.T) {
 		PageURL:    "http://drenaje456.es/p",
 		UserAgent:  "Mozilla/5.0 Chrome/49.0",
 	}
-	sess, err := client.Open(ctx, p)
+	sess, err := client.Open(context.Background(), p)
 	if err != nil {
-		cancel()
 		t.Fatal(err)
 	}
 	defer sess.Close()
 
 	// Wait until the server has decoded the payload (the session is past
 	// its handshake), then shut down with the connection still open.
-	deadline := time.Now().Add(3 * time.Second)
-	for c.tel.decode.Snapshot().Count == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c.tel.decode.Snapshot().Count == 0 {
-		cancel()
-		t.Fatal("session never decoded its payload")
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not shut down")
+	tiertest.WaitFor(t, "the payload to be decoded", func() bool { return c.tel.decode.Snapshot().Count != 0 })
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 
 	if st.Len() != 1 {

@@ -60,21 +60,7 @@ func tracedTestServer(t *testing.T) (*Server, *trace.Tracer, *streamaudit.Engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(c, "127.0.0.1:0", WithLiveAudit(eng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
-	return srv, tracer, eng
+	return serve(t, c, WithLiveAudit(eng)), tracer, eng
 }
 
 // TestTraceEndToEnd is the tentpole acceptance test: one sampled

@@ -1,88 +1,118 @@
 package daemon_test
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"adaudit/internal/audit"
 	"adaudit/internal/collector"
+	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
 	"adaudit/internal/gateway"
-	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
 	"adaudit/internal/router"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
-	"adaudit/internal/telemetry"
+	"adaudit/internal/tiertest"
 	"adaudit/internal/trace"
+	"adaudit/internal/wsproto"
 )
 
-const token = "daemon-test"
-
-// serve runs srv until the test ends.
-func serve(t *testing.T, srv interface{ Serve(context.Context) error }) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("server did not stop")
+// daemons are the three tiers as the conformance table starts them, for
+// the rows every daemon answers alike: a collector whose custom check
+// fails (so it answers 503), a gateway in front of one collector, a
+// router in front of two.
+var daemons = []tiertest.Spec{
+	{Name: "collector", Start: func(t *testing.T, s tiertest.Setup) *tiertest.Tier {
+		_, srv := collectortest.New(t, store.New(), s.Listener, nil,
+			collector.WithHealthCheck("disk", func() error { return errors.New("disk gone") }))
+		return &tiertest.Tier{Tier: daemon.Tier{Name: "collector"}, Server: srv}
+	}, Healthz: func(tr *tiertest.Tier) map[string]any {
+		check := func(status string, limit float64, detail string) map[string]any {
+			return map[string]any{"status": status, "value": 0.0, "limit": limit, "detail": detail}
 		}
-	})
-}
-
-// startCollector serves a traced collector; with meta set it also runs
-// a live audit engine.
-func startCollector(t *testing.T, meta audit.MetadataSource, opts ...collector.ServerOption) *collector.Server {
-	t.Helper()
-	st := store.New()
-	c, err := collector.New(collector.Config{
-		Store:      st,
-		Anonymizer: ipmeta.NewAnonymizer([]byte(token)),
-		TrunkToken: token,
-		Tracer:     trace.NewTracer(trace.NewRecorder(16), 1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta != nil {
-		eng, err := streamaudit.New(streamaudit.Config{Store: st, Meta: meta})
+		return map[string]any{"status": "unhealthy", "tier": "collector", "id": tr.Server.Addr().String(), "sessions": 0.0,
+			"checks": map[string]any{
+				"disk":             check("unhealthy", 0, "disk gone"),
+				"feed_subscribers": check("ok", 0, "change-feed subscribers dropped since the last probe (consumers resyncing); 0 in all"),
+				"ingest_age":       map[string]any{"status": "ok", "limit": 0.0, "detail": "seconds since the last committed record; no bound set"},
+				"store_records":    map[string]any{"status": "ok", "value": 0.0, "limit": 0.0},
+				"wal_sync":         check("ok", 30, "seconds the oldest unsynced journal entry has waited for its fsync"),
+			}}
+	}},
+	{Name: "gateway", Start: func(t *testing.T, s tiertest.Setup) *tiertest.Tier {
+		g, err := gateway.New(gateway.Config{CollectorURL: upstreams(t, s, 1)[0], TrunkToken: collectortest.TrunkToken,
+			GatewayID: "gw-test", Dialer: wsproto.Dialer{NetDial: s.Net.Dial}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts = append(opts, collector.WithLiveAudit(eng))
+		srv, err := gateway.NewServer(g, "", daemon.WithListener(s.Listener))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiertest.WaitFor(t, "trunks to establish", func() bool { return g.Health().Status == "ok" })
+		return &tiertest.Tier{Tier: g.Tier(), Server: srv}
+	}},
+	{Name: "router", Start: func(t *testing.T, s tiertest.Setup) *tiertest.Tier {
+		r, err := router.New(router.Config{Shards: upstreams(t, s, 2), TrunkToken: collectortest.TrunkToken,
+			RouterID: "rt-test", Dialer: wsproto.Dialer{NetDial: s.Net.Dial}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := router.NewServer(r, "", daemon.WithListener(s.Listener))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiertest.WaitFor(t, "trunks to establish", func() bool { return r.Health().Status == "ok" })
+		return &tiertest.Tier{Tier: r.Tier(), Server: srv}
+	}},
+}
+
+// upstreams serves n collectors on the row's network and returns their
+// trunk URLs.
+func upstreams(t *testing.T, s tiertest.Setup, n int) (urls []string) {
+	for i := 0; i < n; i++ {
+		ln, err := s.Net.Listen(fmt.Sprintf("collector-%d:80", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectortest.Serve(t, store.New(), ln, nil)
+		urls = append(urls, "ws://"+ln.Addr().String()+"/trunk")
 	}
-	srv, err := collector.NewServer(c, "127.0.0.1:0", append(opts, daemon.WithDrainGrace(time.Second))...)
+	return urls
+}
+
+// TestHealthzAcrossTiers: the collector, the gateway and the router
+// answer /healthz in the one schema — tier and id set, status the worst
+// of the checks and the HTTP code its — the collector with its failing
+// check among its own.
+func TestHealthzAcrossTiers(t *testing.T) { tiertest.Check(t, tiertest.Healthz, daemons...) }
+
+// startShard serves a traced collector with a live audit engine over
+// meta.
+func startShard(t *testing.T, meta audit.MetadataSource) string {
+	t.Helper()
+	st := store.New()
+	eng, err := streamaudit.New(streamaudit.Config{Store: st, Meta: meta})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve(t, srv)
-	return srv
+	ln := collectortest.TCP(t, "127.0.0.1:0")
+	collectortest.Serve(t, st, ln, func(c *collector.Config) { c.Tracer = trace.NewTracer(trace.NewRecorder(16), 1) },
+		collector.WithLiveAudit(eng), daemon.WithDrainGrace(time.Second))
+	return ln.Addr().String()
 }
 
-// topology is one daemon of each tier: a collector with a failing
-// custom check behind a gateway, and a router over two live shards
-// serving the merged live API.
+// topology is a gateway in front of a live shard and a router over two
+// live shards serving the merged live API.
 type topology struct {
-	coll   *collector.Server
 	gw     *gateway.Server
 	rt     *router.Server
-	shards []*collector.Server
+	shards []string
 }
 
 func startTopology(t *testing.T) topology {
@@ -93,21 +123,15 @@ func startTopology(t *testing.T) topology {
 	}
 	meta := audit.UniverseMetadata{Universe: uni}
 	var tp topology
-	tp.coll = startCollector(t, nil,
-		collector.WithHealthCheck("disk", func() error { return errors.New("disk gone") }))
 	var shardURLs, shardAPI []string
 	for i := 0; i < 2; i++ {
-		s := startCollector(t, meta)
-		tp.shards = append(tp.shards, s)
-		shardURLs = append(shardURLs, fmt.Sprintf("ws://%s/trunk", s.Addr()))
-		shardAPI = append(shardAPI, fmt.Sprintf("http://%s", s.Addr()))
+		addr := startShard(t, meta)
+		tp.shards = append(tp.shards, addr)
+		shardURLs = append(shardURLs, "ws://"+addr+"/trunk")
+		shardAPI = append(shardAPI, "http://"+addr)
 	}
 
-	g, err := gateway.New(gateway.Config{
-		CollectorURL: fmt.Sprintf("ws://%s/trunk", tp.coll.Addr()),
-		TrunkToken:   token,
-		GatewayID:    "gw-test",
-	})
+	g, err := gateway.New(gateway.Config{CollectorURL: shardURLs[0], TrunkToken: collectortest.TrunkToken, GatewayID: "gw-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +139,9 @@ func startTopology(t *testing.T) topology {
 		g.Close()
 		t.Fatal(err)
 	}
-	serve(t, tp.gw)
+	tiertest.Serve(t, tp.gw)
 
-	r, err := router.New(router.Config{Shards: shardURLs, TrunkToken: token, RouterID: "rt-test"})
+	r, err := router.New(router.Config{Shards: shardURLs, TrunkToken: collectortest.TrunkToken, RouterID: "rt-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,77 +150,8 @@ func startTopology(t *testing.T) topology {
 		r.Close()
 		t.Fatal(err)
 	}
-	serve(t, tp.rt)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Health().Status != "ok" || r.Health().Status != "ok" {
-		if time.Now().After(deadline) {
-			t.Fatal("trunks did not establish")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	tiertest.Serve(t, tp.rt)
 	return tp
-}
-
-func getHealth(t *testing.T, addr fmt.Stringer) (int, telemetry.Health) {
-	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h telemetry.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, h
-}
-
-// TestHealthzAcrossTiers: the collector, the gateway and the router
-// answer /healthz in the one schema — tier and id set, each tier's
-// checks by name, status the worst of them and the HTTP code its.
-func TestHealthzAcrossTiers(t *testing.T) {
-	tp := startTopology(t)
-	collectorChecks := []string{"feed_subscribers", "ingest_age", "store_records", "wal_sync"}
-	for _, tc := range []struct {
-		addr       fmt.Stringer
-		tier, id   string
-		checks     []string
-		wantStatus string
-	}{
-		{tp.coll.Addr(), "collector", tp.coll.Addr().String(), append([]string{"disk"}, collectorChecks...), "unhealthy"},
-		{tp.shards[0].Addr(), "collector", tp.shards[0].Addr().String(), append([]string{"audit_freshness"}, collectorChecks...), "ok"},
-		{tp.gw.Addr(), "gateway", "gw-test", []string{"spill_pending", "upstream_0"}, "ok"},
-		{tp.rt.Addr(), "router", "rt-test", []string{"spill_pending", "upstream_0", "upstream_1"}, "ok"},
-	} {
-		code, h := getHealth(t, tc.addr)
-		if h.Tier != tc.tier || h.ID != tc.id {
-			t.Errorf("%s: tier %q id %q, want %q %q", tc.tier, h.Tier, h.ID, tc.tier, tc.id)
-		}
-		var names []string
-		worst := "ok"
-		for name, c := range h.Checks {
-			names = append(names, name)
-			if rank(c.Status) > rank(worst) {
-				worst = c.Status
-			}
-		}
-		sort.Strings(names)
-		if strings.Join(names, ",") != strings.Join(tc.checks, ",") {
-			t.Errorf("%s %s: checks %v, want %v", tc.tier, tc.id, names, tc.checks)
-		}
-		wantCode := http.StatusOK
-		if worst == "unhealthy" {
-			wantCode = http.StatusServiceUnavailable
-		}
-		if h.Status != worst || h.Status != tc.wantStatus || code != wantCode {
-			t.Errorf("%s %s: %d %q with worst check %q, want %q", tc.tier, tc.id, code, h.Status, worst, tc.wantStatus)
-		}
-	}
-}
-
-func rank(status string) int {
-	return map[string]int{"ok": 0, "degraded": 1, "unhealthy": 2}[status]
 }
 
 // TestOperationalRoutesAreGETOnly: every operational route of every
@@ -206,7 +161,7 @@ func TestOperationalRoutesAreGETOnly(t *testing.T) {
 	shell := []string{"/healthz", "/metrics", "/api/metrics"}
 	live := []string{"/api/live/summary", "/api/live/audit/x", "/api/live/export"}
 	routes := map[string][]string{
-		tp.shards[0].Addr().String(): append(append([]string{
+		tp.shards[0]: append(append([]string{
 			"/conv", "/api/campaigns", "/api/summary", "/api/publishers", "/api/timeseries", "/api/live/stream",
 			"/api/trace/recent", "/api/trace/active", "/api/trace/export", "/api/trace/00000000000000ff",
 		}, shell...), live...),

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/netip"
 	"runtime"
 	"strings"
 	"sync"
@@ -18,24 +17,20 @@ import (
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
-	"adaudit/internal/ipmeta"
 	"adaudit/internal/memnet"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/simclock"
 	"adaudit/internal/store"
 	"adaudit/internal/telemetry"
+	"adaudit/internal/tiertest"
 	"adaudit/internal/trace"
 	"adaudit/internal/wsproto"
-	"adaudit/internal/wsproto/wstest"
 )
 
-const testTrunkToken = "trunk-secret"
-
-var testAnonymizer = ipmeta.NewAnonymizer([]byte("edge-test"))
-
 // tiers are the two configurations the core ships in: everything in
-// this file runs once as a one-pool edge named like the gateway and
+// this package runs once as a one-pool edge named like the gateway and
 // once as a two-pool edge named like the router, because the number of
 // upstreams is the only thing that differs between them.
 var tiers = []struct {
@@ -46,61 +41,18 @@ var tiers = []struct {
 	{"router", 2},
 }
 
-// fixture is one edge in front of its collectors.
+// fixture is one edge in front of its collectors, which it trunks to
+// over an in-memory network.
 type fixture struct {
 	t      *testing.T
 	e      *Edge
 	srv    *daemon.Server
 	tel    Instruments
 	pools  []PoolInstruments
+	net    *memnet.Network
 	stores []*store.Store
-	colls  []*collector.Collector
 	addrs  []string
-	stops  []func()
-}
-
-// startCollector serves a fresh collector over st on addr; the returned
-// stop is idempotent and also runs at cleanup.
-func startCollector(t *testing.T, st *store.Store, addr string, mut func(*collector.Config)) (*collector.Collector, string, func()) {
-	t.Helper()
-	cfg := collector.Config{
-		Store:             st,
-		Anonymizer:        testAnonymizer,
-		TrunkToken:        testTrunkToken,
-		KeepAliveInterval: 50 * time.Millisecond,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	c, err := collector.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := collector.NewServer(c, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx)
-	}()
-	stopped := false
-	stop := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("collector server did not stop")
-		}
-	}
-	t.Cleanup(stop)
-	return c, srv.Addr().String(), stop
+	stops  []func() error
 }
 
 type fixtureOptions struct {
@@ -108,17 +60,31 @@ type fixtureOptions struct {
 	edge      func(*Config)
 	// beacon adjusts the edge's beacon endpoint before it serves.
 	beacon func(*beacon.Server)
-	server []daemon.Option
+	// net is the network the collectors listen on (default: a fresh one),
+	// listener the edge's (default: TCP on a free loopback port).
+	net      *memnet.Network
+	listener net.Listener
 	// deadUpstreams points every pool at an address nothing listens on.
 	deadUpstreams bool
 }
 
 // startTier boots pools collectors and an edge named name in front of
 // them, tuned for test time scales, with instruments registered the way
-// a tier package would.
+// a tier package would, and serves it until the test ends.
 func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture {
 	t.Helper()
-	f := &fixture{t: t}
+	f := buildTier(t, name, pools, o)
+	tiertest.Serve(t, f.srv)
+	return f
+}
+
+// buildTier is startTier without the serving.
+func buildTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture {
+	t.Helper()
+	f := &fixture{t: t, net: o.net}
+	if f.net == nil {
+		f.net = &memnet.Network{Buffer: 64 << 10}
+	}
 	reg := telemetry.NewRegistry()
 	f.tel = Instruments{
 		Connections:    reg.Counter("adaudit_"+name+"_connections_total", "", nil),
@@ -130,7 +96,8 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 	}
 	cfg := Config{
 		Name: name, IDPrefix: name[:2] + "-",
-		TrunkToken:        testTrunkToken,
+		TrunkToken:        collectortest.TrunkToken,
+		Dialer:            wsproto.Dialer{NetDial: f.net.Dial},
 		KeepAliveInterval: 50 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
@@ -154,16 +121,13 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 			BatchBytes:    reg.Histogram("adaudit_"+name+"_pool_batch_bytes", "", BatchByteBuckets(), lbl),
 		}
 		f.pools = append(f.pools, tel)
-		addr := ""
+		addr := fmt.Sprintf("collector-%d:80", i)
 		if o.deadUpstreams {
-			addr = deadAddr(t)
+			addr = "dead:80"
 		} else {
-			st := store.New()
-			c, a, stop := startCollector(t, st, "127.0.0.1:0", o.collector)
-			f.stores, f.colls, f.stops = append(f.stores, st), append(f.colls, c), append(f.stops, stop)
-			addr = a
+			f.addrs, f.stores, f.stops = append(f.addrs, addr), append(f.stores, store.New()), append(f.stops, nil)
+			f.startCollector(i, o.collector)
 		}
-		f.addrs = append(f.addrs, addr)
 		cfg.Upstreams = append(cfg.Upstreams, Upstream{URL: "ws://" + addr + "/trunk", Tel: tel})
 	}
 	if o.edge != nil {
@@ -176,34 +140,32 @@ func startTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 	if o.beacon != nil {
 		o.beacon(e.Beacon())
 	}
-	opts := append([]daemon.Option{daemon.WithDrainGrace(time.Second)}, o.server...)
-	srv, err := daemon.New(e.Tier(), "127.0.0.1:0", opts...)
-	if err != nil {
+	ln := o.listener
+	if ln == nil {
+		ln = collectortest.TCP(t, "127.0.0.1:0")
+	}
+	// With no upstream a drain has nothing it could flush: its grace would
+	// only be waited out.
+	grace := time.Second
+	if o.deadUpstreams {
+		grace = 10 * time.Millisecond
+	}
+	if f.srv, err = daemon.New(e.Tier(), "", daemon.WithListener(ln), daemon.WithDrainGrace(grace)); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("edge server did not stop")
-		}
-	})
-	f.e, f.srv = e, srv
+	f.e = e
 	return f
 }
 
-// restartCollector brings pool i's collector back on its old address
-// over its surviving store (the nonce cache reseeds from it in New).
-func (f *fixture) restartCollector(i int) {
+// startCollector (re)starts pool i's collector on its address over its
+// store (a restarted collector's nonce cache reseeds from it in New).
+func (f *fixture) startCollector(i int, cfg func(*collector.Config)) {
 	f.t.Helper()
-	f.colls[i], _, f.stops[i] = startCollector(f.t, f.stores[i], f.addrs[i], nil)
+	ln, err := f.net.Listen(f.addrs[i])
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	_, f.stops[i] = collectortest.Serve(f.t, f.stores[i], ln, cfg)
 }
 
 // stored sums the collectors' stores.
@@ -219,22 +181,19 @@ func (f *fixture) stored() int {
 func (f *fixture) impressions() map[int][]store.Impression {
 	out := map[int][]store.Impression{}
 	for i, st := range f.stores {
-		st.Visit(func(im *store.Impression) bool {
-			out[i] = append(out[i], *im)
-			return true
-		})
+		out[i] = tiertest.Stored(st)()
 	}
 	return out
 }
 
 func (f *fixture) waitTrunksUp() {
 	f.t.Helper()
-	waitFor(f.t, 5*time.Second, "every trunk to establish", func() bool { return f.e.Health().Status == "ok" })
+	tiertest.WaitFor(f.t, "every trunk to establish", func() bool { return f.e.Health().Status == "ok" })
 }
 
 func (f *fixture) waitTrunksDown() {
 	f.t.Helper()
-	waitFor(f.t, 5*time.Second, "every trunk to drop", func() bool {
+	tiertest.WaitFor(f.t, "every trunk to drop", func() bool {
 		for _, p := range f.e.Health().Pools {
 			if p.TrunksHealthy != 0 {
 				return false
@@ -242,39 +201,6 @@ func (f *fixture) waitTrunksDown() {
 		}
 		return true
 	})
-}
-
-// deadAddr pins a free port without serving, for a guaranteed-dead
-// upstream.
-func deadAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	return ln.Addr().String()
-}
-
-func waitFor(t *testing.T, timeout time.Duration, msg string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", msg)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func testPayload(i int) beacon.Payload {
-	return beacon.Payload{
-		CampaignID: "Edge-001",
-		CreativeID: fmt.Sprintf("cr-%d", i),
-		PageURL:    fmt.Sprintf("http://pub%d.es/page", i%3),
-		UserAgent:  "Mozilla/5.0 Chrome/49.0",
-		Nonce:      beacon.NewNonce(),
-	}
 }
 
 // forEachTier runs fn as one subtest per tier configuration.
@@ -291,13 +217,13 @@ func TestSynthesizesNonce(t *testing.T) {
 	forEachTier(t, func(t *testing.T, name string, pools int) {
 		f := startTier(t, name, pools, fixtureOptions{})
 		f.waitTrunksUp()
-		p := testPayload(0)
+		p := tiertest.Payload(0)
 		p.Nonce = ""
 		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
 		if err := client.Report(context.Background(), p, 30*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, 5*time.Second, "impression to land", func() bool { return f.stored() == 1 })
+		tiertest.WaitFor(t, "impression to land", func() bool { return f.stored() == 1 })
 		for shard, ims := range f.impressions() {
 			for _, im := range ims {
 				if im.Nonce == "" {
@@ -373,32 +299,6 @@ func expectShed(t *testing.T, f *fixture, reason string) {
 	}
 }
 
-// TestShedsAtCapacity: with MaxSessions reached, admission returns 503
-// with the Retry-After hint the beacon client honors as a backoff floor
-// and the tier's name in the body.
-func TestShedsAtCapacity(t *testing.T) {
-	forEachTier(t, func(t *testing.T, name string, pools int) {
-		f := startTier(t, name, pools, fixtureOptions{edge: func(cfg *Config) { cfg.MaxSessions = 1 }})
-		d := &wsproto.Dialer{}
-		first, _, err := d.Dial(context.Background(), f.srv.BeaconURL())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer first.Close(wsproto.CloseNormal, "")
-		waitFor(t, 2*time.Second, "first session tracked", func() bool { return f.e.sessions.Tracked() == 1 })
-
-		if _, resp, err := d.Dial(context.Background(), f.srv.BeaconURL()); err == nil {
-			t.Fatal("second session admitted past MaxSessions")
-		} else if resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("shed response = %+v, want 503", resp)
-		}
-		expectShed(t, f, ShedCapacity)
-		if got := f.tel.Sheds.With(ShedCapacity).Load(); got != 2 {
-			t.Fatalf("capacity sheds = %v, want 2", got)
-		}
-	})
-}
-
 // TestShedsWhenSpillFull: SpillLimit counts across every pool's spill;
 // at the cap (an upstream gone for too long) admission flips to
 // shedding rather than promising acks the edge cannot keep.
@@ -409,67 +309,14 @@ func TestShedsWhenSpillFull(t *testing.T) {
 			edge:          func(cfg *Config) { cfg.SpillLimit = 1 },
 		})
 		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
-		if err := client.Report(context.Background(), testPayload(5), 10*time.Millisecond); err != nil {
+		if err := client.Report(context.Background(), tiertest.Payload(5), 10*time.Millisecond); err != nil {
 			t.Fatalf("first session should be acked into the spill: %v", err)
 		}
-		waitFor(t, 2*time.Second, "commit to spill", func() bool { return f.e.Health().SpillPending == 1 })
+		tiertest.WaitFor(t, "commit to spill", func() bool { return f.e.Health().SpillPending == 1 })
 		expectShed(t, f, ShedSpill)
 		if got := f.tel.Sheds.With(ShedSpill).Load(); got != 1 {
 			t.Fatalf("spill sheds = %v, want 1", got)
 		}
-	})
-}
-
-// TestDrainHandsSessionsBack: Drain sheds new work, closes live
-// sessions with the resumable 1012 code and a parseable retry-after
-// reason, and flushes every spill buffer before returning.
-func TestDrainHandsSessionsBack(t *testing.T) {
-	forEachTier(t, func(t *testing.T, name string, pools int) {
-		f := startTier(t, name, pools, fixtureOptions{})
-		f.waitTrunksUp()
-		d := &wsproto.Dialer{}
-		conn, _, err := d.Dial(context.Background(), f.srv.BeaconURL())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := conn.WriteText(testPayload(2).Encode()); err != nil {
-			t.Fatal(err)
-		}
-		// An acknowledged event proves the edge finished the payload
-		// handshake — drained before that, it would have nothing to commit.
-		if err := conn.WriteText(beacon.EncodeEventUpdate(beacon.Event{Kind: beacon.EventClick, At: 5 * time.Millisecond})); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, 2*time.Second, "payload handshake to finish", func() bool { return f.tel.Events.Load() == 1 })
-
-		drained := make(chan int, 1)
-		go func() { drained <- f.e.Drain(5 * time.Second) }()
-
-		// The client's next read surfaces the drain close frame.
-		var ce *wsproto.CloseError
-		for {
-			_, _, err := conn.ReadMessage()
-			if err != nil {
-				if !errors.As(err, &ce) {
-					t.Fatalf("drain surfaced %v, want a close frame", err)
-				}
-				break
-			}
-		}
-		if ce.Code != wsproto.CloseServiceRestart {
-			t.Fatalf("drain close code = %d, want %d", ce.Code, wsproto.CloseServiceRestart)
-		}
-		if ce.Reason != "draining retry-after=2s" {
-			t.Fatalf("drain close reason = %q, want the retry-after hint", ce.Reason)
-		}
-		if left := <-drained; left != 0 {
-			t.Fatalf("drain left %d commits unflushed", left)
-		}
-		// The mid-flight session's impression still landed: acked-to-client
-		// is never a lie, even for a drain-truncated exposure.
-		waitFor(t, 5*time.Second, "drained commit to land", func() bool { return f.stored() == 1 })
-		// New admissions during/after drain are shed with 503.
-		expectShed(t, f, ShedDraining)
 	})
 }
 
@@ -488,7 +335,7 @@ func TestOutageReplayCarriesEveryEvent(t *testing.T) {
 		f.waitTrunksDown()
 
 		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
-		sess, err := client.Open(context.Background(), testPayload(4))
+		sess, err := client.Open(context.Background(), tiertest.Payload(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,9 +348,9 @@ func TestOutageReplayCarriesEveryEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range f.stops {
-			f.restartCollector(i)
+			f.startCollector(i, nil)
 		}
-		waitFor(t, 10*time.Second, "commit to replay", func() bool {
+		tiertest.WaitFor(t, "commit to replay", func() bool {
 			return f.stored() == 1 && f.e.Health().SpillPending == 0
 		})
 		for _, ims := range f.impressions() {
@@ -527,13 +374,13 @@ func TestTraceSpans(t *testing.T) {
 		})
 		f.waitTrunksUp()
 		client := &beacon.Client{CollectorURL: f.srv.BeaconURL(), Tracer: tracer}
-		if err := client.Report(context.Background(), testPayload(3), 30*time.Millisecond); err != nil {
+		if err := client.Report(context.Background(), tiertest.Payload(3), 30*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, 5*time.Second, "impression to land", func() bool { return f.stored() == 1 })
+		tiertest.WaitFor(t, "impression to land", func() bool { return f.stored() == 1 })
 
 		var snap trace.Snapshot
-		waitFor(t, 5*time.Second, "trace to appear", func() bool {
+		tiertest.WaitFor(t, "trace to appear", func() bool {
 			recent := rec.Recent(1)
 			if len(recent) == 0 {
 				return false
@@ -577,7 +424,8 @@ func TestHealthLadder(t *testing.T) {
 			dialed = map[string][]net.Conn{} // upstream addr → trunk transports
 			refuse atomic.Bool
 		)
-		f := startTier(t, name, pools, fixtureOptions{edge: func(cfg *Config) {
+		nw := &memnet.Network{Buffer: 64 << 10}
+		f := startTier(t, name, pools, fixtureOptions{net: nw, edge: func(cfg *Config) {
 			cfg.TrunksPerPool = 2
 			cfg.BreakerThreshold = 1
 			cfg.BreakerCooldown = 30 * time.Second
@@ -585,7 +433,7 @@ func TestHealthLadder(t *testing.T) {
 				if refuse.Load() {
 					return nil, errors.New("redial refused by test")
 				}
-				c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+				c, err := nw.Dial(ctx, network, addr)
 				if err == nil {
 					mu.Lock()
 					dialed[addr] = append(dialed[addr], c)
@@ -619,7 +467,7 @@ func TestHealthLadder(t *testing.T) {
 		mu.Lock()
 		_ = dialed[f.addrs[0]][0].Close()
 		mu.Unlock()
-		waitFor(t, 5*time.Second, "one trunk down", func() bool { return f.pools[0].BreakerOpens.Load() == 1 })
+		tiertest.WaitFor(t, "one trunk down", func() bool { return f.pools[0].BreakerOpens.Load() == 1 })
 		code, h := getHealth()
 		if up := h.Checks["upstream_0"]; code != http.StatusOK || h.Status != "degraded" ||
 			up.Status != "degraded" || up.Value != 1 || up.Limit != 2 {
@@ -627,8 +475,8 @@ func TestHealthLadder(t *testing.T) {
 		}
 
 		// Take pool 0's collector away entirely: the survivor drops too.
-		f.stops[0]()
-		waitFor(t, 5*time.Second, "pool 0 trunks down", func() bool { return f.e.Health().Pools[0].TrunksHealthy == 0 })
+		_ = f.stops[0]()
+		tiertest.WaitFor(t, "pool 0 trunks down", func() bool { return f.e.Health().Pools[0].TrunksHealthy == 0 })
 		code, h = getHealth()
 		if code != http.StatusServiceUnavailable || h.Status != "unhealthy" || h.Checks["upstream_0"].Status != "unhealthy" {
 			t.Fatalf("healthz with a dead upstream = %d %+v, want 503 unhealthy", code, h)
@@ -687,129 +535,4 @@ func TestBreakerCountsTrunksRefusedAtHello(t *testing.T) {
 	if n, opens := accepted.Load(), f.pools[0].BreakerOpens.Load(); n != 7 || opens != 1 {
 		t.Fatalf("one virtual second against a refusing upstream: %d trunks accepted, %d breaker openings; want 7 and 1", n, opens)
 	}
-}
-
-// TestIPv6SessionEndToEnd: a client on an IPv6 socket is acked and its
-// impression is stored under its IPv6 address, with nothing rejected.
-// At the parent commit the peer was sent as "" and the collector
-// answered the commit with a permanent peer-addr Reject, after the
-// client had been told the impression was safe.
-func TestIPv6SessionEndToEnd(t *testing.T) {
-	forEachTier(t, func(t *testing.T, name string, pools int) {
-		ln, err := net.Listen("tcp", "[::1]:0")
-		if err != nil {
-			t.Skipf("no IPv6 loopback on this host: %v", err)
-		}
-		f := startTier(t, name, pools, fixtureOptions{server: []daemon.Option{daemon.WithListener(ln)}})
-		f.waitTrunksUp()
-		client := &beacon.Client{CollectorURL: f.srv.BeaconURL()}
-		if err := client.Report(context.Background(), testPayload(6), 20*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		var acks, rejects int64
-		waitFor(t, 5*time.Second, "the collector's verdict on the commit", func() bool {
-			acks, rejects = 0, 0
-			for _, p := range f.pools {
-				acks += p.Acks.Load()
-				rejects += p.Rejects.Load()
-			}
-			return acks+rejects == 1
-		})
-		if rejects != 0 {
-			t.Fatalf("rejected_total = %d, want 0: the client was acked for a commit the collector refused", rejects)
-		}
-		if f.stored() != 1 {
-			t.Fatalf("stored %d impressions, want 1", f.stored())
-		}
-		want := testAnonymizer.Pseudonym(netip.MustParseAddr("::1"))
-		for _, ims := range f.impressions() {
-			for _, im := range ims {
-				if im.IPPseudonym != want {
-					t.Fatalf("stored pseudonym %q, want that of ::1 (%q)", im.IPPseudonym, want)
-				}
-			}
-		}
-	})
-}
-
-// TestUnparseablePeerIsNeverAcked: a commit without a usable peer
-// address is one the collector rejects for good, so the session is
-// closed with a policy violation before anything is acked or spilled.
-func TestUnparseablePeerIsNeverAcked(t *testing.T) {
-	forEachTier(t, func(t *testing.T, name string, pools int) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := startTier(t, name, pools, fixtureOptions{server: []daemon.Option{daemon.WithListener(wstest.AddrlessListener(ln))}})
-		f.waitTrunksUp()
-		d := &wsproto.Dialer{}
-		conn, _, err := d.Dial(context.Background(), f.srv.BeaconURL())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.WriteText(testPayload(7).Encode())
-		var ce *wsproto.CloseError
-		for {
-			if _, _, err := conn.ReadMessage(); err != nil {
-				if !errors.As(err, &ce) {
-					t.Fatalf("session ended with %v, want a close frame", err)
-				}
-				break
-			}
-		}
-		if ce.Code != wsproto.ClosePolicyViolation {
-			t.Fatalf("close code = %d, want %d (policy violation), not an ack", ce.Code, wsproto.ClosePolicyViolation)
-		}
-		waitFor(t, 2*time.Second, "session to end", func() bool { return f.e.sessions.Tracked() == 0 })
-		if h := f.e.Health(); h.SpillPending != 0 {
-			t.Fatalf("spill_pending = %d, want 0", h.SpillPending)
-		}
-		if got := f.tel.Commits.Load(); got != 0 {
-			t.Fatalf("commits = %d, want 0", got)
-		}
-		if f.stored() != 0 {
-			t.Fatalf("stored %d impressions, want 0", f.stored())
-		}
-	})
-}
-
-// TestSessionPanicIsRecovered: a session that panics costs that session
-// alone, told so with an internal-error close. The edge process — and
-// with it every commit it has acked and holds in its spill — survives,
-// and the next session is acked and stored.
-func TestSessionPanicIsRecovered(t *testing.T) {
-	forEachTier(t, func(t *testing.T, name string, pools int) {
-		var panicked atomic.Bool
-		f := startTier(t, name, pools, fixtureOptions{beacon: func(s *beacon.Server) {
-			s.DecodeBinary = func(p *beacon.Payload, msg []byte) (err error) {
-				if panicked.CompareAndSwap(false, true) {
-					panic("injected session failure")
-				}
-				*p, err = beacon.DecodeBinary(msg)
-				return err
-			}
-		}})
-		f.waitTrunksUp()
-		conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), f.srv.BeaconURL())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.NetConn().Close()
-		if err := conn.WriteMessage(wsproto.OpBinary, testPayload(8).EncodeBinary()); err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var ce *wsproto.CloseError
-		if _, _, err := conn.ReadMessage(); !errors.As(err, &ce) || ce.Code != wsproto.CloseInternalError {
-			t.Fatalf("panicked session ended with %v, want an internal-error close", err)
-		}
-
-		client := &beacon.Client{CollectorURL: f.srv.BeaconURL(), Wire: beacon.WireBinary}
-		if err := client.Report(context.Background(), testPayload(9), 10*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, 5*time.Second, "the next impression to land", func() bool { return f.stored() == 1 })
-		waitFor(t, 2*time.Second, "both sessions to be untracked", func() bool { return f.e.sessions.Tracked() == 0 })
-	})
 }

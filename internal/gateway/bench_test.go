@@ -10,6 +10,7 @@ import (
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/store"
 )
@@ -30,7 +31,7 @@ func BenchmarkGatewayForward(b *testing.B) {
 	c, err := collector.New(collector.Config{
 		Store:            st,
 		Anonymizer:       ipmeta.NewAnonymizer([]byte("bench")),
-		TrunkToken:       testTrunkToken,
+		TrunkToken:       collectortest.TrunkToken,
 		DisableTelemetry: true,
 		Logger:           quiet,
 	})
@@ -45,7 +46,7 @@ func BenchmarkGatewayForward(b *testing.B) {
 	defer cancel()
 	go csrv.Serve(ctx)
 
-	cfg := fastConfig(trunkURL(csrv))
+	cfg := fastConfig(fmt.Sprintf("ws://%s/trunk", csrv.Addr()))
 	cfg.Logger = quiet
 	g, err := New(cfg)
 	if err != nil {

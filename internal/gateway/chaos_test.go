@@ -14,10 +14,9 @@ import (
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
-	"adaudit/internal/collector"
+	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
-	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
@@ -53,18 +52,6 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 	}
 	st := store.New()
 	st.AttachWAL(wal)
-	newCollector := func(s *store.Store) *collector.Collector {
-		c, err := collector.New(collector.Config{
-			Store:             s,
-			Anonymizer:        ipmeta.NewAnonymizer([]byte("gwchaos")),
-			TrunkToken:        testTrunkToken,
-			KeepAliveInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	// Trunk-leg chaos, on every connection the collector accepts: the
 	// gateway's trunks die repeatedly and crawl under a seeded bandwidth
 	// throttle.
@@ -75,15 +62,12 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		SlowLinkProb:           0.5,
 		SlowLinkBytesPerSecond: 512 << 10,
 	}
-	faulted := func(plan *faultnet.Plan, addr string) daemon.Option {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return daemon.WithListener(plan.Listen(ln))
+	faulted := func(plan *faultnet.Plan, addr string) net.Listener {
+		return plan.Listen(collectortest.TCP(t, addr))
 	}
-	csrvA, stopA := startCollectorServer(t, newCollector(st), "", faulted(trunkPlan, "127.0.0.1:0"))
-	collectorAddr := csrvA.Addr().String()
+	lnA := faulted(trunkPlan, "127.0.0.1:0")
+	_, stopA := collectortest.Serve(t, st, lnA, nil)
+	collectorAddr := lnA.Addr().String()
 
 	cfg := fastConfig(fmt.Sprintf("ws://%s/trunk", collectorAddr))
 	cfg.Trunks = 2
@@ -96,7 +80,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		KillJitter:     120 * time.Millisecond,
 		ResetWriteProb: 0.02,
 	}
-	g, gsrv := startGateway(t, cfg, faulted(clientPlan, "127.0.0.1:0"))
+	g, gsrv := startGateway(t, cfg, daemon.WithListener(faulted(clientPlan, "127.0.0.1:0")))
 	clientURL := gsrv.BeaconURL()
 
 	pubs, err := publisher.NewUniverse(publisher.Config{Seed: 5, NumPublishers: 60})
@@ -150,7 +134,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 	// The outage lasts long enough that sessions commit INTO it: those
 	// clients are acked purely from the spill buffer.
 	time.Sleep(200 * time.Millisecond)
-	stopA()
+	_ = stopA()
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +154,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 		t.Fatal(err)
 	}
 	st2.AttachWAL(wal2)
-	startCollectorServer(t, newCollector(st2), "", faulted(trunkPlan, collectorAddr))
+	collectortest.Serve(t, st2, faulted(trunkPlan, collectorAddr), nil)
 
 	wg.Wait()
 

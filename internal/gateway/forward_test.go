@@ -11,6 +11,7 @@ import (
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/store"
+	"adaudit/internal/tiertest"
 	"adaudit/internal/wsproto"
 )
 
@@ -34,7 +35,7 @@ func runSession(t *testing.T, url, wire string, p beacon.Payload, updates []beac
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "the session's record", func() bool { return st.Len() == n+1 })
+	tiertest.WaitFor(t, "the session's record", func() bool { return st.Len() == n+1 })
 	im, ok := st.Get(int64(n + 1))
 	if !ok {
 		t.Fatalf("record %d missing", n+1)
@@ -49,12 +50,11 @@ func runSession(t *testing.T, url, wire string, p beacon.Payload, updates []beac
 // timestamp, the exposure and the nonce a gateway mints for a payload
 // without one.
 func TestForwardedEqualsDirect(t *testing.T) {
-	direct, directStore := testCollector(t, nil)
-	dsrv, _ := startCollectorServer(t, direct, "127.0.0.1:0")
-	fwd, fwdStore := testCollector(t, nil)
-	fsrv, _ := startCollectorServer(t, fwd, "127.0.0.1:0")
-	g, gsrv := startGateway(t, fastConfig(trunkURL(fsrv)))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.Health().Status == "ok" })
+	directStore, fwdStore := store.New(), store.New()
+	direct, directAddr, _ := startCollector(t, directStore)
+	fwd, fwdAddr, _ := startCollector(t, fwdStore)
+	g, gsrv := startGateway(t, fastConfig(trunkURL(fwdAddr)))
+	tiertest.WaitFor(t, "trunks to establish", func() bool { return g.Health().Status == "ok" })
 
 	base := func() beacon.Payload {
 		return beacon.Payload{
@@ -93,7 +93,7 @@ func TestForwardedEqualsDirect(t *testing.T) {
 			t.Run(tc.name+"/"+wire, func(t *testing.T) {
 				p := base()
 				tc.edit(&p)
-				want := runSession(t, dsrv.BeaconURL(), wire, p, tc.updates, directStore)
+				want := runSession(t, "ws://"+directAddr+"/beacon", wire, p, tc.updates, directStore)
 				got := runSession(t, gsrv.BeaconURL(), wire, p, tc.updates, fwdStore)
 				if p.Nonce == "" {
 					if got.Nonce == "" {
@@ -135,19 +135,19 @@ func (h *lostTrunks) Handle(_ context.Context, r slog.Record) error {
 // closes the trunk; the replay then closes every trunk it is sent on.
 func TestLongSessionLandsOnce(t *testing.T) {
 	const updates = 70_000
-	c, st := testCollector(t, nil)
-	csrv, _ := startCollectorServer(t, c, "127.0.0.1:0")
+	st := store.New()
+	c, addr, _ := startCollector(t, st)
 	lost := &lostTrunks{}
-	cfg := fastConfig(trunkURL(csrv))
+	cfg := fastConfig(trunkURL(addr))
 	cfg.Logger = slog.New(lost)
 	// The collector answers no ping while it ingests the commit, which
 	// under -race outlasts two of fastConfig's 50 ms intervals.
 	cfg.KeepAliveInterval = 5 * time.Second
 	g, gsrv := startGateway(t, cfg)
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return g.Health().Status == "ok" })
+	tiertest.WaitFor(t, "trunks to establish", func() bool { return g.Health().Status == "ok" })
 
 	client := &beacon.Client{CollectorURL: gsrv.BeaconURL(), Wire: beacon.WireBinary}
-	sess, err := client.Open(context.Background(), testPayload(0))
+	sess, err := client.Open(context.Background(), tiertest.Payload(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLongSessionLandsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitFor(t, 20*time.Second, "the session's commit to be acked", func() bool {
+	tiertest.WaitFor(t, "the session's commit to be acked", func() bool {
 		return series(g, "adaudit_gateway_acks_total") == 1
 	})
 	if n := st.Len(); n != 1 {

@@ -10,6 +10,7 @@ import (
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/store"
 )
@@ -32,7 +33,7 @@ func BenchmarkRouterForward(b *testing.B) {
 	c, err := collector.New(collector.Config{
 		Store:            st,
 		Anonymizer:       ipmeta.NewAnonymizer([]byte("bench")),
-		TrunkToken:       testTrunkToken,
+		TrunkToken:       collectortest.TrunkToken,
 		DisableTelemetry: true,
 		Logger:           quiet,
 	})

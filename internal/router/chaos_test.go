@@ -14,14 +14,14 @@ import (
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
-	"adaudit/internal/collector"
+	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
 	"adaudit/internal/faultnet"
-	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/tiertest"
 )
 
 // TestChaosRouterShardRestart is the sharded tier's acceptance test: a
@@ -48,52 +48,15 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	st0.AttachWAL(wal)
 	st1 := store.New()
 
-	newColl := func(s *store.Store) *collector.Collector {
-		c, err := collector.New(collector.Config{
-			Store:             s,
-			Anonymizer:        ipmeta.NewAnonymizer([]byte("rtchaos")),
-			TrunkToken:        testTrunkToken,
-			KeepAliveInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	serveShard := func(c *collector.Collector, addr string) (*collector.Server, func()) {
-		srv, err := collector.NewServer(c, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = srv.Serve(ctx)
-		}()
-		stopped := false
-		stop := func() {
-			if stopped {
-				return
-			}
-			stopped = true
-			cancel()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("shard server did not stop")
-			}
-		}
-		t.Cleanup(stop)
-		return srv, stop
-	}
-	srv0, stop0 := serveShard(newColl(st0), "127.0.0.1:0")
-	srv1, _ := serveShard(newColl(st1), "127.0.0.1:0")
-	shard0Addr := srv0.Addr().String()
+	ln0 := collectortest.TCP(t, "127.0.0.1:0")
+	shard0Addr := ln0.Addr().String()
+	_, stop0 := collectortest.Serve(t, st0, ln0, nil)
+	ln1 := collectortest.TCP(t, "127.0.0.1:0")
+	collectortest.Serve(t, st1, ln1, nil)
 
 	cfg := fastRouterConfig([]string{
 		fmt.Sprintf("ws://%s/trunk", shard0Addr),
-		fmt.Sprintf("ws://%s/trunk", srv1.Addr().String()),
+		fmt.Sprintf("ws://%s/trunk", ln1.Addr()),
 	})
 	cfg.TrunksPerShard = 2
 	// Client-leg chaos, on every connection the router accepts: beacon
@@ -110,7 +73,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, rsrv := startRouter(t, cfg, daemon.WithListener(clientPlan.Listen(ln)))
-	waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
+	tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 	clientURL := rsrv.BeaconURL()
 
 	pubs, err := publisher.NewUniverse(publisher.Config{Seed: 5, NumPublishers: 60})
@@ -162,7 +125,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	// same address. The outage lasts long enough that commits hashing
 	// to shard 0 are acked purely from the router's spill buffer.
 	time.Sleep(250 * time.Millisecond)
-	stop0()
+	_ = stop0()
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +142,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	st0b.AttachWAL(wal2)
-	serveShard(newColl(st0b), shard0Addr)
+	collectortest.Serve(t, st0b, collectortest.TCP(t, shard0Addr), nil)
 
 	wg.Wait()
 

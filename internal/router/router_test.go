@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,98 +18,55 @@ import (
 	"adaudit/internal/audit"
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
+	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
 	"adaudit/internal/gateway"
-	"adaudit/internal/ipmeta"
 	"adaudit/internal/publisher"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/tiertest"
 	"adaudit/internal/trunk"
-	"adaudit/internal/trunk/trunktest"
 	"adaudit/internal/wsproto"
 )
-
-const testTrunkToken = "trunk-secret"
 
 // shardFixture is n live collector shards for a router to front.
 type shardFixture struct {
 	colls  []*collector.Collector
 	stores []*store.Store
-	srvs   []*collector.Server
-	stops  []func()
+	addrs  []string
 }
 
-// startShards boots n collectors, each with its own store, trunk token
-// and server. mut customises each shard's collector config; srvOpts
-// supplies per-shard server options (e.g. a live audit engine).
-func startShards(t *testing.T, n int, mut func(i int, cfg *collector.Config),
-	srvOpts func(i int, c *collector.Collector, st *store.Store) []collector.ServerOption) *shardFixture {
+// startShards serves n collectors, each over its own store, with the
+// server options opts gives shard i (e.g. a live audit engine).
+func startShards(t *testing.T, n int, opts func(i int, st *store.Store) []collector.ServerOption) *shardFixture {
 	t.Helper()
 	f := &shardFixture{}
 	for i := 0; i < n; i++ {
 		st := store.New()
-		cfg := collector.Config{
-			Store:             st,
-			Anonymizer:        ipmeta.NewAnonymizer([]byte("rt-test")),
-			TrunkToken:        testTrunkToken,
-			KeepAliveInterval: 50 * time.Millisecond,
+		var o []collector.ServerOption
+		if opts != nil {
+			o = opts(i, st)
 		}
-		if mut != nil {
-			mut(i, &cfg)
-		}
-		c, err := collector.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var opts []collector.ServerOption
-		if srvOpts != nil {
-			opts = srvOpts(i, c, st)
-		}
-		srv, err := collector.NewServer(c, "127.0.0.1:0", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = srv.Serve(ctx)
-		}()
-		stopped := false
-		stop := func() {
-			if stopped {
-				return
-			}
-			stopped = true
-			cancel()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("shard collector server did not stop")
-			}
-		}
-		t.Cleanup(stop)
-		f.colls = append(f.colls, c)
-		f.stores = append(f.stores, st)
-		f.srvs = append(f.srvs, srv)
-		f.stops = append(f.stops, stop)
+		ln := collectortest.TCP(t, "127.0.0.1:0")
+		c, _ := collectortest.Serve(t, st, ln, nil, o...)
+		f.colls, f.stores, f.addrs = append(f.colls, c), append(f.stores, st), append(f.addrs, ln.Addr().String())
 	}
 	return f
 }
 
 func (f *shardFixture) trunkURLs() []string {
-	urls := make([]string, len(f.srvs))
-	for i, s := range f.srvs {
-		urls[i] = fmt.Sprintf("ws://%s/trunk", s.Addr())
+	urls := make([]string, len(f.addrs))
+	for i, a := range f.addrs {
+		urls[i] = "ws://" + a + "/trunk"
 	}
 	return urls
 }
 
 func (f *shardFixture) baseURLs() []string {
-	urls := make([]string, len(f.srvs))
-	for i, s := range f.srvs {
-		urls[i] = fmt.Sprintf("http://%s", s.Addr())
+	urls := make([]string, len(f.addrs))
+	for i, a := range f.addrs {
+		urls[i] = "http://" + a
 	}
 	return urls
 }
@@ -155,7 +111,7 @@ func (f *shardFixture) assertPlacement(t *testing.T) {
 func fastRouterConfig(shardURLs []string) Config {
 	return Config{
 		Shards:            shardURLs,
-		TrunkToken:        testTrunkToken,
+		TrunkToken:        collectortest.TrunkToken,
 		RouterID:          "rt-test",
 		KeepAliveInterval: 50 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
@@ -178,20 +134,7 @@ func startRouter(t *testing.T, cfg Config, opts ...ServerOption) (*Router, *Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("router server did not stop")
-		}
-	})
+	tiertest.Serve(t, srv)
 	return r, srv
 }
 
@@ -201,7 +144,7 @@ func startGateway(t *testing.T, trunkURL string) (*gateway.Gateway, *gateway.Ser
 	t.Helper()
 	g, err := gateway.New(gateway.Config{
 		CollectorURL:      trunkURL,
-		TrunkToken:        testTrunkToken,
+		TrunkToken:        collectortest.TrunkToken,
 		GatewayID:         "gw-relay-test",
 		KeepAliveInterval: 50 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
@@ -215,23 +158,8 @@ func startGateway(t *testing.T, trunkURL string) (*gateway.Gateway, *gateway.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	gctx, gcancel := context.WithCancel(context.Background())
-	gdone := make(chan struct{})
-	go func() {
-		defer close(gdone)
-		_ = gsrv.Serve(gctx)
-	}()
-	t.Cleanup(func() {
-		gcancel()
-		select {
-		case <-gdone:
-		case <-time.After(10 * time.Second):
-			t.Fatal("gateway server did not stop")
-		}
-	})
-	waitFor(t, 5*time.Second, "gateway trunks to establish", func() bool {
-		return g.Health().Status == "ok"
-	})
+	tiertest.Serve(t, gsrv)
+	tiertest.WaitFor(t, "gateway trunks to establish", func() bool { return g.Health().Status == "ok" })
 	return g, gsrv
 }
 
@@ -251,27 +179,6 @@ func seriesSum(r *Router, name string) float64 {
 	return sum
 }
 
-func waitFor(t *testing.T, timeout time.Duration, msg string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", msg)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func testPayload(i int) beacon.Payload {
-	return beacon.Payload{
-		CampaignID: "Router-001",
-		CreativeID: fmt.Sprintf("cr-%d", i),
-		PageURL:    fmt.Sprintf("http://pub%d.es/page", i%3),
-		UserAgent:  "Mozilla/5.0 Chrome/49.0",
-		Nonce:      beacon.NewNonce(),
-	}
-}
-
 // TestRouterEndToEnd pushes sessions through the full sharded path —
 // client → router → shard trunks → N collectors — and checks every
 // impression lands on exactly the shard its nonce hashes to, with
@@ -279,15 +186,15 @@ func testPayload(i int) beacon.Payload {
 // on the acks.
 func TestRouterEndToEnd(t *testing.T) {
 	const shards, sessions = 3, 24
-	f := startShards(t, shards, nil, nil)
+	f := startShards(t, shards, nil)
 	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
-	waitFor(t, 5*time.Second, "all shard trunks to establish", func() bool { return allTrunksUp(r) })
+	tiertest.WaitFor(t, "all shard trunks to establish", func() bool { return allTrunksUp(r) })
 
 	client := &beacon.Client{CollectorURL: rsrv.BeaconURL()}
 	ctx := context.Background()
 	payloads := make([]beacon.Payload, sessions)
 	for i := range payloads {
-		payloads[i] = testPayload(i)
+		payloads[i] = tiertest.Payload(i)
 		sess, err := client.Open(ctx, payloads[i])
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +207,7 @@ func TestRouterEndToEnd(t *testing.T) {
 		}
 	}
 
-	waitFor(t, 10*time.Second, "all impressions to reach their shards",
+	tiertest.WaitFor(t, "all impressions to reach their shards",
 		func() bool { return f.totalLen() == sessions })
 	f.assertPlacement(t)
 
@@ -328,7 +235,7 @@ func TestRouterEndToEnd(t *testing.T) {
 			t.Errorf("nonce %q never landed on any shard", p.Nonce)
 		}
 	}
-	waitFor(t, 5*time.Second, "spill buffers to drain", func() bool { return r.Health().SpillPending == 0 })
+	tiertest.WaitFor(t, "spill buffers to drain", func() bool { return r.Health().SpillPending == 0 })
 	if acks := seriesSum(r, "adaudit_router_shard_acks_total"); acks != sessions {
 		t.Fatalf("summed shard acks = %v, want %d", acks, sessions)
 	}
@@ -346,9 +253,9 @@ func TestRouterEndToEnd(t *testing.T) {
 // either neighbor.
 func TestRouterTrunkRelay(t *testing.T) {
 	const shards, sessions = 2, 10
-	f := startShards(t, shards, nil, nil)
+	f := startShards(t, shards, nil)
 	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
-	waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
+	tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 
 	g, gsrv := startGateway(t, rsrv.TrunkURL())
 	if got := seriesSum(r, "adaudit_router_relay_trunks_active"); got < 1 {
@@ -358,7 +265,7 @@ func TestRouterTrunkRelay(t *testing.T) {
 	client := &beacon.Client{CollectorURL: gsrv.BeaconURL()}
 	ctx := context.Background()
 	for i := 0; i < sessions; i++ {
-		sess, err := client.Open(ctx, testPayload(i))
+		sess, err := client.Open(ctx, tiertest.Payload(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,13 +277,13 @@ func TestRouterTrunkRelay(t *testing.T) {
 		}
 	}
 
-	waitFor(t, 10*time.Second, "all relayed impressions to reach their shards",
+	tiertest.WaitFor(t, "all relayed impressions to reach their shards",
 		func() bool { return f.totalLen() == sessions })
 	f.assertPlacement(t)
 	// The relayed acks must travel the whole way back: shard → router
 	// spill → gateway spill.
-	waitFor(t, 5*time.Second, "router spill to drain", func() bool { return r.Health().SpillPending == 0 })
-	waitFor(t, 5*time.Second, "gateway spill to drain", func() bool { return g.Health().SpillPending == 0 })
+	tiertest.WaitFor(t, "router spill to drain", func() bool { return r.Health().SpillPending == 0 })
+	tiertest.WaitFor(t, "gateway spill to drain", func() bool { return g.Health().SpillPending == 0 })
 	if events := f.eventsCounted(); events != sessions {
 		t.Fatalf("summed shard events metric = %d, want %d (direct-path parity)", events, sessions)
 	}
@@ -455,7 +362,7 @@ func (c *stallConn) Close() error {
 // same shard trunk is still acked. At the parent commit the write had no
 // deadline, and the shard trunk acked nothing more.
 func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
-	f := startShards(t, 1, nil, nil)
+	f := startShards(t, 1, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -464,9 +371,9 @@ func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
 	cfg := fastRouterConfig(f.trunkURLs())
 	cfg.TrunksPerShard = 1 // one reader carries every ack from the shard
 	r, rsrv := startRouter(t, cfg, daemon.WithListener(stalls))
-	waitFor(t, 5*time.Second, "shard trunk to establish", func() bool { return allTrunksUp(r) })
+	tiertest.WaitFor(t, "shard trunk to establish", func() bool { return allTrunksUp(r) })
 
-	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
+	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {collectortest.TrunkToken}}}
 	gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +383,7 @@ func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
 	t.Cleanup(func() { _ = leg.Close() })
 	leg.stalled.Store(true)
 
-	p := testPayload(0)
+	p := tiertest.Payload(0)
 	batch := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw-stalled"})
 	batch = trunk.AppendFrame(batch, trunk.Frame{
 		Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
@@ -488,18 +395,18 @@ func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
 	}
 	// The shard acks the relayed commit; its relay back to the gateway
 	// now parks on the stalled transport.
-	waitFor(t, 5*time.Second, "the shard's ack of the relayed commit", func() bool {
+	tiertest.WaitFor(t, "the shard's ack of the relayed commit", func() bool {
 		return seriesSum(r, "adaudit_router_shard_acks_total") == 1
 	})
 
 	client := &beacon.Client{CollectorURL: rsrv.BeaconURL()}
-	if err := client.Report(context.Background(), testPayload(1), 10*time.Millisecond); err != nil {
+	if err := client.Report(context.Background(), tiertest.Payload(1), 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, "the direct session's ack on the same shard trunk", func() bool {
+	tiertest.WaitFor(t, "the direct session's ack on the same shard trunk", func() bool {
 		return seriesSum(r, "adaudit_router_shard_acks_total") == 2 && r.Health().SpillPending == 0
 	})
-	waitFor(t, 2*time.Second, "the stalled gateway's trunk to close", func() bool {
+	tiertest.WaitFor(t, "the stalled gateway's trunk to close", func() bool {
 		return seriesSum(r, "adaudit_router_relay_trunks_active") == 0
 	})
 }
@@ -519,18 +426,18 @@ func TestTrunkCarriesOnlyHelloAndCommit(t *testing.T) {
 		{"gateway-router-shards", 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := startShards(t, tc.shards, nil, nil)
+			f := startShards(t, tc.shards, nil)
 			upstream := f.trunkURLs()[0]
 			if tc.relay {
 				r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
-				waitFor(t, 5*time.Second, "shard trunks to establish", func() bool { return allTrunksUp(r) })
+				tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 				upstream = rsrv.TrunkURL()
 			}
 			g, gsrv := startGateway(t, upstream)
 
 			client := &beacon.Client{CollectorURL: gsrv.BeaconURL()}
 			for i := 0; i < sessions; i++ {
-				sess, err := client.Open(context.Background(), testPayload(i))
+				sess, err := client.Open(context.Background(), tiertest.Payload(i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -545,7 +452,7 @@ func TestTrunkCarriesOnlyHelloAndCommit(t *testing.T) {
 			}
 			// The gateway's ack is the last link: behind it the shard has
 			// ingested and, in the relay case, the router has resolved.
-			waitFor(t, 10*time.Second, "every commit to be acked", func() bool {
+			tiertest.WaitFor(t, "every commit to be acked", func() bool {
 				return f.totalLen() == sessions && g.Health().SpillPending == 0
 			})
 
@@ -571,41 +478,6 @@ func TestTrunkCarriesOnlyHelloAndCommit(t *testing.T) {
 	}
 }
 
-// TestRouterTrunkRefusesOtherVersion: every input the shared trunk
-// receiver refuses (internal/trunk tests the close and its reason)
-// relays nothing from the router's /trunk.
-func TestRouterTrunkRefusesOtherVersion(t *testing.T) {
-	f := startShards(t, 1, nil, nil)
-	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
-	for _, tc := range trunktest.Refusals {
-		t.Run(tc.Name, func(t *testing.T) {
-			d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {testTrunkToken}}}
-			conn, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.NetConn().Close()
-			if err := conn.WriteMessage(tc.Op, tc.Msg); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := conn.ReadMessage(); err == nil {
-				t.Fatal("refused trunk answered with a message")
-			}
-			// Frames are counted, and a relayed commit spilled, before the
-			// close is written.
-			if s, _ := r.Telemetry().Find("adaudit_router_relay_frames_total", map[string]string{"type": "commit"}); s.Value != 0 {
-				t.Fatalf("refused trunk had %v commit frames acted on", s.Value)
-			}
-			if s, _ := r.Telemetry().Find("adaudit_router_commits_total", nil); s.Value != 0 {
-				t.Fatalf("refused trunk relayed %v commits", s.Value)
-			}
-		})
-	}
-	if n := f.totalLen(); n != 0 {
-		t.Fatalf("shards stored %d records from refused trunks", n)
-	}
-}
-
 // TestRouterMergedLiveAPI: shards run live streamaudit engines, the
 // router server aggregates them — /api/live/export serves the
 // shard-order merge and /api/live/summary answers over it, with counts
@@ -621,8 +493,8 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 	for _, c := range adnet.PaperCampaigns() {
 		keywords[c.ID] = c.Keywords
 	}
-	f := startShards(t, shards, nil,
-		func(i int, c *collector.Collector, st *store.Store) []collector.ServerOption {
+	f := startShards(t, shards,
+		func(i int, st *store.Store) []collector.ServerOption {
 			eng, err := streamaudit.New(streamaudit.Config{
 				Store:    st,
 				Meta:     meta,
@@ -637,7 +509,7 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()),
 		WithLiveMerge(&shardmerge.Client{Shards: f.baseURLs()},
 			streamaudit.StaticConfig{Meta: meta, Keywords: keywords}))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return allTrunksUp(r) })
+	tiertest.WaitFor(t, "trunks to establish", func() bool { return allTrunksUp(r) })
 
 	// Real campaign IDs and universe publishers, so the live engines
 	// fold metadata the same way a production shard would.
@@ -656,7 +528,7 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 10*time.Second, "all impressions to land", func() bool { return f.totalLen() == sessions })
+	tiertest.WaitFor(t, "all impressions to land", func() bool { return f.totalLen() == sessions })
 	f.assertPlacement(t)
 
 	// The merged export must union exactly the shard stores.
@@ -727,48 +599,5 @@ func TestRouterMergedLiveAPI(t *testing.T) {
 	}
 	if total != sessions {
 		t.Fatalf("merged summary impressions = %d, want %d", total, sessions)
-	}
-}
-
-// TestHealthzBody pins the router's /healthz JSON: the shared schema
-// with tier "router", its ID, and one upstream check per shard beside
-// the spill check. The ladder itself is the edge core's (and tested
-// there).
-func TestHealthzBody(t *testing.T) {
-	f := startShards(t, 2, nil, nil)
-	urls := f.trunkURLs()
-	r, rsrv := startRouter(t, fastRouterConfig(urls))
-	waitFor(t, 5*time.Second, "trunks to establish", func() bool { return allTrunksUp(r) })
-
-	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", rsrv.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d, want 200", resp.StatusCode)
-	}
-	var body map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if up, ok := body["uptime_seconds"].(float64); !ok || up < 0 {
-		t.Fatalf("healthz uptime_seconds = %v, want a non-negative number", body["uptime_seconds"])
-	}
-	delete(body, "uptime_seconds")
-	upstream := func(i int) any {
-		return map[string]any{"status": "ok", "value": 2.0, "limit": 2.0, "detail": "healthy trunks to " + urls[i]}
-	}
-	want := map[string]any{
-		"status": "ok", "tier": "router", "id": "rt-test", "sessions": 0.0,
-		"checks": map[string]any{
-			"upstream_0": upstream(0),
-			"upstream_1": upstream(1),
-			"spill_pending": map[string]any{"status": "ok", "value": 0.0, "limit": 0.0,
-				"detail": "commits awaiting an upstream ack"},
-		},
-	}
-	if !reflect.DeepEqual(body, want) {
-		t.Fatalf("healthz body = %v, want %v", body, want)
 	}
 }

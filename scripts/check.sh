@@ -21,7 +21,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RACE_PKGS="./cmd/auditd/ ./cmd/adgateway/ ./cmd/adrouter/ ./internal/daemon/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/memnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/"
+RACE_PKGS="./cmd/auditd/ ./cmd/adgateway/ ./cmd/adrouter/ ./internal/daemon/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/faultnet/ ./internal/memnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/ ./internal/tiertest/ ./internal/collector/collectortest/"
 
 echo "==> go build ./..."
 go build ./...
@@ -76,7 +76,11 @@ if [ "${1:-}" = "-chaos" ]; then
         ./internal/collector/ ./internal/beacon/ ./internal/store/ -v
     # Edge-tier chaos: both legs fault-injected around the gateway with
     # a full collector restart mid-run. The forwarding core's own outage
-    # tests (outage replay, spill shed, ladder) live in internal/edge.
+    # tests (outage replay, spill shed, ladder) live in internal/edge;
+    # the front-door behaviours every tier shares (refusals, sheds,
+    # drains, panics, a faulted listener) are internal/tiertest's rows,
+    # run by each tier package's old-named tests and its
+    # TestConformanceCatchesMutants — the edge's among them below.
     echo "==> gateway chaos (both legs + collector restart, -race)"
     go test -race -count 1 -run 'TestChaosGatewayZeroLoss' ./internal/gateway/ -v
     go test -race -count 1 ./internal/edge/

@@ -4,8 +4,8 @@
 // (auditd) over a small pool of persistent trunk connections with
 // batching, circuit breaking and an in-gateway spill buffer — a client
 // the gateway acknowledged is delivered even across a collector
-// outage (replayed through the collector's nonce/stream dedup, so
-// never double-counted).
+// outage (replayed to the collector, whose store counts each leg of a
+// beacon's nonce once, so never double-counted).
 //
 // Usage:
 //
@@ -27,10 +27,9 @@
 // elsewhere and resumes with its nonce), and the spill buffer is given
 // -drain-grace to flush every acknowledged commit into the collector.
 //
-// Each gateway instance needs a distinct -gateway-id (commits are
-// deduped per gateway+stream); the default is random per run, which is
-// safe but makes collector-side dedup state unreusable across gateway
-// restarts. -trunk-token must match auditd's -trunk-token.
+// Each gateway instance needs a distinct -gateway-id (a router folds
+// replays of a commit it still holds per gateway+stream); the default
+// is random per run. -trunk-token must match auditd's -trunk-token.
 package main
 
 import (

@@ -4,8 +4,8 @@
 // each impression to its owning shard over a pool of persistent trunk
 // connections with batching, circuit breaking and a per-shard spill
 // buffer — a client or gateway the router acknowledged is delivered
-// even across a shard restart (replayed through the shard's
-// nonce/stream dedup, so never double-counted).
+// even across a shard restart (replayed to the shard, whose store
+// counts each leg of a beacon's nonce once, so never double-counted).
 //
 // Usage:
 //

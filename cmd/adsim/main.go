@@ -12,8 +12,9 @@
 // With -gateway the collected dataset is additionally replayed through
 // a live edge gateway (or directly against a collector's beacon
 // endpoint) as real WebSocket beacon sessions — each impression becomes
-// a payload with a deterministic nonce, so replaying twice cannot
-// double-count. This is the load path for exercising the
+// a payload with a deterministic nonce, so a rerun resends legs the
+// collector has counted, and it drops them. This is the load path for
+// exercising the
 // adgateway → auditd tier with realistic campaign traffic;
 // -gateway-limit caps how many impressions are replayed (0 = all).
 //
@@ -161,7 +162,8 @@ func run(seed int64, publishers int, snapshot, csvPath, reportsPath, conversions
 // sessions against url — the load path for driving an adgateway →
 // auditd deployment with the simulator's campaign mix. Each impression
 // carries a nonce derived from its store ID, so an interrupted replay
-// can be rerun without double-counting, and interaction events are
+// can be rerun without double-counting (the collector drops a leg of a
+// nonce it has counted already), and interaction events are
 // regenerated from the recorded mousemove/click counts. Exposures are
 // compressed (capped at 100ms): a beacon session holds its connection
 // open for the exposure in real time, and replaying minutes-long

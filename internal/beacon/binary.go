@@ -28,6 +28,7 @@ import (
 //	  eventCount                       — uvarint
 //	  events: kind(byte 0=move 1=click 2=vis) atMillis(uvarint)
 //	          [vis only] fraction (8-byte little-endian IEEE 754 bits)
+//	  [leg]                            — uvarint 1..MaxLegs-1, only when non-zero
 //
 //	event update message (the text protocol's "ev:" frames):
 //	  0x02 version(=1) kind atMillis [fraction]
@@ -110,6 +111,9 @@ func (p Payload) AppendBinary(dst []byte) []byte {
 		if wireEventKind(e.Kind) {
 			dst = appendBinaryEvent(dst, e)
 		}
+	}
+	if p.Leg != 0 {
+		dst = binary.AppendUvarint(dst, uint64(p.Leg))
 	}
 	return dst
 }
@@ -290,6 +294,17 @@ func DecodeBinaryInto(p *Payload, b []byte, intern func([]byte) string) error {
 			return r.err
 		}
 		p.Events = append(p.Events, e)
+	}
+	p.Leg = 0
+	if r.off < len(b) { // a leg, written only when non-zero
+		if leg := r.uvarint(); r.err == nil && (leg == 0 || leg >= MaxLegs) {
+			r.fail("binary payload leg %d out of range", leg)
+		} else {
+			p.Leg = uint8(leg)
+		}
+	}
+	if r.err != nil {
+		return r.err
 	}
 	if r.off != len(b) {
 		return fmt.Errorf("beacon: %d trailing bytes after binary payload", len(b)-r.off)

@@ -2,7 +2,9 @@ package beacon
 
 import (
 	"math"
+	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -17,6 +19,51 @@ func sampleBinaryPayload() Payload {
 	p.TraceSent = 1459209600000000000
 	p.Events = append(p.Events, Event{Kind: EventVisibility, At: 5 * time.Second, Fraction: 0.75})
 	return p
+}
+
+// legPayload is a reconnect's payload: a later leg of a nonce.
+func legPayload() Payload {
+	p := sampleBinaryPayload()
+	p.Leg = MaxLegs - 1
+	return p
+}
+
+// TestLegTravelsOnlyWhenNonZero: a leg-0 payload is the bytes it was
+// before legs existed on both wires, a later leg round-trips on both,
+// and the text wire still writes url.Values.Encode's bytes.
+func TestLegTravelsOnlyWhenNonZero(t *testing.T) {
+	p := legPayload()
+	for _, leg := range []uint8{0, 1, MaxLegs - 1} {
+		p.Leg = leg
+		text, bin := p.Encode(), p.EncodeBinary()
+		if q, err := url.ParseQuery(text); err != nil || q.Encode() != text {
+			t.Fatalf("leg %d: %q is not url.Values.Encode's form of itself (%v)", leg, text, err)
+		}
+		if strings.Contains(text, "leg=") != (leg != 0) {
+			t.Fatalf("leg %d: text wire %q", leg, text)
+		}
+		zero := p
+		zero.Leg = 0
+		if want := len(zero.EncodeBinary()) + min(int(leg), 1); len(bin) != want {
+			t.Fatalf("leg %d: %d binary bytes, want %d", leg, len(bin), want)
+		}
+		viaText, err := Decode(text)
+		if err != nil || viaText.Leg != leg {
+			t.Fatalf("leg %d: text decode leg %d, err %v", leg, viaText.Leg, err)
+		}
+		viaBinary, err := DecodeBinary(bin)
+		if err != nil || !payloadsEquivalent(viaText, viaBinary) {
+			t.Fatalf("leg %d: binary decode %+v (err %v), text %+v", leg, viaBinary, err, viaText)
+		}
+	}
+	// A pooled decode target forgets the last payload's leg.
+	var pooled Payload
+	for _, leg := range []uint8{7, 0} {
+		p.Leg = leg
+		if err := DecodeBinaryInto(&pooled, p.EncodeBinary(), func(b []byte) string { return string(b) }); err != nil || pooled.Leg != leg {
+			t.Fatalf("decode into a reused payload: leg %d, err %v, want %d", pooled.Leg, err, leg)
+		}
+	}
 }
 
 // eventsEquivalent compares event lists treating NaN fractions as
@@ -41,7 +88,7 @@ func eventsEquivalent(a, b []Event) bool {
 func payloadsEquivalent(a, b Payload) bool {
 	if a.CampaignID != b.CampaignID || a.CreativeID != b.CreativeID ||
 		a.PageURL != b.PageURL || a.UserAgent != b.UserAgent ||
-		a.Nonce != b.Nonce || a.TraceID != b.TraceID || a.TraceSent != b.TraceSent {
+		a.Nonce != b.Nonce || a.Leg != b.Leg || a.TraceID != b.TraceID || a.TraceSent != b.TraceSent {
 		return false
 	}
 	return eventsEquivalent(a.Events, b.Events) && (a.Events == nil) == (b.Events == nil)
@@ -112,6 +159,8 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		"bad version":       {BinaryMagicImpression, 9},
 		"truncated":         valid[:len(valid)-3],
 		"trailing":          append(append([]byte(nil), valid...), 0),
+		"leg past the mask": append(append([]byte(nil), valid...), MaxLegs),
+		"bytes after a leg": append(append([]byte(nil), valid...), 1, 0),
 		"huge field length": {BinaryMagicImpression, PayloadVersion, 0xff, 0xff, 0xff, 0xff, 0x7f},
 	}
 	for name, b := range cases {
@@ -154,6 +203,7 @@ func TestBothWiresBoundEvents(t *testing.T) {
 func FuzzDecodeBinary(f *testing.F) {
 	f.Add(sampleBinaryPayload().EncodeBinary())
 	f.Add(samplePayload().EncodeBinary())
+	f.Add(legPayload().EncodeBinary())
 	f.Add(Payload{CampaignID: "c", CreativeID: "r", PageURL: "http://x.es/"}.EncodeBinary())
 	f.Add(EncodeBinaryEventUpdate(Event{Kind: EventClick, At: time.Second}))
 	f.Add([]byte{})
@@ -189,6 +239,7 @@ func FuzzDecodeBinary(f *testing.F) {
 func FuzzWireEquivalence(f *testing.F) {
 	f.Add(sampleBinaryPayload().Encode())
 	f.Add(samplePayload().Encode())
+	f.Add(legPayload().Encode())
 	f.Add("v=1&cid=c&crid=r&url=http%3A%2F%2Fx.es%2F&ev=vis%40100%3A0.5")
 	f.Add("v=1&cid=c&crid=r&url=http%3A%2F%2Fx.es%2F&ev=vis%40100%3ANaN")
 	f.Add("v=1&cid=c&crid=r&url=http%3A%2F%2Fx.es%2F&tr=abc&trts=5")

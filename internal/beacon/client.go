@@ -51,7 +51,8 @@ type Client struct {
 	Dialer wsproto.Dialer
 	// MaxAttempts bounds connection attempts per impression — the
 	// initial dial plus retries after dial or mid-session failures.
-	// 0 or 1 means a single attempt (no retry).
+	// 0 or 1 means a single attempt (no retry). However large it is,
+	// Report sends the payload on at most MaxLegs connections.
 	MaxAttempts int
 	// RetryBackoff is the base delay before the first retry; each
 	// further retry doubles it up to RetryBackoffMax. Defaults: 100ms
@@ -376,7 +377,8 @@ func (s *Session) Close() error {
 // under the same nonce (generated if the payload has none) and the
 // exposure clock resumes where it left off: time already spent exposed
 // counts, events already delivered are not resent, and the collector
-// merges the resumed connection into the original impression.
+// merges the resumed connection into the original impression: every
+// connection that sent the payload advances its Leg.
 func (c *Client) Report(ctx context.Context, p Payload, exposure time.Duration) (err error) {
 	events := p.Events
 	p.Events = nil
@@ -409,9 +411,10 @@ func (c *Client) Report(ctx context.Context, p Payload, exposure time.Duration) 
 			return err
 		}
 		reconnects++
-		if reconnects >= c.attempts() {
+		if reconnects >= c.attempts() || int(p.Leg)+1 >= MaxLegs {
 			return err
 		}
+		p.Leg++
 		// If the server closed the session with an explicit reconnect
 		// hint (a draining gateway, an overloaded collector), floor the
 		// backoff on it. Only read once the session is fully dead.

@@ -52,6 +52,10 @@ type Event struct {
 // one per 500 ms, about 3,600 in a 30-minute exposure.
 const MaxEvents = 1 << 16
 
+// MaxLegs bounds Payload.Leg, a constant of the format: both decoders
+// refuse a leg of MaxLegs or more.
+const MaxLegs = 32
+
 // Payload is the information the beacon transmits for one ad impression.
 // The collector augments it with connection-derived facts (client IP,
 // timestamps, exposure time) which deliberately do NOT travel in the
@@ -77,6 +81,10 @@ type Payload struct {
 	// Optional: an empty nonce opts out of deduplication (the original
 	// paper's JavaScript predates it).
 	Nonce string
+	// Leg numbers the connections that sent this nonce's payload, from
+	// 0; the collector counts each leg once. It is on the wire only when
+	// non-zero, so a beacon that never reconnects sends the old bytes.
+	Leg uint8
 	// Events are user interactions observed so far.
 	Events []Event
 	// TraceID is an optional 16-hex-digit pipeline trace identifier
@@ -191,6 +199,10 @@ func (p Payload) Encode() string {
 		}
 		b = appendPair(b, "ev", ev)
 	}
+	if p.Leg != 0 {
+		var leg [3]byte
+		b = appendPair(b, "leg", strconv.AppendUint(leg[:0], uint64(p.Leg), 10))
+	}
 	if p.Nonce != "" {
 		b = appendPair(b, "n", p.Nonce)
 	}
@@ -293,6 +305,13 @@ func Decode(s string) (Payload, error) {
 		PageURL:    v.Get("url"),
 		UserAgent:  v.Get("ua"),
 		Nonce:      v.Get("n"),
+	}
+	if raw := v.Get("leg"); raw != "" {
+		leg, err := strconv.ParseUint(raw, 10, 8)
+		if err != nil || leg >= MaxLegs {
+			return Payload{}, fmt.Errorf("beacon: malformed leg %q", raw)
+		}
+		p.Leg = uint8(leg)
 	}
 	// Trace context is best-effort observability: a malformed tr/trts
 	// pair is dropped rather than rejecting the impression — tracing

@@ -81,6 +81,9 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 		"bad event time":   "v=1&cid=c&crid=r&url=http://x.es/&ev=click%40-5",
 		"no event sep":     "v=1&cid=c&crid=r&url=http://x.es/&ev=click1000",
 		"bad query":        "v=1&cid=%zz",
+		"leg past mask":    "v=1&cid=c&crid=r&url=http://x.es/&leg=32",
+		"leg not a number": "v=1&cid=c&crid=r&url=http://x.es/&leg=one",
+		"negative leg":     "v=1&cid=c&crid=r&url=http://x.es/&leg=-1",
 	}
 	for name, raw := range cases {
 		if _, err := Decode(raw); err == nil {

@@ -197,8 +197,8 @@ func TestReportReconnectsAndResumesExposureClock(t *testing.T) {
 		t.Fatal("retry-enabled Report sent no nonce")
 	}
 	for i, p := range ks.payloads {
-		if p.Nonce != nonce {
-			t.Fatalf("payload %d carried nonce %q, want %q", i, p.Nonce, nonce)
+		if p.Nonce != nonce || p.Leg != uint8(i) {
+			t.Fatalf("payload %d carried nonce %q leg %d, want %q leg %d", i, p.Nonce, p.Leg, nonce, i)
 		}
 	}
 	// The exposure clock resumed rather than restarted: total wall time
@@ -209,6 +209,27 @@ func TestReportReconnectsAndResumesExposureClock(t *testing.T) {
 	// Events were not replayed on the second connection.
 	if len(ks.events) != len(p.Events) {
 		t.Fatalf("collector saw %d events, want exactly %d (no replays)", len(ks.events), len(p.Events))
+	}
+}
+
+// TestReportSendsAtMostMaxLegs: however many attempts a client may
+// make, Report sends the payload on MaxLegs connections at most, so no
+// leg reaches past the mask the collector keeps.
+func TestReportSendsAtMostMaxLegs(t *testing.T) {
+	ks := newKillingStub(t, 1<<10) // every connection dies
+	c := fastRetry(&Client{CollectorURL: ks.wsURL()}, MaxLegs+8)
+	if err := c.Report(context.Background(), samplePayload(), time.Minute); err == nil {
+		t.Fatal("Report succeeded against a collector that kills every connection")
+	}
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	if len(ks.payloads) != MaxLegs {
+		t.Fatalf("the payload went out on %d connections, want %d", len(ks.payloads), MaxLegs)
+	}
+	for i, p := range ks.payloads {
+		if p.Leg != uint8(i) {
+			t.Fatalf("connection %d sent leg %d", i, p.Leg)
+		}
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/gen2"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/simclock"
 	"adaudit/internal/store"
@@ -208,37 +207,7 @@ type Collector struct {
 	// address → enrichment, user keys) that make steady-state ingest
 	// allocation-free.
 	icache *ingestCache
-
-	// Nonce dedup: impression nonce → store record ID, so a beacon that
-	// reconnects mid-exposure merges into its original record instead of
-	// double-counting. Two generations bound the memory: a nonce is
-	// forgotten only after a full generation of other traffic, far longer
-	// than any retry window.
-	nonceMu sync.Mutex
-	nonces  *gen2.Map[string, int64]
-	// nonceInflight marks nonces whose first insert has been claimed
-	// but has not yet committed — the claim/wait handshake that makes
-	// lookup-miss → insert → record atomic against a concurrent replay
-	// of the same nonce. The window was always there, but group-commit
-	// WAL stretches it from microseconds to a whole fsync, so a racing
-	// replay waits on the claim's channel instead of inserting a
-	// duplicate record. The channel is nil until a replay does race:
-	// the first waiter makes it, so the ordinary claim allocates none.
-	nonceInflight map[string]chan struct{}
-
-	// Trunk stream dedup: (gateway, stream) of commits already
-	// ingested, so a gateway replaying an unacked commit (lost ack,
-	// trunk re-homing) gets an ack without a second ingest. Same
-	// two-generation bound as the nonce cache. Across a collector
-	// restart this cache starts empty and the nonce path catches the
-	// replay instead.
-	streamMu sync.Mutex
-	streams  *gen2.Map[streamKey, struct{}]
 }
-
-// nonceCacheLimit is the per-generation nonce map size; two generations
-// are live, so at most 2x this many nonces are remembered.
-const nonceCacheLimit = 1 << 16
 
 // New validates cfg and returns a Collector.
 func New(cfg Config) (*Collector, error) {
@@ -273,13 +242,10 @@ func New(cfg Config) (*Collector, error) {
 		reg = telemetry.NewRegistry()
 	}
 	c := &Collector{
-		cfg:           cfg,
-		clock:         simclock.Or(cfg.Clock),
-		icache:        newIngestCache(),
-		nonces:        gen2.New[string, int64](nonceCacheLimit),
-		nonceInflight: map[string]chan struct{}{},
-		streams:       gen2.New[streamKey, struct{}](streamCacheLimit),
-		reg:           reg,
+		cfg:    cfg,
+		clock:  simclock.Or(cfg.Clock),
+		icache: newIngestCache(),
+		reg:    reg,
 	}
 	// With a nil registry these come back unregistered but functional,
 	// so the Metrics field API never breaks.
@@ -321,7 +287,7 @@ func New(cfg Config) (*Collector, error) {
 			trunkFrames: reg.CounterVec("adaudit_collector_trunk_frames_total",
 				"Trunk frames received from gateways, by frame type.", "type"),
 			trunkDuplicates: reg.Counter("adaudit_collector_trunk_duplicates_total",
-				"Replayed trunk commits deduplicated by stream ID.", nil),
+				"Replayed legs the store dropped: a trunk commit or beacon connection whose nonce and leg it had already counted.", nil),
 			exposure: reg.Histogram("adaudit_collector_exposure_seconds",
 				"Measured ad-exposure durations (connection lifetimes).",
 				telemetry.ExposureBuckets(), nil),
@@ -375,73 +341,7 @@ func New(cfg Config) (*Collector, error) {
 			}
 		},
 	}
-	// A store recovered from a snapshot + WAL may already hold nonced
-	// impressions whose beacons could still be retrying; remember them so
-	// a post-restart reconnect merges instead of duplicating.
-	cfg.Store.Visit(func(im *store.Impression) bool {
-		if im.Nonce != "" {
-			c.nonceRecord(im.Nonce, im.ID)
-		}
-		return true
-	})
 	return c, nil
-}
-
-// nonceLookup returns the store ID previously recorded for nonce.
-func (c *Collector) nonceLookup(nonce string) (int64, bool) {
-	c.nonceMu.Lock()
-	defer c.nonceMu.Unlock()
-	return c.nonces.Get(nonce)
-}
-
-// nonceRecord remembers nonce → id and releases any in-flight claim so
-// racing replays of the same nonce re-check and take the merge path.
-func (c *Collector) nonceRecord(nonce string, id int64) {
-	c.nonceMu.Lock()
-	defer c.nonceMu.Unlock()
-	c.nonces.Put(nonce, id)
-	c.nonceSettleLocked(nonce)
-}
-
-// nonceSettleLocked ends the in-flight claim on nonce, if any, waking
-// whoever waits on it. The caller holds nonceMu.
-func (c *Collector) nonceSettleLocked(nonce string) {
-	if ch, ok := c.nonceInflight[nonce]; ok {
-		delete(c.nonceInflight, nonce)
-		if ch != nil {
-			close(ch)
-		}
-	}
-}
-
-// nonceClaim atomically resolves what an ingest holding this nonce
-// should do: merge into id (ok), wait for a concurrent first insert of
-// the same nonce to commit (wait non-nil — receive, then re-claim), or
-// proceed as the claimed first insert (ok false, wait nil; the caller
-// MUST follow with nonceRecord on success or nonceRelease on failure).
-func (c *Collector) nonceClaim(nonce string) (id int64, ok bool, wait <-chan struct{}) {
-	c.nonceMu.Lock()
-	defer c.nonceMu.Unlock()
-	if id, ok := c.nonces.Get(nonce); ok {
-		return id, true, nil
-	}
-	if ch, inflight := c.nonceInflight[nonce]; inflight {
-		if ch == nil {
-			ch = make(chan struct{})
-			c.nonceInflight[nonce] = ch
-		}
-		return 0, false, ch
-	}
-	c.nonceInflight[nonce] = nil
-	return 0, false, nil
-}
-
-// nonceRelease abandons a claim whose insert failed, waking waiters to
-// re-claim (the next one becomes the first insert).
-func (c *Collector) nonceRelease(nonce string) {
-	c.nonceMu.Lock()
-	defer c.nonceMu.Unlock()
-	c.nonceSettleLocked(nonce)
 }
 
 // Telemetry returns the collector's metrics registry (nil when built
@@ -510,7 +410,16 @@ func (c *Collector) adoptTrace(p beacon.Payload) *trace.Trace {
 
 // Ingest enriches obs and commits it to the store. This is the single
 // funnel both the WebSocket path and the simulator's direct path use.
+// The store counts each leg of a nonce once (store.CommitLeg): a later
+// leg merges into the record (exposure is total connection time), a
+// leg counted already changes nothing. The ID is the record's.
 func (c *Collector) Ingest(obs Observation) (int64, error) {
+	id, _, err := c.ingest(obs)
+	return id, err
+}
+
+// ingest is Ingest, also saying what the store did with the leg.
+func (c *Collector) ingest(obs Observation) (int64, store.LegOutcome, error) {
 	tr := obs.Trace
 	if tr == nil {
 		tr = c.adoptTrace(obs.Payload)
@@ -535,7 +444,7 @@ func (c *Collector) Ingest(obs Observation) (int64, error) {
 		if err != nil {
 			c.reject(RejectPayload)
 			tr.Truncate("reject:" + RejectPayload)
-			return 0, fmt.Errorf("collector: extracting publisher: %w", err)
+			return 0, 0, fmt.Errorf("collector: extracting publisher: %w", err)
 		}
 	}
 	tr.Annotate(obs.Payload.Nonce, obs.Payload.CampaignID)
@@ -560,41 +469,6 @@ func (c *Collector) Ingest(obs Observation) (int64, error) {
 			if e.Fraction > maxVis {
 				maxVis = e.Fraction
 			}
-		}
-	}
-
-	// A reconnected beacon resends its payload under the original nonce;
-	// fold the resumed connection into the existing record (the paper
-	// measures exposure as total connection time) instead of counting a
-	// second impression. Enrichment is skipped: the record already
-	// carries the ISP/country/fraud verdict from the first connection.
-	// The claim/wait handshake makes lookup-miss → insert → record atomic
-	// against a concurrent replay of the same nonce: the race window was
-	// always there, but group-commit WAL stretches the insert from
-	// microseconds to a whole fsync, so a racing replay now waits for the
-	// first insert to commit and then takes the merge path.
-	if nonce := obs.Payload.Nonce; nonce != "" {
-		for {
-			id, ok, wait := c.nonceClaim(nonce)
-			if ok {
-				err := c.cfg.Store.MergeTraced(id, store.Continuation{
-					Exposure:           obs.Exposure,
-					MouseMoves:         moves,
-					Clicks:             clicks,
-					VisibilityMeasured: visMeasured,
-					MaxVisibleFraction: maxVis,
-				}, tr)
-				if err != nil {
-					c.reject(RejectInsert)
-					return 0, fmt.Errorf("collector: merging resumed impression: %w", err)
-				}
-				c.tel.dedupHits.Inc()
-				return id, nil
-			}
-			if wait == nil {
-				break // claimed: this ingest is the nonce's first insert
-			}
-			<-wait
 		}
 	}
 
@@ -632,18 +506,20 @@ func (c *Collector) Ingest(obs Observation) (int64, error) {
 		VisibilityMeasured: visMeasured,
 		MaxVisibleFraction: maxVis,
 	}
-	id, err := c.cfg.Store.InsertTraced(im, tr)
+	id, outcome, err := c.cfg.Store.CommitLeg(im, obs.Payload.Leg, tr)
 	if err != nil {
-		if im.Nonce != "" {
-			c.nonceRelease(im.Nonce)
-		}
 		c.reject(RejectInsert)
-		return 0, fmt.Errorf("collector: storing impression: %w", err)
+		return 0, 0, fmt.Errorf("collector: storing impression: %w", err)
+	}
+	switch outcome {
+	case store.LegMerged:
+		c.tel.dedupHits.Inc()
+		return id, outcome, nil
+	case store.LegReplayed:
+		c.tel.trunkDuplicates.Inc()
+		return id, outcome, nil
 	}
 	c.Metrics.Ingested.Add(1)
-	if im.Nonce != "" {
-		c.nonceRecord(im.Nonce, id)
-	}
 	if sampled {
 		// Reusing enrichStart keeps the unsampled path free of clock
 		// reads; the server's health probe covers the gap between
@@ -651,7 +527,7 @@ func (c *Collector) Ingest(obs Observation) (int64, error) {
 		// Server.lastIngestAge).
 		c.lastIngest.Store(enrichStart.UnixNano())
 	}
-	return id, nil
+	return id, outcome, nil
 }
 
 // payloadPool recycles decode targets for decodePooled: a caller

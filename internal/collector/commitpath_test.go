@@ -13,11 +13,13 @@ import (
 )
 
 // TestConcurrentReplaysOfOneNonce races N ingests of the same nonce,
-// round after round: whichever claims first inserts, the others wait on
-// the channel the first of them made and then merge. Exactly one record
-// per nonce, every connection's exposure in it. Run under -race.
+// round after round, on N/2 legs, each leg sent by two racers: whichever
+// racer the store serves first inserts, the first of each other leg
+// merges, and the second of every leg is dropped as a replay. Exactly
+// one record per nonce, each leg's exposure in it once. Run under -race.
 func TestConcurrentReplaysOfOneNonce(t *testing.T) {
 	const rounds, racers = 200, 8
+	const legs = racers / 2
 	c, st := testCollector(t)
 	obs := testObservation(t, c)
 	for r := 0; r < rounds; r++ {
@@ -36,7 +38,9 @@ func TestConcurrentReplaysOfOneNonce(t *testing.T) {
 				}
 				ids[g] = id
 			}(g, obs)
+			obs.Payload.Leg = uint8((g + 1) % legs)
 		}
+		obs.Payload.Leg = 0
 		close(start)
 		wg.Wait()
 		for g, id := range ids {
@@ -48,69 +52,18 @@ func TestConcurrentReplaysOfOneNonce(t *testing.T) {
 	if st.Len() != rounds {
 		t.Fatalf("store holds %d records for %d nonces", st.Len(), rounds)
 	}
-	if got := c.tel.dedupHits.Load(); got != rounds*(racers-1) {
-		t.Fatalf("merges = %d, want %d", got, rounds*(racers-1))
+	if got := c.tel.dedupHits.Load(); got != rounds*(legs-1) {
+		t.Fatalf("merges = %d, want %d", got, rounds*(legs-1))
+	}
+	if got := c.tel.trunkDuplicates.Load(); got != rounds*(racers-legs) {
+		t.Fatalf("replays dropped = %d, want %d", got, rounds*(racers-legs))
 	}
 	st.Visit(func(im *store.Impression) bool {
-		if im.Exposure != racers*obs.Exposure || im.Clicks != racers {
-			t.Fatalf("record %d holds exposure %v and %d clicks, want %d connections' worth", im.ID, im.Exposure, im.Clicks, racers)
+		if im.Exposure != legs*obs.Exposure || im.Clicks != legs {
+			t.Fatalf("record %d holds exposure %v and %d clicks, want %d legs' worth", im.ID, im.Exposure, im.Clicks, legs)
 		}
 		return true
 	})
-	if n := len(c.nonceInflight); n != 0 {
-		t.Fatalf("%d claims left in flight", n)
-	}
-}
-
-// TestNonceClaimMakesItsChannelForAWaiter pins the claim handshake's
-// three answers, that the ordinary claim holds no channel, and that a
-// released claim wakes its waiters into claiming for themselves.
-func TestNonceClaimMakesItsChannelForAWaiter(t *testing.T) {
-	c, _ := testCollector(t)
-	if _, ok, wait := c.nonceClaim("n"); ok || wait != nil {
-		t.Fatalf("first claim: ok=%v wait=%v, want the claim", ok, wait)
-	}
-	if ch, inflight := c.nonceInflight["n"]; !inflight || ch != nil {
-		t.Fatalf("an unraced claim holds channel %v (in flight %v), want nil", ch, inflight)
-	}
-	const waiters = 4
-	woke := make(chan bool, waiters)
-	var ready sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		_, ok, wait := c.nonceClaim("n")
-		if ok || wait == nil {
-			t.Fatalf("claim against one in flight: ok=%v wait=%v, want a channel", ok, wait)
-		}
-		ready.Add(1)
-		go func() {
-			ready.Done()
-			<-wait
-			_, ok, wait := c.nonceClaim("n")
-			woke <- !ok && wait == nil // this waiter now holds the claim
-		}()
-	}
-	ready.Wait()
-	c.nonceRelease("n")
-	claimed := 0
-	for i := 0; i < waiters; i++ {
-		select {
-		case mine := <-woke:
-			if mine {
-				claimed++
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("released claim woke %d of %d waiters", i, waiters)
-		}
-	}
-	if claimed != 1 {
-		t.Fatalf("%d woken waiters took the released claim, want 1", claimed)
-	}
-	c.nonceRecord("n", 7)
-	if id, ok, _ := c.nonceClaim("n"); !ok || id != 7 {
-		t.Fatalf("claim after record: id=%d ok=%v", id, ok)
-	}
-	// Releasing or recording with nothing in flight is a no-op.
-	c.nonceRelease("never-claimed")
 }
 
 // TestInvalidUTF8SurvivesRecovery: a record ingested with invalid UTF-8
@@ -172,19 +125,28 @@ func TestInvalidUTF8SurvivesRecovery(t *testing.T) {
 		t.Fatalf("the wires disagree on the same bytes:\n text %+v\n  bin %+v", a, b)
 	}
 
-	// The restarted collector merges both beacons' retries by nonce.
+	// The restarted collector drops both beacons' resent first legs and
+	// merges their next legs, by nonce.
 	c2, err := New(Config{Store: rec, Anonymizer: c.cfg.Anonymizer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, err := c2.Ingest(obs); err != nil || id != 1 {
-		t.Fatalf("text retry after restart: id %d, err %v, want a merge into 1", id, err)
-	}
-	if id, err := c2.IngestBinary(sent[1].EncodeBinary(), obs.RemoteIP, obs.ConnectedAt, obs.Exposure); err != nil || id != 2 {
-		t.Fatalf("binary retry after restart: id %d, err %v, want a merge into 2", id, err)
-	}
-	if rec.Len() != 2 {
-		t.Fatalf("retries across the restart were double-counted: %d records", rec.Len())
+	for leg := uint8(0); leg < 2; leg++ {
+		obs.Payload.Leg, sent[1].Leg = leg, leg
+		if id, err := c2.Ingest(obs); err != nil || id != 1 {
+			t.Fatalf("text leg %d after restart: id %d, err %v, want record 1", leg, id, err)
+		}
+		if id, err := c2.IngestBinary(sent[1].EncodeBinary(), obs.RemoteIP, obs.ConnectedAt, obs.Exposure); err != nil || id != 2 {
+			t.Fatalf("binary leg %d after restart: id %d, err %v, want record 2", leg, id, err)
+		}
+		if rec.Len() != 2 {
+			t.Fatalf("leg %d across the restart was double-counted: %d records", leg, rec.Len())
+		}
+		for id := int64(1); id <= 2; id++ {
+			if back, _ := rec.Get(id); back.Exposure != time.Duration(1+leg)*obs.Exposure {
+				t.Fatalf("after leg %d, record %d holds exposure %v, want %v", leg, id, back.Exposure, time.Duration(1+leg)*obs.Exposure)
+			}
+		}
 	}
 }
 

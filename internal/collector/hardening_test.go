@@ -2,14 +2,16 @@ package collector
 
 import (
 	"context"
-	"fmt"
 	"net"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/daemon"
 	"adaudit/internal/memnet"
+	"adaudit/internal/store"
 	"adaudit/internal/tiertest"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
@@ -46,9 +48,10 @@ func TestIngestDedupsByNonce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The beacon reconnects: same nonce, the second connection's share
-	// of the exposure and fresh interactions.
+	// The beacon reconnects: same nonce, the next leg, the second
+	// connection's share of the exposure and fresh interactions.
 	resumed := obs
+	resumed.Payload.Leg = 1
 	resumed.Payload.Events = []beacon.Event{{Kind: beacon.EventClick, At: time.Second}}
 	resumed.Exposure = 1500 * time.Millisecond
 	id2, err := c.Ingest(resumed)
@@ -75,6 +78,19 @@ func TestIngestDedupsByNonce(t *testing.T) {
 		t.Fatalf("ingested = %d, want 1 (merge is not a new impression)", got)
 	}
 
+	// Either leg resent — a forwarding tier's replay — changes nothing.
+	for _, again := range []Observation{obs, resumed} {
+		if id3, err := c.Ingest(again); err != nil || id3 != id {
+			t.Fatalf("leg %d resent: id %d, err %v, want %d", again.Payload.Leg, id3, err, id)
+		}
+	}
+	if back, _ := st.Get(id); back != im || st.Len() != 1 {
+		t.Fatalf("a resent leg changed the store: %d records, %+v, want %+v", st.Len(), back, im)
+	}
+	if hits, dups := c.tel.dedupHits.Load(), c.tel.trunkDuplicates.Load(); hits != 1 || dups != 2 {
+		t.Fatalf("after two resends: %d merges and %d replays, want 1 and 2", hits, dups)
+	}
+
 	// A different nonce is a different impression.
 	other := obs
 	other.Payload.Nonce = "imp-nonce-2"
@@ -86,11 +102,19 @@ func TestIngestDedupsByNonce(t *testing.T) {
 	}
 }
 
+// TestNonceSeededFromRecoveredStore: a collector built over a store
+// recovered from its journal after a restart merges a late-retrying
+// beacon's next leg into the record its first leg made, and drops a
+// resend of the first leg, instead of double-counting either.
 func TestNonceSeededFromRecoveredStore(t *testing.T) {
-	// A collector built over a store that already holds a nonced record
-	// (recovered from snapshot + WAL after a restart) must merge a
-	// late-retrying beacon instead of double-counting it.
+	path := filepath.Join(t.TempDir(), "j.wal")
+	wal, err := store.OpenWAL(path, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
 	c, st := testCollector(t)
+	st.AttachWAL(wal)
 	obs := testObservation(t, c)
 	obs.Payload.Nonce = "pre-restart-nonce"
 	id, err := c.Ingest(obs)
@@ -98,34 +122,54 @@ func TestNonceSeededFromRecoveredStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := New(Config{
-		Store:      st,
-		Anonymizer: c.cfg.Anonymizer,
-	})
+	rec, _, err := store.RecoverWAL(path, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := c2.Ingest(obs)
+	c2, err := New(Config{Store: rec, Anonymizer: c.cfg.Anonymizer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id2 != id || st.Len() != 1 {
-		t.Fatalf("post-restart ingest: id=%d len=%d, want id=%d len=1", id2, st.Len(), id)
+	if id2, err := c2.Ingest(obs); err != nil || id2 != id {
+		t.Fatalf("first leg resent after the restart: id %d, err %v, want %d", id2, err, id)
+	}
+	if back, _ := rec.Get(id); back.Exposure != obs.Exposure || rec.Len() != 1 {
+		t.Fatalf("the resent first leg changed the store: %d records, exposure %v", rec.Len(), back.Exposure)
+	}
+	next := obs
+	next.Payload.Leg = 1
+	if id2, err := c2.Ingest(next); err != nil || id2 != id {
+		t.Fatalf("second leg after the restart: id %d, err %v, want a merge into %d", id2, err, id)
+	}
+	if back, _ := rec.Get(id); back.Exposure != 2*obs.Exposure || rec.Len() != 1 {
+		t.Fatalf("post-restart merge: %d records, exposure %v, want 1 and %v", rec.Len(), back.Exposure, 2*obs.Exposure)
 	}
 }
 
-func TestNonceCacheRotatesGenerations(t *testing.T) {
-	c, _ := testCollector(t)
-	for i := 0; i < nonceCacheLimit+10; i++ {
-		c.nonceRecord(fmt.Sprintf("n-%d", i), int64(i+1))
+// TestNonceIndexHasNoWindow: a nonce is remembered however much other
+// traffic comes between its legs. The collector's two-generation nonce
+// cache forgot it after 65,536–131,072 other nonces, and the next leg
+// became a second record.
+func TestNonceIndexHasNoWindow(t *testing.T) {
+	c, st := testCollector(t)
+	obs := testObservation(t, c)
+	obs.Payload.Nonce = "N"
+	if id, err := c.Ingest(obs); err != nil || id != 1 {
+		t.Fatalf("first ingest: id %d, err %v", id, err)
 	}
-	// Entries in BOTH generations resolve (internal/gen2's own test pins
-	// the rotation point).
-	if _, ok := c.nonceLookup("n-0"); !ok {
-		t.Fatal("previous-generation nonce forgotten")
+	other := obs
+	for i := 0; i < 131_073; i++ {
+		other.Payload.Nonce = strconv.Itoa(i)
+		if _, err := c.Ingest(other); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := c.nonceLookup(fmt.Sprintf("n-%d", nonceCacheLimit+5)); !ok {
-		t.Fatal("current-generation nonce missing")
+	obs.Payload.Leg = 1
+	if id, err := c.Ingest(obs); err != nil || id != 1 {
+		t.Fatalf("leg 1 after 131,073 other nonces: id %d, err %v, want a merge into record 1", id, err)
+	}
+	if first, _ := st.Get(1); first.Exposure != 2*obs.Exposure || st.Len() != 131_074 {
+		t.Fatalf("record 1 holds exposure %v in a store of %d, want %v in 131,074", first.Exposure, st.Len(), 2*obs.Exposure)
 	}
 }
 
@@ -248,4 +292,75 @@ func TestDrainPastAStalledTrunk(t *testing.T) {
 		t.Fatalf("ingested = %d, want the trunk's commit and the drained session's", n)
 	}
 	tiertest.WaitFor(t, "no session", func() bool { return c.SessionCount() == 0 })
+}
+
+// commitOverTrunk opens a trunk to srv as gateway gw, sends one batch
+// of a hello and the commits, and waits for their replies: one ack per
+// commit.
+func commitOverTrunk(t *testing.T, srv *Server, gw string, commits ...trunk.Frame) {
+	t.Helper()
+	conn, _, err := (&wsproto.Dialer{}).Dial(context.Background(), "ws://"+srv.Addr().String()+"/trunk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.NetConn().Close()
+	batch := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: gw})
+	for _, f := range commits {
+		batch = trunk.AppendFrame(batch, f)
+	}
+	if err := conn.WriteMessage(wsproto.OpBinary, batch); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for acked := 0; acked < len(commits); {
+		_, msg, err := conn.ReadMessage()
+		if err != nil {
+			t.Fatalf("after %d acks: %v", acked, err)
+		}
+		replies, err := trunk.DecodeBatch(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range replies {
+			if r.Type != trunk.Ack {
+				t.Fatalf("commit answered with %v %q, want an ack", r.Type, r.Reason)
+			}
+			acked++
+		}
+	}
+}
+
+// TestEdgeReplayToRestartedCollectorCountsOnce: an edge replays a
+// commit whose ack it lost to a collector that has since restarted and
+// recovered its journal. The replay is the same nonce and leg, so the
+// recovered store drops it and the collector acks it: one record, its
+// exposure counted once. Before the store kept the legs, the restarted
+// collector had no memory of the stream and merged the replay a second
+// time.
+func TestEdgeReplayToRestartedCollectorCountsOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	wal, err := store.OpenWAL(path, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	c, st := testCollector(t)
+	st.AttachWAL(wal)
+	p := tiertest.Payload(0)
+	commit := trunk.Frame{Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
+		ConnectedAt: time.Now().UnixNano(), Exposure: time.Second, Payload: string(p.EncodeBinary())}
+	commitOverTrunk(t, serve(t, c), "gw", commit)
+
+	rec, _, err := store.RecoverWAL(path, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, _ := testCollector(t, func(cfg *Config) { cfg.Store = rec })
+	commitOverTrunk(t, serve(t, c2), "gw", commit)
+	if im, _ := rec.Get(1); rec.Len() != 1 || im.Exposure != time.Second || im.Nonce != p.Nonce {
+		t.Fatalf("after the replay: %d records, record 1 %+v, want one with exposure 1s", rec.Len(), im)
+	}
+	if dups := c2.tel.trunkDuplicates.Load(); dups != 1 {
+		t.Fatalf("replays dropped = %d, want 1", dups)
+	}
 }

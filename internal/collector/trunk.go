@@ -5,47 +5,19 @@ import (
 	"net/netip"
 	"time"
 
+	"adaudit/internal/store"
 	"adaudit/internal/trace"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
-// streamCacheLimit is the per-generation trunk stream-dedup map size.
-const streamCacheLimit = 1 << 16
-
-// streamKey names one edge's stream across all of its trunks.
-type streamKey struct {
-	gateway string
-	stream  uint64
-}
-
-// streamSeen reports whether the stream's commit was already ingested,
-// recording it if not. One atomic check-and-record under the lock so
-// two trunks replaying the same commit concurrently cannot both ingest.
-func (c *Collector) streamSeen(key streamKey) bool {
-	c.streamMu.Lock()
-	defer c.streamMu.Unlock()
-	if _, ok := c.streams.Get(key); ok {
-		return true
-	}
-	c.streams.Put(key, struct{}{})
-	return false
-}
-
-// streamForget drops a stream key recorded by streamSeen — the undo for
-// a commit whose ingest failed, so the gateway's replay is not
-// deduplicated against an impression that never reached the store.
-func (c *Collector) streamForget(key streamKey) {
-	c.streamMu.Lock()
-	c.streams.Delete(key)
-	c.streamMu.Unlock()
-}
-
 // ServeTrunk terminates one gateway trunk on the shared receiver
 // (trunk.Receiver). Commits are ingested through the same funnel as
-// direct beacon sessions and acknowledged per stream; replayed commits
-// (a gateway re-homing after a trunk failure, or retrying after a lost
-// ack) are deduplicated by stream ID and acked without a second ingest.
+// direct beacon sessions and acknowledged per stream. A replayed commit
+// (a gateway re-homing after a trunk failure, retrying after a lost
+// ack, or replaying its spill to a restarted collector) carries the
+// nonce and leg it did the first time, so the store drops it and it is
+// acked without a second count.
 func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 	if tok := c.cfg.TrunkToken; tok != "" && r.Header.Get(trunk.TokenHeader) != tok {
 		c.reject(RejectTrunkAuth)
@@ -93,26 +65,16 @@ func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
 // has copied into raw, and appends the Ack or Reject reply to the batch
 // under construction.
 func (c *Collector) ingestTrunkCommit(gatewayID string, f trunk.Frame, raw, reply []byte) []byte {
-	ack := func() []byte {
-		return trunk.AppendFrame(reply, trunk.Frame{Type: trunk.Ack, Stream: f.Stream})
-	}
 	rejectFrame := func(reason string) []byte {
 		return trunk.AppendFrame(reply, trunk.Frame{Type: trunk.Reject, Stream: f.Stream, Reason: reason})
 	}
-	key := streamKey{gatewayID, f.Stream}
-	if c.streamSeen(key) {
-		c.tel.trunkDuplicates.Inc()
-		return ack()
-	}
 	payload, err := c.decodePooled(raw)
 	if err != nil {
-		c.streamForget(key)
 		return rejectFrame("decode: " + err.Error())
 	}
 	defer payloadPool.Put(payload)
 	remote, err := netip.ParseAddr(f.RemoteIP)
 	if err != nil {
-		c.streamForget(key)
 		c.reject(RejectPeerAddr)
 		return rejectFrame("peer-addr: " + err.Error())
 	}
@@ -125,25 +87,27 @@ func (c *Collector) ingestTrunkCommit(gatewayID string, f trunk.Frame, raw, repl
 		tr.StageAt(st.Name, st.Offset)
 	}
 	tr.Stage(trace.StageDecode)
-	if _, err := c.Ingest(Observation{
+	_, outcome, err := c.ingest(Observation{
 		Payload:     *payload,
 		RemoteIP:    remote.Unmap(),
 		ConnectedAt: time.Unix(0, f.ConnectedAt),
 		Exposure:    f.Exposure,
 		Trace:       tr,
-	}); err != nil {
-		// Ingest already classified the reject. Forget the stream so a
-		// replay retries rather than acking a record that never landed;
-		// the Reject tells the gateway this exact commit is hopeless.
-		c.streamForget(key)
+	})
+	if err != nil {
+		// Ingest already classified the reject; the Reject tells the
+		// gateway this exact commit is hopeless.
 		c.cfg.Logger.Warn("collector: trunk commit rejected",
 			"gateway", gatewayID, "stream", f.Stream, "err", err)
 		return rejectFrame("ingest: " + err.Error())
 	}
-	c.tel.exposure.ObserveDuration(f.Exposure)
-	// The session's events arrive here, all at once: counting them on
-	// first ingest keeps the forwarded path's event metric equal to the
-	// direct path's.
-	c.Metrics.Events.Add(int64(len(payload.Events)))
-	return ack()
+	if outcome != store.LegReplayed {
+		c.tel.exposure.ObserveDuration(f.Exposure)
+		// The session's events arrive here, all at once: counting them
+		// once per leg the store counts (never for a dropped replay)
+		// keeps the forwarded path's event metric equal to the direct
+		// path's.
+		c.Metrics.Events.Add(int64(len(payload.Events)))
+	}
+	return trunk.AppendFrame(reply, trunk.Frame{Type: trunk.Ack, Stream: f.Stream})
 }

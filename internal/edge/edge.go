@@ -7,8 +7,9 @@
 // overload shedding with Retry-After hints the beacon client honors),
 // per-trunk circuit breakers, and a spill buffer that holds every
 // client-acknowledged commit until its collector durably acks it —
-// across trunk failures and full collector restarts, replayed through
-// the collector's stream/nonce dedup so nothing is double-counted. A
+// across trunk failures and full collector restarts, replayed to a
+// collector whose store counts each leg of a nonce once, so nothing is
+// double-counted. A
 // session sends nothing upstream until it ends; its one Commit frame
 // carries the whole record.
 //
@@ -80,8 +81,9 @@ type Config struct {
 	// Upstreams lists the collectors in shard order: the order is the
 	// identity of the topology, because sessions are placed by index.
 	Upstreams []Upstream
-	// ID names this edge in the trunk Hello; collectors dedup commits per
-	// (ID, stream). Empty generates IDPrefix plus a random token.
+	// ID names this edge in the trunk Hello; a router folds replays of a
+	// commit it still holds per (ID, stream). Empty generates IDPrefix
+	// plus a random token.
 	ID string
 	// TrunksPerPool is the size of each upstream's trunk pool.
 	TrunksPerPool int

@@ -107,23 +107,6 @@ func (p *Pool) Spill(stream uint64, frame []byte) {
 	p.wakeReplay()
 }
 
-// Respill re-registers a relayed commit only if its stream is not
-// already spilled — the fold for a gateway replay of a commit the
-// router still holds. No counter moves: the commit was counted when
-// first spilled, and if the stream just resolved in the race window the
-// re-spilled frame is absorbed by the collector's dedup.
-func (p *Pool) Respill(stream uint64, frame []byte) {
-	p.spillMu.Lock()
-	_, held := p.spill[stream]
-	if !held {
-		p.spill[stream] = &spillEntry{frame: frame, enqueued: p.e.cfg.Clock.Now()}
-	}
-	p.spillMu.Unlock()
-	if !held {
-		p.wakeReplay()
-	}
-}
-
 // resolve removes a stream the upstream acked or permanently rejected
 // from the spill buffer and tells the OnResolve hook.
 func (p *Pool) resolve(stream uint64, acked bool, reason string) {
@@ -172,8 +155,8 @@ func (p *Pool) healthyTrunks() int {
 // on its trunks: it pushes fresh spill entries immediately (woken by
 // Spill and trunk attach) and re-sends entries whose trunk died or whose
 // ack timed out. One sender per pool means a commit can never race its
-// own retransmission onto two trunks; the collector's stream dedup and
-// nonce dedup absorb the replays a lost ack still forces.
+// own retransmission onto two trunks; the collector's store drops the
+// replays a lost ack still forces, each a leg it has counted already.
 func (p *Pool) replayLoop() {
 	defer p.e.runnersWG.Done()
 	tick := p.e.cfg.Clock.NewTicker(p.e.cfg.ReplayInterval)

@@ -17,10 +17,11 @@ import (
 func (e *Edge) serveSession(sess *beacon.ServerSession, peer netip.Addr) {
 	remote := peer.String()
 	payload := &sess.Payload
-	// The nonce is both the shard key and what lets a commit replayed to
-	// a restarted collector (its stream dedup gone) merge instead of
-	// double-counting, so a nonce-less payload gets one minted before the
-	// pool is chosen; client retries that carry it land on the same shard.
+	// The nonce is both the shard key and what the collector's store
+	// counts each leg of once, so that a replayed commit is dropped
+	// instead of double-counted; a nonce-less payload gets one minted
+	// before the pool is chosen, and client retries that carry it land
+	// on the same shard.
 	if payload.Nonce == "" {
 		payload.Nonce = beacon.NewNonce()
 	}

@@ -31,9 +31,9 @@ type Config struct {
 	// TrunkToken is presented on trunk handshakes when the collector
 	// requires one.
 	TrunkToken string
-	// GatewayID names this gateway on the wire; commits are deduped per
-	// (gateway, stream), so each gateway instance needs a distinct ID.
-	// Defaults to a random token.
+	// GatewayID names this gateway in its trunk Hello. A router folds
+	// replays of a commit it still holds per (gateway, stream), so each
+	// gateway instance needs a distinct ID. Defaults to a random token.
 	GatewayID string
 	// Trunks is the size of the persistent trunk pool (default 2).
 	Trunks int

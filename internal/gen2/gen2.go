@@ -3,8 +3,10 @@
 // one and a fresh current generation starts, so an entry survives at
 // least one and at most two generations of distinct keys, and memory is
 // bounded at twice the limit with no per-entry bookkeeping. The
-// collector's ingest caches, nonce and trunk-stream dedup maps and the
-// router's relay-open cache all rotate this way.
+// collector's ingest caches (interned strings, address enrichment, user
+// keys) rotate this way. It is for what may be forgotten and derived
+// again: nothing that must be remembered exactly, such as which
+// impressions were counted, belongs in it (the store keeps that).
 //
 // A Map is not safe for concurrent use: every caller already holds a
 // mutex around a compound operation (check-then-record, batch intern),
@@ -45,12 +47,6 @@ func (m *Map[K, V]) Put(k K, v V) {
 		m.cur = make(map[K]V, m.limit/4)
 	}
 	m.cur[k] = v
-}
-
-// Delete forgets k in both generations.
-func (m *Map[K, V]) Delete(k K) {
-	delete(m.cur, k)
-	delete(m.prev, k)
 }
 
 // Intern returns the canonical string equal to b from an identity map,

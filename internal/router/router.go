@@ -11,14 +11,14 @@
 // Session termination, the per-shard trunk pools, their spill buffers
 // and replay are the edge core's: a shard restart re-homes nothing
 // across shards (ownership is the hash, not the topology) but replays
-// every outstanding commit to the restarted shard through its
-// nonce/stream dedup. This package owns what a router adds: its Config,
-// its metric names (adaudit_router_*, per-shard series under shard_id),
-// the merged live API, and the /trunk relay — an
-// edge gateway (internal/gateway) can point its collector URL at the
-// router, which re-streams each commit onto the owning shard and relays
-// the shard's ack back, so the gateway's own spill discipline covers
-// the full path end to end.
+// every outstanding commit to the restarted shard, whose store drops
+// the legs it counted already. This package owns what a router adds:
+// its Config, its metric names (adaudit_router_*, per-shard series
+// under shard_id), the merged live API, and the /trunk relay — an edge
+// gateway (internal/gateway) can point its collector URL at the router,
+// which re-streams each commit onto the owning shard and relays the
+// shard's ack back, so the gateway's own spill discipline covers the
+// full path end to end.
 package router
 
 import (
@@ -45,9 +45,8 @@ type Config struct {
 	// TrunkToken is presented on shard trunk handshakes and required of
 	// gateways trunking into /trunk (empty disables both checks).
 	TrunkToken string
-	// RouterID names this router on the trunk wire; shard-side commits
-	// are deduped per (router, stream), so each instance needs a
-	// distinct ID. Defaults to a random token.
+	// RouterID names this router in its shard trunks' Hello, which the
+	// shards log. Defaults to a random token.
 	RouterID string
 	// TrunksPerShard is the size of each shard's trunk pool (default 2).
 	TrunksPerShard int
@@ -89,7 +88,7 @@ type Router struct {
 
 	// relays maps router streams of trunk-relayed sessions back to
 	// their origin gateway connection and stream, so shard acks can be
-	// forwarded; relayByOrigin dedups gateway replays of the same
+	// forwarded; relayByOrigin folds gateway replays of the same
 	// commit onto one router stream.
 	relayMu       sync.Mutex
 	relays        map[uint64]*relayEntry

@@ -21,6 +21,7 @@ import (
 	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
 	"adaudit/internal/gateway"
+	"adaudit/internal/memnet"
 	"adaudit/internal/publisher"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/store"
@@ -409,6 +410,133 @@ func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
 	tiertest.WaitFor(t, "the stalled gateway's trunk to close", func() bool {
 		return seriesSum(r, "adaudit_router_relay_trunks_active") == 0
 	})
+}
+
+// TestGatewayReplayAfterLostAckCountsOnce: the router fails to write a
+// shard's ack back to the gateway (its trunk stalls past AckTimeout), so
+// the gateway replays the commit on a new trunk. The router has resolved
+// the stream already and relays the replay under a fresh stream of its
+// own; the shard must drop it as a leg it has counted and ack it, not
+// merge the exposure a second time.
+func TestGatewayReplayAfterLostAckCountsOnce(t *testing.T) {
+	f := startShards(t, 1, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalls := &stallListener{Listener: ln, accepted: make(chan *stallConn, 8)}
+	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()), daemon.WithListener(stalls))
+	tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
+
+	p := tiertest.Payload(0)
+	batch := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw-lost-ack"})
+	batch = trunk.AppendFrame(batch, trunk.Frame{
+		Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
+		ConnectedAt: time.Now().UnixNano(), Exposure: time.Second,
+		Payload: string(p.EncodeBinary()),
+	})
+	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {collectortest.TrunkToken}}}
+	dial := func() (*wsproto.Conn, *stallConn) {
+		gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = gw.NetConn().Close() })
+		leg := <-stalls.accepted // the router's end of this trunk
+		t.Cleanup(func() { _ = leg.Close() })
+		if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
+			t.Fatal(err)
+		}
+		return gw, leg
+	}
+
+	_, lost := dial()
+	lost.stalled.Store(true)
+	tiertest.WaitFor(t, "the shard's ack", func() bool { return seriesSum(r, "adaudit_router_shard_acks_total") == 1 })
+	tiertest.WaitFor(t, "the ack write to fail and close the trunk", func() bool {
+		return seriesSum(r, "adaudit_router_relay_trunks_active") == 0
+	})
+
+	gw, _ := dial()
+	_ = gw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, msg, err := gw.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replies, err := trunk.DecodeBatch(msg); err != nil || len(replies) != 1 || replies[0].Type != trunk.Ack || replies[0].Stream != 1 {
+		t.Fatalf("the replay was answered %+v (err %v), want an ack of stream 1", replies, err)
+	}
+	if im, _ := f.stores[0].Get(1); f.totalLen() != 1 || im.Exposure != time.Second {
+		t.Fatalf("after the replay: %d records, exposure %v, want one record of 1s", f.totalLen(), im.Exposure)
+	}
+}
+
+// TestGatewayReplayWhileRouterHoldsItCountsOnce: a gateway replays a
+// commit the router still holds, its shard being down. The router folds
+// the replay onto the stream it holds — no second spill entry, no
+// second commit counted — so the restarted shard receives the commit
+// once and the gateway gets one ack.
+func TestGatewayReplayWhileRouterHoldsItCountsOnce(t *testing.T) {
+	nw := &memnet.Network{Buffer: 64 << 10}
+	cfg := fastRouterConfig([]string{"ws://shard:80/trunk"})
+	cfg.Dialer = wsproto.Dialer{NetDial: nw.Dial}
+	r, rsrv := startRouter(t, cfg)
+
+	p := tiertest.Payload(0)
+	commit := trunk.AppendFrame(nil, trunk.Frame{
+		Type: trunk.Commit, Stream: 1, RemoteIP: "203.0.113.9",
+		ConnectedAt: time.Now().UnixNano(), Exposure: time.Second,
+		Payload: string(p.EncodeBinary()),
+	})
+	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {collectortest.TrunkToken}}}
+	gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.NetConn().Close()
+	hello := trunk.AppendFrame(nil, trunk.Frame{Type: trunk.Hello, Version: trunk.Version, GatewayID: "gw-replay"})
+	for _, batch := range [][]byte{append(hello, commit...), commit} {
+		if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tiertest.WaitFor(t, "the router to read both commit frames", func() bool {
+		return seriesSum(r, "adaudit_router_relay_frames_total") == 3
+	})
+	if n := r.Health().SpillPending; n != 1 {
+		t.Fatalf("the router holds %d spilled commits, want the replay folded into 1", n)
+	}
+	if n := seriesSum(r, "adaudit_router_commits_total"); n != 1 {
+		t.Fatalf("commits_total = %v, want 1: a folded replay is not a new commit", n)
+	}
+
+	st := store.New()
+	ln, err := nw.Listen("shard:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv := collectortest.New(t, st, ln, nil)
+	tiertest.Serve(t, srv)
+	tiertest.WaitFor(t, "the shard's ack", func() bool { return seriesSum(r, "adaudit_router_shard_acks_total") == 1 })
+	_ = gw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, msg, err := gw.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replies, err := trunk.DecodeBatch(msg); err != nil || len(replies) != 1 || replies[0].Type != trunk.Ack || replies[0].Stream != 1 {
+		t.Fatalf("the gateway got %+v (err %v), want one ack of stream 1", replies, err)
+	}
+	// Nothing else may follow: a second relay would ack stream 1 again.
+	_ = gw.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if _, msg, err := gw.ReadMessage(); err == nil {
+		t.Fatalf("the gateway got a second reply %q, want one ack", msg)
+	}
+	if im, _ := st.Get(1); st.Len() != 1 || im.Exposure != time.Second {
+		t.Fatalf("the shard holds %d records, exposure %v; want one record of 1s", st.Len(), im.Exposure)
+	}
+	if n := seriesSum(r, "adaudit_router_commits_total"); n != 1 {
+		t.Fatalf("commits_total = %v after the ack, want 1", n)
+	}
 }
 
 // TestTrunkCarriesOnlyHelloAndCommit: a session sends nothing upstream

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/edge"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
@@ -14,7 +13,6 @@ type relayEntry struct {
 	origin       *trunk.Peer
 	originStream uint64
 	originKey    originKey
-	pool         *edge.Pool
 }
 
 // originKey names a gateway's stream across all of its trunk
@@ -33,12 +31,12 @@ type originKey struct {
 // original stream ID — so the gateway's own spill discipline covers the
 // full gateway → router → shard path with no new protocol.
 //
-// Replays are layered: a gateway re-sending an unacked commit while the
-// router still holds it in spill is folded onto the same router stream
-// (relayByOrigin); a replay arriving after the router already resolved
-// the stream gets a fresh router stream and is absorbed by the shard
-// collector's nonce dedup — the same backstop a collector restart
-// relies on in the single-collector topology.
+// A gateway re-sending an unacked commit while the router still holds
+// it is folded onto the same router stream (relayByOrigin): only the
+// return path moves to the connection the replay arrived on. A replay
+// arriving after the router already resolved the stream is relayed
+// under a fresh router stream, and the shard's store drops it as a leg
+// of its nonce it has counted already.
 func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 	cfg := r.Config()
 	if tok := cfg.TrunkToken; tok != "" && req.Header.Get(trunk.TokenHeader) != tok {
@@ -92,34 +90,21 @@ func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byt
 		payload.Nonce = beacon.NewNonce()
 		f.Payload = string(payload.EncodeBinary())
 	}
-	pool := r.PoolFor(payload.Nonce)
 	key := originKey{origin.ID, f.Stream}
-
 	r.relayMu.Lock()
-	rs, replayed := r.relayByOrigin[key]
-	if replayed {
-		// The gateway re-sent a commit the router still holds: fold it
-		// onto the existing router stream and re-point the return path
-		// at the connection the replay arrived on.
-		e := r.relays[rs]
-		e.origin = origin
-		pool = e.pool
-	} else {
-		rs = r.NextStream()
-		r.relays[rs] = &relayEntry{
-			origin: origin, originStream: f.Stream, originKey: key, pool: pool,
-		}
-		r.relayByOrigin[key] = rs
+	if rs, held := r.relayByOrigin[key]; held {
+		// Still spilled (only its resolve drops both maps, under this
+		// lock): re-point the ack and send nothing again.
+		r.relays[rs].origin = origin
+		r.relayMu.Unlock()
+		return reply
 	}
+	rs := r.NextStream()
+	r.relays[rs] = &relayEntry{origin: origin, originStream: f.Stream, originKey: key}
+	r.relayByOrigin[key] = rs
 	r.relayMu.Unlock()
-
 	f.Stream = rs
-	frame := trunk.AppendFrame(nil, f)
-	if replayed {
-		pool.Respill(rs, frame)
-	} else {
-		pool.Spill(rs, frame)
-	}
+	r.PoolFor(payload.Nonce).Spill(rs, trunk.AppendFrame(nil, f))
 	return reply
 }
 
@@ -128,8 +113,8 @@ func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byt
 // gateway's stream and the mappings are dropped. Streams with no relay
 // entry (router-terminated beacon sessions) are a no-op. A failed write
 // back to the gateway is not retried: it closes the relay trunk, the
-// gateway replays the commit, and the shard's nonce dedup turns that
-// replay into a fresh ack.
+// gateway replays the commit, and the shard's store drops the leg it
+// counted and acks the replay.
 func (r *Router) relayResolve(stream uint64, ok bool, reason string) {
 	r.relayMu.Lock()
 	e, found := r.relays[stream]

@@ -26,7 +26,8 @@ import (
 // segment creates the record, continuations under the same nonce merge
 // into it (exposure summed, interaction counts added, visibility OR'd,
 // max fraction maxed), each segment's exposure clamped to the
-// collector's cap first.
+// collector's cap first, and a segment repeating a leg already counted
+// adds nothing.
 type modelRecord struct {
 	session     int
 	campaignID  string
@@ -71,7 +72,13 @@ func buildModel(sessions []simSession, only []int, maxExposure time.Duration) ma
 		if only != nil && !include[s.idx] {
 			continue
 		}
+		var legs uint32 // of this session, counted so far
 		for _, seg := range s.segments {
+			leg := uint32(1) << seg.obs.Payload.Leg
+			if legs&leg != 0 {
+				continue // a duplicate delivery of a leg already counted
+			}
+			legs |= leg
 			exp := seg.obs.Exposure
 			if exp < 0 {
 				exp = 0

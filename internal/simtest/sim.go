@@ -10,7 +10,7 @@
 // invariants:
 //
 //   - zero-loss: every delivered session has a record;
-//   - no-duplication: one record per nonce, continuations merged;
+//   - no-duplication: one record per nonce, each leg merged once;
 //   - exposure monotonicity: a record's exposure never decreases;
 //   - durability: WAL replay (over the latest snapshot) reconstructs
 //     the live store byte for byte, mid-run and at the end;
@@ -79,6 +79,10 @@ type Config struct {
 	// keeps a permanent, executable proof that the oracle catches the
 	// dedup failure mode.
 	BreakDedup bool
+	// BreakLegs simulates a store that ignores its mask of merged legs:
+	// every segment goes out as a leg of its own, so a duplicate merges
+	// again. The oracle still counts each leg once; the run must fail.
+	BreakLegs bool
 	// TraceSample > 0 stamps pipeline trace context (a deterministic
 	// trace ID derived from the nonce) on 1-in-N non-dropped sessions
 	// and runs the collector with a flight recorder attached. The
@@ -205,6 +209,7 @@ func (s scenario) String() string {
 
 // segment is one delivered connection of a session: the initial
 // exposure or a continuation after a reconnect.
+// Its payload's leg is its index before a reorder permuted delivery.
 type segment struct {
 	session   int
 	index     int // within-session delivery order, 0 = creates the record
@@ -339,8 +344,10 @@ func genSession(cfg Config, idx int, rng *stats.RNG, uni *publisher.Universe) si
 				Exposure:    exposure,
 			},
 		}
+		seg.obs.Payload.Leg = uint8(k)
 		if s.kind == scenarioDuplicate && k > 0 {
-			// Byte-identical retransmission of the first segment.
+			// Byte-identical retransmission of the first segment, its
+			// leg included.
 			seg.obs = s.segments[0].obs
 			deliverAt = deliverAt.Add(time.Duration(1+rng.Intn(10)) * time.Second)
 			seg.deliverAt = deliverAt
@@ -573,8 +580,8 @@ func Run(cfg Config) (*Result, error) {
 		runConcurrent(cfg, flat, coll, o)
 	} else {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "schedule seed=%d sessions=%d only=%v breakdedup=%t tracesample=%d attack=%q disable=%q\n",
-			cfg.Seed, cfg.Sessions, cfg.Only, cfg.BreakDedup, cfg.TraceSample,
+		fmt.Fprintf(h, "schedule seed=%d sessions=%d only=%v breakdedup=%t breaklegs=%t tracesample=%d attack=%q disable=%q\n",
+			cfg.Seed, cfg.Sessions, cfg.Only, cfg.BreakDedup, cfg.BreakLegs, cfg.TraceSample,
 			cfg.Attack, cfg.DisableDetector)
 		runSerial(cfg, flat, coll, clk, o, h)
 		digestStore(h, st)
@@ -607,11 +614,7 @@ func runSerial(cfg Config, flat []segment, coll *collector.Collector,
 		if d := seg.deliverAt.Sub(clk.Now()); d > 0 {
 			clk.Advance(d)
 		}
-		obs := seg.obs
-		if cfg.BreakDedup && seg.index > 0 {
-			obs.Payload.Nonce = ""
-		}
-		id, err := deliver(cfg, coll, seg, obs)
+		id, err := deliver(cfg, coll, seg)
 		fmt.Fprintf(h, "deliver %d session=%d seg=%d id=%d err=%v\n",
 			di, seg.session, seg.index, id, err)
 		o.afterDelivery(seg, id, err)
@@ -659,11 +662,7 @@ func runConcurrent(cfg Config, flat []segment, coll *collector.Collector, o *ora
 		go func(lane []segment) {
 			defer wg.Done()
 			for _, seg := range lane {
-				obs := seg.obs
-				if cfg.BreakDedup && seg.index > 0 {
-					obs.Payload.Nonce = ""
-				}
-				id, err := deliver(cfg, coll, seg, obs)
+				id, err := deliver(cfg, coll, seg)
 				o.afterDeliveryConcurrent(seg, id, err)
 			}
 		}(lane)
@@ -671,14 +670,21 @@ func runConcurrent(cfg Config, flat []segment, coll *collector.Collector, o *ora
 	wg.Wait()
 }
 
-// deliver hands one observation to the collector over the session's
-// wire: text sessions pass the decoded payload straight to Ingest (how
-// every run delivered before wire mixing existed), binary sessions
-// encode to wire bytes and let IngestBinary decode them back — the
-// same codec path a real OpBinary beacon exercises. The payload is
-// encoded after any BreakDedup mutation so both wires inject the same
-// fault.
-func deliver(cfg Config, coll *collector.Collector, seg segment, obs collector.Observation) (int64, error) {
+// deliver hands one segment's observation to the collector over the
+// session's wire: text sessions pass the decoded payload straight to
+// Ingest (how every run delivered before wire mixing existed), binary
+// sessions encode to wire bytes and let IngestBinary decode them back —
+// the same codec path a real OpBinary beacon exercises. The payload is
+// encoded after any BreakDedup or BreakLegs mutation so both wires
+// inject the same fault.
+func deliver(cfg Config, coll *collector.Collector, seg segment) (int64, error) {
+	obs := seg.obs
+	if cfg.BreakDedup && seg.index > 0 {
+		obs.Payload.Nonce = ""
+	}
+	if cfg.BreakLegs {
+		obs.Payload.Leg = uint8(seg.index)
+	}
 	if cfg.WireMix && binaryWire(seg) {
 		return coll.IngestBinary(obs.Payload.EncodeBinary(), obs.RemoteIP, obs.ConnectedAt, obs.Exposure)
 	}

@@ -215,6 +215,49 @@ func TestOracleCatchesDedupRegression(t *testing.T) {
 	}
 }
 
+// TestSimCatchesReplay runs the committed mutant of a store that ignores
+// its leg mask — every segment delivered as a leg of its own, so a
+// duplicate delivery merges a second time — and requires the oracle to
+// flag it, the shrinker to reduce it to one session, and that session
+// to pass with the mask intact: the proof that the oracle counts each
+// leg once, and would see a replay counted twice.
+func TestSimCatchesReplay(t *testing.T) {
+	cfg := Config{
+		Seed:      11,
+		Sessions:  24,
+		Dir:       t.TempDir(),
+		BreakLegs: true,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Failed() {
+		t.Fatal("oracle missed the store ignoring its leg mask")
+	}
+	min, minRes, err := Shrink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(min) != 1 || !minRes.Failed() {
+		t.Fatalf("shrinker left %d sessions (%v), failing %v; want 1 that fails", len(min), min, minRes.Failed())
+	}
+	t.Logf("ignored leg mask shrunk to session %v; violations:\n  %s",
+		min, strings.Join(minRes.Violations, "\n  "))
+
+	clean := cfg
+	clean.BreakLegs = false
+	clean.Only = min
+	cres, err := Run(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.Failed() {
+		t.Fatalf("minimal subset fails even with the leg mask intact:\n  %s",
+			strings.Join(cres.Violations, "\n  "))
+	}
+}
+
 // TestSimWireMix sweeps schedules with roughly half the sessions
 // delivered as binary wire frames and demands the digest be
 // byte-identical to the all-text run of the same seed — the end-to-end

@@ -81,9 +81,52 @@ func journalFixture(t *testing.T, s *Store) (states []Impression) {
 	return states
 }
 
+// legFixture drives leg commits through s after journalFixture's
+// history, so that the journal holds both legs ops: an insert at leg 0
+// and a merge of leg 2 into it, an insert at leg 1 and a merge of leg 0
+// into it, a replay (which journals nothing), a nonce-less record (an
+// insert, whatever its leg) and a Merge of a record inserted at leg 3. No record is merged twice, which keeps a second
+// replay of the journal over its own result a no-op. It returns the
+// record each journaled commit left and the merged legs of its nonce
+// then.
+func legFixture(t *testing.T, s *Store) (states []Impression, legs []uint32) {
+	t.Helper()
+	record := func(id int64) {
+		im, _ := s.Get(id)
+		states = append(states, im)
+		legs = append(legs, s.nonces[im.Nonce].legs)
+	}
+	for _, c := range []struct {
+		nonce string
+		leg   uint8
+		want  LegOutcome
+	}{
+		{"leg-a", 0, LegInserted}, {"leg-a", 2, LegMerged}, {"leg-b", 1, LegInserted},
+		{"leg-b", 0, LegMerged}, {"leg-a", 2, LegReplayed}, {"", 2, LegInserted}, {"leg-c", 3, LegInserted},
+	} {
+		im := fuzzImpression(int(c.leg))
+		im.Nonce, im.Clicks = c.nonce, 1
+		id, got, err := s.CommitLeg(im, c.leg, nil)
+		if err != nil || got != c.want {
+			t.Fatalf("leg %d of %s: outcome %d, err %v, want %d", c.leg, c.nonce, got, err, c.want)
+		}
+		if got != LegReplayed {
+			record(id)
+		}
+	}
+	id := int64(s.Len())
+	if err := s.Merge(id, Continuation{Exposure: time.Second, MouseMoves: 2}); err != nil {
+		t.Fatal(err)
+	}
+	record(id)
+	return states, legs
+}
+
 // fixtureJournal returns the version 2 journal of journalFixture's
-// history and the states its entries leave.
-func fixtureJournal(t *testing.T) ([]byte, []Impression) {
+// history followed by legFixture's, the states its entries leave and
+// the merged legs of each state's nonce then (0 for a record that owns
+// none).
+func fixtureJournal(t *testing.T) ([]byte, []Impression, []uint32) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fixture.wal")
 	w, err := OpenWAL(path, WALOptions{})
@@ -93,6 +136,16 @@ func fixtureJournal(t *testing.T) ([]byte, []Impression) {
 	s := New()
 	s.AttachWAL(w)
 	states := journalFixture(t, s)
+	var legs []uint32
+	for _, im := range states { // Insert and Merge leave leg 0's mask
+		if e, ok := s.nonces[im.Nonce]; ok && int64(e.pos)+1 == im.ID {
+			legs = append(legs, e.legs)
+		} else {
+			legs = append(legs, 0)
+		}
+	}
+	more, moreLegs := legFixture(t, s)
+	states, legs = append(states, more...), append(legs, moreLegs...)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +153,14 @@ func fixtureJournal(t *testing.T) ([]byte, []Impression) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, states
+	ops, start := map[byte]bool{}, len(RowsHeader)
+	for _, end := range entryEnds(t, data) {
+		ops[data[start+frameLen]], start = true, end
+	}
+	if len(ops) != 4 {
+		t.Fatalf("the fixture journal holds ops %v, want all four", ops)
+	}
+	return data, states, legs
 }
 
 // entryEnds walks the frames of a version 2 file by their lengths and
@@ -126,6 +186,32 @@ func statesAfter(states []Impression, k int) map[int64]Impression {
 		out[im.ID] = im
 	}
 	return out
+}
+
+// legsAfter is the nonce index the first k of a history's states
+// leave: each owned nonce's last merged legs.
+func legsAfter(states []Impression, legs []uint32, k int) map[string]uint32 {
+	out := map[string]uint32{}
+	for i, im := range states[:k] {
+		if legs[i] != 0 {
+			out[im.Nonce] = legs[i]
+		}
+	}
+	return out
+}
+
+// requireLegs fails unless s's nonce index holds exactly want's merged
+// legs.
+func requireLegs(t *testing.T, s *Store, want map[string]uint32) {
+	t.Helper()
+	if len(s.nonces) != len(want) {
+		t.Fatalf("%d nonces indexed, want %d", len(s.nonces), len(want))
+	}
+	for nonce, legs := range want {
+		if got := s.nonces[nonce].legs; got != legs {
+			t.Fatalf("nonce %q: legs %b, want %b", nonce, got, legs)
+		}
+	}
 }
 
 // sameRecord compares two records field for field, the timestamp by

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -66,6 +67,10 @@ func FuzzRecoverWAL(f *testing.F) {
 		s.Insert(fuzzImpression(1))
 		s.Merge(id, Continuation{Exposure: time.Second, Clicks: 1})
 	}))
+	f.Add(walBytes(f, func(s *Store) { // both legs ops
+		s.CommitLeg(fuzzImpression(0), 2, nil)
+		s.CommitLeg(fuzzImpression(0), 0, nil)
+	}))
 	full := walBytes(f, func(s *Store) { s.Insert(fuzzImpression(2)) })
 	f.Add(full[:len(full)-3]) // torn tail
 	f.Add([]byte("{\"op\":\"ins\"}\n"))
@@ -102,8 +107,8 @@ func FuzzRecoverWAL(f *testing.F) {
 		if err != nil {
 			t.Fatalf("replay of repaired journal failed: %v", err)
 		}
-		if again.Len() != rec.Len() {
-			t.Fatalf("second replay recovered %d records, first %d", again.Len(), rec.Len())
+		if again.Len() != rec.Len() || !reflect.DeepEqual(again.nonces, rec.nonces) {
+			t.Fatalf("second replay recovered %d records and nonces %v, first %d and %v", again.Len(), again.nonces, rec.Len(), rec.nonces)
 		}
 	})
 }
@@ -121,6 +126,14 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	var legs bytes.Buffer // a row with merged legs
+	withLegs := New()
+	withLegs.CommitLeg(fuzzImpression(0), 0, nil)
+	withLegs.CommitLeg(fuzzImpression(0), 3, nil)
+	if err := withLegs.WriteSnapshot(&legs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legs.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-4]) // truncated final record
 	f.Add([]byte("{}"))
 	f.Add([]byte("null"))
@@ -147,8 +160,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read failed: %v", err)
 		}
-		if again.Len() != rec.Len() {
-			t.Fatalf("round trip drift: %d vs %d records", again.Len(), rec.Len())
+		if again.Len() != rec.Len() || !reflect.DeepEqual(again.nonces, rec.nonces) {
+			t.Fatalf("round trip drift: %d vs %d records, nonces %v vs %v", again.Len(), rec.Len(), again.nonces, rec.nonces)
 		}
 		a, b := dumpAll(rec), dumpAll(again)
 		for i := range a {

@@ -33,7 +33,11 @@ import (
 //     a row of the paper dataset), else as its length plus one and its
 //     bytes;
 //   - opMerge: the merged record's ID and its absolute post-merge
-//     exposure, mouse moves, clicks, visibility flag and fraction.
+//     exposure, mouse moves, clicks, visibility flag and fraction;
+//   - opInsertLegs, opMergeLegs: the same, then the record's mask of
+//     merged legs (legs.go), a uvarint: written only where an opInsert
+//     (leg 0's mask) or an opMerge (the mask unchanged) would be wrong,
+//     so a history without later legs writes the bytes it always did.
 //
 // An integer is a zigzag varint; a string a uvarint length and its
 // bytes; a flag one byte, 0 or 1; a float its IEEE 754 bits, eight
@@ -43,17 +47,18 @@ import (
 // version 1's RFC 3339 did). The timestamp is not time.Time's own
 // binary form: that has no append form before go1.24, and an offset
 // with seconds west of UTC does not survive its round trip (-150 s
-// reads back as +106 s). A snapshot is a file of inserts. Other op
-// bytes are free for new kinds of entry; this build's decoder refuses
-// them.
+// reads back as +106 s). A snapshot is a file of inserts, with or
+// without legs. Other op bytes are free for new kinds of entry; this
+// build's decoder refuses them.
 //
 // The encoder refuses what version 1 could not write, before it writes
 // a byte: a non-finite visible fraction, and a timestamp whose year in
 // its own zone is outside 0–9999 or whose zone is 24 hours or more from
-// UTC. The decoder refuses the same and every non-canonical encoding
-// (an overlong varint, a flag other than 0 or 1, a user key written out
-// that is the derived one, trailing bytes), so a body that decodes
-// re-encodes to the same bytes.
+// UTC. The decoder refuses the same, a mask empty or over 32 bits, and
+// every non-canonical encoding (an overlong varint, a flag other than 0
+// or 1, a user key written out that is the derived one, an opInsertLegs
+// of leg 0's mask or without a nonce, trailing bytes), so a body that
+// decodes re-encodes to the same bytes.
 
 // RowsHeader opens every journal and snapshot this build writes: the
 // magic "ADRW" and the format version, 2.
@@ -61,8 +66,10 @@ const RowsHeader = "ADRW\x02"
 
 // The op byte of an entry body.
 const (
-	opInsert byte = 1
-	opMerge  byte = 2
+	opInsert     byte = 1
+	opMerge      byte = 2
+	opInsertLegs byte = 3
+	opMergeLegs  byte = 4
 )
 
 // frameLen is the size of an entry's frame header.
@@ -101,21 +108,26 @@ func appendFramed(dst []byte, e *walEntry) ([]byte, error) {
 	return dst, nil
 }
 
-// appendEntry appends the body of e, an insert or a merge.
+// appendEntry appends the body of e, an insert or a merge, with or
+// without legs.
 func appendEntry(dst []byte, e *walEntry) ([]byte, error) {
-	if e.Op == opInsert {
-		return appendRow(append(dst, opInsert), e.Im)
+	var err error
+	if dst = append(dst, e.Op); e.Op == opInsert || e.Op == opInsertLegs {
+		dst, err = appendRow(dst, e.Im)
+	} else if !finite(e.MaxVis) {
+		err = errNonFinite
+	} else {
+		dst = binary.AppendVarint(dst, e.ID)
+		dst = binary.AppendVarint(dst, e.ExposureNS)
+		dst = binary.AppendVarint(dst, int64(e.MouseMoves))
+		dst = binary.AppendVarint(dst, int64(e.Clicks))
+		dst = appendFlag(dst, e.VisMeasured)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.MaxVis))
 	}
-	if !finite(e.MaxVis) {
-		return dst, errNonFinite
+	if err == nil && (e.Op == opInsertLegs || e.Op == opMergeLegs) {
+		dst = binary.AppendUvarint(dst, uint64(e.Legs))
 	}
-	dst = append(dst, opMerge)
-	dst = binary.AppendVarint(dst, e.ID)
-	dst = binary.AppendVarint(dst, e.ExposureNS)
-	dst = binary.AppendVarint(dst, int64(e.MouseMoves))
-	dst = binary.AppendVarint(dst, int64(e.Clicks))
-	dst = appendFlag(dst, e.VisMeasured)
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.MaxVis)), nil
+	return dst, err
 }
 
 func appendRow(dst []byte, im *Impression) ([]byte, error) {
@@ -187,10 +199,10 @@ func decodeEntry(body []byte, e *walEntry, row *Impression) error {
 	r := bodyReader{b: body}
 	*e = walEntry{Op: r.byte()}
 	switch e.Op {
-	case opInsert:
+	case opInsert, opInsertLegs:
 		r.row(row)
 		e.Im = row
-	case opMerge:
+	case opMerge, opMergeLegs:
 		e.ID = r.varint()
 		e.ExposureNS = r.varint()
 		e.MouseMoves = int(r.varint())
@@ -201,6 +213,9 @@ func decodeEntry(body []byte, e *walEntry, row *Impression) error {
 		if r.err == nil {
 			return fmt.Errorf("unknown op %d", e.Op)
 		}
+	}
+	if e.Op == opInsertLegs || e.Op == opMergeLegs {
+		r.legs(e)
 	}
 	if r.err == nil && len(r.b) > 0 {
 		return fmt.Errorf("%d bytes follow the entry", len(r.b))
@@ -217,6 +232,7 @@ type bodyReader struct {
 var (
 	errBodyShort    = errors.New("body ends early")
 	errNonCanonical = errors.New("non-canonical encoding")
+	errLegs         = errors.New("leg mask empty or wider than 32 bits")
 )
 
 func (r *bodyReader) fail(err error) {
@@ -287,6 +303,19 @@ func (r *bodyReader) userKey(im *Impression) string {
 		r.fail(errNonCanonical)
 	}
 	return key
+}
+
+// legs reads e's mask of merged legs: not empty, 32 bits at most, and
+// on a row only one that owns its nonce with other than leg 0's mask.
+func (r *bodyReader) legs(e *walEntry) {
+	m := r.uvarint()
+	switch e.Legs = uint32(m); {
+	case r.err != nil:
+	case m == 0 || m > math.MaxUint32:
+		r.fail(errLegs)
+	case e.Op == opInsertLegs && (e.Legs == legBit(0) || e.Im.Nonce == ""):
+		r.fail(errNonCanonical)
+	}
 }
 
 func (r *bodyReader) flag() bool {

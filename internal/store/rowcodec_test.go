@@ -96,17 +96,28 @@ func FuzzWALEntry(f *testing.F) {
 	f.Add("ins", "a", "b", "c", int64(0), int64(0), false, math.NaN(), int64(-62135596801), int64(0), int32(-86400), true)
 	// Raw bodies, as op: a merge, an insert, and the insert with its
 	// literal user key rewritten to spell the derived one, which must
-	// not decode.
+	// not decode; both with legs, and the insert with legs of leg 0's
+	// mask, which must not decode either.
 	merge, err := appendEntry(nil, &walEntry{Op: opMerge, ID: 3, ExposureNS: 2e9, Clicks: 1, VisMeasured: true, MaxVis: 0.25})
 	if err != nil {
 		f.Fatal(err)
 	}
-	insert, err := appendEntry(nil, &walEntry{Op: opInsert, Im: &Impression{ID: 1, CampaignID: "c", UserKey: "x",
-		Timestamp: time.Date(2016, 3, 29, 12, 0, 0, 5, time.FixedZone("", 5400)), Nonce: "n"}})
+	row := &Impression{ID: 1, CampaignID: "c", UserKey: "x",
+		Timestamp: time.Date(2016, 3, 29, 12, 0, 0, 5, time.FixedZone("", 5400)), Nonce: "n"}
+	insert, err := appendEntry(nil, &walEntry{Op: opInsert, Im: row})
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, body := range [][]byte{merge, insert, bytes.Replace(insert, []byte{2, 'x'}, []byte{2, '|'}, 1)} {
+	mergeLegs, err := appendEntry(nil, &walEntry{Op: opMergeLegs, ID: 3, ExposureNS: 2e9, Clicks: 1, Legs: 0b101})
+	if err != nil {
+		f.Fatal(err)
+	}
+	insertLegs, err := appendEntry(nil, &walEntry{Op: opInsertLegs, Im: row, Legs: 1 << 31})
+	if err != nil {
+		f.Fatal(err)
+	}
+	leg0 := append(bytes.Clone(insertLegs[:len(insertLegs)-5]), 1)
+	for _, body := range [][]byte{merge, insert, bytes.Replace(insert, []byte{2, 'x'}, []byte{2, '|'}, 1), mergeLegs, insertLegs, leg0} {
 		f.Add(string(body), "a", "b", "c", int64(2), int64(3), false, 0.5, int64(1459252800), int64(7), int32(-3600), false)
 	}
 

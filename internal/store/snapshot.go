@@ -91,16 +91,20 @@ func syncDir(dir string) error {
 	return err
 }
 
-// writeSnapshotLocked streams every record as an insert entry, encoded
-// into one reused buffer; callers hold at least a read lock
-// (WriteSnapshot, SnapshotCompact).
+// writeSnapshotLocked streams every record as an insert entry, with
+// legs where it needs them, encoded into one reused buffer; callers
+// hold at least a read lock (WriteSnapshot, SnapshotCompact).
 func (s *Store) writeSnapshotLocked(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	bw.WriteString(RowsHeader) // a bufio.Writer's error sticks: it returns from the next Write or Flush
 	var entry []byte
 	var err error
 	s.recs.each(func(im *Impression) bool {
-		if entry, err = appendFramed(entry[:0], &walEntry{Op: opInsert, Im: im}); err != nil {
+		e := insertEntry(im, legBit(0))
+		if owner, ok := s.nonces[im.Nonce]; ok && int64(owner.pos)+1 == im.ID {
+			e = insertEntry(im, owner.legs)
+		}
+		if entry, err = appendFramed(entry[:0], &e); err != nil {
 			err = fmt.Errorf("store: encoding snapshot record %d: %w", im.ID, err)
 			return false
 		}
@@ -162,11 +166,11 @@ func (s *Store) readEntries(r *entryReader) error {
 			return fmt.Errorf("store: snapshot record %d: %w", r.n+1, err)
 		}
 		err = decodeEntry(body, &e, &row)
-		if err == nil && e.Op != opInsert {
+		if err == nil && e.Op != opInsert && e.Op != opInsertLegs {
 			err = fmt.Errorf("op %d is not a row", e.Op)
 		}
 		if err == nil {
-			_, err = s.Insert(row)
+			_, _, err = s.commit(row, entryLegs(&e), false, nil)
 		}
 		if err != nil {
 			return fmt.Errorf("store: snapshot record %d: %w", r.n, err)

@@ -1,12 +1,14 @@
 // Package store is the embedded impression database backing the
 // collector — the stand-in for the paper's MySQL instance. It is an
-// append-only record log with one in-memory index, campaign → record
-// positions: every analysis of the paper's §4 is one pass over one
-// campaign's rows, so that is the only access path a reader takes, and
-// anything else (the distinct publishers of the whole dataset, say) is
-// a scan of the log. It supports concurrent writers and readers. Its
-// journal (wal.go) and its snapshots (snapshot.go) share one binary row
-// format (rowcodec.go); CSV is the export for downstream analysis.
+// append-only record log with two in-memory indexes. Campaign → record
+// positions is the one access path a reader takes: every analysis of
+// the paper's §4 is one pass over one campaign's rows, and anything
+// else (the distinct publishers of the whole dataset, say) is a scan of
+// the log. Nonce → record is the writers': it makes every leg of a
+// beacon count once (legs.go). It supports concurrent writers and
+// readers. Its journal (wal.go) and its snapshots (snapshot.go) share
+// one binary row format (rowcodec.go); CSV is the export for downstream
+// analysis.
 package store
 
 import (
@@ -91,7 +93,7 @@ func (im *Impression) Validate() error {
 
 // Store is a concurrency-safe impression database with an adjacent
 // conversion log (see conversions.go): a chunked append-only record
-// log (see reclog.go) and one index over it, both under mu. A handful
+// log (see reclog.go) and two indexes over it, all under mu. A handful
 // of campaigns gives a lock nothing to stripe, and a per-publisher or
 // per-user posting list would be a map entry and a slice paid on every
 // commit for no reader.
@@ -113,6 +115,9 @@ type Store struct {
 	// byCampaign maps a campaign ID to the log positions of its
 	// records, in insertion order.
 	byCampaign map[string][]int
+	// nonces maps a nonce to its record and the legs merged into it
+	// (legs.go). The first record holding a nonce owns it.
+	nonces map[string]nonceEntry
 
 	conversions conversionLog
 
@@ -135,6 +140,7 @@ type Store struct {
 func New() *Store {
 	return &Store{
 		byCampaign:  map[string][]int{},
+		nonces:      map[string]nonceEntry{},
 		conversions: conversionLog{byCampaign: map[string][]int{}},
 	}
 }
@@ -142,67 +148,42 @@ func New() *Store {
 // Insert validates im, assigns it the next ID and appends it. The
 // returned ID is 1-based. With a WAL attached the record is journaled
 // before the in-memory store mutates, so an insert that returned
-// survives a crash.
+// survives a crash. A record whose nonce no earlier record holds owns
+// it, with leg 0 merged (legs.go).
 func (s *Store) Insert(im Impression) (int64, error) {
-	return s.InsertTraced(im, nil)
+	id, _, err := s.commit(im, legBit(0), false, nil)
+	return id, err
 }
 
-// InsertTraced is Insert carrying the impression's pipeline trace
-// (nil for unsampled impressions — the common case, which costs only
-// predicted nil checks). The trace is stamped at each durability
-// stage in execution order — wal_append, commit, feed_publish — and
-// handed to the change feed; when no subscriber received it the store
-// finishes the trace here, since no downstream stage will.
-func (s *Store) InsertTraced(im Impression, tr *trace.Trace) (int64, error) {
-	var start time.Time
-	if s.tel.sampleTiming() || tr != nil {
-		start = time.Now()
+// insertLocked assigns im the next ID, journals it and appends it; the
+// caller holds the write lock. When owns (no earlier record holds its
+// nonce) the record takes the nonce in the index with legs merged.
+func (s *Store) insertLocked(im *Impression, owns bool, legs uint32, tr *trace.Trace) (walSeq int64, delivered int, err error) {
+	pos := s.recs.len()
+	im.ID = int64(pos + 1)
+	if !owns {
+		legs = legBit(0)
 	}
-	if err := im.Validate(); err != nil {
-		s.tel.insertFailures.Inc()
-		tr.Truncate("reject:store-validate")
-		return 0, err
-	}
-	s.mu.Lock()
-	idx := s.recs.len()
-	im.ID = int64(idx + 1)
-	wal := s.wal
-	var walSeq int64
-	if wal != nil {
-		seq, err := wal.append(&walEntry{Op: opInsert, Im: &im})
-		if err != nil {
-			s.mu.Unlock()
-			s.tel.insertFailures.Inc()
+	if s.wal != nil {
+		e := insertEntry(im, legs)
+		if walSeq, err = s.wal.append(&e); err != nil {
 			tr.Truncate("reject:wal-append")
-			return 0, err
+			return 0, 0, err
 		}
-		walSeq = seq
 		tr.Stage(trace.StageWAL)
 	}
-	s.recs.append(&im)
+	s.recs.append(im)
 	// Index while still holding the write lock: that is what keeps
 	// the posting list in insertion order across concurrent inserts.
-	s.byCampaign[im.CampaignID] = append(s.byCampaign[im.CampaignID], idx)
+	s.byCampaign[im.CampaignID] = append(s.byCampaign[im.CampaignID], pos)
+	if owns {
+		s.nonces[im.Nonce] = nonceEntry{pos: uint32(pos), legs: legs}
+	}
 	tr.Stage(trace.StageCommit)
 	// Publish while still holding the write lock, so feed sequence
 	// order matches insertion order and a concurrent Subscribe either
 	// primes this record or receives this event, never both.
-	delivered := s.publishFeed(FeedEvent{Kind: FeedInsert, Im: im, Trace: tr})
-	s.mu.Unlock()
-	// Group-commit rendezvous, outside the store lock so concurrent
-	// inserts batch into one fsync. On failure the in-memory record
-	// stands (a later flush may yet cover it) but the caller must not
-	// acknowledge: a client replay deduplicates against it by nonce.
-	if err := wal.waitDurable(walSeq); err != nil {
-		s.tel.insertFailures.Inc()
-		return 0, err
-	}
-	s.observeInsertTraced(start, tr)
-	if delivered == 0 {
-		// No live-audit consumer: the commit is the trace's last stage.
-		tr.Finish()
-	}
-	return im.ID, nil
+	return walSeq, s.publishFeed(FeedEvent{Kind: FeedInsert, Im: *im, Trace: tr}), nil
 }
 
 // Len returns the number of stored impressions.

@@ -95,7 +95,8 @@ type WAL struct {
 	// health signal. Only SyncGroup sets it.
 	firstDirty time.Time
 
-	// Group-commit state (SyncGroup only). seq numbers appends;
+	// Group-commit state (SyncGroup only). seq numbers appends, which
+	// hold the store's lock too, so a holder of either may read it;
 	// syncedSeq is the highest seq a completed fsync covers. Committers
 	// block on synced until their seq is covered; the flusher fsyncs
 	// outside mu so appends keep landing while the disk works.
@@ -113,18 +114,21 @@ type WAL struct {
 
 // walEntry is one journal entry. Insert entries carry the full record
 // (including its assigned ID); merge entries carry the absolute
-// post-merge values so replay is idempotent.
+// post-merge values so replay is idempotent. The two legs ops are the
+// same entries with the record's new mask of merged legs (legs.go).
 type walEntry struct {
-	Op byte        // opInsert | opMerge
-	Im *Impression // opInsert
+	Op byte        // opInsert | opMerge | opInsertLegs | opMergeLegs
+	Im *Impression // opInsert, opInsertLegs
 
-	// opMerge
+	// opMerge, opMergeLegs
 	ID          int64
 	ExposureNS  int64
 	MouseMoves  int
 	Clicks      int
 	VisMeasured bool
 	MaxVis      float64
+
+	Legs uint32 // opInsertLegs, opMergeLegs
 }
 
 // ErrJournalV1 marks a journal in format version 1 (JSON lines), which
@@ -516,10 +520,11 @@ func (s *Store) recoverV1(br *bufio.Reader, path string, logger *slog.Logger) (i
 
 // applyWALEntry replays one journal entry; ok reports whether it
 // changed the store: an insert the snapshot already holds is skipped,
-// and a merge to the values the record already has changes nothing.
+// and a merge to the values (and legs) the record already has changes
+// nothing.
 func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 	switch e.Op {
-	case opInsert:
+	case opInsert, opInsertLegs:
 		if e.Im == nil {
 			return false, fmt.Errorf("insert entry missing record")
 		}
@@ -534,24 +539,28 @@ func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 		if e.Im.ID != have+1 {
 			return false, fmt.Errorf("insert id %d does not follow store length %d", e.Im.ID, have)
 		}
-		if _, err := s.Insert(*e.Im); err != nil {
+		if _, _, err := s.commit(*e.Im, entryLegs(e), false, nil); err != nil {
 			return false, err
 		}
 		return true, nil
-	case opMerge:
+	case opMerge, opMergeLegs:
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if e.ID < 1 || e.ID > int64(s.recs.len()) {
 			return false, fmt.Errorf("merge id %d out of range (store length %d)", e.ID, s.recs.len())
 		}
-		im := s.recs.at(int(e.ID - 1))
-		prev := MergePrev{
-			Exposure:           im.Exposure,
-			MouseMoves:         im.MouseMoves,
-			Clicks:             im.Clicks,
-			VisibilityMeasured: im.VisibilityMeasured,
-			MaxVisibleFraction: im.MaxVisibleFraction,
+		pos := int(e.ID - 1)
+		im := s.recs.at(pos)
+		legsMoved := false
+		if e.Op == opMergeLegs {
+			owner, owned := s.nonces[im.Nonce]
+			if !owned || owner.pos != uint32(pos) {
+				return false, fmt.Errorf("legs merged into record %d, which does not own its nonce", e.ID)
+			}
+			legsMoved = owner.legs != e.Legs
+			s.nonces[im.Nonce] = nonceEntry{pos: uint32(pos), legs: e.Legs}
 		}
+		prev := im.mergeState()
 		next := MergePrev{
 			Exposure:           time.Duration(e.ExposureNS),
 			MouseMoves:         e.MouseMoves,
@@ -560,13 +569,9 @@ func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 			MaxVisibleFraction: e.MaxVis,
 		}
 		if next == prev {
-			return false, nil
+			return legsMoved, nil
 		}
-		im.Exposure = next.Exposure
-		im.MouseMoves = next.MouseMoves
-		im.Clicks = next.Clicks
-		im.VisibilityMeasured = next.VisibilityMeasured
-		im.MaxVisibleFraction = next.MaxVisibleFraction
+		im.setMergeState(next)
 		s.publishFeed(FeedEvent{Kind: FeedMerge, Im: *im, Prev: prev})
 		return true, nil
 	}
@@ -605,80 +610,76 @@ type Continuation struct {
 	MaxVisibleFraction float64
 }
 
-// Merge folds cont into the impression with the given ID — the
-// collector's dedup path for a beacon that reconnected mid-exposure
-// with the same nonce. The journal entry (when a WAL is attached)
-// records the absolute post-merge values, keeping replay idempotent.
-func (s *Store) Merge(id int64, cont Continuation) error {
-	return s.MergeTraced(id, cont, nil)
+// mergeState is the part of im a merge changes.
+func (im *Impression) mergeState() MergePrev {
+	return MergePrev{im.Exposure, im.MouseMoves, im.Clicks, im.VisibilityMeasured, im.MaxVisibleFraction}
 }
 
-// MergeTraced is Merge carrying the resumed session's pipeline trace
-// (nil when unsampled). A reconnected beacon resends the original
-// trace ID, so the merge leg's trace shares the ID of the insert
-// leg's — the flight recorder then holds one trace per session leg of
-// the impression. Stamping and finishing mirror InsertTraced.
-func (s *Store) MergeTraced(id int64, cont Continuation, tr *trace.Trace) error {
+// setMergeState writes the outcome of a merge into im.
+func (im *Impression) setMergeState(m MergePrev) {
+	im.Exposure, im.MouseMoves, im.Clicks = m.Exposure, m.MouseMoves, m.Clicks
+	im.VisibilityMeasured, im.MaxVisibleFraction = m.VisibilityMeasured, m.MaxVisibleFraction
+}
+
+// Merge folds cont into the impression with the given ID. The journal
+// entry (when a WAL is attached) records the absolute post-merge
+// values, keeping replay idempotent. The record's merged legs stay as
+// they are: CommitLeg is the merge that counts a leg.
+func (s *Store) Merge(id int64, cont Continuation) error {
 	if cont.Exposure < 0 {
-		tr.Truncate("reject:merge-validate")
 		return fmt.Errorf("store: negative continuation exposure %v", cont.Exposure)
 	}
 	s.mu.Lock()
 	if id < 1 || id > int64(s.recs.len()) {
 		s.mu.Unlock()
-		tr.Truncate("reject:merge-target")
 		return fmt.Errorf("store: merge target %d out of range (store length %d)", id, s.recs.len())
 	}
-	im := s.recs.at(int(id - 1))
-	prev := MergePrev{
-		Exposure:           im.Exposure,
-		MouseMoves:         im.MouseMoves,
-		Clicks:             im.Clicks,
-		VisibilityMeasured: im.VisibilityMeasured,
-		MaxVisibleFraction: im.MaxVisibleFraction,
-	}
-	exp := im.Exposure + cont.Exposure
-	moves := im.MouseMoves + cont.MouseMoves
-	clicks := im.Clicks + cont.Clicks
-	vis := im.VisibilityMeasured || cont.VisibilityMeasured
-	maxVis := im.MaxVisibleFraction
-	if cont.MaxVisibleFraction > maxVis {
-		maxVis = cont.MaxVisibleFraction
-	}
 	wal := s.wal
-	var walSeq int64
-	if wal != nil {
-		seq, err := wal.append(&walEntry{
-			Op: opMerge, ID: id,
-			ExposureNS:  int64(exp),
-			MouseMoves:  moves,
-			Clicks:      clicks,
-			VisMeasured: vis,
-			MaxVis:      maxVis,
-		})
-		if err != nil {
-			s.mu.Unlock()
-			tr.Truncate("reject:wal-append")
-			return err
-		}
-		walSeq = seq
-		tr.Stage(trace.StageWAL)
-	}
-	im.Exposure = exp
-	im.MouseMoves = moves
-	im.Clicks = clicks
-	im.VisibilityMeasured = vis
-	im.MaxVisibleFraction = maxVis
-	tr.Stage(trace.StageCommit)
-	delivered := s.publishFeed(FeedEvent{Kind: FeedMerge, Im: *im, Prev: prev, Trace: tr})
+	walSeq, _, err := s.mergeLocked(int(id-1), cont, 0, nil)
 	s.mu.Unlock()
-	// Same group-commit rendezvous as InsertTraced: wait outside the
-	// store lock; an error means don't ack, the merged state stands.
-	if err := wal.waitDurable(walSeq); err != nil {
+	if err != nil {
 		return err
 	}
-	if delivered == 0 {
-		tr.Finish()
+	return wal.waitDurable(walSeq)
+}
+
+// mergeLocked folds cont into the record at pos and journals the
+// absolute post-merge values; the caller holds the write lock. A
+// non-zero legs is the record's new mask of merged legs, journaled with
+// them; 0 leaves the mask alone.
+func (s *Store) mergeLocked(pos int, cont Continuation, legs uint32, tr *trace.Trace) (walSeq int64, delivered int, err error) {
+	im := s.recs.at(pos)
+	prev := im.mergeState()
+	next := prev
+	next.Exposure += cont.Exposure
+	next.MouseMoves += cont.MouseMoves
+	next.Clicks += cont.Clicks
+	next.VisibilityMeasured = prev.VisibilityMeasured || cont.VisibilityMeasured
+	if cont.MaxVisibleFraction > prev.MaxVisibleFraction {
+		next.MaxVisibleFraction = cont.MaxVisibleFraction
 	}
-	return nil
+	if s.wal != nil {
+		e := walEntry{
+			Op: opMerge, ID: im.ID,
+			ExposureNS:  int64(next.Exposure),
+			MouseMoves:  next.MouseMoves,
+			Clicks:      next.Clicks,
+			VisMeasured: next.VisibilityMeasured,
+			MaxVis:      next.MaxVisibleFraction,
+		}
+		if legs != 0 {
+			e.Op, e.Legs = opMergeLegs, legs
+		}
+		if walSeq, err = s.wal.append(&e); err != nil {
+			tr.Truncate("reject:wal-append")
+			return 0, 0, err
+		}
+		tr.Stage(trace.StageWAL)
+	}
+	im.setMergeState(next)
+	if legs != 0 {
+		s.nonces[im.Nonce] = nonceEntry{pos: uint32(pos), legs: legs}
+	}
+	tr.Stage(trace.StageCommit)
+	return walSeq, s.publishFeed(FeedEvent{Kind: FeedMerge, Im: *im, Prev: prev, Trace: tr}), nil
 }

@@ -192,7 +192,7 @@ not json at all
 		t.Fatalf("corrupt middle v1 line: err %v, want a failure naming entry 2", err)
 	}
 
-	full, _ := fixtureJournal(t)
+	full, _, _ := fixtureJournal(t)
 	ends := entryEnds(t, full)
 	start := len(RowsHeader)
 	for k, end := range ends[:len(ends)-1] {
@@ -215,12 +215,13 @@ not json at all
 }
 
 // TestWALCrashAtEveryByte cuts a journal of journalFixture's inserts
-// and merges at every byte offset, inside the header too: recovery
-// keeps exactly the entries wholly inside the cut, truncates the rest
-// (a cut header to nothing), and a second recovery over its result
-// applies nothing and changes nothing.
+// and merges, and legFixture's leg commits, at every byte offset, inside
+// the header too: recovery keeps exactly the entries wholly inside the
+// cut — records and merged legs — truncates the rest (a cut header to
+// nothing), and a second recovery over its result applies nothing and
+// changes nothing.
 func TestWALCrashAtEveryByte(t *testing.T) {
-	full, states := fixtureJournal(t)
+	full, states, legs := fixtureJournal(t)
 	ends := entryEnds(t, full)
 	if len(ends) != len(states) {
 		t.Fatalf("%d entries for %d mutations", len(ends), len(states))
@@ -246,6 +247,7 @@ func TestWALCrashAtEveryByte(t *testing.T) {
 			t.Fatalf("cut at %d: applied %d entries, %d are whole", cut, applied, whole)
 		}
 		requireRecords(t, rec, statesAfter(states, whole))
+		requireLegs(t, rec, legsAfter(states, legs, whole))
 		after, err := os.ReadFile(path)
 		if err != nil || !bytes.Equal(after, full[:keep]) {
 			t.Fatalf("cut at %d: journal left at %d bytes, want %d (err %v)", cut, len(after), keep, err)

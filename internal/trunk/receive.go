@@ -40,7 +40,8 @@ type Peer struct {
 
 // Send writes one batch to the peer within the receiver's WriteTimeout,
 // from any goroutine. A failed write closes the trunk: the edge replays
-// what it has not seen answered, and the tier's dedup absorbs the replay.
+// what it has not seen answered, and the store behind the tier drops
+// the replay.
 func (p *Peer) Send(batch []byte) error {
 	p.mu.Lock()
 	if p.timeout > 0 {

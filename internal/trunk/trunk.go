@@ -14,9 +14,10 @@
 // every event, connection facts, measured exposure, edge trace stages),
 // so the edge can replay an unacknowledged commit on any trunk, to a
 // freshly restarted collector, with no per-stream state transfer. Ack
-// and Reject answer it. Delivery is at-least-once; the collector
-// deduplicates retransmissions by stream ID and, across its own
-// restarts, by the impression nonce every forwarded payload carries.
+// and Reject answer it. Delivery is at-least-once; the collector's store
+// counts each leg of an impression nonce once (every forwarded payload
+// carries its nonce and leg), so it drops a retransmission, across its
+// own restarts too.
 //
 // Frames encode as [type byte][uvarint stream][fields], strings as
 // uvarint-length-prefixed bytes, and batches as a concatenation of

@@ -45,15 +45,15 @@ var table = []row{
 	{"trace", "./internal/collector", "BenchmarkIngestUntraced", "1s", 3, "a tracer attached, nothing sampled: the same 3 — an idle tracer allocates nothing"},
 	{"trace", "./internal/collector", "BenchmarkIngestTraced", "1s", 12, "every payload sampled: 7, the trace and its stages on the funnel's 3; room for the recorder's ring, not for +1 per stage (8 stages)"},
 
-	{"gateway", "./internal/gateway", "BenchmarkGatewayForward", "1s", 80, "one session through the gateway and its trunk: 71 against 60 direct; 84 while the commit carried a text payload the collector re-parsed (url.ParseQuery, fresh strings), 102 with a frame per event beside it"},
+	{"gateway", "./internal/gateway", "BenchmarkGatewayForward", "1s", 72, "one session through the gateway and its trunk: 63–64 against 52 direct; 71 while the dialer made its own 4 KiB reader and the text payload went through url.Values, 84 while the commit carried a text payload the collector re-parsed, 102 with a frame per event beside it"},
 	{"gateway", "./internal/collector", "BenchmarkIngest", "1s", 3, "the direct text funnel, telemetry on: 3; adding a tier must not make the path without it dearer"},
-	{"gateway", "./internal/collector", "BenchmarkWebSocketSession", "1s", 66, "one session straight into a collector: 60 (+10 %; 203 before the wire diet); no room for a request object or a formatted error"},
+	{"gateway", "./internal/collector", "BenchmarkWebSocketSession", "1s", 58, "one session straight into a collector: 52 (+10 %), the read buffer pooled on both ends and the text payload scanned in place; 59 with a reader per dial and url.Values, 203 before the wire diet; no room for a request object or a formatted error"},
 	{"gateway", "./internal/collector", "BenchmarkIngestBinary", "1s", 1, "the binary wire path warm: the amortised store append and nothing else"},
 	{"gateway", "./internal/collector", "BenchmarkIngestJournaled", "130000x", 1, "the production commit (journal, fresh nonce and URL, 36,000 addresses): 1.85, printed truncated; an error on the row encoder that formats the row moves it to the heap, +1; url.Parse +1.5"},
 	{"gateway", "./internal/store", "BenchmarkInsert", "130000x", 0, "only what amortises away (a log chunk per 1,024 rows, a posting list doubling); anything kept per user or per publisher reads 1"},
 
-	{"router", "./internal/router", "BenchmarkRouterForward", "1s", 80, "one session through the router to one shard: 71, the gateway's hop plus the nonce hash; 84 with a text commit"},
-	{"router", "./internal/collector", "BenchmarkWebSocketSession", "1s", 66, "the direct session the router's row is read against; measured once, recorded in both ledgers"},
+	{"router", "./internal/router", "BenchmarkRouterForward", "1s", 72, "one session through the router to one shard: 63–64, the gateway's hop plus the nonce hash; 71 with a reader per dial and url.Values, 84 with a text commit"},
+	{"router", "./internal/collector", "BenchmarkWebSocketSession", "1s", 58, "the direct session the router's row is read against; measured once, recorded in both ledgers"},
 }
 
 var ledgers = []string{"audit", "stream", "trace", "gateway", "router"}

@@ -2,20 +2,25 @@ package beacon
 
 import (
 	"net/url"
+	"reflect"
 	"testing"
 )
 
-// FuzzDecode checks the impression-payload parser never panics and that
+// FuzzDecode checks the impression-payload parser never panics, decodes
+// exactly what the url.Values-based reference decodes, and that
 // anything it accepts re-encodes to an equivalent payload.
 func FuzzDecode(f *testing.F) {
 	f.Add(samplePayload().Encode())
-	f.Add("v=1&cid=c&crid=r&url=http%3A%2F%2Fx.es%2F")
 	f.Add("v=1&cid=c&crid=r&url=http%3A%2F%2Fx.es%2F&ev=click%40100,move%40200")
-	f.Add("")
-	f.Add("&&&=%%%")
-	f.Add("v=9")
+	for _, s := range decodeSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		p, err := Decode(raw)
+		want, werr := referenceDecode(raw)
+		if (err == nil) != (werr == nil) || !reflect.DeepEqual(p, want) {
+			t.Fatalf("Decode(%q)\n = %+v, %v\nreference %+v, %v", raw, p, err, want, werr)
+		}
 		if err != nil {
 			return
 		}

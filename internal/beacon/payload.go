@@ -10,6 +10,7 @@ package beacon
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -291,22 +292,22 @@ func decodeEvent(part string) (Event, error) {
 // deliberately tolerant of unknown keys (future beacon versions) but
 // strict about the version and the event syntax.
 func Decode(s string) (Payload, error) {
-	v, err := url.ParseQuery(s)
+	f, err := scanText(s)
 	if err != nil {
 		return Payload{}, fmt.Errorf("beacon: parsing payload: %w", err)
 	}
-	ver := v.Get("v")
-	if ver != strconv.Itoa(PayloadVersion) {
+	get := func(key string) string { return f[slices.Index(textKeys[:], key)] }
+	if ver := get("v"); ver != strconv.Itoa(PayloadVersion) {
 		return Payload{}, fmt.Errorf("beacon: unsupported payload version %q", ver)
 	}
 	p := Payload{
-		CampaignID: v.Get("cid"),
-		CreativeID: v.Get("crid"),
-		PageURL:    v.Get("url"),
-		UserAgent:  v.Get("ua"),
-		Nonce:      v.Get("n"),
+		CampaignID: get("cid"),
+		CreativeID: get("crid"),
+		PageURL:    get("url"),
+		UserAgent:  get("ua"),
+		Nonce:      get("n"),
 	}
-	if raw := v.Get("leg"); raw != "" {
+	if raw := get("leg"); raw != "" {
 		leg, err := strconv.ParseUint(raw, 10, 8)
 		if err != nil || leg >= MaxLegs {
 			return Payload{}, fmt.Errorf("beacon: malformed leg %q", raw)
@@ -316,19 +317,23 @@ func Decode(s string) (Payload, error) {
 	// Trace context is best-effort observability: a malformed tr/trts
 	// pair is dropped rather than rejecting the impression — tracing
 	// must never cost the audit a record.
-	if tr := v.Get("tr"); tr != "" && len(tr) <= 16 {
+	if tr := get("tr"); tr != "" && len(tr) <= 16 {
 		if _, err := strconv.ParseUint(tr, 16, 64); err == nil {
 			p.TraceID = tr
-			if ts, err := strconv.ParseInt(v.Get("trts"), 10, 64); err == nil && ts > 0 {
+			if ts, err := strconv.ParseInt(get("trts"), 10, 64); err == nil && ts > 0 {
 				p.TraceSent = ts
 			}
 		}
 	}
-	if raw := v.Get("ev"); raw != "" {
-		if n := strings.Count(raw, ",") + 1; n > MaxEvents {
+	if raw := get("ev"); raw != "" {
+		n := strings.Count(raw, ",") + 1
+		if n > MaxEvents {
 			return Payload{}, fmt.Errorf("beacon: payload carries %d events (max %d)", n, MaxEvents)
 		}
-		for _, part := range strings.Split(raw, ",") {
+		p.Events = make([]Event, 0, n)
+		for more := true; more; {
+			var part string
+			part, raw, more = strings.Cut(raw, ",")
 			e, err := decodeEvent(part)
 			if err != nil {
 				return Payload{}, err
@@ -340,6 +345,38 @@ func Decode(s string) (Payload, error) {
 		return Payload{}, err
 	}
 	return p, nil
+}
+
+// textKeys are the keys Decode reads from a text payload.
+var textKeys = [...]string{"v", "cid", "crid", "url", "ua", "n", "leg", "tr", "trts", "ev"}
+
+// scanText walks s's '&'-separated pairs once and returns the first
+// value of each of textKeys, in the same order. It accepts exactly what
+// url.ParseQuery accepts and returns what Get would from its result: a
+// ';' anywhere or a bad escape in any key or value is an error, keys
+// are unescaped before they are matched, and '+' is a space. Like
+// url.QueryUnescape, it returns a value with no escape as a substring.
+func scanText(s string) (f [len(textKeys)]string, err error) {
+	var seen uint16
+	for s != "" {
+		var pair, key, value string
+		pair, s, _ = strings.Cut(s, "&")
+		if strings.IndexByte(pair, ';') >= 0 {
+			return f, fmt.Errorf("invalid semicolon separator in query")
+		}
+		key, value, _ = strings.Cut(pair, "=")
+		if key, err = url.QueryUnescape(key); err != nil {
+			return f, err
+		}
+		if value, err = url.QueryUnescape(value); err != nil {
+			return f, err
+		}
+		if i := slices.Index(textKeys[:], key); i >= 0 && seen&(1<<i) == 0 {
+			seen |= 1 << i
+			f[i] = value
+		}
+	}
+	return f, nil
 }
 
 // eventMessagePrefix distinguishes incremental interaction updates sent

@@ -38,7 +38,11 @@ func TestPayloadRoundTrip(t *testing.T) {
 }
 
 // Property: encode/decode round-trips arbitrary printable field values.
+// The generator is seeded, so a failure reproduces; a page URL it makes
+// that Validate refuses (a bare '%' is not a URL) is no round trip to
+// check, and is skipped rather than failed.
 func TestPayloadRoundTripProperty(t *testing.T) {
+	checked := 0
 	err := quick.Check(func(cid, crid, host, ua string) bool {
 		clean := func(s, fallback string) string {
 			s = strings.Map(func(r rune) rune {
@@ -58,15 +62,22 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 			PageURL:    "http://example.es/" + clean(host, "x"),
 			UserAgent:  clean(ua, ""),
 		}
+		if p.Validate() != nil {
+			return true
+		}
+		checked++
 		got, err := Decode(p.Encode())
 		if err != nil {
 			return false
 		}
 		return got.CampaignID == p.CampaignID && got.CreativeID == p.CreativeID &&
 			got.PageURL == p.PageURL && got.UserAgent == p.UserAgent
-	}, &quick.Config{MaxCount: 200})
+	}, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 200 generated payloads were valid; the property is under-tested", checked)
 	}
 }
 

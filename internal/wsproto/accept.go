@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -16,10 +17,9 @@ import (
 // side ends up reading it.
 const HeadTimeout = 10 * time.Second
 
-// maxRequestHead caps a request head answered in place: request line
-// through blank line must fit the pooled read buffer, where it is
-// checked. A longer head is net/http's to read.
-const maxRequestHead = 4096
+// maxHead is the size of the pooled read buffers, so it caps a request
+// head answered in place (a longer one is net/http's) and a 101 answer.
+const maxHead = 4096
 
 // Route is one path a Front upgrades in place.
 type Route struct {
@@ -184,13 +184,7 @@ func (f *Front) serve(nc net.Conn) {
 		return
 	}
 	route.Serve(conn, took)
-	// The session is over: cut conn off from the reader before it serves
-	// another connection.
-	if conn.readErr == nil {
-		conn.readErr = net.ErrClosed
-	}
-	conn.br = nil
-	putHeadReader(br)
+	conn.endRead(net.ErrClosed) // the session is over and reads no more
 }
 
 // handshake reads nc's request head and answers it in place when it
@@ -232,6 +226,7 @@ func (f *Front) handshake(nc net.Conn, br *bufio.Reader) (*Conn, Route, time.Dur
 	// deadlines are the session's.
 	_ = nc.SetReadDeadline(time.Time{})
 	conn := newConn(nc, br, RoleServer, route.Upgrader.MaxMessageSize)
+	conn.pooled = true
 	conn.compress = compress
 	return conn, route, time.Since(began)
 }
@@ -265,14 +260,15 @@ func (c *replayConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// headReaderPool recycles the read buffers of accepted connections. One
-// is held from accept until its session ends, or until net/http has
-// drained it.
-var headReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxRequestHead) }}
+// headReaderPool recycles connection read buffers on both ends: a Front
+// takes one at accept, a Dialer before it reads the 101. Only a reader
+// from the pool goes back (Conn.endRead, replayConn), and never one a
+// rejected dial's response body still reads from.
+var headReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxHead) }}
 
-func getHeadReader(nc net.Conn) *bufio.Reader {
+func getHeadReader(r io.Reader) *bufio.Reader {
 	br := headReaderPool.Get().(*bufio.Reader)
-	br.Reset(nc)
+	br.Reset(r)
 	return br
 }
 

@@ -112,7 +112,7 @@ var upgradeVerdicts = []struct {
 	{"transfer-encoding", strings.Replace(goHead, "\r\n\r\n", "\r\nTransfer-Encoding: chunked\r\n\r\n", 1), false},
 	{"expect", strings.Replace(goHead, "\r\n\r\n", "\r\nExpect: 100-continue\r\n\r\n", 1), false},
 	{"trailer", strings.Replace(goHead, "\r\n\r\n", "\r\nTrailer: X-Sum\r\n\r\n", 1), false},
-	{"over 4 KiB", strings.Replace(goHead, "\r\n\r\n", "\r\nCookie: "+strings.Repeat("a", maxRequestHead)+"\r\n\r\n", 1), false},
+	{"over 4 KiB", strings.Replace(goHead, "\r\n\r\n", "\r\nCookie: "+strings.Repeat("a", maxHead)+"\r\n\r\n", 1), false},
 	{"plain GET", "GET /beacon HTTP/1.1\r\nHost: a\r\n\r\n", false},
 	{"unterminated", goHead[:len(goHead)-2], false},
 	{"empty", "", false},
@@ -258,7 +258,7 @@ func FuzzUpgradeRequest(f *testing.F) {
 			}
 			return
 		case got.conn == nil:
-			if end := bytes.Index(raw, []byte("\n\r\n")); end >= 0 && end < maxRequestHead-3 {
+			if end := bytes.Index(raw, []byte("\n\r\n")); end >= 0 && end < maxHead-3 {
 				if alt := bytes.Index(raw, []byte("\n\n")); alt < 0 || alt > end {
 					t.Fatalf("dropped a connection whose head was complete: %q", raw)
 				}
@@ -266,7 +266,7 @@ func FuzzUpgradeRequest(f *testing.F) {
 			return
 		}
 
-		br := bufio.NewReaderSize(bytes.NewReader(raw), maxRequestHead)
+		br := bufio.NewReaderSize(bytes.NewReader(raw), maxHead)
 		head, err := peekHeader(br)
 		if err != nil {
 			t.Fatalf("answered a head that does not end: %v", err)
@@ -305,7 +305,7 @@ func TestUpgradeRequestVerdicts(t *testing.T) {
 			if !tc.inPlace {
 				continue
 			}
-			head, _ := peekHeader(bufio.NewReaderSize(strings.NewReader(tc.head), maxRequestHead))
+			head, _ := peekHeader(bufio.NewReaderSize(strings.NewReader(tc.head), maxHead))
 			want, seen, reached := slowPathFor(compression).answer(head)
 			if !reached || !seen.upgraded || string(got.answer) != string(want) {
 				t.Errorf("%s (compression %v): in place %q, slow path %q (upgraded: %v)", tc.name, compression, got.answer, want, seen.upgraded)
@@ -467,7 +467,7 @@ func TestFrontServesBothPaths(t *testing.T) {
 
 	// A valid upgrade too long for the pooled buffer is net/http's, and
 	// works just the same, first frame included.
-	big := strings.Replace(chromeHead, "\r\n\r\n", "\r\nCookie: "+strings.Repeat("c", 2*maxRequestHead)+"\r\n\r\n", 1)
+	big := strings.Replace(chromeHead, "\r\n\r\n", "\r\nCookie: "+strings.Repeat("c", 2*maxHead)+"\r\n\r\n", 1)
 	answer, echo = rawEcho(t, s.addr, big, "after a long head")
 	if want := referenceUpgradeResponse(fuzzKey, offerExtension); answer != want || echo != "after a long head" {
 		t.Fatalf("through net/http: answer %q echo %q, want %q", answer, echo, want)

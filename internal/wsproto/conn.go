@@ -44,10 +44,14 @@ var ErrWriteAfterClose = errors.New("wsproto: write after close")
 // Conn is an established WebSocket connection. Reads must be confined to
 // one goroutine; writes are internally serialised and may come from
 // multiple goroutines (ReadMessage itself writes pong and close replies).
+// A Conn from a Dialer or a Front reads through a pooled buffer, which
+// the reading goroutine gives back once ReadMessage has failed for good;
+// Close does not, as another goroutine may be inside a read.
 type Conn struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	role Role
+	nc     net.Conn
+	br     *bufio.Reader // nil once the read side has ended
+	pooled bool          // br is headReaderPool's
+	role   Role
 
 	// maxMessage bounds the reassembled message size; 0 means unlimited.
 	maxMessage int64
@@ -86,9 +90,6 @@ type Conn struct {
 func (c *Conn) ReuseReadBuffer() { c.reuseReadBuf = true }
 
 func newConn(nc net.Conn, br *bufio.Reader, role Role, maxMessage int64) *Conn {
-	if br == nil {
-		br = bufio.NewReader(nc)
-	}
 	return &Conn{
 		nc:         nc,
 		br:         br,
@@ -261,7 +262,7 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 	}
 	op, payload, err := c.readMessage()
 	if err != nil {
-		c.readErr = err
+		c.endRead(err)
 		// On protocol errors, tell the peer why before dropping.
 		// (readMessage returns a *CloseError bare, never wrapped.)
 		if _, closed := err.(*CloseError); !closed && !errors.Is(err, io.EOF) {
@@ -273,6 +274,18 @@ func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 		}
 	}
 	return op, payload, err
+}
+
+// endRead ends the read side with err and gives a pooled reader back.
+// Only the reading goroutine calls it; after it nothing touches br.
+func (c *Conn) endRead(err error) {
+	if c.readErr == nil {
+		c.readErr = err
+	}
+	if c.pooled {
+		putHeadReader(c.br)
+	}
+	c.br, c.pooled = nil, false
 }
 
 func (c *Conn) readMessage() (Opcode, []byte, error) {

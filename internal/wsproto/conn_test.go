@@ -1,6 +1,7 @@
 package wsproto
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -18,7 +19,7 @@ import (
 // transport.
 func pipePair(maxMessage int64) (client, server *Conn) {
 	cNC, sNC := net.Pipe()
-	return newConn(cNC, nil, RoleClient, maxMessage), newConn(sNC, nil, RoleServer, maxMessage)
+	return newConn(cNC, bufio.NewReader(cNC), RoleClient, maxMessage), newConn(sNC, bufio.NewReader(sNC), RoleServer, maxMessage)
 }
 
 func TestConnTextRoundTrip(t *testing.T) {
@@ -57,7 +58,7 @@ func TestConnServerToClient(t *testing.T) {
 
 func TestConnRejectsUnmaskedClientFrame(t *testing.T) {
 	cNC, sNC := net.Pipe()
-	server := newConn(sNC, nil, RoleServer, 0)
+	server := newConn(sNC, bufio.NewReader(sNC), RoleServer, 0)
 	defer sNC.Close()
 	defer cNC.Close()
 
@@ -72,7 +73,7 @@ func TestConnRejectsUnmaskedClientFrame(t *testing.T) {
 
 func TestConnRejectsMaskedServerFrame(t *testing.T) {
 	cNC, sNC := net.Pipe()
-	client := newConn(cNC, nil, RoleClient, 0)
+	client := newConn(cNC, bufio.NewReader(cNC), RoleClient, 0)
 	defer sNC.Close()
 	defer cNC.Close()
 

@@ -167,7 +167,8 @@ func valueContainsToken(v, token string) bool {
 	return false
 }
 
-// Dialer establishes client WebSocket connections.
+// Dialer establishes client WebSocket connections, each reading through
+// a pooled buffer (see Conn).
 type Dialer struct {
 	// MaxMessageSize bounds reassembled message sizes on the resulting
 	// connection; 0 means unlimited.
@@ -246,14 +247,18 @@ func (d *Dialer) DialURL(ctx context.Context, u *url.URL) (*Conn, *http.Response
 		return nil, nil, &transportError{op: "writing handshake request", err: err}
 	}
 
-	br := bufio.NewReaderSize(nc, maxResponseHeader)
+	br := getHeadReader(nc)
 	compress, resp, err := readUpgradeResponse(br, key[:], d.EnableCompression)
 	if err != nil {
 		nc.Close()
+		if resp == nil { // a rejection's body still reads from br
+			putHeadReader(br)
+		}
 		return nil, resp, err
 	}
 	_ = nc.SetDeadline(time.Time{})
 	conn := newConn(nc, br, RoleClient, d.MaxMessageSize)
+	conn.pooled = true
 	conn.compress = compress
 	return conn, nil, nil
 }
@@ -282,15 +287,11 @@ func (d *Dialer) appendRequest(dst []byte, u *url.URL, key []byte) []byte {
 	return append(dst, "\r\n"...)
 }
 
-// maxResponseHeader caps the header of a 101 answer: status line through
-// blank line must fit the connection's read buffer, where it is checked
-// in place. (A rejection is net/http's to read and is not capped here.)
-const maxResponseHeader = 4096
-
 // readUpgradeResponse reads the server's answer to the opening
 // handshake that sent key. A 101 is validated where it lies in br's
-// buffer, then consumed, leaving br at the first frame. Anything else
-// goes to http.ReadResponse and comes back whole with the error.
+// buffer — status line through blank line must fit it, maxHead bytes —
+// then consumed, leaving br at the first frame. Anything else goes to
+// http.ReadResponse, uncapped, and comes back whole with the error.
 func readUpgradeResponse(br *bufio.Reader, key []byte, offered bool) (compress bool, _ *http.Response, _ error) {
 	const switching = "HTTP/1.1 101"
 	if head, _ := br.Peek(len(switching)); string(head) != switching {
@@ -304,7 +305,7 @@ func readUpgradeResponse(br *bufio.Reader, key []byte, offered bool) (compress b
 	hdr, err := peekHeader(br)
 	if err != nil {
 		if errors.Is(err, bufio.ErrBufferFull) {
-			return false, nil, fmt.Errorf("wsproto: handshake response header exceeds %d bytes", maxResponseHeader)
+			return false, nil, fmt.Errorf("wsproto: handshake response header exceeds %d bytes", maxHead)
 		}
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

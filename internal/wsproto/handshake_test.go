@@ -74,8 +74,9 @@ func dialResponseSeeds() []string {
 
 // FuzzDialResponse holds the in-place 101 parser to the old
 // http.ReadResponse-based logic: it never panics, never reads beyond
-// its header cap, accepts exactly what the reference accepts, and on
-// acceptance leaves the reader at the first byte after the header.
+// its header cap (the pooled reader's size), accepts exactly what the
+// reference accepts, and on acceptance leaves the reader at the first
+// byte after the header.
 func FuzzDialResponse(f *testing.F) {
 	for _, s := range dialResponseSeeds() {
 		f.Add([]byte(s), false, false)
@@ -87,8 +88,11 @@ func FuzzDialResponse(f *testing.F) {
 		if trickle {
 			r = iotest.OneByteReader(src)
 		}
-		br := bufio.NewReaderSize(r, maxResponseHeader)
+		br := getHeadReader(r) // the dialer's own: the cap is its size
 		_, resp, err := readUpgradeResponse(br, []byte(fuzzKey), offered)
+		if resp == nil {
+			defer putHeadReader(br)
+		}
 
 		want := referenceAccepts(raw, fuzzKey, offered)
 		if got := err == nil; got != want {
@@ -101,8 +105,8 @@ func FuzzDialResponse(f *testing.F) {
 			}
 			return
 		}
-		if src.n > maxResponseHeader {
-			t.Fatalf("read %d bytes of a 101 answer, cap is %d", src.n, maxResponseHeader)
+		if src.n > maxHead {
+			t.Fatalf("read %d bytes of a 101 answer, cap is %d", src.n, maxHead)
 		}
 		if err == nil {
 			end, _ := referenceHeaderEnd(raw)
@@ -139,14 +143,14 @@ func TestDialResponseVerdicts(t *testing.T) {
 		}, true, true},
 		{"folded header", func(s string) string { return strings.Replace(s, "Upgrade: websocket", "Upgrade:\r\n websocket", 1) }, false, false},
 		{"oversized header", func(s string) string {
-			return strings.Replace(s, "\r\n\r\n", "\r\nX-Pad: "+strings.Repeat("a", maxResponseHeader)+"\r\n\r\n", 1)
+			return strings.Replace(s, "\r\n\r\n", "\r\nX-Pad: "+strings.Repeat("a", maxHead)+"\r\n\r\n", 1)
 		}, false, false},
 		{"content-length on 101", func(s string) string { return strings.Replace(s, "\r\n\r\n", "\r\nContent-Length: 0\r\n\r\n", 1) }, false, false},
 		{"HTTP/1.0", func(s string) string { return strings.Replace(s, "HTTP/1.1", "HTTP/1.0", 1) }, false, false},
 	}
 	for _, tc := range cases {
 		raw := tc.mutate(good)
-		br := bufio.NewReaderSize(strings.NewReader(raw), maxResponseHeader)
+		br := bufio.NewReaderSize(strings.NewReader(raw), maxHead)
 		compress, _, err := readUpgradeResponse(br, []byte(fuzzKey), tc.offered)
 		if got := err == nil; got != tc.accept {
 			t.Errorf("%s: accepted = %v, want %v (err: %v)", tc.name, got, tc.accept, err)
@@ -165,7 +169,7 @@ func TestDialResponseVerdicts(t *testing.T) {
 // the beacon client reads it.
 func TestDialRejectionCarriesResponse(t *testing.T) {
 	raw := "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 4\r\n\r\nbusy"
-	br := bufio.NewReaderSize(strings.NewReader(raw), maxResponseHeader)
+	br := bufio.NewReaderSize(strings.NewReader(raw), maxHead)
 	_, resp, err := readUpgradeResponse(br, []byte(fuzzKey), false)
 	if err == nil || resp == nil {
 		t.Fatalf("resp = %v, err = %v; want the rejection and an error", resp, err)

@@ -186,7 +186,7 @@ func referenceHeaderEnd(raw []byte) (end int, ok bool) {
 		first := end == 0
 		end += nl + 1
 		if line == "" {
-			return end, !first && end <= maxResponseHeader
+			return end, !first && end <= maxHead
 		}
 		if first && line != "HTTP/1.1 101" && !strings.HasPrefix(line, "HTTP/1.1 101 ") {
 			return 0, false

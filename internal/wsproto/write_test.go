@@ -1,6 +1,7 @@
 package wsproto
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -104,7 +105,7 @@ func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 func TestOneWritePerFrame(t *testing.T) {
 	for _, role := range []Role{RoleServer, RoleClient} {
 		nc := &sinkConn{keep: true}
-		c := newConn(nc, nil, role, 0)
+		c := newConn(nc, bufio.NewReader(nc), role, 0)
 		big := bytes.Repeat([]byte("x"), 70000)
 		steps := []struct {
 			name   string
@@ -149,7 +150,8 @@ func TestConnSteadyStateAllocations(t *testing.T) {
 	}
 	payload := []byte("cid=demo&crid=banner-1&ua=Mozilla%2F5.0&url=http%3A%2F%2Fpub.example%2Fp&v=1")
 	for _, role := range []Role{RoleServer, RoleClient} {
-		c := newConn(&sinkConn{}, nil, role, 0)
+		nc := &sinkConn{}
+		c := newConn(nc, bufio.NewReader(nc), role, 0)
 		if n := testing.AllocsPerRun(200, func() {
 			if err := c.WriteMessage(OpText, payload); err != nil {
 				t.Fatal(err)
@@ -173,7 +175,8 @@ func TestConnSteadyStateAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newConn(&sinkConn{script: wire}, nil, role, 1<<16)
+		nc := &sinkConn{script: wire}
+		c := newConn(nc, bufio.NewReader(nc), role, 1<<16)
 		c.ReuseReadBuffer()
 		if n := testing.AllocsPerRun(200, func() {
 			if _, msg, err := c.ReadMessage(); err != nil || !bytes.Equal(msg, payload) {
@@ -210,7 +213,8 @@ func TestTransportErrorsUnwrap(t *testing.T) {
 		t.Fatalf("message %q, want %q", err.Error(), want)
 	}
 
-	c := newConn(&failConn{err: cause}, nil, RoleClient, 0)
+	nc := &failConn{err: cause}
+	c := newConn(nc, bufio.NewReader(nc), RoleClient, 0)
 	if err := c.Close(CloseNormal, "unload"); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("Close error %v does not unwrap to net.ErrClosed", err)
 	}
@@ -240,7 +244,7 @@ func (e *noisyError) Error() string { e.asked++; return "noisy" }
 func TestReadMessageBuildsNoReasonItCannotSend(t *testing.T) {
 	// Read fails with net.ErrClosed: nothing goes out at all.
 	nc := &closedConn{sinkConn{keep: true}}
-	c := newConn(nc, nil, RoleClient, 0)
+	c := newConn(nc, bufio.NewReader(nc), RoleClient, 0)
 	if _, _, err := c.ReadMessage(); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("ReadMessage error %v, want net.ErrClosed", err)
 	}
@@ -250,7 +254,7 @@ func TestReadMessageBuildsNoReasonItCannotSend(t *testing.T) {
 
 	// This side already sent its close frame: the error is never read.
 	sink := &sinkConn{keep: true}
-	c = newConn(sink, nil, RoleClient, 0)
+	c = newConn(sink, bufio.NewReader(sink), RoleClient, 0)
 	if err := c.Close(CloseNormal, "unload"); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +278,7 @@ func TestReadMessageBuildsNoReasonItCannotSend(t *testing.T) {
 		{"oversized frame", []byte{0x81, 0xFE, 0x01, 0x00}, 64, CloseMessageTooBig},
 	} {
 		sink := &sinkConn{keep: true, script: tc.wire}
-		c := newConn(sink, nil, RoleServer, tc.max)
+		c := newConn(sink, bufio.NewReader(sink), RoleServer, tc.max)
 		_, _, err := c.ReadMessage()
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)

@@ -75,6 +75,9 @@ if [ "${1:-}" = "-chaos" ]; then
     go test -race -count 1 -run 'TestChaos|TestReportReconnects|TestWAL' \
         ./internal/collector/ ./internal/beacon/ ./internal/store/ -v
     go test -race -count=20 -run 'TestConcurrentReplaysOfOneNonce|TestNonceIndexHasNoWindow|TestEdgeReplayToRestartedCollectorCountsOnce|TestReplayRacingAnUnsyncedCommitGetsItsError|TestGatewayReplayAfterLostAckCountsOnce|TestGatewayReplayWhileRouterHoldsItCountsOnce|TestGatewayReplayRerunCountsOnce' ./internal/collector/ ./internal/store/ ./internal/router/ ./cmd/adsim/
+    # The wire's pooled read buffers: a rejected dial keeps its reader,
+    # and a reader racing Close never hands another connection its bytes.
+    go test -race -count=20 -run 'TestRejectedDialKeepsItsReader|TestPooledReadersUnderConcurrentSessions' ./internal/wsproto/
     # Edge-tier chaos: both legs fault-injected around the gateway with
     # a full collector restart mid-run. The forwarding core's own outage
     # tests (outage replay, spill shed, ladder) live in internal/edge;

@@ -26,7 +26,7 @@ bench-compare:
 	$(GO) run ./cmd/benchgate
 
 # chaos runs the fault-injection suite under the race detector: the
-# faultnet layer's own tests plus the end-to-end chaos campaign
+# in-memory network's fault tests plus the end-to-end chaos campaigns
 # (listener-injected kills/resets, beacon reconnects, WAL crash recovery).
 chaos:
 	sh scripts/check.sh -chaos

@@ -3,7 +3,6 @@ package collector
 import (
 	"context"
 	"fmt"
-	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,10 +10,11 @@ import (
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/daemon"
-	"adaudit/internal/faultnet"
 	"adaudit/internal/ipmeta"
+	"adaudit/internal/memnet"
 	"adaudit/internal/store"
 	"adaudit/internal/tiertest"
+	"adaudit/internal/wsproto"
 )
 
 // TestChaosCampaignSurvivesFaultsAndCrash is the end-to-end resilience
@@ -51,17 +51,18 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 	// The chaos layer, on every connection the collector accepts: each
 	// beacon connection dies 60–180 ms in, and a few writes are reset on
 	// top.
-	plan := &faultnet.Plan{
+	plan := &memnet.Faults{
 		Seed:           20160329,
 		KillAfter:      60 * time.Millisecond,
 		KillJitter:     120 * time.Millisecond,
 		ResetWriteProb: 0.02,
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	nw := &memnet.Network{Buffer: 64 << 10}
+	ln, err := nw.ListenFaulty("collector:80", plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(c, "", daemon.WithListener(plan.Listen(ln)))
+	srv, err := NewServer(c, "", daemon.WithListener(ln))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,7 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 			defer wg.Done()
 			cl := &beacon.Client{
 				CollectorURL:    srv.BeaconURL(),
+				Dialer:          wsproto.Dialer{NetDial: nw.Dial},
 				MaxAttempts:     10,
 				RetryBackoff:    5 * time.Millisecond,
 				RetryBackoffMax: 40 * time.Millisecond,
@@ -106,7 +108,7 @@ func TestChaosCampaignSurvivesFaultsAndCrash(t *testing.T) {
 
 	// The faults actually fired, and at least one beacon reconnected
 	// into a nonce merge — otherwise the test proved nothing.
-	resets, kills, _, _ := plan.Stats()
+	resets, kills := plan.Resets.Load(), plan.Kills.Load()
 	if kills == 0 {
 		t.Fatal("chaos plan killed no connections")
 	}

@@ -61,8 +61,8 @@ type options struct {
 }
 
 // WithListener serves on ln instead of opening a fresh TCP listener
-// (addr is then ignored): the hook fault-injection tests use to put an
-// impaired accept path (internal/faultnet.Plan.Listen) under a tier.
+// (addr is then ignored): the hook tests use to serve a tier on an
+// internal/memnet listener, faulty ones included (ListenFaulty).
 func WithListener(ln net.Listener) Option {
 	return func(o *options) { o.listener = ln }
 }

@@ -158,7 +158,7 @@ func buildTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 }
 
 // startCollector (re)starts pool i's collector on its address over its
-// store (a restarted collector's nonce cache reseeds from it in New).
+// store, whose nonce index drops a replayed leg it already holds.
 func (f *fixture) startCollector(i int, cfg func(*collector.Config)) {
 	f.t.Helper()
 	ln, err := f.net.Listen(f.addrs[i])

@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"fmt"
-	"net"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -16,10 +15,11 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
-	"adaudit/internal/faultnet"
+	"adaudit/internal/memnet"
 	"adaudit/internal/publisher"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
+	"adaudit/internal/wsproto"
 )
 
 // TestChaosGatewayZeroLoss is the tentpole acceptance test: a beacon
@@ -55,32 +55,37 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 	// Trunk-leg chaos, on every connection the collector accepts: the
 	// gateway's trunks die repeatedly and crawl under a seeded bandwidth
 	// throttle.
-	trunkPlan := &faultnet.Plan{
+	trunkPlan := &memnet.Faults{
 		Seed:                   7,
 		KillAfter:              150 * time.Millisecond,
 		KillJitter:             250 * time.Millisecond,
 		SlowLinkProb:           0.5,
 		SlowLinkBytesPerSecond: 512 << 10,
 	}
-	faulted := func(plan *faultnet.Plan, addr string) net.Listener {
-		return plan.Listen(collectortest.TCP(t, addr))
+	nw := &memnet.Network{Buffer: 64 << 10}
+	faulted := func(plan *memnet.Faults, addr string) *memnet.Listener {
+		ln, err := nw.ListenFaulty(addr, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
 	}
-	lnA := faulted(trunkPlan, "127.0.0.1:0")
-	_, stopA := collectortest.Serve(t, st, lnA, nil)
-	collectorAddr := lnA.Addr().String()
+	const collectorAddr = "collector:80"
+	_, stopA := collectortest.Serve(t, st, faulted(trunkPlan, collectorAddr), nil)
 
-	cfg := fastConfig(fmt.Sprintf("ws://%s/trunk", collectorAddr))
+	cfg := fastConfig(trunkURL(collectorAddr))
 	cfg.Trunks = 2
+	cfg.Dialer = wsproto.Dialer{NetDial: nw.Dial}
 	// Client-leg chaos, on every connection the gateway accepts: beacon
 	// connections are killed mid-exposure and occasionally reset
 	// mid-write; the client retries with its nonce.
-	clientPlan := &faultnet.Plan{
+	clientPlan := &memnet.Faults{
 		Seed:           20160329,
 		KillAfter:      60 * time.Millisecond,
 		KillJitter:     120 * time.Millisecond,
 		ResetWriteProb: 0.02,
 	}
-	g, gsrv := startGateway(t, cfg, daemon.WithListener(faulted(clientPlan, "127.0.0.1:0")))
+	g, gsrv := startGateway(t, cfg, daemon.WithListener(faulted(clientPlan, "gateway:80")))
 	clientURL := gsrv.BeaconURL()
 
 	pubs, err := publisher.NewUniverse(publisher.Config{Seed: 5, NumPublishers: 60})
@@ -104,6 +109,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 			time.Sleep(time.Duration(i) * 30 * time.Millisecond)
 			cl := &beacon.Client{
 				CollectorURL:    clientURL,
+				Dialer:          wsproto.Dialer{NetDial: nw.Dial},
 				MaxAttempts:     12,
 				RetryBackoff:    5 * time.Millisecond,
 				RetryBackoffMax: 40 * time.Millisecond,
@@ -128,9 +134,9 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 	}
 
 	// Mid-run, the collector process "crashes": the server is torn down,
-	// the store recovered from the WAL alone, and a fresh collector —
-	// empty trunk stream-dedup cache, nonce cache reseeded from the
-	// recovered records — rebinds the same address, faulted the same way.
+	// the store recovered from the WAL alone — its nonce index, rebuilt
+	// from the journal, drops every leg it already holds — and a fresh
+	// collector rebinds the same address, faulted the same way.
 	// The outage lasts long enough that sessions commit INTO it: those
 	// clients are acked purely from the spill buffer.
 	time.Sleep(200 * time.Millisecond)
@@ -158,8 +164,7 @@ func runChaosGatewayZeroLoss(t *testing.T, policy store.SyncPolicy) {
 
 	wg.Wait()
 
-	_, clientKills, _, _ := clientPlan.Stats()
-	_, trunkKills, _, _ := trunkPlan.Stats()
+	clientKills, trunkKills := clientPlan.Kills.Load(), trunkPlan.Kills.Load()
 	if clientKills == 0 || trunkKills == 0 {
 		t.Fatalf("chaos too gentle: clientKills=%d trunkKills=%d — both legs must see faults",
 			clientKills, trunkKills)

@@ -124,7 +124,8 @@ func TestGatewayRejectsWithoutTrunkToken(t *testing.T) {
 // TestGatewaySpillReplaysAcrossCollectorOutage is the zero-loss
 // headline: a session commits while the collector is down, the client
 // is acked from the spill buffer, and when the collector returns the
-// commit replays through the nonce/stream-dedup path exactly once.
+// commit replays into the store exactly once: its nonce index merges
+// a leg it does not hold and drops one it does.
 func TestGatewaySpillReplaysAcrossCollectorOutage(t *testing.T) {
 	st := store.New()
 	_, addr, stopCollector := startCollector(t, st)
@@ -148,8 +149,8 @@ func TestGatewaySpillReplaysAcrossCollectorOutage(t *testing.T) {
 		t.Fatal("impression reached a stopped collector?")
 	}
 
-	// Collector restarts on the same address with the surviving store
-	// (its nonce cache reseeds from it in New).
+	// Collector restarts on the same address with the surviving store,
+	// whose nonce index still holds every leg merged before the outage.
 	collectortest.Serve(t, st, collectortest.TCP(t, addr), nil)
 
 	tiertest.WaitFor(t, "spilled commit to replay", func() bool { return st.Len() == 1 && g.Health().SpillPending == 0 })

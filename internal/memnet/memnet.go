@@ -2,10 +2,15 @@
 // topologies on: Listen binds an address, Dial (a wsproto.Dialer's
 // NetDial) pairs a connection with that listener's next Accept, and the
 // bytes move between the two ends without a socket, so the real
-// handshakes and a faultnet.Plan wrapping the listener run over it
-// unchanged. Deadlines are measured on the network's clock: on a
-// virtual one a read times out only once the test advances past its
-// deadline, and Idle tells such a test when nothing is in flight.
+// handshakes run over it unchanged. ListenFaulty binds an address whose
+// accepted connections carry a seeded fault plan — slow links, torn,
+// truncated and reset writes, kills mid-session: what flaky mobile
+// links, NAT timeouts and browsers closed mid-exposure do to live
+// beacon traffic, and the reason the paper's §4.1 measurement-loss
+// model exists. Deadlines, slow-link delays and kill timers are measured
+// on the network's clock: on a virtual one a read times out only once
+// the test advances past its deadline, and Idle tells such a test when
+// nothing is in flight.
 package memnet
 
 import (
@@ -13,6 +18,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -22,6 +28,7 @@ import (
 	"time"
 
 	"adaudit/internal/simclock"
+	"adaudit/internal/stats"
 )
 
 // Network is one namespace of addresses. The zero value is ready: the
@@ -82,7 +89,12 @@ func othersBlocked(stacks *[]byte) bool {
 func addr(s string) net.Addr { return &net.UnixAddr{Name: s, Net: "memnet"} }
 
 // Listen binds address, which a dial must name exactly.
-func (n *Network) Listen(address string) (*Listener, error) {
+func (n *Network) Listen(address string) (*Listener, error) { return n.ListenFaulty(address, nil) }
+
+// ListenFaulty is Listen with f's faults on every connection the
+// listener accepts (nil: none). Listeners may share f, as a restarted
+// server does: its connections go on numbering from the last.
+func (n *Network) ListenFaulty(address string, f *Faults) (*Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.listeners[address] != nil {
@@ -91,10 +103,58 @@ func (n *Network) Listen(address string) (*Listener, error) {
 	if n.listeners == nil {
 		n.listeners = map[string]*Listener{}
 	}
-	l := &Listener{n: n, addr: addr(address), accept: make(chan net.Conn), closed: make(chan struct{})}
+	l := &Listener{n: n, addr: addr(address), faults: f, accept: make(chan *Conn), closed: make(chan struct{})}
 	n.listeners[address] = l
 	return l, nil
 }
+
+// Faults is a seeded fault plan for the connections a listener accepts.
+// The zero value injects nothing. Each connection draws from its own
+// stream, forked from Seed by its accept number, in a fixed order — at
+// its accept whether it is a slow link and when it is killed, then at
+// each write a reset, a tear, a truncation and where to cut — so a seed
+// replays the same faults on the same traffic.
+type Faults struct {
+	Seed int64
+
+	// SlowLinkProb is the probability a connection is a slow link for
+	// its whole life: its reads and writes wait out their bytes at a
+	// rate drawn from [SlowLinkBytesPerSecond/2, SlowLinkBytesPerSecond]
+	// — the long tail of throttled mobile paths that exercises
+	// backpressure upstream while most connections run clean.
+	SlowLinkProb           float64
+	SlowLinkBytesPerSecond int
+
+	// Per write: ResetWriteProb resets the connection before any byte
+	// moves; PartialWriteProb writes a prefix and then resets it, the
+	// torn write of a connection dying mid-frame; TruncateProb writes a
+	// prefix and reports the whole written, bytes lost in transit that
+	// the sender never learns about.
+	ResetWriteProb   float64
+	PartialWriteProb float64
+	TruncateProb     float64
+
+	// KillAfter, plus up to KillJitter, after its accept a connection
+	// is reset whatever its ends are doing. 0 never.
+	KillAfter  time.Duration
+	KillJitter time.Duration
+
+	accepts atomic.Uint64
+
+	// What the plan has done so far, for a test to check that it bit.
+	Resets, Kills, SlowLinks, PartialWrites, Truncations atomic.Uint64
+}
+
+// ErrReset is the error of a write toward a closed end, and of every
+// operation on a connection a fault reset or killed. It is a net.Error
+// that is no timeout, as a real peer reset is.
+var ErrReset net.Error = resetError{}
+
+type resetError struct{}
+
+func (resetError) Error() string   { return "memnet: connection reset" }
+func (resetError) Timeout() bool   { return false }
+func (resetError) Temporary() bool { return false }
 
 // Dial returns a connection to the listener bound at address once it
 // accepts; a dial to an address nothing is bound at is refused at once.
@@ -126,13 +186,17 @@ func (n *Network) Dial(ctx context.Context, _, address string) (net.Conn, error)
 type Listener struct {
 	n      *Network
 	addr   net.Addr
-	accept chan net.Conn
+	faults *Faults
+	accept chan *Conn
 	closed chan struct{}
 }
 
 func (l *Listener) Accept() (net.Conn, error) {
 	select {
 	case c := <-l.accept:
+		if l.faults != nil {
+			c.fault(l.faults)
+		}
 		return c, nil
 	case <-l.closed:
 		return nil, net.ErrClosed
@@ -214,11 +278,125 @@ type Conn struct {
 	rdl, wdl      time.Time  // guarded by in.mu and out.mu
 	wmu           sync.Mutex // one write at a time: unbuffered, a write waits out its own bytes
 	local, remote net.Addr
+
+	// An end a faulty listener accepted draws its faults from rng;
+	// faults is nil on every other end.
+	faults   *Faults
+	rngMu    sync.Mutex // the draws of concurrent writes
+	rng      *stats.RNG
+	byteRate int           // a slow link's bytes per second; 0, not one
+	broken   atomic.Bool   // reset or killed: every operation fails with ErrReset
+	closed   chan struct{} // closed at Close, ending a kill's wait
 }
 
 // Read returns buffered bytes; once the peer has closed and they are
-// read, io.EOF.
-func (c *Conn) Read(b []byte) (k int, err error) {
+// read, io.EOF. On a slow link it returns once they have crossed it.
+func (c *Conn) Read(b []byte) (int, error) {
+	if c.broken.Load() {
+		return 0, ErrReset
+	}
+	k, err := c.read(b)
+	c.slow(k)
+	if err != nil && c.broken.Load() {
+		return k, ErrReset
+	}
+	return k, err
+}
+
+// Write returns once b is buffered (unbuffered: read), and on a slow
+// link once it has crossed it. Once the peer has closed it fails with
+// ErrReset. On a faulty end it may instead reset, tear or truncate, as
+// drawn.
+func (c *Conn) Write(b []byte) (int, error) {
+	if c.broken.Load() {
+		return 0, ErrReset
+	}
+	var reset, tear, truncate bool
+	cut := len(b)
+	if f := c.faults; f != nil {
+		c.rngMu.Lock()
+		reset = c.rng.Bool(f.ResetWriteProb)
+		tear = !reset && c.rng.Bool(f.PartialWriteProb)
+		truncate = !reset && !tear && c.rng.Bool(f.TruncateProb)
+		if (tear || truncate) && len(b) > 1 {
+			cut = 1 + c.rng.Intn(len(b)-1)
+		}
+		c.rngMu.Unlock()
+	}
+	if cut == len(b) { // none drawn, or the write is too short to cut
+		tear, truncate = false, false
+	}
+	switch {
+	case reset:
+		c.faults.Resets.Add(1)
+		c.breakOff()
+		return 0, ErrReset
+	case tear:
+		c.faults.PartialWrites.Add(1)
+	case truncate:
+		c.faults.Truncations.Add(1)
+	}
+	k, err := c.write(b[:cut])
+	c.slow(k)
+	switch {
+	case tear:
+		c.breakOff()
+		return k, ErrReset
+	case err != nil && c.broken.Load():
+		return k, ErrReset
+	case truncate && err == nil:
+		return len(b), nil // the tail evaporated in transit
+	}
+	return k, err
+}
+
+// breakOff resets c: it closes, and every later operation fails with
+// ErrReset.
+func (c *Conn) breakOff() {
+	c.broken.Store(true)
+	_ = c.Close()
+}
+
+// slow waits out k bytes on a slow link.
+func (c *Conn) slow(k int) {
+	if c.byteRate > 0 && k > 0 {
+		<-simclock.Or(c.in.n.Clock).NewTimer(time.Duration(float64(k) / float64(c.byteRate) * float64(time.Second))).C()
+	}
+}
+
+// fault puts f's faults on c, the listener's next accept, drawing its
+// slow link and then its kill.
+func (c *Conn) fault(f *Faults) {
+	c.faults = f
+	c.rng = stats.NewRNG(f.Seed).Fork(fmt.Sprintf("conn-%d", f.accepts.Add(1)))
+	if f.SlowLinkProb > 0 && f.SlowLinkBytesPerSecond > 0 && c.rng.Bool(f.SlowLinkProb) {
+		ceil := f.SlowLinkBytesPerSecond
+		c.byteRate = ceil - c.rng.Intn(ceil/2+1)
+		f.SlowLinks.Add(1)
+	}
+	if f.KillAfter <= 0 {
+		return
+	}
+	d := f.KillAfter
+	if f.KillJitter > 0 {
+		d += time.Duration(c.rng.Int63n(int64(f.KillJitter) + 1))
+	}
+	c.closed = make(chan struct{})
+	kill := simclock.Or(c.in.n.Clock).NewTimer(d)
+	go func() {
+		defer kill.Stop()
+		select {
+		case <-kill.C():
+			if c.broken.CompareAndSwap(false, true) {
+				f.Kills.Add(1)
+				_ = c.Close()
+			}
+		case <-c.closed:
+		}
+	}()
+}
+
+func (c *Conn) read(b []byte) (k int, err error) {
 	s := c.in
 	s.update(func() {
 		err = s.wait(&c.rdl, func() bool { return len(b) == 0 || len(s.buf) > 0 || s.rclosed || s.wclosed })
@@ -236,9 +414,7 @@ func (c *Conn) Read(b []byte) (k int, err error) {
 	return k, err
 }
 
-// Write returns once b is buffered (unbuffered: read). Once the peer
-// has closed it fails as a reset.
-func (c *Conn) Write(b []byte) (n int, err error) {
+func (c *Conn) write(b []byte) (n int, err error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	s, room := c.out, c.out.n.Buffer
@@ -255,7 +431,7 @@ func (c *Conn) Write(b []byte) (n int, err error) {
 		case s.wclosed:
 			return n, net.ErrClosed
 		case s.rclosed:
-			return n, errors.New("memnet: connection reset by peer")
+			return n, ErrReset
 		}
 		if k := min(capacity-len(s.buf), len(b)-queued); k > 0 {
 			s.buf = append(s.buf, b[queued:queued+k]...)
@@ -283,6 +459,8 @@ func (c *Conn) Close() (err error) {
 	c.in.update(func() {
 		if c.in.rclosed {
 			err = net.ErrClosed
+		} else if c.closed != nil {
+			close(c.closed)
 		}
 		c.in.rclosed = true
 		c.in.drop()

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"fmt"
-	"net"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -16,19 +15,20 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
-	"adaudit/internal/faultnet"
+	"adaudit/internal/memnet"
 	"adaudit/internal/publisher"
 	"adaudit/internal/shardmerge"
 	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
 	"adaudit/internal/tiertest"
+	"adaudit/internal/wsproto"
 )
 
 // TestChaosRouterShardRestart is the sharded tier's acceptance test: a
 // beacon fleet reports into a router whose listener injects faults, while
 // one of the two shards is killed mid-run, its store recovered from the WAL
-// alone, and a fresh collector — empty stream-dedup cache, nonce cache
-// reseeded from the recovered records — rebinds the same address. The
+// alone — its nonce index, rebuilt from the journal, drops every leg it
+// already holds — and a fresh collector rebinds the same address. The
 // router's circuit breakers must re-home its trunks onto the restarted
 // shard and flush the spill built up during the outage. Invariants:
 // every acked impression is present exactly once in the union of the
@@ -48,31 +48,31 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	st0.AttachWAL(wal)
 	st1 := store.New()
 
-	ln0 := collectortest.TCP(t, "127.0.0.1:0")
-	shard0Addr := ln0.Addr().String()
-	_, stop0 := collectortest.Serve(t, st0, ln0, nil)
-	ln1 := collectortest.TCP(t, "127.0.0.1:0")
-	collectortest.Serve(t, st1, ln1, nil)
+	nw := &memnet.Network{Buffer: 64 << 10}
+	listen := func(addr string, faults *memnet.Faults) *memnet.Listener {
+		ln, err := nw.ListenFaulty(addr, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	const shard0Addr, shard1Addr = "shard0:80", "shard1:80"
+	_, stop0 := collectortest.Serve(t, st0, listen(shard0Addr, nil), nil)
+	collectortest.Serve(t, st1, listen(shard1Addr, nil), nil)
 
-	cfg := fastRouterConfig([]string{
-		fmt.Sprintf("ws://%s/trunk", shard0Addr),
-		fmt.Sprintf("ws://%s/trunk", ln1.Addr()),
-	})
+	cfg := fastRouterConfig([]string{"ws://" + shard0Addr + "/trunk", "ws://" + shard1Addr + "/trunk"})
 	cfg.TrunksPerShard = 2
+	cfg.Dialer = wsproto.Dialer{NetDial: nw.Dial}
 	// Client-leg chaos, on every connection the router accepts: beacon
 	// connections are killed mid-exposure and occasionally reset
 	// mid-write; the client retries with its nonce.
-	clientPlan := &faultnet.Plan{
+	clientPlan := &memnet.Faults{
 		Seed:           20160329,
 		KillAfter:      60 * time.Millisecond,
 		KillJitter:     120 * time.Millisecond,
 		ResetWriteProb: 0.02,
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, rsrv := startRouter(t, cfg, daemon.WithListener(clientPlan.Listen(ln)))
+	r, rsrv := startRouter(t, cfg, daemon.WithListener(listen("router:80", clientPlan)))
 	tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 	clientURL := rsrv.BeaconURL()
 
@@ -97,6 +97,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 			time.Sleep(time.Duration(i) * 25 * time.Millisecond)
 			cl := &beacon.Client{
 				CollectorURL:    clientURL,
+				Dialer:          wsproto.Dialer{NetDial: nw.Dial},
 				MaxAttempts:     12,
 				RetryBackoff:    5 * time.Millisecond,
 				RetryBackoffMax: 40 * time.Millisecond,
@@ -142,11 +143,11 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	st0b.AttachWAL(wal2)
-	collectortest.Serve(t, st0b, collectortest.TCP(t, shard0Addr), nil)
+	collectortest.Serve(t, st0b, listen(shard0Addr, nil), nil)
 
 	wg.Wait()
 
-	_, clientKills, _, _ := clientPlan.Stats()
+	clientKills := clientPlan.Kills.Load()
 	if clientKills == 0 {
 		t.Fatal("chaos too gentle: no client connection was killed")
 	}

@@ -18,7 +18,6 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
 	"adaudit/internal/daemon"
-	"adaudit/internal/faultnet"
 	"adaudit/internal/gateway"
 	"adaudit/internal/ipmeta"
 	"adaudit/internal/memnet"
@@ -159,18 +158,17 @@ func runGatewayWireSchedule(t *testing.T, seed int64, forgetJournal bool) (viola
 	// Client-leg chaos on every connection the gateway accepts; the
 	// trunk leg sees the collector restart instead of packet-level
 	// faults here (the gateway package's chaos test covers both at once).
-	plan := &faultnet.Plan{
+	plan := &memnet.Faults{
 		Seed:           seed,
-		Clock:          clk,
 		KillAfter:      time.Duration(40+rng.Intn(60)) * time.Millisecond,
 		KillJitter:     time.Duration(60+rng.Intn(120)) * time.Millisecond,
 		ResetWriteProb: 0.01 * float64(rng.Intn(4)),
 	}
-	gln, err := nw.Listen("gateway:80")
+	gln, err := nw.ListenFaulty("gateway:80", plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsrv, err := gateway.NewServer(g, "", gateway.WithDrainGrace(time.Second), daemon.WithListener(plan.Listen(gln)))
+	gsrv, err := gateway.NewServer(g, "", gateway.WithDrainGrace(time.Second), daemon.WithListener(gln))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +262,7 @@ func runGatewayWireSchedule(t *testing.T, seed int64, forgetJournal bool) (viola
 			acked++
 		}
 	}
-	_, kills, _, _ := plan.Stats()
+	kills := plan.Kills.Load()
 	t.Logf("gateway wire seed %d: %d/%d acked, clientKills=%d; collector crashed at +%v, restarted on %d WAL entries with %d spilled commits to replay",
 		seed, acked, fleet, kills, crashed.Sub(start), applied, spilled)
 	switch {

@@ -169,7 +169,8 @@ const (
 	// and resumes 1–2 times under the original nonce.
 	scenarioReconnect
 	// scenarioDuplicate delivers the identical initial segment twice —
-	// a retransmitted payload the nonce cache must fold into one record.
+	// a retransmitted payload the store's nonce index must drop as a
+	// leg it already holds.
 	scenarioDuplicate
 	// scenarioReorder is a reconnect whose segments arrive out of
 	// chronological order.

@@ -3,7 +3,6 @@ package simtest
 import (
 	"context"
 	"fmt"
-	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -12,16 +11,17 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector"
 	"adaudit/internal/daemon"
-	"adaudit/internal/faultnet"
 	"adaudit/internal/ipmeta"
+	"adaudit/internal/memnet"
 	"adaudit/internal/stats"
 	"adaudit/internal/store"
+	"adaudit/internal/wsproto"
 )
 
 // TestSimWire is the wire-level phase of the harness: where TestSim
 // drives the ingest funnel directly on a virtual clock, this phase
-// explores seeded chaos schedules over real sockets — each seed
-// configures a different faultnet mix (mid-exposure kills, write
+// explores seeded chaos schedules over the in-memory network — each
+// seed configures a different fault mix (mid-exposure kills, write
 // resets, truncated frames) on the collector's listener and a beacon
 // fleet that reports with retries. Real time makes byte-level determinism
 // impossible, so the oracle relaxes to the order-insensitive
@@ -60,7 +60,7 @@ func runWireSchedule(t *testing.T, seed int64) {
 	}
 	// Each seed picks a different point in fault space, injected on every
 	// connection the collector accepts.
-	plan := &faultnet.Plan{
+	plan := &memnet.Faults{
 		Seed:             seed,
 		KillAfter:        time.Duration(40+rng.Intn(60)) * time.Millisecond,
 		KillJitter:       time.Duration(60+rng.Intn(120)) * time.Millisecond,
@@ -68,11 +68,12 @@ func runWireSchedule(t *testing.T, seed int64) {
 		TruncateProb:     0.01 * float64(rng.Intn(3)),
 		PartialWriteProb: 0.05 * float64(rng.Intn(3)),
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	nw := &memnet.Network{Buffer: 64 << 10}
+	ln, err := nw.ListenFaulty("collector:80", plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := collector.NewServer(c, "", daemon.WithListener(plan.Listen(ln)))
+	srv, err := collector.NewServer(c, "", daemon.WithListener(ln))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +98,7 @@ func runWireSchedule(t *testing.T, seed int64) {
 			defer wg.Done()
 			cl := &beacon.Client{
 				CollectorURL:    srv.BeaconURL(),
+				Dialer:          wsproto.Dialer{NetDial: nw.Dial},
 				MaxAttempts:     10,
 				RetryBackoff:    5 * time.Millisecond,
 				RetryBackoffMax: 40 * time.Millisecond,
@@ -119,7 +121,7 @@ func runWireSchedule(t *testing.T, seed int64) {
 	}
 	wg.Wait()
 
-	_, kills, _, _ := plan.Stats()
+	kills := plan.Kills.Load()
 	acked := 0
 	for _, o := range outcomes {
 		if o.acked {
@@ -127,8 +129,11 @@ func runWireSchedule(t *testing.T, seed int64) {
 		}
 	}
 	t.Logf("wire seed %d: %d/%d acked, kills=%d", seed, acked, fleet, kills)
-	if acked == 0 {
+	switch {
+	case acked == 0:
 		t.Fatal("no beacon ever got through; schedule too violent to test the invariant")
+	case kills == 0:
+		t.Fatal("schedule too gentle: it killed no connection")
 	}
 
 	// Drain every in-flight session, crash, recover from the journal.

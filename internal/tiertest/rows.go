@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
-	"adaudit/internal/faultnet"
+	"adaudit/internal/memnet"
 	"adaudit/internal/trunk"
 	"adaudit/internal/trunk/trunktest"
 	"adaudit/internal/wsproto"
@@ -492,20 +492,24 @@ func (r *run) shutdownMidHead(stop func(*run) error) error {
 	return nil
 }
 
-// FaultListener (row 10): connections of a fault-injecting listener
-// handed in through daemon.WithListener keep their wrapping on the
-// in-place path — a plan that resets every write kills the 101, and
-// nothing is counted, committed or left tracked. No mutant: the
-// wrapping is the front's, which no field of a tier reaches.
+// FaultListener (row 10): connections of a faulty listener handed in
+// through daemon.WithListener keep their faults on the in-place path —
+// a plan that resets every write kills the 101, and nothing is counted,
+// committed or left tracked. No mutant: the faults are the accepted
+// connection's own, which no field of a tier reaches.
 var FaultListener = &Row{Name: "a fault-injecting listener keeps its grip", run: func(r *run) error {
-	plan := &faultnet.Plan{Seed: 7, ResetWriteProb: 1}
-	tr := r.start(Setup{Listener: plan.Listen(r.listen(r.spec.Name + ":80"))})
+	faults := &memnet.Faults{Seed: 7, ResetWriteProb: 1}
+	ln, err := r.network().ListenFaulty(r.spec.Name+":80", faults)
+	if err != nil {
+		return err
+	}
+	tr := r.start(Setup{Listener: ln})
 	if conn, _, err := r.wsDial("/beacon", nil); err == nil {
 		conn.Close(wsproto.CloseNormal, "")
 		return fmt.Errorf("a handshake completed over a listener that resets every write")
 	}
-	if resets, _, _, _ := plan.Stats(); resets == 0 {
-		return fmt.Errorf("the plan injected nothing: the front lost the listener's wrapping")
+	if faults.Resets.Load() == 0 {
+		return fmt.Errorf("the plan injected nothing: the front lost the listener's connection")
 	}
 	if n := r.value(r.own("connections_total", nil)); n != 0 || tr.Beacon.Tracked() != 0 {
 		return fmt.Errorf("connections = %v, tracked = %d; want none", n, tr.Beacon.Tracked())

@@ -50,7 +50,7 @@ var table = []row{
 	{"gateway", "./internal/collector", "BenchmarkWebSocketSession", "1s", 58, "one session straight into a collector: 52 (+10 %), the read buffer pooled on both ends and the text payload scanned in place; 59 with a reader per dial and url.Values, 203 before the wire diet; no room for a request object or a formatted error"},
 	{"gateway", "./internal/collector", "BenchmarkIngestBinary", "1s", 1, "the binary wire path warm: the amortised store append and nothing else"},
 	{"gateway", "./internal/collector", "BenchmarkIngestJournaled", "130000x", 1, "the production commit (journal, fresh nonce and URL, 36,000 addresses): 1.85, printed truncated; an error on the row encoder that formats the row moves it to the heap, +1; url.Parse +1.5"},
-	{"gateway", "./internal/store", "BenchmarkInsert", "130000x", 0, "only what amortises away (a log chunk per 1,024 rows, a posting list doubling); anything kept per user or per publisher reads 1"},
+	{"gateway", "./internal/store", "BenchmarkInsert", "130000x", 0, "only what amortises away (a log chunk per 1,024 rows, a posting list doubling, a column dictionary growing to its distinct values); anything kept per user or per publisher reads 1"},
 
 	{"router", "./internal/router", "BenchmarkRouterForward", "1s", 72, "one session through the router to one shard: 63–64, the gateway's hop plus the nonce hash; 71 with a reader per dial and url.Values, 84 with a text commit"},
 	{"router", "./internal/collector", "BenchmarkWebSocketSession", "1s", 58, "the direct session the router's row is read against; measured once, recorded in both ledgers"},

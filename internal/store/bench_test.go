@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -34,8 +36,9 @@ func benchRecord(i int) Impression {
 // else: the records are built with the timer stopped, a batch at a
 // time, each with a user key no earlier row had. What is left to
 // allocate is amortised — a log chunk per 1,024 rows, a posting list
-// doubling — and reads 0 allocs/op (gated, cmd/benchgate's table);
-// anything kept per user or per publisher reads at least 1.
+// doubling, a column dictionary growing to its one value or eight —
+// and reads 0 allocs/op (gated, cmd/benchgate's table); anything kept
+// per user or per publisher reads at least 1.
 func BenchmarkInsert(b *testing.B) {
 	const batch = 1 << 13
 	s := New()
@@ -53,6 +56,56 @@ func BenchmarkInsert(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkHeapPerRow reports what a store of 100,000 rows holds per
+// row (heap-B/row), the records' own strings not counted. "repeating"
+// is benchRecord's rows, whose dictionary columns repeat one value or
+// eight. "client-distinct" gives every row a campaign, creative and
+// User-Agent no earlier row had — the columns a client chooses — and
+// "all-distinct" a new ISP, country and verdict as well: there every
+// column dictionary holds an entry per row.
+func BenchmarkHeapPerRow(b *testing.B) {
+	const n = 100_000
+	client := func(i int) Impression {
+		im, tag := benchRecord(i), strconv.Itoa(i)
+		im.CampaignID, im.CreativeID, im.UserAgent = "c"+tag, "cr"+tag, "Mozilla/5.0 "+tag
+		return im
+	}
+	for _, c := range []struct {
+		name string
+		rec  func(int) Impression
+	}{
+		{"repeating", benchRecord},
+		{"client-distinct", client},
+		{"all-distinct", func(i int) Impression {
+			im, tag := client(i), strconv.Itoa(i)
+			im.ISP, im.Country, im.DataCenter = "isp"+tag, "co"+tag, "dc"+tag
+			return im
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			recs := make([]Impression, n)
+			for i := range recs {
+				recs[i] = c.rec(i)
+			}
+			var before, after runtime.MemStats
+			for it := 0; it < b.N; it++ {
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				s := New()
+				for i := range recs {
+					if _, err := s.Insert(recs[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(s)
+				b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/n, "heap-B/row")
+			}
+		})
 	}
 }
 

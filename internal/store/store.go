@@ -200,13 +200,15 @@ func (s *Store) Get(id int64) (Impression, bool) {
 	if id < 1 || id > int64(s.recs.len()) {
 		return Impression{}, false
 	}
-	return *s.recs.at(int(id - 1)), true
+	var im Impression
+	s.recs.load(int(id-1), &im)
+	return im, true
 }
 
-// Visit calls fn with a pointer to every impression in insertion
-// order, without copying records; fn returning false stops the scan.
-// The pointer is only valid during the call, fn must treat the record
-// as read-only, and the store must not be mutated from within fn.
+// Visit calls fn with every impression in insertion order, each built
+// into the one Impression the scan reuses; fn returning false stops the
+// scan. The pointer is only valid during the call, fn must treat the
+// record as read-only, and the store must not be mutated from within fn.
 func (s *Store) Visit(fn func(*Impression) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -214,14 +216,16 @@ func (s *Store) Visit(fn func(*Impression) bool) {
 }
 
 // VisitCampaign streams one campaign's impressions in insertion order
-// through fn without materializing a copy; fn returning false stops
-// the scan. Same aliasing rules as Visit. Readers share the lock, so
-// scans of different campaigns proceed in parallel.
+// through fn, one reused Impression for the whole scan; fn returning
+// false stops the scan. Same aliasing rules as Visit. Readers share the
+// lock, so scans of different campaigns proceed in parallel.
 func (s *Store) VisitCampaign(campaignID string, fn func(*Impression) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	var im Impression
 	for _, idx := range s.byCampaign[campaignID] {
-		if !fn(s.recs.at(idx)) {
+		s.recs.load(idx, &im)
+		if !fn(&im) {
 			return
 		}
 	}
@@ -250,7 +254,7 @@ func (s *Store) Campaigns() []string {
 // Publishers returns the distinct publishers of a campaign, sorted. An
 // empty campaignID aggregates across all campaigns, as the paper's
 // Figure 1 does. Either way it is one scan collecting a set — of the
-// campaign's rows, or of the whole log (≈ 4 ms per 100 K rows): no
+// campaign's rows, or of the whole log (a few ms per 100 K rows): no
 // index is kept for it, since its callers are a log line at exit and
 // an example.
 func (s *Store) Publishers(campaignID string) []string {

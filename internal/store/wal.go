@@ -550,17 +550,17 @@ func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 			return false, fmt.Errorf("merge id %d out of range (store length %d)", e.ID, s.recs.len())
 		}
 		pos := int(e.ID - 1)
-		im := s.recs.at(pos)
 		legsMoved := false
 		if e.Op == opMergeLegs {
-			owner, owned := s.nonces[im.Nonce]
+			nonce := s.recs.at(pos).nonce
+			owner, owned := s.nonces[nonce]
 			if !owned || owner.pos != uint32(pos) {
 				return false, fmt.Errorf("legs merged into record %d, which does not own its nonce", e.ID)
 			}
 			legsMoved = owner.legs != e.Legs
-			s.nonces[im.Nonce] = nonceEntry{pos: uint32(pos), legs: e.Legs}
+			s.nonces[nonce] = nonceEntry{pos: uint32(pos), legs: e.Legs}
 		}
-		prev := im.mergeState()
+		prev := s.recs.mergeState(pos)
 		next := MergePrev{
 			Exposure:           time.Duration(e.ExposureNS),
 			MouseMoves:         e.MouseMoves,
@@ -571,8 +571,8 @@ func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 		if next == prev {
 			return legsMoved, nil
 		}
-		im.setMergeState(next)
-		s.publishFeed(FeedEvent{Kind: FeedMerge, Im: *im, Prev: prev})
+		s.recs.setMergeState(pos, next)
+		s.publishMerge(pos, prev, nil)
 		return true, nil
 	}
 	return false, fmt.Errorf("unknown op %d", e.Op)
@@ -615,12 +615,6 @@ func (im *Impression) mergeState() MergePrev {
 	return MergePrev{im.Exposure, im.MouseMoves, im.Clicks, im.VisibilityMeasured, im.MaxVisibleFraction}
 }
 
-// setMergeState writes the outcome of a merge into im.
-func (im *Impression) setMergeState(m MergePrev) {
-	im.Exposure, im.MouseMoves, im.Clicks = m.Exposure, m.MouseMoves, m.Clicks
-	im.VisibilityMeasured, im.MaxVisibleFraction = m.VisibilityMeasured, m.MaxVisibleFraction
-}
-
 // Merge folds cont into the impression with the given ID. The journal
 // entry (when a WAL is attached) records the absolute post-merge
 // values, keeping replay idempotent. The record's merged legs stay as
@@ -648,8 +642,7 @@ func (s *Store) Merge(id int64, cont Continuation) error {
 // non-zero legs is the record's new mask of merged legs, journaled with
 // them; 0 leaves the mask alone.
 func (s *Store) mergeLocked(pos int, cont Continuation, legs uint32, tr *trace.Trace) (walSeq int64, delivered int, err error) {
-	im := s.recs.at(pos)
-	prev := im.mergeState()
+	prev := s.recs.mergeState(pos)
 	next := prev
 	next.Exposure += cont.Exposure
 	next.MouseMoves += cont.MouseMoves
@@ -660,7 +653,7 @@ func (s *Store) mergeLocked(pos int, cont Continuation, legs uint32, tr *trace.T
 	}
 	if s.wal != nil {
 		e := walEntry{
-			Op: opMerge, ID: im.ID,
+			Op: opMerge, ID: int64(pos) + 1,
 			ExposureNS:  int64(next.Exposure),
 			MouseMoves:  next.MouseMoves,
 			Clicks:      next.Clicks,
@@ -676,10 +669,18 @@ func (s *Store) mergeLocked(pos int, cont Continuation, legs uint32, tr *trace.T
 		}
 		tr.Stage(trace.StageWAL)
 	}
-	im.setMergeState(next)
+	s.recs.setMergeState(pos, next)
 	if legs != 0 {
-		s.nonces[im.Nonce] = nonceEntry{pos: uint32(pos), legs: legs}
+		s.nonces[s.recs.at(pos).nonce] = nonceEntry{pos: uint32(pos), legs: legs}
 	}
 	tr.Stage(trace.StageCommit)
-	return walSeq, s.publishFeed(FeedEvent{Kind: FeedMerge, Im: *im, Prev: prev, Trace: tr}), nil
+	return walSeq, s.publishMerge(pos, prev, tr), nil
+}
+
+// publishMerge publishes the merge that turned prev into the record at
+// pos; the caller holds the write lock.
+func (s *Store) publishMerge(pos int, prev MergePrev, tr *trace.Trace) int {
+	ev := FeedEvent{Kind: FeedMerge, Prev: prev, Trace: tr}
+	s.recs.load(pos, &ev.Im)
+	return s.publishFeed(ev)
 }

@@ -80,7 +80,7 @@ if [ "${1:-}" = "-chaos" ]; then
         ./internal/collector/ ./internal/gateway/ ./internal/router/ ./internal/simtest/
     go test -race -count 1 -run 'TestReportReconnects|TestWAL' \
         ./internal/beacon/ ./internal/store/ -v
-    go test -race -count=20 -run 'TestConcurrentReplaysOfOneNonce|TestNonceIndexHasNoWindow|TestEdgeReplayToRestartedCollectorCountsOnce|TestReplayRacingAnUnsyncedCommitGetsItsError|TestGatewayReplayAfterLostAckCountsOnce|TestGatewayReplayWhileRouterHoldsItCountsOnce|TestGatewayReplayRerunCountsOnce' ./internal/collector/ ./internal/store/ ./internal/router/ ./cmd/adsim/
+    go test -race -count=20 -run 'TestConcurrentReplaysOfOneNonce|TestNonceIndexHasNoWindow|TestEdgeReplayToRestartedCollectorCountsOnce|TestReplayRacingAnUnsyncedCommitGetsItsError|TestReadersWhileDictionariesGrow|TestGatewayReplayAfterLostAckCountsOnce|TestGatewayReplayWhileRouterHoldsItCountsOnce|TestGatewayReplayRerunCountsOnce' ./internal/collector/ ./internal/store/ ./internal/router/ ./cmd/adsim/
     # The wire's pooled read buffers: a rejected dial keeps its reader,
     # and a reader racing Close never hands another connection its bytes.
     go test -race -count=20 -run 'TestRejectedDialKeepsItsReader|TestPooledReadersUnderConcurrentSessions' ./internal/wsproto/

@@ -15,7 +15,7 @@
 // a payload with a deterministic nonce, so a rerun resends legs the
 // collector has counted, and it drops them. This is the load path for
 // exercising the
-// adgateway → auditd tier with realistic campaign traffic;
+// adedge → auditd tier with realistic campaign traffic;
 // -gateway-limit caps how many impressions are replayed (0 = all).
 //
 // With -shards N the dataset is instead replayed through an in-process
@@ -56,7 +56,7 @@ func main() {
 		metricsPath = flag.String("metrics", "", "write the run's telemetry (JSON metrics view) to this path")
 		printRep    = flag.Bool("report", true, "print the full audit report (tables 1-5, figures 1-3)")
 		adversarial = flag.String("adversarial", "", "inject a fraud scenario into the vendor: spoof, pool, bots, inflate, or all")
-		gatewayURL  = flag.String("gateway", "", "replay the dataset through this beacon endpoint (ws://host:port/beacon of an adgateway or auditd)")
+		gatewayURL  = flag.String("gateway", "", "replay the dataset through this beacon endpoint (ws://host:port/beacon of an adedge or auditd)")
 		gatewayLim  = flag.Int("gateway-limit", 1000, "impressions to replay through -gateway (0 = the whole dataset)")
 		wire        = flag.String("wire", "text", "beacon wire for -gateway replay: text, binary, or mixed (alternate per session)")
 		shardsN     = flag.Int("shards", 0, "replay the dataset through an in-process sharded tier: N collectors behind a router, with the shard-merged audit verified against the batch audit (0 disables)")
@@ -159,7 +159,7 @@ func run(seed int64, publishers int, snapshot, csvPath, reportsPath, conversions
 }
 
 // replayThroughGateway re-emits the collected dataset as real beacon
-// sessions against url — the load path for driving an adgateway →
+// sessions against url — the load path for driving an adedge →
 // auditd deployment with the simulator's campaign mix. Each impression
 // carries a nonce derived from its store ID, so an interrupted replay
 // can be rerun without double-counting (the collector drops a leg of a

@@ -17,7 +17,7 @@
 //	       [-log-level info] [-log-format text]
 //
 // With -trunk-token the daemon accepts trunk connections from edge
-// ingest gateways (cmd/adgateway) on /trunk: gateways terminate beacon
+// ingest gateways (cmd/adedge) on /trunk: gateways terminate beacon
 // sessions close to users and forward batched, stream-multiplexed
 // commits over a few persistent connections, authenticated by the
 // shared token. Without the flag, /trunk refuses all handshakes.
@@ -57,9 +57,9 @@
 // Operational surface: the listen address serves GET /metrics
 // (Prometheus text), /api/metrics (JSON) and /healthz alongside the
 // beacon endpoint, through the shell every daemon shares
-// (internal/daemon). /healthz is the one schema of auditd, adgateway and
-// adrouter — tier "collector", id the listen address, status the worst
-// check — with the checks ingest_age (bounded by -unhealthy-after),
+// (internal/daemon). /healthz is the one schema of auditd and adedge —
+// tier "collector", id the listen address, status the worst check —
+// with the checks ingest_age (bounded by -unhealthy-after),
 // feed_subscribers, wal_sync, audit_freshness (-live), store_records and
 // snapshot-dir; -debug-addr additionally serves net/http/pprof on a
 // separate (ideally loopback-only) listener; -selfreport logs a

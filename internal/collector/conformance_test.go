@@ -14,14 +14,19 @@ import (
 // rows (internal/tiertest), run here on collectorSpec under the names
 // the collector's own tests had.
 
+// trunkToken guards the /trunk of every collector the table starts.
+const trunkToken = "table-trunk-token"
+
 // collectorSpec is the collector as the table starts it: a
-// testCollector with cfg applied, served through its Server.
+// testCollector guarded by trunkToken with cfg applied, served through
+// its Server.
 func collectorSpec(cfg func(*Config)) tiertest.Spec {
 	return tiertest.Spec{
 		Name: "collector",
 		Start: func(t *testing.T, s tiertest.Setup) *tiertest.Tier {
 			c, st := testCollector(t, func(c *Config) {
 				c.MaxSessions = s.MaxSessions
+				c.TrunkToken = trunkToken
 				if cfg != nil {
 					cfg(c)
 				}
@@ -46,9 +51,12 @@ func collectorSpec(cfg func(*Config)) tiertest.Spec {
 		Sheds:      func(string) tiertest.Series { return tiertest.Series{Name: "adaudit_collector_sheds_total"} },
 		Rejects:    tiertest.Labelled("adaudit_collector_rejects_total", "class"),
 		Panics:     tiertest.Series{Name: "adaudit_collector_session_panics_total"},
-		Trunk: &tiertest.Trunk{Refused: []tiertest.Series{
+		Trunk: &tiertest.Trunk{Token: trunkToken, Refused: []tiertest.Series{
 			tiertest.Labelled("adaudit_collector_rejects_total", "class")(RejectTrunkProto),
 			{Name: "adaudit_collector_rejected_total"}, // and no reject of another class
+		}, Unauthorized: []tiertest.Series{
+			tiertest.Labelled("adaudit_collector_rejects_total", "class")(RejectTrunkAuth),
+			{Name: "adaudit_collector_rejected_total"},
 		}},
 		Healthz: func(tr *tiertest.Tier) map[string]any {
 			return map[string]any{
@@ -111,6 +119,10 @@ func TestWithListenerStillInjectsFaults(t *testing.T) {
 
 func TestTrunkRefusesOtherVersion(t *testing.T) {
 	tiertest.Check(t, tiertest.TrunkRefusals, collectorSpec(nil))
+}
+
+func TestTrunkRefusesBadToken(t *testing.T) {
+	tiertest.Check(t, tiertest.TrunkAuth, collectorSpec(nil))
 }
 
 func TestHealthzBody(t *testing.T) {

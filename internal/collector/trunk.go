@@ -19,7 +19,7 @@ import (
 // nonce and leg it did the first time, so the store drops it and it is
 // acked without a second count.
 func (c *Collector) ServeTrunk(w http.ResponseWriter, r *http.Request) {
-	if tok := c.cfg.TrunkToken; tok != "" && r.Header.Get(trunk.TokenHeader) != tok {
+	if !trunk.Authorized(r, c.cfg.TrunkToken) {
 		c.reject(RejectTrunkAuth)
 		http.Error(w, "bad trunk token", http.StatusForbidden)
 		return

@@ -13,9 +13,9 @@ import (
 )
 
 // The router runs the conformance table's rows that need what only it
-// has: its /trunk relay (row 11) and its own series names, /healthz and
-// the /api/metrics golden (row 12). Its beacon front door is the edge
-// core's, whose tests run rows 1–10 on a two-pool edge.
+// has: its /trunk relay (rows 11 and 15) and its own series names,
+// /healthz and the /api/metrics golden (row 12). Its beacon front door
+// is the edge core's, whose tests run rows 1–10 on a two-pool edge.
 
 // routerSpec is a router with cfg applied in front of two collector
 // shards on the row's network.
@@ -51,7 +51,8 @@ func routerSpec(cfg func(*Config)) tiertest.Spec {
 			return &tiertest.Tier{Tier: r.Tier(), Server: srv, Records: tiertest.Stored(stores...), Anonymizer: collectortest.Anonymizer}
 		},
 		// A refused trunk relays nothing: frames are counted, and a relayed
-		// commit spilled, before the close is written.
+		// commit spilled, before the close is written. No series of the
+		// router's counts a refusal.
 		Trunk: &tiertest.Trunk{Token: collectortest.TrunkToken, Unmoved: []tiertest.Series{
 			tiertest.Labelled("adaudit_router_relay_frames_total", "type")("commit"),
 			{Name: "adaudit_router_commits_total"},
@@ -77,6 +78,10 @@ func routerSpec(cfg func(*Config)) tiertest.Spec {
 
 func TestRouterTrunkRefusesOtherVersion(t *testing.T) {
 	tiertest.Check(t, tiertest.TrunkRefusals, routerSpec(nil))
+}
+
+func TestRouterTrunkRefusesBadToken(t *testing.T) {
+	tiertest.Check(t, tiertest.TrunkAuth, routerSpec(nil))
 }
 
 func TestHealthzBody(t *testing.T) { tiertest.Check(t, tiertest.Healthz, routerSpec(nil)) }

@@ -39,7 +39,7 @@ type originKey struct {
 // of its nonce it has counted already.
 func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 	cfg := r.Config()
-	if tok := cfg.TrunkToken; tok != "" && req.Header.Get(trunk.TokenHeader) != tok {
+	if !trunk.Authorized(req, cfg.TrunkToken) {
 		http.Error(w, "bad trunk token", http.StatusForbidden)
 		return
 	}

@@ -11,8 +11,8 @@ import (
 // BeaconMutants are the tier broken through one exported field of its
 // beacon endpoint at a time, each with the rows that must catch it. No
 // field reaches rows 9–11 (the daemon's shutdown order, the listener's
-// wrapping, trunk.Receiver's refusals), 13 or 14; the tier packages add
-// Config mutants for row 12.
+// wrapping, trunk.Receiver's refusals), 13, 14 or 15 (trunk.Authorized);
+// the tier packages add Config mutants for row 12.
 func BeaconMutants(spec Spec) []Mutant {
 	mutant := func(name string, f func(*beacon.Server), kills ...*Row) Mutant {
 		return Mutant{Name: name, Spec: broken(spec, f), Kills: kills}

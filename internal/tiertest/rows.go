@@ -523,53 +523,66 @@ var FaultListener = &Row{Name: "a fault-injecting listener keeps its grip", run:
 // nothing: no commit relayed, nothing stored. A tier that serves no
 // /trunk is exempt. No mutant: the refusals are trunk.Receiver's,
 // which no field of a tier reaches.
-var TrunkRefusals = &Row{Name: "/trunk refusals", exempt: func(s *Spec) string {
-	if s.Trunk == nil {
-		return "it serves no /trunk"
-	}
-	return ""
-}, run: func(r *run) error {
+var TrunkRefusals = &Row{Name: "/trunk refusals", exempt: noTrunk, run: func(r *run) error {
 	r.start(Setup{})
 	tk := r.spec.Trunk
-	counters := append(append([]Series{}, tk.Refused...), tk.Unmoved...)
 	for _, tc := range trunktest.Refusals {
 		if err := r.sub(tc.Name, func() error {
-			before := make([]float64, len(counters))
-			for i, s := range counters {
-				before[i] = r.value(s)
-			}
-			conn, _, err := r.wsDial("/trunk", http.Header{trunk.TokenHeader: {tk.Token}})
-			if err != nil {
-				return err
-			}
-			defer conn.NetConn().Close()
-			if err := conn.WriteMessage(tc.Op, tc.Msg); err != nil {
-				return err
-			}
-			// The refusal is counted before the close is written.
-			_ = conn.SetReadDeadline(time.Now().Add(r.patience))
-			if _, _, err := conn.ReadMessage(); err == nil {
-				return fmt.Errorf("the refused trunk was answered with a message")
-			}
-			for i, s := range counters {
-				want := 0.0
-				if i < len(tk.Refused) {
-					want = 1
+			return r.counts(tk.Refused, tk.Unmoved, func() error {
+				conn, _, err := r.wsDial("/trunk", http.Header{trunk.TokenHeader: {tk.Token}})
+				if err != nil {
+					return err
 				}
-				if moved := r.value(s) - before[i]; moved != want {
-					return fmt.Errorf("%s moved by %v, want %v", s.Name, moved, want)
+				defer conn.NetConn().Close()
+				if err := conn.WriteMessage(tc.Op, tc.Msg); err != nil {
+					return err
 				}
-			}
-			return nil
+				// The refusal is counted before the close is written.
+				_ = conn.SetReadDeadline(time.Now().Add(r.patience))
+				if _, _, err := conn.ReadMessage(); err == nil {
+					return fmt.Errorf("the refused trunk was answered with a message")
+				}
+				return nil
+			})
 		}); err != nil {
 			return fmt.Errorf("%s: %w", tc.Name, err)
 		}
 	}
-	if n := r.stored(); n != 0 {
-		return fmt.Errorf("refused trunks stored %d records", n)
-	}
 	return nil
 }}
+
+func noTrunk(s *Spec) string {
+	if s.Trunk == nil {
+		return "it serves no /trunk"
+	}
+	return ""
+}
+
+// counts runs a refusal f and requires each of moved to move by one
+// meanwhile, each of unmoved not at all, and nothing to be stored.
+func (r *run) counts(moved, unmoved []Series, f func() error) error {
+	all := append(append([]Series{}, moved...), unmoved...)
+	before := make([]float64, len(all))
+	for i, s := range all {
+		before[i] = r.value(s)
+	}
+	if err := f(); err != nil {
+		return err
+	}
+	if n := r.stored(); n != 0 {
+		return fmt.Errorf("the refusal stored %d records", n)
+	}
+	for i, s := range all {
+		want := 0.0
+		if i < len(moved) {
+			want = 1
+		}
+		if d := r.value(s) - before[i]; d != want {
+			return fmt.Errorf("%s %v moved by %v, want %v", s.Name, s.Labels, d, want)
+		}
+	}
+	return nil
+}
 
 // Healthz (row 12, first half): /healthz answers in the one schema of
 // every daemon — tier and id set, status the worst of its checks and
@@ -705,6 +718,36 @@ var IPv6Session = &Row{Name: "an IPv6 session is stored", run: func(r *run) erro
 	want := tr.Anonymizer.Pseudonym(netip.MustParseAddr("::1"))
 	if got := tr.Records()[0].IPPseudonym; got != want {
 		return fmt.Errorf("stored pseudonym %q, want that of ::1 (%q)", got, want)
+	}
+	return nil
+}}
+
+// TrunkAuth (row 15): a /trunk handshake without the tier's token —
+// none, a wrong one, a strict prefix — is refused 403 before the
+// upgrade, counted where the tier counts it, and acts on nothing. A tier
+// serving no /trunk is exempt. No mutant: no field of a tier reaches
+// trunk.Authorized.
+var TrunkAuth = &Row{Name: "/trunk refuses a bad token", exempt: noTrunk, run: func(r *run) error {
+	r.start(Setup{})
+	tk := r.spec.Trunk
+	for name, token := range map[string][]string{ // with a Token of "" all are admitted: the row fails
+		"no header": nil, "wrong token": {strings.Repeat("x", len(tk.Token))}, "prefix of the token": {tk.Token[:len(tk.Token)/2]},
+	} {
+		if err := r.sub(name, func() error {
+			return r.counts(tk.Unauthorized, tk.Unmoved, func() error {
+				conn, resp, err := r.wsDial("/trunk", http.Header{trunk.TokenHeader: token})
+				if err == nil {
+					conn.NetConn().Close()
+					return errors.New("the trunk was upgraded")
+				}
+				if resp == nil || resp.StatusCode != http.StatusForbidden {
+					return fmt.Errorf("the handshake ended with %v, want 403", err)
+				}
+				return nil
+			})
+		}); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
 	}
 	return nil
 }}

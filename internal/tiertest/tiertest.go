@@ -85,10 +85,12 @@ func Labelled(name, key string) func(string) Series {
 
 // Trunk is what a tier's /trunk endpoint counts a refusal on.
 type Trunk struct {
-	// Token is the trunk credential (trunk.TokenHeader) it accepts.
+	// Token is the trunk credential (trunk.TokenHeader) it requires.
 	Token string
-	// Refused each move by one on every refusal; Unmoved must not move.
-	Refused, Unmoved []Series
+	// Refused each move by one on every refused first message,
+	// Unauthorized on every handshake refused for its token; Unmoved
+	// must move on neither.
+	Refused, Unauthorized, Unmoved []Series
 }
 
 // Spec describes a tier to the table: how to start it and where it

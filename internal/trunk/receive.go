@@ -1,7 +1,9 @@
 package trunk
 
 import (
+	"crypto/subtle"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -26,6 +28,12 @@ type Receiver struct {
 	// Refused, if set, hears a refusal — its close reason, and a
 	// malformed batch's decode error — before the close is written.
 	Refused func(p *Peer, reason string, err error)
+}
+
+// Authorized reports whether r presents token in its TokenHeader,
+// compared in constant time. An empty token admits every request.
+func Authorized(r *http.Request, token string) bool {
+	return token == "" || subtle.ConstantTimeCompare([]byte(r.Header.Get(TokenHeader)), []byte(token)) == 1
 }
 
 // Peer is the edge at the far end of a served trunk.

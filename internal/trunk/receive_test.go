@@ -167,3 +167,27 @@ func TestReceiverServesBatches(t *testing.T) {
 		}
 	}
 }
+
+func TestAuthorized(t *testing.T) {
+	for _, tc := range []struct {
+		token, sent  string
+		header, want bool
+	}{
+		{token: "s3cret", sent: "s3cret", header: true, want: true},
+		{token: "s3cret", want: false}, // no header
+		{token: "s3cret", sent: "", header: true, want: false},
+		{token: "s3cret", sent: "s3cre", header: true, want: false},
+		{token: "s3cret", sent: "s3cret!", header: true, want: false},
+		{token: "s3cret", sent: "S3CRET", header: true, want: false},
+		{token: "", want: true}, // an empty token admits everyone
+		{token: "", sent: "anything", header: true, want: true},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/trunk", nil)
+		if tc.header {
+			r.Header.Set(trunk.TokenHeader, tc.sent)
+		}
+		if got := trunk.Authorized(r, tc.token); got != tc.want {
+			t.Errorf("Authorized(header %v %q, token %q) = %v, want %v", tc.header, tc.sent, tc.token, got, tc.want)
+		}
+	}
+}

@@ -21,7 +21,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RACE_PKGS="./cmd/auditd/ ./cmd/adgateway/ ./cmd/adrouter/ ./internal/daemon/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/memnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/ ./internal/tiertest/ ./internal/collector/collectortest/"
+RACE_PKGS="./cmd/auditd/ ./cmd/adedge/ ./internal/daemon/ ./internal/collector/ ./internal/ipmeta/ ./internal/wsproto/ ./internal/store/ ./internal/telemetry/ ./internal/memnet/ ./internal/beacon/ ./internal/semsim/ ./internal/audit/ ./internal/adnet/ ./internal/simclock/ ./internal/simtest/ ./internal/streamaudit/ ./internal/trace/ ./internal/logutil/ ./internal/edge/ ./internal/gen2/ ./internal/gateway/ ./internal/trunk/ ./internal/router/ ./internal/shardmerge/ ./internal/tiertest/ ./internal/collector/collectortest/"
 
 echo "==> go build ./..."
 go build ./...

@@ -1,6 +1,7 @@
 // Command adsim runs the paper's 8-campaign workload end to end on the
 // simulated ad network, collects the beacon dataset, and writes the
-// impression snapshot plus the vendor reports for later auditing.
+// snapshot (impressions and conversions) plus the vendor reports for
+// later auditing.
 //
 // Usage:
 //
@@ -49,10 +50,9 @@ func main() {
 	var (
 		seed        = flag.Int64("seed", 1, "simulation seed (same seed, same dataset)")
 		publishers  = flag.Int("publishers", 150000, "synthetic inventory size")
-		snapshot    = flag.String("snapshot", "", "write the impression dataset as a binary snapshot (what auditd and auditctl read) to this path")
+		snapshot    = flag.String("snapshot", "", "write the dataset, impressions and conversions, as a binary snapshot (what auditd and auditctl read) to this path")
 		csvPath     = flag.String("csv", "", "write the impression dataset as CSV to this path (the export for analysis)")
 		reports     = flag.String("reports", "", "write the vendor reports (JSON) to this path")
-		conversions = flag.String("conversions", "", "write the conversion dataset (JSON lines) to this path")
 		metricsPath = flag.String("metrics", "", "write the run's telemetry (JSON metrics view) to this path")
 		printRep    = flag.Bool("report", true, "print the full audit report (tables 1-5, figures 1-3)")
 		adversarial = flag.String("adversarial", "", "inject a fraud scenario into the vendor: spoof, pool, bots, inflate, or all")
@@ -68,13 +68,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "adsim:", err)
 		os.Exit(2)
 	}
-	if err := run(*seed, *publishers, *snapshot, *csvPath, *reports, *conversions, *metricsPath, *printRep, *adversarial, *gatewayURL, *gatewayLim, *wire, *shardsN, logger); err != nil {
+	if err := run(*seed, *publishers, *snapshot, *csvPath, *reports, *metricsPath, *printRep, *adversarial, *gatewayURL, *gatewayLim, *wire, *shardsN, logger); err != nil {
 		logger.Error("run failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed int64, publishers int, snapshot, csvPath, reportsPath, conversionsPath, metricsPath string, printRep bool, adversarial, gatewayURL string, gatewayLim int, wire string, shardsN int, logger *slog.Logger) error {
+func run(seed int64, publishers int, snapshot, csvPath, reportsPath, metricsPath string, printRep bool, adversarial, gatewayURL string, gatewayLim int, wire string, shardsN int, logger *slog.Logger) error {
 	opts := adaudit.Options{Seed: seed, NumPublishers: publishers}
 	if adversarial != "" {
 		adv, err := adnet.AdversaryScenario(adversarial)
@@ -108,11 +108,6 @@ func run(seed int64, publishers int, snapshot, csvPath, reportsPath, conversions
 	if csvPath != "" {
 		if err := writeTo(csvPath, ws.Store.WriteCSV); err != nil {
 			return fmt.Errorf("writing csv: %w", err)
-		}
-	}
-	if conversionsPath != "" {
-		if err := writeTo(conversionsPath, ws.Store.WriteConversionsSnapshot); err != nil {
-			return fmt.Errorf("writing conversions: %w", err)
 		}
 	}
 	if reportsPath != "" {

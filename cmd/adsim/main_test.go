@@ -18,11 +18,10 @@ func TestRunWritesAllOutputs(t *testing.T) {
 	snap := filepath.Join(dir, "imps.jsonl")
 	csvPath := filepath.Join(dir, "imps.csv")
 	reports := filepath.Join(dir, "reports.json")
-	convs := filepath.Join(dir, "convs.jsonl")
 	metrics := filepath.Join(dir, "metrics.json")
 
 	// Small universe for test speed; -report=false to skip rendering.
-	if err := run(7, 6000, snap, csvPath, reports, convs, metrics, false, "", "", 0, "text", 0, testLogger()); err != nil {
+	if err := run(7, 6000, snap, csvPath, reports, metrics, false, "", "", 0, "text", 0, testLogger()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,18 +40,8 @@ func TestRunWritesAllOutputs(t *testing.T) {
 	if got := len(st.Campaigns()); got != 8 {
 		t.Fatalf("campaigns in snapshot = %d", got)
 	}
-
-	cf, err := os.Open(convs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = st.ReadConversionsSnapshot(cf)
-	cf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st.NumConversions() == 0 {
-		t.Fatal("no conversions written")
+		t.Fatal("no conversions in snapshot")
 	}
 
 	rf, err := os.Open(reports)
@@ -108,7 +97,7 @@ func TestRunAdversarialScenario(t *testing.T) {
 	snap := filepath.Join(dir, "imps.jsonl")
 	reports := filepath.Join(dir, "reports.json")
 
-	if err := run(7, 6000, snap, "", reports, "", "", false, "all", "", 0, "text", 0, testLogger()); err != nil {
+	if err := run(7, 6000, snap, "", reports, "", false, "all", "", 0, "text", 0, testLogger()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,7 +153,7 @@ func TestReportMatchesCommittedSeed1(t *testing.T) {
 	defer out.Close()
 	stdout := os.Stdout
 	os.Stdout = out
-	err = run(1, 150000, "", "", "", "", "", true, "", "", 0, "text", 0, testLogger())
+	err = run(1, 150000, "", "", "", "", true, "", "", 0, "text", 0, testLogger())
 	os.Stdout = stdout
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +168,7 @@ func TestReportMatchesCommittedSeed1(t *testing.T) {
 }
 
 func TestRunRejectsBadPath(t *testing.T) {
-	if err := run(1, 6000, "/nonexistent-dir/x.jsonl", "", "", "", "", false, "", "", 0, "text", 0, testLogger()); err == nil {
+	if err := run(1, 6000, "/nonexistent-dir/x.jsonl", "", "", "", false, "", "", 0, "text", 0, testLogger()); err == nil {
 		t.Fatal("bad snapshot path accepted")
 	}
 }

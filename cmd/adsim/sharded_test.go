@@ -14,7 +14,7 @@ func TestRunShardedReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded replay opens real sockets and holds exposures in real time")
 	}
-	if err := run(7, 6000, "", "", "", "", "", false, "", "", 120, "mixed", 3, testLogger()); err != nil {
+	if err := run(7, 6000, "", "", "", "", false, "", "", 120, "mixed", 3, testLogger()); err != nil {
 		t.Fatal(err)
 	}
 }

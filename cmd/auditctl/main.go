@@ -1,7 +1,7 @@
 // Command auditctl analyses a collected impression dataset: it loads a
-// snapshot (written by auditd or adsim; binary, or JSON lines from an
-// older build), optionally joins the
-// vendor reports, and prints the paper's audit analyses.
+// snapshot (written by auditd or adsim: the impressions and the
+// conversions), optionally joins the vendor reports, and prints the
+// paper's audit analyses.
 //
 // Usage:
 //
@@ -41,8 +41,7 @@ import (
 
 func main() {
 	var (
-		snapshot    = flag.String("snapshot", "", "impression snapshot (binary; JSON lines from an older build are read too); required")
-		conversions = flag.String("conversions", "", "conversion snapshot (JSON lines); optional")
+		snapshot    = flag.String("snapshot", "", "dataset snapshot: impressions and conversions, binary; required")
 		reports     = flag.String("reports", "", "vendor reports JSON (map of campaign id to report)")
 		placements  = flag.String("placement-csv", "", "real vendor placement exports: CAMPAIGN=path.csv[,CAMPAIGN=path.csv...]")
 		analysis    = flag.String("analysis", "all", "all|brandsafety|context|popularity|viewability|frequency|fraud|adversarial|sellers|pooling|behavior|conversions|interactions|stream-verify")
@@ -58,13 +57,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "auditctl:", err)
 		os.Exit(2)
 	}
-	if err := run(*snapshot, *conversions, *reports, *placements, *analysis, *keywords, *seed, *pubs, *parallelism, logger); err != nil {
+	if err := run(*snapshot, *reports, *placements, *analysis, *keywords, *seed, *pubs, *parallelism, logger); err != nil {
 		logger.Error("analysis failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(snapshotPath, conversionsPath, reportsPath, placementsSpec, analysis, keywordsCSV string, seed int64, numPubs, parallelism int, logger *slog.Logger) error {
+func run(snapshotPath, reportsPath, placementsSpec, analysis, keywordsCSV string, seed int64, numPubs, parallelism int, logger *slog.Logger) error {
 	if snapshotPath == "" {
 		return fmt.Errorf("-snapshot is required")
 	}
@@ -76,17 +75,6 @@ func run(snapshotPath, conversionsPath, reportsPath, placementsSpec, analysis, k
 	f.Close()
 	if err != nil {
 		return err
-	}
-	if conversionsPath != "" {
-		cf, err := os.Open(conversionsPath)
-		if err != nil {
-			return err
-		}
-		err = st.ReadConversionsSnapshot(cf)
-		cf.Close()
-		if err != nil {
-			return err
-		}
 	}
 	logger.Info("dataset loaded",
 		"impressions", st.Len(),

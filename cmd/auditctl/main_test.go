@@ -14,7 +14,7 @@ import (
 )
 
 // writeFixture builds a small dataset + reports on disk for the CLI.
-func writeFixture(t *testing.T) (snap, convs, reports string) {
+func writeFixture(t *testing.T) (snap, reports string) {
 	t.Helper()
 	dir := t.TempDir()
 	st := store.New()
@@ -47,16 +47,6 @@ func writeFixture(t *testing.T) (snap, convs, reports string) {
 	}
 	f.Close()
 
-	convs = filepath.Join(dir, "convs.jsonl")
-	f, err = os.Create(convs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteConversionsSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
 	reports = filepath.Join(dir, "reports.json")
 	f, err = os.Create(reports)
 	if err != nil {
@@ -74,43 +64,43 @@ func writeFixture(t *testing.T) (snap, convs, reports string) {
 		t.Fatal(err)
 	}
 	f.Close()
-	return snap, convs, reports
+	return snap, reports
 }
 
 func TestRunIndividualAnalyses(t *testing.T) {
-	snap, convs, reports := writeFixture(t)
+	snap, reports := writeFixture(t)
 	for _, analysis := range []string{
 		"viewability", "frequency", "fraud", "conversions", "popularity",
 		"brandsafety", "context", "adversarial", "sellers", "pooling", "behavior",
 	} {
-		if err := run(snap, convs, reports, "", analysis, "", 1, 6000, 0, testLogger()); err != nil {
+		if err := run(snap, reports, "", analysis, "", 1, 6000, 0, testLogger()); err != nil {
 			t.Errorf("analysis %s: %v", analysis, err)
 		}
 	}
 }
 
 func TestRunAllAnalyses(t *testing.T) {
-	snap, convs, reports := writeFixture(t)
-	if err := run(snap, convs, reports, "", "all", "", 1, 6000, 0, testLogger()); err != nil {
+	snap, reports := writeFixture(t)
+	if err := run(snap, reports, "", "all", "", 1, 6000, 0, testLogger()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	snap, _, _ := writeFixture(t)
-	if err := run("", "", "", "", "all", "", 1, 6000, 0, testLogger()); err == nil {
+	snap, _ := writeFixture(t)
+	if err := run("", "", "", "all", "", 1, 6000, 0, testLogger()); err == nil {
 		t.Fatal("missing snapshot accepted")
 	}
-	if err := run(snap, "", "", "", "all", "", 1, 6000, 0, testLogger()); err == nil {
+	if err := run(snap, "", "", "all", "", 1, 6000, 0, testLogger()); err == nil {
 		t.Fatal("-analysis all without reports accepted")
 	}
-	if err := run(snap, "", "", "", "nonsense", "", 1, 6000, 0, testLogger()); err == nil {
+	if err := run(snap, "", "", "nonsense", "", 1, 6000, 0, testLogger()); err == nil {
 		t.Fatal("unknown analysis accepted")
 	}
-	if err := run(snap, "", "", "", "brandsafety", "", 1, 6000, 0, testLogger()); err == nil {
+	if err := run(snap, "", "", "brandsafety", "", 1, 6000, 0, testLogger()); err == nil {
 		t.Fatal("brandsafety without reports accepted")
 	}
-	if err := run("/nonexistent/x.jsonl", "", "", "", "fraud", "", 1, 6000, 0, testLogger()); err == nil {
+	if err := run("/nonexistent/x.jsonl", "", "", "fraud", "", 1, 6000, 0, testLogger()); err == nil {
 		t.Fatal("bad snapshot path accepted")
 	}
 }
@@ -126,17 +116,17 @@ func TestSplitCSV(t *testing.T) {
 }
 
 func TestRunWithPlacementCSV(t *testing.T) {
-	snap, _, _ := writeFixture(t)
+	snap, _ := writeFixture(t)
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "placements.csv")
 	csvData := "Placement,Impressions,Clicks\nciencia123.es,20,1\notro.es,5,0\n"
 	if err := os.WriteFile(csvPath, []byte(csvData), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(snap, "", "", "Research-010="+csvPath, "brandsafety", "", 1, 6000, 0, testLogger()); err != nil {
+	if err := run(snap, "", "Research-010="+csvPath, "brandsafety", "", 1, 6000, 0, testLogger()); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(snap, "", "", "malformed-spec", "brandsafety", "", 1, 6000, 0, testLogger()); err == nil {
+	if err := run(snap, "", "malformed-spec", "brandsafety", "", 1, 6000, 0, testLogger()); err == nil {
 		t.Fatal("malformed placement spec accepted")
 	}
 }

@@ -2,9 +2,9 @@
 // endpoint the in-ad JavaScript reports to (§3 of the paper). It
 // terminates beacon connections, derives impression timestamps and
 // exposure times from connection lifetimes, enriches records with IP
-// metadata, anonymises client addresses, and persists the dataset as a
-// binary snapshot (internal/store's row format) on shutdown
-// (SIGINT/SIGTERM) or periodically.
+// metadata, anonymises client addresses, and persists the dataset —
+// impressions and conversions — as a binary snapshot (internal/store's
+// row format) on shutdown (SIGINT/SIGTERM) or periodically.
 //
 // Usage:
 //
@@ -38,18 +38,17 @@
 // publisher-metadata universe the popularity and context dimensions
 // need, and must match the dataset's.
 //
-// With -wal every acknowledged impression is journaled to a write-ahead
-// log before it enters the in-memory store: at boot the daemon loads the
-// last snapshot (if any), replays the journal over it, and resumes —
-// a crash loses nothing the collector acknowledged. -wal-sync picks the
-// fsync policy: os (default; survives process crashes) or group (group
-// commit: each ack waits for an fsync covering its entry, so it
-// survives power loss, and concurrently-committing sessions share one
-// flush). Every snapshot — periodic and final — compacts the journal,
-// and is fsynced and renamed into place before the journal is
-// truncated. A journal an older build wrote (format v1, JSON lines) is
-// recovered at boot and upgraded: published as a snapshot, then started
-// over in the current format.
+// With -wal every acknowledged impression and conversion is journaled to
+// a write-ahead log before it enters the in-memory store: at boot the
+// daemon loads the last snapshot (if any), replays the journal over it,
+// and resumes — a crash loses nothing the collector acknowledged.
+// -wal-sync picks the fsync policy: os (default; survives process
+// crashes) or group (group commit: each ack waits for an fsync covering
+// its entry, so it survives power loss, and concurrently-committing
+// sessions share one flush). Every snapshot — periodic and final —
+// compacts the journal, and is fsynced and renamed into place before
+// the journal is truncated. A journal or snapshot in format v1 (JSON
+// lines) is refused at boot and left as it is.
 //
 // With -print-script the daemon prints the embeddable JavaScript tag
 // for the given campaign/creative pair and the running endpoint.
@@ -70,7 +69,6 @@ package main
 import (
 	"context"
 	"crypto/rand"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -101,7 +99,7 @@ import (
 func main() {
 	var (
 		listen         = flag.String("listen", "127.0.0.1:8080", "host:port for the beacon endpoint")
-		snapshot       = flag.String("snapshot", "impressions.jsonl", "dataset snapshot path (binary; a JSON-lines snapshot of an older build is still read)")
+		snapshot       = flag.String("snapshot", "impressions.jsonl", "dataset snapshot path: impressions and conversions, binary")
 		secret         = flag.String("secret", "", "IP anonymisation key (default: random per run)")
 		flush          = flag.Duration("flush", 30*time.Second, "snapshot flush interval (0 disables)")
 		printScript    = flag.String("print-script", "", "print the beacon JS for CAMPAIGN:CREATIVE and the endpoint")
@@ -336,7 +334,7 @@ func openStore(opts daemonOptions, logger *slog.Logger) (*store.Store, *store.WA
 		if err != nil {
 			return nil, nil, fmt.Errorf("loading snapshot %s: %w", opts.snapshotPath, err)
 		}
-		logger.Info("loaded snapshot", "path", opts.snapshotPath, "records", base.Len())
+		logger.Info("loaded snapshot", "path", opts.snapshotPath, "records", base.Len(), "conversions", base.NumConversions())
 	} else if !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("opening snapshot %s: %w", opts.snapshotPath, err)
 	}
@@ -346,25 +344,9 @@ func openStore(opts daemonOptions, logger *slog.Logger) (*store.Store, *store.WA
 	}
 	if applied > 0 {
 		logger.Info("replayed write-ahead log", "path", opts.walPath,
-			"entries", applied, "records", st.Len())
+			"entries", applied, "records", st.Len(), "conversions", st.NumConversions())
 	}
 	wal, err := store.OpenWAL(opts.walPath, store.WALOptions{Policy: policy})
-	if errors.Is(err, store.ErrJournalV1) {
-		// The journal just recovered was written by an older build.
-		// Publish everything as a v2 snapshot (no journal is attached, so
-		// this is the publish alone), and only then start the journal
-		// over: a crash in between replays the v1 journal over the v2
-		// snapshot, which is idempotent.
-		if err := st.SnapshotCompact(opts.snapshotPath); err != nil {
-			return nil, nil, fmt.Errorf("upgrading v1 journal %s: %w", opts.walPath, err)
-		}
-		if err := os.Truncate(opts.walPath, 0); err != nil {
-			return nil, nil, fmt.Errorf("upgrading v1 journal %s: %w", opts.walPath, err)
-		}
-		logger.Info("upgraded v1 journal", "path", opts.walPath,
-			"snapshot", opts.snapshotPath, "records", st.Len())
-		wal, err = store.OpenWAL(opts.walPath, store.WALOptions{Policy: policy})
-	}
 	if err != nil {
 		return nil, nil, err
 	}

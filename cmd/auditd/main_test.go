@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -22,8 +23,9 @@ import (
 
 // TestOpenStoreRecoversSnapshotAndGroupJournal boots the -wal path the
 // daemon takes after a crash: a published snapshot plus the journal
-// written since, under the group policy. The store must hold both, and
-// the journal it attaches must keep the group policy.
+// written since, under the group policy, each holding impressions and
+// conversions. The store must hold both, and the journal it attaches
+// must keep the group policy.
 func TestOpenStoreRecoversSnapshotAndGroupJournal(t *testing.T) {
 	dir := t.TempDir()
 	opts := daemonOptions{
@@ -46,13 +48,24 @@ func TestOpenStoreRecoversSnapshotAndGroupJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	convert := func(st *store.Store, n int) {
+		t.Helper()
+		if _, err := st.InsertConversion(store.Conversion{
+			CampaignID: "c", UserKey: fmt.Sprintf("u%d", n), Action: "purchase", ValueCents: int64(100 * n),
+			Timestamp: time.Unix(int64(n), 0).In(time.FixedZone("", 1800*n)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for n := 1; n <= 3; n++ {
 		insert(live, n)
+		convert(live, n)
 	}
 	if err := live.SnapshotCompact(opts.snapshotPath); err != nil {
 		t.Fatal(err)
 	}
 	for n := 4; n <= 5; n++ {
+		convert(live, n)
 		insert(live, n)
 	}
 	if fi, err := os.Stat(opts.walPath); err != nil || fi.Size() == 0 {
@@ -76,12 +89,15 @@ func TestOpenStoreRecoversSnapshotAndGroupJournal(t *testing.T) {
 			t.Fatalf("record %d: got %+v, want %+v", id, got, want)
 		}
 	}
+	requireSameConversions(t, st, live)
 	// WAL keeps its policy unexported; read it the way %+v would.
 	if p := reflect.ValueOf(wal).Elem().FieldByName("policy").Int(); p != int64(store.SyncGroup) {
 		t.Fatalf("journal attached under policy %d, want SyncGroup", p)
 	}
-	// The journal is attached: a further insert survives the next boot.
+	// The journal is attached: a further insert and conversion survive
+	// the next boot.
 	insert(st, 6)
+	convert(st, 6)
 	again, wal2, err := openStore(opts, slog.New(slog.NewTextHandler(io.Discard, nil)))
 	if err != nil {
 		t.Fatal(err)
@@ -90,90 +106,78 @@ func TestOpenStoreRecoversSnapshotAndGroupJournal(t *testing.T) {
 	if again.Len() != 6 {
 		t.Fatalf("second boot has %d records, want 6", again.Len())
 	}
+	requireSameConversions(t, again, st)
 }
 
-// TestOpenStoreUpgradesV1Journal boots on the files an older build
-// left: a v1 (JSON lines) snapshot and a v1 journal — the committed
-// fixture internal/store/testdata/journal_5e78ee8.wal. Every record
-// must come back; the boot must leave both files in the current format
-// (the snapshot republished, the journal started over), so that no file
-// ever mixes the two; and a second boot must find the same store.
-func TestOpenStoreUpgradesV1Journal(t *testing.T) {
-	dir := t.TempDir()
-	opts := daemonOptions{
-		snapshotPath: filepath.Join(dir, "imps.jsonl"),
-		walPath:      filepath.Join(dir, "journal.wal"),
-		walSync:      "os",
+// requireSameConversions fails unless got holds want's conversions, ID
+// for ID, field for field, and each timestamp Equal.
+func requireSameConversions(t *testing.T, got, want *store.Store) {
+	t.Helper()
+	a, b := want.Conversions(""), got.Conversions("")
+	if len(a) != len(b) {
+		t.Fatalf("%d conversions, want %d", len(b), len(a))
 	}
+	for i := range a {
+		if !b[i].Timestamp.Equal(a[i].Timestamp) {
+			t.Fatalf("conversion %d at %v, want %v", a[i].ID, b[i].Timestamp, a[i].Timestamp)
+		}
+		if b[i].Timestamp = a[i].Timestamp; b[i] != a[i] {
+			t.Fatalf("conversion %d:\n got %+v\nwant %+v", a[i].ID, b[i], a[i])
+		}
+	}
+}
+
+// TestOpenStoreRefusesV1Journal boots on the files a build that wrote
+// format v1 (JSON lines) left: the committed journal fixture
+// internal/store/testdata/journal_5e78ee8.wal, and a v1 snapshot. This
+// build reads no v1: the boot must fail naming it (store.ErrJournalV1),
+// whichever of the two files is v1, and leave both byte for byte as
+// they were, so that a build which still upgrades v1 can boot them.
+func TestOpenStoreRefusesV1Journal(t *testing.T) {
 	journal, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "journal_5e78ee8.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(opts.walPath, journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// What the journal alone recovers to, read from a copy.
-	scratch := filepath.Join(dir, "scratch.wal")
-	if err := os.WriteFile(scratch, journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := store.RecoverWAL(scratch, nil, nil)
-	if err != nil || want.Len() < 10 {
-		t.Fatalf("the fixture recovers to %d records, err %v", want.Len(), err)
-	}
-	// The v1 snapshot an older build published part-way through the
-	// journal's history: its first five records.
-	var v1 bytes.Buffer
-	for id := int64(1); id <= 5; id++ {
-		im, _ := want.Get(id)
-		line, err := json.Marshal(im)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1.Write(append(line, '\n'))
-	}
-	if err := os.WriteFile(opts.snapshotPath, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	st, wal, err := openStore(opts, logger)
+	snapshot, err := json.Marshal(store.Impression{ID: 1, CampaignID: "c", Publisher: "p.es", UserKey: "u",
+		Timestamp: time.Unix(7, 0).UTC()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameStore(t, st, want)
-	insert := store.Impression{CampaignID: "c", Publisher: "p.es", UserKey: "u", Timestamp: time.Unix(7, 0).UTC()}
-	if _, err := st.Insert(insert); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{opts.snapshotPath, opts.walPath} {
-		data, err := os.ReadFile(path)
-		if err != nil || !bytes.HasPrefix(data, []byte(store.RowsHeader)) {
-			t.Fatalf("%s after the upgrade starts %q, want %q (err %v)", path, data[:min(len(data), 8)], store.RowsHeader, err)
+	snapshot = append(snapshot, '\n')
+	for name, files := range map[string]struct{ snapshot, journal []byte }{
+		"v1 journal":              {nil, journal},
+		"v1 snapshot":             {snapshot, []byte(store.RowsHeader)},
+		"v1 snapshot and journal": {snapshot, journal},
+	} {
+		dir := t.TempDir()
+		opts := daemonOptions{
+			snapshotPath: filepath.Join(dir, "imps.jsonl"),
+			walPath:      filepath.Join(dir, "journal.wal"),
+			walSync:      "os",
 		}
-	}
-
-	again, wal2, err := openStore(opts, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal2.Close()
-	requireSameStore(t, again, st)
-}
-
-// requireSameStore fails unless got holds want's records, deep-equal.
-func requireSameStore(t *testing.T, got, want *store.Store) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%d records, want %d", got.Len(), want.Len())
-	}
-	for id := int64(1); id <= int64(want.Len()); id++ {
-		w, _ := want.Get(id)
-		if g, _ := got.Get(id); !reflect.DeepEqual(g, w) {
-			t.Fatalf("record %d:\n got %+v\nwant %+v", id, g, w)
+		want := map[string][]byte{opts.walPath: files.journal}
+		if files.snapshot != nil {
+			want[opts.snapshotPath] = files.snapshot
+		}
+		for path, data := range want {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, wal, err := openStore(opts, slog.New(slog.NewTextHandler(io.Discard, nil)))
+		if !errors.Is(err, store.ErrJournalV1) {
+			if wal != nil {
+				wal.Close()
+			}
+			t.Fatalf("%s: booted %v with err %v, want store.ErrJournalV1", name, st, err)
+		}
+		for path, data := range want {
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s: the refused boot changed %s (err %v)", name, filepath.Base(path), err)
+			}
+		}
+		if _, err := os.Stat(opts.snapshotPath + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("%s: the refused boot began a snapshot", name)
 		}
 	}
 }

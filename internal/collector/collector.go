@@ -425,8 +425,7 @@ func (c *Collector) ingest(obs Observation) (int64, store.LegOutcome, error) {
 		tr = c.adoptTrace(obs.Payload)
 	}
 	// Both wires admit arbitrary bytes, and every JSON surface (the
-	// query API, the reports, and the v1 journal and snapshot a
-	// recovery may still read) writes invalid UTF-8 as U+FFFD: left as
+	// query API, the reports) writes invalid UTF-8 as U+FFFD: left as
 	// received, a record would read back with another user key and
 	// nonce than the one acknowledged. Replace once, here, so memory,
 	// journal, snapshot, nonce table and every reader hold the same

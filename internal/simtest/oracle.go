@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -74,6 +75,9 @@ func buildModel(sessions []simSession, only []int, maxExposure time.Duration) ma
 		}
 		var legs uint32 // of this session, counted so far
 		for _, seg := range s.segments {
+			if seg.conv != nil {
+				continue // a conversion: no impression record
+			}
 			leg := uint32(1) << seg.obs.Payload.Leg
 			if legs&leg != 0 {
 				continue // a duplicate delivery of a leg already counted
@@ -204,6 +208,9 @@ func (o *oracle) afterDelivery(seg segment, id int64, err error) {
 		o.violate("session %d segment %d: ingest failed: %v", seg.session, seg.index, err)
 		return
 	}
+	if seg.conv != nil {
+		return
+	}
 	im, ok := o.store.Get(id)
 	if !ok {
 		o.violate("session %d segment %d: ingested id %d not in store", seg.session, seg.index, id)
@@ -240,9 +247,10 @@ func (o *oracle) snapshotCompact(di int) {
 }
 
 // checkRecovery replays the WAL over the latest snapshot and demands
-// the reconstruction equal the live store record for record — the
-// crash-safety invariant, checkable mid-run because appends write
-// whole entries and replay tolerates the open journal.
+// the reconstruction equal the live store record for record and
+// conversion for conversion — the crash-safety invariant, checkable
+// mid-run because appends write whole entries and replay tolerates the
+// open journal.
 func (o *oracle) checkRecovery(stage string) {
 	var base *store.Store
 	if o.lastSnap != "" {
@@ -275,6 +283,10 @@ func (o *oracle) checkRecovery(stage string) {
 				stage, live[i].ID, live[i], replayed[i])
 			return
 		}
+	}
+	if live, replayed := o.store.Conversions(""), rec.Conversions(""); !slices.EqualFunc(live, replayed, conversionEqual) {
+		o.violate("%s recovery: replayed conversions %+v diverge from the live store's %+v", stage, replayed, live)
+		return
 	}
 	o.checkStreamReplay(stage, rec)
 }
@@ -682,10 +694,18 @@ func dumpStore(s *store.Store) []store.Impression {
 // impressionEqual compares two records field for field.
 func impressionEqual(a, b store.Impression) bool {
 	// Timestamps must name the same instant; monotonic-clock and
-	// location bookkeeping may differ after a JSON round-trip.
+	// location bookkeeping may differ after a round trip.
 	if !a.Timestamp.Equal(b.Timestamp) {
 		return false
 	}
 	a.Timestamp, b.Timestamp = time.Time{}, time.Time{}
 	return reflect.DeepEqual(a, b)
+}
+
+// conversionEqual compares two conversions field for field, timestamps
+// by instant as impressionEqual does.
+func conversionEqual(a, b store.Conversion) bool {
+	eq := a.Timestamp.Equal(b.Timestamp)
+	a.Timestamp = b.Timestamp
+	return eq && a == b
 }

@@ -145,6 +145,9 @@ type Result struct {
 	// wire-mix run whose digest matches all-text proves nothing if no
 	// delivery actually took the binary path.
 	BinaryDeliveries int
+	// Conversions counts the conversion-pixel deliveries: the guard
+	// that the durability invariant covered conversions at all.
+	Conversions int
 	// AdversarialFlags counts the entities the adversarial detectors
 	// flagged in the final audit (unauthorized seller pairs + pooled
 	// sellers + bot users + inflated publishers, summed over
@@ -211,10 +214,13 @@ func (s scenario) String() string {
 // segment is one delivered connection of a session: the initial
 // exposure or a continuation after a reconnect.
 // Its payload's leg is its index before a reorder permuted delivery.
+// A segment with conv set is instead the session's user hitting the
+// advertiser's conversion pixel, after every exposure segment.
 type segment struct {
 	session   int
 	index     int // within-session delivery order, 0 = creates the record
 	obs       collector.Observation
+	conv      *collector.ConversionObservation
 	deliverAt time.Time
 }
 
@@ -379,7 +385,23 @@ func genSession(cfg Config, idx int, rng *stats.RNG, uni *publisher.Universe) si
 			s.segments[k].index = k
 		}
 	}
+	if value, ok := conversionFor(s.nonce); ok {
+		at := s.segments[len(s.segments)-1].deliverAt.Add(time.Minute)
+		s.segments = append(s.segments, segment{session: idx, index: len(s.segments), deliverAt: at,
+			conv: &collector.ConversionObservation{RemoteIP: ip, UserAgent: payload.UserAgent, At: at,
+				Conversion: beacon.Conversion{CampaignID: camp.ID, Action: "purchase", ValueCents: value}}})
+	}
 	return s
+}
+
+// conversionFor decides from the nonce whether an honest session's user
+// converts (one in four) and for what value: drawing nothing from the
+// schedule RNG, it leaves every seed's sessions as they were.
+func conversionFor(nonce string) (valueCents int64, ok bool) {
+	h := fnv.New32a()
+	io.WriteString(h, "conversion/"+nonce)
+	v := h.Sum32()
+	return int64(v>>8) % 5000, v%4 == 0
 }
 
 // traceIDFor derives a session's wire trace ID from its nonce — a
@@ -546,11 +568,12 @@ func Run(cfg Config) (*Result, error) {
 		Deliveries: len(flat),
 		Traced:     len(traced),
 	}
-	if cfg.WireMix {
-		for _, seg := range flat {
-			if binaryWire(seg) {
-				res.BinaryDeliveries++
-			}
+	for _, seg := range flat {
+		switch {
+		case seg.conv != nil:
+			res.Conversions++
+		case cfg.WireMix && binaryWire(seg):
+			res.BinaryDeliveries++
 		}
 	}
 	if cfg.Only != nil {
@@ -685,6 +708,9 @@ func deliver(cfg Config, coll *collector.Collector, seg segment) (int64, error) 
 	}
 	if cfg.BreakLegs {
 		obs.Payload.Leg = uint8(seg.index)
+	}
+	if seg.conv != nil {
+		return coll.IngestConversion(*seg.conv)
 	}
 	if cfg.WireMix && binaryWire(seg) {
 		return coll.IngestBinary(obs.Payload.EncodeBinary(), obs.RemoteIP, obs.ConnectedAt, obs.Exposure)

@@ -59,6 +59,9 @@ func runSeed(t *testing.T, seed int64, only []int) string {
 		reportFailure(t, cfg, res)
 		return res.Digest
 	}
+	if only == nil && res.Conversions == 0 {
+		t.Errorf("seed %d delivered no conversion: its recovery checks covered impressions only", seed)
+	}
 
 	conc := cfg
 	conc.Workers = 4

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -155,50 +153,34 @@ func BenchmarkWriteSnapshot(b *testing.B) {
 }
 
 // BenchmarkRecoverWAL is restart time against history: one RecoverWAL
-// of a 130,000-row journal into an empty store, in each format the
-// replayer reads — v2 as this build writes it, v1 as JSON lines as
-// older builds wrote them.
+// of a 130,000-row journal into an empty store.
 func BenchmarkRecoverWAL(b *testing.B) {
 	const rows = 130_000
-	dir := b.TempDir()
-	paths := map[string]string{"v1": filepath.Join(dir, "v1.wal"), "v2": filepath.Join(dir, "v2.wal")}
-	w, err := OpenWAL(paths["v2"], WALOptions{})
+	path := filepath.Join(b.TempDir(), "rows.wal")
+	w, err := OpenWAL(path, WALOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := New()
 	s.AttachWAL(w)
-	var v1 bytes.Buffer
 	for i := 0; i < rows; i++ {
-		im := benchRecord(i)
-		if im.ID, err = s.Insert(im); err != nil {
+		if _, err = s.Insert(benchRecord(i)); err != nil {
 			b.Fatal(err)
 		}
-		line, err := json.Marshal(&walEntryV1{Op: "ins", Im: &im})
-		if err != nil {
-			b.Fatal(err)
-		}
-		v1.Write(append(line, '\n'))
 	}
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile(paths["v1"], v1.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
+	if fi, err := os.Stat(path); err == nil {
+		b.SetBytes(fi.Size())
 	}
-	for _, format := range []string{"v1", "v2"} {
-		b.Run(format, func(b *testing.B) {
-			if fi, err := os.Stat(paths[format]); err == nil {
-				b.SetBytes(fi.Size())
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rec, applied, err := RecoverWAL(paths[format], nil, nil)
-				if err != nil || applied != rows || rec.Len() != rows {
-					b.Fatalf("recovered %d records from %d entries, err %v", rec.Len(), applied, err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, applied, err := RecoverWAL(path, nil, nil)
+		if err != nil || applied != rows || rec.Len() != rows {
+			b.Fatalf("recovered %d records from %d entries, err %v", rec.Len(), applied, err)
+		}
 	}
 }
 

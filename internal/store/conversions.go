@@ -1,11 +1,7 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 )
 
@@ -47,93 +43,60 @@ func (c *Conversion) Validate() error {
 	return nil
 }
 
-// conversionLog holds the conversion records alongside the impression
-// store. Kept separate so impression scans stay unaffected.
-type conversionLog struct {
-	mu         sync.RWMutex
-	recs       []Conversion
-	byCampaign map[string][]int
-}
-
 // InsertConversion validates c, assigns it the next ID and appends it.
+// With a WAL attached the conversion is journaled before the store
+// mutates, under the one lock impressions take, so a conversion that
+// returned survives a crash and no SnapshotCompact can reset the
+// journal between its entry and its record.
 func (s *Store) InsertConversion(c Conversion) (int64, error) {
-	if err := c.Validate(); err != nil {
+	err := c.Validate()
+	if err == nil {
+		var walSeq int64
+		s.mu.Lock()
+		wal := s.wal
+		c.ID = int64(len(s.convs) + 1)
+		if wal != nil {
+			walSeq, err = wal.append(&walEntry{Op: opConversion, Conv: &c})
+		}
+		if err == nil {
+			s.convsByCampaign[c.CampaignID] = append(s.convsByCampaign[c.CampaignID], len(s.convs))
+			s.convs = append(s.convs, c)
+			s.publishFeed(FeedEvent{Kind: FeedConversion, Conv: c})
+		}
+		s.mu.Unlock()
+		if err == nil {
+			err = wal.waitDurable(walSeq)
+		}
+	}
+	if err != nil {
 		s.tel.convFailures.Inc()
 		return 0, err
 	}
-	l := &s.conversions
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	idx := len(l.recs)
-	c.ID = int64(idx + 1)
-	l.recs = append(l.recs, c)
-	l.byCampaign[c.CampaignID] = append(l.byCampaign[c.CampaignID], idx)
-	// Published under l.mu (not s.mu): the feed's own mutex assigns
-	// the cross-log sequence number, and Subscribe holds both read
-	// locks while priming, so the snapshot/delta cut stays consistent.
-	s.publishFeed(FeedEvent{Kind: FeedConversion, Conv: c})
 	s.tel.convInserts.Inc()
 	return c.ID, nil
 }
 
 // NumConversions returns the number of stored conversions.
 func (s *Store) NumConversions() int {
-	l := &s.conversions
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.recs)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.convs)
 }
 
 // Conversions returns a copy of one campaign's conversions in insertion
 // order; an empty campaignID returns all of them.
 func (s *Store) Conversions(campaignID string) []Conversion {
-	l := &s.conversions
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if campaignID == "" {
-		out := make([]Conversion, len(l.recs))
-		copy(out, l.recs)
+		out := make([]Conversion, len(s.convs))
+		copy(out, s.convs)
 		return out
 	}
-	idxs := l.byCampaign[campaignID]
+	idxs := s.convsByCampaign[campaignID]
 	out := make([]Conversion, len(idxs))
 	for i, idx := range idxs {
-		out[i] = l.recs[idx]
+		out[i] = s.convs[idx]
 	}
 	return out
-}
-
-// WriteConversionsSnapshot streams the conversions as JSON lines.
-func (s *Store) WriteConversionsSnapshot(w io.Writer) error {
-	l := &s.conversions
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range l.recs {
-		if err := enc.Encode(l.recs[i]); err != nil {
-			return fmt.Errorf("store: encoding conversion %d: %w", l.recs[i].ID, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: flushing conversions snapshot: %w", err)
-	}
-	return nil
-}
-
-// ReadConversionsSnapshot loads JSON-lines conversions into the store,
-// reassigning IDs in file order.
-func (s *Store) ReadConversionsSnapshot(r io.Reader) error {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	for line := 1; ; line++ {
-		var c Conversion
-		if err := dec.Decode(&c); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("store: decoding conversion %d: %w", line, err)
-		}
-		if _, err := s.InsertConversion(c); err != nil {
-			return fmt.Errorf("store: conversion snapshot record %d: %w", line, err)
-		}
-	}
 }

@@ -164,8 +164,8 @@ func (s *Store) feedHandle() *feed {
 
 // Subscribe attaches a change-feed subscriber. prime (if non-nil) is
 // called once per stored impression and primeConv once per stored
-// conversion, both in insertion order, while the store's read locks
-// exclude writers — together with the registration happening under the
+// conversion, both in insertion order, while the store's read lock
+// excludes writers — together with the registration happening under the
 // same critical section, that makes the snapshot + delta stream
 // consistent: no mutation is missed and none is delivered twice. The
 // callbacks must not call back into the store. buffer <= 0 selects
@@ -176,24 +176,21 @@ func (s *Store) Subscribe(buffer int, prime func(*Impression), primeConv func(*C
 	}
 	f := s.feedHandle()
 	sub := &FeedSub{f: f, ch: make(chan FeedEvent, buffer)}
-	// Lock order: impression log, then conversion log, then feed —
-	// the same order the publish paths compose them in.
+	// Lock order: store, then feed — the order the publish paths
+	// compose them in.
 	s.mu.RLock()
-	l := &s.conversions
-	l.mu.RLock()
 	if prime != nil {
 		s.recs.each(func(im *Impression) bool { prime(im); return true })
 	}
 	if primeConv != nil {
-		for i := range l.recs {
-			primeConv(&l.recs[i])
+		for i := range s.convs {
+			primeConv(&s.convs[i])
 		}
 	}
 	f.mu.Lock()
 	sub.startSeq = f.seq
 	f.subs[sub] = struct{}{}
 	f.mu.Unlock()
-	l.mu.RUnlock()
 	s.mu.RUnlock()
 	s.tel.feedSubscribes.Inc()
 	return sub
@@ -214,9 +211,8 @@ func (s *Store) FeedSeq() int64 {
 
 // publishFeed stamps ev with the next sequence number and the publish
 // wall clock and offers it to every subscriber, returning how many
-// subscribers received it. Called with the mutated log's lock held
-// (s.mu for impressions, conversions.mu for conversions) so that
-// sequence order equals mutation order. A subscriber whose buffer is
+// subscribers received it. Called with the store's write lock held so
+// that sequence order equals mutation order. A subscriber whose buffer is
 // full is dropped: removed from the bus, marked, and its channel
 // closed — the publisher never blocks.
 func (s *Store) publishFeed(ev FeedEvent) int {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"os"
@@ -56,11 +57,11 @@ func fuzzImpression(i int) Impression {
 }
 
 // FuzzRecoverWAL feeds arbitrary bytes to the journal replayer: it must
-// never panic, every record it recovers must be valid, and — because
-// replay repairs a torn tail by truncating it — a second replay of the
-// same file must succeed and produce the identical store. The seeds
-// are journals of both formats: version 2 as this build writes them,
-// version 1 (JSON lines) in testdata and below.
+// never panic, every record and conversion it recovers must be valid,
+// and — because replay repairs a torn tail by truncating it — a second
+// replay of the same file must succeed and produce the identical store.
+// The seeds are journals as this build writes them, and version 1 (JSON
+// lines) journals, in testdata and below, which must be refused.
 func FuzzRecoverWAL(f *testing.F) {
 	f.Add(walBytes(f, func(s *Store) {
 		id, _ := s.Insert(fuzzImpression(0))
@@ -71,6 +72,15 @@ func FuzzRecoverWAL(f *testing.F) {
 		s.CommitLeg(fuzzImpression(0), 2, nil)
 		s.CommitLeg(fuzzImpression(0), 0, nil)
 	}))
+	withConv := walBytes(f, func(s *Store) { // conversions among the rows
+		s.InsertConversion(fuzzConversion(0))
+		id, _ := s.Insert(fuzzImpression(0))
+		s.InsertConversion(fuzzConversion(1))
+		s.Merge(id, Continuation{Clicks: 1})
+		s.InsertConversion(fuzzConversion(2))
+	})
+	f.Add(withConv)
+	f.Add(withConv[:len(withConv)-5]) // a torn conversion
 	full := walBytes(f, func(s *Store) { s.Insert(fuzzImpression(2)) })
 	f.Add(full[:len(full)-3]) // torn tail
 	f.Add([]byte("{\"op\":\"ins\"}\n"))
@@ -92,6 +102,11 @@ func FuzzRecoverWAL(f *testing.F) {
 			t.Fatal(err)
 		}
 		rec, _, err := RecoverWAL(path, nil, fuzzLogger())
+		if bytes.HasPrefix(data, []byte("{")) {
+			if got, _ := os.ReadFile(path); !errors.Is(err, ErrJournalV1) || !bytes.Equal(got, data) {
+				t.Fatalf("a v1 journal: err %v, file kept %v; want ErrJournalV1 and the file as it was", err, bytes.Equal(got, data))
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -101,6 +116,11 @@ func FuzzRecoverWAL(f *testing.F) {
 			}
 			return true
 		})
+		for _, c := range rec.Conversions("") {
+			if verr := c.Validate(); verr != nil {
+				t.Fatalf("recovered invalid conversion %d: %v", c.ID, verr)
+			}
+		}
 		// The replay left a repaired journal behind: replaying it again
 		// must yield the same store.
 		again, _, err := RecoverWAL(path, nil, fuzzLogger())
@@ -110,13 +130,27 @@ func FuzzRecoverWAL(f *testing.F) {
 		if again.Len() != rec.Len() || !reflect.DeepEqual(again.nonces, rec.nonces) {
 			t.Fatalf("second replay recovered %d records and nonces %v, first %d and %v", again.Len(), again.nonces, rec.Len(), rec.nonces)
 		}
+		if a, b := rec.Conversions(""), again.Conversions(""); !reflect.DeepEqual(a, b) {
+			t.Fatalf("second replay recovered conversions %v, first %v", b, a)
+		}
 	})
 }
 
+func fuzzConversion(i int) Conversion {
+	return Conversion{
+		CampaignID: "fz",
+		UserKey:    "uk",
+		Action:     "purchase",
+		ValueCents: int64(100 * i),
+		Timestamp:  time.Date(2016, 3, 29, 13, i, 0, 0, time.FixedZone("", 3600*i)),
+	}
+}
+
 // FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader: no
-// panics, recovered records valid, and an accepted snapshot must
-// round-trip through WriteSnapshot unchanged. The seeds are snapshots
-// of both formats, as FuzzRecoverWAL's are journals.
+// panics, and an accepted snapshot must round-trip through
+// WriteSnapshot unchanged, records and conversions. The seeds are
+// snapshots of both formats, as FuzzRecoverWAL's are journals: version
+// 1 must be refused.
 func FuzzReadSnapshot(f *testing.F) {
 	var buf bytes.Buffer
 	s := New()
@@ -134,6 +168,15 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(legs.Bytes())
+	var convs bytes.Buffer // rows, then conversions
+	withConv := New()
+	withConv.Insert(fuzzImpression(0))
+	withConv.InsertConversion(fuzzConversion(0))
+	withConv.InsertConversion(fuzzConversion(1))
+	if err := withConv.WriteSnapshot(&convs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(convs.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-4]) // truncated final record
 	f.Add([]byte("{}"))
 	f.Add([]byte("null"))
@@ -149,6 +192,9 @@ func FuzzReadSnapshot(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := ReadSnapshot(bytes.NewReader(data))
+		if bytes.HasPrefix(data, []byte("{")) && !errors.Is(err, ErrJournalV1) {
+			t.Fatalf("a v1 snapshot: err %v, want ErrJournalV1", err)
+		}
 		if err != nil {
 			return
 		}
@@ -170,6 +216,9 @@ func FuzzReadSnapshot(f *testing.F) {
 			if !bytes.Equal(aj, bj) {
 				t.Fatalf("record %d drift: %s vs %s", i, aj, bj)
 			}
+		}
+		if a, b := rec.Conversions(""), again.Conversions(""); !reflect.DeepEqual(a, b) {
+			t.Fatalf("conversions drift: %v vs %v", a, b)
 		}
 	})
 }

@@ -12,10 +12,8 @@ import (
 	"time"
 )
 
-// This file is the one binary row format of the journal and the
-// snapshot, format version 2. (Version 1 was JSON lines; its readers
-// live on in RecoverWAL and ReadSnapshot so that an upgrade loses
-// nothing, and nothing writes it.)
+// This file is the one binary format of the store's durable state, the
+// journal and the snapshot alike, format version 2.
 //
 // A file is RowsHeader, then entries. An entry is a 12-byte frame
 // header — the body's length, a CRC-32C of those four bytes and a
@@ -37,22 +35,25 @@ import (
 //   - opInsertLegs, opMergeLegs: the same, then the record's mask of
 //     merged legs (legs.go), a uvarint: written only where an opInsert
 //     (leg 0's mask) or an opMerge (the mask unchanged) would be wrong,
-//     so a history without later legs writes the bytes it always did.
+//     so a history without later legs writes the bytes it always did;
+//   - opConversion: a conversion — its ID, campaign, user key and
+//     action, its value in cents (never negative) and its timestamp.
 //
 // An integer is a zigzag varint; a string a uvarint length and its
 // bytes; a flag one byte, 0 or 1; a float its IEEE 754 bits, eight
 // bytes little-endian; a timestamp its Unix seconds (varint),
 // nanoseconds (uvarint) and zone offset in seconds east of UTC (varint;
-// 0 reads back as UTC, the local zone's offset as the local zone, as
-// version 1's RFC 3339 did). The timestamp is not time.Time's own
-// binary form: that has no append form before go1.24, and an offset
-// with seconds west of UTC does not survive its round trip (-150 s
-// reads back as +106 s). A snapshot is a file of inserts, with or
-// without legs. Other op bytes are free for new kinds of entry; this
+// 0 reads back as UTC, the local zone's offset as the local zone). The
+// timestamp is not time.Time's own binary form: that has no append form
+// before go1.24, and an offset with seconds west of UTC does not survive
+// its round trip (-150 s reads back as +106 s). A snapshot is a file of
+// inserts, with or without legs, then of conversions: a store that
+// holds no conversion writes the bytes it did before they were
+// journaled. Other op bytes are free for new kinds of entry; this
 // build's decoder refuses them.
 //
-// The encoder refuses what version 1 could not write, before it writes
-// a byte: a non-finite visible fraction, and a timestamp whose year in
+// The encoder refuses, before it frames an entry, a non-finite visible
+// fraction, a negative conversion value, and a timestamp whose year in
 // its own zone is outside 0–9999 or whose zone is 24 hours or more from
 // UTC. The decoder refuses the same, a mask empty or over 32 bits, and
 // every non-canonical encoding (an overlong varint, a flag other than 0
@@ -70,6 +71,7 @@ const (
 	opMerge      byte = 2
 	opInsertLegs byte = 3
 	opMergeLegs  byte = 4
+	opConversion byte = 5
 )
 
 // frameLen is the size of an entry's frame header.
@@ -84,6 +86,7 @@ var (
 	errNonFinite = errors.New("visible fraction is not finite")
 	errYear      = errors.New("timestamp year outside 0–9999")
 	errZone      = errors.New("timestamp zone 24 hours or more from UTC")
+	errNegative  = errors.New("conversion value negative")
 )
 
 // The span of Unix seconds whose wall-clock year is 0–9999.
@@ -108,12 +111,14 @@ func appendFramed(dst []byte, e *walEntry) ([]byte, error) {
 	return dst, nil
 }
 
-// appendEntry appends the body of e, an insert or a merge, with or
-// without legs.
+// appendEntry appends the body of e: an insert or a merge, with or
+// without legs, or a conversion.
 func appendEntry(dst []byte, e *walEntry) ([]byte, error) {
 	var err error
 	if dst = append(dst, e.Op); e.Op == opInsert || e.Op == opInsertLegs {
 		dst, err = appendRow(dst, e.Im)
+	} else if e.Op == opConversion {
+		dst, err = appendConversion(dst, e.Conv)
 	} else if !finite(e.MaxVis) {
 		err = errNonFinite
 	} else {
@@ -131,14 +136,8 @@ func appendEntry(dst []byte, e *walEntry) ([]byte, error) {
 }
 
 func appendRow(dst []byte, im *Impression) ([]byte, error) {
-	_, off := im.Timestamp.Zone()
-	switch {
-	case !finite(im.MaxVisibleFraction):
+	if !finite(im.MaxVisibleFraction) {
 		return dst, errNonFinite
-	case off <= -24*3600 || off >= 24*3600:
-		return dst, errZone
-	case !yearInRange(im.Timestamp.Unix(), off):
-		return dst, errYear
 	}
 	dst = binary.AppendVarint(dst, im.ID)
 	for _, s := range [...]string{im.CampaignID, im.CreativeID, im.Publisher, im.PageURL,
@@ -153,15 +152,43 @@ func appendRow(dst []byte, im *Impression) ([]byte, error) {
 	for _, s := range [...]string{im.ISP, im.Country, im.DataCenter} {
 		dst = appendString(dst, s)
 	}
-	dst = binary.AppendVarint(dst, im.Timestamp.Unix())
-	dst = binary.AppendUvarint(dst, uint64(im.Timestamp.Nanosecond()))
-	dst = binary.AppendVarint(dst, int64(off))
+	dst, err := appendTime(dst, im.Timestamp)
+	if err != nil {
+		return dst, err
+	}
 	dst = binary.AppendVarint(dst, int64(im.Exposure))
 	dst = binary.AppendVarint(dst, int64(im.MouseMoves))
 	dst = binary.AppendVarint(dst, int64(im.Clicks))
 	dst = appendFlag(dst, im.VisibilityMeasured)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(im.MaxVisibleFraction))
 	return appendString(dst, im.Nonce), nil
+}
+
+func appendConversion(dst []byte, c *Conversion) ([]byte, error) {
+	if c.ValueCents < 0 {
+		return dst, errNegative
+	}
+	dst = binary.AppendVarint(dst, c.ID)
+	for _, s := range [...]string{c.CampaignID, c.UserKey, c.Action} {
+		dst = appendString(dst, s)
+	}
+	return appendTime(binary.AppendVarint(dst, c.ValueCents), c.Timestamp)
+}
+
+// appendTime appends t, or refuses a timestamp the format cannot hold;
+// appendFramed then drops what the entry had written.
+func appendTime(dst []byte, t time.Time) ([]byte, error) {
+	_, off := t.Zone()
+	sec := t.Unix()
+	switch {
+	case off <= -24*3600 || off >= 24*3600:
+		return dst, errZone
+	case !yearInRange(sec, off):
+		return dst, errYear
+	}
+	dst = binary.AppendVarint(dst, sec)
+	dst = binary.AppendUvarint(dst, uint64(t.Nanosecond()))
+	return binary.AppendVarint(dst, int64(off)), nil
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -194,7 +221,7 @@ func yearInRange(sec int64, off int) bool {
 }
 
 // decodeEntry decodes one body into e. An insert's row is decoded into
-// *row, which e.Im then points at.
+// *row, which e.Im then points at; a conversion into a new Conversion.
 func decodeEntry(body []byte, e *walEntry, row *Impression) error {
 	r := bodyReader{b: body}
 	*e = walEntry{Op: r.byte()}
@@ -209,6 +236,8 @@ func decodeEntry(body []byte, e *walEntry, row *Impression) error {
 		e.Clicks = int(r.varint())
 		e.VisMeasured = r.flag()
 		e.MaxVis = r.float()
+	case opConversion:
+		e.Conv = r.conversion()
 	default:
 		if r.err == nil {
 			return fmt.Errorf("unknown op %d", e.Op)
@@ -384,6 +413,15 @@ func (r *bodyReader) row(im *Impression) {
 	im.VisibilityMeasured = r.flag()
 	im.MaxVisibleFraction = r.float()
 	im.Nonce = r.string()
+}
+
+func (r *bodyReader) conversion() *Conversion {
+	c := &Conversion{ID: r.varint(), CampaignID: r.string(), UserKey: r.string(), Action: r.string()}
+	if c.ValueCents = r.varint(); c.ValueCents < 0 {
+		r.fail(errNegative)
+	}
+	c.Timestamp = r.time()
+	return c
 }
 
 // errTorn reports a file that ends inside an entry, or whose final

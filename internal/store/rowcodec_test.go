@@ -83,12 +83,13 @@ func TestJournaledInsertDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzWALEntry is the row codec's round trip. An entry is refused
-// exactly when it breaks a rule of the format (a non-finite fraction; a
-// timestamp whose year is outside 0–9999 or whose zone is a day or more
-// from UTC); an entry that is not decodes to itself, the timestamp's
-// instant and zone offset included; and a body that decodes — op is
-// tried as one too — re-encodes to the same bytes.
+// FuzzWALEntry is the row codec's round trip. An entry — a merge, an
+// insert, or with op "conv…" a conversion — is refused exactly when it
+// breaks a rule of the format (a non-finite fraction; a negative
+// conversion value; a timestamp whose year is outside 0–9999 or whose
+// zone is a day or more from UTC); an entry that is not decodes to
+// itself, the timestamp's instant and zone offset included; and a body
+// that decodes — op is tried as one too — re-encodes to the same bytes.
 func FuzzWALEntry(f *testing.F) {
 	f.Add("ins", "fz", "pub.es", "Mozilla/5.0 <Chrome&49>", int64(1), int64(1500), true, 0.5, int64(1459252800), int64(0), int32(0), true)
 	f.Add("mrg", "", "", "", int64(7), int64(-3), false, 1e-7, int64(0), int64(0), int32(0), false)
@@ -117,9 +118,19 @@ func FuzzWALEntry(f *testing.F) {
 		f.Fatal(err)
 	}
 	leg0 := append(bytes.Clone(insertLegs[:len(insertLegs)-5]), 1)
-	for _, body := range [][]byte{merge, insert, bytes.Replace(insert, []byte{2, 'x'}, []byte{2, '|'}, 1), mergeLegs, insertLegs, leg0} {
+	// A conversion, and the same with its value's zigzag varint (500,
+	// two bytes) made -1, which must not decode.
+	conv, err := appendEntry(nil, &walEntry{Op: opConversion, Conv: &Conversion{ID: 4, CampaignID: "c",
+		UserKey: "p|ua", Action: "purchase", ValueCents: 250, Timestamp: row.Timestamp}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	negative := bytes.Replace(conv, []byte("purchase\xf4\x03"), []byte("purchase\x01"), 1)
+	for _, body := range [][]byte{merge, insert, bytes.Replace(insert, []byte{2, 'x'}, []byte{2, '|'}, 1), mergeLegs, insertLegs, leg0, conv, negative} {
 		f.Add(string(body), "a", "b", "c", int64(2), int64(3), false, 0.5, int64(1459252800), int64(7), int32(-3600), false)
 	}
+	f.Add("conv", "c", "p|ua", "purchase", int64(1), int64(2500), false, 0.0, int64(1459252800), int64(5), int32(5400), false)
+	f.Add("conv", "", "", "", int64(-3), int64(-1), true, math.NaN(), int64(253402300800), int64(0), int32(0), true)
 
 	f.Fuzz(func(t *testing.T, op, a, b, c string, n, m int64, vis bool, frac float64, sec, nsec int64, zone int32, hasIm bool) {
 		sec %= 1 << 40 // ±34,000 years: time's own calendar arithmetic stays exact
@@ -136,8 +147,13 @@ func FuzzWALEntry(f *testing.F) {
 				e.Im.UserKey = c + "|" + a
 			}
 		}
-		refuse := math.IsNaN(frac) || math.IsInf(frac, 0) ||
-			hasIm && (ts.Year() < 0 || ts.Year() > 9999 || zone <= -86400 || zone >= 86400)
+		badTime := ts.Year() < 0 || ts.Year() > 9999 || zone <= -86400 || zone >= 86400
+		refuse := math.IsNaN(frac) || math.IsInf(frac, 0) || hasIm && badTime
+		if strings.HasPrefix(op, "conv") {
+			e = &walEntry{Op: opConversion, Conv: &Conversion{ID: n, CampaignID: a, UserKey: b, Action: c,
+				ValueCents: m, Timestamp: ts}}
+			refuse = m < 0 || badTime
+		}
 		body, err := appendEntry(nil, e)
 		if refuse != (err != nil) {
 			t.Fatalf("refuse = %v, but appendEntry error %v (fraction %v, timestamp %v)", refuse, err, frac, ts)
@@ -148,7 +164,11 @@ func FuzzWALEntry(f *testing.F) {
 			if err := decodeEntry(body, &back, &row); err != nil {
 				t.Fatalf("body does not decode: %v\n%x", err, body)
 			}
-			if hasIm {
+			if e.Conv != nil {
+				if back.Op != opConversion || !sameConversion(*back.Conv, *e.Conv) {
+					t.Fatalf("conversion came back as %+v\nfrom %+v", back.Conv, e.Conv)
+				}
+			} else if hasIm {
 				if back.Op != opInsert || !sameRecord(*back.Im, *e.Im) {
 					t.Fatalf("insert came back as %+v\nfrom %+v", back.Im, e.Im)
 				}
@@ -159,6 +179,18 @@ func FuzzWALEntry(f *testing.F) {
 		}
 		requireReencodes(t, []byte(op))
 	})
+}
+
+// sameConversion reports whether a and b are equal, their timestamps by
+// instant and zone offset.
+func sameConversion(a, b Conversion) bool {
+	_, offA := a.Timestamp.Zone()
+	_, offB := b.Timestamp.Zone()
+	if !a.Timestamp.Equal(b.Timestamp) || offA != offB {
+		return false
+	}
+	a.Timestamp = b.Timestamp
+	return a == b
 }
 
 // requireReencodes fails if body decodes to an entry that does not

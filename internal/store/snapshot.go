@@ -3,8 +3,6 @@ package store
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -15,10 +13,11 @@ import (
 	"time"
 )
 
-// WriteSnapshot streams the store as a binary snapshot: RowsHeader and
-// one insert entry per impression (rowcodec.go), the dataset format
-// SnapshotCompact publishes and cmd/auditctl reads. (WriteCSV is the
-// export for analysis outside this module.)
+// WriteSnapshot streams the store as a binary snapshot: RowsHeader, one
+// insert entry per impression and one entry per conversion
+// (rowcodec.go), the dataset format SnapshotCompact publishes and
+// cmd/auditctl reads. (WriteCSV is the export for analysis outside
+// this module.)
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -31,10 +30,10 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 // path, fsync the directory, and only then truncate the journal — so
 // after a power loss at any step the snapshot on disk plus the journal
 // still hold every acknowledged record. The read lock, which excludes
-// writers, is held throughout, so no insert can land between the
-// snapshot scan and the journal truncation. Concurrent callers run one
-// after another. A failed publish leaves the journal untouched and no
-// temp file behind.
+// writers of impressions and conversions alike, is held throughout, so
+// no entry can land between the snapshot scan and the journal
+// truncation. Concurrent callers run one after another. A failed
+// publish leaves the journal untouched and no temp file behind.
 func (s *Store) SnapshotCompact(path string) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -92,28 +91,32 @@ func syncDir(dir string) error {
 }
 
 // writeSnapshotLocked streams every record as an insert entry, with
-// legs where it needs them, encoded into one reused buffer; callers
-// hold at least a read lock (WriteSnapshot, SnapshotCompact).
+// legs where it needs them, then every conversion, encoded into one
+// reused buffer; callers hold at least a read lock (WriteSnapshot,
+// SnapshotCompact).
 func (s *Store) writeSnapshotLocked(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	bw.WriteString(RowsHeader) // a bufio.Writer's error sticks: it returns from the next Write or Flush
 	var entry []byte
 	var err error
+	write := func(e *walEntry, kind string, id int64) bool {
+		if entry, err = appendFramed(entry[:0], e); err != nil {
+			err = fmt.Errorf("store: encoding snapshot %s %d: %w", kind, id, err)
+		} else if _, err = bw.Write(entry); err != nil {
+			err = fmt.Errorf("store: writing snapshot %s %d: %w", kind, id, err)
+		}
+		return err == nil
+	}
 	s.recs.each(func(im *Impression) bool {
 		e := insertEntry(im, legBit(0))
 		if owner, ok := s.nonces[im.Nonce]; ok && int64(owner.pos)+1 == im.ID {
 			e = insertEntry(im, owner.legs)
 		}
-		if entry, err = appendFramed(entry[:0], &e); err != nil {
-			err = fmt.Errorf("store: encoding snapshot record %d: %w", im.ID, err)
-			return false
-		}
-		if _, err = bw.Write(entry); err != nil {
-			err = fmt.Errorf("store: writing snapshot record %d: %w", im.ID, err)
-			return false
-		}
-		return true
+		return write(&e, "record", im.ID)
 	})
+	for i := 0; err == nil && i < len(s.convs); i++ {
+		write(&walEntry{Op: opConversion, Conv: &s.convs[i]}, "conversion", s.convs[i].ID)
+	}
 	if err != nil {
 		return err
 	}
@@ -123,12 +126,13 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 	return nil
 }
 
-// ReadSnapshot loads a snapshot into a fresh store: format version 2,
-// or a version 1 snapshot (JSON lines) left by an older build. IDs are
-// reassigned in file order; the index is rebuilt. A torn final record —
-// the signature of a writer that crashed mid-snapshot — is dropped with
-// a logged warning rather than failing the whole load, matching the
-// WAL's torn-tail replay semantics; damage anywhere else still fails.
+// ReadSnapshot loads a snapshot into a fresh store, rebuilding the
+// indexes; its entries must carry the IDs that follow, as a journal's
+// do. A torn final record — the signature of a writer that crashed
+// mid-snapshot — is dropped with a logged warning rather than failing
+// the whole load, matching the WAL's torn-tail replay semantics; damage
+// anywhere else still fails, and a file without the header is refused
+// (a version 1 snapshot by ErrJournalV1).
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	s := New()
 	br := bufio.NewReaderSize(r, 64<<10)
@@ -137,70 +141,24 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	switch {
 	case string(head) == RowsHeader:
 		br.Discard(len(head))
-		err = s.readEntries(newEntryReader(br))
-	case len(head) > 0 && strings.HasPrefix(RowsHeader, string(head)):
-		slog.Warn("store: snapshot ends inside its header; loading it empty")
+		r := newEntryReader(br)
+		var torn bool
+		if _, torn, err = s.replay(r, "record", true); err != nil {
+			err = fmt.Errorf("store: snapshot %w", err)
+		} else if torn {
+			slog.Warn("store: snapshot ends in a torn record; dropping it", "records_kept", r.n)
+		}
+	case strings.HasPrefix(RowsHeader, string(head)):
+		if len(head) > 0 {
+			slog.Warn("store: snapshot ends inside its header; loading it empty")
+		}
 	default:
-		err = s.readV1(br)
+		err = fmt.Errorf("store: reading snapshot: %w", notRows(head))
 	}
 	if err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// readEntries loads the rows of a version 2 snapshot.
-func (s *Store) readEntries(r *entryReader) error {
-	var e walEntry
-	var row Impression
-	for {
-		body, err := r.next()
-		if err == io.EOF {
-			return nil
-		}
-		if err == errTorn {
-			slog.Warn("store: snapshot ends in a torn record; dropping it", "records_kept", r.n)
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("store: snapshot record %d: %w", r.n+1, err)
-		}
-		err = decodeEntry(body, &e, &row)
-		if err == nil && e.Op != opInsert && e.Op != opInsertLegs {
-			err = fmt.Errorf("op %d is not a row", e.Op)
-		}
-		if err == nil {
-			_, _, err = s.commit(row, entryLegs(&e), false, nil)
-		}
-		if err != nil {
-			return fmt.Errorf("store: snapshot record %d: %w", r.n, err)
-		}
-	}
-}
-
-// readV1 loads the records of a version 1 snapshot: one JSON object
-// per line.
-func (s *Store) readV1(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	for line := 1; ; line++ {
-		var im Impression
-		err := dec.Decode(&im)
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			slog.Warn("store: snapshot ends in a truncated record; dropping it",
-				"records_kept", s.Len())
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("store: decoding snapshot record %d: %w", line, err)
-		}
-		if _, err := s.Insert(im); err != nil {
-			return fmt.Errorf("store: snapshot record %d: %w", line, err)
-		}
-	}
-	return nil
 }
 
 // csvHeader is the column order of WriteCSV.

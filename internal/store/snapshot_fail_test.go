@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -69,17 +68,6 @@ func TestReadSnapshotToleratesTruncatedFinalRecord(t *testing.T) {
 	ends := entryEnds(t, full)
 	badCRC := bytes.Clone(full)
 	badCRC[len(badCRC)-1] ^= 0x01
-	// A version 1 snapshot of the same records, as an older build wrote
-	// it: one JSON object per line.
-	var v1 bytes.Buffer
-	enc := json.NewEncoder(&v1)
-	for id := int64(1); id <= 3; id++ {
-		im, _ := s.Get(id)
-		if err := enc.Encode(&im); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lines := strings.SplitAfter(strings.TrimSuffix(v1.String(), "\n"), "\n")
 
 	// Chopped mid-way through the last record — a writer that died
 	// between write(2) calls — or its last record damaged.
@@ -87,7 +75,6 @@ func TestReadSnapshotToleratesTruncatedFinalRecord(t *testing.T) {
 		"v2 half a record":     full[:ends[1]+(ends[2]-ends[1])/2],
 		"v2 half a frame":      full[:ends[1]+frameLen-1],
 		"v2 bad last checksum": badCRC,
-		"v1 half a line":       []byte(lines[0] + lines[1] + lines[2][:len(lines[2])/2]),
 	} {
 		got, err := ReadSnapshot(bytes.NewReader(torn))
 		if err != nil {
@@ -113,7 +100,6 @@ func TestReadSnapshotToleratesTruncatedFinalRecord(t *testing.T) {
 	for name, corrupt := range map[string][]byte{
 		"v2 flipped byte": flipped,
 		"v2 not a row":    append(merge, full[ends[0]:]...),
-		"v1 garbage line": []byte(lines[0] + "###garbage###\n" + lines[2]),
 	} {
 		if _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "record 2") {
 			t.Fatalf("%s: mid-file damage: err %v, want a failure naming record 2", name, err)

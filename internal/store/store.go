@@ -6,9 +6,9 @@
 // else (the distinct publishers of the whole dataset, say) is a scan of
 // the log. Nonce → record is the writers': it makes every leg of a
 // beacon count once (legs.go). It supports concurrent writers and
-// readers. Its journal (wal.go) and its snapshots (snapshot.go) share
-// one binary row format (rowcodec.go); CSV is the export for downstream
-// analysis.
+// readers. Its journal (wal.go) and its snapshots (snapshot.go) hold
+// impressions and conversions in one binary format (rowcodec.go); CSV is
+// the export for downstream analysis.
 package store
 
 import (
@@ -91,9 +91,10 @@ func (im *Impression) Validate() error {
 	return nil
 }
 
-// Store is a concurrency-safe impression database with an adjacent
-// conversion log (see conversions.go): a chunked append-only record
-// log (see reclog.go) and two indexes over it, all under mu. A handful
+// Store is a concurrency-safe impression database: a chunked
+// append-only record log (see reclog.go) and two indexes over it, beside
+// the conversions and their campaign index (see conversions.go), all
+// under mu. A handful
 // of campaigns gives a lock nothing to stripe, and a per-publisher or
 // per-user posting list would be a map entry and a slice paid on every
 // commit for no reader.
@@ -119,18 +120,21 @@ type Store struct {
 	// (legs.go). The first record holding a nonce owns it.
 	nonces map[string]nonceEntry
 
-	conversions conversionLog
+	// convs holds the conversions in ID order; convsByCampaign maps a
+	// campaign ID to its conversions' positions in convs.
+	convs           []Conversion
+	convsByCampaign map[string][]int
 
-	// wal, when attached, journals every insert and merge before the
-	// in-memory mutation (see wal.go).
+	// wal, when attached, journals every insert, merge and conversion
+	// before the in-memory mutation (see wal.go).
 	wal *WAL
 	// snapMu serialises SnapshotCompact callers: the read lock they
 	// hold admits several at once, and they share the temp file.
 	snapMu sync.Mutex
 
 	// feed, when non-nil, broadcasts every mutation to change-feed
-	// subscribers (see feed.go). Created lazily on first Subscribe;
-	// atomic because the conversion path publishes without holding mu.
+	// subscribers (see feed.go). Created lazily on first Subscribe,
+	// before it takes mu; atomic because writers read it under mu.
 	feed atomic.Pointer[feed]
 
 	tel storeTelemetry
@@ -139,9 +143,9 @@ type Store struct {
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		byCampaign:  map[string][]int{},
-		nonces:      map[string]nonceEntry{},
-		conversions: conversionLog{byCampaign: map[string][]int{}},
+		byCampaign:      map[string][]int{},
+		nonces:          map[string]nonceEntry{},
+		convsByCampaign: map[string][]int{},
 	}
 }
 

@@ -229,12 +229,12 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader("{not json")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
-	// Valid JSON but invalid record.
+	// A v1 (JSON lines) record, which this build does not read.
 	if _, err := ReadSnapshot(strings.NewReader(`{"campaign_id":""}`)); err == nil {
-		t.Fatal("invalid record accepted")
+		t.Fatal("v1 record accepted")
 	}
-	// The same in version 2: a frame that does not check out, and a row
-	// that does but is not a valid record.
+	// A frame that does not check out, and a row that does but is not a
+	// valid record.
 	if _, err := ReadSnapshot(strings.NewReader(RowsHeader + "not a frame, not a row")); err == nil {
 		t.Fatal("garbage v2 snapshot accepted")
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,13 +14,13 @@ import (
 	"adaudit/internal/trace"
 )
 
-// The write-ahead log makes acknowledged impressions survive a
-// collector crash. Every Insert and Merge appends one binary entry (the
-// row format of rowcodec.go) to the journal *before* the in-memory
-// store mutates, so a daemon killed at any instant recovers, at boot,
-// every record it ever acknowledged — closing the gap the periodic
-// snapshot leaves (a crash used to lose everything since the last
-// flush).
+// The write-ahead log makes acknowledged impressions and conversions
+// survive a collector crash. Every Insert, Merge and InsertConversion
+// appends one binary entry (the format of rowcodec.go) to the journal
+// *before* the in-memory store mutates, so a daemon killed at any
+// instant recovers, at boot, every record it ever acknowledged —
+// closing the gap the periodic snapshot leaves (a crash used to lose
+// everything since the last flush).
 //
 // Design points:
 //
@@ -112,13 +111,15 @@ type WAL struct {
 	done     chan struct{}
 }
 
-// walEntry is one journal entry. Insert entries carry the full record
-// (including its assigned ID); merge entries carry the absolute
-// post-merge values so replay is idempotent. The two legs ops are the
-// same entries with the record's new mask of merged legs (legs.go).
+// walEntry is one journal entry. Insert and conversion entries carry
+// the full record (including its assigned ID); merge entries carry the
+// absolute post-merge values so replay is idempotent. The two legs ops
+// are the same entries with the record's new mask of merged legs
+// (legs.go).
 type walEntry struct {
-	Op byte        // opInsert | opMerge | opInsertLegs | opMergeLegs
-	Im *Impression // opInsert, opInsertLegs
+	Op   byte        // opInsert | opMerge | opInsertLegs | opMergeLegs | opConversion
+	Im   *Impression // opInsert, opInsertLegs
+	Conv *Conversion // opConversion
 
 	// opMerge, opMergeLegs
 	ID          int64
@@ -131,10 +132,20 @@ type walEntry struct {
 	Legs uint32 // opInsertLegs, opMergeLegs
 }
 
-// ErrJournalV1 marks a journal in format version 1 (JSON lines), which
-// OpenWAL refuses to append to: RecoverWAL reads it, and a snapshot
-// published from the recovered store supersedes it.
-var ErrJournalV1 = errors.New("journal is format v1 (JSON lines); this build appends only to v2: recover it, publish a snapshot and truncate it")
+// ErrJournalV1 marks a journal or snapshot in format version 1 (JSON
+// lines), which this build neither reads nor rewrites: OpenWAL,
+// RecoverWAL and ReadSnapshot refuse it by this name, and only an older
+// build that still reads v1 can upgrade it.
+var ErrJournalV1 = errors.New("file is format v1 (JSON lines), which this build does not read: boot it once with a build that upgrades v1 to v2")
+
+// notRows is the refusal of a file that does not open with RowsHeader:
+// ErrJournalV1 for one that opens with '{', else a headerless file.
+func notRows(head []byte) error {
+	if len(head) > 0 && head[0] == '{' {
+		return ErrJournalV1
+	}
+	return fmt.Errorf("not a journal or snapshot: no %q header, and not a v1 (JSON lines) file either", RowsHeader[:4])
+}
 
 // OpenWAL opens (creating if missing) the journal at path for
 // appending, writing RowsHeader to an empty file. It refuses a
@@ -178,12 +189,10 @@ func startJournal(f *os.File) error {
 		return err
 	case string(head[:n]) == RowsHeader:
 		return nil
-	case head[0] == '{':
-		return ErrJournalV1
 	case err != nil && err != io.EOF:
 		return err
 	}
-	return fmt.Errorf("not a journal: no %q header, and not a v1 (JSON lines) journal either", RowsHeader[:4])
+	return notRows(head[:n])
 }
 
 // Path returns the journal's file path.
@@ -361,8 +370,8 @@ func (w *WAL) Close() error {
 	return w.f.Close()
 }
 
-// AttachWAL makes every subsequent Insert and Merge journal itself to w
-// before mutating the store. Attach before the store starts taking
+// AttachWAL makes every subsequent Insert, Merge and InsertConversion
+// journal itself to w before mutating the store. Attach before the store starts taking
 // traffic; a nil w detaches.
 func (s *Store) AttachWAL(w *WAL) {
 	s.mu.Lock()
@@ -387,9 +396,9 @@ func (s *Store) WALDirtyDuration() time.Duration {
 // journal is harmless. A torn final entry — the signature of a crash
 // mid-append — is logged, dropped, and truncated away so the journal is
 // append-clean afterwards; damage anywhere else fails the recovery. A
-// file cut inside its header is truncated to empty. The journal may be
-// in either format: version 2, or a version 1 journal (JSON lines) left
-// by an older build.
+// file cut inside its header is truncated to empty; any other file
+// without the header is refused and left as it is (a version 1 journal
+// by ErrJournalV1).
 func RecoverWAL(path string, base *Store, logger *slog.Logger) (*Store, int, error) {
 	if logger == nil {
 		logger = slog.Default()
@@ -413,14 +422,22 @@ func RecoverWAL(path string, base *Store, logger *slog.Logger) (*Store, int, err
 	switch {
 	case string(head) == RowsHeader:
 		br.Discard(len(head))
-		applied, err = s.recoverEntries(newEntryReader(br), path, logger)
+		r := newEntryReader(br)
+		var torn bool
+		if applied, torn, err = s.replay(r, "entry", false); err != nil {
+			err = fmt.Errorf("store: wal %s %w", path, err)
+		} else if torn {
+			logger.Warn("store: wal ends in a torn entry; dropping tail",
+				"path", path, "entry", r.n+1, "offset", r.end)
+			err = truncateAt(path, r.end)
+		}
 	case strings.HasPrefix(RowsHeader, string(head)):
 		if len(head) > 0 {
 			logger.Warn("store: wal ends inside its header; emptying it", "path", path, "bytes", len(head))
 			err = truncateAt(path, 0)
 		}
 	default:
-		applied, err = s.recoverV1(br, path, logger)
+		err = fmt.Errorf("store: recovering wal %s: %w", path, notRows(head))
 	}
 	if err != nil {
 		return nil, 0, err
@@ -428,118 +445,58 @@ func RecoverWAL(path string, base *Store, logger *slog.Logger) (*Store, int, err
 	return s, applied, nil
 }
 
-// recoverEntries replays a version 2 journal.
-func (s *Store) recoverEntries(r *entryReader, path string, logger *slog.Logger) (int, error) {
-	applied := 0
+// replay applies the entries r reads — a journal's, or with rows set a
+// snapshot's, which holds no merge — until the end of the file or a
+// torn final entry, which it reports. An error names the entry as noun
+// and its ordinal.
+func (s *Store) replay(r *entryReader, noun string, rows bool) (applied int, torn bool, err error) {
 	var e walEntry
 	var row Impression
 	for {
 		body, err := r.next()
-		if err == io.EOF {
-			return applied, nil
-		}
-		if err == errTorn {
-			logger.Warn("store: wal ends in a torn entry; dropping tail",
-				"path", path, "entry", r.n+1, "offset", r.end)
-			return applied, truncateAt(path, r.end)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("store: wal %s entry %d corrupt: %w", path, r.n+1, err)
+		switch {
+		case err == io.EOF:
+			return applied, false, nil
+		case err == errTorn:
+			return applied, true, nil
+		case err != nil:
+			return 0, false, fmt.Errorf("%s %d corrupt: %w", noun, r.n+1, err)
 		}
 		if err := decodeEntry(body, &e, &row); err != nil {
-			return 0, fmt.Errorf("store: wal %s entry %d corrupt: %w", path, r.n, err)
+			return 0, false, fmt.Errorf("%s %d corrupt: %w", noun, r.n, err)
+		}
+		if rows && (e.Op == opMerge || e.Op == opMergeLegs) {
+			return 0, false, fmt.Errorf("%s %d: op %d is not a row", noun, r.n, e.Op)
 		}
 		ok, err := s.applyWALEntry(&e)
 		if err != nil {
-			return 0, fmt.Errorf("store: wal %s entry %d: %w", path, r.n, err)
+			return 0, false, fmt.Errorf("%s %d: %w", noun, r.n, err)
 		}
 		if ok {
 			applied++
 		}
-	}
-}
-
-// walEntryV1 is one line of a version 1 journal.
-type walEntryV1 struct {
-	Op          string      `json:"op"` // "ins" | "mrg"
-	Im          *Impression `json:"im,omitempty"`
-	ID          int64       `json:"id,omitempty"`
-	ExposureNS  int64       `json:"exp,omitempty"`
-	MouseMoves  int         `json:"moves,omitempty"`
-	Clicks      int         `json:"clicks,omitempty"`
-	VisMeasured bool        `json:"vis,omitempty"`
-	MaxVis      float64     `json:"maxvis,omitempty"`
-}
-
-// recoverV1 replays a version 1 journal: one JSON object per line, a
-// torn final line being one without its newline.
-func (s *Store) recoverV1(br *bufio.Reader, path string, logger *slog.Logger) (int, error) {
-	applied := 0
-	var goodOffset int64 // end of the last intact, newline-terminated entry
-	for lineNo := 1; ; lineNo++ {
-		line, err := br.ReadString('\n')
-		if err == io.EOF {
-			if len(line) > 0 {
-				// Data after the last newline: a torn append. Drop it.
-				logger.Warn("store: wal ends in a torn entry; dropping tail",
-					"path", path, "line", lineNo, "bytes", len(line))
-				return applied, truncateAt(path, goodOffset)
-			}
-			return applied, nil
-		}
-		if err != nil {
-			return 0, fmt.Errorf("store: reading wal %s: %w", path, err)
-		}
-		var v1 walEntryV1
-		if err := json.Unmarshal([]byte(line), &v1); err != nil {
-			// A newline-terminated line that does not parse is real
-			// corruption, not a crash artifact: appends wrote the whole
-			// line atomically.
-			return 0, fmt.Errorf("store: wal %s entry %d corrupt: %w", path, lineNo, err)
-		}
-		e := walEntry{Im: v1.Im, ID: v1.ID, ExposureNS: v1.ExposureNS, MouseMoves: v1.MouseMoves,
-			Clicks: v1.Clicks, VisMeasured: v1.VisMeasured, MaxVis: v1.MaxVis}
-		switch v1.Op {
-		case "ins":
-			e.Op = opInsert
-		case "mrg":
-			e.Op = opMerge
-		default:
-			return 0, fmt.Errorf("store: wal %s entry %d: unknown op %q", path, lineNo, v1.Op)
-		}
-		ok, err := s.applyWALEntry(&e)
-		if err != nil {
-			return 0, fmt.Errorf("store: wal %s entry %d: %w", path, lineNo, err)
-		}
-		if ok {
-			applied++
-		}
-		goodOffset += int64(len(line))
 	}
 }
 
 // applyWALEntry replays one journal entry; ok reports whether it
-// changed the store: an insert the snapshot already holds is skipped,
-// and a merge to the values (and legs) the record already has changes
-// nothing.
+// changed the store: an insert or a conversion the snapshot already
+// holds is skipped, and a merge to the values (and legs) the record
+// already has changes nothing.
 func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 	switch e.Op {
 	case opInsert, opInsertLegs:
-		if e.Im == nil {
-			return false, fmt.Errorf("insert entry missing record")
-		}
-		s.mu.Lock()
-		have := int64(s.recs.len())
-		s.mu.Unlock()
-		if e.Im.ID <= have {
-			// Already covered by the snapshot the journal was replayed
-			// over (crash landed between snapshot publish and reset).
-			return false, nil
-		}
-		if e.Im.ID != have+1 {
-			return false, fmt.Errorf("insert id %d does not follow store length %d", e.Im.ID, have)
+		if ok, err := follows("insert", e.Im.ID, s.Len()); !ok {
+			return false, err
 		}
 		if _, _, err := s.commit(*e.Im, entryLegs(e), false, nil); err != nil {
+			return false, err
+		}
+		return true, nil
+	case opConversion:
+		if ok, err := follows("conversion", e.Conv.ID, s.NumConversions()); !ok {
+			return false, err
+		}
+		if _, err := s.InsertConversion(*e.Conv); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -576,6 +533,17 @@ func (s *Store) applyWALEntry(e *walEntry) (ok bool, err error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("unknown op %d", e.Op)
+}
+
+// follows reports whether the entry with id extends a log of have
+// entries. An id in 1..have is one the snapshot replayed under the
+// journal already holds (a crash landed between its publish and the
+// journal's reset); any other but have+1 is an error.
+func follows(kind string, id int64, have int) (bool, error) {
+	if id < 1 || id > int64(have)+1 {
+		return false, fmt.Errorf("%s id %d does not follow store length %d", kind, id, have)
+	}
+	return id == int64(have)+1, nil
 }
 
 // truncateAt chops the file to size off, removing a torn tail.

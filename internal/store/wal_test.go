@@ -117,7 +117,8 @@ func TestWALMergeReplayIsIdempotent(t *testing.T) {
 // TestWALTornTailToleratedAndTruncated: a journal that ends in part of
 // an entry, or in an entry whose body fails its checksum, lost that
 // entry to a crash mid-append. Recovery keeps everything before it and
-// truncates it away, in either format.
+// truncates it away. A v1 (JSON lines) journal torn the same way is
+// refused whole and not truncated: this build reads no v1.
 func TestWALTornTailToleratedAndTruncated(t *testing.T) {
 	path, w := openTestWAL(t, WALOptions{Policy: SyncGroup})
 	s := New()
@@ -147,10 +148,14 @@ func TestWALTornTailToleratedAndTruncated(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			want := 5
 			if name == "v1 half a line" {
-				want = 1
+				_, _, err := RecoverWAL(path, nil, fuzzLogger())
+				if raw, _ := os.ReadFile(path); !errors.Is(err, ErrJournalV1) || !bytes.Equal(raw, data) {
+					t.Fatalf("torn v1 journal: err %v, journal left at %d of %d bytes; want ErrJournalV1, untouched", err, len(raw), len(data))
+				}
+				return
 			}
+			const want = 5
 			rec, applied, err := RecoverWAL(path, nil, fuzzLogger())
 			if err != nil {
 				t.Fatalf("torn tail must not fail recovery: %v", err)
@@ -164,7 +169,7 @@ func TestWALTornTailToleratedAndTruncated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if name != "v1 half a line" && !bytes.Equal(raw, full[:last]) {
+			if !bytes.Equal(raw, full[:last]) {
 				t.Fatalf("journal truncated to %d bytes, want the %d before the torn entry", len(raw), last)
 			}
 			rec2, applied2, err := RecoverWAL(path, nil, fuzzLogger())
@@ -177,21 +182,10 @@ func TestWALTornTailToleratedAndTruncated(t *testing.T) {
 
 // TestWALCorruptMiddleFailsRecovery: damage that is not a torn final
 // entry — any byte flipped in any entry but the last, frame header or
-// body, or a line of a v1 journal that does not parse — fails recovery
-// naming the entry, and leaves the journal as it was.
+// body — fails recovery naming the entry, and leaves the journal as it
+// was.
 func TestWALCorruptMiddleFailsRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	v1 := `{"op":"ins","im":{"id":1,"campaign_id":"c","publisher":"p","user_key":"u","timestamp":"2016-03-29T00:00:00Z"}}
-not json at all
-{"op":"ins","im":{"id":2,"campaign_id":"c","publisher":"p","user_key":"u","timestamp":"2016-03-29T00:00:01Z"}}
-`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RecoverWAL(path, nil, nil); err == nil || !strings.Contains(err.Error(), "entry 2") {
-		t.Fatalf("corrupt middle v1 line: err %v, want a failure naming entry 2", err)
-	}
-
 	full, _, _ := fixtureJournal(t)
 	ends := entryEnds(t, full)
 	start := len(RowsHeader)
@@ -264,8 +258,9 @@ func TestWALCrashAtEveryByte(t *testing.T) {
 
 // TestOpenWALRefusesAJournalWithoutHeader: OpenWAL appends only to a
 // version 2 journal. It writes the header to an empty file and refuses
-// a v1 journal by name — an upgrade recovers it and publishes a
-// snapshot first — and any other headerless file.
+// a v1 file by name and any other headerless file; RecoverWAL and
+// ReadSnapshot refuse the same files the same way, and none of the
+// three changes the file.
 func TestOpenWALRefusesAJournalWithoutHeader(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string]string{
@@ -276,12 +271,21 @@ func TestOpenWALRefusesAJournalWithoutHeader(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenWAL(path, WALOptions{})
-		if err == nil || !strings.Contains(err.Error(), "v1") || errors.Is(err, ErrJournalV1) != (name == "v1") {
-			t.Fatalf("%s: OpenWAL err %v, want a refusal naming v1", name, err)
-		}
-		if got, _ := os.ReadFile(path); string(got) != content {
-			t.Fatalf("%s: the refused journal was changed", name)
+		for reader, read := range map[string]func() error{
+			"OpenWAL": func() error { _, err := OpenWAL(path, WALOptions{}); return err },
+			"RecoverWAL": func() error {
+				_, _, err := RecoverWAL(path, nil, fuzzLogger())
+				return err
+			},
+			"ReadSnapshot": func() error { _, err := ReadSnapshot(strings.NewReader(content)); return err },
+		} {
+			err := read()
+			if err == nil || !strings.Contains(err.Error(), "v1") || errors.Is(err, ErrJournalV1) != (name == "v1") {
+				t.Fatalf("%s: %s err %v, want a refusal naming v1", name, reader, err)
+			}
+			if got, _ := os.ReadFile(path); string(got) != content {
+				t.Fatalf("%s: %s changed the refused file", name, reader)
+			}
 		}
 	}
 	path := filepath.Join(dir, "new.wal")

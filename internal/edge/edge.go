@@ -17,7 +17,9 @@
 // on shardmerge.ShardFor(nonce, pools). That is the only thing the
 // number of upstreams changes: internal/gateway is an Edge with one
 // pool, internal/router an Edge with N pools that additionally mounts
-// a trunk relay driven through Pool's exported methods. Both packages
+// a trunk relay, which writes other edges' commits once through
+// Pool.Forward and holds none: only the first hop holds a commit, in
+// its spill, and replays what goes unanswered. Both packages
 // own what differs between the tiers — their Config, their metric
 // names, their extra routes — and nothing else; both serve through the
 // daemon shell (Tier), whose /healthz schema is every daemon's.
@@ -55,6 +57,14 @@ import (
 	"adaudit/internal/wsproto"
 )
 
+// The session limits of every edge, the collector's defaults; the
+// router's relay bounds the wait for a trunk's Hello by HandshakeTimeout.
+const (
+	HandshakeTimeout = 10 * time.Second // for a session's first payload
+	maxMessageSize   = 16 << 10         // bytes of one beacon message
+	maxExposure      = 30 * time.Minute // a session's measured lifetime
+)
+
 // Shed reasons, the values of the tiers' sheds_total{reason=...}.
 const (
 	ShedDraining = "draining" // draining for shutdown
@@ -81,9 +91,8 @@ type Config struct {
 	// Upstreams lists the collectors in shard order: the order is the
 	// identity of the topology, because sessions are placed by index.
 	Upstreams []Upstream
-	// ID names this edge in the trunk Hello; a router folds replays of a
-	// commit it still holds per (ID, stream). Empty generates IDPrefix
-	// plus a random token.
+	// ID names this edge in the trunk Hello, which the upstream logs.
+	// Empty generates IDPrefix plus a random token.
 	ID string
 	// TrunksPerPool is the size of each upstream's trunk pool.
 	TrunksPerPool int
@@ -92,10 +101,7 @@ type Config struct {
 
 	AllowedOrigins    []string
 	MaxSessions       int
-	MaxMessageSize    int64
-	HandshakeTimeout  time.Duration
 	KeepAliveInterval time.Duration
-	MaxExposure       time.Duration
 
 	// SpillLimit bounds unacknowledged commits summed over every pool.
 	SpillLimit     int
@@ -113,10 +119,11 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	Tel       Instruments
 
-	// OnResolve, when set, hears every upstream verdict on a stream —
-	// acked, or rejected with a reason — after the spill entry is gone.
-	// The router's trunk relay uses it to answer the origin gateway.
-	OnResolve func(stream uint64, acked bool, reason string)
+	// OnResolve, when set, hears every upstream verdict (acked, or
+	// rejected with a reason) on a stream no spill holds, and returns
+	// when it forwarded that stream's commit, or zero for a stream it
+	// does not know. The router's relay answers its gateway with it.
+	OnResolve func(stream uint64, acked bool, reason string) (forwarded time.Time)
 }
 
 // Instruments are the edge-wide series. The core counts; the tier owns
@@ -170,9 +177,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	case cfg.KeepAliveInterval < 0:
 		cfg.KeepAliveInterval = 0
 	}
-	cfg.MaxMessageSize = cmp.Or(cfg.MaxMessageSize, 16<<10)
-	cfg.HandshakeTimeout = cmp.Or(cfg.HandshakeTimeout, 10*time.Second)
-	cfg.MaxExposure = cmp.Or(cfg.MaxExposure, 30*time.Minute)
 	cfg.SpillLimit = cmp.Or(cfg.SpillLimit, 1<<16)
 	cfg.AckTimeout = cmp.Or(cfg.AckTimeout, 5*time.Second)
 	cfg.ReplayInterval = cmp.Or(cfg.ReplayInterval, time.Second)
@@ -221,10 +225,10 @@ func New(cfg Config) (*Edge, error) {
 	}
 	e.sessions = beacon.Server{
 		Clock:             cfg.Clock,
-		HandshakeTimeout:  cfg.HandshakeTimeout,
+		HandshakeTimeout:  HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
-		MaxExposure:       cfg.MaxExposure,
-		MaxMessageSize:    cfg.MaxMessageSize,
+		MaxExposure:       maxExposure,
+		MaxMessageSize:    maxMessageSize,
 		Admit:             e.refusal,
 		Shed:              e.shed,
 		Serve:             e.serveSession,

@@ -30,9 +30,8 @@ const batchBytes = 32 << 10
 // migrate between pools, because ownership is the hash of the session
 // key, not trunk availability.
 //
-// Its exported methods are the relay surface: what a tier that
-// terminates other edges' trunks (the router's /trunk endpoint) drives,
-// together with Edge.NextStream and Config.OnResolve.
+// Forward is the relay surface, with Edge.PoolFor, Edge.NextStream and
+// Config.OnResolve: a relayed commit never enters the spill.
 type Pool struct {
 	e   *Edge
 	url string
@@ -96,9 +95,9 @@ func (p *Pool) wakeReplay() {
 	}
 }
 
-// Spill registers an encoded Commit frame for guaranteed delivery to
-// this upstream and nudges the replay loop to send it now.
-func (p *Pool) Spill(stream uint64, frame []byte) {
+// spillCommit registers a session's encoded Commit frame for guaranteed
+// delivery to this upstream and nudges the replay loop to send it now.
+func (p *Pool) spillCommit(stream uint64, frame []byte) {
 	p.e.cfg.Tel.Commits.Add(1)
 	p.tel.Commits.Add(1)
 	p.spillMu.Lock()
@@ -107,34 +106,54 @@ func (p *Pool) Spill(stream uint64, frame []byte) {
 	p.wakeReplay()
 }
 
-// resolve removes a stream the upstream acked or permanently rejected
-// from the spill buffer and tells the OnResolve hook.
+// Forward writes one encoded Commit frame once onto a healthy trunk of
+// this pool, holding nothing, and reports whether it went out. The
+// write is bounded by AckTimeout like the replay loop's; a commit not
+// written, or never answered, is the caller's to replay.
+func (p *Pool) Forward(frame []byte) bool {
+	peer := p.pickTrunk()
+	if peer == nil {
+		return false
+	}
+	p.e.cfg.Tel.Commits.Add(1)
+	p.tel.Commits.Add(1)
+	p.tel.TrunkBatches.Add(1)
+	p.tel.BatchBytes.Observe(float64(len(frame)))
+	return peer.Send(frame) == nil
+}
+
+// resolve counts an upstream's verdict on a stream — acked or
+// permanently rejected — and drops it from the spill buffer; a stream
+// no spill holds is the OnResolve hook's.
 func (p *Pool) resolve(stream uint64, acked bool, reason string) {
 	p.spillMu.Lock()
-	e, ok := p.spill[stream]
+	e, held := p.spill[stream]
 	delete(p.spill, stream)
 	p.spillMu.Unlock()
+	var since time.Time
+	if held {
+		since = e.enqueued
+	} else if hook := p.e.cfg.OnResolve; hook != nil {
+		since = hook(stream, acked, reason)
+	}
 	switch {
-	case ok && acked:
+	case since.IsZero(): // answered already, or unknown
+	case acked:
 		p.tel.Acks.Add(1)
-		p.tel.Forward.ObserveDuration(p.e.cfg.Clock.Since(e.enqueued))
-	case ok:
+		p.tel.Forward.ObserveDuration(p.e.cfg.Clock.Since(since))
+	default:
 		p.tel.Rejects.Add(1)
 		p.log.Warn("edge: upstream rejected commit", "stream", stream, "reason", reason)
 	}
-	if hook := p.e.cfg.OnResolve; hook != nil {
-		hook(stream, acked, reason)
-	}
 }
 
-// pickTrunk returns the connection of a healthy trunk of this pool,
-// round-robin, or nil.
-func (p *Pool) pickTrunk() *wsproto.Conn {
+// pickTrunk returns a healthy trunk of this pool, round-robin, or nil.
+func (p *Pool) pickTrunk() *trunk.Peer {
 	n := len(p.trunks)
 	start := int(p.rr.Add(1)) % n
 	for i := 0; i < n; i++ {
-		if conn := p.trunks[(start+i)%n].conn.Load(); conn != nil {
-			return conn
+		if peer := p.trunks[(start+i)%n].peer.Load(); peer != nil {
+			return peer
 		}
 	}
 	return nil
@@ -144,18 +163,18 @@ func (p *Pool) pickTrunk() *wsproto.Conn {
 func (p *Pool) healthyTrunks() int {
 	n := 0
 	for _, t := range p.trunks {
-		if t.conn.Load() != nil {
+		if t.peer.Load() != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// replayLoop is the pool's single sender, and the only writer of data
-// on its trunks: it pushes fresh spill entries immediately (woken by
-// Spill and trunk attach) and re-sends entries whose trunk died or whose
-// ack timed out. One sender per pool means a commit can never race its
-// own retransmission onto two trunks; the collector's store drops the
+// replayLoop is the pool's single sender of spilled commits: it pushes
+// fresh spill entries immediately (woken by spillCommit and trunk
+// attach) and re-sends entries whose trunk died or whose ack timed out.
+// One sender per pool means a commit can never race its own
+// retransmission onto two trunks; the collector's store drops the
 // replays a lost ack still forces, each a leg it has counted already.
 func (p *Pool) replayLoop() {
 	defer p.e.runnersWG.Done()
@@ -181,8 +200,8 @@ func (p *Pool) replayPending() {
 	// from here on bumps it past what the entries are marked with, so
 	// they stay due.
 	gen := p.gen.Load()
-	conn := p.pickTrunk()
-	if conn == nil {
+	peer := p.pickTrunk()
+	if peer == nil {
 		return
 	}
 	now := p.e.cfg.Clock.Now()
@@ -206,13 +225,12 @@ func (p *Pool) replayPending() {
 		}
 		p.tel.TrunkBatches.Add(1)
 		p.tel.BatchBytes.Observe(float64(len(p.batch)))
-		err := conn.WriteMessage(wsproto.OpBinary, p.batch)
+		err := peer.Send(p.batch)
 		p.batch = p.batch[:0]
 		if err != nil {
-			// Closing the transport makes the trunk's reader notice and the
-			// slot recycle; its detach bumps the generation, which makes
-			// what was marked sent on it due again.
-			_ = conn.NetConn().Close()
+			// Send closed the transport, so the trunk's reader notices and
+			// the slot recycles; its detach bumps the generation, which
+			// makes what was marked sent on it due again.
 			return
 		}
 	}
@@ -227,9 +245,10 @@ type trunkConn struct {
 	p   *Pool
 	idx int
 
-	// conn is the live connection (nil while down: the slot is healthy
-	// exactly when it has one).
-	conn atomic.Pointer[wsproto.Conn]
+	// peer writes to the live connection, each write bounded by
+	// AckTimeout (nil while down: the slot is healthy exactly when it has
+	// one).
+	peer atomic.Pointer[trunk.Peer]
 	// fails counts, for the breaker, consecutive trunks that were never
 	// answered: a dial that failed, or a connection that ended before
 	// its first ack or reject. A dial alone proves nothing — an upstream
@@ -326,7 +345,7 @@ func (t *trunkConn) dial() (*wsproto.Conn, error) {
 // through it.
 func (t *trunkConn) attach(conn *wsproto.Conn) {
 	p := t.p
-	t.conn.Store(conn)
+	t.peer.Store(trunk.NewPeer(conn, p.e.cfg.Clock, p.e.cfg.AckTimeout))
 	p.tel.TrunksHealthy.Add(1)
 	p.gen.Add(1)
 	p.wakeReplay()
@@ -340,7 +359,7 @@ func (t *trunkConn) attach(conn *wsproto.Conn) {
 // self-contained.
 func (t *trunkConn) detach(conn *wsproto.Conn, cause error) {
 	p := t.p
-	t.conn.Store(nil)
+	t.peer.Store(nil)
 	_ = conn.NetConn().Close()
 	p.tel.TrunksHealthy.Add(-1)
 	p.gen.Add(1)

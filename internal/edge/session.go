@@ -49,12 +49,12 @@ func (e *Edge) serveSession(sess *beacon.ServerSession, peer netip.Addr) {
 		Type: trunk.Commit, Stream: stream,
 		RemoteIP:    remote,
 		ConnectedAt: sess.ConnectedAt.UnixNano(),
-		Exposure:    min(exposure, e.cfg.MaxExposure),
+		Exposure:    min(exposure, maxExposure),
 		Payload:     string(payload.AppendBinary(enc[:0])),
 		Stages:      stages,
 	})
 	// Spilled before the endpoint closes the client: once the commit is
 	// in the pool's spill buffer the replay loop guarantees delivery, so
 	// the close the client treats as its ack is never a lie.
-	p.Spill(stream, commit)
+	p.spillCommit(stream, commit)
 }

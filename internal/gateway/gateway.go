@@ -31,9 +31,8 @@ type Config struct {
 	// TrunkToken is presented on trunk handshakes when the collector
 	// requires one.
 	TrunkToken string
-	// GatewayID names this gateway in its trunk Hello. A router folds
-	// replays of a commit it still holds per (gateway, stream), so each
-	// gateway instance needs a distinct ID. Defaults to a random token.
+	// GatewayID names this gateway in its trunk Hello, which the
+	// collector or router logs. Defaults to a random token.
 	GatewayID string
 	// Trunks is the size of the persistent trunk pool (default 2).
 	Trunks int
@@ -50,17 +49,10 @@ type Config struct {
 	AllowedOrigins []string
 	// MaxSessions caps concurrent beacon sessions; 0 disables.
 	MaxSessions int
-	// MaxMessageSize bounds beacon messages (default 16 KiB).
-	MaxMessageSize int64
-	// HandshakeTimeout bounds the wait for a session's initial payload
-	// (default 10s).
-	HandshakeTimeout time.Duration
 	// KeepAliveInterval pings idle beacon sessions and trunks; a peer
 	// that stops answering within two intervals is torn down. Default
 	// 30s; negative disables.
 	KeepAliveInterval time.Duration
-	// MaxExposure caps a session's lifetime (default 30 minutes).
-	MaxExposure time.Duration
 
 	// SpillLimit bounds unacknowledged commits held across a collector
 	// outage (default 65536); at the cap new sessions are shed, since
@@ -117,10 +109,7 @@ func New(cfg Config) (*Gateway, error) {
 		Dialer:            cfg.Dialer,
 		AllowedOrigins:    cfg.AllowedOrigins,
 		MaxSessions:       cfg.MaxSessions,
-		MaxMessageSize:    cfg.MaxMessageSize,
-		HandshakeTimeout:  cfg.HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
-		MaxExposure:       cfg.MaxExposure,
 		SpillLimit:        cfg.SpillLimit,
 		AckTimeout:        cfg.AckTimeout,
 		ReplayInterval:    cfg.ReplayInterval,

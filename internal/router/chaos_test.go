@@ -15,6 +15,7 @@ import (
 	"adaudit/internal/beacon"
 	"adaudit/internal/collector/collectortest"
 	"adaudit/internal/daemon"
+	"adaudit/internal/gateway"
 	"adaudit/internal/memnet"
 	"adaudit/internal/publisher"
 	"adaudit/internal/shardmerge"
@@ -25,12 +26,16 @@ import (
 )
 
 // TestChaosRouterShardRestart is the sharded tier's acceptance test: a
-// beacon fleet reports into a router whose listener injects faults, while
-// one of the two shards is killed mid-run, its store recovered from the WAL
-// alone — its nonce index, rebuilt from the journal, drops every leg it
-// already holds — and a fresh collector rebinds the same address. The
-// router's circuit breakers must re-home its trunks onto the restarted
-// shard and flush the spill built up during the outage. Invariants:
+// beacon fleet reports into a router whose listener injects faults — a
+// quarter of it through a gateway whose trunks ride that listener into
+// the router's /trunk relay — while one of the two shards is killed
+// mid-run, its store recovered from the WAL alone — its nonce index,
+// rebuilt from the journal, drops every leg it already holds — and a
+// fresh collector rebinds the same address. The router's circuit
+// breakers must re-home its trunks onto the restarted shard and flush
+// the spill built up during the outage; the relay holds none of it, so
+// the gateway's spill must replay its share through the router once the
+// shard is back. Invariants:
 // every acked impression is present exactly once in the union of the
 // shard stores, each on exactly the shard its nonce hashes to, and the
 // merged per-shard streaming audit equals the batch FullAudit over the
@@ -74,7 +79,24 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	}
 	r, rsrv := startRouter(t, cfg, daemon.WithListener(listen("router:80", clientPlan)))
 	tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
-	clientURL := rsrv.BeaconURL()
+	g, err := gateway.New(gateway.Config{
+		CollectorURL:      rsrv.TrunkURL(),
+		TrunkToken:        cfg.TrunkToken,
+		Dialer:            wsproto.Dialer{NetDial: nw.Dial},
+		KeepAliveInterval: cfg.KeepAliveInterval,
+		AckTimeout:        cfg.AckTimeout,
+		ReplayInterval:    cfg.ReplayInterval,
+		BreakerCooldown:   cfg.BreakerCooldown,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsrv, err := gateway.NewServer(g, "", gateway.WithDrainGrace(time.Second),
+		daemon.WithListener(listen("gateway:80", clientPlan)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiertest.Serve(t, gsrv)
 
 	pubs, err := publisher.NewUniverse(publisher.Config{Seed: 5, NumPublishers: 60})
 	if err != nil {
@@ -95,6 +117,10 @@ func TestChaosRouterShardRestart(t *testing.T) {
 			// Stagger starts so the fleet's activity spans the shard
 			// outage window instead of finishing before it.
 			time.Sleep(time.Duration(i) * 25 * time.Millisecond)
+			clientURL := rsrv.BeaconURL()
+			if i%4 == 3 {
+				clientURL = gsrv.BeaconURL()
+			}
 			cl := &beacon.Client{
 				CollectorURL:    clientURL,
 				Dialer:          wsproto.Dialer{NetDial: nw.Dial},
@@ -124,7 +150,8 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	// Mid-run, shard 0 "crashes": its server is torn down, the store
 	// recovered from the WAL alone, and a fresh collector rebinds the
 	// same address. The outage lasts long enough that commits hashing
-	// to shard 0 are acked purely from the router's spill buffer.
+	// to shard 0 are acked purely from the spill buffer of the tier that
+	// terminated their session: the router's, or the gateway's.
 	time.Sleep(250 * time.Millisecond)
 	_ = stop0()
 	if err := wal.Close(); err != nil {
@@ -135,9 +162,8 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	spilledDuringOutage := r.Health().Pools[0].SpillPending
-	t.Logf("chaos: shard 0 restarted with %d WAL entries recovered, %d commits spilled toward it during the outage",
-		applied, spilledDuringOutage)
+	t.Logf("chaos: shard 0 restarted with %d WAL entries recovered, %d commits spilled toward it at the router, %d at the gateway",
+		applied, r.Health().Pools[0].SpillPending, g.Health().SpillPending)
 	wal2, err := store.OpenWAL(walPath, store.WALOptions{Policy: store.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
@@ -161,15 +187,19 @@ func TestChaosRouterShardRestart(t *testing.T) {
 		t.Fatal("no beacon ever got through; chaos too violent to test the invariant")
 	}
 
-	// Drain the router: every commit it acknowledged must flush to its
-	// shard — including the spill built up while shard 0 was dead.
+	// Drain the gateway, then the router that relays for it: every commit
+	// either acknowledged must flush to its shard — including the spill
+	// built up while shard 0 was dead.
+	if left := g.Drain(15 * time.Second); left != 0 {
+		t.Fatalf("gateway drain left %d acked commits undelivered (loss)", left)
+	}
 	if left := r.Drain(15 * time.Second); left != 0 {
 		t.Fatalf("router drain left %d acked commits undelivered (loss)", left)
 	}
 	breakerOpens := seriesSum(r, "adaudit_router_shard_breaker_opens_total")
 	replays := seriesSum(r, "adaudit_router_shard_replays_total")
-	t.Logf("chaos: %d/%d acked, clientKills=%d replays=%v breakerOpens=%v",
-		acked, fleet, clientKills, replays, breakerOpens)
+	t.Logf("chaos: %d/%d acked, clientKills=%d replays=%v breakerOpens=%v relayFrames=%v",
+		acked, fleet, clientKills, replays, breakerOpens, seriesSum(r, "adaudit_router_relay_frames_total"))
 	if breakerOpens == 0 {
 		t.Error("shard 0's trunk breakers never opened; the outage went unnoticed")
 	}

@@ -16,9 +16,9 @@
 // its Config, its metric names (adaudit_router_*, per-shard series
 // under shard_id), the merged live API, and the /trunk relay — an edge
 // gateway (internal/gateway) can point its collector URL at the router,
-// which re-streams each commit onto the owning shard and relays the
-// shard's ack back, so the gateway's own spill discipline covers the
-// full path end to end.
+// which writes each commit once onto the owning shard and relays the
+// shard's ack back. Only the first hop holds a commit, so the relay
+// spills nothing: the gateway's own spill covers the full path.
 package router
 
 import (
@@ -56,13 +56,11 @@ type Config struct {
 	// The rest mean what gateway.Config's fields of the same names do,
 	// defaults included. Each shard's pool has its own trunks and spill;
 	// SpillLimit is summed over every shard's spill, and a commit its
-	// shard has not acked is re-sent after AckTimeout.
+	// shard has not acked is re-sent after AckTimeout, which also bounds
+	// a relayed commit's write and how long its return path is kept.
 	AllowedOrigins    []string
 	MaxSessions       int
-	MaxMessageSize    int64
-	HandshakeTimeout  time.Duration
 	KeepAliveInterval time.Duration
-	MaxExposure       time.Duration
 	SpillLimit        int
 	AckTimeout        time.Duration
 	ReplayInterval    time.Duration
@@ -75,8 +73,8 @@ type Config struct {
 
 // Router terminates beacon sessions and gateway trunks and multiplexes
 // them onto per-shard trunk pools: an edge.Edge with one pool per shard
-// plus the relay state. Beacon (whose tracking covers relayed gateway
-// trunks too), Telemetry, Health, Drain and Close are the core's.
+// plus the relay's return paths. Beacon (whose tracking covers relayed
+// gateway trunks too), Telemetry, Health, Drain and Close are the core's.
 type Router struct {
 	*edge.Edge
 
@@ -86,13 +84,13 @@ type Router struct {
 	relayTrunks *telemetry.Gauge
 	relayFrames *telemetry.CounterVec
 
-	// relays maps router streams of trunk-relayed sessions back to
-	// their origin gateway connection and stream, so shard acks can be
-	// forwarded; relayByOrigin folds gateway replays of the same
-	// commit onto one router stream.
-	relayMu       sync.Mutex
-	relays        map[uint64]*relayEntry
-	relayByOrigin map[originKey]uint64
+	// relays maps the router streams of relayed commits back to their
+	// origin gateway connection and stream, so shard acks can be
+	// forwarded; sweepAt is when the relay path next drops the ones
+	// unanswered past AckTimeout.
+	relayMu sync.Mutex
+	relays  map[uint64]relayEntry
+	sweepAt time.Time
 }
 
 // New validates cfg and returns a started Router: every shard pool's
@@ -107,8 +105,7 @@ func New(cfg Config) (*Router, error) {
 		reg = telemetry.NewRegistry()
 	}
 	r := &Router{
-		relays:        map[uint64]*relayEntry{},
-		relayByOrigin: map[originKey]uint64{},
+		relays: map[uint64]relayEntry{},
 		relayTrunks: reg.Gauge("adaudit_router_relay_trunks_active",
 			"Gateway trunk connections currently terminated on this router.", nil),
 		relayFrames: reg.CounterVec("adaudit_router_relay_frames_total",
@@ -127,10 +124,7 @@ func New(cfg Config) (*Router, error) {
 		Dialer:            cfg.Dialer,
 		AllowedOrigins:    cfg.AllowedOrigins,
 		MaxSessions:       cfg.MaxSessions,
-		MaxMessageSize:    cfg.MaxMessageSize,
-		HandshakeTimeout:  cfg.HandshakeTimeout,
 		KeepAliveInterval: cfg.KeepAliveInterval,
-		MaxExposure:       cfg.MaxExposure,
 		SpillLimit:        cfg.SpillLimit,
 		AckTimeout:        cfg.AckTimeout,
 		ReplayInterval:    cfg.ReplayInterval,
@@ -165,7 +159,7 @@ func New(cfg Config) (*Router, error) {
 	// would have replayed the commit by then anyway.
 	ec := e.Config() // defaults filled in
 	r.trunks = trunk.Receiver{
-		HandshakeTimeout: ec.HandshakeTimeout,
+		HandshakeTimeout: edge.HandshakeTimeout,
 		WriteTimeout:     ec.AckTimeout,
 		Refused: func(p *trunk.Peer, _ string, err error) {
 			if err != nil {

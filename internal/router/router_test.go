@@ -472,10 +472,10 @@ func TestGatewayReplayAfterLostAckCountsOnce(t *testing.T) {
 }
 
 // TestGatewayReplayWhileRouterHoldsItCountsOnce: a gateway replays a
-// commit the router still holds, its shard being down. The router folds
-// the replay onto the stream it holds — no second spill entry, no
-// second commit counted — so the restarted shard receives the commit
-// once and the gateway gets one ack.
+// commit while its shard is down. Only the first hop holds a commit, so
+// the router drops both copies — no spill entry, no commit counted —
+// and the gateway's replay once the shard is back is the one copy the
+// shard receives: one record, one ack.
 func TestGatewayReplayWhileRouterHoldsItCountsOnce(t *testing.T) {
 	nw := &memnet.Network{Buffer: 64 << 10}
 	cfg := fastRouterConfig([]string{"ws://shard:80/trunk"})
@@ -503,11 +503,11 @@ func TestGatewayReplayWhileRouterHoldsItCountsOnce(t *testing.T) {
 	tiertest.WaitFor(t, "the router to read both commit frames", func() bool {
 		return seriesSum(r, "adaudit_router_relay_frames_total") == 3
 	})
-	if n := r.Health().SpillPending; n != 1 {
-		t.Fatalf("the router holds %d spilled commits, want the replay folded into 1", n)
+	if n := r.Health().SpillPending; n != 0 {
+		t.Fatalf("the router holds %d spilled commits, want 0: a relayed commit is the gateway's to hold", n)
 	}
-	if n := seriesSum(r, "adaudit_router_commits_total"); n != 1 {
-		t.Fatalf("commits_total = %v, want 1: a folded replay is not a new commit", n)
+	if n := seriesSum(r, "adaudit_router_commits_total"); n != 0 {
+		t.Fatalf("commits_total = %v with the shard down, want 0", n)
 	}
 
 	st := store.New()
@@ -517,6 +517,11 @@ func TestGatewayReplayWhileRouterHoldsItCountsOnce(t *testing.T) {
 	}
 	_, srv := collectortest.New(t, st, ln, nil)
 	tiertest.Serve(t, srv)
+	tiertest.WaitFor(t, "the shard trunks to establish", func() bool { return allTrunksUp(r) })
+	// The gateway's replay, after its AckTimeout.
+	if err := gw.WriteMessage(wsproto.OpBinary, commit); err != nil {
+		t.Fatal(err)
+	}
 	tiertest.WaitFor(t, "the shard's ack", func() bool { return seriesSum(r, "adaudit_router_shard_acks_total") == 1 })
 	_ = gw.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, msg, err := gw.ReadMessage()

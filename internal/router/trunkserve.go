@@ -2,41 +2,31 @@ package router
 
 import (
 	"net/http"
+	"time"
 
 	"adaudit/internal/beacon"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
 
-// relayEntry is the return path for one trunk-relayed stream.
+// relayEntry is the return path of one relayed commit: the gateway
+// trunk it came in on, its stream there, and when it was forwarded.
 type relayEntry struct {
 	origin       *trunk.Peer
 	originStream uint64
-	originKey    originKey
-}
-
-// originKey names a gateway's stream across all of its trunk
-// connections.
-type originKey struct {
-	gateway string
-	stream  uint64
+	forwarded    time.Time
 }
 
 // ServeTrunk terminates one gateway trunk connection on the router: the
 // gateway speaks the ordinary trunk protocol, unaware that its
 // "collector" is a router fanning its sessions out across shards. Every
-// relayed commit is re-streamed under a router-owned stream ID onto the
-// shard its nonce hashes to, held in that shard's spill buffer until
-// the shard acks, and the ack is translated back to the gateway's
-// original stream ID — so the gateway's own spill discipline covers the
-// full gateway → router → shard path with no new protocol.
-//
-// A gateway re-sending an unacked commit while the router still holds
-// it is folded onto the same router stream (relayByOrigin): only the
-// return path moves to the connection the replay arrived on. A replay
-// arriving after the router already resolved the stream is relayed
-// under a fresh router stream, and the shard's store drops it as a leg
-// of its nonce it has counted already.
+// relayed commit is written once, under a router-owned stream ID, onto
+// the shard its nonce hashes to, and the shard's answer is translated
+// back to the gateway's stream ID. Only the first hop holds a commit:
+// the router spills nothing it relays, and drops a commit whose shard
+// has no healthy trunk. The gateway's spill replays what goes
+// unanswered, each replay is relayed afresh, and the shard's store
+// drops a leg of a nonce it has counted already.
 func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 	cfg := r.Config()
 	if !trunk.Authorized(req, cfg.TrunkToken) {
@@ -75,56 +65,57 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// relayCommitFrame re-streams one gateway commit onto its owning shard
-// and registers the ack return path. Undecodable commits are rejected
-// back to the gateway immediately; everything else is answered
-// asynchronously when the shard acks.
+// relayCommitFrame writes one gateway commit onto its owning shard and
+// registers its return path. One that does not decode, or has no nonce
+// (the first hop sets it; one minted here would count a replay twice),
+// is rejected at once.
 func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byte) []byte {
 	payload, err := beacon.DecodeBinary([]byte(f.Payload))
-	if err != nil {
-		return trunk.AppendFrame(reply, trunk.Frame{
-			Type: trunk.Reject, Stream: f.Stream, Reason: "decode: " + err.Error(),
-		})
+	var refusal string
+	switch {
+	case err != nil:
+		refusal = "decode: " + err.Error()
+	case payload.Nonce == "":
+		refusal = "commit without nonce"
 	}
-	if payload.Nonce == "" {
-		payload.Nonce = beacon.NewNonce()
-		f.Payload = string(payload.EncodeBinary())
+	if refusal != "" {
+		return trunk.AppendFrame(reply, trunk.Frame{Type: trunk.Reject, Stream: f.Stream, Reason: refusal})
 	}
-	key := originKey{origin.ID, f.Stream}
-	r.relayMu.Lock()
-	if rs, held := r.relayByOrigin[key]; held {
-		// Still spilled (only its resolve drops both maps, under this
-		// lock): re-point the ack and send nothing again.
-		r.relays[rs].origin = origin
-		r.relayMu.Unlock()
-		return reply
-	}
+	cfg := r.Config()
+	now := cfg.Clock.Now()
 	rs := r.NextStream()
-	r.relays[rs] = &relayEntry{origin: origin, originStream: f.Stream, originKey: key}
-	r.relayByOrigin[key] = rs
+	r.relayMu.Lock()
+	if !now.Before(r.sweepAt) {
+		// Unanswered past AckTimeout, a commit is the gateway's to replay.
+		for s, e := range r.relays {
+			if now.Sub(e.forwarded) > cfg.AckTimeout {
+				delete(r.relays, s)
+			}
+		}
+		r.sweepAt = now.Add(cfg.ReplayInterval)
+	}
+	r.relays[rs] = relayEntry{origin: origin, originStream: f.Stream, forwarded: now}
 	r.relayMu.Unlock()
 	f.Stream = rs
-	r.PoolFor(payload.Nonce).Spill(rs, trunk.AppendFrame(nil, f))
+	if !r.PoolFor(payload.Nonce).Forward(trunk.AppendFrame(nil, f)) {
+		r.relayMu.Lock()
+		delete(r.relays, rs)
+		r.relayMu.Unlock()
+	}
 	return reply
 }
 
-// relayResolve completes one relayed stream: the shard acked (ok) or
-// rejected it, so the verdict is translated back to the origin
-// gateway's stream and the mappings are dropped. Streams with no relay
-// entry (router-terminated beacon sessions) are a no-op. A failed write
-// back to the gateway is not retried: it closes the relay trunk, the
-// gateway replays the commit, and the shard's store drops the leg it
-// counted and acks the replay.
-func (r *Router) relayResolve(stream uint64, ok bool, reason string) {
+// relayResolve translates a shard's verdict on a relayed stream back to
+// the origin gateway's stream, drops the return path and returns when
+// the commit was forwarded (zero: no return path). A failed write back
+// is not retried: it closes the relay trunk, and the gateway replays.
+func (r *Router) relayResolve(stream uint64, ok bool, reason string) time.Time {
 	r.relayMu.Lock()
 	e, found := r.relays[stream]
-	if found {
-		delete(r.relays, stream)
-		delete(r.relayByOrigin, e.originKey)
-	}
+	delete(r.relays, stream)
 	r.relayMu.Unlock()
 	if !found {
-		return
+		return time.Time{}
 	}
 	reply := trunk.Frame{Type: trunk.Ack, Stream: e.originStream}
 	if !ok {
@@ -134,4 +125,5 @@ func (r *Router) relayResolve(stream uint64, ok bool, reason string) {
 	// pool's reader goroutine while ServeTrunk writes its own replies;
 	// its bound keeps a stalled gateway from parking that reader.
 	_ = e.origin.Send(trunk.AppendFrame(nil, reply))
+	return e.forwarded
 }

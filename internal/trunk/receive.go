@@ -36,9 +36,11 @@ func Authorized(r *http.Request, token string) bool {
 	return token == "" || subtle.ConstantTimeCompare([]byte(r.Header.Get(TokenHeader)), []byte(token)) == 1
 }
 
-// Peer is the edge at the far end of a served trunk.
+// Peer is the far end of one trunk connection: the edge a Receiver
+// serves, or the upstream an edge dialed (NewPeer). Send is the one
+// bounded writer to it.
 type Peer struct {
-	ID string // from its Hello; empty until then
+	ID string // a served edge's, from its Hello; empty until then
 
 	conn    *wsproto.Conn
 	clock   simclock.Clock
@@ -46,10 +48,16 @@ type Peer struct {
 	mu      sync.Mutex // keeps each write's deadline its own
 }
 
-// Send writes one batch to the peer within the receiver's WriteTimeout,
-// from any goroutine. A failed write closes the trunk: the edge replays
-// what it has not seen answered, and the store behind the tier drops
-// the replay.
+// NewPeer wraps conn for Send, each write bounded by timeout on clock
+// (zero: unbounded; a nil clock is the real one).
+func NewPeer(conn *wsproto.Conn, clock simclock.Clock, timeout time.Duration) *Peer {
+	return &Peer{conn: conn, clock: simclock.Or(clock), timeout: timeout}
+}
+
+// Send writes one batch to the peer within its write timeout (a
+// Receiver's WriteTimeout), from any goroutine. A failed write closes
+// the trunk: the edge replays what it has not seen answered, and the
+// store behind the tier drops the replay.
 func (p *Peer) Send(batch []byte) error {
 	p.mu.Lock()
 	if p.timeout > 0 {
@@ -73,7 +81,7 @@ func (p *Peer) Send(batch []byte) error {
 // error that ended it, having closed conn.
 func (r *Receiver) Serve(conn *wsproto.Conn, handle func(p *Peer, f Frame, reply []byte) []byte) (*Peer, error) {
 	defer conn.Close(wsproto.CloseNormal, "")
-	p := &Peer{conn: conn, clock: simclock.Or(r.Clock), timeout: r.WriteTimeout}
+	p := NewPeer(conn, r.Clock, r.WriteTimeout)
 	refuse := func(reason string, err error) (*Peer, error) {
 		if r.Refused != nil {
 			r.Refused(p, reason, err)

@@ -38,7 +38,7 @@ var table = []row{
 	{"audit", ".", "BenchmarkFullAuditParallel", "1s", 800, "as FullAuditSerial (434–445 committed): the same folds on the worker pool"},
 	{"audit", ".", "BenchmarkLiveReport", "1s", 600, "the same folds over states the engine holds: 415–442 committed, per result slice and pool worker; +1 per publisher or user is 36,000"},
 
-	{"stream", "./internal/streamaudit", "BenchmarkStreamApply", "1s", 1, "one delta into a warm state: 0 (its B/op is amortised column growth); anything allocated per delta reads 1"},
+	{"stream", "./internal/streamaudit", "BenchmarkStreamApply", "1s", 1, "one delta into a warm state: 0; its B/op, 140–165 as b.N varies, is the campaign columns' amortised growth (201–235 while a record-id map grew beside them); anything allocated per delta reads 1"},
 	{"stream", "./internal/streamaudit", "BenchmarkExportRoundTrip", "1s", 500, "one shard's export encoded, served and decoded (3 campaigns, 8,000 users): 356–359, per table, column and thousand map entries (399 with the JSON envelope and a deep copy, not counting the export); +1 per key is 8,000"},
 
 	{"trace", "./internal/collector", "BenchmarkCollectorIngestUninstrumented", "1s", 3, "the text funnel without telemetry: 3, the strings the record keeps; the divisor of untraced_overhead"},

@@ -300,6 +300,10 @@ type ServerSession struct {
 	// ConnectedAt (the impression timestamp) and Received (the payload's
 	// arrival) are on the server's clock.
 	ConnectedAt, Received time.Time
+	// Wire is the payload's wire, WireText or WireBinary. A text
+	// payload's unescaped strings are substrings of its message: a
+	// string kept past the session keeps the whole message alive.
+	Wire string
 
 	srv  *Server
 	conn *wsproto.Conn
@@ -318,9 +322,10 @@ func (s *Server) Open(conn *wsproto.Conn) (*ServerSession, error) {
 	if err != nil || !op.IsData() {
 		return nil, ErrNoPayload
 	}
-	ss.Received = s.Clock.Now()
+	ss.Received, ss.Wire = s.Clock.Now(), WireBinary
 	switch {
 	case op == wsproto.OpText:
+		ss.Wire = WireText
 		ss.Payload, err = Decode(string(msg))
 	case s.DecodeBinary != nil:
 		err = s.DecodeBinary(&ss.Payload, msg)

@@ -609,6 +609,12 @@ func (c *Collector) serveSession(sess *beacon.ServerSession, remote netip.Addr) 
 	// Events the opening payload already carries count like updates, as
 	// they do when a trunk commit delivers them all at once.
 	c.Metrics.Events.Add(int64(len(sess.Payload.Events)))
+	// The nonce is the one payload string the store keeps per record
+	// as it came (in the row and the nonce index); copied, it does not
+	// pin the whole text message.
+	if sess.Wire == beacon.WireText {
+		sess.Payload.Nonce = strings.Clone(sess.Payload.Nonce)
+	}
 	// Adopt payload-borne trace context now, while the frame is fresh:
 	// the wire_recv offset then measures actual transit, not transit
 	// plus the session's whole exposure. The trace stays active for

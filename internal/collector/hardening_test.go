@@ -2,9 +2,12 @@ package collector
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +40,42 @@ func serve(t *testing.T, c *Collector, opts ...ServerOption) *Server {
 	}
 	tiertest.Serve(t, srv)
 	return srv
+}
+
+// TestTextSessionKeepsNoMessage: a text payload's unescaped strings are
+// substrings of its message, and the nonce is one the store keeps per
+// record, in the row and the nonce index. Kept as decoded, every stored
+// text impression would pin its whole message — here each carries an
+// ignored 4 KiB key — so the collector copies the nonce.
+func TestTextSessionKeepsNoMessage(t *testing.T) {
+	const sessions = 2000
+	c, st := testCollector(t)
+	srv := serve(t, c)
+	d := &beaconDialer{url: srv.BeaconURL()}
+	send := func(i int) {
+		msg := beacon.Payload{
+			CampaignID: "camp", CreativeID: "cr", PageURL: "http://pub.es/p",
+			UserAgent: "Mozilla/5.0 Chrome/49.0", Nonce: fmt.Sprintf("%016x", i),
+		}.Encode() + "&pad=" + strings.Repeat("x", 4<<10)
+		if err := d.sendRaw(context.Background(), msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first session sizes the collector's address caches.
+	send(0)
+	tiertest.WaitFor(t, "the first session stored", func() bool { return st.Len() == 1 })
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= sessions; i++ {
+		send(i)
+	}
+	tiertest.WaitFor(t, "every session stored", func() bool { return st.Len() == 1+sessions })
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if perRec := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / sessions; perRec >= 1<<10 {
+		t.Fatalf("the heap grew %d bytes per stored text session, want < 1 KiB", perRec)
+	}
 }
 
 func TestIngestDedupsByNonce(t *testing.T) {

@@ -290,4 +290,37 @@ func TestRelayReturnPathIsBounded(t *testing.T) {
 			return accepts.Load() > int32(cfg.TrunksPerShard)
 		})
 	})
+
+	t.Run("stalled_shard_twice", func(t *testing.T) {
+		// Two commits to the stalled shard ahead of one to the other: the
+		// first write waits out its deadline, and the second, bound for
+		// the pool's other trunk, stalled just the same, is dropped at
+		// once for the gateway to replay.
+		stallNet, nw := &memnet.Network{}, &memnet.Network{Buffer: 64 << 10}
+		serveFake(t, stallNet, "shard0:80", true)
+		st1 := startShard1(t, nw)
+		cfg := fastRouterConfig([]string{"ws://shard0:80/trunk", "ws://shard1:80/trunk"})
+		cfg.TrunksPerShard = 2
+		cfg.KeepAliveInterval = -1
+		cfg.Dialer = wsproto.Dialer{NetDial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if addr == "shard0:80" {
+				return stallNet.Dial(ctx, network, addr)
+			}
+			return nw.Dial(ctx, network, addr)
+		}}
+		r, rsrv := startRouter(t, cfg)
+		tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
+
+		gw := dialRelay(t, rsrv.TrunkURL(), nil)
+		batch := append(relayedCommit(1, payloadOn(0, 0, 2)), relayedCommit(2, payloadOn(1, 0, 2))...)
+		batch = append(batch, relayedCommit(3, payloadOn(2, 1, 2))...)
+		sent := time.Now()
+		if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
+			t.Fatal(err)
+		}
+		tiertest.WaitFor(t, "shard 1's commit stored", func() bool { return st1.Len() == 1 })
+		if took, bound := time.Since(sent), cfg.AckTimeout+150*time.Millisecond; took > bound {
+			t.Fatalf("shard 1's commit was stored %v after the batch, want within %v", took, bound)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/edge"
 	"adaudit/internal/trunk"
 	"adaudit/internal/wsproto"
 )
@@ -49,6 +50,7 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 	r.relayTrunks.Add(1)
 	defer r.relayTrunks.Add(-1)
 
+	failedIn := map[*edge.Pool]uint64{} // shard pool → the last batch a write to it failed in
 	p, err := r.trunks.Serve(conn, func(p *trunk.Peer, f trunk.Frame, reply []byte) []byte {
 		r.relayFrames.With(f.Type.String()).Inc()
 		switch f.Type {
@@ -56,7 +58,7 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 			cfg.Logger.Info("router: relay trunk established",
 				"gateway", p.ID, "version", f.Version, "remote", req.RemoteAddr)
 		case trunk.Commit:
-			return r.relayCommitFrame(p, f, reply)
+			return r.relayCommitFrame(p, f, reply, failedIn)
 		}
 		return reply
 	})
@@ -68,8 +70,11 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 // relayCommitFrame writes one gateway commit onto its owning shard and
 // registers its return path. One that does not decode, or has no nonce
 // (the first hop sets it; one minted here would count a replay twice),
-// is rejected at once.
-func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byte) []byte {
+// is rejected at once. One whose shard a write of the same batch failed
+// to reach (failedIn: shard pool → the last of origin's batches a write
+// to it failed in) is dropped at once: the shard's other trunks stall
+// the same way, and the gateway replays it.
+func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byte, failedIn map[*edge.Pool]uint64) []byte {
 	payload, err := beacon.DecodeBinary([]byte(f.Payload))
 	var refusal string
 	switch {
@@ -80,6 +85,10 @@ func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byt
 	}
 	if refusal != "" {
 		return trunk.AppendFrame(reply, trunk.Frame{Type: trunk.Reject, Stream: f.Stream, Reason: refusal})
+	}
+	pool := r.PoolFor(payload.Nonce)
+	if failedIn[pool] == origin.Batch() {
+		return reply
 	}
 	cfg := r.Config()
 	now := cfg.Clock.Now()
@@ -97,10 +106,11 @@ func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byt
 	r.relays[rs] = relayEntry{origin: origin, originStream: f.Stream, forwarded: now}
 	r.relayMu.Unlock()
 	f.Stream = rs
-	if !r.PoolFor(payload.Nonce).Forward(trunk.AppendFrame(nil, f)) {
+	if !pool.Forward(trunk.AppendFrame(nil, f)) {
 		r.relayMu.Lock()
 		delete(r.relays, rs)
 		r.relayMu.Unlock()
+		failedIn[pool] = origin.Batch()
 	}
 	return reply
 }

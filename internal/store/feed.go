@@ -87,8 +87,13 @@ type FeedEvent struct {
 	// Im is set for FeedInsert (the inserted record) and FeedMerge
 	// (the post-merge record).
 	Im Impression
-	// Prev is set for FeedMerge only.
+	// Prev and Slot are set for FeedMerge only. Slot is the record's
+	// rank among its campaign's records in store order — its index in
+	// VisitCampaign order — so a consumer that appends each campaign's
+	// records as the prime and the inserts deliver them finds the
+	// merged one there without an index of its own.
 	Prev MergePrev
+	Slot int
 	// Conv is set for FeedConversion only.
 	Conv Conversion
 	// PublishedAt is the wall clock (unix nanoseconds) at publish —

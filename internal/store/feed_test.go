@@ -2,6 +2,9 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -221,4 +224,107 @@ func TestFeedConsistentAttachUnderLoad(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFeedMergeSlotIsCampaignRank: a merge event's Slot is the record's
+// index in its campaign's VisitCampaign order — what lets the streaming
+// engine find the record without an index of its own. The campaigns are
+// interleaved, the log runs past two chunks, and the slot holds on the
+// live store (Merge and CommitLeg), as the journal replays over a
+// snapshot, and on the store that recovery returns.
+func TestFeedMergeSlotIsCampaignRank(t *testing.T) {
+	dir := t.TempDir()
+	snapPath, walPath := filepath.Join(dir, "imps.snap"), filepath.Join(dir, "j.wal")
+	w, err := OpenWAL(walPath, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := New()
+	live.AttachWAL(w)
+	const n, buffer = 2*recChunk + 100, 4096
+	liveSub := live.Subscribe(buffer, nil, nil)
+	campaigns := []string{"c1", "c2", "c3"}
+	rng := rand.New(rand.NewSource(1))
+	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		im := feedTestImpression(campaigns[rng.Intn(len(campaigns))], fmt.Sprintf("pub-%d.example", i%7),
+			fmt.Sprintf("u%d", i%50), base.Add(time.Duration(i)*time.Second))
+		im.Nonce = fmt.Sprintf("n%d", i)
+		id, err := live.Insert(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch rng.Intn(8) {
+		case 0:
+			err = live.Merge(1+rng.Int63n(id), Continuation{Exposure: time.Second, Clicks: 1})
+		case 1:
+			_, _, err = live.CommitLeg(im, 1, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == recChunk+50 {
+			if err := live.SnapshotCompact(snapPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, st *Store, sub *FeedSub) {
+		t.Helper()
+		rank := map[int64]int{}
+		for _, c := range campaigns {
+			i := 0
+			st.VisitCampaign(c, func(im *Impression) bool { rank[im.ID] = i; i++; return true })
+		}
+		merges, pastChunk := 0, 0
+		for _, ev := range drainFeed(sub) {
+			if ev.Kind != FeedMerge {
+				continue
+			}
+			merges++
+			if ev.Im.ID > recChunk {
+				pastChunk++
+			}
+			if ev.Slot != rank[ev.Im.ID] {
+				t.Fatalf("%s: merge of record %d (campaign %s) has slot %d, want its campaign rank %d",
+					name, ev.Im.ID, ev.Im.CampaignID, ev.Slot, rank[ev.Im.ID])
+			}
+		}
+		if sub.Dropped() || merges < 100 || pastChunk == 0 {
+			t.Fatalf("%s: %d merges, %d past the first chunk, dropped %v: the check saw too little",
+				name, merges, pastChunk, sub.Dropped())
+		}
+	}
+	check("live", live, liveSub)
+
+	f, err := os.Open(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaySub := snap.Subscribe(buffer, nil, nil)
+	back, _, err := RecoverWAL(walPath, snap, fuzzLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != n {
+		t.Fatalf("recovered %d records, want %d", back.Len(), n)
+	}
+	check("journal replay", back, replaySub)
+
+	sub := back.Subscribe(buffer, nil, nil)
+	for id := int64(1); id <= n; id += 7 {
+		if err := back.Merge(id, Continuation{Exposure: time.Second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("recovered", back, sub)
 }

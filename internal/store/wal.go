@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -646,9 +647,11 @@ func (s *Store) mergeLocked(pos int, cont Continuation, legs uint32, tr *trace.T
 }
 
 // publishMerge publishes the merge that turned prev into the record at
-// pos; the caller holds the write lock.
+// pos, stamped with its slot: its rank in its campaign's posting list.
+// The caller holds the write lock.
 func (s *Store) publishMerge(pos int, prev MergePrev, tr *trace.Trace) int {
 	ev := FeedEvent{Kind: FeedMerge, Prev: prev, Trace: tr}
 	s.recs.load(pos, &ev.Im)
+	ev.Slot = sort.SearchInts(s.byCampaign[ev.Im.CampaignID], pos)
 	return s.publishFeed(ev)
 }

@@ -7,12 +7,6 @@ import (
 	"adaudit/internal/store"
 )
 
-// recRef is where a store record landed: its campaign's state and slot.
-type recRef struct {
-	st   *audit.State
-	slot int32
-}
-
 // campaign returns (creating if needed) one campaign's state. Callers
 // of this and the apply functions hold e.mu.
 func (e *Engine) campaign(id string) *audit.State {
@@ -28,19 +22,22 @@ func (e *Engine) campaign(id string) *audit.State {
 // used by the snapshot prime (a primed record is just an insert whose
 // merges already happened).
 func (e *Engine) applyInsert(im *store.Impression) {
-	st := e.campaign(im.CampaignID)
-	e.recs[im.ID] = recRef{st: st, slot: int32(st.Insert(im))}
+	e.campaign(im.CampaignID).Insert(im)
 }
 
 // applyMerge overwrites the slot of an exposure-merged record with its
-// post-merge values. Timestamp, publisher, user and the data-center
-// verdict are immutable after insert.
+// post-merge values. The event carries the slot: a campaign's state
+// holds its records in store order, primed in log order and appended in
+// feed order, so a record's slot is its rank among its campaign's
+// records. Timestamp, publisher, user and the data-center verdict are
+// immutable after insert.
 func (e *Engine) applyMerge(ev *store.FeedEvent) error {
-	ref, ok := e.recs[ev.Im.ID]
-	if !ok {
-		return fmt.Errorf("streamaudit: merge for unknown record %d", ev.Im.ID)
+	st := e.states[ev.Im.CampaignID]
+	if st == nil || ev.Slot >= st.Len() {
+		return fmt.Errorf("streamaudit: merge for record %d at slot %d of campaign %q, which the state does not hold",
+			ev.Im.ID, ev.Slot, ev.Im.CampaignID)
 	}
-	ref.st.Update(int(ref.slot), &ev.Im, ev.Prev)
+	st.Update(ev.Slot, &ev.Im, ev.Prev)
 	return nil
 }
 

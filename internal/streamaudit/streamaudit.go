@@ -3,9 +3,8 @@
 // the per-campaign audit.State — the same columnar state batch
 // FullAudit fills in one visit — in O(1) work per mutation instead of a
 // full-store rescan per query. An insert appends a slot, an exposure
-// merge overwrites one, a conversion bumps a counter; the engine's only
-// state of its own is the record-id -> slot map that lets a merge find
-// its slot.
+// merge overwrites one, a conversion bumps a counter. The engine keeps
+// nothing per record: a merge event carries its slot.
 //
 // The headline contract, enforced by the unit tests and the simtest
 // oracle: at quiescence (every published feed event applied),
@@ -86,15 +85,13 @@ type Engine struct {
 	// directory, with no store behind it.
 	aud *audit.Auditor
 
-	// mu guards states, recs and sub. states holds one audit.State
-	// per campaign; recs is the one thing only a feed consumer needs,
-	// where each store record landed, so an exposure merge can overwrite
-	// its slot. A resync rebuilds both from the snapshot prime.
-	// appliedSeq/resyncs are atomics so monitoring reads never contend
-	// with apply.
+	// mu guards states and sub. states holds one audit.State per
+	// campaign, its slots in store order, which is what lets an exposure
+	// merge find its slot from the event alone. A resync rebuilds them
+	// from the snapshot prime. appliedSeq/resyncs are atomics so
+	// monitoring reads never contend with apply.
 	mu     sync.Mutex
 	states map[string]*audit.State
-	recs   map[int64]recRef
 	sub    *store.FeedSub
 
 	appliedSeq atomic.Int64
@@ -157,7 +154,7 @@ func newEngine(meta audit.MetadataSource, m *semsim.Matcher, sellers audit.Selle
 // attachLocked (re)subscribes to the feed and rebuilds the states from
 // the snapshot prime. Caller holds e.mu.
 func (e *Engine) attachLocked() {
-	e.states, e.recs = map[string]*audit.State{}, map[int64]recRef{}
+	e.states = map[string]*audit.State{}
 	// The prime callbacks run under the store's read locks; they only
 	// touch engine state (also safe: e.mu is held).
 	e.sub = e.store.Subscribe(e.buffer, e.applyInsert, e.applyConversion)
@@ -181,9 +178,9 @@ func (e *Engine) resyncLocked(dirty map[string]struct{}) {
 	}
 }
 
-// applyLocked applies one feed event. A sequence gap or a merge for an
-// unknown record means the consumer's state no longer matches the
-// feed; the caller must resync. Caller holds e.mu.
+// applyLocked applies one feed event. A sequence gap or a merge to a
+// slot the state does not hold means the consumer's state no longer
+// matches the feed; the caller must resync. Caller holds e.mu.
 func (e *Engine) applyLocked(ev *store.FeedEvent, dirty map[string]struct{}) error {
 	if want := e.appliedSeq.Load() + 1; ev.Seq != want {
 		return fmt.Errorf("streamaudit: feed gap: got seq %d, want %d", ev.Seq, want)

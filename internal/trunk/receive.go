@@ -42,6 +42,7 @@ func Authorized(r *http.Request, token string) bool {
 type Peer struct {
 	ID string // a served edge's, from its Hello; empty until then
 
+	batch   uint64 // ordinal of the batch Serve is handing on
 	conn    *wsproto.Conn
 	clock   simclock.Clock
 	timeout time.Duration
@@ -53,6 +54,10 @@ type Peer struct {
 func NewPeer(conn *wsproto.Conn, clock simclock.Clock, timeout time.Duration) *Peer {
 	return &Peer{conn: conn, clock: simclock.Or(clock), timeout: timeout}
 }
+
+// Batch is the ordinal of the batch whose frame Serve is handing on:
+// frames of one batch share it. Only Serve's handle may call it.
+func (p *Peer) Batch() uint64 { return p.batch }
 
 // Send writes one batch to the peer within its write timeout (a
 // Receiver's WriteTimeout), from any goroutine. A failed write closes
@@ -108,6 +113,7 @@ func (r *Receiver) Serve(conn *wsproto.Conn, handle func(p *Peer, f Frame, reply
 			return refuse("trunk batch before hello", nil)
 		}
 		reply = reply[:0]
+		p.batch++
 		for _, f := range frames {
 			if f.Type == Hello && f.Version != Version {
 				return refuse(fmt.Sprintf("trunk protocol version %d, this build speaks %d", f.Version, Version), nil)

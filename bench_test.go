@@ -18,6 +18,7 @@ package adaudit
 // DESIGN.md calls out.
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
 	"adaudit/internal/report"
+	"adaudit/internal/store"
 	"adaudit/internal/streamaudit"
 )
 
@@ -246,6 +248,87 @@ func BenchmarkLiveReport(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
+}
+
+// BenchmarkLiveReportUnderIngest measures the live report a caller
+// repeats while records arrive: per op, k more records of the dataset
+// are inserted and applied outside the timer, then the engine reports.
+// The engine starts on the first half of the records and has reported
+// twice before the timer runs; when the second half runs out it starts
+// over on a fresh store, outside the timer too. new_pairs_% is the
+// share of the reports' (campaign, publisher) pairs that the ops'
+// records added — what a report still looks up when its engine keeps
+// the publishers it resolved before.
+func BenchmarkLiveReportUnderIngest(b *testing.B) {
+	s := benchSetup(b)
+	var recs []store.Impression
+	s.ws.Store.Visit(func(im *store.Impression) bool {
+		recs = append(recs, *im)
+		return true
+	})
+	// pairs[i] is the number of (campaign, publisher) pairs recs[:i]
+	// show on.
+	pairs := make([]int, len(recs)+1)
+	seen := map[[2]string]bool{}
+	for i, im := range recs {
+		pairs[i+1] = pairs[i]
+		if k := [2]string{im.CampaignID, im.Publisher}; !seen[k] {
+			seen[k] = true
+			pairs[i+1]++
+		}
+	}
+	half := len(recs) / 2
+	for _, k := range []int{160, 1600, 16000} {
+		b.Run(fmt.Sprintf("records=%d", k), func(b *testing.B) {
+			var eng *streamaudit.Engine
+			var st *store.Store
+			insert := func(from, to int) {
+				for i := from; i < to; i++ {
+					im := recs[i]
+					im.ID = 0
+					if _, err := st.Insert(im); err != nil {
+						b.Fatal(err)
+					}
+					if i%512 == 0 { // stay inside the feed buffer
+						eng.Drain()
+					}
+				}
+				if _, resynced := eng.Drain(); resynced {
+					b.Fatal("the engine resynced")
+				}
+			}
+			report := func() {
+				if _, err := eng.Report(s.inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			next, added, total := len(recs), 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if next+k > len(recs) {
+					st, next = store.New(), half
+					var err error
+					if eng, err = streamaudit.New(streamaudit.Config{
+						Store: st,
+						Meta:  audit.UniverseMetadata{Universe: s.ws.Publishers},
+					}); err != nil {
+						b.Fatal(err)
+					}
+					insert(0, half)
+					report()
+					report()
+				}
+				insert(next, next+k)
+				added += pairs[next+k] - pairs[next]
+				total += pairs[next+k]
+				next += k
+				b.StartTimer()
+				report()
+			}
+			b.ReportMetric(100*float64(added)/float64(total), "new_pairs_%")
+		})
+	}
 }
 
 // BenchmarkFullAuditReport measures the complete audit plus rendering of

@@ -100,9 +100,15 @@ func aggregateBrandSafety(states map[string]*State, meta MetadataSource, inputs 
 	defer scratchPool.Put(sc)
 	union := &sc.union
 	defer union.reset() // the keys are the states' strings: pin none of them
+	// Sized up front for every state's publishers, the most the union
+	// can hold, rather than grown by append.
+	n := 0
+	for _, s := range states {
+		n += len(s.cols.Pubs.keys)
+	}
 	all := viewPool.Get().(*pubView)
 	defer viewPool.Put(all)
-	all.facts = all.facts[:0]
+	all.facts = slices.Grow(all.facts[:0], n)
 	for id, s := range states {
 		var view *pubView
 		if i, ok := byID[id]; ok {

@@ -49,14 +49,15 @@ func (r ContextResult) VendorFraction() float64 {
 func (a *Auditor) Context(campaignID string, keywords []string, report *adnet.VendorReport) (ContextResult, error) {
 	s := a.fill(campaignID)
 	defer release(s)
-	return a.ContextOf(s, campaignID, keywords, report)
+	return a.ContextOf(s, nil, campaignID, keywords, report)
 }
 
 // ContextOf is the Table 2 analysis of one campaign's state: its
-// publishers resolved against the keywords, then the fold.
-func (a *Auditor) ContextOf(s *State, campaignID string, keywords []string, report *adnet.VendorReport) (ContextResult, error) {
-	v := a.resolve(s, keywords)
-	defer viewPool.Put(v)
+// publishers resolved against the keywords, through kept (see
+// ReportKept), then the fold.
+func (a *Auditor) ContextOf(s *State, kept *Views, campaignID string, keywords []string, report *adnet.VendorReport) (ContextResult, error) {
+	v := a.view(kept, campaignID, s, keywords)
+	defer kept.done(v)
 	return a.contextOf(s, v.facts, campaignID, report)
 }
 

@@ -91,7 +91,7 @@ func (a *Auditor) fullAudit(inputs []CampaignInput, workers int) (rep *FullRepor
 	defer func() { a.tel.observeFull(start, workers, err) }()
 	states := a.fillAll(workers)
 	defer releaseAll(states)
-	return a.report(states, inputs, workers)
+	return a.report(states, nil, inputs, workers)
 }
 
 // fillAll fills the state of every campaign in the store: the inputs'
@@ -124,13 +124,28 @@ func releaseAll(states map[string]*State) {
 // rather than filled — on the same pool. A campaign without a state is
 // an empty one. The states are only read, and must not change meanwhile.
 func (a *Auditor) ReportStates(states map[string]*State, inputs []CampaignInput) (*FullReport, error) {
-	return a.report(states, inputs, a.workers())
+	return a.report(states, nil, inputs, a.workers())
 }
 
-func (a *Auditor) report(states map[string]*State, inputs []CampaignInput, workers int) (*FullReport, error) {
+// ReportKept is ReportStates resolving each campaign's publishers
+// through its view in kept, which it extends or starts over (see
+// Views); a nil kept resolves into scratch, as ReportStates does.
+func (a *Auditor) ReportKept(states map[string]*State, kept *Views, inputs []CampaignInput) (*FullReport, error) {
+	return a.report(states, kept, inputs, a.workers())
+}
+
+func (a *Auditor) report(states map[string]*State, kept *Views, inputs []CampaignInput, workers int) (*FullReport, error) {
 	rep := &FullReport{PerCampaign: make([]CampaignAudit, len(inputs))}
 	sts := make([]*State, len(inputs)) // inputs[i]'s state, and its resolved view
 	views := make([]*pubView, len(inputs))
+	// keeps[i] is inputs[i]'s kept view. Only the first input naming a
+	// campaign that has a state is given one, so no two resolve tasks
+	// extend the same view; the others resolve into scratch.
+	keeps := make([]*keptView, len(inputs))
+	var claimed map[string]bool
+	if kept != nil {
+		claimed = make(map[string]bool, len(inputs))
+	}
 	resolves := make([]task, len(inputs))
 	for i, in := range inputs {
 		if in.Report == nil {
@@ -138,16 +153,24 @@ func (a *Auditor) report(states map[string]*State, inputs []CampaignInput, worke
 		}
 		if sts[i] = states[in.ID]; sts[i] == nil {
 			sts[i] = noState
+		} else if kept != nil && !claimed[in.ID] {
+			keeps[i], claimed[in.ID] = kept.kept(in.ID, sts[i], in.Keywords), true
 		}
 		resolves[i] = task{stagePublishers, func() error {
-			views[i] = a.resolve(sts[i], in.Keywords)
+			if keeps[i] != nil {
+				views[i] = a.resolveKept(keeps[i])
+			} else {
+				views[i] = a.resolve(sts[i], in.Keywords)
+			}
 			return nil
 		}}
 	}
 	a.runTasks(resolves, workers) // a resolve cannot fail
 	defer func() {
-		for _, v := range views {
-			viewPool.Put(v)
+		for i, v := range views {
+			if keeps[i] == nil {
+				viewPool.Put(v)
+			}
 		}
 	}()
 	// The two cross-campaign folds are the longest tasks by far and go
@@ -175,11 +198,12 @@ func (a *Auditor) report(states map[string]*State, inputs []CampaignInput, worke
 // only read, so one empty state serves them all.
 var noState = NewState()
 
-// AuditState materialises one campaign's eight dimensions from its state.
-func (a *Auditor) AuditState(s *State, in CampaignInput) (CampaignAudit, error) {
+// AuditState materialises one campaign's eight dimensions from its
+// state, resolving its publishers through kept (see ReportKept).
+func (a *Auditor) AuditState(s *State, kept *Views, in CampaignInput) (CampaignAudit, error) {
 	var ca CampaignAudit
-	v := a.resolve(s, in.Keywords)
-	defer viewPool.Put(v)
+	v := a.view(kept, in.ID, s, in.Keywords)
+	defer kept.done(v)
 	err := a.runTasks(a.campaignTasks(nil, s, v.facts, in, &ca), 1)
 	return ca, err
 }

@@ -40,11 +40,11 @@ type pubFacts struct {
 }
 
 // pubView is one campaign's publishers resolved, indexed by the state's
-// publisher id. It is scratch of one report, not state: the metadata
-// source and the keywords are the caller's and may differ from one
-// report to the next, so nothing of it outlives the folds that read it.
-// query is the compiled keywords they were resolved against, kept for
-// its buffers.
+// publisher id, and query the compiled keywords they were resolved
+// against, kept for its buffers. Batch FullAudit and the static engine
+// resolve into pooled scratch of one report (resolve); a live engine
+// keeps one per campaign between calls (Views) and extends it by the
+// publishers its state gained since. Neither is part of the state.
 type pubView struct {
 	facts []pubFacts
 	query semsim.Query
@@ -52,33 +52,107 @@ type pubView struct {
 
 var viewPool = sync.Pool{New: func() any { return new(pubView) }}
 
-// resolve looks each of the state's publishers up once — one
-// PublisherMeta call, one Query.Relevant — so the publisher folds
+// resolve looks each of the state's publishers up once into pooled
+// scratch. Return the view with viewPool.Put.
+func (a *Auditor) resolve(s *State, keywords []string) *pubView {
+	v := viewPool.Get().(*pubView)
+	v.facts = v.facts[:0]
+	a.extend(v, s, keywords)
+	return v
+}
+
+// extend resolves the publishers s holds past len(v.facts) — every one
+// for an empty view, which compiles keywords first — with one
+// PublisherMeta call and one Query.Relevant each, so the publisher folds
 // (brand safety, context, popularity, the aggregate Venn) are sums over
 // an array instead of one string-keyed lookup each. Without a metadata
 // source every publisher is unknown; without a matcher or keywords none
-// is relevant. Return the view with viewPool.Put.
-func (a *Auditor) resolve(s *State, keywords []string) *pubView {
-	v := viewPool.Get().(*pubView)
+// is relevant.
+func (a *Auditor) extend(v *pubView, s *State, keywords []string) {
 	pubs := s.cols.Pubs.keys
-	v.facts = slices.Grow(v.facts[:0], len(pubs))[:len(pubs)]
-	clear(v.facts)
+	from := len(v.facts)
+	v.facts = slices.Grow(v.facts, len(pubs)-from)[:len(pubs)]
+	clear(v.facts[from:])
 	if a.Meta == nil {
-		return v
+		return
 	}
 	match := a.Matcher != nil && len(keywords) > 0
-	if match {
+	if match && from == 0 {
 		a.Matcher.CompileInto(&v.query, keywords)
 	}
-	for pid, pub := range pubs {
-		if m, ok := a.Meta.PublisherMeta(pub); ok {
+	for pid := from; pid < len(pubs); pid++ {
+		if m, ok := a.Meta.PublisherMeta(pubs[pid]); ok {
 			v.facts[pid] = pubFacts{
 				rank: m.Rank, known: true, unsafe: m.Unsafe,
 				relevant: match && v.query.Relevant(m.Keywords, m.Topics),
 			}
 		}
 	}
-	return v
+}
+
+// Views keeps each campaign's resolved publisher view between calls,
+// for an engine whose states only grow: Insert appends to a state's
+// publisher dictionary and Update never changes a slot's publisher, so
+// a view stays true of the publishers it holds, and the next call looks
+// up only those added since. A view starts over when its
+// campaign's keywords differ from the ones it was resolved against or
+// its state is another one. Views belong to one Auditor, whose metadata
+// source and matcher they were resolved with, and are not safe for
+// concurrent use: their owner serialises the calls that take them, as
+// it does the mutations of its states. The zero Views is empty and
+// ready for use; a nil *Views resolves into per-call scratch instead.
+type Views struct {
+	byID map[string]*keptView
+}
+
+type keptView struct {
+	pubView
+	state    *State
+	keywords []string
+}
+
+// Reset drops every view, for an owner that replaced its states.
+func (vs *Views) Reset() { vs.byID = nil }
+
+// kept returns campaign id's view of s, creating it, and started over
+// when it was resolved for another state or other keywords; extend it
+// with resolveKept.
+func (vs *Views) kept(id string, s *State, keywords []string) *keptView {
+	k := vs.byID[id]
+	if k == nil {
+		if vs.byID == nil {
+			vs.byID = map[string]*keptView{}
+		}
+		k = new(keptView)
+		vs.byID[id] = k
+	}
+	if k.state != s || !slices.Equal(k.keywords, keywords) {
+		k.state, k.keywords, k.facts = s, slices.Clone(keywords), k.facts[:0]
+	}
+	return k
+}
+
+// resolveKept extends a kept view by the publishers its state gained.
+func (a *Auditor) resolveKept(k *keptView) *pubView {
+	a.extend(&k.pubView, k.state, k.keywords)
+	return &k.pubView
+}
+
+// view resolves campaign id's state s against keywords: through its
+// kept view when vs is not nil, into scratch otherwise. Hand it back
+// with vs.done.
+func (a *Auditor) view(vs *Views, id string, s *State, keywords []string) *pubView {
+	if vs == nil {
+		return a.resolve(s, keywords)
+	}
+	return a.resolveKept(vs.kept(id, s, keywords))
+}
+
+// done returns a view from view to the pool unless it is kept.
+func (vs *Views) done(v *pubView) {
+	if vs == nil {
+		viewPool.Put(v)
+	}
 }
 
 // eachGroup counting-sorts the slots by dense id (n ids) and hands fn

@@ -40,9 +40,14 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 }
 
 // Put records k → v in the current generation, rotating first when it
-// is full.
+// is full. The first generation starts unsized, so a map that sees few
+// keys stays small; a rotation proves the map busy, and the generation
+// it starts is sized for a quarter of the limit.
 func (m *Map[K, V]) Put(k K, v V) {
-	if m.cur == nil || len(m.cur) >= m.limit {
+	switch {
+	case m.cur == nil:
+		m.cur = map[K]V{}
+	case len(m.cur) >= m.limit:
 		m.prev = m.cur
 		m.cur = make(map[K]V, m.limit/4)
 	}

@@ -2,6 +2,7 @@ package gen2
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -69,5 +70,22 @@ func TestIntern(t *testing.T) {
 	}
 	if _, ok := m.cur["chrome"]; !ok {
 		t.Fatal("previous-generation intern hit was not promoted")
+	}
+}
+
+// TestFirstGenerationUnsized: a map that has seen one key holds about
+// one key's worth of memory, not room for a quarter of its limit (8,192
+// entries at the collector's limit, 1<<15).
+func TestFirstGenerationUnsized(t *testing.T) {
+	m := New[string, string](1 << 15)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Put("key", "value")
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+		t.Fatalf("one Put allocated %d B, want under 4 KiB", got)
+	}
+	if v, ok := m.Get("key"); !ok || v != "value" {
+		t.Fatalf("Get(key) = %q %v, want value true", v, ok)
 	}
 }

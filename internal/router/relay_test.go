@@ -172,6 +172,59 @@ func TestRelayDuringShardOutageHoldsNothing(t *testing.T) {
 	}
 }
 
+// TestRelayDropsAreCounted: during the outage of
+// TestRelayDuringShardOutageHoldsNothing every one of the 100 commits
+// relayed toward the dead shard is dropped for the gateway to replay —
+// the first when no trunk takes it, the rest behind it in the same
+// batch at once — and adaudit_router_relay_drops_total counts each.
+func TestRelayDropsAreCounted(t *testing.T) {
+	nw := &memnet.Network{Buffer: 64 << 10}
+	ln1, err := nw.Listen("shard1:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1 := store.New()
+	collectortest.Serve(t, st1, ln1, nil)
+	cfg := fastRouterConfig([]string{"ws://shard0:80/trunk", "ws://shard1:80/trunk"})
+	cfg.Dialer = wsproto.Dialer{NetDial: nw.Dial}
+	ln, err := nw.Listen("router:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, rsrv := startRouter(t, cfg, daemon.WithListener(ln))
+	tiertest.WaitFor(t, "shard 1's trunks to establish", func() bool {
+		ph := r.Health().Pools[1]
+		return ph.TrunksHealthy == ph.TrunksTotal
+	})
+	if n := seriesSum(r, "adaudit_router_relay_drops_total"); n != 0 {
+		t.Fatalf("relay_drops_total = %v before any relay, want 0", n)
+	}
+
+	const relayed = 100
+	var batch []byte
+	for i := 0; i < relayed; i++ {
+		batch = append(batch, relayedCommit(uint64(i+1), payloadOn(i, 0, 2))...)
+	}
+	gw := dialRelay(t, rsrv.TrunkURL(), nw.Dial)
+	if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
+		t.Fatal(err)
+	}
+	tiertest.WaitFor(t, "every relayed commit counted as dropped", func() bool {
+		return seriesSum(r, "adaudit_router_relay_drops_total") == relayed
+	})
+	if n := relaysHeld(r); n != 0 {
+		t.Fatalf("the router holds %d return paths of dropped commits, want 0", n)
+	}
+	// A commit bound for the healthy shard is relayed, not dropped.
+	if err := gw.WriteMessage(wsproto.OpBinary, relayedCommit(relayed+1, payloadOn(relayed, 1, 2))); err != nil {
+		t.Fatal(err)
+	}
+	tiertest.WaitFor(t, "the healthy shard's commit stored", func() bool { return st1.Len() == 1 })
+	if n := seriesSum(r, "adaudit_router_relay_drops_total"); n != relayed {
+		t.Fatalf("relay_drops_total = %v, want %d", n, relayed)
+	}
+}
+
 // TestRelayReturnPathIsBounded: the router keeps a relayed commit's
 // return path only until its shard answers or AckTimeout passes, and
 // one relayed write waits at most AckTimeout on a shard that stopped

@@ -83,6 +83,7 @@ type Router struct {
 	// The relay's own instruments (nil-safe); the core counts the rest.
 	relayTrunks *telemetry.Gauge
 	relayFrames *telemetry.CounterVec
+	relayDrops  *telemetry.Counter
 
 	// relays maps the router streams of relayed commits back to their
 	// origin gateway connection and stream, so shard acks can be
@@ -110,6 +111,8 @@ func New(cfg Config) (*Router, error) {
 			"Gateway trunk connections currently terminated on this router.", nil),
 		relayFrames: reg.CounterVec("adaudit_router_relay_frames_total",
 			"Trunk frames relayed from gateways onto shards, by frame type.", "type"),
+		relayDrops: reg.Counter("adaudit_router_relay_drops_total",
+			"Relayed commits dropped because no trunk of their shard took them; the gateway replays them.", nil),
 	}
 	upstreams := make([]edge.Upstream, len(cfg.Shards))
 	for i, u := range cfg.Shards {

@@ -436,7 +436,10 @@ func TestGatewayReplayAfterLostAckCountsOnce(t *testing.T) {
 		Payload: string(p.EncodeBinary()),
 	})
 	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {collectortest.TrunkToken}}}
-	dial := func() (*wsproto.Conn, *stallConn) {
+	// dial opens a trunk and sends the commit on it; stall stalls the
+	// router's end first, so the shard's ack cannot be written back
+	// before the stall takes hold.
+	dial := func(stall bool) *wsproto.Conn {
 		gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
 		if err != nil {
 			t.Fatal(err)
@@ -444,20 +447,20 @@ func TestGatewayReplayAfterLostAckCountsOnce(t *testing.T) {
 		t.Cleanup(func() { _ = gw.NetConn().Close() })
 		leg := <-stalls.accepted // the router's end of this trunk
 		t.Cleanup(func() { _ = leg.Close() })
+		leg.stalled.Store(stall)
 		if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
 			t.Fatal(err)
 		}
-		return gw, leg
+		return gw
 	}
 
-	_, lost := dial()
-	lost.stalled.Store(true)
+	dial(true)
 	tiertest.WaitFor(t, "the shard's ack", func() bool { return seriesSum(r, "adaudit_router_shard_acks_total") == 1 })
 	tiertest.WaitFor(t, "the ack write to fail and close the trunk", func() bool {
 		return seriesSum(r, "adaudit_router_relay_trunks_active") == 0
 	})
 
-	gw, _ := dial()
+	gw := dial(false)
 	_ = gw.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, msg, err := gw.ReadMessage()
 	if err != nil {

@@ -73,7 +73,7 @@ func (r *Router) ServeTrunk(w http.ResponseWriter, req *http.Request) {
 // is rejected at once. One whose shard a write of the same batch failed
 // to reach (failedIn: shard pool → the last of origin's batches a write
 // to it failed in) is dropped at once: the shard's other trunks stall
-// the same way, and the gateway replays it.
+// the same way, and the gateway replays it. Every drop is counted.
 func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byte, failedIn map[*edge.Pool]uint64) []byte {
 	payload, err := beacon.DecodeBinary([]byte(f.Payload))
 	var refusal string
@@ -88,6 +88,7 @@ func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byt
 	}
 	pool := r.PoolFor(payload.Nonce)
 	if failedIn[pool] == origin.Batch() {
+		r.relayDrops.Inc()
 		return reply
 	}
 	cfg := r.Config()
@@ -111,6 +112,7 @@ func (r *Router) relayCommitFrame(origin *trunk.Peer, f trunk.Frame, reply []byt
 		delete(r.relays, rs)
 		r.relayMu.Unlock()
 		failedIn[pool] = origin.Batch()
+		r.relayDrops.Inc()
 	}
 	return reply
 }

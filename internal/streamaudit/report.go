@@ -15,11 +15,18 @@ import (
 // guarantee. Nothing in it aliases the states: later applies cannot
 // change a report already returned. The folds run on the auditor's
 // worker pool under the engine lock — they only read the states, and
-// applies wait for the shorter time the pool takes.
+// applies wait for the shorter time the pool takes. From its second
+// report on, a live engine keeps each campaign's resolved publishers
+// and looks up only those its campaigns gained since the last report;
+// a caller that reports once (a check, a verify run) leaves none held.
 func (e *Engine) Report(inputs []audit.CampaignInput) (*audit.FullReport, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.aud.ReportStates(e.states, inputs)
+	kept := e.views
+	if !e.reported {
+		kept, e.reported = nil, true
+	}
+	return e.aud.ReportKept(e.states, kept, inputs)
 }
 
 // CampaignLive is the live per-campaign summary served by
@@ -73,10 +80,10 @@ func (e *Engine) LiveSummary(id string) (CampaignLive, bool) {
 func (e *Engine) liveSummaryLocked(id string) CampaignLive {
 	st := e.states[id]
 	live := CampaignLive{CampaignID: id, Seq: e.appliedSeq.Load(), Summary: st.Summary()}
-	// One metadata lookup per publisher, none per impression — but per
-	// call: the resolved view is not kept between summaries.
+	// One metadata lookup per publisher, none per impression, and on a
+	// live engine none for a publisher an earlier call resolved.
 	if kws := e.keywords[id]; len(kws) > 0 {
-		ctx, _ := e.aud.ContextOf(st, id, kws, nil) // fails only without metadata, which New requires
+		ctx, _ := e.aud.ContextOf(st, e.views, id, kws, nil) // fails only without metadata, which New requires
 		live.ContextShare = ctx.AuditFraction()
 	}
 	return live
@@ -95,7 +102,7 @@ func (e *Engine) Audit(id string) (LiveAudit, bool, error) {
 	if rep == nil {
 		rep = &adnet.VendorReport{}
 	}
-	ca, err := e.aud.AuditState(st, audit.CampaignInput{ID: id, Keywords: e.keywords[id], Report: rep})
+	ca, err := e.aud.AuditState(st, e.views, audit.CampaignInput{ID: id, Keywords: e.keywords[id], Report: rep})
 	if err != nil {
 		return LiveAudit{}, true, err
 	}

@@ -10,8 +10,9 @@
 // oracle: at quiescence (every published feed event applied),
 // Engine.Report is deep-equal to Auditor.FullAudit over the same store
 // and the same campaign inputs. That holds by construction: Report runs
-// the folds FullAudit runs (audit.Auditor.ReportStates) over states
-// holding the same rows in the same order.
+// the folds FullAudit runs (audit.Auditor.ReportKept) over states
+// holding the same rows in the same order, and publishers resolved the
+// same way — once per campaign, the views kept between reports.
 //
 // Export is those states' wire form, which the shard-merge tier unions
 // (internal/shardmerge) and NewStatic serves reports from.
@@ -85,14 +86,22 @@ type Engine struct {
 	// directory, with no store behind it.
 	aud *audit.Auditor
 
-	// mu guards states and sub. states holds one audit.State per
-	// campaign, its slots in store order, which is what lets an exposure
-	// merge find its slot from the event alone. A resync rebuilds them
-	// from the snapshot prime. appliedSeq/resyncs are atomics so
-	// monitoring reads never contend with apply.
-	mu     sync.Mutex
-	states map[string]*audit.State
-	sub    *store.FeedSub
+	// mu guards states, views, reported and sub. states holds one
+	// audit.State per campaign, its slots in store order, which is what
+	// lets an exposure merge find its slot from the event alone. A
+	// resync rebuilds them from the snapshot prime. views keeps each
+	// campaign's publishers resolved between calls, since a state's
+	// publishers only grow; a resync drops them with the states.
+	// LiveSummary and Audit, which servers repeat, resolve through them
+	// from the first call, Report only once reported is set (see
+	// Report). A static engine, which serves one export, has none and
+	// resolves per call. appliedSeq/resyncs are atomics so monitoring
+	// reads never contend with apply.
+	mu       sync.Mutex
+	states   map[string]*audit.State
+	views    *audit.Views
+	reported bool
+	sub      *store.FeedSub
 
 	appliedSeq atomic.Int64
 	resyncs    atomic.Int64
@@ -122,7 +131,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.store, e.buffer = cfg.Store, cfg.Buffer
+	e.store, e.buffer, e.views = cfg.Store, cfg.Buffer, new(audit.Views)
 	e.tel.init(cfg.Telemetry, e)
 	e.mu.Lock()
 	e.attachLocked()
@@ -155,6 +164,7 @@ func newEngine(meta audit.MetadataSource, m *semsim.Matcher, sellers audit.Selle
 // the snapshot prime. Caller holds e.mu.
 func (e *Engine) attachLocked() {
 	e.states = map[string]*audit.State{}
+	e.views.Reset()
 	// The prime callbacks run under the store's read locks; they only
 	// touch engine state (also safe: e.mu is held).
 	e.sub = e.store.Subscribe(e.buffer, e.applyInsert, e.applyConversion)

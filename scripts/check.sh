@@ -61,6 +61,12 @@ go test -race -run TestFullAuditParallelMatchesSerial -short .
 echo "==> go test -race -count=50 -run TestFullAuditErrorPropagates ./internal/audit/"
 go test -race -count=50 -run TestFullAuditErrorPropagates ./internal/audit/
 
+# A live engine keeps each campaign's resolved publisher view between
+# reports: the report's resolve tasks extend those views side by side
+# (one task per campaign, never two on one view) while applies wait.
+echo "==> go test -race -count=20 -run 'TestKeptView|TestEngineReportParallelUnderApply' ./internal/streamaudit/"
+go test -race -count=20 -run 'TestKeptView|TestEngineReportParallelUnderApply' ./internal/streamaudit/
+
 if [ "${1:-}" = "-bench" ]; then
     echo "==> telemetry overhead: BenchmarkCollectorIngest vs Uninstrumented"
     go test -run '^$' -bench 'BenchmarkCollectorIngest' -benchmem -count 3 \

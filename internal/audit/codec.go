@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
-	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 // The packed form of a state (export formats 3 and 4; DESIGN §17 has the layout
@@ -72,13 +72,11 @@ func (k *keySplitter) split(keys []string) []int32 {
 	return refs
 }
 
-func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
-
 // stringsSize is the encoded size of a string table.
 func stringsSize(strs []string) int {
-	size := uvarintLen(len(strs))
+	size := bytecodec.UvarintLen(uint64(len(strs)))
 	for _, s := range strs {
-		size += uvarintLen(len(s)) + len(s)
+		size += bytecodec.StringLen(s)
 	}
 	return size
 }
@@ -103,25 +101,9 @@ func appendUvarints(b []byte, col []int32) []byte {
 
 func appendFloats(b []byte, col []float64) []byte {
 	for _, f := range col {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		b = bytecodec.AppendFloat64(b, f)
 	}
 	return b
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// appendTime writes an instant and its zone offset: what RFC 3339, the
-// form every JSON view shows a time in, can tell apart.
-func appendTime(b []byte, t time.Time) []byte {
-	_, offset := t.Zone()
-	b = binary.AppendVarint(b, t.Unix())
-	b = binary.AppendUvarint(b, uint64(t.Nanosecond()))
-	return binary.AppendVarint(b, int64(offset))
 }
 
 // sortedKeys returns m's keys in order, in a slice with room for extra more.
@@ -154,8 +136,9 @@ func (s *State) Pack() (size int, write func(b []byte) []byte, err error) {
 	}
 	heads, tails := k.heads.keys, k.tails.keys
 
-	refWidth := uvarintLen(len(heads)) + uvarintLen(len(tails))
-	idWidth := uvarintLen(len(c.Users.keys)) + uvarintLen(len(c.Pubs.keys)) + uvarintLen(len(c.Verdicts.keys))
+	refWidth := bytecodec.UvarintLen(uint64(len(heads))) + bytecodec.UvarintLen(uint64(len(tails)))
+	idWidth := bytecodec.UvarintLen(uint64(len(c.Users.keys))) + bytecodec.UvarintLen(uint64(len(c.Pubs.keys))) +
+		bytecodec.UvarintLen(uint64(len(c.Verdicts.keys)))
 	size = 10*binary.MaxVarintLen64 +
 		stringsSize(heads) + len(ips) + stringsSize(tails) + len(c.Users.keys)*refWidth +
 		stringsSize(c.Pubs.keys) + stringsSize(c.Verdicts.keys) + len(convs)*(refWidth+binary.MaxVarintLen64) +
@@ -164,11 +147,11 @@ func (s *State) Pack() (size int, write func(b []byte) []byte, err error) {
 	return size, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, uint64(len(c.UserOf)))
 		b = binary.AppendVarint(b, int64(c.Clicks))
-		b = appendTime(appendTime(b, c.FirstSeen), c.LastSeen)
+		b = bytecodec.AppendTime(bytecodec.AppendTime(b, c.FirstSeen), c.LastSeen)
 		b = appendStrings(b, heads)
 		b = binary.AppendUvarint(b, uint64(len(ips)))
 		for _, ip := range ips {
-			b = appendBool(b, c.IPs[ip])
+			b = bytecodec.AppendBool(b, c.IPs[ip])
 		}
 		b = appendStrings(b, tails)
 		b = appendUvarints(binary.AppendUvarint(b, uint64(len(c.Users.keys))), userRefs)
@@ -184,7 +167,7 @@ func (s *State) Pack() (size int, write func(b []byte) []byte, err error) {
 		}
 		b = appendFloats(b, c.Exposures)
 		for _, m := range c.VisMeasured {
-			b = appendBool(b, m)
+			b = bytecodec.AppendBool(b, m)
 		}
 		return appendFloats(b, c.VisFrac)
 	}, nil
@@ -201,72 +184,30 @@ func (s *State) AppendBinary(b []byte) ([]byte, error) {
 	return write(slices.Grow(b, size)), nil
 }
 
-// reader consumes a packed state. The first failure sticks: every read
-// after it returns zero, so the decoder checks once per section, and no
-// count is believed before it is held against the bytes that remain.
+// reader consumes a packed state: the byte codec's reader, plus the
+// tables, keys, dictionaries and columns the format is made of.
 type reader struct {
-	b        []byte // what remains
-	keyBytes int    // of user keys joined so far
-	err      error
+	bytecodec.Reader
+	keyBytes int // of user keys joined so far
 }
 
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("audit: state encoding: "+format, args...)
-	}
-	r.b = nil
-}
-
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("ends inside an integer, or the integer overflows")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) varint() int64 {
-	v := r.uvarint()
-	return int64(v>>1) ^ -int64(v&1)
-}
-
-// count reads how many elements of at least elemSize bytes each follow.
-func (r *reader) count(elemSize int) int {
-	v := r.uvarint()
-	if v > uint64(len(r.b)/elemSize) {
-		r.fail("claims %d elements of %d bytes or more, %d bytes remain", v, elemSize, len(r.b))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) take(n int) []byte {
-	if n < 0 || n > len(r.b) {
-		r.fail("ends %d bytes early", n-len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
+func (r *reader) fail(format string, args ...any) { r.Fail(fmt.Errorf(format, args...)) }
 
 // strings reads a string table. The strings share one backing string,
 // so a table costs two allocations however many strings it holds.
 func (r *reader) strings() []string {
-	n := r.count(1)
-	lens, total := reader{b: r.b}, 0 // the lengths are read twice: to find the bytes, then to cut them
+	n := r.Count(1)
+	lens, total := r.Reader, 0 // the lengths are read twice: to find the bytes, then to cut them
 	for i := 0; i < n; i++ {
-		total += r.count(1)
+		total += r.Count(1)
 	}
-	blob := string(r.take(total))
-	if r.err != nil {
+	blob := string(r.Bytes(uint64(total)))
+	if r.Err() != nil {
 		return nil
 	}
 	strs := make([]string, n)
 	for i := range strs {
-		l := int(lens.uvarint())
+		l := int(lens.Uvarint())
 		strs[i], blob = blob[:l], blob[l:]
 	}
 	return strs
@@ -275,10 +216,10 @@ func (r *reader) strings() []string {
 // keys reads a count and that many head and tail references, joining
 // each key in one backing string.
 func (r *reader) keys(heads, tails []string) []string {
-	n := r.count(2)
-	refs, total := reader{b: r.b}, 0 // read twice: to size the backing string, then to fill it
+	n := r.Count(2)
+	refs, total := r.Reader, 0 // read twice: to size the backing string, then to fill it
 	for i := 0; i < n; i++ {
-		head, tail := r.uvarint(), r.uvarint()
+		head, tail := r.Uvarint(), r.Uvarint()
 		if head >= uint64(len(heads)) || tail > uint64(len(tails)) {
 			r.fail("key %d is head %d of %d and tail %d of %d", i, head, len(heads), tail, len(tails))
 			return nil
@@ -297,8 +238,8 @@ func (r *reader) keys(heads, tails []string) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		start := sb.Len()
-		sb.WriteString(heads[refs.uvarint()])
-		if tail := refs.uvarint(); tail > 0 {
+		sb.WriteString(heads[refs.Uvarint()])
+		if tail := refs.Uvarint(); tail > 0 {
 			sb.WriteByte('|')
 			sb.WriteString(tails[tail-1])
 		}
@@ -329,14 +270,14 @@ func (r *reader) dict(name string, keys []string) dict {
 func (r *reader) ids(n int, name string, d *dict) []int32 {
 	col, used := make([]int32, n), make([]bool, len(d.keys))
 	for slot := range col {
-		id := r.uvarint()
+		id := r.Uvarint()
 		if id >= uint64(len(used)) {
 			r.fail("slot %d has %s id %d, dictionary holds %d", slot, name, id, len(used))
 			return nil
 		}
 		col[slot], used[id] = int32(id), true
 	}
-	if id := slices.Index(used, false); id >= 0 && r.err == nil {
+	if id := slices.Index(used, false); id >= 0 && r.Err() == nil {
 		r.fail("%s %q is in the dictionary but in no slot", name, d.keys[id])
 	}
 	return col
@@ -344,7 +285,7 @@ func (r *reader) ids(n int, name string, d *dict) []int32 {
 
 func (r *reader) bools(n int, name string) []bool {
 	col := make([]bool, n)
-	for i, v := range r.take(n) {
+	for i, v := range r.Bytes(uint64(n)) {
 		if v > 1 {
 			r.fail("%s %d is byte %d, neither 0 nor 1", name, i, v)
 			return nil
@@ -355,7 +296,7 @@ func (r *reader) bools(n int, name string) []bool {
 }
 
 func (r *reader) times(n int) []int64 {
-	col, raw := make([]int64, n), r.take(8*n)
+	col, raw := make([]int64, n), r.Bytes(8*uint64(n))
 	for i := range len(raw) / 8 {
 		col[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
@@ -366,7 +307,7 @@ func (r *reader) times(n int) []int64 {
 // built by Insert and Update holds one, a NaN is not even equal to
 // itself, and no JSON view of a report could carry either.
 func (r *reader) floats(n int, name string) []float64 {
-	col, raw := make([]float64, n), r.take(8*n)
+	col, raw := make([]float64, n), r.Bytes(8*uint64(n))
 	for i := range len(raw) / 8 {
 		col[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		if math.IsNaN(col[i]) || math.IsInf(col[i], 0) {
@@ -374,24 +315,6 @@ func (r *reader) floats(n int, name string) []float64 {
 		}
 	}
 	return col
-}
-
-// time reads what appendTime wrote, refusing what RFC 3339 could not
-// have carried.
-func (r *reader) time() time.Time {
-	sec, nsec, offset := r.varint(), r.uvarint(), r.varint()
-	if nsec >= 1e9 || offset <= -86400 || offset >= 86400 {
-		r.fail("time of %d ns at offset %d s", nsec, offset)
-		return time.Time{}
-	}
-	t := time.Unix(sec, int64(nsec)).UTC()
-	if offset != 0 {
-		t = t.In(time.FixedZone("", int(offset)))
-	}
-	if y := t.Year(); y < 0 || y > 9999 {
-		r.fail("time in the year %d", y)
-	}
-	return t
 }
 
 // UnmarshalBinary decodes and validates a state from outside the
@@ -404,13 +327,20 @@ func (r *reader) time() time.Time {
 // Keys are substrings of a few backing strings, so decoding costs a
 // constant number of allocations.
 func (s *State) UnmarshalBinary(b []byte) error {
-	r := &reader{b: b}
+	if err := s.unmarshal(b); err != nil {
+		return fmt.Errorf("audit: state encoding: %w", err)
+	}
+	return nil
+}
+
+func (s *State) unmarshal(b []byte) error {
+	r := &reader{Reader: bytecodec.NewReader(b)}
 	var c columns
-	n := r.count(minSlotBytes)
-	c.Clicks = int(r.varint())
-	c.FirstSeen, c.LastSeen = r.time(), r.time()
+	n := r.Count(minSlotBytes)
+	c.Clicks = int(r.Varint())
+	c.FirstSeen, c.LastSeen = r.Time(), r.Time()
 	heads := r.strings()
-	nIPs := r.uvarint()
+	nIPs := r.Uvarint()
 	if nIPs > uint64(len(heads)) {
 		r.fail("%d IPs among %d key heads", nIPs, len(heads))
 		nIPs = 0
@@ -422,8 +352,8 @@ func (s *State) UnmarshalBinary(b []byte) error {
 	c.Pubs = r.dict("publisher", r.strings())
 	c.Verdicts = r.dict("verdict", r.strings())
 	convs := r.keys(heads, tails)
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 	c.IPs, c.Convs = make(map[string]bool, len(ips)), make(map[string]int, len(convs))
 	for i, ip := range ips {
@@ -431,7 +361,7 @@ func (s *State) UnmarshalBinary(b []byte) error {
 	}
 	conversions := 0
 	for _, user := range convs {
-		k := int(r.varint())
+		k := int(r.Varint())
 		c.Convs[user] = k
 		conversions += k
 	}
@@ -439,11 +369,11 @@ func (s *State) UnmarshalBinary(b []byte) error {
 		r.fail("an IP or a converting user is listed twice")
 	}
 
-	if len(r.b)/minSlotBytes < n { // the tables were not counted when n was read
-		r.fail("claims %d slots, %d bytes remain", n, len(r.b))
+	if r.Len()/minSlotBytes < n { // the tables were not counted when n was read
+		r.fail("claims %d slots, %d bytes remain", n, r.Len())
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 	c.UserOf = r.ids(n, "user", &c.Users)
 	c.PubOf = r.ids(n, "publisher", &c.Pubs)
@@ -452,11 +382,11 @@ func (s *State) UnmarshalBinary(b []byte) error {
 	c.Exposures = r.floats(n, "exposure")
 	c.VisMeasured = r.bools(n, "visibility-measured flag")
 	c.VisFrac = r.floats(n, "visible fraction")
-	if r.err == nil && len(r.b) > 0 {
-		r.fail("%d bytes follow the last column", len(r.b))
+	if r.Err() == nil && r.Len() > 0 {
+		r.fail("%d bytes follow the last column", r.Len())
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 
 	*s = State{cols: c, conversions: conversions, pubImps: make([]int32, len(c.Pubs.keys))}

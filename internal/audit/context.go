@@ -54,7 +54,7 @@ func (a *Auditor) Context(campaignID string, keywords []string, report *adnet.Ve
 
 // ContextOf is the Table 2 analysis of one campaign's state: its
 // publishers resolved against the keywords, through kept (see
-// ReportKept), then the fold.
+// ReportStates), then the fold.
 func (a *Auditor) ContextOf(s *State, kept *Views, campaignID string, keywords []string, report *adnet.VendorReport) (ContextResult, error) {
 	v := a.view(kept, campaignID, s, keywords)
 	defer kept.done(v)

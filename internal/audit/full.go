@@ -123,14 +123,10 @@ func releaseAll(states map[string]*State) {
 // engine and the shard-merge tier do, theirs being kept or merged
 // rather than filled — on the same pool. A campaign without a state is
 // an empty one. The states are only read, and must not change meanwhile.
-func (a *Auditor) ReportStates(states map[string]*State, inputs []CampaignInput) (*FullReport, error) {
-	return a.report(states, nil, inputs, a.workers())
-}
-
-// ReportKept is ReportStates resolving each campaign's publishers
-// through its view in kept, which it extends or starts over (see
-// Views); a nil kept resolves into scratch, as ReportStates does.
-func (a *Auditor) ReportKept(states map[string]*State, kept *Views, inputs []CampaignInput) (*FullReport, error) {
+// Each campaign's publishers resolve through its view in kept, which
+// this extends or starts over (see Views); a nil kept resolves into
+// scratch.
+func (a *Auditor) ReportStates(states map[string]*State, kept *Views, inputs []CampaignInput) (*FullReport, error) {
 	return a.report(states, kept, inputs, a.workers())
 }
 
@@ -199,7 +195,7 @@ func (a *Auditor) report(states map[string]*State, kept *Views, inputs []Campaig
 var noState = NewState()
 
 // AuditState materialises one campaign's eight dimensions from its
-// state, resolving its publishers through kept (see ReportKept).
+// state, resolving its publishers through kept (see ReportStates).
 func (a *Auditor) AuditState(s *State, kept *Views, in CampaignInput) (CampaignAudit, error) {
 	var ca CampaignAudit
 	v := a.view(kept, in.ID, s, in.Keywords)

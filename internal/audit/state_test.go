@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"adaudit/internal/adnet"
+	"adaudit/internal/bytecodec"
 	"adaudit/internal/store"
 )
 
@@ -211,7 +212,7 @@ func TestStatePathsAgree(t *testing.T) {
 		}
 		check := func(path string, states map[string]*State) {
 			t.Helper()
-			got, err := a.ReportStates(states, w.inputs)
+			got, err := a.ReportStates(states, nil, w.inputs)
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, path, err)
 			}
@@ -292,7 +293,7 @@ func tinyParts() encoding {
 func (e encoding) bytes() []byte {
 	b := binary.AppendUvarint(nil, e.slots)
 	b = binary.AppendVarint(b, e.clicks)
-	b = appendTime(appendTime(b, e.first), e.last)
+	b = bytecodec.AppendTime(bytecodec.AppendTime(b, e.first), e.last)
 	b = append(binary.AppendUvarint(appendStrings(b, e.heads), e.ips), e.dc...)
 	b = appendStrings(b, e.tails)
 	b = appendUvarints(binary.AppendUvarint(b, e.users), e.userRefs)
@@ -453,11 +454,19 @@ func TestStateDecodeRejects(t *testing.T) {
 		}
 	}
 
+	// A length spelled in more bytes than it needs — the empty verdict's
+	// 0 as 0x80 0x00 — is refused: a state has one encoding.
+	table := appendStrings(nil, tinyParts().verdicts)
+	long := bytes.Replace(good, table, slices.Concat(table[:2], []byte{0x80, 0x00}, table[3:]), 1)
+	if err := new(State).UnmarshalBinary(long); len(long) != len(good)+1 || err == nil || !strings.Contains(err.Error(), "non-canonical") {
+		t.Errorf("an overlong length (%d bytes for %d): %v", len(long), len(good), err)
+	}
+
 	// A time RFC 3339 has no way to write (the JSON views could not show
 	// it): a second of 2e9 ns, a zone a day off, the year 10000.
 	for _, tm := range [][3]int64{{0, 2e9, 0}, {0, 0, 86400}, {0, 0, -86400}, {253402300800, 0, 0}, {-62167219201, 0, 0}} {
-		r := &reader{b: binary.AppendVarint(binary.AppendUvarint(binary.AppendVarint(nil, tm[0]), uint64(tm[1])), tm[2])}
-		if got := r.time(); r.err == nil {
+		r := bytecodec.NewReader(binary.AppendVarint(binary.AppendUvarint(binary.AppendVarint(nil, tm[0]), uint64(tm[1])), tm[2]))
+		if got := r.Time(); r.Err() == nil {
 			t.Errorf("time %v accepted as %v", tm, got)
 		}
 	}

@@ -2,10 +2,13 @@ package beacon
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 // Binary wire format (DESIGN.md §13). The text payload is what a
@@ -19,7 +22,8 @@ import (
 // three decimals at encode time), so a dataset ingested over a mix of
 // wires is byte-identical to an all-text run.
 //
-// Layout, all integers unsigned LEB128 varints (binary.AppendUvarint):
+// Layout, all integers unsigned LEB128 varints (binary.AppendUvarint),
+// read in their shortest form only (internal/bytecodec):
 //
 //	impression message:
 //	  0x01 version(=1)
@@ -60,13 +64,6 @@ func quantizeFraction(f float64) float64 {
 	return q
 }
 
-// appendString appends a uvarint length prefix followed by the raw
-// bytes of s.
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 func appendBinaryEvent(dst []byte, e Event) []byte {
 	switch e.Kind {
 	case EventMouseMove:
@@ -78,7 +75,7 @@ func appendBinaryEvent(dst []byte, e Event) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(e.At.Milliseconds()))
 	if e.Kind == EventVisibility {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(quantizeFraction(e.Fraction)))
+		dst = bytecodec.AppendFloat64(dst, quantizeFraction(e.Fraction))
 	}
 	return dst
 }
@@ -89,12 +86,12 @@ func appendBinaryEvent(dst []byte, e Event) []byte {
 // the binary encoder simply cannot express them).
 func (p Payload) AppendBinary(dst []byte) []byte {
 	dst = append(dst, BinaryMagicImpression, PayloadVersion)
-	dst = appendString(dst, p.CampaignID)
-	dst = appendString(dst, p.CreativeID)
-	dst = appendString(dst, p.PageURL)
-	dst = appendString(dst, p.UserAgent)
-	dst = appendString(dst, p.Nonce)
-	dst = appendString(dst, p.TraceID)
+	dst = bytecodec.AppendString(dst, p.CampaignID)
+	dst = bytecodec.AppendString(dst, p.CreativeID)
+	dst = bytecodec.AppendString(dst, p.PageURL)
+	dst = bytecodec.AppendString(dst, p.UserAgent)
+	dst = bytecodec.AppendString(dst, p.Nonce)
+	dst = bytecodec.AppendString(dst, p.TraceID)
 	ts := p.TraceSent
 	if ts < 0 || p.TraceID == "" {
 		ts = 0
@@ -135,83 +132,14 @@ func EncodeBinaryEventUpdate(e Event) []byte {
 	return appendBinaryEvent([]byte{BinaryMagicEvent, PayloadVersion}, e)
 }
 
-// binReader walks a binary message. All methods record the first error
-// and become no-ops after it, so decode loops stay branch-light.
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("beacon: "+format, args...)
-	}
-}
-
-func (r *binReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail("binary payload truncated")
-		return 0
-	}
-	c := r.b[r.off]
-	r.off++
-	return c
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("binary payload: bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// bytes returns the next length-prefixed field aliasing the input
-// buffer — callers must copy (or intern) before the buffer is reused.
-func (r *binReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("binary payload: field length %d exceeds message", n)
-		return nil
-	}
-	f := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return f
-}
-
-func (r *binReader) float64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b)-r.off < 8 {
-		r.fail("binary payload truncated in float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-// decodeBinaryEventBody parses kind/at/fraction after the magic and
-// version bytes, mirroring decodeEvent's validation: non-negative
-// millisecond times, fractions rejected only when f < 0 or f > 1.
-func (r *binReader) event() Event {
-	kind := r.byte()
-	ms := r.uvarint()
+// event reads kind/at/fraction, mirroring decodeEvent's validation:
+// non-negative millisecond times, fractions rejected only when f < 0 or
+// f > 1.
+func event(r *bytecodec.Reader) Event {
+	kind := r.Byte()
+	ms := r.Uvarint()
 	if ms > math.MaxInt64/uint64(time.Millisecond) {
-		r.fail("binary payload: event time out of range")
+		r.Fail(errEventTime)
 		return Event{}
 	}
 	e := Event{At: time.Duration(ms) * time.Millisecond}
@@ -222,17 +150,19 @@ func (r *binReader) event() Event {
 		e.Kind = EventClick
 	case binKindVis:
 		e.Kind = EventVisibility
-		f := r.float64()
+		f := r.Float64()
 		if f < 0 || f > 1 {
-			r.fail("binary payload: visibility fraction %v out of range", f)
+			r.Fail(fmt.Errorf("visibility fraction %v out of range", f))
 			return Event{}
 		}
 		e.Fraction = f
 	default:
-		r.fail("binary payload: unknown event kind %d", kind)
+		r.Fail(fmt.Errorf("unknown event kind %d", kind))
 	}
 	return e
 }
+
+var errEventTime = errors.New("event time out of range")
 
 // DecodeBinary parses a binary impression message into a standalone
 // Payload: every string is copied out of b, so the caller may reuse
@@ -263,51 +193,44 @@ func DecodeBinary(b []byte) (Payload, error) {
 // syntax, trace context dropped (not fatal) when malformed, then
 // Payload.Validate.
 func DecodeBinaryInto(p *Payload, b []byte, intern func([]byte) string) error {
-	r := binReader{b: b}
-	if magic := r.byte(); r.err == nil && magic != BinaryMagicImpression {
+	r := bytecodec.NewReader(b)
+	if magic := r.Byte(); r.Err() == nil && magic != BinaryMagicImpression {
 		return fmt.Errorf("beacon: binary message is not an impression payload (magic 0x%02x)", magic)
 	}
-	if ver := r.byte(); r.err == nil && ver != PayloadVersion {
+	if ver := r.Byte(); r.Err() == nil && ver != PayloadVersion {
 		return fmt.Errorf("beacon: unsupported payload version %d", ver)
 	}
-	p.CampaignID = intern(r.bytes())
-	p.CreativeID = intern(r.bytes())
-	p.PageURL = intern(r.bytes())
-	p.UserAgent = intern(r.bytes())
-	p.Nonce = string(r.bytes())
-	traceID := r.bytes()
-	traceSent := r.uvarint()
-	n := r.uvarint()
-	if r.err != nil {
-		return r.err
-	}
-	if n > MaxEvents || n > uint64(len(b)) {
-		return fmt.Errorf("beacon: binary payload claims %d events in %d bytes", n, len(b))
+	p.CampaignID = intern(r.Bytes(r.Uvarint()))
+	p.CreativeID = intern(r.Bytes(r.Uvarint()))
+	p.PageURL = intern(r.Bytes(r.Uvarint()))
+	p.UserAgent = intern(r.Bytes(r.Uvarint()))
+	p.Nonce = r.String(r.Uvarint())
+	traceID := r.Bytes(r.Uvarint())
+	traceSent := r.Uvarint()
+	n := r.Count(2) // an event is at least its kind and its time
+	if n > MaxEvents {
+		return fmt.Errorf("beacon: binary payload claims %d events (max %d)", n, MaxEvents)
 	}
 	p.Events = p.Events[:0]
-	if n > 0 && cap(p.Events) < int(n) {
+	if n > 0 && cap(p.Events) < n {
 		p.Events = make([]Event, 0, n)
 	}
-	for i := uint64(0); i < n; i++ {
-		e := r.event()
-		if r.err != nil {
-			return r.err
-		}
-		p.Events = append(p.Events, e)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		p.Events = append(p.Events, event(&r))
 	}
 	p.Leg = 0
-	if r.off < len(b) { // a leg, written only when non-zero
-		if leg := r.uvarint(); r.err == nil && (leg == 0 || leg >= MaxLegs) {
-			r.fail("binary payload leg %d out of range", leg)
+	if r.Len() > 0 { // a leg, written only when non-zero
+		if leg := r.Uvarint(); r.Err() == nil && (leg == 0 || leg >= MaxLegs) {
+			r.Fail(fmt.Errorf("leg %d out of range", leg))
 		} else {
 			p.Leg = uint8(leg)
 		}
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() == nil && r.Len() > 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", r.Len()))
 	}
-	if r.off != len(b) {
-		return fmt.Errorf("beacon: %d trailing bytes after binary payload", len(b)-r.off)
+	if r.Err() != nil {
+		return fmt.Errorf("beacon: binary payload: %w", r.Err())
 	}
 	// Trace context is best-effort observability, exactly as on the
 	// text wire: malformed context is dropped, never fatal.
@@ -330,16 +253,16 @@ func DecodeBinaryEventUpdate(b []byte) (Event, bool, error) {
 	if len(b) == 0 || b[0] != BinaryMagicEvent {
 		return Event{}, false, nil
 	}
-	r := binReader{b: b, off: 1}
-	if ver := r.byte(); r.err == nil && ver != PayloadVersion {
+	r := bytecodec.NewReader(b[1:])
+	if ver := r.Byte(); r.Err() == nil && ver != PayloadVersion {
 		return Event{}, true, fmt.Errorf("beacon: unsupported payload version %d", ver)
 	}
-	e := r.event()
-	if r.err != nil {
-		return Event{}, true, r.err
+	e := event(&r)
+	if r.Err() == nil && r.Len() > 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", r.Len()))
 	}
-	if r.off != len(b) {
-		return Event{}, true, fmt.Errorf("beacon: %d trailing bytes after event update", len(b)-r.off)
+	if r.Err() != nil {
+		return Event{}, true, fmt.Errorf("beacon: event update: %w", r.Err())
 	}
 	return e, true, nil
 }

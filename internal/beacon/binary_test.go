@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -162,6 +163,10 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		"leg past the mask": append(append([]byte(nil), valid...), MaxLegs),
 		"bytes after a leg": append(append([]byte(nil), valid...), 1, 0),
 		"huge field length": {BinaryMagicImpression, PayloadVersion, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		// An empty User-Agent's length spelled in two bytes: every length
+		// has one encoding.
+		"overlong field length": slices.Concat([]byte{BinaryMagicImpression, PayloadVersion, 1, 'c', 1, 'r', 12},
+			[]byte("http://x.es/"), []byte{0x80, 0x00, 0, 0, 0, 0}),
 	}
 	for name, b := range cases {
 		if _, err := DecodeBinary(b); err == nil {

@@ -10,6 +10,8 @@ import (
 	"math"
 	"slices"
 	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 // This file is the one binary format of the store's durable state, the
@@ -39,14 +41,12 @@ import (
 //   - opConversion: a conversion — its ID, campaign, user key and
 //     action, its value in cents (never negative) and its timestamp.
 //
-// An integer is a zigzag varint; a string a uvarint length and its
-// bytes; a flag one byte, 0 or 1; a float its IEEE 754 bits, eight
-// bytes little-endian; a timestamp its Unix seconds (varint),
-// nanoseconds (uvarint) and zone offset in seconds east of UTC (varint;
-// 0 reads back as UTC, the local zone's offset as the local zone). The
-// timestamp is not time.Time's own binary form: that has no append form
-// before go1.24, and an offset with seconds west of UTC does not survive
-// its round trip (-150 s reads back as +106 s). A snapshot is a file of
+// An integer is a zigzag varint; a string, a flag, a float and a
+// timestamp are spelled as internal/bytecodec spells them (a timestamp
+// offset of 0 reads back as UTC, the local zone's offset as the local
+// zone). The timestamp is not time.Time's own binary form: that has no
+// append form before go1.24, and an offset with seconds west of UTC does
+// not survive its round trip (-150 s reads back as +106 s). A snapshot is a file of
 // inserts, with or without legs, then of conversions: a store that
 // holds no conversion writes the bytes it did before they were
 // journaled. Other op bytes are free for new kinds of entry; this
@@ -84,15 +84,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // committed to the heap on every commit.
 var (
 	errNonFinite = errors.New("visible fraction is not finite")
-	errYear      = errors.New("timestamp year outside 0–9999")
-	errZone      = errors.New("timestamp zone 24 hours or more from UTC")
 	errNegative  = errors.New("conversion value negative")
-)
-
-// The span of Unix seconds whose wall-clock year is 0–9999.
-var (
-	minRowSec = time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
-	maxRowSec = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
 )
 
 // appendFramed appends e as one framed entry. On a refusal dst comes
@@ -126,8 +118,8 @@ func appendEntry(dst []byte, e *walEntry) ([]byte, error) {
 		dst = binary.AppendVarint(dst, e.ExposureNS)
 		dst = binary.AppendVarint(dst, int64(e.MouseMoves))
 		dst = binary.AppendVarint(dst, int64(e.Clicks))
-		dst = appendFlag(dst, e.VisMeasured)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.MaxVis))
+		dst = bytecodec.AppendBool(dst, e.VisMeasured)
+		dst = bytecodec.AppendFloat64(dst, e.MaxVis)
 	}
 	if err == nil && (e.Op == opInsertLegs || e.Op == opMergeLegs) {
 		dst = binary.AppendUvarint(dst, uint64(e.Legs))
@@ -142,7 +134,7 @@ func appendRow(dst []byte, im *Impression) ([]byte, error) {
 	dst = binary.AppendVarint(dst, im.ID)
 	for _, s := range [...]string{im.CampaignID, im.CreativeID, im.Publisher, im.PageURL,
 		im.UserAgent, im.IPPseudonym} {
-		dst = appendString(dst, s)
+		dst = bytecodec.AppendString(dst, s)
 	}
 	if isDerivedUserKey(im.UserKey, im.IPPseudonym, im.UserAgent) {
 		dst = append(dst, 0)
@@ -150,49 +142,32 @@ func appendRow(dst []byte, im *Impression) ([]byte, error) {
 		dst = append(binary.AppendUvarint(dst, uint64(len(im.UserKey))+1), im.UserKey...)
 	}
 	for _, s := range [...]string{im.ISP, im.Country, im.DataCenter} {
-		dst = appendString(dst, s)
+		dst = bytecodec.AppendString(dst, s)
 	}
-	dst, err := appendTime(dst, im.Timestamp)
-	if err != nil {
+	if err := bytecodec.CheckTime(im.Timestamp); err != nil {
 		return dst, err
 	}
+	dst = bytecodec.AppendTime(dst, im.Timestamp)
 	dst = binary.AppendVarint(dst, int64(im.Exposure))
 	dst = binary.AppendVarint(dst, int64(im.MouseMoves))
 	dst = binary.AppendVarint(dst, int64(im.Clicks))
-	dst = appendFlag(dst, im.VisibilityMeasured)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(im.MaxVisibleFraction))
-	return appendString(dst, im.Nonce), nil
+	dst = bytecodec.AppendBool(dst, im.VisibilityMeasured)
+	dst = bytecodec.AppendFloat64(dst, im.MaxVisibleFraction)
+	return bytecodec.AppendString(dst, im.Nonce), nil
 }
 
 func appendConversion(dst []byte, c *Conversion) ([]byte, error) {
 	if c.ValueCents < 0 {
 		return dst, errNegative
 	}
+	if err := bytecodec.CheckTime(c.Timestamp); err != nil {
+		return dst, err
+	}
 	dst = binary.AppendVarint(dst, c.ID)
 	for _, s := range [...]string{c.CampaignID, c.UserKey, c.Action} {
-		dst = appendString(dst, s)
+		dst = bytecodec.AppendString(dst, s)
 	}
-	return appendTime(binary.AppendVarint(dst, c.ValueCents), c.Timestamp)
-}
-
-// appendTime appends t, or refuses a timestamp the format cannot hold;
-// appendFramed then drops what the entry had written.
-func appendTime(dst []byte, t time.Time) ([]byte, error) {
-	_, off := t.Zone()
-	sec := t.Unix()
-	switch {
-	case off <= -24*3600 || off >= 24*3600:
-		return dst, errZone
-	case !yearInRange(sec, off):
-		return dst, errYear
-	}
-	dst = binary.AppendVarint(dst, sec)
-	dst = binary.AppendUvarint(dst, uint64(t.Nanosecond()))
-	return binary.AppendVarint(dst, int64(off)), nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+	return bytecodec.AppendTime(binary.AppendVarint(dst, c.ValueCents), c.Timestamp), nil
 }
 
 // isDerivedUserKey reports whether key is the user key the collector
@@ -203,133 +178,59 @@ func isDerivedUserKey(key, ipPseudonym, userAgent string) bool {
 		key[:len(ipPseudonym)] == ipPseudonym && key[len(ipPseudonym)+1:] == userAgent
 }
 
-func appendFlag(dst []byte, f bool) []byte {
-	if f {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// yearInRange reports whether the wall clock sec seconds after the Unix
-// epoch, in a zone off seconds east of UTC, reads a year in 0–9999.
-// With |off| under a day an overflow of the sum lands far outside.
-func yearInRange(sec int64, off int) bool {
-	wall := sec + int64(off)
-	return minRowSec <= wall && wall < maxRowSec
-}
 
 // decodeEntry decodes one body into e. An insert's row is decoded into
 // *row, which e.Im then points at; a conversion into a new Conversion.
 func decodeEntry(body []byte, e *walEntry, row *Impression) error {
-	r := bodyReader{b: body}
-	*e = walEntry{Op: r.byte()}
+	r := bodyReader{bytecodec.NewReader(body)}
+	*e = walEntry{Op: r.Byte()}
 	switch e.Op {
 	case opInsert, opInsertLegs:
 		r.row(row)
 		e.Im = row
 	case opMerge, opMergeLegs:
-		e.ID = r.varint()
-		e.ExposureNS = r.varint()
-		e.MouseMoves = int(r.varint())
-		e.Clicks = int(r.varint())
+		e.ID = r.Varint()
+		e.ExposureNS = r.Varint()
+		e.MouseMoves = int(r.Varint())
+		e.Clicks = int(r.Varint())
 		e.VisMeasured = r.flag()
 		e.MaxVis = r.float()
 	case opConversion:
 		e.Conv = r.conversion()
 	default:
-		if r.err == nil {
+		if r.Err() == nil {
 			return fmt.Errorf("unknown op %d", e.Op)
 		}
 	}
 	if e.Op == opInsertLegs || e.Op == opMergeLegs {
 		r.legs(e)
 	}
-	if r.err == nil && len(r.b) > 0 {
-		return fmt.Errorf("%d bytes follow the entry", len(r.b))
+	if r.Err() == nil && r.Len() > 0 {
+		return fmt.Errorf("%d bytes follow the entry", r.Len())
 	}
-	return r.err
+	return r.Err()
 }
 
-// bodyReader consumes a body; its first failure sticks.
-type bodyReader struct {
-	b   []byte // what remains
-	err error
-}
+// bodyReader consumes a body: the byte codec's reader, plus the row's
+// derived user key, leg mask, flags and finite floats.
+type bodyReader struct{ bytecodec.Reader }
 
-var (
-	errBodyShort    = errors.New("body ends early")
-	errNonCanonical = errors.New("non-canonical encoding")
-	errLegs         = errors.New("leg mask empty or wider than 32 bits")
-)
+var errLegs = errors.New("leg mask empty or wider than 32 bits")
 
-func (r *bodyReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-	r.b = nil
-}
-
-func (r *bodyReader) byte() byte {
-	if len(r.b) == 0 {
-		r.fail(errBodyShort)
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-// uvarint reads a uvarint in its shortest form: a longer one ends in a
-// zero byte.
-func (r *bodyReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n <= 0:
-		r.fail(errBodyShort)
-		return 0
-	case n > 1 && r.b[n-1] == 0:
-		r.fail(errNonCanonical)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *bodyReader) varint() int64 {
-	u := r.uvarint()
-	x := int64(u >> 1)
-	if u&1 != 0 {
-		x = ^x
-	}
-	return x
-}
-
-func (r *bodyReader) string() string { return r.take(r.uvarint()) }
-
-// take reads the next n bytes as a string.
-func (r *bodyReader) take(n uint64) string {
-	if n > uint64(len(r.b)) {
-		r.fail(errBodyShort)
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
+func (r *bodyReader) string() string { return r.String(r.Uvarint()) }
 
 // userKey reads a row's user key: 0 for the derived one (see
 // isDerivedUserKey), else its length plus one and its bytes — which
 // must not spell the derived key, or the body would not be canonical.
 func (r *bodyReader) userKey(im *Impression) string {
-	n := r.uvarint()
+	n := r.Uvarint()
 	if n == 0 {
 		return im.IPPseudonym + "|" + im.UserAgent
 	}
-	key := r.take(n - 1)
+	key := r.String(n - 1)
 	if isDerivedUserKey(key, im.IPPseudonym, im.UserAgent) {
-		r.fail(errNonCanonical)
+		r.Fail(bytecodec.ErrNonCanonical)
 	}
 	return key
 }
@@ -337,67 +238,37 @@ func (r *bodyReader) userKey(im *Impression) string {
 // legs reads e's mask of merged legs: not empty, 32 bits at most, and
 // on a row only one that owns its nonce with other than leg 0's mask.
 func (r *bodyReader) legs(e *walEntry) {
-	m := r.uvarint()
+	m := r.Uvarint()
 	switch e.Legs = uint32(m); {
-	case r.err != nil:
+	case r.Err() != nil:
 	case m == 0 || m > math.MaxUint32:
-		r.fail(errLegs)
+		r.Fail(errLegs)
 	case e.Op == opInsertLegs && (e.Legs == legBit(0) || e.Im.Nonce == ""):
-		r.fail(errNonCanonical)
+		r.Fail(bytecodec.ErrNonCanonical)
 	}
 }
 
 func (r *bodyReader) flag() bool {
-	switch r.byte() {
+	switch r.Byte() {
 	case 0:
 		return false
 	case 1:
 		return true
 	}
-	r.fail(errNonCanonical)
+	r.Fail(bytecodec.ErrNonCanonical)
 	return false
 }
 
 func (r *bodyReader) float() float64 {
-	if len(r.b) < 8 {
-		r.fail(errBodyShort)
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
+	f := r.Float64()
 	if !finite(f) {
-		r.fail(errNonFinite)
+		r.Fail(errNonFinite)
 	}
 	return f
 }
 
-func (r *bodyReader) time() time.Time {
-	sec, nsec, off := r.varint(), r.uvarint(), r.varint()
-	switch {
-	case r.err != nil:
-		return time.Time{}
-	case nsec >= 1e9:
-		r.fail(errNonCanonical)
-		return time.Time{}
-	case off <= -24*3600 || off >= 24*3600:
-		r.fail(errZone)
-		return time.Time{}
-	case !yearInRange(sec, int(off)):
-		r.fail(errYear)
-		return time.Time{}
-	}
-	t := time.Unix(sec, int64(nsec)) // in the local zone
-	if off == 0 {
-		return t.UTC()
-	}
-	if _, local := t.Zone(); local != int(off) {
-		t = t.In(time.FixedZone("", int(off)))
-	}
-	return t
-}
-
 func (r *bodyReader) row(im *Impression) {
-	im.ID = r.varint()
+	im.ID = r.Varint()
 	for _, s := range [...]*string{&im.CampaignID, &im.CreativeID, &im.Publisher, &im.PageURL,
 		&im.UserAgent, &im.IPPseudonym} {
 		*s = r.string()
@@ -406,21 +277,21 @@ func (r *bodyReader) row(im *Impression) {
 	for _, s := range [...]*string{&im.ISP, &im.Country, &im.DataCenter} {
 		*s = r.string()
 	}
-	im.Timestamp = r.time()
-	im.Exposure = time.Duration(r.varint())
-	im.MouseMoves = int(r.varint())
-	im.Clicks = int(r.varint())
+	im.Timestamp = r.Time()
+	im.Exposure = time.Duration(r.Varint())
+	im.MouseMoves = int(r.Varint())
+	im.Clicks = int(r.Varint())
 	im.VisibilityMeasured = r.flag()
 	im.MaxVisibleFraction = r.float()
 	im.Nonce = r.string()
 }
 
 func (r *bodyReader) conversion() *Conversion {
-	c := &Conversion{ID: r.varint(), CampaignID: r.string(), UserKey: r.string(), Action: r.string()}
-	if c.ValueCents = r.varint(); c.ValueCents < 0 {
-		r.fail(errNegative)
+	c := &Conversion{ID: r.Varint(), CampaignID: r.string(), UserKey: r.string(), Action: r.string()}
+	if c.ValueCents = r.Varint(); c.ValueCents < 0 {
+		r.Fail(errNegative)
 	}
-	c.Timestamp = r.time()
+	c.Timestamp = r.Time()
 	return c
 }
 

@@ -800,8 +800,11 @@ func TestExportValidation(t *testing.T) {
 		"foreign version":   {spellContainer(5, 1, "c", state), "export format version 5, this build reads 4"},
 		"a trailing byte":   {append(slices.Clip(good), 0), "1 bytes follow the last campaign"},
 		"campaign twice":    {spellContainer(ExportVersion, 2, "c", state, "c", state), `campaign "c" twice`},
-		"count past bytes":  {spellContainer(ExportVersion, 1000, "c", state), "claims 1000 campaigns"},
-		"state cut short":   {spellContainer(ExportVersion, 1, "camp-x", state[:len(state)-1]), `campaign "camp-x": audit: state encoding`},
+		"count past bytes":  {spellContainer(ExportVersion, 1000, "c", state), "claims 1000 elements"},
+		// An id of length 0 spelled in two bytes: every length has one encoding.
+		"overlong id length": {slices.Concat(spellContainer(ExportVersion, 1), []byte{0x80, 0x00},
+			binary.LittleEndian.AppendUint64(nil, uint64(len(state))), []byte(state)), "non-canonical"},
+		"state cut short": {spellContainer(ExportVersion, 1, "camp-x", state[:len(state)-1]), `campaign "camp-x": audit: state encoding`},
 		// The document that used to reach behaviorFold.publisher and
 		// panic there (version-less, from the first format).
 		"format 1 document": {[]byte(`{"campaigns":{"c":{"pub_slots":{"p":[9]}}}}`), "(JSON)"},

@@ -12,6 +12,7 @@ import (
 
 	"adaudit/internal/adnet"
 	"adaudit/internal/audit"
+	"adaudit/internal/bytecodec"
 	"adaudit/internal/semsim"
 )
 
@@ -145,45 +146,12 @@ func appendContainer(b []byte, seq int64, states map[string]*audit.State) ([]byt
 	b = binary.AppendUvarint(binary.AppendUvarint(b, ExportVersion), uint64(seq))
 	b = binary.AppendUvarint(b, uint64(len(ids)))
 	for i, id := range ids {
-		b = append(binary.AppendUvarint(b, uint64(len(id))), id...)
+		b = bytecodec.AppendString(b, id)
 		at := len(b)
 		b = writes[i](binary.LittleEndian.AppendUint64(b, 0))
 		binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
 	}
 	return b, nil
-}
-
-// containerReader consumes a container; its first failure sticks.
-type containerReader struct {
-	b   []byte // what remains
-	err error
-}
-
-func (r *containerReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("streamaudit: export container: "+format, args...)
-	}
-	r.b = nil
-}
-
-func (r *containerReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("ends inside an integer, or the integer overflows")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *containerReader) take(n uint64) []byte {
-	if n > uint64(len(r.b)) {
-		r.fail("ends %d bytes early", n-uint64(len(r.b)))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
 }
 
 // decodeContainer decodes and validates a container; see UnmarshalBinary.
@@ -192,24 +160,21 @@ func decodeContainer(b []byte) (int64, map[string]*audit.State, error) {
 	if !ok {
 		return 0, nil, notContainer(b)
 	}
-	r := &containerReader{b: rest}
-	if v := r.uvarint(); r.err == nil && v != ExportVersion {
+	r := bytecodec.NewReader(rest)
+	if v := r.Uvarint(); r.Err() == nil && v != ExportVersion {
 		return 0, nil, fmt.Errorf("streamaudit: export format version %d, this build reads %d", v, ExportVersion)
 	}
-	seq := int64(r.uvarint())
-	n := r.uvarint()
-	if n > uint64(len(r.b)/9) { // a campaign is at least an id length and a state length
-		r.fail("claims %d campaigns, %d bytes remain", n, len(r.b))
-	}
+	seq := int64(r.Uvarint())
+	n := r.Count(9) // a campaign is at least an id length and a state length
 	states := make(map[string]*audit.State, n)
-	for ; n > 0 && r.err == nil; n-- {
-		id := string(r.take(r.uvarint()))
+	for ; n > 0 && r.Err() == nil; n-- {
+		id := r.String(r.Uvarint())
 		var size uint64
-		if raw := r.take(8); raw != nil {
+		if raw := r.Bytes(8); raw != nil {
 			size = binary.LittleEndian.Uint64(raw)
 		}
-		body := r.take(size)
-		if r.err != nil {
+		body := r.Bytes(size)
+		if r.Err() != nil {
 			break
 		}
 		if _, dup := states[id]; dup {
@@ -221,11 +186,11 @@ func decodeContainer(b []byte) (int64, map[string]*audit.State, error) {
 		}
 		states[id] = st
 	}
-	if r.err == nil && len(r.b) > 0 {
-		r.fail("%d bytes follow the last campaign", len(r.b))
+	if r.Err() == nil && r.Len() > 0 {
+		r.Fail(fmt.Errorf("%d bytes follow the last campaign", r.Len()))
 	}
-	if r.err != nil {
-		return 0, nil, r.err
+	if r.Err() != nil {
+		return 0, nil, fmt.Errorf("streamaudit: export container: %w", r.Err())
 	}
 	return seq, states, nil
 }

@@ -26,7 +26,7 @@ func (e *Engine) Report(inputs []audit.CampaignInput) (*audit.FullReport, error)
 	if !e.reported {
 		kept, e.reported = nil, true
 	}
-	return e.aud.ReportKept(e.states, kept, inputs)
+	return e.aud.ReportStates(e.states, kept, inputs)
 }
 
 // CampaignLive is the live per-campaign summary served by

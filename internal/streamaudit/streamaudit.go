@@ -10,7 +10,7 @@
 // oracle: at quiescence (every published feed event applied),
 // Engine.Report is deep-equal to Auditor.FullAudit over the same store
 // and the same campaign inputs. That holds by construction: Report runs
-// the folds FullAudit runs (audit.Auditor.ReportKept) over states
+// the folds FullAudit runs (audit.Auditor.ReportStates) over states
 // holding the same rows in the same order, and publishers resolved the
 // same way — once per campaign, the views kept between reports.
 //

@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 // Version is the trunk protocol version carried in the Hello frame; a
@@ -117,11 +119,6 @@ type Frame struct {
 	Reason string
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // appendBody encodes the frame without its batch length prefix.
 func appendBody(dst []byte, f Frame) []byte {
 	dst = append(dst, byte(f.Type))
@@ -129,43 +126,23 @@ func appendBody(dst []byte, f Frame) []byte {
 	switch f.Type {
 	case Hello:
 		dst = binary.AppendUvarint(dst, uint64(f.Version))
-		dst = appendString(dst, f.GatewayID)
+		dst = bytecodec.AppendString(dst, f.GatewayID)
 	case Commit:
-		dst = appendString(dst, f.RemoteIP)
+		dst = bytecodec.AppendString(dst, f.RemoteIP)
 		dst = binary.AppendVarint(dst, f.ConnectedAt)
 		dst = binary.AppendVarint(dst, int64(f.Exposure))
-		dst = appendString(dst, f.Payload)
+		dst = bytecodec.AppendString(dst, f.Payload)
 		dst = binary.AppendUvarint(dst, uint64(len(f.Stages)))
 		for _, st := range f.Stages {
-			dst = appendString(dst, st.Name)
+			dst = bytecodec.AppendString(dst, st.Name)
 			dst = binary.AppendVarint(dst, int64(st.Offset))
 		}
 	case Ack:
 		// Stream only.
 	case Reject:
-		dst = appendString(dst, f.Reason)
+		dst = bytecodec.AppendString(dst, f.Reason)
 	}
 	return dst
-}
-
-// uvarintLen returns the encoded size of v under binary.AppendUvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// varintLen returns the encoded size of v under binary.AppendVarint
-// (zigzag then uvarint).
-func varintLen(v int64) int {
-	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-func stringLen(s string) int {
-	return uvarintLen(uint64(len(s))) + len(s)
 }
 
 // bodySize returns the exact encoded size of f's body — the mirror of
@@ -173,21 +150,21 @@ func stringLen(s string) int {
 // encode straight into the batch buffer, grown once, instead of through
 // an intermediate allocation.
 func bodySize(f Frame) int {
-	n := 1 + uvarintLen(f.Stream)
+	n := 1 + bytecodec.UvarintLen(f.Stream)
 	switch f.Type {
 	case Hello:
-		n += uvarintLen(uint64(f.Version)) + stringLen(f.GatewayID)
+		n += bytecodec.UvarintLen(uint64(f.Version)) + bytecodec.StringLen(f.GatewayID)
 	case Commit:
-		n += stringLen(f.RemoteIP) + varintLen(f.ConnectedAt) +
-			varintLen(int64(f.Exposure)) + stringLen(f.Payload) +
-			uvarintLen(uint64(len(f.Stages)))
+		n += bytecodec.StringLen(f.RemoteIP) + bytecodec.VarintLen(f.ConnectedAt) +
+			bytecodec.VarintLen(int64(f.Exposure)) + bytecodec.StringLen(f.Payload) +
+			bytecodec.UvarintLen(uint64(len(f.Stages)))
 		for _, st := range f.Stages {
-			n += stringLen(st.Name) + varintLen(int64(st.Offset))
+			n += bytecodec.StringLen(st.Name) + bytecodec.VarintLen(int64(st.Offset))
 		}
 	case Ack:
 		// Stream only.
 	case Reject:
-		n += stringLen(f.Reason)
+		n += bytecodec.StringLen(f.Reason)
 	}
 	return n
 }
@@ -197,62 +174,9 @@ func bodySize(f Frame) int {
 // calls is a valid batch for DecodeBatch.
 func AppendFrame(dst []byte, f Frame) []byte {
 	n := bodySize(f)
-	dst = slices.Grow(dst, uvarintLen(uint64(n))+n)
+	dst = slices.Grow(dst, bytecodec.UvarintLen(uint64(n))+n)
 	dst = binary.AppendUvarint(dst, uint64(n))
 	return appendBody(dst, f)
-}
-
-// decoder walks one frame body.
-type decoder struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("trunk: "+format, args...)
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("truncated uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("truncated varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.pos) {
-		d.fail("string length %d exceeds remaining %d bytes", n, len(d.b)-d.pos)
-		return ""
-	}
-	s := string(d.b[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
 }
 
 // maxStages bounds the per-commit stage list so a corrupt length
@@ -261,44 +185,39 @@ const maxStages = 64
 
 // decodeBody parses one frame body.
 func decodeBody(b []byte) (Frame, error) {
-	if len(b) == 0 {
-		return Frame{}, fmt.Errorf("trunk: empty frame")
-	}
-	d := &decoder{b: b, pos: 1}
-	f := Frame{Type: Type(b[0])}
-	f.Stream = d.uvarint()
+	r := bytecodec.NewReader(b)
+	f := Frame{Type: Type(r.Byte())}
+	f.Stream = r.Uvarint()
 	switch f.Type {
 	case Hello:
-		f.Version = int(d.uvarint())
-		f.GatewayID = d.string()
+		f.Version = int(r.Uvarint())
+		f.GatewayID = r.String(r.Uvarint())
 	case Commit:
-		f.RemoteIP = d.string()
-		f.ConnectedAt = d.varint()
-		f.Exposure = time.Duration(d.varint())
-		f.Payload = d.string()
-		n := d.uvarint()
+		f.RemoteIP = r.String(r.Uvarint())
+		f.ConnectedAt = r.Varint()
+		f.Exposure = time.Duration(r.Varint())
+		f.Payload = r.String(r.Uvarint())
+		n := r.Uvarint()
 		if n > maxStages {
-			d.fail("commit carries %d stages (max %d)", n, maxStages)
+			r.Fail(fmt.Errorf("%d stages (max %d)", n, maxStages))
 		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			name := d.string()
-			off := time.Duration(d.varint())
-			if d.err == nil {
-				f.Stages = append(f.Stages, Stage{Name: name, Offset: off})
-			}
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			f.Stages = append(f.Stages, Stage{Name: r.String(r.Uvarint()), Offset: time.Duration(r.Varint())})
 		}
 	case Ack:
 		// Stream only.
 	case Reject:
-		f.Reason = d.string()
+		f.Reason = r.String(r.Uvarint())
 	default:
-		return Frame{}, fmt.Errorf("trunk: unknown frame type %d", b[0])
+		if r.Err() == nil {
+			return Frame{}, fmt.Errorf("trunk: unknown frame type %d", f.Type)
+		}
 	}
-	if d.err != nil {
-		return Frame{}, d.err
+	if r.Err() == nil && r.Len() > 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", r.Len()))
 	}
-	if d.pos != len(b) {
-		return Frame{}, fmt.Errorf("trunk: %d trailing bytes after %s frame", len(b)-d.pos, f.Type)
+	if r.Err() != nil {
+		return Frame{}, fmt.Errorf("trunk: %s frame: %w", f.Type, r.Err())
 	}
 	return f, nil
 }
@@ -308,22 +227,17 @@ func decodeBody(b []byte) (Frame, error) {
 // malformed batch means a broken peer, not a hostile client to tolerate.
 func DecodeBatch(b []byte) ([]Frame, error) {
 	var frames []Frame
-	pos := 0
-	for pos < len(b) {
-		n, w := binary.Uvarint(b[pos:])
-		if w <= 0 {
-			return nil, fmt.Errorf("trunk: truncated batch length at offset %d", pos)
+	r := bytecodec.NewReader(b)
+	for r.Len() > 0 {
+		body := r.Bytes(r.Uvarint())
+		if r.Err() != nil {
+			return nil, fmt.Errorf("trunk: batch: %w", r.Err())
 		}
-		pos += w
-		if n > uint64(len(b)-pos) {
-			return nil, fmt.Errorf("trunk: frame length %d exceeds remaining %d bytes", n, len(b)-pos)
-		}
-		f, err := decodeBody(b[pos : pos+int(n)])
+		f, err := decodeBody(body)
 		if err != nil {
 			return nil, err
 		}
 		frames = append(frames, f)
-		pos += int(n)
 	}
 	return frames, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaudit/internal/beacon"
+	"adaudit/internal/bytecodec"
 )
 
 func sampleFrames() []Frame {
@@ -75,9 +76,9 @@ func TestDecodeBatchEmpty(t *testing.T) {
 // time, payload) as an old edge would send it, length-prefixed.
 func v1OpenFrame() []byte {
 	body := []byte{2, 7}
-	body = appendString(body, "203.0.113.9")
+	body = bytecodec.AppendString(body, "203.0.113.9")
 	body = binary.AppendVarint(body, 1459242000123456789)
-	body = appendString(body, "v=1&cid=c1&crid=cr1&url=http%3A%2F%2Fnews.example%2Fa&ua=sim&n=abc")
+	body = bytecodec.AppendString(body, "v=1&cid=c1&crid=cr1&url=http%3A%2F%2Fnews.example%2Fa&ua=sim&n=abc")
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
@@ -91,6 +92,7 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		"truncated frame body":   valid[:len(valid)-3],
 		"trailing bytes in body": append(append([]byte{}, 3, byte(Ack), 0), 0xFF),
 		"string length overrun":  {4, byte(Reject), 1, 200, 0},
+		"overlong string length": {4, byte(Reject), 1, 0x80, 0x00}, // every length has one encoding
 		"version-1 open frame":   v1OpenFrame(),
 	}
 	for name, b := range cases {
@@ -103,10 +105,10 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 func TestDecodeBatchRejectsHugeStageCount(t *testing.T) {
 	// Hand-build a Commit body claiming maxStages+1 stages.
 	body := []byte{byte(Commit), 1}
-	body = appendString(body, "ip")
-	body = append(body, 0, 0)        // ConnectedAt=0, Exposure=0 (varint zeros)
-	body = appendString(body, "p")   // payload
-	body = append(body, maxStages+1) // stage count
+	body = bytecodec.AppendString(body, "ip")
+	body = append(body, 0, 0)                // ConnectedAt=0, Exposure=0 (varint zeros)
+	body = bytecodec.AppendString(body, "p") // payload
+	body = append(body, maxStages+1)         // stage count
 	batch := append([]byte{byte(len(body))}, body...)
 	if _, err := DecodeBatch(batch); err == nil {
 		t.Fatal("oversized stage count decoded without error")

@@ -180,12 +180,14 @@ func TestRSV1RejectedWithoutNegotiation(t *testing.T) {
 	client, server := pipePair(0)
 	defer client.NetConn().Close()
 	defer server.NetConn().Close()
+	peer := closeCodeFrom(client.NetConn())
 	go func() {
 		client.writeFrame(Frame{Fin: true, Rsv1: true, Opcode: OpText, Payload: []byte("x")})
 	}()
 	if _, _, err := server.ReadMessage(); err == nil || !strings.Contains(err.Error(), "RSV1") {
 		t.Fatalf("err = %v, want RSV1 violation", err)
 	}
+	wantCloseCode(t, peer, CloseProtocolError)
 }
 
 func TestCompressedFragmentedMessage(t *testing.T) {

@@ -22,6 +22,38 @@ func pipePair(maxMessage int64) (client, server *Conn) {
 	return newConn(cNC, bufio.NewReader(cNC), RoleClient, maxMessage), newConn(sNC, bufio.NewReader(sNC), RoleServer, maxMessage)
 }
 
+// closeCodeFrom reads frames off nc, as a peer that keeps reading does,
+// until the close frame the other end sends when it fails the
+// connection, and delivers that frame's code (none if nc ends first).
+// A peer that stopped reading would leave that end's Close to wait out
+// closeWriteTimeout on the pipe.
+func closeCodeFrom(nc net.Conn) <-chan CloseCode {
+	codes := make(chan CloseCode, 1)
+	go func() {
+		defer close(codes)
+		for {
+			f, err := ReadFrame(nc, 0)
+			if err != nil {
+				return
+			}
+			if f.Opcode == OpClose {
+				code, _, _ := DecodeClosePayload(f.Payload)
+				codes <- code
+				return
+			}
+		}
+	}()
+	return codes
+}
+
+// wantCloseCode fails t unless the peer received a close frame of code.
+func wantCloseCode(t *testing.T, codes <-chan CloseCode, want CloseCode) {
+	t.Helper()
+	if got := <-codes; got != want {
+		t.Errorf("peer received close code %d, want %d", got, want)
+	}
+}
+
 func TestConnTextRoundTrip(t *testing.T) {
 	client, server := pipePair(0)
 	defer client.NetConn().Close()
@@ -62,6 +94,7 @@ func TestConnRejectsUnmaskedClientFrame(t *testing.T) {
 	defer sNC.Close()
 	defer cNC.Close()
 
+	peer := closeCodeFrom(cNC)
 	go func() {
 		// Write a raw unmasked frame from the client side.
 		WriteFrame(cNC, Frame{Fin: true, Opcode: OpText, Payload: []byte("x")})
@@ -69,6 +102,7 @@ func TestConnRejectsUnmaskedClientFrame(t *testing.T) {
 	if _, _, err := server.ReadMessage(); err == nil || !strings.Contains(err.Error(), "unmasked") {
 		t.Fatalf("err = %v, want unmasked-frame violation", err)
 	}
+	wantCloseCode(t, peer, CloseProtocolError)
 }
 
 func TestConnRejectsMaskedServerFrame(t *testing.T) {
@@ -77,12 +111,14 @@ func TestConnRejectsMaskedServerFrame(t *testing.T) {
 	defer sNC.Close()
 	defer cNC.Close()
 
+	peer := closeCodeFrom(sNC)
 	go func() {
 		WriteFrame(sNC, Frame{Fin: true, Opcode: OpText, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}, Payload: []byte("x")})
 	}()
 	if _, _, err := client.ReadMessage(); err == nil || !strings.Contains(err.Error(), "masked") {
 		t.Fatalf("err = %v, want masked-frame violation", err)
 	}
+	wantCloseCode(t, peer, CloseProtocolError)
 }
 
 func TestConnPingAutoPong(t *testing.T) {
@@ -274,18 +310,21 @@ func TestConnRejectsStrayContinuation(t *testing.T) {
 	client, server := pipePair(0)
 	defer client.NetConn().Close()
 	defer server.NetConn().Close()
+	peer := closeCodeFrom(client.NetConn())
 	go func() {
 		client.writeFrame(Frame{Fin: true, Opcode: OpContinuation, Payload: []byte("x")})
 	}()
 	if _, _, err := server.ReadMessage(); err == nil || !strings.Contains(err.Error(), "continuation") {
 		t.Fatalf("err = %v, want stray-continuation violation", err)
 	}
+	wantCloseCode(t, peer, CloseProtocolError)
 }
 
 func TestConnRejectsInterleavedDataFrames(t *testing.T) {
 	client, server := pipePair(0)
 	defer client.NetConn().Close()
 	defer server.NetConn().Close()
+	peer := closeCodeFrom(client.NetConn())
 	go func() {
 		client.writeFrame(Frame{Fin: false, Opcode: OpText, Payload: []byte("a")})
 		client.writeFrame(Frame{Fin: true, Opcode: OpText, Payload: []byte("b")})
@@ -293,18 +332,21 @@ func TestConnRejectsInterleavedDataFrames(t *testing.T) {
 	if _, _, err := server.ReadMessage(); err == nil || !strings.Contains(err.Error(), "fragmented") {
 		t.Fatalf("err = %v, want interleaving violation", err)
 	}
+	wantCloseCode(t, peer, CloseProtocolError)
 }
 
 func TestConnMessageSizeLimit(t *testing.T) {
 	client, server := pipePair(64)
 	defer client.NetConn().Close()
 	defer server.NetConn().Close()
+	peer := closeCodeFrom(client.NetConn())
 	go func() {
 		client.WriteFragmented(OpBinary, make([]byte, 200), 32)
 	}()
 	if _, _, err := server.ReadMessage(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
+	wantCloseCode(t, peer, CloseMessageTooBig)
 }
 
 func TestConnRejectsInvalidUTF8Text(t *testing.T) {

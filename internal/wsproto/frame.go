@@ -300,13 +300,13 @@ func appendClosePayload(dst []byte, code CloseCode, reason string) []byte {
 
 // DecodeClosePayload parses a close-frame payload. An empty payload
 // yields CloseNoStatus per §7.1.5. A one-byte payload is a protocol
-// error.
+// error, and so is one over the 125 bytes a control frame carries.
 func DecodeClosePayload(p []byte) (CloseCode, string, error) {
-	switch len(p) {
-	case 0:
+	switch {
+	case len(p) == 0:
 		return CloseNoStatus, "", nil
-	case 1:
-		return 0, "", fmt.Errorf("wsproto: close payload of 1 byte")
+	case len(p) == 1 || len(p) > maxControlPayload:
+		return 0, "", fmt.Errorf("wsproto: close payload of %d bytes", len(p))
 	default:
 		return CloseCode(binary.BigEndian.Uint16(p[:2])), string(p[2:]), nil
 	}

@@ -180,17 +180,22 @@ fi
 
 if [ "${1:-}" = "-fuzz-smoke" ]; then
     # 30 s of native fuzzing per target, seeded from the committed
-    # corpora under testdata/fuzz/ — any crasher fails the stage.
+    # corpora under testdata/fuzz/ — any crasher fails the stage. Every
+    # func Fuzz… in the tree is listed (TestFuzzSmokeListsEveryTarget).
     echo "==> fuzz smoke (30s per target)"
     for target in \
         "FuzzReadFrame ./internal/wsproto/" \
         "FuzzDialResponse ./internal/wsproto/" \
         "FuzzUpgradeRequest ./internal/wsproto/" \
+        "FuzzDecodeClosePayload ./internal/wsproto/" \
         "FuzzDecode ./internal/beacon/" \
+        "FuzzDecodeEventUpdate ./internal/beacon/" \
+        "FuzzDecodeConversion ./internal/beacon/" \
         "FuzzDecodeBinary ./internal/beacon/" \
         "FuzzWireEquivalence ./internal/beacon/" \
         "FuzzPlainHost ./internal/beacon/" \
         "FuzzDecodeBatch ./internal/trunk/" \
+        "FuzzReader ./internal/bytecodec/" \
         "FuzzExportRoundTrip ./internal/shardmerge/" \
         "FuzzStateBinary ./internal/audit/" \
         "FuzzRecoverWAL ./internal/store/" \

@@ -1,6 +1,7 @@
 package adnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -405,7 +406,7 @@ func TestExclusionListRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range res2.Deliveries {
-		if c.Excludes(d.Publisher.Domain) {
+		if slices.Contains(c.ExcludedPublishers, d.Publisher.Domain) {
 			t.Fatalf("excluded publisher %s still received impressions", d.Publisher.Domain)
 		}
 	}
@@ -438,7 +439,7 @@ func TestBrandSafetyLoopReducesExposure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range res2.Deliveries {
-		if c.Excludes(d.Publisher.Domain) {
+		if slices.Contains(c.ExcludedPublishers, d.Publisher.Domain) {
 			t.Fatalf("blacklisted unsafe publisher %s hit again", d.Publisher.Domain)
 		}
 	}

@@ -75,17 +75,6 @@ type Campaign struct {
 	ExcludedPublishers []string
 }
 
-// Excludes reports whether the campaign's exclusion list contains the
-// publisher domain.
-func (c *Campaign) Excludes(domain string) bool {
-	for _, d := range c.ExcludedPublishers {
-		if d == domain {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks the campaign is runnable.
 func (c *Campaign) Validate() error {
 	switch {

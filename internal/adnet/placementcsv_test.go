@@ -75,12 +75,12 @@ func TestParsePlacementCSVErrors(t *testing.T) {
 
 func TestParsedReportFeedsAudit(t *testing.T) {
 	// The parsed report works with the audit package's brand-safety
-	// comparison: its ReportedPublishers exclude the anonymous label.
+	// comparison: its publishers exclude the anonymous label.
 	rep, err := ParsePlacementCSV(strings.NewReader(sampleCSV), "c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubs := rep.ReportedPublishers()
+	pubs := reportedPublishers(rep)
 	for _, p := range pubs {
 		if p == AnonymousPublisher {
 			t.Fatal("anonymous label leaked into publishers")

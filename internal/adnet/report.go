@@ -53,18 +53,6 @@ type VendorReport struct {
 	RefundedImpressions int64
 }
 
-// ReportedPublishers returns the distinct non-anonymous publisher
-// domains in the report.
-func (r *VendorReport) ReportedPublishers() []string {
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		if row.Publisher != AnonymousPublisher {
-			out = append(out, row.Publisher)
-		}
-	}
-	return out
-}
-
 // AnonymousImpressions returns the impression count reported under the
 // anonymous label.
 func (r *VendorReport) AnonymousImpressions() int64 {
@@ -74,16 +62,6 @@ func (r *VendorReport) AnonymousImpressions() int64 {
 		}
 	}
 	return 0
-}
-
-// ReportedImpressions returns the total impressions across report rows
-// (viewable impressions only, by policy).
-func (r *VendorReport) ReportedImpressions() int64 {
-	var n int64
-	for _, row := range r.Rows {
-		n += row.Impressions
-	}
-	return n
 }
 
 // buildReport assembles the vendor report from the ground-truth

@@ -217,6 +217,7 @@ func (w goldenWorld) merged(t *testing.T) *audit.FullReport {
 func TestGoldenReports(t *testing.T) {
 	for _, wl := range goldenWorkloads {
 		t.Run(wl.name, func(t *testing.T) {
+			t.Parallel()
 			w := simulateGolden(t, wl.publishers, wl.scenario)
 			path := filepath.Join("testdata", wl.name+".report.gz")
 			if *updateGoldens {

@@ -43,15 +43,6 @@ type InteractionResult struct {
 	SuspiciousUsers []string
 }
 
-// UAFlaggedShare returns the fraction of impressions with automation
-// User-Agents.
-func (r InteractionResult) UAFlaggedShare() float64 {
-	if r.Impressions == 0 {
-		return 0
-	}
-	return float64(r.UAFlagged) / float64(r.Impressions)
-}
-
 // SpoofShare returns the fraction of DC impressions presenting clean
 // browser User-Agents — how blind a UA-only detector would be.
 func (r InteractionResult) SpoofShare() float64 {

@@ -54,9 +54,6 @@ func TestInteractionSegments(t *testing.T) {
 	if got := res.SpoofShare(); got != 0.5 {
 		t.Fatalf("spoof share = %v", got)
 	}
-	if got := res.UAFlaggedShare(); got != 0.5 {
-		t.Fatalf("ua share = %v", got)
-	}
 }
 
 func TestInteractionClickNoMove(t *testing.T) {
@@ -93,7 +90,7 @@ func TestInteractionSuspiciousUsers(t *testing.T) {
 func TestInteractionEmptyStore(t *testing.T) {
 	a := newAuditor(t, store.New(), nil)
 	res := a.Interactions("")
-	if res.Impressions != 0 || res.UAFlaggedShare() != 0 || res.SpoofShare() != 0 {
+	if res.Impressions != 0 || res.UAFlagged != 0 || res.SpoofShare() != 0 {
 		t.Fatalf("empty result = %+v", res)
 	}
 }

@@ -77,6 +77,7 @@ func TestFoldsMatchOraclesOnPaperWorkload(t *testing.T) {
 func TestFoldsMatchOraclesOnAdversaryPresets(t *testing.T) {
 	for _, scenario := range []string{"spoof", "pool", "bots", "inflate", "all"} {
 		t.Run(scenario, func(t *testing.T) {
+			t.Parallel()
 			a, reports := simulated(t, 20000, scenario)
 			bots, inflated, pooled := checkOracles(t, a, reports)
 			if scenario == "all" && (bots == 0 || inflated == 0 || pooled == 0) {

@@ -222,20 +222,6 @@ func TestScriptValidation(t *testing.T) {
 	}
 }
 
-func TestAdTag(t *testing.T) {
-	tag, err := AdTag(ScriptConfig{
-		CollectorURL: "ws://c.example/",
-		CampaignID:   "camp",
-		CreativeID:   "cr",
-	}, `<img src="banner.png" width="728" height="90">`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tag, "banner.png") || !strings.Contains(tag, "<script>") {
-		t.Fatalf("ad tag malformed:\n%s", tag)
-	}
-}
-
 // TestClientFollowsCollectorURL: the parsed collector URL is a cache of
 // the field, not a copy — retargeting the client takes effect on the
 // next dial, an unparseable URL is reported, and concurrent sessions

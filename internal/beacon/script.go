@@ -105,15 +105,3 @@ func Script(cfg ScriptConfig) (string, error) {
 }());
 `, u, cid, crid, throttle, PayloadVersion), nil
 }
-
-// AdTag renders a complete HTML5 ad fragment embedding the beacon script
-// alongside the creative markup, ready to upload to an ad network that
-// accepts third-party HTML5 creatives.
-func AdTag(cfg ScriptConfig, creativeHTML string) (string, error) {
-	js, err := Script(cfg)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("<!-- adaudit beacon v%d -->\n%s\n<script>\n%s</script>\n",
-		PayloadVersion, creativeHTML, js), nil
-}

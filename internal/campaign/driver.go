@@ -256,38 +256,3 @@ func PayloadFor(c *adnet.Campaign, del *adnet.Delivery) beacon.Payload {
 		Events:     events,
 	}
 }
-
-// RunAllParallel executes campaigns concurrently, as the paper's
-// overlapping flights did (Table 1's date ranges overlap). The store
-// and the collector's ingest funnel are concurrency-safe; each campaign
-// gets its own deterministic RNG stream, so the resulting dataset
-// contains exactly the same records as a sequential run, merely
-// interleaved.
-func (d *Driver) RunAllParallel(cs []adnet.Campaign) (*RunOutcome, error) {
-	if d.Network == nil || d.Collector == nil {
-		return nil, fmt.Errorf("campaign: driver requires a network and a collector")
-	}
-	type slot struct {
-		outcome *CampaignOutcome
-		err     error
-	}
-	slots := make([]slot, len(cs))
-	var wg sync.WaitGroup
-	for i := range cs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			oc, err := d.Run(cs[i])
-			slots[i] = slot{outcome: oc, err: err}
-		}(i)
-	}
-	wg.Wait()
-	out := &RunOutcome{}
-	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
-		}
-		out.Campaigns = append(out.Campaigns, *slots[i].outcome)
-	}
-	return out, nil
-}

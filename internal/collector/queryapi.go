@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"adaudit/internal/audit"
 	"adaudit/internal/store"
 )
 
@@ -93,43 +94,27 @@ func (q *queryAPI) handleSummary(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing campaign parameter", http.StatusBadRequest)
 		return
 	}
-	// One fold over the campaign's rows where they lie; the count comes
-	// from the same visit, so every ratio below is over one view.
-	sum := CampaignSummary{CampaignID: id}
-	pubs := map[string]struct{}{}
-	users := map[string]struct{}{}
-	viewable, dc := 0, 0
+	// One audit state folded over the campaign's rows, in one visit, and
+	// its conversions: the live engine's summary, by the same rules.
+	st := audit.NewState()
 	q.st.VisitCampaign(id, func(im *store.Impression) bool {
-		sum.Impressions++
-		pubs[im.Publisher] = struct{}{}
-		users[im.UserKey] = struct{}{}
-		sum.Clicks += im.Clicks
-		if im.Exposure >= time.Second {
-			viewable++
-		}
-		switch im.DataCenter {
-		case "", "not-data-center", "vpn-exception":
-		default:
-			dc++
-		}
-		if sum.FirstSeen.IsZero() || im.Timestamp.Before(sum.FirstSeen) {
-			sum.FirstSeen = im.Timestamp
-		}
-		if im.Timestamp.After(sum.LastSeen) {
-			sum.LastSeen = im.Timestamp
-		}
+		st.Insert(im)
 		return true
 	})
-	if sum.Impressions == 0 {
+	if st.Len() == 0 {
 		http.Error(w, "unknown campaign", http.StatusNotFound)
 		return
 	}
-	sum.Publishers = len(pubs)
-	sum.Users = len(users)
-	sum.Conversions = len(q.st.Conversions(id))
-	sum.ViewableUpperBound = float64(viewable) / float64(sum.Impressions)
-	sum.DataCenterShare = float64(dc) / float64(sum.Impressions)
-	writeJSON(w, sum)
+	for _, c := range q.st.Conversions(id) {
+		st.Convert(c.UserKey)
+	}
+	s := st.Summary()
+	writeJSON(w, CampaignSummary{
+		CampaignID: id, Impressions: s.Impressions, Publishers: s.Publishers, Users: s.Users,
+		Clicks: s.Clicks, Conversions: s.Conversions,
+		ViewableUpperBound: s.ViewableUpperBound, DataCenterShare: s.DataCenterShare,
+		FirstSeen: s.FirstSeen, LastSeen: s.LastSeen,
+	})
 }
 
 // handleTimeseries buckets a campaign's impressions over time —
@@ -160,9 +145,7 @@ func (q *queryAPI) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		}
 		p.Impressions++
 		p.Clicks += im.Clicks
-		switch im.DataCenter {
-		case "", "not-data-center", "vpn-exception":
-		default:
+		if audit.IsDataCenterVerdict(im.DataCenter) {
 			p.DataCenter++
 		}
 		return true

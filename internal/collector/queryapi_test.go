@@ -72,7 +72,7 @@ func TestAPICampaigns(t *testing.T) {
 }
 
 func TestAPISummary(t *testing.T) {
-	_, _, base := queryFixture(t)
+	_, st, base := queryFixture(t)
 	var sum CampaignSummary
 	if code := getJSON(t, base+"/api/summary?campaign=camp-a", &sum); code != 200 {
 		t.Fatalf("status %d", code)
@@ -89,6 +89,22 @@ func TestAPISummary(t *testing.T) {
 	}
 	if sum.FirstSeen.IsZero() || !sum.LastSeen.After(sum.FirstSeen) {
 		t.Fatalf("window = %v..%v", sum.FirstSeen, sum.LastSeen)
+	}
+
+	// Clicks and the data-center rule: of these three verdicts only
+	// provider-db counts.
+	at := time.Date(2016, 3, 30, 0, 0, 0, 0, time.UTC)
+	for i, verdict := range []string{"provider-db", "vpn-exception", "not-data-center"} {
+		if _, err := st.Insert(store.Impression{CampaignID: "camp-b", Publisher: "p.es", UserKey: "u",
+			Timestamp: at.Add(time.Duration(i) * time.Minute), DataCenter: verdict, Clicks: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := getJSON(t, base+"/api/summary?campaign=camp-b", &sum); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if sum.Clicks != 6 || sum.DataCenterShare != 1.0/3 || sum.Users != 1 || sum.Conversions != 0 {
+		t.Fatalf("camp-b summary = %+v, want 6 clicks, data-center share 1/3, 1 user, 0 conversions", sum)
 	}
 }
 

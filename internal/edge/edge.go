@@ -80,9 +80,16 @@ type Upstream struct {
 	Tel PoolInstruments
 }
 
-// Config assembles an Edge. Every tunable is one the tier packages
-// export under the same name, documented on gateway.Config; zero
-// values take the defaults listed there.
+// retryAfterHint is the reconnect delay handed to shed and drained
+// clients: the 503's Retry-After, in whole seconds, and the drain
+// close's "retry-after=" reason.
+const retryAfterHint = 2 * time.Second
+
+// Config assembles an Edge. Every tunable but BreakerThreshold is one
+// the tier packages export under the same name, documented on
+// gateway.Config; zero values take the defaults listed there.
+// BreakerThreshold is how many consecutive failed dials open a trunk's
+// circuit breaker (default 3).
 type Config struct {
 	// Name is the tier's word for itself ("gateway", "router"): the tier
 	// attribute on log records, the shed response body and the uptime
@@ -110,7 +117,6 @@ type Config struct {
 
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	RetryAfterHint   time.Duration
 	Clock            simclock.Clock
 
 	Logger *slog.Logger
@@ -182,7 +188,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	cfg.ReplayInterval = cmp.Or(cfg.ReplayInterval, time.Second)
 	cfg.BreakerThreshold = cmp.Or(cfg.BreakerThreshold, 3)
 	cfg.BreakerCooldown = cmp.Or(cfg.BreakerCooldown, time.Second)
-	cfg.RetryAfterHint = cmp.Or(cfg.RetryAfterHint, 2*time.Second)
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -235,7 +240,7 @@ func New(cfg Config) (*Edge, error) {
 		// The resumable close, with the backoff floor the beacon client
 		// parses.
 		DrainClose: wsproto.CloseError{Code: wsproto.CloseServiceRestart,
-			Reason: "draining retry-after=" + cfg.RetryAfterHint.String()},
+			Reason: "draining retry-after=" + retryAfterHint.String()},
 		Logger:      e.log,
 		Connections: cfg.Tel.Connections,
 		Active:      cfg.Tel.SessionsActive,
@@ -284,8 +289,7 @@ func (e *Edge) shed(w http.ResponseWriter, reason string) {
 		http.Error(w, "origin not allowed", http.StatusForbidden)
 		return
 	}
-	w.Header().Set("Retry-After",
-		strconv.Itoa(int((e.cfg.RetryAfterHint+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterHint/time.Second)))
 	http.Error(w, e.cfg.Name+" "+reason, http.StatusServiceUnavailable)
 }
 

@@ -103,7 +103,6 @@ func buildTier(t *testing.T, name string, pools int, o fixtureOptions) *fixture 
 		ReplayInterval:    50 * time.Millisecond,
 		BreakerThreshold:  3,
 		BreakerCooldown:   50 * time.Millisecond,
-		RetryAfterHint:    2 * time.Second,
 		Telemetry:         reg,
 		Tel:               f.tel,
 	}
@@ -292,7 +291,7 @@ func expectShed(t *testing.T, f *fixture, reason string) {
 		t.Fatalf("%s shed status = %d, want 503", reason, resp.StatusCode)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Fatalf("%s shed Retry-After = %q, want %q (RetryAfterHint rounded up to seconds)", reason, got, "2")
+		t.Fatalf("%s shed Retry-After = %q, want %q (retryAfterHint in seconds)", reason, got, "2")
 	}
 	if got, want := strings.TrimSpace(string(body)), f.e.cfg.Name+" "+reason; got != want {
 		t.Fatalf("shed body = %q, want %q", got, want)

@@ -64,15 +64,10 @@ type Config struct {
 	AckTimeout     time.Duration
 	ReplayInterval time.Duration
 
-	// BreakerThreshold consecutive failed dials open a trunk's circuit
-	// breaker (default 3); BreakerCooldown is how long it stays open
-	// before a half-open probe (default 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// RetryAfterHint is the reconnect delay handed to shed or drained
-	// clients (default 2s).
-	RetryAfterHint time.Duration
+	// BreakerCooldown is how long a trunk's circuit breaker, opened by
+	// three consecutive failed dials, stays open before a half-open
+	// probe (default 1s).
+	BreakerCooldown time.Duration
 
 	// Logger receives operational events; defaults to slog.Default().
 	Logger *slog.Logger
@@ -113,9 +108,7 @@ func New(cfg Config) (*Gateway, error) {
 		SpillLimit:        cfg.SpillLimit,
 		AckTimeout:        cfg.AckTimeout,
 		ReplayInterval:    cfg.ReplayInterval,
-		BreakerThreshold:  cfg.BreakerThreshold,
 		BreakerCooldown:   cfg.BreakerCooldown,
-		RetryAfterHint:    cfg.RetryAfterHint,
 		Clock:             cfg.Clock,
 		Logger:            cfg.Logger,
 		Telemetry:         reg,

@@ -21,9 +21,7 @@ func fastConfig(trunkURL string) Config {
 		KeepAliveInterval: 50 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
-		BreakerThreshold:  3,
 		BreakerCooldown:   50 * time.Millisecond,
-		RetryAfterHint:    2 * time.Second,
 	}
 }
 

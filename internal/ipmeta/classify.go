@@ -1,9 +1,6 @@
 package ipmeta
 
-import (
-	"net/netip"
-	"sync/atomic"
-)
+import "net/netip"
 
 // DataCenterVerdict records how an address was classified as data-center
 // traffic, mirroring the paper's three-stage methodology: (1) map the IP
@@ -48,12 +45,6 @@ func (v DataCenterVerdict) String() string {
 	}
 }
 
-// IsDataCenter reports whether the verdict marks the address as
-// data-center (likely invalid) traffic.
-func (v DataCenterVerdict) IsDataCenter() bool {
-	return v == VerdictProviderDB || v == VerdictDenyList || v == VerdictManual
-}
-
 // Classifier implements the paper's data-center detection cascade.
 type Classifier struct {
 	// DB is the stage-1 provider database (MaxMind stand-in). Optional.
@@ -66,30 +57,11 @@ type Classifier struct {
 	// inspection of the provider's website shows data-center services.
 	// Optional; when nil, stage 3 is skipped.
 	ManualVerify func(Record) bool
-
-	// stats counts classifications by verdict, useful for the ablation
-	// benchmarks comparing cascade stages. Updated atomically: the
-	// collector classifies from concurrent sessions.
-	stats [5]atomic.Int64
-}
-
-// VerdictCount returns how many classifications ended with v.
-func (c *Classifier) VerdictCount(v DataCenterVerdict) int64 {
-	if int(v) < 0 || int(v) >= len(c.stats) {
-		return 0
-	}
-	return c.stats[v].Load()
 }
 
 // Classify runs the cascade on addr. Safe for concurrent use once the
 // DB and deny list are built.
 func (c *Classifier) Classify(addr netip.Addr) DataCenterVerdict {
-	v := c.classify(addr)
-	c.stats[v].Add(1)
-	return v
-}
-
-func (c *Classifier) classify(addr netip.Addr) DataCenterVerdict {
 	var rec Record
 	var known bool
 	if c.DB != nil {

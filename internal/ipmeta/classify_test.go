@@ -62,32 +62,6 @@ func TestClassifierCascade(t *testing.T) {
 	}
 }
 
-func TestClassifierVerdictSemantics(t *testing.T) {
-	if !VerdictProviderDB.IsDataCenter() || !VerdictDenyList.IsDataCenter() || !VerdictManual.IsDataCenter() {
-		t.Fatal("data-center verdicts must report IsDataCenter")
-	}
-	if VerdictNotDataCenter.IsDataCenter() || VerdictVPNException.IsDataCenter() {
-		t.Fatal("non-DC verdicts must not report IsDataCenter")
-	}
-}
-
-func TestClassifierStats(t *testing.T) {
-	c, addrs := buildClassifierFixture(t)
-	for i := 0; i < 3; i++ {
-		c.Classify(addrs["hosting"])
-	}
-	c.Classify(addrs["denied"])
-	if got := c.VerdictCount(VerdictProviderDB); got != 3 {
-		t.Fatalf("provider-db count = %d, want 3", got)
-	}
-	if got := c.VerdictCount(VerdictDenyList); got != 1 {
-		t.Fatalf("deny-list count = %d, want 1", got)
-	}
-	if got := c.VerdictCount(DataCenterVerdict(99)); got != 0 {
-		t.Fatalf("out-of-range verdict count = %d", got)
-	}
-}
-
 func TestClassifierStagesOptional(t *testing.T) {
 	_, addrs := buildClassifierFixture(t)
 	// Cascade with no stages classifies everything as clean.

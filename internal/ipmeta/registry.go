@@ -331,22 +331,10 @@ func (u *Universe) DrawResidentialAddr(rng *stats.RNG, country string) (netip.Ad
 	return netip.Addr{}, fmt.Errorf("ipmeta: no residential ranges for country %s", country)
 }
 
-// RandomAddr is DrawAddr on the universe's own stream. Not safe for
-// concurrent use; parallel simulations must use DrawAddr.
-func (u *Universe) RandomAddr(country string, kind OrgKind) (netip.Addr, error) {
-	return u.DrawAddr(u.rng, country, kind)
-}
-
 // RandomHostingAddr is DrawHostingAddr on the universe's own stream.
 // Not safe for concurrent use.
 func (u *Universe) RandomHostingAddr() (netip.Addr, error) {
 	return u.DrawHostingAddr(u.rng)
-}
-
-// RandomResidentialAddr is DrawResidentialAddr on the universe's own
-// stream. Not safe for concurrent use.
-func (u *Universe) RandomResidentialAddr(country string) (netip.Addr, error) {
-	return u.DrawResidentialAddr(u.rng, country)
 }
 
 // Countries returns the countries with generated residential space,

@@ -14,7 +14,6 @@ package publisher
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"adaudit/internal/semsim"
@@ -385,16 +384,6 @@ func (u *Universe) ByDomain(domain string) (Publisher, bool) {
 
 // Taxonomy returns the content taxonomy the universe was built against.
 func (u *Universe) Taxonomy() *semsim.Taxonomy { return u.taxonomy }
-
-// Verticals returns the distinct verticals present, sorted.
-func (u *Universe) Verticals() []string {
-	vs := make([]string, 0, len(u.byVertical))
-	for v := range u.byVertical {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
-	return vs
-}
 
 // IndexesByVertical returns the indexes of publishers in the given
 // vertical. The returned slice must not be modified.

@@ -115,12 +115,11 @@ func TestByDomainRoundTrip(t *testing.T) {
 
 func TestVerticalIndex(t *testing.T) {
 	u := testUniverse(t, 5000)
-	vs := u.Verticals()
-	if len(vs) < 20 {
-		t.Fatalf("only %d verticals populated", len(vs))
+	if len(u.byVertical) < 20 {
+		t.Fatalf("only %d verticals populated", len(u.byVertical))
 	}
 	total := 0
-	for _, v := range vs {
+	for v := range u.byVertical {
 		idxs := u.IndexesByVertical(v)
 		if len(idxs) == 0 {
 			t.Fatalf("vertical %q indexed but empty", v)

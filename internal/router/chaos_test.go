@@ -80,7 +80,7 @@ func TestChaosRouterShardRestart(t *testing.T) {
 	r, rsrv := startRouter(t, cfg, daemon.WithListener(listen("router:80", clientPlan)))
 	tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 	g, err := gateway.New(gateway.Config{
-		CollectorURL:      rsrv.TrunkURL(),
+		CollectorURL:      trunkURL(rsrv),
 		TrunkToken:        cfg.TrunkToken,
 		Dialer:            wsproto.Dialer{NetDial: nw.Dial},
 		KeepAliveInterval: cfg.KeepAliveInterval,

@@ -83,7 +83,7 @@ func TestRelayRefusesNonceLessCommit(t *testing.T) {
 	p.Nonce = ""
 	commit := relayedCommit(1, p)
 
-	lost := dialRelay(t, rsrv.TrunkURL(), nil)
+	lost := dialRelay(t, trunkURL(rsrv), nil)
 	leg := <-stalls.accepted // the router's end of this trunk
 	t.Cleanup(func() { _ = leg.Close() })
 	leg.stalled.Store(true)
@@ -95,7 +95,7 @@ func TestRelayRefusesNonceLessCommit(t *testing.T) {
 			seriesSum(r, "adaudit_router_relay_trunks_active") == 0
 	})
 
-	gw := dialRelay(t, rsrv.TrunkURL(), nil)
+	gw := dialRelay(t, trunkURL(rsrv), nil)
 	if err := gw.WriteMessage(wsproto.OpBinary, commit); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRelayDuringShardOutageHoldsNothing(t *testing.T) {
 	for i := 0; i < relayed; i++ {
 		batch = append(batch, relayedCommit(uint64(i+1), payloadOn(i, 0, 2))...)
 	}
-	gw := dialRelay(t, rsrv.TrunkURL(), nw.Dial)
+	gw := dialRelay(t, trunkURL(rsrv), nw.Dial)
 	if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRelayDropsAreCounted(t *testing.T) {
 	for i := 0; i < relayed; i++ {
 		batch = append(batch, relayedCommit(uint64(i+1), payloadOn(i, 0, 2))...)
 	}
-	gw := dialRelay(t, rsrv.TrunkURL(), nw.Dial)
+	gw := dialRelay(t, trunkURL(rsrv), nw.Dial)
 	if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRelayReturnPathIsBounded(t *testing.T) {
 		for i := 0; i < silent; i++ {
 			batch = append(batch, relayedCommit(uint64(i+1), payloadOn(i, 0, 2))...)
 		}
-		gw := dialRelay(t, rsrv.TrunkURL(), nil)
+		gw := dialRelay(t, trunkURL(rsrv), nil)
 		if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestRelayReturnPathIsBounded(t *testing.T) {
 		r, rsrv := startRouter(t, cfg)
 		tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 
-		gw := dialRelay(t, rsrv.TrunkURL(), nil)
+		gw := dialRelay(t, trunkURL(rsrv), nil)
 		batch := append(relayedCommit(1, payloadOn(0, 0, 2)), relayedCommit(2, payloadOn(1, 1, 2))...)
 		sent := time.Now()
 		if err := gw.WriteMessage(wsproto.OpBinary, batch); err != nil {
@@ -364,7 +364,7 @@ func TestRelayReturnPathIsBounded(t *testing.T) {
 		r, rsrv := startRouter(t, cfg)
 		tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 
-		gw := dialRelay(t, rsrv.TrunkURL(), nil)
+		gw := dialRelay(t, trunkURL(rsrv), nil)
 		batch := append(relayedCommit(1, payloadOn(0, 0, 2)), relayedCommit(2, payloadOn(1, 0, 2))...)
 		batch = append(batch, relayedCommit(3, payloadOn(2, 1, 2))...)
 		sent := time.Now()

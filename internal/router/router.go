@@ -64,9 +64,7 @@ type Config struct {
 	SpillLimit        int
 	AckTimeout        time.Duration
 	ReplayInterval    time.Duration
-	BreakerThreshold  int
 	BreakerCooldown   time.Duration
-	RetryAfterHint    time.Duration
 	Logger            *slog.Logger
 	Telemetry         *telemetry.Registry
 }
@@ -131,9 +129,7 @@ func New(cfg Config) (*Router, error) {
 		SpillLimit:        cfg.SpillLimit,
 		AckTimeout:        cfg.AckTimeout,
 		ReplayInterval:    cfg.ReplayInterval,
-		BreakerThreshold:  cfg.BreakerThreshold,
 		BreakerCooldown:   cfg.BreakerCooldown,
-		RetryAfterHint:    cfg.RetryAfterHint,
 		Logger:            cfg.Logger,
 		Telemetry:         reg,
 		Tel: edge.Instruments{

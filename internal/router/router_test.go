@@ -117,9 +117,7 @@ func fastRouterConfig(shardURLs []string) Config {
 		KeepAliveInterval: 50 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
-		BreakerThreshold:  3,
 		BreakerCooldown:   50 * time.Millisecond,
-		RetryAfterHint:    2 * time.Second,
 	}
 }
 
@@ -166,6 +164,9 @@ func startGateway(t *testing.T, trunkURL string) (*gateway.Gateway, *gateway.Ser
 
 // allTrunksUp reports whether every shard pool has its full trunk
 // complement established.
+// trunkURL is the ws:// URL gateways trunk into.
+func trunkURL(s *Server) string { return "ws://" + s.Addr().String() + "/trunk" }
+
 func allTrunksUp(r *Router) bool { return r.Health().Status == "ok" }
 
 // seriesSum reads one of the router's metrics by name from its
@@ -258,7 +259,7 @@ func TestRouterTrunkRelay(t *testing.T) {
 	r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
 	tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
 
-	g, gsrv := startGateway(t, rsrv.TrunkURL())
+	g, gsrv := startGateway(t, trunkURL(rsrv))
 	if got := seriesSum(r, "adaudit_router_relay_trunks_active"); got < 1 {
 		t.Fatalf("relay trunks gauge = %v, want >= 1", got)
 	}
@@ -375,7 +376,7 @@ func TestStalledGatewayDoesNotFreezeShardTrunk(t *testing.T) {
 	tiertest.WaitFor(t, "shard trunk to establish", func() bool { return allTrunksUp(r) })
 
 	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {collectortest.TrunkToken}}}
-	gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+	gw, _, err := d.Dial(context.Background(), trunkURL(rsrv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestGatewayReplayAfterLostAckCountsOnce(t *testing.T) {
 	// router's end first, so the shard's ack cannot be written back
 	// before the stall takes hold.
 	dial := func(stall bool) *wsproto.Conn {
-		gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+		gw, _, err := d.Dial(context.Background(), trunkURL(rsrv))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +493,7 @@ func TestGatewayReplayWhileRouterHoldsItCountsOnce(t *testing.T) {
 		Payload: string(p.EncodeBinary()),
 	})
 	d := &wsproto.Dialer{Header: http.Header{trunk.TokenHeader: {collectortest.TrunkToken}}}
-	gw, _, err := d.Dial(context.Background(), rsrv.TrunkURL())
+	gw, _, err := d.Dial(context.Background(), trunkURL(rsrv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +568,7 @@ func TestTrunkCarriesOnlyHelloAndCommit(t *testing.T) {
 			if tc.relay {
 				r, rsrv := startRouter(t, fastRouterConfig(f.trunkURLs()))
 				tiertest.WaitFor(t, "shard trunks to establish", func() bool { return allTrunksUp(r) })
-				upstream = rsrv.TrunkURL()
+				upstream = trunkURL(rsrv)
 			}
 			g, gsrv := startGateway(t, upstream)
 

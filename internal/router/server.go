@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -63,11 +62,6 @@ func NewServer(r *Router, addr string, opts ...ServerOption) (*Server, error) {
 		return nil, err
 	}
 	return &Server{s}, nil
-}
-
-// TrunkURL returns the ws:// URL gateways should trunk into.
-func (s *Server) TrunkURL() string {
-	return fmt.Sprintf("ws://%s/trunk", s.Addr().String())
 }
 
 // liveMerge answers the merged live-audit endpoints.

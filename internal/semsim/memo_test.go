@@ -29,28 +29,6 @@ func TestWordSimilarityMemoConsistent(t *testing.T) {
 	}
 }
 
-func TestSimilarityMemoConsistent(t *testing.T) {
-	tx := DefaultTaxonomy()
-	concepts := tx.Concepts()
-	if len(concepts) < 4 {
-		t.Fatalf("default taxonomy too small: %d concepts", len(concepts))
-	}
-	a, b := concepts[1], concepts[len(concepts)-1]
-
-	s1, ok1 := tx.Similarity(a, b)
-	s2, ok2 := tx.Similarity(b, a) // symmetric, shares the entry
-	s3, ok3 := tx.Similarity(a, b) // cache hit
-	if s1 != s2 || s1 != s3 || !ok1 || !ok2 || !ok3 {
-		t.Fatalf("Similarity not stable across orders/repeats: %v %v %v", s1, s2, s3)
-	}
-	if _, ok := tx.Similarity(a, "missing-concept"); ok {
-		t.Fatal("unknown concept scored ok on first call")
-	}
-	if _, ok := tx.Similarity(a, "missing-concept"); ok {
-		t.Fatal("unknown concept scored ok from the memo")
-	}
-}
-
 // Concurrent mixed readers must agree with the serial answer; run under
 // -race this also proves the memo's safety claim.
 func TestWordSimilarityMemoConcurrent(t *testing.T) {

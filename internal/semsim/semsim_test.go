@@ -32,14 +32,17 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestMaxDepth(t *testing.T) {
 	tx := smallTaxonomy(t)
-	if tx.MaxDepth() != 4 {
-		t.Fatalf("MaxDepth = %d, want 4 (root=1, a=2, a1=3, a1x=4)", tx.MaxDepth())
+	if tx.maxDepth != 4 {
+		t.Fatalf("maxDepth = %d, want 4 (root=1, a=2, a1=3, a1x=4)", tx.maxDepth)
 	}
 }
 
+// The Similarity tests score concept names, which are their own only
+// lemmas in smallTaxonomy, so WordSimilarity is the concept measure.
+
 func TestSimilaritySelfIsMax(t *testing.T) {
 	tx := smallTaxonomy(t)
-	sim, ok := tx.Similarity("a1", "a1")
+	sim, ok := tx.WordSimilarity("a1", "a1")
 	if !ok {
 		t.Fatal("self similarity not ok")
 	}
@@ -50,7 +53,7 @@ func TestSimilaritySelfIsMax(t *testing.T) {
 
 func TestSimilarityPathLengths(t *testing.T) {
 	tx := smallTaxonomy(t)
-	d := float64(2 * tx.MaxDepth())
+	d := float64(2 * tx.maxDepth)
 	cases := []struct {
 		a, b string
 		len  float64
@@ -62,34 +65,33 @@ func TestSimilarityPathLengths(t *testing.T) {
 		{"root", "root", 1},
 	}
 	for _, c := range cases {
-		sim, ok := tx.Similarity(c.a, c.b)
+		sim, ok := tx.WordSimilarity(c.a, c.b)
 		if !ok {
-			t.Fatalf("Similarity(%s,%s) not ok", c.a, c.b)
+			t.Fatalf("WordSimilarity(%s,%s) not ok", c.a, c.b)
 		}
 		want := -math.Log(c.len / d)
 		if math.Abs(sim-want) > 1e-12 {
-			t.Errorf("Similarity(%s,%s) = %v, want %v (len %v)", c.a, c.b, sim, want, c.len)
+			t.Errorf("WordSimilarity(%s,%s) = %v, want %v (len %v)", c.a, c.b, sim, want, c.len)
 		}
 	}
 }
 
 func TestSimilarityUnknownConcept(t *testing.T) {
 	tx := smallTaxonomy(t)
-	if _, ok := tx.Similarity("a", "nope"); ok {
+	if _, ok := tx.WordSimilarity("a", "nope"); ok {
 		t.Fatal("unknown concept reported ok")
 	}
 }
 
-// Properties: LC similarity is symmetric, maximal on the diagonal, and
-// bounded by the self-similarity.
+// Properties: LC similarity over concept names is symmetric, maximal on
+// the diagonal, and bounded by the self-similarity.
 func TestSimilarityProperties(t *testing.T) {
 	tx := DefaultTaxonomy()
-	concepts := tx.Concepts()
 	err := quick.Check(func(i, j uint16) bool {
-		a := concepts[int(i)%len(concepts)]
-		b := concepts[int(j)%len(concepts)]
-		sab, ok1 := tx.Similarity(a, b)
-		sba, ok2 := tx.Similarity(b, a)
+		a := tx.nodes[int(i)%len(tx.nodes)].name
+		b := tx.nodes[int(j)%len(tx.nodes)].name
+		sab, ok1 := tx.WordSimilarity(a, b)
+		sba, ok2 := tx.WordSimilarity(b, a)
 		if !ok1 || !ok2 {
 			return false
 		}
@@ -242,8 +244,8 @@ func TestDefaultTaxonomyShape(t *testing.T) {
 	if tx.NumConcepts() < 50 {
 		t.Fatalf("default taxonomy has only %d concepts", tx.NumConcepts())
 	}
-	if tx.MaxDepth() < 3 {
-		t.Fatalf("default taxonomy depth = %d", tx.MaxDepth())
+	if tx.maxDepth < 3 {
+		t.Fatalf("default taxonomy depth = %d", tx.maxDepth)
 	}
 	for _, c := range []string{"research", "football", "universities", "telematics", "adult", "gambling"} {
 		if !tx.HasConcept(c) {

@@ -4,34 +4,6 @@ import (
 	"math"
 )
 
-// Similarity computes concept-to-concept Leacock–Chodorow similarity:
-// -log(len / 2D), where len counts nodes on the shortest IS-A path and D
-// is the taxonomy's maximum depth. Higher is more similar; identical
-// concepts score -log(1/2D) = log(2D).
-//
-// It returns ok=false when either concept is unknown.
-//
-// Results are memoized per concept pair (the taxonomy is immutable, so
-// entries never invalidate); concurrent callers share the cache.
-func (t *Taxonomy) Similarity(a, b string) (sim float64, ok bool) {
-	if b < a {
-		a, b = b, a
-	}
-	if e, hit := t.conceptMemo.load(a, b); hit {
-		return e.sim, e.ok
-	}
-	ia, oka := t.byName[a]
-	ib, okb := t.byName[b]
-	if !oka || !okb {
-		t.conceptMemo.store(a, b, memoEntry{})
-		return 0, false
-	}
-	l := t.pathLen(ia, ib)
-	sim = -math.Log(float64(l) / float64(2*t.maxDepth))
-	t.conceptMemo.store(a, b, memoEntry{sim: sim, ok: true})
-	return sim, true
-}
-
 // PathSimilarity returns the LC score of a (possibly fractional) path
 // spanning l nodes: -log(l / 2D). Useful for expressing thresholds in
 // path-length terms, which stay meaningful if the taxonomy grows deeper.
@@ -41,8 +13,11 @@ func (t *Taxonomy) PathSimilarity(l float64) float64 {
 
 // WordSimilarity computes the similarity between two word forms as the
 // maximum over all concept senses of each word, the standard WordNet
-// word-level lift of a concept measure. It returns ok=false when either
-// word has no sense in the taxonomy.
+// word-level lift of Leacock–Chodorow concept similarity: -log(len / 2D),
+// where len counts nodes on the shortest IS-A path and D is the
+// taxonomy's maximum depth. Higher is more similar; identical concepts
+// score -log(1/2D) = log(2D). It returns ok=false when either word has
+// no sense in the taxonomy.
 //
 // Results are memoized per normalized word pair: the context analysis
 // scores the same campaign keywords against the same publisher topics

@@ -19,7 +19,6 @@ package semsim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -31,12 +30,11 @@ type Taxonomy struct {
 	byLemma  map[string][]int
 	maxDepth int
 
-	// wordMemo and conceptMemo cache WordSimilarity / Similarity
-	// results (see memo.go): the context analysis re-scores the same
-	// topic/keyword pairs across thousands of publishers, and the
-	// taxonomy's immutability means a computed pair never invalidates.
-	wordMemo    pairMemo
-	conceptMemo pairMemo
+	// wordMemo caches WordSimilarity results (see memo.go): the
+	// context analysis re-scores the same topic/keyword pairs across
+	// thousands of publishers, and the taxonomy's immutability means a
+	// computed pair never invalidates.
+	wordMemo pairMemo
 }
 
 type node struct {
@@ -112,21 +110,8 @@ func (b *TaxonomyBuilder) Build() (*Taxonomy, error) {
 	return t, nil
 }
 
-// MaxDepth returns D, the maximum node depth (root = 1).
-func (t *Taxonomy) MaxDepth() int { return t.maxDepth }
-
 // NumConcepts returns the number of concepts.
 func (t *Taxonomy) NumConcepts() int { return len(t.nodes) }
-
-// Concepts returns all concept names, sorted.
-func (t *Taxonomy) Concepts() []string {
-	out := make([]string, 0, len(t.nodes))
-	for _, n := range t.nodes {
-		out = append(out, n.name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // LookupLemma returns the concepts a word form maps to, or nil if the
 // word is not in the taxonomy's vocabulary. Matching is case- and

@@ -147,7 +147,6 @@ func runGatewayWireSchedule(t *testing.T, seed int64, forgetJournal bool) (viola
 		KeepAliveInterval: 50 * time.Millisecond,
 		AckTimeout:        300 * time.Millisecond,
 		ReplayInterval:    50 * time.Millisecond,
-		BreakerThreshold:  3,
 		BreakerCooldown:   50 * time.Millisecond,
 		Clock:             clk,
 		Logger:            discardLogger(),

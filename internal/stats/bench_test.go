@@ -2,16 +2,6 @@ package stats
 
 import "testing"
 
-func BenchmarkZipfRank(b *testing.B) {
-	z, err := NewZipf(NewRNG(1), 1.05, 10_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		z.Rank()
-	}
-}
-
 func BenchmarkAliasSample(b *testing.B) {
 	rng := NewRNG(1)
 	weights := make([]float64, 150_000)

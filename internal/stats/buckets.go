@@ -67,15 +67,6 @@ func (lb *LogBuckets) Label(i int) string {
 	return fmt.Sprintf("[%s, %s)", compactNumber(lower), compactNumber(lb.boundaries[i]))
 }
 
-// UpperBound returns the exclusive upper bound of bucket i, or +Inf for
-// the overflow bucket.
-func (lb *LogBuckets) UpperBound(i int) float64 {
-	if i >= len(lb.boundaries) {
-		return math.Inf(1)
-	}
-	return lb.boundaries[i]
-}
-
 func compactNumber(v float64) string {
 	switch {
 	case v >= 1e9:

@@ -53,12 +53,13 @@ func TestLogBucketsBoundariesConsistent(t *testing.T) {
 		if i < 0 || i >= lb.NumBuckets() {
 			return false
 		}
-		// v must lie below the bucket's upper bound...
-		if v >= lb.UpperBound(i) {
+		// v must lie below the bucket's exclusive upper bound (none
+		// for the overflow bucket)...
+		if i < len(lb.boundaries) && v >= lb.boundaries[i] {
 			return false
 		}
 		// ...and at or above the previous bucket's upper bound.
-		if i > 0 && v < lb.UpperBound(i-1) {
+		if i > 0 && v < lb.boundaries[i-1] {
 			return false
 		}
 		return true

@@ -1,6 +1,6 @@
 // Package stats provides the deterministic statistical substrate used by
 // the adaudit simulator and analyses: seeded random number generation,
-// heavy-tailed samplers (Zipf, Pareto, log-normal), quantile estimation,
+// heavy-tailed samplers (Pareto, log-normal, alias), quantile estimation,
 // logarithmic bucketing, histograms and set (Venn) accounting.
 //
 // Every stochastic component in adaudit draws from a stats.RNG constructed
@@ -55,9 +55,6 @@ func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 
-// Uint32 returns a uniform 32-bit value.
-func (r *RNG) Uint32() uint32 { return r.src.Uint32() }
-
 // Uint64 returns a uniform 64-bit value.
 func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 
@@ -75,9 +72,6 @@ func (r *RNG) Bool(p float64) bool {
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *RNG) ExpFloat64() float64 { return r.src.ExpFloat64() }
 
 // Exp returns an exponentially distributed float64 with the given mean.
 func (r *RNG) Exp(mean float64) float64 { return r.src.ExpFloat64() * mean }
@@ -100,9 +94,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Pick returns a uniformly chosen element of xs. It panics if xs is empty.
 func Pick[T any](r *RNG, xs []T) T {

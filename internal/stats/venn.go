@@ -15,9 +15,6 @@ func (v Venn) SizeA() int { return v.OnlyA + v.Both }
 // SizeB returns |B| = OnlyB + Both.
 func (v Venn) SizeB() int { return v.OnlyB + v.Both }
 
-// Union returns |A ∪ B|.
-func (v Venn) Union() int { return v.OnlyA + v.OnlyB + v.Both }
-
 // FractionMissedByB returns the fraction of A's items absent from B —
 // the paper's headline "AdWords did not report 57% of publishers" metric,
 // computed as OnlyA / |A|. It returns 0 when A is empty.

@@ -3,6 +3,8 @@ package store
 import (
 	"fmt"
 	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 // Conversion is one desired action (purchase, booking, signup) reported
@@ -26,7 +28,8 @@ type Conversion struct {
 	Timestamp time.Time `json:"timestamp"`
 }
 
-// Validate checks the record is complete enough to insert.
+// Validate checks the record is complete enough to insert, with a
+// timestamp the binary codecs read back (bytecodec.CheckTime).
 func (c *Conversion) Validate() error {
 	switch {
 	case c.CampaignID == "":
@@ -39,6 +42,9 @@ func (c *Conversion) Validate() error {
 		return fmt.Errorf("store: conversion missing timestamp")
 	case c.ValueCents < 0:
 		return fmt.Errorf("store: negative conversion value %d", c.ValueCents)
+	}
+	if err := bytecodec.CheckTime(c.Timestamp); err != nil {
+		return fmt.Errorf("store: conversion timestamp %v: %w", c.Timestamp, err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 func testConversion(campaign, user string, at time.Time) Conversion {
@@ -143,17 +146,17 @@ func TestReadSnapshotRejectsInvalidConversion(t *testing.T) {
 }
 
 // TestInsertConversionFailedAppendStoresNothing: a conversion whose
-// journal entry is refused by the format, or whose write fails, returns
-// the error and leaves no record, no feed event and no later ID gap.
+// timestamp the format cannot hold (refused before the journal sees
+// it), or whose write fails, returns the error and leaves no record, no
+// feed event and no later ID gap.
 func TestInsertConversionFailedAppendStoresNothing(t *testing.T) {
 	path, w := openTestWAL(t, WALOptions{})
 	s := New()
 	s.AttachWAL(w)
 	sub := s.Subscribe(4, nil, nil)
 	defer sub.Close()
-	if _, err := s.InsertConversion(testConversion("c", "u", time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC))); err == nil ||
-		!strings.Contains(err.Error(), "encoding wal entry") {
-		t.Fatalf("a year-10000 conversion: err %v, want an encoding failure", err)
+	if _, err := s.InsertConversion(testConversion("c", "u", time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC))); !errors.Is(err, bytecodec.ErrYear) {
+		t.Fatalf("a year-10000 conversion: err %v, want %v", err, bytecodec.ErrYear)
 	}
 	if got, _ := os.ReadFile(path); string(got) != RowsHeader {
 		t.Fatalf("the refused conversion was journaled: %q", got)

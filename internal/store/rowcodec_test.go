@@ -8,10 +8,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 // TestWALRefusesUnencodableEntry: a value the row format refuses fails
-// the insert (or merge) with nothing journaled and nothing stored.
+// the insert (or merge) with nothing journaled and nothing stored. A
+// timestamp it cannot hold is refused by Validate, before the journal;
+// a fraction it cannot hold, by the journal's encoder.
 func TestWALRefusesUnencodableEntry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	w, err := OpenWAL(path, WALOptions{})
@@ -22,21 +26,21 @@ func TestWALRefusesUnencodableEntry(t *testing.T) {
 	s := New()
 	s.AttachWAL(w)
 
-	refused := map[string]Impression{}
-	for name, edit := range map[string]func(*Impression){
-		"NaN fraction":  func(im *Impression) { im.MaxVisibleFraction = math.NaN() },
-		"-Inf fraction": func(im *Impression) { im.MaxVisibleFraction = math.Inf(-1) },
-		"year 10000":    func(im *Impression) { im.Timestamp = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) },
-		"year -1":       func(im *Impression) { im.Timestamp = time.Date(-1, 12, 31, 0, 0, 0, 0, time.UTC) },
-		"zone 24h":      func(im *Impression) { im.Timestamp = im.Timestamp.In(time.FixedZone("", 24*3600)) },
+	encoding := "encoding wal entry"
+	for i, c := range []struct {
+		name, want string
+		edit       func(*Impression)
+	}{
+		{"NaN fraction", encoding, func(im *Impression) { im.MaxVisibleFraction = math.NaN() }},
+		{"-Inf fraction", encoding, func(im *Impression) { im.MaxVisibleFraction = math.Inf(-1) }},
+		{"year 10000", bytecodec.ErrYear.Error(), func(im *Impression) { im.Timestamp = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) }},
+		{"year -1", bytecodec.ErrYear.Error(), func(im *Impression) { im.Timestamp = time.Date(-1, 12, 31, 0, 0, 0, 0, time.UTC) }},
+		{"zone 24h", bytecodec.ErrZone.Error(), func(im *Impression) { im.Timestamp = im.Timestamp.In(time.FixedZone("", 24*3600)) }},
 	} {
-		im := fuzzImpression(len(refused))
-		edit(&im)
-		refused[name] = im
-	}
-	for name, im := range refused {
-		if _, err := s.Insert(im); err == nil || !strings.Contains(err.Error(), "encoding wal entry") {
-			t.Fatalf("%s: Insert err = %v, want an encoding failure", name, err)
+		im := fuzzImpression(i)
+		c.edit(&im)
+		if _, err := s.Insert(im); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Insert err = %v, want %q", c.name, err, c.want)
 		}
 	}
 	id, err := s.Insert(fuzzImpression(9))

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaudit/internal/bytecodec"
 	"adaudit/internal/trace"
 )
 
@@ -74,7 +75,9 @@ type Impression struct {
 	Nonce string `json:"nonce,omitempty"`
 }
 
-// Validate checks the record is complete enough to insert.
+// Validate checks the record is complete enough to insert, and that its
+// timestamp is one the binary codecs read back (bytecodec.CheckTime), so
+// no store, journaled or not, holds a row an export cannot carry.
 func (im *Impression) Validate() error {
 	switch {
 	case im.CampaignID == "":
@@ -87,6 +90,9 @@ func (im *Impression) Validate() error {
 		return fmt.Errorf("store: impression missing timestamp")
 	case im.Exposure < 0:
 		return fmt.Errorf("store: negative exposure %v", im.Exposure)
+	}
+	if err := bytecodec.CheckTime(im.Timestamp); err != nil {
+		return fmt.Errorf("store: impression timestamp %v: %w", im.Timestamp, err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"adaudit/internal/bytecodec"
 )
 
 func testImpression(campaign, publisher, user string, at time.Time) Impression {
@@ -79,6 +82,42 @@ func TestInsertValidates(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatal("invalid inserts changed the store")
+	}
+}
+
+// TestInsertRefusesTimesTheCodecsRefuse: a store without a journal
+// admits no impression or conversion whose timestamp the binary codecs
+// cannot read back (bytecodec.CheckTime), so no audit state built from
+// it packs into bytes its reader refuses.
+func TestInsertRefusesTimesTheCodecsRefuse(t *testing.T) {
+	cases := []struct {
+		name string
+		at   time.Time
+		want error
+	}{
+		{"year 10000", time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), bytecodec.ErrYear},
+		{"year 10000 on the wall clock", time.Date(9999, 12, 31, 23, 30, 0, 0, time.UTC).In(time.FixedZone("", 3600)), bytecodec.ErrYear},
+		{"zone 24 h east", t0.In(time.FixedZone("", 24*3600)), bytecodec.ErrZone},
+		{"zone 25 h west", t0.In(time.FixedZone("", -25*3600)), bytecodec.ErrZone},
+	}
+	s := New()
+	for _, c := range cases {
+		if _, err := s.Insert(testImpression("c", "p", "u", c.at)); !errors.Is(err, c.want) {
+			t.Errorf("impression at %s: Insert error %v, want %v", c.name, err, c.want)
+		}
+		if _, err := s.InsertConversion(testConversion("c", "u", c.at)); !errors.Is(err, c.want) {
+			t.Errorf("conversion at %s: InsertConversion error %v, want %v", c.name, err, c.want)
+		}
+	}
+	if s.Len() != 0 || s.NumConversions() != 0 {
+		t.Fatalf("refused rows changed the store: %d impressions, %d conversions", s.Len(), s.NumConversions())
+	}
+	last := time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)
+	if _, err := s.Insert(testImpression("c", "p", "u", last)); err != nil {
+		t.Errorf("the last second of year 9999 refused: %v", err)
+	}
+	if _, err := s.InsertConversion(testConversion("c", "u", last)); err != nil {
+		t.Errorf("a conversion in the last second of year 9999 refused: %v", err)
 	}
 }
 

@@ -199,7 +199,7 @@ func slowPathFor(compression bool) *slowPath {
 			mux.HandleFunc("/beacon", func(w http.ResponseWriter, r *http.Request) {
 				v := slowVerdict{origin: r.Header.Get("Origin")}
 				if conn, err := u.Upgrade(w, r); err == nil {
-					v.upgraded, v.compress = true, conn.CompressionEnabled()
+					v.upgraded, v.compress = true, conn.compress
 					conn.NetConn().Close()
 				}
 				s.seen <- v
@@ -443,7 +443,7 @@ func TestFrontServesBothPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !conn.CompressionEnabled() {
+	if !conn.compress {
 		t.Error("compression not agreed in place")
 	}
 	long := strings.Repeat("exposure ", 64) // over the compression threshold

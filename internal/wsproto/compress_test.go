@@ -139,9 +139,9 @@ func TestCompressionNegotiationMatrix(t *testing.T) {
 	}
 	for _, c := range cases {
 		conn, done := compressedPair(t, c.server, c.client)
-		if conn.CompressionEnabled() != c.want {
+		if conn.compress != c.want {
 			t.Errorf("server=%v client=%v: negotiated %v, want %v",
-				c.server, c.client, conn.CompressionEnabled(), c.want)
+				c.server, c.client, conn.compress, c.want)
 		}
 		done()
 	}
@@ -150,7 +150,7 @@ func TestCompressionNegotiationMatrix(t *testing.T) {
 func TestCompressedEchoOverTCP(t *testing.T) {
 	conn, done := compressedPair(t, true, true)
 	defer done()
-	if !conn.CompressionEnabled() {
+	if !conn.compress {
 		t.Fatal("compression not negotiated")
 	}
 	// Large, repetitive text: compressed on the wire, identical after

@@ -140,9 +140,6 @@ func (c *Conn) SetPingHandler(f func(payload []byte)) { c.pingHandler = f }
 // before reads begin.
 func (c *Conn) SetPongHandler(f func(payload []byte)) { c.pongHandler = f }
 
-// CompressionEnabled reports whether permessage-deflate was negotiated.
-func (c *Conn) CompressionEnabled() bool { return c.compress }
-
 // WriteMessage sends a complete data message in a single frame. op must
 // be OpText or OpBinary; text payloads must be valid UTF-8. When
 // permessage-deflate is negotiated, payloads above a small threshold
@@ -170,12 +167,6 @@ func (c *Conn) WriteText(s string) error { return c.WriteMessage(OpText, []byte(
 // Ping sends a ping control frame.
 func (c *Conn) Ping(payload []byte) error {
 	return c.writeFrame(Frame{Fin: true, Opcode: OpPing, Payload: payload})
-}
-
-// Pong sends an unsolicited pong control frame (§5.5.3 allows these as
-// unidirectional heartbeats).
-func (c *Conn) Pong(payload []byte) error {
-	return c.writeFrame(Frame{Fin: true, Opcode: OpPong, Payload: payload})
 }
 
 func (c *Conn) writeFrame(f Frame) error {
@@ -390,44 +381,4 @@ func (c *Conn) finishMessage(op Opcode, payload []byte, compressed bool) (Opcode
 
 func (c *Conn) frameLimit() int64 {
 	return c.maxMessage
-}
-
-// WriteFragmented sends payload as a fragmented message with the given
-// fragment size, exercising §5.4 on the wire. fragSize must be positive.
-// Intended for tests and interoperability checks; production senders use
-// WriteMessage.
-func (c *Conn) WriteFragmented(op Opcode, payload []byte, fragSize int) error {
-	if !op.IsData() {
-		return fmt.Errorf("wsproto: WriteFragmented with non-data opcode %v", op)
-	}
-	if fragSize <= 0 {
-		return fmt.Errorf("wsproto: fragment size must be positive")
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.wroteClose {
-		return ErrWriteAfterClose
-	}
-	first := true
-	for {
-		n := len(payload)
-		if n > fragSize {
-			n = fragSize
-		}
-		frag := payload[:n]
-		payload = payload[n:]
-		f := Frame{Fin: len(payload) == 0, Payload: frag}
-		if first {
-			f.Opcode = op
-			first = false
-		} else {
-			f.Opcode = OpContinuation
-		}
-		if err := c.writeFrameLocked(f); err != nil {
-			return err
-		}
-		if f.Fin {
-			return nil
-		}
-	}
 }

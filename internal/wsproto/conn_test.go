@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,45 @@ import (
 	"testing"
 	"time"
 )
+
+// WriteFragmented sends payload as a fragmented message with the given
+// fragment size, exercising §5.4 on the wire. fragSize must be positive.
+// Production senders use WriteMessage.
+func (c *Conn) WriteFragmented(op Opcode, payload []byte, fragSize int) error {
+	if !op.IsData() {
+		return fmt.Errorf("wsproto: WriteFragmented with non-data opcode %v", op)
+	}
+	if fragSize <= 0 {
+		return fmt.Errorf("wsproto: fragment size must be positive")
+	}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if c.wroteClose {
+		return ErrWriteAfterClose
+	}
+	first := true
+	for {
+		n := len(payload)
+		if n > fragSize {
+			n = fragSize
+		}
+		frag := payload[:n]
+		payload = payload[n:]
+		f := Frame{Fin: len(payload) == 0, Payload: frag}
+		if first {
+			f.Opcode = op
+			first = false
+		} else {
+			f.Opcode = OpContinuation
+		}
+		if err := c.writeFrameLocked(f); err != nil {
+			return err
+		}
+		if f.Fin {
+			return nil
+		}
+	}
+}
 
 // pipePair returns a connected client/server Conn pair over an in-memory
 // transport.

@@ -268,9 +268,7 @@ const (
 	CloseNormal          CloseCode = 1000
 	CloseGoingAway       CloseCode = 1001
 	CloseProtocolError   CloseCode = 1002
-	CloseUnsupported     CloseCode = 1003
 	CloseNoStatus        CloseCode = 1005
-	CloseAbnormal        CloseCode = 1006
 	CloseInvalidPayload  CloseCode = 1007
 	ClosePolicyViolation CloseCode = 1008
 	CloseMessageTooBig   CloseCode = 1009

@@ -21,13 +21,8 @@ import (
 // Sec-WebSocket-Accept from Sec-WebSocket-Key.
 const websocketGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
-// AcceptKey computes the Sec-WebSocket-Accept value for a client key.
-func AcceptKey(clientKey string) string {
-	var buf [28]byte
-	return string(appendAcceptKey(buf[:0], clientKey))
-}
-
-// appendAcceptKey appends AcceptKey(clientKey) to dst. For a
+// appendAcceptKey appends the Sec-WebSocket-Accept value for a client
+// key to dst. For a
 // well-formed 24-character key everything stays on the stack.
 func appendAcceptKey(dst []byte, clientKey string) []byte {
 	var buf [64]byte

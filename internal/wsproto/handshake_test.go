@@ -14,6 +14,12 @@ import (
 	"testing/iotest"
 )
 
+// AcceptKey computes the Sec-WebSocket-Accept value for a client key.
+func AcceptKey(clientKey string) string {
+	var buf [28]byte
+	return string(appendAcceptKey(buf[:0], clientKey))
+}
+
 // countingReader counts the bytes handed out, to prove the response
 // parser stops reading at its cap.
 type countingReader struct {

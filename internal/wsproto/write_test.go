@@ -115,7 +115,7 @@ func TestOneWritePerFrame(t *testing.T) {
 			{"text", func() error { return c.WriteText("impression") }, 1},
 			{"binary 70000", func() error { return c.WriteMessage(OpBinary, big) }, 1},
 			{"ping", func() error { return c.Ping([]byte("hb")) }, 1},
-			{"pong", func() error { return c.Pong(nil) }, 1},
+			{"pong", func() error { return c.writeFrame(Frame{Fin: true, Opcode: OpPong}) }, 1},
 			{"fragmented 10/4", func() error { return c.WriteFragmented(OpText, []byte("0123456789"), 4) }, 3},
 			{"close", func() error { return c.Close(CloseNormal, "unload") }, 1},
 		}
